@@ -67,8 +67,11 @@ fn bench_lr_selection(c: &mut Criterion) {
             select_safe_subset(
                 black_box(&case_m),
                 black_box(&null_m),
+                &[],
                 black_box(&order),
                 &params,
+                1,
+                None,
             )
         });
     });
@@ -111,7 +114,7 @@ fn bench_oblivious_kernels(c: &mut Criterion) {
         b.iter(|| select_safe_subset_oblivious(black_box(&case_m), &null_m, &order, &params));
     });
     c.bench_function("lr_select_fast_60snps_400", |b| {
-        b.iter(|| select_safe_subset(black_box(&case_m), &null_m, &order, &params));
+        b.iter(|| select_safe_subset(black_box(&case_m), &null_m, &[], &order, &params, 1, None));
     });
 }
 

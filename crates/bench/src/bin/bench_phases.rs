@@ -28,8 +28,7 @@ use gendpr_genomics::snp::SnpId;
 use gendpr_service::ShardPlan;
 use gendpr_stats::ld::LdMoments;
 use gendpr_stats::lr::{
-    select_safe_subset_naive, select_safe_subset_threads, BitLrMatrix, LrColumns, LrMatrix,
-    LrValues,
+    select_safe_subset, select_safe_subset_naive, BitLrMatrix, LrColumns, LrMatrix, LrValues,
 };
 use gendpr_stats::ranking::{rank_by_association, sort_most_significant_first};
 use std::time::{Duration, Instant};
@@ -209,7 +208,7 @@ fn main() {
     let naive_selection = {
         let case_matrix = LrMatrix::from_genotypes(case_all, &ids, &cf, &rf);
         let null_matrix = LrMatrix::from_genotypes(reference, &ids, &cf, &rf);
-        select_safe_subset_naive(&case_matrix, &null_matrix, &order, &params.lr)
+        select_safe_subset_naive(&case_matrix, &null_matrix, &[], &order, &params.lr)
     };
     let lr_naive = t.elapsed();
 
@@ -224,7 +223,7 @@ fn main() {
         )
     };
     let columnar_selection =
-        select_safe_subset_threads(&case_cols, &null_cols, &order, &params.lr, 1);
+        select_safe_subset(&case_cols, &null_cols, &[], &order, &params.lr, 1, None);
     let lr_columnar = t.elapsed();
     assert_eq!(
         naive_selection, columnar_selection,
@@ -234,8 +233,15 @@ fn main() {
     let workers = gendpr_core::pool::available_parallelism();
     eprintln!("timing columnar LR search ({workers} threads)…");
     let t = Instant::now();
-    let threaded_selection =
-        select_safe_subset_threads(&case_cols, &null_cols, &order, &params.lr, workers);
+    let threaded_selection = select_safe_subset(
+        &case_cols,
+        &null_cols,
+        &[],
+        &order,
+        &params.lr,
+        workers,
+        None,
+    );
     let lr_threaded = t.elapsed();
     assert_eq!(
         naive_selection, threaded_selection,
@@ -402,8 +408,15 @@ fn main() {
         mega_case.to_columns().expect("two-valued packed matrix"),
         mega_null.to_columns().expect("two-valued packed matrix"),
     );
-    let mega_selection =
-        select_safe_subset_threads(&mega_cols.0, &mega_cols.1, &mega_order, &params.lr, 1);
+    let mega_selection = select_safe_subset(
+        &mega_cols.0,
+        &mega_cols.1,
+        &[],
+        &mega_order,
+        &params.lr,
+        1,
+        None,
+    );
     let mega_lr = t.elapsed();
     drop(mega_cols);
     eprintln!(

@@ -16,7 +16,7 @@
 //! 2. re-runs the MAF/LD screens over the cumulative data,
 //! 3. seeds the LR-test with the already-released SNPs (their
 //!    contributions are charged against the power budget first — see
-//!    [`gendpr_stats::lr::select_safe_subset_seeded`]), and only then
+//!    [`gendpr_stats::lr::select_safe_subset`]), and only then
 //! 4. admits new candidates while the cumulative attack power stays
 //!    below the threshold.
 //!
@@ -31,7 +31,7 @@ use gendpr_genomics::columnar::ColumnarGenotypes;
 use gendpr_genomics::genotype::GenotypeMatrix;
 use gendpr_genomics::snp::SnpId;
 use gendpr_stats::ld::LdMoments;
-use gendpr_stats::lr::{select_safe_subset_seeded, LrColumns};
+use gendpr_stats::lr::{select_safe_subset, LrColumns};
 use gendpr_stats::maf::passes_maf;
 use gendpr_stats::ranking::{rank_by_association, sort_most_significant_first};
 
@@ -237,8 +237,15 @@ impl DynamicAssessor {
                         .expect("candidate present")
             })
             .collect();
-        let selection =
-            select_safe_subset_seeded(&case_matrix, &null_matrix, &forced, &order, &self.params.lr);
+        let selection = select_safe_subset(
+            &case_matrix,
+            &null_matrix,
+            &forced,
+            &order,
+            &self.params.lr,
+            1,
+            None,
+        );
         let mut newly_released: Vec<SnpId> =
             selection.kept_columns.iter().map(|&c| columns[c]).collect();
         newly_released.sort_unstable();

@@ -19,7 +19,9 @@
 //! * [`protocol`] — the deterministic in-process driver (what the paper's
 //!   tables and figures measure),
 //! * [`runtime`] — the fully threaded deployment: one thread per GDO,
-//!   enclaves, remote attestation and encrypted channels end to end,
+//!   enclaves, remote attestation and encrypted channels end to end (what
+//!   its elected leader and followers then run is the crate-private
+//!   `engine`, shared with [`serving`]),
 //! * [`baseline`] — the centralized (SecureGenome-in-one-enclave) and
 //!   naïve distributed comparison pipelines,
 //! * [`attack`] — the LR membership adversary used to validate releases,
@@ -68,6 +70,7 @@ pub mod certificate;
 pub mod collusion;
 pub mod config;
 pub mod dynamic;
+mod engine;
 pub mod error;
 pub mod gdo;
 pub mod leader;

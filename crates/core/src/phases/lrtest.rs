@@ -7,7 +7,7 @@
 use gendpr_genomics::snp::SnpId;
 #[cfg(test)]
 use gendpr_stats::lr::LrMatrix;
-use gendpr_stats::lr::{select_safe_subset_threads, LrTestParams, LrValues};
+use gendpr_stats::lr::{select_safe_subset, LrTestParams, LrValues};
 use gendpr_stats::oblivious::select_safe_subset_oblivious;
 use gendpr_stats::ranking::{sort_most_significant_first, SnpRank};
 
@@ -41,45 +41,21 @@ pub fn run_lr_test<M: LrValues + ?Sized, N: LrValues + ?Sized>(
     ranks: &[SnpRank],
     params: &LrTestParams,
 ) -> Vec<SnpId> {
-    run_lr_test_with(
-        candidates,
-        case_matrix,
-        null_matrix,
-        ranks,
-        params,
-        SelectionKernel::Fast,
-    )
-}
-
-/// [`run_lr_test`] with an explicit [`SelectionKernel`].
-///
-/// # Panics
-///
-/// Same conditions as [`run_lr_test`].
-#[must_use]
-pub fn run_lr_test_with<M: LrValues + ?Sized, N: LrValues + ?Sized>(
-    candidates: &[SnpId],
-    case_matrix: &M,
-    null_matrix: &N,
-    ranks: &[SnpRank],
-    params: &LrTestParams,
-    kernel: SelectionKernel,
-) -> Vec<SnpId> {
     run_lr_test_threads(
         candidates,
         case_matrix,
         null_matrix,
         ranks,
         params,
-        kernel,
+        SelectionKernel::Fast,
         1,
     )
 }
 
-/// [`run_lr_test_with`] with row-chunked search parallelism: `threads`
-/// workers split the per-individual sum updates of the Fast kernel
-/// (byte-identical selections for every thread count, see
-/// `gendpr_stats::lr::select_safe_subset_threads`). The Oblivious kernel
+/// [`run_lr_test`] with an explicit [`SelectionKernel`] and row-chunked
+/// search parallelism: `threads` workers split the per-individual sum
+/// updates of the Fast kernel (byte-identical selections for every thread
+/// count, see `gendpr_stats::lr::select_safe_subset`). The Oblivious kernel
 /// stays single-threaded — its data-independent access pattern is the
 /// point.
 ///
@@ -127,7 +103,7 @@ pub fn run_lr_test_threads<M: LrValues + ?Sized, N: LrValues + ?Sized>(
 
     let selection = match kernel {
         SelectionKernel::Fast => {
-            select_safe_subset_threads(case_matrix, null_matrix, &order, params, threads)
+            select_safe_subset(case_matrix, null_matrix, &[], &order, params, threads, None)
         }
         SelectionKernel::Oblivious => {
             select_safe_subset_oblivious(case_matrix, null_matrix, &order, params)
@@ -230,21 +206,15 @@ mod tests {
             false_positive_rate: 0.1,
             power_threshold: 0.6,
         };
-        let fast = run_lr_test_with(
-            &ids,
-            &case_m,
-            &null_m,
-            &ranks,
-            &params,
-            SelectionKernel::Fast,
-        );
-        let oblivious = run_lr_test_with(
+        let fast = run_lr_test(&ids, &case_m, &null_m, &ranks, &params);
+        let oblivious = run_lr_test_threads(
             &ids,
             &case_m,
             &null_m,
             &ranks,
             &params,
             SelectionKernel::Oblivious,
+            1,
         );
         assert_eq!(fast, oblivious);
     }

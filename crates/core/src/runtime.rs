@@ -36,20 +36,13 @@
 //! A degraded run's certificate carries the epoch and surviving roster so
 //! an auditor can see exactly whose inputs the release covers.
 
-use crate::certificate::{AssessmentCertificate, AssessmentFacts};
-use crate::collusion::{evaluation_subsets_of, intersect_selections};
+use crate::certificate::AssessmentCertificate;
 use crate::config::{CollusionMode, FederationConfig, GwasParams};
+use crate::engine::{follower_serve, Channels, LeaderSession, Terminator};
 use crate::error::ProtocolError;
 use crate::gdo::GdoNode;
 use crate::leader::{draw_nonce, elect_among, verify_reveal, ElectionCommit, ElectionReveal};
-use crate::messages::{
-    CountsReport, MomentsReport, MomentsRequest, Phase1Broadcast, Phase2Broadcast, Phase3Broadcast,
-    ProtocolMessage,
-};
-use crate::phases::ld::run_ld_scan;
-use crate::phases::lrtest::{run_lr_test_threads, SelectionKernel};
-use crate::phases::maf::{run_maf, MafOutcome};
-use crate::pool::parallel_map;
+use crate::messages::{CountsReport, ProtocolMessage};
 use crate::protocol::PhaseTimings;
 use gendpr_crypto::rng::ChaChaRng;
 use gendpr_fednet::fault::FaultPlan;
@@ -59,9 +52,6 @@ use gendpr_fednet::wire::{self, Decode, Encode, Reader, WireError};
 use gendpr_genomics::cohort::Cohort;
 use gendpr_genomics::genotype::GenotypeMatrix;
 use gendpr_genomics::snp::SnpId;
-use gendpr_stats::ld::LdMoments;
-use gendpr_stats::lr::{BitLrMatrix, LrMatrix, LrValues};
-use gendpr_stats::ranking::{rank_by_association, SnpRank};
 use gendpr_tee::attestation::AttestationService;
 use gendpr_tee::enclave::Enclave;
 use gendpr_tee::measurement::Measurement;
@@ -762,488 +752,59 @@ struct ThreadReport {
     peak_enclave_bytes: u64,
     ecalls: u64,
     leader: usize,
-    outcome: Option<(Vec<SnpId>, Vec<SnpId>, Vec<SnpId>)>,
+    /// `(L', L'')` — leader only.
+    outcome: Option<(Vec<SnpId>, Vec<SnpId>)>,
     safe_seen: Vec<SnpId>,
     timings: PhaseTimings,
     certificate: Option<AssessmentCertificate>,
 }
 
-#[allow(clippy::too_many_lines)]
+/// Establishes an attested channel with every other roster member.
+pub(crate) fn establish_channels<T: Transport>(
+    ctx: &mut MemberCtx<T>,
+) -> Result<Channels, Interrupt> {
+    let mut channels = Channels::new();
+    for peer in ctx.roster.clone() {
+        if peer != ctx.id {
+            channels.insert(peer, establish_channel(ctx, peer)?);
+        }
+    }
+    Ok(channels)
+}
+
+/// One epoch as the elected leader: the engine's session over fresh
+/// channels, serving exactly one job — the whole panel, nothing forced,
+/// no job context.
 fn leader_main<T: Transport>(
     ctx: &mut MemberCtx<T>,
     node: &GdoNode,
     reference: &GenotypeMatrix,
-    config: &FederationConfig,
     params: &GwasParams,
     own_counts: &CountsReport,
 ) -> Result<ThreadReport, Interrupt> {
-    let g = ctx.g;
-    let me = ctx.id;
-    let roster = ctx.roster.clone();
-    let mut channels: HashMap<usize, SecureChannel> = HashMap::new();
-    for &peer in &roster {
-        if peer != me {
-            channels.insert(peer, establish_channel(ctx, peer)?);
-        }
-    }
-    let subsets = evaluation_subsets_of(&roster, config.collusion);
-    let mut timings = PhaseTimings::default();
-    crate::telemetry::subsets_evaluated().add(subsets.len() as u64);
+    let channels = establish_channels(ctx)?;
+    let mut session = LeaderSession::collect(ctx, channels, node, reference, params, own_counts)?;
     gendpr_obs::event(
         gendpr_obs::Level::Info,
         "runtime",
         "leader_run_started",
         &[
-            ("leader", me.into()),
-            ("members", g.into()),
-            ("subsets", subsets.len().into()),
+            ("leader", ctx.id.into()),
+            ("members", ctx.g.into()),
+            ("subsets", session.evaluations().into()),
         ],
     );
-
-    // ---- Collect counts ----
-    let t = Instant::now();
-    let mut reports: Vec<Option<CountsReport>> = vec![None; g];
-    let panel_len = own_counts.counts.len();
-    reports[me] = Some(own_counts.clone());
-    for &peer in &roster {
-        if peer == me {
-            continue;
-        }
-        let channel = channels.get_mut(&peer).expect("channel established");
-        match recv_protocol(ctx, channel, peer, "counts")? {
-            ProtocolMessage::Counts(c) if c.counts.len() == panel_len => {
-                reports[peer] = Some(c);
-            }
-            _ => return Err(ProtocolError::MalformedMessage { member: peer }.into()),
-        }
-    }
-    timings.aggregation += t.elapsed();
-    crate::telemetry::phase_seconds("aggregation").observe_duration(t.elapsed());
-
-    // ---- Phase 1: MAF per subset + intersection ----
-    let t = Instant::now();
-    let ref_counts = ctx.enclave.enter(|(), epc| {
-        epc.alloc(8 * reference.snps() as u64);
-        reference.column_counts()
-    });
-    let n_ref = reference.individuals() as u64;
-    // Pure per-subset work (no channel I/O) fans out across the worker
-    // pool; results come back in subset order, so the selections and the
-    // certificate are byte-identical to a sequential run.
-    let threads = ctx.threads;
-    let maf_outcomes: Vec<MafOutcome> = parallel_map(threads, &subsets, |_, subset| {
-        let subset_reports: Vec<CountsReport> = subset
-            .iter()
-            .map(|&i| reports[i].clone().expect("subset member reported"))
-            .collect();
-        run_maf(
-            &subset_reports,
-            ref_counts.clone(),
-            n_ref,
-            params.maf_cutoff,
-        )
-    });
-    let l_prime = intersect_selections(
-        &maf_outcomes
-            .iter()
-            .map(|o| o.retained.clone())
-            .collect::<Vec<_>>(),
-    );
-    let all_ids: Vec<SnpId> = (0..panel_len as u32).map(SnpId).collect();
-    let rankings: Vec<Vec<SnpRank>> = parallel_map(threads, &maf_outcomes, |_, o| {
-        rank_by_association(&all_ids, &o.case_counts, o.n_case, &o.ref_counts, o.n_ref)
-    });
-    let phase1 = ProtocolMessage::Phase1(Phase1Broadcast {
-        retained: l_prime.iter().map(|s| s.0).collect(),
-    });
-    for &peer in &roster {
-        if peer != me {
-            let channel = channels.get_mut(&peer).expect("channel");
-            send_protocol(ctx, channel, peer, &phase1)?;
-        }
-    }
-
-    timings.indexing += t.elapsed();
-    crate::telemetry::phase_seconds("maf").observe_duration(t.elapsed());
-
-    // ---- Phase 2: LD per subset + intersection ----
-    let t = Instant::now();
-    // Reference moments do not depend on the subset under evaluation:
-    // compute every adjacent pair of L' once, fanned across the worker
-    // pool, and serve all subsets (prefetch tables and scan cache misses
-    // alike) from this table instead of rescanning the reference panel.
-    let ref_pair_moments: HashMap<(u32, u32), LdMoments> = {
-        let pairs: Vec<(SnpId, SnpId)> = l_prime.windows(2).map(|w| (w[0], w[1])).collect();
-        let moments = parallel_map(threads, &pairs, |_, &(a, b)| {
-            LdMoments::from_cached_counts(
-                reference,
-                a,
-                b,
-                ref_counts[a.index()],
-                ref_counts[b.index()],
-            )
-        });
-        pairs
-            .iter()
-            .zip(moments)
-            .map(|(&(a, b), m)| ((a.0, b.0), m))
-            .collect()
-    };
-    let ref_moments = |a: SnpId, b: SnpId| {
-        ref_pair_moments
-            .get(&(a.0, b.0))
-            .copied()
-            .unwrap_or_else(|| {
-                LdMoments::from_cached_counts(
-                    reference,
-                    a,
-                    b,
-                    ref_counts[a.index()],
-                    ref_counts[b.index()],
-                )
-            })
-    };
-    let mut ld_selections = Vec::with_capacity(subsets.len());
-    for (c, subset) in subsets.iter().enumerate() {
-        let ranks = &rankings[c];
-        // Optional single-round prefetch of every adjacent pair's moments:
-        // the greedy scan compares (survivor, next), and the survivor is
-        // usually `next - 1`, so most lookups hit this cache.
-        let mut moments_cache: HashMap<(u32, u32), LdMoments> = HashMap::new();
-        if ctx.prefetch_ld && l_prime.len() >= 2 {
-            let pairs: Vec<MomentsRequest> = l_prime
-                .windows(2)
-                .map(|w| MomentsRequest {
-                    a: w[0].0,
-                    b: w[1].0,
-                })
-                .collect();
-            for w in l_prime.windows(2) {
-                let (a, b) = (w[0], w[1]);
-                let mut pooled = ref_moments(a, b);
-                if subset.contains(&me) {
-                    pooled = pooled.merge(LdMoments::from(node.ld_moments(a, b)));
-                }
-                moments_cache.insert((a.0, b.0), pooled);
-            }
-            let request = ProtocolMessage::MomentsRequest(pairs.clone());
-            for &peer in subset {
-                if peer != me {
-                    let channel = channels.get_mut(&peer).expect("channel");
-                    send_protocol(ctx, channel, peer, &request)?;
-                }
-            }
-            for &peer in subset {
-                if peer == me {
-                    continue;
-                }
-                let channel = channels.get_mut(&peer).expect("channel");
-                match recv_protocol(ctx, channel, peer, "ld-prefetch")? {
-                    ProtocolMessage::Moments(ms) if ms.len() == pairs.len() => {
-                        for (pair, m) in pairs.iter().zip(ms) {
-                            let entry = moments_cache
-                                .get_mut(&(pair.a, pair.b))
-                                .expect("prefetched pair");
-                            *entry = entry.merge(LdMoments::from(m));
-                        }
-                    }
-                    _ => return Err(ProtocolError::MalformedMessage { member: peer }.into()),
-                }
-            }
-        }
-        let mut scan_error: Option<Interrupt> = None;
-        let retained = {
-            let channels = &mut channels;
-            let ctx_cell = std::cell::RefCell::new(&mut *ctx);
-            let scan_error = &mut scan_error;
-            run_ld_scan(
-                &l_prime,
-                |a, b| {
-                    if scan_error.is_some() {
-                        return LdMoments::default();
-                    }
-                    if let Some(&cached) = moments_cache.get(&(a.0, b.0)) {
-                        return cached;
-                    }
-                    // Fan the request out to every subset member first, so
-                    // their shard scans run in parallel, then collect.
-                    let request =
-                        ProtocolMessage::MomentsRequest(vec![MomentsRequest { a: a.0, b: b.0 }]);
-                    for &peer in subset.iter() {
-                        if peer == me {
-                            continue;
-                        }
-                        let mut ctx = ctx_cell.borrow_mut();
-                        let channel = channels.get_mut(&peer).expect("channel");
-                        if let Err(e) = send_protocol(&mut ctx, channel, peer, &request) {
-                            *scan_error = Some(e.into());
-                            return LdMoments::default();
-                        }
-                    }
-                    let mut pooled = ref_moments(a, b);
-                    if subset.contains(&me) {
-                        pooled = pooled.merge(LdMoments::from(node.ld_moments(a, b)));
-                    }
-                    for &peer in subset.iter() {
-                        if peer == me {
-                            continue;
-                        }
-                        let mut ctx = ctx_cell.borrow_mut();
-                        let channel = channels.get_mut(&peer).expect("channel");
-                        match recv_protocol(&mut ctx, channel, peer, "ld-moments") {
-                            Ok(ProtocolMessage::Moments(ms)) if ms.len() == 1 => {
-                                pooled = pooled.merge(LdMoments::from(ms[0]));
-                            }
-                            Ok(_) => {
-                                *scan_error =
-                                    Some(ProtocolError::MalformedMessage { member: peer }.into());
-                            }
-                            Err(e) => *scan_error = Some(e),
-                        }
-                    }
-                    pooled
-                },
-                |s| ranks[s.index()].p_value,
-                params.ld_cutoff,
-            )
-        };
-        if let Some(intr) = scan_error {
-            if let Interrupt::Fatal(ref e) = intr {
-                abort_all(ctx, &mut channels, e);
-            }
-            return Err(intr);
-        }
-        ld_selections.push(retained);
-    }
-    let l_double_prime = intersect_selections(&ld_selections);
-    timings.ld += t.elapsed();
-    crate::telemetry::phase_seconds("ld").observe_duration(t.elapsed());
-
-    // ---- Phase 3: LR per subset + intersection ----
-    let t = Instant::now();
-    let mut lr_selections = Vec::with_capacity(subsets.len());
-    for (c, subset) in subsets.iter().enumerate() {
-        let outcome = &maf_outcomes[c];
-        let case_freqs: Vec<f64> = l_double_prime
-            .iter()
-            .map(|&s| outcome.case_frequency(s))
-            .collect();
-        let ref_freqs: Vec<f64> = l_double_prime
-            .iter()
-            .map(|&s| outcome.ref_frequency(s))
-            .collect();
-        let broadcast = ProtocolMessage::Phase2(
-            c as u32,
-            Phase2Broadcast {
-                retained: l_double_prime.iter().map(|s| s.0).collect(),
-                case_freqs: case_freqs.clone(),
-                ref_freqs: ref_freqs.clone(),
-            },
-        );
-        for &peer in subset {
-            if peer == me {
-                continue;
-            }
-            let channel = channels.get_mut(&peer).expect("channel");
-            send_protocol(ctx, channel, peer, &broadcast)?;
-        }
-        let ranks: Vec<SnpRank> = l_double_prime
-            .iter()
-            .map(|&s| rankings[c][s.index()])
-            .collect();
-        let safe = if ctx.compact_lr {
-            // Bit-packed end to end: members ship indicator bits, the
-            // leader keeps everything — merged case matrix and the null
-            // model — packed, 64× below the dense footprint.
-            let mut parts: Vec<BitLrMatrix> = Vec::with_capacity(subset.len());
-            if subset.contains(&me) {
-                let own = ctx.enclave.enter(|(), epc| {
-                    let m = BitLrMatrix::from_genotypes(
-                        node.shard(),
-                        &l_double_prime,
-                        &case_freqs,
-                        &ref_freqs,
-                    );
-                    epc.alloc(m.heap_bytes() as u64);
-                    m
-                });
-                parts.push(own);
-            }
-            for &peer in subset {
-                if peer == me {
-                    continue;
-                }
-                let channel = channels.get_mut(&peer).expect("channel");
-                let m = match recv_protocol(ctx, channel, peer, "lr-matrices")? {
-                    ProtocolMessage::LrCompact(combo, report) if combo == c as u32 => {
-                        BitLrMatrix::from_raw_bits(
-                            report.individuals as usize,
-                            report.snps as usize,
-                            report.bits,
-                            &case_freqs,
-                            &ref_freqs,
-                        )
-                        .map_err(|_| ProtocolError::MalformedMessage { member: peer })?
-                    }
-                    _ => return Err(ProtocolError::MalformedMessage { member: peer }.into()),
-                };
-                if m.snps() != l_double_prime.len() {
-                    return Err(ProtocolError::MalformedMessage { member: peer }.into());
-                }
-                ctx.enclave
-                    .enter(|(), epc| epc.alloc(m.heap_bytes() as u64));
-                parts.push(m);
-            }
-            let (safe, freed) = ctx.enclave.enter(|(), epc| {
-                let case_matrix = BitLrMatrix::concat_rows(&parts);
-                epc.alloc(case_matrix.heap_bytes() as u64);
-                let null_matrix = BitLrMatrix::from_genotypes(
-                    reference,
-                    &l_double_prime,
-                    &case_freqs,
-                    &ref_freqs,
-                );
-                epc.alloc(null_matrix.heap_bytes() as u64);
-                let safe = run_lr_test_threads(
-                    &l_double_prime,
-                    &case_matrix,
-                    &null_matrix,
-                    &ranks,
-                    &params.lr,
-                    SelectionKernel::Fast,
-                    ctx.threads,
-                );
-                let freed = case_matrix.heap_bytes() as u64 + null_matrix.heap_bytes() as u64;
-                (safe, freed)
-            });
-            let part_bytes: u64 = parts.iter().map(|p| p.heap_bytes() as u64).sum();
-            ctx.enclave.enter(|(), epc| epc.free(freed + part_bytes));
-            safe
-        } else {
-            // Paper-faithful dense matrices.
-            let mut parts: Vec<LrMatrix> = Vec::with_capacity(subset.len());
-            if subset.contains(&me) {
-                let own = ctx.enclave.enter(|(), epc| {
-                    let m = node
-                        .lr_report(&l_double_prime, &case_freqs, &ref_freqs)
-                        .into_matrix()
-                        .expect("well-formed local matrix");
-                    epc.alloc(m.heap_bytes() as u64);
-                    m
-                });
-                parts.push(own);
-            }
-            for &peer in subset {
-                if peer == me {
-                    continue;
-                }
-                let channel = channels.get_mut(&peer).expect("channel");
-                let m = match recv_protocol(ctx, channel, peer, "lr-matrices")? {
-                    ProtocolMessage::Lr(combo, report) if combo == c as u32 => report
-                        .into_matrix()
-                        .map_err(|_| ProtocolError::MalformedMessage { member: peer })?,
-                    _ => return Err(ProtocolError::MalformedMessage { member: peer }.into()),
-                };
-                if m.snps() != l_double_prime.len() {
-                    return Err(ProtocolError::MalformedMessage { member: peer }.into());
-                }
-                ctx.enclave
-                    .enter(|(), epc| epc.alloc(m.heap_bytes() as u64));
-                parts.push(m);
-            }
-            let (safe, freed) = ctx.enclave.enter(|(), epc| {
-                let case_matrix = LrMatrix::concat_rows(&parts);
-                epc.alloc(case_matrix.heap_bytes() as u64);
-                let null_matrix =
-                    LrMatrix::from_genotypes(reference, &l_double_prime, &case_freqs, &ref_freqs);
-                epc.alloc(null_matrix.heap_bytes() as u64);
-                let safe = run_lr_test_threads(
-                    &l_double_prime,
-                    &case_matrix,
-                    &null_matrix,
-                    &ranks,
-                    &params.lr,
-                    SelectionKernel::Fast,
-                    ctx.threads,
-                );
-                let freed = case_matrix.heap_bytes() as u64 + null_matrix.heap_bytes() as u64;
-                (safe, freed)
-            });
-            let part_bytes: u64 = parts.iter().map(|p| p.heap_bytes() as u64).sum();
-            ctx.enclave.enter(|(), epc| epc.free(freed + part_bytes));
-            safe
-        };
-        lr_selections.push(safe);
-    }
-    let safe_snps = intersect_selections(&lr_selections);
-    timings.lr += t.elapsed();
-    crate::telemetry::phase_seconds("lr").observe_duration(t.elapsed());
-
-    // ---- Audit certificate (issued inside the leader enclave) ----
-    let full = &maf_outcomes[0];
-    let roster_u32: Vec<u32> = roster.iter().map(|&m| m as u32).collect();
-    let certificate = AssessmentCertificate::issue(
-        &ctx.enclave,
-        &AssessmentFacts {
-            params,
-            gdo_count: g,
-            panel_len,
-            case_counts: &full.case_counts,
-            n_case: full.n_case,
-            ref_counts: &full.ref_counts,
-            n_ref: full.n_ref,
-            safe: &safe_snps,
-            evaluations: subsets.len() as u64,
-            epoch: ctx.epoch,
-            roster: &roster_u32,
-            context: None,
-        },
-    );
-
-    // ---- Final broadcast ----
-    let phase3 = ProtocolMessage::Phase3(Phase3Broadcast {
-        safe: safe_snps.iter().map(|s| s.0).collect(),
-    });
-    for &peer in &roster {
-        if peer != me {
-            let channel = channels.get_mut(&peer).expect("channel");
-            send_protocol(ctx, channel, peer, &phase3)?;
-        }
-    }
-
+    let panel: Vec<SnpId> = (0..session.panel_len() as u32).map(SnpId).collect();
+    let assessment = session.assess(ctx, &panel, &[], None, None)?;
     Ok(ThreadReport {
         peak_enclave_bytes: ctx.enclave.epc().peak(),
         ecalls: ctx.enclave.ecalls(),
-        leader: me,
-        outcome: Some((l_prime, l_double_prime, safe_snps.clone())),
-        safe_seen: safe_snps,
-        timings,
-        certificate: Some(certificate),
+        leader: ctx.id,
+        outcome: Some((assessment.l_prime, assessment.l_double_prime)),
+        safe_seen: assessment.released,
+        timings: assessment.timings,
+        certificate: Some(assessment.certificate),
     })
-}
-
-pub(crate) fn abort_all<T: Transport>(
-    ctx: &mut MemberCtx<T>,
-    channels: &mut HashMap<usize, SecureChannel>,
-    err: &ProtocolError,
-) {
-    let msg = match err {
-        ProtocolError::QuorumLost {
-            epoch,
-            survivors,
-            required,
-        } => ProtocolMessage::QuorumLost {
-            epoch: *epoch,
-            survivors: *survivors as u32,
-            required: *required as u32,
-        },
-        _ => ProtocolMessage::Abort(err.to_string()),
-    };
-    let peers: Vec<usize> = channels.keys().copied().collect();
-    for peer in peers {
-        let channel = channels.get_mut(&peer).expect("iterating keys");
-        let _ = send_protocol(ctx, channel, peer, &msg);
-    }
 }
 
 fn follower_main<T: Transport>(
@@ -1261,7 +822,7 @@ fn follower_main<T: Transport>(
         &ProtocolMessage::Counts(own_counts.clone()),
     )?;
 
-    let safe = follower_serve(ctx, node, &mut channel, leader)?;
+    let safe = follower_serve(ctx, node, &mut channel, leader, Terminator::Phase3)?;
     Ok(ThreadReport {
         peak_enclave_bytes: ctx.enclave.epc().peak(),
         ecalls: ctx.enclave.ecalls(),
@@ -1271,136 +832,6 @@ fn follower_main<T: Transport>(
         timings: PhaseTimings::default(),
         certificate: None,
     })
-}
-
-/// Serves one assessment as a follower: answers the leader's moments
-/// queries and LR-matrix requests over the attested channel until the
-/// final Phase 3 broadcast arrives, and returns the safe set it carried.
-/// Shared between the one-shot [`follower_main`] and the long-lived
-/// service session loop in [`crate::serving`], so a service job follows
-/// byte-for-byte the same message schedule as a standalone run.
-pub(crate) fn follower_serve<T: Transport>(
-    ctx: &mut MemberCtx<T>,
-    node: &GdoNode,
-    channel: &mut SecureChannel,
-    leader: usize,
-) -> Result<Vec<SnpId>, Interrupt> {
-    loop {
-        match recv_protocol(ctx, channel, leader, "awaiting-leader")? {
-            ProtocolMessage::Phase1(_) => {
-                // Informational: L' arrives before the moments queries.
-            }
-            ProtocolMessage::MomentsRequest(pairs) => {
-                let reports: Vec<MomentsReport> = pairs
-                    .iter()
-                    .map(|p| node.ld_moments(SnpId(p.a), SnpId(p.b)))
-                    .collect();
-                send_protocol(ctx, channel, leader, &ProtocolMessage::Moments(reports))?;
-            }
-            ProtocolMessage::Phase2(combo, broadcast) => {
-                let snps: Vec<SnpId> = broadcast.retained.iter().map(|&s| SnpId(s)).collect();
-                if ctx.compact_lr {
-                    let report = ctx.enclave.enter(|(), epc| {
-                        let r = node.lr_report_compact(&snps);
-                        epc.alloc(8 * r.bits.len() as u64);
-                        r
-                    });
-                    let bytes = 8 * report.bits.len() as u64;
-                    send_protocol(
-                        ctx,
-                        channel,
-                        leader,
-                        &ProtocolMessage::LrCompact(combo, report),
-                    )?;
-                    ctx.enclave.enter(|(), epc| epc.free(bytes));
-                } else {
-                    let report = ctx.enclave.enter(|(), epc| {
-                        let r = node.lr_report(&snps, &broadcast.case_freqs, &broadcast.ref_freqs);
-                        epc.alloc(8 * r.values.len() as u64);
-                        r
-                    });
-                    let bytes = 8 * report.values.len() as u64;
-                    send_protocol(ctx, channel, leader, &ProtocolMessage::Lr(combo, report))?;
-                    ctx.enclave.enter(|(), epc| epc.free(bytes));
-                }
-            }
-            ProtocolMessage::Phase3(broadcast) => {
-                return Ok(broadcast.safe.into_iter().map(SnpId).collect());
-            }
-            ProtocolMessage::QuorumLost {
-                epoch,
-                survivors,
-                required,
-            } => {
-                return Err(ProtocolError::QuorumLost {
-                    epoch,
-                    survivors: survivors as usize,
-                    required: required as usize,
-                }
-                .into());
-            }
-            ProtocolMessage::Abort(reason) => {
-                return Err(ProtocolError::MemberUnresponsive {
-                    member: leader,
-                    phase: if reason.is_empty() {
-                        "aborted"
-                    } else {
-                        "aborted-by-leader"
-                    },
-                }
-                .into());
-            }
-            _ => return Err(ProtocolError::MalformedMessage { member: leader }.into()),
-        }
-    }
-}
-
-/// Serves one shard-scoped assessment as a follower: answers the shard
-/// leader's moments queries until the `ShardDone` broadcast. Shard lanes
-/// never run Phase 2/3 (the LR intersection search runs once, globally,
-/// on the merged state), so only the oracle arm is live here.
-pub(crate) fn follower_serve_shard<T: Transport>(
-    ctx: &mut MemberCtx<T>,
-    node: &GdoNode,
-    channel: &mut SecureChannel,
-    leader: usize,
-) -> Result<(), Interrupt> {
-    loop {
-        match recv_protocol(ctx, channel, leader, "shard-serve")? {
-            ProtocolMessage::MomentsRequest(pairs) => {
-                let reports: Vec<MomentsReport> = pairs
-                    .iter()
-                    .map(|p| node.ld_moments(SnpId(p.a), SnpId(p.b)))
-                    .collect();
-                send_protocol(ctx, channel, leader, &ProtocolMessage::Moments(reports))?;
-            }
-            ProtocolMessage::ShardDone => return Ok(()),
-            ProtocolMessage::QuorumLost {
-                epoch,
-                survivors,
-                required,
-            } => {
-                return Err(ProtocolError::QuorumLost {
-                    epoch,
-                    survivors: survivors as usize,
-                    required: required as usize,
-                }
-                .into());
-            }
-            ProtocolMessage::Abort(reason) => {
-                return Err(ProtocolError::MemberUnresponsive {
-                    member: leader,
-                    phase: if reason.is_empty() {
-                        "aborted"
-                    } else {
-                        "aborted-by-leader"
-                    },
-                }
-                .into());
-            }
-            _ => return Err(ProtocolError::MalformedMessage { member: leader }.into()),
-        }
-    }
 }
 
 /// Runs the full threaded deployment over `cohort`.
@@ -1493,28 +924,6 @@ pub struct MemberOutcome {
     pub roster: Vec<usize>,
 }
 
-/// Runs a single federation member over an arbitrary [`Transport`].
-///
-/// This is the body of one `run_federation` thread, exposed so a real
-/// deployment (the `gendpr node` daemon) can run each member in its own
-/// process. All per-member secrets — the attestation root, platform keys
-/// and the member's protocol RNG — are derived from `config.seed` with
-/// the exact fork sequence `run_federation_over` uses, so G independent
-/// processes sharing a seed reconstruct one consistent federation and
-/// produce bit-identical results to the threaded deployment.
-///
-/// `shard` is this member's case-cohort slice (shard `member` of
-/// [`Cohort::split_case_among`] with `config.gdo_count` shards);
-/// `reference` is the public reference panel every member holds.
-///
-/// # Errors
-///
-/// Configuration errors, [`ProtocolError::MemberUnresponsive`] when a
-/// peer stays silent past `options.timeout` with recovery disabled,
-/// [`ProtocolError::QuorumLost`] when too many members crashed for a new
-/// epoch to form, [`ProtocolError::Evicted`] when the survivors re-formed
-/// without this member, or [`ProtocolError::SecurityFailure`] if
-/// attestation fails.
 /// Validates the configuration and builds one member's protocol context:
 /// the enclave, the deterministic per-member secrets and the frame
 /// sequencing state. The fork order of the derivation must match
@@ -1579,6 +988,28 @@ pub(crate) fn build_member_ctx<T: Transport>(
     })
 }
 
+/// Runs a single federation member over an arbitrary [`Transport`].
+///
+/// This is the body of one `run_federation` thread, exposed so a real
+/// deployment (the `gendpr node` daemon) can run each member in its own
+/// process. All per-member secrets — the attestation root, platform keys
+/// and the member's protocol RNG — are derived from `config.seed` with
+/// the exact fork sequence `run_federation_over` uses, so G independent
+/// processes sharing a seed reconstruct one consistent federation and
+/// produce bit-identical results to the threaded deployment.
+///
+/// `shard` is this member's case-cohort slice (shard `member` of
+/// [`Cohort::split_case_among`] with `config.gdo_count` shards);
+/// `reference` is the public reference panel every member holds.
+///
+/// # Errors
+///
+/// Configuration errors, [`ProtocolError::MemberUnresponsive`] when a
+/// peer stays silent past `options.timeout` with recovery disabled,
+/// [`ProtocolError::QuorumLost`] when too many members crashed for a new
+/// epoch to form, [`ProtocolError::Evicted`] when the survivors re-formed
+/// without this member, or [`ProtocolError::SecurityFailure`] if
+/// attestation fails.
 #[allow(clippy::needless_pass_by_value)] // the transport is consumed by the run
 pub fn run_member<T: Transport>(
     transport: T,
@@ -1604,7 +1035,7 @@ pub fn run_member<T: Transport>(
     let report = loop {
         let result = match run_election(&mut ctx) {
             Ok(leader) if leader == member => {
-                leader_main(&mut ctx, &node, reference, config, params, &own_counts)
+                leader_main(&mut ctx, &node, reference, params, &own_counts)
             }
             Ok(leader) => follower_main(&mut ctx, &node, leader, &own_counts),
             Err(intr) => Err(intr),
@@ -1627,10 +1058,7 @@ pub fn run_member<T: Transport>(
         .filter(|&peer| peer != member)
         .map(|peer| (peer as u32, ctx.endpoint.link_stats(PeerId(peer as u32))))
         .collect();
-    let (l_prime, l_double_prime) = match report.outcome {
-        Some((lp, ld, _)) => (Some(lp), Some(ld)),
-        None => (None, None),
-    };
+    let (l_prime, l_double_prime) = report.outcome.unzip();
     Ok(MemberOutcome {
         id: member,
         leader: report.leader,

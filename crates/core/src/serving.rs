@@ -16,34 +16,31 @@
 //! then a loop in which the leader announces each job with a
 //! [`JobStartBroadcast`] naming the requested panel *and* the already
 //! released SNPs. Phase 3 runs the *seeded* subset search
-//! ([`gendpr_stats::lr::select_safe_subset_seeded`]): prior releases are
+//! ([`gendpr_stats::lr::select_safe_subset`]): prior releases are
 //! forced into the cumulative LR sums before any new candidate is
 //! admitted, so the certified bound covers the whole release history.
 //! Between jobs every channel ratchets its keys
-//! ([`SecureChannel::rekey`]), giving per-job forward secrecy and a fresh
-//! nonce space however many jobs the federation serves.
+//! ([`gendpr_tee::session::SecureChannel::rekey`]), giving per-job forward
+//! secrecy and a fresh nonce space however many jobs the federation serves.
+//! What the leader and the followers run *inside* a job is the crate's
+//! assessment engine, shared with the one-shot runtime.
 //!
 //! [`ServiceFederation`] is the in-process handle: it spawns one thread
 //! per member over arbitrary transports, waits for the session to come
 //! up, and turns [`JobSpec`]s into [`JobOutcome`]s one at a time. The
 //! `gendpr serve` daemon builds its job queue and release ledger on top.
 
-use crate::certificate::{AssessmentCertificate, AssessmentFacts, JobContext};
-use crate::collusion::{evaluation_subsets_of, intersect_selections};
+use crate::certificate::AssessmentCertificate;
 use crate::config::{FederationConfig, GwasParams};
+use crate::engine::{
+    follower_serve, send_each, unexpected_from_leader, Assessment, LeaderSession, Terminator,
+};
 use crate::error::ProtocolError;
 use crate::gdo::GdoNode;
-use crate::memo::LrPrefixMemo;
-use crate::messages::{
-    CountsReport, JobStartBroadcast, MomentsRequest, Phase1Broadcast, Phase2Broadcast,
-    Phase3Broadcast, ProtocolMessage, ShardStartBroadcast,
-};
-use crate::phases::ld::run_ld_scan;
-use crate::phases::maf::{run_maf, MafOutcome};
-use crate::pool::parallel_map;
+use crate::messages::{CountsReport, JobStartBroadcast, ProtocolMessage, ShardStartBroadcast};
 use crate::runtime::{
-    abort_all, build_member_ctx, establish_channel, follower_serve, follower_serve_shard,
-    recv_protocol, run_election, send_protocol, Interrupt, MemberCtx, RuntimeOptions,
+    build_member_ctx, establish_channel, establish_channels, recv_protocol, run_election,
+    send_protocol, Interrupt, MemberCtx, RuntimeOptions,
 };
 use gendpr_fednet::metrics::TrafficStats;
 use gendpr_fednet::transport::{Endpoint, Network, PeerId, Transport};
@@ -51,13 +48,6 @@ use gendpr_genomics::cohort::Cohort;
 use gendpr_genomics::genotype::GenotypeMatrix;
 use gendpr_genomics::snp::SnpId;
 use gendpr_stats::ld::LdMoments;
-use gendpr_stats::lr::{
-    select_safe_subset_seeded, select_safe_subset_seeded_threads, BitLrMatrix, LrMatrix,
-    LrPrefixSums, LrSelection, LrTestParams, LrValues,
-};
-use gendpr_stats::ranking::{sort_most_significant_first, SnpRank};
-use gendpr_tee::session::SecureChannel;
-use std::collections::HashMap;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -177,20 +167,6 @@ enum SessionCommand {
     Shutdown,
 }
 
-/// Leader-only facts about a finished job.
-struct LeaderDetail {
-    l_prime: Vec<SnpId>,
-    l_double_prime: Vec<SnpId>,
-    released: Vec<SnpId>,
-    final_power: f64,
-    final_threshold: f64,
-    case_freqs: Vec<f64>,
-    ref_freqs: Vec<f64>,
-    certificate: AssessmentCertificate,
-    epoch: u64,
-    roster: Vec<u32>,
-}
-
 /// Events member threads report back to the handle.
 enum SessionEvent {
     /// Session setup (election, attestation, counts) is complete.
@@ -201,7 +177,7 @@ enum SessionEvent {
         job_id: u64,
         safe: Vec<SnpId>,
         traffic: Vec<LinkUsage>,
-        detail: Option<Box<LeaderDetail>>,
+        detail: Option<Box<Assessment>>,
     },
     /// A shard-scoped job finished (leader only; followers stay silent so
     /// a shard run produces exactly one event).
@@ -295,7 +271,6 @@ fn member_session<T: Transport>(
             &mut ctx,
             &node,
             reference,
-            config,
             params,
             &own_counts,
             commands,
@@ -306,27 +281,13 @@ fn member_session<T: Transport>(
     }
 }
 
-/// Session-wide leader state computed once and reused by every job.
-struct LeaderState<'a> {
-    reference: &'a GenotypeMatrix,
-    subsets: Vec<Vec<usize>>,
-    maf_outcomes: Vec<MafOutcome>,
-    rankings: Vec<Vec<SnpRank>>,
-    panel_len: usize,
-    ref_counts: Vec<u64>,
-    // Forced-prefix sums per (combination, forced sequence): the session
-    // inputs behind them (shards, frequencies, reference) are fixed for
-    // the lifetime of this state, so later jobs against the same ledger
-    // prefix skip the re-accumulation entirely.
-    lr_memo: LrPrefixMemo,
-}
-
-#[allow(clippy::too_many_arguments)]
+/// The leader's side of a session: counts are collected once — shards do
+/// not change between jobs, so neither do the MAF outcomes or the χ²
+/// rankings — then commands run until `Shutdown`.
 fn leader_session<T: Transport>(
     ctx: &mut MemberCtx<T>,
     node: &GdoNode,
     reference: &GenotypeMatrix,
-    config: &FederationConfig,
     params: &GwasParams,
     own_counts: &CountsReport,
     commands: &Receiver<SessionCommand>,
@@ -334,140 +295,58 @@ fn leader_session<T: Transport>(
 ) -> Result<(), ProtocolError> {
     let me = ctx.id;
     let roster = ctx.roster.clone();
-    let mut channels: HashMap<usize, SecureChannel> = HashMap::new();
-    for &peer in &roster {
-        if peer != me {
-            channels.insert(peer, establish_channel(ctx, peer).map_err(fatal)?);
-        }
-    }
-
-    // Counts are collected once per session: shards do not change between
-    // jobs, so neither do the MAF outcomes or the χ² rankings.
-    let panel_len = own_counts.counts.len();
-    let mut reports: Vec<Option<CountsReport>> = vec![None; ctx.g];
-    reports[me] = Some(own_counts.clone());
-    for &peer in &roster {
-        if peer == me {
-            continue;
-        }
-        let channel = channels.get_mut(&peer).expect("channel established");
-        match recv_protocol(ctx, channel, peer, "counts").map_err(fatal)? {
-            ProtocolMessage::Counts(c) if c.counts.len() == panel_len => {
-                reports[peer] = Some(c);
-            }
-            _ => return Err(ProtocolError::MalformedMessage { member: peer }),
-        }
-    }
-    let ref_counts = ctx.enclave.enter(|(), epc| {
-        epc.alloc(8 * reference.snps() as u64);
-        reference.column_counts()
-    });
-    let n_ref = reference.individuals() as u64;
-    let subsets = evaluation_subsets_of(&roster, config.collusion);
-    let threads = ctx.threads;
-    let maf_outcomes: Vec<MafOutcome> = parallel_map(threads, &subsets, |_, subset| {
-        let subset_reports: Vec<CountsReport> = subset
-            .iter()
-            .map(|&i| reports[i].clone().expect("subset member reported"))
-            .collect();
-        run_maf(
-            &subset_reports,
-            ref_counts.clone(),
-            n_ref,
-            params.maf_cutoff,
-        )
-    });
-    let all_ids: Vec<SnpId> = (0..panel_len as u32).map(SnpId).collect();
-    let rankings: Vec<Vec<SnpRank>> = parallel_map(threads, &maf_outcomes, |_, o| {
-        gendpr_stats::ranking::rank_by_association(
-            &all_ids,
-            &o.case_counts,
-            o.n_case,
-            &o.ref_counts,
-            o.n_ref,
-        )
-    });
-    let state = LeaderState {
-        reference,
-        subsets,
-        maf_outcomes,
-        rankings,
-        panel_len,
-        ref_counts,
-        lr_memo: LrPrefixMemo::new(),
-    };
+    let channels = establish_channels(ctx).map_err(fatal)?;
+    let mut session = LeaderSession::collect(ctx, channels, node, reference, params, own_counts)
+        .map_err(fatal)?;
     let _ = events.send(SessionEvent::Ready { leader: me });
 
     loop {
-        match commands.recv() {
-            Ok(SessionCommand::Run(spec, shards)) => {
-                let before = snapshot_links(ctx, &roster);
-                match run_leader_job(
-                    ctx,
-                    &mut channels,
-                    node,
-                    params,
-                    &state,
-                    &spec,
-                    shards.as_deref(),
-                ) {
-                    Ok(detail) => {
-                        // Ratchet every channel at the job boundary; the
-                        // followers do the same after Phase 3, so the next
-                        // job starts under fresh keys on both ends.
-                        for &peer in &roster {
-                            if peer != me {
-                                channels.get_mut(&peer).expect("channel").rekey();
-                            }
-                        }
-                        let traffic = link_delta(ctx, &before);
-                        let _ = events.send(SessionEvent::Finished {
+        let command = commands.recv();
+        let before = snapshot_links(ctx, &roster);
+        let finished =
+            match command {
+                Ok(SessionCommand::Run(spec, shards)) => {
+                    run_leader_job(ctx, &mut session, &spec, shards.as_deref()).map(|detail| {
+                        SessionEvent::Finished {
                             member: me,
                             job_id: spec.job_id,
                             safe: detail.released.clone(),
-                            traffic,
+                            traffic: link_delta(ctx, &before),
                             detail: Some(Box::new(detail)),
-                        });
-                    }
-                    Err(intr) => {
-                        let e = fatal(intr);
-                        abort_all(ctx, &mut channels, &e);
-                        return Err(e);
-                    }
-                }
-            }
-            Ok(SessionCommand::RunShard(spec)) => {
-                match run_leader_shard(ctx, &mut channels, node, params, &state, &spec) {
-                    Ok(phases) => {
-                        // Same rekey discipline as a full job: followers
-                        // ratchet after `ShardDone`, the leader here.
-                        for &peer in &roster {
-                            if peer != me {
-                                channels.get_mut(&peer).expect("channel").rekey();
-                            }
                         }
-                        let _ = events.send(SessionEvent::ShardFinished {
-                            job_id: spec.job_id,
-                            shard: spec.shard,
-                            phases: Box::new(phases),
-                        });
-                    }
-                    Err(intr) => {
-                        let e = fatal(intr);
-                        abort_all(ctx, &mut channels, &e);
-                        return Err(e);
-                    }
+                    })
                 }
+                Ok(SessionCommand::RunShard(spec)) => run_leader_shard(ctx, &mut session, &spec)
+                    .map(|phases| SessionEvent::ShardFinished {
+                        job_id: spec.job_id,
+                        shard: spec.shard,
+                        phases: Box::new(phases),
+                    }),
+                Ok(SessionCommand::Shutdown) | Err(_) => {
+                    let _ = send_each(
+                        ctx,
+                        &mut session.channels,
+                        &roster,
+                        &ProtocolMessage::SessionEnd,
+                    );
+                    let _ = events.send(SessionEvent::Closed);
+                    return Ok(());
+                }
+            };
+        match finished {
+            Ok(event) => {
+                // Ratchet every channel at the job boundary; the followers
+                // do the same after `Phase3` / `ShardDone`, so the next
+                // job starts under fresh keys on both ends.
+                for channel in session.channels.values_mut() {
+                    channel.rekey();
+                }
+                let _ = events.send(event);
             }
-            Ok(SessionCommand::Shutdown) | Err(_) => {
-                for &peer in &roster {
-                    if peer != me {
-                        let channel = channels.get_mut(&peer).expect("channel");
-                        let _ = send_protocol(ctx, channel, peer, &ProtocolMessage::SessionEnd);
-                    }
-                }
-                let _ = events.send(SessionEvent::Closed);
-                return Ok(());
+            Err(intr) => {
+                let e = fatal(intr);
+                session.abort(ctx, &e);
+                return Err(e);
             }
         }
     }
@@ -505,7 +384,8 @@ fn follower_session<T: Transport>(
             ProtocolMessage::JobStart(job) => {
                 let roster = ctx.roster.clone();
                 let before = snapshot_links(ctx, &roster);
-                let safe = follower_serve(ctx, node, &mut channel, leader).map_err(fatal)?;
+                let safe = follower_serve(ctx, node, &mut channel, leader, Terminator::Phase3)
+                    .map_err(fatal)?;
                 channel.rekey();
                 let traffic = link_delta(ctx, &before);
                 let _ = events.send(SessionEvent::Finished {
@@ -517,7 +397,8 @@ fn follower_session<T: Transport>(
                 });
             }
             ProtocolMessage::ShardStart(_) => {
-                follower_serve_shard(ctx, node, &mut channel, leader).map_err(fatal)?;
+                follower_serve(ctx, node, &mut channel, leader, Terminator::ShardDone)
+                    .map_err(fatal)?;
                 // No Finished event: shard lanes report through the
                 // leader's `ShardFinished` alone, but the channel still
                 // ratchets so shard and full jobs share one key schedule.
@@ -527,81 +408,36 @@ fn follower_session<T: Transport>(
                 let _ = events.send(SessionEvent::Closed);
                 return Ok(());
             }
-            ProtocolMessage::Abort(_) => {
-                return Err(ProtocolError::MemberUnresponsive {
-                    member: leader,
-                    phase: "aborted-by-leader",
-                });
-            }
-            ProtocolMessage::QuorumLost {
-                epoch,
-                survivors,
-                required,
-            } => {
-                return Err(ProtocolError::QuorumLost {
-                    epoch,
-                    survivors: survivors as usize,
-                    required: required as usize,
-                });
-            }
-            _ => return Err(ProtocolError::MalformedMessage { member: leader }),
+            msg => return Err(unexpected_from_leader(leader, &msg)),
         }
     }
 }
 
-/// Pools the LD moments of one SNP pair across a subset: one
-/// `MomentsRequest` to every remote subset member, the reference
-/// moments from cached counts, the leader's own shard if it is in the
-/// subset, then the replies — in subset order, so the message schedule
-/// is identical wherever this is called from.
-#[allow(clippy::too_many_arguments)]
-fn pooled_pair_moments<T: Transport>(
-    ctx: &mut MemberCtx<T>,
-    channels: &mut HashMap<usize, SecureChannel>,
-    node: &GdoNode,
-    reference: &GenotypeMatrix,
-    ref_counts: &[u64],
-    subset: &[usize],
-    a: SnpId,
-    b: SnpId,
-) -> Result<LdMoments, Interrupt> {
-    let me = ctx.id;
-    let request = ProtocolMessage::MomentsRequest(vec![MomentsRequest { a: a.0, b: b.0 }]);
-    for &peer in subset {
-        if peer == me {
-            continue;
-        }
-        let channel = channels.get_mut(&peer).expect("channel");
-        send_protocol(ctx, channel, peer, &request)?;
+/// Sorts and deduplicates a job's SNP lists and checks them against the
+/// study panel.
+fn job_sets(
+    panel: &[SnpId],
+    forced: &[SnpId],
+    panel_len: usize,
+) -> Result<(Vec<SnpId>, Vec<SnpId>), ProtocolError> {
+    let sorted = |snps: &[SnpId]| {
+        let mut snps = snps.to_vec();
+        snps.sort_unstable();
+        snps.dedup();
+        snps
+    };
+    let (panel, forced) = (sorted(panel), sorted(forced));
+    if panel.iter().chain(&forced).any(|s| s.index() >= panel_len) {
+        return Err(ProtocolError::InvalidConfig(
+            "job names a SNP outside the study panel",
+        ));
     }
-    let mut pooled = LdMoments::from_cached_counts(
-        reference,
-        a,
-        b,
-        ref_counts[a.index()],
-        ref_counts[b.index()],
-    );
-    if subset.contains(&me) {
-        pooled = pooled.merge(LdMoments::from(node.ld_moments(a, b)));
-    }
-    for &peer in subset {
-        if peer == me {
-            continue;
-        }
-        let channel = channels.get_mut(&peer).expect("channel");
-        match recv_protocol(ctx, channel, peer, "ld-moments")? {
-            ProtocolMessage::Moments(ms) if ms.len() == 1 => {
-                pooled = pooled.merge(LdMoments::from(ms[0]));
-            }
-            _ => return Err(ProtocolError::MalformedMessage { member: peer }.into()),
-        }
-    }
-    Ok(pooled)
+    Ok((panel, forced))
 }
 
-/// Drives one job as the leader: announce, Phase 1 over the requested
-/// candidates, the LD scan, and the *seeded* LR search in which the
-/// forced prefix is charged before any new candidate.
+/// Drives one job as the leader: announce it with `JobStart`, then the
+/// engine's assessment with the forced prefix charged before any new
+/// candidate and the certificate bound to the job context.
 ///
 /// With `shards`, the job is a *merge*: phases 1–2 were already run by
 /// shard lanes over column slices of the same cohort, whose integer
@@ -612,36 +448,16 @@ fn pooled_pair_moments<T: Transport>(
 /// the live oracle only for pairs that straddle a shard boundary. Phase
 /// 3 — the seeded LR search, which is inherently global because the
 /// power budget couples every column — runs unchanged.
-#[allow(clippy::too_many_lines)]
 fn run_leader_job<T: Transport>(
     ctx: &mut MemberCtx<T>,
-    channels: &mut HashMap<usize, SecureChannel>,
-    node: &GdoNode,
-    params: &GwasParams,
-    state: &LeaderState<'_>,
+    session: &mut LeaderSession<'_>,
     spec: &JobSpec,
     shards: Option<&[ShardOutput]>,
-) -> Result<LeaderDetail, Interrupt> {
-    let me = ctx.id;
-    let roster = ctx.roster.clone();
-    let mut panel = spec.panel.clone();
-    panel.sort_unstable();
-    panel.dedup();
-    let mut forced = spec.forced.clone();
-    forced.sort_unstable();
-    forced.dedup();
+) -> Result<Assessment, Interrupt> {
+    let (panel, forced) = job_sets(&spec.panel, &spec.forced, session.panel_len())?;
     if panel.is_empty() {
         return Err(ProtocolError::InvalidConfig("job panel is empty").into());
     }
-    if panel
-        .iter()
-        .chain(&forced)
-        .any(|s| s.index() >= state.panel_len)
-    {
-        return Err(ProtocolError::InvalidConfig("job names a SNP outside the study panel").into());
-    }
-
-    crate::telemetry::subsets_evaluated().add(state.subsets.len() as u64);
     gendpr_obs::event(
         gendpr_obs::Level::Info,
         "serving",
@@ -650,317 +466,43 @@ fn run_leader_job<T: Transport>(
             ("job_id", spec.job_id.into()),
             ("panel", panel.len().into()),
             ("forced", forced.len().into()),
-            ("subsets", state.subsets.len().into()),
+            ("subsets", session.evaluations().into()),
         ],
     );
-    let phase_clock = Instant::now();
-
-    // ---- Announce the job ----
     let announce = ProtocolMessage::JobStart(JobStartBroadcast {
         job_id: spec.job_id,
         panel: panel.iter().map(|s| s.0).collect(),
         forced: forced.iter().map(|s| s.0).collect(),
     });
-    for &peer in &roster {
-        if peer != me {
-            let channel = channels.get_mut(&peer).expect("channel");
-            send_protocol(ctx, channel, peer, &announce)?;
-        }
-    }
+    let roster = ctx.roster.clone();
+    send_each(ctx, &mut session.channels, &roster, &announce)?;
 
-    // ---- Phase 1: the session's MAF outcomes restricted to this job ----
-    // Forced SNPs are already public; only the *new* candidates pass
-    // through the funnel.
-    let candidates: Vec<SnpId> = panel
-        .iter()
-        .copied()
-        .filter(|s| forced.binary_search(s).is_err())
-        .collect();
-    let per_subset: Vec<Vec<SnpId>> = state
-        .maf_outcomes
-        .iter()
-        .map(|o| {
-            o.retained
-                .iter()
-                .copied()
-                .filter(|s| candidates.binary_search(s).is_ok())
-                .collect()
-        })
-        .collect();
-    let l_prime = intersect_selections(&per_subset);
-
-    // ---- Merge invariant ----
-    // Shard ranges partition the panel in order, and MAF is per-SNP over
-    // counts that are bit-identical between a column slice and the full
-    // cohort, so the concatenated shard survivors must equal this
-    // session's own Phase 1. Anything else means a lane ran over a
-    // different study and the merge would certify garbage.
-    if let Some(shards) = shards {
-        let mut merged: Vec<SnpId> = Vec::new();
-        for s in shards {
-            if s.phases.scans.len() != state.subsets.len() {
-                return Err(ProtocolError::InvalidConfig(
-                    "shard merge diverged from the primary lane's MAF phase",
-                )
-                .into());
-            }
-            merged.extend(s.phases.l_prime.iter().map(|l| SnpId(l.0 + s.start)));
-        }
-        if merged != l_prime {
-            return Err(ProtocolError::InvalidConfig(
-                "shard merge diverged from the primary lane's MAF phase",
-            )
-            .into());
-        }
-    }
-
-    let phase1 = ProtocolMessage::Phase1(Phase1Broadcast {
-        retained: l_prime.iter().map(|s| s.0).collect(),
-    });
-    for &peer in &roster {
-        if peer != me {
-            let channel = channels.get_mut(&peer).expect("channel");
-            send_protocol(ctx, channel, peer, &phase1)?;
-        }
-    }
-
-    crate::telemetry::phase_seconds("maf").observe_duration(phase_clock.elapsed());
-
-    // ---- Phase 2: LD scan per subset over this job's L' ----
-    // In a merge, each subset's scan first consults the cache built from
-    // the shard lanes' moment logs (translated to global ids); pooled
-    // moments are integer sums over the same genotype bits, so a cache
-    // hit is exactly the value a live exchange would pool. Misses —
-    // shard-boundary pairs and replay divergence after one — fall back
-    // to the oracle.
-    let caches: Option<Vec<HashMap<(u32, u32), LdMoments>>> = shards.map(|shards| {
-        (0..state.subsets.len())
-            .map(|c| {
-                let mut cache = HashMap::new();
-                for s in shards {
-                    for &(a, b, m) in &s.phases.scans[c].moments {
-                        cache.insert((a + s.start, b + s.start), m);
-                    }
-                }
-                cache
-            })
-            .collect()
-    });
-    let phase_clock = Instant::now();
-    let mut ld_selections = Vec::with_capacity(state.subsets.len());
-    for (c, subset) in state.subsets.iter().enumerate() {
-        let ranks = &state.rankings[c];
-        let cache = caches.as_ref().map(|cs| &cs[c]);
-        let mut scan_error: Option<Interrupt> = None;
-        let retained = {
-            let channels = &mut *channels;
-            let ctx_cell = std::cell::RefCell::new(&mut *ctx);
-            let scan_error = &mut scan_error;
-            run_ld_scan(
-                &l_prime,
-                |a, b| {
-                    if scan_error.is_some() {
-                        return LdMoments::default();
-                    }
-                    if let Some(cache) = cache {
-                        if let Some(&m) = cache.get(&(a.0, b.0)) {
-                            crate::telemetry::shard_cache_pairs().add(1);
-                            return m;
-                        }
-                        crate::telemetry::shard_oracle_pairs().add(1);
-                    }
-                    let mut guard = ctx_cell.borrow_mut();
-                    match pooled_pair_moments(
-                        &mut **guard,
-                        channels,
-                        node,
-                        state.reference,
-                        &state.ref_counts,
-                        subset,
-                        a,
-                        b,
-                    ) {
-                        Ok(pooled) => pooled,
-                        Err(e) => {
-                            *scan_error = Some(e);
-                            LdMoments::default()
-                        }
-                    }
-                },
-                |s| ranks[s.index()].p_value,
-                params.ld_cutoff,
-            )
-        };
-        if let Some(intr) = scan_error {
-            return Err(intr);
-        }
-        ld_selections.push(retained);
-    }
-    let l_double_prime = intersect_selections(&ld_selections);
-    crate::telemetry::phase_seconds("ld").observe_duration(phase_clock.elapsed());
-    let phase_clock = Instant::now();
-
-    // ---- Phase 3: seeded LR per subset ----
-    // The matrices cover forced ∪ candidates; the forced columns come
-    // first, seed the cumulative sums, and are never up for admission.
-    let columns: Vec<SnpId> = forced
-        .iter()
-        .chain(l_double_prime.iter())
-        .copied()
-        .collect();
-    let forced_cols: Vec<usize> = (0..forced.len()).collect();
-    let mut lr_selections = Vec::with_capacity(state.subsets.len());
-    let mut final_power = 0.0f64;
-    let mut final_threshold = f64::INFINITY;
-    for (c, subset) in state.subsets.iter().enumerate() {
-        let outcome = &state.maf_outcomes[c];
-        let case_freqs: Vec<f64> = columns.iter().map(|&s| outcome.case_frequency(s)).collect();
-        let ref_freqs: Vec<f64> = columns.iter().map(|&s| outcome.ref_frequency(s)).collect();
-        let broadcast = ProtocolMessage::Phase2(
-            c as u32,
-            Phase2Broadcast {
-                retained: columns.iter().map(|s| s.0).collect(),
-                case_freqs: case_freqs.clone(),
-                ref_freqs: ref_freqs.clone(),
-            },
-        );
-        for &peer in subset {
-            if peer == me {
-                continue;
-            }
-            let channel = channels.get_mut(&peer).expect("channel");
-            send_protocol(ctx, channel, peer, &broadcast)?;
-        }
-        let candidate_ranks: Vec<SnpRank> = l_double_prime
-            .iter()
-            .map(|&s| state.rankings[c][s.index()])
-            .collect();
-        let sorted = sort_most_significant_first(candidate_ranks);
-        let col_of: HashMap<SnpId, usize> = l_double_prime
-            .iter()
-            .enumerate()
-            .map(|(j, &s)| (s, forced.len() + j))
-            .collect();
-        let order: Vec<usize> = sorted.iter().map(|r| col_of[&r.snp]).collect();
-        let selection = collect_seeded_selection(
-            ctx,
-            channels,
-            node,
-            state.reference,
-            subset,
-            c as u32,
-            &columns,
-            &case_freqs,
-            &ref_freqs,
-            &forced_cols,
-            &order,
-            params,
-            &state.lr_memo,
-        )?;
-        let mut safe_c: Vec<SnpId> = selection.kept_columns.iter().map(|&j| columns[j]).collect();
-        safe_c.sort_unstable();
-        if c == 0 {
-            final_power = selection.final_power;
-            final_threshold = selection.final_threshold;
-        }
-        lr_selections.push(safe_c);
-    }
-    let released = intersect_selections(&lr_selections);
-    crate::telemetry::phase_seconds("lr").observe_duration(phase_clock.elapsed());
+    let assessment = session.assess(ctx, &panel, &forced, Some(spec.job_id), shards)?;
     gendpr_obs::event(
         gendpr_obs::Level::Info,
         "serving",
         "job_phases_complete",
         &[
             ("job_id", spec.job_id.into()),
-            ("released", released.len().into()),
+            ("released", assessment.released.len().into()),
         ],
     );
-
-    // ---- Certificate, bound to the job context ----
-    let full = &state.maf_outcomes[0];
-    let roster_u32: Vec<u32> = roster.iter().map(|&m| m as u32).collect();
-    let certificate = AssessmentCertificate::issue(
-        &ctx.enclave,
-        &AssessmentFacts {
-            params,
-            gdo_count: ctx.g,
-            panel_len: state.panel_len,
-            case_counts: &full.case_counts,
-            n_case: full.n_case,
-            ref_counts: &full.ref_counts,
-            n_ref: full.n_ref,
-            safe: &released,
-            evaluations: state.subsets.len() as u64,
-            epoch: ctx.epoch,
-            roster: &roster_u32,
-            context: Some(JobContext {
-                job_id: spec.job_id,
-                panel: &panel,
-                forced: &forced,
-            }),
-        },
-    );
-
-    // ---- Final broadcast ----
-    let phase3 = ProtocolMessage::Phase3(Phase3Broadcast {
-        safe: released.iter().map(|s| s.0).collect(),
-    });
-    for &peer in &roster {
-        if peer != me {
-            let channel = channels.get_mut(&peer).expect("channel");
-            send_protocol(ctx, channel, peer, &phase3)?;
-        }
-    }
-
-    let case_freqs: Vec<f64> = released.iter().map(|&s| full.case_frequency(s)).collect();
-    let ref_freqs: Vec<f64> = released.iter().map(|&s| full.ref_frequency(s)).collect();
-    Ok(LeaderDetail {
-        l_prime,
-        l_double_prime,
-        released,
-        final_power,
-        final_threshold,
-        case_freqs,
-        ref_freqs,
-        certificate,
-        epoch: ctx.epoch,
-        roster: roster_u32,
-    })
+    Ok(assessment)
 }
 
 /// Drives phases 1–2 of one shard as the leader: announce with
-/// `ShardStart`, the MAF intersection over the session's cached
-/// outcomes, then one LD scan per evaluation subset with every pooled
-/// moment logged, closed by `ShardDone`. No Phase 1/2/3 broadcasts go
-/// out — followers only serve the moments oracle — and an *empty* shard
-/// panel is legal: a shard whose range misses the job panel still
-/// announces and completes, so every lane's channels ratchet in
-/// lockstep however the panel lands.
+/// `ShardStart`, the engine's MAF step, then its LD step with every
+/// pooled moment logged, closed by `ShardDone`. No Phase 1/2/3 broadcasts
+/// go out — followers only serve the moments oracle — and an *empty*
+/// shard panel is legal: a shard whose range misses the job panel still
+/// announces and completes, so every lane's channels ratchet in lockstep
+/// however the panel lands.
 fn run_leader_shard<T: Transport>(
     ctx: &mut MemberCtx<T>,
-    channels: &mut HashMap<usize, SecureChannel>,
-    node: &GdoNode,
-    params: &GwasParams,
-    state: &LeaderState<'_>,
+    session: &mut LeaderSession<'_>,
     spec: &ShardJobSpec,
 ) -> Result<ShardPhases, Interrupt> {
-    let me = ctx.id;
-    let roster = ctx.roster.clone();
-    let mut panel = spec.panel.clone();
-    panel.sort_unstable();
-    panel.dedup();
-    let mut forced = spec.forced.clone();
-    forced.sort_unstable();
-    forced.dedup();
-    if panel
-        .iter()
-        .chain(&forced)
-        .any(|s| s.index() >= state.panel_len)
-    {
-        return Err(ProtocolError::InvalidConfig("job names a SNP outside the study panel").into());
-    }
-
+    let (panel, forced) = job_sets(&spec.panel, &spec.forced, session.panel_len())?;
     gendpr_obs::event(
         gendpr_obs::Level::Info,
         "serving",
@@ -971,273 +513,28 @@ fn run_leader_shard<T: Transport>(
             ("panel", panel.len().into()),
         ],
     );
-
-    // ---- Announce the shard ----
     let announce = ProtocolMessage::ShardStart(ShardStartBroadcast {
         job_id: spec.job_id,
         shard: spec.shard,
     });
-    for &peer in &roster {
-        if peer != me {
-            let channel = channels.get_mut(&peer).expect("channel");
-            send_protocol(ctx, channel, peer, &announce)?;
-        }
-    }
+    let roster = ctx.roster.clone();
+    send_each(ctx, &mut session.channels, &roster, &announce)?;
 
-    // ---- Phase 1 over the shard's candidates ----
     let phase_clock = Instant::now();
-    let candidates: Vec<SnpId> = panel
-        .iter()
-        .copied()
-        .filter(|s| forced.binary_search(s).is_err())
-        .collect();
-    let per_subset: Vec<Vec<SnpId>> = state
-        .maf_outcomes
-        .iter()
-        .map(|o| {
-            o.retained
-                .iter()
-                .copied()
-                .filter(|s| candidates.binary_search(s).is_ok())
-                .collect()
-        })
-        .collect();
-    let l_prime = intersect_selections(&per_subset);
+    let l_prime = session.maf_step(&panel, &forced);
     crate::telemetry::phase_seconds("maf").observe_duration(phase_clock.elapsed());
 
-    // ---- Phase 2: LD scan per subset, logging every pooled moment ----
     let phase_clock = Instant::now();
-    let mut scans = Vec::with_capacity(state.subsets.len());
-    for (c, subset) in state.subsets.iter().enumerate() {
-        let ranks = &state.rankings[c];
-        let mut moments_log: Vec<(u32, u32, LdMoments)> = Vec::new();
-        let mut scan_error: Option<Interrupt> = None;
-        let retained = {
-            let channels = &mut *channels;
-            let ctx_cell = std::cell::RefCell::new(&mut *ctx);
-            let scan_error = &mut scan_error;
-            let moments_log = &mut moments_log;
-            run_ld_scan(
-                &l_prime,
-                |a, b| {
-                    if scan_error.is_some() {
-                        return LdMoments::default();
-                    }
-                    let mut guard = ctx_cell.borrow_mut();
-                    match pooled_pair_moments(
-                        &mut **guard,
-                        channels,
-                        node,
-                        state.reference,
-                        &state.ref_counts,
-                        subset,
-                        a,
-                        b,
-                    ) {
-                        Ok(pooled) => {
-                            moments_log.push((a.0, b.0, pooled));
-                            pooled
-                        }
-                        Err(e) => {
-                            *scan_error = Some(e);
-                            LdMoments::default()
-                        }
-                    }
-                },
-                |s| ranks[s.index()].p_value,
-                params.ld_cutoff,
-            )
-        };
-        if let Some(intr) = scan_error {
-            return Err(intr);
-        }
-        scans.push(ShardScan {
-            retained,
-            moments: moments_log,
-        });
-    }
+    let scans = session.ld_step(ctx, &l_prime, None, true)?;
     crate::telemetry::phase_seconds("ld").observe_duration(phase_clock.elapsed());
 
-    // ---- Close the shard ----
-    for &peer in &roster {
-        if peer != me {
-            let channel = channels.get_mut(&peer).expect("channel");
-            send_protocol(ctx, channel, peer, &ProtocolMessage::ShardDone)?;
-        }
-    }
+    send_each(
+        ctx,
+        &mut session.channels,
+        &roster,
+        &ProtocolMessage::ShardDone,
+    )?;
     Ok(ShardPhases { l_prime, scans })
-}
-
-/// Runs the seeded subset search, preferring the columnar kernels with the
-/// per-combination forced-prefix memo.
-///
-/// When both matrices expose a two-valued column view, the forced columns'
-/// cumulative sums come from `memo` — accumulated once per (combination,
-/// forced sequence) and reused across every later job with the same ledger
-/// prefix — and the candidate sweep runs on `threads` row chunks. Either
-/// matrix declining the columnar view (a third value per column, e.g. from
-/// a degenerate frequency pair) falls back to the naïve seeded search;
-/// both routes produce byte-identical selections.
-#[allow(clippy::too_many_arguments)]
-fn seeded_selection<M: LrValues + ?Sized, N: LrValues + ?Sized>(
-    case: &M,
-    null: &N,
-    forced_cols: &[usize],
-    order: &[usize],
-    params: &LrTestParams,
-    threads: usize,
-    combo: u32,
-    columns: &[SnpId],
-    memo: &LrPrefixMemo,
-) -> LrSelection {
-    if let (Some(case_cols), Some(null_cols)) = (case.to_columns(), null.to_columns()) {
-        let prefix = memo.get_or_compute(combo, &columns[..forced_cols.len()], || {
-            LrPrefixSums::accumulate(&case_cols, &null_cols, forced_cols, params)
-        });
-        select_safe_subset_seeded_threads(
-            &case_cols,
-            &null_cols,
-            forced_cols,
-            order,
-            params,
-            threads,
-            Some(&prefix),
-        )
-    } else {
-        select_safe_subset_seeded(case, null, forced_cols, order, params)
-    }
-}
-
-/// Collects the subset's LR matrices (compact or dense, mirroring the
-/// one-shot runtime's enclave accounting) and runs the seeded search.
-#[allow(clippy::too_many_arguments)]
-fn collect_seeded_selection<T: Transport>(
-    ctx: &mut MemberCtx<T>,
-    channels: &mut HashMap<usize, SecureChannel>,
-    node: &GdoNode,
-    reference: &GenotypeMatrix,
-    subset: &[usize],
-    combo: u32,
-    columns: &[SnpId],
-    case_freqs: &[f64],
-    ref_freqs: &[f64],
-    forced_cols: &[usize],
-    order: &[usize],
-    params: &GwasParams,
-    lr_memo: &LrPrefixMemo,
-) -> Result<LrSelection, Interrupt> {
-    let me = ctx.id;
-    let threads = ctx.threads;
-    if ctx.compact_lr {
-        let mut parts: Vec<BitLrMatrix> = Vec::with_capacity(subset.len());
-        if subset.contains(&me) {
-            let own = ctx.enclave.enter(|(), epc| {
-                let m = BitLrMatrix::from_genotypes(node.shard(), columns, case_freqs, ref_freqs);
-                epc.alloc(m.heap_bytes() as u64);
-                m
-            });
-            parts.push(own);
-        }
-        for &peer in subset {
-            if peer == me {
-                continue;
-            }
-            let channel = channels.get_mut(&peer).expect("channel");
-            let m = match recv_protocol(ctx, channel, peer, "lr-matrices")? {
-                ProtocolMessage::LrCompact(c, report) if c == combo => BitLrMatrix::from_raw_bits(
-                    report.individuals as usize,
-                    report.snps as usize,
-                    report.bits,
-                    case_freqs,
-                    ref_freqs,
-                )
-                .map_err(|_| ProtocolError::MalformedMessage { member: peer })?,
-                _ => return Err(ProtocolError::MalformedMessage { member: peer }.into()),
-            };
-            if m.snps() != columns.len() {
-                return Err(ProtocolError::MalformedMessage { member: peer }.into());
-            }
-            ctx.enclave
-                .enter(|(), epc| epc.alloc(m.heap_bytes() as u64));
-            parts.push(m);
-        }
-        let (selection, freed) = ctx.enclave.enter(|(), epc| {
-            let case_matrix = BitLrMatrix::concat_rows(&parts);
-            epc.alloc(case_matrix.heap_bytes() as u64);
-            let null_matrix =
-                BitLrMatrix::from_genotypes(reference, columns, case_freqs, ref_freqs);
-            epc.alloc(null_matrix.heap_bytes() as u64);
-            let selection = seeded_selection(
-                &case_matrix,
-                &null_matrix,
-                forced_cols,
-                order,
-                &params.lr,
-                threads,
-                combo,
-                columns,
-                lr_memo,
-            );
-            let freed = case_matrix.heap_bytes() as u64 + null_matrix.heap_bytes() as u64;
-            (selection, freed)
-        });
-        let part_bytes: u64 = parts.iter().map(|p| p.heap_bytes() as u64).sum();
-        ctx.enclave.enter(|(), epc| epc.free(freed + part_bytes));
-        Ok(selection)
-    } else {
-        let mut parts: Vec<LrMatrix> = Vec::with_capacity(subset.len());
-        if subset.contains(&me) {
-            let own = ctx.enclave.enter(|(), epc| {
-                let m = node
-                    .lr_report(columns, case_freqs, ref_freqs)
-                    .into_matrix()
-                    .expect("well-formed local matrix");
-                epc.alloc(m.heap_bytes() as u64);
-                m
-            });
-            parts.push(own);
-        }
-        for &peer in subset {
-            if peer == me {
-                continue;
-            }
-            let channel = channels.get_mut(&peer).expect("channel");
-            let m = match recv_protocol(ctx, channel, peer, "lr-matrices")? {
-                ProtocolMessage::Lr(c, report) if c == combo => report
-                    .into_matrix()
-                    .map_err(|_| ProtocolError::MalformedMessage { member: peer })?,
-                _ => return Err(ProtocolError::MalformedMessage { member: peer }.into()),
-            };
-            if m.snps() != columns.len() {
-                return Err(ProtocolError::MalformedMessage { member: peer }.into());
-            }
-            ctx.enclave
-                .enter(|(), epc| epc.alloc(m.heap_bytes() as u64));
-            parts.push(m);
-        }
-        let (selection, freed) = ctx.enclave.enter(|(), epc| {
-            let case_matrix = LrMatrix::concat_rows(&parts);
-            epc.alloc(case_matrix.heap_bytes() as u64);
-            let null_matrix = LrMatrix::from_genotypes(reference, columns, case_freqs, ref_freqs);
-            epc.alloc(null_matrix.heap_bytes() as u64);
-            let selection = seeded_selection(
-                &case_matrix,
-                &null_matrix,
-                forced_cols,
-                order,
-                &params.lr,
-                threads,
-                combo,
-                columns,
-                lr_memo,
-            );
-            let freed = case_matrix.heap_bytes() as u64 + null_matrix.heap_bytes() as u64;
-            (selection, freed)
-        });
-        let part_bytes: u64 = parts.iter().map(|p| p.heap_bytes() as u64).sum();
-        ctx.enclave.enter(|(), epc| epc.free(freed + part_bytes));
-        Ok(selection)
-    }
 }
 
 /// Handle to a running service session: one thread per member, a command
@@ -1477,7 +774,7 @@ impl ServiceFederation {
             return Err(e);
         }
         let mut finished = 0usize;
-        let mut detail: Option<Box<LeaderDetail>> = None;
+        let mut detail: Option<Box<Assessment>> = None;
         let mut traffic: Vec<LinkUsage> = Vec::new();
         let mut safe_sets: Vec<(usize, Vec<SnpId>)> = Vec::new();
         while finished < self.g {
@@ -1526,9 +823,9 @@ impl ServiceFederation {
             final_threshold: detail.final_threshold,
             case_freqs: detail.case_freqs,
             ref_freqs: detail.ref_freqs,
+            epoch: detail.certificate.epoch,
+            roster: detail.certificate.roster.clone(),
             certificate: detail.certificate,
-            epoch: detail.epoch,
-            roster: detail.roster,
             traffic,
         })
     }

@@ -168,7 +168,8 @@ offer you only one tip for the future, sunscreen would be it.";
         );
     }
 
-    // RFC 8439 Appendix A.1 test vector #5: nonce ending in 02.
+    // RFC 8439 Appendix A.1 test vector #5: all-zero key, counter 0, the
+    // 96-bit nonce ending in 02.
     #[test]
     fn rfc8439_a1_vector_5() {
         let mut nonce = [0u8; NONCE_LEN];
@@ -176,8 +177,8 @@ offer you only one tip for the future, sunscreen would be it.";
         let out = block(&[0u8; KEY_LEN], 0, &nonce);
         assert_eq!(
             hex(&out),
-            "ef3fdfd6c61578fbf5cf35bd3dd33b8009631634d21e42ac33960bd138e50d32\
-             111e4caf237ee53ca8ad6426194a88545ddc497a0b466e7d6bbdb0041b2f586b"
+            "c2c64d378cd536374ae204b9ef933fcd1a8b2288b3dfa49672ab765b54ee27c7\
+             8a970e0e955c14f3a88e741b97c286f75f8fc299e8148362fa198a39531bed6d"
         );
     }
 

@@ -15,16 +15,16 @@
 //! # Columnar search kernels
 //!
 //! The subset search is the protocol's hot path (~98% of a full run at
-//! paper scale), so [`select_safe_subset`] and [`select_safe_subset_seeded`]
-//! route through [`LrColumns`], a column-major bit-packed view in which each
-//! candidate SNP is a contiguous `individuals`-bit vector. Admitting or
-//! backing out a column is then a branchless word-wise sweep over the
+//! paper scale), so [`select_safe_subset`] routes through [`LrColumns`], a
+//! column-major bit-packed view in which each candidate SNP is a contiguous
+//! `individuals`-bit vector. Admitting or backing out a column is then a
+//! branchless word-wise sweep over the
 //! cumulative per-individual sums, and the per-candidate null quantile runs
 //! as a quickselect over reusable `i64` total-order keys — no per-candidate
-//! allocation anywhere. The scalar reference implementations are retained as
-//! [`select_safe_subset_naive`] / [`select_safe_subset_seeded_naive`]; the
-//! kernels replicate their per-individual floating-point operation sequence
-//! exactly, so selections are byte-identical (asserted by property tests).
+//! allocation anywhere. The scalar reference implementation is retained as
+//! [`select_safe_subset_naive`]; the kernels replicate its per-individual
+//! floating-point operation sequence exactly, so selections are
+//! byte-identical (asserted by property tests).
 
 use gendpr_genomics::columnar::{transpose64, ColumnarGenotypes};
 use gendpr_genomics::genotype::GenotypeMatrix;
@@ -734,153 +734,38 @@ pub struct LrSelection {
 /// Runs the SecureGenome empirical subset search (`LRtest` in Algorithm 1).
 ///
 /// `case` holds LR contributions of the true case participants, `null` the
-/// contributions of reference individuals (the null model). `order` visits
-/// candidate columns most-significant-first (the χ² ranking); each column
-/// is kept iff the attack's power over the kept-set-so-far stays *below*
+/// contributions of reference individuals (the null model). The `forced`
+/// columns are unconditionally part of the release before any candidate
+/// is considered — the dynamic-study setting, where previously released
+/// statistics cannot be retracted (a one-off study passes `&[]`). They
+/// seed the cumulative LR sums; `order` then visits candidate columns
+/// most-significant-first (the χ² ranking), and each is kept iff the
+/// attack's power over `forced ∪ kept` stays *below*
 /// `params.power_threshold`.
-///
-/// Routes through the columnar word kernels whenever both inputs expose a
-/// two-valued column view ([`LrValues::to_columns`]); the result is
-/// byte-identical to [`select_safe_subset_naive`] either way.
-///
-/// # Panics
-///
-/// Panics if the matrices disagree on columns, `order` indexes out of
-/// bounds, or `null` has no individuals (no null model to test against).
-#[must_use]
-pub fn select_safe_subset<M: LrValues + ?Sized, N: LrValues + ?Sized>(
-    case: &M,
-    null: &N,
-    order: &[usize],
-    params: &LrTestParams,
-) -> LrSelection {
-    select_safe_subset_threads(case, null, order, params, 1)
-}
-
-/// [`select_safe_subset`] with row-chunked parallel column updates:
-/// `threads ≤ 1` runs the serial kernels, larger values split the
-/// per-individual sum vectors across worker threads at 64-row boundaries.
-/// Each individual's scalar accumulation sequence is unchanged by the
-/// chunking, so the selection is byte-identical for every thread count.
-///
-/// # Panics
-///
-/// Same conditions as [`select_safe_subset`].
-#[must_use]
-pub fn select_safe_subset_threads<M: LrValues + ?Sized, N: LrValues + ?Sized>(
-    case: &M,
-    null: &N,
-    order: &[usize],
-    params: &LrTestParams,
-    threads: usize,
-) -> LrSelection {
-    check_search_inputs(case, null, params);
-    match (case.to_columns(), null.to_columns()) {
-        (Some(c), Some(n)) => columns_search(&c, &n, None, order, params, threads),
-        _ => select_safe_subset_naive(case, null, order, params),
-    }
-}
-
-/// The retained scalar reference implementation of the subset search
-/// (per-cell `get` loops, one quickselect scratch reuse per search). The
-/// columnar kernels are validated against it cell-for-cell by property
-/// tests and the bench harness; production callers use
-/// [`select_safe_subset`].
-///
-/// # Panics
-///
-/// Same conditions as [`select_safe_subset`].
-#[must_use]
-pub fn select_safe_subset_naive<M: LrValues + ?Sized, N: LrValues + ?Sized>(
-    case: &M,
-    null: &N,
-    order: &[usize],
-    params: &LrTestParams,
-) -> LrSelection {
-    check_search_inputs(case, null, params);
-
-    let mut scratch = Vec::new();
-    let mut case_sums = vec![0.0f64; case.individuals()];
-    let mut null_sums = vec![0.0f64; null.individuals()];
-    let mut kept = Vec::new();
-    let mut final_power = 0.0;
-    let mut final_threshold = f64::INFINITY;
-
-    for &col in order {
-        assert!(col < case.snps(), "ranking indexes a non-existent column");
-        // Tentatively admit the column.
-        for (i, sum) in case_sums.iter_mut().enumerate() {
-            *sum += case.get(i, col);
-        }
-        for (i, sum) in null_sums.iter_mut().enumerate() {
-            *sum += null.get(i, col);
-        }
-        let threshold =
-            null_quantile_with(&mut scratch, &null_sums, 1.0 - params.false_positive_rate);
-        let detected = case_sums.iter().filter(|&&s| s > threshold).count();
-        let power = detected as f64 / case.individuals().max(1) as f64;
-        if power < params.power_threshold {
-            kept.push(col);
-            final_power = power;
-            final_threshold = threshold;
-        } else {
-            // Back the column out and move on.
-            for (i, sum) in case_sums.iter_mut().enumerate() {
-                *sum -= case.get(i, col);
-            }
-            for (i, sum) in null_sums.iter_mut().enumerate() {
-                *sum -= null.get(i, col);
-            }
-        }
-    }
-
-    LrSelection {
-        kept_columns: kept,
-        final_power,
-        final_threshold,
-    }
-}
-
-/// Like [`select_safe_subset`], but with a *forced* set of columns that
-/// are unconditionally part of the release before any candidate is
-/// considered — the dynamic-study setting, where previously released
-/// statistics cannot be retracted. The forced columns seed the cumulative
-/// LR sums; candidates are then admitted only while the attack's power
-/// over `forced ∪ kept` stays below the bound.
 ///
 /// `kept_columns` contains only the newly admitted candidates (not the
 /// forced set); `final_power`/`final_threshold` describe the full
 /// cumulative release.
 ///
-/// # Panics
-///
-/// Same conditions as [`select_safe_subset`], plus out-of-range forced
-/// columns.
-#[must_use]
-pub fn select_safe_subset_seeded<M: LrValues + ?Sized, N: LrValues + ?Sized>(
-    case: &M,
-    null: &N,
-    forced: &[usize],
-    order: &[usize],
-    params: &LrTestParams,
-) -> LrSelection {
-    select_safe_subset_seeded_threads(case, null, forced, order, params, 1, None)
-}
-
-/// [`select_safe_subset_seeded`] with row-chunked parallelism (see
-/// [`select_safe_subset_threads`]) and an optional memoized forced-prefix
-/// snapshot: when `prefix` is given it must be
-/// [`LrPrefixSums::accumulate`] of these same matrices and forced set
-/// (callers memoize it per job and share it across collusion
-/// combinations); the forced columns are then not re-accumulated.
+/// Routes through the columnar word kernels whenever both inputs expose a
+/// two-valued column view ([`LrValues::to_columns`]); the result is
+/// byte-identical to [`select_safe_subset_naive`] either way. On that
+/// route `threads > 1` splits the per-individual sum vectors across worker
+/// threads at 64-row boundaries — each individual's scalar accumulation
+/// sequence is unchanged by the chunking, so the selection is
+/// byte-identical for every thread count — and `prefix`, when given, must
+/// be [`LrPrefixSums::accumulate`] of these same matrices and forced set
+/// (callers memoize it per forced sequence and collusion combination); the
+/// forced columns are then not re-accumulated.
 ///
 /// # Panics
 ///
-/// Same conditions as [`select_safe_subset_seeded`], plus a `prefix` whose
-/// dimensions do not match the matrices.
+/// Panics if the matrices disagree on columns, `forced` or `order` index
+/// out of bounds, `null` has no individuals (no null model to test
+/// against), or a `prefix` does not match the matrices' dimensions.
 #[must_use]
 #[allow(clippy::too_many_arguments)]
-pub fn select_safe_subset_seeded_threads<M: LrValues + ?Sized, N: LrValues + ?Sized>(
+pub fn select_safe_subset<M: LrValues + ?Sized, N: LrValues + ?Sized>(
     case: &M,
     null: &N,
     forced: &[usize],
@@ -913,20 +798,23 @@ pub fn select_safe_subset_seeded_threads<M: LrValues + ?Sized, N: LrValues + ?Si
             for &col in order {
                 debug_assert!(!forced.contains(&col), "candidate overlaps forced set");
             }
-            columns_search(&c, &n, Some(prefix), order, params, threads)
+            columns_search(&c, &n, prefix, order, params, threads)
         }
-        _ => select_safe_subset_seeded_naive(case, null, forced, order, params),
+        _ => select_safe_subset_naive(case, null, forced, order, params),
     }
 }
 
-/// The retained scalar reference implementation of the seeded search; see
-/// [`select_safe_subset_naive`].
+/// The retained scalar reference implementation of the subset search
+/// (per-cell `get` loops, one quickselect scratch reuse per search). The
+/// columnar kernels are validated against it cell-for-cell by property
+/// tests and the bench harness; production callers use
+/// [`select_safe_subset`].
 ///
 /// # Panics
 ///
-/// Same conditions as [`select_safe_subset_seeded`].
+/// Same conditions as [`select_safe_subset`].
 #[must_use]
-pub fn select_safe_subset_seeded_naive<M: LrValues + ?Sized, N: LrValues + ?Sized>(
+pub fn select_safe_subset_naive<M: LrValues + ?Sized, N: LrValues + ?Sized>(
     case: &M,
     null: &N,
     forced: &[usize],
@@ -966,6 +854,7 @@ pub fn select_safe_subset_seeded_naive<M: LrValues + ?Sized, N: LrValues + ?Size
     for &col in order {
         assert!(col < case.snps(), "ranking indexes a non-existent column");
         debug_assert!(!forced.contains(&col), "candidate overlaps forced set");
+        // Tentatively admit the column.
         for (i, sum) in case_sums.iter_mut().enumerate() {
             *sum += case.get(i, col);
         }
@@ -980,6 +869,7 @@ pub fn select_safe_subset_seeded_naive<M: LrValues + ?Sized, N: LrValues + ?Size
             final_power = power;
             final_threshold = threshold;
         } else {
+            // Back the column out and move on.
             for (i, sum) in case_sums.iter_mut().enumerate() {
                 *sum -= case.get(i, col);
             }
@@ -1280,7 +1170,7 @@ impl LrPrefixSums {
 fn columns_search(
     case: &LrColumns,
     null: &LrColumns,
-    prefix: Option<&LrPrefixSums>,
+    prefix: &LrPrefixSums,
     order: &[usize],
     params: &LrTestParams,
     threads: usize,
@@ -1300,26 +1190,15 @@ fn columns_search(
 fn columns_search_serial(
     case: &LrColumns,
     null: &LrColumns,
-    prefix: Option<&LrPrefixSums>,
+    prefix: &LrPrefixSums,
     order: &[usize],
     params: &LrTestParams,
 ) -> LrSelection {
     let n_case = case.individuals;
     let q = 1.0 - params.false_positive_rate;
-    let (mut case_sums, mut null_sums, mut final_threshold, mut final_power) = match prefix {
-        Some(p) => (
-            p.case_sums.clone(),
-            p.null_sums.clone(),
-            p.threshold,
-            p.power,
-        ),
-        None => (
-            vec![0.0f64; case.individuals],
-            vec![0.0f64; null.individuals],
-            f64::INFINITY,
-            0.0,
-        ),
-    };
+    let mut case_sums = prefix.case_sums.clone();
+    let mut null_sums = prefix.null_sums.clone();
+    let (mut final_threshold, mut final_power) = (prefix.threshold, prefix.power);
     // Quantile keys are fully refreshed by every candidate's null sweep, so
     // the in-place quickselect permutation never needs undoing.
     let mut keys = vec![0i64; null.individuals];
@@ -1374,11 +1253,10 @@ fn columns_search_serial(
 }
 
 // Op codes of the persistent fork-join loop below.
-const OP_LOAD_PREFIX: u8 = 0;
-const OP_ADD_NULL: u8 = 1;
-const OP_ADD_CASE_COUNT: u8 = 2;
-const OP_SUB_BOTH: u8 = 3;
-const OP_QUIT: u8 = 4;
+const OP_ADD_NULL: u8 = 0;
+const OP_ADD_CASE_COUNT: u8 = 1;
+const OP_SUB_BOTH: u8 = 2;
+const OP_QUIT: u8 = 3;
 
 /// One op descriptor shared between the search driver and its workers;
 /// the two barrier crossings around each op order all accesses, so relaxed
@@ -1413,7 +1291,7 @@ fn word_ranges(words: usize, parts: usize) -> Vec<(usize, usize)> {
 fn search_worker(
     case: &LrColumns,
     null: &LrColumns,
-    prefix: Option<&LrPrefixSums>,
+    prefix: &LrPrefixSums,
     keys: &[AtomicI64],
     op: &SharedOp,
     barrier: &Barrier,
@@ -1430,8 +1308,8 @@ fn search_worker(
         (null_words.0 * 64).min(null.individuals),
         (null_words.1 * 64).min(null.individuals),
     );
-    let mut case_sums = vec![0.0f64; case_rows.1 - case_rows.0];
-    let mut null_sums = vec![0.0f64; null_rows.1 - null_rows.0];
+    let mut case_sums = prefix.case_sums[case_rows.0..case_rows.1].to_vec();
+    let mut null_sums = prefix.null_sums[null_rows.0..null_rows.1].to_vec();
     loop {
         barrier.wait();
         let kind = op.kind.load(Ordering::Relaxed);
@@ -1440,11 +1318,6 @@ fn search_worker(
         }
         let col = op.col.load(Ordering::Relaxed);
         match kind {
-            OP_LOAD_PREFIX => {
-                let p = prefix.expect("prefix op requires a prefix");
-                case_sums.copy_from_slice(&p.case_sums[case_rows.0..case_rows.1]);
-                null_sums.copy_from_slice(&p.null_sums[null_rows.0..null_rows.1]);
-            }
             OP_ADD_NULL => {
                 let words = &null.col_words(col)[null_words.0..null_words.1];
                 add_column(&mut null_sums, words, null.major[col], null.minor[col]);
@@ -1492,7 +1365,7 @@ fn search_worker(
 fn columns_search_mt(
     case: &LrColumns,
     null: &LrColumns,
-    prefix: Option<&LrPrefixSums>,
+    prefix: &LrPrefixSums,
     order: &[usize],
     params: &LrTestParams,
     workers: usize,
@@ -1511,8 +1384,7 @@ fn columns_search_mt(
     let barrier = Barrier::new(workers + 1);
     let mut select_buf = vec![0i64; null.individuals];
     let mut kept = Vec::new();
-    let (mut final_threshold, mut final_power) =
-        prefix.map_or((f64::INFINITY, 0.0), |p| (p.threshold, p.power));
+    let (mut final_threshold, mut final_power) = (prefix.threshold, prefix.power);
     let quantile_hist = lr_quantile_seconds();
 
     std::thread::scope(|scope| {
@@ -1528,9 +1400,6 @@ fn columns_search_mt(
             barrier.wait(); // release the op to the workers
             barrier.wait(); // wait for every chunk to finish it
         };
-        if prefix.is_some() {
-            run(OP_LOAD_PREFIX, 0, 0.0);
-        }
         for &col in order {
             assert!(col < case.snps, "ranking indexes a non-existent column");
             run(OP_ADD_NULL, col, 0.0);
@@ -1613,6 +1482,16 @@ impl TheoreticalLr {
 mod tests {
     use super::*;
     use gendpr_crypto::rng::ChaChaRng;
+
+    /// The one-off study's search: nothing forced, serial, no memo.
+    fn plain_search<M: LrValues, N: LrValues>(
+        case: &M,
+        null: &N,
+        order: &[usize],
+        params: &LrTestParams,
+    ) -> LrSelection {
+        select_safe_subset(case, null, &[], order, params, 1, None)
+    }
 
     #[test]
     fn contribution_signs() {
@@ -1748,7 +1627,7 @@ mod tests {
     #[test]
     fn selection_keeps_everything_when_no_divergence() {
         let (case, null, order) = synthetic_lr(300, 300, 0, 30, 0.0, 1);
-        let sel = select_safe_subset(
+        let sel = plain_search(
             &case,
             &null,
             &order,
@@ -1763,7 +1642,7 @@ mod tests {
         // 60 strongly divergent SNPs: the attack gains power as columns
         // accumulate, so the search must reject some.
         let (case, null, order) = synthetic_lr(400, 400, 60, 0, 0.35, 2);
-        let sel = select_safe_subset(
+        let sel = plain_search(
             &case,
             &null,
             &order,
@@ -1785,7 +1664,7 @@ mod tests {
                 false_positive_rate: 0.1,
                 power_threshold: 0.6,
             };
-            let sel = select_safe_subset(&case, &null, &order, &params);
+            let sel = plain_search(&case, &null, &order, &params);
             assert!(
                 sel.final_power < 0.6,
                 "seed {seed}: power {}",
@@ -1797,7 +1676,7 @@ mod tests {
     #[test]
     fn stricter_power_threshold_keeps_fewer() {
         let (case, null, order) = synthetic_lr(300, 300, 40, 10, 0.3, 3);
-        let loose = select_safe_subset(
+        let loose = plain_search(
             &case,
             &null,
             &order,
@@ -1806,7 +1685,7 @@ mod tests {
                 power_threshold: 0.9,
             },
         );
-        let strict = select_safe_subset(
+        let strict = plain_search(
             &case,
             &null,
             &order,
@@ -1823,7 +1702,7 @@ mod tests {
         // One configuration, both estimators should agree on the big picture.
         let n = 2_000;
         let (case, null, order) = synthetic_lr(n, n, 15, 0, 0.12, 4);
-        let sel = select_safe_subset(
+        let sel = plain_search(
             &case,
             &null,
             &order,
@@ -1888,7 +1767,7 @@ mod tests {
     fn packed_selection_equals_dense_selection() {
         let (case, null, order) = synthetic_lr(200, 200, 15, 15, 0.25, 8);
         let params = LrTestParams::secure_genome_defaults();
-        let dense_sel = select_safe_subset(&case, &null, &order, &params);
+        let dense_sel = plain_search(&case, &null, &order, &params);
         // Rebuild packed versions from the dense values' sign structure is
         // impossible in general; instead regenerate from the same inputs.
         // synthetic_lr builds from genotypes internally, so emulate with
@@ -1932,7 +1811,7 @@ mod tests {
             })
         };
         assert_eq!(packed, case, "reconstruction must be exact");
-        let packed_sel = select_safe_subset(&packed, &null, &order, &params);
+        let packed_sel = plain_search(&packed, &null, &order, &params);
         assert_eq!(dense_sel, packed_sel);
     }
 
@@ -1962,9 +1841,16 @@ mod tests {
     fn seeded_selection_with_empty_forced_equals_plain() {
         let (case, null, order) = synthetic_lr(200, 200, 10, 20, 0.2, 12);
         let params = LrTestParams::secure_genome_defaults();
-        let plain = select_safe_subset(&case, &null, &order, &params);
-        let seeded = select_safe_subset_seeded(&case, &null, &[], &order, &params);
+        let plain = plain_search(&case, &null, &order, &params);
+        // An explicit (memoised) empty prefix is the same search.
+        let (c, n) = (case.to_columns().unwrap(), null.to_columns().unwrap());
+        let empty = LrPrefixSums::accumulate(&c, &n, &[], &params);
+        let seeded = select_safe_subset(&case, &null, &[], &order, &params, 1, Some(&empty));
         assert_eq!(plain, seeded);
+        assert_eq!(
+            plain,
+            select_safe_subset_naive(&case, &null, &[], &order, &params)
+        );
     }
 
     #[test]
@@ -1975,7 +1861,7 @@ mod tests {
             power_threshold: 0.6,
         };
         // Without a forced set, some candidates fit under the budget.
-        let plain = select_safe_subset(&case, &null, &order, &params);
+        let plain = plain_search(&case, &null, &order, &params);
         assert!(!plain.kept_columns.is_empty());
         // Force the plain selection; the remaining candidates must admit
         // no more than what a fresh run over the leftovers would.
@@ -1984,8 +1870,15 @@ mod tests {
             .copied()
             .filter(|c| !plain.kept_columns.contains(c))
             .collect();
-        let seeded =
-            select_safe_subset_seeded(&case, &null, &plain.kept_columns, &leftovers, &params);
+        let seeded = select_safe_subset(
+            &case,
+            &null,
+            &plain.kept_columns,
+            &leftovers,
+            &params,
+            1,
+            None,
+        );
         // The forced set already sits just under the bound, so few (often
         // zero) additional divergent columns can join.
         assert!(
@@ -2018,6 +1911,6 @@ mod tests {
     fn selection_rejects_mismatched_matrices() {
         let a = LrMatrix::from_values(1, 2, vec![0.0; 2]);
         let b = LrMatrix::from_values(1, 3, vec![0.0; 3]);
-        let _ = select_safe_subset(&a, &b, &[0], &LrTestParams::secure_genome_defaults());
+        let _ = plain_search(&a, &b, &[0], &LrTestParams::secure_genome_defaults());
     }
 }

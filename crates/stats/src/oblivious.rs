@@ -271,7 +271,7 @@ mod tests {
                 false_positive_rate: 0.1,
                 power_threshold: 0.6,
             };
-            let fast = select_safe_subset(&case, &null, &order, &params);
+            let fast = select_safe_subset(&case, &null, &[], &order, &params, 1, None);
             let obl = select_safe_subset_oblivious(&case, &null, &order, &params);
             assert_eq!(fast.kept_columns, obl.kept_columns, "seed {seed}");
             assert!((fast.final_power - obl.final_power).abs() < 1e-12);

@@ -9,9 +9,8 @@ use gendpr_crypto::rng::ChaChaRng;
 use gendpr_genomics::genotype::GenotypeMatrix;
 use gendpr_genomics::snp::SnpId;
 use gendpr_stats::lr::{
-    select_safe_subset, select_safe_subset_naive, select_safe_subset_seeded,
-    select_safe_subset_seeded_naive, select_safe_subset_seeded_threads, select_safe_subset_threads,
-    BitLrMatrix, LrMatrix, LrTestParams, LrValues,
+    select_safe_subset, select_safe_subset_naive, BitLrMatrix, LrMatrix, LrPrefixSums,
+    LrTestParams, LrValues,
 };
 use proptest::prelude::*;
 
@@ -119,28 +118,35 @@ proptest! {
         params in params_strategy(),
     ) {
         let (case_d, null_d) = fx.dense();
-        let reference = select_safe_subset_naive(&case_d, &null_d, &fx.order, &params);
+        let reference = select_safe_subset_naive(&case_d, &null_d, &[], &fx.order, &params);
 
         // Dense input routed through the columnar kernels.
         prop_assert_eq!(
-            &select_safe_subset(&case_d, &null_d, &fx.order, &params),
+            &select_safe_subset(&case_d, &null_d, &[], &fx.order, &params, 1, None),
             &reference
         );
         // Bit-packed input (64×64 transpose path).
         let (case_p, null_p) = fx.packed();
         prop_assert_eq!(
-            &select_safe_subset(&case_p, &null_p, &fx.order, &params),
+            &select_safe_subset(&case_p, &null_p, &[], &fx.order, &params, 1, None),
             &reference
         );
         // Pre-built columnar input, and a mixed pairing.
         let case_c = case_p.to_columns().expect("packed is two-valued");
         let null_c = null_p.to_columns().expect("packed is two-valued");
         prop_assert_eq!(
-            &select_safe_subset(&case_c, &null_c, &fx.order, &params),
+            &select_safe_subset(&case_c, &null_c, &[], &fx.order, &params, 1, None),
             &reference
         );
         prop_assert_eq!(
-            &select_safe_subset(&case_c, &null_d, &fx.order, &params),
+            &select_safe_subset(&case_c, &null_d, &[], &fx.order, &params, 1, None),
+            &reference
+        );
+        // A memoised empty prefix is the same search (the one-shot
+        // runtime's route through the engine).
+        let empty = LrPrefixSums::accumulate(&case_c, &null_c, &[], &params);
+        prop_assert_eq!(
+            &select_safe_subset(&case_c, &null_c, &[], &fx.order, &params, 1, Some(&empty)),
             &reference
         );
     }
@@ -158,25 +164,23 @@ proptest! {
         let order = &fx.order[cut..];
 
         let (case_d, null_d) = fx.dense();
-        let reference = select_safe_subset_seeded_naive(&case_d, &null_d, forced, order, &params);
+        let reference = select_safe_subset_naive(&case_d, &null_d, forced, order, &params);
         prop_assert_eq!(
-            &select_safe_subset_seeded(&case_d, &null_d, forced, order, &params),
+            &select_safe_subset(&case_d, &null_d, forced, order, &params, 1, None),
             &reference
         );
         let (case_p, null_p) = fx.packed();
         prop_assert_eq!(
-            &select_safe_subset_seeded(&case_p, &null_p, forced, order, &params),
+            &select_safe_subset(&case_p, &null_p, forced, order, &params, 1, None),
             &reference
         );
 
         // The memoized-prefix path: accumulate once, reuse for the search.
         let case_c = case_p.to_columns().expect("packed is two-valued");
         let null_c = null_p.to_columns().expect("packed is two-valued");
-        let prefix = gendpr_stats::lr::LrPrefixSums::accumulate(&case_c, &null_c, forced, &params);
+        let prefix = LrPrefixSums::accumulate(&case_c, &null_c, forced, &params);
         prop_assert_eq!(
-            &select_safe_subset_seeded_threads(
-                &case_c, &null_c, forced, order, &params, 1, Some(&prefix)
-            ),
+            &select_safe_subset(&case_c, &null_c, forced, order, &params, 1, Some(&prefix)),
             &reference
         );
     }
@@ -189,18 +193,25 @@ proptest! {
         split in any::<proptest::sample::Index>(),
     ) {
         let (case_p, null_p) = fx.packed();
-        let serial = select_safe_subset_threads(&case_p, &null_p, &fx.order, &params, 1);
-        let parallel = select_safe_subset_threads(&case_p, &null_p, &fx.order, &params, threads);
+        let serial = select_safe_subset(&case_p, &null_p, &[], &fx.order, &params, 1, None);
+        let parallel =
+            select_safe_subset(&case_p, &null_p, &[], &fx.order, &params, threads, None);
         prop_assert_eq!(&parallel, &serial);
 
         let cut = split.index(fx.order.len() + 1);
         let (forced, order) = fx.order.split_at(cut);
-        let serial_seeded =
-            select_safe_subset_seeded_threads(&case_p, &null_p, forced, order, &params, 1, None);
-        let parallel_seeded = select_safe_subset_seeded_threads(
-            &case_p, &null_p, forced, order, &params, threads, None,
-        );
+        let serial_seeded = select_safe_subset(&case_p, &null_p, forced, order, &params, 1, None);
+        let parallel_seeded =
+            select_safe_subset(&case_p, &null_p, forced, order, &params, threads, None);
         prop_assert_eq!(&parallel_seeded, &serial_seeded);
+
+        // Row chunks load their slice of a memoised prefix.
+        let case_c = case_p.to_columns().expect("packed is two-valued");
+        let null_c = null_p.to_columns().expect("packed is two-valued");
+        let prefix = LrPrefixSums::accumulate(&case_c, &null_c, forced, &params);
+        let parallel_memoised =
+            select_safe_subset(&case_c, &null_c, forced, order, &params, threads, Some(&prefix));
+        prop_assert_eq!(&parallel_memoised, &serial_seeded);
     }
 
     #[test]
@@ -230,8 +241,8 @@ fn three_valued_matrix_declines_columnar_view() {
     let null = LrMatrix::from_values(2, 1, vec![0.1, 0.2]);
     let params = LrTestParams::secure_genome_defaults();
     // Still selects, via the naive fallback.
-    let sel = select_safe_subset(&m, &null, &[0], &params);
-    assert_eq!(sel, select_safe_subset_naive(&m, &null, &[0], &params));
+    let sel = select_safe_subset(&m, &null, &[], &[0], &params, 1, None);
+    assert_eq!(sel, select_safe_subset_naive(&m, &null, &[], &[0], &params));
 }
 
 /// `+0.0` and `-0.0` are distinct level values for the kernels: the bit

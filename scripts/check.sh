@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Repo health check: formatting, lints, full test suite.
+# Repo health check: formatting, lints, every workspace member's tests.
 # Usage: scripts/check.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -10,8 +10,12 @@ cargo fmt --all -- --check
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace -- -D warnings
 
-echo "==> cargo test -q"
-cargo test -q
+# --workspace: the root package alone is only the facade's suites; the
+# crates' own tests (e.g. crates/stats/tests/lr_columnar_props.rs, the LR
+# kernels' equivalence proof) live in the members. --no-fail-fast: one
+# failing member must not hide the ones after it.
+echo "==> cargo test --workspace --no-fail-fast -q"
+cargo test --workspace --no-fail-fast -q
 
 echo "==> cargo bench --no-run"
 cargo bench --no-run
@@ -25,6 +29,11 @@ scripts/bench.sh --scale 0.02 --out "$BENCH_SMOKE_OUT" >/dev/null
 grep -q '"selection_identical": true' "$BENCH_SMOKE_OUT"
 grep -q '"release_identical": true' "$BENCH_SMOKE_OUT"
 grep -q '"shard_identical": true' "$BENCH_SMOKE_OUT"
+
+# All four benchmark workloads at smoke length: selections, certificates
+# and the seed-1 message/byte counts must match benchmark/expected.json.
+echo "==> benchmark smoke (fingerprints vs benchmark/expected.json)"
+bash benchmark/run.sh --smoke >/dev/null
 
 echo "==> service smoke test"
 scripts/service_smoke.sh

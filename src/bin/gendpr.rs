@@ -557,6 +557,23 @@ fn threads_from_flags(flags: &HashMap<String, String>) -> Result<usize, String> 
     })
 }
 
+/// The deployment options every attested command (`assess`, `node`,
+/// `serve`) runs with: compact Phase 3 reports, the batched LD round, and
+/// `--threads`.
+fn runtime_options(
+    timeout: Duration,
+    recovery: RecoveryOptions,
+    flags: &HashMap<String, String>,
+) -> Result<RuntimeOptions, String> {
+    Ok(RuntimeOptions {
+        timeout,
+        compact_lr: true,
+        prefetch_ld: true,
+        recovery,
+        threads: threads_from_flags(flags)?,
+    })
+}
+
 /// Recovery knobs shared by `assess` and `node`: `--max-epochs` (default
 /// 1 = no recovery, the paper's abort-on-silence), `--min-quorum`
 /// (default `G − f` from the collusion mode) and `--heartbeat-ms` (probe
@@ -621,13 +638,7 @@ fn cmd_assess(flags: &HashMap<String, String>) -> Result<(), CliError> {
         params,
         &cohort,
         None,
-        RuntimeOptions {
-            timeout: Duration::from_secs(timeout),
-            compact_lr: true,
-            prefetch_ld: true,
-            recovery,
-            threads: threads_from_flags(flags)?,
-        },
+        runtime_options(Duration::from_secs(timeout), recovery, flags)?,
     )
     .map_err(protocol_error)?;
 
@@ -904,13 +915,7 @@ fn run_node(flags: &HashMap<String, String>) -> Result<(), CliError> {
         .nth(id)
         .expect("id < gdos");
     let recovery = recovery_from_flags(flags, &config)?;
-    let options = RuntimeOptions {
-        timeout,
-        compact_lr: true,
-        prefetch_ld: true,
-        recovery,
-        threads: threads_from_flags(flags)?,
-    };
+    let options = runtime_options(timeout, recovery, flags)?;
     let outcome = run_member(
         transport,
         id,
@@ -1079,13 +1084,11 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), CliError> {
         ledger.released_union().len()
     );
 
-    let options = RuntimeOptions {
-        timeout: Duration::from_secs(timeout),
-        compact_lr: true,
-        prefetch_ld: true,
-        recovery: RecoveryOptions::default(),
-        threads: threads_from_flags(flags)?,
-    };
+    let options = runtime_options(
+        Duration::from_secs(timeout),
+        RecoveryOptions::default(),
+        flags,
+    )?;
     let workers: usize = flag(flags, "workers", 1)?;
     if workers == 0 {
         return Err(CliError::from("--workers must be at least 1".to_string()));

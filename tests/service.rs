@@ -7,7 +7,7 @@
 use gendpr::core::config::{CollusionMode, FederationConfig, GwasParams};
 use gendpr::core::error::ProtocolError;
 use gendpr::core::runtime::{run_federation_with, RuntimeOptions};
-use gendpr::core::serving::{JobSpec, ServiceFederation};
+use gendpr::core::serving::{JobOutcome, JobSpec, ServiceFederation};
 use gendpr::fednet::tcp::{ephemeral_listeners, TcpOptions, TcpTransport};
 use gendpr::fednet::transport::PeerId;
 use gendpr::genomics::snp::SnpId;
@@ -59,6 +59,10 @@ fn snps(range: std::ops::Range<u32>) -> Vec<SnpId> {
 }
 
 fn start_tcp_session(g: usize) -> ServiceFederation {
+    start_tcp_session_with(g, options())
+}
+
+fn start_tcp_session_with(g: usize, options: RuntimeOptions) -> ServiceFederation {
     let (roster, listeners) = ephemeral_listeners(g).expect("localhost listeners");
     let transports: Vec<TcpTransport> = listeners
         .into_iter()
@@ -68,7 +72,7 @@ fn start_tcp_session(g: usize) -> ServiceFederation {
                 .expect("transport from bound listener")
         })
         .collect();
-    ServiceFederation::start_over(transports, config(g), params(), study(), options())
+    ServiceFederation::start_over(transports, config(g), params(), study(), options)
         .expect("session starts")
 }
 
@@ -131,30 +135,100 @@ fn two_jobs_charge_the_cumulative_release() {
 fn full_panel_job_matches_the_one_shot_runtime() {
     // A single job over the full panel with nothing forced must select
     // exactly what the one-shot runtime selects: the session layer may
-    // not perturb the assessment itself.
-    let standalone = run_federation_with(config(3), params(), study(), None, options()).unwrap();
+    // not perturb the assessment itself — under the paper-faithful
+    // defaults and under the options the CLI's commands run with.
+    let cli_options = RuntimeOptions {
+        compact_lr: true,
+        prefetch_ld: true,
+        ..options()
+    };
+    for options in [options(), cli_options] {
+        let standalone = run_federation_with(config(3), params(), study(), None, options).unwrap();
 
-    let mut session =
-        ServiceFederation::start_in_memory(config(3), params(), study(), options()).unwrap();
-    let job = session
-        .submit(&JobSpec {
-            job_id: 7,
-            panel: snps(0..100),
-            forced: vec![],
-        })
-        .unwrap();
-    assert_eq!(job.leader, standalone.leader);
-    assert_eq!(job.l_prime, standalone.l_prime);
-    assert_eq!(job.l_double_prime, standalone.l_double_prime);
-    assert_eq!(job.released, standalone.safe_snps);
-    // Same safe set, but the service certificate additionally binds the
-    // job context, so the quotes must differ.
-    assert_eq!(
-        job.certificate.safe_digest,
-        standalone.certificate.safe_digest
-    );
-    assert_ne!(job.certificate, standalone.certificate);
-    session.shutdown().unwrap();
+        let mut session =
+            ServiceFederation::start_in_memory(config(3), params(), study(), options).unwrap();
+        let job = session
+            .submit(&JobSpec {
+                job_id: 7,
+                panel: snps(0..100),
+                forced: vec![],
+            })
+            .unwrap();
+        assert_eq!(job.leader, standalone.leader);
+        assert_eq!(job.l_prime, standalone.l_prime);
+        assert_eq!(job.l_double_prime, standalone.l_double_prime);
+        assert_eq!(job.released, standalone.safe_snps);
+        // Same safe set, but the service certificate additionally binds the
+        // job context, so the quotes must differ.
+        assert_eq!(
+            job.certificate.safe_digest,
+            standalone.certificate.safe_digest
+        );
+        assert_ne!(job.certificate, standalone.certificate);
+        session.shutdown().unwrap();
+    }
+}
+
+#[test]
+fn sessions_honour_prefetch_ld_with_identical_results_and_fewer_messages() {
+    // The batched LD round changes how many messages a job costs, never
+    // what it decides: the same two-job sequence with the option on and
+    // off, on both transports.
+    let run = |mut session: ServiceFederation| {
+        let first = session
+            .submit(&JobSpec {
+                job_id: 1,
+                panel: snps(0..70),
+                forced: vec![],
+            })
+            .unwrap();
+        let second = session
+            .submit(&JobSpec {
+                job_id: 2,
+                panel: snps(40..100),
+                forced: first.released.clone(),
+            })
+            .unwrap();
+        session.shutdown().unwrap();
+        [first, second]
+    };
+    let prefetching = RuntimeOptions {
+        prefetch_ld: true,
+        ..options()
+    };
+    let messages =
+        |job: &JobOutcome| -> u64 { job.traffic.iter().map(|link| link.stats.messages).sum() };
+    let pairs = [
+        (
+            run(
+                ServiceFederation::start_in_memory(config(3), params(), study(), options())
+                    .unwrap(),
+            ),
+            run(
+                ServiceFederation::start_in_memory(config(3), params(), study(), prefetching)
+                    .unwrap(),
+            ),
+        ),
+        (
+            run(start_tcp_session(3)),
+            run(start_tcp_session_with(3, prefetching)),
+        ),
+    ];
+    for (per_pair, batched) in &pairs {
+        for (off, on) in per_pair.iter().zip(batched) {
+            assert_eq!(off.l_prime, on.l_prime);
+            assert_eq!(off.l_double_prime, on.l_double_prime);
+            assert_eq!(off.released, on.released);
+            assert_eq!(off.certificate, on.certificate);
+            assert!(
+                messages(on) < messages(off),
+                "job {}: {} messages batched vs {} per pair",
+                on.job_id,
+                messages(on),
+                messages(off)
+            );
+        }
+    }
 }
 
 #[test]

@@ -6,15 +6,16 @@
 
 use gendpr::core::config::{FederationConfig, GwasParams};
 use gendpr::core::runtime::RuntimeOptions;
-use gendpr::core::serving::ServiceFederation;
+use gendpr::core::serving::{JobOutcome, JobSpec, ServiceFederation};
 use gendpr::fednet::tcp::{ephemeral_listeners, TcpOptions, TcpTransport};
 use gendpr::fednet::transport::PeerId;
 use gendpr::genomics::cohort::Cohort;
+use gendpr::genomics::snp::SnpId;
 use gendpr::genomics::synth::SyntheticCohort;
 use gendpr::service::daemon::AssessmentService;
 use gendpr::service::ledger::{LedgerRecord, ReleaseLedger};
 use gendpr::service::sched::LaneFactory;
-use gendpr::service::{SchedulerConfig, ShardLaneFactory, ShardPlan, ShardSpec};
+use gendpr::service::{SchedulerConfig, ShardLaneFactory, ShardPlan, ShardSet, ShardSpec};
 use gendpr::stats::lr::LrTestParams;
 use proptest::prelude::*;
 use std::net::TcpListener;
@@ -69,6 +70,10 @@ fn temp_ledger(tag: &str) -> PathBuf {
 }
 
 fn lane(cohort: &Cohort, tcp: bool) -> ServiceFederation {
+    lane_with(cohort, tcp, options())
+}
+
+fn lane_with(cohort: &Cohort, tcp: bool, options: RuntimeOptions) -> ServiceFederation {
     if tcp {
         let (roster, listeners) = ephemeral_listeners(3).expect("localhost listeners");
         let transports: Vec<TcpTransport> = listeners
@@ -84,10 +89,10 @@ fn lane(cohort: &Cohort, tcp: bool) -> ServiceFederation {
                 .expect("transport from bound listener")
             })
             .collect();
-        ServiceFederation::start_over(transports, config(3), params(), cohort, options())
+        ServiceFederation::start_over(transports, config(3), params(), cohort, options)
             .expect("lane starts")
     } else {
-        ServiceFederation::start_in_memory(config(3), params(), cohort, options())
+        ServiceFederation::start_in_memory(config(3), params(), cohort, options)
             .expect("lane starts")
     }
 }
@@ -216,6 +221,81 @@ fn sharded_runs_are_byte_identical_to_unsharded_over_tcp() {
         baseline(true),
         baseline(false),
         "transport changed the certified workload"
+    );
+}
+
+#[test]
+fn a_prefetching_merge_still_answers_from_the_shard_cache() {
+    // With `prefetch_ld` on, shard lanes batch their LD rounds, but the
+    // merging job on the primary lane must not re-fetch what they already
+    // pooled: it costs no more traffic than with the option off, and the
+    // result stays byte-identical to the unsharded run.
+    let cohort = Arc::new(study());
+    let spec = JobSpec {
+        job_id: 1,
+        panel: (0..300).map(SnpId).collect(),
+        forced: vec![],
+    };
+    let run_sharded = |options: RuntimeOptions| {
+        let factory: ShardLaneFactory = {
+            let cohort = Arc::clone(&cohort);
+            Arc::new(move |_shard, range| {
+                let slice = cohort
+                    .as_ref()
+                    .as_ref()
+                    .column_range(range.start as usize, range.len as usize);
+                Ok(lane_with(&slice, false, options))
+            })
+        };
+        let mut shards = ShardSet::build(&ShardSpec {
+            plan: ShardPlan::new(SNPS, 4),
+            factory,
+            max_retries: 0,
+        })
+        .expect("shard lanes start");
+        let mut primary = lane_with(cohort.as_ref().as_ref(), false, options);
+        let outcome = shards
+            .run_job(&mut primary, &spec, &[])
+            .expect("sharded job certifies");
+        primary.shutdown().expect("primary lane closes");
+        outcome
+    };
+    let prefetching = RuntimeOptions {
+        prefetch_ld: true,
+        ..options()
+    };
+    let (off, on) = (run_sharded(options()), run_sharded(prefetching));
+    let mut unsharded_lane = lane(cohort.as_ref().as_ref(), false);
+    let unsharded = unsharded_lane.submit(&spec).expect("job certifies");
+    unsharded_lane.shutdown().expect("lane closes");
+
+    for sharded in [&off, &on] {
+        assert_eq!(sharded.l_prime, unsharded.l_prime);
+        assert_eq!(sharded.l_double_prime, unsharded.l_double_prime);
+        assert_eq!(sharded.released, unsharded.released);
+        assert_eq!(sharded.certificate, unsharded.certificate);
+    }
+    // `JobOutcome.traffic` is the merging job on the primary lane alone
+    // (the process-global shard-cache counters are shared with
+    // concurrently running tests). A merge that prefetched would ship
+    // one request naming every adjacent pair of L' to every member.
+    let cost = |job: &JobOutcome| {
+        job.traffic.iter().fold((0, 0), |(messages, bytes), link| {
+            (
+                messages + link.stats.messages,
+                bytes + link.stats.plaintext_bytes,
+            )
+        })
+    };
+    let ((off_messages, off_bytes), (on_messages, on_bytes)) = (cost(&off), cost(&on));
+    assert!(
+        on_messages <= off_messages && on_bytes <= off_bytes,
+        "prefetching merge cost {on_messages} messages / {on_bytes} bytes, \
+         plain merge {off_messages} / {off_bytes}"
+    );
+    assert!(
+        off_messages < cost(&unsharded).0,
+        "a merge replays the shard lanes' moments instead of fetching them"
     );
 }
 
