@@ -61,7 +61,7 @@ fn ablation_oblivious_overhead(args: &BenchArgs) {
     let params = LrTestParams::secure_genome_defaults();
 
     let t = Instant::now();
-    let fast = select_safe_subset(&case_m, &null_m, &[], &order, &params, 1, None);
+    let fast = select_safe_subset(&case_m, &null_m, &[], &order, &params, None);
     let fast_time = t.elapsed();
     let t = Instant::now();
     let oblivious = select_safe_subset_oblivious(&case_m, &null_m, &order, &params);

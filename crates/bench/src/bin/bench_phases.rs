@@ -212,7 +212,7 @@ fn main() {
     };
     let lr_naive = t.elapsed();
 
-    eprintln!("timing columnar LR search (single thread)…");
+    eprintln!("timing columnar LR search…");
     let t = Instant::now();
     let (case_cols, null_cols) = {
         let case_view = ColumnarGenotypes::from_matrix(case_all);
@@ -223,30 +223,13 @@ fn main() {
         )
     };
     let columnar_selection =
-        select_safe_subset(&case_cols, &null_cols, &[], &order, &params.lr, 1, None);
+        select_safe_subset(&case_cols, &null_cols, &[], &order, &params.lr, None);
     let lr_columnar = t.elapsed();
     assert_eq!(
         naive_selection, columnar_selection,
         "columnar kernels changed the LR selection"
     );
 
-    let workers = gendpr_core::pool::available_parallelism();
-    eprintln!("timing columnar LR search ({workers} threads)…");
-    let t = Instant::now();
-    let threaded_selection = select_safe_subset(
-        &case_cols,
-        &null_cols,
-        &[],
-        &order,
-        &params.lr,
-        workers,
-        None,
-    );
-    let lr_threaded = t.elapsed();
-    assert_eq!(
-        naive_selection, threaded_selection,
-        "row chunking changed the LR selection"
-    );
     drop((case_cols, null_cols));
 
     // ---- Full protocol phase breakdown at the same scale ----
@@ -258,6 +241,7 @@ fn main() {
             .run()
             .expect("protocol completes")
     };
+    let workers = gendpr_core::pool::available_parallelism();
     let sequential = run(1);
     let parallel = run(workers);
     assert_eq!(
@@ -414,7 +398,6 @@ fn main() {
         &[],
         &mega_order,
         &params.lr,
-        1,
         None,
     );
     let mega_lr = t.elapsed();
@@ -440,7 +423,7 @@ fn main() {
         .collect::<Vec<_>>()
         .join(",\n");
     let json = format!(
-        "{{\n  \"workload\": {{\n    \"case_genomes\": {genomes},\n    \"snps\": {snps},\n    \"gdos\": {G},\n    \"colluders\": {F},\n    \"combinations\": {},\n    \"pairs\": {},\n    \"scale\": {scale}\n  }},\n  \"pooled_ld_moments\": {{\n    \"row_major_ms\": {:.3},\n    \"columnar_memo_ms\": {:.3},\n    \"speedup\": {:.2}\n  }},\n  \"lr_subset_search\": {{\n    \"candidates\": {},\n    \"naive_dense_ms\": {:.3},\n    \"columnar_ms\": {:.3},\n    \"columnar_threaded_ms\": {:.3},\n    \"threads\": {workers},\n    \"speedup\": {:.2},\n    \"selection_identical\": true\n  }},\n  \"protocol_phases_ms\": {{\n    \"threads\": 1,\n    \"aggregation\": {:.3},\n    \"indexing\": {:.3},\n    \"ld\": {:.3},\n    \"lr\": {:.3},\n    \"total\": {:.3}\n  }},\n  \"protocol_parallel\": {{\n    \"threads\": {workers},\n    \"total_ms\": {:.3},\n    \"release_identical\": true\n  }},\n  \"chromosome_100k\": {{\n    \"snps\": {chrom_snps},\n    \"lr_ms\": {:.3},\n    \"total_ms\": {:.3},\n    \"safe_snps\": {}\n  }},\n  \"shard_sweep\": {{\n    \"snps\": {chrom_snps},\n    \"plans\": [\n{shard_json}\n    ],\n    \"shard_identical\": true\n  }},\n  \"chromosome_1m_lr_only\": {{\n    \"snps\": {mega_snps},\n    \"individuals\": {mega_individuals},\n    \"search_ms\": {:.3},\n    \"kept_columns\": {}\n  }}\n}}\n",
+        "{{\n  \"workload\": {{\n    \"case_genomes\": {genomes},\n    \"snps\": {snps},\n    \"gdos\": {G},\n    \"colluders\": {F},\n    \"combinations\": {},\n    \"pairs\": {},\n    \"scale\": {scale}\n  }},\n  \"pooled_ld_moments\": {{\n    \"row_major_ms\": {:.3},\n    \"columnar_memo_ms\": {:.3},\n    \"speedup\": {:.2}\n  }},\n  \"lr_subset_search\": {{\n    \"candidates\": {},\n    \"naive_dense_ms\": {:.3},\n    \"columnar_ms\": {:.3},\n    \"speedup\": {:.2},\n    \"selection_identical\": true\n  }},\n  \"protocol_phases_ms\": {{\n    \"threads\": 1,\n    \"aggregation\": {:.3},\n    \"indexing\": {:.3},\n    \"ld\": {:.3},\n    \"lr\": {:.3},\n    \"total\": {:.3}\n  }},\n  \"protocol_parallel\": {{\n    \"threads\": {workers},\n    \"total_ms\": {:.3},\n    \"release_identical\": true\n  }},\n  \"chromosome_100k\": {{\n    \"snps\": {chrom_snps},\n    \"lr_ms\": {:.3},\n    \"total_ms\": {:.3},\n    \"safe_snps\": {}\n  }},\n  \"shard_sweep\": {{\n    \"snps\": {chrom_snps},\n    \"plans\": [\n{shard_json}\n    ],\n    \"shard_identical\": true\n  }},\n  \"chromosome_1m_lr_only\": {{\n    \"snps\": {mega_snps},\n    \"individuals\": {mega_individuals},\n    \"search_ms\": {:.3},\n    \"kept_columns\": {}\n  }}\n}}\n",
         subsets.len(),
         pairs.len(),
         ms(before),
@@ -449,7 +432,6 @@ fn main() {
         order.len(),
         ms(lr_naive),
         ms(lr_columnar),
-        ms(lr_threaded),
         lr_speedup,
         ms(sequential.timings.aggregation),
         ms(sequential.timings.indexing),

@@ -1,10 +1,9 @@
 //! Shared infrastructure for the GenDPR experiment harness.
 //!
 //! Every table and figure of the paper's evaluation (Section 7) has a
-//! binary in `src/bin/` that regenerates it, plus criterion micro-benches
-//! in `benches/`. This library holds what they share: the paper-shaped
-//! workload builder, a fixed-width table printer and a tiny CLI argument
-//! parser.
+//! binary in `src/bin/` that regenerates it. This library holds what they
+//! share: the paper-shaped workload builder, a fixed-width table printer
+//! and a tiny CLI argument parser.
 //!
 //! | Paper artifact | Binary |
 //! |----------------|--------|

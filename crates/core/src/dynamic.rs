@@ -243,7 +243,6 @@ impl DynamicAssessor {
             &forced,
             &order,
             &self.params.lr,
-            1,
             None,
         );
         let mut newly_released: Vec<SnpId> =

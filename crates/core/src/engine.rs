@@ -586,7 +586,6 @@ impl<'a> LeaderSession<'a> {
             ctx.enclave.enter(|(), epc| epc.alloc(m.heap_bytes()));
             parts.push(m);
         }
-        let threads = ctx.threads;
         let (selection, freed) = ctx.enclave.enter(|(), epc| {
             let case_matrix = M::concat_rows(&parts);
             epc.alloc(case_matrix.heap_bytes());
@@ -611,19 +610,10 @@ impl<'a> LeaderSession<'a> {
                         &forced_cols,
                         &order,
                         lr,
-                        threads,
                         Some(&prefix),
                     )
                 }
-                _ => select_safe_subset(
-                    &case_matrix,
-                    &null_matrix,
-                    &forced_cols,
-                    &order,
-                    lr,
-                    1,
-                    None,
-                ),
+                _ => select_safe_subset(&case_matrix, &null_matrix, &forced_cols, &order, lr, None),
             };
             (
                 selection,

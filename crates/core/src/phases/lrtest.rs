@@ -52,12 +52,12 @@ pub fn run_lr_test<M: LrValues + ?Sized, N: LrValues + ?Sized>(
     )
 }
 
-/// [`run_lr_test`] with an explicit [`SelectionKernel`] and row-chunked
-/// search parallelism: `threads` workers split the per-individual sum
-/// updates of the Fast kernel (byte-identical selections for every thread
-/// count, see `gendpr_stats::lr::select_safe_subset`). The Oblivious kernel
-/// stays single-threaded — its data-independent access pattern is the
-/// point.
+/// [`run_lr_test`] with an explicit [`SelectionKernel`].
+///
+/// `threads` is accepted and **ignored**: both kernels run one serial
+/// search (the row-chunked pool it used to size measured 8–9× slower and
+/// is gone). The argument stays only because `benchmark/src/probes.rs`
+/// links this seven-argument signature; it goes when that probe does.
 ///
 /// # Panics
 ///
@@ -71,7 +71,7 @@ pub fn run_lr_test_threads<M: LrValues + ?Sized, N: LrValues + ?Sized>(
     ranks: &[SnpRank],
     params: &LrTestParams,
     kernel: SelectionKernel,
-    threads: usize,
+    _threads: usize,
 ) -> Vec<SnpId> {
     assert_eq!(
         case_matrix.snps(),
@@ -103,7 +103,7 @@ pub fn run_lr_test_threads<M: LrValues + ?Sized, N: LrValues + ?Sized>(
 
     let selection = match kernel {
         SelectionKernel::Fast => {
-            select_safe_subset(case_matrix, null_matrix, &[], &order, params, threads, None)
+            select_safe_subset(case_matrix, null_matrix, &[], &order, params, None)
         }
         SelectionKernel::Oblivious => {
             select_safe_subset_oblivious(case_matrix, null_matrix, &order, params)

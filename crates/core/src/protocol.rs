@@ -353,10 +353,6 @@ impl Federation {
 
         // ---- Phase 3: LR-test analysis ----
         let t = Instant::now();
-        // Threads left over once the combinations are spread across the
-        // pool go into row-chunked search parallelism (any split is
-        // byte-identical, so the heuristic only affects speed).
-        let inner_threads = (self.threads / subsets.len().max(1)).max(1);
         let lr_results: Vec<(Vec<SnpId>, Vec<f64>, Vec<f64>)> =
             parallel_map(self.threads, &subsets, |c, subset| {
                 let outcome = &maf_outcomes[c];
@@ -398,7 +394,7 @@ impl Federation {
                     &ranks,
                     &self.params.lr,
                     self.kernel,
-                    inner_threads,
+                    1,
                 );
                 (safe, case_freqs, ref_freqs)
             });

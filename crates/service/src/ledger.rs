@@ -302,29 +302,55 @@ pub struct ReleaseLedger {
     offset: u64,
 }
 
-/// One mirror of the ledger.
+/// One mirror of a replicated log (the release ledger's replicas, the
+/// claim log's mirrors).
 #[derive(Debug)]
-struct Replica {
-    /// `None` once a write failed: a retired replica stops receiving
+pub(crate) struct Replica {
+    /// `None` once a write failed: a retired mirror stops receiving
     /// frames (its file stays a strict prefix of the truth) and is
     /// healed at the next open.
-    file: Option<File>,
-    path: PathBuf,
+    pub(crate) file: Option<File>,
+    pub(crate) path: PathBuf,
 }
 
-/// One ledger file's state as found on disk at open.
-struct LoadedFile {
-    file: File,
-    path: PathBuf,
-    bytes: Vec<u8>,
-    records: Vec<LedgerRecord>,
-    /// Length of the intact frame prefix.
-    good: usize,
+/// The names a mirrored log reports its mirror mechanics under — all
+/// the release ledger and the claim log differ in below.
+pub(crate) struct MirrorEvents {
+    /// The log's name in a quorum-lost error.
+    pub(crate) log: &'static str,
+    /// Event target.
+    pub(crate) target: &'static str,
+    /// A losing copy was rewritten to the winning prefix at open.
+    pub(crate) healed: &'static str,
+    /// The winning copy's own torn tail was dropped at open; `None` when
+    /// the log reports that itself (the ledger's `ledger_truncated`).
+    pub(crate) winner_trimmed: Option<&'static str>,
+    /// A mirror's tail was rewritten from the primary at refresh.
+    pub(crate) tail_healed: &'static str,
+    /// A mirror was retired after a failed write or heal.
+    pub(crate) retired: &'static str,
 }
 
-/// Opens (creating if absent) one ledger file and scans its intact
-/// frame prefix.
-fn load_file(path: &Path) -> Result<LoadedFile, ServiceError> {
+const LEDGER_EVENTS: MirrorEvents = MirrorEvents {
+    log: "ledger",
+    target: "ledger",
+    healed: "ledger_replica_healed",
+    winner_trimmed: None,
+    tail_healed: "ledger_mirror_tail_healed",
+    retired: "ledger_replica_retired",
+};
+
+/// One copy of a mirrored log as found on disk at open.
+pub(crate) struct LogCopy {
+    pub(crate) file: File,
+    pub(crate) path: PathBuf,
+    pub(crate) bytes: Vec<u8>,
+    /// Length of the intact frame prefix, set by the owning log's scan.
+    pub(crate) good: usize,
+}
+
+/// Opens (creating if absent) one copy and reads it whole.
+pub(crate) fn read_copy(path: &Path) -> Result<LogCopy, ServiceError> {
     let mut file = OpenOptions::new()
         .read(true)
         .append(true)
@@ -332,9 +358,221 @@ fn load_file(path: &Path) -> Result<LoadedFile, ServiceError> {
         .open(path)?;
     let mut bytes = Vec::new();
     file.read_to_end(&mut bytes)?;
+    Ok(LogCopy {
+        file,
+        path: path.to_path_buf(),
+        bytes,
+        good: 0,
+    })
+}
+
+/// What [`heal_copies`] found and did.
+pub(crate) struct OpenHeal {
+    /// Index of the copy whose intact prefix won.
+    pub(crate) winner: usize,
+    /// Copies rewritten (one fsync each), the winner's own trim included.
+    pub(crate) rewritten: u64,
+    /// The losing copies among them.
+    pub(crate) healed: u64,
+}
+
+/// The open-time heal: the copy with the longest intact prefix wins (the
+/// earliest on ties, the primary first) and every copy whose content is
+/// not exactly that prefix is rewritten to it. (A crash mid-heal leaves
+/// that file with some prefix of the winner's bytes — the next open
+/// still finds the full prefix on the quorum that acknowledged it.)
+pub(crate) fn heal_copies(
+    copies: &mut [LogCopy],
+    events: &MirrorEvents,
+) -> Result<OpenHeal, ServiceError> {
+    let winner = (0..copies.len())
+        .max_by_key(|&i| (copies[i].good, std::cmp::Reverse(i)))
+        .expect("at least the primary");
+    let truth = copies[winner].bytes[..copies[winner].good].to_vec();
+    let mut heal = OpenHeal {
+        winner,
+        rewritten: 0,
+        healed: 0,
+    };
+    for (i, copy) in copies.iter_mut().enumerate() {
+        if copy.bytes == truth {
+            copy.file.seek(SeekFrom::End(0))?;
+            continue;
+        }
+        copy.file.set_len(0)?;
+        copy.file.write_all(&truth)?;
+        copy.file.sync_data()?;
+        heal.rewritten += 1;
+        let name = if i == winner {
+            events.winner_trimmed
+        } else {
+            heal.healed += 1;
+            Some(events.healed)
+        };
+        if let Some(name) = name {
+            event(
+                Level::Warn,
+                events.target,
+                name,
+                &[
+                    ("path", copy.path.display().to_string().as_str().into()),
+                    ("had_bytes", (copy.bytes.len() as u64).into()),
+                    ("now_bytes", (truth.len() as u64).into()),
+                ],
+            );
+        }
+    }
+    Ok(heal)
+}
+
+/// Splits the healed copies into the primary and its live mirrors.
+pub(crate) fn primary_and_mirrors(copies: Vec<LogCopy>) -> (File, PathBuf, Vec<Replica>) {
+    let mut copies = copies.into_iter();
+    let first = copies.next().expect("at least the primary");
+    let mirrors = copies
+        .map(|copy| Replica {
+            file: Some(copy.file),
+            path: copy.path,
+        })
+        .collect();
+    (first.file, first.path, mirrors)
+}
+
+/// Retires `mirror` after a failed write or heal: one missing frame must
+/// never be followed by later ones, or the mirror would hold a valid-
+/// looking history that skips a record.
+fn retire(mirror: &mut Replica, error: &std::io::Error, events: &MirrorEvents) {
+    mirror.file = None;
+    event(
+        Level::Warn,
+        events.target,
+        events.retired,
+        &[
+            ("path", mirror.path.display().to_string().as_str().into()),
+            ("error", error.to_string().as_str().into()),
+        ],
+    );
+}
+
+/// Verifies, under the fleet lock a refresh runs under, that every live
+/// mirror ends exactly where the primary's intact prefix (`offset`)
+/// does, and heals any that does not by rewriting it from the primary.
+/// A track killed mid-append can leave a mirror with a torn tail — or
+/// missing the primary's fsynced last frame entirely — and because every
+/// handle appends with `O_APPEND`, a surviving track would otherwise
+/// write the next frame after the damage: the mirror ends up unreadable
+/// past the tear (or worse, a valid-looking history that silently skips
+/// a record) while its fsync still counts toward the append quorum. A
+/// mirror that cannot be healed is retired instead of acked, exactly
+/// like a failed append.
+///
+/// Appends are serialized fleet-wide and write identical bytes to every
+/// copy, so "same length as the primary's intact prefix" implies "same
+/// bytes" under the process-kill failure model; the check per refresh is
+/// one `stat` per mirror.
+///
+/// Returns `(healed, retired)` mirror counts.
+pub(crate) fn heal_mirror_tails(
+    primary: &mut File,
+    offset: u64,
+    mirrors: &mut [Replica],
+    events: &MirrorEvents,
+) -> Result<(u64, u64), ServiceError> {
+    let mut truth: Option<Vec<u8>> = None;
+    let (mut healed, mut retired) = (0, 0);
+    for mirror in mirrors {
+        let Some(file) = mirror.file.as_mut() else {
+            continue;
+        };
+        if file.metadata().map(|m| m.len()).ok() == Some(offset) {
+            continue;
+        }
+        // A primary read failure is the primary's problem, not the
+        // mirror's: surface it instead of retiring the mirror.
+        if truth.is_none() {
+            primary.seek(SeekFrom::Start(0))?;
+            let mut bytes = vec![0u8; offset as usize];
+            primary.read_exact(&mut bytes)?;
+            truth = Some(bytes);
+        }
+        let bytes = truth.as_ref().expect("primary prefix loaded");
+        let rewritten = file
+            .set_len(0)
+            .and_then(|()| file.write_all(bytes))
+            .and_then(|()| file.sync_data());
+        match rewritten {
+            Ok(()) => {
+                healed += 1;
+                event(
+                    Level::Warn,
+                    events.target,
+                    events.tail_healed,
+                    &[
+                        ("path", mirror.path.display().to_string().as_str().into()),
+                        ("now_bytes", offset.into()),
+                    ],
+                );
+            }
+            Err(e) => {
+                retired += 1;
+                retire(mirror, &e, events);
+            }
+        }
+    }
+    Ok((healed, retired))
+}
+
+/// Writes, flushes and fsyncs `frame` on every live mirror, retiring any
+/// whose write fails. Returns `(acks, retired)`.
+pub(crate) fn mirror_frame(
+    mirrors: &mut [Replica],
+    frame: &[u8],
+    events: &MirrorEvents,
+) -> (usize, u64) {
+    let (mut acks, mut retired) = (0, 0);
+    for mirror in mirrors {
+        let Some(file) = mirror.file.as_mut() else {
+            continue;
+        };
+        let written = file
+            .write_all(frame)
+            .and_then(|()| file.flush())
+            .and_then(|()| file.sync_data());
+        match written {
+            Ok(()) => acks += 1,
+            Err(e) => {
+                retired += 1;
+                retire(mirror, &e, events);
+            }
+        }
+    }
+    (acks, retired)
+}
+
+/// The majority rule: the primary's fsync plus `mirror_acks` must reach
+/// a majority of the whole set of `1 + mirrors` copies.
+pub(crate) fn require_quorum(
+    mirror_acks: usize,
+    mirrors: usize,
+    events: &MirrorEvents,
+) -> Result<(), ServiceError> {
+    let (acks, quorum) = (1 + mirror_acks, mirrors.div_ceil(2) + 1);
+    if acks < quorum {
+        return Err(std::io::Error::other(format!(
+            "{} quorum lost: {acks} of {} copies acknowledged (need {quorum})",
+            events.log,
+            1 + mirrors
+        ))
+        .into());
+    }
+    Ok(())
+}
+
+/// The intact, decodable record prefix of one ledger copy.
+fn scan_records(bytes: &[u8]) -> (Vec<LedgerRecord>, usize) {
     let mut records = Vec::new();
     let mut good = 0usize;
-    while let Some((body, end)) = intact_frame(&bytes, good) {
+    while let Some((body, end)) = intact_frame(bytes, good) {
         match wire::from_bytes::<LedgerRecord>(body) {
             Ok(record) => {
                 records.push(record);
@@ -343,13 +581,7 @@ fn load_file(path: &Path) -> Result<LoadedFile, ServiceError> {
             Err(_) => break,
         }
     }
-    Ok(LoadedFile {
-        file,
-        path: path.to_path_buf(),
-        bytes,
-        records,
-        good,
-    })
+    (records, good)
 }
 
 impl ReleaseLedger {
@@ -382,24 +614,24 @@ impl ReleaseLedger {
         primary: impl AsRef<Path>,
         replicas: &[PathBuf],
     ) -> Result<Self, ServiceError> {
-        let mut loaded = vec![load_file(primary.as_ref())?];
-        for path in replicas {
-            loaded.push(load_file(path)?);
+        let mut copies = Vec::with_capacity(1 + replicas.len());
+        let mut decoded = Vec::with_capacity(1 + replicas.len());
+        for path in std::iter::once(primary.as_ref()).chain(replicas.iter().map(PathBuf::as_path)) {
+            let mut copy = read_copy(path)?;
+            let (records, good) = scan_records(&copy.bytes);
+            copy.good = good;
+            copies.push(copy);
+            decoded.push(records);
         }
-        let winner = (0..loaded.len())
-            .max_by_key(|&i| (loaded[i].good, std::cmp::Reverse(i)))
-            .expect("at least the primary");
-        let winner_bytes = loaded[winner].bytes[..loaded[winner].good].to_vec();
-        let records = std::mem::take(&mut loaded[winner].records);
 
         // The primary's own torn tail is accounted the way `open`
         // always did — recovery must be loud, it is exactly what the
         // soak harness audits for.
-        let recovered = (loaded[0].bytes.len() - loaded[0].good) as u64;
+        let recovered = (copies[0].bytes.len() - copies[0].good) as u64;
         if recovered > 0 {
-            let bytes = &loaded[0].bytes;
+            let bytes = &copies[0].bytes;
             let mut truncated_frames = 0u64;
-            let mut scan = loaded[0].good;
+            let mut scan = copies[0].good;
             while let Some(end) = next_frame(bytes, scan) {
                 truncated_frames += 1;
                 scan = end;
@@ -413,60 +645,30 @@ impl ReleaseLedger {
                 "ledger",
                 "ledger_truncated",
                 &[
-                    ("path", loaded[0].path.display().to_string().as_str().into()),
+                    ("path", copies[0].path.display().to_string().as_str().into()),
                     ("bytes", recovered.into()),
                     ("frames", truncated_frames.into()),
-                    ("records_kept", loaded[0].records.len().into()),
+                    ("records_kept", decoded[0].len().into()),
                 ],
             );
         }
 
-        // Heal: every file whose content is not exactly the winning
-        // prefix is rewritten to it. (A crash mid-heal leaves that file
-        // with some prefix of the winner's bytes — the next open still
-        // finds the full prefix on the quorum that acknowledged it.)
-        for (i, state) in loaded.iter_mut().enumerate() {
-            if state.bytes == winner_bytes {
-                state.file.seek(SeekFrom::End(0))?;
-                continue;
-            }
-            state.file.set_len(0)?;
-            state.file.write_all(&winner_bytes)?;
-            state.file.sync_data()?;
-            crate::telemetry::ledger_fsyncs().inc();
-            if i != winner {
-                crate::telemetry::ledger_replica_heals().inc();
-                event(
-                    Level::Warn,
-                    "ledger",
-                    "ledger_replica_healed",
-                    &[
-                        ("path", state.path.display().to_string().as_str().into()),
-                        ("had_bytes", (state.bytes.len() as u64).into()),
-                        ("now_bytes", (winner_bytes.len() as u64).into()),
-                    ],
-                );
-            }
-        }
-
-        let mut loaded = loaded.into_iter();
-        let first = loaded.next().expect("at least the primary");
-        let replicas = loaded
-            .map(|state| Replica {
-                file: Some(state.file),
-                path: state.path,
-            })
-            .collect();
+        let heal = heal_copies(&mut copies, &LEDGER_EVENTS)?;
+        crate::telemetry::ledger_fsyncs().add(heal.rewritten);
+        crate::telemetry::ledger_replica_heals().add(heal.healed);
+        let records = decoded.swap_remove(heal.winner);
+        let offset = copies[heal.winner].good as u64;
+        let (file, path, replicas) = primary_and_mirrors(copies);
         let next_id = records.iter().map(|r| r.job_id).max().unwrap_or(0) + 1;
         crate::telemetry::ledger_records().set(records.len() as i64);
         Ok(Self {
-            file: first.file,
-            path: first.path,
+            file,
+            path,
             replicas,
             records,
             recovered,
             next_id,
-            offset: winner_bytes.len() as u64,
+            offset,
         })
     }
 
@@ -498,44 +700,10 @@ impl ReleaseLedger {
         self.file.flush()?;
         gendpr_fednet::killpoint::hit("ledger_append");
         self.file.sync_data()?;
-        let mut acks = 1usize; // the primary's fsync
-        for replica in &mut self.replicas {
-            let Some(file) = replica.file.as_mut() else {
-                continue;
-            };
-            let written = file
-                .write_all(&frame)
-                .and_then(|()| file.flush())
-                .and_then(|()| file.sync_data());
-            match written {
-                Ok(()) => acks += 1,
-                Err(e) => {
-                    // Retired: one missing frame must never be followed
-                    // by later ones, or the mirror would hold a valid-
-                    // looking history that skips a record.
-                    replica.file = None;
-                    crate::telemetry::ledger_replica_write_failures().inc();
-                    event(
-                        Level::Warn,
-                        "ledger",
-                        "ledger_replica_retired",
-                        &[
-                            ("path", replica.path.display().to_string().as_str().into()),
-                            ("error", e.to_string().as_str().into()),
-                        ],
-                    );
-                }
-            }
-        }
+        let (acks, retired) = mirror_frame(&mut self.replicas, &frame, &LEDGER_EVENTS);
+        crate::telemetry::ledger_replica_write_failures().add(retired);
         gendpr_fednet::killpoint::hit("ledger_commit");
-        let quorum = self.replicas.len().div_ceil(2) + 1;
-        if acks < quorum {
-            return Err(std::io::Error::other(format!(
-                "ledger quorum lost: {acks} of {} copies acknowledged (need {quorum})",
-                1 + self.replicas.len()
-            ))
-            .into());
-        }
+        require_quorum(acks, self.replicas.len(), &LEDGER_EVENTS)?;
         crate::telemetry::ledger_appends().inc();
         crate::telemetry::ledger_fsyncs().inc();
         self.next_id = self.next_id.max(record.job_id + 1);
@@ -567,17 +735,12 @@ impl ReleaseLedger {
         self.file.seek(SeekFrom::Start(self.offset))?;
         let mut bytes = Vec::new();
         self.file.read_to_end(&mut bytes)?;
-        let mut good = 0usize;
-        let mut fresh = 0usize;
-        while let Some((body, end)) = intact_frame(&bytes, good) {
-            let Ok(record) = wire::from_bytes::<LedgerRecord>(body) else {
-                break;
-            };
+        let (records, good) = scan_records(&bytes);
+        let fresh = records.len();
+        for record in &records {
             self.next_id = self.next_id.max(record.job_id + 1);
-            self.records.push(record);
-            good = end;
-            fresh += 1;
         }
+        self.records.extend(records);
         self.offset += good as u64;
         if good < bytes.len() {
             // Crash leavings from a dead track. The claim lock is held,
@@ -596,82 +759,18 @@ impl ReleaseLedger {
             self.file.set_len(self.offset)?;
             self.file.sync_data()?;
         }
-        self.heal_mirror_tails()?;
+        let (healed, retired) = heal_mirror_tails(
+            &mut self.file,
+            self.offset,
+            &mut self.replicas,
+            &LEDGER_EVENTS,
+        )?;
+        crate::telemetry::ledger_replica_heals().add(healed);
+        crate::telemetry::ledger_replica_write_failures().add(retired);
         if fresh > 0 {
             crate::telemetry::ledger_records().set(self.records.len() as i64);
         }
         Ok(fresh)
-    }
-
-    /// Verifies, under the same fleet lock as [`ReleaseLedger::refresh`],
-    /// that every live mirror ends exactly where the primary's intact
-    /// prefix does, and heals any that does not by rewriting it from the
-    /// primary. A track killed mid-append can leave a mirror with a torn
-    /// tail — or missing the primary's fsynced last frame entirely — and
-    /// because every handle appends with `O_APPEND`, a surviving track
-    /// would otherwise write the next frame after the damage: the mirror
-    /// ends up unreadable past the tear (or worse, a valid-looking
-    /// history that silently skips a record) while its fsync still
-    /// counts toward the append quorum. A mirror that cannot be healed
-    /// is retired instead of acked, exactly like a failed append.
-    ///
-    /// Appends are serialized fleet-wide and write identical bytes to
-    /// every copy, so "same length as the primary's intact prefix"
-    /// implies "same bytes" under the process-kill failure model; the
-    /// check per refresh is one `stat` per mirror.
-    fn heal_mirror_tails(&mut self) -> Result<(), ServiceError> {
-        let offset = self.offset;
-        let primary = &mut self.file;
-        let mut truth: Option<Vec<u8>> = None;
-        for replica in &mut self.replicas {
-            let Some(mirror) = replica.file.as_mut() else {
-                continue;
-            };
-            if mirror.metadata().map(|m| m.len()).ok() == Some(offset) {
-                continue;
-            }
-            // A primary read failure is the primary's problem, not the
-            // mirror's: surface it instead of retiring the mirror.
-            if truth.is_none() {
-                primary.seek(SeekFrom::Start(0))?;
-                let mut bytes = vec![0u8; offset as usize];
-                primary.read_exact(&mut bytes)?;
-                truth = Some(bytes);
-            }
-            let bytes = truth.as_ref().expect("primary prefix loaded");
-            let healed = mirror
-                .set_len(0)
-                .and_then(|()| mirror.write_all(bytes))
-                .and_then(|()| mirror.sync_data());
-            match healed {
-                Ok(()) => {
-                    crate::telemetry::ledger_replica_heals().inc();
-                    event(
-                        Level::Warn,
-                        "ledger",
-                        "ledger_mirror_tail_healed",
-                        &[
-                            ("path", replica.path.display().to_string().as_str().into()),
-                            ("now_bytes", offset.into()),
-                        ],
-                    );
-                }
-                Err(e) => {
-                    replica.file = None;
-                    crate::telemetry::ledger_replica_write_failures().inc();
-                    event(
-                        Level::Warn,
-                        "ledger",
-                        "ledger_replica_retired",
-                        &[
-                            ("path", replica.path.display().to_string().as_str().into()),
-                            ("error", e.to_string().as_str().into()),
-                        ],
-                    );
-                }
-            }
-        }
-        Ok(())
     }
 
     /// Every record, in append order.
@@ -966,7 +1065,8 @@ mod tests {
                 .append(true)
                 .open(&primary)
                 .unwrap();
-            f.write_all(&seal_frame(&wire::to_bytes(&sample(2)))).unwrap();
+            f.write_all(&seal_frame(&wire::to_bytes(&sample(2))))
+                .unwrap();
         }
         assert_eq!(ledger.refresh().unwrap(), 1);
         assert_eq!(ledger.records()[1], sample(2));

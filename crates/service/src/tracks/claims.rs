@@ -25,11 +25,14 @@
 //! direction for at-most-once execution.
 
 use crate::error::ServiceError;
-use crate::ledger::{intact_frame, seal_frame};
+use crate::ledger::{
+    heal_copies, heal_mirror_tails, intact_frame, mirror_frame, primary_and_mirrors, read_copy,
+    require_quorum, seal_frame, MirrorEvents, Replica,
+};
 use gendpr_fednet::wire::{self, Decode, Encode, Reader, WireError};
 use gendpr_fednet::wire_struct;
 use gendpr_obs::{event, Level};
-use std::fs::{File, OpenOptions};
+use std::fs::File;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
@@ -133,14 +136,16 @@ pub struct SeenEntry {
     pub first_seen: Instant,
 }
 
-/// One mirror of the claim log; `None` once a write failed (retired
-/// until the next open heals it), mirroring the ledger's rule that a
-/// mirror may only ever hold a prefix of the truth.
-#[derive(Debug)]
-struct Mirror {
-    file: Option<File>,
-    path: PathBuf,
-}
+/// The claim log's names for the mirror mechanics it shares with the
+/// release ledger.
+const CLAIM_EVENTS: MirrorEvents = MirrorEvents {
+    log: "claim log",
+    target: "tracks",
+    healed: "claim_log_healed",
+    winner_trimmed: Some("claim_log_healed"),
+    tail_healed: "claim_mirror_tail_healed",
+    retired: "claim_mirror_retired",
+};
 
 /// The claim log: the primary file, its mirrors, and every frame this
 /// process has observed.
@@ -148,7 +153,7 @@ struct Mirror {
 pub struct ClaimLog {
     file: File,
     path: PathBuf,
-    mirrors: Vec<Mirror>,
+    mirrors: Vec<Replica>,
     entries: Vec<SeenEntry>,
     /// Byte length of the intact prefix scanned so far.
     offset: u64,
@@ -182,69 +187,22 @@ impl ClaimLog {
     ///
     /// [`ServiceError::Io`] on filesystem failures.
     pub fn open(primary: &Path, mirrors: &[PathBuf]) -> Result<Self, ServiceError> {
-        struct Loaded {
-            file: File,
-            path: PathBuf,
-            bytes: Vec<u8>,
-            good: usize,
+        let mut copies = Vec::with_capacity(1 + mirrors.len());
+        for path in std::iter::once(primary).chain(mirrors.iter().map(PathBuf::as_path)) {
+            let mut copy = read_copy(path)?;
+            copy.good = scan(&copy.bytes, 0).1;
+            copies.push(copy);
         }
-        let load = |path: &Path| -> Result<Loaded, ServiceError> {
-            let mut file = OpenOptions::new()
-                .read(true)
-                .append(true)
-                .create(true)
-                .open(path)?;
-            let mut bytes = Vec::new();
-            file.read_to_end(&mut bytes)?;
-            let (_, good) = scan(&bytes, 0);
-            Ok(Loaded {
-                file,
-                path: path.to_path_buf(),
-                bytes,
-                good,
-            })
-        };
-        let mut loaded = vec![load(primary)?];
-        for path in mirrors {
-            loaded.push(load(path)?);
-        }
-        let winner = (0..loaded.len())
-            .max_by_key(|&i| (loaded[i].good, std::cmp::Reverse(i)))
-            .expect("at least the primary");
-        let winner_bytes = loaded[winner].bytes[..loaded[winner].good].to_vec();
-        for state in &mut loaded {
-            if state.bytes == winner_bytes {
-                state.file.seek(SeekFrom::End(0))?;
-                continue;
-            }
-            state.file.set_len(0)?;
-            state.file.write_all(&winner_bytes)?;
-            state.file.sync_data()?;
-            event(
-                Level::Warn,
-                "tracks",
-                "claim_log_healed",
-                &[
-                    ("path", state.path.display().to_string().as_str().into()),
-                    ("had_bytes", (state.bytes.len() as u64).into()),
-                    ("now_bytes", (winner_bytes.len() as u64).into()),
-                ],
-            );
-        }
-        let (entries, good) = scan(&winner_bytes, 0);
-        debug_assert_eq!(good, winner_bytes.len());
+        let winner = heal_copies(&mut copies, &CLAIM_EVENTS)?.winner;
+        let good = copies[winner].good;
+        let (entries, scanned) = scan(&copies[winner].bytes[..good], 0);
+        debug_assert_eq!(scanned, good);
+        let (file, path, mirrors) = primary_and_mirrors(copies);
         let now = Instant::now();
-        let mut loaded = loaded.into_iter();
-        let first = loaded.next().expect("at least the primary");
         Ok(Self {
-            file: first.file,
-            path: first.path,
-            mirrors: loaded
-                .map(|state| Mirror {
-                    file: Some(state.file),
-                    path: state.path,
-                })
-                .collect(),
+            file,
+            path,
+            mirrors,
             entries: entries
                 .into_iter()
                 .map(|entry| SeenEntry {
@@ -290,65 +248,13 @@ impl ClaimLog {
             self.file.set_len(self.offset)?;
             self.file.sync_data()?;
         }
-        self.heal_mirror_tails()?;
+        heal_mirror_tails(
+            &mut self.file,
+            self.offset,
+            &mut self.mirrors,
+            &CLAIM_EVENTS,
+        )?;
         Ok(count)
-    }
-
-    /// The claim-log twin of the release ledger's mirror-tail heal (see
-    /// `ReleaseLedger::heal_mirror_tails`): under the fleet lock, every
-    /// live mirror must end exactly where the primary's intact prefix
-    /// does — a track killed mid-append leaves a torn (or missing) tail
-    /// on a mirror that `O_APPEND` writes from survivors would bury,
-    /// while the mirror kept counting toward the quorum. Length mismatch
-    /// heals the mirror from the primary; a mirror that cannot be healed
-    /// is retired instead of acked.
-    fn heal_mirror_tails(&mut self) -> Result<(), ServiceError> {
-        let offset = self.offset;
-        let primary = &mut self.file;
-        let mut truth: Option<Vec<u8>> = None;
-        for mirror in &mut self.mirrors {
-            let Some(file) = mirror.file.as_mut() else {
-                continue;
-            };
-            if file.metadata().map(|m| m.len()).ok() == Some(offset) {
-                continue;
-            }
-            if truth.is_none() {
-                primary.seek(SeekFrom::Start(0))?;
-                let mut bytes = vec![0u8; offset as usize];
-                primary.read_exact(&mut bytes)?;
-                truth = Some(bytes);
-            }
-            let bytes = truth.as_ref().expect("primary prefix loaded");
-            let healed = file
-                .set_len(0)
-                .and_then(|()| file.write_all(bytes))
-                .and_then(|()| file.sync_data());
-            match healed {
-                Ok(()) => event(
-                    Level::Warn,
-                    "tracks",
-                    "claim_mirror_tail_healed",
-                    &[
-                        ("path", mirror.path.display().to_string().as_str().into()),
-                        ("now_bytes", offset.into()),
-                    ],
-                ),
-                Err(e) => {
-                    mirror.file = None;
-                    event(
-                        Level::Warn,
-                        "tracks",
-                        "claim_mirror_retired",
-                        &[
-                            ("path", mirror.path.display().to_string().as_str().into()),
-                            ("error", e.to_string().as_str().into()),
-                        ],
-                    );
-                }
-            }
-        }
-        Ok(())
     }
 
     /// Appends one frame durably under the same majority-quorum rule as
@@ -366,39 +272,8 @@ impl ClaimLog {
         self.file.write_all(&frame)?;
         self.file.flush()?;
         self.file.sync_data()?;
-        let mut acks = 1usize;
-        for mirror in &mut self.mirrors {
-            let Some(file) = mirror.file.as_mut() else {
-                continue;
-            };
-            let written = file
-                .write_all(&frame)
-                .and_then(|()| file.flush())
-                .and_then(|()| file.sync_data());
-            match written {
-                Ok(()) => acks += 1,
-                Err(e) => {
-                    mirror.file = None;
-                    event(
-                        Level::Warn,
-                        "tracks",
-                        "claim_mirror_retired",
-                        &[
-                            ("path", mirror.path.display().to_string().as_str().into()),
-                            ("error", e.to_string().as_str().into()),
-                        ],
-                    );
-                }
-            }
-        }
-        let quorum = self.mirrors.len().div_ceil(2) + 1;
-        if acks < quorum {
-            return Err(std::io::Error::other(format!(
-                "claim log quorum lost: {acks} of {} copies acknowledged (need {quorum})",
-                1 + self.mirrors.len()
-            ))
-            .into());
-        }
+        let (acks, _) = mirror_frame(&mut self.mirrors, &frame, &CLAIM_EVENTS);
+        require_quorum(acks, self.mirrors.len(), &CLAIM_EVENTS)?;
         self.offset += frame.len() as u64;
         self.entries.push(SeenEntry {
             entry,

@@ -265,8 +265,7 @@ impl TrackCoordinator {
         // nobody here will ever commit it, so it must fall through to
         // the expiry arm like any dead peer's claim (a `--tracks 1`
         // fleet has no other survivor to reclaim it).
-        let own_live =
-            head.claim.track == self.config.track && live.contains(&head.claim.job_id);
+        let own_live = head.claim.track == self.config.track && live.contains(&head.claim.job_id);
         if own_live || !expired {
             // An earlier claim that is still live — another track's
             // within its lease, or this track's own backed by a local

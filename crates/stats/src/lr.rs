@@ -30,8 +30,7 @@ use gendpr_genomics::columnar::{transpose64, ColumnarGenotypes};
 use gendpr_genomics::genotype::GenotypeMatrix;
 use gendpr_genomics::snp::SnpId;
 use gendpr_obs as obs;
-use std::sync::atomic::{AtomicI64, AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::{Arc, Barrier, OnceLock};
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// Frequencies are clamped away from 0/1 so `ln` stays finite even for
@@ -749,14 +748,12 @@ pub struct LrSelection {
 ///
 /// Routes through the columnar word kernels whenever both inputs expose a
 /// two-valued column view ([`LrValues::to_columns`]); the result is
-/// byte-identical to [`select_safe_subset_naive`] either way. On that
-/// route `threads > 1` splits the per-individual sum vectors across worker
-/// threads at 64-row boundaries — each individual's scalar accumulation
-/// sequence is unchanged by the chunking, so the selection is
-/// byte-identical for every thread count — and `prefix`, when given, must
-/// be [`LrPrefixSums::accumulate`] of these same matrices and forced set
-/// (callers memoize it per forced sequence and collusion combination); the
-/// forced columns are then not re-accumulated.
+/// byte-identical to [`select_safe_subset_naive`] either way. The search
+/// is serial: candidates are admitted one at a time, each against the sums
+/// the previous accepts left. On the columnar route `prefix`, when given,
+/// must be [`LrPrefixSums::accumulate`] of these same matrices and forced
+/// set (callers memoize it per forced sequence and collusion combination);
+/// the forced columns are then not re-accumulated.
 ///
 /// # Panics
 ///
@@ -764,14 +761,12 @@ pub struct LrSelection {
 /// out of bounds, `null` has no individuals (no null model to test
 /// against), or a `prefix` does not match the matrices' dimensions.
 #[must_use]
-#[allow(clippy::too_many_arguments)]
 pub fn select_safe_subset<M: LrValues + ?Sized, N: LrValues + ?Sized>(
     case: &M,
     null: &N,
     forced: &[usize],
     order: &[usize],
     params: &LrTestParams,
-    threads: usize,
     prefix: Option<&LrPrefixSums>,
 ) -> LrSelection {
     check_search_inputs(case, null, params);
@@ -798,7 +793,7 @@ pub fn select_safe_subset<M: LrValues + ?Sized, N: LrValues + ?Sized>(
             for &col in order {
                 debug_assert!(!forced.contains(&col), "candidate overlaps forced set");
             }
-            columns_search(&c, &n, prefix, order, params, threads)
+            columns_search(&c, &n, prefix, order, params)
         }
         _ => select_safe_subset_naive(case, null, forced, order, params),
     }
@@ -944,8 +939,7 @@ fn null_quantile(null_sums: &[f64], q: f64) -> f64 {
 // Columnar search kernels
 // ---------------------------------------------------------------------------
 
-/// LR subset-search candidates examined (both kernels and reference path
-/// route through the same counters).
+/// Candidates examined by the columnar search.
 fn lr_candidates_total() -> &'static obs::Counter {
     static C: OnceLock<obs::Counter> = OnceLock::new();
     C.get_or_init(|| {
@@ -969,7 +963,7 @@ fn lr_columns_kept_total() -> &'static obs::Counter {
     })
 }
 
-/// Per-candidate null-quantile latency inside the columnar kernels.
+/// Per-candidate null-quantile latency inside the columnar search.
 fn lr_quantile_seconds() -> &'static obs::Histogram {
     static H: OnceLock<obs::Histogram> = OnceLock::new();
     H.get_or_init(|| {
@@ -1166,28 +1160,9 @@ impl LrPrefixSums {
     }
 }
 
-/// Dispatches between the serial and row-chunked parallel columnar search.
+/// The columnar search kernel: one candidate at a time in `order`, each
+/// decision depending on the sums the accepts before it left behind.
 fn columns_search(
-    case: &LrColumns,
-    null: &LrColumns,
-    prefix: &LrPrefixSums,
-    order: &[usize],
-    params: &LrTestParams,
-    threads: usize,
-) -> LrSelection {
-    // More workers than 64-row word chunks would only idle at barriers.
-    let workers = threads.min(case.words_per_col.max(null.words_per_col));
-    let selection = if workers > 1 {
-        columns_search_mt(case, null, prefix, order, params, workers)
-    } else {
-        columns_search_serial(case, null, prefix, order, params)
-    };
-    lr_candidates_total().add(order.len() as u64);
-    lr_columns_kept_total().add(selection.kept_columns.len() as u64);
-    selection
-}
-
-fn columns_search_serial(
     case: &LrColumns,
     null: &LrColumns,
     prefix: &LrPrefixSums,
@@ -1245,186 +1220,8 @@ fn columns_search_serial(
         }
     }
 
-    LrSelection {
-        kept_columns: kept,
-        final_power,
-        final_threshold,
-    }
-}
-
-// Op codes of the persistent fork-join loop below.
-const OP_ADD_NULL: u8 = 0;
-const OP_ADD_CASE_COUNT: u8 = 1;
-const OP_SUB_BOTH: u8 = 2;
-const OP_QUIT: u8 = 3;
-
-/// One op descriptor shared between the search driver and its workers;
-/// the two barrier crossings around each op order all accesses, so relaxed
-/// atomics suffice.
-struct SharedOp {
-    kind: AtomicU8,
-    col: AtomicUsize,
-    threshold: AtomicU64,
-    detected: AtomicUsize,
-}
-
-/// Splits `words` whole bit-words into `parts` contiguous ranges, so each
-/// worker owns a 64-row-aligned slice of the sum vectors.
-fn word_ranges(words: usize, parts: usize) -> Vec<(usize, usize)> {
-    let base = words / parts;
-    let extra = words % parts;
-    let mut out = Vec::with_capacity(parts);
-    let mut start = 0usize;
-    for p in 0..parts {
-        let len = base + usize::from(p < extra);
-        out.push((start, start + len));
-        start += len;
-    }
-    out
-}
-
-/// A worker's event loop: owns one row chunk of the case and null sum
-/// vectors and applies each published op to it. Chunking never reorders an
-/// individual's scalar accumulation, so the parallel search is
-/// byte-identical to the serial one.
-#[allow(clippy::too_many_arguments)]
-fn search_worker(
-    case: &LrColumns,
-    null: &LrColumns,
-    prefix: &LrPrefixSums,
-    keys: &[AtomicI64],
-    op: &SharedOp,
-    barrier: &Barrier,
-    case_words: (usize, usize),
-    null_words: (usize, usize),
-) {
-    // Both ends clamp to the population: a trailing chunk past the last
-    // partial word must collapse to an empty row range, not slice beyond it.
-    let case_rows = (
-        (case_words.0 * 64).min(case.individuals),
-        (case_words.1 * 64).min(case.individuals),
-    );
-    let null_rows = (
-        (null_words.0 * 64).min(null.individuals),
-        (null_words.1 * 64).min(null.individuals),
-    );
-    let mut case_sums = prefix.case_sums[case_rows.0..case_rows.1].to_vec();
-    let mut null_sums = prefix.null_sums[null_rows.0..null_rows.1].to_vec();
-    loop {
-        barrier.wait();
-        let kind = op.kind.load(Ordering::Relaxed);
-        if kind == OP_QUIT {
-            return;
-        }
-        let col = op.col.load(Ordering::Relaxed);
-        match kind {
-            OP_ADD_NULL => {
-                let words = &null.col_words(col)[null_words.0..null_words.1];
-                add_column(&mut null_sums, words, null.major[col], null.minor[col]);
-                for (k, &s) in keys[null_rows.0..null_rows.1].iter().zip(&null_sums) {
-                    k.store(total_order_key(s), Ordering::Relaxed);
-                }
-            }
-            OP_ADD_CASE_COUNT => {
-                let words = &case.col_words(col)[case_words.0..case_words.1];
-                let threshold = f64::from_bits(op.threshold.load(Ordering::Relaxed));
-                let d = add_column_count(
-                    &mut case_sums,
-                    words,
-                    case.major[col],
-                    case.minor[col],
-                    threshold,
-                );
-                op.detected.fetch_add(d, Ordering::Relaxed);
-            }
-            OP_SUB_BOTH => {
-                sub_column(
-                    &mut case_sums,
-                    &case.col_words(col)[case_words.0..case_words.1],
-                    case.major[col],
-                    case.minor[col],
-                );
-                sub_column(
-                    &mut null_sums,
-                    &null.col_words(col)[null_words.0..null_words.1],
-                    null.major[col],
-                    null.minor[col],
-                );
-            }
-            _ => unreachable!("unknown search op"),
-        }
-        barrier.wait();
-    }
-}
-
-/// The row-chunked parallel search: a persistent fork-join pool spanning
-/// the whole candidate loop (spawning per column would dominate the
-/// kernels). The driver publishes one op at a time; workers update their
-/// chunks between two barrier crossings. Quantiles still run on the driver
-/// thread, over a copy of the worker-written key array.
-fn columns_search_mt(
-    case: &LrColumns,
-    null: &LrColumns,
-    prefix: &LrPrefixSums,
-    order: &[usize],
-    params: &LrTestParams,
-    workers: usize,
-) -> LrSelection {
-    let n_case = case.individuals;
-    let q = 1.0 - params.false_positive_rate;
-    let case_ranges = word_ranges(case.words_per_col, workers);
-    let null_ranges = word_ranges(null.words_per_col, workers);
-    let keys: Vec<AtomicI64> = (0..null.individuals).map(|_| AtomicI64::new(0)).collect();
-    let op = SharedOp {
-        kind: AtomicU8::new(OP_QUIT),
-        col: AtomicUsize::new(0),
-        threshold: AtomicU64::new(0),
-        detected: AtomicUsize::new(0),
-    };
-    let barrier = Barrier::new(workers + 1);
-    let mut select_buf = vec![0i64; null.individuals];
-    let mut kept = Vec::new();
-    let (mut final_threshold, mut final_power) = (prefix.threshold, prefix.power);
-    let quantile_hist = lr_quantile_seconds();
-
-    std::thread::scope(|scope| {
-        for w in 0..workers {
-            let (cw, nw) = (case_ranges[w], null_ranges[w]);
-            let (keys, op, barrier) = (&keys[..], &op, &barrier);
-            scope.spawn(move || search_worker(case, null, prefix, keys, op, barrier, cw, nw));
-        }
-        let run = |kind: u8, col: usize, threshold: f64| {
-            op.kind.store(kind, Ordering::Relaxed);
-            op.col.store(col, Ordering::Relaxed);
-            op.threshold.store(threshold.to_bits(), Ordering::Relaxed);
-            barrier.wait(); // release the op to the workers
-            barrier.wait(); // wait for every chunk to finish it
-        };
-        for &col in order {
-            assert!(col < case.snps, "ranking indexes a non-existent column");
-            run(OP_ADD_NULL, col, 0.0);
-            for (dst, k) in select_buf.iter_mut().zip(&keys) {
-                *dst = k.load(Ordering::Relaxed);
-            }
-            let t0 = Instant::now();
-            let threshold = quantile_from_keys(&mut select_buf, q);
-            quantile_hist.observe_duration(t0.elapsed());
-            op.detected.store(0, Ordering::Relaxed);
-            run(OP_ADD_CASE_COUNT, col, threshold);
-            let detected = op.detected.load(Ordering::Relaxed);
-            let power = detected as f64 / n_case.max(1) as f64;
-            if power < params.power_threshold {
-                kept.push(col);
-                final_power = power;
-                final_threshold = threshold;
-            } else {
-                run(OP_SUB_BOTH, col, 0.0);
-            }
-        }
-        op.kind.store(OP_QUIT, Ordering::Relaxed);
-        barrier.wait();
-    });
-
+    lr_candidates_total().add(order.len() as u64);
+    lr_columns_kept_total().add(kept.len() as u64);
     LrSelection {
         kept_columns: kept,
         final_power,
@@ -1483,14 +1280,14 @@ mod tests {
     use super::*;
     use gendpr_crypto::rng::ChaChaRng;
 
-    /// The one-off study's search: nothing forced, serial, no memo.
+    /// The one-off study's search: nothing forced, no memo.
     fn plain_search<M: LrValues, N: LrValues>(
         case: &M,
         null: &N,
         order: &[usize],
         params: &LrTestParams,
     ) -> LrSelection {
-        select_safe_subset(case, null, &[], order, params, 1, None)
+        select_safe_subset(case, null, &[], order, params, None)
     }
 
     #[test]
@@ -1845,7 +1642,7 @@ mod tests {
         // An explicit (memoised) empty prefix is the same search.
         let (c, n) = (case.to_columns().unwrap(), null.to_columns().unwrap());
         let empty = LrPrefixSums::accumulate(&c, &n, &[], &params);
-        let seeded = select_safe_subset(&case, &null, &[], &order, &params, 1, Some(&empty));
+        let seeded = select_safe_subset(&case, &null, &[], &order, &params, Some(&empty));
         assert_eq!(plain, seeded);
         assert_eq!(
             plain,
@@ -1870,15 +1667,8 @@ mod tests {
             .copied()
             .filter(|c| !plain.kept_columns.contains(c))
             .collect();
-        let seeded = select_safe_subset(
-            &case,
-            &null,
-            &plain.kept_columns,
-            &leftovers,
-            &params,
-            1,
-            None,
-        );
+        let seeded =
+            select_safe_subset(&case, &null, &plain.kept_columns, &leftovers, &params, None);
         // The forced set already sits just under the bound, so few (often
         // zero) additional divergent columns can join.
         assert!(

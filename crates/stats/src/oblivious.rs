@@ -20,8 +20,8 @@
 //!   flag arithmetic.
 //!
 //! The selected sets are **identical** to the non-oblivious kernels
-//! (asserted by tests); the overhead is measured by the `ablation` and
-//! criterion benches, reproducing the literature's observation that
+//! (asserted by tests); the overhead is measured by the `ablation`
+//! binary, reproducing the literature's observation that
 //! data-oblivious genomic processing pays a significant constant factor.
 
 use crate::lr::{LrSelection, LrTestParams, LrValues};
@@ -271,7 +271,7 @@ mod tests {
                 false_positive_rate: 0.1,
                 power_threshold: 0.6,
             };
-            let fast = select_safe_subset(&case, &null, &[], &order, &params, 1, None);
+            let fast = select_safe_subset(&case, &null, &[], &order, &params, None);
             let obl = select_safe_subset_oblivious(&case, &null, &order, &params);
             assert_eq!(fast.kept_columns, obl.kept_columns, "seed {seed}");
             assert!((fast.final_power - obl.final_power).abs() < 1e-12);

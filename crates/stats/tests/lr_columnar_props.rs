@@ -1,7 +1,7 @@
-//! Property-based equivalence of the columnar LR subset-search kernels
-//! against the retained scalar reference: for any two-valued LR matrices
-//! (dense, bit-packed or columnar), any candidate order, any forced set
-//! and any thread count, the selection must be **byte-identical** —
+//! Property-based equivalence of the columnar LR subset search against
+//! the retained scalar reference: for any two-valued LR matrices (dense,
+//! bit-packed or columnar), any candidate order and any forced set, the
+//! selection must be **byte-identical** —
 //! `kept_columns`, `final_power` and `final_threshold` all compare equal
 //! as exact values.
 
@@ -122,31 +122,31 @@ proptest! {
 
         // Dense input routed through the columnar kernels.
         prop_assert_eq!(
-            &select_safe_subset(&case_d, &null_d, &[], &fx.order, &params, 1, None),
+            &select_safe_subset(&case_d, &null_d, &[], &fx.order, &params, None),
             &reference
         );
         // Bit-packed input (64×64 transpose path).
         let (case_p, null_p) = fx.packed();
         prop_assert_eq!(
-            &select_safe_subset(&case_p, &null_p, &[], &fx.order, &params, 1, None),
+            &select_safe_subset(&case_p, &null_p, &[], &fx.order, &params, None),
             &reference
         );
         // Pre-built columnar input, and a mixed pairing.
         let case_c = case_p.to_columns().expect("packed is two-valued");
         let null_c = null_p.to_columns().expect("packed is two-valued");
         prop_assert_eq!(
-            &select_safe_subset(&case_c, &null_c, &[], &fx.order, &params, 1, None),
+            &select_safe_subset(&case_c, &null_c, &[], &fx.order, &params, None),
             &reference
         );
         prop_assert_eq!(
-            &select_safe_subset(&case_c, &null_d, &[], &fx.order, &params, 1, None),
+            &select_safe_subset(&case_c, &null_d, &[], &fx.order, &params, None),
             &reference
         );
         // A memoised empty prefix is the same search (the one-shot
         // runtime's route through the engine).
         let empty = LrPrefixSums::accumulate(&case_c, &null_c, &[], &params);
         prop_assert_eq!(
-            &select_safe_subset(&case_c, &null_c, &[], &fx.order, &params, 1, Some(&empty)),
+            &select_safe_subset(&case_c, &null_c, &[], &fx.order, &params, Some(&empty)),
             &reference
         );
     }
@@ -166,12 +166,12 @@ proptest! {
         let (case_d, null_d) = fx.dense();
         let reference = select_safe_subset_naive(&case_d, &null_d, forced, order, &params);
         prop_assert_eq!(
-            &select_safe_subset(&case_d, &null_d, forced, order, &params, 1, None),
+            &select_safe_subset(&case_d, &null_d, forced, order, &params, None),
             &reference
         );
         let (case_p, null_p) = fx.packed();
         prop_assert_eq!(
-            &select_safe_subset(&case_p, &null_p, forced, order, &params, 1, None),
+            &select_safe_subset(&case_p, &null_p, forced, order, &params, None),
             &reference
         );
 
@@ -180,38 +180,9 @@ proptest! {
         let null_c = null_p.to_columns().expect("packed is two-valued");
         let prefix = LrPrefixSums::accumulate(&case_c, &null_c, forced, &params);
         prop_assert_eq!(
-            &select_safe_subset(&case_c, &null_c, forced, order, &params, 1, Some(&prefix)),
+            &select_safe_subset(&case_c, &null_c, forced, order, &params, Some(&prefix)),
             &reference
         );
-    }
-
-    #[test]
-    fn threaded_search_equals_serial(
-        fx in fixture_strategy(),
-        params in params_strategy(),
-        threads in 2usize..5,
-        split in any::<proptest::sample::Index>(),
-    ) {
-        let (case_p, null_p) = fx.packed();
-        let serial = select_safe_subset(&case_p, &null_p, &[], &fx.order, &params, 1, None);
-        let parallel =
-            select_safe_subset(&case_p, &null_p, &[], &fx.order, &params, threads, None);
-        prop_assert_eq!(&parallel, &serial);
-
-        let cut = split.index(fx.order.len() + 1);
-        let (forced, order) = fx.order.split_at(cut);
-        let serial_seeded = select_safe_subset(&case_p, &null_p, forced, order, &params, 1, None);
-        let parallel_seeded =
-            select_safe_subset(&case_p, &null_p, forced, order, &params, threads, None);
-        prop_assert_eq!(&parallel_seeded, &serial_seeded);
-
-        // Row chunks load their slice of a memoised prefix.
-        let case_c = case_p.to_columns().expect("packed is two-valued");
-        let null_c = null_p.to_columns().expect("packed is two-valued");
-        let prefix = LrPrefixSums::accumulate(&case_c, &null_c, forced, &params);
-        let parallel_memoised =
-            select_safe_subset(&case_c, &null_c, forced, order, &params, threads, Some(&prefix));
-        prop_assert_eq!(&parallel_memoised, &serial_seeded);
     }
 
     #[test]
@@ -241,7 +212,7 @@ fn three_valued_matrix_declines_columnar_view() {
     let null = LrMatrix::from_values(2, 1, vec![0.1, 0.2]);
     let params = LrTestParams::secure_genome_defaults();
     // Still selects, via the naive fallback.
-    let sel = select_safe_subset(&m, &null, &[], &[0], &params, 1, None);
+    let sel = select_safe_subset(&m, &null, &[], &[0], &params, None);
     assert_eq!(sel, select_safe_subset_naive(&m, &null, &[], &[0], &params));
 }
 

@@ -17,9 +17,6 @@ cargo clippy --workspace -- -D warnings
 echo "==> cargo test --workspace --no-fail-fast -q"
 cargo test --workspace --no-fail-fast -q
 
-echo "==> cargo bench --no-run"
-cargo bench --no-run
-
 # Reduced-scale bench run: bench_phases asserts naive-vs-columnar checksum
 # and LR-selection equality internally, so a clean exit is the validation.
 echo "==> bench smoke (checksum-validated, --scale 0.02)"

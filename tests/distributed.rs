@@ -146,13 +146,13 @@ fn thread_count_never_changes_release_or_certificate() {
 }
 
 #[test]
-fn lr_row_chunking_is_byte_identical_on_both_transports() {
-    // The columnar LR kernels split each per-individual sum update across
-    // `threads` row chunks. Chunking never touches an individual's scalar
-    // accumulation order, so every thread count must reproduce the exact
-    // serial selection — through a study with strong effects (the subset
-    // search really rejects columns here, exercising the back-out path),
-    // on the dense and the compact wire format, in-memory and over TCP.
+fn thread_count_is_invisible_when_the_lr_phase_rejects_columns() {
+    // `threads` only fans the per-combination MAF/ranking/moment work out;
+    // the LR search itself is serial. Every thread count must therefore
+    // reproduce the `threads: 1` run exactly — through a study with strong
+    // effects (the subset search really rejects columns here, exercising
+    // the back-out path), on the dense and the compact wire format,
+    // in-memory and over TCP.
     let g = 3;
     let study = SyntheticCohort::builder()
         .snps(140)
@@ -176,21 +176,21 @@ fn lr_row_chunking_is_byte_identical_on_both_transports() {
             "study must make the LR phase reject something"
         );
         for threads in [2, 3, 8] {
-            let chunked =
+            let fanned =
                 run_federation_with(config(g), params, cohort, None, with_threads(threads))
                     .unwrap();
-            assert_eq!(chunked.l_prime, serial.l_prime, "compact={compact_lr}");
+            assert_eq!(fanned.l_prime, serial.l_prime, "compact={compact_lr}");
             assert_eq!(
-                chunked.l_double_prime, serial.l_double_prime,
+                fanned.l_double_prime, serial.l_double_prime,
                 "compact={compact_lr}"
             );
-            assert_eq!(chunked.safe_snps, serial.safe_snps, "compact={compact_lr}");
+            assert_eq!(fanned.safe_snps, serial.safe_snps, "compact={compact_lr}");
             assert_eq!(
-                chunked.certificate, serial.certificate,
+                fanned.certificate, serial.certificate,
                 "compact={compact_lr} threads={threads}"
             );
             assert_eq!(
-                release_of(cohort, &chunked),
+                release_of(cohort, &fanned),
                 release_of(cohort, &serial),
                 "compact={compact_lr} threads={threads}"
             );

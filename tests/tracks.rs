@@ -353,7 +353,9 @@ fn a_restarted_track_reclaims_its_own_pre_crash_claim() {
         .unwrap();
     }
     let mut survivor = tracked_pool(0, Duration::from_millis(300), &path, false);
-    let record = survivor.execute(p2, 0).expect("the restarted track's new job certifies");
+    let record = survivor
+        .execute(p2, 0)
+        .expect("the restarted track's new job certifies");
     assert_eq!(record.job_id, 2, "the new job follows the leftover claim");
     let reclaimed = survivor
         .results(1)
