@@ -352,7 +352,7 @@ fn write_frame(
     let mut conns = lock(&shared.conns);
     let stream = match conns.entry(to.0) {
         Entry::Occupied(e) => e.into_mut(),
-        Entry::Vacant(e) => e.insert(dial(addr, shared.opts)?),
+        Entry::Vacant(e) => e.insert(connect_retry(addr, shared.opts)?),
     };
     if stream.write_all(frame).is_ok() {
         drop(conns);
@@ -366,7 +366,7 @@ fn write_frame(
         connect_timeout: shared.opts.reconnect_timeout,
         ..shared.opts
     };
-    match dial(addr, redial) {
+    match connect_retry(addr, redial) {
         Ok(mut stream) => {
             if stream.write_all(frame).is_err() {
                 telemetry::frames_dropped().inc();
@@ -499,15 +499,16 @@ impl Drop for TcpTransport {
 /// [`NetError::Timeout`] when the budget is exhausted without a
 /// connection.
 pub fn connect_retry(addr: SocketAddr, opts: TcpOptions) -> Result<TcpStream, NetError> {
-    dial(addr, opts)
+    connect_any(&[addr], opts)
 }
 
 /// Connects to the first reachable endpoint in `addrs`, sharing one
 /// `opts.connect_timeout` budget across the whole list. Each round
 /// probes every endpoint in order (a probe is capped to an even share
 /// of the remaining budget, so one blackholed address cannot starve a
-/// live one further down the list), then sleeps the same jittered
-/// backoff schedule as [`connect_retry`] before the next round.
+/// live one further down the list — with a single address that share is
+/// the whole remainder), then sleeps a jittered backoff before the next
+/// round.
 ///
 /// This is the client side of a replica-track fleet: the tracks serve
 /// identical state, so a client holding every track's address stays
@@ -518,53 +519,9 @@ pub fn connect_retry(addr: SocketAddr, opts: TcpOptions) -> Result<TcpStream, Ne
 /// [`NetError::Timeout`] when the budget is exhausted with no endpoint
 /// reachable, or when `addrs` is empty.
 pub fn connect_any(addrs: &[SocketAddr], opts: TcpOptions) -> Result<TcpStream, NetError> {
-    match addrs {
-        [] => Err(NetError::Timeout),
-        [addr] => dial(*addr, opts),
-        addrs => {
-            let deadline = Instant::now() + opts.connect_timeout;
-            let mut backoff = opts.retry_initial;
-            let mut jitter_state = std::time::SystemTime::now()
-                .duration_since(std::time::UNIX_EPOCH)
-                .map_or(0x9E37_79B9, |d| u64::from(d.subsec_nanos()))
-                ^ (u64::from(addrs[0].port()) << 32);
-            loop {
-                for addr in addrs {
-                    let Some(remaining) = deadline.checked_duration_since(Instant::now()) else {
-                        telemetry::connect_timeouts().inc();
-                        return Err(NetError::Timeout);
-                    };
-                    let probe = (remaining / addrs.len() as u32)
-                        .max(opts.retry_initial)
-                        .min(remaining);
-                    match TcpStream::connect_timeout(addr, probe) {
-                        Ok(stream) => {
-                            let _ = stream.set_nodelay(true);
-                            return Ok(stream);
-                        }
-                        Err(_) => telemetry::connect_retries().inc(),
-                    }
-                }
-                let Some(remaining) = deadline.checked_duration_since(Instant::now()) else {
-                    telemetry::connect_timeouts().inc();
-                    return Err(NetError::Timeout);
-                };
-                let span = (backoff / 2).as_nanos().max(1) as u64;
-                let jitter =
-                    Duration::from_nanos(crate::fault::splitmix64(&mut jitter_state) % span);
-                let sleep = (backoff / 2 + jitter).min(remaining);
-                if sleep >= remaining {
-                    telemetry::connect_timeouts().inc();
-                    return Err(NetError::Timeout);
-                }
-                thread::sleep(sleep);
-                backoff = (backoff * 2).min(opts.retry_max);
-            }
-        }
-    }
-}
-
-fn dial(addr: SocketAddr, opts: TcpOptions) -> Result<TcpStream, NetError> {
+    let Some(first) = addrs.first() else {
+        return Err(NetError::Timeout);
+    };
     let deadline = Instant::now() + opts.connect_timeout;
     let mut backoff = opts.retry_initial;
     // Jitter seed: wall-clock nanos differ across processes, so members
@@ -572,42 +529,43 @@ fn dial(addr: SocketAddr, opts: TcpOptions) -> Result<TcpStream, NetError> {
     let mut jitter_state = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
         .map_or(0x9E37_79B9, |d| u64::from(d.subsec_nanos()))
-        ^ (u64::from(addr.port()) << 32);
+        ^ (u64::from(first.port()) << 32);
     loop {
+        for addr in addrs {
+            let Some(remaining) = deadline.checked_duration_since(Instant::now()) else {
+                telemetry::connect_timeouts().inc();
+                return Err(NetError::Timeout);
+            };
+            let probe = (remaining / addrs.len() as u32)
+                .max(opts.retry_initial)
+                .min(remaining);
+            match TcpStream::connect_timeout(addr, probe) {
+                Ok(stream) => {
+                    let _ = stream.set_nodelay(true);
+                    return Ok(stream);
+                }
+                Err(_) => telemetry::connect_retries().inc(),
+            }
+        }
         let Some(remaining) = deadline.checked_duration_since(Instant::now()) else {
             telemetry::connect_timeouts().inc();
             return Err(NetError::Timeout);
         };
-        match TcpStream::connect_timeout(&addr, remaining) {
-            Ok(stream) => {
-                let _ = stream.set_nodelay(true);
-                return Ok(stream);
-            }
-            Err(_) => {
-                telemetry::connect_retries().inc();
-                let Some(remaining) = deadline.checked_duration_since(Instant::now()) else {
-                    telemetry::connect_timeouts().inc();
-                    return Err(NetError::Timeout);
-                };
-                // Sleep a uniform draw from [backoff/2, backoff] so
-                // simultaneous reconnects desynchronize — clamped to the
-                // remaining budget so a large `retry_max` can never push
-                // the dial past its deadline.
-                let span = (backoff / 2).as_nanos().max(1) as u64;
-                let jitter =
-                    Duration::from_nanos(crate::fault::splitmix64(&mut jitter_state) % span);
-                let sleep = (backoff / 2 + jitter).min(remaining);
-                if sleep >= remaining {
-                    // The clamped sleep would consume the whole budget:
-                    // fail now instead of sleeping into the deadline and
-                    // burning one more doomed connect attempt.
-                    telemetry::connect_timeouts().inc();
-                    return Err(NetError::Timeout);
-                }
-                thread::sleep(sleep);
-                backoff = (backoff * 2).min(opts.retry_max);
-            }
+        // Sleep a uniform draw from [backoff/2, backoff] so simultaneous
+        // reconnects desynchronize — clamped to the remaining budget so a
+        // large `retry_max` can never push the dial past its deadline.
+        let span = (backoff / 2).as_nanos().max(1) as u64;
+        let jitter = Duration::from_nanos(crate::fault::splitmix64(&mut jitter_state) % span);
+        let sleep = (backoff / 2 + jitter).min(remaining);
+        if sleep >= remaining {
+            // The clamped sleep would consume the whole budget: fail now
+            // instead of sleeping into the deadline and burning one more
+            // doomed round of connects.
+            telemetry::connect_timeouts().inc();
+            return Err(NetError::Timeout);
         }
+        thread::sleep(sleep);
+        backoff = (backoff * 2).min(opts.retry_max);
     }
 }
 

@@ -28,7 +28,7 @@
 //! cohort, seeded from the same ledger.
 
 use crate::error::ServiceError;
-use crate::ledger::{LedgerRecord, LinkRecord, ReleaseLedger};
+use crate::ledger::{LedgerRecord, ReleaseLedger};
 use crate::protocol::{ClientRequest, ClientResponse, ServiceStatus};
 use crate::sched::{
     ExecutionContext, JobVerdict, LaneFactory, Limits, ReplySink, Scheduler, SchedulerConfig,
@@ -425,7 +425,7 @@ impl AssessmentService {
         self.shared.sched.refresh_view();
         self.shared
             .sched
-            .with_core(|core| core.done.iter().find(|r| r.job_id == job_id).cloned())
+            .with_core(|core| core.ledger.record(job_id).cloned())
     }
 
     /// The same status snapshot the client protocol serves.
@@ -606,7 +606,7 @@ fn handle_client(mut stream: TcpStream, shared: &Arc<Shared>) {
             ClientResponse::Results(
                 shared
                     .sched
-                    .with_core(|core| core.done.iter().find(|r| r.job_id == job_id).cloned()),
+                    .with_core(|core| core.ledger.record(job_id).cloned()),
             )
         }
         ClientRequest::Shutdown => {
@@ -641,42 +641,28 @@ fn handle_client(mut stream: TcpStream, shared: &Arc<Shared>) {
 
 fn status_snapshot(shared: &Arc<Shared>) -> ServiceStatus {
     let limits = *shared.sched.limits();
-    // Fleet mode: fold other tracks' commits in, then count the claims
-    // still unresolved. Each lock is taken and released on its own (the
-    // fleet→core order only matters when nested), so a slightly stale
+    // Fleet mode: pull other tracks' commits in, then count the claims
+    // still unresolved. The steps lock separately, so a slightly stale
     // figure is possible — fine for status.
     shared.sched.refresh_view();
-    let tracker = shared.sched.tracker();
-    let (track, claims_open) = match &tracker {
-        Some(tracker) => {
-            let committed = shared
-                .sched
-                .with_core(|core| core.done.iter().map(|r| r.job_id).collect());
-            (Some(tracker.track()), tracker.open_claims(&committed))
-        }
+    let (track, claims_open) = match shared.sched.tracker() {
+        Some(tracker) => (Some(tracker.track()), tracker.open_claims(&shared.sched)),
         None => (None, 0),
     };
-    shared.sched.with_core(|core| {
-        // The commit path maintains keyed aggregates (indexed by
-        // `(from, to)`, already in sorted order) so status never rescans
-        // the full `done` history.
-        let links: Vec<LinkRecord> = core.link_totals.values().copied().collect();
-        let released_total = core.released_ids.len() as u64;
-        ServiceStatus {
-            leader: shared.leader,
-            gdos: shared.gdos,
-            panel_len: limits.panel_len,
-            jobs_done: core.done.len() as u64,
-            jobs_queued: core.queue.len() as u64 + u64::from(core.busy),
-            released_total,
-            links,
-            metrics: gendpr_obs::render(),
-            workers: limits.workers as u32,
-            workers_busy: core.busy,
-            max_queue: limits.max_queue as u64,
-            queue: core.queue.positions(),
-            track,
-            claims_open,
-        }
+    shared.sched.with_core(|core| ServiceStatus {
+        leader: shared.leader,
+        gdos: shared.gdos,
+        panel_len: limits.panel_len,
+        jobs_done: core.ledger.len() as u64,
+        jobs_queued: core.queue.len() as u64 + u64::from(core.busy),
+        released_total: core.ledger.released_len() as u64,
+        links: core.ledger.link_totals(),
+        metrics: gendpr_obs::render(),
+        workers: limits.workers as u32,
+        workers_busy: core.busy,
+        max_queue: limits.max_queue as u64,
+        queue: core.queue.positions(),
+        track,
+        claims_open,
     })
 }

@@ -41,6 +41,7 @@ use gendpr_fednet::wire_struct;
 use gendpr_genomics::snp::SnpId;
 use gendpr_obs::{event, Level};
 use gendpr_tee::attestation::Quote;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -227,7 +228,8 @@ pub struct LedgerRecord {
     pub released: Vec<u32>,
     /// Adversary power over forced ∪ released after the job.
     pub final_power: f64,
-    /// Detection threshold the power was held below.
+    /// Federated jobs: the LR detection threshold τ (the null quantile)
+    /// the power was measured at. Dynamic jobs: the power bound.
     pub final_threshold: f64,
     /// Case minor-allele frequencies of the released SNPs — the
     /// statistics the study may now publish.
@@ -290,12 +292,20 @@ pub struct ReleaseLedger {
     /// Mirror files; retired (set to `None`) on the first failed write.
     replicas: Vec<Replica>,
     records: Vec<LedgerRecord>,
+    // The views below are derived from `records` alone and maintained by
+    // `push`, the one path loaded, appended and refreshed records take —
+    // no reader rescans the log and no other module keeps a copy.
+    /// Position in `records` of each job id (the first, should an id
+    /// ever repeat).
+    index: HashMap<u64, usize>,
+    /// Every SNP ever released.
+    released: BTreeSet<SnpId>,
+    /// Per-link traffic totals, keyed by `(from, to)`.
+    link_totals: BTreeMap<(u32, u32), LinkRecord>,
+    /// One past the highest job id ever recorded.
+    next_id: u64,
     /// Bytes discarded from a torn tail by [`ReleaseLedger::open`].
     recovered: u64,
-    /// One past the highest job id ever recorded, maintained at `open`
-    /// and `append` so `next_job_id` does not rescan the whole log on
-    /// every submit.
-    next_id: u64,
     /// Byte length of the intact frame prefix this process has loaded —
     /// where [`ReleaseLedger::refresh`] resumes scanning for frames
     /// appended by other track processes.
@@ -659,17 +669,49 @@ impl ReleaseLedger {
         let records = decoded.swap_remove(heal.winner);
         let offset = copies[heal.winner].good as u64;
         let (file, path, replicas) = primary_and_mirrors(copies);
-        let next_id = records.iter().map(|r| r.job_id).max().unwrap_or(0) + 1;
-        crate::telemetry::ledger_records().set(records.len() as i64);
-        Ok(Self {
+        let mut ledger = Self {
             file,
             path,
             replicas,
-            records,
+            records: Vec::with_capacity(records.len()),
+            index: HashMap::with_capacity(records.len()),
+            released: BTreeSet::new(),
+            link_totals: BTreeMap::new(),
+            next_id: 1,
             recovered,
-            next_id,
             offset,
-        })
+        };
+        for record in records {
+            ledger.push(record);
+        }
+        crate::telemetry::ledger_records().set(ledger.records.len() as i64);
+        Ok(ledger)
+    }
+
+    /// Extends the in-memory view by one durable record, folding it into
+    /// every derived view.
+    fn push(&mut self, record: LedgerRecord) {
+        self.next_id = self.next_id.max(record.job_id.saturating_add(1));
+        self.index
+            .entry(record.job_id)
+            .or_insert(self.records.len());
+        self.released
+            .extend(record.released.iter().copied().map(SnpId));
+        for link in &record.traffic {
+            let total = self
+                .link_totals
+                .entry((link.from, link.to))
+                .or_insert(LinkRecord {
+                    from: link.from,
+                    to: link.to,
+                    ..LinkRecord::default()
+                });
+            // Counters come off disk: a total saturates, never wraps.
+            total.messages = total.messages.saturating_add(link.messages);
+            total.plaintext_bytes = total.plaintext_bytes.saturating_add(link.plaintext_bytes);
+            total.wire_bytes = total.wire_bytes.saturating_add(link.wire_bytes);
+        }
+        self.records.push(record);
     }
 
     /// Appends one record durably (flushed and fsynced before returning).
@@ -706,9 +748,8 @@ impl ReleaseLedger {
         require_quorum(acks, self.replicas.len(), &LEDGER_EVENTS)?;
         crate::telemetry::ledger_appends().inc();
         crate::telemetry::ledger_fsyncs().inc();
-        self.next_id = self.next_id.max(record.job_id + 1);
         self.offset += frame.len() as u64;
-        self.records.push(record);
+        self.push(record);
         crate::telemetry::ledger_records().set(self.records.len() as i64);
         Ok(())
     }
@@ -737,10 +778,9 @@ impl ReleaseLedger {
         self.file.read_to_end(&mut bytes)?;
         let (records, good) = scan_records(&bytes);
         let fresh = records.len();
-        for record in &records {
-            self.next_id = self.next_id.max(record.job_id + 1);
+        for record in records {
+            self.push(record);
         }
-        self.records.extend(records);
         self.offset += good as u64;
         if good < bytes.len() {
             // Crash leavings from a dead track. The claim lock is held,
@@ -818,8 +858,7 @@ impl ReleaseLedger {
 
     /// The next job id: one past the highest ever recorded, starting at 1
     /// — stable across restarts, which keeps re-run jobs (and therefore
-    /// their certificate context digests) identical. O(1): the maximum is
-    /// cached at `open` and maintained by `append`.
+    /// their certificate context digests) identical.
     #[must_use]
     pub fn next_job_id(&self) -> u64 {
         self.next_id
@@ -829,14 +868,32 @@ impl ReleaseLedger {
     /// next job's LR phase.
     #[must_use]
     pub fn released_union(&self) -> Vec<SnpId> {
-        let mut union: Vec<SnpId> = self
-            .records
-            .iter()
-            .flat_map(|r| r.released.iter().copied().map(SnpId))
-            .collect();
-        union.sort_unstable();
-        union.dedup();
-        union
+        self.released.iter().copied().collect()
+    }
+
+    /// Number of distinct SNPs ever released.
+    #[must_use]
+    pub fn released_len(&self) -> usize {
+        self.released.len()
+    }
+
+    /// The committed record of `job_id`, if any.
+    #[must_use]
+    pub fn record(&self, job_id: u64) -> Option<&LedgerRecord> {
+        self.index.get(&job_id).map(|&at| &self.records[at])
+    }
+
+    /// Whether `job_id` has a committed record.
+    #[must_use]
+    pub fn contains(&self, job_id: u64) -> bool {
+        self.index.contains_key(&job_id)
+    }
+
+    /// Traffic of every directed member link summed over all records,
+    /// in `(from, to)` order.
+    #[must_use]
+    pub fn link_totals(&self) -> Vec<LinkRecord> {
+        self.link_totals.values().copied().collect()
     }
 }
 

@@ -31,13 +31,13 @@
 use super::admission::{self, Limits};
 use super::queue::{JobQueue, JobVerdict, QueuedJob, ReplySink};
 use crate::error::ServiceError;
-use crate::ledger::{LedgerRecord, LinkRecord, ReleaseLedger};
+use crate::ledger::{LedgerRecord, ReleaseLedger};
 use crate::telemetry;
 use crate::tracks::claims::{ClaimEntry, ClaimFrame};
 use crate::tracks::TrackCoordinator;
 use gendpr_genomics::snp::SnpId;
 use gendpr_obs::{event, Level};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -91,16 +91,9 @@ pub struct DispatchedJob {
 
 pub(crate) struct SchedCore {
     pub(crate) queue: JobQueue,
+    /// The only copy of committed state: records, the released union and
+    /// the per-link totals are all read from here.
     pub(crate) ledger: ReleaseLedger,
-    /// Every committed record, including earlier runs of the daemon.
-    pub(crate) done: Vec<LedgerRecord>,
-    /// Per-link traffic totals over `done`, keyed by `(from, to)` and
-    /// maintained incrementally at commit so a `status` call never
-    /// rescans completed jobs.
-    pub(crate) link_totals: BTreeMap<(u32, u32), LinkRecord>,
-    /// Deduplicated union of every released SNP in `done`, kept in step
-    /// with `link_totals` for the same reason.
-    pub(crate) released_ids: BTreeSet<u32>,
     /// Tracked job ids that are still alive in *this* process — queued
     /// or dispatched-but-uncommitted. The fleet commit gate parks behind
     /// an own-track claim only while its job is in this set: a claim by
@@ -143,50 +136,15 @@ pub(crate) struct SchedCore {
 }
 
 impl SchedCore {
-    /// Folds one committed record into the running status aggregates.
-    pub(crate) fn absorb_record(&mut self, record: &LedgerRecord) {
-        self.released_ids.extend(record.released.iter().copied());
-        for link in &record.traffic {
-            let total = self
-                .link_totals
-                .entry((link.from, link.to))
-                .or_insert(LinkRecord {
-                    from: link.from,
-                    to: link.to,
-                    messages: 0,
-                    plaintext_bytes: 0,
-                    wire_bytes: 0,
-                });
-            total.messages += link.messages;
-            total.plaintext_bytes += link.plaintext_bytes;
-            total.wire_bytes += link.wire_bytes;
-        }
-    }
-
-    /// Catches `done` (and the status aggregates) up with the ledger.
-    /// In tracks mode the ledger grows behind the scheduler's back —
-    /// by [`ReleaseLedger::refresh`] pulling other tracks' commits, or
-    /// by a coordinator appending directly — and `done` must stay an
-    /// exact copy of the record list for `results` and `status` to
-    /// answer about the whole fleet.
-    pub(crate) fn sync_ledger(&mut self) {
-        while self.done.len() < self.ledger.len() {
-            let record = self.ledger.records()[self.done.len()].clone();
-            self.absorb_record(&record);
-            self.done.push(record);
-        }
-    }
-
     /// Re-scans the shared ledger file for records committed by other
-    /// tracks and folds them in. Must be called with the fleet lock
-    /// held (the refresh truncates torn tails).
+    /// tracks, and moves the id counter past them. Must be called with
+    /// the fleet lock held (the refresh truncates torn tails).
     ///
     /// # Errors
     ///
     /// [`ServiceError::Io`] when the ledger file cannot be re-read.
     pub(crate) fn sync_from_disk(&mut self) -> Result<usize, ServiceError> {
         let fresh = self.ledger.refresh()?;
-        self.sync_ledger();
         self.next_job_id = self.next_job_id.max(self.ledger.next_job_id());
         Ok(fresh)
     }
@@ -211,9 +169,8 @@ impl Scheduler {
     /// count toward every snapshot.
     #[must_use]
     pub fn new(ledger: ReleaseLedger, limits: Limits) -> Self {
-        let mut core = SchedCore {
+        let core = SchedCore {
             queue: JobQueue::new(limits.max_queue),
-            done: ledger.records().to_vec(),
             next_job_id: ledger.next_job_id(),
             ledger,
             next_dispatch_seq: 0,
@@ -229,15 +186,8 @@ impl Scheduler {
             lane_crash_every: None,
             stall_jobs: Vec::new(),
             shard_crash_jobs: Vec::new(),
-            link_totals: BTreeMap::new(),
-            released_ids: BTreeSet::new(),
             tracked_live: BTreeSet::new(),
         };
-        let seeded = std::mem::take(&mut core.done);
-        for record in &seeded {
-            core.absorb_record(record);
-        }
-        core.done = seeded;
         Self {
             limits,
             core: Mutex::new(core),
@@ -548,8 +498,6 @@ impl Scheduler {
                         ("released", record.released.len().into()),
                     ],
                 );
-                core.absorb_record(&record);
-                core.done.push(record.clone());
                 Some(JobVerdict::Certified(Box::new(record)))
             }
             Err(error) => {
@@ -673,9 +621,6 @@ impl Scheduler {
         }
         let reply = core.inflight.remove(&seq);
         core.tracked_live.remove(&job_id);
-        // The gate appended under the fleet lock; fold anything new in
-        // (idempotent when commit_step's sync already did).
-        core.sync_ledger();
         telemetry::jobs_certified().inc();
         event(
             Level::Info,

@@ -155,6 +155,9 @@ pub struct ClaimLog {
     path: PathBuf,
     mirrors: Vec<Replica>,
     entries: Vec<SeenEntry>,
+    /// One past the highest job id in any claim of `entries` (0 when
+    /// there is none), maintained by `push`.
+    next_id: u64,
     /// Byte length of the intact prefix scanned so far.
     offset: u64,
 }
@@ -198,20 +201,27 @@ impl ClaimLog {
         let (entries, scanned) = scan(&copies[winner].bytes[..good], 0);
         debug_assert_eq!(scanned, good);
         let (file, path, mirrors) = primary_and_mirrors(copies);
-        let now = Instant::now();
-        Ok(Self {
+        let mut log = Self {
             file,
             path,
             mirrors,
-            entries: entries
-                .into_iter()
-                .map(|entry| SeenEntry {
-                    entry,
-                    first_seen: now,
-                })
-                .collect(),
+            entries: Vec::with_capacity(entries.len()),
+            next_id: 0,
             offset: good as u64,
-        })
+        };
+        let now = Instant::now();
+        for entry in entries {
+            log.push(entry, now);
+        }
+        Ok(log)
+    }
+
+    /// Records one observed frame, stamped with the lease clock.
+    fn push(&mut self, entry: ClaimEntry, first_seen: Instant) {
+        if let ClaimEntry::Claim(claim) = &entry {
+            self.next_id = self.next_id.max(claim.job_id.saturating_add(1));
+        }
+        self.entries.push(SeenEntry { entry, first_seen });
     }
 
     /// Re-scans the primary for frames appended by other tracks,
@@ -229,11 +239,9 @@ impl ClaimLog {
         let (fresh, good) = scan(&bytes, 0);
         let count = fresh.len();
         let now = Instant::now();
-        self.entries
-            .extend(fresh.into_iter().map(|entry| SeenEntry {
-                entry,
-                first_seen: now,
-            }));
+        for entry in fresh {
+            self.push(entry, now);
+        }
         self.offset += good as u64;
         if good < bytes.len() {
             event(
@@ -275,10 +283,7 @@ impl ClaimLog {
         let (acks, _) = mirror_frame(&mut self.mirrors, &frame, &CLAIM_EVENTS);
         require_quorum(acks, self.mirrors.len(), &CLAIM_EVENTS)?;
         self.offset += frame.len() as u64;
-        self.entries.push(SeenEntry {
-            entry,
-            first_seen: Instant::now(),
-        });
+        self.push(entry, Instant::now());
         Ok(())
     }
 
@@ -291,14 +296,7 @@ impl ClaimLog {
     /// One past the highest job id ever claimed (0 when no claim yet).
     #[must_use]
     pub fn next_job_id(&self) -> u64 {
-        self.entries
-            .iter()
-            .filter_map(|seen| match &seen.entry {
-                ClaimEntry::Claim(c) => Some(c.job_id),
-                ClaimEntry::Done(_) => None,
-            })
-            .max()
-            .map_or(0, |max| max + 1)
+        self.next_id
     }
 
     /// Whether `claim` (the entry at `index`) has expired on this

@@ -43,7 +43,7 @@ use crate::ledger::{LedgerRecord, ReleaseLedger};
 use crate::sched::Scheduler;
 use crate::telemetry;
 use gendpr_obs::{event, Level};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -220,11 +220,14 @@ impl TrackCoordinator {
     ) -> Result<TrackStep, ServiceError> {
         let mut fleet = self.fleet()?;
         fleet.log().refresh()?;
-        let (committed, existing, live) = sched.with_core_mut(|core| {
+        let (existing, view, head_live) = sched.with_core_mut(|core| {
             core.sync_from_disk()?;
-            let committed: HashSet<u64> = core.done.iter().map(|r| r.job_id).collect();
-            let existing = core.done.iter().find(|r| r.job_id == job_id).cloned();
-            Ok::<_, ServiceError>((committed, existing, core.tracked_live.clone()))
+            let view = GateView::build(fleet.log(), &core.ledger);
+            let head_live = view
+                .head
+                .as_ref()
+                .is_some_and(|head| core.tracked_live.contains(&head.claim.job_id));
+            Ok::<_, ServiceError>((core.ledger.record(job_id).cloned(), view, head_live))
         })?;
 
         // Our job may already be resolved — by a reclaiming track's
@@ -235,7 +238,6 @@ impl TrackCoordinator {
             }
             return Ok(TrackStep::AdoptRecord(Box::new(existing)));
         }
-        let view = GateView::build(fleet.log(), &committed);
         if let Some(&track) = view.done.get(&job_id) {
             telemetry::track_superseded_commits().inc();
             return Ok(TrackStep::Superseded { track });
@@ -248,11 +250,7 @@ impl TrackCoordinator {
         };
         if head.claim.job_id == job_id && head.claim.track == self.config.track {
             // Headship established under the lock we still hold: append.
-            sched.with_core_mut(|core| {
-                core.ledger.append(record.clone())?;
-                core.sync_ledger();
-                Ok::<_, ServiceError>(())
-            })?;
+            sched.with_core_mut(|core| core.ledger.append(record.clone()))?;
             return Ok(TrackStep::Committed);
         }
         let expired = fleet.log().lease_expired(head.index, &head.claim);
@@ -265,7 +263,7 @@ impl TrackCoordinator {
         // nobody here will ever commit it, so it must fall through to
         // the expiry arm like any dead peer's claim (a `--tracks 1`
         // fleet has no other survivor to reclaim it).
-        let own_live = head.claim.track == self.config.track && live.contains(&head.claim.job_id);
+        let own_live = head.claim.track == self.config.track && head_live;
         if own_live || !expired {
             // An earlier claim that is still live — another track's
             // within its lease, or this track's own backed by a local
@@ -339,12 +337,12 @@ impl TrackCoordinator {
     ) -> Result<(), ServiceError> {
         let mut fleet = self.fleet()?;
         fleet.log().refresh()?;
-        let committed: HashSet<u64> = sched.with_core_mut(|core| {
+        let resolved = sched.with_core_mut(|core| {
             core.sync_from_disk()?;
-            Ok::<_, ServiceError>(core.done.iter().map(|r| r.job_id).collect())
+            let view = GateView::build(fleet.log(), &core.ledger);
+            Ok::<_, ServiceError>(core.ledger.contains(job_id) || view.done.contains_key(&job_id))
         })?;
-        let view = GateView::build(fleet.log(), &committed);
-        if committed.contains(&job_id) || view.done.contains_key(&job_id) {
+        if resolved {
             return Ok(());
         }
         fleet.log().append(ClaimEntry::Done(DoneFrame {
@@ -369,9 +367,9 @@ impl TrackCoordinator {
     /// Unresolved claims currently visible to this process (no file
     /// refresh — a cheap, possibly slightly stale figure for status).
     #[must_use]
-    pub fn open_claims(&self, committed: &HashSet<u64>) -> u64 {
+    pub fn open_claims(&self, sched: &Scheduler) -> u64 {
         let fleet = self.fleet.lock().unwrap_or_else(PoisonError::into_inner);
-        GateView::build(&fleet.log, committed).unresolved
+        sched.with_core(|core| GateView::build(&fleet.log, &core.ledger).unresolved)
     }
 
     /// Runs `body` under the fleet lock — for maintenance paths (tests,
@@ -395,7 +393,7 @@ struct Head {
 }
 
 /// The fleet's resolution state, derived from the claim log and the
-/// committed job-id set.
+/// ledger's committed records.
 struct GateView {
     head: Option<Head>,
     /// Terminally failed jobs → the track that pronounced them dead.
@@ -404,7 +402,7 @@ struct GateView {
 }
 
 impl GateView {
-    fn build(log: &ClaimLog, committed: &HashSet<u64>) -> Self {
+    fn build(log: &ClaimLog, ledger: &ReleaseLedger) -> Self {
         let mut done: HashMap<u64, u32> = HashMap::new();
         // The latest claim per job controls ownership and lease; the
         // job's *id* fixes its commit position (ids are allocated in
@@ -423,7 +421,7 @@ impl GateView {
         let unresolved: Vec<u64> = latest
             .keys()
             .copied()
-            .filter(|id| !committed.contains(id) && !done.contains_key(id))
+            .filter(|&id| !ledger.contains(id) && !done.contains_key(&id))
             .collect();
         let head = unresolved.iter().copied().min().map(|id| {
             let index = latest[&id];

@@ -9,7 +9,6 @@
 //! * [`ld`] — Phase 2 linkage-disequilibrium moments, r² and p-values,
 //! * [`chi2`] — χ² association statistics (standard + the paper's
 //!   simplified form),
-//! * [`fisher`] — Fisher's exact test for sparse contingency tables,
 //! * [`ranking`] — most-significant-first SNP ordering,
 //! * [`lr`] — the SecureGenome likelihood-ratio test: LR matrices, the
 //!   empirical safe-subset search, and a normal-approximation cross-check,
@@ -39,7 +38,6 @@
 
 pub mod chi2;
 pub mod contingency;
-pub mod fisher;
 pub mod homer;
 pub mod ld;
 pub mod lr;

@@ -41,9 +41,6 @@ scripts/shard_check.sh
 echo "==> track equivalence and failover (2-track fleet vs single daemon)"
 scripts/track_check.sh
 
-echo "==> scheduler load test (smoke)"
-scripts/loadtest.sh --smoke
-
 echo "==> crash-recovery soak (smoke)"
 scripts/soak.sh --smoke
 

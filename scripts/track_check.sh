@@ -108,13 +108,16 @@ wait "$KILL_PID" 2>/dev/null || true
 # track's claim (wait out the lease, reclaim, re-run, commit in order).
 "$BIN" submit --addr "$ADDR_T1" --snps 60-191 >/dev/null
 
+# Capture first, then grep: `CMD | grep -q` lets grep exit at the first
+# match and SIGPIPE the client mid-print, which pipefail reports.
 for _ in $(seq 1 100); do
-  if "$BIN" results --job "$JOB" --addr "$ADDR_T1" | grep -q 'assessment certificate'; then
+  OUT=$("$BIN" results --job "$JOB" --addr "$ADDR_T1")
+  if grep -q 'assessment certificate' <<<"$OUT"; then
     break
   fi
   sleep 0.3
 done
-"$BIN" results --job "$JOB" --addr "$ADDR_T1" | grep -q 'assessment certificate' || {
+grep -q 'assessment certificate' <<<"$OUT" || {
   echo "error: the survivor never committed the dead track's job $JOB" >&2
   cat "$DIR/serve-$ADDR_T1.log" >&2
   exit 1

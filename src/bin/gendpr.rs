@@ -33,7 +33,7 @@ use gendpr::genomics::cohort::Cohort;
 use gendpr::genomics::synth::SyntheticCohort;
 use gendpr::genomics::vcf;
 use gendpr::service::daemon::AssessmentService;
-use gendpr::service::ledger::{LedgerRecord, ReleaseLedger};
+use gendpr::service::ledger::{JobKind, LedgerRecord, ReleaseLedger};
 use gendpr::service::{
     signals, SchedulerConfig, ServiceClient, ServiceError, ShardPlan, ShardSpec, TrackConfig,
     TrackCoordinator,
@@ -1081,7 +1081,7 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), CliError> {
         "ledger {}: {} records, {} SNPs already released",
         ledger_path,
         ledger.len(),
-        ledger.released_union().len()
+        ledger.released_len()
     );
 
     let options = runtime_options(
@@ -1470,8 +1470,14 @@ fn print_record(record: &LedgerRecord) {
         record.panel.len(),
         record.forced.len()
     );
+    // A federated job records the LR detection threshold τ there, a
+    // dynamic job the bound its power was held below.
+    let threshold = match record.kind {
+        JobKind::Federated => "LR detection threshold",
+        JobKind::Dynamic => "power bound",
+    };
     println!(
-        "cumulative adversary power {:.4} < threshold {:.4}",
+        "cumulative adversary power {:.4}, {threshold} {:.4}",
         record.final_power, record.final_threshold
     );
     if let Some(cert) = &record.certificate {

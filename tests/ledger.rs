@@ -7,6 +7,7 @@
 use gendpr::fednet::wire;
 use gendpr::service::{JobKind, LedgerRecord, LinkRecord, ReleaseLedger, WireCertificate};
 use proptest::prelude::*;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -252,6 +253,100 @@ proptest! {
         prop_assert_eq!(ledger.records(), records.as_slice());
         let _ = std::fs::remove_file(&path);
     }
+
+    #[test]
+    fn derived_views_equal_a_recomputation_over_the_records(
+        steps in proptest::collection::vec((0u8..4, any::<bool>(), record_strategy()), 1..10),
+    ) {
+        // However records enter the ledger (append, open, another
+        // process's frames picked up by refresh) and whatever crash
+        // leavings it recovers from on the way, its views must be what
+        // `records()` alone implies.
+        let primary = scratch("views-p");
+        let replica = scratch("views-r");
+        let open = || ReleaseLedger::open_replicated(&primary, std::slice::from_ref(&replica)).unwrap();
+        let mut ledger = open();
+        for (kind, reopen, record) in steps {
+            match kind {
+                0 => ledger.append(colliding(record)).unwrap(),
+                // Another track's commit.
+                1 => open().append(colliding(record)).unwrap(),
+                // A torn tail: a header promising 7 body bytes, then 2.
+                2 => std::fs::OpenOptions::new()
+                    .append(true)
+                    .open(&primary)
+                    .and_then(|mut file| std::io::Write::write_all(&mut file, &[7, 0, 0, 0, 1, 2]))
+                    .unwrap(),
+                // A replica that lost everything.
+                _ => std::fs::write(&replica, b"").unwrap(),
+            }
+            if reopen {
+                ledger = open();
+            } else {
+                ledger.refresh().unwrap();
+            }
+            assert_views_match_records(&ledger);
+            prop_assert_eq!(std::fs::read(&replica).unwrap(), std::fs::read(&primary).unwrap());
+        }
+        let _ = std::fs::remove_file(&primary);
+        let _ = std::fs::remove_file(&replica);
+    }
+}
+
+/// Folds job ids, released SNPs and link endpoints into small ranges so
+/// records collide — a view that double-counts, or forgets to merge,
+/// shows.
+fn colliding(mut record: LedgerRecord) -> LedgerRecord {
+    record.job_id %= 6;
+    for id in &mut record.released {
+        *id %= 40;
+    }
+    for link in &mut record.traffic {
+        link.from %= 3;
+        link.to %= 3;
+    }
+    record
+}
+
+/// Checks every derived view of `ledger` against a from-scratch
+/// recomputation over `records()`.
+fn assert_views_match_records(ledger: &ReleaseLedger) {
+    let records = ledger.records();
+    let union: BTreeSet<u32> = records
+        .iter()
+        .flat_map(|r| r.released.iter().copied())
+        .collect();
+    let released: Vec<u32> = ledger.released_union().iter().map(|s| s.0).collect();
+    assert_eq!(released, union.iter().copied().collect::<Vec<u32>>());
+    assert_eq!(ledger.released_len(), union.len());
+
+    for id in 0..8 {
+        let first = records.iter().find(|r| r.job_id == id);
+        assert_eq!(ledger.record(id), first);
+        assert_eq!(ledger.contains(id), first.is_some());
+    }
+    let next = records
+        .iter()
+        .map(|r| r.job_id)
+        .max()
+        .map_or(1, |max| max + 1);
+    assert_eq!(ledger.next_job_id(), next);
+
+    let mut totals: BTreeMap<(u32, u32), LinkRecord> = BTreeMap::new();
+    for link in records.iter().flat_map(|r| &r.traffic) {
+        let total = totals.entry((link.from, link.to)).or_insert(LinkRecord {
+            from: link.from,
+            to: link.to,
+            ..LinkRecord::default()
+        });
+        total.messages = total.messages.saturating_add(link.messages);
+        total.plaintext_bytes = total.plaintext_bytes.saturating_add(link.plaintext_bytes);
+        total.wire_bytes = total.wire_bytes.saturating_add(link.wire_bytes);
+    }
+    assert_eq!(
+        ledger.link_totals(),
+        totals.into_values().collect::<Vec<LinkRecord>>()
+    );
 }
 
 /// A small fixed record so the exhaustive kill sweep stays fast.

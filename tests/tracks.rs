@@ -248,6 +248,10 @@ fn interleaved_tracks_reproduce_the_single_daemon_workload() {
         "track 1 must see track 0's record"
     );
     assert_eq!(track0.results(b.job_id).as_ref(), Some(&b));
+    // Job 3 committed after track 1 last touched the fleet, so nothing
+    // but the refresh inside `results` can have brought it in.
+    assert_eq!(track1.results(c.job_id).as_ref(), Some(&c));
+    assert_eq!(track1.status().jobs_done, 3);
     track0.stop().expect("track 0 drains cleanly");
     track1.stop().expect("track 1 drains cleanly");
 
