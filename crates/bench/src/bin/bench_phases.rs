@@ -11,6 +11,11 @@
 //! region). Both paths fold the pooled moments into a checksum that must
 //! agree, so the comparison cannot drift semantically.
 //!
+//! The same report carries the LR subset search before/after, the
+//! `lr_sweep` row (is the sweeps' level select a load or a jump in this
+//! build?), a full protocol phase breakdown, the chromosome-scale
+//! workloads and the SNP-shard sweep.
+//!
 //! Scale defaults to the paper's Table 5 setting — 14,860 case genomes ×
 //! 10,000 SNPs, G = 5, f = 2 (11 combinations) — shrink with
 //! `--scale <f>` for CI. `--out <path>` writes the JSON (default
@@ -28,13 +33,21 @@ use gendpr_genomics::snp::SnpId;
 use gendpr_service::ShardPlan;
 use gendpr_stats::ld::LdMoments;
 use gendpr_stats::lr::{
-    select_safe_subset, select_safe_subset_naive, BitLrMatrix, LrColumns, LrMatrix, LrValues,
+    select_safe_subset, select_safe_subset_naive, BitLrMatrix, LrColumns, LrMatrix, LrPrefixSums,
+    LrValues,
 };
 use gendpr_stats::ranking::{rank_by_association, sort_most_significant_first};
+use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 const G: usize = 5;
 const F: usize = 2;
+
+/// Shape of the `lr_sweep` row: a reference panel the size of the repo
+/// benchmark's `assess-lr` null model, enough columns to outrun a branch
+/// predictor's history.
+const SWEEP_INDIVIDUALS: usize = 1_630;
+const SWEEP_COLUMNS: usize = 2_000;
 
 /// SplitMix64 step: cheap deterministic words for the synthetic packed
 /// matrices (quality is irrelevant here, width is).
@@ -120,20 +133,18 @@ fn main() {
     let mut sum_before = 0u64;
     for subset in &subsets {
         for &(a, b) in &pairs {
-            let mut pooled = LdMoments::from_cached_counts(
-                reference,
-                a,
-                b,
+            let mut pooled = LdMoments::from_counts(
                 ref_counts[a.index()],
                 ref_counts[b.index()],
+                reference.pair_count(a, b),
+                n_ref,
             );
             for &m in subset {
-                pooled = pooled.merge(LdMoments::from_cached_counts(
-                    &shards[m],
-                    a,
-                    b,
+                pooled = pooled.merge(LdMoments::from_counts(
                     shard_counts[m][a.index()],
                     shard_counts[m][b.index()],
+                    shards[m].pair_count(a, b),
+                    shards[m].individuals() as u64,
                 ));
             }
             sum_before = checksum(sum_before, pooled);
@@ -181,7 +192,7 @@ fn main() {
     // "before" path is the retained scalar reference verbatim: a dense
     // per-cell matrix for each population plus per-scalar add/back-out
     // sweeps. The "after" path is the production route: bit-packed
-    // SNP-major gathers and branchless word kernels. Both include their
+    // SNP-major gathers and word-sweep kernels. Both include their
     // matrix construction in the timed region, and the selections must be
     // identical — the comparison doubles as a checksum gate.
     let case_all = cohort.case();
@@ -409,6 +420,54 @@ fn main() {
         mega_lr.as_secs_f64()
     );
 
+    // ---- Sweep kernel: is the level select a load or a jump? ----
+    // The sweeps add one of two levels per individual, chosen by a genotype
+    // bit. Compiled to a conditional jump, the sweep is fast only while the
+    // predictor has seen the column before; compiled to an indexed load it
+    // costs the same on any column. So: the forced-prefix accumulation (one
+    // null sweep per column, a one-row case side) over one column repeated
+    // `SWEEP_COLUMNS` times against as many distinct columns visited once.
+    // Fixed shape, independent of --scale.
+    eprintln!("timing the LR sweep on repeated vs distinct columns…");
+    let sweep_bits: Vec<u64> = (0..SWEEP_INDIVIDUALS * SWEEP_COLUMNS.div_ceil(64))
+        .map(|_| splitmix(&mut rng))
+        .collect();
+    let (sweep_cf, sweep_rf) = (vec![0.3; SWEEP_COLUMNS], vec![0.2; SWEEP_COLUMNS]);
+    let sweep_columns = |individuals: usize, bits: Vec<u64>| {
+        BitLrMatrix::from_raw_bits(individuals, SWEEP_COLUMNS, bits, &sweep_cf, &sweep_rf)
+            .expect("well-formed sweep matrix")
+            .to_columns()
+            .expect("two-valued packed matrix")
+    };
+    let sweep_null = sweep_columns(SWEEP_INDIVIDUALS, sweep_bits);
+    let sweep_case = sweep_columns(1, vec![0; SWEEP_COLUMNS.div_ceil(64)]);
+    let sweep = |forced: &[usize]| {
+        let t = Instant::now();
+        black_box(LrPrefixSums::accumulate(
+            &sweep_case,
+            &sweep_null,
+            black_box(forced),
+            &params.lr,
+        ));
+        t.elapsed()
+    };
+    // Best of five each, interleaved so a slow spell of the host falls on
+    // both sides of the ratio.
+    let (repeated, distinct) = (
+        vec![0; SWEEP_COLUMNS],
+        (0..SWEEP_COLUMNS).collect::<Vec<_>>(),
+    );
+    let (mut best_repeated, mut best_distinct) = (Duration::MAX, Duration::MAX);
+    for _ in 0..5 {
+        best_repeated = best_repeated.min(sweep(&repeated));
+        best_distinct = best_distinct.min(sweep(&distinct));
+    }
+    let ns_per_individual =
+        |d: Duration| d.as_secs_f64() * 1e9 / (SWEEP_INDIVIDUALS * SWEEP_COLUMNS) as f64;
+    let sweep_repeated = ns_per_individual(best_repeated);
+    let sweep_distinct = ns_per_individual(best_distinct);
+    let branch_free = sweep_distinct <= 1.5 * sweep_repeated;
+
     let ms = |d: Duration| d.as_secs_f64() * 1e3;
     let speedup = before.as_secs_f64() / after.as_secs_f64().max(1e-9);
     let lr_speedup = lr_naive.as_secs_f64() / lr_columnar.as_secs_f64().max(1e-9);
@@ -423,7 +482,7 @@ fn main() {
         .collect::<Vec<_>>()
         .join(",\n");
     let json = format!(
-        "{{\n  \"workload\": {{\n    \"case_genomes\": {genomes},\n    \"snps\": {snps},\n    \"gdos\": {G},\n    \"colluders\": {F},\n    \"combinations\": {},\n    \"pairs\": {},\n    \"scale\": {scale}\n  }},\n  \"pooled_ld_moments\": {{\n    \"row_major_ms\": {:.3},\n    \"columnar_memo_ms\": {:.3},\n    \"speedup\": {:.2}\n  }},\n  \"lr_subset_search\": {{\n    \"candidates\": {},\n    \"naive_dense_ms\": {:.3},\n    \"columnar_ms\": {:.3},\n    \"speedup\": {:.2},\n    \"selection_identical\": true\n  }},\n  \"protocol_phases_ms\": {{\n    \"threads\": 1,\n    \"aggregation\": {:.3},\n    \"indexing\": {:.3},\n    \"ld\": {:.3},\n    \"lr\": {:.3},\n    \"total\": {:.3}\n  }},\n  \"protocol_parallel\": {{\n    \"threads\": {workers},\n    \"total_ms\": {:.3},\n    \"release_identical\": true\n  }},\n  \"chromosome_100k\": {{\n    \"snps\": {chrom_snps},\n    \"lr_ms\": {:.3},\n    \"total_ms\": {:.3},\n    \"safe_snps\": {}\n  }},\n  \"shard_sweep\": {{\n    \"snps\": {chrom_snps},\n    \"plans\": [\n{shard_json}\n    ],\n    \"shard_identical\": true\n  }},\n  \"chromosome_1m_lr_only\": {{\n    \"snps\": {mega_snps},\n    \"individuals\": {mega_individuals},\n    \"search_ms\": {:.3},\n    \"kept_columns\": {}\n  }}\n}}\n",
+        "{{\n  \"workload\": {{\n    \"case_genomes\": {genomes},\n    \"snps\": {snps},\n    \"gdos\": {G},\n    \"colluders\": {F},\n    \"combinations\": {},\n    \"pairs\": {},\n    \"scale\": {scale}\n  }},\n  \"pooled_ld_moments\": {{\n    \"row_major_ms\": {:.3},\n    \"columnar_memo_ms\": {:.3},\n    \"speedup\": {:.2}\n  }},\n  \"lr_subset_search\": {{\n    \"candidates\": {},\n    \"naive_dense_ms\": {:.3},\n    \"columnar_ms\": {:.3},\n    \"speedup\": {:.2},\n    \"selection_identical\": true\n  }},\n  \"lr_sweep\": {{\n    \"individuals\": {SWEEP_INDIVIDUALS},\n    \"columns\": {SWEEP_COLUMNS},\n    \"repeated_column_ns_per_individual\": {sweep_repeated:.3},\n    \"distinct_columns_ns_per_individual\": {sweep_distinct:.3},\n    \"branch_free\": {branch_free}\n  }},\n  \"protocol_phases_ms\": {{\n    \"threads\": 1,\n    \"aggregation\": {:.3},\n    \"indexing\": {:.3},\n    \"ld\": {:.3},\n    \"lr\": {:.3},\n    \"total\": {:.3}\n  }},\n  \"protocol_parallel\": {{\n    \"threads\": {workers},\n    \"total_ms\": {:.3},\n    \"release_identical\": true\n  }},\n  \"chromosome_100k\": {{\n    \"snps\": {chrom_snps},\n    \"lr_ms\": {:.3},\n    \"total_ms\": {:.3},\n    \"safe_snps\": {}\n  }},\n  \"shard_sweep\": {{\n    \"snps\": {chrom_snps},\n    \"plans\": [\n{shard_json}\n    ],\n    \"shard_identical\": true\n  }},\n  \"chromosome_1m_lr_only\": {{\n    \"snps\": {mega_snps},\n    \"individuals\": {mega_individuals},\n    \"search_ms\": {:.3},\n    \"kept_columns\": {}\n  }}\n}}\n",
         subsets.len(),
         pairs.len(),
         ms(before),
@@ -455,6 +514,9 @@ fn main() {
         "LR subset search: naive dense {:.1} ms -> columnar {:.1} ms ({lr_speedup:.1}x)",
         ms(lr_naive),
         ms(lr_columnar)
+    );
+    println!(
+        "LR sweep: {sweep_repeated:.2} ns/individual on a repeated column, {sweep_distinct:.2} on distinct columns (branch-free: {branch_free})"
     );
     for (s, lanes, d) in &shard_rows {
         println!(

@@ -56,10 +56,10 @@ pub struct EpochReport {
 #[derive(Debug, Clone)]
 pub struct DynamicAssessor {
     params: GwasParams,
-    reference: GenotypeMatrix,
-    // SNP-major view of the reference, built once: every epoch's null
-    // matrix is gathered straight from these bit vectors.
-    reference_columnar: ColumnarGenotypes,
+    // The reference panel, SNP-major (the only layout an epoch reads):
+    // LD moments are popcount sweeps over its columns and every epoch's
+    // null matrix is gathered straight from these bit vectors.
+    reference: ColumnarGenotypes,
     ref_counts: Vec<u64>,
     cumulative: GenotypeMatrix,
     released: Vec<SnpId>,
@@ -79,13 +79,12 @@ impl DynamicAssessor {
         if reference.individuals() == 0 || reference.snps() == 0 {
             return Err(ProtocolError::EmptyStudy);
         }
-        let ref_counts = reference.column_counts();
         let snps = reference.snps();
-        let reference_columnar = ColumnarGenotypes::from_matrix(&reference);
+        let reference = ColumnarGenotypes::from_matrix(&reference);
+        let ref_counts = reference.column_counts();
         Ok(Self {
             params,
             reference,
-            reference_columnar,
             ref_counts,
             cumulative: GenotypeMatrix::zeroed(0, snps),
             released: Vec::new(),
@@ -154,7 +153,10 @@ impl DynamicAssessor {
 
         let n_case = self.cumulative.individuals() as u64;
         let n_ref = self.reference.individuals() as u64;
-        let case_counts = self.cumulative.column_counts();
+        // The cumulative shard grew this epoch, so its SNP-major view is
+        // rebuilt; counts, LD moments and the LR case matrix all read it.
+        let case_columnar = ColumnarGenotypes::from_matrix(&self.cumulative);
+        let case_counts = case_columnar.column_counts();
         let n_total = n_case + n_ref;
 
         // MAF screen over cumulative data, excluding already-released SNPs
@@ -181,19 +183,17 @@ impl DynamicAssessor {
         let l_double_prime = run_ld_scan(
             &l_prime,
             |a, b| {
-                LdMoments::from_cached_counts(
-                    &self.cumulative,
-                    a,
-                    b,
+                LdMoments::from_counts(
                     case_counts[a.index()],
                     case_counts[b.index()],
+                    case_columnar.pair_count(a, b),
+                    n_case,
                 )
-                .merge(LdMoments::from_cached_counts(
-                    &self.reference,
-                    a,
-                    b,
+                .merge(LdMoments::from_counts(
                     self.ref_counts[a.index()],
                     self.ref_counts[b.index()],
+                    self.reference.pair_count(a, b),
+                    n_ref,
                 ))
             },
             |s| ranks[s.index()].p_value,
@@ -212,16 +212,15 @@ impl DynamicAssessor {
             .iter()
             .map(|s| self.ref_counts[s.index()] as f64 / n_ref as f64)
             .collect();
-        // Columnar matrices: the case side re-transposes the cumulative
-        // shard (it grew this epoch), the null side gathers from the
-        // constructor-built reference view. The seeded search runs on the
-        // word-wise kernels; no memoized prefix — the frequency vectors
-        // (and with them every column's values) change each epoch.
-        let case_columnar = ColumnarGenotypes::from_matrix(&self.cumulative);
+        // Columnar matrices: the case side gathers from this epoch's
+        // view, the null side from the constructor-built reference view.
+        // The seeded search runs on the word-wise kernels; no memoized
+        // prefix — the frequency vectors (and with them every column's
+        // values) change each epoch.
         let case_matrix =
             LrColumns::from_columnar(&case_columnar, &columns, &case_freqs, &ref_freqs);
         let null_matrix =
-            LrColumns::from_columnar(&self.reference_columnar, &columns, &case_freqs, &ref_freqs);
+            LrColumns::from_columnar(&self.reference, &columns, &case_freqs, &ref_freqs);
         let forced: Vec<usize> = (0..self.released.len()).collect();
         // Candidate order: most significant first (the paper's admission
         // order), as column indices into `columns`.

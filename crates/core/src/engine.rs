@@ -38,11 +38,12 @@ use crate::protocol::PhaseTimings;
 use crate::runtime::{recv_protocol, send_protocol, Interrupt, MemberCtx};
 use crate::serving::{ShardOutput, ShardScan};
 use gendpr_fednet::transport::Transport;
+use gendpr_genomics::columnar::ColumnarGenotypes;
 use gendpr_genomics::genotype::GenotypeMatrix;
 use gendpr_genomics::snp::SnpId;
 use gendpr_stats::ld::LdMoments;
 use gendpr_stats::lr::{
-    select_safe_subset, BitLrMatrix, LrMatrix, LrPrefixSums, LrSelection, LrValues,
+    select_safe_subset, BitLrMatrix, LrColumns, LrMatrix, LrPrefixSums, LrSelection, LrValues,
 };
 use gendpr_stats::ranking::{rank_by_association, sort_most_significant_first, SnpRank};
 use gendpr_tee::session::SecureChannel;
@@ -128,7 +129,8 @@ fn pool_moments<T: Transport>(
 }
 
 /// The transport format of the Phase 3 matrices: the paper's dense value
-/// matrices or one indicator bit per cell (`RuntimeOptions::compact_lr`).
+/// matrices, or one indicator bit per cell (`RuntimeOptions::compact_lr`)
+/// which the leader holds SNP-major, the layout the search sweeps.
 trait LrTransport: LrValues + Sized {
     /// The leader's own rows, from its local shard.
     fn own(node: &GdoNode, columns: &[SnpId], case_freqs: &[f64], ref_freqs: &[f64]) -> Self;
@@ -141,9 +143,11 @@ trait LrTransport: LrValues + Sized {
         ref_freqs: &[f64],
     ) -> Option<Self>;
     fn concat_rows(parts: &[Self]) -> Self;
-    /// The null model: the reference panel's rows.
+    /// The null model: the reference panel's rows, from whichever layout
+    /// of the panel the format is built from.
     fn null(
         reference: &GenotypeMatrix,
+        reference_columnar: &ColumnarGenotypes,
         columns: &[SnpId],
         case_freqs: &[f64],
         ref_freqs: &[f64],
@@ -168,6 +172,7 @@ impl LrTransport for LrMatrix {
     }
     fn null(
         reference: &GenotypeMatrix,
+        _: &ColumnarGenotypes,
         columns: &[SnpId],
         case_freqs: &[f64],
         ref_freqs: &[f64],
@@ -179,10 +184,15 @@ impl LrTransport for LrMatrix {
     }
 }
 
-impl LrTransport for BitLrMatrix {
+impl LrTransport for LrColumns {
     fn own(node: &GdoNode, columns: &[SnpId], case_freqs: &[f64], ref_freqs: &[f64]) -> Self {
-        BitLrMatrix::from_genotypes(node.shard(), columns, case_freqs, ref_freqs)
+        LrColumns::from_columnar(node.columnar(), columns, case_freqs, ref_freqs)
     }
+    /// The report's row-major words are checked against its declared
+    /// dimensions, then block-transposed once. They are the message's
+    /// buffer and gone on return; beside the parts already held they stay
+    /// below what the stitch holds a moment later, so the enclave account
+    /// meters the transposed part only.
     fn from_message(
         msg: ProtocolMessage,
         combo: u32,
@@ -197,23 +207,25 @@ impl LrTransport for BitLrMatrix {
                 case_freqs,
                 ref_freqs,
             )
-            .ok(),
+            .ok()
+            .map(|m| LrColumns::from_bit_matrix(&m)),
             _ => None,
         }
     }
     fn concat_rows(parts: &[Self]) -> Self {
-        BitLrMatrix::concat_rows(parts)
+        LrColumns::concat_rows(parts)
     }
     fn null(
-        reference: &GenotypeMatrix,
+        _: &GenotypeMatrix,
+        reference_columnar: &ColumnarGenotypes,
         columns: &[SnpId],
         case_freqs: &[f64],
         ref_freqs: &[f64],
     ) -> Self {
-        BitLrMatrix::from_genotypes(reference, columns, case_freqs, ref_freqs)
+        LrColumns::from_columnar(reference_columnar, columns, case_freqs, ref_freqs)
     }
     fn heap_bytes(&self) -> u64 {
-        BitLrMatrix::heap_bytes(self) as u64
+        LrColumns::heap_bytes(self) as u64
     }
 }
 
@@ -247,7 +259,13 @@ pub(crate) struct Assessment {
 /// rankings; every job restricts them to its own panel.
 pub(crate) struct LeaderSession<'a> {
     node: &'a GdoNode,
+    // Row-major, as the drivers hold it: read only by the dense
+    // transport's null matrix.
     reference: &'a GenotypeMatrix,
+    // SNP-major view of the reference, built once per session: reference
+    // LD moments are popcount(AND) over two of its columns, the compact
+    // null matrix a word-for-word copy of them.
+    reference_columnar: ColumnarGenotypes,
     params: &'a GwasParams,
     pub(crate) channels: Channels,
     subsets: Vec<Vec<usize>>,
@@ -296,9 +314,11 @@ impl<'a> LeaderSession<'a> {
         crate::telemetry::phase_seconds("aggregation").observe_duration(aggregation);
 
         let t = Instant::now();
-        let ref_counts = ctx.enclave.enter(|(), epc| {
-            epc.alloc(8 * reference.snps() as u64);
-            reference.column_counts()
+        let (reference_columnar, ref_counts) = ctx.enclave.enter(|(), epc| {
+            let columnar = ColumnarGenotypes::from_matrix(reference);
+            epc.alloc(columnar.heap_bytes() as u64 + 8 * reference.snps() as u64);
+            let counts = columnar.column_counts();
+            (columnar, counts)
         });
         let n_ref = reference.individuals() as u64;
         let subsets = evaluation_subsets_of(&roster, ctx.collusion);
@@ -327,6 +347,7 @@ impl<'a> LeaderSession<'a> {
         Ok(Self {
             node,
             reference,
+            reference_columnar,
             params,
             channels,
             subsets,
@@ -425,22 +446,20 @@ impl<'a> LeaderSession<'a> {
             Vec::new()
         };
         // Reference moments do not depend on the subset under evaluation:
-        // each pair is computed once per job. A prefetch needs every
-        // adjacent pair anyway, so it tables them across the worker pool.
-        let (reference, ref_counts) = (self.reference, &self.ref_counts);
+        // each pair is computed once per job (every subset reads it).
+        let (reference, ref_counts) = (&self.reference_columnar, &self.ref_counts);
+        let n_ref = reference.individuals() as u64;
         let ref_memo = MomentMemo::new();
         let ref_moments = |a: SnpId, b: SnpId| {
             ref_memo.get_or_compute(a, b, || {
-                LdMoments::from_cached_counts(
-                    reference,
-                    a,
-                    b,
+                LdMoments::from_counts(
                     ref_counts[a.index()],
                     ref_counts[b.index()],
+                    reference.pair_count(a, b),
+                    n_ref,
                 )
             })
         };
-        parallel_map(ctx.threads, &adjacent, |_, &(a, b)| ref_moments(a, b));
 
         let mut scans = Vec::with_capacity(self.subsets.len());
         for (c, subset) in self.subsets.iter().enumerate() {
@@ -586,10 +605,19 @@ impl<'a> LeaderSession<'a> {
             ctx.enclave.enter(|(), epc| epc.alloc(m.heap_bytes()));
             parts.push(m);
         }
-        let (selection, freed) = ctx.enclave.enter(|(), epc| {
+        Ok(ctx.enclave.enter(|(), epc| {
+            // The parts are only needed until they are stitched.
             let case_matrix = M::concat_rows(&parts);
             epc.alloc(case_matrix.heap_bytes());
-            let null_matrix = M::null(self.reference, columns, &case_freqs, &ref_freqs);
+            epc.free(parts.iter().map(LrTransport::heap_bytes).sum());
+            drop(parts);
+            let null_matrix = M::null(
+                self.reference,
+                &self.reference_columnar,
+                columns,
+                &case_freqs,
+                &ref_freqs,
+            );
             epc.alloc(null_matrix.heap_bytes());
             // When both matrices expose a two-valued column view, the
             // forced columns' cumulative sums come from the memo —
@@ -615,14 +643,9 @@ impl<'a> LeaderSession<'a> {
                 }
                 _ => select_safe_subset(&case_matrix, &null_matrix, &forced_cols, &order, lr, None),
             };
-            (
-                selection,
-                case_matrix.heap_bytes() + null_matrix.heap_bytes(),
-            )
-        });
-        let part_bytes: u64 = parts.iter().map(LrTransport::heap_bytes).sum();
-        ctx.enclave.enter(|(), epc| epc.free(freed + part_bytes));
-        Ok(selection)
+            epc.free(case_matrix.heap_bytes() + null_matrix.heap_bytes());
+            selection
+        }))
     }
 
     /// Runs Algorithm 1 for one job over `panel` (sorted, in range) with
@@ -693,7 +716,7 @@ impl<'a> LeaderSession<'a> {
         let mut final_threshold = f64::INFINITY;
         for c in 0..self.subsets.len() {
             let selection = if ctx.compact_lr {
-                self.lr_step::<BitLrMatrix, T>(ctx, c, &columns, forced.len())?
+                self.lr_step::<LrColumns, T>(ctx, c, &columns, forced.len())?
             } else {
                 self.lr_step::<LrMatrix, T>(ctx, c, &columns, forced.len())?
             };

@@ -55,38 +55,11 @@ impl LdMoments {
         }
     }
 
-    /// Builds moments from per-SNP minor counts already known from the
-    /// MAF phase plus the joint count — the cheap path every driver uses,
-    /// since only `Σxy` needs a fresh pass over the genotypes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `m` does not contain both SNPs.
-    #[must_use]
-    pub fn from_cached_counts(
-        m: &GenotypeMatrix,
-        a: SnpId,
-        b: SnpId,
-        count_a: u64,
-        count_b: u64,
-    ) -> Self {
-        debug_assert_eq!(count_a, m.column_count(a), "stale cached count for {a}");
-        debug_assert_eq!(count_b, m.column_count(b), "stale cached count for {b}");
-        Self {
-            sum_x: count_a,
-            sum_y: count_b,
-            sum_xy: m.pair_count(a, b),
-            sum_xx: count_a,
-            sum_yy: count_b,
-            n: m.individuals() as u64,
-        }
-    }
-
-    /// Builds moments directly from already-known counts: the two
-    /// marginal minor counts, the joint count and the cohort size. This
-    /// is the allocation-free core of [`Self::from_cached_counts`], used
-    /// when the joint count comes from a columnar popcount kernel rather
-    /// than a row-major matrix walk.
+    /// Builds moments from already-known counts: the two marginal minor
+    /// counts (the MAF phase computed them), the joint count and the cohort
+    /// size. Every driver takes this path, since only `Σxy` needs a fresh
+    /// pass over the genotypes — a `popcount(AND)` over two SNP-major
+    /// columns (`ColumnarGenotypes::pair_count`).
     #[must_use]
     pub fn from_counts(count_a: u64, count_b: u64, joint: u64, n: u64) -> Self {
         Self {

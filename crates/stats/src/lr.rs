@@ -18,13 +18,31 @@
 //! paper scale), so [`select_safe_subset`] routes through [`LrColumns`], a
 //! column-major bit-packed view in which each candidate SNP is a contiguous
 //! `individuals`-bit vector. Admitting or backing out a column is then a
-//! branchless word-wise sweep over the
-//! cumulative per-individual sums, and the per-candidate null quantile runs
-//! as a quickselect over reusable `i64` total-order keys — no per-candidate
-//! allocation anywhere. The scalar reference implementation is retained as
-//! [`select_safe_subset_naive`]; the kernels replicate its per-individual
-//! floating-point operation sequence exactly, so selections are
-//! byte-identical (asserted by property tests).
+//! word-wise sweep over the cumulative per-individual sums, and the
+//! per-candidate null quantile runs as a quickselect over reusable `i64`
+//! total-order keys — no per-candidate allocation anywhere. The scalar
+//! reference implementation is retained as [`select_safe_subset_naive`].
+//!
+//! What the source guarantees: every sweep performs, per individual, one
+//! `+=` (or `-=`) of exactly `major` or `minor` — the operation sequence of
+//! the reference — so sums, thresholds and selections are byte-identical
+//! (unit tests compare each sweep with the scalar loop by `to_bits()`,
+//! property tests compare the selections).
+//!
+//! What it does *not* guarantee is branch-free machine code. The level is
+//! read from a two-entry table, `[major, minor][bit]`, which rustc 1.95
+//! compiles to an indexed load (x86-64, release profile). The earlier
+//! mask select, `from_bits((ma & !mask) | (mi & mask))`, was documented
+//! here as branchless while LLVM recognised the select and emitted
+//! `testb $1 ; je` — a jump on every genotype bit. A predictor learns one
+//! column swept repeatedly and nothing about columns visited once, so that
+//! code read 0.7 ns per individual in a loop over one column and 3.8 ns in
+//! the search; the table reads 0.4–0.5 ns on both (`bench_phases`'
+//! `lr_sweep` row, 1,630 individuals × 2,000 random columns, 2.1 GHz Xeon
+//! VM). Branch-freedom is a property of the emitted code: that row and its
+//! `"branch_free": true` gate in `scripts/check.sh` re-check it whenever
+//! the toolchain moves, and `cargo rustc --release -p gendpr-stats --lib --
+//! --emit asm` shows the loops of `columns_search` directly.
 
 use gendpr_genomics::columnar::{transpose64, ColumnarGenotypes};
 use gendpr_genomics::genotype::GenotypeMatrix;
@@ -535,35 +553,77 @@ impl LrColumns {
         assert!(!parts.is_empty(), "need at least one shard");
         assert_eq!(snps.len(), case_freqs.len(), "one case frequency per SNP");
         let (major, minor) = lr_levels(case_freqs, ref_freqs);
-        let n: usize = parts.iter().map(|p| p.individuals()).sum();
+        let sizes: Vec<usize> = parts.iter().map(|p| p.individuals()).collect();
+        Self::stitched(&sizes, major, minor, |p, j| parts[p].snp_words(snps[j]))
+    }
+
+    /// Vertically concatenates columnar matrices (leader-side merge): the
+    /// column-major counterpart of [`BitLrMatrix::concat_rows`], stitching
+    /// each column's parts at their row offsets.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `parts` is empty or the parts disagree on columns or
+    /// levels.
+    #[must_use]
+    pub fn concat_rows(parts: &[LrColumns]) -> LrColumns {
+        assert!(!parts.is_empty(), "need at least one LR matrix");
+        let first = &parts[0];
+        for p in parts {
+            assert_eq!(
+                p.snps, first.snps,
+                "all LR matrices must cover the same SNPs"
+            );
+            assert_eq!(p.major, first.major, "parts must share contribution levels");
+            assert_eq!(p.minor, first.minor, "parts must share contribution levels");
+        }
+        let sizes: Vec<usize> = parts.iter().map(|p| p.individuals).collect();
+        Self::stitched(&sizes, first.major.clone(), first.minor.clone(), |p, j| {
+            parts[p].col_words(j)
+        })
+    }
+
+    /// The one stitch loop: column `j` of the result is the `sizes[p]`-bit
+    /// vectors `part_words(p, j)` laid end to end, shifting each part to
+    /// its row offset and carrying the spill into the next word.
+    fn stitched<'a>(
+        sizes: &[usize],
+        major: Vec<f64>,
+        minor: Vec<f64>,
+        part_words: impl Fn(usize, usize) -> &'a [u64],
+    ) -> Self {
+        let n: usize = sizes.iter().sum();
+        let snps = major.len();
         let words_per_col = n.div_ceil(64);
-        let mut bits = vec![0u64; snps.len() * words_per_col];
-        for (j, &id) in snps.iter().enumerate() {
+        let mut bits = vec![0u64; snps * words_per_col];
+        for j in 0..snps {
             let col = &mut bits[j * words_per_col..(j + 1) * words_per_col];
             let mut offset = 0usize;
-            for part in parts {
-                let words = part.snp_words(id);
-                let base = offset / 64;
-                let shift = offset % 64;
-                if shift == 0 {
-                    col[base..base + words.len()].copy_from_slice(words);
-                } else {
-                    for (k, &w) in words.iter().enumerate() {
-                        col[base + k] |= w << shift;
-                        let carry = w >> (64 - shift);
-                        if base + k + 1 < col.len() {
-                            col[base + k + 1] |= carry;
-                        } else {
-                            debug_assert_eq!(carry, 0, "shard tail bits must be zero");
-                        }
+            for (p, &size) in sizes.iter().enumerate() {
+                let words = part_words(p, j);
+                assert_eq!(words.len(), size.div_ceil(64), "part column width");
+                let (base, shift) = (offset / 64, offset % 64);
+                for (k, &word) in words.iter().enumerate() {
+                    // Bits at or past `size` would land in the next part's
+                    // rows. Every constructor zero-fills them; the words may
+                    // descend from a peer's report, so mask, don't trust.
+                    let w = if k + 1 == words.len() && size % 64 != 0 {
+                        word & ((1 << (size % 64)) - 1)
+                    } else {
+                        word
+                    };
+                    col[base + k] |= w << shift;
+                    let spill = if shift == 0 { 0 } else { w >> (64 - shift) };
+                    if spill != 0 {
+                        col[base + k + 1] |= spill;
                     }
                 }
-                offset += part.individuals();
+                offset += size;
             }
         }
         Self {
             individuals: n,
-            snps: snps.len(),
+            snps,
             words_per_col,
             bits: bits.into(),
             major,
@@ -1000,18 +1060,21 @@ fn key_value(k: i64) -> f64 {
     f64::from_bits((k ^ (((k >> 63) as u64) >> 1) as i64) as u64)
 }
 
-/// `sums[i] += level(bit_i)`, 64 individuals per bit word. The value is
-/// selected branchlessly from the two per-column levels by bit masking, so
-/// each individual sees the exact scalar `+=` the reference path performs.
+/// `sums[i] += level(bit_i)`, 64 individuals per bit word. The level is
+/// read from a two-entry table indexed by the genotype bit, so each
+/// individual sees one `+=` of exactly `major` or `minor` — the scalar
+/// operation the reference path performs. The four sweeps share this form
+/// because it compiles to an indexed load; the mask select they used before
+/// (`(ma & !mask) | (mi & mask)`) was turned back into a conditional jump on
+/// the bit (module docs, *Columnar search kernels*).
 #[inline]
 fn add_column(sums: &mut [f64], words: &[u64], major: f64, minor: f64) {
-    let (ma, mi) = (major.to_bits(), minor.to_bits());
+    let levels = [major, minor];
     for (chunk, &word) in sums.chunks_mut(64).zip(words) {
         let mut w = word;
         for s in chunk {
-            let mask = (w & 1).wrapping_neg();
+            *s += levels[(w & 1) as usize];
             w >>= 1;
-            *s += f64::from_bits((ma & !mask) | (mi & mask));
         }
     }
 }
@@ -1021,13 +1084,12 @@ fn add_column(sums: &mut [f64], words: &[u64], major: f64, minor: f64) {
 /// round-trip bit-for-bit.
 #[inline]
 fn sub_column(sums: &mut [f64], words: &[u64], major: f64, minor: f64) {
-    let (ma, mi) = (major.to_bits(), minor.to_bits());
+    let levels = [major, minor];
     for (chunk, &word) in sums.chunks_mut(64).zip(words) {
         let mut w = word;
         for s in chunk {
-            let mask = (w & 1).wrapping_neg();
+            *s -= levels[(w & 1) as usize];
             w >>= 1;
-            *s -= f64::from_bits((ma & !mask) | (mi & mask));
         }
     }
 }
@@ -1036,13 +1098,12 @@ fn sub_column(sums: &mut [f64], words: &[u64], major: f64, minor: f64) {
 /// every touched sum in the same sweep.
 #[inline]
 fn add_column_fill_keys(sums: &mut [f64], keys: &mut [i64], words: &[u64], major: f64, minor: f64) {
-    let (ma, mi) = (major.to_bits(), minor.to_bits());
+    let levels = [major, minor];
     for ((chunk, kchunk), &word) in sums.chunks_mut(64).zip(keys.chunks_mut(64)).zip(words) {
         let mut w = word;
         for (s, k) in chunk.iter_mut().zip(kchunk) {
-            let mask = (w & 1).wrapping_neg();
+            *s += levels[(w & 1) as usize];
             w >>= 1;
-            *s += f64::from_bits((ma & !mask) | (mi & mask));
             *k = total_order_key(*s);
         }
     }
@@ -1058,14 +1119,13 @@ fn add_column_count(
     minor: f64,
     threshold: f64,
 ) -> usize {
-    let (ma, mi) = (major.to_bits(), minor.to_bits());
+    let levels = [major, minor];
     let mut detected = 0usize;
     for (chunk, &word) in sums.chunks_mut(64).zip(words) {
         let mut w = word;
         for s in chunk {
-            let mask = (w & 1).wrapping_neg();
+            *s += levels[(w & 1) as usize];
             w >>= 1;
-            *s += f64::from_bits((ma & !mask) | (mi & mask));
             detected += usize::from(*s > threshold);
         }
     }
@@ -1635,6 +1695,43 @@ mod tests {
     }
 
     #[test]
+    fn stray_bits_in_a_report_never_reach_a_neighbouring_part() {
+        // A compact report is peer input: only its dimensions are checked.
+        // Bits past the declared width of a row must vanish in the
+        // transpose, so the stitched columns hold the declared cells only.
+        let (n, l) = (70, 5);
+        let (cf, rf) = ([0.4; 5], [0.3; 5]);
+        let clean = vec![0b10110u64; n];
+        let noisy: Vec<u64> = clean.iter().map(|w| w | !0 << l).collect();
+        let columns = |bits: Vec<u64>| {
+            let report = BitLrMatrix::from_raw_bits(bits.len(), l, bits, &cf, &rf).unwrap();
+            LrColumns::from_bit_matrix(&report)
+        };
+        let own = columns(vec![0b01001u64; 3]);
+        let stitched = LrColumns::concat_rows(&[own.clone(), columns(noisy), own.clone()]);
+        assert_eq!(
+            stitched,
+            LrColumns::concat_rows(&[own.clone(), columns(clean), own])
+        );
+        assert_eq!(stitched.individuals(), 76);
+        for i in 0..76 {
+            let row = if (3..73).contains(&i) {
+                0b10110u64
+            } else {
+                0b01001
+            };
+            for j in 0..l {
+                let level = if row >> j & 1 == 1 {
+                    stitched.minor[j]
+                } else {
+                    stitched.major[j]
+                };
+                assert_eq!(stitched.get(i, j).to_bits(), level.to_bits(), "({i}, {j})");
+            }
+        }
+    }
+
+    #[test]
     fn seeded_selection_with_empty_forced_equals_plain() {
         let (case, null, order) = synthetic_lr(200, 200, 10, 20, 0.2, 12);
         let params = LrTestParams::secure_genome_defaults();
@@ -1694,6 +1791,100 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Level pairs the sweeps must carry through untouched: ordinary LR
+    /// levels, signed zero next to a subnormal, both infinities, and a NaN.
+    const SWEEP_LEVELS: [(f64, f64); 4] = [
+        (-0.287_682_072_451_780_9, 0.405_465_108_108_164_4),
+        (-0.0, 5e-324),
+        (f64::INFINITY, f64::NEG_INFINITY),
+        (f64::NAN, 1.5),
+    ];
+    const SWEEP_SIZES: [usize; 5] = [1, 63, 64, 65, 1_630];
+
+    /// `n` starting sums (finite, both signs, a few zeros) and a bit column.
+    fn sweep_inputs(n: usize, seed: u64) -> (Vec<f64>, Vec<u64>) {
+        let mut rng = ChaChaRng::from_seed_u64(seed);
+        let sums = (0..n)
+            .map(|i| match i % 7 {
+                0 => 0.0,
+                1 => -0.0,
+                _ => 40.0 * (rng.next_f64() - 0.5),
+            })
+            .collect();
+        let words = (0..n.div_ceil(64))
+            .map(|_| (0..64).fold(0u64, |w, b| w | u64::from(rng.next_bool(0.4)) << b))
+            .collect();
+        (sums, words)
+    }
+
+    /// The scalar per-individual loop of `select_safe_subset_naive`.
+    fn scalar_level(words: &[u64], i: usize, major: f64, minor: f64) -> f64 {
+        if words[i / 64] >> (i % 64) & 1 == 1 {
+            minor
+        } else {
+            major
+        }
+    }
+
+    fn bits_of(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn sweep_kernels_match_the_scalar_loop_bit_for_bit() {
+        for (case, &n) in SWEEP_SIZES.iter().enumerate() {
+            for (pair, &(major, minor)) in SWEEP_LEVELS.iter().enumerate() {
+                let (start, words) = sweep_inputs(n, (case * 10 + pair) as u64);
+                let added: Vec<f64> = (0..n)
+                    .map(|i| start[i] + scalar_level(&words, i, major, minor))
+                    .collect();
+                let ctx = format!("n={n} levels=({major:e}, {minor:e})");
+
+                let mut sums = start.clone();
+                add_column(&mut sums, &words, major, minor);
+                assert_eq!(bits_of(&sums), bits_of(&added), "add_column {ctx}");
+
+                // The oracle backs a rejected column out as (a + b) − b.
+                sub_column(&mut sums, &words, major, minor);
+                let backed_out: Vec<f64> = (0..n)
+                    .map(|i| added[i] - scalar_level(&words, i, major, minor))
+                    .collect();
+                assert_eq!(bits_of(&sums), bits_of(&backed_out), "sub_column {ctx}");
+
+                let mut sums = start.clone();
+                let mut keys = vec![0i64; n];
+                add_column_fill_keys(&mut sums, &mut keys, &words, major, minor);
+                assert_eq!(bits_of(&sums), bits_of(&added), "fill_keys sums {ctx}");
+                let expected_keys: Vec<i64> = added.iter().map(|&s| total_order_key(s)).collect();
+                assert_eq!(keys, expected_keys, "fill_keys keys {ctx}");
+
+                for threshold in [0.0, -3.5, f64::INFINITY, f64::NAN] {
+                    let mut sums = start.clone();
+                    let detected = add_column_count(&mut sums, &words, major, minor, threshold);
+                    assert_eq!(bits_of(&sums), bits_of(&added), "count sums {ctx}");
+                    assert_eq!(
+                        detected,
+                        added.iter().filter(|&&s| s > threshold).count(),
+                        "count {ctx} threshold={threshold}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn backing_a_column_out_is_not_a_restore() {
+        // Why the back-out subtracts instead of restoring a snapshot (and
+        // why a reject cannot skip its writes): (a + b) − b ≠ a in floating
+        // point, and the oracle leaves (a + b) − b behind.
+        let (start, words) = sweep_inputs(1_630, 99);
+        let (major, minor) = SWEEP_LEVELS[0];
+        let mut sums = start.clone();
+        add_column(&mut sums, &words, major, minor);
+        sub_column(&mut sums, &words, major, minor);
+        assert_ne!(bits_of(&sums), bits_of(&start));
     }
 
     #[test]

@@ -23,6 +23,11 @@
 //! (asserted by tests); the overhead is measured by the `ablation`
 //! binary, reproducing the literature's observation that
 //! data-oblivious genomic processing pays a significant constant factor.
+//!
+//! The data-independence claimed here has only been argued at source
+//! level: nobody has read the release assembly, and `stats::lr`'s sweeps —
+//! written with the same mask select as `fselect` below — compiled to a
+//! conditional jump on the secret bit until they were rewritten.
 
 use crate::lr::{LrSelection, LrTestParams, LrValues};
 

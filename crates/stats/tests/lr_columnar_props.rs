@@ -6,10 +6,11 @@
 //! as exact values.
 
 use gendpr_crypto::rng::ChaChaRng;
+use gendpr_genomics::columnar::ColumnarGenotypes;
 use gendpr_genomics::genotype::GenotypeMatrix;
 use gendpr_genomics::snp::SnpId;
 use gendpr_stats::lr::{
-    select_safe_subset, select_safe_subset_naive, BitLrMatrix, LrMatrix, LrPrefixSums,
+    select_safe_subset, select_safe_subset_naive, BitLrMatrix, LrColumns, LrMatrix, LrPrefixSums,
     LrTestParams, LrValues,
 };
 use proptest::prelude::*;
@@ -200,6 +201,65 @@ proptest! {
                 );
             }
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The attested leader's assembly: its own rows gathered from the
+    /// SNP-major shard, every other member's rows validated and
+    /// block-transposed from the row-major words of a compact report, all
+    /// stitched column by column at row offsets that are not word-aligned.
+    /// The row-major merge it replaced, and the in-process driver's
+    /// assembly, are the references.
+    #[test]
+    fn stitched_parts_equal_the_row_major_merge(
+        fx in fixture_strategy(),
+        cut_a in any::<proptest::sample::Index>(),
+        cut_b in any::<proptest::sample::Index>(),
+    ) {
+        let n = fx.case_g.individuals();
+        let mut cuts = [cut_a.index(n + 1), cut_b.index(n + 1)];
+        cuts.sort_unstable();
+        let shards: Vec<GenotypeMatrix> = [(0, cuts[0]), (cuts[0], cuts[1]), (cuts[1], n)]
+            .iter()
+            .map(|&(from, to)| fx.case_g.row_range(from, to - from))
+            .collect();
+        let views: Vec<ColumnarGenotypes> =
+            shards.iter().map(ColumnarGenotypes::from_matrix).collect();
+        let (cf, rf) = (&fx.case_freqs, &fx.ref_freqs);
+
+        let parts: Vec<LrColumns> = views
+            .iter()
+            .enumerate()
+            .map(|(g, view)| {
+                if g == 0 {
+                    LrColumns::from_columnar(view, &fx.ids, cf, rf)
+                } else {
+                    let wire = view.select_row_major(&fx.ids);
+                    let report =
+                        BitLrMatrix::from_raw_bits(view.individuals(), fx.ids.len(), wire, cf, rf)
+                            .expect("well-formed report");
+                    LrColumns::from_bit_matrix(&report)
+                }
+            })
+            .collect();
+        let stitched = LrColumns::concat_rows(&parts);
+
+        let row_major: Vec<BitLrMatrix> = shards
+            .iter()
+            .map(|s| BitLrMatrix::from_genotypes(s, &fx.ids, cf, rf))
+            .collect();
+        prop_assert_eq!(
+            &stitched,
+            &BitLrMatrix::concat_rows(&row_major).to_columns().expect("packed is two-valued")
+        );
+        let view_refs: Vec<&ColumnarGenotypes> = views.iter().collect();
+        prop_assert_eq!(
+            &stitched,
+            &LrColumns::from_columnar_parts(&view_refs, &fx.ids, cf, rf)
+        );
     }
 }
 

@@ -17,6 +17,11 @@ cargo clippy --workspace -- -D warnings
 echo "==> cargo test --workspace --no-fail-fast -q"
 cargo test --workspace --no-fail-fast -q
 
+# The sweep kernels' bit-identity with the scalar loop is a statement about
+# optimised arithmetic: test the build that ships, not only the debug one.
+echo "==> cargo test --release -p gendpr-stats -q"
+cargo test --release -p gendpr-stats -q
+
 # Reduced-scale bench run: bench_phases asserts naive-vs-columnar checksum
 # and LR-selection equality internally, so a clean exit is the validation.
 echo "==> bench smoke (checksum-validated, --scale 0.02)"
@@ -26,6 +31,9 @@ scripts/bench.sh --scale 0.02 --out "$BENCH_SMOKE_OUT" >/dev/null
 grep -q '"selection_identical": true' "$BENCH_SMOKE_OUT"
 grep -q '"release_identical": true' "$BENCH_SMOKE_OUT"
 grep -q '"shard_identical": true' "$BENCH_SMOKE_OUT"
+# The LR sweeps cost the same on columns the branch predictor has never
+# seen as on one it has: the level select compiled to a load, not a jump.
+grep -q '"branch_free": true' "$BENCH_SMOKE_OUT"
 
 # All four benchmark workloads at smoke length: selections, certificates
 # and the seed-1 message/byte counts must match benchmark/expected.json.

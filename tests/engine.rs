@@ -155,3 +155,44 @@ fn one_shot_wire_schedule_is_pinned_over_tcp() {
     .unwrap();
     assert_eq!(witness(&report), pinned(messages, TCP_WIRE_BYTES));
 }
+
+/// Leader enclave peak of the compact runs at commit e45d434, the last one
+/// whose leader packed genotypes row-major, cell by cell, and held parts,
+/// merged matrix and null model together.
+const ROW_MAJOR_COMPACT_LEADER_PEAK: u64 = 5_616;
+
+fn leader_peak(report: &RuntimeReport) -> u64 {
+    report
+        .resources
+        .iter()
+        .find(|m| m.id == report.leader)
+        .expect("leader reports resources")
+        .peak_enclave_bytes
+}
+
+#[test]
+fn compact_leader_peak_on_this_study_is_not_above_the_row_major_engines() {
+    // The session-long SNP-major reference (N_ref × L_des / 8 bytes) is new
+    // metered state. On this narrow study, releasing the parts once they
+    // are stitched pays for it; on wide panels the reference dominates
+    // (EXPERIMENTS.md, Table 3).
+    let run = |compact_lr| {
+        run_federation_with(
+            config(),
+            params(),
+            study(),
+            None,
+            options(compact_lr, true, 1),
+        )
+        .unwrap()
+    };
+    let (dense, compact) = (run(false), run(true));
+    assert_eq!(dense.safe_snps, compact.safe_snps);
+    assert_eq!(dense.traffic.messages, compact.traffic.messages);
+    assert!(
+        leader_peak(&compact) <= ROW_MAJOR_COMPACT_LEADER_PEAK,
+        "compact leader peak {} above the row-major engine's {ROW_MAJOR_COMPACT_LEADER_PEAK}",
+        leader_peak(&compact)
+    );
+    assert!(leader_peak(&compact) < leader_peak(&dense));
+}
