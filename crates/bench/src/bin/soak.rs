@@ -501,45 +501,6 @@ fn percentile(sorted: &[f64], q: f64) -> f64 {
     sorted[idx]
 }
 
-/// Structural certificate audit over a re-opened ledger: strictly
-/// monotone job ids, and every record's forced seed equal to the
-/// released-union of a committed prefix no later than itself (the
-/// scheduler's snapshot rule — certificates charge a committed prefix).
-fn audit_records(records: &[gendpr_service::LedgerRecord]) -> Result<(), String> {
-    for pair in records.windows(2) {
-        if pair[1].job_id <= pair[0].job_id {
-            return Err(format!(
-                "job ids not strictly monotone: {} then {}",
-                pair[0].job_id, pair[1].job_id
-            ));
-        }
-    }
-    let mut prefixes: Vec<Vec<u32>> = vec![Vec::new()];
-    for record in records {
-        let mut next = prefixes.last().unwrap().clone();
-        next.extend_from_slice(&record.released);
-        next.sort_unstable();
-        next.dedup();
-        prefixes.push(next);
-    }
-    for (i, record) in records.iter().enumerate() {
-        if !prefixes[..=i].contains(&record.forced) {
-            return Err(format!(
-                "job {} seeded with a non-committed-prefix union",
-                record.job_id
-            ));
-        }
-        if record
-            .released
-            .iter()
-            .any(|s| record.forced.binary_search(s).is_ok())
-        {
-            return Err(format!("job {} re-released a seeded SNP", record.job_id));
-        }
-    }
-    Ok(())
-}
-
 /// Everything the post-round ledger audit yields.
 struct LedgerAudit {
     records: usize,
@@ -578,7 +539,7 @@ fn audit_copy(path: &Path) -> Result<LedgerAudit, String> {
             second.len()
         ));
     }
-    audit_records(second.records())?;
+    gendpr_service::ledger::audit_records(second.records())?;
     let mut released_union: Vec<u32> = second.released_union().into_iter().map(|s| s.0).collect();
     released_union.sort_unstable();
     Ok(LedgerAudit {

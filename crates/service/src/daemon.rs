@@ -17,9 +17,9 @@
 //!    earlier run of the daemon — so the certified adversary power
 //!    covers the cumulative release.
 //! 3. The job's record is appended (checksummed, fsynced) to the ledger
-//!    — commits serialized in dispatch order — before the submitter is
-//!    answered; a crash after the append can lose the response but never
-//!    the release.
+//!    — commits serialized in job-id order, a retried job keeping its
+//!    position — before the submitter is answered; a crash after the
+//!    append can lose the response but never the release.
 //!
 //! Federated jobs run on a lane's attested member session (one election
 //! and attestation per lane per daemon lifetime, channels ratcheted
@@ -228,9 +228,9 @@ impl AssessmentService {
     /// one *track* of a replica fleet: the coordinator (from
     /// [`TrackCoordinator::open`], which also opened `ledger` under the
     /// fleet lock) makes every admitted job stake a claim in the shared
-    /// claim log and every successful job commit through the
-    /// cross-process gate — see [`crate::tracks`]. A fleet of one track
-    /// behaves byte-identically to
+    /// claim log and every record commit through the cross-process gate
+    /// behind the scheduler's own — see [`crate::tracks`]. A fleet of one
+    /// track behaves byte-identically to
     /// [`AssessmentService::start_supervised_sharded`].
     ///
     /// # Errors
@@ -654,12 +654,12 @@ fn status_snapshot(shared: &Arc<Shared>) -> ServiceStatus {
         gdos: shared.gdos,
         panel_len: limits.panel_len,
         jobs_done: core.ledger.len() as u64,
-        jobs_queued: core.queue.len() as u64 + u64::from(core.busy),
+        jobs_queued: core.live.len() as u64,
         released_total: core.ledger.released_len() as u64,
         links: core.ledger.link_totals(),
         metrics: gendpr_obs::render(),
         workers: limits.workers as u32,
-        workers_busy: core.busy,
+        workers_busy: core.busy() as u32,
         max_queue: limits.max_queue as u64,
         queue: core.queue.positions(),
         track,

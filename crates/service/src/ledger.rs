@@ -897,6 +897,48 @@ impl ReleaseLedger {
     }
 }
 
+/// Audits a committed ledger against the scheduler's ordering rule: job
+/// ids strictly increase, every record's `forced` seed is the released
+/// union of a committed prefix no later than the record itself (a
+/// certificate charges a committed prefix, never a partial or reordered
+/// view), and no release overlaps its own seed.
+///
+/// # Errors
+///
+/// The first violation, rendered.
+pub fn audit_records(records: &[LedgerRecord]) -> Result<(), String> {
+    for pair in records.windows(2) {
+        if pair[1].job_id <= pair[0].job_id {
+            return Err(format!(
+                "job ids not strictly increasing: {} then {}",
+                pair[0].job_id, pair[1].job_id
+            ));
+        }
+    }
+    let mut prefixes: Vec<Vec<u32>> = vec![Vec::new()];
+    for (i, record) in records.iter().enumerate() {
+        if !prefixes.contains(&record.forced) {
+            return Err(format!(
+                "job {} was seeded with {:?}, not the released union of a committed prefix",
+                record.job_id, record.forced
+            ));
+        }
+        if record
+            .released
+            .iter()
+            .any(|s| record.forced.binary_search(s).is_ok())
+        {
+            return Err(format!("job {} re-released a seeded SNP", record.job_id));
+        }
+        let mut next = prefixes[i].clone();
+        next.extend_from_slice(&record.released);
+        next.sort_unstable();
+        next.dedup();
+        prefixes.push(next);
+    }
+    Ok(())
+}
+
 /// Returns the end offset of the frame starting at `start`, or `None`
 /// when the remaining bytes cannot hold one (torn tail).
 fn next_frame(bytes: &[u8], start: usize) -> Option<usize> {

@@ -17,7 +17,7 @@
 //!   batch jobs via [`gendpr_core::dynamic::DynamicAssessor`], client
 //!   accept loop, graceful signal shutdown,
 //! * [`sched`] — the scheduler underneath it: queue, admission,
-//!   dispatch-ordered ledger commits, worker lanes,
+//!   ledger commits in job-id order, worker lanes,
 //! * [`shard`] — SNP-sharded assessment: the panel partitioned across
 //!   parallel sub-federations (phases 1–2 per shard, merged
 //!   byte-identically into the global LR search),

@@ -1,20 +1,36 @@
 //! The scheduler's shared state machine: one lock owns the queue, the
-//! ledger and the dispatch/commit sequence numbers, so the two halves of
-//! the ledger-consistency rule are atomic by construction:
+//! ledger and the set of live job ids, and one rule orders every commit
+//! in both serving modes — **ids at admission, commit in id order**.
 //!
-//! * **Dispatch** pops the next job, assigns it the next dispatch
-//!   sequence number and snapshots the ledger's released-union — all
-//!   under the lock, so the snapshot is exactly the committed prefix at
-//!   the moment of dispatch.
-//! * **Commit** is gated on that sequence number: a worker that finishes
-//!   early parks on the commit condvar until every earlier-dispatched
-//!   job has been appended (or failed). Records therefore land in the
-//!   ledger in dispatch order, and a client is only answered once its
-//!   record is durable.
+//! * **Admission** ([`Scheduler::enqueue`]) assigns the next job id and
+//!   puts it in `live`, the set of ids admitted and not yet resolved in
+//!   this process. A fleet track does the same under the fleet lock,
+//!   taking the id from the shared files and staking the claim (with the
+//!   claim-time ledger snapshot) before the job is queued.
+//! * **Dispatch** pops the next job and — on a standalone daemon —
+//!   snapshots the ledger's released-union under the same lock, so the
+//!   seed is exactly the committed prefix at the moment of dispatch.
+//! * **Commit** has one gate, [`Scheduler::await_turn`]: every outcome of
+//!   every local job — success or failure, tracked or not — parks on the
+//!   commit condvar until its id is the lowest in `live`. Past the gate
+//!   the record is made durable (a ledger append; on a track, the fleet's
+//!   cross-process gate, which so only ever sees this process's head) and
+//!   [`Scheduler::resolve`] answers the submitter, re-queues or fails the
+//!   job, and takes the id out of `live`. Records land in the ledger in
+//!   id order, a client is only answered once its record is durable, and
+//!   a re-queued job keeps its id and therefore its ledger position.
 //!
-//! Failed jobs pass through the same gate (advancing the sequence
-//! without appending) so a panic or rejected spec can never wedge the
-//! jobs dispatched after it.
+//! # Why the gate cannot wedge
+//!
+//! Admission is FIFO, a re-queue goes to the *front* of the queue, and a
+//! job only re-queues at its own turn — after every lower id resolved —
+//! so the lowest live id is always in flight or first in the queue. The
+//! lane that failed it re-queues it *before* its slow rebuild, then
+//! returns to dispatch or gives up and shuts the daemon down. Every
+//! drain — [`Scheduler::request_shutdown`], [`Scheduler::drain_stragglers`],
+//! the lane-fatal drain in [`Scheduler::resolve`] — takes the ids it
+//! drops out of `live` and notifies the gate, so a parked waiter never
+//! sits behind an id nobody will resolve.
 //!
 //! # Supervision
 //!
@@ -23,17 +39,19 @@
 //! shutdown, the crashed job is put back at the front of the queue with
 //! a bounded retry budget and the worker rebuilds its lane. The job's
 //! reply sink lives in the scheduler's in-flight table between dispatch
-//! and commit, so a re-queued job keeps its waiting submitter and a
-//! timed-out shutdown drain can answer stragglers. Elections are seeded,
-//! so a rebuilt lane certifies the retried job identically to a lane
-//! that never crashed.
+//! and resolution, so a re-queued job keeps its waiting submitter and a
+//! timed-out shutdown drain can answer stragglers. Elections are seeded
+//! and later ids stay parked behind the retry, so a rebuilt lane
+//! certifies the retried job identically to a lane that never crashed.
 
 use super::admission::{self, Limits};
 use super::queue::{JobQueue, JobVerdict, QueuedJob, ReplySink};
 use crate::error::ServiceError;
 use crate::ledger::{LedgerRecord, ReleaseLedger};
+use crate::protocol::RejectReason;
 use crate::telemetry;
 use crate::tracks::claims::{ClaimEntry, ClaimFrame};
+use crate::tracks::coordinator::FleetGuard;
 use crate::tracks::TrackCoordinator;
 use gendpr_genomics::snp::SnpId;
 use gendpr_obs::{event, Level};
@@ -47,33 +65,19 @@ const DISPATCH_POLL: Duration = Duration::from_millis(100);
 
 /// What [`Scheduler::next_dispatch`] hands a worker.
 pub enum Dispatch {
-    /// Run this job, then [`Scheduler::commit`] it.
+    /// Run this job, then take it through [`Scheduler::await_turn`] and
+    /// [`Scheduler::resolve`].
     Job(DispatchedJob),
     /// The daemon is draining; exit the worker loop.
     Shutdown,
 }
 
-/// What [`Scheduler::commit`] did with the job, so a tracked worker can
-/// tell a terminal failure (whose fleet claim must be resolved with a
-/// `Done` marker) from a local re-queue (whose claim stays live).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CommitOutcome {
-    /// The record was appended and the submitter answered.
-    Committed,
-    /// The failure was recoverable: the job went back to the front of
-    /// the queue and will run again locally.
-    Requeued,
-    /// The failure was terminal: the submitter got the error verdict.
-    Terminal,
-}
-
-/// A job bound to a lane, carrying its dispatch-time ledger snapshot and
-/// the sequence number its commit is gated on. The reply sink does *not*
-/// travel with the job: it stays in the scheduler's in-flight table so a
-/// crash-requeued job keeps its submitter and a hard drain can answer
-/// stragglers.
+/// A job bound to a lane, carrying the ledger snapshot it runs against.
+/// The reply sink does *not* travel with the job: it stays in the
+/// scheduler's in-flight table so a crash-requeued job keeps its
+/// submitter and a hard drain can answer stragglers.
 pub struct DispatchedJob {
-    /// The job's id.
+    /// The job's id — also its position in commit order.
     pub job_id: u64,
     /// Sorted, deduplicated SNP panel.
     pub panel: Vec<u32>,
@@ -81,9 +85,8 @@ pub struct DispatchedJob {
     pub batches: u32,
     /// When admission accepted the job.
     pub enqueued: Instant,
-    /// Position in dispatch order; commits are serialized on it.
-    pub seq: u64,
-    /// The ledger's released-union at dispatch — the job's LR seed.
+    /// The job's LR seed: the ledger's released-union at dispatch, or at
+    /// claim time when the daemon is a fleet track.
     pub forced: Vec<SnpId>,
     /// Executions this job has already had (0 on the first dispatch).
     pub attempts: u32,
@@ -94,19 +97,11 @@ pub(crate) struct SchedCore {
     /// The only copy of committed state: records, the released union and
     /// the per-link totals are all read from here.
     pub(crate) ledger: ReleaseLedger,
-    /// Tracked job ids that are still alive in *this* process — queued
-    /// or dispatched-but-uncommitted. The fleet commit gate parks behind
-    /// an own-track claim only while its job is in this set: a claim by
-    /// the same track id with no local job behind it is a pre-crash
-    /// leftover (or an abandoned reclaim) that nobody here will ever
-    /// commit, so it must become reclaimable on lease expiry. Empty
-    /// outside tracks mode.
-    pub(crate) tracked_live: BTreeSet<u64>,
+    /// Job ids admitted by *this* process and not yet resolved — queued,
+    /// in flight, or re-queued after a lane crash. Its lowest member is
+    /// the only job allowed past the commit gate.
+    pub(crate) live: BTreeSet<u64>,
     pub(crate) next_job_id: u64,
-    next_dispatch_seq: u64,
-    next_commit_seq: u64,
-    /// Lanes currently executing a job.
-    pub(crate) busy: u32,
     pub(crate) shutdown: bool,
     /// Test hook: hold dispatch so admission can be driven to the bound
     /// deterministically.
@@ -118,8 +113,7 @@ pub(crate) struct SchedCore {
     /// Whether the pool has a lane factory: lane crashes re-queue the
     /// job and rebuild the lane instead of killing the daemon.
     supervised: bool,
-    /// Reply sinks of dispatched-but-uncommitted jobs, keyed by dispatch
-    /// sequence number.
+    /// Reply sinks of dispatched-but-unresolved jobs, keyed by job id.
     inflight: HashMap<u64, ReplySink>,
     /// Crash-test failpoint: job ids armed (one-shot) to kill their lane
     /// when they start executing.
@@ -148,6 +142,66 @@ impl SchedCore {
         self.next_job_id = self.next_job_id.max(self.ledger.next_job_id());
         Ok(fresh)
     }
+
+    /// Lanes currently holding a dispatched job: live ids not in the queue.
+    pub(crate) fn busy(&self) -> usize {
+        self.live.len() - self.queue.len()
+    }
+
+    /// The one place a record reaches the ledger, in both serving modes
+    /// (a track calls it under the fleet lock). Counts the records whose
+    /// seed no longer equals the released union they are appended behind:
+    /// a seed is always a subset of the union, so the lengths decide.
+    ///
+    /// # Errors
+    ///
+    /// [`ServiceError::Io`] when the append is not durable.
+    pub(crate) fn append(&mut self, record: &LedgerRecord) -> Result<(), ServiceError> {
+        let stale = record.forced.len() != self.ledger.released_len();
+        self.ledger.append(record.clone())?;
+        if stale {
+            telemetry::sched_stale_seed_commits().inc();
+        }
+        Ok(())
+    }
+
+    /// Empties the queue for a drain: the dropped ids leave `live`, and
+    /// their sinks are returned to be answered outside the lock.
+    fn drain_queue(&mut self) -> Vec<ReplySink> {
+        let drained = self.queue.drain();
+        for job in &drained {
+            self.live.remove(&job.job_id);
+        }
+        drained.into_iter().map(|job| job.reply).collect()
+    }
+
+    fn publish_gauges(&self) {
+        let (depth, busy) = (self.queue.len() as i64, self.busy() as i64);
+        telemetry::jobs_queued().set(depth);
+        telemetry::sched_queue_depth().set(depth);
+        telemetry::jobs_running().set(busy);
+        telemetry::sched_workers_busy().set(busy);
+    }
+}
+
+/// Answers the submitters a drain cut off with the typed shutting-down
+/// rejection.
+fn reject_drained(sinks: Vec<ReplySink>) {
+    for sink in sinks {
+        telemetry::sched_admission_rejects("shutdown").inc();
+        sink.deliver(JobVerdict::Rejected(RejectReason::ShuttingDown));
+    }
+}
+
+/// A submit that passed admission: the locks it was decided under, held
+/// until the job is in the queue.
+struct Admitted<'a> {
+    core: MutexGuard<'a, SchedCore>,
+    fleet: Option<FleetGuard<'a>>,
+    panel: Vec<u32>,
+    job_id: u64,
+    /// The claim-time snapshot (tracks mode only).
+    forced: Option<Vec<SnpId>>,
 }
 
 /// The shared scheduler: admission in, dispatch out, commits serialized.
@@ -156,11 +210,11 @@ pub struct Scheduler {
     core: Mutex<SchedCore>,
     /// Signalled on enqueue, unpause and shutdown.
     cv_dispatch: Condvar,
-    /// Signalled each time `next_commit_seq` advances.
+    /// Signalled each time an id leaves `live`.
     cv_commit: Condvar,
     /// Set when the daemon serves as one track of a fleet: admission
-    /// stakes claims through it, and successful jobs commit through its
-    /// cross-process gate instead of [`Scheduler::commit`].
+    /// stakes claims through it, and records are made durable through
+    /// its cross-process gate instead of a plain ledger append.
     tracker: OnceLock<Arc<TrackCoordinator>>,
 }
 
@@ -173,9 +227,7 @@ impl Scheduler {
             queue: JobQueue::new(limits.max_queue),
             next_job_id: ledger.next_job_id(),
             ledger,
-            next_dispatch_seq: 0,
-            next_commit_seq: 0,
-            busy: 0,
+            live: BTreeSet::new(),
             shutdown: false,
             paused: false,
             fatal: None,
@@ -186,7 +238,6 @@ impl Scheduler {
             lane_crash_every: None,
             stall_jobs: Vec::new(),
             shard_crash_jobs: Vec::new(),
-            tracked_live: BTreeSet::new(),
         };
         Self {
             limits,
@@ -198,7 +249,7 @@ impl Scheduler {
     }
 
     /// Attaches the fleet coordinator: from here on, every admitted job
-    /// stakes a claim and every successful job commits through the
+    /// stakes a claim and every record is made durable through the
     /// cross-process gate. Set once, before the daemon accepts work.
     pub fn set_tracker(&self, tracker: Arc<TrackCoordinator>) {
         let _ = self.tracker.set(tracker);
@@ -234,7 +285,7 @@ impl Scheduler {
     /// Locks the scheduler state, recovering from a poisoned mutex.
     /// Worker job panics are caught before they can poison anything, but
     /// a panic in any other thread (client handler, test harness) must
-    /// not brick the daemon: the queue/sequence invariants hold at every
+    /// not brick the daemon: the queue/`live` invariants hold at every
     /// point a guard can drop.
     fn lock(&self) -> MutexGuard<'_, SchedCore> {
         self.core.lock().unwrap_or_else(PoisonError::into_inner)
@@ -252,33 +303,35 @@ impl Scheduler {
         f(&mut self.lock())
     }
 
-    /// Validates and admits a job, assigning its id and queue slot.
+    /// Validates and admits a job, assigning its id and queue slot. As a
+    /// fleet track the claim *is* the admission — if it cannot be made
+    /// durable, nothing was queued and the submitter gets the error.
     ///
     /// # Errors
     ///
     /// The sink is handed back with the typed verdict —
-    /// [`ServiceError::InvalidJob`], [`ServiceError::QueueFull`] or
-    /// [`ServiceError::ShuttingDown`] — so the caller can answer the
-    /// submitter on whichever channel it came in on.
+    /// [`ServiceError::InvalidJob`], [`ServiceError::QueueFull`],
+    /// [`ServiceError::ShuttingDown`], or (tracks mode)
+    /// [`ServiceError::Io`] from the shared files — so the caller can
+    /// answer the submitter on whichever channel it came in on.
     pub fn enqueue(
         &self,
         panel: Vec<u32>,
         batches: u32,
         reply: ReplySink,
     ) -> Result<u64, (ReplySink, ServiceError)> {
-        let panel = match admission::validate(panel, batches, &self.limits) {
-            Ok(panel) => panel,
+        let Admitted {
+            mut core,
+            fleet,
+            panel,
+            job_id,
+            forced,
+        } = match self.admit(panel, batches) {
+            Ok(admitted) => admitted,
             Err(error) => return Err((reply, error)),
         };
-        if let Some(tracker) = self.tracker() {
-            return self.enqueue_tracked(&tracker, panel, batches, reply);
-        }
-        let mut core = self.lock();
-        if let Err(error) = admission::admit(core.shutdown, core.queue.len(), core.queue.max()) {
-            return Err((reply, error));
-        }
-        let job_id = core.next_job_id;
-        core.next_job_id += 1;
+        core.next_job_id = job_id + 1;
+        core.live.insert(job_id);
         core.queue.push(QueuedJob {
             job_id,
             panel,
@@ -286,104 +339,76 @@ impl Scheduler {
             reply,
             enqueued: Instant::now(),
             attempts: 0,
-            forced: None,
+            forced,
         });
-        let depth = core.queue.len();
-        telemetry::jobs_queued().set(depth as i64);
-        telemetry::sched_queue_depth().set(depth as i64);
-        event(
-            Level::Info,
-            "service",
-            "job_queued",
-            &[
-                ("job_id", job_id.into()),
-                ("depth", depth.into()),
-                ("batches", batches.into()),
-            ],
-        );
-        drop(core);
-        self.cv_dispatch.notify_all();
-        Ok(job_id)
-    }
-
-    /// Tracked admission: under the fleet lock, refresh the shared view,
-    /// allocate the globally next job id, freeze the claim-time ledger
-    /// snapshot, and append a quorum-acknowledged claim frame before the
-    /// job enters the local queue. The claim *is* the admission — if it
-    /// cannot be made durable, nothing was queued and the submitter gets
-    /// the error.
-    fn enqueue_tracked(
-        &self,
-        tracker: &TrackCoordinator,
-        panel: Vec<u32>,
-        batches: u32,
-        reply: ReplySink,
-    ) -> Result<u64, (ReplySink, ServiceError)> {
-        let mut fleet = match tracker.fleet() {
-            Ok(fleet) => fleet,
-            Err(error) => return Err((reply, error)),
+        core.publish_gauges();
+        let mut fields = vec![
+            ("job_id", job_id.into()),
+            ("depth", core.queue.len().into()),
+            ("batches", batches.into()),
+        ];
+        let name = match self.tracker.get() {
+            Some(tracker) => {
+                fields.push(("track", u64::from(tracker.track()).into()));
+                "job_claimed"
+            }
+            None => "job_queued",
         };
-        if let Err(error) = fleet.log().refresh() {
-            return Err((reply, error));
-        }
-        let claims_next = fleet.log().next_job_id();
-        let mut core = self.lock();
-        if let Err(error) = core.sync_from_disk() {
-            return Err((reply, error));
-        }
-        if let Err(error) = admission::admit(core.shutdown, core.queue.len(), core.queue.max()) {
-            return Err((reply, error));
-        }
-        let job_id = core.ledger.next_job_id().max(claims_next);
-        let forced = core.ledger.released_union();
-        let claim = ClaimFrame {
-            job_id,
-            track: tracker.track(),
-            attempt: 1,
-            lease_ms: tracker.lease_ms(),
-            prefix: core.ledger.len() as u64,
-            batches,
-            panel: panel.clone(),
-            forced: forced.iter().map(|s| s.0).collect(),
-        };
-        if let Err(error) = fleet.log().append(ClaimEntry::Claim(claim)) {
-            return Err((reply, error));
-        }
-        telemetry::track_claims().inc();
-        core.next_job_id = core.next_job_id.max(job_id + 1);
-        core.tracked_live.insert(job_id);
-        core.queue.push(QueuedJob {
-            job_id,
-            panel,
-            batches,
-            reply,
-            enqueued: Instant::now(),
-            attempts: 0,
-            forced: Some(forced),
-        });
-        let depth = core.queue.len();
-        telemetry::jobs_queued().set(depth as i64);
-        telemetry::sched_queue_depth().set(depth as i64);
-        event(
-            Level::Info,
-            "service",
-            "job_claimed",
-            &[
-                ("job_id", job_id.into()),
-                ("track", u64::from(tracker.track()).into()),
-                ("depth", depth.into()),
-                ("batches", batches.into()),
-            ],
-        );
+        event(Level::Info, "service", name, &fields);
         drop(core);
         drop(fleet);
         self.cv_dispatch.notify_all();
         Ok(job_id)
     }
 
-    /// Blocks until a job is ready (or the daemon drains): pops it,
-    /// assigns the next dispatch sequence number and snapshots the
-    /// ledger, atomically.
+    /// The admission decision: validate → *(track: fleet lock, refresh,
+    /// sync)* → backpressure → id → *(track: stake the claim)*. A track
+    /// allocates the globally next id and freezes the claim-time ledger
+    /// snapshot in a quorum-acknowledged claim frame, all under the fleet
+    /// lock the caller keeps until the job is queued.
+    fn admit(&self, panel: Vec<u32>, batches: u32) -> Result<Admitted<'_>, ServiceError> {
+        let panel = admission::validate(panel, batches, &self.limits)?;
+        let tracker = self.tracker.get();
+        let mut fleet = tracker.map(|t| t.fleet()).transpose()?;
+        let mut claims_next = 0;
+        if let Some(fleet) = fleet.as_mut() {
+            fleet.log().refresh()?;
+            claims_next = fleet.log().next_job_id();
+        }
+        let mut core = self.lock();
+        if fleet.is_some() {
+            core.sync_from_disk()?;
+        }
+        admission::admit(core.shutdown, core.queue.len(), core.queue.max())?;
+        let job_id = core.next_job_id.max(claims_next);
+        let mut forced = None;
+        if let (Some(tracker), Some(fleet)) = (tracker, fleet.as_mut()) {
+            let snapshot = core.ledger.released_union();
+            fleet.log().append(ClaimEntry::Claim(ClaimFrame {
+                job_id,
+                track: tracker.track(),
+                attempt: 1,
+                lease_ms: tracker.lease_ms(),
+                prefix: core.ledger.len() as u64,
+                batches,
+                panel: panel.clone(),
+                forced: snapshot.iter().map(|s| s.0).collect(),
+            }))?;
+            telemetry::track_claims().inc();
+            forced = Some(snapshot);
+        }
+        Ok(Admitted {
+            core,
+            fleet,
+            panel,
+            job_id,
+            forced,
+        })
+    }
+
+    /// Blocks until a job is ready (or the daemon drains): pops it and,
+    /// for a job without a claim-time snapshot, snapshots the ledger,
+    /// atomically.
     pub fn next_dispatch(&self) -> Dispatch {
         let mut core = self.lock();
         loop {
@@ -392,20 +417,12 @@ impl Scheduler {
             }
             if !core.paused {
                 if let Some(job) = core.queue.pop() {
-                    let seq = core.next_dispatch_seq;
-                    core.next_dispatch_seq += 1;
-                    core.busy += 1;
                     // Tracked jobs run against their claim-time snapshot
                     // (frozen when the claim was staked); untracked jobs
                     // snapshot the ledger at dispatch, as always.
-                    let forced = job
-                        .forced
-                        .clone()
-                        .unwrap_or_else(|| core.ledger.released_union());
-                    telemetry::jobs_queued().set(core.queue.len() as i64);
-                    telemetry::sched_queue_depth().set(core.queue.len() as i64);
-                    telemetry::jobs_running().set(i64::from(core.busy));
-                    telemetry::sched_workers_busy().set(i64::from(core.busy));
+                    let forced = job.forced.unwrap_or_else(|| core.ledger.released_union());
+                    core.inflight.insert(job.job_id, job.reply);
+                    core.publish_gauges();
                     telemetry::sched_jobs_dispatched().inc();
                     telemetry::sched_job_wait_seconds().observe_duration(job.enqueued.elapsed());
                     event(
@@ -414,17 +431,14 @@ impl Scheduler {
                         "job_running",
                         &[
                             ("job_id", job.job_id.into()),
-                            ("seq", seq.into()),
                             ("attempt", (u64::from(job.attempts) + 1).into()),
                         ],
                     );
-                    core.inflight.insert(seq, job.reply);
                     return Dispatch::Job(DispatchedJob {
                         job_id: job.job_id,
                         panel: job.panel,
                         batches: job.batches,
                         enqueued: job.enqueued,
-                        seq,
                         forced,
                         attempts: job.attempts,
                     });
@@ -438,54 +452,44 @@ impl Scheduler {
         }
     }
 
-    /// Commits a finished job: waits for its turn in dispatch order,
-    /// appends the record (success) or records the failure, then answers
-    /// the submitter.
-    ///
-    /// Failure handling splits on supervision. Unsupervised (no lane
-    /// factory), a lane-fatal error drains the queue and flips the
-    /// daemon into shutdown so nothing parks forever behind a dead lane.
-    /// Supervised, a retryable failure (lane crash, job panic) instead
-    /// puts the job back at the *front* of the queue — keeping its
-    /// waiting submitter via the in-flight sink table — until its retry
-    /// budget runs out, at which point the submitter gets the typed
-    /// [`ServiceError::Retried`] verdict and the daemon keeps serving.
-    /// Ledger (I/O) failures stay fatal either way: the ledger is shared
-    /// state, not a lane.
-    ///
-    /// Returns what happened, so a tracked worker knows whether the
-    /// job's fleet claim still needs resolving.
-    pub fn commit(
-        &self,
-        job: DispatchedJob,
-        result: Result<LedgerRecord, ServiceError>,
-    ) -> CommitOutcome {
-        let tracked = self.tracker.get().is_some();
-        let DispatchedJob {
-            job_id,
-            panel,
-            batches,
-            enqueued,
-            seq,
-            attempts,
-            forced,
-        } = job;
+    /// The commit gate: parks until no lower id is live in this process.
+    /// Every finished local job — whatever its outcome — passes through
+    /// here before anything about it becomes durable or visible, and it
+    /// stays the head until [`Scheduler::resolve`] lets it go (ids only
+    /// grow, and drains never touch an in-flight job).
+    pub fn await_turn(&self, job_id: u64) {
         let mut core = self.lock();
-        while core.next_commit_seq != seq {
+        while core.live.first().is_some_and(|&head| head < job_id) {
             let (guard, _) = self
                 .cv_commit
                 .wait_timeout(core, DISPATCH_POLL)
                 .unwrap_or_else(PoisonError::into_inner);
             core = guard;
         }
-        // A hard drain may have answered the submitter already; a None
-        // sink commits normally but delivers to nobody.
-        let mut reply = core.inflight.remove(&seq);
-        // The append is part of the commit: an Ok job whose record cannot
-        // be made durable is a failed job (and a dead ledger is fatal).
-        let outcome = result.and_then(|record| core.ledger.append(record.clone()).map(|()| record));
+    }
+
+    /// Resolves the job whose turn it is. `outcome` is the *durable*
+    /// record (already in the ledger) or the failure; this answers the
+    /// submitter, or puts the job back in the queue, and releases the
+    /// gate to the next id.
+    ///
+    /// Failure handling splits on supervision. Unsupervised (no lane
+    /// factory), a lane-fatal error drains the queue and flips the
+    /// daemon into shutdown so nothing parks forever behind a dead lane.
+    /// Supervised, a retryable failure (lane crash, job panic) instead
+    /// puts the job back at the *front* of the queue — keeping its id,
+    /// its place in `live` and its waiting submitter — until its retry
+    /// budget runs out, at which point the submitter gets the typed
+    /// [`ServiceError::Retried`] verdict and the daemon keeps serving.
+    /// Ledger (I/O) failures stay fatal either way: the ledger is shared
+    /// state, not a lane. On a track a terminal failure also resolves the
+    /// job's fleet claim with a `Done` marker, or the survivors would
+    /// wait out the lease and re-run a job this track already answered.
+    pub fn resolve(&self, job: DispatchedJob, outcome: Result<LedgerRecord, ServiceError>) {
+        let job_id = job.job_id;
+        let mut core = self.lock();
         let mut drained = Vec::new();
-        let mut requeued = false;
+        let mut done_failed = None;
         let verdict = match outcome {
             Ok(record) => {
                 telemetry::jobs_certified().inc();
@@ -494,15 +498,16 @@ impl Scheduler {
                     "service",
                     "job_certified",
                     &[
-                        ("job_id", record.job_id.into()),
+                        ("job_id", job_id.into()),
                         ("released", record.released.len().into()),
                     ],
                 );
-                Some(JobVerdict::Certified(Box::new(record)))
+                JobVerdict::Certified(Box::new(record))
             }
             Err(error) => {
+                let message = error.to_string();
                 let recoverable = core.supervised && error.retryable();
-                if recoverable && !core.shutdown && attempts < self.limits.max_retries {
+                if recoverable && !core.shutdown && job.attempts < self.limits.max_retries {
                     // Not terminal: the job goes back to the head of the
                     // queue with its submitter still attached, and the
                     // crashed worker rebuilds its lane.
@@ -513,134 +518,82 @@ impl Scheduler {
                         "job_requeued",
                         &[
                             ("job_id", job_id.into()),
-                            ("attempt", (u64::from(attempts) + 1).into()),
-                            ("error", error.to_string().as_str().into()),
+                            ("attempt", (u64::from(job.attempts) + 1).into()),
+                            ("error", message.as_str().into()),
                         ],
                     );
+                    let reply = core.inflight.remove(&job_id).unwrap_or(ReplySink::None);
                     core.queue.requeue(QueuedJob {
                         job_id,
-                        panel,
-                        batches,
-                        reply: reply.take().unwrap_or(ReplySink::None),
-                        enqueued,
-                        attempts: attempts + 1,
+                        panel: job.panel,
+                        batches: job.batches,
+                        reply,
+                        enqueued: job.enqueued,
+                        attempts: job.attempts + 1,
                         // A tracked retry keeps the claim-time snapshot:
                         // the claim is still live and the fleet expects
                         // the committed record to charge it.
-                        forced: tracked.then_some(forced),
+                        forced: self.tracker.get().map(|_| job.forced),
                     });
-                    requeued = true;
-                    None
-                } else {
-                    telemetry::jobs_failed().inc();
-                    let error = if recoverable {
-                        // Budget exhausted (or the daemon is draining):
-                        // the typed verdict says how hard we tried.
-                        ServiceError::Retried {
-                            attempts: attempts + 1,
-                            last: error.to_string(),
-                        }
-                    } else {
-                        error
-                    };
-                    event(
-                        Level::Warn,
-                        "service",
-                        "job_failed",
-                        &[
-                            ("job_id", job_id.into()),
-                            ("error", error.to_string().as_str().into()),
-                        ],
-                    );
-                    let verdict = JobVerdict::from_error(&error);
-                    if !error.lane_survives() {
-                        core.shutdown = true;
-                        core.fatal.get_or_insert(error);
-                        drained = core.queue.drain();
-                        for job in &drained {
-                            core.tracked_live.remove(&job.job_id);
-                        }
-                    }
-                    Some(verdict)
+                    core.publish_gauges();
+                    drop(core);
+                    self.cv_dispatch.notify_all();
+                    return;
                 }
+                telemetry::jobs_failed().inc();
+                let error = if recoverable {
+                    // Budget exhausted (or the daemon is draining):
+                    // the typed verdict says how hard we tried.
+                    ServiceError::Retried {
+                        attempts: job.attempts + 1,
+                        last: message.clone(),
+                    }
+                } else {
+                    error
+                };
+                event(
+                    Level::Warn,
+                    "service",
+                    "job_failed",
+                    &[
+                        ("job_id", job_id.into()),
+                        ("error", error.to_string().as_str().into()),
+                    ],
+                );
+                if let Some(tracker) = self.tracker.get() {
+                    // Written while the id is still the live head (and
+                    // with the core lock released: fleet → core), so the
+                    // next local job cannot reach the fleet gate, find
+                    // this claim unresolved and reclaim it.
+                    drop(core);
+                    done_failed = tracker.resolve_failed(self, job_id, &message).err();
+                    core = self.lock();
+                }
+                let verdict = JobVerdict::from_error(&error);
+                if !error.lane_survives() {
+                    core.shutdown = true;
+                    core.fatal.get_or_insert(error);
+                    drained = core.drain_queue();
+                }
+                verdict
             }
         };
-        if !requeued {
-            core.tracked_live.remove(&job_id);
-        }
-        core.next_commit_seq = seq + 1;
-        core.busy -= 1;
-        telemetry::jobs_running().set(i64::from(core.busy));
-        telemetry::sched_workers_busy().set(i64::from(core.busy));
-        telemetry::jobs_queued().set(core.queue.len() as i64);
-        telemetry::sched_queue_depth().set(core.queue.len() as i64);
-        if !requeued {
-            telemetry::sched_job_latency_seconds().observe_duration(enqueued.elapsed());
-        }
-        drop(core);
-        self.cv_commit.notify_all();
-        self.cv_dispatch.notify_all();
-        let outcome = if requeued {
-            CommitOutcome::Requeued
-        } else if matches!(verdict, Some(JobVerdict::Certified(_))) {
-            CommitOutcome::Committed
-        } else {
-            CommitOutcome::Terminal
-        };
-        if let (Some(reply), Some(verdict)) = (reply, verdict) {
-            reply.deliver(verdict);
-        }
-        for job in drained {
-            telemetry::sched_admission_rejects("shutdown").inc();
-            job.reply.deliver(JobVerdict::Rejected(
-                crate::protocol::RejectReason::ShuttingDown,
-            ));
-        }
-        outcome
-    }
-
-    /// The tracked twin of [`Scheduler::commit`] for a job whose record
-    /// is *already durable* — appended by the fleet gate (this track's
-    /// own commit, or a reclaimer's that this track adopts). Waits for
-    /// the local commit turn, answers the submitter with the certified
-    /// record, and advances the sequence; nothing touches the ledger.
-    pub fn commit_durable(&self, job: DispatchedJob, record: LedgerRecord) {
-        let DispatchedJob {
-            job_id,
-            seq,
-            enqueued,
-            ..
-        } = job;
-        let mut core = self.lock();
-        while core.next_commit_seq != seq {
-            let (guard, _) = self
-                .cv_commit
-                .wait_timeout(core, DISPATCH_POLL)
-                .unwrap_or_else(PoisonError::into_inner);
-            core = guard;
-        }
-        let reply = core.inflight.remove(&seq);
-        core.tracked_live.remove(&job_id);
-        telemetry::jobs_certified().inc();
-        event(
-            Level::Info,
-            "service",
-            "job_certified",
-            &[
-                ("job_id", record.job_id.into()),
-                ("released", record.released.len().into()),
-            ],
-        );
-        core.next_commit_seq = seq + 1;
-        core.busy -= 1;
-        telemetry::jobs_running().set(i64::from(core.busy));
-        telemetry::sched_workers_busy().set(i64::from(core.busy));
-        telemetry::sched_job_latency_seconds().observe_duration(enqueued.elapsed());
+        // A hard drain may have answered the submitter already; with no
+        // sink the job resolves normally but delivers to nobody.
+        let reply = core.inflight.remove(&job_id);
+        core.live.remove(&job_id);
+        core.publish_gauges();
+        telemetry::sched_job_latency_seconds().observe_duration(job.enqueued.elapsed());
         drop(core);
         self.cv_commit.notify_all();
         self.cv_dispatch.notify_all();
         if let Some(reply) = reply {
-            reply.deliver(JobVerdict::Certified(Box::new(record)));
+            reply.deliver(verdict);
+        }
+        reject_drained(drained);
+        if let Some(error) = done_failed {
+            self.record_fatal(error);
+            self.request_shutdown();
         }
     }
 
@@ -650,21 +603,12 @@ impl Scheduler {
     pub fn request_shutdown(&self) {
         let mut core = self.lock();
         core.shutdown = true;
-        let drained = core.queue.drain();
-        for job in &drained {
-            core.tracked_live.remove(&job.job_id);
-        }
-        telemetry::jobs_queued().set(0);
-        telemetry::sched_queue_depth().set(0);
+        let drained = core.drain_queue();
+        core.publish_gauges();
         drop(core);
         self.cv_dispatch.notify_all();
         self.cv_commit.notify_all();
-        for job in drained {
-            telemetry::sched_admission_rejects("shutdown").inc();
-            job.reply.deliver(JobVerdict::Rejected(
-                crate::protocol::RejectReason::ShuttingDown,
-            ));
-        }
+        reject_drained(drained);
     }
 
     /// Whether shutdown has been requested (by a client, a signal
@@ -778,27 +722,14 @@ impl Scheduler {
     pub fn drain_stragglers(&self) -> usize {
         let mut core = self.lock();
         core.shutdown = true;
-        let sinks: Vec<ReplySink> = core.inflight.drain().map(|(_, sink)| sink).collect();
-        let queued = core.queue.drain();
-        for job in &queued {
-            core.tracked_live.remove(&job.job_id);
-        }
+        let mut sinks: Vec<ReplySink> = core.inflight.drain().map(|(_, sink)| sink).collect();
+        sinks.extend(core.drain_queue());
+        core.publish_gauges();
         drop(core);
         self.cv_dispatch.notify_all();
         self.cv_commit.notify_all();
-        let count = sinks.len() + queued.len();
-        for sink in sinks {
-            telemetry::sched_admission_rejects("shutdown").inc();
-            sink.deliver(JobVerdict::Rejected(
-                crate::protocol::RejectReason::ShuttingDown,
-            ));
-        }
-        for job in queued {
-            telemetry::sched_admission_rejects("shutdown").inc();
-            job.reply.deliver(JobVerdict::Rejected(
-                crate::protocol::RejectReason::ShuttingDown,
-            ));
-        }
+        let count = sinks.len();
+        reject_drained(sinks);
         count
     }
 
@@ -815,7 +746,7 @@ impl Scheduler {
     pub fn wait_drained(&self, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
         loop {
-            if self.with_core(|core| core.queue.is_empty() && core.busy == 0) {
+            if self.with_core(|core| core.live.is_empty()) {
                 return true;
             }
             if Instant::now() >= deadline {

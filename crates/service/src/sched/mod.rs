@@ -1,6 +1,6 @@
 //! The job scheduler: many concurrent client sessions multiplexed onto a
 //! bounded queue, executed by a pool of worker lanes, with ledger commits
-//! serialized in dispatch order.
+//! serialized in job-id order.
 //!
 //! # Why lanes, not one shared session
 //!
@@ -20,10 +20,16 @@
 //!
 //! 1. **Snapshot at dispatch** — a job's LR phase is seeded with the
 //!    ledger's released-union as of the moment the job is handed to a
-//!    lane, never a partially-committed in-flight release.
-//! 2. **Commit in dispatch order** — workers may *finish* out of order,
-//!    but records are appended to the ledger (and clients answered) in
-//!    the order jobs were dispatched, gated on a commit sequence number.
+//!    lane, never a partially-committed in-flight release. (A fleet
+//!    track freezes the snapshot earlier, in the job's claim.)
+//! 2. **Ids at admission, commit in id order** — workers may *finish*
+//!    out of order, but every outcome waits at one gate until its id is
+//!    the lowest one still unresolved in this process, so records are
+//!    appended to the ledger (and clients answered) in id order. A job
+//!    re-queued after a lane crash keeps its id and therefore its ledger
+//!    position: later jobs stay parked behind the retry. The same gate
+//!    serves a standalone daemon and a fleet track; the track only adds
+//!    the cross-process step behind it ([`crate::tracks`]).
 //!
 //! Together they make a single-client run (every submit waits for the
 //! previous result) byte-identical to the old FIFO daemon regardless of
@@ -42,7 +48,7 @@ pub mod queue;
 pub mod workers;
 
 pub use admission::Limits;
-pub use dispatch::{CommitOutcome, Dispatch, DispatchedJob, Scheduler};
+pub use dispatch::{Dispatch, DispatchedJob, Scheduler};
 pub use queue::{JobQueue, JobVerdict, QueuedJob, ReplySink};
 pub use workers::{ExecutionContext, LaneFactory, WorkerPool};
 

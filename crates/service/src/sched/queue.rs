@@ -171,12 +171,6 @@ impl JobQueue {
         self.jobs.is_empty()
     }
 
-    /// Whether admission must reject the next submit.
-    #[must_use]
-    pub fn is_full(&self) -> bool {
-        self.jobs.len() >= self.max
-    }
-
     /// The admission bound.
     #[must_use]
     pub fn max(&self) -> usize {
@@ -196,7 +190,9 @@ impl JobQueue {
 
     /// Puts a crash-recovered job back at the *front* of the queue, so a
     /// retry runs before anything admitted after it — the job already
-    /// held a slot once and its submitter is still waiting. Deliberately
+    /// held a slot once, its submitter is still waiting, and every later
+    /// id is parked behind it at the commit gate. A job only re-queues at
+    /// its own commit turn, so the front stays the lowest id. Deliberately
     /// not bounds-checked: the job's original slot was freed at
     /// dispatch, so a re-queue can transiently sit one above `max`.
     pub fn requeue(&mut self, job: QueuedJob) {

@@ -8,16 +8,22 @@
 //! daemon did. (The scoped pool is still what builds the lanes in
 //! parallel at startup and what sizes `--workers` defaults.)
 //!
-//! A worker's loop is dispatch → execute → commit. Execution runs under
-//! an unwind barrier: a panic in job code becomes
-//! [`ServiceError::JobPanicked`] and commits as a failed job, keeping
-//! both the lane and the commit sequence alive.
+//! A worker's loop is dispatch → execute → wait for the job's commit
+//! turn → make the record durable → resolve, and every outcome takes
+//! every step (see [`super::dispatch`] for the one ordering rule).
+//! Execution runs under an unwind barrier: a panic in job code becomes
+//! [`ServiceError::JobPanicked`] and resolves as a failed job, keeping
+//! both the lane and the commit gate alive. Only the durable step knows
+//! the serving mode: a standalone daemon appends to its ledger, a fleet
+//! track drives the record through the cross-process gate — reached only
+//! by the process's lowest live id, so at most one worker per process
+//! polls the shared files.
 //!
 //! # Lane supervision
 //!
 //! A pool spawned with a [`LaneFactory`] is *supervised*: when a job
 //! dies with a lane-fatal error (quorum lost, member evicted or
-//! unresponsive, security failure), the worker commits the failure —
+//! unresponsive, security failure), the worker resolves the failure —
 //! which, supervised, re-queues the job instead of killing the daemon —
 //! then tears the dead session down and asks the factory for a fresh
 //! one. The factory runs a full election + attestation; because both
@@ -26,7 +32,7 @@
 //! thing supervision cannot survive: the worker records the error as
 //! fatal and flips the daemon into shutdown.
 
-use super::dispatch::{CommitOutcome, Dispatch, DispatchedJob, Scheduler};
+use super::dispatch::{Dispatch, DispatchedJob, Scheduler};
 use crate::error::ServiceError;
 use crate::ledger::{JobKind, LedgerRecord};
 use crate::shard::ShardSet;
@@ -79,43 +85,15 @@ pub struct WorkerPool {
 }
 
 impl WorkerPool {
-    /// Spawns one worker thread per lane, unsupervised: a lane crash is
-    /// fatal to the daemon (the historical behaviour).
-    ///
-    /// # Errors
-    ///
-    /// [`io::Error`] when a worker thread cannot be spawned.
-    pub fn spawn(
-        lanes: Vec<ServiceFederation>,
-        scheduler: &Arc<Scheduler>,
-        context: &Arc<ExecutionContext>,
-    ) -> io::Result<Self> {
-        Self::spawn_supervised(lanes, None, scheduler, context)
-    }
-
     /// Spawns one worker thread per lane. With a factory the pool is
     /// supervised: crashed lanes are torn down and rebuilt, their
-    /// in-flight jobs re-queued under the scheduler's retry budget.
-    ///
-    /// # Errors
-    ///
-    /// [`io::Error`] when a worker thread cannot be spawned.
-    pub fn spawn_supervised(
-        lanes: Vec<ServiceFederation>,
-        factory: Option<LaneFactory>,
-        scheduler: &Arc<Scheduler>,
-        context: &Arc<ExecutionContext>,
-    ) -> io::Result<Self> {
-        let none = (0..lanes.len()).map(|_| None).collect();
-        Self::spawn_sharded(lanes, factory, none, scheduler, context)
-    }
-
-    /// Like [`WorkerPool::spawn_supervised`], with a pre-built
-    /// [`ShardSet`] per worker: a worker with one runs its federated
-    /// jobs sharded (phases 1–2 fanned across the set's sub-federation
-    /// lanes, merged on the primary lane), a worker without one runs
-    /// them whole. Shard-lane crashes recover *inside* the set; the
-    /// primary lane's supervision is unchanged.
+    /// in-flight jobs re-queued under the scheduler's retry budget;
+    /// without one a lane crash is fatal to the daemon (the historical
+    /// behaviour). A worker with a pre-built [`ShardSet`] runs its
+    /// federated jobs sharded (phases 1–2 fanned across the set's
+    /// sub-federation lanes, merged on the primary lane), a worker
+    /// without one runs them whole. Shard-lane crashes recover *inside*
+    /// the set; the primary lane's supervision is unchanged.
     ///
     /// # Errors
     ///
@@ -149,19 +127,12 @@ impl WorkerPool {
         Ok(Self { handles })
     }
 
-    /// Waits for every lane to drain its in-flight job and close its
-    /// federation session.
-    pub fn join(self) {
-        for handle in self.handles {
-            let _ = handle.join();
-        }
-    }
-
-    /// Like [`WorkerPool::join`], but bounded: returns `false` when a
-    /// lane is still running at the deadline (wedged mid-election, a
-    /// member that will never answer). The straggler threads are
-    /// detached — the caller answers their submitters via
-    /// [`Scheduler::drain_stragglers`] and exits without them.
+    /// Waits, bounded, for every lane to drain its in-flight job and close
+    /// its federation session: returns `false` when a lane is still
+    /// running at the deadline (wedged mid-election, a member that will
+    /// never answer). The straggler threads are detached — the caller
+    /// answers their submitters via [`Scheduler::drain_stragglers`] and
+    /// exits without them.
     #[must_use]
     pub fn join_timeout(self, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
@@ -201,66 +172,43 @@ fn worker_loop(
                 let started = Instant::now();
                 let result = run_job_caught(session, shard_set.as_mut(), context, scheduler, &job);
                 busy.observe_duration(started.elapsed());
-                let mut lane_died = matches!(&result, Err(error) if !error.lane_survives());
-                match (tracker.as_deref(), result) {
-                    (Some(coordinator), Ok(record)) => {
-                        // Tracked success: the record goes through the
-                        // fleet's cross-process gate, not the local
-                        // ledger append; while parked, this worker runs
-                        // dead tracks' reclaimed jobs inline.
-                        let lane_ok = track_commit(
-                            coordinator,
-                            scheduler,
-                            session,
-                            shard_set.as_mut(),
-                            context,
-                            worker,
-                            factory.as_ref(),
-                            expected,
-                            job,
-                            record,
-                        );
-                        lane_died = lane_died || !lane_ok;
-                    }
-                    (coordinator, result) => {
-                        // Failures (and every untracked outcome) commit
-                        // locally first: supervised, this re-queues the
-                        // job before the slow rebuild starts, so another
-                        // lane can pick the retry up immediately.
-                        let job_id = job.job_id;
-                        let message = result.as_ref().err().map(ToString::to_string);
-                        let outcome = scheduler.commit(job, result);
-                        if let (Some(coordinator), CommitOutcome::Terminal, Some(message)) =
-                            (coordinator, outcome, message)
-                        {
-                            // Resolve the fleet claim, or the survivors
-                            // would wait out the lease and re-run a job
-                            // this track already answered as failed.
-                            if let Err(error) =
-                                coordinator.resolve_failed(scheduler, job_id, &message)
-                            {
-                                scheduler.record_fatal(error);
-                                scheduler.request_shutdown();
-                            }
-                        }
-                    }
-                }
-                if lane_died {
-                    telemetry::sched_lane_crashes().inc();
-                    event(
-                        Level::Warn,
-                        "service",
-                        "lane_crashed",
-                        &[("worker", worker.into())],
-                    );
+                let mut lane_ok = !matches!(&result, Err(error) if !error.lane_survives());
+                // One gate for every outcome. A failure resolves before
+                // the slow rebuild starts: supervised, that re-queues
+                // the job, so another lane can pick the retry up
+                // immediately.
+                scheduler.await_turn(job.job_id);
+                // The durable step: an Ok job whose record cannot be made
+                // durable is a failed job (and a dead ledger is fatal).
+                let outcome = result.and_then(|record| match tracker.as_deref() {
+                    None => scheduler
+                        .with_core_mut(|core| core.append(&record))
+                        .map(|()| record),
+                    Some(coordinator) => fleet_commit(
+                        coordinator,
+                        scheduler,
+                        session,
+                        shard_set.as_mut(),
+                        context,
+                        worker,
+                        factory.as_ref(),
+                        expected,
+                        job.job_id,
+                        record,
+                        &mut lane_ok,
+                    ),
+                });
+                scheduler.resolve(job, outcome);
+                if !lane_ok {
+                    note_lane_crash(worker);
                     // The session is gone (or poisoned); close what is
                     // left of it. The interesting error is already
-                    // committed, so teardown failures are dropped.
+                    // resolved, so teardown failures are dropped.
                     if let Some(dead) = lane.take() {
                         let _ = dead.shutdown();
                     }
                     let Some(factory) = factory.as_ref() else {
-                        break; // unsupervised: the commit went fatal
+                        break; // unsupervised: the failure went fatal
                     };
                     match rebuild_lane(worker, factory, scheduler, expected) {
                         Some(fresh) => lane = Some(fresh),
@@ -277,6 +225,12 @@ fn worker_loop(
             scheduler.record_fatal(error.into());
         }
     }
+}
+
+fn note_lane_crash(worker: usize) {
+    telemetry::sched_lane_crashes().inc();
+    let fields = [("worker", worker.into())];
+    event(Level::Warn, "service", "lane_crashed", &fields);
 }
 
 /// Asks the factory for a replacement lane, with bounded attempts and
@@ -338,23 +292,25 @@ fn rebuild_lane(
     None
 }
 
-/// Drives one successful job's record through the fleet's cross-process
-/// commit gate (see [`crate::tracks`]): polls [`TrackCoordinator::commit_step`]
-/// until the record is appended in claim order, adopted from a faster
-/// reclaimer, or superseded by a `Done` marker. While parked behind a
-/// dead track's expired claim, the worker reclaims that job and runs it
-/// *inline* on its own (idle) lane — waiting for another local worker
-/// would deadlock a `--workers 1` track.
+/// A track's durable step: drives the record of the job whose local turn
+/// it is through the fleet's cross-process commit gate (see
+/// [`crate::tracks`]), polling [`TrackCoordinator::commit_step`] until the
+/// record is appended in claim order, adopted from a faster reclaimer
+/// (the fleet's record is the job's one truth, ours is discarded), or
+/// superseded by a `Done` marker. While parked behind a dead track's
+/// expired claim, the worker reclaims that job and runs it *inline* on
+/// its own (idle) lane — waiting for another local worker would deadlock
+/// a `--workers 1` track.
 ///
 /// A reclaimed run that kills the lane is recovered *here*: the lane is
 /// torn down and rebuilt in place (the abandoned claim's lease expires
 /// and a healthy track — possibly this one, rebuilt — re-runs it), so
-/// the gate keeps being served even in a `--tracks 1` fleet. Returns
-/// whether the lane is still healthy; `false` only when a rebuild was
-/// impossible, in which case the caller's own job has already been
-/// resolved as failed.
+/// the gate keeps being served even in a `--tracks 1` fleet. Only when a
+/// rebuild is impossible is `lane_ok` left false, and the caller's own
+/// job fails so neither the local gate nor the fleet's is left waiting
+/// on this worker.
 #[allow(clippy::too_many_arguments)]
-fn track_commit(
+fn fleet_commit(
     coordinator: &TrackCoordinator,
     scheduler: &Arc<Scheduler>,
     lane: &mut ServiceFederation,
@@ -363,42 +319,25 @@ fn track_commit(
     worker: usize,
     factory: Option<&LaneFactory>,
     expected: (usize, usize),
-    job: DispatchedJob,
+    job_id: u64,
     record: LedgerRecord,
-) -> bool {
+    lane_ok: &mut bool,
+) -> Result<LedgerRecord, ServiceError> {
     loop {
-        let step = match coordinator.commit_step(scheduler, job.job_id, &record, true) {
-            Ok(step) => step,
-            Err(error) => {
-                // The shared files (or their quorum) are gone: fatal,
-                // exactly like a local ledger append failing.
-                scheduler.commit(job, Err(error));
-                return true;
-            }
-        };
-        match step {
-            TrackStep::Committed => {
-                scheduler.commit_durable(job, record);
-                return true;
-            }
-            TrackStep::AdoptRecord(fleet_record) => {
-                // A reclaimer beat this track's lease: its committed
-                // record is the job's one truth, ours is discarded.
-                scheduler.commit_durable(job, *fleet_record);
-                return true;
-            }
+        // An error here means the shared files (or their quorum) are
+        // gone: fatal, exactly like a local ledger append failing.
+        match coordinator.commit_step(scheduler, job_id, &record, true)? {
+            TrackStep::Committed => return Ok(record),
+            TrackStep::AdoptRecord(fleet_record) => return Ok(*fleet_record),
             TrackStep::Superseded { track } => {
-                let job_id = job.job_id;
-                scheduler.commit(job, Err(ServiceError::TrackSuperseded { job_id, track }));
-                return true;
+                return Err(ServiceError::TrackSuperseded { job_id, track });
             }
             TrackStep::RunReclaimed(claim) => {
-                if claim.job_id == job.job_id {
+                if claim.job_id == job_id {
                     // Took our own claim back from a reclaimer that died
                     // too; the next poll commits our record.
                     continue;
                 }
-                let mut lane_ok = true;
                 run_reclaimed(
                     coordinator,
                     scheduler,
@@ -406,46 +345,28 @@ fn track_commit(
                     shard_set.as_deref_mut(),
                     context,
                     &claim,
-                    &mut lane_ok,
+                    lane_ok,
                 );
-                if lane_ok {
+                if *lane_ok {
                     continue;
                 }
                 // The reclaimed run killed the lane. Rebuild it in
                 // place: this worker still owes the fleet its own job's
                 // commit, and the abandoned claim needs a healthy lane
                 // somewhere — in a one-track fleet, this one.
-                telemetry::sched_lane_crashes().inc();
-                event(
-                    Level::Warn,
-                    "service",
-                    "lane_crashed",
-                    &[("worker", worker.into())],
-                );
+                note_lane_crash(worker);
                 match factory.and_then(|f| rebuild_lane(worker, f, scheduler, expected)) {
                     Some(fresh) => {
                         let dead = std::mem::replace(lane, fresh);
                         let _ = dead.shutdown();
+                        *lane_ok = true;
                     }
                     None => {
                         // Unsupervised, or the rebuild budget ran out
-                        // (fatal shutdown is already flagged): resolve
-                        // our own job as failed so neither the local
-                        // commit sequence nor the fleet gate is left
-                        // waiting on this worker.
-                        let job_id = job.job_id;
-                        let message = "track worker lane lost before fleet commit".to_string();
-                        let outcome =
-                            scheduler.commit(job, Err(ServiceError::JobFailed(message.clone())));
-                        if outcome == CommitOutcome::Terminal {
-                            if let Err(error) =
-                                coordinator.resolve_failed(scheduler, job_id, &message)
-                            {
-                                scheduler.record_fatal(error);
-                                scheduler.request_shutdown();
-                            }
-                        }
-                        return false;
+                        // (fatal shutdown is already flagged).
+                        return Err(ServiceError::JobFailed(
+                            "track worker lane lost before fleet commit".to_string(),
+                        ));
                     }
                 }
             }
@@ -481,8 +402,6 @@ fn run_reclaimed(
         panel: claim.panel.clone(),
         batches: claim.batches,
         enqueued: Instant::now(),
-        // Never passed to commit()/commit_durable(): no local sequence.
-        seq: u64::MAX,
         forced: claim.forced.iter().copied().map(SnpId).collect(),
         attempts: claim.attempt.saturating_sub(1),
     };
@@ -534,7 +453,7 @@ fn run_reclaimed(
 
 /// Runs one job with an unwind barrier: a panic anywhere in job code
 /// becomes [`ServiceError::JobPanicked`] instead of unwinding through
-/// the worker loop and leaving its dispatch sequence uncommitted.
+/// the worker loop and leaving its id live forever.
 fn run_job_caught(
     lane: &mut ServiceFederation,
     shard_set: Option<&mut ShardSet>,

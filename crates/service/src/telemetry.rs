@@ -211,6 +211,19 @@ pub fn sched_drain_timeouts() -> &'static obs::Counter {
     })
 }
 
+/// Records appended behind a released union their seed did not cover
+/// (something committed between the job's snapshot and its append).
+pub fn sched_stale_seed_commits() -> &'static obs::Counter {
+    static C: OnceLock<obs::Counter> = OnceLock::new();
+    C.get_or_init(|| {
+        obs::counter(
+            "gendpr_sched_stale_seed_commits_total",
+            "Records committed with a seed older than the released union",
+            &[],
+        )
+    })
+}
+
 /// Frames discarded from the ledger's torn tail at open (crash mid-append).
 pub fn ledger_truncated_frames() -> &'static obs::Counter {
     static C: OnceLock<obs::Counter> = OnceLock::new();
@@ -408,6 +421,7 @@ pub fn register_service_metrics() {
     sched_lane_crashes();
     sched_lane_rebuilds();
     sched_drain_timeouts();
+    sched_stale_seed_commits();
     ledger_truncated_frames();
     shard_jobs();
     shard_lane_crashes();

@@ -16,7 +16,11 @@
 //! # The commit gate
 //!
 //! [`TrackCoordinator::commit_step`] is one poll of the cross-process
-//! commit protocol. The *head* of the fleet is the lowest-id job that
+//! commit protocol — what is left of commit ordering once the local
+//! scheduler has done its part: a worker only gets here at its job's
+//! local turn ([`Scheduler::await_turn`]), so the caller is always the
+//! process's lowest live id and at most one worker per process polls the
+//! shared files. The *head* of the fleet is the lowest-id job that
 //! has a claim but is neither committed (its record is in the ledger)
 //! nor dead (a `Done` marker exists). Because ids are allocated in
 //! claim order under the fleet lock, committing heads in id order *is*
@@ -30,11 +34,13 @@
 //! * the caller's job was resolved by someone else → surrender the
 //!   local result and adopt the fleet's resolution;
 //! * the head's lease (measured from this process's first sighting)
-//!   expired and nothing local will ever commit it — another track's
-//!   claim, or this track's own claim with no matching live local job
-//!   (a leftover of a previous incarnation killed between claim and
-//!   commit, or an abandoned reclaim) → append a reclaim and hand the
-//!   claim's embedded job spec back to the caller to re-run;
+//!   expired → append a reclaim and hand the claim's embedded job spec
+//!   back to the caller to re-run. The head may be another track's claim
+//!   or this track's own: an own-track claim *below* the caller's id has
+//!   no live local job behind it by construction (the caller is the
+//!   lowest live id), so it is a leftover of a previous incarnation
+//!   killed between claim and commit, or an abandoned reclaim, and
+//!   nobody here will ever commit it;
 //! * otherwise → park and poll again.
 
 use super::claims::{ClaimEntry, ClaimFrame, ClaimLog, DoneFrame};
@@ -220,14 +226,10 @@ impl TrackCoordinator {
     ) -> Result<TrackStep, ServiceError> {
         let mut fleet = self.fleet()?;
         fleet.log().refresh()?;
-        let (existing, view, head_live) = sched.with_core_mut(|core| {
+        let (existing, view) = sched.with_core_mut(|core| {
             core.sync_from_disk()?;
             let view = GateView::build(fleet.log(), &core.ledger);
-            let head_live = view
-                .head
-                .as_ref()
-                .is_some_and(|head| core.tracked_live.contains(&head.claim.job_id));
-            Ok::<_, ServiceError>((core.ledger.record(job_id).cloned(), view, head_live))
+            Ok::<_, ServiceError>((core.ledger.record(job_id).cloned(), view))
         })?;
 
         // Our job may already be resolved — by a reclaiming track's
@@ -250,26 +252,15 @@ impl TrackCoordinator {
         };
         if head.claim.job_id == job_id && head.claim.track == self.config.track {
             // Headship established under the lock we still hold: append.
-            sched.with_core_mut(|core| core.ledger.append(record.clone()))?;
+            sched.with_core_mut(|core| core.append(record))?;
             return Ok(TrackStep::Committed);
         }
-        let expired = fleet.log().lease_expired(head.index, &head.claim);
-        // An own-track claim parks the gate only while the job it stakes
-        // is still queued or in flight *in this process* (local FIFO
-        // dispatch guarantees it will progress). The same track id with
-        // no live local job behind it is a previous incarnation's
-        // leftover — killed between claim and commit and restarted with
-        // the same `--track-id` — or a reclaim this process abandoned;
-        // nobody here will ever commit it, so it must fall through to
-        // the expiry arm like any dead peer's claim (a `--tracks 1`
-        // fleet has no other survivor to reclaim it).
-        let own_live = head.claim.track == self.config.track && head_live;
-        if own_live || !expired {
-            // An earlier claim that is still live — another track's
-            // within its lease, or this track's own backed by a local
-            // job. If our own job's claim was taken over by a reclaimer
-            // that is still live, this same arm parks us until the
-            // reclaimer resolves it.
+        if !fleet.log().lease_expired(head.index, &head.claim) {
+            // An earlier claim still within its lease — another track's,
+            // or our own job's claim taken over by a live reclaimer,
+            // which parks us until the reclaimer resolves it. (This
+            // track's own earlier jobs never show up here: they resolved
+            // before the local gate let the caller through.)
             telemetry::track_commit_waits().inc();
             return Ok(TrackStep::Wait);
         }
@@ -370,17 +361,6 @@ impl TrackCoordinator {
     pub fn open_claims(&self, sched: &Scheduler) -> u64 {
         let fleet = self.fleet.lock().unwrap_or_else(PoisonError::into_inner);
         sched.with_core(|core| GateView::build(&fleet.log, &core.ledger).unresolved)
-    }
-
-    /// Runs `body` under the fleet lock — for maintenance paths (tests,
-    /// harnesses) that need the same exclusion the protocol uses.
-    ///
-    /// # Errors
-    ///
-    /// [`ServiceError::Io`] when the file lock cannot be taken.
-    pub fn locked<R>(&self, body: impl FnOnce() -> R) -> Result<R, ServiceError> {
-        let _fleet = self.fleet()?;
-        Ok(body())
     }
 }
 

@@ -22,20 +22,25 @@
 //!    re-run it.
 //! 2. **Commit in claim order.** A finished job's record may only be
 //!    appended once every earlier claim has resolved — committed,
-//!    marked failed, or superseded. With one track this degenerates to
-//!    the single daemon's serial commit order, so `--tracks 1` output
-//!    is byte-identical to no tracks at all; with N tracks it keeps the
-//!    shared ledger strictly monotone, which is what makes each
-//!    certificate's cumulative-release charge sound.
+//!    marked failed, or superseded. Ids are allocated in claim order, so
+//!    this is the scheduler's own rule (commit in id order, see
+//!    [`crate::sched`]) continued across processes: a worker reaches the
+//!    fleet gate only once its job is the lowest live id *in its
+//!    process*, and the gate then waits out the other tracks' earlier
+//!    claims. With one track nothing is left for it to wait for, so
+//!    `--tracks 1` output is byte-identical to no tracks at all by
+//!    construction; with N tracks it keeps the shared ledger strictly
+//!    monotone, which is what makes each certificate's
+//!    cumulative-release charge sound.
 //! 3. **Lease expiry.** A track that dies between claim and commit
 //!    stalls the gate until its lease (measured by each survivor from
 //!    its own first sighting of the claim — no shared clock) runs out;
 //!    the first survivor to notice appends a reclaim and re-runs the
 //!    job from the spec embedded in the claim, committing at the *same*
-//!    position. A track's *own* claims are subject to the same rule
-//!    whenever no live local job backs them — so a track restarted with
-//!    the same id reclaims its previous incarnation's leftovers instead
-//!    of wedging behind them. A reclaimed run that fails transiently
+//!    position. A track's *own* claims below the job at its gate are
+//!    subject to the same rule — no live local job can back them — so a
+//!    track restarted with the same id reclaims its previous
+//!    incarnation's leftovers instead of wedging behind them. A reclaimed run that fails transiently
 //!    (lane crash, panic) is abandoned back to lease expiry within the
 //!    shared attempt budget; only deterministic failures (or a spent
 //!    budget) append the terminal `Done` marker. At-most-once commit

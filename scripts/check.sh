@@ -7,8 +7,10 @@ cd "$(dirname "$0")/.."
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
-echo "==> cargo clippy --workspace -- -D warnings"
-cargo clippy --workspace -- -D warnings
+# --all-targets: tests, examples and the crates/bench bins are compiled by
+# the steps below, so they are linted too.
+echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+cargo clippy --workspace --all-targets -- -D warnings
 
 # --workspace: the root package alone is only the facade's suites; the
 # crates' own tests (e.g. crates/stats/tests/lr_columnar_props.rs, the LR

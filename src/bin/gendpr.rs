@@ -320,7 +320,7 @@ across daemon restarts. `submit` queues a job (blocking until certified\n  \
 unless --no-wait); `--batches N` routes it through the dynamic assessor.\n  \
 `--workers N` runs N federation lanes concurrently; releases stay\n  \
 deterministic because every job's seed is a ledger snapshot taken at\n  \
-dispatch and commits land in dispatch order. `--max-queue N` bounds the\n  \
+dispatch and commits land in job-id order. `--max-queue N` bounds the\n  \
 job queue; over-limit submits get a typed queue-full rejection. `status`\n  \
 shows queue depth, worker utilisation and cumulative per-link traffic;\n  \
 `results` fetches a job's ledger record; `stop` drains and exits.\n  \
@@ -1113,7 +1113,7 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), CliError> {
 
     // Every lane is a full federation session from the same config and
     // seed, so each certifies identically; the scheduler serialises their
-    // ledger commits in dispatch order. The builder is shared by the
+    // ledger commits in job-id order. The builder is shared by the
     // primary-lane factory (kept by the worker pool to re-elect and
     // re-attest a replacement lane whenever a running one crashes) and
     // the shard-lane factory (same, per shard); the lane counter spans

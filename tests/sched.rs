@@ -1,9 +1,9 @@
 //! Scheduler integration tests: the worker pool must change *when* jobs
 //! run, never *what* they certify. Single-client workloads are
 //! byte-identical across pool sizes and transports, concurrent jobs
-//! commit in dispatch order with cumulative LR seeds, admission rejects
-//! at the bound with the typed verdict, and interleaved sessions never
-//! deadlock or drop a job.
+//! commit in job-id order with cumulative LR seeds (a retried job keeping
+//! its position), admission rejects at the bound with the typed verdict,
+//! and interleaved sessions never deadlock or drop a job.
 
 use gendpr::core::config::{FederationConfig, GwasParams};
 use gendpr::core::runtime::RuntimeOptions;
@@ -228,34 +228,12 @@ fn concurrent_jobs_commit_in_dispatch_order_with_cumulative_seeds() {
     }
 }
 
-/// Asserts the scheduler's snapshot rule over a committed ledger: every
-/// record's `forced` seed equals the released-union of the first `j`
-/// records for some `j` no later than its own position, and its release
-/// never overlaps its seed.
+/// Asserts the scheduler's ordering rule over a committed ledger: ids
+/// strictly increase, every record's `forced` seed equals the
+/// released-union of the first `j` records for some `j` no later than its
+/// own position, and its release never overlaps its seed.
 fn assert_prefix_seeded(records: &[LedgerRecord]) {
-    let mut prefixes: Vec<Vec<u32>> = vec![Vec::new()];
-    for record in records {
-        let mut next = prefixes.last().unwrap().clone();
-        next.extend_from_slice(&record.released);
-        next.sort_unstable();
-        next.dedup();
-        prefixes.push(next);
-    }
-    for (i, record) in records.iter().enumerate() {
-        assert!(
-            prefixes[..=i].contains(&record.forced),
-            "job {} was seeded with {:?}, not a committed prefix",
-            record.job_id,
-            record.forced
-        );
-        assert!(
-            record
-                .released
-                .iter()
-                .all(|s| record.forced.binary_search(s).is_err()),
-            "a release overlapped its own seed"
-        );
-    }
+    gendpr::service::ledger::audit_records(records).unwrap_or_else(|e| panic!("{e}"));
 }
 
 #[test]
@@ -287,6 +265,7 @@ fn restart_mid_sequence_preserves_certificates_under_a_pool() {
     let mut after = start_pool(4, 16, reopened, false);
     let c_again = after.execute((0..40).collect(), 0).unwrap();
     after.stop().unwrap();
+    assert_prefix_seeded(ReleaseLedger::open(&restart_path).unwrap().records());
 
     assert_eq!(
         c_again.certificate, c.certificate,
@@ -544,6 +523,61 @@ proptest! {
             );
         }
     }
+}
+
+/// Two overlapping tickets dispatched together on two supervised lanes,
+/// the first stalled so the second finishes (and parks at the commit
+/// gate) first; with `crash`, the first ticket's lane dies under it.
+/// Returns the surviving ledger's records.
+fn two_overlapping_tickets(crash: bool, tag: &str) -> Vec<LedgerRecord> {
+    let path = temp_ledger(tag);
+    let service = supervised_pool(
+        SchedulerConfig {
+            workers: 2,
+            max_queue: 16,
+            ..SchedulerConfig::default()
+        },
+        ReleaseLedger::open(&path).unwrap(),
+        false,
+    );
+    service.pause_dispatch();
+    let tickets = [
+        service
+            .submit_ticket((0..60).collect(), 0)
+            .expect("admitted"),
+        service
+            .submit_ticket((30..100).collect(), 0)
+            .expect("admitted"),
+    ];
+    service.inject_job_stall(1, 150);
+    if crash {
+        service.inject_lane_crash(1);
+    }
+    service.resume_dispatch();
+    for ticket in tickets {
+        ticket.wait().expect("job certifies");
+    }
+    service.stop().expect("daemon drains cleanly");
+    let reopened = ReleaseLedger::open(&path).unwrap();
+    reopened.records().iter().map(deterministic).collect()
+}
+
+#[test]
+fn a_retried_job_keeps_its_ledger_position() {
+    // Job 2 finishes while job 1 is still stalled; job 1 then loses its
+    // lane and retries. The later job must stay parked behind the retry:
+    // letting it commit first would seed the retry with job 2's release
+    // and put the ledger out of id order.
+    let crashed = two_overlapping_tickets(true, "retry-position-crash");
+    let ids: Vec<u64> = crashed.iter().map(|r| r.job_id).collect();
+    assert_eq!(ids, vec![1, 2], "a retry must keep its ledger position");
+    assert_prefix_seeded(&crashed);
+    assert!(!crashed[0].released.is_empty(), "the overlap must matter");
+    assert_eq!(
+        crashed,
+        two_overlapping_tickets(false, "retry-position-clean"),
+        "a lane crash under an overlapping job changed a record"
+    );
 }
 
 #[test]

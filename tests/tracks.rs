@@ -112,8 +112,14 @@ fn lane_factory(tcp: bool) -> (Arc<SyntheticCohort>, LaneFactory) {
 /// A plain (untracked) supervised daemon — the reference a fleet must
 /// reproduce byte for byte.
 fn plain_pool(ledger: ReleaseLedger, tcp: bool) -> AssessmentService {
+    plain_pool_sized(1, ledger, tcp)
+}
+
+fn plain_pool_sized(workers: usize, ledger: ReleaseLedger, tcp: bool) -> AssessmentService {
     let (cohort, factory) = lane_factory(tcp);
-    let lanes = vec![factory().expect("primary lane starts")];
+    let lanes = (0..workers)
+        .map(|_| factory().expect("lane starts"))
+        .collect();
     let listener = TcpListener::bind("127.0.0.1:0").expect("ephemeral client listener");
     AssessmentService::start_supervised(
         lanes,
@@ -123,7 +129,7 @@ fn plain_pool(ledger: ReleaseLedger, tcp: bool) -> AssessmentService {
         params(),
         listener,
         SchedulerConfig {
-            workers: 1,
+            workers,
             max_queue: 16,
             ..SchedulerConfig::default()
         },
@@ -134,10 +140,22 @@ fn plain_pool(ledger: ReleaseLedger, tcp: bool) -> AssessmentService {
 /// One track of a fleet over `ledger_path` — exactly what
 /// `gendpr serve --track-id` builds.
 fn tracked_pool(track: u32, lease: Duration, ledger_path: &Path, tcp: bool) -> AssessmentService {
+    tracked_pool_sized(1, track, lease, ledger_path, tcp)
+}
+
+fn tracked_pool_sized(
+    workers: usize,
+    track: u32,
+    lease: Duration,
+    ledger_path: &Path,
+    tcp: bool,
+) -> AssessmentService {
     let (tracker, ledger) = TrackCoordinator::open(TrackConfig { track, lease }, ledger_path, &[])
         .expect("track joins the fleet");
     let (cohort, factory) = lane_factory(tcp);
-    let lanes = vec![factory().expect("primary lane starts")];
+    let lanes = (0..workers)
+        .map(|_| factory().expect("lane starts"))
+        .collect();
     let listener = TcpListener::bind("127.0.0.1:0").expect("ephemeral client listener");
     AssessmentService::start_tracked(
         lanes,
@@ -149,7 +167,7 @@ fn tracked_pool(track: u32, lease: Duration, ledger_path: &Path, tcp: bool) -> A
         params(),
         listener,
         SchedulerConfig {
-            workers: 1,
+            workers,
             max_queue: 16,
             ..SchedulerConfig::default()
         },
@@ -225,6 +243,50 @@ fn a_one_track_fleet_is_byte_identical_to_a_plain_daemon() {
             .count();
         assert_eq!(claims, 3, "one claim per job");
     }
+}
+
+/// The history on which a plain daemon's commit order and a track's
+/// used to differ: two overlapping tickets dispatched together on two
+/// lanes, the first stalled (so the second finishes first) and then
+/// losing its lane. Returns the surviving ledger's records.
+fn retry_under_an_overlapping_job(service: AssessmentService, path: &Path) -> Vec<LedgerRecord> {
+    let [p1, p2, _] = workload_panels();
+    service.pause_dispatch();
+    let tickets = [
+        service.submit_ticket(p1, 0).expect("admitted"),
+        service.submit_ticket(p2, 0).expect("admitted"),
+    ];
+    service.inject_job_stall(1, 150);
+    service.inject_lane_crash(1);
+    service.resume_dispatch();
+    for ticket in tickets {
+        ticket.wait().expect("job certifies");
+    }
+    service.stop().expect("daemon drains cleanly");
+    let reopened = ReleaseLedger::open(path).unwrap();
+    reopened.records().iter().map(deterministic).collect()
+}
+
+#[test]
+fn a_one_track_fleet_matches_a_plain_daemon_when_a_retry_overlaps_another_lane() {
+    let dir = temp_dir("retry-overlap");
+    let plain_path = dir.join("plain.bin");
+    let plain = retry_under_an_overlapping_job(
+        plain_pool_sized(2, ReleaseLedger::open(&plain_path).unwrap(), false),
+        &plain_path,
+    );
+    let fleet_path = dir.join("fleet.bin");
+    let fleet = retry_under_an_overlapping_job(
+        tracked_pool_sized(2, 0, Duration::from_secs(10), &fleet_path, false),
+        &fleet_path,
+    );
+    let ids: Vec<u64> = plain.iter().map(|r| r.job_id).collect();
+    assert_eq!(ids, vec![1, 2], "the retried job keeps its ledger position");
+    assert!(!plain[0].released.is_empty(), "the overlap must matter");
+    assert_eq!(
+        fleet, plain,
+        "one commit gate: a one-track fleet and a plain daemon must agree"
+    );
 }
 
 #[test]
