@@ -246,19 +246,9 @@ fn main() {
     // ---- Full protocol phase breakdown at the same scale ----
     eprintln!("running the full three-phase protocol for the phase breakdown…");
     let config = FederationConfig::new(G).with_collusion(CollusionMode::Fixed(F));
-    let run = |threads: usize| {
-        Federation::new(config, params, &cohort)
-            .with_threads(threads)
-            .run()
-            .expect("protocol completes")
-    };
-    let workers = gendpr_core::pool::available_parallelism();
-    let sequential = run(1);
-    let parallel = run(workers);
-    assert_eq!(
-        sequential.safe_snps, parallel.safe_snps,
-        "thread count changed the release"
-    );
+    let protocol = Federation::new(config, params, &cohort)
+        .run()
+        .expect("protocol completes");
 
     // ---- Chromosome-scale workloads ----
     // (a) A full three-phase run at chromosome width: 10x the panel of the
@@ -267,7 +257,6 @@ fn main() {
     eprintln!("chromosome workload: full run at {genomes} x {chrom_snps}…");
     let chrom_cohort = paper_cohort(genomes, chrom_snps);
     let chrom = Federation::new(config, params, &chrom_cohort)
-        .with_threads(1)
         .run()
         .expect("chromosome-scale protocol completes");
 
@@ -482,7 +471,7 @@ fn main() {
         .collect::<Vec<_>>()
         .join(",\n");
     let json = format!(
-        "{{\n  \"workload\": {{\n    \"case_genomes\": {genomes},\n    \"snps\": {snps},\n    \"gdos\": {G},\n    \"colluders\": {F},\n    \"combinations\": {},\n    \"pairs\": {},\n    \"scale\": {scale}\n  }},\n  \"pooled_ld_moments\": {{\n    \"row_major_ms\": {:.3},\n    \"columnar_memo_ms\": {:.3},\n    \"speedup\": {:.2}\n  }},\n  \"lr_subset_search\": {{\n    \"candidates\": {},\n    \"naive_dense_ms\": {:.3},\n    \"columnar_ms\": {:.3},\n    \"speedup\": {:.2},\n    \"selection_identical\": true\n  }},\n  \"lr_sweep\": {{\n    \"individuals\": {SWEEP_INDIVIDUALS},\n    \"columns\": {SWEEP_COLUMNS},\n    \"repeated_column_ns_per_individual\": {sweep_repeated:.3},\n    \"distinct_columns_ns_per_individual\": {sweep_distinct:.3},\n    \"branch_free\": {branch_free}\n  }},\n  \"protocol_phases_ms\": {{\n    \"threads\": 1,\n    \"aggregation\": {:.3},\n    \"indexing\": {:.3},\n    \"ld\": {:.3},\n    \"lr\": {:.3},\n    \"total\": {:.3}\n  }},\n  \"protocol_parallel\": {{\n    \"threads\": {workers},\n    \"total_ms\": {:.3},\n    \"release_identical\": true\n  }},\n  \"chromosome_100k\": {{\n    \"snps\": {chrom_snps},\n    \"lr_ms\": {:.3},\n    \"total_ms\": {:.3},\n    \"safe_snps\": {}\n  }},\n  \"shard_sweep\": {{\n    \"snps\": {chrom_snps},\n    \"plans\": [\n{shard_json}\n    ],\n    \"shard_identical\": true\n  }},\n  \"chromosome_1m_lr_only\": {{\n    \"snps\": {mega_snps},\n    \"individuals\": {mega_individuals},\n    \"search_ms\": {:.3},\n    \"kept_columns\": {}\n  }}\n}}\n",
+        "{{\n  \"workload\": {{\n    \"case_genomes\": {genomes},\n    \"snps\": {snps},\n    \"gdos\": {G},\n    \"colluders\": {F},\n    \"combinations\": {},\n    \"pairs\": {},\n    \"scale\": {scale}\n  }},\n  \"pooled_ld_moments\": {{\n    \"row_major_ms\": {:.3},\n    \"columnar_memo_ms\": {:.3},\n    \"speedup\": {:.2}\n  }},\n  \"lr_subset_search\": {{\n    \"candidates\": {},\n    \"naive_dense_ms\": {:.3},\n    \"columnar_ms\": {:.3},\n    \"speedup\": {:.2},\n    \"selection_identical\": true\n  }},\n  \"lr_sweep\": {{\n    \"individuals\": {SWEEP_INDIVIDUALS},\n    \"columns\": {SWEEP_COLUMNS},\n    \"repeated_column_ns_per_individual\": {sweep_repeated:.3},\n    \"distinct_columns_ns_per_individual\": {sweep_distinct:.3},\n    \"branch_free\": {branch_free}\n  }},\n  \"protocol_phases_ms\": {{\n    \"threads\": 1,\n    \"aggregation\": {:.3},\n    \"indexing\": {:.3},\n    \"ld\": {:.3},\n    \"lr\": {:.3},\n    \"total\": {:.3}\n  }},\n  \"chromosome_100k\": {{\n    \"snps\": {chrom_snps},\n    \"lr_ms\": {:.3},\n    \"total_ms\": {:.3},\n    \"safe_snps\": {}\n  }},\n  \"shard_sweep\": {{\n    \"snps\": {chrom_snps},\n    \"plans\": [\n{shard_json}\n    ],\n    \"shard_identical\": true\n  }},\n  \"chromosome_1m_lr_only\": {{\n    \"snps\": {mega_snps},\n    \"individuals\": {mega_individuals},\n    \"search_ms\": {:.3},\n    \"kept_columns\": {}\n  }}\n}}\n",
         subsets.len(),
         pairs.len(),
         ms(before),
@@ -492,12 +481,11 @@ fn main() {
         ms(lr_naive),
         ms(lr_columnar),
         lr_speedup,
-        ms(sequential.timings.aggregation),
-        ms(sequential.timings.indexing),
-        ms(sequential.timings.ld),
-        ms(sequential.timings.lr),
-        ms(sequential.timings.total()),
-        ms(parallel.timings.total()),
+        ms(protocol.timings.aggregation),
+        ms(protocol.timings.indexing),
+        ms(protocol.timings.ld),
+        ms(protocol.timings.lr),
+        ms(protocol.timings.total()),
         ms(chrom.timings.lr),
         ms(chrom.timings.total()),
         chrom.safe_snps.len(),

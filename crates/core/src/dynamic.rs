@@ -27,13 +27,14 @@
 use crate::config::GwasParams;
 use crate::error::ProtocolError;
 use crate::phases::ld::run_ld_scan;
+use crate::phases::lrtest::admission_order;
 use gendpr_genomics::columnar::ColumnarGenotypes;
 use gendpr_genomics::genotype::GenotypeMatrix;
 use gendpr_genomics::snp::SnpId;
 use gendpr_stats::ld::LdMoments;
 use gendpr_stats::lr::{select_safe_subset, LrColumns};
 use gendpr_stats::maf::passes_maf;
-use gendpr_stats::ranking::{rank_by_association, sort_most_significant_first};
+use gendpr_stats::ranking::rank_by_association;
 
 /// What happened in one assessment epoch.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -165,7 +166,7 @@ impl DynamicAssessor {
         #[allow(clippy::needless_range_loop)]
         for l in 0..self.reference.snps() {
             let id = SnpId(l as u32);
-            if self.released.contains(&id) {
+            if self.released.binary_search(&id).is_ok() {
                 continue;
             }
             let freq = (case_counts[l] + self.ref_counts[l]) as f64 / n_total as f64;
@@ -222,20 +223,11 @@ impl DynamicAssessor {
         let null_matrix =
             LrColumns::from_columnar(&self.reference, &columns, &case_freqs, &ref_freqs);
         let forced: Vec<usize> = (0..self.released.len()).collect();
-        // Candidate order: most significant first (the paper's admission
-        // order), as column indices into `columns`.
-        let candidate_ranks =
-            sort_most_significant_first(l_double_prime.iter().map(|&s| ranks[s.index()]).collect());
-        let order: Vec<usize> = candidate_ranks
-            .iter()
-            .map(|r| {
-                self.released.len()
-                    + l_double_prime
-                        .iter()
-                        .position(|&s| s == r.snp)
-                        .expect("candidate present")
-            })
-            .collect();
+        let order = admission_order(
+            &l_double_prime,
+            l_double_prime.iter().map(|&s| ranks[s.index()]).collect(),
+            self.released.len(),
+        );
         let selection = select_safe_subset(
             &case_matrix,
             &null_matrix,

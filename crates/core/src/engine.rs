@@ -32,8 +32,8 @@ use crate::messages::{
     ProtocolMessage,
 };
 use crate::phases::ld::run_ld_scan;
+use crate::phases::lrtest::admission_order;
 use crate::phases::maf::{run_maf, MafOutcome};
-use crate::pool::parallel_map;
 use crate::protocol::PhaseTimings;
 use crate::runtime::{recv_protocol, send_protocol, Interrupt, MemberCtx};
 use crate::serving::{ShardOutput, ShardScan};
@@ -45,7 +45,7 @@ use gendpr_stats::ld::LdMoments;
 use gendpr_stats::lr::{
     select_safe_subset, BitLrMatrix, LrColumns, LrMatrix, LrPrefixSums, LrSelection, LrValues,
 };
-use gendpr_stats::ranking::{rank_by_association, sort_most_significant_first, SnpRank};
+use gendpr_stats::ranking::{rank_by_association, SnpRank};
 use gendpr_tee::session::SecureChannel;
 use std::collections::HashMap;
 use std::time::Instant;
@@ -322,25 +322,28 @@ impl<'a> LeaderSession<'a> {
         });
         let n_ref = reference.individuals() as u64;
         let subsets = evaluation_subsets_of(&roster, ctx.collusion);
-        // Pure per-subset work (no channel I/O) fans out across the worker
-        // pool; results come back in subset order, so the selections and
-        // the certificate are byte-identical to a sequential run.
-        let maf_outcomes: Vec<MafOutcome> = parallel_map(ctx.threads, &subsets, |_, subset| {
-            let subset_reports: Vec<CountsReport> = subset
-                .iter()
-                .map(|&i| reports[i].clone().expect("subset member reported"))
-                .collect();
-            run_maf(
-                &subset_reports,
-                ref_counts.clone(),
-                n_ref,
-                params.maf_cutoff,
-            )
-        });
+        let maf_outcomes: Vec<MafOutcome> = subsets
+            .iter()
+            .map(|subset| {
+                let subset_reports: Vec<CountsReport> = subset
+                    .iter()
+                    .map(|&i| reports[i].clone().expect("subset member reported"))
+                    .collect();
+                run_maf(
+                    &subset_reports,
+                    ref_counts.clone(),
+                    n_ref,
+                    params.maf_cutoff,
+                )
+            })
+            .collect();
         let all_ids: Vec<SnpId> = (0..panel_len as u32).map(SnpId).collect();
-        let rankings: Vec<Vec<SnpRank>> = parallel_map(ctx.threads, &maf_outcomes, |_, o| {
-            rank_by_association(&all_ids, &o.case_counts, o.n_case, &o.ref_counts, o.n_ref)
-        });
+        let rankings: Vec<Vec<SnpRank>> = maf_outcomes
+            .iter()
+            .map(|o| {
+                rank_by_association(&all_ids, &o.case_counts, o.n_case, &o.ref_counts, o.n_ref)
+            })
+            .collect();
         let indexing = t.elapsed();
         crate::telemetry::phase_seconds("maf").observe_duration(indexing);
 
@@ -570,18 +573,12 @@ impl<'a> LeaderSession<'a> {
             },
         );
         send_each(ctx, &mut self.channels, &self.subsets[combo], &broadcast)?;
-        // Candidate order: most significant first.
-        let col_of: HashMap<SnpId, usize> = (forced_len..columns.len())
-            .map(|j| (columns[j], j))
-            .collect();
-        let ranks: Vec<SnpRank> = columns[forced_len..]
+        let candidates = &columns[forced_len..];
+        let ranks: Vec<SnpRank> = candidates
             .iter()
             .map(|&s| self.rankings[combo][s.index()])
             .collect();
-        let order: Vec<usize> = sort_most_significant_first(ranks)
-            .iter()
-            .map(|r| col_of[&r.snp])
-            .collect();
+        let order = admission_order(candidates, ranks, forced_len);
         let forced_cols: Vec<usize> = (0..forced_len).collect();
 
         let me = ctx.id;

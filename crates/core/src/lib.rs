@@ -14,8 +14,6 @@
 //! * [`collusion`] — combination generation and selection intersection
 //!   for tolerating up to `G−1` honest-but-curious colluders,
 //! * [`memo`] — per-member LD-moment caching across collusion subsets,
-//! * [`pool`] — a zero-dependency scoped worker pool for parallel
-//!   per-subset evaluation with deterministic, input-ordered results,
 //! * [`protocol`] — the deterministic in-process driver (what the paper's
 //!   tables and figures measure),
 //! * [`runtime`] — the fully threaded deployment: one thread per GDO,
@@ -77,7 +75,6 @@ pub mod leader;
 pub mod memo;
 pub mod messages;
 pub mod phases;
-pub mod pool;
 pub mod protocol;
 pub mod release;
 pub mod runtime;

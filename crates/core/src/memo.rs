@@ -7,8 +7,8 @@
 //! computes a pair once and serves every later request from this memo.
 //!
 //! Interior mutability keeps the owning node's API `&self` (queries are
-//! logically read-only) and makes the memo shareable across the worker
-//! pool; the mutex is uncontended in the sequential path.
+//! logically read-only); a mutex rather than a `RefCell` keeps the node
+//! `Sync`, and it is never contended.
 
 use gendpr_genomics::snp::SnpId;
 use gendpr_stats::ld::LdMoments;

@@ -10,6 +10,7 @@ use gendpr_stats::lr::LrMatrix;
 use gendpr_stats::lr::{select_safe_subset, LrTestParams, LrValues};
 use gendpr_stats::oblivious::select_safe_subset_oblivious;
 use gendpr_stats::ranking::{sort_most_significant_first, SnpRank};
+use std::collections::HashMap;
 
 /// Which implementation of the subset search the leader enclave runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -21,6 +22,34 @@ pub enum SelectionKernel {
     /// selections with a data-independent memory access pattern (the
     /// paper's side-channel future work; see `gendpr_stats::oblivious`).
     Oblivious,
+}
+
+/// The paper's admission order as column indices: `ranks` (one per
+/// candidate) most significant first, each mapped to its candidate's
+/// position in `candidates` plus `offset` — the width of the forced
+/// prefix the candidates' columns sit behind, `0` when there is none.
+///
+/// # Panics
+///
+/// Panics if a rank names a SNP outside `candidates`.
+pub(crate) fn admission_order(
+    candidates: &[SnpId],
+    ranks: Vec<SnpRank>,
+    offset: usize,
+) -> Vec<usize> {
+    let col_of: HashMap<SnpId, usize> = candidates
+        .iter()
+        .enumerate()
+        .map(|(j, &s)| (s, offset + j))
+        .collect();
+    sort_most_significant_first(ranks)
+        .iter()
+        .map(|r| {
+            *col_of
+                .get(&r.snp)
+                .expect("rank refers to a SNP outside the candidate set")
+        })
+        .collect()
 }
 
 /// Runs the LR-test over the merged case matrix and the reference null
@@ -85,21 +114,7 @@ pub fn run_lr_test_threads<M: LrValues + ?Sized, N: LrValues + ?Sized>(
     );
     assert_eq!(ranks.len(), candidates.len(), "one rank per candidate");
 
-    // Column order: most significant first.
-    let col_of: std::collections::HashMap<SnpId, usize> = candidates
-        .iter()
-        .enumerate()
-        .map(|(j, &s)| (s, j))
-        .collect();
-    let sorted = sort_most_significant_first(ranks.to_vec());
-    let order: Vec<usize> = sorted
-        .iter()
-        .map(|r| {
-            *col_of
-                .get(&r.snp)
-                .expect("rank refers to a SNP outside the candidate set")
-        })
-        .collect();
+    let order = admission_order(candidates, ranks.to_vec(), 0);
 
     let selection = match kernel {
         SelectionKernel::Fast => {
@@ -217,6 +232,28 @@ mod tests {
             1,
         );
         assert_eq!(fast, oblivious);
+    }
+
+    #[test]
+    fn admission_order_equals_the_position_scan_it_replaced() {
+        // 500 shuffled candidates, p-values drawn from 20 levels so ties
+        // (broken by SNP id) are everywhere, behind a forced prefix.
+        let mut rng = ChaChaRng::from_seed_u64(29);
+        let mut candidates: Vec<SnpId> = (0..500).map(SnpId).collect();
+        rng.shuffle(&mut candidates);
+        let ranks: Vec<SnpRank> = candidates
+            .iter()
+            .map(|&snp| SnpRank {
+                snp,
+                p_value: rng.next_below(20) as f64 / 20.0,
+            })
+            .collect();
+        let offset = 7;
+        let by_position: Vec<usize> = sort_most_significant_first(ranks.clone())
+            .iter()
+            .map(|r| offset + candidates.iter().position(|&s| s == r.snp).unwrap())
+            .collect();
+        assert_eq!(admission_order(&candidates, ranks, offset), by_position);
     }
 
     #[test]

@@ -19,7 +19,6 @@ use crate::messages::CountsReport;
 use crate::phases::ld::{run_ld_scan, scan_comparisons};
 use crate::phases::lrtest::{run_lr_test_threads, SelectionKernel};
 use crate::phases::maf::{run_maf, MafOutcome};
-use crate::pool::parallel_map;
 use gendpr_genomics::cohort::Cohort;
 use gendpr_genomics::columnar::ColumnarGenotypes;
 use gendpr_genomics::genotype::GenotypeMatrix;
@@ -132,7 +131,6 @@ pub struct Federation {
     ref_moments: MomentMemo,
     panel_len: usize,
     kernel: SelectionKernel,
-    threads: usize,
 }
 
 impl Federation {
@@ -163,7 +161,6 @@ impl Federation {
             ref_moments: MomentMemo::new(),
             panel_len: cohort.panel().len(),
             kernel: SelectionKernel::Fast,
-            threads: 1,
         }
     }
 
@@ -176,17 +173,14 @@ impl Federation {
         self
     }
 
-    /// Sets the worker-thread count for per-subset evaluation. `1` (the
-    /// default) runs the exact sequential path; any value yields
-    /// byte-identical outcomes because results are collected in subset
-    /// order. `0` resolves to the machine's available parallelism.
+    /// Accepted and **ignored**: every collusion subset is evaluated in
+    /// subset order on the calling thread. The signature stays because
+    /// `benchmark/src/probes.rs:344` calls it; retire it together with
+    /// [`crate::runtime::RuntimeOptions::threads`] and
+    /// `run_lr_test_threads`' `_threads` when the benchmark stops naming
+    /// them.
     #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = if threads == 0 {
-            crate::pool::available_parallelism()
-        } else {
-            threads
-        };
+    pub fn with_threads(self, _threads: usize) -> Self {
         self
     }
 
@@ -222,7 +216,6 @@ impl Federation {
             ref_moments: MomentMemo::new(),
             panel_len,
             kernel: SelectionKernel::Fast,
-            threads: 1,
         }
     }
 
@@ -270,16 +263,19 @@ impl Federation {
         timings.aggregation += t.elapsed();
 
         let t = Instant::now();
-        let maf_outcomes: Vec<MafOutcome> = parallel_map(self.threads, &subsets, |_, subset| {
-            let subset_reports: Vec<CountsReport> =
-                subset.iter().map(|&i| reports[i].clone()).collect();
-            run_maf(
-                &subset_reports,
-                ref_counts.clone(),
-                n_ref,
-                self.params.maf_cutoff,
-            )
-        });
+        let maf_outcomes: Vec<MafOutcome> = subsets
+            .iter()
+            .map(|subset| {
+                let subset_reports: Vec<CountsReport> =
+                    subset.iter().map(|&i| reports[i].clone()).collect();
+                run_maf(
+                    &subset_reports,
+                    ref_counts.clone(),
+                    n_ref,
+                    self.params.maf_cutoff,
+                )
+            })
+            .collect();
         let l_prime = intersect_selections(
             &maf_outcomes
                 .iter()
@@ -288,9 +284,12 @@ impl Federation {
         );
         // Rankings per combination (χ² of the combination's own counts).
         let all_ids: Vec<SnpId> = (0..self.panel_len as u32).map(SnpId).collect();
-        let rankings: Vec<Vec<SnpRank>> = parallel_map(self.threads, &maf_outcomes, |_, o| {
-            rank_by_association(&all_ids, &o.case_counts, o.n_case, &o.ref_counts, o.n_ref)
-        });
+        let rankings: Vec<Vec<SnpRank>> = maf_outcomes
+            .iter()
+            .map(|o| {
+                rank_by_association(&all_ids, &o.case_counts, o.n_case, &o.ref_counts, o.n_ref)
+            })
+            .collect();
         // Leader broadcasts L' to all members.
         traffic.add(
             (g - 1) as u64,
@@ -301,9 +300,9 @@ impl Federation {
 
         // ---- Phase 2: LD analysis ----
         let t = Instant::now();
-        let ld_selections: Vec<Vec<SnpId>> = parallel_map(self.threads, &subsets, |c, subset| {
-            let ranks = &rankings[c];
-            run_ld_scan(
+        let mut ld_selections: Vec<Vec<SnpId>> = Vec::with_capacity(subsets.len());
+        for (subset, ranks) in subsets.iter().zip(&rankings) {
+            ld_selections.push(run_ld_scan(
                 &l_prime,
                 |a, b| {
                     // Reference moments are subset-independent: every
@@ -324,11 +323,7 @@ impl Federation {
                 },
                 |s| ranks[s.index()].p_value,
                 self.params.ld_cutoff,
-            )
-        });
-        // Traffic is folded after the fan-out, in subset order, so the
-        // estimate is byte-identical to the sequential accounting.
-        for subset in &subsets {
+            ));
             // Each comparison costs one request + one response per
             // non-leader member of the subset.
             let responders = subset.iter().filter(|&&i| i != leader).count() as u64;
@@ -353,54 +348,48 @@ impl Federation {
 
         // ---- Phase 3: LR-test analysis ----
         let t = Instant::now();
-        let lr_results: Vec<(Vec<SnpId>, Vec<f64>, Vec<f64>)> =
-            parallel_map(self.threads, &subsets, |c, subset| {
-                let outcome = &maf_outcomes[c];
-                let case_freqs: Vec<f64> = l_double_prime
-                    .iter()
-                    .map(|&s| outcome.case_frequency(s))
-                    .collect();
-                let ref_freqs: Vec<f64> = l_double_prime
-                    .iter()
-                    .map(|&s| outcome.ref_frequency(s))
-                    .collect();
+        let mut lr_selections = Vec::with_capacity(subsets.len());
+        let mut full_case_freqs = Vec::new();
+        let mut full_ref_freqs = Vec::new();
+        for (c, subset) in subsets.iter().enumerate() {
+            let outcome = &maf_outcomes[c];
+            let case_freqs: Vec<f64> = l_double_prime
+                .iter()
+                .map(|&s| outcome.case_frequency(s))
+                .collect();
+            let ref_freqs: Vec<f64> = l_double_prime
+                .iter()
+                .map(|&s| outcome.ref_frequency(s))
+                .collect();
 
-                // Each member contributes its SNP-major shard view; the
-                // leader stitches the columns end to end — the columnar
-                // equivalent of the row-concatenation of Figure 4, with no
-                // dense per-cell matrix ever materialized in process.
-                let shards: Vec<&ColumnarGenotypes> =
-                    subset.iter().map(|&i| self.nodes[i].columnar()).collect();
-                let case_matrix = LrColumns::from_columnar_parts(
-                    &shards,
-                    &l_double_prime,
-                    &case_freqs,
-                    &ref_freqs,
-                );
-                let null_matrix = LrColumns::from_columnar(
-                    &self.reference_columnar,
-                    &l_double_prime,
-                    &case_freqs,
-                    &ref_freqs,
-                );
-                let ranks: Vec<SnpRank> = l_double_prime
-                    .iter()
-                    .map(|&s| rankings[c][s.index()])
-                    .collect();
-                let safe = run_lr_test_threads(
-                    &l_double_prime,
-                    &case_matrix,
-                    &null_matrix,
-                    &ranks,
-                    &self.params.lr,
-                    self.kernel,
-                    1,
-                );
-                (safe, case_freqs, ref_freqs)
-            });
-        // Members ship their LR matrices: 8 bytes per cell + header
-        // (folded in subset order, independent of evaluation order).
-        for subset in &subsets {
+            // Each member contributes its SNP-major shard view; the
+            // leader stitches the columns end to end — the columnar
+            // equivalent of the row-concatenation of Figure 4, with no
+            // dense per-cell matrix ever materialized in process.
+            let shards: Vec<&ColumnarGenotypes> =
+                subset.iter().map(|&i| self.nodes[i].columnar()).collect();
+            let case_matrix =
+                LrColumns::from_columnar_parts(&shards, &l_double_prime, &case_freqs, &ref_freqs);
+            let null_matrix = LrColumns::from_columnar(
+                &self.reference_columnar,
+                &l_double_prime,
+                &case_freqs,
+                &ref_freqs,
+            );
+            let ranks: Vec<SnpRank> = l_double_prime
+                .iter()
+                .map(|&s| rankings[c][s.index()])
+                .collect();
+            lr_selections.push(run_lr_test_threads(
+                &l_double_prime,
+                &case_matrix,
+                &null_matrix,
+                &ranks,
+                &self.params.lr,
+                self.kernel,
+                1,
+            ));
+            // Members ship their LR matrices: 8 bytes per cell + header.
             for &i in subset {
                 if i != leader {
                     let cells =
@@ -408,16 +397,10 @@ impl Federation {
                     traffic.add(1, 8 * cells + 16);
                 }
             }
-        }
-        let mut lr_selections = Vec::with_capacity(subsets.len());
-        let mut full_case_freqs = Vec::new();
-        let mut full_ref_freqs = Vec::new();
-        for (c, (safe, case_freqs, ref_freqs)) in lr_results.into_iter().enumerate() {
             if c == 0 {
                 full_case_freqs = case_freqs;
                 full_ref_freqs = ref_freqs;
             }
-            lr_selections.push(safe);
         }
         let full_set_safe = lr_selections[0].clone();
         let safe_snps = intersect_selections(&lr_selections);

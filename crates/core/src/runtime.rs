@@ -22,9 +22,8 @@
 //!   **sequence number**; receivers deliver in sequence order (masking
 //!   duplicated and reordered frames) and drop stale-epoch frames;
 //! * a **failure detector** slices every wait into probe intervals and
-//!   pings the awaited peer after each silent interval; only after
-//!   [`RecoveryOptions::suspect_after`] consecutive misses (or the hard
-//!   phase timeout) is the peer suspected;
+//!   pings the awaited peer after each silent interval; only after three
+//!   consecutive misses (or the hard phase timeout) is the peer suspected;
 //! * a suspicion triggers a **view change**: the survivor broadcasts the
 //!   reduced roster stamped with epoch `e + 1`, everyone re-runs the
 //!   commit-reveal election over the surviving roster and restarts the
@@ -67,14 +66,16 @@ pub const CODE_IDENTITY: &str = "gendpr/member/v1";
 
 pub(crate) const CHANNEL_AAD: &[u8] = b"gendpr/protocol/v1";
 
+/// Consecutive silent probe intervals before a peer is suspected.
+const SUSPECT_AFTER: u32 = 3;
+
 /// Failure-detection and view-change knobs of the threaded runtime.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecoveryOptions {
-    /// Consecutive silent probe intervals before a peer is suspected.
-    pub suspect_after: u32,
     /// Length of one probe interval; `None` derives it from the phase
-    /// timeout (`timeout / suspect_after`), which makes the detector
-    /// exactly as patient as the paper's single hard timeout.
+    /// timeout (a third of it: three silent intervals suspect a peer),
+    /// which makes the detector exactly as patient as the paper's single
+    /// hard timeout.
     pub probe_interval: Option<Duration>,
     /// Highest epoch the member will participate in. `1` (the default)
     /// disables recovery entirely: the first suspicion aborts the run with
@@ -88,7 +89,6 @@ pub struct RecoveryOptions {
 impl Default for RecoveryOptions {
     fn default() -> Self {
         Self {
-            suspect_after: 3,
             probe_interval: None,
             max_epochs: 1,
             min_quorum: 0,
@@ -113,12 +113,10 @@ pub struct RuntimeOptions {
     pub prefetch_ld: bool,
     /// Failure detection and epoch-based view changes.
     pub recovery: RecoveryOptions,
-    /// Worker threads for the leader's pure per-subset computations (MAF
-    /// evaluation, rankings, reference-moment precomputation). Network
-    /// message order is untouched — secure channels impose a nonce
-    /// sequence — so any value yields byte-identical selections,
-    /// certificates and traffic. `1` (the default) is the exact
-    /// sequential path; `0` resolves to the machine's parallelism.
+    /// Accepted and **ignored**: the leader evaluates its collusion
+    /// subsets in subset order on its own thread. The field stays because
+    /// the struct literal at `benchmark/src/probes.rs:46` names it; retire
+    /// it together with [`crate::protocol::Federation::with_threads`].
     pub threads: usize,
 }
 
@@ -295,7 +293,6 @@ pub(crate) struct MemberCtx<T: Transport> {
     pub(crate) timeout: Duration,
     pub(crate) compact_lr: bool,
     pub(crate) prefetch_ld: bool,
-    pub(crate) threads: usize,
     pub(crate) recovery: RecoveryOptions,
     pub(crate) collusion: CollusionMode,
     pub(crate) expected: Measurement,
@@ -590,7 +587,7 @@ impl<T: Transport> MemberCtx<T> {
 
     /// Receives the next frame from `from`, buffering frames from others.
     /// Waits are sliced into probe intervals: a silent interval sends a
-    /// ping, and `suspect_after` consecutive silent intervals (or
+    /// ping, and [`SUSPECT_AFTER`] consecutive silent intervals (or
     /// `timeout` of unbroken silence) suspect the peer. Any delivered
     /// frame from `from` — a pong counts — is a sign of life that resets
     /// the clock, so a member merely *busy* (e.g. a leader itself waiting
@@ -605,7 +602,7 @@ impl<T: Transport> MemberCtx<T> {
         let probe = self
             .recovery
             .probe_interval
-            .unwrap_or(self.timeout / self.recovery.suspect_after.max(1));
+            .unwrap_or(self.timeout / SUSPECT_AFTER);
         let mut misses = 0u32;
         loop {
             self.pump(key)?;
@@ -621,7 +618,7 @@ impl<T: Transport> MemberCtx<T> {
                 Ok(env) => self.ingest(env)?,
                 Err(_) => {
                     misses += 1;
-                    if misses >= self.recovery.suspect_after {
+                    if misses >= SUSPECT_AFTER {
                         return Err(self.suspect(from, phase));
                     }
                     self.send_frame(from, FrameBody::Ping, 0)?;
@@ -969,11 +966,6 @@ pub(crate) fn build_member_ctx<T: Transport>(
         timeout: options.timeout,
         compact_lr: options.compact_lr,
         prefetch_ld: options.prefetch_ld,
-        threads: if options.threads == 0 {
-            crate::pool::available_parallelism()
-        } else {
-            options.threads
-        },
         recovery: options.recovery,
         collusion: config.collusion,
         expected: expected_measurement(params),

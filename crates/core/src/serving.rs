@@ -11,7 +11,7 @@
 //! far, not just the panel at hand (the dynamic-study argument of
 //! [`crate::dynamic`], applied across studies).
 //!
-//! This module keeps the session open. Members run [`member_session`]:
+//! This module keeps the session open. Members run `member_session`:
 //! one election, one round of mutual attestation and counts collection,
 //! then a loop in which the leader announces each job with a
 //! [`JobStartBroadcast`] naming the requested panel *and* the already

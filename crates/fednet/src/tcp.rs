@@ -44,7 +44,7 @@ use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -216,13 +216,15 @@ struct TcpShared {
     metrics: Mutex<TrafficMatrix>,
     faults: Mutex<FaultPlan>,
     held: Mutex<Vec<HeldTcpFrame>>,
+    /// Wakes the flusher: a frame was held, or the transport shut down.
+    held_changed: Condvar,
     flusher: AtomicBool,
     opts: TcpOptions,
     shutdown: AtomicBool,
 }
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// One member's socket endpoint: a listener plus lazily dialed outbound
@@ -280,6 +282,7 @@ impl TcpTransport {
             metrics: Mutex::new(TrafficMatrix::default()),
             faults: Mutex::new(FaultPlan::none()),
             held: Mutex::new(Vec::new()),
+            held_changed: Condvar::new(),
             flusher: AtomicBool::new(false),
             opts,
             shutdown: AtomicBool::new(false),
@@ -331,6 +334,7 @@ impl TcpTransport {
                 due: Instant::now() + delay,
             });
             ensure_flusher(shared);
+            shared.held_changed.notify_one();
             return Ok(());
         }
         write_frame(shared, to, addr, &frame, plaintext_len)
@@ -394,39 +398,53 @@ fn write_frame(
 }
 
 /// Starts the background thread that flushes reorder-held frames, once per
-/// transport; it exits with the transport's shutdown flag.
+/// transport. It sleeps until the earliest held frame is due, parks while
+/// nothing is held, and exits with the transport's shutdown flag.
 fn ensure_flusher(shared: &Arc<TcpShared>) {
     if shared.flusher.swap(true, Ordering::SeqCst) {
         return;
     }
     let shared = Arc::clone(shared);
     thread::spawn(move || {
+        let mut held = lock(&shared.held);
+        // `Drop` raises `shutdown` under this lock, so the flag cannot
+        // change between the check here and the wait below.
         while !shared.shutdown.load(Ordering::SeqCst) {
-            flush_due(&shared);
-            thread::sleep(Duration::from_millis(1));
+            let now = Instant::now();
+            let mut due = Vec::new();
+            let mut i = 0;
+            while i < held.len() {
+                if held[i].due <= now {
+                    due.push(held.swap_remove(i));
+                } else {
+                    i += 1;
+                }
+            }
+            if !due.is_empty() {
+                drop(held);
+                write_held(&shared, due);
+                held = lock(&shared.held);
+                continue;
+            }
+            held = match held.iter().map(|f| f.due).min() {
+                Some(next) => {
+                    shared
+                        .held_changed
+                        .wait_timeout(held, next.saturating_duration_since(now))
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .0
+                }
+                None => shared
+                    .held_changed
+                    .wait(held)
+                    .unwrap_or_else(PoisonError::into_inner),
+            };
         }
     });
 }
 
-fn flush_due(shared: &Arc<TcpShared>) {
-    let due: Vec<HeldTcpFrame> = {
-        let mut held = lock(&shared.held);
-        if held.is_empty() {
-            return;
-        }
-        let now = Instant::now();
-        let mut due = Vec::new();
-        let mut i = 0;
-        while i < held.len() {
-            if held[i].due <= now {
-                due.push(held.swap_remove(i));
-            } else {
-                i += 1;
-            }
-        }
-        due
-    };
-    for f in due {
+fn write_held(shared: &Arc<TcpShared>, frames: Vec<HeldTcpFrame>) {
+    for f in frames {
         if let Some(&addr) = shared.peers.get(&f.to) {
             let _ = write_frame(shared, f.to, addr, &f.bytes, f.plaintext_len);
         }
@@ -474,12 +492,12 @@ impl Drop for TcpTransport {
         // drops would silently vanish with the flusher thread, stranding
         // peers that keep waiting for it.
         let held: Vec<HeldTcpFrame> = std::mem::take(&mut lock(&self.shared.held));
-        for f in held {
-            if let Some(&addr) = self.shared.peers.get(&f.to) {
-                let _ = write_frame(&self.shared, f.to, addr, &f.bytes, f.plaintext_len);
-            }
+        write_held(&self.shared, held);
+        {
+            let _held = lock(&self.shared.held);
+            self.shared.shutdown.store(true, Ordering::SeqCst);
         }
-        self.shared.shutdown.store(true, Ordering::SeqCst);
+        self.shared.held_changed.notify_one();
         // Closing outbound connections EOFs the peers' readers.
         lock(&self.shared.conns).clear();
         // A throwaway connection wakes the blocking accept loop so it can

@@ -1,12 +1,10 @@
 //! The worker pool: long-lived lanes, each owning one attested
 //! [`ServiceFederation`] session, pulling jobs from the scheduler.
 //!
-//! Lanes are threads rather than a scoped [`gendpr_core::pool`] fan-out
-//! because a federation session is stateful — election, attestation and
-//! channel ratchets live for the daemon's lifetime, so each lane keeps
-//! its session warm across jobs exactly like the old single-session
-//! daemon did. (The scoped pool is still what builds the lanes in
-//! parallel at startup and what sizes `--workers` defaults.)
+//! Lanes are long-lived threads because a federation session is
+//! stateful — election, attestation and channel ratchets live for the
+//! daemon's lifetime, so each lane keeps its session warm across jobs
+//! exactly like the old single-session daemon did.
 //!
 //! A worker's loop is dispatch → execute → wait for the job's commit
 //! turn → make the record durable → resolve, and every outcome takes

@@ -67,7 +67,6 @@ const ASSESS_FLAGS: &[&str] = &[
     "min-quorum",
     "max-epochs",
     "heartbeat-ms",
-    "threads",
     "batches",
     "log-level",
 ];
@@ -91,7 +90,6 @@ const NODE_FLAGS: &[&str] = &[
     "min-quorum",
     "max-epochs",
     "heartbeat-ms",
-    "threads",
     "chaos",
     "log-level",
 ];
@@ -108,7 +106,6 @@ const SERVE_FLAGS: &[&str] = &[
     "power",
     "key",
     "timeout",
-    "threads",
     "ledger",
     "ledger-replicas",
     "shards",
@@ -138,7 +135,6 @@ const TRACKS_FLAGS: &[&str] = &[
     "power",
     "key",
     "timeout",
-    "threads",
     "ledger",
     "ledger-replicas",
     "shards",
@@ -282,17 +278,17 @@ USAGE:\n  gendpr synth  --snps N --cases N --reference N [--seed N] [--out DIR] 
 gendpr assess --case FILE --reference FILE --gdos N [--collusion f|all]\n                \
 [--maf F] [--ld F] [--fpr F] [--power F] [--out FILE] [--key HEX]\n                \
 [--distributed] [--timeout SECS] [--max-epochs N]\n                \
-[--min-quorum N] [--heartbeat-ms MS] [--threads N]\n  \
+[--min-quorum N] [--heartbeat-ms MS]\n  \
 gendpr node   --id K --peers HOST:PORT,... --case FILE --reference FILE\n                \
 [--gdos N] [--listen ADDR] [--collusion f|all] [--seed N]\n                \
 [--maf F] [--ld F] [--fpr F] [--power F] [--out FILE] [--key HEX]\n                \
 [--timeout SECS] [--max-epochs N] [--min-quorum N]\n                \
-[--heartbeat-ms MS] [--threads N] [--chaos SEED]\n  \
+[--heartbeat-ms MS] [--chaos SEED]\n  \
 gendpr attack --release FILE --victims FILE --reference FILE [--fpr F] [--key HEX]\n  \
 gendpr serve  --case FILE --reference FILE --ledger FILE [--gdos N] [--tcp]\n                \
 [--ledger-replicas PATH,...] [--shards S]\n                \
 [--listen ADDR] [--collusion f|all] [--seed N] [--maf F] [--ld F]\n                \
-[--fpr F] [--power F] [--key HEX] [--timeout SECS] [--threads N]\n                \
+[--fpr F] [--power F] [--key HEX] [--timeout SECS]\n                \
 [--workers N] [--max-queue N] [--max-retries N]\n                \
 [--drain-timeout SECS] [--lane-crash-every N] [--chaos SEED]\n                \
 [--track-id N] [--track-lease-ms MS]\n                \
@@ -544,34 +540,16 @@ fn config_from_flags(
     Ok(config)
 }
 
-/// `--threads` (shared by `assess` and `node`): worker-thread count for
-/// the per-subset evaluation fan-out. Defaults to the machine's available
-/// parallelism; `--threads 1` forces the sequential path. Either way the
-/// release and certificate are byte-identical.
-fn threads_from_flags(flags: &HashMap<String, String>) -> Result<usize, String> {
-    let threads: usize = flag(flags, "threads", 0)?;
-    Ok(if threads == 0 {
-        gendpr::core::pool::available_parallelism()
-    } else {
-        threads
-    })
-}
-
 /// The deployment options every attested command (`assess`, `node`,
-/// `serve`) runs with: compact Phase 3 reports, the batched LD round, and
-/// `--threads`.
-fn runtime_options(
-    timeout: Duration,
-    recovery: RecoveryOptions,
-    flags: &HashMap<String, String>,
-) -> Result<RuntimeOptions, String> {
-    Ok(RuntimeOptions {
+/// `serve`) runs with: compact Phase 3 reports and the batched LD round.
+fn runtime_options(timeout: Duration, recovery: RecoveryOptions) -> RuntimeOptions {
+    RuntimeOptions {
         timeout,
         compact_lr: true,
         prefetch_ld: true,
         recovery,
-        threads: threads_from_flags(flags)?,
-    })
+        ..RuntimeOptions::default()
+    }
 }
 
 /// Recovery knobs shared by `assess` and `node`: `--max-epochs` (default
@@ -592,7 +570,6 @@ fn recovery_from_flags(
         max_epochs,
         min_quorum,
         probe_interval: (heartbeat_ms > 0).then(|| Duration::from_millis(heartbeat_ms)),
-        ..RecoveryOptions::default()
     })
 }
 
@@ -638,7 +615,7 @@ fn cmd_assess(flags: &HashMap<String, String>) -> Result<(), CliError> {
         params,
         &cohort,
         None,
-        runtime_options(Duration::from_secs(timeout), recovery, flags)?,
+        runtime_options(Duration::from_secs(timeout), recovery),
     )
     .map_err(protocol_error)?;
 
@@ -738,7 +715,6 @@ fn cmd_assess_distributed(flags: &HashMap<String, String>) -> Result<(), CliErro
             "min-quorum",
             "max-epochs",
             "heartbeat-ms",
-            "threads",
             "log-level",
         ] {
             if let Some(v) = flags.get(name) {
@@ -915,7 +891,7 @@ fn run_node(flags: &HashMap<String, String>) -> Result<(), CliError> {
         .nth(id)
         .expect("id < gdos");
     let recovery = recovery_from_flags(flags, &config)?;
-    let options = runtime_options(timeout, recovery, flags)?;
+    let options = runtime_options(timeout, recovery);
     let outcome = run_member(
         transport,
         id,
@@ -1084,11 +1060,7 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), CliError> {
         ledger.released_len()
     );
 
-    let options = runtime_options(
-        Duration::from_secs(timeout),
-        RecoveryOptions::default(),
-        flags,
-    )?;
+    let options = runtime_options(Duration::from_secs(timeout), RecoveryOptions::default());
     let workers: usize = flag(flags, "workers", 1)?;
     if workers == 0 {
         return Err(CliError::from("--workers must be at least 1".to_string()));
@@ -1328,7 +1300,6 @@ fn cmd_tracks(flags: &HashMap<String, String>) -> Result<(), CliError> {
             "power",
             "key",
             "timeout",
-            "threads",
             "ledger",
             "ledger-replicas",
             "shards",

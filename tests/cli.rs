@@ -187,6 +187,15 @@ fn strict_flag_parsing_rejects_mistakes() {
     assert!(!wrong_cmd.status.success());
     let stderr = String::from_utf8_lossy(&wrong_cmd.stderr);
     assert!(stderr.contains("unknown flag --gdos"), "{stderr}");
+
+    // The per-combination fan-out is gone, and its flag with it.
+    let removed = bin()
+        .args(["assess", "--case", "x.vcf", "--threads", "2"])
+        .output()
+        .expect("runs");
+    assert_eq!(removed.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&removed.stderr);
+    assert!(stderr.contains("unknown flag --threads"), "{stderr}");
 }
 
 #[test]

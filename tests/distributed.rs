@@ -105,54 +105,35 @@ fn tcp_and_in_memory_runs_are_bit_identical() {
 }
 
 #[test]
-fn thread_count_never_changes_release_or_certificate() {
-    // The leader's per-subset fan-out must be invisible in every output
-    // artifact: same release bytes, same signed certificate, same traffic
-    // accounting — on the in-memory fabric and over real TCP sockets.
+fn cli_options_over_tcp_match_the_in_memory_run() {
+    // The CLI's combination — compact Phase 3 reports and the batched LD
+    // round — must give the same release bytes and the same signed
+    // certificate over real TCP sockets as on the in-memory fabric.
     let g = 3;
     let study = study();
     let cohort: &Cohort = study.as_ref();
     let params = GwasParams::secure_genome_defaults();
-    let threaded = |threads| RuntimeOptions {
-        threads,
-        // Exercise the optimized paths too: the prefetch table and the
-        // hoisted reference moments must not depend on the worker count.
+    let cli = RuntimeOptions {
         compact_lr: true,
         prefetch_ld: true,
         ..options()
     };
-    let sequential = run_federation_with(config(g), params, cohort, None, threaded(1)).unwrap();
-    for threads in [2, 4] {
-        let parallel =
-            run_federation_with(config(g), params, cohort, None, threaded(threads)).unwrap();
-        assert_eq!(parallel.leader, sequential.leader);
-        assert_eq!(parallel.l_prime, sequential.l_prime);
-        assert_eq!(parallel.l_double_prime, sequential.l_double_prime);
-        assert_eq!(parallel.safe_snps, sequential.safe_snps);
-        assert_eq!(parallel.certificate, sequential.certificate);
-        assert_eq!(parallel.traffic, sequential.traffic);
-        assert_eq!(
-            release_of(cohort, &parallel),
-            release_of(cohort, &sequential)
-        );
-    }
-    let over_tcp = run_over_tcp_with(g, cohort, params, threaded(4)).unwrap();
-    assert_eq!(over_tcp.safe_snps, sequential.safe_snps);
-    assert_eq!(over_tcp.certificate, sequential.certificate);
+    let in_memory = run_federation_with(config(g), params, cohort, None, cli).unwrap();
+    let over_tcp = run_over_tcp_with(g, cohort, params, cli).unwrap();
+    assert_eq!(over_tcp.safe_snps, in_memory.safe_snps);
+    assert_eq!(over_tcp.certificate, in_memory.certificate);
     assert_eq!(
         release_of(cohort, &over_tcp),
-        release_of(cohort, &sequential)
+        release_of(cohort, &in_memory)
     );
 }
 
 #[test]
-fn thread_count_is_invisible_when_the_lr_phase_rejects_columns() {
-    // `threads` only fans the per-combination MAF/ranking/moment work out;
-    // the LR search itself is serial. Every thread count must therefore
-    // reproduce the `threads: 1` run exactly — through a study with strong
-    // effects (the subset search really rejects columns here, exercising
-    // the back-out path), on the dense and the compact wire format,
-    // in-memory and over TCP.
+fn a_rejecting_lr_phase_agrees_on_dense_and_compact_in_memory_and_over_tcp() {
+    // A study with strong effects: the subset search really rejects
+    // columns here, exercising the back-out path. Each wire format must
+    // reproduce its in-memory run over TCP, and the two formats must sign
+    // the same certificate.
     let g = 3;
     let study = SyntheticCohort::builder()
         .snps(140)
@@ -164,48 +145,36 @@ fn thread_count_is_invisible_when_the_lr_phase_rejects_columns() {
     let cohort: &Cohort = study.as_ref();
     let mut params = GwasParams::secure_genome_defaults();
     params.lr.power_threshold = 0.6;
+    let mut certificates = Vec::new();
     for compact_lr in [false, true] {
-        let with_threads = |threads| RuntimeOptions {
-            threads,
+        let opts = RuntimeOptions {
             compact_lr,
             ..options()
         };
-        let serial = run_federation_with(config(g), params, cohort, None, with_threads(1)).unwrap();
+        let in_memory = run_federation_with(config(g), params, cohort, None, opts).unwrap();
         assert!(
-            serial.safe_snps.len() < serial.l_double_prime.len(),
+            in_memory.safe_snps.len() < in_memory.l_double_prime.len(),
             "study must make the LR phase reject something"
         );
-        for threads in [2, 3, 8] {
-            let fanned =
-                run_federation_with(config(g), params, cohort, None, with_threads(threads))
-                    .unwrap();
-            assert_eq!(fanned.l_prime, serial.l_prime, "compact={compact_lr}");
-            assert_eq!(
-                fanned.l_double_prime, serial.l_double_prime,
-                "compact={compact_lr}"
-            );
-            assert_eq!(fanned.safe_snps, serial.safe_snps, "compact={compact_lr}");
-            assert_eq!(
-                fanned.certificate, serial.certificate,
-                "compact={compact_lr} threads={threads}"
-            );
-            assert_eq!(
-                release_of(cohort, &fanned),
-                release_of(cohort, &serial),
-                "compact={compact_lr} threads={threads}"
-            );
-        }
-        let over_tcp = run_over_tcp_with(g, cohort, params, with_threads(3)).unwrap();
-        assert_eq!(over_tcp.leader, serial.leader, "compact={compact_lr}");
-        assert_eq!(over_tcp.l_prime, serial.l_prime, "compact={compact_lr}");
+        let over_tcp = run_over_tcp_with(g, cohort, params, opts).unwrap();
+        assert_eq!(over_tcp.leader, in_memory.leader, "compact={compact_lr}");
+        assert_eq!(over_tcp.l_prime, in_memory.l_prime, "compact={compact_lr}");
         assert_eq!(
-            over_tcp.l_double_prime, serial.l_double_prime,
+            over_tcp.l_double_prime, in_memory.l_double_prime,
             "compact={compact_lr}"
         );
-        assert_eq!(over_tcp.safe_snps, serial.safe_snps, "compact={compact_lr}");
-        assert_eq!(over_tcp.certificate, serial.certificate);
-        assert_eq!(release_of(cohort, &over_tcp), release_of(cohort, &serial));
+        assert_eq!(
+            over_tcp.safe_snps, in_memory.safe_snps,
+            "compact={compact_lr}"
+        );
+        assert_eq!(over_tcp.certificate, in_memory.certificate);
+        assert_eq!(
+            release_of(cohort, &over_tcp),
+            release_of(cohort, &in_memory)
+        );
+        certificates.push(in_memory.certificate);
     }
+    assert_eq!(certificates[0], certificates[1], "dense vs compact");
 }
 
 #[test]

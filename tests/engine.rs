@@ -3,8 +3,8 @@
 //! moved `leader_main` onto the shared assessment engine): for one fixed
 //! study, every `(compact_lr, prefetch_ld)` combination must put exactly
 //! the same number of messages and bytes on the wire, select the same
-//! L′ / L″ / L_safe and sign the same certificate — at `threads` 1 and 4
-//! on the in-memory fabric, and over real TCP sockets.
+//! L′ / L″ / L_safe and sign the same certificate — on the in-memory
+//! fabric, and over real TCP sockets.
 
 use gendpr::core::config::{CollusionMode, FederationConfig, GwasParams};
 use gendpr::core::runtime::{
@@ -47,12 +47,11 @@ fn params() -> GwasParams {
     }
 }
 
-fn options(compact_lr: bool, prefetch_ld: bool, threads: usize) -> RuntimeOptions {
+fn options(compact_lr: bool, prefetch_ld: bool) -> RuntimeOptions {
     RuntimeOptions {
         timeout: Duration::from_secs(30),
         compact_lr,
         prefetch_ld,
-        threads,
         ..RuntimeOptions::default()
     }
 }
@@ -111,24 +110,20 @@ fn pinned(messages: u64, wire_bytes: u64) -> Witness {
 
 #[test]
 fn one_shot_wire_schedule_is_pinned_for_every_option_combination() {
-    // `RuntimeOptions::threads` promises identical traffic for any value:
-    // the fan-out width must not show in a single message or byte.
     for (compact_lr, prefetch_ld, messages, wire_bytes) in SCHEDULES {
-        for threads in [1, 4] {
-            let report = run_federation_with(
-                config(),
-                params(),
-                study(),
-                None,
-                options(compact_lr, prefetch_ld, threads),
-            )
-            .unwrap();
-            assert_eq!(
-                witness(&report),
-                pinned(messages, wire_bytes),
-                "compact_lr={compact_lr} prefetch_ld={prefetch_ld} threads={threads}"
-            );
-        }
+        let report = run_federation_with(
+            config(),
+            params(),
+            study(),
+            None,
+            options(compact_lr, prefetch_ld),
+        )
+        .unwrap();
+        assert_eq!(
+            witness(&report),
+            pinned(messages, wire_bytes),
+            "compact_lr={compact_lr} prefetch_ld={prefetch_ld}"
+        );
     }
 }
 
@@ -150,7 +145,7 @@ fn one_shot_wire_schedule_is_pinned_over_tcp() {
         config(),
         params(),
         study(),
-        options(compact_lr, prefetch_ld, 1),
+        options(compact_lr, prefetch_ld),
     )
     .unwrap();
     assert_eq!(witness(&report), pinned(messages, TCP_WIRE_BYTES));
@@ -177,14 +172,7 @@ fn compact_leader_peak_on_this_study_is_not_above_the_row_major_engines() {
     // are stitched pays for it; on wide panels the reference dominates
     // (EXPERIMENTS.md, Table 3).
     let run = |compact_lr| {
-        run_federation_with(
-            config(),
-            params(),
-            study(),
-            None,
-            options(compact_lr, true, 1),
-        )
-        .unwrap()
+        run_federation_with(config(), params(), study(), None, options(compact_lr, true)).unwrap()
     };
     let (dense, compact) = (run(false), run(true));
     assert_eq!(dense.safe_snps, compact.safe_snps);
