@@ -39,10 +39,21 @@ pub fn write_message<T: Encode>(stream: &mut impl Write, message: &T) -> io::Res
 /// [`MAX_FRAME_BYTES`] or the body fails to decode;
 /// [`io::ErrorKind::UnexpectedEof`] when the peer closed mid-frame.
 pub fn read_message<T: Decode>(stream: &mut impl Read) -> io::Result<T> {
+    read_message_capped(stream, MAX_FRAME_BYTES)
+}
+
+/// Like [`read_message`], for a reader that knows its largest valid
+/// message: a header claiming more than `max_len` body bytes (or more
+/// than [`MAX_FRAME_BYTES`]) is refused before anything is allocated.
+///
+/// # Errors
+///
+/// See [`read_message`].
+pub fn read_message_capped<T: Decode>(stream: &mut impl Read, max_len: usize) -> io::Result<T> {
     let mut header = [0u8; 4];
     stream.read_exact(&mut header)?;
     let len = u32::from_le_bytes(header) as usize;
-    if len > MAX_FRAME_BYTES {
+    if len > max_len.min(MAX_FRAME_BYTES) {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
             "frame length exceeds the limit",
@@ -91,6 +102,16 @@ mod tests {
         let mut cursor = io::Cursor::new(buf);
         let err = read_message::<Vec<u8>>(&mut cursor).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn a_capped_reader_refuses_a_frame_over_its_own_bound() {
+        let mut buf = Vec::new();
+        write_message(&mut buf, &vec![7u32; 8]).unwrap();
+        let err = read_message_capped::<Vec<u32>>(&mut io::Cursor::new(&buf), 16).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let nums: Vec<u32> = read_message_capped(&mut io::Cursor::new(&buf), 64).unwrap();
+        assert_eq!(nums, vec![7; 8]);
     }
 
     #[test]

@@ -40,7 +40,7 @@ use crate::tracks::TrackCoordinator;
 use gendpr_core::config::GwasParams;
 use gendpr_core::error::ProtocolError;
 use gendpr_core::serving::ServiceFederation;
-use gendpr_fednet::client::{read_message, write_message};
+use gendpr_fednet::client::{read_message_capped, write_message};
 use gendpr_genomics::cohort::Cohort;
 use gendpr_obs::{event, Level};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -54,6 +54,12 @@ const SIGNAL_POLL: Duration = Duration::from_millis(100);
 /// How often the nonblocking accept loop re-checks the shutdown flag
 /// while no connection is pending.
 const ACCEPT_POLL: Duration = Duration::from_millis(25);
+
+/// Read and write deadline on every accepted client connection (the same
+/// figure as the metrics endpoint's): a peer that connects and says
+/// nothing, or stops reading its verdict, costs a handler thread or a
+/// committing worker this long and no longer.
+const CLIENT_IO_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// State shared between the scheduler, the worker lanes and the client
 /// accept loop.
@@ -101,32 +107,28 @@ impl JobTicket {
     }
 }
 
-impl AssessmentService {
-    /// Puts the daemon in front of one already-started federation
-    /// session, serving the client protocol on `listener` — the
-    /// single-lane configuration, byte-identical to the historical FIFO
-    /// daemon.
-    ///
-    /// # Errors
-    ///
-    /// See [`AssessmentService::start_with`].
-    pub fn start(
-        federation: ServiceFederation,
-        ledger: ReleaseLedger,
-        cohort: &Cohort,
-        params: GwasParams,
-        listener: TcpListener,
-    ) -> Result<Self, ServiceError> {
-        Self::start_with(
-            vec![federation],
-            ledger,
-            cohort,
-            params,
-            listener,
-            SchedulerConfig::default(),
-        )
-    }
+/// What a supervised daemon is started with besides its lanes — see
+/// [`AssessmentService::start_supervised`].
+pub struct Supervision {
+    /// Builds replacement lanes: sessions over the same cohort and seeded
+    /// config as the initial ones.
+    pub factory: LaneFactory,
+    /// SNP sharding: each worker gets its own [`ShardSet`] built from the
+    /// spec (a plan plus a factory for per-shard sub-federations), so a
+    /// federated job's phases 1–2 run once per shard in parallel and
+    /// merge into the primary lane's global LR search. `None`, or a plan
+    /// of one shard, serves unsharded.
+    pub shard: Option<ShardSpec>,
+    /// Serves as one *track* of a replica fleet: the coordinator (from
+    /// [`TrackCoordinator::open`], which also opened the ledger under the
+    /// fleet lock) makes every admitted job stake a claim in the shared
+    /// claim log and every record commit through the cross-process gate
+    /// behind the scheduler's own — see [`crate::tracks`]. A fleet of one
+    /// track behaves byte-identically to `None`.
+    pub tracker: Option<Arc<TrackCoordinator>>,
+}
 
+impl AssessmentService {
     /// Puts the daemon in front of a pool of federation lanes, one
     /// worker per lane. Lanes must be sessions over the same cohort and
     /// federation config (same seed ⇒ same leader, deterministic
@@ -148,63 +150,26 @@ impl AssessmentService {
         listener: TcpListener,
         config: SchedulerConfig,
     ) -> Result<Self, ServiceError> {
-        Self::start_inner(
-            lanes, None, None, None, ledger, cohort, params, listener, config,
-        )
+        Self::start_inner(lanes, None, ledger, cohort, params, listener, config)
     }
 
     /// Like [`AssessmentService::start_with`], but *supervised*: the
-    /// factory builds replacement lanes, so a lane that loses quorum,
-    /// gets evicted or panics has its in-flight job re-queued (bounded
-    /// by [`SchedulerConfig::max_retries`]) and the lane re-elected and
-    /// returned to the pool — a lane crash never loses a job or kills
-    /// the daemon. The factory must build sessions over the same cohort
-    /// and seeded config as `lanes`.
-    ///
-    /// # Errors
-    ///
-    /// See [`AssessmentService::start_with`].
-    pub fn start_supervised(
-        lanes: Vec<ServiceFederation>,
-        factory: LaneFactory,
-        ledger: ReleaseLedger,
-        cohort: &Cohort,
-        params: GwasParams,
-        listener: TcpListener,
-        config: SchedulerConfig,
-    ) -> Result<Self, ServiceError> {
-        Self::start_inner(
-            lanes,
-            Some(factory),
-            None,
-            None,
-            ledger,
-            cohort,
-            params,
-            listener,
-            config,
-        )
-    }
-
-    /// Like [`AssessmentService::start_supervised`], with SNP sharding:
-    /// each worker gets its own [`ShardSet`] built from `shard` (a plan
-    /// plus a factory for per-shard sub-federations), so a federated
-    /// job's phases 1–2 run once per shard in parallel and merge into
-    /// the primary lane's global LR search. With a plan of one shard
-    /// (or `shard` = `None`) the daemon behaves exactly as
-    /// [`AssessmentService::start_supervised`].
+    /// factory of `supervision` builds replacement lanes, so a lane that
+    /// loses quorum, gets evicted or panics has its in-flight job
+    /// re-queued (bounded by [`SchedulerConfig::max_retries`]) and the
+    /// lane re-elected and returned to the pool — a lane crash never
+    /// loses a job or kills the daemon. See [`Supervision`] for sharding
+    /// and for serving as one track of a replica fleet.
     ///
     /// # Errors
     ///
     /// See [`AssessmentService::start_with`]; additionally
-    /// [`ServiceError::Protocol`] when the plan's panel length differs
-    /// from the cohort, and whatever the shard factory fails with while
-    /// the sets are built eagerly at startup.
-    #[allow(clippy::too_many_arguments)]
-    pub fn start_supervised_sharded(
+    /// [`ServiceError::Protocol`] when the shard plan's panel length
+    /// differs from the cohort, and whatever the shard factory fails with
+    /// while the sets are built eagerly at startup.
+    pub fn start_supervised(
         lanes: Vec<ServiceFederation>,
-        factory: LaneFactory,
-        shard: Option<ShardSpec>,
+        supervision: Supervision,
         ledger: ReleaseLedger,
         cohort: &Cohort,
         params: GwasParams,
@@ -213,9 +178,7 @@ impl AssessmentService {
     ) -> Result<Self, ServiceError> {
         Self::start_inner(
             lanes,
-            Some(factory),
-            shard,
-            None,
+            Some(supervision),
             ledger,
             cohort,
             params,
@@ -224,55 +187,19 @@ impl AssessmentService {
         )
     }
 
-    /// Like [`AssessmentService::start_supervised_sharded`], serving as
-    /// one *track* of a replica fleet: the coordinator (from
-    /// [`TrackCoordinator::open`], which also opened `ledger` under the
-    /// fleet lock) makes every admitted job stake a claim in the shared
-    /// claim log and every record commit through the cross-process gate
-    /// behind the scheduler's own — see [`crate::tracks`]. A fleet of one
-    /// track behaves byte-identically to
-    /// [`AssessmentService::start_supervised_sharded`].
-    ///
-    /// # Errors
-    ///
-    /// See [`AssessmentService::start_with`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn start_tracked(
-        lanes: Vec<ServiceFederation>,
-        factory: LaneFactory,
-        shard: Option<ShardSpec>,
-        tracker: Arc<TrackCoordinator>,
-        ledger: ReleaseLedger,
-        cohort: &Cohort,
-        params: GwasParams,
-        listener: TcpListener,
-        config: SchedulerConfig,
-    ) -> Result<Self, ServiceError> {
-        Self::start_inner(
-            lanes,
-            Some(factory),
-            shard,
-            Some(tracker),
-            ledger,
-            cohort,
-            params,
-            listener,
-            config,
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
     fn start_inner(
         lanes: Vec<ServiceFederation>,
-        factory: Option<LaneFactory>,
-        shard: Option<ShardSpec>,
-        tracker: Option<Arc<TrackCoordinator>>,
+        supervision: Option<Supervision>,
         ledger: ReleaseLedger,
         cohort: &Cohort,
         params: GwasParams,
         listener: TcpListener,
         config: SchedulerConfig,
     ) -> Result<Self, ServiceError> {
+        let (factory, shard, tracker) = match supervision {
+            Some(s) => (Some(s.factory), s.shard, s.tracker),
+            None => (None, None, None),
+        };
         let Some(first) = lanes.first() else {
             return Err(ProtocolError::InvalidConfig("a daemon needs at least one lane").into());
         };
@@ -578,8 +505,14 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
         }
         match listener.accept() {
             Ok((stream, _)) => {
-                // Handlers do blocking frame I/O on the connection.
-                if stream.set_nonblocking(false).is_err() {
+                // Handlers do blocking frame I/O on the connection, every
+                // read and write of it under the deadline — including the
+                // verdict a committing worker writes to a handed-over
+                // socket long after the handler is gone.
+                if stream.set_nonblocking(false).is_err()
+                    || stream.set_read_timeout(Some(CLIENT_IO_TIMEOUT)).is_err()
+                    || stream.set_write_timeout(Some(CLIENT_IO_TIMEOUT)).is_err()
+                {
                     continue;
                 }
                 let shared = Arc::clone(shared);
@@ -594,7 +527,10 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
 }
 
 fn handle_client(mut stream: TcpStream, shared: &Arc<Shared>) {
-    let Ok(request) = read_message::<ClientRequest>(&mut stream) else {
+    // The largest valid request is a submit of the whole panel: a tag,
+    // a length prefix, four bytes per id and two small fields.
+    let max_request = 16 + 4 * shared.sched.limits().panel_len as usize;
+    let Ok(request) = read_message_capped::<ClientRequest>(&mut stream, max_request) else {
         return;
     };
     let response = match request {

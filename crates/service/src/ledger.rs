@@ -6,76 +6,29 @@
 //! ever certified, across restarts, and charge the union against each
 //! new job's LR power budget. The ledger is that memory.
 //!
-//! # On-disk format
+//! # On disk
 //!
-//! A flat sequence of self-delimiting frames, one per record:
-//!
-//! ```text
-//! [u32 LE body length][wire-encoded LedgerRecord][32-byte SHA-256 of body]
-//! ```
-//!
-//! The trailing digest makes torn writes detectable: a crash mid-append
-//! leaves a final frame whose length header, body or checksum is
-//! incomplete (or whose checksum mismatches), and [`ReleaseLedger::open`]
-//! truncates the file back to the last intact record. The intact prefix
-//! always loads — appends never rewrite earlier bytes.
-//!
-//! # Mirrored durability
-//!
-//! [`ReleaseLedger::open_replicated`] keeps the same log on several
-//! files: every append writes the frame to each of them and succeeds
-//! once a majority of the set acknowledged its fsync. A replica whose
-//! write fails is retired for the rest of the process (so it can only
-//! ever hold a strict *prefix* of the truth, never a divergent
-//! history); at the next open the longest intact prefix across the set
-//! wins and every other file — lagging, torn, or flipped — is healed
-//! by rewriting it to the winner's bytes.
+//! One checksummed frame per [`LedgerRecord`], optionally mirrored across
+//! replica files under a majority-fsync quorum
+//! ([`ReleaseLedger::open_replicated`]). The frame format, the torn-tail
+//! recovery and the mirror heal / retire / quorum rules are the crate's
+//! shared durable log (`log.rs`, also under the track claim log) and are
+//! described there; this module owns the record's fields and the views
+//! folded from them: the job-id index, the released union, the per-link
+//! traffic totals and the next job id.
 
 use crate::error::ServiceError;
+use crate::log::{FrameLog, KillPoints, LogNames};
+use crate::telemetry;
 use gendpr_core::certificate::AssessmentCertificate;
 use gendpr_core::serving::{JobOutcome, JobSpec, LinkUsage};
-use gendpr_crypto::sha256;
-use gendpr_fednet::tcp::MAX_FRAME_BYTES;
-use gendpr_fednet::wire::{self, Decode, Encode, Reader, WireError};
+use gendpr_fednet::wire::{Decode, Encode, Reader, WireError};
 use gendpr_fednet::wire_struct;
 use gendpr_genomics::snp::SnpId;
 use gendpr_obs::{event, Level};
 use gendpr_tee::attestation::Quote;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-
-/// SHA-256 digest length, the per-record checksum trailer.
-pub(crate) const CHECKSUM_LEN: usize = 32;
-
-/// Builds one self-delimiting ledger frame around `body`:
-/// `[u32 LE len][body][sha256(body)]`. Shared with the track claim log,
-/// which uses the same torn-write-detectable format.
-///
-/// # Panics
-///
-/// Panics when `body` exceeds the transport frame cap — a record that
-/// large could never have crossed the wire in the first place.
-#[must_use]
-pub(crate) fn seal_frame(body: &[u8]) -> Vec<u8> {
-    assert!(body.len() <= MAX_FRAME_BYTES, "ledger frame over cap");
-    let mut frame = Vec::with_capacity(4 + body.len() + CHECKSUM_LEN);
-    frame.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    frame.extend_from_slice(body);
-    frame.extend_from_slice(&sha256::digest(body));
-    frame
-}
-
-/// Extracts the checksummed body of the frame starting at `start`, or
-/// `None` for a torn/corrupt frame. On success also returns the frame's
-/// end offset.
-pub(crate) fn intact_frame(bytes: &[u8], start: usize) -> Option<(&[u8], usize)> {
-    let end = next_frame(bytes, start)?;
-    let body = &bytes[start + 4..end - CHECKSUM_LEN];
-    let claimed = &bytes[end - CHECKSUM_LEN..end];
-    (sha256::digest(body).as_slice() == claimed).then_some((body, end))
-}
 
 /// How a ledger record was produced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -284,13 +237,26 @@ impl LedgerRecord {
     }
 }
 
+/// The names the release ledger reports the shared log mechanics under.
+const LEDGER_LOG: LogNames = LogNames {
+    log: "ledger",
+    target: "ledger",
+    healed: "ledger_replica_healed",
+    winner_trimmed: None,
+    tail_dropped: "ledger_tail_dropped_on_refresh",
+    tail_healed: "ledger_mirror_tail_healed",
+    retired: "ledger_replica_retired",
+    kill: Some(KillPoints {
+        tear: "ledger_tear",
+        append: "ledger_append",
+        commit: "ledger_commit",
+    }),
+};
+
 /// The append-only on-disk log of certified releases.
 #[derive(Debug)]
 pub struct ReleaseLedger {
-    file: File,
-    path: PathBuf,
-    /// Mirror files; retired (set to `None`) on the first failed write.
-    replicas: Vec<Replica>,
+    log: FrameLog<LedgerRecord>,
     records: Vec<LedgerRecord>,
     // The views below are derived from `records` alone and maintained by
     // `push`, the one path loaded, appended and refreshed records take —
@@ -304,294 +270,9 @@ pub struct ReleaseLedger {
     link_totals: BTreeMap<(u32, u32), LinkRecord>,
     /// One past the highest job id ever recorded.
     next_id: u64,
-    /// Bytes discarded from a torn tail by [`ReleaseLedger::open`].
+    /// Bytes discarded from the primary's torn tail by
+    /// [`ReleaseLedger::open`].
     recovered: u64,
-    /// Byte length of the intact frame prefix this process has loaded —
-    /// where [`ReleaseLedger::refresh`] resumes scanning for frames
-    /// appended by other track processes.
-    offset: u64,
-}
-
-/// One mirror of a replicated log (the release ledger's replicas, the
-/// claim log's mirrors).
-#[derive(Debug)]
-pub(crate) struct Replica {
-    /// `None` once a write failed: a retired mirror stops receiving
-    /// frames (its file stays a strict prefix of the truth) and is
-    /// healed at the next open.
-    pub(crate) file: Option<File>,
-    pub(crate) path: PathBuf,
-}
-
-/// The names a mirrored log reports its mirror mechanics under — all
-/// the release ledger and the claim log differ in below.
-pub(crate) struct MirrorEvents {
-    /// The log's name in a quorum-lost error.
-    pub(crate) log: &'static str,
-    /// Event target.
-    pub(crate) target: &'static str,
-    /// A losing copy was rewritten to the winning prefix at open.
-    pub(crate) healed: &'static str,
-    /// The winning copy's own torn tail was dropped at open; `None` when
-    /// the log reports that itself (the ledger's `ledger_truncated`).
-    pub(crate) winner_trimmed: Option<&'static str>,
-    /// A mirror's tail was rewritten from the primary at refresh.
-    pub(crate) tail_healed: &'static str,
-    /// A mirror was retired after a failed write or heal.
-    pub(crate) retired: &'static str,
-}
-
-const LEDGER_EVENTS: MirrorEvents = MirrorEvents {
-    log: "ledger",
-    target: "ledger",
-    healed: "ledger_replica_healed",
-    winner_trimmed: None,
-    tail_healed: "ledger_mirror_tail_healed",
-    retired: "ledger_replica_retired",
-};
-
-/// One copy of a mirrored log as found on disk at open.
-pub(crate) struct LogCopy {
-    pub(crate) file: File,
-    pub(crate) path: PathBuf,
-    pub(crate) bytes: Vec<u8>,
-    /// Length of the intact frame prefix, set by the owning log's scan.
-    pub(crate) good: usize,
-}
-
-/// Opens (creating if absent) one copy and reads it whole.
-pub(crate) fn read_copy(path: &Path) -> Result<LogCopy, ServiceError> {
-    let mut file = OpenOptions::new()
-        .read(true)
-        .append(true)
-        .create(true)
-        .open(path)?;
-    let mut bytes = Vec::new();
-    file.read_to_end(&mut bytes)?;
-    Ok(LogCopy {
-        file,
-        path: path.to_path_buf(),
-        bytes,
-        good: 0,
-    })
-}
-
-/// What [`heal_copies`] found and did.
-pub(crate) struct OpenHeal {
-    /// Index of the copy whose intact prefix won.
-    pub(crate) winner: usize,
-    /// Copies rewritten (one fsync each), the winner's own trim included.
-    pub(crate) rewritten: u64,
-    /// The losing copies among them.
-    pub(crate) healed: u64,
-}
-
-/// The open-time heal: the copy with the longest intact prefix wins (the
-/// earliest on ties, the primary first) and every copy whose content is
-/// not exactly that prefix is rewritten to it. (A crash mid-heal leaves
-/// that file with some prefix of the winner's bytes — the next open
-/// still finds the full prefix on the quorum that acknowledged it.)
-pub(crate) fn heal_copies(
-    copies: &mut [LogCopy],
-    events: &MirrorEvents,
-) -> Result<OpenHeal, ServiceError> {
-    let winner = (0..copies.len())
-        .max_by_key(|&i| (copies[i].good, std::cmp::Reverse(i)))
-        .expect("at least the primary");
-    let truth = copies[winner].bytes[..copies[winner].good].to_vec();
-    let mut heal = OpenHeal {
-        winner,
-        rewritten: 0,
-        healed: 0,
-    };
-    for (i, copy) in copies.iter_mut().enumerate() {
-        if copy.bytes == truth {
-            copy.file.seek(SeekFrom::End(0))?;
-            continue;
-        }
-        copy.file.set_len(0)?;
-        copy.file.write_all(&truth)?;
-        copy.file.sync_data()?;
-        heal.rewritten += 1;
-        let name = if i == winner {
-            events.winner_trimmed
-        } else {
-            heal.healed += 1;
-            Some(events.healed)
-        };
-        if let Some(name) = name {
-            event(
-                Level::Warn,
-                events.target,
-                name,
-                &[
-                    ("path", copy.path.display().to_string().as_str().into()),
-                    ("had_bytes", (copy.bytes.len() as u64).into()),
-                    ("now_bytes", (truth.len() as u64).into()),
-                ],
-            );
-        }
-    }
-    Ok(heal)
-}
-
-/// Splits the healed copies into the primary and its live mirrors.
-pub(crate) fn primary_and_mirrors(copies: Vec<LogCopy>) -> (File, PathBuf, Vec<Replica>) {
-    let mut copies = copies.into_iter();
-    let first = copies.next().expect("at least the primary");
-    let mirrors = copies
-        .map(|copy| Replica {
-            file: Some(copy.file),
-            path: copy.path,
-        })
-        .collect();
-    (first.file, first.path, mirrors)
-}
-
-/// Retires `mirror` after a failed write or heal: one missing frame must
-/// never be followed by later ones, or the mirror would hold a valid-
-/// looking history that skips a record.
-fn retire(mirror: &mut Replica, error: &std::io::Error, events: &MirrorEvents) {
-    mirror.file = None;
-    event(
-        Level::Warn,
-        events.target,
-        events.retired,
-        &[
-            ("path", mirror.path.display().to_string().as_str().into()),
-            ("error", error.to_string().as_str().into()),
-        ],
-    );
-}
-
-/// Verifies, under the fleet lock a refresh runs under, that every live
-/// mirror ends exactly where the primary's intact prefix (`offset`)
-/// does, and heals any that does not by rewriting it from the primary.
-/// A track killed mid-append can leave a mirror with a torn tail — or
-/// missing the primary's fsynced last frame entirely — and because every
-/// handle appends with `O_APPEND`, a surviving track would otherwise
-/// write the next frame after the damage: the mirror ends up unreadable
-/// past the tear (or worse, a valid-looking history that silently skips
-/// a record) while its fsync still counts toward the append quorum. A
-/// mirror that cannot be healed is retired instead of acked, exactly
-/// like a failed append.
-///
-/// Appends are serialized fleet-wide and write identical bytes to every
-/// copy, so "same length as the primary's intact prefix" implies "same
-/// bytes" under the process-kill failure model; the check per refresh is
-/// one `stat` per mirror.
-///
-/// Returns `(healed, retired)` mirror counts.
-pub(crate) fn heal_mirror_tails(
-    primary: &mut File,
-    offset: u64,
-    mirrors: &mut [Replica],
-    events: &MirrorEvents,
-) -> Result<(u64, u64), ServiceError> {
-    let mut truth: Option<Vec<u8>> = None;
-    let (mut healed, mut retired) = (0, 0);
-    for mirror in mirrors {
-        let Some(file) = mirror.file.as_mut() else {
-            continue;
-        };
-        if file.metadata().map(|m| m.len()).ok() == Some(offset) {
-            continue;
-        }
-        // A primary read failure is the primary's problem, not the
-        // mirror's: surface it instead of retiring the mirror.
-        if truth.is_none() {
-            primary.seek(SeekFrom::Start(0))?;
-            let mut bytes = vec![0u8; offset as usize];
-            primary.read_exact(&mut bytes)?;
-            truth = Some(bytes);
-        }
-        let bytes = truth.as_ref().expect("primary prefix loaded");
-        let rewritten = file
-            .set_len(0)
-            .and_then(|()| file.write_all(bytes))
-            .and_then(|()| file.sync_data());
-        match rewritten {
-            Ok(()) => {
-                healed += 1;
-                event(
-                    Level::Warn,
-                    events.target,
-                    events.tail_healed,
-                    &[
-                        ("path", mirror.path.display().to_string().as_str().into()),
-                        ("now_bytes", offset.into()),
-                    ],
-                );
-            }
-            Err(e) => {
-                retired += 1;
-                retire(mirror, &e, events);
-            }
-        }
-    }
-    Ok((healed, retired))
-}
-
-/// Writes, flushes and fsyncs `frame` on every live mirror, retiring any
-/// whose write fails. Returns `(acks, retired)`.
-pub(crate) fn mirror_frame(
-    mirrors: &mut [Replica],
-    frame: &[u8],
-    events: &MirrorEvents,
-) -> (usize, u64) {
-    let (mut acks, mut retired) = (0, 0);
-    for mirror in mirrors {
-        let Some(file) = mirror.file.as_mut() else {
-            continue;
-        };
-        let written = file
-            .write_all(frame)
-            .and_then(|()| file.flush())
-            .and_then(|()| file.sync_data());
-        match written {
-            Ok(()) => acks += 1,
-            Err(e) => {
-                retired += 1;
-                retire(mirror, &e, events);
-            }
-        }
-    }
-    (acks, retired)
-}
-
-/// The majority rule: the primary's fsync plus `mirror_acks` must reach
-/// a majority of the whole set of `1 + mirrors` copies.
-pub(crate) fn require_quorum(
-    mirror_acks: usize,
-    mirrors: usize,
-    events: &MirrorEvents,
-) -> Result<(), ServiceError> {
-    let (acks, quorum) = (1 + mirror_acks, mirrors.div_ceil(2) + 1);
-    if acks < quorum {
-        return Err(std::io::Error::other(format!(
-            "{} quorum lost: {acks} of {} copies acknowledged (need {quorum})",
-            events.log,
-            1 + mirrors
-        ))
-        .into());
-    }
-    Ok(())
-}
-
-/// The intact, decodable record prefix of one ledger copy.
-fn scan_records(bytes: &[u8]) -> (Vec<LedgerRecord>, usize) {
-    let mut records = Vec::new();
-    let mut good = 0usize;
-    while let Some((body, end)) = intact_frame(bytes, good) {
-        match wire::from_bytes::<LedgerRecord>(body) {
-            Ok(record) => {
-                records.push(record);
-                good = end;
-            }
-            Err(_) => break,
-        }
-    }
-    (records, good)
 }
 
 impl ReleaseLedger {
@@ -608,83 +289,52 @@ impl ReleaseLedger {
 
     /// Opens the ledger mirrored across `primary` plus `replicas`
     /// (creating any that are absent): the file with the longest intact
-    /// frame prefix wins, every other file is healed by rewriting it to
-    /// the winner's bytes, and subsequent appends go to all of them
+    /// record prefix wins — the earliest on ties, so a set of identical
+    /// files loads exactly like [`ReleaseLedger::open`] — every other
+    /// file is healed to it, and subsequent appends go to all of them
     /// under a majority-fsync quorum.
-    ///
-    /// On ties the earliest file wins (the primary first), so a set of
-    /// identical files loads exactly like [`ReleaseLedger::open`].
     ///
     /// # Errors
     ///
-    /// [`ServiceError::Io`] on filesystem failures — at open, every
-    /// file must be readable and healable; only at append time may a
-    /// minority of the set fail.
+    /// [`ServiceError::Io`] on filesystem failures: at open every file
+    /// must be readable and healable.
     pub fn open_replicated(
         primary: impl AsRef<Path>,
         replicas: &[PathBuf],
     ) -> Result<Self, ServiceError> {
-        let mut copies = Vec::with_capacity(1 + replicas.len());
-        let mut decoded = Vec::with_capacity(1 + replicas.len());
-        for path in std::iter::once(primary.as_ref()).chain(replicas.iter().map(PathBuf::as_path)) {
-            let mut copy = read_copy(path)?;
-            let (records, good) = scan_records(&copy.bytes);
-            copy.good = good;
-            copies.push(copy);
-            decoded.push(records);
-        }
-
+        let (log, records, heal) = FrameLog::open(primary.as_ref(), replicas, &LEDGER_LOG)?;
         // The primary's own torn tail is accounted the way `open`
         // always did — recovery must be loud, it is exactly what the
         // soak harness audits for.
-        let recovered = (copies[0].bytes.len() - copies[0].good) as u64;
-        if recovered > 0 {
-            let bytes = &copies[0].bytes;
-            let mut truncated_frames = 0u64;
-            let mut scan = copies[0].good;
-            while let Some(end) = next_frame(bytes, scan) {
-                truncated_frames += 1;
-                scan = end;
-            }
-            if scan < bytes.len() {
-                truncated_frames += 1;
-            }
-            crate::telemetry::ledger_truncated_frames().add(truncated_frames);
+        if heal.primary_torn_bytes > 0 {
+            telemetry::ledger_truncated_frames().add(heal.primary_torn_frames);
             event(
                 Level::Warn,
                 "ledger",
                 "ledger_truncated",
                 &[
-                    ("path", copies[0].path.display().to_string().as_str().into()),
-                    ("bytes", recovered.into()),
-                    ("frames", truncated_frames.into()),
-                    ("records_kept", decoded[0].len().into()),
+                    ("path", log.path().display().to_string().as_str().into()),
+                    ("bytes", heal.primary_torn_bytes.into()),
+                    ("frames", heal.primary_torn_frames.into()),
+                    ("records_kept", heal.primary_kept.into()),
                 ],
             );
         }
-
-        let heal = heal_copies(&mut copies, &LEDGER_EVENTS)?;
-        crate::telemetry::ledger_fsyncs().add(heal.rewritten);
-        crate::telemetry::ledger_replica_heals().add(heal.healed);
-        let records = decoded.swap_remove(heal.winner);
-        let offset = copies[heal.winner].good as u64;
-        let (file, path, replicas) = primary_and_mirrors(copies);
+        telemetry::ledger_fsyncs().add(heal.rewritten);
+        telemetry::ledger_replica_heals().add(heal.healed);
         let mut ledger = Self {
-            file,
-            path,
-            replicas,
+            log,
             records: Vec::with_capacity(records.len()),
             index: HashMap::with_capacity(records.len()),
             released: BTreeSet::new(),
             link_totals: BTreeMap::new(),
             next_id: 1,
-            recovered,
-            offset,
+            recovered: heal.primary_torn_bytes,
         };
         for record in records {
             ledger.push(record);
         }
-        crate::telemetry::ledger_records().set(ledger.records.len() as i64);
+        telemetry::ledger_records().set(ledger.records.len() as i64);
         Ok(ledger)
     }
 
@@ -714,11 +364,10 @@ impl ReleaseLedger {
         self.records.push(record);
     }
 
-    /// Appends one record durably (flushed and fsynced before returning).
-    /// With replicas the frame goes to every live mirror and the append
-    /// succeeds once a majority of the whole set (primary included)
-    /// acknowledged its fsync; a replica whose write fails is retired
-    /// until the next open heals it.
+    /// Appends one record durably: fsynced on the primary and, with
+    /// replicas, acknowledged by a majority of the whole set before this
+    /// returns. A replica whose write fails is retired until the next
+    /// open heals it.
     ///
     /// # Errors
     ///
@@ -728,87 +377,46 @@ impl ReleaseLedger {
     /// exactly like a crash after fsync, the record can resurface at
     /// the next open.)
     pub fn append(&mut self, record: LedgerRecord) -> Result<(), ServiceError> {
-        let body = wire::to_bytes(&record);
-        let frame = seal_frame(&body);
-        // Soak-harness kill points cover the three crash windows
-        // recovery must handle: mid-write (a genuinely torn frame on
-        // disk), post-write pre-fsync (the primary ahead of every
-        // replica), and right after durability (a committed frame whose
-        // response was never delivered).
-        let split = frame.len() / 2;
-        self.file.write_all(&frame[..split])?;
-        gendpr_fednet::killpoint::hit("ledger_tear");
-        self.file.write_all(&frame[split..])?;
-        self.file.flush()?;
-        gendpr_fednet::killpoint::hit("ledger_append");
-        self.file.sync_data()?;
-        let (acks, retired) = mirror_frame(&mut self.replicas, &frame, &LEDGER_EVENTS);
-        crate::telemetry::ledger_replica_write_failures().add(retired);
-        gendpr_fednet::killpoint::hit("ledger_commit");
-        require_quorum(acks, self.replicas.len(), &LEDGER_EVENTS)?;
-        crate::telemetry::ledger_appends().inc();
-        crate::telemetry::ledger_fsyncs().inc();
-        self.offset += frame.len() as u64;
+        let live = self.log.live_mirrors();
+        let appended = self.log.append(&record);
+        // Counted whether or not the quorum held.
+        telemetry::ledger_replica_write_failures().add((live - self.log.live_mirrors()) as u64);
+        appended?;
+        telemetry::ledger_appends().inc();
+        telemetry::ledger_fsyncs().inc();
         self.push(record);
-        crate::telemetry::ledger_records().set(self.records.len() as i64);
+        telemetry::ledger_records().set(self.records.len() as i64);
         Ok(())
     }
 
-    /// Re-scans the primary file for frames appended by *other*
-    /// processes since this handle last loaded or appended, extending
-    /// the in-memory view in place. Replica track daemons share one
-    /// ledger this way: every view-then-append cycle runs under the
-    /// fleet's cross-process claim lock, so a refresh under that lock
-    /// sees exactly the committed prefix.
+    /// Picks up the records *other* processes appended since this handle
+    /// last loaded or appended, and returns how many. Replica track
+    /// daemons share one ledger this way: every view-then-append cycle
+    /// runs under the fleet's cross-process lock, so a refresh under that
+    /// lock sees exactly the committed prefix.
     ///
-    /// A torn tail (a track killed mid-append) is truncated back to the
-    /// last intact frame so the next append starts on a frame boundary —
-    /// safe because the caller holds the exclusive fleet lock, meaning
-    /// no live process can be mid-write. Never call this without that
-    /// lock held.
-    ///
-    /// Returns the number of new records picked up.
+    /// Never call this without that lock held: a torn tail (a track
+    /// killed mid-append) is truncated and lagging replicas are rewritten,
+    /// which is only safe while no live process can be mid-write.
     ///
     /// # Errors
     ///
     /// [`ServiceError::Io`] on filesystem failures.
     pub fn refresh(&mut self) -> Result<usize, ServiceError> {
-        self.file.seek(SeekFrom::Start(self.offset))?;
-        let mut bytes = Vec::new();
-        self.file.read_to_end(&mut bytes)?;
-        let (records, good) = scan_records(&bytes);
+        let (records, report) = self.log.refresh()?;
+        if report.dropped_bytes > 0 {
+            // Crash leavings from a dead track, dropped the same way
+            // open would have.
+            telemetry::ledger_truncated_frames().inc();
+        }
+        telemetry::ledger_replica_heals().add(report.healed);
+        telemetry::ledger_replica_write_failures().add(report.retired);
         let fresh = records.len();
         for record in records {
             self.push(record);
         }
-        self.offset += good as u64;
-        if good < bytes.len() {
-            // Crash leavings from a dead track. The claim lock is held,
-            // so nothing live is writing: drop the tail the same way
-            // open would have.
-            crate::telemetry::ledger_truncated_frames().inc();
-            event(
-                Level::Warn,
-                "ledger",
-                "ledger_tail_dropped_on_refresh",
-                &[
-                    ("path", self.path.display().to_string().as_str().into()),
-                    ("bytes", ((bytes.len() - good) as u64).into()),
-                ],
-            );
-            self.file.set_len(self.offset)?;
-            self.file.sync_data()?;
-        }
-        let (healed, retired) = heal_mirror_tails(
-            &mut self.file,
-            self.offset,
-            &mut self.replicas,
-            &LEDGER_EVENTS,
-        )?;
-        crate::telemetry::ledger_replica_heals().add(healed);
-        crate::telemetry::ledger_replica_write_failures().add(retired);
         if fresh > 0 {
-            crate::telemetry::ledger_records().set(self.records.len() as i64);
+            telemetry::ledger_records().set(self.records.len() as i64);
         }
         Ok(fresh)
     }
@@ -840,20 +448,20 @@ impl ReleaseLedger {
     /// The ledger file path.
     #[must_use]
     pub fn path(&self) -> &Path {
-        &self.path
+        self.log.path()
     }
 
     /// Paths of the mirror files (empty without replication).
     #[must_use]
     pub fn replica_paths(&self) -> Vec<&Path> {
-        self.replicas.iter().map(|r| r.path.as_path()).collect()
+        self.log.mirror_paths()
     }
 
     /// Mirrors still receiving appends (a failed write retires one
     /// until the next open heals it).
     #[must_use]
     pub fn live_replicas(&self) -> usize {
-        self.replicas.iter().filter(|r| r.file.is_some()).count()
+        self.log.live_mirrors()
     }
 
     /// The next job id: one past the highest ever recorded, starting at 1
@@ -937,18 +545,6 @@ pub fn audit_records(records: &[LedgerRecord]) -> Result<(), String> {
         prefixes.push(next);
     }
     Ok(())
-}
-
-/// Returns the end offset of the frame starting at `start`, or `None`
-/// when the remaining bytes cannot hold one (torn tail).
-fn next_frame(bytes: &[u8], start: usize) -> Option<usize> {
-    let header = bytes.get(start..start + 4)?;
-    let len = u32::from_le_bytes(header.try_into().expect("four bytes")) as usize;
-    if len > MAX_FRAME_BYTES {
-        return None;
-    }
-    let end = start + 4 + len + CHECKSUM_LEN;
-    (end <= bytes.len()).then_some(end)
 }
 
 #[cfg(test)]
@@ -1158,15 +754,10 @@ mod tests {
         // the primary but not this mirror before the track dies. Without
         // the heal the next append would give the mirror a valid-looking
         // history that silently skips record 2.
-        {
-            use std::io::Write as _;
-            let mut f = std::fs::OpenOptions::new()
-                .append(true)
-                .open(&primary)
-                .unwrap();
-            f.write_all(&seal_frame(&wire::to_bytes(&sample(2))))
-                .unwrap();
-        }
+        ReleaseLedger::open(&primary)
+            .unwrap()
+            .append(sample(2))
+            .unwrap();
         assert_eq!(ledger.refresh().unwrap(), 1);
         assert_eq!(ledger.records()[1], sample(2));
         ledger.append(sample(3)).unwrap();

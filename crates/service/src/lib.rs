@@ -10,7 +10,9 @@
 //!
 //! * [`ledger`] — the append-only, checksummed release ledger: every
 //!   certified release (SNP ids, statistics, certificate, epoch/roster),
-//!   durable across restarts, seeding each new job's LR phase,
+//!   durable across restarts, seeding each new job's LR phase (the
+//!   private `log` module is the one mirrored frame log under it and
+//!   under the tracks' claim log),
 //! * [`daemon`] — the `gendpr serve` core: bounded job queue with
 //!   admission control, a pool of
 //!   [`gendpr_core::serving::ServiceFederation`] worker lanes, dynamic
@@ -36,6 +38,7 @@ pub mod client;
 pub mod daemon;
 pub mod error;
 pub mod ledger;
+mod log;
 pub mod protocol;
 pub mod sched;
 pub mod shard;
@@ -44,7 +47,7 @@ pub mod telemetry;
 pub mod tracks;
 
 pub use client::ServiceClient;
-pub use daemon::{AssessmentService, JobTicket};
+pub use daemon::{AssessmentService, JobTicket, Supervision};
 pub use error::ServiceError;
 pub use ledger::{JobKind, LedgerRecord, LinkRecord, ReleaseLedger, WireCertificate};
 pub use protocol::{ClientRequest, ClientResponse, QueuedJobStatus, RejectReason, ServiceStatus};

@@ -268,11 +268,8 @@ impl Scheduler {
     /// snapshot must not take the daemon down, and the next write path
     /// will surface a broken ledger anyway.
     pub fn refresh_view(&self) {
-        if let Some(tracker) = self.tracker() {
-            if let Ok(guard) = tracker.fleet() {
-                let _ = self.with_core_mut(|core| core.sync_from_disk());
-                drop(guard);
-            }
+        if let Some(tracker) = self.tracker.get() {
+            drop(tracker.synced(self));
         }
     }
 
@@ -361,24 +358,17 @@ impl Scheduler {
         Ok(job_id)
     }
 
-    /// The admission decision: validate → *(track: fleet lock, refresh,
-    /// sync)* → backpressure → id → *(track: stake the claim)*. A track
-    /// allocates the globally next id and freezes the claim-time ledger
-    /// snapshot in a quorum-acknowledged claim frame, all under the fleet
-    /// lock the caller keeps until the job is queued.
+    /// The admission decision: validate → *(track: fleet lock, both shared
+    /// files synced)* → backpressure → id → *(track: stake the claim)*. A
+    /// track allocates the globally next id and freezes the claim-time
+    /// ledger snapshot in a quorum-acknowledged claim frame, all under the
+    /// fleet lock the caller keeps until the job is queued.
     fn admit(&self, panel: Vec<u32>, batches: u32) -> Result<Admitted<'_>, ServiceError> {
         let panel = admission::validate(panel, batches, &self.limits)?;
         let tracker = self.tracker.get();
-        let mut fleet = tracker.map(|t| t.fleet()).transpose()?;
-        let mut claims_next = 0;
-        if let Some(fleet) = fleet.as_mut() {
-            fleet.log().refresh()?;
-            claims_next = fleet.log().next_job_id();
-        }
-        let mut core = self.lock();
-        if fleet.is_some() {
-            core.sync_from_disk()?;
-        }
+        let mut fleet = tracker.map(|t| t.synced(self)).transpose()?;
+        let claims_next = fleet.as_mut().map_or(0, |fleet| fleet.log().next_job_id());
+        let core = self.lock();
         admission::admit(core.shutdown, core.queue.len(), core.queue.max())?;
         let job_id = core.next_job_id.max(claims_next);
         let mut forced = None;

@@ -58,7 +58,11 @@ use std::time::Duration;
 /// --workers/--max-queue/--max-retries/--drain-timeout`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SchedulerConfig {
-    /// Worker lanes (each its own federation session). Must be ≥ 1.
+    /// Accepted and **ignored**: the pool has one worker per lane handed
+    /// to [`crate::daemon::AssessmentService::start_with`], whatever this
+    /// says. The field stays only because `benchmark/src/serve.rs:184`
+    /// names it; it goes with the three inert `threads` arguments in one
+    /// `benchmark` issue.
     pub workers: usize,
     /// Bound on *undispatched* jobs; submits beyond it are rejected with
     /// [`crate::error::ServiceError::QueueFull`]. Must be ≥ 1.

@@ -1,9 +1,10 @@
 //! The shared claim log: the append-only file through which replica
 //! track daemons coordinate job ownership and commit order.
 //!
-//! The log reuses the release ledger's torn-write-detectable framing
-//! (`[u32 LE len][wire body][32-byte SHA-256]`) and its mirrored-append
-//! quorum rule, but records *claims*, not releases:
+//! It is the crate's shared durable log (`log.rs`: checksummed frames,
+//! mirrored appends under a majority quorum, heals at open and refresh —
+//! the same mechanics as under the release ledger), but records
+//! *claims*, not releases:
 //!
 //! * A [`ClaimFrame`] stakes a track's ownership of one job: the
 //!   globally allocated job id, the full job spec (so a survivor can
@@ -23,17 +24,18 @@
 //! it first saw the claim (there is no shared clock between tracks), so
 //! a lease can only ever expire *late*, never early — the safe
 //! direction for at-most-once execution.
+//!
+//! [`ClaimLog`] folds every frame it observes into the fleet's
+//! resolution state — the controlling claim per job, the `Done` markers
+//! and the set of unresolved ids — so the commit gate asks for the head
+//! instead of re-deriving it from the whole log.
 
 use crate::error::ServiceError;
-use crate::ledger::{
-    heal_copies, heal_mirror_tails, intact_frame, mirror_frame, primary_and_mirrors, read_copy,
-    require_quorum, seal_frame, MirrorEvents, Replica,
-};
-use gendpr_fednet::wire::{self, Decode, Encode, Reader, WireError};
+use crate::ledger::ReleaseLedger;
+use crate::log::{FrameLog, LogNames};
+use gendpr_fednet::wire::{Decode, Encode, Reader, WireError};
 use gendpr_fednet::wire_struct;
-use gendpr_obs::{event, Level};
-use std::fs::File;
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::collections::{BTreeMap, HashMap};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
@@ -136,78 +138,57 @@ pub struct SeenEntry {
     pub first_seen: Instant,
 }
 
-/// The claim log's names for the mirror mechanics it shares with the
-/// release ledger.
-const CLAIM_EVENTS: MirrorEvents = MirrorEvents {
+/// The names the claim log reports the shared log mechanics under.
+const CLAIM_LOG: LogNames = LogNames {
     log: "claim log",
     target: "tracks",
     healed: "claim_log_healed",
     winner_trimmed: Some("claim_log_healed"),
+    tail_dropped: "claim_log_tail_dropped",
     tail_healed: "claim_mirror_tail_healed",
     retired: "claim_mirror_retired",
+    kill: None,
 };
 
-/// The claim log: the primary file, its mirrors, and every frame this
-/// process has observed.
+/// The claim log: the durable frames plus everything this process has
+/// folded out of them.
 #[derive(Debug)]
 pub struct ClaimLog {
-    file: File,
-    path: PathBuf,
-    mirrors: Vec<Replica>,
+    log: FrameLog<ClaimEntry>,
     entries: Vec<SeenEntry>,
-    /// One past the highest job id in any claim of `entries` (0 when
-    /// there is none), maintained by `push`.
+    // The views below are derived from `entries` alone and maintained by
+    // `push`, the one path loaded, appended and refreshed frames take.
+    /// One past the highest job id in any claim (0 when there is none).
     next_id: u64,
-    /// Byte length of the intact prefix scanned so far.
-    offset: u64,
-}
-
-/// Scans `bytes` from `start`, returning decoded entries and the intact
-/// prefix end.
-fn scan(bytes: &[u8], start: usize) -> (Vec<ClaimEntry>, usize) {
-    let mut entries = Vec::new();
-    let mut good = start;
-    while let Some((body, end)) = intact_frame(bytes, good) {
-        match wire::from_bytes::<ClaimEntry>(body) {
-            Ok(entry) => {
-                entries.push(entry);
-                good = end;
-            }
-            Err(_) => break,
-        }
-    }
-    (entries, good)
+    /// Terminally failed jobs → the track that pronounced them dead.
+    done: HashMap<u64, u32>,
+    /// Claimed ids with no `Done` marker that the ledger was not yet seen
+    /// to contain → the position in `entries` of the job's controlling
+    /// (latest) claim, which owns the job and carries the lease. The
+    /// job's *id* fixes its commit position: ids are allocated in claim
+    /// order, so id order is claim order even across reclaims. Commits
+    /// land in that order too, so the ids the ledger has since taken are
+    /// a prefix of this map, dropped by `prune` as it meets them.
+    unresolved: BTreeMap<u64, usize>,
 }
 
 impl ClaimLog {
     /// Opens (creating if absent) the claim log at `primary` mirrored
-    /// across `mirrors`, healing every copy to the longest intact
-    /// prefix exactly like the release ledger does. Must be called with
-    /// the fleet's exclusive lock held, so a heal cannot clobber a live
-    /// track's append.
+    /// across `mirrors`, every copy healed to the longest intact prefix.
+    /// Must be called with the fleet's exclusive lock held, so a heal
+    /// cannot clobber a live track's append.
     ///
     /// # Errors
     ///
     /// [`ServiceError::Io`] on filesystem failures.
     pub fn open(primary: &Path, mirrors: &[PathBuf]) -> Result<Self, ServiceError> {
-        let mut copies = Vec::with_capacity(1 + mirrors.len());
-        for path in std::iter::once(primary).chain(mirrors.iter().map(PathBuf::as_path)) {
-            let mut copy = read_copy(path)?;
-            copy.good = scan(&copy.bytes, 0).1;
-            copies.push(copy);
-        }
-        let winner = heal_copies(&mut copies, &CLAIM_EVENTS)?.winner;
-        let good = copies[winner].good;
-        let (entries, scanned) = scan(&copies[winner].bytes[..good], 0);
-        debug_assert_eq!(scanned, good);
-        let (file, path, mirrors) = primary_and_mirrors(copies);
+        let (log, entries, _) = FrameLog::open(primary, mirrors, &CLAIM_LOG)?;
         let mut log = Self {
-            file,
-            path,
-            mirrors,
+            log,
             entries: Vec::with_capacity(entries.len()),
             next_id: 0,
-            offset: good as u64,
+            done: HashMap::new(),
+            unresolved: BTreeMap::new(),
         };
         let now = Instant::now();
         for entry in entries {
@@ -216,10 +197,20 @@ impl ClaimLog {
         Ok(log)
     }
 
-    /// Records one observed frame, stamped with the lease clock.
+    /// Records one observed frame, stamped with the lease clock, folding
+    /// it into every derived view.
     fn push(&mut self, entry: ClaimEntry, first_seen: Instant) {
-        if let ClaimEntry::Claim(claim) = &entry {
-            self.next_id = self.next_id.max(claim.job_id.saturating_add(1));
+        match &entry {
+            ClaimEntry::Claim(claim) => {
+                self.next_id = self.next_id.max(claim.job_id.saturating_add(1));
+                if !self.done.contains_key(&claim.job_id) {
+                    self.unresolved.insert(claim.job_id, self.entries.len());
+                }
+            }
+            ClaimEntry::Done(done) => {
+                self.done.insert(done.job_id, done.track);
+                self.unresolved.remove(&done.job_id);
+            }
         }
         self.entries.push(SeenEntry { entry, first_seen });
     }
@@ -233,58 +224,62 @@ impl ClaimLog {
     ///
     /// [`ServiceError::Io`] on filesystem failures.
     pub fn refresh(&mut self) -> Result<usize, ServiceError> {
-        self.file.seek(SeekFrom::Start(self.offset))?;
-        let mut bytes = Vec::new();
-        self.file.read_to_end(&mut bytes)?;
-        let (fresh, good) = scan(&bytes, 0);
+        let (fresh, _) = self.log.refresh()?;
         let count = fresh.len();
         let now = Instant::now();
         for entry in fresh {
             self.push(entry, now);
         }
-        self.offset += good as u64;
-        if good < bytes.len() {
-            event(
-                Level::Warn,
-                "tracks",
-                "claim_log_tail_dropped",
-                &[
-                    ("path", self.path.display().to_string().as_str().into()),
-                    ("bytes", ((bytes.len() - good) as u64).into()),
-                ],
-            );
-            self.file.set_len(self.offset)?;
-            self.file.sync_data()?;
-        }
-        heal_mirror_tails(
-            &mut self.file,
-            self.offset,
-            &mut self.mirrors,
-            &CLAIM_EVENTS,
-        )?;
         Ok(count)
     }
 
-    /// Appends one frame durably under the same majority-quorum rule as
-    /// the release ledger: the primary's fsync is mandatory, and with
-    /// mirrors a majority of the whole set must acknowledge. Must be
-    /// called with the fleet lock held and after [`ClaimLog::refresh`],
-    /// so the frame lands on a frame boundary.
+    /// Appends one frame durably (the primary's fsync plus a majority of
+    /// the whole mirror set). Must be called with the fleet lock held and
+    /// after [`ClaimLog::refresh`], so the frame lands on a frame boundary.
     ///
     /// # Errors
     ///
     /// [`ServiceError::Io`] when the primary write fails or the quorum
     /// is lost.
     pub fn append(&mut self, entry: ClaimEntry) -> Result<(), ServiceError> {
-        let frame = seal_frame(&wire::to_bytes(&entry));
-        self.file.write_all(&frame)?;
-        self.file.flush()?;
-        self.file.sync_data()?;
-        let (acks, _) = mirror_frame(&mut self.mirrors, &frame, &CLAIM_EVENTS);
-        require_quorum(acks, self.mirrors.len(), &CLAIM_EVENTS)?;
-        self.offset += frame.len() as u64;
+        self.log.append(&entry)?;
         self.push(entry, Instant::now());
         Ok(())
+    }
+
+    /// Drops the ids at the front of `unresolved` that `ledger` now
+    /// contains. The ledger only grows, so a drop is final and each claim
+    /// is examined O(1) times over the log's life.
+    fn prune(&mut self, ledger: &ReleaseLedger) {
+        while let Some((&id, _)) = self.unresolved.first_key_value() {
+            if !ledger.contains(id) {
+                break;
+            }
+            self.unresolved.pop_first();
+        }
+    }
+
+    /// The head of the fleet: the lowest-id job with a claim that is
+    /// neither marked done nor committed to `ledger`, as the log position
+    /// (the lease clock) and frame of its controlling claim.
+    pub(crate) fn head(&mut self, ledger: &ReleaseLedger) -> Option<(usize, &ClaimFrame)> {
+        self.prune(ledger);
+        let (_, &index) = self.unresolved.first_key_value()?;
+        let ClaimEntry::Claim(claim) = &self.entries[index].entry else {
+            unreachable!("unresolved maps to claim frames only");
+        };
+        Some((index, claim))
+    }
+
+    /// Claimed jobs still unresolved against `ledger`.
+    pub(crate) fn open_claims(&mut self, ledger: &ReleaseLedger) -> u64 {
+        self.prune(ledger);
+        self.unresolved.len() as u64
+    }
+
+    /// The track whose `Done` marker pronounced `job_id` dead, if any.
+    pub(crate) fn done_by(&self, job_id: u64) -> Option<u32> {
+        self.done.get(&job_id).copied()
     }
 
     /// Every frame observed so far, in log order.
@@ -309,6 +304,106 @@ impl ClaimLog {
     /// The claim-log file path.
     #[must_use]
     pub fn path(&self) -> &Path {
-        &self.path
+        self.log.path()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::ledger::{JobKind, LedgerRecord};
+
+    /// What the commit gate used to derive per poll by walking the whole
+    /// log: `(controlling claim index of the lowest unresolved id, count)`.
+    fn recomputed(log: &ClaimLog, ledger: &ReleaseLedger) -> (Option<usize>, u64) {
+        let mut latest = BTreeMap::new();
+        let mut done = Vec::new();
+        for (i, seen) in log.entries().iter().enumerate() {
+            match &seen.entry {
+                ClaimEntry::Claim(c) => drop(latest.insert(c.job_id, i)),
+                ClaimEntry::Done(d) => done.push(d.job_id),
+            }
+        }
+        latest.retain(|id, _| !ledger.contains(*id) && !done.contains(id));
+        (latest.values().next().copied(), latest.len() as u64)
+    }
+
+    fn folded(log: &mut ClaimLog, ledger: &ReleaseLedger) -> (Option<usize>, u64) {
+        let head = log.head(ledger).map(|(index, _)| index);
+        (head, log.open_claims(ledger))
+    }
+
+    #[test]
+    fn the_folded_head_equals_a_recomputation_at_every_step() {
+        let dir = std::env::temp_dir().join(format!("gendpr-claims-fold-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut ledger = ReleaseLedger::open(dir.join("ledger.bin")).unwrap();
+        let mut log = ClaimLog::open(&dir.join("claims"), &[]).unwrap();
+        let claim = |job_id, attempt| {
+            ClaimEntry::Claim(ClaimFrame {
+                job_id,
+                track: attempt,
+                attempt,
+                lease_ms: 1_000,
+                prefix: 0,
+                batches: 0,
+                panel: vec![1, 2],
+                forced: vec![],
+            })
+        };
+        let done = |job_id| {
+            ClaimEntry::Done(DoneFrame {
+                job_id,
+                track: 9,
+                error: "dead".into(),
+            })
+        };
+        let commit = |ledger: &mut ReleaseLedger, job_id| {
+            ledger
+                .append(LedgerRecord {
+                    job_id,
+                    kind: JobKind::Federated,
+                    panel: vec![1, 2],
+                    forced: vec![],
+                    released: vec![],
+                    final_power: 0.0,
+                    final_threshold: 0.0,
+                    case_freqs: vec![],
+                    ref_freqs: vec![],
+                    epoch: 1,
+                    roster: vec![],
+                    traffic: vec![],
+                    certificate: None,
+                })
+                .unwrap();
+        };
+        assert_eq!(folded(&mut log, &ledger), (None, 0));
+        // Claims, a reclaim that moves job 2's controlling claim, a Done
+        // marker, commits in id order, and a late reclaim of a resolved
+        // job — the fold must agree with the walk after each.
+        for step in 0..9 {
+            match step {
+                0 => log.append(claim(1, 1)).unwrap(),
+                1 => log.append(claim(2, 1)).unwrap(),
+                2 => log.append(claim(3, 1)).unwrap(),
+                3 => log.append(claim(2, 2)).unwrap(),
+                4 => log.append(done(1)).unwrap(),
+                5 => commit(&mut ledger, 2),
+                6 => log.append(claim(1, 2)).unwrap(),
+                7 => log.append(claim(2, 3)).unwrap(),
+                _ => commit(&mut ledger, 3),
+            }
+            assert_eq!(
+                folded(&mut log, &ledger),
+                recomputed(&log, &ledger),
+                "step {step}"
+            );
+        }
+        assert_eq!(folded(&mut log, &ledger), (None, 0));
+        // A reopened log folds the same frames to the same state.
+        let mut reopened = ClaimLog::open(&dir.join("claims"), &[]).unwrap();
+        assert_eq!(folded(&mut reopened, &ledger), (None, 0));
+        assert_eq!(reopened.next_job_id(), 4);
     }
 }

@@ -8,10 +8,12 @@
 //! inside an advisory exclusive file lock on `<claims>.lock`
 //! (serializing the fleet's processes — the file lock alone cannot do
 //! both, because two threads of one process share the open file
-//! description and would both "hold" it). The scheduler's core mutex is
-//! only ever taken while the fleet lock is held (or on its own), never
-//! the other way around, so the lock order `fleet → core` is global and
-//! deadlock-free.
+//! description and would both "hold" it). It is taken in one place,
+//! `TrackCoordinator::synced`, which also refreshes the claim log and
+//! syncs the scheduler's ledger from disk before handing out the guard.
+//! The scheduler's core mutex is only ever taken while the fleet lock is
+//! held (or on its own), never the other way around, so the lock order
+//! `fleet → core` is global and deadlock-free.
 //!
 //! # The commit gate
 //!
@@ -22,7 +24,9 @@
 //! process's lowest live id and at most one worker per process polls the
 //! shared files. The *head* of the fleet is the lowest-id job that
 //! has a claim but is neither committed (its record is in the ledger)
-//! nor dead (a `Done` marker exists). Because ids are allocated in
+//! nor dead (a `Done` marker exists); the claim log maintains the
+//! unresolved set as it reads frames (`ClaimLog::head`), so a poll asks
+//! for the head instead of walking the log. Because ids are allocated in
 //! claim order under the fleet lock, committing heads in id order *is*
 //! committing in claim order, which keeps the shared ledger strictly
 //! monotone — the invariant every certificate's cumulative-prefix
@@ -49,7 +53,6 @@ use crate::ledger::{LedgerRecord, ReleaseLedger};
 use crate::sched::Scheduler;
 use crate::telemetry;
 use gendpr_obs::{event, Level};
-use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -197,11 +200,22 @@ impl TrackCoordinator {
         self.config.lease.as_millis() as u64
     }
 
-    /// Takes the fleet lock: local mutex, then the exclusive file lock.
-    pub(crate) fn fleet(&self) -> Result<FleetGuard<'_>, ServiceError> {
+    /// Takes the fleet lock (local mutex, then the exclusive file lock)
+    /// and brings this process's view of both shared files up to date:
+    /// the claim log is refreshed, then the scheduler's ledger. Every
+    /// access to the shared files starts here; the caller works under the
+    /// returned guard.
+    ///
+    /// # Errors
+    ///
+    /// [`ServiceError::Io`] when a shared file cannot be locked or read.
+    pub(crate) fn synced(&self, sched: &Scheduler) -> Result<FleetGuard<'_>, ServiceError> {
         let inner = self.fleet.lock().unwrap_or_else(PoisonError::into_inner);
         inner.lock_file.lock()?;
-        Ok(FleetGuard { inner })
+        let mut fleet = FleetGuard { inner };
+        fleet.log().refresh()?;
+        sched.with_core_mut(|core| core.sync_from_disk())?;
+        Ok(fleet)
     }
 
     /// One poll of the cross-process commit gate for `job_id`, whose
@@ -224,13 +238,14 @@ impl TrackCoordinator {
         record: &LedgerRecord,
         can_execute: bool,
     ) -> Result<TrackStep, ServiceError> {
-        let mut fleet = self.fleet()?;
-        fleet.log().refresh()?;
-        let (existing, view) = sched.with_core_mut(|core| {
-            core.sync_from_disk()?;
-            let view = GateView::build(fleet.log(), &core.ledger);
-            Ok::<_, ServiceError>((core.ledger.record(job_id).cloned(), view))
-        })?;
+        let mut fleet = self.synced(sched)?;
+        let (existing, head) = sched.with_core(|core| {
+            let head = fleet.log().head(&core.ledger);
+            (
+                core.ledger.record(job_id).cloned(),
+                head.map(|(index, claim)| (index, claim.clone())),
+            )
+        });
 
         // Our job may already be resolved — by a reclaiming track's
         // commit, or by a Done marker. The fleet's resolution wins.
@@ -240,22 +255,22 @@ impl TrackCoordinator {
             }
             return Ok(TrackStep::AdoptRecord(Box::new(existing)));
         }
-        if let Some(&track) = view.done.get(&job_id) {
+        if let Some(track) = fleet.log().done_by(job_id) {
             telemetry::track_superseded_commits().inc();
             return Ok(TrackStep::Superseded { track });
         }
 
-        let Some(head) = view.head else {
+        let Some((index, head)) = head else {
             // No unresolved claim at all: ours resolved concurrently —
             // picked up above on the next poll.
             return Ok(TrackStep::Wait);
         };
-        if head.claim.job_id == job_id && head.claim.track == self.config.track {
+        if head.job_id == job_id && head.track == self.config.track {
             // Headship established under the lock we still hold: append.
             sched.with_core_mut(|core| core.append(record))?;
             return Ok(TrackStep::Committed);
         }
-        if !fleet.log().lease_expired(head.index, &head.claim) {
+        if !fleet.log().lease_expired(index, &head) {
             // An earlier claim still within its lease — another track's,
             // or our own job's claim taken over by a live reclaimer,
             // which parks us until the reclaimer resolves it. (This
@@ -264,7 +279,7 @@ impl TrackCoordinator {
             telemetry::track_commit_waits().inc();
             return Ok(TrackStep::Wait);
         }
-        if !can_execute && head.claim.job_id != job_id {
+        if !can_execute && head.job_id != job_id {
             // The caller's lane is down: staking a reclaim it cannot run
             // would only reset the lease clock. Park and leave the
             // expired head for a track that can actually execute it.
@@ -288,13 +303,13 @@ impl TrackCoordinator {
             )
         });
         let reclaim = ClaimFrame {
-            job_id: head.claim.job_id,
+            job_id: head.job_id,
             track: self.config.track,
-            attempt: head.claim.attempt + 1,
+            attempt: head.attempt + 1,
             lease_ms: self.lease_ms(),
             prefix,
-            batches: head.claim.batches,
-            panel: head.claim.panel.clone(),
+            batches: head.batches,
+            panel: head.panel,
             forced,
         };
         fleet.log().append(ClaimEntry::Claim(reclaim.clone()))?;
@@ -305,7 +320,7 @@ impl TrackCoordinator {
             "claim_reclaimed",
             &[
                 ("job_id", reclaim.job_id.into()),
-                ("from_track", u64::from(head.claim.track).into()),
+                ("from_track", u64::from(head.track).into()),
                 ("by_track", u64::from(self.config.track).into()),
                 ("attempt", u64::from(reclaim.attempt).into()),
             ],
@@ -326,14 +341,10 @@ impl TrackCoordinator {
         job_id: u64,
         error: &str,
     ) -> Result<(), ServiceError> {
-        let mut fleet = self.fleet()?;
-        fleet.log().refresh()?;
-        let resolved = sched.with_core_mut(|core| {
-            core.sync_from_disk()?;
-            let view = GateView::build(fleet.log(), &core.ledger);
-            Ok::<_, ServiceError>(core.ledger.contains(job_id) || view.done.contains_key(&job_id))
-        })?;
-        if resolved {
+        let mut fleet = self.synced(sched)?;
+        if fleet.log().done_by(job_id).is_some()
+            || sched.with_core(|core| core.ledger.contains(job_id))
+        {
             return Ok(());
         }
         fleet.log().append(ClaimEntry::Done(DoneFrame {
@@ -359,64 +370,7 @@ impl TrackCoordinator {
     /// refresh — a cheap, possibly slightly stale figure for status).
     #[must_use]
     pub fn open_claims(&self, sched: &Scheduler) -> u64 {
-        let fleet = self.fleet.lock().unwrap_or_else(PoisonError::into_inner);
-        sched.with_core(|core| GateView::build(&fleet.log, &core.ledger).unresolved)
-    }
-}
-
-/// The head claim of the fleet: the lowest-id unresolved job and the
-/// log position of its controlling (latest) claim.
-struct Head {
-    claim: ClaimFrame,
-    /// Index of the controlling claim in the log (its lease clock).
-    index: usize,
-}
-
-/// The fleet's resolution state, derived from the claim log and the
-/// ledger's committed records.
-struct GateView {
-    head: Option<Head>,
-    /// Terminally failed jobs → the track that pronounced them dead.
-    done: HashMap<u64, u32>,
-    unresolved: u64,
-}
-
-impl GateView {
-    fn build(log: &ClaimLog, ledger: &ReleaseLedger) -> Self {
-        let mut done: HashMap<u64, u32> = HashMap::new();
-        // The latest claim per job controls ownership and lease; the
-        // job's *id* fixes its commit position (ids are allocated in
-        // claim order, so id order is claim order even across reclaims).
-        let mut latest: HashMap<u64, usize> = HashMap::new();
-        for (i, seen) in log.entries().iter().enumerate() {
-            match &seen.entry {
-                ClaimEntry::Claim(c) => {
-                    latest.insert(c.job_id, i);
-                }
-                ClaimEntry::Done(d) => {
-                    done.insert(d.job_id, d.track);
-                }
-            }
-        }
-        let unresolved: Vec<u64> = latest
-            .keys()
-            .copied()
-            .filter(|&id| !ledger.contains(id) && !done.contains_key(&id))
-            .collect();
-        let head = unresolved.iter().copied().min().map(|id| {
-            let index = latest[&id];
-            let ClaimEntry::Claim(claim) = &log.entries()[index].entry else {
-                unreachable!("latest maps to claim frames only");
-            };
-            Head {
-                claim: claim.clone(),
-                index,
-            }
-        });
-        Self {
-            head,
-            done,
-            unresolved: unresolved.len() as u64,
-        }
+        let mut fleet = self.fleet.lock().unwrap_or_else(PoisonError::into_inner);
+        sched.with_core(|core| fleet.log.open_claims(&core.ledger))
     }
 }

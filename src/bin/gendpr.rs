@@ -32,7 +32,7 @@ use gendpr::fednet::transport::{PeerId, Transport};
 use gendpr::genomics::cohort::Cohort;
 use gendpr::genomics::synth::SyntheticCohort;
 use gendpr::genomics::vcf;
-use gendpr::service::daemon::AssessmentService;
+use gendpr::service::daemon::{AssessmentService, Supervision};
 use gendpr::service::ledger::{JobKind, LedgerRecord, ReleaseLedger};
 use gendpr::service::{
     signals, SchedulerConfig, ServiceClient, ServiceError, ShardPlan, ShardSpec, TrackConfig,
@@ -1200,29 +1200,19 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), CliError> {
         drain_timeout,
         lane_crash_every: (lane_crash_every > 0).then_some(lane_crash_every),
     };
-    let service = match tracker {
-        Some(tracker) => AssessmentService::start_tracked(
-            lanes,
+    let service = AssessmentService::start_supervised(
+        lanes,
+        Supervision {
             factory,
             shard,
             tracker,
-            ledger,
-            &cohort,
-            params,
-            listener,
-            sched_config,
-        ),
-        None => AssessmentService::start_supervised_sharded(
-            lanes,
-            factory,
-            shard,
-            ledger,
-            &cohort,
-            params,
-            listener,
-            sched_config,
-        ),
-    }
+        },
+        ledger,
+        &cohort,
+        params,
+        listener,
+        sched_config,
+    )
     .map_err(service_error)?;
     // Held until `run()` returns: dropping the server stops the exporter.
     let metrics_server = match flags.get("metrics-addr") {

@@ -11,7 +11,7 @@ use gendpr::core::serving::ServiceFederation;
 use gendpr::fednet::tcp::{ephemeral_listeners, TcpOptions, TcpTransport};
 use gendpr::fednet::transport::PeerId;
 use gendpr::genomics::synth::SyntheticCohort;
-use gendpr::service::daemon::AssessmentService;
+use gendpr::service::daemon::{AssessmentService, Supervision};
 use gendpr::service::ledger::{LedgerRecord, ReleaseLedger};
 use gendpr::service::sched::LaneFactory;
 use gendpr::service::{SchedulerConfig, ServiceClient, ServiceError};
@@ -131,7 +131,11 @@ fn supervised_pool(config: SchedulerConfig, ledger: ReleaseLedger, tcp: bool) ->
     let listener = TcpListener::bind("127.0.0.1:0").expect("ephemeral client listener");
     AssessmentService::start_supervised(
         lanes,
-        factory,
+        Supervision {
+            factory,
+            shard: None,
+            tracker: None,
+        },
         ledger,
         (*cohort).as_ref(),
         params(),

@@ -14,9 +14,10 @@ use gendpr::genomics::snp::SnpId;
 use gendpr::genomics::synth::SyntheticCohort;
 use gendpr::service::daemon::AssessmentService;
 use gendpr::service::ledger::{JobKind, LedgerRecord, ReleaseLedger};
-use gendpr::service::ServiceClient;
+use gendpr::service::{SchedulerConfig, ServiceClient};
 use gendpr::stats::lr::LrTestParams;
-use std::net::TcpListener;
+use std::io::{Read, Write};
+use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -298,8 +299,15 @@ fn start_daemon(ledger: ReleaseLedger) -> AssessmentService {
     let federation =
         ServiceFederation::start_in_memory(config(3), params(), &cohort, options()).unwrap();
     let listener = TcpListener::bind("127.0.0.1:0").expect("ephemeral client listener");
-    AssessmentService::start(federation, ledger, cohort.as_ref(), params(), listener)
-        .expect("daemon starts")
+    AssessmentService::start_with(
+        vec![federation],
+        ledger,
+        cohort.as_ref(),
+        params(),
+        listener,
+        SchedulerConfig::default(),
+    )
+    .expect("daemon starts")
 }
 
 /// Strips the timing-dependent field (idle-keepalive Pongs can land in a
@@ -458,6 +466,47 @@ fn panicking_job_leaves_the_daemon_serving() {
     serve.join().unwrap().unwrap();
     // Only the successful job reached the ledger.
     assert_eq!(ReleaseLedger::open(&path).unwrap().len(), 1);
+}
+
+#[test]
+fn a_silent_connection_is_closed_at_the_io_deadline() {
+    let path = temp_ledger("silent");
+    let daemon = start_daemon(ReleaseLedger::open(&path).unwrap());
+    // Connect and say nothing. The daemon's 2 s deadline must close the
+    // connection: this side's own, longer read timeout then sees EOF, not
+    // `WouldBlock`/`TimedOut`.
+    let mut silent = TcpStream::connect(daemon.client_addr()).unwrap();
+    silent
+        .set_read_timeout(Some(Duration::from_secs(8)))
+        .unwrap();
+    let mut byte = [0u8; 1];
+    assert_eq!(
+        silent.read(&mut byte).expect("closed, not still open"),
+        0,
+        "the daemon hung up on the silent peer"
+    );
+    daemon.stop().unwrap();
+}
+
+#[test]
+fn a_request_header_over_the_panel_bound_is_refused_at_once() {
+    let path = temp_ledger("oversized");
+    let daemon = start_daemon(ReleaseLedger::open(&path).unwrap());
+    // A header claiming a 64 MiB body — within the transport's frame cap,
+    // far over the largest valid request for a 100-SNP panel — and no
+    // body. The daemon must hang up without waiting for (or allocating)
+    // the body: the read timeout here is shorter than its I/O deadline.
+    let mut hostile = TcpStream::connect(daemon.client_addr()).unwrap();
+    hostile
+        .set_read_timeout(Some(Duration::from_secs(1)))
+        .unwrap();
+    hostile.write_all(&(64u32 << 20).to_le_bytes()).unwrap();
+    let mut byte = [0u8; 1];
+    assert_eq!(hostile.read(&mut byte).expect("closed at once"), 0);
+    // An honest client right behind it is served.
+    let status = ServiceClient::new(daemon.client_addr()).status().unwrap();
+    assert_eq!(status.panel_len, 100);
+    daemon.stop().unwrap();
 }
 
 #[test]

@@ -12,7 +12,7 @@ use gendpr::fednet::transport::PeerId;
 use gendpr::genomics::cohort::Cohort;
 use gendpr::genomics::snp::SnpId;
 use gendpr::genomics::synth::SyntheticCohort;
-use gendpr::service::daemon::AssessmentService;
+use gendpr::service::daemon::{AssessmentService, Supervision};
 use gendpr::service::ledger::{LedgerRecord, ReleaseLedger};
 use gendpr::service::sched::LaneFactory;
 use gendpr::service::{SchedulerConfig, ShardLaneFactory, ShardPlan, ShardSet, ShardSpec};
@@ -118,14 +118,17 @@ fn sharded_pool(shards: u32, ledger: ReleaseLedger, tcp: bool) -> AssessmentServ
     };
     let lanes = vec![factory().expect("primary lane starts")];
     let listener = TcpListener::bind("127.0.0.1:0").expect("ephemeral client listener");
-    AssessmentService::start_supervised_sharded(
+    AssessmentService::start_supervised(
         lanes,
-        factory,
-        Some(ShardSpec {
-            plan,
-            factory: shard_factory,
-            max_retries: 2,
-        }),
+        Supervision {
+            factory,
+            shard: Some(ShardSpec {
+                plan,
+                factory: shard_factory,
+                max_retries: 2,
+            }),
+            tracker: None,
+        },
         ledger,
         (*cohort).as_ref(),
         params(),

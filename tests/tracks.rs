@@ -19,7 +19,7 @@ use gendpr::fednet::tcp::{ephemeral_listeners, TcpOptions, TcpTransport};
 use gendpr::fednet::transport::PeerId;
 use gendpr::genomics::cohort::Cohort;
 use gendpr::genomics::synth::SyntheticCohort;
-use gendpr::service::daemon::AssessmentService;
+use gendpr::service::daemon::{AssessmentService, Supervision};
 use gendpr::service::ledger::{LedgerRecord, ReleaseLedger};
 use gendpr::service::sched::LaneFactory;
 use gendpr::service::tracks::claims::{ClaimEntry, ClaimFrame, ClaimLog};
@@ -123,7 +123,11 @@ fn plain_pool_sized(workers: usize, ledger: ReleaseLedger, tcp: bool) -> Assessm
     let listener = TcpListener::bind("127.0.0.1:0").expect("ephemeral client listener");
     AssessmentService::start_supervised(
         lanes,
-        factory,
+        Supervision {
+            factory,
+            shard: None,
+            tracker: None,
+        },
         ledger,
         (*cohort).as_ref(),
         params(),
@@ -157,11 +161,13 @@ fn tracked_pool_sized(
         .map(|_| factory().expect("lane starts"))
         .collect();
     let listener = TcpListener::bind("127.0.0.1:0").expect("ephemeral client listener");
-    AssessmentService::start_tracked(
+    AssessmentService::start_supervised(
         lanes,
-        factory,
-        None,
-        Arc::new(tracker),
+        Supervision {
+            factory,
+            shard: None,
+            tracker: Some(Arc::new(tracker)),
+        },
         ledger,
         (*cohort).as_ref(),
         params(),
