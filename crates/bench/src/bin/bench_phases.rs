@@ -6,10 +6,14 @@
 //! `pair_count` scans (strided one word per individual) re-pooled from
 //! scratch for every member combination. The "after" path is what
 //! [`gendpr_core::gdo::GdoNode`] and the protocol driver now do: SNP-major
-//! columnar popcount sweeps with per-member moment memoization (building
-//! the columnar views and warming the memo are *included* in the timed
-//! region). Both paths fold the pooled moments into a checksum that must
-//! agree, so the comparison cannot drift semantically.
+//! columnar popcount sweeps, the members' recomputed for every combination
+//! (their columns are short; a memo in front of them measured slower) and
+//! the reference panel's memoized (one long column pair, asked once per
+//! combination: at the paper's scale the memo is worth 13–35 ms of this
+//! row, so it stays here although the drivers, where it did not show,
+//! compute directly). Building the columnar views and warming the memo are
+//! *included* in the timed region. Both paths fold the pooled moments into
+//! a checksum that must agree, so the comparison cannot drift semantically.
 //!
 //! The same report carries the LR subset search before/after, the
 //! `lr_sweep` row (is the sweeps' level select a load or a jump in this
@@ -152,10 +156,10 @@ fn main() {
     }
     let before = t.elapsed();
 
-    // ---- After: columnar popcount sweeps + per-member memoization ----
-    // (Transposing the shards and warming every memo is part of the
-    // timed region — this is the full cost a fresh federation pays.)
-    eprintln!("timing columnar + memoized kernels…");
+    // ---- After: columnar popcount sweeps + memoized reference moments ----
+    // (Transposing the shards and warming the memo is part of the timed
+    // region — this is the full cost a fresh federation pays.)
+    eprintln!("timing columnar kernels (reference moments memoized)…");
     let t = Instant::now();
     let nodes: Vec<GdoNode> = shards
         .iter()

@@ -26,12 +26,12 @@ use crate::collusion::{evaluation_subsets_of, intersect_selections};
 use crate::config::GwasParams;
 use crate::error::ProtocolError;
 use crate::gdo::GdoNode;
-use crate::memo::{LrPrefixMemo, MomentMemo};
+use crate::memo::LrPrefixMemo;
 use crate::messages::{
     CountsReport, MomentsReport, MomentsRequest, Phase1Broadcast, Phase2Broadcast, Phase3Broadcast,
     ProtocolMessage,
 };
-use crate::phases::ld::run_ld_scan;
+use crate::phases::ld::LdScan;
 use crate::phases::lrtest::admission_order;
 use crate::phases::maf::{run_maf, MafOutcome};
 use crate::protocol::PhaseTimings;
@@ -79,12 +79,30 @@ fn recv_from<T: Transport>(
     recv_protocol(ctx, channel, peer, phase)
 }
 
-/// Pools the LD moments of `pairs` across a subset in one round: one
-/// `MomentsRequest` to every remote subset member, then the reference
-/// moments and the leader's own shard if it is in the subset (computed
-/// while the members work), then the replies in subset order — so the
-/// message schedule is identical wherever this is called from.
-fn pool_moments<T: Transport>(
+/// Opens a moments round: one `MomentsRequest` for `pairs` to every remote
+/// member of `subset`, in subset order.
+fn request_moments<T: Transport>(
+    ctx: &mut MemberCtx<T>,
+    channels: &mut Channels,
+    subset: &[usize],
+    pairs: &[(SnpId, SnpId)],
+) -> Result<(), ProtocolError> {
+    let request = ProtocolMessage::MomentsRequest(
+        pairs
+            .iter()
+            .map(|&(a, b)| MomentsRequest { a: a.0, b: b.0 })
+            .collect(),
+    );
+    send_each(ctx, channels, subset, &request)
+}
+
+/// Closes the round [`request_moments`] opened for the same `subset` and
+/// `pairs`: the reference moments and the leader's own shard if it is in
+/// the subset (computed while the members work), then the replies in
+/// subset order. Rounds must be closed in the order they were opened: a
+/// member answers its requests in arrival order, so its next reply belongs
+/// to the oldest round still open with it.
+fn collect_moments<T: Transport>(
     ctx: &mut MemberCtx<T>,
     channels: &mut Channels,
     node: &GdoNode,
@@ -94,13 +112,6 @@ fn pool_moments<T: Transport>(
     phase: &'static str,
 ) -> Result<Vec<LdMoments>, Interrupt> {
     let me = ctx.id;
-    let request = ProtocolMessage::MomentsRequest(
-        pairs
-            .iter()
-            .map(|&(a, b)| MomentsRequest { a: a.0, b: b.0 })
-            .collect(),
-    );
-    send_each(ctx, channels, subset, &request)?;
     let mut pooled: Vec<LdMoments> = pairs
         .iter()
         .map(|&(a, b)| {
@@ -126,6 +137,38 @@ fn pool_moments<T: Transport>(
         }
     }
     Ok(pooled)
+}
+
+/// One live one-pair round per waiting scan, all in flight together: the
+/// requests go out in subset order, then the rounds are closed in the same
+/// order. Every `(subset, pair)` of `misses` costs exactly the messages of
+/// a round run on its own; the leader waits once for all of them.
+fn exchange_misses<T: Transport>(
+    ctx: &mut MemberCtx<T>,
+    channels: &mut Channels,
+    node: &GdoNode,
+    subsets: &[Vec<usize>],
+    misses: &[(usize, (SnpId, SnpId))],
+    ref_moments: impl Fn(SnpId, SnpId) -> LdMoments,
+) -> Result<Vec<LdMoments>, Interrupt> {
+    for &(c, pair) in misses {
+        request_moments(ctx, channels, &subsets[c], &[pair])?;
+    }
+    misses
+        .iter()
+        .map(|&(c, pair)| {
+            let pooled = collect_moments(
+                ctx,
+                channels,
+                node,
+                &subsets[c],
+                &[pair],
+                &ref_moments,
+                "ld-moments",
+            )?;
+            Ok(pooled[0])
+        })
+        .collect()
 }
 
 /// The transport format of the Phase 3 matrices: the paper's dense value
@@ -421,20 +464,27 @@ impl<'a> LeaderSession<'a> {
     /// Phase 2 of one job: one LD scan over `l_prime` per collusion
     /// subset. Each pair's pooled moments come from the first of
     ///
-    /// 1. the shard lanes' moment logs, when the job is a merge
-    ///    (`shards`) — pooled moments are integer sums over the same
-    ///    genotype bits, so a hit is exactly what a live exchange would
-    ///    pool; misses are shard-boundary pairs and replay divergence
-    ///    after one;
-    /// 2. a table of every adjacent pair of `l_prime`, fetched in one
-    ///    batched round per subset iff `prefetch_ld` is on and the job is
-    ///    not a merge (a merge never re-fetches what its shard lanes
-    ///    already pooled) — the scan compares (survivor, next) and the
-    ///    survivor is usually `next − 1`, so most lookups hit it;
-    /// 3. a live one-pair round.
+    /// 1. the subset's table, filled before any scan starts: from the shard
+    ///    lanes' moment logs when the job is a merge (`shards`) — pooled
+    ///    moments are integer sums over the same genotype bits, so a hit is
+    ///    exactly what a live exchange would pool; misses are shard-boundary
+    ///    pairs and replay divergence after one — or else, iff
+    ///    `prefetch_ld` is on, with every adjacent pair of `l_prime`,
+    ///    fetched in one batched round per subset (the scan compares
+    ///    (survivor, next) and the survivor is usually `next − 1`, so most
+    ///    lookups hit it; a merge never re-fetches what its shard lanes
+    ///    already pooled);
+    /// 2. a live one-pair round.
+    ///
+    /// The scans are independent, so their live rounds share the leader's
+    /// wait: every scan runs through its table up to its next miss, the
+    /// misses go out together ([`exchange_misses`]), every scan is fed, and
+    /// so on until no scan is waiting. Each subset sends exactly the
+    /// requests a scan run on its own would send, in the same order.
     ///
     /// With `log_moments` every scan also returns the `(a, b, pooled)` it
-    /// evaluated — what a shard lane hands to the merging leader.
+    /// evaluated, in its own order — what a shard lane hands to the merging
+    /// leader.
     pub(crate) fn ld_step<T: Transport>(
         &mut self,
         ctx: &mut MemberCtx<T>,
@@ -448,26 +498,21 @@ impl<'a> LeaderSession<'a> {
         } else {
             Vec::new()
         };
-        // Reference moments do not depend on the subset under evaluation:
-        // each pair is computed once per job (every subset reads it).
         let (reference, ref_counts) = (&self.reference_columnar, &self.ref_counts);
         let n_ref = reference.individuals() as u64;
-        let ref_memo = MomentMemo::new();
         let ref_moments = |a: SnpId, b: SnpId| {
-            ref_memo.get_or_compute(a, b, || {
-                LdMoments::from_counts(
-                    ref_counts[a.index()],
-                    ref_counts[b.index()],
-                    reference.pair_count(a, b),
-                    n_ref,
-                )
-            })
+            LdMoments::from_counts(
+                ref_counts[a.index()],
+                ref_counts[b.index()],
+                reference.pair_count(a, b),
+                n_ref,
+            )
         };
 
-        let mut scans = Vec::with_capacity(self.subsets.len());
+        let mut tables: Vec<HashMap<(u32, u32), LdMoments>> =
+            Vec::with_capacity(self.subsets.len());
         for (c, subset) in self.subsets.iter().enumerate() {
-            let ranks = &self.rankings[c];
-            let cache: Option<HashMap<(u32, u32), LdMoments>> = shards.map(|shards| {
+            tables.push(if let Some(shards) = shards {
                 shards
                     .iter()
                     .flat_map(|s| {
@@ -477,9 +522,9 @@ impl<'a> LeaderSession<'a> {
                             .map(|&(a, b, m)| ((a + s.start, b + s.start), m))
                     })
                     .collect()
-            });
-            let prefetched: HashMap<(u32, u32), LdMoments> = if prefetch {
-                let pooled = pool_moments(
+            } else if prefetch {
+                request_moments(ctx, &mut self.channels, subset, &adjacent)?;
+                let pooled = collect_moments(
                     ctx,
                     &mut self.channels,
                     self.node,
@@ -495,58 +540,66 @@ impl<'a> LeaderSession<'a> {
                     .collect()
             } else {
                 HashMap::new()
-            };
-            let mut moments = Vec::new();
-            let mut scan_error: Option<Interrupt> = None;
-            let retained = run_ld_scan(
-                l_prime,
-                |a, b| {
-                    if scan_error.is_some() {
-                        return LdMoments::default();
-                    }
-                    let key = (a.0, b.0);
-                    let pooled = if let Some(&hit) = cache.as_ref().and_then(|c| c.get(&key)) {
-                        crate::telemetry::shard_cache_pairs().add(1);
-                        hit
-                    } else if let Some(&hit) = prefetched.get(&key) {
-                        hit
-                    } else {
-                        if cache.is_some() {
+            });
+        }
+
+        let mut scans = vec![LdScan::new(l_prime); self.subsets.len()];
+        let mut logs = vec![Vec::new(); self.subsets.len()];
+        let (rankings, ld_cutoff) = (&self.rankings, self.params.ld_cutoff);
+        let mut feed = |c: usize, scan: &mut LdScan, (a, b): (SnpId, SnpId), pooled| {
+            if log_moments {
+                logs[c].push((a.0, b.0, pooled));
+            }
+            scan.feed(pooled, |s| rankings[c][s.index()].p_value, ld_cutoff);
+        };
+        loop {
+            let mut misses: Vec<(usize, (SnpId, SnpId))> = Vec::new();
+            for (c, scan) in scans.iter_mut().enumerate() {
+                while let Some((a, b)) = scan.pending() {
+                    let Some(&hit) = tables[c].get(&(a.0, b.0)) else {
+                        if shards.is_some() {
                             crate::telemetry::shard_oracle_pairs().add(1);
                         }
-                        match pool_moments(
-                            ctx,
-                            &mut self.channels,
-                            self.node,
-                            subset,
-                            &[(a, b)],
-                            ref_moments,
-                            "ld-moments",
-                        ) {
-                            Ok(pooled) => pooled[0],
-                            Err(e) => {
-                                scan_error = Some(e);
-                                return LdMoments::default();
-                            }
-                        }
+                        misses.push((c, (a, b)));
+                        break;
                     };
-                    if log_moments {
-                        moments.push((a.0, b.0, pooled));
+                    if shards.is_some() {
+                        crate::telemetry::shard_cache_pairs().add(1);
                     }
-                    pooled
-                },
-                |s| ranks[s.index()].p_value,
-                self.params.ld_cutoff,
-            );
-            if let Some(intr) = scan_error {
-                if let Interrupt::Fatal(e) = &intr {
-                    self.abort(ctx, e);
+                    feed(c, scan, (a, b), hit);
                 }
-                return Err(intr);
             }
-            scans.push(ShardScan { retained, moments });
+            if misses.is_empty() {
+                break;
+            }
+            let pooled = match exchange_misses(
+                ctx,
+                &mut self.channels,
+                self.node,
+                &self.subsets,
+                &misses,
+                ref_moments,
+            ) {
+                Ok(pooled) => pooled,
+                Err(intr) => {
+                    if let Interrupt::Fatal(e) = &intr {
+                        self.abort(ctx, e);
+                    }
+                    return Err(intr);
+                }
+            };
+            for (&(c, pair), pooled) in misses.iter().zip(pooled) {
+                feed(c, &mut scans[c], pair, pooled);
+            }
         }
-        Ok(scans)
+        Ok(scans
+            .into_iter()
+            .zip(logs)
+            .map(|(scan, moments)| ShardScan {
+                retained: scan.into_retained(),
+                moments,
+            })
+            .collect())
     }
 
     /// Phase 3 for one subset: broadcasts the subset's frequency vectors

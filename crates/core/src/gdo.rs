@@ -6,7 +6,6 @@
 //! results the protocol outsources: allele-count vectors, LD moments and
 //! LR matrices. Every method consumes the shard read-only.
 
-use crate::memo::MomentMemo;
 use crate::messages::{CountsReport, LrReport, LrReportCompact, MomentsReport};
 use gendpr_genomics::columnar::ColumnarGenotypes;
 use gendpr_genomics::genotype::GenotypeMatrix;
@@ -26,9 +25,6 @@ pub struct GdoNode {
     // vector is needed for the pre-processing report anyway, and reusing
     // it makes each LD moments query a single pass (only Σxy is fresh).
     counts: Vec<u64>,
-    // (a, b) → moments: collusion tolerance asks for the same pair once
-    // per subset containing this member; the answer never changes.
-    moments: MomentMemo,
 }
 
 impl GdoNode {
@@ -42,7 +38,6 @@ impl GdoNode {
             shard,
             columnar,
             counts,
-            moments: MomentMemo::new(),
         }
     }
 
@@ -76,27 +71,18 @@ impl GdoNode {
     }
 
     /// Phase 2: local correlation moments for one pair. The marginal
-    /// counts come from the cached pre-processing vector, the joint count
-    /// is a columnar `popcount(AND)` sweep, and the result is memoized so
-    /// re-evaluations across collusion subsets are free.
+    /// counts come from the cached pre-processing vector and the joint
+    /// count is a columnar `popcount(AND)` sweep over ⌈n/64⌉ words — cheap
+    /// enough that re-evaluations across collusion subsets recompute it.
     #[must_use]
     pub fn ld_moments(&self, a: SnpId, b: SnpId) -> MomentsReport {
-        self.moments
-            .get_or_compute(a, b, || {
-                LdMoments::from_counts(
-                    self.counts[a.index()],
-                    self.counts[b.index()],
-                    self.columnar.pair_count(a, b),
-                    self.shard.individuals() as u64,
-                )
-            })
-            .into()
-    }
-
-    /// Number of distinct pairs whose moments are memoized.
-    #[must_use]
-    pub fn cached_moment_pairs(&self) -> usize {
-        self.moments.len()
+        LdMoments::from_counts(
+            self.counts[a.index()],
+            self.counts[b.index()],
+            self.columnar.pair_count(a, b),
+            self.shard.individuals() as u64,
+        )
+        .into()
     }
 
     /// Phase 3: the local LR matrix over `snps`, built with the *global*
@@ -133,6 +119,7 @@ impl GdoNode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gendpr_crypto::rng::ChaChaRng;
 
     fn node() -> GdoNode {
         let mut m = GenotypeMatrix::zeroed(3, 4);
@@ -162,16 +149,33 @@ mod tests {
     }
 
     #[test]
-    fn moments_are_memoized_and_match_direct_computation() {
-        let n = node();
-        assert_eq!(n.cached_moment_pairs(), 0);
-        let first = n.ld_moments(SnpId(0), SnpId(2));
-        assert_eq!(n.cached_moment_pairs(), 1);
-        let again = n.ld_moments(SnpId(0), SnpId(2));
-        assert_eq!(n.cached_moment_pairs(), 1, "second query must hit the memo");
-        assert_eq!(LdMoments::from(first), LdMoments::from(again));
-        let direct = LdMoments::from_matrix(n.shard(), SnpId(0), SnpId(2));
-        assert_eq!(LdMoments::from(again), direct);
+    fn moments_match_the_row_major_shard_over_random_pairs() {
+        // 70 SNPs: the last column sits in a second, partial word of the
+        // row-major layout; 67 individuals: the columnar sweep ends in a
+        // partial word too.
+        let (individuals, snps) = (67, 70);
+        let mut rng = ChaChaRng::from_seed_u64(41);
+        let mut m = GenotypeMatrix::zeroed(individuals, snps);
+        for i in 0..individuals {
+            for j in 0..snps {
+                m.set(i, j, rng.next_bool(0.3));
+            }
+        }
+        let n = GdoNode::new(0, m);
+        let last = snps as u32 - 1;
+        let mut pairs = vec![(0, 0), (last, last), (0, last), (last, 63), (64, 65)];
+        let mut draw = || rng.next_below(snps as u64) as u32;
+        pairs.extend((0..200).map(|_| (draw(), draw())));
+        for (a, b) in pairs {
+            let (a, b) = (SnpId(a), SnpId(b));
+            assert_eq!(
+                LdMoments::from(n.ld_moments(a, b)),
+                LdMoments::from_matrix(n.shard(), a, b),
+                "pair ({}, {})",
+                a.0,
+                b.0
+            );
+        }
     }
 
     #[test]

@@ -14,7 +14,6 @@ use crate::config::{FederationConfig, GwasParams};
 use crate::error::ProtocolError;
 use crate::gdo::GdoNode;
 use crate::leader::elect_seeded;
-use crate::memo::MomentMemo;
 use crate::messages::CountsReport;
 use crate::phases::ld::{run_ld_scan, scan_comparisons};
 use crate::phases::lrtest::{run_lr_test_threads, SelectionKernel};
@@ -124,11 +123,9 @@ pub struct Federation {
     params: GwasParams,
     nodes: Vec<GdoNode>,
     reference: GenotypeMatrix,
-    // SNP-major view of the reference plus a pair-moment memo: reference
-    // moments are identical across collusion subsets, so they are
-    // computed once and served from cache thereafter.
+    // SNP-major view of the reference: a pair's joint count is a
+    // popcount(AND) over two of its columns.
     reference_columnar: ColumnarGenotypes,
-    ref_moments: MomentMemo,
     panel_len: usize,
     kernel: SelectionKernel,
 }
@@ -158,7 +155,6 @@ impl Federation {
             nodes,
             reference,
             reference_columnar,
-            ref_moments: MomentMemo::new(),
             panel_len: cohort.panel().len(),
             kernel: SelectionKernel::Fast,
         }
@@ -213,7 +209,6 @@ impl Federation {
             nodes,
             reference,
             reference_columnar,
-            ref_moments: MomentMemo::new(),
             panel_len,
             kernel: SelectionKernel::Fast,
         }
@@ -305,17 +300,12 @@ impl Federation {
             ld_selections.push(run_ld_scan(
                 &l_prime,
                 |a, b| {
-                    // Reference moments are subset-independent: every
-                    // combination reads the same memoized entry, and the
-                    // joint count is a columnar popcount sweep.
-                    let mut pooled = self.ref_moments.get_or_compute(a, b, || {
-                        LdMoments::from_counts(
-                            ref_counts[a.index()],
-                            ref_counts[b.index()],
-                            self.reference_columnar.pair_count(a, b),
-                            n_ref,
-                        )
-                    });
+                    let mut pooled = LdMoments::from_counts(
+                        ref_counts[a.index()],
+                        ref_counts[b.index()],
+                        self.reference_columnar.pair_count(a, b),
+                        n_ref,
+                    );
                     for &i in subset {
                         pooled = pooled.merge(LdMoments::from(self.nodes[i].ld_moments(a, b)));
                     }
