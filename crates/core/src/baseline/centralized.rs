@@ -6,6 +6,12 @@
 //! matrices — no aggregation of member contributions. GenDPR's core
 //! correctness claim (Table 4) is that its distributed aggregation selects
 //! *exactly* the same SNPs as this pipeline.
+//!
+//! It is deliberately *not* built on the in-process drivers' pools
+//! (`phases::pooled`): row-major pooled counts and a dense `LrMatrix` make
+//! it an independent oracle, which `tests/equivalence.rs`,
+//! `tests/stratification.rs`, the `table4` experiment and the dynamic
+//! assessor's single-epoch test compare GenDPR against.
 
 use crate::config::GwasParams;
 use crate::error::ProtocolError;

@@ -11,19 +11,19 @@
 //! they miss the *global* genome distribution and select smaller, even
 //! disjoint, SNP sets (the bold rows of Table 4). Releasing those would
 //! still allow membership inference against the pooled statistics.
+//!
+//! The pipeline is GenDPR's (`phases::pooled::Pool`); only the pools
+//! differ: all members for MAF, then one pool per member for LD and LR.
 
 use crate::collusion::intersect_selections;
 use crate::config::GwasParams;
 use crate::error::ProtocolError;
 use crate::gdo::GdoNode;
-use crate::phases::ld::run_ld_scan;
-use crate::phases::lrtest::run_lr_test;
-use crate::phases::maf::run_maf;
+use crate::phases::lrtest::SelectionKernel;
+use crate::phases::pooled::Pool;
 use gendpr_genomics::cohort::Cohort;
+use gendpr_genomics::columnar::ColumnarGenotypes;
 use gendpr_genomics::snp::SnpId;
-use gendpr_stats::ld::LdMoments;
-use gendpr_stats::lr::LrMatrix;
-use gendpr_stats::ranking::{rank_by_association, SnpRank};
 
 /// Outcome of the naïve protocol.
 #[derive(Debug, Clone)]
@@ -74,79 +74,24 @@ impl NaiveDistributed {
             .enumerate()
             .map(|(i, shard)| GdoNode::new(i, shard))
             .collect();
-        let reference = cohort.reference();
+        let reference = ColumnarGenotypes::from_matrix(cohort.reference());
         let ref_counts = reference.column_counts();
-        let n_ref = reference.individuals() as u64;
+        let pool = |members| Pool::new(members, &reference, &ref_counts, self.params.maf_cutoff);
 
         // Phase 1: aggregated MAF, as in GenDPR.
-        let reports: Vec<_> = nodes.iter().map(GdoNode::counts_report).collect();
-        let maf = run_maf(&reports, ref_counts.clone(), n_ref, self.params.maf_cutoff);
-        let l_prime = maf.retained.clone();
+        let l_prime = pool(nodes.iter().collect()).maf.retained;
 
-        let all_ids: Vec<SnpId> = (0..cohort.panel().len() as u32).map(SnpId).collect();
-
-        // Phase 2: each member scans with *local* moments and ranking.
-        let mut local_ranks: Vec<Vec<SnpRank>> = Vec::with_capacity(nodes.len());
-        for node in &nodes {
-            local_ranks.push(rank_by_association(
-                &all_ids,
-                &node.shard().column_counts(),
-                node.shard().individuals() as u64,
-                &ref_counts,
-                n_ref,
-            ));
-        }
-        let ld_selections: Vec<Vec<SnpId>> = nodes
+        // Phases 2 and 3: each member decides from its *local* pool alone.
+        let locals: Vec<Pool> = nodes.iter().map(|node| pool(vec![node])).collect();
+        let ld_selections: Vec<Vec<SnpId>> = locals
             .iter()
-            .enumerate()
-            .map(|(g, node)| {
-                run_ld_scan(
-                    &l_prime,
-                    |a, b| {
-                        LdMoments::from_matrix(node.shard(), a, b)
-                            .merge(LdMoments::from_matrix(reference, a, b))
-                    },
-                    |s| local_ranks[g][s.index()].p_value,
-                    self.params.ld_cutoff,
-                )
-            })
+            .map(|local| local.ld_scan(&l_prime, self.params.ld_cutoff))
             .collect();
         let l_double_prime = intersect_selections(&ld_selections);
-
-        // Phase 3: each member tests with *local* case frequencies.
-        let lr_selections: Vec<Vec<SnpId>> = nodes
+        let lr_selections: Vec<Vec<SnpId>> = locals
             .iter()
-            .enumerate()
-            .map(|(g, node)| {
-                let n_local = node.shard().individuals() as u64;
-                let local_counts = node.shard().column_counts();
-                let case_freqs: Vec<f64> = l_double_prime
-                    .iter()
-                    .map(|&s| local_counts[s.index()] as f64 / n_local.max(1) as f64)
-                    .collect();
-                let ref_freqs: Vec<f64> = l_double_prime
-                    .iter()
-                    .map(|&s| ref_counts[s.index()] as f64 / n_ref as f64)
-                    .collect();
-                let case_matrix = LrMatrix::from_genotypes(
-                    node.shard(),
-                    &l_double_prime,
-                    &case_freqs,
-                    &ref_freqs,
-                );
-                let null_matrix =
-                    LrMatrix::from_genotypes(reference, &l_double_prime, &case_freqs, &ref_freqs);
-                let ranks: Vec<SnpRank> = l_double_prime
-                    .iter()
-                    .map(|&s| local_ranks[g][s.index()])
-                    .collect();
-                run_lr_test(
-                    &l_double_prime,
-                    &case_matrix,
-                    &null_matrix,
-                    &ranks,
-                    &self.params.lr,
-                )
+            .map(|local| {
+                local.lr_select(&[], &l_double_prime, &self.params.lr, SelectionKernel::Fast)
             })
             .collect();
         let safe_snps = intersect_selections(&lr_selections);

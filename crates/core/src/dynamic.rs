@@ -26,15 +26,12 @@
 
 use crate::config::GwasParams;
 use crate::error::ProtocolError;
-use crate::phases::ld::run_ld_scan;
-use crate::phases::lrtest::admission_order;
+use crate::gdo::GdoNode;
+use crate::phases::lrtest::SelectionKernel;
+use crate::phases::pooled::Pool;
 use gendpr_genomics::columnar::ColumnarGenotypes;
 use gendpr_genomics::genotype::GenotypeMatrix;
 use gendpr_genomics::snp::SnpId;
-use gendpr_stats::ld::LdMoments;
-use gendpr_stats::lr::{select_safe_subset, LrColumns};
-use gendpr_stats::maf::passes_maf;
-use gendpr_stats::ranking::rank_by_association;
 
 /// What happened in one assessment epoch.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -152,106 +149,39 @@ impl DynamicAssessor {
         let epoch = self.epochs;
         self.epochs += 1;
 
-        let n_case = self.cumulative.individuals() as u64;
-        let n_ref = self.reference.individuals() as u64;
-        // The cumulative shard grew this epoch, so its SNP-major view is
-        // rebuilt; counts, LD moments and the LR case matrix all read it.
-        let case_columnar = ColumnarGenotypes::from_matrix(&self.cumulative);
-        let case_counts = case_columnar.column_counts();
-        let n_total = n_case + n_ref;
-
-        // MAF screen over cumulative data, excluding already-released SNPs
-        // (they are forced, not candidates).
-        let mut l_prime = Vec::new();
-        #[allow(clippy::needless_range_loop)]
-        for l in 0..self.reference.snps() {
-            let id = SnpId(l as u32);
-            if self.released.binary_search(&id).is_ok() {
-                continue;
-            }
-            let freq = (case_counts[l] + self.ref_counts[l]) as f64 / n_total as f64;
-            if passes_maf(freq, self.params.maf_cutoff) {
-                l_prime.push(id);
-            }
-        }
-
-        // Ranking over the full panel (needed for LD tie-breaks and the
-        // LR admission order).
-        let all_ids: Vec<SnpId> = (0..self.reference.snps() as u32).map(SnpId).collect();
-        let ranks = rank_by_association(&all_ids, &case_counts, n_case, &self.ref_counts, n_ref);
-
-        // LD screen over the candidates.
-        let l_double_prime = run_ld_scan(
-            &l_prime,
-            |a, b| {
-                LdMoments::from_counts(
-                    case_counts[a.index()],
-                    case_counts[b.index()],
-                    case_columnar.pair_count(a, b),
-                    n_case,
-                )
-                .merge(LdMoments::from_counts(
-                    self.ref_counts[a.index()],
-                    self.ref_counts[b.index()],
-                    self.reference.pair_count(a, b),
-                    n_ref,
-                ))
-            },
-            |s| ranks[s.index()].p_value,
-            self.params.ld_cutoff,
+        // The cumulative shard grew this epoch, so it is pooled afresh as
+        // one member: counts, LD moments and the LR case matrix all read it.
+        let node = GdoNode::new(0, self.cumulative.clone());
+        let pool = Pool::new(
+            vec![&node],
+            &self.reference,
+            &self.ref_counts,
+            self.params.maf_cutoff,
         );
-
-        // LR-test with the released set forced: columns cover released ∪
-        // candidates.
-        let mut columns: Vec<SnpId> = self.released.clone();
-        columns.extend(l_double_prime.iter().copied());
-        let case_freqs: Vec<f64> = columns
+        // Already-released SNPs are forced, not candidates: they skip the
+        // MAF/LD screens and are charged against the power budget first.
+        let l_prime: Vec<SnpId> = pool
+            .maf
+            .retained
             .iter()
-            .map(|s| case_counts[s.index()] as f64 / n_case.max(1) as f64)
+            .copied()
+            .filter(|s| self.released.binary_search(s).is_err())
             .collect();
-        let ref_freqs: Vec<f64> = columns
-            .iter()
-            .map(|s| self.ref_counts[s.index()] as f64 / n_ref as f64)
-            .collect();
-        // Columnar matrices: the case side gathers from this epoch's
-        // view, the null side from the constructor-built reference view.
-        // The seeded search runs on the word-wise kernels; no memoized
-        // prefix — the frequency vectors (and with them every column's
-        // values) change each epoch.
-        let case_matrix =
-            LrColumns::from_columnar(&case_columnar, &columns, &case_freqs, &ref_freqs);
-        let null_matrix =
-            LrColumns::from_columnar(&self.reference, &columns, &case_freqs, &ref_freqs);
-        let forced: Vec<usize> = (0..self.released.len()).collect();
-        let order = admission_order(
+        let l_double_prime = pool.ld_scan(&l_prime, self.params.ld_cutoff);
+        let newly_released = pool.lr_select(
+            &self.released,
             &l_double_prime,
-            l_double_prime.iter().map(|&s| ranks[s.index()]).collect(),
-            self.released.len(),
-        );
-        let selection = select_safe_subset(
-            &case_matrix,
-            &null_matrix,
-            &forced,
-            &order,
             &self.params.lr,
-            None,
+            SelectionKernel::Fast,
         );
-        let mut newly_released: Vec<SnpId> =
-            selection.kept_columns.iter().map(|&c| columns[c]).collect();
-        newly_released.sort_unstable();
 
-        // Regret: released SNPs the current data would screen out (MAF/LD
-        // status lost) or that a fresh LR admission would reject. We use
-        // the screening criteria as the observable proxy.
+        // Regret: released SNPs the current data no longer passes the MAF
+        // screen with — the observable proxy for "would not certify".
         let regret: Vec<SnpId> = self
             .released
             .iter()
             .copied()
-            .filter(|s| {
-                let freq =
-                    (case_counts[s.index()] + self.ref_counts[s.index()]) as f64 / n_total as f64;
-                !passes_maf(freq, self.params.maf_cutoff)
-            })
+            .filter(|s| pool.maf.retained.binary_search(s).is_err())
             .collect();
 
         self.released.extend(newly_released.iter().copied());

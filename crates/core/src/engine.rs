@@ -45,7 +45,7 @@ use gendpr_stats::ld::LdMoments;
 use gendpr_stats::lr::{
     select_safe_subset, BitLrMatrix, LrColumns, LrMatrix, LrPrefixSums, LrSelection, LrValues,
 };
-use gendpr_stats::ranking::{rank_by_association, SnpRank};
+use gendpr_stats::ranking::SnpRank;
 use gendpr_tee::session::SecureChannel;
 use std::collections::HashMap;
 use std::time::Instant;
@@ -380,13 +380,7 @@ impl<'a> LeaderSession<'a> {
                 )
             })
             .collect();
-        let all_ids: Vec<SnpId> = (0..panel_len as u32).map(SnpId).collect();
-        let rankings: Vec<Vec<SnpRank>> = maf_outcomes
-            .iter()
-            .map(|o| {
-                rank_by_association(&all_ids, &o.case_counts, o.n_case, &o.ref_counts, o.n_ref)
-            })
-            .collect();
+        let rankings: Vec<Vec<SnpRank>> = maf_outcomes.iter().map(MafOutcome::ranks).collect();
         let indexing = t.elapsed();
         crate::telemetry::phase_seconds("maf").observe_duration(indexing);
 
@@ -854,12 +848,19 @@ pub(crate) fn follower_serve<T: Transport>(
         Terminator::Phase3 => (true, "awaiting-leader"),
         Terminator::ShardDone => (false, "shard-serve"),
     };
+    // Ids and vector lengths are the leader's input: a wrong one is a
+    // malformed message, not an index past this member's panel.
+    let past_panel = |id: u32| id as usize >= node.columnar().snps();
+    let malformed = || Interrupt::from(ProtocolError::MalformedMessage { member: leader });
     loop {
         match recv_protocol(ctx, channel, leader, phase)? {
             ProtocolMessage::Phase1(_) if full => {
                 // Informational: L' arrives before the moments queries.
             }
             ProtocolMessage::MomentsRequest(pairs) => {
+                if pairs.iter().any(|p| past_panel(p.a) || past_panel(p.b)) {
+                    return Err(malformed());
+                }
                 let reports: Vec<MomentsReport> = pairs
                     .iter()
                     .map(|p| node.ld_moments(SnpId(p.a), SnpId(p.b)))
@@ -867,6 +868,12 @@ pub(crate) fn follower_serve<T: Transport>(
                 send_protocol(ctx, channel, leader, &ProtocolMessage::Moments(reports))?;
             }
             ProtocolMessage::Phase2(combo, broadcast) if full => {
+                let n = broadcast.retained.len();
+                let one_freq_each =
+                    broadcast.case_freqs.len() == n && broadcast.ref_freqs.len() == n;
+                if !one_freq_each || broadcast.retained.iter().any(|&s| past_panel(s)) {
+                    return Err(malformed());
+                }
                 let snps: Vec<SnpId> = broadcast.retained.iter().map(|&s| SnpId(s)).collect();
                 let compact = ctx.compact_lr;
                 let (report, bytes) = ctx.enclave.enter(|(), epc| {
@@ -918,5 +925,74 @@ pub(crate) fn unexpected_from_leader(leader: usize, msg: &ProtocolMessage) -> Pr
             },
         },
         _ => ProtocolError::MalformedMessage { member: leader },
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::FederationConfig;
+    use crate::runtime::{build_member_ctx, establish_channel, RuntimeOptions};
+    use gendpr_fednet::transport::{Network, PeerId};
+
+    /// Member 1 of 2 serves a job over an 8-SNP shard while a hand-rolled
+    /// leader sends `msgs`; returns how the follower's loop ended.
+    fn follower_after(msgs: &[ProtocolMessage], compact_lr: bool) -> Result<Vec<SnpId>, Interrupt> {
+        let config = FederationConfig::new(2);
+        let params = GwasParams::secure_genome_defaults();
+        let options = RuntimeOptions {
+            compact_lr,
+            ..RuntimeOptions::default()
+        };
+        let network = Network::new();
+        let mut leader =
+            build_member_ctx(network.register(PeerId(0)), 0, &config, &params, options).unwrap();
+        let endpoint = network.register(PeerId(1));
+        let follower = std::thread::spawn(move || {
+            let mut ctx = build_member_ctx(endpoint, 1, &config, &params, options)?;
+            let node = GdoNode::new(1, GenotypeMatrix::zeroed(5, 8));
+            let mut channel = establish_channel(&mut ctx, 0)?;
+            follower_serve(&mut ctx, &node, &mut channel, 0, Terminator::Phase3)
+        });
+        let mut channel = establish_channel(&mut leader, 1).unwrap();
+        for msg in msgs {
+            send_protocol(&mut leader, &mut channel, 1, msg).unwrap();
+        }
+        follower.join().expect("the follower must not panic")
+    }
+
+    #[test]
+    fn a_follower_rejects_leader_ids_past_its_panel() {
+        let pair = |a, b| ProtocolMessage::MomentsRequest(vec![MomentsRequest { a, b }]);
+        let phase2 = |retained: Vec<u32>, freqs| {
+            let (case_freqs, ref_freqs) = (vec![0.3; freqs], vec![0.2; freqs]);
+            ProtocolMessage::Phase2(
+                0,
+                Phase2Broadcast {
+                    retained,
+                    case_freqs,
+                    ref_freqs,
+                },
+            )
+        };
+        // The harness is live: in-range ids are served to the end.
+        let phase3 = ProtocolMessage::Phase3(Phase3Broadcast { safe: vec![7] });
+        for compact in [false, true] {
+            let good = [pair(0, 7), phase2(vec![0, 7], 2), phase3.clone()];
+            assert_eq!(follower_after(&good, compact).unwrap(), vec![SnpId(7)]);
+        }
+        let bad = [
+            (pair(8, 0), false),
+            (pair(0, 108), false),
+            (phase2(vec![1, 8], 2), false),
+            (phase2(vec![1, 8], 2), true),
+            (phase2(vec![1, 2], 1), false),
+        ];
+        for (msg, compact) in bad {
+            match follower_after(std::slice::from_ref(&msg), compact) {
+                Err(Interrupt::Fatal(ProtocolError::MalformedMessage { member: 0 })) => {}
+                other => panic!("{msg:?} (compact {compact}): {other:?}"),
+            }
+        }
     }
 }

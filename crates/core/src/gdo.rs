@@ -17,9 +17,8 @@ use gendpr_stats::lr::LrMatrix;
 #[derive(Debug, Clone)]
 pub struct GdoNode {
     id: usize,
-    shard: GenotypeMatrix,
-    // SNP-major transpose of the shard, built once: pair counts become
-    // contiguous popcount(AND) sweeps instead of strided row walks.
+    // The shard, SNP-major — the only layout any step reads: pair counts
+    // are contiguous popcount(AND) sweeps, LR reports column gathers.
     columnar: ColumnarGenotypes,
     // Per-SNP minor counts, computed once at construction: the counts
     // vector is needed for the pre-processing report anyway, and reusing
@@ -28,14 +27,14 @@ pub struct GdoNode {
 }
 
 impl GdoNode {
-    /// Creates a node for member `id` holding `shard`.
+    /// Creates a node for member `id` holding `shard` (transposed once;
+    /// the row-major matrix is not kept).
     #[must_use]
     pub fn new(id: usize, shard: GenotypeMatrix) -> Self {
         let columnar = ColumnarGenotypes::from_matrix(&shard);
         let counts = columnar.column_counts();
         Self {
             id,
-            shard,
             columnar,
             counts,
         }
@@ -47,10 +46,9 @@ impl GdoNode {
         self.id
     }
 
-    /// The member's local case shard.
-    #[must_use]
-    pub fn shard(&self) -> &GenotypeMatrix {
-        &self.shard
+    /// Case individuals in the member's shard.
+    pub(crate) fn individuals(&self) -> usize {
+        self.columnar.individuals()
     }
 
     /// The SNP-major view of the shard. The in-process protocol driver
@@ -66,7 +64,7 @@ impl GdoNode {
     pub fn counts_report(&self) -> CountsReport {
         CountsReport {
             counts: self.counts.clone(),
-            n_case: self.shard.individuals() as u64,
+            n_case: self.individuals() as u64,
         }
     }
 
@@ -80,7 +78,7 @@ impl GdoNode {
             self.counts[a.index()],
             self.counts[b.index()],
             self.columnar.pair_count(a, b),
-            self.shard.individuals() as u64,
+            self.individuals() as u64,
         )
         .into()
     }
@@ -94,7 +92,7 @@ impl GdoNode {
         let words_per_row = snps.len().div_ceil(64);
         let bits = self.columnar.select_row_major(snps);
         LrReport::from_matrix(&LrMatrix::from_indicator(
-            self.shard.individuals(),
+            self.individuals(),
             snps.len(),
             &major,
             &minor,
@@ -109,7 +107,7 @@ impl GdoNode {
     #[must_use]
     pub fn lr_report_compact(&self, snps: &[SnpId]) -> LrReportCompact {
         LrReportCompact {
-            individuals: self.shard.individuals() as u64,
+            individuals: self.individuals() as u64,
             snps: snps.len() as u64,
             bits: self.columnar.select_row_major(snps),
         }
@@ -161,7 +159,7 @@ mod tests {
                 m.set(i, j, rng.next_bool(0.3));
             }
         }
-        let n = GdoNode::new(0, m);
+        let n = GdoNode::new(0, m.clone());
         let last = snps as u32 - 1;
         let mut pairs = vec![(0, 0), (last, last), (0, last), (last, 63), (64, 65)];
         let mut draw = || rng.next_below(snps as u64) as u32;
@@ -170,7 +168,7 @@ mod tests {
             let (a, b) = (SnpId(a), SnpId(b));
             assert_eq!(
                 LdMoments::from(n.ld_moments(a, b)),
-                LdMoments::from_matrix(n.shard(), a, b),
+                LdMoments::from_matrix(&m, a, b),
                 "pair ({}, {})",
                 a.0,
                 b.0

@@ -7,6 +7,7 @@
 use crate::messages::CountsReport;
 use gendpr_genomics::snp::SnpId;
 use gendpr_stats::maf::passes_maf;
+use gendpr_stats::ranking::{rank_by_association, SnpRank};
 
 /// Everything Phase 1 leaves behind — later phases reuse the aggregated
 /// counts (the paper notes the frequency vectors "are already available
@@ -42,6 +43,19 @@ impl MafOutcome {
             return 0.0;
         }
         self.ref_counts[snp.index()] as f64 / self.n_ref as f64
+    }
+
+    /// The χ² association ranking of every SNP of `L_des` from these
+    /// pooled counts, indexed by SNP.
+    pub(crate) fn ranks(&self) -> Vec<SnpRank> {
+        let all: Vec<SnpId> = (0..self.ref_counts.len() as u32).map(SnpId).collect();
+        rank_by_association(
+            &all,
+            &self.case_counts,
+            self.n_case,
+            &self.ref_counts,
+            self.n_ref,
+        )
     }
 }
 

@@ -4,27 +4,26 @@
 //! process: every member's local computation runs against its own shard
 //! only, the leader aggregates exactly the intermediate values the real
 //! deployment would receive, and collusion tolerance re-evaluates each
-//! phase per member combination (§5.6). This driver is what the
-//! correctness experiments (Table 4), collusion experiments (Table 5) and
-//! the running-time figures (5/6) measure; the fully threaded,
-//! enclave-encrypted deployment lives in [`crate::runtime`].
+//! phase per member combination (§5.6). Each combination is one pool of
+//! members (`phases::pooled::Pool`); this driver only intersects the
+//! pools' selections after each phase and accounts the traffic a
+//! deployment would send. It is what the correctness experiments
+//! (Table 4), collusion experiments (Table 5) and the running-time figures
+//! (5/6) measure; the fully threaded, enclave-encrypted deployment lives
+//! in [`crate::runtime`].
 
 use crate::collusion::{evaluation_subsets, intersect_selections};
 use crate::config::{FederationConfig, GwasParams};
 use crate::error::ProtocolError;
 use crate::gdo::GdoNode;
 use crate::leader::elect_seeded;
-use crate::messages::CountsReport;
-use crate::phases::ld::{run_ld_scan, scan_comparisons};
-use crate::phases::lrtest::{run_lr_test_threads, SelectionKernel};
-use crate::phases::maf::{run_maf, MafOutcome};
+use crate::phases::ld::scan_comparisons;
+use crate::phases::lrtest::SelectionKernel;
+use crate::phases::pooled::Pool;
 use gendpr_genomics::cohort::Cohort;
 use gendpr_genomics::columnar::ColumnarGenotypes;
 use gendpr_genomics::genotype::GenotypeMatrix;
 use gendpr_genomics::snp::SnpId;
-use gendpr_stats::ld::LdMoments;
-use gendpr_stats::lr::LrColumns;
-use gendpr_stats::ranking::{rank_by_association, SnpRank};
 use std::time::{Duration, Instant};
 
 /// Per-task CPU time, matching the paper's Figure 5/6 breakdown.
@@ -122,11 +121,8 @@ pub struct Federation {
     config: FederationConfig,
     params: GwasParams,
     nodes: Vec<GdoNode>,
-    reference: GenotypeMatrix,
-    // SNP-major view of the reference: a pair's joint count is a
-    // popcount(AND) over two of its columns.
-    reference_columnar: ColumnarGenotypes,
-    panel_len: usize,
+    // The reference panel, SNP-major (the only layout a pool reads).
+    reference: ColumnarGenotypes,
     kernel: SelectionKernel,
 }
 
@@ -142,22 +138,7 @@ impl Federation {
         } else {
             cohort.split_case_among(config.gdo_count)
         };
-        let nodes = shards
-            .into_iter()
-            .enumerate()
-            .map(|(i, shard)| GdoNode::new(i, shard))
-            .collect();
-        let reference = cohort.reference().clone();
-        let reference_columnar = ColumnarGenotypes::from_matrix(&reference);
-        Self {
-            config,
-            params,
-            nodes,
-            reference,
-            reference_columnar,
-            panel_len: cohort.panel().len(),
-            kernel: SelectionKernel::Fast,
-        }
+        Self::from_shards(config, params, shards, cohort.reference().clone())
     }
 
     /// Selects the LR subset-search kernel ([`SelectionKernel::Oblivious`]
@@ -181,7 +162,8 @@ impl Federation {
     }
 
     /// Builds a federation from explicit per-member shards (for tests that
-    /// control the partition).
+    /// control the partition). [`Self::run`] rejects a shard count other
+    /// than `config.gdo_count`.
     ///
     /// # Panics
     ///
@@ -193,40 +175,32 @@ impl Federation {
         shards: Vec<GenotypeMatrix>,
         reference: GenotypeMatrix,
     ) -> Self {
-        let panel_len = reference.snps();
         for s in &shards {
-            assert_eq!(s.snps(), panel_len, "shard SNP count mismatch");
+            assert_eq!(s.snps(), reference.snps(), "shard SNP count mismatch");
         }
         let nodes = shards
             .into_iter()
             .enumerate()
             .map(|(i, shard)| GdoNode::new(i, shard))
             .collect();
-        let reference_columnar = ColumnarGenotypes::from_matrix(&reference);
         Self {
             config,
             params,
             nodes,
-            reference,
-            reference_columnar,
-            panel_len,
+            reference: ColumnarGenotypes::from_matrix(&reference),
             kernel: SelectionKernel::Fast,
         }
     }
 
-    /// The federation members.
-    #[must_use]
-    pub fn nodes(&self) -> &[GdoNode] {
-        &self.nodes
-    }
-
-    /// Executes the three-phase protocol.
+    /// Executes the three-phase protocol: one pool per evaluation subset,
+    /// the subsets' selections intersected after every phase.
     ///
     /// # Errors
     ///
-    /// [`ProtocolError::InvalidConfig`] for bad parameters,
-    /// [`ProtocolError::EmptyStudy`] when there are no SNPs or no
-    /// reference individuals (the LR-test has no null model without them).
+    /// [`ProtocolError::InvalidConfig`] for bad parameters or a shard count
+    /// other than `config.gdo_count`, [`ProtocolError::EmptyStudy`] when
+    /// there are no SNPs or no reference individuals (the LR-test has no
+    /// null model without them).
     pub fn run(&self) -> Result<ProtocolOutcome, ProtocolError> {
         self.config
             .validate()
@@ -234,7 +208,10 @@ impl Federation {
         self.params
             .validate()
             .map_err(ProtocolError::InvalidConfig)?;
-        if self.panel_len == 0 || self.reference.individuals() == 0 {
+        if self.nodes.len() != self.config.gdo_count {
+            return Err(ProtocolError::InvalidConfig("one shard per member"));
+        }
+        if self.reference.snps() == 0 || self.reference.individuals() == 0 {
             return Err(ProtocolError::EmptyStudy);
         }
 
@@ -246,45 +223,34 @@ impl Federation {
 
         // ---- Pre-processing + Phase 1: counts, aggregation, MAF ----
         let t = Instant::now();
-        let reports: Vec<CountsReport> = self.nodes.iter().map(GdoNode::counts_report).collect();
         let ref_counts = self.reference.column_counts();
-        let n_ref = self.reference.individuals() as u64;
         // Every non-leader member ships its counts vector (u64 per SNP + n).
         traffic.add(
             (g - 1) as u64,
-            (g - 1) as u64 * (8 * self.panel_len as u64 + 16),
+            (g - 1) as u64 * (8 * self.reference.snps() as u64 + 16),
         );
         traffic.round_trips += 1; // counts collection
         timings.aggregation += t.elapsed();
 
         let t = Instant::now();
-        let maf_outcomes: Vec<MafOutcome> = subsets
+        let pools: Vec<Pool> = subsets
             .iter()
             .map(|subset| {
-                let subset_reports: Vec<CountsReport> =
-                    subset.iter().map(|&i| reports[i].clone()).collect();
-                run_maf(
-                    &subset_reports,
-                    ref_counts.clone(),
-                    n_ref,
+                let members = subset.iter().map(|&i| &self.nodes[i]).collect();
+                Pool::new(
+                    members,
+                    &self.reference,
+                    &ref_counts,
                     self.params.maf_cutoff,
                 )
             })
             .collect();
         let l_prime = intersect_selections(
-            &maf_outcomes
+            &pools
                 .iter()
-                .map(|o| o.retained.clone())
+                .map(|p| p.maf.retained.clone())
                 .collect::<Vec<_>>(),
         );
-        // Rankings per combination (χ² of the combination's own counts).
-        let all_ids: Vec<SnpId> = (0..self.panel_len as u32).map(SnpId).collect();
-        let rankings: Vec<Vec<SnpRank>> = maf_outcomes
-            .iter()
-            .map(|o| {
-                rank_by_association(&all_ids, &o.case_counts, o.n_case, &o.ref_counts, o.n_ref)
-            })
-            .collect();
         // Leader broadcasts L' to all members.
         traffic.add(
             (g - 1) as u64,
@@ -296,24 +262,8 @@ impl Federation {
         // ---- Phase 2: LD analysis ----
         let t = Instant::now();
         let mut ld_selections: Vec<Vec<SnpId>> = Vec::with_capacity(subsets.len());
-        for (subset, ranks) in subsets.iter().zip(&rankings) {
-            ld_selections.push(run_ld_scan(
-                &l_prime,
-                |a, b| {
-                    let mut pooled = LdMoments::from_counts(
-                        ref_counts[a.index()],
-                        ref_counts[b.index()],
-                        self.reference_columnar.pair_count(a, b),
-                        n_ref,
-                    );
-                    for &i in subset {
-                        pooled = pooled.merge(LdMoments::from(self.nodes[i].ld_moments(a, b)));
-                    }
-                    pooled
-                },
-                |s| ranks[s.index()].p_value,
-                self.params.ld_cutoff,
-            ));
+        for (subset, pool) in subsets.iter().zip(&pools) {
+            ld_selections.push(pool.ld_scan(&l_prime, self.params.ld_cutoff));
             // Each comparison costs one request + one response per
             // non-leader member of the subset.
             let responders = subset.iter().filter(|&&i| i != leader).count() as u64;
@@ -339,57 +289,14 @@ impl Federation {
         // ---- Phase 3: LR-test analysis ----
         let t = Instant::now();
         let mut lr_selections = Vec::with_capacity(subsets.len());
-        let mut full_case_freqs = Vec::new();
-        let mut full_ref_freqs = Vec::new();
-        for (c, subset) in subsets.iter().enumerate() {
-            let outcome = &maf_outcomes[c];
-            let case_freqs: Vec<f64> = l_double_prime
-                .iter()
-                .map(|&s| outcome.case_frequency(s))
-                .collect();
-            let ref_freqs: Vec<f64> = l_double_prime
-                .iter()
-                .map(|&s| outcome.ref_frequency(s))
-                .collect();
-
-            // Each member contributes its SNP-major shard view; the
-            // leader stitches the columns end to end — the columnar
-            // equivalent of the row-concatenation of Figure 4, with no
-            // dense per-cell matrix ever materialized in process.
-            let shards: Vec<&ColumnarGenotypes> =
-                subset.iter().map(|&i| self.nodes[i].columnar()).collect();
-            let case_matrix =
-                LrColumns::from_columnar_parts(&shards, &l_double_prime, &case_freqs, &ref_freqs);
-            let null_matrix = LrColumns::from_columnar(
-                &self.reference_columnar,
-                &l_double_prime,
-                &case_freqs,
-                &ref_freqs,
-            );
-            let ranks: Vec<SnpRank> = l_double_prime
-                .iter()
-                .map(|&s| rankings[c][s.index()])
-                .collect();
-            lr_selections.push(run_lr_test_threads(
-                &l_double_prime,
-                &case_matrix,
-                &null_matrix,
-                &ranks,
-                &self.params.lr,
-                self.kernel,
-                1,
-            ));
+        for (subset, pool) in subsets.iter().zip(&pools) {
+            lr_selections.push(pool.lr_select(&[], &l_double_prime, &self.params.lr, self.kernel));
             // Members ship their LR matrices: 8 bytes per cell + header.
             for &i in subset {
                 if i != leader {
-                    let cells =
-                        self.nodes[i].shard().individuals() as u64 * l_double_prime.len() as u64;
+                    let cells = self.nodes[i].individuals() as u64 * l_double_prime.len() as u64;
                     traffic.add(1, 8 * cells + 16);
                 }
-            }
-            if c == 0 {
-                full_case_freqs = case_freqs;
-                full_ref_freqs = ref_freqs;
             }
         }
         let full_set_safe = lr_selections[0].clone();
@@ -406,8 +313,17 @@ impl Federation {
         traffic.round_trips += 1;
         timings.lr += t.elapsed();
 
+        let full = &pools[0].maf;
         Ok(ProtocolOutcome {
             leader,
+            case_freqs: l_double_prime
+                .iter()
+                .map(|&s| full.case_frequency(s))
+                .collect(),
+            ref_freqs: l_double_prime
+                .iter()
+                .map(|&s| full.ref_frequency(s))
+                .collect(),
             l_prime,
             l_double_prime,
             safe_snps,
@@ -415,8 +331,6 @@ impl Federation {
             traffic,
             evaluations: subsets.len(),
             full_set_safe,
-            case_freqs: full_case_freqs,
-            ref_freqs: full_ref_freqs,
         })
     }
 }
@@ -571,6 +485,26 @@ mod tests {
             GenotypeMatrix::zeroed(0, 10),
         );
         assert_eq!(fed.run().unwrap_err(), ProtocolError::EmptyStudy);
+    }
+
+    #[test]
+    fn shard_count_must_match_the_member_count() {
+        // Too few shards used to index past the node list; too many ran
+        // over a fraction of the cohort and released more than it certifies.
+        let c = cohort(120, 300, 11);
+        for shards in [2, 4] {
+            let fed = Federation::from_shards(
+                FederationConfig::new(3),
+                GwasParams::secure_genome_defaults(),
+                c.split_case_among(shards),
+                c.reference().clone(),
+            );
+            assert_eq!(
+                fed.run().unwrap_err(),
+                ProtocolError::InvalidConfig("one shard per member"),
+                "{shards} shards for G = 3"
+            );
+        }
     }
 
     #[test]

@@ -23,6 +23,13 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 echo "==> cargo test --workspace --no-fail-fast -q"
 cargo test --workspace --no-fail-fast -q
 
+# The examples are the public callers of Federation and DynamicAssessor:
+# run every one (release, ~1.5 s in total), not only compile it.
+echo "==> examples (release)"
+for example in examples/*.rs; do
+    cargo run --release -q --example "$(basename "$example" .rs)" >/dev/null
+done
+
 # The sweep kernels' bit-identity with the scalar loop is a statement about
 # optimised arithmetic: test the build that ships, not only the debug one.
 echo "==> cargo test --release -p gendpr-stats -q"

@@ -1,0 +1,143 @@
+//! Pins the in-process drivers' decisions byte for byte: `Federation::run`
+//! (three collusion / kernel configurations), the naïve baseline at G = 3
+//! and a seeded four-epoch `DynamicAssessor`, each hashed (FNV-1a 64) on a
+//! fixed synthetic cohort. The constants were captured at the commit
+//! before these drivers became wiring over `phases::pooled`, so any change
+//! to what they select, in any phase, fails here.
+
+use gendpr::core::baseline::naive::NaiveDistributed;
+use gendpr::core::config::{CollusionMode, FederationConfig, GwasParams};
+use gendpr::core::dynamic::DynamicAssessor;
+use gendpr::core::phases::lrtest::SelectionKernel;
+use gendpr::core::protocol::Federation;
+use gendpr::genomics::snp::SnpId;
+use gendpr::genomics::synth::SyntheticCohort;
+
+/// FNV-1a, 64-bit.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Self(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+
+    fn snps(&mut self, snps: &[SnpId]) -> &mut Self {
+        self.bytes(&(snps.len() as u64).to_le_bytes());
+        for s in snps {
+            self.bytes(&s.0.to_le_bytes());
+        }
+        self
+    }
+
+    fn freqs(&mut self, freqs: &[f64]) -> &mut Self {
+        self.bytes(&(freqs.len() as u64).to_le_bytes());
+        for f in freqs {
+            self.bytes(&f.to_bits().to_le_bytes());
+        }
+        self
+    }
+}
+
+fn cohort(seed: u64) -> SyntheticCohort {
+    SyntheticCohort::builder()
+        .snps(220)
+        .case_individuals(330)
+        .reference_individuals(280)
+        .seed(seed)
+        .drift(0.06)
+        .build()
+}
+
+fn params() -> GwasParams {
+    let mut params = GwasParams::secure_genome_defaults();
+    params.lr.power_threshold = 0.7;
+    params
+}
+
+fn federation_hash(config: FederationConfig, kernel: SelectionKernel, seed: u64) -> (u64, usize) {
+    let c = cohort(seed);
+    let out = Federation::new(config, params(), &c)
+        .with_selection_kernel(kernel)
+        .run()
+        .unwrap();
+    let mut h = Fnv::new();
+    h.snps(&out.l_prime)
+        .snps(&out.l_double_prime)
+        .snps(&out.safe_snps)
+        .snps(&out.full_set_safe)
+        .freqs(&out.case_freqs)
+        .freqs(&out.ref_freqs);
+    (h.0, out.safe_snps.len())
+}
+
+#[test]
+fn federation_decisions_are_pinned() {
+    let cases = [
+        (
+            FederationConfig::new(3).with_seed(1),
+            SelectionKernel::Fast,
+            41,
+            0xc6d2_26ae_8ec5_a234_u64,
+        ),
+        (
+            FederationConfig::new(4)
+                .with_collusion(CollusionMode::Fixed(2))
+                .with_seed(2),
+            SelectionKernel::Fast,
+            42,
+            0x8fd9_99c9_74ea_f519,
+        ),
+        (
+            FederationConfig::new(3).with_seed(3),
+            SelectionKernel::Oblivious,
+            43,
+            0xd38a_f4c5_189a_cfd7,
+        ),
+    ];
+    for (config, kernel, seed, pinned) in cases {
+        let (hash, safe) = federation_hash(config, kernel, seed);
+        assert!(
+            safe > 0,
+            "{config:?}: the pin must cover a non-empty release"
+        );
+        assert_eq!(hash, pinned, "{config:?} {kernel:?}: got {hash:#018x}");
+    }
+}
+
+#[test]
+fn naive_decisions_are_pinned() {
+    let c = cohort(44);
+    let out = NaiveDistributed::new(params(), 3).run(c.as_ref()).unwrap();
+    assert!(!out.safe_snps.is_empty());
+    let mut h = Fnv::new();
+    h.snps(&out.l_prime)
+        .snps(&out.l_double_prime)
+        .snps(&out.safe_snps);
+    assert_eq!(h.0, 0xe538_f890_6108_940c, "got {:#018x}", h.0);
+}
+
+#[test]
+fn seeded_dynamic_epochs_are_pinned() {
+    let c = cohort(45);
+    let mut assessor = DynamicAssessor::new(params(), c.reference().clone()).unwrap();
+    assessor
+        .seed_released(&[SnpId(2), SnpId(11), SnpId(40), SnpId(77), SnpId(130)])
+        .unwrap();
+    let mut h = Fnv::new();
+    let mut released = 0;
+    for (start, len) in [(0, 60), (60, 90), (150, 90), (240, 90)] {
+        let report = assessor.add_batch(&c.case().row_range(start, len)).unwrap();
+        h.snps(&report.newly_released).snps(&report.regret);
+        released += report.newly_released.len();
+    }
+    assert_eq!(assessor.total_genomes(), 330);
+    assert!(released > 0, "the pin must cover released epochs");
+    assert_eq!(h.0, 0x7415_0a08_b5be_2811, "got {:#018x}", h.0);
+}
