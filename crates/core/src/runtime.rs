@@ -27,7 +27,11 @@
 //! * a suspicion triggers a **view change**: the survivor broadcasts the
 //!   reduced roster stamped with epoch `e + 1`, everyone re-runs the
 //!   commit-reveal election over the surviving roster and restarts the
-//!   assessment from the members' cached count reports;
+//!   assessment from the members' cached count reports. Frames are not
+//!   sealed, so an announcement is taken only if an honest member could
+//!   have sent it — roster strictly ascending, a subset of the current
+//!   one, epoch in `(epoch, max_epochs]` — and dropped like a stale
+//!   frame otherwise; nothing past `max_epochs` is buffered or entered;
 //! * if the surviving roster falls below [`RecoveryOptions::min_quorum`]
 //!   (default `G − f`), the run fails with a precise
 //!   [`ProtocolError::QuorumLost`] instead of a generic timeout.
@@ -407,11 +411,14 @@ impl<T: Transport> MemberCtx<T> {
 
     /// Routes one in-sequence frame: stale epochs are dropped, future
     /// epochs buffered (or adopted, for view changes), current-epoch
-    /// frames answered (pings) or backlogged.
+    /// frames answered (pings) or backlogged. Frames are not sealed, so
+    /// nothing stamped past `max_epochs` is kept, and a view change is
+    /// only taken from an announcement that could have been honest.
     fn deliver(&mut self, from: u32, frame: Frame) -> Result<(), Interrupt> {
         *self.heard.entry(from).or_default() += 1;
         match frame.epoch.cmp(&self.epoch) {
             std::cmp::Ordering::Less => Ok(()), // stale epoch
+            _ if frame.epoch > self.recovery.max_epochs => Ok(()), // never entered
             std::cmp::Ordering::Greater => match frame.body {
                 FrameBody::ViewChange(roster) => self.adopt_view(frame.epoch, &roster),
                 _ => {
@@ -427,8 +434,11 @@ impl<T: Transport> MemberCtx<T> {
                 FrameBody::Pong => Ok(()),
                 FrameBody::ViewChange(roster) => {
                     let roster: Vec<usize> = roster.iter().map(|&m| m as usize).collect();
-                    if roster == self.roster {
-                        return Ok(()); // duplicate announcement of this view
+                    let Some(epoch) = self.next_epoch() else {
+                        return Ok(()); // no epoch left to converge in
+                    };
+                    if roster == self.roster || !ascending(&roster) {
+                        return Ok(()); // a duplicate of this view, or malformed
                     }
                     // Conflicting views of the same epoch (two members
                     // suspected different peers concurrently): converge on
@@ -440,20 +450,18 @@ impl<T: Transport> MemberCtx<T> {
                         .filter(|m| roster.contains(m))
                         .collect();
                     if !merged.contains(&self.id) {
-                        return Err(Interrupt::Fatal(ProtocolError::Evicted {
-                            epoch: self.epoch + 1,
-                        }));
+                        return Err(Interrupt::Fatal(ProtocolError::Evicted { epoch }));
                     }
                     let required = self.required_quorum();
                     if merged.len() < required {
                         return Err(Interrupt::Fatal(ProtocolError::QuorumLost {
-                            epoch: self.epoch + 1,
+                            epoch,
                             survivors: merged.len(),
                             required,
                         }));
                     }
                     Err(Interrupt::NewView {
-                        epoch: self.epoch + 1,
+                        epoch,
                         roster: merged,
                         announce: true,
                     })
@@ -466,9 +474,23 @@ impl<T: Transport> MemberCtx<T> {
         }
     }
 
-    /// Adopts a peer's view-change announcement for a later epoch.
+    /// The epoch after this one, if `max_epochs` leaves room for it.
+    fn next_epoch(&self) -> Option<u64> {
+        self.epoch
+            .checked_add(1)
+            .filter(|&epoch| epoch <= self.recovery.max_epochs)
+    }
+
+    /// Adopts a peer's view-change announcement for a later epoch (the
+    /// caller checked the epoch is in `(epoch, max_epochs]`). Views only
+    /// shrink, so an honest roster is strictly ascending and a subset of
+    /// this member's; anything else is dropped like a stale frame. A
+    /// well-formed roster without this member is its eviction notice.
     fn adopt_view(&mut self, epoch: u64, roster: &[u32]) -> Result<(), Interrupt> {
         let roster: Vec<usize> = roster.iter().map(|&m| m as usize).collect();
+        if !ascending(&roster) || !roster.iter().all(|m| self.roster.contains(m)) {
+            return Ok(());
+        }
         if !roster.contains(&self.id) {
             return Err(Interrupt::Fatal(ProtocolError::Evicted { epoch }));
         }
@@ -501,10 +523,9 @@ impl<T: Transport> MemberCtx<T> {
                 ("epoch", self.epoch.into()),
             ],
         );
-        let next_epoch = self.epoch + 1;
-        if next_epoch > self.recovery.max_epochs {
+        let Some(next_epoch) = self.next_epoch() else {
             return Interrupt::Fatal(ProtocolError::MemberUnresponsive { member, phase });
-        }
+        };
         let survivors: Vec<usize> = self
             .roster
             .iter()
@@ -630,6 +651,11 @@ impl<T: Transport> MemberCtx<T> {
             }
         }
     }
+}
+
+/// Whether member ids are strictly ascending (no repeats).
+fn ascending(roster: &[usize]) -> bool {
+    roster.windows(2).all(|pair| pair[0] < pair[1])
 }
 
 /// Commit-reveal election among the surviving roster (paper: "randomly
@@ -1500,6 +1526,71 @@ mod tests {
             matches!(err, ProtocolError::QuorumLost { .. }),
             "expected QuorumLost, got {err:?}"
         );
+    }
+
+    #[test]
+    fn an_unsealed_view_change_cannot_force_an_epoch_or_roster() {
+        // Member 2 never runs the protocol: it sends members 0 and 1 one
+        // hand-made view-change frame (or, in the control, nothing).
+        // Frames are public, so whatever it claims must end both runs
+        // exactly as its silence does — no overflow past the last epoch,
+        // no duplicated roster slot, no view change beyond `max_epochs`.
+        let c = cohort(40, 60);
+        let config = FederationConfig::new(3).with_seed(8);
+        let params = GwasParams::secure_genome_defaults();
+        let options = RuntimeOptions {
+            timeout: Duration::from_millis(1_500),
+            ..RuntimeOptions::default()
+        };
+        let forged: [Option<(u64, Vec<u32>)>; 4] = [
+            None,
+            Some((u64::MAX, vec![0, 1])),
+            Some((2, vec![0, 0, 1])),
+            Some((2, vec![0, 1])),
+        ];
+        let runs: Vec<_> = forged
+            .into_iter()
+            .map(|frame| {
+                let network = Network::new();
+                let [a, b, rogue] = [0, 1, 2].map(|id| network.register(PeerId(id)));
+                if let Some((epoch, roster)) = &frame {
+                    let forged = Frame {
+                        epoch: *epoch,
+                        seq: 0,
+                        body: FrameBody::ViewChange(roster.clone()),
+                    };
+                    for to in [0, 1] {
+                        rogue.send(PeerId(to), wire::to_bytes(&forged), 0).unwrap();
+                    }
+                }
+                let (done, results) = std::sync::mpsc::channel();
+                let shards = c.split_case_among(3);
+                for (id, (endpoint, shard)) in [a, b].into_iter().zip(shards).enumerate() {
+                    let (done, reference) = (done.clone(), c.reference().clone());
+                    std::thread::spawn(move || {
+                        let outcome =
+                            run_member(endpoint, id, &config, &params, options, shard, &reference);
+                        let _ = done.send(outcome.map(|o| o.epoch));
+                    });
+                }
+                (frame, results, rogue)
+            })
+            .collect();
+        for (frame, results, _rogue) in runs {
+            for _ in 0..2 {
+                let outcome = results
+                    .recv_timeout(Duration::from_secs(10))
+                    .unwrap_or_else(|e| panic!("{frame:?}: a member hung or panicked ({e})"));
+                assert_eq!(
+                    outcome.unwrap_err(),
+                    ProtocolError::MemberUnresponsive {
+                        member: 2,
+                        phase: "election-commit"
+                    },
+                    "{frame:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! traffic totals and the next job id.
 
 use crate::error::ServiceError;
-use crate::log::{FrameLog, KillPoints, LogNames};
+use crate::log::{FrameLog, KillPoints, LogNames, Store};
 use crate::telemetry;
 use gendpr_core::certificate::AssessmentCertificate;
 use gendpr_core::serving::{JobOutcome, JobSpec, LinkUsage};
@@ -28,6 +28,7 @@ use gendpr_genomics::snp::SnpId;
 use gendpr_obs::{event, Level};
 use gendpr_tee::attestation::Quote;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::fs::File;
 use std::path::{Path, PathBuf};
 
 /// How a ledger record was produced.
@@ -253,10 +254,12 @@ const LEDGER_LOG: LogNames = LogNames {
     }),
 };
 
-/// The append-only on-disk log of certified releases.
+/// The append-only on-disk log of certified releases. The store is a
+/// crate-private seam (see `log.rs`); outside the crate it is always a
+/// real file.
 #[derive(Debug)]
-pub struct ReleaseLedger {
-    log: FrameLog<LedgerRecord>,
+pub struct ReleaseLedger<S = File> {
+    log: FrameLog<LedgerRecord, S>,
     records: Vec<LedgerRecord>,
     // The views below are derived from `records` alone and maintained by
     // `push`, the one path loaded, appended and refreshed records take —
@@ -302,7 +305,14 @@ impl ReleaseLedger {
         primary: impl AsRef<Path>,
         replicas: &[PathBuf],
     ) -> Result<Self, ServiceError> {
-        let (log, records, heal) = FrameLog::open(primary.as_ref(), replicas, &LEDGER_LOG)?;
+        Self::open_in(primary.as_ref(), replicas)
+    }
+}
+
+impl<S: Store> ReleaseLedger<S> {
+    /// [`ReleaseLedger::open_replicated`] over any store.
+    pub(crate) fn open_in(primary: &Path, replicas: &[PathBuf]) -> Result<Self, ServiceError> {
+        let (log, records, heal) = FrameLog::open(primary, replicas, &LEDGER_LOG)?;
         // The primary's own torn tail is accounted the way `open`
         // always did — recovery must be loud, it is exactly what the
         // soak harness audits for.
@@ -420,7 +430,9 @@ impl ReleaseLedger {
         }
         Ok(fresh)
     }
+}
 
+impl<S> ReleaseLedger<S> {
     /// Every record, in append order.
     #[must_use]
     pub fn records(&self) -> &[LedgerRecord] {

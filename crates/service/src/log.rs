@@ -37,6 +37,14 @@
 //!
 //! The three operations are the whole interface; what differs between
 //! the two logs travels as data in a [`LogNames`] constant.
+//!
+//! # The storage seam
+//!
+//! Every byte the log reads or writes, and the fleet's lock, goes through
+//! [`Store`], one handle on one copy: `std::fs::File` in production,
+//! statically dispatched (both logs default their store to `File`), and
+//! an in-memory store that tears writes, fails fsyncs and loses mirrors
+//! in the tracks' fault simulator.
 
 use crate::error::ServiceError;
 use gendpr_crypto::sha256;
@@ -45,12 +53,77 @@ use gendpr_fednet::tcp::MAX_FRAME_BYTES;
 use gendpr_fednet::wire::{self, Decode, Encode};
 use gendpr_obs::{event, Level};
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::marker::PhantomData;
 use std::path::{Path, PathBuf};
 
 /// SHA-256 digest length, the per-frame checksum trailer.
 const CHECKSUM_LEN: usize = 32;
+
+/// One handle on one copy of a log (or on the fleet's lock file): the
+/// operations the log mechanics need and nothing else. Nameable only
+/// inside the crate (`log` is a private module).
+pub trait Store: Sized {
+    /// Opens the copy at `path` for reading and appending, creating it
+    /// when absent.
+    fn open(path: &Path) -> io::Result<Self>;
+    /// Every byte from `offset` to the end.
+    fn read_from(&mut self, offset: u64) -> io::Result<Vec<u8>>;
+    /// The copy's length in bytes.
+    fn size(&self) -> io::Result<u64>;
+    /// Cuts (or extends) the copy to `len` bytes.
+    fn truncate(&mut self, len: u64) -> io::Result<()>;
+    /// Appends `bytes` at the end.
+    fn write(&mut self, bytes: &[u8]) -> io::Result<()>;
+    /// Makes what was written durable.
+    fn sync(&mut self) -> io::Result<()>;
+    /// Takes the exclusive cross-process lock on this handle.
+    fn lock(&self) -> io::Result<()>;
+    /// Releases it.
+    fn unlock(&self) -> io::Result<()>;
+}
+
+impl Store for File {
+    fn open(path: &Path) -> io::Result<Self> {
+        OpenOptions::new()
+            .read(true)
+            .append(true)
+            .create(true)
+            .open(path)
+    }
+
+    fn read_from(&mut self, offset: u64) -> io::Result<Vec<u8>> {
+        self.seek(SeekFrom::Start(offset))?;
+        let mut bytes = Vec::new();
+        self.read_to_end(&mut bytes)?;
+        Ok(bytes)
+    }
+
+    fn size(&self) -> io::Result<u64> {
+        Ok(self.metadata()?.len())
+    }
+
+    fn truncate(&mut self, len: u64) -> io::Result<()> {
+        self.set_len(len)
+    }
+
+    fn write(&mut self, bytes: &[u8]) -> io::Result<()> {
+        self.write_all(bytes)?;
+        self.flush()
+    }
+
+    fn sync(&mut self) -> io::Result<()> {
+        self.sync_data()
+    }
+
+    fn lock(&self) -> io::Result<()> {
+        File::lock(self)
+    }
+
+    fn unlock(&self) -> io::Result<()> {
+        File::unlock(self)
+    }
+}
 
 /// The names one log reports its mechanics under — all the release
 /// ledger and the claim log differ in below their folds.
@@ -117,20 +190,20 @@ pub(crate) struct RefreshReport {
 
 /// One mirror of a log.
 #[derive(Debug)]
-struct Mirror {
+struct Mirror<S> {
     /// `None` once a write failed: a retired mirror stops receiving
     /// frames (its file stays a strict prefix of the truth) and is
     /// healed at the next open.
-    file: Option<File>,
+    file: Option<S>,
     path: PathBuf,
 }
 
 /// An append-only, checksummed, mirrored log of `E` entries.
 #[derive(Debug)]
-pub(crate) struct FrameLog<E> {
-    file: File,
+pub(crate) struct FrameLog<E, S = File> {
+    file: S,
     path: PathBuf,
-    mirrors: Vec<Mirror>,
+    mirrors: Vec<Mirror<S>>,
     /// Byte length of the intact prefix handed to the owner so far —
     /// where [`FrameLog::refresh`] resumes scanning.
     offset: u64,
@@ -139,8 +212,8 @@ pub(crate) struct FrameLog<E> {
 }
 
 /// One copy as found on disk at open.
-struct LogCopy {
-    file: File,
+struct LogCopy<S> {
+    file: S,
     path: PathBuf,
     bytes: Vec<u8>,
     /// Length of the intact frame prefix.
@@ -175,7 +248,7 @@ fn next_frame(bytes: &[u8], start: usize) -> Option<usize> {
 }
 
 /// The intact, decodable entry prefix of `bytes` and its byte length.
-fn scan<E: Decode>(bytes: &[u8]) -> (Vec<E>, usize) {
+pub(crate) fn scan<E: Decode>(bytes: &[u8]) -> (Vec<E>, usize) {
     let mut entries = Vec::new();
     let mut good = 0usize;
     while let Some(end) = next_frame(bytes, good) {
@@ -193,16 +266,16 @@ fn scan<E: Decode>(bytes: &[u8]) -> (Vec<E>, usize) {
 }
 
 /// Replaces `file`'s content with `bytes`, durably.
-fn rewrite(file: &mut File, bytes: &[u8]) -> std::io::Result<()> {
-    file.set_len(0)?;
-    file.write_all(bytes)?;
-    file.sync_data()
+fn rewrite<S: Store>(file: &mut S, bytes: &[u8]) -> io::Result<()> {
+    file.truncate(0)?;
+    file.write(bytes)?;
+    file.sync()
 }
 
 /// Retires `mirror` after a failed write or heal: one missing frame must
 /// never be followed by later ones, or the mirror would hold a valid-
 /// looking history that skips an entry.
-fn retire(mirror: &mut Mirror, error: &std::io::Error, names: &LogNames) {
+fn retire<S>(mirror: &mut Mirror<S>, error: &io::Error, names: &LogNames) {
     mirror.file = None;
     event(
         Level::Warn,
@@ -215,7 +288,7 @@ fn retire(mirror: &mut Mirror, error: &std::io::Error, names: &LogNames) {
     );
 }
 
-impl<E: Encode + Decode> FrameLog<E> {
+impl<E: Encode + Decode, S: Store> FrameLog<E, S> {
     /// Opens (creating any that are absent) the log on `primary` plus
     /// `mirrors` and heals every copy to the longest intact prefix.
     /// Returns the log, that prefix decoded, and what the heal did. (A
@@ -236,13 +309,8 @@ impl<E: Encode + Decode> FrameLog<E> {
         let mut copies = Vec::with_capacity(1 + mirrors.len());
         let mut decoded = Vec::with_capacity(1 + mirrors.len());
         for path in std::iter::once(primary).chain(mirrors.iter().map(PathBuf::as_path)) {
-            let mut file = OpenOptions::new()
-                .read(true)
-                .append(true)
-                .create(true)
-                .open(path)?;
-            let mut bytes = Vec::new();
-            file.read_to_end(&mut bytes)?;
+            let mut file = S::open(path)?;
+            let bytes = file.read_from(0)?;
             let (entries, good) = scan::<E>(&bytes);
             copies.push(LogCopy {
                 file,
@@ -277,7 +345,6 @@ impl<E: Encode + Decode> FrameLog<E> {
         let truth = copies[winner].bytes[..copies[winner].good].to_vec();
         for (i, copy) in copies.iter_mut().enumerate() {
             if copy.bytes == truth {
-                copy.file.seek(SeekFrom::End(0))?;
                 continue;
             }
             rewrite(&mut copy.file, &truth)?;
@@ -336,9 +403,7 @@ impl<E: Encode + Decode> FrameLog<E> {
     ///
     /// [`ServiceError::Io`] on filesystem failures.
     pub(crate) fn refresh(&mut self) -> Result<(Vec<E>, RefreshReport), ServiceError> {
-        self.file.seek(SeekFrom::Start(self.offset))?;
-        let mut bytes = Vec::new();
-        self.file.read_to_end(&mut bytes)?;
+        let bytes = self.file.read_from(self.offset)?;
         let (entries, good) = scan::<E>(&bytes);
         let end = self.offset + good as u64;
         let dropped_bytes = (bytes.len() - good) as u64;
@@ -352,8 +417,8 @@ impl<E: Encode + Decode> FrameLog<E> {
                     ("bytes", dropped_bytes.into()),
                 ],
             );
-            self.file.set_len(end)?;
-            self.file.sync_data()?;
+            self.file.truncate(end)?;
+            self.file.sync()?;
         }
         let (healed, retired) = self.heal_mirror_tails(end)?;
         self.offset = end;
@@ -392,16 +457,14 @@ impl<E: Encode + Decode> FrameLog<E> {
             let Some(file) = mirror.file.as_mut() else {
                 continue;
             };
-            if file.metadata().map(|m| m.len()).ok() == Some(end) {
+            if file.size().ok() == Some(end) {
                 continue;
             }
             // A primary read failure is the primary's problem, not the
-            // mirror's: surface it instead of retiring the mirror.
+            // mirror's: surface it instead of retiring the mirror. (Under
+            // the lock the primary ends exactly at `end`.)
             if truth.is_none() {
-                self.file.seek(SeekFrom::Start(0))?;
-                let mut bytes = vec![0u8; end as usize];
-                self.file.read_exact(&mut bytes)?;
-                truth = Some(bytes);
+                truth = Some(self.file.read_from(0)?);
             }
             match rewrite(file, truth.as_ref().expect("primary prefix loaded")) {
                 Ok(()) => {
@@ -447,27 +510,23 @@ impl<E: Encode + Decode> FrameLog<E> {
         match kill {
             Some(kill) => {
                 let split = frame.len() / 2;
-                self.file.write_all(&frame[..split])?;
+                self.file.write(&frame[..split])?;
                 killpoint::hit(kill.tear);
-                self.file.write_all(&frame[split..])?;
+                self.file.write(&frame[split..])?;
             }
-            None => self.file.write_all(&frame)?,
+            None => self.file.write(&frame)?,
         }
-        self.file.flush()?;
         if let Some(kill) = kill {
             killpoint::hit(kill.append);
         }
-        self.file.sync_data()?;
+        self.file.sync()?;
 
         let mut acks = 1;
         for mirror in &mut self.mirrors {
             let Some(file) = mirror.file.as_mut() else {
                 continue;
             };
-            let written = file
-                .write_all(&frame)
-                .and_then(|()| file.flush())
-                .and_then(|()| file.sync_data());
+            let written = file.write(&frame).and_then(|()| file.sync());
             match written {
                 Ok(()) => acks += 1,
                 Err(e) => retire(mirror, &e, self.names),
@@ -478,7 +537,7 @@ impl<E: Encode + Decode> FrameLog<E> {
         }
         let quorum = self.mirrors.len().div_ceil(2) + 1;
         if acks < quorum {
-            return Err(std::io::Error::other(format!(
+            return Err(io::Error::other(format!(
                 "{} quorum lost: {acks} of {} copies acknowledged (need {quorum})",
                 self.names.log,
                 1 + self.mirrors.len()
@@ -488,7 +547,9 @@ impl<E: Encode + Decode> FrameLog<E> {
         self.offset += frame.len() as u64;
         Ok(())
     }
+}
 
+impl<E, S> FrameLog<E, S> {
     /// The primary file's path.
     pub(crate) fn path(&self) -> &Path {
         &self.path

@@ -48,10 +48,11 @@ use super::admission::{self, Limits};
 use super::queue::{JobQueue, JobVerdict, QueuedJob, ReplySink};
 use crate::error::ServiceError;
 use crate::ledger::{LedgerRecord, ReleaseLedger};
+use crate::log::Store;
 use crate::protocol::RejectReason;
 use crate::telemetry;
-use crate::tracks::claims::{ClaimEntry, ClaimFrame};
 use crate::tracks::coordinator::FleetGuard;
+use crate::tracks::gate::Visit;
 use crate::tracks::TrackCoordinator;
 use gendpr_genomics::snp::SnpId;
 use gendpr_obs::{event, Level};
@@ -148,23 +149,6 @@ impl SchedCore {
         self.live.len() - self.queue.len()
     }
 
-    /// The one place a record reaches the ledger, in both serving modes
-    /// (a track calls it under the fleet lock). Counts the records whose
-    /// seed no longer equals the released union they are appended behind:
-    /// a seed is always a subset of the union, so the lengths decide.
-    ///
-    /// # Errors
-    ///
-    /// [`ServiceError::Io`] when the append is not durable.
-    pub(crate) fn append(&mut self, record: &LedgerRecord) -> Result<(), ServiceError> {
-        let stale = record.forced.len() != self.ledger.released_len();
-        self.ledger.append(record.clone())?;
-        if stale {
-            telemetry::sched_stale_seed_commits().inc();
-        }
-        Ok(())
-    }
-
     /// Empties the queue for a drain: the dropped ids leave `live`, and
     /// their sinks are returned to be answered outside the lock.
     fn drain_queue(&mut self) -> Vec<ReplySink> {
@@ -182,6 +166,26 @@ impl SchedCore {
         telemetry::jobs_running().set(busy);
         telemetry::sched_workers_busy().set(busy);
     }
+}
+
+/// The one place a record reaches the ledger, in both serving modes (a
+/// track's gate calls it under the fleet lock). Counts the records whose
+/// seed no longer equals the released union they are appended behind: a
+/// seed is always a subset of the union, so the lengths decide.
+///
+/// # Errors
+///
+/// [`ServiceError::Io`] when the append is not durable.
+pub(crate) fn append_record<S: Store>(
+    ledger: &mut ReleaseLedger<S>,
+    record: &LedgerRecord,
+) -> Result<(), ServiceError> {
+    let stale = record.forced.len() != ledger.released_len();
+    ledger.append(record.clone())?;
+    if stale {
+        telemetry::sched_stale_seed_commits().inc();
+    }
+    Ok(())
 }
 
 /// Answers the submitters a drain cut off with the typed shutting-down
@@ -368,24 +372,16 @@ impl Scheduler {
         let tracker = self.tracker.get();
         let mut fleet = tracker.map(|t| t.synced(self)).transpose()?;
         let claims_next = fleet.as_mut().map_or(0, |fleet| fleet.log().next_job_id());
-        let core = self.lock();
+        let mut core = self.lock();
         admission::admit(core.shutdown, core.queue.len(), core.queue.max())?;
         let job_id = core.next_job_id.max(claims_next);
         let mut forced = None;
         if let (Some(tracker), Some(fleet)) = (tracker, fleet.as_mut()) {
-            let snapshot = core.ledger.released_union();
-            fleet.log().append(ClaimEntry::Claim(ClaimFrame {
-                job_id,
-                track: tracker.track(),
-                attempt: 1,
-                lease_ms: tracker.lease_ms(),
-                prefix: core.ledger.len() as u64,
-                batches,
-                panel: panel.clone(),
-                forced: snapshot.iter().map(|s| s.0).collect(),
-            }))?;
+            let claim = tracker
+                .gate(fleet.log(), &mut core.ledger, self.limits.max_retries)
+                .stake(job_id, 1, batches, panel.clone())?;
             telemetry::track_claims().inc();
-            forced = Some(snapshot);
+            forced = Some(claim.forced.into_iter().map(SnpId).collect());
         }
         Ok(Admitted {
             core,
@@ -551,12 +547,19 @@ impl Scheduler {
                     ],
                 );
                 if let Some(tracker) = self.tracker.get() {
-                    // Written while the id is still the live head (and
-                    // with the core lock released: fleet → core), so the
-                    // next local job cannot reach the fleet gate, find
-                    // this claim unresolved and reclaim it.
+                    // Resolved at the fleet gate (a `Done` marker, unless
+                    // the fleet resolved the job first) while the id is
+                    // still the live head, and with the core lock
+                    // released (fleet → core), so the next local job
+                    // cannot find this claim unresolved and reclaim it.
                     drop(core);
-                    done_failed = tracker.resolve_failed(self, job_id, &message).err();
+                    let failed = Err(ServiceError::JobFailed(message));
+                    let visit = Visit {
+                        job_id,
+                        result: &failed,
+                        reclaimed: None,
+                    };
+                    done_failed = tracker.commit_step(self, &visit).err();
                     core = self.lock();
                 }
                 let verdict = JobVerdict::from_error(&error);

@@ -17,6 +17,18 @@
 //! by the process's lowest live id, so at most one worker per process
 //! polls the shared files.
 //!
+//! # The fleet executor
+//!
+//! On a track the durable step is one loop, `fleet_commit`, that carries
+//! one job at a time through `TrackCoordinator::commit_step` and does
+//! what the visit left it with — and nothing else: the policy is
+//! `tracks::gate::decide`'s. The job is the worker's own, or a dead
+//! track's claim the gate handed it to run: the worker runs that claim
+//! inline on its own (idle) lane — waiting for another local worker
+//! would deadlock a `--workers 1` track — and visits with the result
+//! exactly as with its own, until the reclaimed job resolves and its own
+//! is carried on. `TRACK_GATE_POLL` is the loop's one sleep.
+//!
 //! # Lane supervision
 //!
 //! A pool spawned with a [`LaneFactory`] is *supervised*: when a job
@@ -30,13 +42,14 @@
 //! thing supervision cannot survive: the worker records the error as
 //! fatal and flips the daemon into shutdown.
 
-use super::dispatch::{Dispatch, DispatchedJob, Scheduler};
+use super::dispatch::{append_record, Dispatch, DispatchedJob, Scheduler};
 use crate::error::ServiceError;
 use crate::ledger::{JobKind, LedgerRecord};
 use crate::shard::ShardSet;
 use crate::telemetry;
 use crate::tracks::claims::ClaimFrame;
-use crate::tracks::{TrackCoordinator, TrackStep};
+use crate::tracks::gate::{Visit, Visited};
+use crate::tracks::TrackCoordinator;
 use gendpr_core::attack::{MembershipAttacker, ReleasedStatistics};
 use gendpr_core::config::GwasParams;
 use gendpr_core::dynamic::DynamicAssessor;
@@ -170,7 +183,7 @@ fn worker_loop(
                 let started = Instant::now();
                 let result = run_job_caught(session, shard_set.as_mut(), context, scheduler, &job);
                 busy.observe_duration(started.elapsed());
-                let mut lane_ok = !matches!(&result, Err(error) if !error.lane_survives());
+                let lane_ok = !matches!(&result, Err(error) if !error.lane_survives());
                 // One gate for every outcome. A failure resolves before
                 // the slow rebuild starts: supervised, that re-queues
                 // the job, so another lane can pick the retry up
@@ -180,7 +193,7 @@ fn worker_loop(
                 // durable is a failed job (and a dead ledger is fatal).
                 let outcome = result.and_then(|record| match tracker.as_deref() {
                     None => scheduler
-                        .with_core_mut(|core| core.append(&record))
+                        .with_core_mut(|core| append_record(&mut core.ledger, &record))
                         .map(|()| record),
                     Some(coordinator) => fleet_commit(
                         coordinator,
@@ -193,7 +206,6 @@ fn worker_loop(
                         expected,
                         job.job_id,
                         record,
-                        &mut lane_ok,
                     ),
                 });
                 scheduler.resolve(job, outcome);
@@ -290,23 +302,24 @@ fn rebuild_lane(
     None
 }
 
-/// A track's durable step: drives the record of the job whose local turn
-/// it is through the fleet's cross-process commit gate (see
-/// [`crate::tracks`]), polling [`TrackCoordinator::commit_step`] until the
-/// record is appended in claim order, adopted from a faster reclaimer
-/// (the fleet's record is the job's one truth, ours is discarded), or
-/// superseded by a `Done` marker. While parked behind a dead track's
-/// expired claim, the worker reclaims that job and runs it *inline* on
-/// its own (idle) lane — waiting for another local worker would deadlock
-/// a `--workers 1` track.
+/// A track's durable step: the fleet executor (see the module docs).
+/// Carries `record` through the cross-process gate until it is appended
+/// in claim order, adopted from a faster reclaimer (the fleet's record
+/// is the job's one truth, ours is discarded), or superseded by a `Done`
+/// marker — running, on the way, every dead track's claim the gate hands
+/// this worker.
 ///
-/// A reclaimed run that kills the lane is recovered *here*: the lane is
-/// torn down and rebuilt in place (the abandoned claim's lease expires
-/// and a healthy track — possibly this one, rebuilt — re-runs it), so
-/// the gate keeps being served even in a `--tracks 1` fleet. Only when a
-/// rebuild is impossible is `lane_ok` left false, and the caller's own
-/// job fails so neither the local gate nor the fleet's is left waiting
-/// on this worker.
+/// A reclaimed run that kills the lane is recovered *here*, after the
+/// gate has resolved the failure: the lane is torn down and rebuilt in
+/// place, so the gate keeps being served even in a `--tracks 1` fleet.
+/// Only when a rebuild is impossible does the worker's own job fail, so
+/// neither the local gate nor the fleet's is left waiting on it.
+///
+/// # Errors
+///
+/// The gate's I/O errors (the shared files or their quorum are gone:
+/// fatal, exactly like a local ledger append failing), the job's
+/// supersession, or the lost lane.
 #[allow(clippy::too_many_arguments)]
 fn fleet_commit(
     coordinator: &TrackCoordinator,
@@ -319,132 +332,64 @@ fn fleet_commit(
     expected: (usize, usize),
     job_id: u64,
     record: LedgerRecord,
-    lane_ok: &mut bool,
 ) -> Result<LedgerRecord, ServiceError> {
+    let own = Ok(record);
+    // The reclaimed claim this worker is carrying, with its run's result.
+    let mut reclaimed: Option<(ClaimFrame, Result<LedgerRecord, ServiceError>)> = None;
     loop {
-        // An error here means the shared files (or their quorum) are
-        // gone: fatal, exactly like a local ledger append failing.
-        match coordinator.commit_step(scheduler, job_id, &record, true)? {
-            TrackStep::Committed => return Ok(record),
-            TrackStep::AdoptRecord(fleet_record) => return Ok(*fleet_record),
-            TrackStep::Superseded { track } => {
-                return Err(ServiceError::TrackSuperseded { job_id, track });
-            }
-            TrackStep::RunReclaimed(claim) => {
-                if claim.job_id == job_id {
-                    // Took our own claim back from a reclaimer that died
-                    // too; the next poll commits our record.
-                    continue;
-                }
-                run_reclaimed(
-                    coordinator,
-                    scheduler,
-                    lane,
-                    shard_set.as_deref_mut(),
-                    context,
-                    &claim,
-                    lane_ok,
-                );
-                if *lane_ok {
-                    continue;
-                }
-                // The reclaimed run killed the lane. Rebuild it in
-                // place: this worker still owes the fleet its own job's
-                // commit, and the abandoned claim needs a healthy lane
-                // somewhere — in a one-track fleet, this one.
-                note_lane_crash(worker);
-                match factory.and_then(|f| rebuild_lane(worker, f, scheduler, expected)) {
-                    Some(fresh) => {
-                        let dead = std::mem::replace(lane, fresh);
-                        let _ = dead.shutdown();
-                        *lane_ok = true;
-                    }
-                    None => {
+        let visit = match &reclaimed {
+            None => Visit {
+                job_id,
+                result: &own,
+                reclaimed: None,
+            },
+            Some((claim, result)) => Visit {
+                job_id: claim.job_id,
+                result,
+                reclaimed: Some(claim.attempt),
+            },
+        };
+        let visiting = visit.job_id;
+        match coordinator.commit_step(scheduler, &visit)? {
+            Visited::Resolved(result) => match reclaimed.take() {
+                None => return *result,
+                Some((_, Err(error))) if !error.lane_survives() => {
+                    // The reclaimed run killed the lane; the gate has
+                    // left its claim to lease or closed it. This worker
+                    // still owes the fleet its own job's commit.
+                    note_lane_crash(worker);
+                    let Some(fresh) =
+                        factory.and_then(|f| rebuild_lane(worker, f, scheduler, expected))
+                    else {
                         // Unsupervised, or the rebuild budget ran out
                         // (fatal shutdown is already flagged).
                         return Err(ServiceError::JobFailed(
                             "track worker lane lost before fleet commit".to_string(),
                         ));
-                    }
+                    };
+                    let _ = std::mem::replace(lane, fresh).shutdown();
                 }
+                Some(_) => {}
+            },
+            // Took the visited job's own claim back from a reclaimer that
+            // died too: the next visit commits the result in hand.
+            Visited::Run(claim) if claim.job_id == visiting => {}
+            Visited::Run(claim) => {
+                // The submitter, if any, was connected to the dead track:
+                // nobody local is answered and no queue slot is touched.
+                let job = DispatchedJob {
+                    job_id: claim.job_id,
+                    panel: claim.panel.clone(),
+                    batches: claim.batches,
+                    enqueued: Instant::now(),
+                    forced: claim.forced.iter().copied().map(SnpId).collect(),
+                    attempts: claim.attempt.saturating_sub(1),
+                };
+                let result =
+                    run_job_caught(lane, shard_set.as_deref_mut(), context, scheduler, &job);
+                reclaimed = Some((claim, result));
             }
-            TrackStep::Wait => thread::sleep(TRACK_GATE_POLL),
-        }
-    }
-}
-
-/// Executes a dead track's reclaimed job from the spec embedded in its
-/// claim and resolves it in the fleet: the committed record on success;
-/// on failure, a terminal `Done` marker only when the error is
-/// deterministic (a spec the federation rejects, a dead ledger) or the
-/// fleet-wide attempt budget is spent. A *transient* infrastructure
-/// failure — lane crash, shard death, job panic — instead leaves the
-/// reclaim's lease to run out, so a healthy track re-runs the job the
-/// same way the local scheduler re-queues its own crashed jobs; marking
-/// it `Done` would fail it fleet-wide (and discard a slow-but-alive
-/// original claimant's good record as superseded) over a failure that
-/// had nothing to do with the job. The submitter, if any, was connected
-/// to the dead track — nobody local is answered and no local queue slot
-/// is touched.
-fn run_reclaimed(
-    coordinator: &TrackCoordinator,
-    scheduler: &Arc<Scheduler>,
-    lane: &mut ServiceFederation,
-    shard_set: Option<&mut ShardSet>,
-    context: &Arc<ExecutionContext>,
-    claim: &ClaimFrame,
-    lane_ok: &mut bool,
-) {
-    let reclaimed = DispatchedJob {
-        job_id: claim.job_id,
-        panel: claim.panel.clone(),
-        batches: claim.batches,
-        enqueued: Instant::now(),
-        forced: claim.forced.iter().copied().map(SnpId).collect(),
-        attempts: claim.attempt.saturating_sub(1),
-    };
-    match run_job_caught(lane, shard_set, context, scheduler, &reclaimed) {
-        Ok(record) => loop {
-            // `can_execute: false`: the reclaimed job is the fleet head
-            // by construction, so this commits promptly — or someone
-            // else resolved it first and the re-run is discarded —
-            // without ever staking a further (nested) reclaim.
-            match coordinator.commit_step(scheduler, claim.job_id, &record, false) {
-                Ok(
-                    TrackStep::Committed | TrackStep::AdoptRecord(_) | TrackStep::Superseded { .. },
-                ) => break,
-                Ok(TrackStep::RunReclaimed(_) | TrackStep::Wait) => thread::sleep(TRACK_GATE_POLL),
-                Err(error) => {
-                    scheduler.record_fatal(error);
-                    scheduler.request_shutdown();
-                    break;
-                }
-            }
-        },
-        Err(error) => {
-            if !error.lane_survives() {
-                *lane_ok = false;
-            }
-            // `claim.attempt` counts this execution, so the budget
-            // matches the local rule: at most `max_retries + 1` runs.
-            if error.retryable() && claim.attempt <= scheduler.limits().max_retries {
-                telemetry::track_reclaims_abandoned().inc();
-                event(
-                    Level::Warn,
-                    "tracks",
-                    "reclaim_abandoned",
-                    &[
-                        ("job_id", claim.job_id.into()),
-                        ("attempt", u64::from(claim.attempt).into()),
-                        ("error", error.to_string().as_str().into()),
-                    ],
-                );
-            } else if let Err(resolve) =
-                coordinator.resolve_failed(scheduler, claim.job_id, &error.to_string())
-            {
-                scheduler.record_fatal(resolve);
-                scheduler.request_shutdown();
-            }
+            Visited::Wait => thread::sleep(TRACK_GATE_POLL),
         }
     }
 }

@@ -23,7 +23,10 @@
 //! Leases are measured on each observer's local clock from the moment
 //! it first saw the claim (there is no shared clock between tracks), so
 //! a lease can only ever expire *late*, never early — the safe
-//! direction for at-most-once execution.
+//! direction for at-most-once execution. The clock is an argument: every
+//! fold step is stamped with the caller's `now` and a lease is evaluated
+//! at the caller's `now`, which is what lets the tracks' simulator run
+//! leases on virtual time.
 //!
 //! [`ClaimLog`] folds every frame it observes into the fleet's
 //! resolution state — the controlling claim per job, the `Done` markers
@@ -32,10 +35,11 @@
 
 use crate::error::ServiceError;
 use crate::ledger::ReleaseLedger;
-use crate::log::{FrameLog, LogNames};
+use crate::log::{FrameLog, LogNames, Store};
 use gendpr_fednet::wire::{Decode, Encode, Reader, WireError};
 use gendpr_fednet::wire_struct;
 use std::collections::{BTreeMap, HashMap};
+use std::fs::File;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
@@ -151,10 +155,11 @@ const CLAIM_LOG: LogNames = LogNames {
 };
 
 /// The claim log: the durable frames plus everything this process has
-/// folded out of them.
+/// folded out of them. Like the ledger, generic over the crate-private
+/// store and a real file outside the crate.
 #[derive(Debug)]
-pub struct ClaimLog {
-    log: FrameLog<ClaimEntry>,
+pub struct ClaimLog<S = File> {
+    log: FrameLog<ClaimEntry, S>,
     entries: Vec<SeenEntry>,
     // The views below are derived from `entries` alone and maintained by
     // `push`, the one path loaded, appended and refreshed frames take.
@@ -174,14 +179,26 @@ pub struct ClaimLog {
 
 impl ClaimLog {
     /// Opens (creating if absent) the claim log at `primary` mirrored
-    /// across `mirrors`, every copy healed to the longest intact prefix.
-    /// Must be called with the fleet's exclusive lock held, so a heal
-    /// cannot clobber a live track's append.
+    /// across `mirrors`, every copy healed to the longest intact prefix,
+    /// and stamps the frames it loaded with the present instant. Must be
+    /// called with the fleet's exclusive lock held, so a heal cannot
+    /// clobber a live track's append.
     ///
     /// # Errors
     ///
     /// [`ServiceError::Io`] on filesystem failures.
     pub fn open(primary: &Path, mirrors: &[PathBuf]) -> Result<Self, ServiceError> {
+        Self::open_at(primary, mirrors, Instant::now())
+    }
+}
+
+impl<S: Store> ClaimLog<S> {
+    /// [`ClaimLog::open`] over any store, stamping the loaded frames `now`.
+    pub(crate) fn open_at(
+        primary: &Path,
+        mirrors: &[PathBuf],
+        now: Instant,
+    ) -> Result<Self, ServiceError> {
         let (log, entries, _) = FrameLog::open(primary, mirrors, &CLAIM_LOG)?;
         let mut log = Self {
             log,
@@ -190,7 +207,6 @@ impl ClaimLog {
             done: HashMap::new(),
             unresolved: BTreeMap::new(),
         };
-        let now = Instant::now();
         for entry in entries {
             log.push(entry, now);
         }
@@ -216,17 +232,16 @@ impl ClaimLog {
     }
 
     /// Re-scans the primary for frames appended by other tracks,
-    /// stamping newly seen claims with the local lease clock. Torn
-    /// leavings of a track killed mid-append are truncated (the caller
-    /// holds the fleet lock, so nothing live is writing).
+    /// stamping them `now` on the lease clock. Torn leavings of a track
+    /// killed mid-append are truncated (the caller holds the fleet lock,
+    /// so nothing live is writing).
     ///
     /// # Errors
     ///
     /// [`ServiceError::Io`] on filesystem failures.
-    pub fn refresh(&mut self) -> Result<usize, ServiceError> {
+    pub fn refresh(&mut self, now: Instant) -> Result<usize, ServiceError> {
         let (fresh, _) = self.log.refresh()?;
         let count = fresh.len();
-        let now = Instant::now();
         for entry in fresh {
             self.push(entry, now);
         }
@@ -234,23 +249,26 @@ impl ClaimLog {
     }
 
     /// Appends one frame durably (the primary's fsync plus a majority of
-    /// the whole mirror set). Must be called with the fleet lock held and
-    /// after [`ClaimLog::refresh`], so the frame lands on a frame boundary.
+    /// the whole mirror set), stamped `now`. Must be called with the fleet
+    /// lock held and after [`ClaimLog::refresh`], so the frame lands on a
+    /// frame boundary.
     ///
     /// # Errors
     ///
     /// [`ServiceError::Io`] when the primary write fails or the quorum
     /// is lost.
-    pub fn append(&mut self, entry: ClaimEntry) -> Result<(), ServiceError> {
+    pub fn append(&mut self, entry: ClaimEntry, now: Instant) -> Result<(), ServiceError> {
         self.log.append(&entry)?;
-        self.push(entry, Instant::now());
+        self.push(entry, now);
         Ok(())
     }
+}
 
+impl<S> ClaimLog<S> {
     /// Drops the ids at the front of `unresolved` that `ledger` now
     /// contains. The ledger only grows, so a drop is final and each claim
     /// is examined O(1) times over the log's life.
-    fn prune(&mut self, ledger: &ReleaseLedger) {
+    fn prune<L>(&mut self, ledger: &ReleaseLedger<L>) {
         while let Some((&id, _)) = self.unresolved.first_key_value() {
             if !ledger.contains(id) {
                 break;
@@ -260,19 +278,26 @@ impl ClaimLog {
     }
 
     /// The head of the fleet: the lowest-id job with a claim that is
-    /// neither marked done nor committed to `ledger`, as the log position
-    /// (the lease clock) and frame of its controlling claim.
-    pub(crate) fn head(&mut self, ledger: &ReleaseLedger) -> Option<(usize, &ClaimFrame)> {
+    /// neither marked done nor committed to `ledger` — the frame of its
+    /// controlling claim, and whether that claim's lease has expired at
+    /// `now` on this process's clock.
+    pub(crate) fn head<L>(
+        &mut self,
+        ledger: &ReleaseLedger<L>,
+        now: Instant,
+    ) -> Option<(&ClaimFrame, bool)> {
         self.prune(ledger);
         let (_, &index) = self.unresolved.first_key_value()?;
-        let ClaimEntry::Claim(claim) = &self.entries[index].entry else {
+        let seen = &self.entries[index];
+        let ClaimEntry::Claim(claim) = &seen.entry else {
             unreachable!("unresolved maps to claim frames only");
         };
-        Some((index, claim))
+        let age = now.saturating_duration_since(seen.first_seen);
+        Some((claim, age > Duration::from_millis(claim.lease_ms)))
     }
 
     /// Claimed jobs still unresolved against `ledger`.
-    pub(crate) fn open_claims(&mut self, ledger: &ReleaseLedger) -> u64 {
+    pub(crate) fn open_claims<L>(&mut self, ledger: &ReleaseLedger<L>) -> u64 {
         self.prune(ledger);
         self.unresolved.len() as u64
     }
@@ -292,19 +317,6 @@ impl ClaimLog {
     #[must_use]
     pub fn next_job_id(&self) -> u64 {
         self.next_id
-    }
-
-    /// Whether `claim` (the entry at `index`) has expired on this
-    /// process's lease clock.
-    #[must_use]
-    pub fn lease_expired(&self, index: usize, claim: &ClaimFrame) -> bool {
-        self.entries[index].first_seen.elapsed() > Duration::from_millis(claim.lease_ms)
-    }
-
-    /// The claim-log file path.
-    #[must_use]
-    pub fn path(&self) -> &Path {
-        self.log.path()
     }
 }
 
@@ -329,7 +341,17 @@ mod tests {
     }
 
     fn folded(log: &mut ClaimLog, ledger: &ReleaseLedger) -> (Option<usize>, u64) {
-        let head = log.head(ledger).map(|(index, _)| index);
+        let head = log
+            .head(ledger, Instant::now())
+            .map(|(claim, _)| claim.job_id);
+        let head = head.map(|id| {
+            let controlling =
+                |seen: &SeenEntry| matches!(&seen.entry, ClaimEntry::Claim(c) if c.job_id == id);
+            log.entries()
+                .iter()
+                .rposition(controlling)
+                .expect("observed")
+        });
         (head, log.open_claims(ledger))
     }
 
@@ -384,14 +406,14 @@ mod tests {
         // job — the fold must agree with the walk after each.
         for step in 0..9 {
             match step {
-                0 => log.append(claim(1, 1)).unwrap(),
-                1 => log.append(claim(2, 1)).unwrap(),
-                2 => log.append(claim(3, 1)).unwrap(),
-                3 => log.append(claim(2, 2)).unwrap(),
-                4 => log.append(done(1)).unwrap(),
+                0 => log.append(claim(1, 1), Instant::now()).unwrap(),
+                1 => log.append(claim(2, 1), Instant::now()).unwrap(),
+                2 => log.append(claim(3, 1), Instant::now()).unwrap(),
+                3 => log.append(claim(2, 2), Instant::now()).unwrap(),
+                4 => log.append(done(1), Instant::now()).unwrap(),
                 5 => commit(&mut ledger, 2),
-                6 => log.append(claim(1, 2)).unwrap(),
-                7 => log.append(claim(2, 3)).unwrap(),
+                6 => log.append(claim(1, 2), Instant::now()).unwrap(),
+                7 => log.append(claim(2, 3), Instant::now()).unwrap(),
                 _ => commit(&mut ledger, 3),
             }
             assert_eq!(

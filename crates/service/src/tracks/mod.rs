@@ -37,17 +37,24 @@
 //!    its own first sighting of the claim — no shared clock) runs out;
 //!    the first survivor to notice appends a reclaim and re-runs the
 //!    job from the spec embedded in the claim, committing at the *same*
-//!    position. A track's *own* claims below the job at its gate are
-//!    subject to the same rule — no live local job can back them — so a
-//!    track restarted with the same id reclaims its previous
-//!    incarnation's leftovers instead of wedging behind them. A reclaimed run that fails transiently
-//!    (lane crash, panic) is abandoned back to lease expiry within the
-//!    shared attempt budget; only deterministic failures (or a spent
-//!    budget) append the terminal `Done` marker. At-most-once commit
-//!    holds throughout: execution may be duplicated by a slow-but-alive
-//!    claimant, the append never is.
+//!    position. A track's own claims below the job at its gate get the
+//!    same treatment — no live local job can back them — so a track
+//!    restarted under its id reclaims its previous incarnation's
+//!    leftovers instead of wedging behind them. A reclaimed run that
+//!    fails transiently is left to lease expiry within the shared
+//!    attempt budget; only a deterministic failure (or a spent budget)
+//!    appends the terminal `Done` marker. Execution may be duplicated by
+//!    a slow-but-alive claimant; the append never is.
+//!
+//! Which of these a gate visit does is decided in one pure function,
+//! `gate::decide` (`gate.rs` has the table), and checked by a seeded
+//! fault simulator over in-memory logs and a virtual lease clock
+//! (`sim.rs`); [`coordinator`] owns the lock and the files.
 
 pub mod claims;
 pub mod coordinator;
+pub(crate) mod gate;
+#[cfg(test)]
+mod sim;
 
-pub use coordinator::{TrackConfig, TrackCoordinator, TrackStep};
+pub use coordinator::{TrackConfig, TrackCoordinator};

@@ -29,7 +29,7 @@ use proptest::prelude::*;
 use std::net::TcpListener;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const TIMEOUT: Duration = Duration::from_secs(60);
 
@@ -352,16 +352,19 @@ fn an_abandoned_claim_is_rerun_once_at_its_original_position() {
         // ledger prefix, lease already ticking, never committed.
         {
             let mut log = ClaimLog::open(&claims_path, &[]).unwrap();
-            log.append(ClaimEntry::Claim(ClaimFrame {
-                job_id: 1,
-                track: 9,
-                attempt: 1,
-                lease_ms: 300,
-                prefix: 0,
-                batches: 0,
-                panel: p1,
-                forced: Vec::new(),
-            }))
+            log.append(
+                ClaimEntry::Claim(ClaimFrame {
+                    job_id: 1,
+                    track: 9,
+                    attempt: 1,
+                    lease_ms: 300,
+                    prefix: 0,
+                    batches: 0,
+                    panel: p1,
+                    forced: Vec::new(),
+                }),
+                Instant::now(),
+            )
             .unwrap();
         }
 
@@ -412,16 +415,19 @@ fn a_restarted_track_reclaims_its_own_pre_crash_claim() {
     let [p1, p2, _] = workload_panels();
     {
         let mut log = ClaimLog::open(&claims_path, &[]).unwrap();
-        log.append(ClaimEntry::Claim(ClaimFrame {
-            job_id: 1,
-            track: 0, // the restarted daemon's own id
-            attempt: 1,
-            lease_ms: 300,
-            prefix: 0,
-            batches: 0,
-            panel: p1,
-            forced: Vec::new(),
-        }))
+        log.append(
+            ClaimEntry::Claim(ClaimFrame {
+                job_id: 1,
+                track: 0, // the restarted daemon's own id
+                attempt: 1,
+                lease_ms: 300,
+                prefix: 0,
+                batches: 0,
+                panel: p1,
+                forced: Vec::new(),
+            }),
+            Instant::now(),
+        )
         .unwrap();
     }
     let mut survivor = tracked_pool(0, Duration::from_millis(300), &path, false);
@@ -455,16 +461,19 @@ fn a_transiently_failing_reclaim_is_abandoned_and_retried_not_failed() {
     let [p1, p2, _] = workload_panels();
     {
         let mut log = ClaimLog::open(&claims_path, &[]).unwrap();
-        log.append(ClaimEntry::Claim(ClaimFrame {
-            job_id: 1,
-            track: 9,
-            attempt: 1,
-            lease_ms: 300,
-            prefix: 0,
-            batches: 0,
-            panel: p1,
-            forced: Vec::new(),
-        }))
+        log.append(
+            ClaimEntry::Claim(ClaimFrame {
+                job_id: 1,
+                track: 9,
+                attempt: 1,
+                lease_ms: 300,
+                prefix: 0,
+                batches: 0,
+                panel: p1,
+                forced: Vec::new(),
+            }),
+            Instant::now(),
+        )
         .unwrap();
     }
     let mut survivor = tracked_pool(0, Duration::from_millis(300), &path, false);
@@ -527,7 +536,7 @@ fn claim_log_refresh_heals_a_mirrors_torn_tail() {
         })
     };
     let mut log = ClaimLog::open(&primary, std::slice::from_ref(&mirror)).unwrap();
-    log.append(entry(1)).unwrap();
+    log.append(entry(1), Instant::now()).unwrap();
     {
         use std::io::Write as _;
         let mut f = std::fs::OpenOptions::new()
@@ -536,8 +545,8 @@ fn claim_log_refresh_heals_a_mirrors_torn_tail() {
             .unwrap();
         f.write_all(&[0xDE, 0xAD, 0xBE]).unwrap();
     }
-    assert_eq!(log.refresh().unwrap(), 0);
-    log.append(entry(2)).unwrap();
+    assert_eq!(log.refresh(Instant::now()).unwrap(), 0);
+    log.append(entry(2), Instant::now()).unwrap();
     drop(log);
     let truth = std::fs::read(&primary).unwrap();
     assert_eq!(std::fs::read(&mirror).unwrap(), truth);
@@ -558,16 +567,19 @@ fn a_done_marker_resolves_a_dead_claim_without_a_commit() {
     let claims_path = path.with_extension("bin.claims");
     {
         let mut log = ClaimLog::open(&claims_path, &[]).unwrap();
-        log.append(ClaimEntry::Claim(ClaimFrame {
-            job_id: 1,
-            track: 9,
-            attempt: 1,
-            lease_ms: 300,
-            prefix: 0,
-            batches: 0,
-            panel: vec![u32::try_from(SNPS).unwrap() + 10_000],
-            forced: Vec::new(),
-        }))
+        log.append(
+            ClaimEntry::Claim(ClaimFrame {
+                job_id: 1,
+                track: 9,
+                attempt: 1,
+                lease_ms: 300,
+                prefix: 0,
+                batches: 0,
+                panel: vec![u32::try_from(SNPS).unwrap() + 10_000],
+                forced: Vec::new(),
+            }),
+            Instant::now(),
+        )
         .unwrap();
     }
     let mut survivor = tracked_pool(0, Duration::from_millis(300), &path, false);
@@ -625,7 +637,7 @@ proptest! {
         {
             let mut log = ClaimLog::open(&path, &[]).unwrap();
             for entry in &entries {
-                log.append(entry.clone()).unwrap();
+                log.append(entry.clone(), Instant::now()).unwrap();
             }
         }
         // Tear the tail: drop the last `cut_back` bytes (clamped so at
@@ -641,7 +653,7 @@ proptest! {
             prop_assert_eq!(&seen.entry, original, "recovery is a strict prefix");
         }
         // The healed log accepts new appends and reports a usable next id.
-        log.append(entries[0].clone()).unwrap();
+        log.append(entries[0].clone(), Instant::now()).unwrap();
         prop_assert_eq!(log.entries().len(), survived + 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
