@@ -53,20 +53,23 @@ use std::time::Instant;
 /// The leader's attested channels, keyed by peer id.
 pub(crate) type Channels = HashMap<usize, SecureChannel>;
 
-/// Sends `msg` to every member of `peers` except this one, in order.
+/// Sends `msg` to every member of `peers` except this one, in order, as
+/// one burst.
 pub(crate) fn send_each<T: Transport>(
     ctx: &mut MemberCtx<T>,
     channels: &mut Channels,
     peers: &[usize],
     msg: &ProtocolMessage,
 ) -> Result<(), ProtocolError> {
-    for &peer in peers {
-        if peer != ctx.id {
-            let channel = channels.get_mut(&peer).expect("channel established");
-            send_protocol(ctx, channel, peer, msg)?;
+    ctx.burst(|ctx| {
+        for &peer in peers {
+            if peer != ctx.id {
+                let channel = channels.get_mut(&peer).expect("channel established");
+                send_protocol(ctx, channel, peer, msg)?;
+            }
         }
-    }
-    Ok(())
+        Ok(())
+    })
 }
 
 fn recv_from<T: Transport>(
@@ -140,9 +143,10 @@ fn collect_moments<T: Transport>(
 }
 
 /// One live one-pair round per waiting scan, all in flight together: the
-/// requests go out in subset order, then the rounds are closed in the same
-/// order. Every `(subset, pair)` of `misses` costs exactly the messages of
-/// a round run on its own; the leader waits once for all of them.
+/// requests go out in subset order as one burst, then the rounds are
+/// closed in the same order. Every `(subset, pair)` of `misses` costs
+/// exactly the messages of a round run on its own; the leader waits once
+/// for all of them.
 fn exchange_misses<T: Transport>(
     ctx: &mut MemberCtx<T>,
     channels: &mut Channels,
@@ -151,9 +155,11 @@ fn exchange_misses<T: Transport>(
     misses: &[(usize, (SnpId, SnpId))],
     ref_moments: impl Fn(SnpId, SnpId) -> LdMoments,
 ) -> Result<Vec<LdMoments>, Interrupt> {
-    for &(c, pair) in misses {
-        request_moments(ctx, channels, &subsets[c], &[pair])?;
-    }
+    ctx.burst(|ctx| {
+        misses
+            .iter()
+            .try_for_each(|&(c, pair)| request_moments(ctx, channels, &subsets[c], &[pair]))
+    })?;
     misses
         .iter()
         .map(|&(c, pair)| {

@@ -47,10 +47,11 @@ use crate::gdo::GdoNode;
 use crate::leader::{draw_nonce, elect_among, verify_reveal, ElectionCommit, ElectionReveal};
 use crate::messages::{CountsReport, ProtocolMessage};
 use crate::protocol::PhaseTimings;
+use gendpr_crypto::aead;
 use gendpr_crypto::rng::ChaChaRng;
 use gendpr_fednet::fault::FaultPlan;
 use gendpr_fednet::metrics::TrafficStats;
-use gendpr_fednet::transport::{Endpoint, Envelope, Network, PeerId, Transport};
+use gendpr_fednet::transport::{Endpoint, Envelope, Network, Outgoing, PeerId, Transport};
 use gendpr_fednet::wire::{self, Decode, Encode, Reader, WireError};
 use gendpr_genomics::cohort::Cohort;
 use gendpr_genomics::genotype::GenotypeMatrix;
@@ -195,13 +196,38 @@ pub(crate) enum FrameBody {
     Commit([u8; 32]),
     Reveal([u8; 32]),
     Handshake([u8; 128]),
-    Sealed(Vec<u8>),
+    Sealed(Sealed),
     /// Failure-detector probe.
     Ping,
     /// Probe answer: "still alive, just busy".
     Pong,
     /// View-change announcement: the new epoch's surviving roster.
     ViewChange(Vec<u32>),
+}
+
+/// Bytes of a sealed frame before its ciphertext: epoch, sequence number,
+/// body tag and the ciphertext's `u64` length prefix.
+const SEALED_HEAD: usize = 8 + 8 + 1 + 8;
+const SEALED_TAG: u8 = 3;
+
+/// A channel ciphertext (`ciphertext ‖ tag`) inside the buffer of the
+/// frame that carries it, at [`SEALED_HEAD`]. [`send_protocol`] encodes and
+/// seals a message after room for the frame head, and a received frame
+/// keeps the buffer it arrived in, so neither direction copies the
+/// ciphertext.
+#[derive(Debug, Clone, Eq)]
+pub(crate) struct Sealed(Vec<u8>);
+
+impl Sealed {
+    fn bytes(&self) -> &[u8] {
+        &self.0[SEALED_HEAD..]
+    }
+}
+
+impl PartialEq for Sealed {
+    fn eq(&self, other: &Self) -> bool {
+        self.bytes() == other.bytes()
+    }
 }
 
 impl Encode for Frame {
@@ -221,9 +247,10 @@ impl Encode for Frame {
                 2u8.encode(buf);
                 h.encode(buf);
             }
-            FrameBody::Sealed(payload) => {
-                3u8.encode(buf);
-                payload.encode(buf);
+            FrameBody::Sealed(sealed) => {
+                SEALED_TAG.encode(buf);
+                (sealed.bytes().len() as u64).encode(buf);
+                u8::encode_all(sealed.bytes(), buf);
             }
             FrameBody::Ping => 4u8.encode(buf),
             FrameBody::Pong => 5u8.encode(buf),
@@ -235,21 +262,56 @@ impl Encode for Frame {
     }
 }
 
-impl Decode for Frame {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
-        let epoch = u64::decode(r)?;
-        let seq = u64::decode(r)?;
-        let body = match u8::decode(r)? {
-            0 => FrameBody::Commit(<[u8; 32]>::decode(r)?),
-            1 => FrameBody::Reveal(<[u8; 32]>::decode(r)?),
-            2 => FrameBody::Handshake(<[u8; 128]>::decode(r)?),
-            3 => FrameBody::Sealed(Vec::decode(r)?),
+impl Frame {
+    /// The frame's wire bytes. A sealed body already sits behind room for
+    /// its head, which is written in place; any other body is encoded.
+    fn into_wire(self) -> Vec<u8> {
+        let FrameBody::Sealed(Sealed(mut buf)) = self.body else {
+            return wire::to_bytes(&self);
+        };
+        // The head as `Encode` writes it: epoch, seq, tag, body length.
+        let len = (buf.len() - SEALED_HEAD) as u64;
+        buf[..8].copy_from_slice(&self.epoch.to_le_bytes());
+        buf[8..16].copy_from_slice(&self.seq.to_le_bytes());
+        buf[16] = SEALED_TAG;
+        buf[17..SEALED_HEAD].copy_from_slice(&len.to_le_bytes());
+        buf
+    }
+
+    /// Decodes a frame from the buffer it arrived in, strictly: trailing
+    /// bytes are an error. A sealed body stays in that buffer.
+    fn from_wire(bytes: Vec<u8>) -> Result<Self, WireError> {
+        let mut r = Reader::new(&bytes);
+        let epoch = u64::decode(&mut r)?;
+        let seq = u64::decode(&mut r)?;
+        let body = match u8::decode(&mut r)? {
+            0 => FrameBody::Commit(<[u8; 32]>::decode(&mut r)?),
+            1 => FrameBody::Reveal(<[u8; 32]>::decode(&mut r)?),
+            2 => FrameBody::Handshake(<[u8; 128]>::decode(&mut r)?),
+            SEALED_TAG => {
+                let len = u64::decode(&mut r)?;
+                let remaining = r.remaining();
+                if len > remaining as u64 {
+                    return Err(WireError::LengthOverrun {
+                        claimed: len,
+                        remaining,
+                    });
+                }
+                if len < remaining as u64 {
+                    return Err(WireError::TrailingBytes(remaining - len as usize));
+                }
+                let body = FrameBody::Sealed(Sealed(bytes));
+                return Ok(Self { epoch, seq, body });
+            }
             4 => FrameBody::Ping,
             5 => FrameBody::Pong,
-            6 => FrameBody::ViewChange(Vec::decode(r)?),
+            6 => FrameBody::ViewChange(Vec::decode(&mut r)?),
             _ => return Err(WireError::InvalidValue("Frame tag")),
         };
-        Ok(Self { epoch, seq, body })
+        match r.remaining() {
+            0 => Ok(Self { epoch, seq, body }),
+            trailing => Err(WireError::TrailingBytes(trailing)),
+        }
     }
 }
 
@@ -317,6 +379,8 @@ pub(crate) struct MemberCtx<T: Transport> {
     heard: HashMap<u32, u64>,
     /// Current-epoch frames that arrived while waiting for someone else.
     backlog: HashMap<u32, VecDeque<FrameBody>>,
+    /// Frames held by an open [`MemberCtx::burst`] scope.
+    burst: Option<Vec<Outgoing>>,
 }
 
 impl<T: Transport> MemberCtx<T> {
@@ -342,6 +406,24 @@ impl<T: Transport> MemberCtx<T> {
             CollusionMode::AllUpTo => 2,
         };
         self.recovery.min_quorum.max(floor)
+    }
+
+    /// Runs `sends` with every frame it sends held back, then hands them
+    /// to the transport as one burst ([`Transport::send_all`]): a fan-out
+    /// costs one wake per destination, and no member starts on its frame
+    /// before the last one is queued. The burst goes out on every path
+    /// out of `sends`, errors included; a nested scope joins the outer
+    /// one. `sends` must not wait for a reply — its frames are not out yet.
+    pub(crate) fn burst<R>(&mut self, sends: impl FnOnce(&mut Self) -> R) -> R {
+        if self.burst.is_some() {
+            return sends(self);
+        }
+        self.burst = Some(Vec::new());
+        let out = sends(self);
+        if let Some(frames) = self.burst.take() {
+            let _ = self.endpoint.send_all(frames);
+        }
+        out
     }
 
     fn send_frame(
@@ -371,9 +453,13 @@ impl<T: Transport> MemberCtx<T> {
             body,
         };
         *seq += 1;
-        let _ = self
-            .endpoint
-            .send(PeerId(to as u32), wire::to_bytes(&frame), plaintext_len);
+        let (to, bytes) = (PeerId(to as u32), frame.into_wire());
+        match &mut self.burst {
+            Some(frames) => frames.push((to, bytes, plaintext_len)),
+            None => {
+                let _ = self.endpoint.send(to, bytes, plaintext_len);
+            }
+        }
         Ok(())
     }
 
@@ -381,7 +467,7 @@ impl<T: Transport> MemberCtx<T> {
     /// everything that became contiguous.
     fn ingest(&mut self, env: Envelope) -> Result<(), Interrupt> {
         let from = env.from.0;
-        let frame: Frame = wire::from_bytes(&env.payload).map_err(|_| {
+        let frame = Frame::from_wire(env.payload).map_err(|_| {
             Interrupt::Fatal(ProtocolError::MalformedMessage {
                 member: from as usize,
             })
@@ -739,16 +825,23 @@ pub(crate) fn establish_channel<T: Transport>(
         })
 }
 
+/// Seals `msg` for `to` in one buffer: encoded after room for the frame
+/// head, sealed where it lies, the head written last.
 pub(crate) fn send_protocol<T: Transport>(
     ctx: &mut MemberCtx<T>,
     channel: &mut SecureChannel,
     to: usize,
     msg: &ProtocolMessage,
 ) -> Result<(), ProtocolError> {
-    let plaintext = wire::to_bytes(msg);
-    let plaintext_len = plaintext.len();
-    let sealed = channel.send(&plaintext, CHANNEL_AAD);
-    ctx.send_frame(to, FrameBody::Sealed(sealed), plaintext_len)
+    // Room for the common messages (moment requests and replies, phase
+    // broadcasts of a short panel) without regrowing.
+    let mut buf = Vec::with_capacity(256);
+    buf.resize(SEALED_HEAD, 0);
+    msg.encode(&mut buf);
+    let plaintext_len = buf.len() - SEALED_HEAD;
+    buf.reserve_exact(aead::OVERHEAD);
+    channel.send_in_place(&mut buf, SEALED_HEAD, CHANNEL_AAD);
+    ctx.send_frame(to, FrameBody::Sealed(Sealed(buf)), plaintext_len)
 }
 
 pub(crate) fn recv_protocol<T: Transport>(
@@ -758,17 +851,19 @@ pub(crate) fn recv_protocol<T: Transport>(
     phase: &'static str,
 ) -> Result<ProtocolMessage, Interrupt> {
     let frame = ctx.recv_frame_from(from, phase)?;
-    let FrameBody::Sealed(sealed) = frame else {
+    let FrameBody::Sealed(Sealed(mut buf)) = frame else {
         return Err(ProtocolError::MalformedMessage { member: from }.into());
     };
-    let plaintext = channel.recv(&sealed, CHANNEL_AAD).map_err(|cause| {
-        Interrupt::Fatal(ProtocolError::SecurityFailure {
-            member: from,
-            cause,
-        })
-    })?;
-    wire::from_bytes(&plaintext)
-        .map_err(|_| ProtocolError::MalformedMessage { member: from }.into())
+    let sealed = &mut buf[SEALED_HEAD..];
+    let plaintext = channel
+        .recv_in_place(sealed, CHANNEL_AAD)
+        .map_err(|cause| {
+            Interrupt::Fatal(ProtocolError::SecurityFailure {
+                member: from,
+                cause,
+            })
+        })?;
+    wire::from_bytes(plaintext).map_err(|_| ProtocolError::MalformedMessage { member: from }.into())
 }
 
 struct ThreadReport {
@@ -1003,6 +1098,7 @@ pub(crate) fn build_member_ctx<T: Transport>(
         future: HashMap::new(),
         heard: HashMap::new(),
         backlog: HashMap::new(),
+        burst: None,
     })
 }
 
@@ -1243,6 +1339,7 @@ mod tests {
     use crate::config::CollusionMode;
     use crate::protocol::Federation;
     use gendpr_genomics::synth::SyntheticCohort;
+    use proptest::prelude::*;
 
     fn cohort(snps: usize, n: usize) -> SyntheticCohort {
         SyntheticCohort::builder()
@@ -1591,6 +1688,132 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The element-by-element `Vec<u8>` codec sealed bodies went through
+    /// before they were copied as one slice (or not at all), kept as the
+    /// oracle for the frame bytes.
+    #[derive(Debug, Clone, PartialEq)]
+    struct Byte(u8);
+
+    impl Encode for Byte {
+        fn encode(&self, buf: &mut Vec<u8>) {
+            buf.extend_from_slice(&self.0.to_le_bytes());
+        }
+    }
+
+    impl Decode for Byte {
+        fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+            Ok(Self(u8::from_le_bytes([r.take(1)?[0]])))
+        }
+    }
+
+    /// A sealed frame on the oracle codec.
+    #[derive(Debug, Clone, PartialEq)]
+    struct OracleSealedFrame {
+        epoch: u64,
+        seq: u64,
+        tag: u8,
+        sealed: Vec<Byte>,
+    }
+    gendpr_fednet::wire_struct!(OracleSealedFrame {
+        epoch,
+        seq,
+        tag,
+        sealed
+    });
+
+    fn sealed_frame(epoch: u64, seq: u64, ciphertext: &[u8]) -> Frame {
+        let mut buf = vec![0u8; SEALED_HEAD];
+        buf.extend_from_slice(ciphertext);
+        Frame {
+            epoch,
+            seq,
+            body: FrameBody::Sealed(Sealed(buf)),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn sealed_frames_built_in_place_are_the_codecs_bytes_and_decode_like_the_oracle(
+            epoch in any::<u64>(),
+            seq in any::<u64>(),
+            ciphertext in proptest::collection::vec(any::<u8>(), 0..400),
+            claimed in any::<u64>(),
+        ) {
+            let frame = sealed_frame(epoch, seq, &ciphertext);
+            let oracle = OracleSealedFrame {
+                epoch,
+                seq,
+                tag: SEALED_TAG,
+                sealed: ciphertext.iter().copied().map(Byte).collect(),
+            };
+            let bytes = frame.clone().into_wire();
+            prop_assert_eq!(&bytes, &wire::to_bytes(&frame));
+            prop_assert_eq!(&bytes, &wire::to_bytes(&oracle));
+            prop_assert_eq!(Frame::from_wire(bytes.clone()).unwrap(), frame);
+            let verdicts = |bytes: &[u8]| {
+                let ours = Frame::from_wire(bytes.to_vec()).map(|f| {
+                    let FrameBody::Sealed(s) = f.body else { unreachable!("sealed tag") };
+                    s.bytes().to_vec()
+                });
+                let oracle = wire::from_bytes::<OracleSealedFrame>(bytes)
+                    .map(|f| f.sealed.into_iter().map(|b| b.0).collect::<Vec<u8>>());
+                (ours, oracle)
+            };
+            for cut in 0..bytes.len() {
+                let (ours, oracle) = verdicts(&bytes[..cut]);
+                prop_assert!(ours.is_err());
+                prop_assert_eq!(ours, oracle, "cut at {}", cut);
+            }
+            let len = ciphertext.len() as u64;
+            for prefix in [len + 1, len.saturating_sub(1), claimed, u64::MAX] {
+                let mut forged = bytes.clone();
+                forged[17..SEALED_HEAD].copy_from_slice(&prefix.to_le_bytes());
+                let (ours, oracle) = verdicts(&forged);
+                prop_assert_eq!(ours, oracle, "prefix {}", prefix);
+            }
+        }
+    }
+
+    #[test]
+    fn unsealed_frames_round_trip_through_the_wire_helpers() {
+        let bodies = [
+            FrameBody::Commit([1; 32]),
+            FrameBody::Reveal([2; 32]),
+            FrameBody::Handshake([3; 128]),
+            FrameBody::Ping,
+            FrameBody::Pong,
+            FrameBody::ViewChange(vec![0, 2]),
+        ];
+        for body in bodies {
+            let frame = Frame {
+                epoch: 2,
+                seq: 9,
+                body,
+            };
+            let bytes = frame.clone().into_wire();
+            assert_eq!(bytes, wire::to_bytes(&frame));
+            assert_eq!(Frame::from_wire(bytes.clone()).unwrap(), frame);
+            let mut trailing = bytes;
+            trailing.push(0);
+            assert_eq!(
+                Frame::from_wire(trailing).unwrap_err(),
+                WireError::TrailingBytes(1)
+            );
+        }
+        let mut bad_tag = wire::to_bytes(&Frame {
+            epoch: 1,
+            seq: 0,
+            body: FrameBody::Ping,
+        });
+        bad_tag[16] = 7;
+        assert_eq!(
+            Frame::from_wire(bad_tag).unwrap_err(),
+            WireError::InvalidValue("Frame tag")
+        );
     }
 
     #[test]

@@ -3,6 +3,12 @@
 //! This is the cipher every GenDPR message travels under: allele-count
 //! vectors, LD moments and LR matrices are sealed with a session key bound
 //! to the attested enclave pair, with the protocol phase as associated data.
+//!
+//! [`ChaCha20Poly1305::seal_in_place`] and
+//! [`ChaCha20Poly1305::open_in_place`] work inside the caller's buffer, so a
+//! message built after a reserved frame header is sealed, sent and opened
+//! without its bytes ever being copied; [`ChaCha20Poly1305::seal`] and
+//! [`ChaCha20Poly1305::open`] return fresh buffers with identical bytes.
 
 use crate::chacha20::{self, NONCE_LEN};
 use crate::constant_time::ct_eq;
@@ -56,9 +62,9 @@ impl ChaCha20Poly1305 {
     fn compute_tag(poly_key: &[u8; 32], aad: &[u8], ciphertext: &[u8]) -> [u8; TAG_LEN] {
         let mut mac = Poly1305::new(poly_key);
         mac.update(aad);
-        mac.update(&zero_pad(aad.len()));
+        mac.update(zero_pad(aad.len()));
         mac.update(ciphertext);
-        mac.update(&zero_pad(ciphertext.len()));
+        mac.update(zero_pad(ciphertext.len()));
         mac.update(&(aad.len() as u64).to_le_bytes());
         mac.update(&(ciphertext.len() as u64).to_le_bytes());
         mac.finalize()
@@ -68,10 +74,24 @@ impl ChaCha20Poly1305 {
     /// `ciphertext || tag`.
     #[must_use]
     pub fn seal(&self, nonce: &[u8; NONCE_LEN], plaintext: &[u8], aad: &[u8]) -> Vec<u8> {
-        let mut out = chacha20::encrypt(&self.key, nonce, 1, plaintext);
-        let tag = Self::compute_tag(&self.poly_key(nonce), aad, &out);
-        out.extend_from_slice(&tag);
+        let mut out = Vec::with_capacity(plaintext.len() + TAG_LEN);
+        out.extend_from_slice(plaintext);
+        self.seal_in_place(nonce, &mut out, 0, aad);
         out
+    }
+
+    /// Seals `buf[at..]` where it lies: encrypts it and appends the tag, so
+    /// `buf[at..]` ends up holding exactly what [`Self::seal`] returns for
+    /// it. `buf[..at]` (a frame header, say) is left untouched; reserve
+    /// [`OVERHEAD`] spare capacity to keep the tag from reallocating.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at > buf.len()`.
+    pub fn seal_in_place(&self, nonce: &[u8; NONCE_LEN], buf: &mut Vec<u8>, at: usize, aad: &[u8]) {
+        chacha20::xor_in_place(&self.key, nonce, 1, &mut buf[at..]);
+        let tag = Self::compute_tag(&self.poly_key(nonce), aad, &buf[at..]);
+        buf.extend_from_slice(&tag);
     }
 
     /// Decrypts and verifies `sealed` (as produced by [`Self::seal`]).
@@ -86,25 +106,48 @@ impl ChaCha20Poly1305 {
         sealed: &[u8],
         aad: &[u8],
     ) -> Result<Vec<u8>, CryptoError> {
+        let mut out = sealed.to_vec();
+        let len = self.open_in_place(nonce, &mut out, aad)?.len();
+        out.truncate(len);
+        Ok(out)
+    }
+
+    /// Opens `sealed` (`ciphertext || tag`) where it lies: checks the tag,
+    /// then decrypts the ciphertext in place and returns it, now the
+    /// plaintext. On failure nothing is decrypted.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::open`].
+    pub fn open_in_place<'a>(
+        &self,
+        nonce: &[u8; NONCE_LEN],
+        sealed: &'a mut [u8],
+        aad: &[u8],
+    ) -> Result<&'a mut [u8], CryptoError> {
         if sealed.len() < TAG_LEN {
             return Err(CryptoError);
         }
-        let (ciphertext, tag) = sealed.split_at(sealed.len() - TAG_LEN);
+        let (ciphertext, tag) = sealed.split_at_mut(sealed.len() - TAG_LEN);
         let expected = Self::compute_tag(&self.poly_key(nonce), aad, ciphertext);
         if !ct_eq(&expected, tag) {
             return Err(CryptoError);
         }
-        Ok(chacha20::encrypt(&self.key, nonce, 1, ciphertext))
+        chacha20::xor_in_place(&self.key, nonce, 1, ciphertext);
+        Ok(ciphertext)
     }
 }
 
-fn zero_pad(len: usize) -> Vec<u8> {
-    vec![0u8; (16 - len % 16) % 16]
+/// The zero bytes that pad `len` bytes to a 16-byte boundary.
+fn zero_pad(len: usize) -> &'static [u8] {
+    const ZEROS: [u8; 16] = [0; 16];
+    &ZEROS[..(16 - len % 16) % 16]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn hex(bytes: &[u8]) -> String {
         bytes.iter().map(|b| format!("{b:02x}")).collect()
@@ -191,6 +234,55 @@ offer you only one tip for the future, sunscreen would be it.";
         for len in [0usize, 1, 15, 16, 17, 1000] {
             let sealed = cipher.seal(&[0u8; 12], &vec![0u8; len], b"");
             assert_eq!(sealed.len(), len + OVERHEAD);
+        }
+    }
+
+    #[test]
+    fn in_place_equals_copying_for_every_length_up_to_300() {
+        let cipher = ChaCha20Poly1305::new(&[5u8; 32]);
+        let nonce = [6u8; 12];
+        for len in 0..=300usize {
+            let plaintext: Vec<u8> = (0..len).map(|i| (i * 7 + len) as u8).collect();
+            let sealed = cipher.seal(&nonce, &plaintext, b"frame");
+            let mut buf = vec![0xa5; 25];
+            buf.extend_from_slice(&plaintext);
+            cipher.seal_in_place(&nonce, &mut buf, 25, b"frame");
+            assert_eq!(&buf[25..], &sealed[..], "length {len}");
+            assert!(buf[..25].iter().all(|&b| b == 0xa5), "header kept");
+            let opened = cipher.open_in_place(&nonce, &mut buf[25..], b"frame");
+            assert_eq!(opened.unwrap(), &plaintext[..], "length {len}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn in_place_matches_seal_and_open_and_rejects_every_bit_flip(
+            key in any::<[u8; 32]>(),
+            nonce in any::<[u8; 12]>(),
+            plaintext in proptest::collection::vec(any::<u8>(), 0..301),
+            aad in proptest::collection::vec(any::<u8>(), 0..40),
+            head in 0usize..32,
+        ) {
+            let cipher = ChaCha20Poly1305::new(&key);
+            let sealed = cipher.seal(&nonce, &plaintext, &aad);
+            let mut buf = vec![0xa5; head];
+            buf.extend_from_slice(&plaintext);
+            cipher.seal_in_place(&nonce, &mut buf, head, &aad);
+            prop_assert_eq!(&buf[head..], &sealed[..]);
+            let opened = cipher.open_in_place(&nonce, &mut buf[head..], &aad).unwrap();
+            prop_assert_eq!(&*opened, &plaintext[..]);
+            prop_assert_eq!(cipher.open(&nonce, &sealed, &aad).unwrap(), plaintext);
+            for bit in 0..sealed.len() * 8 {
+                let mut tampered = sealed.clone();
+                tampered[bit / 8] ^= 1 << (bit % 8);
+                prop_assert!(cipher.open(&nonce, &tampered, &aad).is_err());
+                let mut in_place = tampered.clone();
+                prop_assert!(cipher.open_in_place(&nonce, &mut in_place, &aad).is_err());
+                // A rejected message is left as it arrived.
+                prop_assert_eq!(in_place, tampered);
+            }
         }
     }
 

@@ -5,9 +5,10 @@
 //!
 //! * [`wire`] — a strict little-endian binary codec with a
 //!   [`wire_struct!`] derive macro (no serde format crate is available
-//!   offline, see `DESIGN.md` §4),
+//!   offline, see `DESIGN.md` §4); byte vectors copy as one slice,
 //! * [`transport`] — the [`Transport`] trait plus an in-memory reliable
-//!   in-order message fabric with per-link traffic metering,
+//!   in-order message fabric with per-link traffic metering, whose bursts
+//!   ([`Transport::send_all`]) wake each destination once,
 //! * [`tcp`] — the same contract over real sockets: length-prefixed
 //!   framing, dial retry with backoff, deadline-bounded connects — the
 //!   substrate of the `gendpr node` daemon,

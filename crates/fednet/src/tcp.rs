@@ -34,7 +34,7 @@ use crate::fault::FaultPlan;
 use crate::metrics::{TrafficMatrix, TrafficStats};
 use crate::telemetry;
 use crate::transport::{Envelope, NetError, PeerId, Transport};
-use crate::wire::{self, WireError};
+use crate::wire::{self, Encode, WireError};
 use crate::wire_struct;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -126,15 +126,19 @@ impl Error for FrameError {
 ///
 /// [`FrameError::TooLarge`] when the body would exceed [`MAX_FRAME_BYTES`].
 pub fn encode_frame(frame: &TcpFrame) -> Result<Vec<u8>, FrameError> {
-    let body = wire::to_bytes(frame);
-    if body.len() > MAX_FRAME_BYTES {
+    // The body is encoded after room for its prefix, so the payload is
+    // copied once, as one slice. Fixed fields: `from`, `plaintext_len` and
+    // the payload's length prefix.
+    let mut out = Vec::with_capacity(FRAME_HEADER_BYTES + 20 + frame.payload.len());
+    out.resize(FRAME_HEADER_BYTES, 0);
+    frame.encode(&mut out);
+    let body = out.len() - FRAME_HEADER_BYTES;
+    if body > MAX_FRAME_BYTES {
         return Err(FrameError::TooLarge {
-            claimed: body.len() as u64,
+            claimed: body as u64,
         });
     }
-    let mut out = Vec::with_capacity(FRAME_HEADER_BYTES + body.len());
-    out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    out.extend_from_slice(&body);
+    out[..FRAME_HEADER_BYTES].copy_from_slice(&(body as u32).to_le_bytes());
     Ok(out)
 }
 

@@ -5,8 +5,12 @@
 //! per-link traffic accounting. Two implementations exist:
 //!
 //! * [`Network`]/[`Endpoint`] (this module) — reliable, in-order,
-//!   in-memory delivery over channels, for single-process deployments and
-//!   benchmarks;
+//!   in-memory delivery, for single-process deployments and benchmarks.
+//!   Each endpoint's inbox is a queue plus a condvar: a send decides
+//!   faults and meters traffic under the fabric's lock, then enqueues and
+//!   wakes the receiver after releasing it, and a burst
+//!   ([`Transport::send_all`]) enqueues every frame before it wakes each
+//!   destination once;
 //! * [`crate::tcp::TcpTransport`] — length-prefixed frames over real TCP
 //!   sockets, for multi-process deployments (`gendpr node`).
 //!
@@ -15,11 +19,13 @@
 
 use crate::fault::FaultPlan;
 use crate::metrics::{TrafficMatrix, TrafficStats};
-use std::collections::HashMap;
+use std::cell::Cell;
+use std::collections::{HashMap, VecDeque};
 use std::error::Error;
 use std::fmt;
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex};
+use std::marker::PhantomData;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Identifies a federation endpoint (GDO index).
@@ -78,6 +84,10 @@ impl fmt::Display for NetError {
 
 impl Error for NetError {}
 
+/// One frame of a burst: the destination, the payload and its plaintext
+/// size — the arguments of [`Transport::send`].
+pub type Outgoing = (PeerId, Vec<u8>, usize);
+
 /// What the GenDPR runtime requires of a federation network: a fixed peer
 /// identity, blocking deadline-bounded point-to-point messaging, fault
 /// injection, and per-link traffic accounting.
@@ -91,6 +101,9 @@ impl Error for NetError {}
 ///   best-effort delivery and lets the silence surface at the receiver;
 /// * [`Transport::recv_timeout`] returns [`NetError::Timeout`] once the
 ///   deadline elapses with nothing delivered;
+/// * [`Transport::send_all`] is a batch of sends, never a postponement:
+///   when it returns, every frame is as delivered as `send` would have
+///   left it;
 /// * traffic counters report bytes as they appear on this transport's
 ///   medium (for TCP, framing included).
 pub trait Transport: Send {
@@ -106,6 +119,26 @@ pub trait Transport: Send {
     /// [`NetError::Timeout`] (connection deadline) or
     /// [`NetError::FrameTooLarge`].
     fn send(&self, to: PeerId, payload: Vec<u8>, plaintext_len: usize) -> Result<(), NetError>;
+
+    /// Sends a burst — a fan-out such as one request to every member —
+    /// and returns each frame's [`Transport::send`] result, in order.
+    ///
+    /// The contract is that of calling `send` on each frame in turn: every
+    /// frame is attempted whatever became of the ones before it, per-pair
+    /// order holds within the burst and against earlier sends, and no
+    /// frame is held past the call. An implementation may only batch the
+    /// hand-over: the in-memory [`Network`] enqueues the whole burst before
+    /// it wakes each destination once, so a receiver woken first cannot
+    /// preempt the sender before the rest are queued. A wake deferred
+    /// beyond the call (say, to the sender's next receive) would stall any
+    /// receiver whose sender goes idle on something else. The default
+    /// sends one frame after another, which is what TCP does.
+    fn send_all(&self, frames: Vec<Outgoing>) -> Vec<Result<(), NetError>> {
+        frames
+            .into_iter()
+            .map(|(to, payload, plaintext_len)| self.send(to, payload, plaintext_len))
+            .collect()
+    }
 
     /// Blocks for the next message up to `timeout`.
     ///
@@ -128,6 +161,71 @@ pub trait Transport: Send {
     fn ingress_stats(&self) -> TrafficStats;
 }
 
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// One endpoint's inbox: the frames delivered to it and a condvar its
+/// owner sleeps on while there are none. Enqueueing and waking are
+/// separate steps, so a burst fills every inbox before any receiver runs.
+#[derive(Debug, Default)]
+struct Inbox {
+    queue: Mutex<Queue>,
+    ready: Condvar,
+    /// Set when the owning endpoint is dropped: later sends to it fail
+    /// with [`NetError::Disconnected`].
+    closed: AtomicBool,
+}
+
+#[derive(Debug, Default)]
+struct Queue {
+    frames: VecDeque<Envelope>,
+    /// The owner is blocked on `ready`; a wake that finds nobody asleep
+    /// has nothing to notify.
+    asleep: bool,
+}
+
+impl Inbox {
+    /// Appends `env`; whether the owner was asleep on the queue.
+    fn push(&self, env: Envelope) -> bool {
+        let mut queue = lock(&self.queue);
+        queue.frames.push_back(env);
+        queue.asleep
+    }
+
+    fn try_pop(&self) -> Option<Envelope> {
+        lock(&self.queue).frames.pop_front()
+    }
+
+    /// The next frame, waiting for one until `deadline` (forever if none).
+    fn pop(&self, deadline: Option<Instant>) -> Result<Envelope, NetError> {
+        let mut queue = lock(&self.queue);
+        loop {
+            if let Some(env) = queue.frames.pop_front() {
+                return Ok(env);
+            }
+            queue.asleep = true;
+            queue = match deadline {
+                None => self
+                    .ready
+                    .wait(queue)
+                    .unwrap_or_else(PoisonError::into_inner),
+                Some(deadline) => {
+                    let Some(left) = deadline.checked_duration_since(Instant::now()) else {
+                        queue.asleep = false;
+                        return Err(NetError::Timeout);
+                    };
+                    self.ready
+                        .wait_timeout(queue, left)
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .0
+                }
+            };
+            queue.asleep = false;
+        }
+    }
+}
+
 /// A frame held back by a reorder fault, due for delivery later.
 #[derive(Debug)]
 struct HeldFrame {
@@ -137,16 +235,92 @@ struct HeldFrame {
 
 #[derive(Debug, Default)]
 struct NetworkState {
-    inboxes: HashMap<PeerId, Sender<Envelope>>,
+    inboxes: HashMap<PeerId, Arc<Inbox>>,
     metrics: TrafficMatrix,
+    /// Wakes issued: one per destination per send, burst or flush of due
+    /// frames (see [`Network::wakes`]).
+    wakes: u64,
     faults: FaultPlan,
     held: Vec<HeldFrame>,
+}
+
+impl NetworkState {
+    fn delays_possible(&self) -> bool {
+        self.faults.has_chaos() || !self.held.is_empty()
+    }
+}
+
+#[derive(Debug, Default)]
+struct Fabric {
+    state: Mutex<NetworkState>,
+    /// Mirrors [`NetworkState::delays_possible`], so a receiver learns
+    /// without the lock that there are no held frames to flush.
+    delays: AtomicBool,
+}
+
+/// Frames routed under the fabric lock, handed over after it is released.
+#[derive(Default)]
+struct Handover {
+    /// `(destination slot, frame)` in routing order.
+    frames: Vec<(usize, Envelope)>,
+    /// Distinct destinations in order of first delivery, each with whether
+    /// its owner was found asleep.
+    destinations: Vec<(PeerId, Arc<Inbox>, bool)>,
+}
+
+impl Handover {
+    /// Meters `env` as delivered and queues it for `inbox` — unless the
+    /// inbox's endpoint is gone, which the sender learns as
+    /// [`NetError::Disconnected`] (the frame still counts as sent).
+    fn deliver(
+        &mut self,
+        state: &mut NetworkState,
+        inbox: Arc<Inbox>,
+        env: Envelope,
+    ) -> Result<(), NetError> {
+        state
+            .metrics
+            .record(env.from.0, env.to.0, env.plaintext_len, env.payload.len());
+        // The in-memory fabric delivers synchronously, so one record is both
+        // the send and the receive for the global transport metrics.
+        crate::telemetry::frames_sent().inc();
+        crate::telemetry::frames_received().inc();
+        crate::telemetry::frame_bytes_sent().observe(env.payload.len() as f64);
+        crate::telemetry::frame_bytes_received().observe(env.payload.len() as f64);
+        if inbox.closed.load(Ordering::SeqCst) {
+            return Err(NetError::Disconnected);
+        }
+        let slot = match self.destinations.iter().position(|d| d.0 == env.to) {
+            Some(slot) => slot,
+            None => {
+                state.wakes += 1;
+                self.destinations.push((env.to, inbox, false));
+                self.destinations.len() - 1
+            }
+        };
+        self.frames.push((slot, env));
+        Ok(())
+    }
+
+    /// Enqueues every frame, then wakes each destination whose owner was
+    /// asleep — once, however many frames it got.
+    fn run(mut self) {
+        for (slot, env) in self.frames {
+            let (_, inbox, asleep) = &mut self.destinations[slot];
+            *asleep |= inbox.push(env);
+        }
+        for (_, inbox, asleep) in &self.destinations {
+            if *asleep {
+                inbox.ready.notify_one();
+            }
+        }
+    }
 }
 
 /// The federation's message fabric. Cheap to clone; all clones share state.
 #[derive(Debug, Clone, Default)]
 pub struct Network {
-    state: Arc<Mutex<NetworkState>>,
+    fabric: Arc<Fabric>,
 }
 
 impl Network {
@@ -163,26 +337,28 @@ impl Network {
     /// Panics if the id is already registered (a wiring bug).
     #[must_use]
     pub fn register(&self, id: PeerId) -> Endpoint {
-        let (tx, rx) = channel();
-        let mut state = self.lock();
-        let prev = state.inboxes.insert(id, tx);
+        let inbox = Arc::new(Inbox::default());
+        let prev = self.lock().inboxes.insert(id, Arc::clone(&inbox));
         assert!(prev.is_none(), "peer {id} registered twice");
         Endpoint {
             id,
-            rx,
+            inbox,
             network: self.clone(),
+            _one_receiver: PhantomData,
         }
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, NetworkState> {
-        self.state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    fn lock(&self) -> MutexGuard<'_, NetworkState> {
+        lock(&self.fabric.state)
     }
 
     /// Installs a fault plan (replacing any previous one).
     pub fn set_faults(&self, faults: FaultPlan) {
-        self.lock().faults = faults;
+        let mut state = self.lock();
+        state.faults = faults;
+        self.fabric
+            .delays
+            .store(state.delays_possible(), Ordering::SeqCst);
     }
 
     /// Snapshot of one directed link's traffic.
@@ -209,18 +385,62 @@ impl Network {
         self.lock().metrics.egress(peer.0)
     }
 
-    fn send(&self, env: Envelope) -> Result<(), NetError> {
-        let mut state = self.lock();
-        Self::flush_due_locked(&mut state);
+    /// Wakes the fabric has issued so far: one per destination of every
+    /// send, burst and flush of due held frames — the receiver context
+    /// switches the fabric can cause. A wake is counted whether or not the
+    /// receiver was asleep, so the count is a pure function of the send
+    /// schedule. Without chaos, frames sent one at a time make it equal to
+    /// [`Network::total_stats`]' messages; bursts bring it below.
+    #[must_use]
+    pub fn wakes(&self) -> u64 {
+        self.lock().wakes
+    }
+
+    /// Sends `frames` from `from` as one burst: fault decisions, inbox
+    /// lookups and metering under the lock, then every frame enqueued and
+    /// every destination woken once, after the lock is released.
+    fn send(
+        &self,
+        from: PeerId,
+        frames: impl IntoIterator<Item = Outgoing>,
+        mut result: impl FnMut(Result<(), NetError>),
+    ) {
+        let mut handover = Handover::default();
+        {
+            let mut state = self.lock();
+            Self::take_due(&mut state, &mut handover);
+            for (to, payload, plaintext_len) in frames {
+                let env = Envelope {
+                    from,
+                    to,
+                    payload,
+                    plaintext_len,
+                };
+                result(Self::route(&mut state, env, &mut handover));
+            }
+            self.fabric
+                .delays
+                .store(state.delays_possible(), Ordering::SeqCst);
+        }
+        handover.run();
+    }
+
+    /// Applies the fault plan to one frame: dropped, held for later, or
+    /// queued on `handover` (after any duplicates).
+    fn route(
+        state: &mut NetworkState,
+        env: Envelope,
+        handover: &mut Handover,
+    ) -> Result<(), NetError> {
         let decision = state.faults.decide(env.from.0, env.to.0);
         if !decision.deliver {
             return Err(NetError::Dropped);
         }
-        if !state.inboxes.contains_key(&env.to) {
+        let Some(inbox) = state.inboxes.get(&env.to).map(Arc::clone) else {
             return Err(NetError::UnknownPeer(env.to));
-        }
+        };
         for _ in 0..decision.duplicates {
-            let _ = Self::deliver_locked(&mut state, env.clone());
+            let _ = handover.deliver(state, Arc::clone(&inbox), env.clone());
         }
         match decision.delay {
             Some(delay) => {
@@ -230,29 +450,12 @@ impl Network {
                 });
                 Ok(())
             }
-            None => Self::deliver_locked(&mut state, env),
+            None => handover.deliver(state, inbox, env),
         }
     }
 
-    fn deliver_locked(state: &mut NetworkState, env: Envelope) -> Result<(), NetError> {
-        let tx = state
-            .inboxes
-            .get(&env.to)
-            .ok_or(NetError::UnknownPeer(env.to))?
-            .clone();
-        state
-            .metrics
-            .record(env.from.0, env.to.0, env.plaintext_len, env.payload.len());
-        // The in-memory fabric delivers synchronously, so one record is both
-        // the send and the receive for the global transport metrics.
-        crate::telemetry::frames_sent().inc();
-        crate::telemetry::frames_received().inc();
-        crate::telemetry::frame_bytes_sent().observe(env.payload.len() as f64);
-        crate::telemetry::frame_bytes_received().observe(env.payload.len() as f64);
-        tx.send(env).map_err(|_| NetError::Disconnected)
-    }
-
-    fn flush_due_locked(state: &mut NetworkState) {
+    /// Moves every held frame that is due onto `handover`.
+    fn take_due(state: &mut NetworkState, handover: &mut Handover) {
         if state.held.is_empty() {
             return;
         }
@@ -260,8 +463,10 @@ impl Network {
         let mut i = 0;
         while i < state.held.len() {
             if state.held[i].due <= now {
-                let frame = state.held.swap_remove(i);
-                let _ = Self::deliver_locked(state, frame.env);
+                let env = state.held.swap_remove(i).env;
+                if let Some(inbox) = state.inboxes.get(&env.to).map(Arc::clone) {
+                    let _ = handover.deliver(state, inbox, env);
+                }
             } else {
                 i += 1;
             }
@@ -271,10 +476,21 @@ impl Network {
     /// Delivers every held frame that is due and reports whether delayed
     /// deliveries are possible at all (chaos active or frames still held),
     /// so receivers know to poll instead of blocking for the full deadline.
+    /// Without chaos this reads one flag and takes no lock.
     fn poll_pending(&self) -> bool {
-        let mut state = self.lock();
-        Self::flush_due_locked(&mut state);
-        state.faults.has_chaos() || !state.held.is_empty()
+        if !self.fabric.delays.load(Ordering::SeqCst) {
+            return false;
+        }
+        let mut handover = Handover::default();
+        let possible = {
+            let mut state = self.lock();
+            Self::take_due(&mut state, &mut handover);
+            let possible = state.delays_possible();
+            self.fabric.delays.store(possible, Ordering::SeqCst);
+            possible
+        };
+        handover.run();
+        possible
     }
 }
 
@@ -282,8 +498,11 @@ impl Network {
 #[derive(Debug)]
 pub struct Endpoint {
     id: PeerId,
-    rx: Receiver<Envelope>,
+    inbox: Arc<Inbox>,
     network: Network,
+    /// `Send` but not `Sync`, like the channel receiver it replaced: an
+    /// inbox has one receiver, the one its `asleep` flag describes.
+    _one_receiver: PhantomData<Cell<()>>,
 }
 
 impl Endpoint {
@@ -300,12 +519,18 @@ impl Endpoint {
     ///
     /// [`NetError::UnknownPeer`] or [`NetError::Dropped`].
     pub fn send(&self, to: PeerId, payload: Vec<u8>, plaintext_len: usize) -> Result<(), NetError> {
-        self.network.send(Envelope {
-            from: self.id,
-            to,
-            plaintext_len,
-            payload,
-        })
+        let mut out = Ok(());
+        self.network
+            .send(self.id, [(to, payload, plaintext_len)], |r| out = r);
+        out
+    }
+
+    /// Sends a burst ([`Transport::send_all`]): every frame is enqueued
+    /// before any destination is woken, and each destination is woken once.
+    pub fn send_all(&self, frames: Vec<Outgoing>) -> Vec<Result<(), NetError>> {
+        let mut results = Vec::with_capacity(frames.len());
+        self.network.send(self.id, frames, |r| results.push(r));
+        results
     }
 
     /// Blocks for the next message.
@@ -314,7 +539,7 @@ impl Endpoint {
     ///
     /// [`NetError::Disconnected`] if the network was torn down.
     pub fn recv(&self) -> Result<Envelope, NetError> {
-        self.rx.recv().map_err(|_| NetError::Disconnected)
+        self.inbox.pop(None)
     }
 
     /// Blocks for the next message up to `timeout`. While reorder chaos is
@@ -327,25 +552,13 @@ impl Endpoint {
     pub fn recv_timeout(&self, timeout: Duration) -> Result<Envelope, NetError> {
         let deadline = Instant::now() + timeout;
         loop {
-            let delayed_possible = self.network.poll_pending();
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if !delayed_possible {
-                return self.rx.recv_timeout(remaining).map_err(|e| match e {
-                    std::sync::mpsc::RecvTimeoutError::Timeout => NetError::Timeout,
-                    std::sync::mpsc::RecvTimeoutError::Disconnected => NetError::Disconnected,
-                });
+            if !self.network.poll_pending() {
+                return self.inbox.pop(Some(deadline));
             }
-            let slice = remaining.min(Duration::from_millis(1));
-            match self.rx.recv_timeout(slice) {
-                Ok(env) => return Ok(env),
-                Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
-                    if Instant::now() >= deadline {
-                        return Err(NetError::Timeout);
-                    }
-                }
-                Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
-                    return Err(NetError::Disconnected)
-                }
+            let slice = deadline.min(Instant::now() + Duration::from_millis(1));
+            match self.inbox.pop(Some(slice)) {
+                Err(NetError::Timeout) if Instant::now() < deadline => {}
+                received => return received,
             }
         }
     }
@@ -353,13 +566,19 @@ impl Endpoint {
     /// Non-blocking receive; `None` when the inbox is empty.
     #[must_use]
     pub fn try_recv(&self) -> Option<Envelope> {
-        self.rx.try_recv().ok()
+        self.inbox.try_pop()
     }
 
     /// The network this endpoint belongs to.
     #[must_use]
     pub fn network(&self) -> &Network {
         &self.network
+    }
+}
+
+impl Drop for Endpoint {
+    fn drop(&mut self) {
+        self.inbox.closed.store(true, Ordering::SeqCst);
     }
 }
 
@@ -370,6 +589,10 @@ impl Transport for Endpoint {
 
     fn send(&self, to: PeerId, payload: Vec<u8>, plaintext_len: usize) -> Result<(), NetError> {
         Endpoint::send(self, to, payload, plaintext_len)
+    }
+
+    fn send_all(&self, frames: Vec<Outgoing>) -> Vec<Result<(), NetError>> {
+        Endpoint::send_all(self, frames)
     }
 
     fn recv_timeout(&self, timeout: Duration) -> Result<Envelope, NetError> {
@@ -493,6 +716,163 @@ mod tests {
         }
         assert_eq!(seen.len(), usize::from(sent), "no frame may be lost");
         assert!(copies > u32::from(sent), "duplicates at 0.5 rate expected");
+    }
+
+    /// Spins until the owner of `inbox` is asleep on it.
+    fn until_asleep(inbox: &Inbox) {
+        while !lock(&inbox.queue).asleep {
+            std::thread::yield_now();
+        }
+    }
+
+    fn drain(endpoint: &Endpoint) -> Vec<u8> {
+        std::iter::from_fn(|| endpoint.try_recv())
+            .map(|env| env.payload[0])
+            .collect()
+    }
+
+    #[test]
+    fn a_burst_keeps_per_pair_order_across_interleaved_destinations() {
+        let net = Network::new();
+        let a = net.register(PeerId(0));
+        let b = net.register(PeerId(1));
+        let c = net.register(PeerId(2));
+        a.send(PeerId(1), vec![100], 1).unwrap();
+        let burst: Vec<Outgoing> = (0..12u8)
+            .map(|i| (PeerId(1 + u32::from(i % 2)), vec![i], 1))
+            .collect();
+        assert!(a.send_all(burst).iter().all(Result::is_ok));
+        a.send(PeerId(1), vec![101], 1).unwrap();
+        assert_eq!(drain(&b), [100, 0, 2, 4, 6, 8, 10, 101]);
+        assert_eq!(drain(&c), [1, 3, 5, 7, 9, 11]);
+        // One wake per destination per send or burst, not one per frame.
+        assert_eq!(net.total_stats().messages, 14);
+        assert_eq!(net.wakes(), 1 + 2 + 1);
+    }
+
+    #[test]
+    fn a_burst_reports_every_frames_result_and_sends_past_failures() {
+        let net = Network::new();
+        let a = net.register(PeerId(0));
+        let b = net.register(PeerId(1));
+        let gone = net.register(PeerId(2));
+        let _crashed = net.register(PeerId(3));
+        drop(gone);
+        let mut faults = FaultPlan::none();
+        faults.crash(3);
+        net.set_faults(faults);
+        let results = a.send_all(vec![
+            (PeerId(1), vec![1], 1),
+            (PeerId(9), vec![2], 1),
+            (PeerId(3), vec![3], 1),
+            (PeerId(2), vec![4], 1),
+            (PeerId(1), vec![5], 1),
+        ]);
+        assert_eq!(
+            results,
+            [
+                Ok(()),
+                Err(NetError::UnknownPeer(PeerId(9))),
+                Err(NetError::Dropped),
+                Err(NetError::Disconnected),
+                Ok(()),
+            ]
+        );
+        assert_eq!(drain(&b), [1, 5]);
+        // As with `send`: a frame to a dropped endpoint is metered, a
+        // dropped or misaddressed one is not.
+        assert_eq!(net.total_stats().messages, 3);
+        assert_eq!(net.wakes(), 1);
+    }
+
+    #[test]
+    fn a_receiver_blocked_in_recv_timeout_gets_a_burst_well_before_its_deadline() {
+        let net = Network::new();
+        let a = net.register(PeerId(0));
+        let waiting: Vec<_> = (1..=2)
+            .map(|id| {
+                let endpoint = net.register(PeerId(id));
+                let inbox = Arc::clone(&endpoint.inbox);
+                let handle = std::thread::spawn(move || {
+                    let started = Instant::now();
+                    let env = endpoint.recv_timeout(Duration::from_secs(60));
+                    (env.map(|e| e.payload), started.elapsed())
+                });
+                until_asleep(&inbox);
+                handle
+            })
+            .collect();
+        let results = a.send_all(vec![(PeerId(1), vec![1], 1), (PeerId(2), vec![2], 1)]);
+        assert!(results.iter().all(Result::is_ok));
+        for (id, handle) in (1u8..).zip(waiting) {
+            let (payload, waited) = handle.join().unwrap();
+            assert_eq!(payload, Ok(vec![id]));
+            assert!(waited < Duration::from_secs(10), "woken after {waited:?}");
+        }
+    }
+
+    #[test]
+    fn bursts_survive_chaos_held_frames_and_duplicates() {
+        let net = Network::new();
+        let a = net.register(PeerId(0));
+        let b = net.register(PeerId(1));
+        let c = net.register(PeerId(2));
+        let mut faults = FaultPlan::none();
+        faults.chaos(crate::fault::ChaosFaults {
+            seed: 23,
+            drop_rate: 0.0,
+            duplicate_rate: 0.5,
+            reorder_window_ms: 3,
+        });
+        net.set_faults(faults);
+        for burst in 0..10u8 {
+            let frames = (0..4u8)
+                .map(|i| (PeerId(1 + u32::from(i % 2)), vec![burst * 4 + i], 1))
+                .collect();
+            assert!(a.send_all(frames).iter().all(Result::is_ok));
+        }
+        for (receiver, parity) in [(&b, 0u8), (&c, 1u8)] {
+            let expected: std::collections::HashSet<u8> =
+                (0..40).filter(|v| v % 2 == parity).collect();
+            let mut seen = std::collections::HashSet::new();
+            let mut copies = 0;
+            // Held frames come due while the receiver polls for them.
+            while let Ok(env) = receiver.recv_timeout(Duration::from_millis(100)) {
+                seen.insert(env.payload[0]);
+                copies += 1;
+            }
+            assert_eq!(seen, expected, "no frame may be lost or misdelivered");
+            assert!(copies > expected.len(), "duplicates at 0.5 rate expected");
+        }
+    }
+
+    #[test]
+    fn receive_calls_keep_their_semantics() {
+        let net = Network::new();
+        let a = net.register(PeerId(0));
+        let b = net.register(PeerId(1));
+        assert!(b.try_recv().is_none());
+        assert_eq!(b.recv_timeout(Duration::ZERO), Err(NetError::Timeout));
+        let started = Instant::now();
+        assert_eq!(
+            b.recv_timeout(Duration::from_millis(30)),
+            Err(NetError::Timeout)
+        );
+        assert!(started.elapsed() >= Duration::from_millis(30));
+        for i in 1..=3 {
+            a.send(PeerId(1), vec![i], 1).unwrap();
+        }
+        // A queued frame is returned even by a zero-length wait.
+        assert_eq!(b.recv_timeout(Duration::ZERO).unwrap().payload, [1]);
+        assert_eq!(b.try_recv().unwrap().payload, [2]);
+        assert_eq!(b.recv().unwrap().payload, [3]);
+        assert!(b.try_recv().is_none());
+        // A blocking `recv` is woken by a later send.
+        let inbox = Arc::clone(&b.inbox);
+        let receiver = std::thread::spawn(move || b.recv().map(|env| env.payload));
+        until_asleep(&inbox);
+        a.send(PeerId(1), vec![4], 1).unwrap();
+        assert_eq!(receiver.join().unwrap(), Ok(vec![4]));
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //! a [`wire_struct!`](crate::wire_struct) helper macro that derives `Encode`/`Decode` for plain
 //! structs. Decoding is strict — trailing bytes and truncation are errors,
 //! and every length prefix is validated against the remaining input so a
-//! malicious peer cannot trigger huge allocations.
+//! malicious peer cannot trigger huge allocations. A `Vec<u8>` — a sealed
+//! frame body, a TCP payload — encodes as `u64 len ‖ bytes` with one slice
+//! copy each way ([`Encode::encode_all`], [`Decode::decode_all`]).
 
 use std::error::Error;
 use std::fmt;
@@ -88,6 +90,18 @@ impl<'a> Reader<'a> {
 pub trait Encode {
     /// Appends the encoding of `self` to `buf`.
     fn encode(&self, buf: &mut Vec<u8>);
+
+    /// Appends the encodings of `items` back to back: the body of a
+    /// `Vec<Self>` after its length prefix. Element by element unless the
+    /// type knows better; bytes go in as one slice copy.
+    fn encode_all(items: &[Self], buf: &mut Vec<u8>)
+    where
+        Self: Sized,
+    {
+        for item in items {
+            item.encode(buf);
+        }
+    }
 }
 
 /// Value that can be read back from the wire.
@@ -107,6 +121,22 @@ pub trait Decode: Sized {
     ///
     /// Any [`WireError`] on malformed input.
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError>;
+
+    /// Decodes `len` values back to back: the body of a `Vec<Self>`, whose
+    /// length prefix the caller has already checked against the input.
+    /// Element by element unless the type knows better; bytes come out as
+    /// one slice copy, failing exactly where the element-wise loop would.
+    ///
+    /// # Errors
+    ///
+    /// Any [`WireError`] on malformed input.
+    fn decode_all(r: &mut Reader<'_>, len: usize) -> Result<Vec<Self>, WireError> {
+        let mut out = Vec::with_capacity(len);
+        for _ in 0..len {
+            out.push(Self::decode(r)?);
+        }
+        Ok(out)
+    }
 }
 
 /// Encodes a value into a fresh buffer.
@@ -148,7 +178,27 @@ macro_rules! impl_wire_int {
     )*};
 }
 
-impl_wire_int!(u8, u16, u32, u64, i8, i16, i32, i64, f32, f64);
+impl_wire_int!(u16, u32, u64, i8, i16, i32, i64, f32, f64);
+
+impl Encode for u8 {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        buf.push(*self);
+    }
+
+    fn encode_all(items: &[Self], buf: &mut Vec<u8>) {
+        buf.extend_from_slice(items);
+    }
+}
+
+impl Decode for u8 {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        Ok(r.take(1)?[0])
+    }
+
+    fn decode_all(r: &mut Reader<'_>, len: usize) -> Result<Vec<Self>, WireError> {
+        Ok(r.take(len)?.to_vec())
+    }
+}
 
 impl Encode for bool {
     fn encode(&self, buf: &mut Vec<u8>) {
@@ -200,9 +250,7 @@ impl<const N: usize> Decode for [u8; N] {
 impl<T: Encode> Encode for Vec<T> {
     fn encode(&self, buf: &mut Vec<u8>) {
         (self.len() as u64).encode(buf);
-        for item in self {
-            item.encode(buf);
-        }
+        T::encode_all(self, buf);
     }
 }
 
@@ -224,11 +272,7 @@ impl<T: Decode> Decode for Vec<T> {
                 })
             }
         }
-        let mut out = Vec::with_capacity(len as usize);
-        for _ in 0..len {
-            out.push(T::decode(r)?);
-        }
-        Ok(out)
+        T::decode_all(r, len as usize)
     }
 }
 

@@ -15,6 +15,12 @@
 //!    Diffie-Hellman secret with the handshake transcript as salt;
 //! 4. messages carry monotonically increasing sequence-number nonces, so
 //!    replayed, reordered or dropped ciphertexts are rejected.
+//!
+//! [`SecureChannel::send_in_place`] and [`SecureChannel::recv_in_place`]
+//! are the runtime's path: a message is encoded after a reserved frame
+//! header, sealed and later opened inside that one buffer, byte-identical
+//! to what [`SecureChannel::send`] and [`SecureChannel::recv`] produce and
+//! accept.
 
 use crate::attestation::{AttestationService, Quote};
 use crate::enclave::Enclave;
@@ -192,6 +198,16 @@ impl SecureChannel {
         self.send.seal(&nonce, plaintext, aad)
     }
 
+    /// [`Self::send`] without a copy: seals the plaintext at `buf[at..]`
+    /// where it lies and appends the tag, leaving `buf[..at]` (the frame
+    /// header the caller reserved) untouched. `buf[at..]` then holds the
+    /// bytes `send` would have returned.
+    pub fn send_in_place(&mut self, buf: &mut Vec<u8>, at: usize, aad: &[u8]) {
+        let nonce = seq_nonce(self.send_seq);
+        self.send_seq += 1;
+        self.send.seal_in_place(&nonce, buf, at, aad);
+    }
+
     /// Decrypts the next in-order message.
     ///
     /// # Errors
@@ -201,6 +217,25 @@ impl SecureChannel {
     pub fn recv(&mut self, ciphertext: &[u8], aad: &[u8]) -> Result<Vec<u8>, TeeError> {
         let nonce = seq_nonce(self.recv_seq);
         let plaintext = self.recv.open(&nonce, ciphertext, aad)?;
+        self.recv_seq += 1;
+        Ok(plaintext)
+    }
+
+    /// [`Self::recv`] without a copy: opens `sealed` inside the buffer it
+    /// arrived in and returns the plaintext, which is `sealed` minus its
+    /// tag. A rejected message is left as it was and does not advance the
+    /// sequence number.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::recv`].
+    pub fn recv_in_place<'a>(
+        &mut self,
+        sealed: &'a mut [u8],
+        aad: &[u8],
+    ) -> Result<&'a mut [u8], TeeError> {
+        let nonce = seq_nonce(self.recv_seq);
+        let plaintext = self.recv.open_in_place(&nonce, sealed, aad)?;
         self.recv_seq += 1;
         Ok(plaintext)
     }
@@ -285,6 +320,34 @@ mod tests {
         let ct2 = cb.send(b"retained snps", b"phase1");
         assert_eq!(ca.recv(&ct2, b"phase1").unwrap(), b"retained snps");
         assert_eq!(ca.messages_sent(), 1);
+    }
+
+    #[test]
+    fn in_place_messages_interoperate_with_copying_ones() {
+        let mut s = setup("gendpr", "gendpr");
+        let (mut ca, mut cb) = establish(&mut s);
+        let (mut ca2, mut cb2) = establish(&mut s);
+        // One pair seals in place and opens by copy, the other the reverse.
+        for (i, msg) in [&b"counts"[..], b"", b"ld moments"].into_iter().enumerate() {
+            let mut buf = vec![9u8; 4];
+            buf.extend_from_slice(msg);
+            ca.send_in_place(&mut buf, 4, b"aad");
+            assert_eq!(&buf[..4], &[9u8; 4]);
+            assert_eq!(cb.recv(&buf[4..], b"aad").unwrap(), msg, "message {i}");
+            let mut sealed = ca2.send(msg, b"aad");
+            assert_eq!(cb2.recv_in_place(&mut sealed, b"aad").unwrap(), msg);
+        }
+        // A rejected in-place message does not advance the sequence.
+        let mut good = ca.send(b"next", b"aad");
+        let mut bad = good.clone();
+        bad[0] ^= 1;
+        let kept = bad.clone();
+        assert_eq!(
+            cb.recv_in_place(&mut bad, b"aad"),
+            Err(TeeError::ChannelMessageRejected)
+        );
+        assert_eq!(bad, kept);
+        assert_eq!(cb.recv_in_place(&mut good, b"aad").unwrap(), b"next");
     }
 
     #[test]

@@ -35,6 +35,12 @@ done
 echo "==> cargo test --release -p gendpr-stats -q"
 cargo test --release -p gendpr-stats -q
 
+# Same for the message path: the AEAD's RFC 8439 vectors and in-place
+# oracles, the slice codec and the fabric's burst/wake tests run against
+# the optimised build that carries every member message.
+echo "==> cargo test --release -p gendpr-crypto -p gendpr-fednet -q"
+cargo test --release -p gendpr-crypto -p gendpr-fednet -q
+
 # Reduced-scale bench run: bench_phases asserts naive-vs-columnar checksum
 # and LR-selection equality internally, so a clean exit is the validation.
 echo "==> bench smoke (checksum-validated, --scale 0.02)"

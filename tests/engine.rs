@@ -4,7 +4,8 @@
 //! study, every `(compact_lr, prefetch_ld)` combination must put exactly
 //! the same number of messages and bytes on the wire, select the same
 //! L′ / L″ / L_safe and sign the same certificate — on the in-memory
-//! fabric, and over real TCP sockets.
+//! fabric, and over real TCP sockets. The same schedule pins how many
+//! wakes the in-memory fabric issues for it.
 //!
 //! Below that, the *order* of the leader's phase 2 against the parent of
 //! the change that put every collusion subset's live LD round in flight
@@ -162,6 +163,36 @@ fn one_shot_wire_schedule_is_pinned_over_tcp() {
     )
     .unwrap();
     assert_eq!(witness(&report), pinned(messages, TCP_WIRE_BYTES));
+}
+
+/// `(prefetch_ld, messages, fabric wakes)` of the study above on the
+/// in-memory fabric. At commit bfcf3ae, before fan-outs went out as
+/// bursts, every message was its own wake (wakes = messages); now a
+/// fan-out wakes each destination once, and replies stay one wake each.
+const WAKES: [(bool, u64, u64); 2] = [(false, 1078, 730), (true, 488, 345)];
+
+#[test]
+fn a_fan_out_wakes_each_destination_once() {
+    for (prefetch_ld, messages, wakes) in WAKES {
+        let network = Network::new();
+        let transports: Vec<Endpoint> = (0..G)
+            .map(|id| network.register(PeerId(id as u32)))
+            .collect();
+        let report = run_federation_over(
+            transports,
+            config(),
+            params(),
+            study(),
+            options(true, prefetch_ld),
+        )
+        .unwrap();
+        assert_eq!(witness(&report).safe, SAFE, "prefetch_ld={prefetch_ld}");
+        assert_eq!(
+            (network.total_stats().messages, network.wakes()),
+            (messages, wakes),
+            "prefetch_ld={prefetch_ld}"
+        );
+    }
 }
 
 /// Leader enclave peak of the compact runs at commit e45d434, the last one

@@ -133,6 +133,42 @@ fn two_jobs_charge_the_cumulative_release() {
 }
 
 #[test]
+fn twenty_in_memory_jobs_never_wait_out_a_probe_interval() {
+    // A 120 s timeout makes every silent probe interval 40 s. The serving
+    // leader ends each job with a burst and then idles on its command
+    // queue, so a fabric wake that outlived the burst would leave a
+    // member asleep until its interval ran out.
+    let options = RuntimeOptions {
+        timeout: Duration::from_secs(120),
+        prefetch_ld: true,
+        ..RuntimeOptions::default()
+    };
+    let config = config(3).with_collusion(CollusionMode::Fixed(1));
+    let started = std::time::Instant::now();
+    let mut session =
+        ServiceFederation::start_in_memory(config, params(), study(), options).unwrap();
+    let mut forced: Vec<SnpId> = Vec::new();
+    for job_id in 1..=20u64 {
+        let start = (job_id as u32 * 7) % 60;
+        let outcome = session
+            .submit(&JobSpec {
+                job_id,
+                panel: snps(start..start + 40),
+                forced: forced.clone(),
+            })
+            .unwrap();
+        forced.extend(outcome.released);
+        forced.sort_unstable();
+    }
+    session.shutdown().unwrap();
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < Duration::from_secs(30),
+        "20 jobs took {elapsed:?}: something slept through a probe interval"
+    );
+}
+
+#[test]
 fn full_panel_job_matches_the_one_shot_runtime() {
     // A single job over the full panel with nothing forced must select
     // exactly what the one-shot runtime selects: the session layer may

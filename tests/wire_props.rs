@@ -8,7 +8,8 @@ use gendpr::core::messages::{
 use gendpr::fednet::tcp::{
     decode_frame, encode_frame, FrameError, TcpFrame, FRAME_HEADER_BYTES, MAX_FRAME_BYTES,
 };
-use gendpr::fednet::wire::{from_bytes, to_bytes};
+use gendpr::fednet::wire::{from_bytes, to_bytes, Decode, Encode, Reader, WireError};
+use gendpr::fednet::wire_struct;
 use proptest::prelude::*;
 
 proptest! {
@@ -198,6 +199,100 @@ proptest! {
         let (back, consumed) = decode_frame(&bytes).unwrap();
         prop_assert_eq!(consumed, framed_len);
         prop_assert_eq!(back, frame);
+    }
+}
+
+/// The element-by-element `Vec<u8>` codec that bytes went through before
+/// they were copied as one slice, kept as the oracle the slice codec must
+/// reproduce byte for byte and error for error.
+#[derive(Debug, Clone, PartialEq)]
+struct Byte(u8);
+
+impl Encode for Byte {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        buf.extend_from_slice(&self.0.to_le_bytes());
+    }
+}
+
+impl Decode for Byte {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
+        let bytes = r.take(1)?;
+        Ok(Self(u8::from_le_bytes([bytes[0]])))
+    }
+}
+
+/// `TcpFrame` with its payload on the element-wise oracle.
+#[derive(Debug, Clone, PartialEq)]
+struct OracleTcpFrame {
+    from: u32,
+    plaintext_len: u64,
+    payload: Vec<Byte>,
+}
+wire_struct!(OracleTcpFrame {
+    from,
+    plaintext_len,
+    payload
+});
+
+/// Both decoders' verdicts on `bytes`, the payload as plain bytes.
+type Verdicts = (
+    Result<(u32, u64, Vec<u8>), WireError>,
+    Result<(u32, u64, Vec<u8>), WireError>,
+);
+
+fn decode_both(bytes: &[u8]) -> Verdicts {
+    (
+        from_bytes::<TcpFrame>(bytes).map(|f| (f.from, f.plaintext_len, f.payload)),
+        from_bytes::<OracleTcpFrame>(bytes).map(|f| {
+            let payload = f.payload.into_iter().map(|b| b.0).collect();
+            (f.from, f.plaintext_len, payload)
+        }),
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn tcp_frames_encode_identically_under_the_slice_codec(
+        from in any::<u32>(),
+        plaintext_len in any::<u64>(),
+        payload in proptest::collection::vec(any::<u8>(), 0..600),
+    ) {
+        let oracle = OracleTcpFrame {
+            from,
+            plaintext_len,
+            payload: payload.iter().copied().map(Byte).collect(),
+        };
+        let frame = TcpFrame { from, plaintext_len, payload };
+        let expected = to_bytes(&oracle);
+        prop_assert_eq!(to_bytes(&frame), expected.clone());
+        prop_assert_eq!(&encode_frame(&frame).unwrap()[FRAME_HEADER_BYTES..], &expected[..]);
+    }
+
+    #[test]
+    fn the_slice_codec_rejects_what_the_oracle_rejects(
+        payload in proptest::collection::vec(any::<u8>(), 0..120),
+        claimed in any::<u64>(),
+        shift in 0u64..40,
+    ) {
+        let frame = TcpFrame { from: 5, plaintext_len: 77, payload };
+        let bytes = to_bytes(&frame);
+        // Every truncation, from an empty buffer to one byte short.
+        for cut in 0..bytes.len() {
+            let (slice, oracle) = decode_both(&bytes[..cut]);
+            prop_assert!(slice.is_err());
+            prop_assert_eq!(slice, oracle, "cut at {}", cut);
+        }
+        // The payload's length prefix (after `from` and `plaintext_len`)
+        // claiming more than is there, less, or anything at all.
+        let len = frame.payload.len() as u64;
+        for prefix in [len + 1 + shift, len.saturating_sub(1 + shift), claimed, u64::MAX] {
+            let mut forged = bytes.clone();
+            forged[12..20].copy_from_slice(&prefix.to_le_bytes());
+            let (slice, oracle) = decode_both(&forged);
+            prop_assert_eq!(slice, oracle, "prefix {}", prefix);
+        }
     }
 }
 
