@@ -14,14 +14,26 @@
 //!
 //! # Columnar search kernels
 //!
-//! The subset search is the protocol's hot path (~98% of a full run at
-//! paper scale), so [`select_safe_subset`] routes through [`LrColumns`], a
-//! column-major bit-packed view in which each candidate SNP is a contiguous
-//! `individuals`-bit vector. Admitting or backing out a column is then a
-//! word-wise sweep over the cumulative per-individual sums, and the
-//! per-candidate null quantile runs as a quickselect over reusable `i64`
-//! total-order keys — no per-candidate allocation anywhere. The scalar
+//! The subset search is the LR phase's hot path (≈ 40 of a ≈ 61 ms
+//! `assess-lr` job before the band below; 87 % of the in-process protocol
+//! at paper scale in `BENCH_phases.json`), so [`select_safe_subset`] routes
+//! through [`LrColumns`], a column-major bit-packed view in which each
+//! candidate SNP is a contiguous `individuals`-bit vector. Admitting or
+//! backing out a column is then a word-wise sweep over the cumulative
+//! per-individual sums — no per-candidate allocation anywhere. The scalar
 //! reference implementation is retained as [`select_safe_subset_naive`].
+//!
+//! The per-candidate null quantile is read from a verified band. A column
+//! with levels `(major, minor)` moves each sum by one of the two, and
+//! round-to-nearest is monotone, so the new `k`-th and `(k + 1)`-th order
+//! statistics lie in `[kth + min, kth₁ + max]` of the committed ones. One
+//! branch-free pass counts the sums below the band; a second gathers the
+//! `i64` total-order keys inside it, eight sums at a time, visiting only
+//! the chunks that touch it, and selects among those ≈ 30 keys. The
+//! result is used only when the exact counts place the order statistics
+//! in the band; otherwise every key is refreshed and the full quickselect
+//! runs (`gendpr_lr_quantile_fallbacks_total` counts those candidates).
+//! Correctness rests on the count alone; the bound decides the hit rate.
 //!
 //! What the source guarantees: every sweep performs, per individual, one
 //! `+=` (or `-=`) of exactly `major` or `minor` — the operation sequence of
@@ -1036,17 +1048,31 @@ fn lr_quantile_seconds() -> &'static obs::Histogram {
     })
 }
 
+/// Candidates whose null quantile fell outside the search's band and took
+/// the full quickselect.
+fn lr_quantile_fallbacks_total() -> &'static obs::Counter {
+    static C: OnceLock<obs::Counter> = OnceLock::new();
+    C.get_or_init(|| {
+        obs::counter(
+            "gendpr_lr_quantile_fallbacks_total",
+            "LR search candidates whose null quantile missed the band and ran a full quickselect",
+            &[],
+        )
+    })
+}
+
 /// Eagerly registers the LR kernel metrics so they render (at zero) before
 /// the first search runs.
 pub fn register_lr_metrics() {
     let _ = lr_candidates_total();
     let _ = lr_columns_kept_total();
     let _ = lr_quantile_seconds();
+    let _ = lr_quantile_fallbacks_total();
 }
 
 /// Maps an `f64` to an `i64` whose natural order equals `f64::total_cmp`:
 /// an involution flipping the low 63 bits of negative values. Keys let the
-/// per-candidate quickselect run on plain integer comparisons.
+/// band select and the quickselect run on plain integer comparisons.
 #[inline]
 fn total_order_key(v: f64) -> i64 {
     let b = v.to_bits() as i64;
@@ -1063,7 +1089,7 @@ fn key_value(k: i64) -> f64 {
 /// `sums[i] += level(bit_i)`, 64 individuals per bit word. The level is
 /// read from a two-entry table indexed by the genotype bit, so each
 /// individual sees one `+=` of exactly `major` or `minor` — the scalar
-/// operation the reference path performs. The four sweeps share this form
+/// operation the reference path performs. Both sweeps share this form
 /// because it compiles to an indexed load; the mask select they used before
 /// (`(ma & !mask) | (mi & mask)`) was turned back into a conditional jump on
 /// the bit (module docs, *Columnar search kernels*).
@@ -1094,23 +1120,8 @@ fn sub_column(sums: &mut [f64], words: &[u64], major: f64, minor: f64) {
     }
 }
 
-/// Fused null update: adds the column and refreshes the quantile key of
-/// every touched sum in the same sweep.
-#[inline]
-fn add_column_fill_keys(sums: &mut [f64], keys: &mut [i64], words: &[u64], major: f64, minor: f64) {
-    let levels = [major, minor];
-    for ((chunk, kchunk), &word) in sums.chunks_mut(64).zip(keys.chunks_mut(64)).zip(words) {
-        let mut w = word;
-        for (s, k) in chunk.iter_mut().zip(kchunk) {
-            *s += levels[(w & 1) as usize];
-            w >>= 1;
-            *k = total_order_key(*s);
-        }
-    }
-}
-
-/// Fused case update: adds the column and counts detections against the
-/// threshold in the same sweep.
+/// Case update: adds the column, then counts detections against the
+/// threshold in a separate branch-free pass.
 #[inline]
 fn add_column_count(
     sums: &mut [f64],
@@ -1119,17 +1130,8 @@ fn add_column_count(
     minor: f64,
     threshold: f64,
 ) -> usize {
-    let levels = [major, minor];
-    let mut detected = 0usize;
-    for (chunk, &word) in sums.chunks_mut(64).zip(words) {
-        let mut w = word;
-        for s in chunk {
-            *s += levels[(w & 1) as usize];
-            w >>= 1;
-            detected += usize::from(*s > threshold);
-        }
-    }
-    detected
+    add_column(sums, words, major, minor);
+    sums.iter().map(|&s| usize::from(s > threshold)).sum()
 }
 
 /// Type-7 quantile over the current null sums, evaluated on their reusable
@@ -1150,6 +1152,171 @@ fn quantile_from_keys(keys: &mut [i64], q: f64) -> f64 {
     }
     let high_stat = key_value(*rest.iter().min().expect("rest is non-empty"));
     low_stat + frac * (high_stat - low_stat)
+}
+
+/// Relative padding of a band edge: 2^20 ulps of the edge's scale, far
+/// more than the round-off that rejects leave in the committed sums.
+const BAND_PAD: f64 = f64::EPSILON * 1_048_576.0;
+
+/// The rank arithmetic of [`quantile_from_keys`], fixed for a search
+/// because the null size and `q` are: the threshold is the `k`-th order
+/// statistic, interpolated towards the `(k + 1)`-th when `interpolate`.
+#[derive(Debug, Clone, Copy)]
+struct QuantileRank {
+    k: usize,
+    frac: f64,
+    interpolate: bool,
+}
+
+impl QuantileRank {
+    fn new(n: usize, q: f64) -> Self {
+        let h = q * (n as f64 - 1.0);
+        let k = (h.floor() as usize).min(n - 1);
+        let frac = h - k as f64;
+        Self {
+            k,
+            frac,
+            interpolate: frac != 0.0 && k + 1 < n,
+        }
+    }
+
+    /// The highest order statistic the threshold reads.
+    fn top(&self) -> usize {
+        self.k + usize::from(self.interpolate)
+    }
+
+    /// The threshold from the `k`-th and [`top`](Self::top)-th order
+    /// statistics: [`quantile_from_keys`]' expression.
+    fn threshold(&self, (low, high): (f64, f64)) -> f64 {
+        if self.interpolate {
+            low + self.frac * (high - low)
+        } else {
+            low
+        }
+    }
+}
+
+/// The per-candidate null quantile of [`columns_search`], usually read
+/// from a small band of keys instead of a quickselect over all of them.
+///
+/// Adding a column with levels `(major, minor)` moves every sum `s` to
+/// `fl(s + l)`, which round-to-nearest keeps between `fl(s + min)` and
+/// `fl(s + max)`; so the new `k`-th and top-th order statistics lie in
+/// `[kth + min, top + max]` of the committed ones. A candidate counts the
+/// sums below that band, gathers the keys inside it and selects there.
+/// The band's bound only decides how often that works: the result is
+/// taken from the band only when the exact counts place both order
+/// statistics inside it, and otherwise from [`quantile_from_keys`] over
+/// every key.
+struct NullBand {
+    q: f64,
+    rank: QuantileRank,
+    /// The `k`-th and top-th order statistics of the committed sums: exact
+    /// after an accept, and within a reject's round-off after one.
+    committed: (f64, f64),
+    /// The same pair for the candidate evaluated last.
+    evaluated: (f64, f64),
+    band: Vec<i64>,
+    keys: Vec<i64>,
+}
+
+impl NullBand {
+    fn new(null_sums: &[f64], q: f64) -> Self {
+        let mut band = Self {
+            q,
+            rank: QuantileRank::new(null_sums.len(), q),
+            committed: (0.0, 0.0),
+            evaluated: (0.0, 0.0),
+            band: Vec::new(),
+            keys: vec![0; null_sums.len()],
+        };
+        band.select_all(null_sums);
+        band.commit();
+        band
+    }
+
+    /// The null quantile of `sums`, the committed sums plus the column
+    /// with levels `(major, minor)`, and whether the band held it.
+    fn quantile(&mut self, sums: &[f64], major: f64, minor: f64) -> (f64, bool) {
+        if self.select_in_band(sums, major, minor) {
+            (self.rank.threshold(self.evaluated), true)
+        } else {
+            (self.select_all(sums), false)
+        }
+    }
+
+    /// The candidate evaluated last was accepted: its sums are committed.
+    fn commit(&mut self) {
+        self.committed = self.evaluated;
+    }
+
+    fn select_in_band(&mut self, sums: &[f64], major: f64, minor: f64) -> bool {
+        let (lo, hi) = band_edges(self.committed, major, minor);
+        let (lo_key, hi_key) = (total_order_key(lo), total_order_key(hi));
+        // `v < lo` and `v > hi` as f64 compares imply the same in total
+        // order, so the count is a lower bound and the gather a superset;
+        // the keys then sort NaNs and signed zeros at the edges exactly.
+        let mut below: usize = sums.iter().map(|&v| usize::from(v < lo)).sum();
+        let inside = |v: f64| !(v < lo || v > hi);
+        self.band.clear();
+        for chunk in sums.chunks(8) {
+            if chunk.iter().fold(false, |any, &v| any | inside(v)) {
+                for &v in chunk.iter().filter(|&&v| inside(v)) {
+                    let key = total_order_key(v);
+                    if key < lo_key {
+                        below += 1;
+                    } else if key <= hi_key {
+                        self.band.push(key);
+                    }
+                }
+            }
+        }
+        let k = self.rank.k;
+        if k < below || self.rank.top() >= below + self.band.len() {
+            return false;
+        }
+        let (_, &mut low, rest) = self.band.select_nth_unstable(k - below);
+        let high = if self.rank.interpolate {
+            *rest.iter().min().expect("the count put k + 1 in the band")
+        } else {
+            low
+        };
+        self.evaluated = (key_value(low), key_value(high));
+        true
+    }
+
+    /// The fallback: every key refreshed, [`quantile_from_keys`] as is, and
+    /// the order statistics read back from the selected keys.
+    fn select_all(&mut self, sums: &[f64]) -> f64 {
+        for (key, &s) in self.keys.iter_mut().zip(sums) {
+            *key = total_order_key(s);
+        }
+        let threshold = quantile_from_keys(&mut self.keys, self.q);
+        // The quickselect left the k-th key at index k, every larger one
+        // after it.
+        let k = self.rank.k;
+        let low = self.keys[k];
+        let high = if self.rank.interpolate {
+            *self.keys[k + 1..].iter().min().expect("k + 1 < n")
+        } else {
+            low
+        };
+        self.evaluated = (key_value(low), key_value(high));
+        threshold
+    }
+}
+
+/// The band `[kth + min, top + max]`, padded by [`BAND_PAD`] of its scale.
+/// Infinite or NaN levels can make an edge NaN or infinite; the band then
+/// gathers more sums, which stays exact and is only slower.
+fn band_edges((kth, top): (f64, f64), major: f64, minor: f64) -> (f64, f64) {
+    let (min, max) = if major <= minor {
+        (major, minor)
+    } else {
+        (minor, major)
+    };
+    let pad = BAND_PAD * (kth.abs() + top.abs() + min.abs() + max.abs());
+    (kth + min - pad, top + max + pad)
 }
 
 /// Snapshot of the seeded search state after accumulating the forced
@@ -1230,28 +1397,22 @@ fn columns_search(
     params: &LrTestParams,
 ) -> LrSelection {
     let n_case = case.individuals;
-    let q = 1.0 - params.false_positive_rate;
     let mut case_sums = prefix.case_sums.clone();
     let mut null_sums = prefix.null_sums.clone();
     let (mut final_threshold, mut final_power) = (prefix.threshold, prefix.power);
-    // Quantile keys are fully refreshed by every candidate's null sweep, so
-    // the in-place quickselect permutation never needs undoing.
-    let mut keys = vec![0i64; null.individuals];
+    let mut band = NullBand::new(&null_sums, 1.0 - params.false_positive_rate);
+    let mut fallbacks = 0u64;
     let mut kept = Vec::new();
     let quantile_hist = lr_quantile_seconds();
 
     for &col in order {
         assert!(col < case.snps, "ranking indexes a non-existent column");
-        add_column_fill_keys(
-            &mut null_sums,
-            &mut keys,
-            null.col_words(col),
-            null.major[col],
-            null.minor[col],
-        );
+        let (major, minor) = (null.major[col], null.minor[col]);
+        add_column(&mut null_sums, null.col_words(col), major, minor);
         let t0 = Instant::now();
-        let threshold = quantile_from_keys(&mut keys, q);
+        let (threshold, hit) = band.quantile(&null_sums, major, minor);
         quantile_hist.observe_duration(t0.elapsed());
+        fallbacks += u64::from(!hit);
         let detected = add_column_count(
             &mut case_sums,
             case.col_words(col),
@@ -1264,6 +1425,7 @@ fn columns_search(
             kept.push(col);
             final_power = power;
             final_threshold = threshold;
+            band.commit();
         } else {
             sub_column(
                 &mut case_sums,
@@ -1271,17 +1433,13 @@ fn columns_search(
                 case.major[col],
                 case.minor[col],
             );
-            sub_column(
-                &mut null_sums,
-                null.col_words(col),
-                null.major[col],
-                null.minor[col],
-            );
+            sub_column(&mut null_sums, null.col_words(col), major, minor);
         }
     }
 
     lr_candidates_total().add(order.len() as u64);
     lr_columns_kept_total().add(kept.len() as u64);
+    lr_quantile_fallbacks_total().add(fallbacks);
     LrSelection {
         kept_columns: kept,
         final_power,
@@ -1853,13 +2011,6 @@ mod tests {
                     .collect();
                 assert_eq!(bits_of(&sums), bits_of(&backed_out), "sub_column {ctx}");
 
-                let mut sums = start.clone();
-                let mut keys = vec![0i64; n];
-                add_column_fill_keys(&mut sums, &mut keys, &words, major, minor);
-                assert_eq!(bits_of(&sums), bits_of(&added), "fill_keys sums {ctx}");
-                let expected_keys: Vec<i64> = added.iter().map(|&s| total_order_key(s)).collect();
-                assert_eq!(keys, expected_keys, "fill_keys keys {ctx}");
-
                 for threshold in [0.0, -3.5, f64::INFINITY, f64::NAN] {
                     let mut sums = start.clone();
                     let detected = add_column_count(&mut sums, &words, major, minor, threshold);
@@ -1893,5 +2044,115 @@ mod tests {
         let a = LrMatrix::from_values(1, 2, vec![0.0; 2]);
         let b = LrMatrix::from_values(1, 3, vec![0.0; 3]);
         let _ = plain_search(&a, &b, &[0], &LrTestParams::secure_genome_defaults());
+    }
+
+    /// One band step over `sums` from a hand-set committed pair, checked
+    /// against the quickselect over every key: the threshold bit for bit,
+    /// the order statistics it reports, and whether the band held them.
+    fn band_step(sums: &[f64], q: f64, committed: (f64, f64), levels: (f64, f64)) -> bool {
+        let mut band = NullBand::new(sums, q);
+        band.committed = committed;
+        let (threshold, hit) = band.quantile(sums, levels.0, levels.1);
+
+        let mut keys: Vec<i64> = sums.iter().map(|&s| total_order_key(s)).collect();
+        let expected = quantile_from_keys(&mut keys, q);
+        let ctx = format!("sums={sums:?} q={q} committed={committed:?} levels={levels:?}");
+        assert_eq!(threshold.to_bits(), expected.to_bits(), "threshold {ctx}");
+        keys.sort_unstable();
+        let rank = QuantileRank::new(sums.len(), q);
+        assert_eq!(
+            (
+                total_order_key(band.evaluated.0),
+                total_order_key(band.evaluated.1)
+            ),
+            (keys[rank.k], keys[rank.top()]),
+            "order statistics {ctx}"
+        );
+        hit
+    }
+
+    #[test]
+    fn the_band_selects_what_the_full_quickselect_selects() {
+        let nan = f64::NAN;
+        let ordinary: Vec<f64> = (0..40).map(|i| f64::from(i) * 0.25 - 3.0).collect();
+        for q in [0.9, 0.5, 1.0] {
+            let rank = QuantileRank::new(ordinary.len(), q);
+            let stats = (ordinary[rank.k] - 0.1, ordinary[rank.top()] - 0.1);
+            assert!(band_step(&ordinary, q, stats, (0.1, 0.05)), "q={q}");
+
+            // NaNs of both signs: below and above every number. At q = 1
+            // the +NaN is the selected statistic, above the band: a miss.
+            let mut with_nans = ordinary.clone();
+            with_nans[3] = -nan;
+            with_nans[30] = nan;
+            with_nans.push(-nan);
+            let hit = band_step(&with_nans, q, stats, (0.1, 0.05));
+            assert_eq!(hit, q < 1.0, "NaNs q={q}");
+        }
+        // −NaNs pass the f64 compare as "not below" and are gathered; the
+        // key filter must count them below, ahead of the numbers that the
+        // f64 count already holds (rank 3 is the number 1.0, not a −NaN).
+        let mut low_nans = vec![-nan; 3];
+        low_nans.extend((1..=10).map(f64::from));
+        assert!(!band_step(&low_nans, 0.25, (2.5, 2.5), (0.0, 0.0)));
+
+        // Signed zeros on both edges: the band is exactly [+0, +0], so a
+        // −0 is below it and the count must say so.
+        let zeros = [-0.0, 0.0, -0.0, 0.0, 0.0, -1.0, 1.0, -0.0, 0.0, 0.0];
+        for q in [0.5, 0.9, 1.0] {
+            band_step(&zeros, q, (0.0, 0.0), (-0.0, 0.0));
+            band_step(&zeros, q, (-0.0, 0.0), (0.0, -0.0));
+        }
+        // With +0 selected the band holds it; with −0 selected (rank 2 of
+        // the ten, q = 0.25) it is below the band: a miss.
+        assert!(band_step(&zeros, 0.7, (0.0, 0.0), (-0.0, 0.0)));
+        assert!(!band_step(&zeros, 0.25, (0.0, 0.0), (-0.0, 0.0)));
+
+        // Duplicates straddling both edges: runs of three on each edge and
+        // one ulp outside it. The band holds ranks 3..9.
+        let (committed, levels) = ((2.0, 3.0), (0.0, 1.0));
+        let (lo, hi) = band_edges(committed, levels.0, levels.1);
+        let outside = [
+            f64::from_bits(lo.to_bits() - 1),
+            f64::from_bits(hi.to_bits() + 1),
+        ];
+        let dups: Vec<f64> = [outside[0], lo, hi, outside[1]]
+            .iter()
+            .flat_map(|&v| [v; 3])
+            .collect();
+        for q in [0.0, 0.2, 0.25, 0.3, 0.5, 0.7, 0.72, 0.75, 0.8, 1.0] {
+            let rank = QuantileRank::new(dups.len(), q);
+            let held = (3..9).contains(&rank.k) && (3..9).contains(&rank.top());
+            assert_eq!(band_step(&dups, q, committed, levels), held, "q={q}");
+        }
+
+        // A forced miss: committed statistics far from the sums, as a
+        // 1e300 column leaves them after its back-out.
+        assert!(!band_step(&ordinary, 0.9, (1e3, 1e3 + 1.0), (0.0, 0.0)));
+        assert!(!band_step(&ordinary, 0.9, (-1e3, -1e3), (0.0, 0.0)));
+        // NaN edges gather everything and still select exactly.
+        band_step(&ordinary, 0.9, (nan, nan), (0.0, 0.0));
+        band_step(&ordinary, 0.9, (0.0, 1.0), (nan, 0.5));
+        // One individual: k = 0, nothing to interpolate.
+        assert!(band_step(&[7.5], 0.9, (7.0, 7.0), (0.5, 0.25)));
+    }
+
+    #[test]
+    fn a_band_miss_is_counted_once() {
+        // Null sums (1, 2) from the forced column; candidate 1 adds 1e300
+        // and is rejected (every case sum is past the threshold), backing
+        // the null sums out to (0, 0) while the committed statistics stay
+        // (1, 2); candidate 2 adds zeros, so both sums fall below its band.
+        let null = LrMatrix::from_values(2, 3, vec![1.0, 1e300, 0.0, 2.0, 1e300, 0.0]);
+        let case = LrMatrix::from_values(2, 3, vec![0.0, 1e301, 0.0, 0.0, 1e301, 0.0]);
+        let params = LrTestParams::secure_genome_defaults();
+        let before = lr_quantile_fallbacks_total().get();
+        let selection = select_safe_subset(&case, &null, &[0], &[1, 2], &params, None);
+        assert_eq!(lr_quantile_fallbacks_total().get() - before, 1);
+        assert_eq!(selection.kept_columns, [2]);
+        assert_eq!(
+            selection,
+            select_safe_subset_naive(&case, &null, &[0], &[1, 2], &params)
+        );
     }
 }

@@ -263,6 +263,96 @@ proptest! {
     }
 }
 
+/// Level values that break the search's null-quantile band: signed zeros,
+/// infinities, NaNs of both signs, subnormals and 1e300 jumps, whose
+/// back-out leaves the committed sums far from where the band expects them.
+const HOSTILE_LEVELS: [f64; 12] = [
+    0.0,
+    -0.0,
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+    f64::NAN,
+    -f64::NAN,
+    5e-324,
+    -5e-324,
+    f64::MIN_POSITIVE,
+    1e300,
+    -1e300,
+    1e-300,
+];
+
+/// Arbitrary two-valued case and null matrices sharing per-column levels,
+/// most of them ordinary LR magnitudes and the rest drawn from
+/// [`HOSTILE_LEVELS`].
+fn hostile_matrices(
+    n_case: usize,
+    n_null: usize,
+    snps: usize,
+    hostile_share: f64,
+    seed: u64,
+) -> (LrMatrix, LrMatrix) {
+    let mut rng = ChaChaRng::from_seed_u64(seed);
+    let level = |rng: &mut ChaChaRng| {
+        if rng.next_bool(hostile_share) {
+            HOSTILE_LEVELS[(rng.next_u64() % HOSTILE_LEVELS.len() as u64) as usize]
+        } else {
+            4.0 * rng.next_f64() - 2.0
+        }
+    };
+    let levels: Vec<(f64, f64, f64)> = (0..snps)
+        .map(|_| (level(&mut rng), level(&mut rng), rng.next_f64()))
+        .collect();
+    let values = |rows: usize, rng: &mut ChaChaRng| {
+        let mut v = Vec::with_capacity(rows * snps);
+        for _ in 0..rows {
+            for &(major, minor, freq) in &levels {
+                v.push(if rng.next_bool(freq) { minor } else { major });
+            }
+        }
+        LrMatrix::from_values(rows, snps, v)
+    };
+    let case = values(n_case, &mut rng);
+    let null = values(n_null, &mut rng);
+    (case, null)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The band kernel against the scalar reference on hostile levels, for
+    /// null sizes across the 8-sum chunk and 64-bit word edges, a zero
+    /// false-positive rate (`k = n − 1`, no interpolation) and forced
+    /// prefixes. Power and threshold compare by bits: `==` fails on NaN.
+    #[test]
+    fn band_search_equals_naive_on_hostile_levels(
+        sizes in (1usize..200, 1usize..80, 1usize..40),
+        hostile_share in 0.0f64..0.6,
+        fpr_pick in 0usize..6,
+        power_threshold in 0.0f64..1.2,
+        seed in any::<u64>(),
+        split in any::<proptest::sample::Index>(),
+    ) {
+        let (n_null, n_case, snps) = sizes;
+        let (case, null) = hostile_matrices(n_case, n_null, snps, hostile_share, seed);
+        let params = LrTestParams {
+            false_positive_rate: [0.0, 0.0, 0.01, 0.1, 0.37, 0.9][fpr_pick],
+            power_threshold,
+        };
+        let order: Vec<usize> = (0..snps).collect();
+        let cut = split.index(snps + 1);
+        let (forced, order) = order.split_at(cut);
+
+        let reference = select_safe_subset_naive(&case, &null, forced, order, &params);
+        let fast = select_safe_subset(&case, &null, forced, order, &params, None);
+        prop_assert_eq!(&fast.kept_columns, &reference.kept_columns);
+        prop_assert_eq!(fast.final_power.to_bits(), reference.final_power.to_bits());
+        prop_assert_eq!(
+            fast.final_threshold.to_bits(),
+            reference.final_threshold.to_bits()
+        );
+    }
+}
+
 /// Three-valued columns must refuse the columnar view and fall back to the
 /// reference path (not silently mis-pack).
 #[test]

@@ -3,10 +3,12 @@
 # measurement a claimed gain rests on (EXPERIMENTS.md): pair i runs
 # `benchmark/run.sh --workload W --seed i --trace 0` once in each checkout,
 # odd pairs parent first, even pairs change first. Prints the eight
-# end-to-end metrics per pair, then per metric both medians, the pairs the
-# change won (ties count for neither) and the parent's quartile distance.
-# Exits non-zero if any run reports failed operations. Minutes long and
-# timing-sensitive: not part of check.sh.
+# end-to-end metrics per pair, then per metric both medians, the median's
+# change in %, the pairs the change won (ties count for neither) and the
+# parent's quartile distance. A median change past the metric's bound in
+# the change checkout's BENCHMARK.json (read, never written) is flagged
+# WORSE. Exits non-zero if any run reports failed operations. Minutes long
+# and timing-sensitive: not part of check.sh.
 # Usage: scripts/ab.sh <parent-checkout> <change-checkout> <workload> [pairs=10] [seconds=25]
 set -euo pipefail
 
@@ -46,6 +48,13 @@ for seed in $(seq 1 "$pairs"); do
     echo "pair $seed done" >&2
 done
 
+# "name better bound" per end-to-end metric of BENCHMARK.json.
+awk '/"end_to_end"/ { on = 1 } /"per_layer"/ { on = 0 }
+    on && /"name"/ { gsub(/[",]/, "", $2); name = $2 }
+    on && /"better"/ { gsub(/[",]/, "", $2); better = $2 }
+    on && /"bound"/ { gsub(/[",]/, "", $2); print name, better, $2 }' \
+    "$change/BENCHMARK.json" >"$out/bounds.txt"
+
 awk -v pairs="$pairs" '
 function sorted(side, m, v,    n, i, j, t) {
     n = 0
@@ -59,24 +68,29 @@ function quantile(v, n, q,    pos, lo) {
     pos = 1 + q * (n - 1); lo = int(pos)
     return lo >= n ? v[n] : v[lo] + (pos - lo) * (v[lo + 1] - v[lo])
 }
+FNR == NR { better[$1] = $2; bound[$1] = $3; next }
 { val[$1, $2, $3] = $4; if (!($3 in seen)) { seen[$3] = 1; order[++metrics] = $3 } }
 END {
     for (k = 1; k <= metrics; k++) {
         m = order[k]
-        printf "\n%s (%s is better)\n  %4s %16s %16s\n", m, m == "jobs_per_s" ? "higher" : "lower", "pair", "parent", "change"
+        higher = better[m] == "higher"
+        printf "\n%s (%s is better)\n  %4s %16s %16s\n", m, higher ? "higher" : "lower", "pair", "parent", "change"
         wins = ties = 0
         for (i = 1; i <= pairs; i++) {
             if (!((("parent", i, m) in val) && (("change", i, m) in val))) continue
             p = val["parent", i, m]; c = val["change", i, m]
             printf "  %4d %16.4f %16.4f\n", i, p, c
             if (p == c) ties++
-            else if ((m == "jobs_per_s") == (c > p)) wins++
+            else if (higher == (c > p)) wins++
         }
         np = sorted("parent", m, vp); nc = sorted("change", m, vc)
-        printf "  median %.4f -> %.4f | change wins %d of %d (ties %d) | parent quartile distance %.4f\n", \
-            quantile(vp, np, 0.5), quantile(vc, nc, 0.5), wins, np, ties, \
+        mp = quantile(vp, np, 0.5); mc = quantile(vc, nc, 0.5)
+        pct = mp == 0 ? (mc == 0 ? 0 : 100) : 100 * (mc - mp) / mp
+        worse = (m in bound) && (higher ? -pct : pct) > 100 * bound[m]
+        printf "  median %.4f -> %.4f (%+.2f %%%s) | change wins %d of %d (ties %d) | parent quartile distance %.4f\n", \
+            mp, mc, pct, worse ? ", WORSE: bound " 100 * bound[m] " %" : "", wins, np, ties, \
             quantile(vp, np, 0.75) - quantile(vp, np, 0.25)
     }
-}' "$out/values.tsv"
+}' "$out/bounds.txt" "$out/values.tsv"
 
 exit "$failed"
