@@ -938,7 +938,7 @@ pub(crate) fn unexpected_from_leader(leader: usize, msg: &ProtocolMessage) -> Pr
 mod tests {
     use super::*;
     use crate::config::FederationConfig;
-    use crate::runtime::{build_member_ctx, establish_channel, RuntimeOptions};
+    use crate::runtime::{build_member, establish_channel, RuntimeOptions};
     use gendpr_fednet::transport::{Network, PeerId};
 
     /// Member 1 of 2 serves a job over an 8-SNP shard while a hand-rolled
@@ -951,12 +951,19 @@ mod tests {
             ..RuntimeOptions::default()
         };
         let network = Network::new();
-        let mut leader =
-            build_member_ctx(network.register(PeerId(0)), 0, &config, &params, options).unwrap();
+        let shard = || GenotypeMatrix::zeroed(5, 8);
+        let (mut leader, ..) = build_member(
+            network.register(PeerId(0)),
+            0,
+            &config,
+            &params,
+            options,
+            shard(),
+        )
+        .unwrap();
         let endpoint = network.register(PeerId(1));
         let follower = std::thread::spawn(move || {
-            let mut ctx = build_member_ctx(endpoint, 1, &config, &params, options)?;
-            let node = GdoNode::new(1, GenotypeMatrix::zeroed(5, 8));
+            let (mut ctx, node, _) = build_member(endpoint, 1, &config, &params, options, shard())?;
             let mut channel = establish_channel(&mut ctx, 0)?;
             follower_serve(&mut ctx, &node, &mut channel, 0, Terminator::Phase3)
         });

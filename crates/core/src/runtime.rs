@@ -11,6 +11,12 @@
 //! ChaCha20-Poly1305 channels over the federation network. Traffic and
 //! enclave memory are metered, which is what Table 3 reports.
 //!
+//! The lifecycle around the engine is written here once for both attested
+//! drivers (this one and [`crate::serving`]): the deployment check and
+//! thread spawn, the in-memory fabric, the member setup and the `seat`
+//! step (election, then a leader session or a follower channel). The
+//! one-shot run adds only its view-change loop and its one assessment.
+//!
 //! # Epochs and recovery
 //!
 //! The paper makes no liveness guarantee under faults; by default this
@@ -63,6 +69,7 @@ use gendpr_tee::platform::Platform;
 use gendpr_tee::session::{Handshake, HandshakeMessage, SecureChannel};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Code identity of the GenDPR member enclave. All members must run the
@@ -866,90 +873,42 @@ pub(crate) fn recv_protocol<T: Transport>(
     wire::from_bytes(plaintext).map_err(|_| ProtocolError::MalformedMessage { member: from }.into())
 }
 
-struct ThreadReport {
-    peak_enclave_bytes: u64,
-    ecalls: u64,
-    leader: usize,
-    /// `(L', L'')` — leader only.
-    outcome: Option<(Vec<SnpId>, Vec<SnpId>)>,
-    safe_seen: Vec<SnpId>,
-    timings: PhaseTimings,
-    certificate: Option<AssessmentCertificate>,
+/// Where an election put a member.
+pub(crate) enum Seat<'a> {
+    /// Elected: attested to every peer, their counts collected.
+    Leader(LeaderSession<'a>),
+    /// Attested to the leader, own counts sent.
+    Follower {
+        leader: usize,
+        channel: SecureChannel,
+    },
 }
 
-/// Establishes an attested channel with every other roster member.
-pub(crate) fn establish_channels<T: Transport>(
+/// Elects a leader over the current roster and seats this member: the
+/// leader attests every other member in roster order and collects their
+/// counts, a follower attests the leader and sends its own. Both drivers
+/// join (and the one-shot re-joins, per epoch) a federation this way.
+pub(crate) fn seat<'a, T: Transport>(
     ctx: &mut MemberCtx<T>,
-) -> Result<Channels, Interrupt> {
+    node: &'a GdoNode,
+    counts: &CountsReport,
+    reference: &'a GenotypeMatrix,
+    params: &'a GwasParams,
+) -> Result<Seat<'a>, Interrupt> {
+    let leader = run_election(ctx)?;
+    if leader != ctx.id {
+        let mut channel = establish_channel(ctx, leader)?;
+        let report = ProtocolMessage::Counts(counts.clone());
+        send_protocol(ctx, &mut channel, leader, &report)?;
+        return Ok(Seat::Follower { leader, channel });
+    }
     let mut channels = Channels::new();
     for peer in ctx.roster.clone() {
         if peer != ctx.id {
             channels.insert(peer, establish_channel(ctx, peer)?);
         }
     }
-    Ok(channels)
-}
-
-/// One epoch as the elected leader: the engine's session over fresh
-/// channels, serving exactly one job — the whole panel, nothing forced,
-/// no job context.
-fn leader_main<T: Transport>(
-    ctx: &mut MemberCtx<T>,
-    node: &GdoNode,
-    reference: &GenotypeMatrix,
-    params: &GwasParams,
-    own_counts: &CountsReport,
-) -> Result<ThreadReport, Interrupt> {
-    let channels = establish_channels(ctx)?;
-    let mut session = LeaderSession::collect(ctx, channels, node, reference, params, own_counts)?;
-    gendpr_obs::event(
-        gendpr_obs::Level::Info,
-        "runtime",
-        "leader_run_started",
-        &[
-            ("leader", ctx.id.into()),
-            ("members", ctx.g.into()),
-            ("subsets", session.evaluations().into()),
-        ],
-    );
-    let panel: Vec<SnpId> = (0..session.panel_len() as u32).map(SnpId).collect();
-    let assessment = session.assess(ctx, &panel, &[], None, None)?;
-    Ok(ThreadReport {
-        peak_enclave_bytes: ctx.enclave.epc().peak(),
-        ecalls: ctx.enclave.ecalls(),
-        leader: ctx.id,
-        outcome: Some((assessment.l_prime, assessment.l_double_prime)),
-        safe_seen: assessment.released,
-        timings: assessment.timings,
-        certificate: Some(assessment.certificate),
-    })
-}
-
-fn follower_main<T: Transport>(
-    ctx: &mut MemberCtx<T>,
-    node: &GdoNode,
-    leader: usize,
-    own_counts: &CountsReport,
-) -> Result<ThreadReport, Interrupt> {
-    let mut channel = establish_channel(ctx, leader)?;
-
-    send_protocol(
-        ctx,
-        &mut channel,
-        leader,
-        &ProtocolMessage::Counts(own_counts.clone()),
-    )?;
-
-    let safe = follower_serve(ctx, node, &mut channel, leader, Terminator::Phase3)?;
-    Ok(ThreadReport {
-        peak_enclave_bytes: ctx.enclave.epc().peak(),
-        ecalls: ctx.enclave.ecalls(),
-        leader,
-        outcome: None,
-        safe_seen: safe,
-        timings: PhaseTimings::default(),
-        certificate: None,
-    })
+    LeaderSession::collect(ctx, channels, node, reference, params, counts).map(Seat::Leader)
 }
 
 /// Runs the full threaded deployment over `cohort`.
@@ -997,17 +956,77 @@ pub fn run_federation_with(
     faults: Option<FaultPlan>,
     options: RuntimeOptions,
 ) -> Result<RuntimeReport, ProtocolError> {
+    run_federation_over(
+        in_memory_fabric(&config, faults)?,
+        config,
+        params,
+        cohort,
+        options,
+    )
+}
+
+/// One endpoint per member of a valid `config` on a fresh in-memory
+/// [`Network`], in id order. Every endpoint is registered before any
+/// member runs: a member must never observe a federation where a peer
+/// does not exist yet.
+pub(crate) fn in_memory_fabric(
+    config: &FederationConfig,
+    faults: Option<FaultPlan>,
+) -> Result<Vec<Endpoint>, ProtocolError> {
     config.validate().map_err(ProtocolError::InvalidConfig)?;
     let network = Network::new();
     if let Some(f) = faults {
         network.set_faults(f);
     }
-    // Register every endpoint before any thread runs: a member must never
-    // observe a federation where a peer does not exist yet.
-    let transports: Vec<Endpoint> = (0..config.gdo_count)
+    Ok((0..config.gdo_count)
         .map(|id| network.register(PeerId(id as u32)))
-        .collect();
-    run_federation_over(transports, config, params, cohort, options)
+        .collect())
+}
+
+/// Checks a deployment — a valid config and params, a non-empty study,
+/// a transport for each member, in id order — and starts one thread per
+/// member, running `member(id)` over its transport, its case shard and
+/// the shared reference panel. Both attested drivers deploy this way.
+pub(crate) fn spawn_members<T, R, F>(
+    transports: Vec<T>,
+    config: &FederationConfig,
+    params: &GwasParams,
+    cohort: &Cohort,
+    mut member: impl FnMut(usize) -> F,
+) -> Result<Vec<JoinHandle<R>>, ProtocolError>
+where
+    T: Transport + 'static,
+    R: Send + 'static,
+    F: FnOnce(T, GenotypeMatrix, Arc<GenotypeMatrix>) -> R + Send + 'static,
+{
+    config.validate().map_err(ProtocolError::InvalidConfig)?;
+    params.validate().map_err(ProtocolError::InvalidConfig)?;
+    if cohort.panel().is_empty() || cohort.reference_individuals() == 0 {
+        return Err(ProtocolError::EmptyStudy);
+    }
+    if transports.len() != config.gdo_count {
+        return Err(ProtocolError::InvalidConfig("one transport per member"));
+    }
+    if transports
+        .iter()
+        .enumerate()
+        .any(|(id, t)| t.id() != PeerId(id as u32))
+    {
+        return Err(ProtocolError::InvalidConfig(
+            "transports must be ordered by member id",
+        ));
+    }
+    let reference = Arc::new(cohort.reference().clone());
+    let shards = cohort.split_case_among(config.gdo_count);
+    Ok(transports
+        .into_iter()
+        .zip(shards)
+        .enumerate()
+        .map(|(id, (transport, shard))| {
+            let (run, reference) = (member(id), Arc::clone(&reference));
+            std::thread::spawn(move || run(transport, shard, reference))
+        })
+        .collect())
 }
 
 /// What one member observed during a federation run — the unit returned
@@ -1042,20 +1061,23 @@ pub struct MemberOutcome {
     pub roster: Vec<usize>,
 }
 
-/// Validates the configuration and builds one member's protocol context:
-/// the enclave, the deterministic per-member secrets and the frame
-/// sequencing state. The fork order of the derivation must match
-/// `run_federation_over` exactly: attestation service first, then a
+/// Validates the configuration and builds one member: its protocol context
+/// (the enclave, the deterministic per-member secrets and the frame
+/// sequencing state), its node over `shard`, and the counts report it
+/// computes once, metered in its enclave — the report outlives view
+/// changes and a session's jobs. The fork order of the derivation must
+/// match `run_federation_over` exactly: attestation service first, then a
 /// (platform, member) RNG pair per member in id order — this is what lets
 /// G independent processes (or a restarted service daemon) sharing a seed
 /// reconstruct one consistent federation.
-pub(crate) fn build_member_ctx<T: Transport>(
+pub(crate) fn build_member<T: Transport>(
     transport: T,
     member: usize,
     config: &FederationConfig,
     params: &GwasParams,
     options: RuntimeOptions,
-) -> Result<MemberCtx<T>, ProtocolError> {
+    shard: GenotypeMatrix,
+) -> Result<(MemberCtx<T>, GdoNode, CountsReport), ProtocolError> {
     config.validate().map_err(ProtocolError::InvalidConfig)?;
     params.validate().map_err(ProtocolError::InvalidConfig)?;
     let g = config.gdo_count;
@@ -1075,10 +1097,15 @@ pub(crate) fn build_member_ctx<T: Transport>(
     }
     let (mut platform_rng, rng) = keys.expect("loop visits `member`");
     let platform = Platform::new(&format!("gdo-{member}"), &service, &mut platform_rng);
-    let enclave =
+    let mut enclave =
         platform.launch_enclave_with_config(CODE_IDENTITY, &measurement_config(params), ());
-
-    Ok(MemberCtx {
+    let node = GdoNode::new(member, shard);
+    let counts = enclave.enter(|(), epc| {
+        let report = node.counts_report();
+        epc.alloc(8 * report.counts.len() as u64);
+        report
+    });
+    let ctx = MemberCtx {
         id: member,
         g,
         endpoint: transport,
@@ -1099,7 +1126,8 @@ pub(crate) fn build_member_ctx<T: Transport>(
         heard: HashMap::new(),
         backlog: HashMap::new(),
         burst: None,
-    })
+    };
+    Ok((ctx, node, counts))
 }
 
 /// Runs a single federation member over an arbitrary [`Transport`].
@@ -1134,60 +1162,63 @@ pub fn run_member<T: Transport>(
     shard: GenotypeMatrix,
     reference: &GenotypeMatrix,
 ) -> Result<MemberOutcome, ProtocolError> {
-    let mut ctx = build_member_ctx(transport, member, config, params, options)?;
-    let g = config.gdo_count;
-    let node = GdoNode::new(member, shard);
-    // Member-side checkpoint: the counts report is computed once and
-    // survives view changes (Phase 1/2 selections are deterministic given
-    // the reports, so re-running an epoch needs nothing else).
-    let own_counts = ctx.enclave.enter(|(), epc| {
-        let report = node.counts_report();
-        epc.alloc(8 * report.counts.len() as u64);
-        report
-    });
-
-    let report = loop {
-        let result = match run_election(&mut ctx) {
-            Ok(leader) if leader == member => {
-                leader_main(&mut ctx, &node, reference, params, &own_counts)
+    let (mut ctx, node, counts) = build_member(transport, member, config, params, options, shard)?;
+    // One epoch per pass: seat, then one job — the leader assesses the
+    // whole panel, nothing forced, no job context. A view change re-runs
+    // the election over the survivors.
+    let (leader, safe_snps, (l_prime, l_double_prime), certificate, timings) = loop {
+        let epoch = seat(&mut ctx, &node, &counts, reference, params).and_then(|seat| match seat {
+            Seat::Leader(mut session) => {
+                gendpr_obs::event(
+                    gendpr_obs::Level::Info,
+                    "runtime",
+                    "leader_run_started",
+                    &[
+                        ("leader", member.into()),
+                        ("members", ctx.g.into()),
+                        ("subsets", session.evaluations().into()),
+                    ],
+                );
+                let panel: Vec<SnpId> = (0..session.panel_len() as u32).map(SnpId).collect();
+                let a = session.assess(&mut ctx, &panel, &[], None, None)?;
+                let kept = (Some(a.l_prime), Some(a.l_double_prime));
+                Ok((member, a.released, kept, Some(a.certificate), a.timings))
             }
-            Ok(leader) => follower_main(&mut ctx, &node, leader, &own_counts),
-            Err(intr) => Err(intr),
-        };
-        match result {
-            Ok(report) => break report,
+            Seat::Follower {
+                leader,
+                mut channel,
+            } => follower_serve(&mut ctx, &node, &mut channel, leader, Terminator::Phase3)
+                .map(|safe| (leader, safe, (None, None), None, PhaseTimings::default())),
+        });
+        match epoch {
+            Ok(done) => break done,
             Err(Interrupt::Fatal(e)) => return Err(e),
             Err(Interrupt::NewView {
                 epoch,
                 roster,
                 announce,
-            }) => {
-                ctx.begin_epoch(epoch, roster, announce);
-            }
+            }) => ctx.begin_epoch(epoch, roster, announce),
         }
     };
-    let egress = ctx.endpoint.egress_stats();
-    let ingress = ctx.endpoint.ingress_stats();
-    let links = (0..g)
+    let links = (0..config.gdo_count)
         .filter(|&peer| peer != member)
         .map(|peer| (peer as u32, ctx.endpoint.link_stats(PeerId(peer as u32))))
         .collect();
-    let (l_prime, l_double_prime) = report.outcome.unzip();
     Ok(MemberOutcome {
         id: member,
-        leader: report.leader,
-        safe_snps: report.safe_seen,
+        leader,
+        safe_snps,
         l_prime,
         l_double_prime,
-        certificate: report.certificate,
-        timings: report.timings,
+        certificate,
+        timings,
         resources: MemberResources {
             id: member,
-            peak_enclave_bytes: report.peak_enclave_bytes,
-            ecalls: report.ecalls,
+            peak_enclave_bytes: ctx.enclave.epc().peak(),
+            ecalls: ctx.enclave.ecalls(),
         },
-        egress,
-        ingress,
+        egress: ctx.endpoint.egress_stats(),
+        ingress: ctx.endpoint.ingress_stats(),
         links,
         epoch: ctx.epoch,
         roster: ctx.roster,
@@ -1220,39 +1251,14 @@ pub fn run_federation_over<T: Transport + 'static>(
     cohort: impl AsRef<Cohort>,
     options: RuntimeOptions,
 ) -> Result<RuntimeReport, ProtocolError> {
-    config.validate().map_err(ProtocolError::InvalidConfig)?;
-    params.validate().map_err(ProtocolError::InvalidConfig)?;
-    let cohort = cohort.as_ref();
-    if cohort.panel().is_empty() || cohort.reference_individuals() == 0 {
-        return Err(ProtocolError::EmptyStudy);
-    }
-    let g = config.gdo_count;
-    if transports.len() != g {
-        return Err(ProtocolError::InvalidConfig("one transport per member"));
-    }
-    if transports
-        .iter()
-        .enumerate()
-        .any(|(id, t)| t.id() != PeerId(id as u32))
-    {
-        return Err(ProtocolError::InvalidConfig(
-            "transports must be ordered by member id",
-        ));
-    }
-    let reference = Arc::new(cohort.reference().clone());
-    let shards = cohort.split_case_among(g);
     let start = Instant::now();
-
-    let mut handles = Vec::with_capacity(g);
-    for (id, (transport, shard)) in transports.into_iter().zip(shards).enumerate() {
-        let reference = Arc::clone(&reference);
-        let handle = std::thread::spawn(move || -> Result<MemberOutcome, ProtocolError> {
+    let handles = spawn_members(transports, &config, &params, cohort.as_ref(), |id| {
+        move |transport, shard, reference: Arc<GenotypeMatrix>| {
             run_member(transport, id, &config, &params, options, shard, &reference)
-        });
-        handles.push(handle);
-    }
+        }
+    })?;
 
-    let mut outcomes = Vec::with_capacity(g);
+    let mut outcomes = Vec::with_capacity(handles.len());
     let mut failures: Vec<(usize, ProtocolError)> = Vec::new();
     for (id, handle) in handles.into_iter().enumerate() {
         match handle.join().expect("member thread must not panic") {
@@ -1813,6 +1819,73 @@ mod tests {
         assert_eq!(
             Frame::from_wire(bad_tag).unwrap_err(),
             WireError::InvalidValue("Frame tag")
+        );
+    }
+
+    #[test]
+    fn both_drivers_refuse_the_same_malformed_deployments() {
+        // One deployment check sits in front of the one-shot run and the
+        // service session: each malformed deployment below is refused by
+        // both, before any member runs, with the same error.
+        let synthetic = cohort(20, 30);
+        let c: &Cohort = synthetic.as_ref();
+        let no_reference = Cohort::new(
+            c.panel().clone(),
+            c.case().clone(),
+            GenotypeMatrix::zeroed(0, c.panel().len()),
+        )
+        .unwrap();
+        let config = FederationConfig::new(3);
+        let params = GwasParams::secure_genome_defaults();
+        let colluders = config.with_collusion(CollusionMode::Fixed(3));
+        let bad_maf = GwasParams {
+            maf_cutoff: 0.7,
+            ..params
+        };
+        let options = RuntimeOptions {
+            timeout: Duration::from_secs(2),
+            ..RuntimeOptions::default()
+        };
+        let refusal = |ids: &[u32], config, params, cohort: &Cohort| {
+            let transports = || {
+                let network = Network::new();
+                let endpoints: Vec<Endpoint> =
+                    ids.iter().map(|&id| network.register(PeerId(id))).collect();
+                endpoints
+            };
+            let one_shot = run_federation_over(transports(), config, params, cohort, options);
+            let session = crate::serving::ServiceFederation::start_over(
+                transports(),
+                config,
+                params,
+                cohort,
+                options,
+            );
+            let one_shot = one_shot.unwrap_err();
+            assert_eq!(session.err().as_ref(), Some(&one_shot), "members {ids:?}");
+            one_shot
+        };
+        let too_few = refusal(&[0, 1], config, params, c);
+        assert!(
+            matches!(too_few, ProtocolError::InvalidConfig(_)),
+            "{too_few:?}"
+        );
+        assert_eq!(refusal(&[0, 1, 2, 3], config, params, c), too_few);
+        let out_of_order = refusal(&[0, 2, 1], config, params, c);
+        assert!(matches!(out_of_order, ProtocolError::InvalidConfig(_)));
+        assert_ne!(out_of_order, too_few);
+        assert_eq!(
+            refusal(&[0, 1, 2], config, params, &no_reference),
+            ProtocolError::EmptyStudy
+        );
+        let invalid = ProtocolError::InvalidConfig;
+        assert_eq!(
+            refusal(&[0, 1, 2], colluders, params, c),
+            invalid(colluders.validate().unwrap_err())
+        );
+        assert_eq!(
+            refusal(&[0, 1, 2], config, bad_maf, c),
+            invalid(bad_maf.validate().unwrap_err())
         );
     }
 

@@ -11,9 +11,11 @@
 //! far, not just the panel at hand (the dynamic-study argument of
 //! [`crate::dynamic`], applied across studies).
 //!
-//! This module keeps the session open. Members run `member_session`:
-//! one election, one round of mutual attestation and counts collection,
-//! then a loop in which the leader announces each job with a
+//! This module keeps the session open. A member joins exactly as a
+//! one-shot member does — the runtime's deployment check, member setup
+//! and `seat` step: one election, one round of mutual attestation and
+//! counts collection — and then stays: a loop in which the leader
+//! announces each job with a
 //! [`JobStartBroadcast`] naming the requested panel *and* the already
 //! released SNPs. Phase 3 runs the *seeded* subset search
 //! ([`gendpr_stats::lr::select_safe_subset`]): prior releases are
@@ -37,17 +39,18 @@ use crate::engine::{
 };
 use crate::error::ProtocolError;
 use crate::gdo::GdoNode;
-use crate::messages::{CountsReport, JobStartBroadcast, ProtocolMessage, ShardStartBroadcast};
+use crate::messages::{JobStartBroadcast, ProtocolMessage, ShardStartBroadcast};
 use crate::runtime::{
-    build_member_ctx, establish_channel, establish_channels, recv_protocol, run_election,
-    send_protocol, Interrupt, MemberCtx, RuntimeOptions,
+    build_member, in_memory_fabric, recv_protocol, seat, spawn_members, Interrupt, MemberCtx,
+    RuntimeOptions, Seat,
 };
 use gendpr_fednet::metrics::TrafficStats;
-use gendpr_fednet::transport::{Endpoint, Network, PeerId, Transport};
+use gendpr_fednet::transport::{PeerId, Transport};
 use gendpr_genomics::cohort::Cohort;
 use gendpr_genomics::genotype::GenotypeMatrix;
 use gendpr_genomics::snp::SnpId;
 use gendpr_stats::ld::LdMoments;
+use gendpr_tee::session::SecureChannel;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -204,11 +207,8 @@ fn fatal(intr: Interrupt) -> ProtocolError {
 }
 
 /// Snapshots this member's outbound per-link counters.
-fn snapshot_links<T: Transport>(
-    ctx: &MemberCtx<T>,
-    roster: &[usize],
-) -> Vec<(usize, TrafficStats)> {
-    roster
+fn snapshot_links<T: Transport>(ctx: &MemberCtx<T>) -> Vec<(usize, TrafficStats)> {
+    ctx.roster
         .iter()
         .filter(|&&peer| peer != ctx.id)
         .map(|&peer| (peer, ctx.endpoint.link_stats(PeerId(peer as u32))))
@@ -237,11 +237,10 @@ fn link_delta<T: Transport>(
         .collect()
 }
 
-/// Runs one member of a long-lived service session: one election and one
-/// attestation round, then jobs until `SessionEnd` (followers) or a
-/// `Shutdown` command (the leader).
+/// Runs one member of a long-lived service session: one seat, then jobs
+/// until `SessionEnd` (followers) or a `Shutdown` command (the leader).
 #[allow(clippy::too_many_arguments)]
-fn member_session<T: Transport>(
+fn join_session<T: Transport>(
     transport: T,
     member: usize,
     config: &FederationConfig,
@@ -258,51 +257,31 @@ fn member_session<T: Transport>(
     // releases. A dead member instead kills the session; the daemon
     // restarts it (and the ledger makes the restart seamless).
     options.recovery.max_epochs = 1;
-    let mut ctx = build_member_ctx(transport, member, config, params, options)?;
-    let node = GdoNode::new(member, shard);
-    let own_counts = ctx.enclave.enter(|(), epc| {
-        let report = node.counts_report();
-        epc.alloc(8 * report.counts.len() as u64);
-        report
-    });
-    let leader = run_election(&mut ctx).map_err(fatal)?;
-    if leader == member {
-        leader_session(
-            &mut ctx,
-            &node,
-            reference,
-            params,
-            &own_counts,
-            commands,
-            events,
-        )
-    } else {
-        follower_session(&mut ctx, &node, leader, &own_counts, events)
+    let (mut ctx, node, counts) = build_member(transport, member, config, params, options, shard)?;
+    match seat(&mut ctx, &node, &counts, reference, params).map_err(fatal)? {
+        Seat::Leader(session) => leader_session(&mut ctx, session, commands, events),
+        Seat::Follower { leader, channel } => {
+            follower_session(&mut ctx, &node, leader, channel, events)
+        }
     }
 }
 
-/// The leader's side of a session: counts are collected once — shards do
-/// not change between jobs, so neither do the MAF outcomes or the χ²
-/// rankings — then commands run until `Shutdown`.
+/// The leader's side of a session: counts were collected once at the
+/// seat — shards do not change between jobs, so neither do the MAF
+/// outcomes or the χ² rankings — then commands run until `Shutdown`.
 fn leader_session<T: Transport>(
     ctx: &mut MemberCtx<T>,
-    node: &GdoNode,
-    reference: &GenotypeMatrix,
-    params: &GwasParams,
-    own_counts: &CountsReport,
+    mut session: LeaderSession<'_>,
     commands: &Receiver<SessionCommand>,
     events: &Sender<SessionEvent>,
 ) -> Result<(), ProtocolError> {
     let me = ctx.id;
     let roster = ctx.roster.clone();
-    let channels = establish_channels(ctx).map_err(fatal)?;
-    let mut session = LeaderSession::collect(ctx, channels, node, reference, params, own_counts)
-        .map_err(fatal)?;
     let _ = events.send(SessionEvent::Ready { leader: me });
 
     loop {
         let command = commands.recv();
-        let before = snapshot_links(ctx, &roster);
+        let before = snapshot_links(ctx);
         let finished =
             match command {
                 Ok(SessionCommand::Run(spec, shards)) => {
@@ -356,16 +335,9 @@ fn follower_session<T: Transport>(
     ctx: &mut MemberCtx<T>,
     node: &GdoNode,
     leader: usize,
-    own_counts: &CountsReport,
+    mut channel: SecureChannel,
     events: &Sender<SessionEvent>,
 ) -> Result<(), ProtocolError> {
-    let mut channel = establish_channel(ctx, leader).map_err(fatal)?;
-    send_protocol(
-        ctx,
-        &mut channel,
-        leader,
-        &ProtocolMessage::Counts(own_counts.clone()),
-    )?;
     let _ = events.send(SessionEvent::Ready { leader });
     loop {
         let msg = match recv_protocol(ctx, &mut channel, leader, "awaiting-job") {
@@ -382,8 +354,7 @@ fn follower_session<T: Transport>(
         };
         match msg {
             ProtocolMessage::JobStart(job) => {
-                let roster = ctx.roster.clone();
-                let before = snapshot_links(ctx, &roster);
+                let before = snapshot_links(ctx);
                 let safe = follower_serve(ctx, node, &mut channel, leader, Terminator::Phase3)
                     .map_err(fatal)?;
                 channel.rekey();
@@ -413,26 +384,16 @@ fn follower_session<T: Transport>(
     }
 }
 
-/// Sorts and deduplicates a job's SNP lists and checks them against the
-/// study panel.
-fn job_sets(
-    panel: &[SnpId],
-    forced: &[SnpId],
-    panel_len: usize,
-) -> Result<(Vec<SnpId>, Vec<SnpId>), ProtocolError> {
+/// A job's SNP lists, sorted and deduplicated. The handle already checked
+/// them against the study panel (`ServiceFederation::command`).
+fn job_sets(panel: &[SnpId], forced: &[SnpId]) -> (Vec<SnpId>, Vec<SnpId>) {
     let sorted = |snps: &[SnpId]| {
         let mut snps = snps.to_vec();
         snps.sort_unstable();
         snps.dedup();
         snps
     };
-    let (panel, forced) = (sorted(panel), sorted(forced));
-    if panel.iter().chain(&forced).any(|s| s.index() >= panel_len) {
-        return Err(ProtocolError::InvalidConfig(
-            "job names a SNP outside the study panel",
-        ));
-    }
-    Ok((panel, forced))
+    (sorted(panel), sorted(forced))
 }
 
 /// Drives one job as the leader: announce it with `JobStart`, then the
@@ -454,10 +415,7 @@ fn run_leader_job<T: Transport>(
     spec: &JobSpec,
     shards: Option<&[ShardOutput]>,
 ) -> Result<Assessment, Interrupt> {
-    let (panel, forced) = job_sets(&spec.panel, &spec.forced, session.panel_len())?;
-    if panel.is_empty() {
-        return Err(ProtocolError::InvalidConfig("job panel is empty").into());
-    }
+    let (panel, forced) = job_sets(&spec.panel, &spec.forced);
     gendpr_obs::event(
         gendpr_obs::Level::Info,
         "serving",
@@ -502,7 +460,7 @@ fn run_leader_shard<T: Transport>(
     session: &mut LeaderSession<'_>,
     spec: &ShardJobSpec,
 ) -> Result<ShardPhases, Interrupt> {
-    let (panel, forced) = job_sets(&spec.panel, &spec.forced, session.panel_len())?;
+    let (panel, forced) = job_sets(&spec.panel, &spec.forced);
     gendpr_obs::event(
         gendpr_obs::Level::Info,
         "serving",
@@ -556,7 +514,8 @@ pub struct ServiceFederation {
 }
 
 impl ServiceFederation {
-    /// Starts a session over the in-memory [`Network`].
+    /// Starts a session over the in-memory
+    /// [`Network`](gendpr_fednet::transport::Network).
     ///
     /// # Errors
     ///
@@ -567,11 +526,7 @@ impl ServiceFederation {
         cohort: impl AsRef<Cohort>,
         options: RuntimeOptions,
     ) -> Result<Self, ProtocolError> {
-        config.validate().map_err(ProtocolError::InvalidConfig)?;
-        let network = Network::new();
-        let transports: Vec<Endpoint> = (0..config.gdo_count)
-            .map(|id| network.register(PeerId(id as u32)))
-            .collect();
+        let transports = in_memory_fabric(&config, None)?;
         Self::start_over(transports, config, params, cohort, options)
     }
 
@@ -590,48 +545,25 @@ impl ServiceFederation {
         cohort: impl AsRef<Cohort>,
         options: RuntimeOptions,
     ) -> Result<Self, ProtocolError> {
-        config.validate().map_err(ProtocolError::InvalidConfig)?;
-        params.validate().map_err(ProtocolError::InvalidConfig)?;
         let cohort = cohort.as_ref();
-        if cohort.panel().is_empty() || cohort.reference_individuals() == 0 {
-            return Err(ProtocolError::EmptyStudy);
-        }
-        let g = config.gdo_count;
-        if transports.len() != g {
-            return Err(ProtocolError::InvalidConfig("one transport per member"));
-        }
-        if transports
-            .iter()
-            .enumerate()
-            .any(|(id, t)| t.id() != PeerId(id as u32))
-        {
-            return Err(ProtocolError::InvalidConfig(
-                "transports must be ordered by member id",
-            ));
-        }
-        let panel_len = cohort.panel().len();
-        let reference = Arc::new(cohort.reference().clone());
-        let shards = cohort.split_case_among(g);
         let (event_tx, events) = channel();
-        let mut commands = Vec::with_capacity(g);
-        let mut handles = Vec::with_capacity(g);
-        for (id, (transport, shard)) in transports.into_iter().zip(shards).enumerate() {
+        let mut commands = Vec::new();
+        let handles = spawn_members(transports, &config, &params, cohort, |id| {
             let (cmd_tx, cmd_rx) = channel();
             commands.push(cmd_tx);
-            let reference = Arc::clone(&reference);
             let events = event_tx.clone();
-            handles.push(std::thread::spawn(move || {
-                if let Err(error) = member_session(
+            move |transport, shard, reference: Arc<GenotypeMatrix>| {
+                if let Err(error) = join_session(
                     transport, id, &config, &params, options, shard, &reference, &cmd_rx, &events,
                 ) {
                     let _ = events.send(SessionEvent::Failed { error });
                 }
-            }));
-        }
+            }
+        })?;
         drop(event_tx);
         let mut session = Self {
-            g,
-            panel_len,
+            g: config.gdo_count,
+            panel_len: cohort.panel().len(),
             leader: 0,
             commands,
             events,
@@ -639,17 +571,12 @@ impl ServiceFederation {
             timeout: options.timeout,
             failed: None,
         };
-        let mut ready = 0usize;
-        while ready < g {
+        for _ in 0..session.g {
             match session.recv_event()? {
-                SessionEvent::Ready { leader, .. } => {
-                    session.leader = leader;
-                    ready += 1;
-                }
+                SessionEvent::Ready { leader } => session.leader = leader,
                 _ => {
                     let e = ProtocolError::InvalidConfig("unexpected event during session setup");
-                    session.failed = Some(e.clone());
-                    return Err(e);
+                    return Err(session.poison(e));
                 }
             }
         }
@@ -674,6 +601,51 @@ impl ServiceFederation {
         self.panel_len
     }
 
+    /// Records `error` as the session's fatal error — every later call
+    /// returns it — and hands it back.
+    fn poison(&mut self, error: ProtocolError) -> ProtocolError {
+        self.failed = Some(error.clone());
+        error
+    }
+
+    /// The session's fatal error for a leader that stopped answering.
+    fn wedged(&mut self) -> ProtocolError {
+        self.poison(ProtocolError::MemberUnresponsive {
+            member: self.leader,
+            phase: "service-session",
+        })
+    }
+
+    /// Hands a job or shard job to the leader: refused unread by a
+    /// poisoned handle, and refused — the session staying usable — when
+    /// a full job's panel is empty or either SNP list leaves the panel.
+    fn command(&mut self, command: SessionCommand) -> Result<(), ProtocolError> {
+        if let Some(e) = &self.failed {
+            return Err(e.clone());
+        }
+        let (panel, forced): (&[SnpId], &[SnpId]) = match &command {
+            SessionCommand::Run(spec, _) if spec.panel.is_empty() => {
+                return Err(ProtocolError::InvalidConfig("job panel is empty"));
+            }
+            SessionCommand::Run(spec, _) => (&spec.panel, &spec.forced),
+            SessionCommand::RunShard(spec) => (&spec.panel, &spec.forced),
+            SessionCommand::Shutdown => (&[], &[]),
+        };
+        if panel
+            .iter()
+            .chain(forced)
+            .any(|s| s.index() >= self.panel_len)
+        {
+            return Err(ProtocolError::InvalidConfig(
+                "job names a SNP outside the study panel",
+            ));
+        }
+        match self.commands[self.leader].send(command) {
+            Ok(()) => Ok(()),
+            Err(_) => Err(self.wedged()),
+        }
+    }
+
     fn recv_event(&mut self) -> Result<SessionEvent, ProtocolError> {
         if let Some(e) = &self.failed {
             return Err(e.clone());
@@ -681,19 +653,9 @@ impl ServiceFederation {
         // Jobs run G assessments' worth of work; give the session several
         // protocol timeouts before declaring it wedged.
         match self.events.recv_timeout(self.timeout.saturating_mul(4)) {
-            Ok(SessionEvent::Failed { error }) => {
-                self.failed = Some(error.clone());
-                Err(error)
-            }
+            Ok(SessionEvent::Failed { error }) => Err(self.poison(error)),
             Ok(event) => Ok(event),
-            Err(_) => {
-                let e = ProtocolError::MemberUnresponsive {
-                    member: self.leader,
-                    phase: "service-session",
-                };
-                self.failed = Some(e.clone());
-                Err(e)
-            }
+            Err(_) => Err(self.wedged()),
         }
     }
 
@@ -746,33 +708,7 @@ impl ServiceFederation {
         spec: &JobSpec,
         shards: Option<Vec<ShardOutput>>,
     ) -> Result<JobOutcome, ProtocolError> {
-        if let Some(e) = &self.failed {
-            return Err(e.clone());
-        }
-        if spec.panel.is_empty() {
-            return Err(ProtocolError::InvalidConfig("job panel is empty"));
-        }
-        if spec
-            .panel
-            .iter()
-            .chain(&spec.forced)
-            .any(|s| s.index() >= self.panel_len)
-        {
-            return Err(ProtocolError::InvalidConfig(
-                "job names a SNP outside the study panel",
-            ));
-        }
-        if self.commands[self.leader]
-            .send(SessionCommand::Run(spec.clone(), shards))
-            .is_err()
-        {
-            let e = ProtocolError::MemberUnresponsive {
-                member: self.leader,
-                phase: "service-session",
-            };
-            self.failed = Some(e.clone());
-            return Err(e);
-        }
+        self.command(SessionCommand::Run(spec.clone(), shards))?;
         let mut finished = 0usize;
         let mut detail: Option<Box<Assessment>> = None;
         let mut traffic: Vec<LinkUsage> = Vec::new();
@@ -798,8 +734,7 @@ impl ServiceFederation {
                 }
                 _ => {
                     let e = ProtocolError::InvalidConfig("unexpected event during job");
-                    self.failed = Some(e.clone());
-                    return Err(e);
+                    return Err(self.poison(e));
                 }
             }
         }
@@ -843,30 +778,7 @@ impl ServiceFederation {
     /// session stays usable), or the session's fatal error if a member
     /// died — poisoning the handle like any other job.
     pub fn submit_shard(&mut self, spec: &ShardJobSpec) -> Result<ShardPhases, ProtocolError> {
-        if let Some(e) = &self.failed {
-            return Err(e.clone());
-        }
-        if spec
-            .panel
-            .iter()
-            .chain(&spec.forced)
-            .any(|s| s.index() >= self.panel_len)
-        {
-            return Err(ProtocolError::InvalidConfig(
-                "job names a SNP outside the study panel",
-            ));
-        }
-        if self.commands[self.leader]
-            .send(SessionCommand::RunShard(spec.clone()))
-            .is_err()
-        {
-            let e = ProtocolError::MemberUnresponsive {
-                member: self.leader,
-                phase: "service-session",
-            };
-            self.failed = Some(e.clone());
-            return Err(e);
-        }
+        self.command(SessionCommand::RunShard(spec.clone()))?;
         loop {
             match self.recv_event()? {
                 SessionEvent::ShardFinished {
@@ -881,8 +793,7 @@ impl ServiceFederation {
                 }
                 _ => {
                     let e = ProtocolError::InvalidConfig("unexpected event during shard job");
-                    self.failed = Some(e.clone());
-                    return Err(e);
+                    return Err(self.poison(e));
                 }
             }
         }

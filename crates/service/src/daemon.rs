@@ -30,6 +30,7 @@
 use crate::error::ServiceError;
 use crate::ledger::{LedgerRecord, ReleaseLedger};
 use crate::protocol::{ClientRequest, ClientResponse, ServiceStatus};
+use crate::sched::dispatch::Failpoint;
 use crate::sched::{
     ExecutionContext, JobVerdict, LaneFactory, Limits, ReplySink, Scheduler, SchedulerConfig,
     WorkerPool,
@@ -374,7 +375,7 @@ impl AssessmentService {
     /// response, the daemon surviving) is the production code under test.
     #[doc(hidden)]
     pub fn inject_job_panic(&self, job_id: u64) {
-        self.shared.sched.arm_panic(job_id);
+        self.shared.sched.arm(job_id, Failpoint::Panic);
     }
 
     /// Arms a one-shot lane-crash failpoint: the first attempt of
@@ -384,14 +385,14 @@ impl AssessmentService {
     /// path under test.
     #[doc(hidden)]
     pub fn inject_lane_crash(&self, job_id: u64) {
-        self.shared.sched.arm_lane_crash(job_id);
+        self.shared.sched.arm(job_id, Failpoint::LaneCrash);
     }
 
     /// Arms a stall failpoint: every attempt of `job_id` sleeps
     /// `millis` before executing, for exercising the hard drain timeout.
     #[doc(hidden)]
     pub fn inject_job_stall(&self, job_id: u64, millis: u64) {
-        self.shared.sched.arm_stall(job_id, millis);
+        self.shared.sched.arm(job_id, Failpoint::Stall(millis));
     }
 
     /// Arms a one-shot shard-crash failpoint: before `job_id` runs shard
@@ -401,7 +402,7 @@ impl AssessmentService {
     /// production recovery path under test. A no-op on unsharded daemons.
     #[doc(hidden)]
     pub fn inject_shard_crash(&self, job_id: u64, shard: u32) {
-        self.shared.sched.arm_shard_crash(job_id, shard);
+        self.shared.sched.arm(job_id, Failpoint::ShardCrash(shard));
     }
 
     /// Test hook: holds dispatch so admission can be driven to the

@@ -60,10 +60,6 @@ use std::collections::{BTreeSet, HashMap};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
-/// How often a parked worker re-checks the shutdown flag while the queue
-/// is empty.
-const DISPATCH_POLL: Duration = Duration::from_millis(100);
-
 /// What [`Scheduler::next_dispatch`] hands a worker.
 pub enum Dispatch {
     /// Run this job, then take it through [`Scheduler::await_turn`] and
@@ -109,25 +105,38 @@ pub(crate) struct SchedCore {
     paused: bool,
     /// The first lane-fatal error; the daemon's exit status.
     fatal: Option<ServiceError>,
-    /// Crash-test failpoint: job ids armed to panic when they start.
-    panic_jobs: Vec<u64>,
+    /// Crash-test failpoints, keyed by job id, in arming order.
+    failpoints: Vec<(u64, Failpoint)>,
     /// Whether the pool has a lane factory: lane crashes re-queue the
     /// job and rebuild the lane instead of killing the daemon.
     supervised: bool,
     /// Reply sinks of dispatched-but-unresolved jobs, keyed by job id.
     inflight: HashMap<u64, ReplySink>,
-    /// Crash-test failpoint: job ids armed (one-shot) to kill their lane
-    /// when they start executing.
-    lane_crash_jobs: Vec<u64>,
     /// Chaos knob: crash the lane on the first attempt of every job
     /// whose id is a multiple of this.
     lane_crash_every: Option<u64>,
-    /// Crash-test failpoint: `(job_id, millis)` pairs armed to stall
-    /// execution, for exercising the hard drain timeout.
-    stall_jobs: Vec<(u64, u64)>,
-    /// Crash-test failpoint: `(job_id, shard)` pairs armed to tear the
-    /// named shard lane down before its first attempt of that job.
-    shard_crash_jobs: Vec<(u64, u32)>,
+}
+
+/// A crash-test failpoint armed for one job.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Failpoint {
+    /// The worker panics when the job starts — on every attempt.
+    Panic,
+    /// Execution sleeps this many milliseconds first — on every attempt —
+    /// for exercising the hard drain timeout.
+    Stall(u64),
+    /// The executing lane dies with a lane-fatal error — once: the retry
+    /// runs on a rebuilt, re-elected lane.
+    LaneCrash,
+    /// This shard lane is torn down before the job touches it — once.
+    ShardCrash(u32),
+}
+
+impl Failpoint {
+    /// Whether firing disarms it.
+    fn once(self) -> bool {
+        matches!(self, Self::LaneCrash | Self::ShardCrash(_))
+    }
 }
 
 impl SchedCore {
@@ -235,13 +244,10 @@ impl Scheduler {
             shutdown: false,
             paused: false,
             fatal: None,
-            panic_jobs: Vec::new(),
+            failpoints: Vec::new(),
             supervised: false,
             inflight: HashMap::new(),
-            lane_crash_jobs: Vec::new(),
             lane_crash_every: None,
-            stall_jobs: Vec::new(),
-            shard_crash_jobs: Vec::new(),
         };
         Self {
             limits,
@@ -430,11 +436,10 @@ impl Scheduler {
                     });
                 }
             }
-            let (guard, _) = self
+            core = self
                 .cv_dispatch
-                .wait_timeout(core, DISPATCH_POLL)
+                .wait(core)
                 .unwrap_or_else(PoisonError::into_inner);
-            core = guard;
         }
     }
 
@@ -446,11 +451,10 @@ impl Scheduler {
     pub fn await_turn(&self, job_id: u64) {
         let mut core = self.lock();
         while core.live.first().is_some_and(|&head| head < job_id) {
-            let (guard, _) = self
+            core = self
                 .cv_commit
-                .wait_timeout(core, DISPATCH_POLL)
+                .wait(core)
                 .unwrap_or_else(PoisonError::into_inner);
-            core = guard;
         }
     }
 
@@ -623,14 +627,29 @@ impl Scheduler {
         self.lock().fatal.get_or_insert(error);
     }
 
-    /// Arms the crash-test failpoint for `job_id`.
-    pub(crate) fn arm_panic(&self, job_id: u64) {
-        self.lock().panic_jobs.push(job_id);
+    /// Arms a crash-test failpoint for `job_id`.
+    pub(crate) fn arm(&self, job_id: u64, failpoint: Failpoint) {
+        self.lock().failpoints.push((job_id, failpoint));
     }
 
-    /// Whether `job_id` is armed to panic.
-    pub(crate) fn panic_armed(&self, job_id: u64) -> bool {
-        self.lock().panic_jobs.contains(&job_id)
+    /// The failpoints that fire on this execution of `job_id`, in arming
+    /// order: every one armed for it — the one-shot kinds disarmed as they
+    /// fire — plus, on a first attempt, the `lane_crash_every` knob's lane
+    /// crash.
+    pub(crate) fn take_failpoints(&self, job_id: u64, attempts: u32) -> Vec<Failpoint> {
+        let mut core = self.lock();
+        let mut fired = Vec::new();
+        core.failpoints.retain(|&(job, failpoint)| {
+            if job == job_id {
+                fired.push(failpoint);
+            }
+            job != job_id || !failpoint.once()
+        });
+        let every = core.lane_crash_every.filter(|&every| every > 0);
+        if attempts == 0 && every.is_some_and(|every| job_id.is_multiple_of(every)) {
+            fired.push(Failpoint::LaneCrash);
+        }
+        fired
     }
 
     /// Marks the scheduler as supervised (its pool has a lane factory):
@@ -643,67 +662,6 @@ impl Scheduler {
     /// attempt of every job whose id is a multiple of `every`.
     pub(crate) fn set_lane_crash_every(&self, every: Option<u64>) {
         self.lock().lane_crash_every = every;
-    }
-
-    /// Arms a one-shot lane-crash failpoint for `job_id`: the first
-    /// attempt tears the executing lane down (a real session teardown —
-    /// the retry runs on a rebuilt, re-elected lane).
-    pub(crate) fn arm_lane_crash(&self, job_id: u64) {
-        self.lock().lane_crash_jobs.push(job_id);
-    }
-
-    /// Takes (consumes) a pending lane-crash trigger for this execution.
-    /// One-shot arms fire once; the `lane_crash_every` knob fires only
-    /// on a job's first attempt so a retry can succeed.
-    pub(crate) fn take_lane_crash(&self, job_id: u64, attempts: u32) -> bool {
-        let mut core = self.lock();
-        if let Some(i) = core.lane_crash_jobs.iter().position(|&j| j == job_id) {
-            core.lane_crash_jobs.swap_remove(i);
-            return true;
-        }
-        attempts == 0
-            && core
-                .lane_crash_every
-                .is_some_and(|every| every > 0 && job_id.is_multiple_of(every))
-    }
-
-    /// Arms a stall failpoint: execution of `job_id` sleeps `millis`
-    /// before running, for exercising the hard drain timeout.
-    pub(crate) fn arm_stall(&self, job_id: u64, millis: u64) {
-        self.lock().stall_jobs.push((job_id, millis));
-    }
-
-    /// Arms a one-shot shard-crash failpoint: before `job_id`'s first
-    /// attempt touches shard `shard`, that lane is torn down — the
-    /// per-shard recovery path (rebuild + re-run of just that shard) is
-    /// the production code under test.
-    pub(crate) fn arm_shard_crash(&self, job_id: u64, shard: u32) {
-        self.lock().shard_crash_jobs.push((job_id, shard));
-    }
-
-    /// Takes (consumes) every shard-crash trigger armed for `job_id`.
-    pub(crate) fn take_shard_crashes(&self, job_id: u64) -> Vec<u32> {
-        let mut core = self.lock();
-        let mut shards = Vec::new();
-        core.shard_crash_jobs.retain(|&(j, s)| {
-            if j == job_id {
-                shards.push(s);
-                false
-            } else {
-                true
-            }
-        });
-        shards
-    }
-
-    /// The armed stall for `job_id`, if any (not consumed: a requeued
-    /// attempt stalls again).
-    pub(crate) fn stall_armed(&self, job_id: u64) -> Option<u64> {
-        self.lock()
-            .stall_jobs
-            .iter()
-            .find(|(j, _)| *j == job_id)
-            .map(|&(_, ms)| ms)
     }
 
     /// Answers every job the shutdown drain could not finish — queued
@@ -737,15 +695,11 @@ impl Scheduler {
     /// `timeout` elapses. Returns whether the scheduler drained.
     #[must_use]
     pub fn wait_drained(&self, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        loop {
-            if self.with_core(|core| core.live.is_empty()) {
-                return true;
-            }
-            if Instant::now() >= deadline {
-                return false;
-            }
-            std::thread::sleep(Duration::from_millis(5));
-        }
+        let core = self.lock();
+        let (core, _) = self
+            .cv_commit
+            .wait_timeout_while(core, timeout, |core| !core.live.is_empty())
+            .unwrap_or_else(PoisonError::into_inner);
+        core.live.is_empty()
     }
 }

@@ -42,7 +42,7 @@
 //! thing supervision cannot survive: the worker records the error as
 //! fatal and flips the daemon into shutdown.
 
-use super::dispatch::{append_record, Dispatch, DispatchedJob, Scheduler};
+use super::dispatch::{append_record, Dispatch, DispatchedJob, Failpoint, Scheduler};
 use crate::error::ServiceError;
 use crate::ledger::{JobKind, LedgerRecord};
 use crate::shard::ShardSet;
@@ -424,13 +424,18 @@ fn run_job(
     scheduler: &Scheduler,
     job: &DispatchedJob,
 ) -> Result<LedgerRecord, ServiceError> {
-    if let Some(millis) = scheduler.stall_armed(job.job_id) {
+    let fired = scheduler.take_failpoints(job.job_id, job.attempts);
+    let stall = fired.iter().find_map(|point| match point {
+        Failpoint::Stall(millis) => Some(*millis),
+        _ => None,
+    });
+    if let Some(millis) = stall {
         thread::sleep(Duration::from_millis(millis));
     }
-    if scheduler.panic_armed(job.job_id) {
+    if fired.contains(&Failpoint::Panic) {
         panic!("injected failpoint panic for job {}", job.job_id);
     }
-    if scheduler.take_lane_crash(job.job_id, job.attempts) {
+    if fired.contains(&Failpoint::LaneCrash) {
         // A synthetic lane death: the error is lane-fatal, so the
         // supervision path (re-queue, teardown, rebuild, retry) runs
         // exactly as it would for a real member loss.
@@ -448,7 +453,13 @@ fn run_job(
         };
         let outcome = match shard_set {
             Some(set) => {
-                let crashes = scheduler.take_shard_crashes(job.job_id);
+                let crashes: Vec<u32> = fired
+                    .iter()
+                    .filter_map(|point| match point {
+                        Failpoint::ShardCrash(shard) => Some(*shard),
+                        _ => None,
+                    })
+                    .collect();
                 telemetry::shard_jobs().inc();
                 set.run_job(lane, &spec, &crashes)?
             }

@@ -49,11 +49,10 @@ use std::time::Duration;
 const DEFAULT_KEY: &[u8] = b"gendpr-demo-signing-key";
 
 /// Flags that take a value, per subcommand. `parse_flags` rejects
-/// anything not listed here.
+/// anything not listed here. The federation subcommands share groups.
 const SYNTH_FLAGS: &[&str] = &["snps", "cases", "reference", "seed", "out", "key"];
-const ASSESS_FLAGS: &[&str] = &[
-    "case",
-    "reference",
+const STUDY: &[&str] = &["case", "reference", "key"];
+const FEDERATION: &[&str] = &[
     "gdos",
     "collusion",
     "seed",
@@ -61,92 +60,44 @@ const ASSESS_FLAGS: &[&str] = &[
     "ld",
     "fpr",
     "power",
-    "out",
-    "key",
     "timeout",
-    "min-quorum",
-    "max-epochs",
-    "heartbeat-ms",
-    "batches",
-    "log-level",
+];
+const RECOVERY: &[&str] = &["min-quorum", "max-epochs", "heartbeat-ms"];
+const SERVICE: &[&str] = &[
+    "ledger",
+    "ledger-replicas",
+    "shards",
+    "workers",
+    "max-queue",
+    "max-retries",
+    "drain-timeout",
+    "lane-crash-every",
+    "track-lease-ms",
+    "chaos",
+];
+const ASSESS_FLAGS: &[&[&str]] = &[
+    STUDY,
+    FEDERATION,
+    RECOVERY,
+    &["out", "batches", "log-level"],
 ];
 const ASSESS_BOOLS: &[&str] = &["distributed"];
-const NODE_FLAGS: &[&str] = &[
-    "id",
-    "gdos",
-    "peers",
-    "listen",
-    "case",
-    "reference",
-    "collusion",
-    "seed",
-    "maf",
-    "ld",
-    "fpr",
-    "power",
-    "out",
-    "key",
-    "timeout",
-    "min-quorum",
-    "max-epochs",
-    "heartbeat-ms",
-    "chaos",
-    "log-level",
+const NODE_FLAGS: &[&[&str]] = &[
+    &["id", "peers", "listen"],
+    STUDY,
+    FEDERATION,
+    RECOVERY,
+    &["out", "chaos", "log-level"],
 ];
 const ATTACK_FLAGS: &[&str] = &["release", "victims", "reference", "fpr", "key"];
-const SERVE_FLAGS: &[&str] = &[
-    "case",
-    "reference",
-    "gdos",
-    "collusion",
-    "seed",
-    "maf",
-    "ld",
-    "fpr",
-    "power",
-    "key",
-    "timeout",
-    "ledger",
-    "ledger-replicas",
-    "shards",
-    "listen",
-    "metrics-addr",
-    "workers",
-    "max-queue",
-    "max-retries",
-    "drain-timeout",
-    "lane-crash-every",
-    "track-id",
-    "track-lease-ms",
-    "chaos",
-    "log-level",
+const SERVE_FLAGS: &[&[&str]] = &[
+    STUDY,
+    FEDERATION,
+    SERVICE,
+    &["listen", "metrics-addr", "track-id", "log-level"],
 ];
 const SERVE_BOOLS: &[&str] = &["tcp"];
-const TRACKS_FLAGS: &[&str] = &[
-    "tracks",
-    "case",
-    "reference",
-    "gdos",
-    "collusion",
-    "seed",
-    "maf",
-    "ld",
-    "fpr",
-    "power",
-    "key",
-    "timeout",
-    "ledger",
-    "ledger-replicas",
-    "shards",
-    "workers",
-    "max-queue",
-    "max-retries",
-    "drain-timeout",
-    "lane-crash-every",
-    "track-lease-ms",
-    "chaos",
-    "log-level",
-];
+const TRACKS_FLAGS: &[&[&str]] = &[&["tracks"], STUDY, FEDERATION, SERVICE, &["log-level"]];
 const TRACKS_BOOLS: &[&str] = &["tcp"];
 const SUBMIT_FLAGS: &[&str] = &["addr", "snps", "batches"];
 const SUBMIT_BOOLS: &[&str] = &["no-wait"];
@@ -227,19 +178,19 @@ fn main() -> ExitCode {
         Some("synth") => parse_flags(&args[1..], SYNTH_FLAGS, &[])
             .map_err(CliError::from)
             .and_then(|f| cmd_synth(&f)),
-        Some("assess") => parse_flags(&args[1..], ASSESS_FLAGS, ASSESS_BOOLS)
+        Some("assess") => parse_flags(&args[1..], &ASSESS_FLAGS.concat(), ASSESS_BOOLS)
             .map_err(CliError::from)
             .and_then(|f| cmd_assess(&f)),
-        Some("node") => parse_flags(&args[1..], NODE_FLAGS, &[])
+        Some("node") => parse_flags(&args[1..], &NODE_FLAGS.concat(), &[])
             .map_err(CliError::from)
             .and_then(|f| cmd_node(&f)),
         Some("attack") => parse_flags(&args[1..], ATTACK_FLAGS, &[])
             .map_err(CliError::from)
             .and_then(|f| cmd_attack(&f)),
-        Some("serve") => parse_flags(&args[1..], SERVE_FLAGS, SERVE_BOOLS)
+        Some("serve") => parse_flags(&args[1..], &SERVE_FLAGS.concat(), SERVE_BOOLS)
             .map_err(CliError::from)
             .and_then(|f| cmd_serve(&f)),
-        Some("tracks") => parse_flags(&args[1..], TRACKS_FLAGS, TRACKS_BOOLS)
+        Some("tracks") => parse_flags(&args[1..], &TRACKS_FLAGS.concat(), TRACKS_BOOLS)
             .map_err(CliError::from)
             .and_then(|f| cmd_tracks(&f)),
         Some("submit") => parse_flags(&args[1..], SUBMIT_FLAGS, SUBMIT_BOOLS)
@@ -451,6 +402,39 @@ fn required<'a>(flags: &'a HashMap<String, String>, name: &str) -> Result<&'a st
         .map(String::as_str)
         .filter(|s| !s.is_empty())
         .ok_or_else(|| format!("missing required flag --{name}"))
+}
+
+/// Probes `n` free localhost ports by binding ephemeral listeners, then
+/// releases them for child processes to claim.
+fn free_ports(n: usize) -> Result<Vec<SocketAddr>, String> {
+    let probes = (0..n)
+        .map(|_| TcpListener::bind("127.0.0.1:0"))
+        .collect::<Result<Vec<_>, _>>()
+        .map_err(|e| format!("probing a free localhost port: {e}"))?;
+    probes
+        .iter()
+        .map(|probe| probe.local_addr().map_err(|e| e.to_string()))
+        .collect()
+}
+
+/// Forwards to a child process every flag given to its launcher that the
+/// child's own `table` and `bools` accept, in the table's order, minus
+/// the `own` flags the launcher sets itself.
+fn forward(
+    child: &mut Command,
+    flags: &HashMap<String, String>,
+    table: &[&[&str]],
+    bools: &[&str],
+    own: &[&str],
+) {
+    for name in table.concat() {
+        if let Some(value) = flags.get(name).filter(|_| !own.contains(&name)) {
+            child.arg(format!("--{name}")).arg(value);
+        }
+    }
+    for name in bools.iter().filter(|name| flags.contains_key(**name)) {
+        child.arg(format!("--{name}"));
+    }
 }
 
 fn signing_key(flags: &HashMap<String, String>) -> Vec<u8> {
@@ -674,19 +658,7 @@ fn cmd_assess_distributed(flags: &HashMap<String, String>) -> Result<(), CliErro
     let reference = required(flags, "reference")?.to_string();
     config_from_flags(flags, gdos)?; // fail fast on bad federation flags
 
-    // Probe free ports by binding ephemeral listeners, then release them
-    // for the node processes to claim.
-    let mut addrs: Vec<SocketAddr> = Vec::with_capacity(gdos);
-    {
-        let mut probes = Vec::with_capacity(gdos);
-        for _ in 0..gdos {
-            let probe = TcpListener::bind("127.0.0.1:0")
-                .map_err(|e| format!("probing a free localhost port: {e}"))?;
-            addrs.push(probe.local_addr().map_err(|e| e.to_string())?);
-            probes.push(probe);
-        }
-    }
-    let peers = addrs
+    let peers = free_ports(gdos)?
         .iter()
         .map(ToString::to_string)
         .collect::<Vec<_>>()
@@ -703,24 +675,8 @@ fn cmd_assess_distributed(flags: &HashMap<String, String>) -> Result<(), CliErro
             .args(["--peers", &peers])
             .args(["--case", &case])
             .args(["--reference", &reference]);
-        for name in [
-            "collusion",
-            "seed",
-            "maf",
-            "ld",
-            "fpr",
-            "power",
-            "key",
-            "timeout",
-            "min-quorum",
-            "max-epochs",
-            "heartbeat-ms",
-            "log-level",
-        ] {
-            if let Some(v) = flags.get(name) {
-                cmd.arg(format!("--{name}")).arg(v);
-            }
-        }
+        let own = ["id", "gdos", "peers", "case", "reference", "out"];
+        forward(&mut cmd, flags, NODE_FLAGS, &[], &own);
         if id == 0 {
             if let Some(out) = flags.get("out") {
                 cmd.args(["--out", out]);
@@ -1256,19 +1212,7 @@ fn cmd_tracks(flags: &HashMap<String, String>) -> Result<(), CliError> {
     required(flags, "case")?;
     required(flags, "reference")?;
 
-    // Probe free client ports by binding ephemeral listeners, then
-    // release them for the track daemons to claim — the same trick
-    // `assess --distributed` uses for its member roster.
-    let mut addrs: Vec<SocketAddr> = Vec::with_capacity(tracks as usize);
-    {
-        let mut probes = Vec::with_capacity(tracks as usize);
-        for _ in 0..tracks {
-            let probe = TcpListener::bind("127.0.0.1:0")
-                .map_err(|e| format!("probing a free localhost port: {e}"))?;
-            addrs.push(probe.local_addr().map_err(|e| e.to_string())?);
-            probes.push(probe);
-        }
-    }
+    let addrs = free_ports(tracks as usize)?;
     let exe = std::env::current_exe().map_err(|e| format!("locating gendpr binary: {e}"))?;
     println!("launching {tracks} replica tracks over ledger {ledger}");
 
@@ -1278,37 +1222,13 @@ fn cmd_tracks(flags: &HashMap<String, String>) -> Result<(), CliError> {
         cmd.arg("serve")
             .args(["--track-id", &track.to_string()])
             .args(["--listen", &addr.to_string()]);
-        for name in [
-            "case",
-            "reference",
-            "gdos",
-            "collusion",
-            "seed",
-            "maf",
-            "ld",
-            "fpr",
-            "power",
-            "key",
-            "timeout",
-            "ledger",
-            "ledger-replicas",
-            "shards",
-            "workers",
-            "max-queue",
-            "max-retries",
-            "drain-timeout",
-            "lane-crash-every",
-            "track-lease-ms",
-            "chaos",
-            "log-level",
-        ] {
-            if let Some(v) = flags.get(name) {
-                cmd.arg(format!("--{name}")).arg(v);
-            }
-        }
-        if flags.contains_key("tcp") {
-            cmd.arg("--tcp");
-        }
+        forward(
+            &mut cmd,
+            flags,
+            SERVE_FLAGS,
+            SERVE_BOOLS,
+            &["track-id", "listen"],
+        );
         cmd.stdout(Stdio::piped()).stderr(Stdio::piped());
         let mut child = cmd
             .spawn()
