@@ -843,6 +843,11 @@ pub(crate) enum Terminator {
 /// (empty for a shard job). One-shot runs and service jobs share it, so a
 /// service job follows byte-for-byte the message schedule of a standalone
 /// run.
+///
+/// Each wake answers every request already queued from the leader (see
+/// [`MemberCtx::ready`]) in one burst, closed before the next blocking
+/// receive: the replies, their order and their bytes are those of
+/// answering one request at a time, at one hand-off per wake.
 pub(crate) fn follower_serve<T: Transport>(
     ctx: &mut MemberCtx<T>,
     node: &GdoNode,
@@ -850,62 +855,91 @@ pub(crate) fn follower_serve<T: Transport>(
     leader: usize,
     terminator: Terminator,
 ) -> Result<Vec<SnpId>, Interrupt> {
-    let (full, phase) = match terminator {
-        Terminator::Phase3 => (true, "awaiting-leader"),
-        Terminator::ShardDone => (false, "shard-serve"),
+    let phase = match terminator {
+        Terminator::Phase3 => "awaiting-leader",
+        Terminator::ShardDone => "shard-serve",
     };
+    loop {
+        let first = recv_protocol(ctx, channel, leader, phase)?;
+        let done = ctx.burst(|ctx| -> Result<_, Interrupt> {
+            let mut msg = first;
+            loop {
+                if let Some(safe) = answer(ctx, node, channel, leader, terminator, msg)? {
+                    return Ok(Some(safe));
+                }
+                if !ctx.ready(leader)? {
+                    return Ok(None);
+                }
+                msg = recv_protocol(ctx, channel, leader, phase)?;
+            }
+        })?;
+        if let Some(safe) = done {
+            return Ok(safe);
+        }
+    }
+}
+
+/// Answers one message of the job [`follower_serve`] is serving; the safe
+/// set once the terminator arrives.
+fn answer<T: Transport>(
+    ctx: &mut MemberCtx<T>,
+    node: &GdoNode,
+    channel: &mut SecureChannel,
+    leader: usize,
+    terminator: Terminator,
+    msg: ProtocolMessage,
+) -> Result<Option<Vec<SnpId>>, Interrupt> {
+    let full = terminator == Terminator::Phase3;
     // Ids and vector lengths are the leader's input: a wrong one is a
     // malformed message, not an index past this member's panel.
     let past_panel = |id: u32| id as usize >= node.columnar().snps();
     let malformed = || Interrupt::from(ProtocolError::MalformedMessage { member: leader });
-    loop {
-        match recv_protocol(ctx, channel, leader, phase)? {
-            ProtocolMessage::Phase1(_) if full => {
-                // Informational: L' arrives before the moments queries.
-            }
-            ProtocolMessage::MomentsRequest(pairs) => {
-                if pairs.iter().any(|p| past_panel(p.a) || past_panel(p.b)) {
-                    return Err(malformed());
-                }
-                let reports: Vec<MomentsReport> = pairs
-                    .iter()
-                    .map(|p| node.ld_moments(SnpId(p.a), SnpId(p.b)))
-                    .collect();
-                send_protocol(ctx, channel, leader, &ProtocolMessage::Moments(reports))?;
-            }
-            ProtocolMessage::Phase2(combo, broadcast) if full => {
-                let n = broadcast.retained.len();
-                let one_freq_each =
-                    broadcast.case_freqs.len() == n && broadcast.ref_freqs.len() == n;
-                if !one_freq_each || broadcast.retained.iter().any(|&s| past_panel(s)) {
-                    return Err(malformed());
-                }
-                let snps: Vec<SnpId> = broadcast.retained.iter().map(|&s| SnpId(s)).collect();
-                let compact = ctx.compact_lr;
-                let (report, bytes) = ctx.enclave.enter(|(), epc| {
-                    let (report, cells) = if compact {
-                        let r = node.lr_report_compact(&snps);
-                        let cells = r.bits.len();
-                        (ProtocolMessage::LrCompact(combo, r), cells)
-                    } else {
-                        let r = node.lr_report(&snps, &broadcast.case_freqs, &broadcast.ref_freqs);
-                        let cells = r.values.len();
-                        (ProtocolMessage::Lr(combo, r), cells)
-                    };
-                    let bytes = 8 * cells as u64;
-                    epc.alloc(bytes);
-                    (report, bytes)
-                });
-                send_protocol(ctx, channel, leader, &report)?;
-                ctx.enclave.enter(|(), epc| epc.free(bytes));
-            }
-            ProtocolMessage::Phase3(broadcast) if full => {
-                return Ok(broadcast.safe.into_iter().map(SnpId).collect());
-            }
-            ProtocolMessage::ShardDone if !full => return Ok(Vec::new()),
-            msg => return Err(unexpected_from_leader(leader, &msg).into()),
+    match msg {
+        ProtocolMessage::Phase1(_) if full => {
+            // Informational: L' arrives before the moments queries.
         }
+        ProtocolMessage::MomentsRequest(pairs) => {
+            if pairs.iter().any(|p| past_panel(p.a) || past_panel(p.b)) {
+                return Err(malformed());
+            }
+            let reports: Vec<MomentsReport> = pairs
+                .iter()
+                .map(|p| node.ld_moments(SnpId(p.a), SnpId(p.b)))
+                .collect();
+            send_protocol(ctx, channel, leader, &ProtocolMessage::Moments(reports))?;
+        }
+        ProtocolMessage::Phase2(combo, broadcast) if full => {
+            let n = broadcast.retained.len();
+            let one_freq_each = broadcast.case_freqs.len() == n && broadcast.ref_freqs.len() == n;
+            if !one_freq_each || broadcast.retained.iter().any(|&s| past_panel(s)) {
+                return Err(malformed());
+            }
+            let snps: Vec<SnpId> = broadcast.retained.iter().map(|&s| SnpId(s)).collect();
+            let compact = ctx.compact_lr;
+            let (report, bytes) = ctx.enclave.enter(|(), epc| {
+                let (report, cells) = if compact {
+                    let r = node.lr_report_compact(&snps);
+                    let cells = r.bits.len();
+                    (ProtocolMessage::LrCompact(combo, r), cells)
+                } else {
+                    let r = node.lr_report(&snps, &broadcast.case_freqs, &broadcast.ref_freqs);
+                    let cells = r.values.len();
+                    (ProtocolMessage::Lr(combo, r), cells)
+                };
+                let bytes = 8 * cells as u64;
+                epc.alloc(bytes);
+                (report, bytes)
+            });
+            send_protocol(ctx, channel, leader, &report)?;
+            ctx.enclave.enter(|(), epc| epc.free(bytes));
+        }
+        ProtocolMessage::Phase3(broadcast) if full => {
+            return Ok(Some(broadcast.safe.into_iter().map(SnpId).collect()));
+        }
+        ProtocolMessage::ShardDone if !full => return Ok(Some(Vec::new())),
+        msg => return Err(unexpected_from_leader(leader, &msg).into()),
     }
+    Ok(None)
 }
 
 /// The error a follower reports for a message that is not part of what it
@@ -972,6 +1006,53 @@ mod tests {
             send_protocol(&mut leader, &mut channel, 1, msg).unwrap();
         }
         follower.join().expect("the follower must not panic")
+    }
+
+    #[test]
+    fn requests_queued_while_a_follower_slept_cost_one_wake_to_answer() {
+        // The leader queues k moments requests before member 1 starts
+        // serving; its k replies must reach the leader in order as one
+        // burst, however the threads are scheduled.
+        let config = FederationConfig::new(2);
+        let params = GwasParams::secure_genome_defaults();
+        let options = RuntimeOptions::default();
+        let network = Network::new();
+        let shard = || GenotypeMatrix::zeroed(5, 8);
+        let (mut leader, ..) = build_member(
+            network.register(PeerId(0)),
+            0,
+            &config,
+            &params,
+            options,
+            shard(),
+        )
+        .unwrap();
+        let endpoint = network.register(PeerId(1));
+        let (go, gate) = std::sync::mpsc::channel::<()>();
+        let follower = std::thread::spawn(move || {
+            let (mut ctx, node, _) = build_member(endpoint, 1, &config, &params, options, shard())?;
+            let mut channel = establish_channel(&mut ctx, 0)?;
+            gate.recv().expect("the leader queues its requests first");
+            follower_serve(&mut ctx, &node, &mut channel, 0, Terminator::Phase3)
+        });
+        let mut channel = establish_channel(&mut leader, 1).unwrap();
+        let k = 5u32;
+        for a in 0..k {
+            let request = ProtocolMessage::MomentsRequest(vec![MomentsRequest { a, b: a + 1 }]);
+            send_protocol(&mut leader, &mut channel, 1, &request).unwrap();
+        }
+        let before = network.wakes();
+        go.send(()).unwrap();
+        for a in 0..k {
+            match recv_protocol(&mut leader, &mut channel, 1, "test") {
+                Ok(ProtocolMessage::Moments(ms)) if ms.len() == 1 => {}
+                other => panic!("reply {a}: {other:?}"),
+            }
+        }
+        assert_eq!(network.wakes() - before, 1, "{k} replies, one wake");
+        let phase3 = ProtocolMessage::Phase3(Phase3Broadcast { safe: vec![3] });
+        send_protocol(&mut leader, &mut channel, 1, &phase3).unwrap();
+        assert_eq!(follower.join().unwrap().unwrap(), vec![SnpId(3)]);
     }
 
     #[test]

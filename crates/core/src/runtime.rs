@@ -373,21 +373,31 @@ pub(crate) struct MemberCtx<T: Transport> {
     pub(crate) epoch: u64,
     /// Surviving roster of the current epoch, ascending member ids.
     pub(crate) roster: Vec<usize>,
-    /// Next sequence number per destination (monotone across epochs).
-    send_seq: HashMap<u32, u64>,
-    /// Next expected sequence number per sender.
-    recv_next: HashMap<u32, u64>,
-    /// Out-of-order frames per sender, keyed by sequence number.
-    pending: HashMap<u32, BTreeMap<u64, Frame>>,
-    /// In-sequence frames from epochs we have not entered yet.
-    future: HashMap<u32, VecDeque<Frame>>,
-    /// Frames delivered per sender — the failure detector's liveness
-    /// signal (any delivery, including a pong, clears pending misses).
-    heard: HashMap<u32, u64>,
-    /// Current-epoch frames that arrived while waiting for someone else.
-    backlog: HashMap<u32, VecDeque<FrameBody>>,
+    /// Sequencing state of the link with each member, indexed by member
+    /// id (`g` slots; a frame from any other sender is dropped).
+    links: Vec<Link>,
     /// Frames held by an open [`MemberCtx::burst`] scope.
     burst: Option<Vec<Outgoing>>,
+}
+
+/// One member's view of its link with one peer.
+#[derive(Debug, Default)]
+struct Link {
+    /// Next sequence number to the peer (monotone across epochs).
+    send_seq: u64,
+    /// Next sequence number expected from the peer.
+    recv_next: u64,
+    /// Frames that arrived ahead of `recv_next`, keyed by sequence number.
+    /// The in-memory fabric delivers in order, so this stays empty unless
+    /// chaos reorders a link.
+    pending: BTreeMap<u64, Frame>,
+    /// In-sequence frames from epochs we have not entered yet.
+    future: VecDeque<Frame>,
+    /// Frames delivered — the failure detector's liveness signal (any
+    /// delivery, including a pong, clears pending misses).
+    heard: u64,
+    /// Current-epoch frames that arrived while waiting for someone else.
+    backlog: VecDeque<FrameBody>,
 }
 
 impl<T: Transport> MemberCtx<T> {
@@ -420,7 +430,8 @@ impl<T: Transport> MemberCtx<T> {
     /// costs one wake per destination, and no member starts on its frame
     /// before the last one is queued. The burst goes out on every path
     /// out of `sends`, errors included; a nested scope joins the outer
-    /// one. `sends` must not wait for a reply — its frames are not out yet.
+    /// one. `sends` must not wait for a reply — its frames are not out yet
+    /// — though it may receive what [`MemberCtx::ready`] reports queued.
     pub(crate) fn burst<R>(&mut self, sends: impl FnOnce(&mut Self) -> R) -> R {
         if self.burst.is_some() {
             return sends(self);
@@ -431,6 +442,23 @@ impl<T: Transport> MemberCtx<T> {
             let _ = self.endpoint.send_all(frames);
         }
         out
+    }
+
+    /// Files every envelope that has already been delivered
+    /// ([`Transport::try_recv`]) without waiting, until `from`'s backlog
+    /// holds a frame; whether it does. A member that just woke reads
+    /// what queued up meanwhile this way, so it can answer all of it in
+    /// one [`MemberCtx::burst`] — receiving from a backlog never blocks.
+    pub(crate) fn ready(&mut self, from: usize) -> Result<bool, Interrupt> {
+        loop {
+            if !self.links[from].backlog.is_empty() {
+                return Ok(true);
+            }
+            match self.endpoint.try_recv() {
+                Some(env) => self.ingest(env)?,
+                None => return Ok(false),
+            }
+        }
     }
 
     fn send_frame(
@@ -453,7 +481,7 @@ impl<T: Transport> MemberCtx<T> {
         body: FrameBody,
         plaintext_len: usize,
     ) -> Result<(), ProtocolError> {
-        let seq = self.send_seq.entry(to as u32).or_insert(0);
+        let seq = &mut self.links[to].send_seq;
         let frame = Frame {
             epoch,
             seq: *seq,
@@ -471,33 +499,38 @@ impl<T: Transport> MemberCtx<T> {
     }
 
     /// Files an incoming envelope into the sequence machinery and delivers
-    /// everything that became contiguous.
+    /// everything that became contiguous: the frame itself straight away
+    /// when it is the next in sequence, else after the frames before it.
+    /// A sender outside the federation's `0..g` has no link: its frames
+    /// are dropped like stale ones (TCP's sender id is peer-asserted).
     fn ingest(&mut self, env: Envelope) -> Result<(), Interrupt> {
-        let from = env.from.0;
-        let frame = Frame::from_wire(env.payload).map_err(|_| {
-            Interrupt::Fatal(ProtocolError::MalformedMessage {
-                member: from as usize,
-            })
-        })?;
-        let next = self.recv_next.get(&from).copied().unwrap_or(0);
-        if frame.seq < next {
+        let from = env.from.0 as usize;
+        if from >= self.links.len() {
+            return Ok(());
+        }
+        let frame = Frame::from_wire(env.payload)
+            .map_err(|_| Interrupt::Fatal(ProtocolError::MalformedMessage { member: from }))?;
+        let link = &mut self.links[from];
+        if frame.seq < link.recv_next {
             return Ok(()); // replayed duplicate
         }
-        self.pending
-            .entry(from)
-            .or_default()
-            .insert(frame.seq, frame);
+        if frame.seq > link.recv_next {
+            link.pending.insert(frame.seq, frame);
+            return Ok(());
+        }
+        link.recv_next += 1;
+        self.deliver(from, frame)?;
         self.pump(from)
     }
 
     /// Delivers contiguous pending frames from `from` in sequence order.
-    fn pump(&mut self, from: u32) -> Result<(), Interrupt> {
+    fn pump(&mut self, from: usize) -> Result<(), Interrupt> {
         loop {
-            let next = self.recv_next.get(&from).copied().unwrap_or(0);
-            let Some(frame) = self.pending.get_mut(&from).and_then(|p| p.remove(&next)) else {
+            let link = &mut self.links[from];
+            let Some(frame) = link.pending.remove(&link.recv_next) else {
                 return Ok(());
             };
-            self.recv_next.insert(from, next + 1);
+            link.recv_next += 1;
             self.deliver(from, frame)?;
         }
     }
@@ -507,21 +540,21 @@ impl<T: Transport> MemberCtx<T> {
     /// frames answered (pings) or backlogged. Frames are not sealed, so
     /// nothing stamped past `max_epochs` is kept, and a view change is
     /// only taken from an announcement that could have been honest.
-    fn deliver(&mut self, from: u32, frame: Frame) -> Result<(), Interrupt> {
-        *self.heard.entry(from).or_default() += 1;
+    fn deliver(&mut self, from: usize, frame: Frame) -> Result<(), Interrupt> {
+        self.links[from].heard += 1;
         match frame.epoch.cmp(&self.epoch) {
             std::cmp::Ordering::Less => Ok(()), // stale epoch
             _ if frame.epoch > self.recovery.max_epochs => Ok(()), // never entered
             std::cmp::Ordering::Greater => match frame.body {
                 FrameBody::ViewChange(roster) => self.adopt_view(frame.epoch, &roster),
                 _ => {
-                    self.future.entry(from).or_default().push_back(frame);
+                    self.links[from].future.push_back(frame);
                     Ok(())
                 }
             },
             std::cmp::Ordering::Equal => match frame.body {
                 FrameBody::Ping => {
-                    self.send_frame(from as usize, FrameBody::Pong, 0)?;
+                    self.send_frame(from, FrameBody::Pong, 0)?;
                     Ok(())
                 }
                 FrameBody::Pong => Ok(()),
@@ -560,7 +593,7 @@ impl<T: Transport> MemberCtx<T> {
                     })
                 }
                 body => {
-                    self.backlog.entry(from).or_default().push_back(body);
+                    self.links[from].backlog.push_back(body);
                     Ok(())
                 }
             },
@@ -670,8 +703,6 @@ impl<T: Transport> MemberCtx<T> {
         );
         let old_roster = std::mem::replace(&mut self.roster, roster);
         self.epoch = epoch;
-        self.backlog.clear();
-        self.heard.clear();
         if announce {
             let wire_roster: Vec<u32> = self.roster.iter().map(|&m| m as u32).collect();
             for peer in old_roster {
@@ -680,21 +711,14 @@ impl<T: Transport> MemberCtx<T> {
                 }
             }
         }
-        let senders: Vec<u32> = self.future.keys().copied().collect();
-        for from in senders {
-            let queue = self.future.remove(&from).unwrap_or_default();
-            let mut rest = VecDeque::new();
-            for frame in queue {
-                match frame.epoch.cmp(&self.epoch) {
+        for link in &mut self.links {
+            link.backlog.clear();
+            for frame in std::mem::take(&mut link.future) {
+                match frame.epoch.cmp(&epoch) {
                     std::cmp::Ordering::Less => {}
-                    std::cmp::Ordering::Equal => {
-                        self.backlog.entry(from).or_default().push_back(frame.body);
-                    }
-                    std::cmp::Ordering::Greater => rest.push_back(frame),
+                    std::cmp::Ordering::Equal => link.backlog.push_back(frame.body),
+                    std::cmp::Ordering::Greater => link.future.push_back(frame),
                 }
-            }
-            if !rest.is_empty() {
-                self.future.insert(from, rest);
             }
         }
     }
@@ -711,7 +735,6 @@ impl<T: Transport> MemberCtx<T> {
         from: usize,
         phase: &'static str,
     ) -> Result<FrameBody, Interrupt> {
-        let key = from as u32;
         let mut deadline = Instant::now() + self.timeout;
         let probe = self
             .recovery
@@ -719,15 +742,15 @@ impl<T: Transport> MemberCtx<T> {
             .unwrap_or(self.timeout / SUSPECT_AFTER);
         let mut misses = 0u32;
         loop {
-            self.pump(key)?;
-            if let Some(body) = self.backlog.get_mut(&key).and_then(VecDeque::pop_front) {
+            self.pump(from)?;
+            if let Some(body) = self.links[from].backlog.pop_front() {
                 return Ok(body);
             }
             let now = Instant::now();
             let Some(remaining) = deadline.checked_duration_since(now) else {
                 return Err(self.suspect(from, phase));
             };
-            let heard_before = self.heard.get(&key).copied().unwrap_or(0);
+            let heard_before = self.links[from].heard;
             match self.endpoint.recv_timeout(probe.min(remaining)) {
                 Ok(env) => self.ingest(env)?,
                 Err(_) => {
@@ -738,7 +761,7 @@ impl<T: Transport> MemberCtx<T> {
                     self.send_frame(from, FrameBody::Ping, 0)?;
                 }
             }
-            if self.heard.get(&key).copied().unwrap_or(0) != heard_before {
+            if self.links[from].heard != heard_before {
                 misses = 0;
                 deadline = Instant::now() + self.timeout;
             }
@@ -1119,12 +1142,7 @@ pub(crate) fn build_member<T: Transport>(
         expected: expected_measurement(params),
         epoch: 1,
         roster: (0..g).collect(),
-        send_seq: HashMap::new(),
-        recv_next: HashMap::new(),
-        pending: HashMap::new(),
-        future: HashMap::new(),
-        heard: HashMap::new(),
-        backlog: HashMap::new(),
+        links: (0..g).map(|_| Link::default()).collect(),
         burst: None,
     };
     Ok((ctx, node, counts))
@@ -1694,6 +1712,82 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn frames_from_a_sender_outside_the_roster_are_dropped() {
+        // A peer the federation does not have, `PeerId(g + 3)`, sprays
+        // every member with well-formed in-sequence frames of each kind
+        // and with garbage, before the run and all through it. Its frames
+        // have no link to land on: the run must release and certify what
+        // a clean run does.
+        let c = cohort(60, 80);
+        let g = 3;
+        let config = FederationConfig::new(g)
+            .with_collusion(CollusionMode::Fixed(1))
+            .with_seed(8);
+        let params = GwasParams::secure_genome_defaults();
+        let options = RuntimeOptions {
+            timeout: TIMEOUT,
+            ..RuntimeOptions::default()
+        };
+        let clean = run_federation_with(config, params, &c, None, options).unwrap();
+
+        let network = Network::new();
+        let members: Vec<Endpoint> = (0..g)
+            .map(|id| network.register(PeerId(id as u32)))
+            .collect();
+        let rogue = network.register(PeerId(g as u32 + 3));
+        let spray = move |seq: u64| {
+            let body = match seq % 6 {
+                0 => FrameBody::Ping,
+                1 => FrameBody::Commit([7; 32]),
+                2 => FrameBody::Handshake([9; 128]),
+                3 => FrameBody::ViewChange(vec![0, 1]),
+                4 => FrameBody::Pong,
+                _ => FrameBody::Sealed(Sealed(vec![0xa5; SEALED_HEAD + 40])),
+            };
+            let frame = Frame {
+                epoch: 1,
+                seq,
+                body,
+            };
+            let mut sent = 0;
+            for to in 0..g as u32 {
+                let garbage = vec![seq as u8; 5 + seq as usize % 30];
+                sent += usize::from(rogue.send(PeerId(to), frame.clone().into_wire(), 0).is_ok());
+                sent += usize::from(rogue.send(PeerId(to), garbage, 0).is_ok());
+            }
+            sent
+        };
+        for seq in 0..12 {
+            spray(seq);
+        }
+        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let sprayer = {
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || {
+                let mut seq = 12;
+                while !stop.load(std::sync::atomic::Ordering::SeqCst) && spray(seq) > 0 {
+                    seq += 1;
+                    std::thread::sleep(Duration::from_micros(200));
+                }
+                seq
+            })
+        };
+        let sprayed = run_federation_over(members, config, params, &c, options);
+        stop.store(true, std::sync::atomic::Ordering::SeqCst);
+        assert!(
+            sprayer.join().unwrap() > 12,
+            "the rogue sprays during the run"
+        );
+        let sprayed = sprayed.expect("a rogue sender cannot fail the run");
+        assert_eq!(sprayed.safe_snps, clean.safe_snps);
+        assert_eq!(sprayed.l_double_prime, clean.l_double_prime);
+        assert_eq!(
+            sprayed.certificate.fingerprint(),
+            clean.certificate.fingerprint()
+        );
     }
 
     /// The element-by-element `Vec<u8>` codec sealed bodies went through

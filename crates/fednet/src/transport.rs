@@ -147,6 +147,15 @@ pub trait Transport: Send {
     /// [`NetError::Timeout`] or [`NetError::Disconnected`].
     fn recv_timeout(&self, timeout: Duration) -> Result<Envelope, NetError>;
 
+    /// A message that has already been delivered, or `None`; never waits.
+    /// It lets a receiver that just woke answer everything that queued up
+    /// meanwhile in one burst. `None` is always correct: the default
+    /// (which TCP keeps) reports nothing, and the caller falls back to
+    /// [`Transport::recv_timeout`].
+    fn try_recv(&self) -> Option<Envelope> {
+        None
+    }
+
     /// Installs a fault plan evaluated on every send (replacing any
     /// previous one).
     fn set_faults(&self, faults: FaultPlan);
@@ -388,9 +397,12 @@ impl Network {
     /// Wakes the fabric has issued so far: one per destination of every
     /// send, burst and flush of due held frames — the receiver context
     /// switches the fabric can cause. A wake is counted whether or not the
-    /// receiver was asleep, so the count is a pure function of the send
-    /// schedule. Without chaos, frames sent one at a time make it equal to
-    /// [`Network::total_stats`]' messages; bursts bring it below.
+    /// receiver was asleep, so the count follows from how the senders
+    /// grouped their frames into sends and bursts. Without chaos, frames
+    /// sent one at a time make it equal to [`Network::total_stats`]'
+    /// messages; bursts bring it below. A burst's size can depend on
+    /// timing (a member that answers everything queued when it woke, say),
+    /// and so then can the count.
     #[must_use]
     pub fn wakes(&self) -> u64 {
         self.lock().wakes
@@ -597,6 +609,10 @@ impl Transport for Endpoint {
 
     fn recv_timeout(&self, timeout: Duration) -> Result<Envelope, NetError> {
         Endpoint::recv_timeout(self, timeout)
+    }
+
+    fn try_recv(&self) -> Option<Envelope> {
+        Endpoint::try_recv(self)
     }
 
     fn set_faults(&self, faults: FaultPlan) {

@@ -37,9 +37,13 @@ cargo test --release -p gendpr-stats -q
 
 # Same for the message path: the AEAD's RFC 8439 vectors and in-place
 # oracles, the slice codec and the fabric's burst/wake tests run against
-# the optimised build that carries every member message.
+# the optimised build that carries every member message. The engine and
+# chaos suites too: how many replies a follower finds queued when it
+# wakes, and whether a frame arrives in sequence, depend on timing.
 echo "==> cargo test --release -p gendpr-crypto -p gendpr-fednet -q"
 cargo test --release -p gendpr-crypto -p gendpr-fednet -q
+echo "==> cargo test --release --test engine --test chaos -q"
+cargo test --release --test engine --test chaos -q
 
 # Reduced-scale bench run: bench_phases asserts naive-vs-columnar checksum
 # and LR-selection equality internally, so a clean exit is the validation.

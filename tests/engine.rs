@@ -4,7 +4,7 @@
 //! study, every `(compact_lr, prefetch_ld)` combination must put exactly
 //! the same number of messages and bytes on the wire, select the same
 //! L′ / L″ / L_safe and sign the same certificate — on the in-memory
-//! fabric, and over real TCP sockets. The same schedule pins how many
+//! fabric, and over real TCP sockets. The same schedule bounds how many
 //! wakes the in-memory fabric issues for it.
 //!
 //! Below that, the *order* of the leader's phase 2 against the parent of
@@ -165,15 +165,18 @@ fn one_shot_wire_schedule_is_pinned_over_tcp() {
     assert_eq!(witness(&report), pinned(messages, TCP_WIRE_BYTES));
 }
 
-/// `(prefetch_ld, messages, fabric wakes)` of the study above on the
-/// in-memory fabric. At commit bfcf3ae, before fan-outs went out as
-/// bursts, every message was its own wake (wakes = messages); now a
-/// fan-out wakes each destination once, and replies stay one wake each.
+/// `(prefetch_ld, messages, fabric wakes at commit 1526b97)` of the study
+/// above on the in-memory fabric. At commit bfcf3ae, before fan-outs went
+/// out as bursts, every message was its own wake (wakes = messages); at
+/// 1526b97 a fan-out woke each destination once and every reply was its
+/// own wake. Now a follower answers everything queued when it woke in one
+/// burst, so how many replies share a wake depends on thread timing: the
+/// messages stay exact, the wakes can only fall below 1526b97's.
 const WAKES: [(bool, u64, u64); 2] = [(false, 1078, 730), (true, 488, 345)];
 
 #[test]
 fn a_fan_out_wakes_each_destination_once() {
-    for (prefetch_ld, messages, wakes) in WAKES {
+    for (prefetch_ld, messages, most_wakes) in WAKES {
         let network = Network::new();
         let transports: Vec<Endpoint> = (0..G)
             .map(|id| network.register(PeerId(id as u32)))
@@ -188,9 +191,14 @@ fn a_fan_out_wakes_each_destination_once() {
         .unwrap();
         assert_eq!(witness(&report).safe, SAFE, "prefetch_ld={prefetch_ld}");
         assert_eq!(
-            (network.total_stats().messages, network.wakes()),
-            (messages, wakes),
+            network.total_stats().messages,
+            messages,
             "prefetch_ld={prefetch_ld}"
+        );
+        let wakes = network.wakes();
+        assert!(
+            wakes <= most_wakes && wakes < messages,
+            "prefetch_ld={prefetch_ld}: {wakes} wakes for {messages} messages"
         );
     }
 }
