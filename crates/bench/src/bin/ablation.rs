@@ -9,13 +9,22 @@
 //!    two estimators across frequency gaps.
 //! 5. **Encryption overhead** — measured ciphertext expansion and the
 //!    cost of the attested channel.
+//! 6. **Transport optimizations** — compact LR matrices and the LD
+//!    prefetch, same selection at a different cost.
+//! 7. **Measured traffic** — messages, wire bytes and leader turnarounds
+//!    of the in-memory runtime, counted at its transports.
+//! 8. **Data-oblivious LR selection** — the cost of pattern-freedom.
 
 use gendpr_bench::workload::paper_cohort;
 use gendpr_bench::{ms, BenchArgs, TextTable, PAPER_CASES_FULL};
 use gendpr_core::config::{CollusionMode, FederationConfig, GwasParams};
 use gendpr_core::protocol::Federation;
 use gendpr_core::runtime::run_federation;
+use gendpr_fednet::transport::{Endpoint, Envelope, NetError, Outgoing, PeerId, Transport};
+use gendpr_fednet::{FaultPlan, TrafficStats};
 use gendpr_stats::lr::TheoreticalLr;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 fn main() {
@@ -28,7 +37,7 @@ fn main() {
     ablation_lr_estimators();
     ablation_encryption_overhead(&args, params);
     ablation_transport_optimizations(&args, params);
-    ablation_wan_estimate(&args, params);
+    ablation_measured_traffic(&args, params);
     ablation_oblivious_overhead(&args);
 }
 
@@ -157,28 +166,118 @@ fn ablation_transport_optimizations(args: &BenchArgs, params: GwasParams) {
     println!("(every variant selects the identical L_safe — asserted)");
 }
 
-fn ablation_wan_estimate(args: &BenchArgs, params: GwasParams) {
-    use gendpr_fednet::latency::LatencyModel;
-    println!("\n== Ablation 7: estimated communication cost in a geo-distributed federation ==");
-    let cohort = paper_cohort(args.scaled(PAPER_CASES_FULL), args.scaled(2_500));
-    let outcome = Federation::new(FederationConfig::new(3), params, &cohort)
-        .run()
-        .expect("run completes");
-    let t = outcome.traffic;
-    println!(
-        "critical-path rounds: {} (dominated by the LD scan's per-pair queries)",
-        t.round_trips
-    );
-    for (label, model) in [
-        ("datacenter (0.2 ms, 10 Gb/s)", LatencyModel::datacenter()),
-        ("wide-area  (40 ms, 100 Mb/s)", LatencyModel::wide_area()),
-    ] {
-        println!(
-            "{label}: ~{:.1} s of pure communication",
-            t.wan_estimate(&model).as_secs_f64()
-        );
+/// An in-memory endpoint that counts its member's turnarounds: how often
+/// a frame arrived after the member had sent something since the last
+/// one — each is a wait on a reply, one round trip on a wide-area link.
+struct Counting {
+    inner: Endpoint,
+    sent: AtomicBool,
+    turnarounds: Arc<AtomicU64>,
+}
+
+impl Counting {
+    fn received(&self, env: Envelope) -> Envelope {
+        if self.sent.swap(false, Ordering::Relaxed) {
+            self.turnarounds.fetch_add(1, Ordering::Relaxed);
+        }
+        env
     }
-    println!("(the adjacent-pair prefetch of Ablation 6 removes nearly all of those rounds)");
+}
+
+impl Transport for Counting {
+    fn id(&self) -> PeerId {
+        self.inner.id()
+    }
+    fn send(&self, to: PeerId, payload: Vec<u8>, plaintext_len: usize) -> Result<(), NetError> {
+        self.sent.store(true, Ordering::Relaxed);
+        self.inner.send(to, payload, plaintext_len)
+    }
+    fn send_all(&self, frames: Vec<Outgoing>) -> Vec<Result<(), NetError>> {
+        self.sent.store(true, Ordering::Relaxed);
+        self.inner.send_all(frames)
+    }
+    fn recv_timeout(&self, timeout: Duration) -> Result<Envelope, NetError> {
+        self.inner
+            .recv_timeout(timeout)
+            .map(|env| self.received(env))
+    }
+    fn try_recv(&self) -> Option<Envelope> {
+        self.inner.try_recv().map(|env| self.received(env))
+    }
+    fn set_faults(&self, faults: FaultPlan) {
+        self.inner.set_faults(faults);
+    }
+    fn link_stats(&self, to: PeerId) -> TrafficStats {
+        self.inner.link_stats(to)
+    }
+    fn egress_stats(&self) -> TrafficStats {
+        self.inner.egress_stats()
+    }
+    fn ingress_stats(&self) -> TrafficStats {
+        self.inner.ingress_stats()
+    }
+}
+
+fn ablation_measured_traffic(args: &BenchArgs, params: GwasParams) {
+    use gendpr_core::runtime::{run_federation_over, RuntimeOptions};
+    use gendpr_fednet::transport::Network;
+    println!("\n== Ablation 7: measured traffic of the in-memory runtime ==");
+    let cohort = paper_cohort(args.scaled(PAPER_CASES_FULL), args.scaled(2_500));
+    let config = FederationConfig::new(3);
+    let cli = RuntimeOptions {
+        compact_lr: true,
+        prefetch_ld: true,
+        ..RuntimeOptions::default()
+    };
+    let mut table = TextTable::new(vec![
+        "Options",
+        "Messages",
+        "Wire bytes",
+        "Leader turnarounds",
+        "L_safe",
+    ]);
+    for (label, options) in [
+        (
+            "RuntimeOptions::default() (paper-faithful)",
+            RuntimeOptions::default(),
+        ),
+        ("CLI (compact LR, LD prefetch)", cli),
+    ] {
+        let network = Network::new();
+        let turnarounds: Vec<Arc<AtomicU64>> = (0..config.gdo_count)
+            .map(|_| Arc::new(AtomicU64::new(0)))
+            .collect();
+        let transports: Vec<Counting> = turnarounds
+            .iter()
+            .enumerate()
+            .map(|(id, count)| Counting {
+                inner: network.register(PeerId(id as u32)),
+                sent: AtomicBool::new(false),
+                turnarounds: Arc::clone(count),
+            })
+            .collect();
+        let options = RuntimeOptions {
+            timeout: Duration::from_secs(600),
+            ..options
+        };
+        let report = run_federation_over(transports, config, params, &cohort, options)
+            .expect("run completes");
+        table.row(vec![
+            label.to_string(),
+            report.traffic.messages.to_string(),
+            report.traffic.wire_bytes.to_string(),
+            turnarounds[report.leader]
+                .load(Ordering::Relaxed)
+                .to_string(),
+            report.safe_snps.len().to_string(),
+        ]);
+    }
+    table.print();
+    println!(
+        "(counted at every member's transport, election, attestation and counts \
+frames included; a turnaround is the leader receiving after it sent, \
+one round trip per turnaround on a wide-area link)"
+    );
 }
 
 fn ablation_work_distribution(args: &BenchArgs, params: GwasParams) {

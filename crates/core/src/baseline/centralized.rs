@@ -7,8 +7,8 @@
 //! correctness claim (Table 4) is that its distributed aggregation selects
 //! *exactly* the same SNPs as this pipeline.
 //!
-//! It is deliberately *not* built on the in-process drivers' pools
-//! (`phases::pooled`): row-major pooled counts and a dense `LrMatrix` make
+//! It is deliberately *not* built on the leader core every other driver
+//! runs (`engine`): row-major pooled counts and a dense `LrMatrix` make
 //! it an independent oracle, which `tests/equivalence.rs`,
 //! `tests/stratification.rs`, the `table4` experiment and the dynamic
 //! assessor's single-epoch test compare GenDPR against.
@@ -58,12 +58,16 @@ impl CentralizedPipeline {
     ///
     /// # Errors
     ///
-    /// [`ProtocolError::InvalidConfig`] or [`ProtocolError::EmptyStudy`].
+    /// [`ProtocolError::InvalidConfig`], or [`ProtocolError::EmptyStudy`]
+    /// for a study without SNPs, reference individuals or case genomes.
     pub fn run(&self, cohort: &Cohort) -> Result<CentralizedOutcome, ProtocolError> {
         self.params
             .validate()
             .map_err(ProtocolError::InvalidConfig)?;
-        if cohort.panel().is_empty() || cohort.reference_individuals() == 0 {
+        if cohort.panel().is_empty()
+            || cohort.reference_individuals() == 0
+            || cohort.case_individuals() == 0
+        {
             return Err(ProtocolError::EmptyStudy);
         }
         let mut timings = PhaseTimings::default();

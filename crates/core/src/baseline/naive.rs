@@ -12,17 +12,17 @@
 //! disjoint, SNP sets (the bold rows of Table 4). Releasing those would
 //! still allow membership inference against the pooled statistics.
 //!
-//! The pipeline is GenDPR's (`phases::pooled::Pool`); only the pools
-//! differ: all members for MAF, then one pool per member for LD and LR.
+//! The pipeline is GenDPR's leader core over in-process members; only the
+//! subsets differ: one core over all members for MAF, then one over each
+//! member alone for LD and LR.
 
 use crate::collusion::intersect_selections;
 use crate::config::GwasParams;
+use crate::engine::{LeaderCore, Local};
 use crate::error::ProtocolError;
 use crate::gdo::GdoNode;
 use crate::phases::lrtest::SelectionKernel;
-use crate::phases::pooled::Pool;
 use gendpr_genomics::cohort::Cohort;
-use gendpr_genomics::columnar::ColumnarGenotypes;
 use gendpr_genomics::snp::SnpId;
 
 /// Outcome of the naïve protocol.
@@ -74,27 +74,29 @@ impl NaiveDistributed {
             .enumerate()
             .map(|(i, shard)| GdoNode::new(i, shard))
             .collect();
-        let reference = ColumnarGenotypes::from_matrix(cohort.reference());
-        let ref_counts = reference.column_counts();
-        let pool = |members| Pool::new(members, &reference, &ref_counts, self.params.maf_cutoff);
+        let mut source = Local(&nodes);
+        let (reference, params) = (cohort.reference(), &self.params);
+        let mut collect = |subsets| {
+            LeaderCore::collect(
+                &mut source,
+                subsets,
+                reference,
+                params,
+                SelectionKernel::Fast,
+            )
+        };
 
         // Phase 1: aggregated MAF, as in GenDPR.
-        let l_prime = pool(nodes.iter().collect()).maf.retained;
+        let all = collect(vec![(0..self.gdo_count).collect()])?;
+        let l_prime = all.maf_step(&all.whole_panel(), &[]);
 
-        // Phases 2 and 3: each member decides from its *local* pool alone.
-        let locals: Vec<Pool> = nodes.iter().map(|node| pool(vec![node])).collect();
-        let ld_selections: Vec<Vec<SnpId>> = locals
-            .iter()
-            .map(|local| local.ld_scan(&l_prime, self.params.ld_cutoff))
-            .collect();
+        // Phases 2 and 3: each member decides from its *local* data alone.
+        let mut alone = collect((0..self.gdo_count).map(|i| vec![i]).collect())?;
+        let scans = alone.ld_step(&mut source, &l_prime, None, false)?;
+        let ld_selections: Vec<Vec<SnpId>> = scans.into_iter().map(|s| s.retained).collect();
         let l_double_prime = intersect_selections(&ld_selections);
-        let lr_selections: Vec<Vec<SnpId>> = locals
-            .iter()
-            .map(|local| {
-                local.lr_select(&[], &l_double_prime, &self.params.lr, SelectionKernel::Fast)
-            })
-            .collect();
-        let safe_snps = intersect_selections(&lr_selections);
+        let lr = alone.lr_phase(&mut source, &[], &l_double_prime)?;
+        let safe_snps = intersect_selections(&lr.selections);
 
         Ok(NaiveOutcome {
             l_prime,

@@ -10,13 +10,16 @@
 //! *cumulative* release — everything published so far plus whatever it
 //! adds now — against the data it currently holds.
 //!
-//! [`DynamicAssessor`] therefore:
+//! [`DynamicAssessor`] therefore, at every epoch, runs the crate's leader
+//! core over one in-process member holding the cumulative cases:
 //!
-//! 1. accumulates genome batches into the growing case population,
+//! 1. accumulates genome batches into the growing case population (a
+//!    batch that leaves it empty is refused and opens no epoch),
 //! 2. re-runs the MAF/LD screens over the cumulative data,
 //! 3. seeds the LR-test with the already-released SNPs (their
-//!    contributions are charged against the power budget first — see
-//!    [`gendpr_stats::lr::select_safe_subset`]), and only then
+//!    contributions are charged against the power budget first — the
+//!    search's forced prefix, [`gendpr_stats::lr::LrPrefixSums`]), and
+//!    only then
 //! 4. admits new candidates while the cumulative attack power stays
 //!    below the threshold.
 //!
@@ -25,11 +28,10 @@
 //! quantity DyPS exists to keep at zero by delaying releases.
 
 use crate::config::GwasParams;
+use crate::engine::{LeaderCore, Local};
 use crate::error::ProtocolError;
 use crate::gdo::GdoNode;
 use crate::phases::lrtest::SelectionKernel;
-use crate::phases::pooled::Pool;
-use gendpr_genomics::columnar::ColumnarGenotypes;
 use gendpr_genomics::genotype::GenotypeMatrix;
 use gendpr_genomics::snp::SnpId;
 
@@ -54,11 +56,7 @@ pub struct EpochReport {
 #[derive(Debug, Clone)]
 pub struct DynamicAssessor {
     params: GwasParams,
-    // The reference panel, SNP-major (the only layout an epoch reads):
-    // LD moments are popcount sweeps over its columns and every epoch's
-    // null matrix is gathered straight from these bit vectors.
-    reference: ColumnarGenotypes,
-    ref_counts: Vec<u64>,
+    reference: GenotypeMatrix,
     cumulative: GenotypeMatrix,
     released: Vec<SnpId>,
     epochs: usize,
@@ -78,12 +76,9 @@ impl DynamicAssessor {
             return Err(ProtocolError::EmptyStudy);
         }
         let snps = reference.snps();
-        let reference = ColumnarGenotypes::from_matrix(&reference);
-        let ref_counts = reference.column_counts();
         Ok(Self {
             params,
             reference,
-            ref_counts,
             cumulative: GenotypeMatrix::zeroed(0, snps),
             released: Vec::new(),
             epochs: 0,
@@ -135,12 +130,17 @@ impl DynamicAssessor {
     /// # Errors
     ///
     /// [`ProtocolError::InvalidConfig`] if the batch's SNP count differs
-    /// from the study panel.
+    /// from the study panel; [`ProtocolError::EmptyStudy`] while no case
+    /// genome has arrived at all. Either leaves the assessor as it was: a
+    /// refused batch opens no epoch.
     pub fn add_batch(&mut self, batch: &GenotypeMatrix) -> Result<EpochReport, ProtocolError> {
         if batch.snps() != self.reference.snps() {
             return Err(ProtocolError::InvalidConfig(
                 "batch SNP count differs from the study panel",
             ));
+        }
+        if self.cumulative.individuals() + batch.individuals() == 0 {
+            return Err(ProtocolError::EmptyStudy);
         }
         self.cumulative = self
             .cumulative
@@ -149,48 +149,39 @@ impl DynamicAssessor {
         let epoch = self.epochs;
         self.epochs += 1;
 
-        // The cumulative shard grew this epoch, so it is pooled afresh as
-        // one member: counts, LD moments and the LR case matrix all read it.
-        let node = GdoNode::new(0, self.cumulative.clone());
-        let pool = Pool::new(
-            vec![&node],
+        // The cumulative shard grew this epoch, so the leader core runs
+        // afresh over it as one member. Already-released SNPs are forced,
+        // not candidates: they skip the MAF/LD screens and are charged
+        // against the power budget first.
+        let member = [GdoNode::new(0, self.cumulative.clone())];
+        let mut source = Local(&member);
+        let mut core = LeaderCore::collect(
+            &mut source,
+            vec![vec![0]],
             &self.reference,
-            &self.ref_counts,
-            self.params.maf_cutoff,
-        );
-        // Already-released SNPs are forced, not candidates: they skip the
-        // MAF/LD screens and are charged against the power budget first.
-        let l_prime: Vec<SnpId> = pool
-            .maf
-            .retained
-            .iter()
-            .copied()
-            .filter(|s| self.released.binary_search(s).is_err())
-            .collect();
-        let l_double_prime = pool.ld_scan(&l_prime, self.params.ld_cutoff);
-        let newly_released = pool.lr_select(
-            &self.released,
-            &l_double_prime,
-            &self.params.lr,
+            &self.params,
             SelectionKernel::Fast,
-        );
+        )?;
+        let panel = core.whole_panel();
+        let outcome = core.assess(&mut source, &panel, &self.released, None)?;
 
         // Regret: released SNPs the current data no longer passes the MAF
         // screen with — the observable proxy for "would not certify".
+        let retained = &core.full().retained;
         let regret: Vec<SnpId> = self
             .released
             .iter()
             .copied()
-            .filter(|s| pool.maf.retained.binary_search(s).is_err())
+            .filter(|s| retained.binary_search(s).is_err())
             .collect();
 
-        self.released.extend(newly_released.iter().copied());
+        self.released.extend(outcome.released.iter().copied());
         self.released.sort_unstable();
 
         Ok(EpochReport {
             epoch,
             total_genomes: self.cumulative.individuals(),
-            newly_released,
+            newly_released: outcome.released,
             total_released: self.released.len(),
             regret,
         })

@@ -1,25 +1,31 @@
-//! The attested assessment engine: the one place under the deployed
-//! drivers where Algorithm 1 is written.
+//! The leader core: the one place Algorithm 1 is written, for every
+//! driver.
 //!
-//! [`crate::runtime`] (one assessment per deployment) and
-//! [`crate::serving`] (a queue of jobs over one attestation) differ in how
-//! a federation forms, re-forms and is torn down; what the elected leader
-//! *computes* over its attested channels is the same procedure. It lives
-//! here once:
+//! [`LeaderCore`] is the leader's procedure: [`LeaderCore::collect`] takes
+//! the members' counts once and runs MAF and the χ² ranking per collusion
+//! subset; [`LeaderCore::assess`] runs one job — MAF over its candidates,
+//! an LD scan and a seeded LR search per subset, intersected after every
+//! phase, earlier releases (`forced`) charged first. Its steps stand alone
+//! for shard lanes and the naïve baseline.
 //!
-//! * [`LeaderSession::collect`] — session scope: receive every member's
-//!   `Counts`, evaluate MAF per collusion subset, rank by association;
-//! * [`LeaderSession::assess`] — job scope: MAF intersection over the
-//!   job's candidates → `Phase1` → LD scan per subset → intersection →
-//!   `Phase2` + seeded LR search per subset → intersection → certificate →
-//!   `Phase3`. The one-shot runtime is the job "whole panel, nothing
-//!   forced, no job context";
-//! * [`LeaderSession::maf_step`] / [`LeaderSession::ld_step`] — the two
-//!   steps a shard lane runs on their own;
-//! * [`follower_serve`] — the member side of one job.
+//! The drivers differ only in where a subset's member aggregates come
+//! from: the counts, the pooled LD moments of a batch of rounds, the LR
+//! case rows. That is the [`Source`] seam — the core emits requests, a
+//! source answers them:
 //!
-//! Announcing a job, mapping an [`Interrupt`] to a view change or a fatal
-//! error, rekeying and traffic accounting stay with the drivers.
+//! * the **remote** source asks the roster over the leader's attested
+//!   channels and meters the leader enclave; [`LeaderSession`] (the core
+//!   plus its channels, the `Phase1`–`Phase3` broadcasts, the abort notice
+//!   and the certificate) serves [`crate::runtime`] and [`crate::serving`];
+//! * the **local** source ([`Local`]) answers at once from in-process
+//!   [`GdoNode`]s: [`crate::protocol::Federation`] (the evaluation
+//!   subsets), the naïve baseline (all members for L′, each alone for LD
+//!   and LR) and [`crate::dynamic`] (one member with the cumulative cases,
+//!   earlier releases forced).
+//!
+//! [`follower_serve`] is the member side of an attested job. Announcing a
+//! job, mapping an [`Interrupt`] to a view change or a fatal error,
+//! rekeying and traffic accounting stay with the drivers.
 
 use crate::certificate::{AssessmentCertificate, AssessmentFacts, JobContext};
 use crate::collusion::{evaluation_subsets_of, intersect_selections};
@@ -32,7 +38,7 @@ use crate::messages::{
     ProtocolMessage,
 };
 use crate::phases::ld::LdScan;
-use crate::phases::lrtest::admission_order;
+use crate::phases::lrtest::{admission_order, SelectionKernel};
 use crate::phases::maf::{run_maf, MafOutcome};
 use crate::protocol::PhaseTimings;
 use crate::runtime::{recv_protocol, send_protocol, Interrupt, MemberCtx};
@@ -45,7 +51,9 @@ use gendpr_stats::ld::LdMoments;
 use gendpr_stats::lr::{
     select_safe_subset, BitLrMatrix, LrColumns, LrMatrix, LrPrefixSums, LrSelection, LrValues,
 };
+use gendpr_stats::oblivious::select_safe_subset_oblivious;
 use gendpr_stats::ranking::SnpRank;
+use gendpr_tee::memory::EpcAccount;
 use gendpr_tee::session::SecureChannel;
 use std::collections::HashMap;
 use std::time::Instant;
@@ -142,46 +150,61 @@ fn collect_moments<T: Transport>(
     Ok(pooled)
 }
 
-/// One live one-pair round per waiting scan, all in flight together: the
-/// requests go out in subset order as one burst, then the rounds are
-/// closed in the same order. Every `(subset, pair)` of `misses` costs
-/// exactly the messages of a round run on its own; the leader waits once
-/// for all of them.
-fn exchange_misses<T: Transport>(
-    ctx: &mut MemberCtx<T>,
-    channels: &mut Channels,
-    node: &GdoNode,
-    subsets: &[Vec<usize>],
-    misses: &[(usize, (SnpId, SnpId))],
-    ref_moments: impl Fn(SnpId, SnpId) -> LdMoments,
-) -> Result<Vec<LdMoments>, Interrupt> {
-    ctx.burst(|ctx| {
-        misses
-            .iter()
-            .try_for_each(|&(c, pair)| request_moments(ctx, channels, &subsets[c], &[pair]))
-    })?;
-    misses
-        .iter()
-        .map(|&(c, pair)| {
-            let pooled = collect_moments(
-                ctx,
-                channels,
-                node,
-                &subsets[c],
-                &[pair],
-                &ref_moments,
-                "ld-moments",
-            )?;
-            Ok(pooled[0])
-        })
-        .collect()
+/// One moments round: a subset and the pairs pooled over it.
+pub(crate) type Round<'r> = (&'r [usize], &'r [(SnpId, SnpId)]);
+
+/// Where the leader core's member aggregates come from. The provided
+/// methods are a source's without peers, an enclave or transport options.
+pub(crate) trait Source {
+    /// Every roster member's counts report, by member id.
+    fn counts(&mut self) -> Result<Vec<Option<CountsReport>>, Interrupt>;
+    /// Every round's pooled moments, each pair's from `reference`'s up;
+    /// the rounds are opened together and closed in order. `phase` names
+    /// the wait in a timeout.
+    fn moments(
+        &mut self,
+        rounds: &[Round<'_>],
+        reference: impl Fn(SnpId, SnpId) -> LdMoments,
+        phase: &'static str,
+    ) -> Result<Vec<Vec<LdMoments>>, Interrupt>;
+    /// Runs `search` in the leader enclave on combination `combo`'s case
+    /// rows over `columns`, gathered in format `M`.
+    fn lr_search<M: LrTransport>(
+        &mut self,
+        combo: usize,
+        subset: &[usize],
+        columns: &[SnpId],
+        case_freqs: &[f64],
+        ref_freqs: &[f64],
+        search: impl FnOnce(&mut EpcAccount, M) -> LrSelection,
+    ) -> Result<LrSelection, Interrupt>;
+    /// Runs `body` inside the leader enclave, against its EPC meter.
+    fn enter<R>(&mut self, body: impl FnOnce(&mut EpcAccount) -> R) -> R {
+        body(&mut EpcAccount::default())
+    }
+    /// Tells the roster a job's L′.
+    fn announce_l_prime(&mut self, _: &[SnpId]) -> Result<(), Interrupt> {
+        Ok(())
+    }
+    /// Tells every peer the run is over.
+    fn abort(&mut self, _: &ProtocolError) {}
+    /// Whether LD rounds prefetch every adjacent pair of L′ — not where
+    /// nothing waits on a round.
+    fn prefetch_ld(&self) -> bool {
+        false
+    }
+    /// Whether LR case rows come as [`LrColumns`], not [`LrMatrix`].
+    fn compact_lr(&self) -> bool {
+        true
+    }
 }
 
-/// The transport format of the Phase 3 matrices: the paper's dense value
-/// matrices, or one indicator bit per cell (`RuntimeOptions::compact_lr`)
-/// which the leader holds SNP-major, the layout the search sweeps.
-trait LrTransport: LrValues + Sized {
-    /// The leader's own rows, from its local shard.
+/// The format of the Phase 3 matrices: the paper's dense value matrices,
+/// or one indicator bit per cell (`RuntimeOptions::compact_lr`) which the
+/// leader holds SNP-major, the layout the search sweeps.
+pub(crate) trait LrTransport: LrValues + Sized {
+    /// A member's rows from its own shard: the leader's, or an
+    /// in-process member's.
     fn own(node: &GdoNode, columns: &[SnpId], case_freqs: &[f64], ref_freqs: &[f64]) -> Self;
     /// A member's rows from its Phase 3 report; `None` unless the message
     /// is this format's report for combination `combo` and well-formed.
@@ -286,6 +309,8 @@ pub(crate) struct Assessment {
     pub(crate) l_double_prime: Vec<SnpId>,
     /// Newly released SNPs (never includes the forced prefix).
     pub(crate) released: Vec<SnpId>,
+    /// Subset 0's (the full roster's) own LR selection.
+    pub(crate) full_set_safe: Vec<SnpId>,
     /// Adversary power over forced ∪ released (subset 0).
     pub(crate) final_power: f64,
     /// Detection threshold over the cumulative release (subset 0).
@@ -295,28 +320,35 @@ pub(crate) struct Assessment {
     pub(crate) case_freqs: Vec<f64>,
     /// Reference frequencies of the released SNPs.
     pub(crate) ref_freqs: Vec<f64>,
-    pub(crate) certificate: AssessmentCertificate,
+    /// Issued by [`LeaderSession::assess`]; `None` from a local source.
+    pub(crate) certificate: Option<AssessmentCertificate>,
     /// Leader wall time per task, the session's one-off `collect` share
     /// included: `aggregation` is the wait for the members' counts,
-    /// `indexing` everything else up to the `Phase1` broadcast.
+    /// `indexing` everything else up to the announcement of L′.
     pub(crate) timings: PhaseTimings,
 }
 
-/// The leader's state for one attested session: its channels plus
-/// everything computed once from the members' counts. Shards do not change
-/// while a session lives, so neither do the MAF outcomes or the χ²
-/// rankings; every job restricts them to its own panel.
-pub(crate) struct LeaderSession<'a> {
-    node: &'a GdoNode,
+/// Every subset's admitted candidates; subset 0's power and threshold.
+pub(crate) struct LrPhase {
+    pub(crate) selections: Vec<Vec<SnpId>>,
+    pub(crate) final_power: f64,
+    pub(crate) final_threshold: f64,
+}
+
+/// The leader's state over one set of members: everything computed once
+/// from their counts. Shards do not change while a core lives, so neither
+/// do the MAF outcomes or the χ² rankings; every job restricts them to its
+/// own panel.
+pub(crate) struct LeaderCore<'a> {
     // Row-major, as the drivers hold it: read only by the dense
-    // transport's null matrix.
+    // format's null matrix.
     reference: &'a GenotypeMatrix,
-    // SNP-major view of the reference, built once per session: reference
+    // SNP-major view of the reference, built once per core: reference
     // LD moments are popcount(AND) over two of its columns, the compact
     // null matrix a word-for-word copy of them.
     reference_columnar: ColumnarGenotypes,
     params: &'a GwasParams,
-    pub(crate) channels: Channels,
+    kernel: SelectionKernel,
     subsets: Vec<Vec<usize>>,
     maf_outcomes: Vec<MafOutcome>,
     rankings: Vec<Vec<SnpRank>>,
@@ -327,50 +359,38 @@ pub(crate) struct LeaderSession<'a> {
     // skip the re-accumulation entirely.
     lr_memo: LrPrefixMemo,
     collect_timings: PhaseTimings,
-    aborted: bool,
 }
 
-impl<'a> LeaderSession<'a> {
-    /// Receives every roster member's `Counts` over `channels` and runs
-    /// the per-subset MAF evaluation and association ranking.
-    pub(crate) fn collect<T: Transport>(
-        ctx: &mut MemberCtx<T>,
-        mut channels: Channels,
-        node: &'a GdoNode,
+impl<'a> LeaderCore<'a> {
+    /// Collects the members' counts from `source` and runs MAF and the
+    /// association ranking per subset (subset 0 is the full roster). A
+    /// roster without case genomes is refused, the peers told: a release
+    /// certified over the reference alone protects no case data.
+    pub(crate) fn collect(
+        source: &mut impl Source,
+        subsets: Vec<Vec<usize>>,
         reference: &'a GenotypeMatrix,
         params: &'a GwasParams,
-        own_counts: &CountsReport,
+        kernel: SelectionKernel,
     ) -> Result<Self, Interrupt> {
-        let me = ctx.id;
-        let roster = ctx.roster.clone();
-
         let t = Instant::now();
-        let panel_len = own_counts.counts.len();
-        let mut reports: Vec<Option<CountsReport>> = vec![None; ctx.g];
-        reports[me] = Some(own_counts.clone());
-        for &peer in &roster {
-            if peer == me {
-                continue;
-            }
-            match recv_from(ctx, &mut channels, peer, "counts")? {
-                ProtocolMessage::Counts(c) if c.counts.len() == panel_len => {
-                    reports[peer] = Some(c);
-                }
-                _ => return Err(ProtocolError::MalformedMessage { member: peer }.into()),
-            }
-        }
+        let reports = source.counts()?;
         let aggregation = t.elapsed();
         crate::telemetry::phase_seconds("aggregation").observe_duration(aggregation);
+        if reports.iter().flatten().all(|r| r.n_case == 0) {
+            let empty = ProtocolError::EmptyStudy;
+            source.abort(&empty);
+            return Err(empty.into());
+        }
 
         let t = Instant::now();
-        let (reference_columnar, ref_counts) = ctx.enclave.enter(|(), epc| {
+        let (reference_columnar, ref_counts) = source.enter(|epc| {
             let columnar = ColumnarGenotypes::from_matrix(reference);
             epc.alloc(columnar.heap_bytes() as u64 + 8 * reference.snps() as u64);
             let counts = columnar.column_counts();
             (columnar, counts)
         });
         let n_ref = reference.individuals() as u64;
-        let subsets = evaluation_subsets_of(&roster, ctx.collusion);
         let maf_outcomes: Vec<MafOutcome> = subsets
             .iter()
             .map(|subset| {
@@ -391,11 +411,10 @@ impl<'a> LeaderSession<'a> {
         crate::telemetry::phase_seconds("maf").observe_duration(indexing);
 
         Ok(Self {
-            node,
             reference,
             reference_columnar,
             params,
-            channels,
+            kernel,
             subsets,
             maf_outcomes,
             rankings,
@@ -406,7 +425,6 @@ impl<'a> LeaderSession<'a> {
                 indexing,
                 ..PhaseTimings::default()
             },
-            aborted: false,
         })
     }
 
@@ -415,37 +433,25 @@ impl<'a> LeaderSession<'a> {
         self.ref_counts.len()
     }
 
+    /// The whole study panel: the one-shot drivers' job.
+    pub(crate) fn whole_panel(&self) -> Vec<SnpId> {
+        (0..self.panel_len() as u32).map(SnpId).collect()
+    }
+
     /// How many collusion subsets every job evaluates.
     pub(crate) fn evaluations(&self) -> usize {
         self.subsets.len()
     }
 
-    /// Tells every peer the run is over (at most once per session): a
-    /// precise `QuorumLost` where that is the cause, an `Abort` otherwise.
-    pub(crate) fn abort<T: Transport>(&mut self, ctx: &mut MemberCtx<T>, err: &ProtocolError) {
-        if std::mem::replace(&mut self.aborted, true) {
-            return;
-        }
-        let msg = match err {
-            ProtocolError::QuorumLost {
-                epoch,
-                survivors,
-                required,
-            } => ProtocolMessage::QuorumLost {
-                epoch: *epoch,
-                survivors: *survivors as u32,
-                required: *required as u32,
-            },
-            _ => ProtocolMessage::Abort(err.to_string()),
-        };
-        for (&peer, channel) in &mut self.channels {
-            let _ = send_protocol(ctx, channel, peer, &msg);
-        }
+    /// Phase 1 over subset 0 (the full roster): the pooled counts the
+    /// certificate digests and the released frequencies come from.
+    pub(crate) fn full(&self) -> &MafOutcome {
+        &self.maf_outcomes[0]
     }
 
-    /// Phase 1 of one job: the session's per-subset MAF survivors among
-    /// the job's *new* candidates (forced SNPs are already public and skip
-    /// the funnel), intersected. `panel` and `forced` are sorted.
+    /// Phase 1 of one job: the per-subset MAF survivors among the job's
+    /// *new* candidates (forced SNPs are already public and skip the
+    /// funnel), intersected. `panel` and `forced` are sorted.
     pub(crate) fn maf_step(&self, panel: &[SnpId], forced: &[SnpId]) -> Vec<SnpId> {
         let per_subset: Vec<Vec<SnpId>> = self
             .maf_outcomes
@@ -462,37 +468,26 @@ impl<'a> LeaderSession<'a> {
     }
 
     /// Phase 2 of one job: one LD scan over `l_prime` per collusion
-    /// subset. Each pair's pooled moments come from the first of
-    ///
-    /// 1. the subset's table, filled before any scan starts: from the shard
-    ///    lanes' moment logs when the job is a merge (`shards`) — pooled
-    ///    moments are integer sums over the same genotype bits, so a hit is
-    ///    exactly what a live exchange would pool; misses are shard-boundary
-    ///    pairs and replay divergence after one — or else, iff
-    ///    `prefetch_ld` is on, with every adjacent pair of `l_prime`,
-    ///    fetched in one batched round per subset (the scan compares
-    ///    (survivor, next) and the survivor is usually `next − 1`, so most
-    ///    lookups hit it; a merge never re-fetches what its shard lanes
-    ///    already pooled);
-    /// 2. a live one-pair round.
-    ///
-    /// The scans are independent, so their live rounds share the leader's
-    /// wait: every scan runs through its table up to its next miss, the
-    /// misses go out together ([`exchange_misses`]), every scan is fed, and
-    /// so on until no scan is waiting. Each subset sends exactly the
-    /// requests a scan run on its own would send, in the same order.
-    ///
+    /// subset. A pair's pooled moments come from the subset's table if it
+    /// holds them — the shard lanes' moment logs when the job is a merge
+    /// (`shards`; pooled moments are integer sums over the same genotype
+    /// bits, so a hit is exactly what a live exchange would pool), else
+    /// every adjacent pair of `l_prime` in one round per subset iff the
+    /// source prefetches (the scan compares (survivor, next), and the
+    /// survivor is usually `next − 1`) — and from a live one-pair round
+    /// otherwise. Every scan runs up to its next miss, and the misses go
+    /// to the source as one batch, until no scan waits: each subset asks
+    /// exactly what a scan run on its own would ask, in the same order.
     /// With `log_moments` every scan also returns the `(a, b, pooled)` it
-    /// evaluated, in its own order — what a shard lane hands to the merging
-    /// leader.
-    pub(crate) fn ld_step<T: Transport>(
-        &mut self,
-        ctx: &mut MemberCtx<T>,
+    /// evaluated, in its own order — what a shard lane hands the merge.
+    pub(crate) fn ld_step(
+        &self,
+        source: &mut impl Source,
         l_prime: &[SnpId],
         shards: Option<&[ShardOutput]>,
         log_moments: bool,
     ) -> Result<Vec<ShardScan>, Interrupt> {
-        let prefetch = ctx.prefetch_ld && shards.is_none() && l_prime.len() >= 2;
+        let prefetch = source.prefetch_ld() && shards.is_none() && l_prime.len() >= 2;
         let adjacent: Vec<(SnpId, SnpId)> = if prefetch {
             l_prime.windows(2).map(|w| (w[0], w[1])).collect()
         } else {
@@ -523,20 +518,12 @@ impl<'a> LeaderSession<'a> {
                     })
                     .collect()
             } else if prefetch {
-                request_moments(ctx, &mut self.channels, subset, &adjacent)?;
-                let pooled = collect_moments(
-                    ctx,
-                    &mut self.channels,
-                    self.node,
-                    subset,
-                    &adjacent,
-                    ref_moments,
-                    "ld-prefetch",
-                )?;
+                let round: Round<'_> = (subset, &adjacent);
+                let pooled = source.moments(&[round], ref_moments, "ld-prefetch")?;
                 adjacent
                     .iter()
-                    .zip(pooled)
-                    .map(|(&(a, b), m)| ((a.0, b.0), m))
+                    .zip(&pooled[0])
+                    .map(|(&(a, b), &m)| ((a.0, b.0), m))
                     .collect()
             } else {
                 HashMap::new()
@@ -572,24 +559,21 @@ impl<'a> LeaderSession<'a> {
             if misses.is_empty() {
                 break;
             }
-            let pooled = match exchange_misses(
-                ctx,
-                &mut self.channels,
-                self.node,
-                &self.subsets,
-                &misses,
-                ref_moments,
-            ) {
+            let rounds: Vec<Round<'_>> = misses
+                .iter()
+                .map(|(c, pair)| (&self.subsets[*c][..], std::slice::from_ref(pair)))
+                .collect();
+            let pooled = match source.moments(&rounds, ref_moments, "ld-moments") {
                 Ok(pooled) => pooled,
                 Err(intr) => {
                     if let Interrupt::Fatal(e) = &intr {
-                        self.abort(ctx, e);
+                        source.abort(e);
                     }
                     return Err(intr);
                 }
             };
             for (&(c, pair), pooled) in misses.iter().zip(pooled) {
-                feed(c, &mut scans[c], pair, pooled);
+                feed(c, &mut scans[c], pair, pooled[0]);
             }
         }
         Ok(scans
@@ -602,14 +586,13 @@ impl<'a> LeaderSession<'a> {
             .collect())
     }
 
-    /// Phase 3 for one subset: broadcasts the subset's frequency vectors
-    /// over `columns` (`Phase2`), collects the subset's LR matrices in
-    /// format `M` and runs the seeded search. `columns` are forced ∪
-    /// candidates; the first `forced_len` seed the cumulative sums and are
-    /// never up for admission.
-    fn lr_step<M: LrTransport, T: Transport>(
+    /// Phase 3 for one subset: collects the subset's LR rows over
+    /// `columns` in format `M` and runs the seeded search. `columns` are
+    /// forced ∪ candidates; the first `forced_len` seed the cumulative sums
+    /// and are never up for admission.
+    fn lr_step<M: LrTransport>(
         &mut self,
-        ctx: &mut MemberCtx<T>,
+        source: &mut impl Source,
         combo: usize,
         columns: &[SnpId],
         forced_len: usize,
@@ -617,15 +600,6 @@ impl<'a> LeaderSession<'a> {
         let outcome = &self.maf_outcomes[combo];
         let case_freqs: Vec<f64> = columns.iter().map(|&s| outcome.case_frequency(s)).collect();
         let ref_freqs: Vec<f64> = columns.iter().map(|&s| outcome.ref_frequency(s)).collect();
-        let broadcast = ProtocolMessage::Phase2(
-            combo as u32,
-            Phase2Broadcast {
-                retained: columns.iter().map(|s| s.0).collect(),
-                case_freqs: case_freqs.clone(),
-                ref_freqs: ref_freqs.clone(),
-            },
-        );
-        send_each(ctx, &mut self.channels, &self.subsets[combo], &broadcast)?;
         let candidates = &columns[forced_len..];
         let ranks: Vec<SnpRank> = candidates
             .iter()
@@ -633,37 +607,12 @@ impl<'a> LeaderSession<'a> {
             .collect();
         let order = admission_order(candidates, ranks, forced_len);
         let forced_cols: Vec<usize> = (0..forced_len).collect();
-
-        let me = ctx.id;
-        let subset = &self.subsets[combo];
-        let mut parts: Vec<M> = Vec::with_capacity(subset.len());
-        if subset.contains(&me) {
-            parts.push(ctx.enclave.enter(|(), epc| {
-                let m = M::own(self.node, columns, &case_freqs, &ref_freqs);
-                epc.alloc(m.heap_bytes());
-                m
-            }));
-        }
-        for &peer in subset {
-            if peer == me {
-                continue;
-            }
-            let report = recv_from(ctx, &mut self.channels, peer, "lr-matrices")?;
-            let m = M::from_message(report, combo as u32, &case_freqs, &ref_freqs)
-                .filter(|m| m.snps() == columns.len())
-                .ok_or(ProtocolError::MalformedMessage { member: peer })?;
-            ctx.enclave.enter(|(), epc| epc.alloc(m.heap_bytes()));
-            parts.push(m);
-        }
-        Ok(ctx.enclave.enter(|(), epc| {
-            // The parts are only needed until they are stitched.
-            let case_matrix = M::concat_rows(&parts);
-            epc.alloc(case_matrix.heap_bytes());
-            epc.free(parts.iter().map(LrTransport::heap_bytes).sum());
-            drop(parts);
+        let (reference, reference_columnar) = (self.reference, &self.reference_columnar);
+        let (lr, kernel, lr_memo) = (&self.params.lr, self.kernel, &mut self.lr_memo);
+        let search = |epc: &mut EpcAccount, case_matrix: M| {
             let null_matrix = M::null(
-                self.reference,
-                &self.reference_columnar,
+                reference,
+                reference_columnar,
                 columns,
                 &case_freqs,
                 &ref_freqs,
@@ -675,44 +624,85 @@ impl<'a> LeaderSession<'a> {
             // matrix declining the view (a third value per column, e.g.
             // from a degenerate frequency pair) leaves the search to its
             // scalar fallback; both routes select byte-identically.
-            let lr = &self.params.lr;
-            let selection = match (case_matrix.to_columns(), null_matrix.to_columns()) {
-                (Some(case_cols), Some(null_cols)) => {
-                    let forced = &columns[..forced_len];
-                    let prefix = self.lr_memo.get_or_compute(combo as u32, forced, || {
-                        LrPrefixSums::accumulate(&case_cols, &null_cols, &forced_cols, lr)
-                    });
-                    select_safe_subset(
-                        &case_cols,
-                        &null_cols,
+            let selection = if kernel == SelectionKernel::Oblivious {
+                assert_eq!(forced_len, 0, "the oblivious search takes no forced prefix");
+                select_safe_subset_oblivious(&case_matrix, &null_matrix, &order, lr)
+            } else {
+                match (case_matrix.to_columns(), null_matrix.to_columns()) {
+                    (Some(case_cols), Some(null_cols)) => {
+                        let forced = &columns[..forced_len];
+                        let prefix = lr_memo.get_or_compute(combo as u32, forced, || {
+                            LrPrefixSums::accumulate(&case_cols, &null_cols, &forced_cols, lr)
+                        });
+                        select_safe_subset(
+                            &case_cols,
+                            &null_cols,
+                            &forced_cols,
+                            &order,
+                            lr,
+                            Some(&prefix),
+                        )
+                    }
+                    _ => select_safe_subset(
+                        &case_matrix,
+                        &null_matrix,
                         &forced_cols,
                         &order,
                         lr,
-                        Some(&prefix),
-                    )
+                        None,
+                    ),
                 }
-                _ => select_safe_subset(&case_matrix, &null_matrix, &forced_cols, &order, lr, None),
             };
             epc.free(case_matrix.heap_bytes() + null_matrix.heap_bytes());
             selection
-        }))
+        };
+        let subset = &self.subsets[combo];
+        source.lr_search(combo, subset, columns, &case_freqs, &ref_freqs, search)
+    }
+
+    /// Phase 3 of one job: the seeded LR search of every subset over
+    /// `forced` ∪ `candidates`, each subset's admitted candidates sorted.
+    pub(crate) fn lr_phase(
+        &mut self,
+        source: &mut impl Source,
+        forced: &[SnpId],
+        candidates: &[SnpId],
+    ) -> Result<LrPhase, Interrupt> {
+        let columns: Vec<SnpId> = forced.iter().chain(candidates).copied().collect();
+        let mut phase = LrPhase {
+            selections: Vec::with_capacity(self.subsets.len()),
+            final_power: 0.0,
+            final_threshold: f64::INFINITY,
+        };
+        for c in 0..self.subsets.len() {
+            let selection = if source.compact_lr() {
+                self.lr_step::<LrColumns>(source, c, &columns, forced.len())?
+            } else {
+                self.lr_step::<LrMatrix>(source, c, &columns, forced.len())?
+            };
+            let mut safe: Vec<SnpId> = selection.kept_columns.iter().map(|&j| columns[j]).collect();
+            safe.sort_unstable();
+            if c == 0 {
+                phase.final_power = selection.final_power;
+                phase.final_threshold = selection.final_threshold;
+            }
+            phase.selections.push(safe);
+        }
+        Ok(phase)
     }
 
     /// Runs Algorithm 1 for one job over `panel` (sorted, in range) with
     /// the `forced` SNPs (sorted) — earlier releases — charged against the
-    /// LR power budget before any new candidate is admitted. A `job_id`
-    /// binds the certificate to the job context; `shards` makes the job a
-    /// *merge* of phases 1–2 already run by shard lanes over column slices
-    /// of the same cohort.
-    pub(crate) fn assess<T: Transport>(
+    /// LR power budget before any new candidate is admitted. `shards`
+    /// makes the job a *merge* of phases 1–2 already run by shard lanes
+    /// over column slices of the same cohort.
+    pub(crate) fn assess(
         &mut self,
-        ctx: &mut MemberCtx<T>,
+        source: &mut impl Source,
         panel: &[SnpId],
         forced: &[SnpId],
-        job_id: Option<u64>,
         shards: Option<&[ShardOutput]>,
     ) -> Result<Assessment, Interrupt> {
-        let roster = ctx.roster.clone();
         let mut timings = self.collect_timings;
         crate::telemetry::subsets_evaluated().add(self.subsets.len() as u64);
 
@@ -739,16 +729,13 @@ impl<'a> LeaderSession<'a> {
                 .into());
             }
         }
-        let phase1 = ProtocolMessage::Phase1(Phase1Broadcast {
-            retained: l_prime.iter().map(|s| s.0).collect(),
-        });
-        send_each(ctx, &mut self.channels, &roster, &phase1)?;
+        source.announce_l_prime(&l_prime)?;
         timings.indexing += t.elapsed();
         crate::telemetry::phase_seconds("maf").observe_duration(t.elapsed());
 
         // ---- Phase 2 ----
         let t = Instant::now();
-        let scans = self.ld_step(ctx, &l_prime, shards, false)?;
+        let scans = self.ld_step(source, &l_prime, shards, false)?;
         let ld_selections: Vec<Vec<SnpId>> = scans.into_iter().map(|s| s.retained).collect();
         let l_double_prime = intersect_selections(&ld_selections);
         timings.ld += t.elapsed();
@@ -756,47 +743,260 @@ impl<'a> LeaderSession<'a> {
 
         // ---- Phase 3 ----
         let t = Instant::now();
-        let columns: Vec<SnpId> = forced
-            .iter()
-            .chain(l_double_prime.iter())
-            .copied()
-            .collect();
-        let mut lr_selections = Vec::with_capacity(self.subsets.len());
-        let mut final_power = 0.0f64;
-        let mut final_threshold = f64::INFINITY;
-        for c in 0..self.subsets.len() {
-            let selection = if ctx.compact_lr {
-                self.lr_step::<LrColumns, T>(ctx, c, &columns, forced.len())?
-            } else {
-                self.lr_step::<LrMatrix, T>(ctx, c, &columns, forced.len())?
-            };
-            let mut safe: Vec<SnpId> = selection.kept_columns.iter().map(|&j| columns[j]).collect();
-            safe.sort_unstable();
-            if c == 0 {
-                final_power = selection.final_power;
-                final_threshold = selection.final_threshold;
-            }
-            lr_selections.push(safe);
-        }
-        let released = intersect_selections(&lr_selections);
+        let mut lr = self.lr_phase(source, forced, &l_double_prime)?;
+        let released = intersect_selections(&lr.selections);
         timings.lr += t.elapsed();
         crate::telemetry::phase_seconds("lr").observe_duration(t.elapsed());
 
+        let full = self.full();
+        Ok(Assessment {
+            case_freqs: released.iter().map(|&s| full.case_frequency(s)).collect(),
+            ref_freqs: released.iter().map(|&s| full.ref_frequency(s)).collect(),
+            full_set_safe: lr.selections.swap_remove(0),
+            l_prime,
+            l_double_prime,
+            released,
+            final_power: lr.final_power,
+            final_threshold: lr.final_threshold,
+            certificate: None,
+            timings,
+        })
+    }
+}
+
+// ---- The remote source: the roster over the leader's attested channels ----
+
+/// The leader's end of one attested session.
+pub(crate) struct Links<'a> {
+    node: &'a GdoNode,
+    pub(crate) channels: Channels,
+    aborted: bool,
+}
+
+/// The remote source: the roster's aggregates over the session's links,
+/// metered in the leader enclave.
+pub(crate) struct Remote<'s, 'a, T: Transport> {
+    ctx: &'s mut MemberCtx<T>,
+    links: &'s mut Links<'a>,
+}
+
+impl<T: Transport> Source for Remote<'_, '_, T> {
+    fn counts(&mut self) -> Result<Vec<Option<CountsReport>>, Interrupt> {
+        let (ctx, Links { node, channels, .. }) = (&mut *self.ctx, &mut *self.links);
+        let (me, panel_len) = (ctx.id, node.columnar().snps());
+        let mut reports: Vec<Option<CountsReport>> = vec![None; ctx.g];
+        reports[me] = Some(node.counts_report());
+        for peer in ctx.roster.clone() {
+            if peer == me {
+                continue;
+            }
+            match recv_from(ctx, channels, peer, "counts")? {
+                ProtocolMessage::Counts(c) if c.counts.len() == panel_len => {
+                    reports[peer] = Some(c);
+                }
+                _ => return Err(ProtocolError::MalformedMessage { member: peer }.into()),
+            }
+        }
+        Ok(reports)
+    }
+
+    fn enter<R>(&mut self, body: impl FnOnce(&mut EpcAccount) -> R) -> R {
+        self.ctx.enclave.enter(|(), epc| body(epc))
+    }
+
+    fn announce_l_prime(&mut self, l_prime: &[SnpId]) -> Result<(), Interrupt> {
+        let phase1 = ProtocolMessage::Phase1(Phase1Broadcast {
+            retained: l_prime.iter().map(|s| s.0).collect(),
+        });
+        let roster = self.ctx.roster.clone();
+        Ok(send_each(
+            self.ctx,
+            &mut self.links.channels,
+            &roster,
+            &phase1,
+        )?)
+    }
+
+    /// All requests go out as one burst, in round order: each round costs
+    /// the messages it costs alone, and the leader waits once for all.
+    fn moments(
+        &mut self,
+        rounds: &[Round<'_>],
+        reference: impl Fn(SnpId, SnpId) -> LdMoments,
+        phase: &'static str,
+    ) -> Result<Vec<Vec<LdMoments>>, Interrupt> {
+        let (ctx, Links { node, channels, .. }) = (&mut *self.ctx, &mut *self.links);
+        ctx.burst(|ctx| {
+            rounds
+                .iter()
+                .try_for_each(|&(subset, pairs)| request_moments(ctx, channels, subset, pairs))
+        })?;
+        rounds
+            .iter()
+            .map(|&(subset, pairs)| {
+                collect_moments(ctx, channels, node, subset, pairs, &reference, phase)
+            })
+            .collect()
+    }
+
+    fn prefetch_ld(&self) -> bool {
+        self.ctx.prefetch_ld
+    }
+
+    fn compact_lr(&self) -> bool {
+        self.ctx.compact_lr
+    }
+
+    /// `Phase2` to the subset, then its rows, each part metered as it
+    /// arrives and released once stitched.
+    fn lr_search<M: LrTransport>(
+        &mut self,
+        combo: usize,
+        subset: &[usize],
+        columns: &[SnpId],
+        case_freqs: &[f64],
+        ref_freqs: &[f64],
+        search: impl FnOnce(&mut EpcAccount, M) -> LrSelection,
+    ) -> Result<LrSelection, Interrupt> {
+        let broadcast = ProtocolMessage::Phase2(
+            combo as u32,
+            Phase2Broadcast {
+                retained: columns.iter().map(|s| s.0).collect(),
+                case_freqs: case_freqs.to_vec(),
+                ref_freqs: ref_freqs.to_vec(),
+            },
+        );
+        let (ctx, Links { node, channels, .. }) = (&mut *self.ctx, &mut *self.links);
+        send_each(ctx, channels, subset, &broadcast)?;
+        let me = ctx.id;
+        let mut parts: Vec<M> = Vec::with_capacity(subset.len());
+        if subset.contains(&me) {
+            parts.push(ctx.enclave.enter(|(), epc| {
+                let m = M::own(node, columns, case_freqs, ref_freqs);
+                epc.alloc(m.heap_bytes());
+                m
+            }));
+        }
+        for &peer in subset {
+            if peer == me {
+                continue;
+            }
+            let report = recv_from(ctx, channels, peer, "lr-matrices")?;
+            let m = M::from_message(report, combo as u32, case_freqs, ref_freqs)
+                .filter(|m| m.snps() == columns.len())
+                .ok_or(ProtocolError::MalformedMessage { member: peer })?;
+            ctx.enclave.enter(|(), epc| epc.alloc(m.heap_bytes()));
+            parts.push(m);
+        }
+        Ok(ctx.enclave.enter(|(), epc| {
+            // The parts are only needed until they are stitched.
+            let case_matrix = M::concat_rows(&parts);
+            epc.alloc(case_matrix.heap_bytes());
+            epc.free(parts.iter().map(LrTransport::heap_bytes).sum());
+            drop(parts);
+            search(epc, case_matrix)
+        }))
+    }
+
+    /// At most once per session: `QuorumLost` where that is the cause.
+    fn abort(&mut self, err: &ProtocolError) {
+        if std::mem::replace(&mut self.links.aborted, true) {
+            return;
+        }
+        let msg = match err {
+            ProtocolError::QuorumLost {
+                epoch,
+                survivors,
+                required,
+            } => ProtocolMessage::QuorumLost {
+                epoch: *epoch,
+                survivors: *survivors as u32,
+                required: *required as u32,
+            },
+            _ => ProtocolMessage::Abort(err.to_string()),
+        };
+        for (&peer, channel) in &mut self.links.channels {
+            let _ = send_protocol(self.ctx, channel, peer, &msg);
+        }
+    }
+}
+
+/// The attested leader: the core over the remote source of one session's
+/// links.
+pub(crate) struct LeaderSession<'a> {
+    pub(crate) core: LeaderCore<'a>,
+    pub(crate) links: Links<'a>,
+}
+
+impl<'a> LeaderSession<'a> {
+    /// Receives every roster member's `Counts` over `channels` and runs
+    /// the per-subset MAF evaluation and association ranking.
+    pub(crate) fn collect<T: Transport>(
+        ctx: &mut MemberCtx<T>,
+        channels: Channels,
+        node: &'a GdoNode,
+        reference: &'a GenotypeMatrix,
+        params: &'a GwasParams,
+    ) -> Result<Self, Interrupt> {
+        let subsets = evaluation_subsets_of(&ctx.roster, ctx.collusion);
+        let mut links = Links {
+            node,
+            channels,
+            aborted: false,
+        };
+        let remote = &mut Remote {
+            ctx,
+            links: &mut links,
+        };
+        let core = LeaderCore::collect(remote, subsets, reference, params, SelectionKernel::Fast)?;
+        Ok(Self { core, links })
+    }
+
+    /// The core, and the remote source over this session's links.
+    pub(crate) fn split<'s, T: Transport>(
+        &'s mut self,
+        ctx: &'s mut MemberCtx<T>,
+    ) -> (&'s mut LeaderCore<'a>, Remote<'s, 'a, T>) {
+        let links = &mut self.links;
+        (&mut self.core, Remote { ctx, links })
+    }
+
+    /// Tells every peer the run is over (at most once per session).
+    pub(crate) fn abort<T: Transport>(&mut self, ctx: &mut MemberCtx<T>, err: &ProtocolError) {
+        self.split(ctx).1.abort(err);
+    }
+
+    /// [`LeaderCore::assess`] over the channels, then the certificate,
+    /// issued inside the leader enclave (a `job_id` binds it to the job
+    /// context), and the `Phase3` broadcast of the safe set.
+    pub(crate) fn assess<T: Transport>(
+        &mut self,
+        ctx: &mut MemberCtx<T>,
+        panel: &[SnpId],
+        forced: &[SnpId],
+        job_id: Option<u64>,
+        shards: Option<&[ShardOutput]>,
+    ) -> Result<Assessment, Interrupt> {
+        let (core, mut remote) = self.split(ctx);
+        let mut assessment = core.assess(&mut remote, panel, forced, shards)?;
+        let ctx = remote.ctx;
+        let roster = ctx.roster.clone();
+
         // ---- Audit certificate (issued inside the leader enclave) ----
-        let full = &self.maf_outcomes[0];
+        let full = core.full();
         let roster_u32: Vec<u32> = roster.iter().map(|&m| m as u32).collect();
-        let certificate = AssessmentCertificate::issue(
+        assessment.certificate = Some(AssessmentCertificate::issue(
             &ctx.enclave,
             &AssessmentFacts {
-                params: self.params,
+                params: core.params,
                 gdo_count: ctx.g,
-                panel_len: self.panel_len(),
+                panel_len: core.panel_len(),
                 case_counts: &full.case_counts,
                 n_case: full.n_case,
                 ref_counts: &full.ref_counts,
                 n_ref: full.n_ref,
-                safe: &released,
-                evaluations: self.subsets.len() as u64,
+                safe: &assessment.released,
+                evaluations: core.evaluations() as u64,
                 epoch: ctx.epoch,
                 roster: &roster_u32,
                 context: job_id.map(|job_id| JobContext {
@@ -805,25 +1005,63 @@ impl<'a> LeaderSession<'a> {
                     forced,
                 }),
             },
-        );
+        ));
 
         // ---- Final broadcast ----
         let phase3 = ProtocolMessage::Phase3(Phase3Broadcast {
-            safe: released.iter().map(|s| s.0).collect(),
+            safe: assessment.released.iter().map(|s| s.0).collect(),
         });
-        send_each(ctx, &mut self.channels, &roster, &phase3)?;
+        send_each(ctx, &mut remote.links.channels, &roster, &phase3)?;
+        Ok(assessment)
+    }
+}
 
-        Ok(Assessment {
-            case_freqs: released.iter().map(|&s| full.case_frequency(s)).collect(),
-            ref_freqs: released.iter().map(|&s| full.ref_frequency(s)).collect(),
-            l_prime,
-            l_double_prime,
-            released,
-            final_power,
-            final_threshold,
-            certificate,
-            timings,
-        })
+// ---- The local source: in-process members ----
+
+/// The local source: the members, by id, answer at once from their
+/// shards. Its enclave meters are never read, and nothing waits on a
+/// round.
+pub(crate) struct Local<'n>(pub(crate) &'n [GdoNode]);
+
+impl Source for Local<'_> {
+    fn counts(&mut self) -> Result<Vec<Option<CountsReport>>, Interrupt> {
+        Ok(self.0.iter().map(|n| Some(n.counts_report())).collect())
+    }
+
+    fn moments(
+        &mut self,
+        rounds: &[Round<'_>],
+        reference: impl Fn(SnpId, SnpId) -> LdMoments,
+        _: &'static str,
+    ) -> Result<Vec<Vec<LdMoments>>, Interrupt> {
+        let pooled = |subset: &[usize], &(a, b): &(SnpId, SnpId)| {
+            subset.iter().fold(reference(a, b), |sum, &i| {
+                sum.merge(LdMoments::from(self.0[i].ld_moments(a, b)))
+            })
+        };
+        Ok(rounds
+            .iter()
+            .map(|&(subset, pairs)| pairs.iter().map(|pair| pooled(subset, pair)).collect())
+            .collect())
+    }
+
+    fn lr_search<M: LrTransport>(
+        &mut self,
+        _: usize,
+        subset: &[usize],
+        columns: &[SnpId],
+        case_freqs: &[f64],
+        ref_freqs: &[f64],
+        search: impl FnOnce(&mut EpcAccount, M) -> LrSelection,
+    ) -> Result<LrSelection, Interrupt> {
+        let parts: Vec<M> = subset
+            .iter()
+            .map(|&i| M::own(&self.0[i], columns, case_freqs, ref_freqs))
+            .collect();
+        let case_matrix = M::concat_rows(&parts);
+        let mut epc = EpcAccount::default();
+        epc.alloc(case_matrix.heap_bytes());
+        Ok(search(&mut epc, case_matrix))
     }
 }
 

@@ -9,7 +9,8 @@ use std::fmt;
 pub enum ProtocolError {
     /// Configuration or parameters failed validation.
     InvalidConfig(&'static str),
-    /// The study has no SNPs or no reference individuals.
+    /// The study has no SNPs, no reference individuals or no case
+    /// genomes.
     EmptyStudy,
     /// A member became non-responsive; the paper makes no liveness
     /// guarantee under faults, so the protocol aborts.
@@ -58,7 +59,9 @@ impl fmt::Display for ProtocolError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Self::InvalidConfig(reason) => write!(f, "invalid configuration: {reason}"),
-            Self::EmptyStudy => f.write_str("study has no SNPs or no reference individuals"),
+            Self::EmptyStudy => {
+                f.write_str("study has no SNPs, no reference individuals or no case genomes")
+            }
             Self::MemberUnresponsive { member, phase } => {
                 write!(f, "member {member} unresponsive during {phase}; aborting")
             }

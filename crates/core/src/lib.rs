@@ -18,9 +18,10 @@
 //! * [`protocol`] — the deterministic in-process driver (what the paper's
 //!   tables and figures measure),
 //! * [`runtime`] — the fully threaded deployment: one thread per GDO,
-//!   enclaves, remote attestation and encrypted channels end to end (what
-//!   its elected leader and followers then run is the crate-private
-//!   `engine`, shared with [`serving`]),
+//!   enclaves, remote attestation and encrypted channels end to end,
+//! * the crate-private `engine` — the leader core every driver runs:
+//!   [`runtime`] and [`serving`] over attested channels, [`protocol`],
+//!   the naïve baseline and [`dynamic`] over in-process members,
 //! * [`baseline`] — the centralized (SecureGenome-in-one-enclave) and
 //!   naïve distributed comparison pipelines,
 //! * [`attack`] — the LR membership adversary used to validate releases,
@@ -84,5 +85,5 @@ pub mod telemetry;
 
 pub use config::{CollusionMode, FederationConfig, GwasParams};
 pub use error::ProtocolError;
-pub use protocol::{Federation, PhaseTimings, ProtocolOutcome, TrafficEstimate};
+pub use protocol::{Federation, PhaseTimings, ProtocolOutcome};
 pub use release::GwasRelease;

@@ -113,47 +113,20 @@ pub fn run_lr_test_threads<M: LrValues + ?Sized, N: LrValues + ?Sized>(
         "null matrix width must match candidates"
     );
     assert_eq!(ranks.len(), candidates.len(), "one rank per candidate");
-    select_sorted(
-        candidates,
-        0,
-        case_matrix,
-        null_matrix,
-        ranks.to_vec(),
-        params,
-        kernel,
-    )
-}
-
-/// The search tail of every in-process LR decision: `columns[j]` names
-/// column `j` of both matrices, the first `forced_len` are charged before
-/// any candidate, `ranks` (one per candidate) set the admission order.
-/// Returns the admitted candidates in panel order.
-///
-/// # Panics
-///
-/// Panics if a rank names a SNP outside the candidates, or if the
-/// oblivious kernel (which takes no forced prefix) is given one.
-pub(crate) fn select_sorted<M: LrValues + ?Sized, N: LrValues + ?Sized>(
-    columns: &[SnpId],
-    forced_len: usize,
-    case_matrix: &M,
-    null_matrix: &N,
-    ranks: Vec<SnpRank>,
-    params: &LrTestParams,
-    kernel: SelectionKernel,
-) -> Vec<SnpId> {
-    let order = admission_order(&columns[forced_len..], ranks, forced_len);
+    let order = admission_order(candidates, ranks.to_vec(), 0);
     let selection = match kernel {
         SelectionKernel::Fast => {
-            let forced: Vec<usize> = (0..forced_len).collect();
-            select_safe_subset(case_matrix, null_matrix, &forced, &order, params, None)
+            select_safe_subset(case_matrix, null_matrix, &[], &order, params, None)
         }
         SelectionKernel::Oblivious => {
-            assert_eq!(forced_len, 0, "the oblivious search takes no forced prefix");
             select_safe_subset_oblivious(case_matrix, null_matrix, &order, params)
         }
     };
-    let mut safe: Vec<SnpId> = selection.kept_columns.iter().map(|&j| columns[j]).collect();
+    let mut safe: Vec<SnpId> = selection
+        .kept_columns
+        .iter()
+        .map(|&j| candidates[j])
+        .collect();
     safe.sort_unstable();
     safe
 }

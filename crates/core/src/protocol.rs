@@ -4,27 +4,30 @@
 //! process: every member's local computation runs against its own shard
 //! only, the leader aggregates exactly the intermediate values the real
 //! deployment would receive, and collusion tolerance re-evaluates each
-//! phase per member combination (§5.6). Each combination is one pool of
-//! members (`phases::pooled::Pool`); this driver only intersects the
-//! pools' selections after each phase and accounts the traffic a
-//! deployment would send. It is what the correctness experiments
-//! (Table 4), collusion experiments (Table 5) and the running-time figures
-//! (5/6) measure; the fully threaded, enclave-encrypted deployment lives
-//! in [`crate::runtime`].
+//! phase per member combination (§5.6). It is the crate's leader core over
+//! the *local* source — in-process members answering at once — with the
+//! evaluation subsets and a [`SelectionKernel`]: the same phase logic the
+//! attested deployment runs over its channels, without messages, AEAD or
+//! threads. It is what the correctness experiments (Table 4), collusion
+//! experiments (Table 5) and the running-time figures (5/6) measure; the
+//! fully threaded, enclave-encrypted deployment lives in
+//! [`crate::runtime`], whose [`RuntimeReport::traffic`] is the measured
+//! traffic of a run.
+//!
+//! [`RuntimeReport::traffic`]: crate::runtime::RuntimeReport::traffic
 
-use crate::collusion::{evaluation_subsets, intersect_selections};
+use crate::collusion::evaluation_subsets;
 use crate::config::{FederationConfig, GwasParams};
+use crate::engine::{LeaderCore, Local};
 use crate::error::ProtocolError;
 use crate::gdo::GdoNode;
 use crate::leader::elect_seeded;
-use crate::phases::ld::scan_comparisons;
 use crate::phases::lrtest::SelectionKernel;
-use crate::phases::pooled::Pool;
+use crate::phases::maf::MafOutcome;
 use gendpr_genomics::cohort::Cohort;
-use gendpr_genomics::columnar::ColumnarGenotypes;
 use gendpr_genomics::genotype::GenotypeMatrix;
 use gendpr_genomics::snp::SnpId;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Per-task CPU time, matching the paper's Figure 5/6 breakdown.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -47,44 +50,6 @@ impl PhaseTimings {
     }
 }
 
-/// Analytic bandwidth accounting for one protocol run (paper §7.1): how
-/// many messages crossed member boundaries and how many bytes they
-/// carried, before and after encryption.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TrafficEstimate {
-    /// Messages exchanged (member→leader and broadcasts).
-    pub messages: u64,
-    /// Payload bytes before encryption.
-    pub plaintext_bytes: u64,
-    /// Bytes on the wire (payload + AEAD tag + length framing).
-    pub wire_bytes: u64,
-    /// Communication rounds on the protocol's critical path (each costs
-    /// one round trip in a geo-distributed deployment).
-    pub round_trips: u64,
-}
-
-/// Per-message encryption + framing overhead: 16-byte Poly1305 tag plus an
-/// 8-byte length prefix.
-pub const MESSAGE_OVERHEAD: u64 = 24;
-
-impl TrafficEstimate {
-    fn add(&mut self, messages: u64, payload_bytes: u64) {
-        self.messages += messages;
-        self.plaintext_bytes += payload_bytes;
-        self.wire_bytes += payload_bytes + messages * MESSAGE_OVERHEAD;
-    }
-
-    /// Estimated wall-clock communication cost in a geo-distributed
-    /// deployment: every critical-path round pays one round trip, and the
-    /// total volume streams at the link bandwidth.
-    #[must_use]
-    pub fn wan_estimate(&self, model: &gendpr_fednet::latency::LatencyModel) -> Duration {
-        let rtt = model.base * 2;
-        let transfer = Duration::from_secs_f64(self.wire_bytes as f64 / model.bytes_per_second);
-        rtt * u32::try_from(self.round_trips).unwrap_or(u32::MAX) + transfer
-    }
-}
-
 /// Result of one GenDPR run.
 #[derive(Debug, Clone)]
 pub struct ProtocolOutcome {
@@ -98,8 +63,6 @@ pub struct ProtocolOutcome {
     pub safe_snps: Vec<SnpId>,
     /// Wall-clock per task.
     pub timings: PhaseTimings,
-    /// Bandwidth accounting.
-    pub traffic: TrafficEstimate,
     /// How many member combinations were evaluated (1 without collusion
     /// tolerance).
     pub evaluations: usize,
@@ -121,8 +84,7 @@ pub struct Federation {
     config: FederationConfig,
     params: GwasParams,
     nodes: Vec<GdoNode>,
-    // The reference panel, SNP-major (the only layout a pool reads).
-    reference: ColumnarGenotypes,
+    reference: GenotypeMatrix,
     kernel: SelectionKernel,
 }
 
@@ -187,20 +149,21 @@ impl Federation {
             config,
             params,
             nodes,
-            reference: ColumnarGenotypes::from_matrix(&reference),
+            reference,
             kernel: SelectionKernel::Fast,
         }
     }
 
-    /// Executes the three-phase protocol: one pool per evaluation subset,
-    /// the subsets' selections intersected after every phase.
+    /// Executes the three-phase protocol: the leader core over the
+    /// members, one evaluation per collusion subset, the subsets'
+    /// selections intersected after every phase.
     ///
     /// # Errors
     ///
     /// [`ProtocolError::InvalidConfig`] for bad parameters or a shard count
     /// other than `config.gdo_count`, [`ProtocolError::EmptyStudy`] when
-    /// there are no SNPs or no reference individuals (the LR-test has no
-    /// null model without them).
+    /// there are no SNPs, no reference individuals (the LR-test has no
+    /// null model without them) or no case genomes.
     pub fn run(&self) -> Result<ProtocolOutcome, ProtocolError> {
         self.config
             .validate()
@@ -216,121 +179,30 @@ impl Federation {
         }
 
         let g = self.config.gdo_count;
-        let leader = elect_seeded(self.config.seed, g);
         let subsets = evaluation_subsets(g, self.config.collusion);
-        let mut traffic = TrafficEstimate::default();
-        let mut timings = PhaseTimings::default();
-
-        // ---- Pre-processing + Phase 1: counts, aggregation, MAF ----
-        let t = Instant::now();
-        let ref_counts = self.reference.column_counts();
-        // Every non-leader member ships its counts vector (u64 per SNP + n).
-        traffic.add(
-            (g - 1) as u64,
-            (g - 1) as u64 * (8 * self.reference.snps() as u64 + 16),
-        );
-        traffic.round_trips += 1; // counts collection
-        timings.aggregation += t.elapsed();
-
-        let t = Instant::now();
-        let pools: Vec<Pool> = subsets
-            .iter()
-            .map(|subset| {
-                let members = subset.iter().map(|&i| &self.nodes[i]).collect();
-                Pool::new(
-                    members,
-                    &self.reference,
-                    &ref_counts,
-                    self.params.maf_cutoff,
-                )
-            })
-            .collect();
-        let l_prime = intersect_selections(
-            &pools
-                .iter()
-                .map(|p| p.maf.retained.clone())
-                .collect::<Vec<_>>(),
-        );
-        // Leader broadcasts L' to all members.
-        traffic.add(
-            (g - 1) as u64,
-            (g - 1) as u64 * (4 * l_prime.len() as u64 + 8),
-        );
-        traffic.round_trips += 1;
-        timings.indexing += t.elapsed();
-
-        // ---- Phase 2: LD analysis ----
-        let t = Instant::now();
-        let mut ld_selections: Vec<Vec<SnpId>> = Vec::with_capacity(subsets.len());
-        for (subset, pool) in subsets.iter().zip(&pools) {
-            ld_selections.push(pool.ld_scan(&l_prime, self.params.ld_cutoff));
-            // Each comparison costs one request + one response per
-            // non-leader member of the subset.
-            let responders = subset.iter().filter(|&&i| i != leader).count() as u64;
-            let comparisons = scan_comparisons(l_prime.len()) as u64;
-            traffic.add(
-                comparisons * responders,
-                comparisons * responders * (8 + 48),
-            );
-            // Each comparison is a request/response round (the optimized
-            // runtime's adjacent-pair prefetch collapses most of these).
-            traffic.round_trips += comparisons;
-        }
-        let l_double_prime = intersect_selections(&ld_selections);
-        // Leader broadcasts L'' and the frequency vectors per combination.
-        let phase2_payload = (4 + 8 + 8) * l_double_prime.len() as u64 + 8;
-        traffic.add(
-            (g - 1) as u64 * subsets.len() as u64,
-            (g - 1) as u64 * subsets.len() as u64 * phase2_payload,
-        );
-        traffic.round_trips += subsets.len() as u64; // Phase 2 broadcast + LR reply
-        timings.ld += t.elapsed();
-
-        // ---- Phase 3: LR-test analysis ----
-        let t = Instant::now();
-        let mut lr_selections = Vec::with_capacity(subsets.len());
-        for (subset, pool) in subsets.iter().zip(&pools) {
-            lr_selections.push(pool.lr_select(&[], &l_double_prime, &self.params.lr, self.kernel));
-            // Members ship their LR matrices: 8 bytes per cell + header.
-            for &i in subset {
-                if i != leader {
-                    let cells = self.nodes[i].individuals() as u64 * l_double_prime.len() as u64;
-                    traffic.add(1, 8 * cells + 16);
-                }
-            }
-        }
-        let full_set_safe = lr_selections[0].clone();
-        let safe_snps = intersect_selections(&lr_selections);
-        debug_assert!(
-            safe_snps.iter().all(|s| full_set_safe.contains(s)),
-            "intersection must be within the full-set selection"
-        );
-        // Final broadcast of L_safe.
-        traffic.add(
-            (g - 1) as u64,
-            (g - 1) as u64 * (4 * safe_snps.len() as u64 + 8),
-        );
-        traffic.round_trips += 1;
-        timings.lr += t.elapsed();
-
-        let full = &pools[0].maf;
+        let mut source = Local(&self.nodes);
+        let mut core = LeaderCore::collect(
+            &mut source,
+            subsets,
+            &self.reference,
+            &self.params,
+            self.kernel,
+        )?;
+        let panel = core.whole_panel();
+        let outcome = core.assess(&mut source, &panel, &[], None)?;
+        let (full, l_double_prime) = (core.full(), &outcome.l_double_prime);
+        let freqs =
+            |f: fn(&MafOutcome, SnpId) -> f64| l_double_prime.iter().map(move |&s| f(full, s));
         Ok(ProtocolOutcome {
-            leader,
-            case_freqs: l_double_prime
-                .iter()
-                .map(|&s| full.case_frequency(s))
-                .collect(),
-            ref_freqs: l_double_prime
-                .iter()
-                .map(|&s| full.ref_frequency(s))
-                .collect(),
-            l_prime,
-            l_double_prime,
-            safe_snps,
-            timings,
-            traffic,
-            evaluations: subsets.len(),
-            full_set_safe,
+            leader: elect_seeded(self.config.seed, g),
+            case_freqs: freqs(MafOutcome::case_frequency).collect(),
+            ref_freqs: freqs(MafOutcome::ref_frequency).collect(),
+            l_prime: outcome.l_prime,
+            l_double_prime: outcome.l_double_prime,
+            safe_snps: outcome.released,
+            timings: outcome.timings,
+            evaluations: core.evaluations(),
+            full_set_safe: outcome.full_set_safe,
         })
     }
 }
@@ -456,26 +328,6 @@ mod tests {
     }
 
     #[test]
-    fn traffic_scales_with_snps_not_genomes() {
-        let small = cohort(100, 400, 5);
-        let big_snps = cohort(200, 400, 5);
-        let params = GwasParams::secure_genome_defaults();
-        let t_small = Federation::new(FederationConfig::new(3), params, &small)
-            .run()
-            .unwrap()
-            .traffic;
-        let t_big = Federation::new(FederationConfig::new(3), params, &big_snps)
-            .run()
-            .unwrap()
-            .traffic;
-        assert!(t_big.plaintext_bytes > t_small.plaintext_bytes);
-        assert!(t_big.wire_bytes > t_big.plaintext_bytes);
-        // No genome sequences: traffic stays far below shipping genotypes.
-        let genome_bytes = 400 * 100 / 4; // 2 bits per SNP per genome
-        assert!(t_small.plaintext_bytes < 100 * genome_bytes);
-    }
-
-    #[test]
     fn empty_study_is_an_error() {
         let c = cohort(10, 20, 6);
         let fed = Federation::from_shards(
@@ -519,31 +371,6 @@ mod tests {
             fed.run().unwrap_err(),
             ProtocolError::InvalidConfig(_)
         ));
-    }
-
-    #[test]
-    fn traffic_round_trips_and_wan_estimate() {
-        let c = cohort(120, 150, 10);
-        let out = Federation::new(
-            FederationConfig::new(3),
-            GwasParams::secure_genome_defaults(),
-            &c,
-        )
-        .run()
-        .unwrap();
-        // counts + L' broadcast + one round per LD comparison + one per
-        // subset (phase 2/LR) + final broadcast.
-        let expected = 1 + 1 + (out.l_prime.len() as u64 - 1) + 1 + 1;
-        assert_eq!(out.traffic.round_trips, expected);
-        // WAN estimate grows with the latency profile.
-        let dc = out
-            .traffic
-            .wan_estimate(&gendpr_fednet::latency::LatencyModel::datacenter());
-        let wan = out
-            .traffic
-            .wan_estimate(&gendpr_fednet::latency::LatencyModel::wide_area());
-        assert!(wan > dc);
-        assert!(wan >= std::time::Duration::from_millis(80 * out.traffic.round_trips / 1000));
     }
 
     #[test]

@@ -357,6 +357,19 @@ impl From<ProtocolError> for Interrupt {
     }
 }
 
+/// Where a view change cannot unwind — service sessions run without
+/// recovery, a local source never re-forms — an interrupt is fatal.
+impl From<Interrupt> for ProtocolError {
+    fn from(intr: Interrupt) -> Self {
+        match intr {
+            Interrupt::Fatal(e) => e,
+            Interrupt::NewView { .. } => {
+                Self::InvalidConfig("view changes are not supported in service sessions")
+            }
+        }
+    }
+}
+
 pub(crate) struct MemberCtx<T: Transport> {
     pub(crate) id: usize,
     pub(crate) g: usize,
@@ -931,7 +944,7 @@ pub(crate) fn seat<'a, T: Transport>(
             channels.insert(peer, establish_channel(ctx, peer)?);
         }
     }
-    LeaderSession::collect(ctx, channels, node, reference, params, counts).map(Seat::Leader)
+    LeaderSession::collect(ctx, channels, node, reference, params).map(Seat::Leader)
 }
 
 /// Runs the full threaded deployment over `cohort`.
@@ -1006,10 +1019,11 @@ pub(crate) fn in_memory_fabric(
         .collect())
 }
 
-/// Checks a deployment — a valid config and params, a non-empty study,
-/// a transport for each member, in id order — and starts one thread per
-/// member, running `member(id)` over its transport, its case shard and
-/// the shared reference panel. Both attested drivers deploy this way.
+/// Checks a deployment — a valid config and params, a non-empty study
+/// (SNPs, reference individuals and case genomes), a transport for each
+/// member, in id order — and starts one thread per member, running
+/// `member(id)` over its transport, its case shard and the shared
+/// reference panel. Both attested drivers deploy this way.
 pub(crate) fn spawn_members<T, R, F>(
     transports: Vec<T>,
     config: &FederationConfig,
@@ -1024,7 +1038,10 @@ where
 {
     config.validate().map_err(ProtocolError::InvalidConfig)?;
     params.validate().map_err(ProtocolError::InvalidConfig)?;
-    if cohort.panel().is_empty() || cohort.reference_individuals() == 0 {
+    if cohort.panel().is_empty()
+        || cohort.reference_individuals() == 0
+        || cohort.case_individuals() == 0
+    {
         return Err(ProtocolError::EmptyStudy);
     }
     if transports.len() != config.gdo_count {
@@ -1194,13 +1211,13 @@ pub fn run_member<T: Transport>(
                     &[
                         ("leader", member.into()),
                         ("members", ctx.g.into()),
-                        ("subsets", session.evaluations().into()),
+                        ("subsets", session.core.evaluations().into()),
                     ],
                 );
-                let panel: Vec<SnpId> = (0..session.panel_len() as u32).map(SnpId).collect();
+                let panel = session.core.whole_panel();
                 let a = session.assess(&mut ctx, &panel, &[], None, None)?;
                 let kept = (Some(a.l_prime), Some(a.l_double_prime));
-                Ok((member, a.released, kept, Some(a.certificate), a.timings))
+                Ok((member, a.released, kept, a.certificate, a.timings))
             }
             Seat::Follower {
                 leader,
@@ -1929,6 +1946,12 @@ mod tests {
             GenotypeMatrix::zeroed(0, c.panel().len()),
         )
         .unwrap();
+        let no_cases = Cohort::new(
+            c.panel().clone(),
+            GenotypeMatrix::zeroed(0, c.panel().len()),
+            c.reference().clone(),
+        )
+        .unwrap();
         let config = FederationConfig::new(3);
         let params = GwasParams::secure_genome_defaults();
         let colluders = config.with_collusion(CollusionMode::Fixed(3));
@@ -1972,6 +1995,10 @@ mod tests {
             refusal(&[0, 1, 2], config, params, &no_reference),
             ProtocolError::EmptyStudy
         );
+        assert_eq!(
+            refusal(&[0, 1, 2], config, params, &no_cases),
+            ProtocolError::EmptyStudy
+        );
         let invalid = ProtocolError::InvalidConfig;
         assert_eq!(
             refusal(&[0, 1, 2], colluders, params, c),
@@ -1981,6 +2008,31 @@ mod tests {
             refusal(&[0, 1, 2], config, bad_maf, c),
             invalid(bad_maf.validate().unwrap_err())
         );
+    }
+
+    #[test]
+    fn traffic_scales_with_snps_not_genomes() {
+        let cohort = |snps| {
+            SyntheticCohort::builder()
+                .snps(snps)
+                .case_individuals(400)
+                .reference_individuals(400)
+                .seed(5)
+                .build()
+        };
+        let (small, big_snps) = (cohort(100), cohort(200));
+        let params = GwasParams::secure_genome_defaults();
+        let traffic = |c: &SyntheticCohort| {
+            run_federation(FederationConfig::new(3), params, c, None, TIMEOUT)
+                .unwrap()
+                .traffic
+        };
+        let (t_small, t_big) = (traffic(&small), traffic(&big_snps));
+        assert!(t_big.plaintext_bytes > t_small.plaintext_bytes);
+        assert!(t_big.wire_bytes > t_big.plaintext_bytes);
+        // No genome sequences: traffic stays far below shipping genotypes.
+        let genome_bytes = 400 * 100 / 4; // 2 bits per SNP per genome
+        assert!(t_small.plaintext_bytes < 100 * genome_bytes);
     }
 
     #[test]

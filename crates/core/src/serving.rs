@@ -195,17 +195,6 @@ enum SessionEvent {
     Failed { error: ProtocolError },
 }
 
-/// Collapses an [`Interrupt`] into a fatal error: service sessions run
-/// with recovery disabled, so a view change can never be a valid unwind.
-fn fatal(intr: Interrupt) -> ProtocolError {
-    match intr {
-        Interrupt::Fatal(e) => e,
-        Interrupt::NewView { .. } => {
-            ProtocolError::InvalidConfig("view changes are not supported in service sessions")
-        }
-    }
-}
-
 /// Snapshots this member's outbound per-link counters.
 fn snapshot_links<T: Transport>(ctx: &MemberCtx<T>) -> Vec<(usize, TrafficStats)> {
     ctx.roster
@@ -258,7 +247,7 @@ fn join_session<T: Transport>(
     // restarts it (and the ledger makes the restart seamless).
     options.recovery.max_epochs = 1;
     let (mut ctx, node, counts) = build_member(transport, member, config, params, options, shard)?;
-    match seat(&mut ctx, &node, &counts, reference, params).map_err(fatal)? {
+    match seat(&mut ctx, &node, &counts, reference, params)? {
         Seat::Leader(session) => leader_session(&mut ctx, session, commands, events),
         Seat::Follower { leader, channel } => {
             follower_session(&mut ctx, &node, leader, channel, events)
@@ -304,7 +293,7 @@ fn leader_session<T: Transport>(
                 Ok(SessionCommand::Shutdown) | Err(_) => {
                     let _ = send_each(
                         ctx,
-                        &mut session.channels,
+                        &mut session.links.channels,
                         &roster,
                         &ProtocolMessage::SessionEnd,
                     );
@@ -317,13 +306,13 @@ fn leader_session<T: Transport>(
                 // Ratchet every channel at the job boundary; the followers
                 // do the same after `Phase3` / `ShardDone`, so the next
                 // job starts under fresh keys on both ends.
-                for channel in session.channels.values_mut() {
+                for channel in session.links.channels.values_mut() {
                     channel.rekey();
                 }
                 let _ = events.send(event);
             }
             Err(intr) => {
-                let e = fatal(intr);
+                let e = ProtocolError::from(intr);
                 session.abort(ctx, &e);
                 return Err(e);
             }
@@ -350,13 +339,12 @@ fn follower_session<T: Transport>(
                 phase: "awaiting-job",
                 ..
             })) => continue,
-            Err(intr) => return Err(fatal(intr)),
+            Err(intr) => return Err(intr.into()),
         };
         match msg {
             ProtocolMessage::JobStart(job) => {
                 let before = snapshot_links(ctx);
-                let safe = follower_serve(ctx, node, &mut channel, leader, Terminator::Phase3)
-                    .map_err(fatal)?;
+                let safe = follower_serve(ctx, node, &mut channel, leader, Terminator::Phase3)?;
                 channel.rekey();
                 let traffic = link_delta(ctx, &before);
                 let _ = events.send(SessionEvent::Finished {
@@ -368,8 +356,7 @@ fn follower_session<T: Transport>(
                 });
             }
             ProtocolMessage::ShardStart(_) => {
-                follower_serve(ctx, node, &mut channel, leader, Terminator::ShardDone)
-                    .map_err(fatal)?;
+                follower_serve(ctx, node, &mut channel, leader, Terminator::ShardDone)?;
                 // No Finished event: shard lanes report through the
                 // leader's `ShardFinished` alone, but the channel still
                 // ratchets so shard and full jobs share one key schedule.
@@ -424,7 +411,7 @@ fn run_leader_job<T: Transport>(
             ("job_id", spec.job_id.into()),
             ("panel", panel.len().into()),
             ("forced", forced.len().into()),
-            ("subsets", session.evaluations().into()),
+            ("subsets", session.core.evaluations().into()),
         ],
     );
     let announce = ProtocolMessage::JobStart(JobStartBroadcast {
@@ -433,7 +420,7 @@ fn run_leader_job<T: Transport>(
         forced: forced.iter().map(|s| s.0).collect(),
     });
     let roster = ctx.roster.clone();
-    send_each(ctx, &mut session.channels, &roster, &announce)?;
+    send_each(ctx, &mut session.links.channels, &roster, &announce)?;
 
     let assessment = session.assess(ctx, &panel, &forced, Some(spec.job_id), shards)?;
     gendpr_obs::event(
@@ -476,19 +463,20 @@ fn run_leader_shard<T: Transport>(
         shard: spec.shard,
     });
     let roster = ctx.roster.clone();
-    send_each(ctx, &mut session.channels, &roster, &announce)?;
+    send_each(ctx, &mut session.links.channels, &roster, &announce)?;
 
     let phase_clock = Instant::now();
-    let l_prime = session.maf_step(&panel, &forced);
+    let l_prime = session.core.maf_step(&panel, &forced);
     crate::telemetry::phase_seconds("maf").observe_duration(phase_clock.elapsed());
 
     let phase_clock = Instant::now();
-    let scans = session.ld_step(ctx, &l_prime, None, true)?;
+    let (core, mut remote) = session.split(ctx);
+    let scans = core.ld_step(&mut remote, &l_prime, None, true)?;
     crate::telemetry::phase_seconds("ld").observe_duration(phase_clock.elapsed());
 
     send_each(
         ctx,
-        &mut session.channels,
+        &mut session.links.channels,
         &roster,
         &ProtocolMessage::ShardDone,
     )?;
@@ -748,6 +736,9 @@ impl ServiceFederation {
             );
         }
         traffic.sort_by_key(|l| (l.from, l.to));
+        let certificate = detail
+            .certificate
+            .expect("the attested leader certifies every job");
         Ok(JobOutcome {
             job_id: spec.job_id,
             leader: self.leader,
@@ -758,9 +749,9 @@ impl ServiceFederation {
             final_threshold: detail.final_threshold,
             case_freqs: detail.case_freqs,
             ref_freqs: detail.ref_freqs,
-            epoch: detail.certificate.epoch,
-            roster: detail.certificate.roster.clone(),
-            certificate: detail.certificate,
+            epoch: certificate.epoch,
+            roster: certificate.roster.clone(),
+            certificate,
             traffic,
         })
     }

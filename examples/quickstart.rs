@@ -6,7 +6,9 @@
 //!
 //! Generates a synthetic study, splits it across three genome data
 //! owners, runs the three-phase privacy assessment and prints the safe
-//! SNP set.
+//! SNP set. The assessment runs in process, so no message is sent: the
+//! `secure_deployment` example runs it threaded, attested and encrypted,
+//! and prints the traffic it measured on the wire.
 
 use gendpr::core::config::{FederationConfig, GwasParams};
 use gendpr::core::protocol::Federation;
@@ -38,10 +40,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "safe for release (L_safe):       {}",
         outcome.safe_snps.len()
-    );
-    println!(
-        "intermediate traffic:            {} messages, {} bytes on the wire",
-        outcome.traffic.messages, outcome.traffic.wire_bytes
     );
     println!(
         "running time:                    {:.1} ms",

@@ -45,6 +45,16 @@ cargo test --release -p gendpr-crypto -p gendpr-fednet -q
 echo "==> cargo test --release --test engine --test chaos -q"
 cargo test --release --test engine --test chaos -q
 
+# The paper's artefacts call every driver (Federation, the naive and
+# centralized baselines, the attested runtime) and assert their own
+# invariants (identical selections across transport options, ablation 8's
+# kernels): run each binary at a tiny scale, release, 25-94 ms apiece.
+echo "==> paper artefacts (gendpr-bench, --scale 0.02)"
+cargo build --release -q -p gendpr-bench
+for artefact in table3 table4 table5 fig5 fig6 ablation; do
+    "target/release/$artefact" --scale 0.02 >/dev/null
+done
+
 # Reduced-scale bench run: bench_phases asserts naive-vs-columnar checksum
 # and LR-selection equality internally, so a clean exit is the validation.
 echo "==> bench smoke (checksum-validated, --scale 0.02)"

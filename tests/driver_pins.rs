@@ -1,9 +1,12 @@
 //! Pins the in-process drivers' decisions byte for byte: `Federation::run`
-//! (three collusion / kernel configurations), the naïve baseline at G = 3
+//! (five collusion / kernel configurations), the naïve baseline at G = 3
 //! and a seeded four-epoch `DynamicAssessor`, each hashed (FNV-1a 64) on a
 //! fixed synthetic cohort. The constants were captured at the commit
-//! before these drivers became wiring over `phases::pooled`, so any change
-//! to what they select, in any phase, fails here.
+//! before these drivers became wiring over one pooled-subset type, and the
+//! last two `Federation` cases (`AllUpTo` at G = 4, `Fixed(1)` at G = 5
+//! with the oblivious kernel) at the commit before they became
+//! configurations of the attested leader's core, so any change to what
+//! they select, in any phase, fails here.
 
 use gendpr::core::baseline::naive::NaiveDistributed;
 use gendpr::core::config::{CollusionMode, FederationConfig, GwasParams};
@@ -99,6 +102,22 @@ fn federation_decisions_are_pinned() {
             SelectionKernel::Oblivious,
             43,
             0xd38a_f4c5_189a_cfd7,
+        ),
+        (
+            FederationConfig::new(4)
+                .with_collusion(CollusionMode::AllUpTo)
+                .with_seed(4),
+            SelectionKernel::Fast,
+            46,
+            0xa389_3fb2_6627_8d18,
+        ),
+        (
+            FederationConfig::new(5)
+                .with_collusion(CollusionMode::Fixed(1))
+                .with_seed(5),
+            SelectionKernel::Oblivious,
+            47,
+            0x70f1_ea94_24a4_4ee4,
         ),
     ];
     for (config, kernel, seed, pinned) in cases {

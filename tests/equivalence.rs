@@ -78,7 +78,7 @@ proptest! {
     #[test]
     fn naive_agrees_on_maf_phase(
         cohort in cohort_strategy(),
-        gdos in 2usize..5,
+        gdos in 1usize..5,
     ) {
         let params = GwasParams::secure_genome_defaults();
         let naive = NaiveDistributed::new(params, gdos).run(cohort.as_ref()).unwrap();
@@ -89,6 +89,12 @@ proptest! {
         prop_assert_eq!(&naive.l_prime, &gendpr.l_prime);
         // ...and its later phases never release more than its own LD set.
         prop_assert!(naive.safe_snps.iter().all(|s| naive.l_double_prime.contains(s)));
+        // A lone member's local data is the whole case population: the
+        // naive scheme is GenDPR, phase for phase.
+        if gdos == 1 {
+            prop_assert_eq!(&naive.l_double_prime, &gendpr.l_double_prime);
+            prop_assert_eq!(&naive.safe_snps, &gendpr.safe_snps);
+        }
     }
 
     #[test]
@@ -102,4 +108,72 @@ proptest! {
         let b = Federation::new(FederationConfig::new(g2), params, &cohort).run().unwrap();
         prop_assert_eq!(a.safe_snps, b.safe_snps);
     }
+}
+
+/// A study whose members hold no case genomes has nothing to certify: a
+/// release over the reference panel alone says nothing about the cases
+/// it would later be computed from.
+#[test]
+fn a_study_without_case_genomes_is_refused_by_every_driver() {
+    use gendpr::core::dynamic::DynamicAssessor;
+    use gendpr::core::error::ProtocolError;
+    use gendpr::core::runtime::run_federation;
+    use gendpr::genomics::genotype::GenotypeMatrix;
+    use std::time::Duration;
+
+    let study = |cases| {
+        SyntheticCohort::builder()
+            .snps(40)
+            .case_individuals(cases)
+            .reference_individuals(30)
+            .seed(3)
+            .build()
+    };
+    let params = GwasParams::secure_genome_defaults();
+    let empty = study(0);
+    let refused = |result: Result<(), ProtocolError>, driver: &str| {
+        let err = result.expect_err(driver);
+        assert_eq!(err, ProtocolError::EmptyStudy, "{driver}");
+        assert!(
+            err.to_string().contains("no case genomes"),
+            "{driver}: {err}"
+        );
+    };
+    for g in [1, 3] {
+        let federation = Federation::new(FederationConfig::new(g), params, &empty);
+        refused(federation.run().map(drop), "Federation");
+        let naive = NaiveDistributed::new(params, g).run(empty.as_ref());
+        refused(naive.map(drop), "NaiveDistributed");
+        let deployed = run_federation(
+            FederationConfig::new(g),
+            params,
+            &empty,
+            None,
+            Duration::from_secs(30),
+        );
+        refused(deployed.map(drop), "run_federation");
+    }
+    refused(
+        CentralizedPipeline::new(params)
+            .run(empty.as_ref())
+            .map(drop),
+        "CentralizedPipeline",
+    );
+
+    // An empty batch is refused before it opens an epoch: the real batch
+    // after it releases what a fresh assessor releases on it alone.
+    let real = study(6);
+    let batch = real.case();
+    let mut late = DynamicAssessor::new(params, real.reference().clone()).unwrap();
+    refused(
+        late.add_batch(&GenotypeMatrix::zeroed(0, 40)).map(drop),
+        "DynamicAssessor::add_batch",
+    );
+    assert!(late.released().is_empty());
+    let mut fresh = DynamicAssessor::new(params, real.reference().clone()).unwrap();
+    assert_eq!(
+        late.add_batch(batch).unwrap(),
+        fresh.add_batch(batch).unwrap()
+    );
+    assert_eq!(late.released(), fresh.released());
 }
