@@ -16,8 +16,8 @@
 //! a checksum that must agree, so the comparison cannot drift semantically.
 //!
 //! The same report carries the LR subset search before/after, the
-//! `lr_sweep` row (is the sweeps' level select a load or a jump in this
-//! build?), a full protocol phase breakdown, the chromosome-scale
+//! `lr_sweep` row (is the sweeps' level select a blend or load, or a jump,
+//! in this build?), a full protocol phase breakdown, the chromosome-scale
 //! workloads and the SNP-shard sweep.
 //!
 //! Scale defaults to the paper's Table 5 setting — 14,860 case genomes ×
@@ -413,11 +413,12 @@ fn main() {
         mega_lr.as_secs_f64()
     );
 
-    // ---- Sweep kernel: is the level select a load or a jump? ----
+    // ---- Sweep kernel: is the level select a jump? ----
     // The sweeps add one of two levels per individual, chosen by a genotype
     // bit. Compiled to a conditional jump, the sweep is fast only while the
-    // predictor has seen the column before; compiled to an indexed load it
-    // costs the same on any column. So: the forced-prefix accumulation (one
+    // predictor has seen the column before; compiled to a blend (the AVX2
+    // sweep) or an indexed load (the scalar fallback) it costs the same on
+    // any column. So: the forced-prefix accumulation (one
     // null sweep per column, a one-row case side) over one column repeated
     // `SWEEP_COLUMNS` times against as many distinct columns visited once.
     // Fixed shape, independent of --scale.

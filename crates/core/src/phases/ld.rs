@@ -91,14 +91,6 @@ pub fn run_ld_scan(
     scan.into_retained()
 }
 
-/// The number of pairwise comparisons the scan performs for a given `L'`
-/// size — each costs one moments round-trip per member in the distributed
-/// setting.
-#[must_use]
-pub fn scan_comparisons(l_prime_len: usize) -> usize {
-    l_prime_len.saturating_sub(1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -141,7 +133,7 @@ mod tests {
             |s| rank.get(&s.0).copied().unwrap_or(0.5),
             1e-5,
         );
-        assert_eq!(*queries.borrow(), scan_comparisons(ids.len()));
+        assert_eq!(*queries.borrow(), ids.len().saturating_sub(1));
         out.into_iter().map(|s| s.0).collect()
     }
 
@@ -277,8 +269,5 @@ mod tests {
     fn empty_and_singleton_inputs() {
         assert_eq!(scan_with(&[], &[], &[]), Vec::<u32>::new());
         assert_eq!(scan_with(&[7], &[], &[]), vec![7]);
-        assert_eq!(scan_comparisons(0), 0);
-        assert_eq!(scan_comparisons(1), 0);
-        assert_eq!(scan_comparisons(5), 4);
     }
 }

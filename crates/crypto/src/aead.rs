@@ -9,8 +9,14 @@
 //! message built after a reserved frame header is sealed, sent and opened
 //! without its bytes ever being copied; [`ChaCha20Poly1305::seal`] and
 //! [`ChaCha20Poly1305::open`] return fresh buffers with identical bytes.
+//!
+//! The key is expanded into ChaCha20 state words once, in
+//! [`ChaCha20Poly1305::new`]. A message then draws its keystream four
+//! blocks per pass ([`chacha20::blocks4`]): the first pass yields block 0,
+//! whose first 32 bytes are the message's Poly1305 key, and blocks 1–3,
+//! which cover its first 192 bytes; every later pass covers 256 more.
 
-use crate::chacha20::{self, NONCE_LEN};
+use crate::chacha20::{self, BLOCKS4_LEN, BLOCK_LEN, NONCE_LEN};
 use crate::constant_time::ct_eq;
 use crate::poly1305::{Poly1305, TAG_LEN};
 use crate::CryptoError;
@@ -35,7 +41,7 @@ pub const OVERHEAD: usize = TAG_LEN;
 /// ```
 #[derive(Clone)]
 pub struct ChaCha20Poly1305 {
-    key: [u8; KEY_LEN],
+    key: chacha20::Key,
 }
 
 impl std::fmt::Debug for ChaCha20Poly1305 {
@@ -49,14 +55,17 @@ impl ChaCha20Poly1305 {
     /// Creates a cipher from a 32-byte key.
     #[must_use]
     pub fn new(key: &[u8; KEY_LEN]) -> Self {
-        Self { key: *key }
+        Self {
+            key: chacha20::Key::new(key),
+        }
     }
 
-    fn poly_key(&self, nonce: &[u8; NONCE_LEN]) -> [u8; 32] {
-        let block = chacha20::block(&self.key, 0, nonce);
-        let mut pk = [0u8; 32];
-        pk.copy_from_slice(&block[..32]);
-        pk
+    /// XORs `data` with the keystream from block 1 on: `head`'s blocks 1–3
+    /// (the first pass), then four blocks per pass from block 4.
+    fn apply_keystream(&self, head: &[u8; BLOCKS4_LEN], nonce: &[u8; NONCE_LEN], data: &mut [u8]) {
+        let (first, rest) = data.split_at_mut(data.len().min(BLOCKS4_LEN - BLOCK_LEN));
+        chacha20::xor(first, &head[BLOCK_LEN..]);
+        self.key.xor_in_place(nonce, 4, rest);
     }
 
     fn compute_tag(poly_key: &[u8; 32], aad: &[u8], ciphertext: &[u8]) -> [u8; TAG_LEN] {
@@ -89,8 +98,9 @@ impl ChaCha20Poly1305 {
     ///
     /// Panics if `at > buf.len()`.
     pub fn seal_in_place(&self, nonce: &[u8; NONCE_LEN], buf: &mut Vec<u8>, at: usize, aad: &[u8]) {
-        chacha20::xor_in_place(&self.key, nonce, 1, &mut buf[at..]);
-        let tag = Self::compute_tag(&self.poly_key(nonce), aad, &buf[at..]);
+        let head = self.key.blocks4(0, nonce);
+        self.apply_keystream(&head, nonce, &mut buf[at..]);
+        let tag = Self::compute_tag(poly_key(&head), aad, &buf[at..]);
         buf.extend_from_slice(&tag);
     }
 
@@ -129,13 +139,19 @@ impl ChaCha20Poly1305 {
             return Err(CryptoError);
         }
         let (ciphertext, tag) = sealed.split_at_mut(sealed.len() - TAG_LEN);
-        let expected = Self::compute_tag(&self.poly_key(nonce), aad, ciphertext);
+        let head = self.key.blocks4(0, nonce);
+        let expected = Self::compute_tag(poly_key(&head), aad, ciphertext);
         if !ct_eq(&expected, tag) {
             return Err(CryptoError);
         }
-        chacha20::xor_in_place(&self.key, nonce, 1, ciphertext);
+        self.apply_keystream(&head, nonce, ciphertext);
         Ok(ciphertext)
     }
+}
+
+/// The one-time Poly1305 key: the first 32 bytes of block 0.
+fn poly_key(head: &[u8; BLOCKS4_LEN]) -> &[u8; 32] {
+    head.first_chunk().expect("block 0 holds 32 bytes")
 }
 
 /// The zero bytes that pad `len` bytes to a 16-byte boundary.
@@ -283,6 +299,53 @@ offer you only one tip for the future, sunscreen would be it.";
                 // A rejected message is left as it arrived.
                 prop_assert_eq!(in_place, tampered);
             }
+        }
+    }
+
+    /// RFC 8439 §2.8 spelled out with the scalar block function: the
+    /// Poly1305 key from block 0, the message XORed block by block from
+    /// block 1, the tag over the padded AAD and ciphertext and both lengths.
+    fn oracle_seal(key: &[u8; 32], nonce: &[u8; 12], plaintext: &[u8], aad: &[u8]) -> Vec<u8> {
+        let poly_key: [u8; 32] = chacha20::block(key, 0, nonce)[..32].try_into().unwrap();
+        let mut out = plaintext.to_vec();
+        for (i, chunk) in out.chunks_mut(BLOCK_LEN).enumerate() {
+            let ks = chacha20::block(key, 1 + i as u32, nonce);
+            for (b, k) in chunk.iter_mut().zip(ks) {
+                *b ^= k;
+            }
+        }
+        let mut mac = Poly1305::new(&poly_key);
+        mac.update(aad);
+        mac.update(&vec![0u8; (16 - aad.len() % 16) % 16]);
+        mac.update(&out);
+        mac.update(&vec![0u8; (16 - out.len() % 16) % 16]);
+        mac.update(&(aad.len() as u64).to_le_bytes());
+        mac.update(&(out.len() as u64).to_le_bytes());
+        out.extend_from_slice(&mac.finalize());
+        out
+    }
+
+    #[test]
+    fn seal_and_open_equal_the_block_by_block_oracle_up_to_1100_bytes() {
+        // Every length from 0 to 1,100 bytes crosses the 64-byte block, the
+        // 192-byte first pass and the 256-byte later passes.
+        let key: [u8; 32] = std::array::from_fn(|i| (i * 29 + 3) as u8);
+        let cipher = ChaCha20Poly1305::new(&key);
+        let nonce = [0x42u8; 12];
+        let message: Vec<u8> = (0..1_100usize).map(|i| (i * 7 + i / 256) as u8).collect();
+        for len in 0..=message.len() {
+            let aad = &message[..len % 23];
+            let sealed = cipher.seal(&nonce, &message[..len], aad);
+            assert_eq!(
+                sealed,
+                oracle_seal(&key, &nonce, &message[..len], aad),
+                "length {len}"
+            );
+            assert_eq!(
+                cipher.open(&nonce, &sealed, aad).unwrap(),
+                &message[..len],
+                "length {len}"
+            );
         }
     }
 

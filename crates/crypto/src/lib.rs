@@ -15,8 +15,13 @@
 //! * [`rng`] — a deterministic ChaCha20-based random generator,
 //! * [`constant_time`] — timing-safe comparison helpers.
 //!
-//! Everything is implemented in safe Rust from the specifications and
-//! validated against the RFC/NIST test vectors in each module's tests.
+//! Everything is implemented from the specifications and validated
+//! against the RFC/NIST test vectors in each module's tests, in safe Rust
+//! apart from one private module: the four-block ChaCha20 of
+//! [`chacha20::blocks4`] in SSE2, whose unaligned stores and the call into
+//! it are the crate's only `unsafe` blocks (each carries a `SAFETY:`
+//! comment; the lint below refuses one without). The scalar block function
+//! is its oracle.
 //! The paper uses AES-256; this workspace substitutes ChaCha20-Poly1305
 //! (see `DESIGN.md` §4 for the justification).
 //!
@@ -32,6 +37,8 @@
 //! let opened = cipher.open(&nonce, &sealed, b"phase-1").expect("tag must verify");
 //! assert_eq!(opened, b"allele counts");
 //! ```
+
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod aead;
 pub mod chacha20;

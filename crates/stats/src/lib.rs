@@ -36,6 +36,8 @@
 //! assert!(p < 0.01, "clear association: p = {p}");
 //! ```
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 pub mod chi2;
 pub mod contingency;
 pub mod homer;

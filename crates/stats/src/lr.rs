@@ -15,8 +15,9 @@
 //! # Columnar search kernels
 //!
 //! The subset search is the LR phase's hot path (≈ 40 of a ≈ 61 ms
-//! `assess-lr` job before the band below; 87 % of the in-process protocol
-//! at paper scale in `BENCH_phases.json`), so [`select_safe_subset`] routes
+//! `assess-lr` job before the band below, ≈ 45 % of its CPU before the
+//! vector sweeps; 87 % of the in-process protocol at paper scale in
+//! `BENCH_phases.json`), so [`select_safe_subset`] routes
 //! through [`LrColumns`], a column-major bit-packed view in which each
 //! candidate SNP is a contiguous `individuals`-bit vector. Admitting or
 //! backing out a column is then a word-wise sweep over the cumulative
@@ -26,35 +27,42 @@
 //! The per-candidate null quantile is read from a verified band. A column
 //! with levels `(major, minor)` moves each sum by one of the two, and
 //! round-to-nearest is monotone, so the new `k`-th and `(k + 1)`-th order
-//! statistics lie in `[kth + min, kth₁ + max]` of the committed ones. One
-//! branch-free pass counts the sums below the band; a second gathers the
-//! `i64` total-order keys inside it, eight sums at a time, visiting only
-//! the chunks that touch it, and selects among those ≈ 30 keys. The
-//! result is used only when the exact counts place the order statistics
-//! in the band; otherwise every key is refreshed and the full quickselect
-//! runs (`gendpr_lr_quantile_fallbacks_total` counts those candidates).
-//! Correctness rests on the count alone; the bound decides the hit rate.
+//! statistics lie in `[kth + min, kth₁ + max]` of the committed ones. The
+//! pass that adds the column to the null sums also counts the sums below
+//! that band and tests each against it; only the ≈ 30 sums inside have
+//! their `i64` total-order keys classified and gathered, and the select
+//! runs among those. The result is used only when the exact counts place
+//! the order statistics in the band; otherwise every key is refreshed and
+//! the full quickselect runs (`gendpr_lr_quantile_fallbacks_total` counts
+//! those candidates). Correctness rests on the count alone; the bound
+//! decides the hit rate.
 //!
 //! What the source guarantees: every sweep performs, per individual, one
 //! `+=` (or `-=`) of exactly `major` or `minor` — the operation sequence of
 //! the reference — so sums, thresholds and selections are byte-identical
-//! (unit tests compare each sweep with the scalar loop by `to_bits()`,
-//! property tests compare the selections).
+//! (tests compare each sweep with the scalar loop by `to_bits()`, property
+//! tests compare the selections).
 //!
-//! What it does *not* guarantee is branch-free machine code. The level is
-//! read from a two-entry table, `[major, minor][bit]`, which rustc 1.95
-//! compiles to an indexed load (x86-64, release profile). The earlier
-//! mask select, `from_bits((ma & !mask) | (mi & mask))`, was documented
-//! here as branchless while LLVM recognised the select and emitted
-//! `testb $1 ; je` — a jump on every genotype bit. A predictor learns one
-//! column swept repeatedly and nothing about columns visited once, so that
-//! code read 0.7 ns per individual in a loop over one column and 3.8 ns in
-//! the search; the table reads 0.4–0.5 ns on both (`bench_phases`'
-//! `lr_sweep` row, 1,630 individuals × 2,000 random columns, 2.1 GHz Xeon
-//! VM). Branch-freedom is a property of the emitted code: that row and its
-//! `"branch_free": true` gate in `scripts/check.sh` re-check it whenever
-//! the toolchain moves, and `cargo rustc --release -p gendpr-stats --lib --
-//! --emit asm` shows the loops of `columns_search` directly.
+//! On an x86-64 CPU with AVX2 (detected at run time) the sweeps run four
+//! individuals a step, in the private `avx2` module: the genotype bits
+//! become lane masks (`cmpeq` against `[1, 2, 4, 8]`) and the level is an
+//! explicit blend, `blendv(major, minor, mask)`, of the two broadcast
+//! levels — no table load and no branch on a bit. The case side counts the
+//! sums `> threshold` in the same pass, and the null side counts and tests
+//! the band there too; only the in-band lanes leave the vector code.
+//!
+//! The scalar loops stay as the fallback on every other CPU and as the
+//! oracle of those kernels. They read the level from a two-entry table,
+//! `[major, minor][bit]`, which rustc 1.95 compiles to an indexed load
+//! (x86-64, release profile). The mask select before that,
+//! `from_bits((ma & !mask) | (mi & mask))`, was documented as branchless
+//! while LLVM recognised the select and emitted `testb $1 ; je` — a jump on
+//! every genotype bit, fast on a column the predictor had seen and 3.8 ns
+//! per individual in the search. Branch-freedom is a property of the
+//! emitted code: `bench_phases`' `lr_sweep` row (1,630 individuals × 2,000
+//! random columns against one column repeated) and its
+//! `"branch_free": true` gate in `scripts/check.sh` re-check the sweep
+//! that runs whenever the toolchain moves.
 
 use gendpr_genomics::columnar::{transpose64, ColumnarGenotypes};
 use gendpr_genomics::genotype::GenotypeMatrix;
@@ -62,6 +70,9 @@ use gendpr_genomics::snp::SnpId;
 use gendpr_obs as obs;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
+
+#[cfg(target_arch = "x86_64")]
+mod avx2;
 
 /// Frequencies are clamped away from 0/1 so `ln` stays finite even for
 /// degenerate counts.
@@ -1035,13 +1046,15 @@ fn lr_columns_kept_total() -> &'static obs::Counter {
     })
 }
 
-/// Per-candidate null-quantile latency inside the columnar search.
+/// Per-candidate null-side latency inside the columnar search: the
+/// column's add to the null sums, fused with the band's count and gather,
+/// and the quantile read from them.
 fn lr_quantile_seconds() -> &'static obs::Histogram {
     static H: OnceLock<obs::Histogram> = OnceLock::new();
     H.get_or_init(|| {
         obs::histogram(
             "gendpr_lr_quantile_seconds",
-            "Null-quantile computation time per LR search candidate",
+            "Null-side time per LR search candidate: adding the column to the null sums and reading their quantile",
             &[],
             obs::DURATION_BUCKETS,
         )
@@ -1086,15 +1099,34 @@ fn key_value(k: i64) -> f64 {
     f64::from_bits((k ^ (((k >> 63) as u64) >> 1) as i64) as u64)
 }
 
-/// `sums[i] += level(bit_i)`, 64 individuals per bit word. The level is
-/// read from a two-entry table indexed by the genotype bit, so each
-/// individual sees one `+=` of exactly `major` or `minor` — the scalar
-/// operation the reference path performs. Both sweeps share this form
-/// because it compiles to an indexed load; the mask select they used before
-/// (`(ma & !mask) | (mi & mask)`) was turned back into a conditional jump on
-/// the bit (module docs, *Columnar search kernels*).
+/// Whether this CPU runs the `avx2` module's sweeps. Std caches the probe, so
+/// asking per sweep costs a load and a branch.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+fn has_avx2() -> bool {
+    is_x86_feature_detected!("avx2") && is_x86_feature_detected!("popcnt")
+}
+
+/// `sums[i] += level(bit_i)`, 64 individuals per bit word: the AVX2 sweep
+/// where the CPU has it, [`add_column_scalar`] elsewhere. Both perform one
+/// `+=` of exactly `major` or `minor` per individual.
 #[inline]
 fn add_column(sums: &mut [f64], words: &[u64], major: f64, minor: f64) {
+    #[cfg(target_arch = "x86_64")]
+    if has_avx2() {
+        // SAFETY: `has_avx2()` detected AVX2 and POPCNT on this CPU.
+        return unsafe { avx2::add_column(sums, words, major, minor) };
+    }
+    add_column_scalar(sums, words, major, minor);
+}
+
+/// The scalar add sweep, the AVX2 one's fallback and oracle. The level is
+/// read from a two-entry table indexed by the genotype bit, which compiles
+/// to an indexed load; the mask select used before it
+/// (`(ma & !mask) | (mi & mask)`) was turned back into a conditional jump
+/// on the bit (module docs, *Columnar search kernels*).
+#[inline]
+fn add_column_scalar(sums: &mut [f64], words: &[u64], major: f64, minor: f64) {
     let levels = [major, minor];
     for (chunk, &word) in sums.chunks_mut(64).zip(words) {
         let mut w = word;
@@ -1110,6 +1142,17 @@ fn add_column(sums: &mut [f64], words: &[u64], major: f64, minor: f64) {
 /// round-trip bit-for-bit.
 #[inline]
 fn sub_column(sums: &mut [f64], words: &[u64], major: f64, minor: f64) {
+    #[cfg(target_arch = "x86_64")]
+    if has_avx2() {
+        // SAFETY: `has_avx2()` detected AVX2 and POPCNT on this CPU.
+        return unsafe { avx2::sub_column(sums, words, major, minor) };
+    }
+    sub_column_scalar(sums, words, major, minor);
+}
+
+/// The scalar back-out sweep.
+#[inline]
+fn sub_column_scalar(sums: &mut [f64], words: &[u64], major: f64, minor: f64) {
     let levels = [major, minor];
     for (chunk, &word) in sums.chunks_mut(64).zip(words) {
         let mut w = word;
@@ -1120,8 +1163,8 @@ fn sub_column(sums: &mut [f64], words: &[u64], major: f64, minor: f64) {
     }
 }
 
-/// Case update: adds the column, then counts detections against the
-/// threshold in a separate branch-free pass.
+/// Case update: adds the column and counts detections against the
+/// threshold — in the same pass on AVX2.
 #[inline]
 fn add_column_count(
     sums: &mut [f64],
@@ -1130,7 +1173,25 @@ fn add_column_count(
     minor: f64,
     threshold: f64,
 ) -> usize {
-    add_column(sums, words, major, minor);
+    #[cfg(target_arch = "x86_64")]
+    if has_avx2() {
+        // SAFETY: `has_avx2()` detected AVX2 and POPCNT on this CPU.
+        return unsafe { avx2::add_column_count(sums, words, major, minor, threshold) };
+    }
+    add_column_count_scalar(sums, words, major, minor, threshold)
+}
+
+/// The scalar case update: the add sweep, then a separate branch-free
+/// count pass.
+#[inline]
+fn add_column_count_scalar(
+    sums: &mut [f64],
+    words: &[u64],
+    major: f64,
+    minor: f64,
+    threshold: f64,
+) -> usize {
+    add_column_scalar(sums, words, major, minor);
     sums.iter().map(|&s| usize::from(s > threshold)).sum()
 }
 
@@ -1235,14 +1296,14 @@ impl NullBand {
         band
     }
 
-    /// The null quantile of `sums`, the committed sums plus the column
-    /// with levels `(major, minor)`, and whether the band held it.
-    fn quantile(&mut self, sums: &[f64], major: f64, minor: f64) -> (f64, bool) {
-        if self.select_in_band(sums, major, minor) {
-            (self.rank.threshold(self.evaluated), true)
-        } else {
-            (self.select_all(sums), false)
-        }
+    /// Adds the column `words` with levels `(major, minor)` to `sums`, the
+    /// committed null sums, and returns their null quantile and whether
+    /// the band held it.
+    fn quantile(&mut self, sums: &mut [f64], words: &[u64], major: f64, minor: f64) -> (f64, bool) {
+        let edges = BandEdges::new(self.committed, major, minor);
+        self.band.clear();
+        let below = add_column_band(sums, words, (major, minor), edges, &mut self.band);
+        self.select(sums, below)
     }
 
     /// The candidate evaluated last was accepted: its sums are committed.
@@ -1250,30 +1311,13 @@ impl NullBand {
         self.committed = self.evaluated;
     }
 
-    fn select_in_band(&mut self, sums: &[f64], major: f64, minor: f64) -> bool {
-        let (lo, hi) = band_edges(self.committed, major, minor);
-        let (lo_key, hi_key) = (total_order_key(lo), total_order_key(hi));
-        // `v < lo` and `v > hi` as f64 compares imply the same in total
-        // order, so the count is a lower bound and the gather a superset;
-        // the keys then sort NaNs and signed zeros at the edges exactly.
-        let mut below: usize = sums.iter().map(|&v| usize::from(v < lo)).sum();
-        let inside = |v: f64| !(v < lo || v > hi);
-        self.band.clear();
-        for chunk in sums.chunks(8) {
-            if chunk.iter().fold(false, |any, &v| any | inside(v)) {
-                for &v in chunk.iter().filter(|&&v| inside(v)) {
-                    let key = total_order_key(v);
-                    if key < lo_key {
-                        below += 1;
-                    } else if key <= hi_key {
-                        self.band.push(key);
-                    }
-                }
-            }
-        }
+    /// The quantile of `sums` from the gathered band and the count of sums
+    /// below it — or, when the count does not place both order statistics
+    /// in the band, from [`select_all`](Self::select_all).
+    fn select(&mut self, sums: &[f64], below: usize) -> (f64, bool) {
         let k = self.rank.k;
         if k < below || self.rank.top() >= below + self.band.len() {
-            return false;
+            return (self.select_all(sums), false);
         }
         let (_, &mut low, rest) = self.band.select_nth_unstable(k - below);
         let high = if self.rank.interpolate {
@@ -1282,7 +1326,7 @@ impl NullBand {
             low
         };
         self.evaluated = (key_value(low), key_value(high));
-        true
+        (self.rank.threshold(self.evaluated), true)
     }
 
     /// The fallback: every key refreshed, [`quantile_from_keys`] as is, and
@@ -1317,6 +1361,85 @@ fn band_edges((kth, top): (f64, f64), major: f64, minor: f64) -> (f64, f64) {
     };
     let pad = BAND_PAD * (kth.abs() + top.abs() + min.abs() + max.abs());
     (kth + min - pad, top + max + pad)
+}
+
+/// A candidate's band `[lo, hi]` and its edges' total-order keys.
+#[derive(Debug, Clone, Copy)]
+struct BandEdges {
+    lo: f64,
+    hi: f64,
+    lo_key: i64,
+    hi_key: i64,
+}
+
+impl BandEdges {
+    fn new(committed: (f64, f64), major: f64, minor: f64) -> Self {
+        let (lo, hi) = band_edges(committed, major, minor);
+        Self {
+            lo,
+            hi,
+            lo_key: total_order_key(lo),
+            hi_key: total_order_key(hi),
+        }
+    }
+
+    /// Files a sum the f64 compares left inside the band by its key:
+    /// `v < lo` and `v > hi` as f64 compares imply the same in total order,
+    /// so the compares undercount `below` and over-gather; the keys then
+    /// sort NaNs and signed zeros at the edges exactly.
+    #[inline]
+    fn classify(&self, v: f64, below: &mut usize, band: &mut Vec<i64>) {
+        let key = total_order_key(v);
+        if key < self.lo_key {
+            *below += 1;
+        } else if key <= self.hi_key {
+            band.push(key);
+        }
+    }
+}
+
+/// The null side of a candidate: adds the column to `sums`, then counts
+/// the sums below `edges` and gathers the keys inside them into `band`;
+/// returns the count. On AVX2 the add, the count and the in-band test are
+/// one pass, and only the sums inside reach [`BandEdges::classify`];
+/// elsewhere [`add_column_scalar`] and then [`band_scan`].
+#[inline]
+fn add_column_band(
+    sums: &mut [f64],
+    words: &[u64],
+    (major, minor): (f64, f64),
+    edges: BandEdges,
+    band: &mut Vec<i64>,
+) -> usize {
+    #[cfg(target_arch = "x86_64")]
+    if has_avx2() {
+        let mut below_by_key = 0;
+        // SAFETY: `has_avx2()` detected AVX2 and POPCNT on this CPU.
+        let below = unsafe {
+            avx2::add_column_band(sums, words, (major, minor), (edges.lo, edges.hi), |v| {
+                edges.classify(v, &mut below_by_key, band);
+            })
+        };
+        return below + below_by_key;
+    }
+    add_column_scalar(sums, words, major, minor);
+    band_scan(sums, edges, band)
+}
+
+/// The band's scalar passes over sums already added: one branch-free pass
+/// counting the sums `< lo`, then a gather eight sums at a time that
+/// visits only the chunks touching the band.
+fn band_scan(sums: &[f64], edges: BandEdges, band: &mut Vec<i64>) -> usize {
+    let mut below: usize = sums.iter().map(|&v| usize::from(v < edges.lo)).sum();
+    let inside = |v: f64| !(v < edges.lo || v > edges.hi);
+    for chunk in sums.chunks(8) {
+        if chunk.iter().fold(false, |any, &v| any | inside(v)) {
+            for &v in chunk.iter().filter(|&&v| inside(v)) {
+                edges.classify(v, &mut below, band);
+            }
+        }
+    }
+    below
 }
 
 /// Snapshot of the seeded search state after accumulating the forced
@@ -1408,9 +1531,8 @@ fn columns_search(
     for &col in order {
         assert!(col < case.snps, "ranking indexes a non-existent column");
         let (major, minor) = (null.major[col], null.minor[col]);
-        add_column(&mut null_sums, null.col_words(col), major, minor);
         let t0 = Instant::now();
-        let (threshold, hit) = band.quantile(&null_sums, major, minor);
+        let (threshold, hit) = band.quantile(&mut null_sums, null.col_words(col), major, minor);
         quantile_hist.observe_duration(t0.elapsed());
         fallbacks += u64::from(!hit);
         let detected = add_column_count(
@@ -2025,6 +2147,91 @@ mod tests {
         }
     }
 
+    /// Values the vector sweeps must carry exactly as the scalar loops do,
+    /// as levels, starting sums, thresholds and band statistics: ordinary
+    /// LR magnitudes, signed zeros, infinities, NaNs of both signs,
+    /// subnormals and 1e300.
+    const LANE_VALUES: [f64; 14] = [
+        -0.287_682_072_451_780_9,
+        0.405_465_108_108_164_4,
+        3.25,
+        0.0,
+        -0.0,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::NAN,
+        -f64::NAN,
+        5e-324,
+        -5e-324,
+        f64::MIN_POSITIVE,
+        1e300,
+        -1e300,
+    ];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        /// The dispatched kernels (the AVX2 ones on a CPU that has it)
+        /// against the scalar kernels, by `to_bits`, for 1–200 individuals
+        /// (whole and partial quads and words): the add and back-out
+        /// sweeps, the case side's
+        /// add-and-count, and the null side's pass, whose `below` and band
+        /// multiset must equal the scalar add followed by the separate count
+        /// pass and chunked gather.
+        #[test]
+        fn vector_kernels_match_the_scalar_kernels_bit_for_bit(
+            n in 1usize..201,
+            levels in (0usize..14, 0usize..14),
+            edges in (0usize..14, 0usize..28, 0usize..28),
+            hostile_sums in 0.0f64..0.5,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let mut rng = ChaChaRng::from_seed_u64(seed);
+            let start: Vec<f64> = (0..n)
+                .map(|_| {
+                    if rng.next_bool(hostile_sums) {
+                        LANE_VALUES[rng.next_below(14) as usize]
+                    } else {
+                        40.0 * (rng.next_f64() - 0.5)
+                    }
+                })
+                .collect();
+            // Bits past `n` in the last word are set too: no sweep reads them.
+            let words: Vec<u64> = (0..n.div_ceil(64)).map(|_| rng.next_u64()).collect();
+            let (major, minor) = (LANE_VALUES[levels.0], LANE_VALUES[levels.1]);
+            let stat = |i: usize| if i < 14 { LANE_VALUES[i] } else { start[i * 7_919 % n] };
+
+            let mut scalar = start.clone();
+            let mut vector = start.clone();
+            add_column_scalar(&mut scalar, &words, major, minor);
+            add_column(&mut vector, &words, major, minor);
+            proptest::prop_assert_eq!(bits_of(&vector), bits_of(&scalar), "add");
+            sub_column_scalar(&mut scalar, &words, major, minor);
+            sub_column(&mut vector, &words, major, minor);
+            proptest::prop_assert_eq!(bits_of(&vector), bits_of(&scalar), "sub");
+
+            let threshold = LANE_VALUES[edges.0];
+            let mut scalar = start.clone();
+            let mut vector = start.clone();
+            let expected = add_column_count_scalar(&mut scalar, &words, major, minor, threshold);
+            let detected = add_column_count(&mut vector, &words, major, minor, threshold);
+            proptest::prop_assert_eq!(bits_of(&vector), bits_of(&scalar), "count sums");
+            proptest::prop_assert_eq!(detected, expected, "count");
+
+            let band = BandEdges::new((stat(edges.1), stat(edges.2)), major, minor);
+            let (mut scalar, mut scalar_keys) = (start.clone(), Vec::new());
+            let (mut vector, mut vector_keys) = (start.clone(), Vec::new());
+            add_column_scalar(&mut scalar, &words, major, minor);
+            let below = band_scan(&scalar, band, &mut scalar_keys);
+            let fused = add_column_band(&mut vector, &words, (major, minor), band, &mut vector_keys);
+            proptest::prop_assert_eq!(bits_of(&vector), bits_of(&scalar), "null sums");
+            proptest::prop_assert_eq!(fused, below, "below");
+            scalar_keys.sort_unstable();
+            vector_keys.sort_unstable();
+            proptest::prop_assert_eq!(vector_keys, scalar_keys, "band");
+        }
+    }
+
     #[test]
     fn backing_a_column_out_is_not_a_restore() {
         // Why the back-out subtracts instead of restoring a snapshot (and
@@ -2052,7 +2259,12 @@ mod tests {
     fn band_step(sums: &[f64], q: f64, committed: (f64, f64), levels: (f64, f64)) -> bool {
         let mut band = NullBand::new(sums, q);
         band.committed = committed;
-        let (threshold, hit) = band.quantile(sums, levels.0, levels.1);
+        let below = band_scan(
+            sums,
+            BandEdges::new(committed, levels.0, levels.1),
+            &mut band.band,
+        );
+        let (threshold, hit) = band.select(sums, below);
 
         let mut keys: Vec<i64> = sums.iter().map(|&s| total_order_key(s)).collect();
         let expected = quantile_from_keys(&mut keys, q);

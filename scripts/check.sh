@@ -30,13 +30,16 @@ for example in examples/*.rs; do
     cargo run --release -q --example "$(basename "$example" .rs)" >/dev/null
 done
 
-# The sweep kernels' bit-identity with the scalar loop is a statement about
-# optimised arithmetic: test the build that ships, not only the debug one.
+# The LR sweeps' bit-identity — the AVX2 kernels against the scalar loops
+# they fall back to, NaN signs included — is a statement about optimised
+# arithmetic: test the build that ships, not only the debug one.
 echo "==> cargo test --release -p gendpr-stats -q"
 cargo test --release -p gendpr-stats -q
 
 # Same for the message path: the AEAD's RFC 8439 vectors and in-place
-# oracles, the slice codec and the fabric's burst/wake tests run against
+# oracles, the SSE2 four-block ChaCha20 against the scalar block function
+# (and the pinned generator stream), the slice codec and the fabric's
+# burst/wake tests run against
 # the optimised build that carries every member message. The engine and
 # chaos suites too: how many replies a follower finds queued when it
 # wakes, and whether a frame arrives in sequence, depend on timing.
@@ -64,7 +67,8 @@ scripts/bench.sh --scale 0.02 --out "$BENCH_SMOKE_OUT" >/dev/null
 grep -q '"selection_identical": true' "$BENCH_SMOKE_OUT"
 grep -q '"shard_identical": true' "$BENCH_SMOKE_OUT"
 # The LR sweeps cost the same on columns the branch predictor has never
-# seen as on one it has: the level select compiled to a load, not a jump.
+# seen as on one it has: the level select compiled to a blend (AVX2) or a
+# load (the scalar fallback), not a jump.
 grep -q '"branch_free": true' "$BENCH_SMOKE_OUT"
 
 # All four benchmark workloads at smoke length: selections, certificates
