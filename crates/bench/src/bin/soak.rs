@@ -413,7 +413,7 @@ enum JobOutcome {
     Completed(f64),
     /// Daemon went away (or rejected for shutdown) before it ran:
     /// re-submit after the restart.
-    Interrupted { panel: Vec<u32>, batches: u32 },
+    Interrupted { panel: Vec<u32> },
     /// A typed job failure — counts against the zero-dropped SLO.
     Failed(String),
 }
@@ -427,18 +427,13 @@ struct WaveStats {
 
 /// Runs one job to a terminal outcome: bounded retry on queue-full
 /// backpressure, interruption on any connection-level failure.
-fn drive_job(
-    client: &ServiceClient,
-    panel: Vec<u32>,
-    batches: u32,
-    no_wait: bool,
-) -> (JobOutcome, u64) {
+fn drive_job(client: &ServiceClient, panel: Vec<u32>, no_wait: bool) -> (JobOutcome, u64) {
     let started = Instant::now();
     let deadline = started + Duration::from_secs(120);
     let mut rejects = 0u64;
     loop {
         let result = if no_wait {
-            client.submit(panel.clone(), batches).and_then(|job_id| {
+            client.submit(panel.clone(), 0).and_then(|job_id| {
                 // Poll results until the record lands, like `--no-wait`
                 // CLI users do.
                 loop {
@@ -455,7 +450,7 @@ fn drive_job(
                 }
             })
         } else {
-            client.submit_and_wait(panel.clone(), batches)
+            client.submit_and_wait(panel.clone(), 0)
         };
         match result {
             Ok(_) => {
@@ -485,7 +480,7 @@ fn drive_job(
                         | ErrorKind::WriteZero
                 ) =>
             {
-                return (JobOutcome::Interrupted { panel, batches }, rejects);
+                return (JobOutcome::Interrupted { panel }, rejects);
             }
             Err(e) => return (JobOutcome::Failed(e.to_string()), rejects),
         }
@@ -569,7 +564,7 @@ fn main() {
 
     let mut rng = Rng(config.seed);
     let mut report_lines: Vec<String> = Vec::new();
-    let mut pending: Vec<(Vec<u32>, u32)> = Vec::new();
+    let mut pending: Vec<Vec<u32>> = Vec::new();
     let mut latencies: Vec<f64> = Vec::new();
     let mut recoveries: BTreeMap<&'static str, Vec<f64>> = BTreeMap::new();
     // Per-round resource sample, keyed with the round's (shards, tracks)
@@ -694,31 +689,22 @@ fn main() {
                 }
                 // A boot-armed killpoint can fire this early; the job
                 // joins the pending pool like any interrupted one.
-                Err(_) => pending.push((REFERENCE_PANEL.collect(), 0)),
+                Err(_) => pending.push(REFERENCE_PANEL.collect()),
             }
         }
 
         // This round's traffic: everything interrupted earlier, then a
-        // fresh seeded mixed wave (blocking, --no-wait, dynamic batches).
-        let mut wave: Vec<(Vec<u32>, u32, bool)> = pending
-            .drain(..)
-            .map(|(panel, batches)| (panel, batches, false))
-            .collect();
+        // fresh seeded mixed wave (blocking and --no-wait federated jobs).
+        let mut wave: Vec<(Vec<u32>, bool)> =
+            pending.drain(..).map(|panel| (panel, false)).collect();
         totals_resubmitted += wave.len() as u64;
         for _ in 0..config.jobs {
-            // Dynamic jobs must assess the full panel; federated jobs
-            // take seeded overlapping slices.
-            let batches = if rng.below(4) == 0 { 2 } else { 0 };
-            let panel: Vec<u32> = if batches > 0 {
-                (0..SNPS).collect()
-            } else {
-                let start = rng.below(u64::from(SNPS - 16));
-                #[allow(clippy::cast_possible_truncation)]
-                let slice = (start as u32..start as u32 + 16).collect();
-                slice
-            };
+            // Seeded overlapping slices of the panel.
+            let start = rng.below(u64::from(SNPS - 16));
+            #[allow(clippy::cast_possible_truncation)]
+            let panel: Vec<u32> = (start as u32..start as u32 + 16).collect();
             let no_wait = rng.below(4) == 0;
-            wave.push((panel, batches, no_wait));
+            wave.push((panel, no_wait));
         }
         // Seeded per-job arrival times spread the wave across a couple
         // of seconds so mid-traffic kills genuinely interrupt jobs.
@@ -730,7 +716,7 @@ fn main() {
         let handles: Vec<_> = wave
             .into_iter()
             .zip(staggers)
-            .map(|((panel, batches, no_wait), stagger_ms)| {
+            .map(|((panel, no_wait), stagger_ms)| {
                 let outcomes = Arc::clone(&outcomes);
                 let stats = Arc::clone(&stats);
                 let stagger = Duration::from_millis(stagger_ms);
@@ -742,7 +728,7 @@ fn main() {
                 thread::spawn(move || {
                     thread::sleep(stagger);
                     let client = ServiceClient::with_endpoints(endpoints);
-                    let (outcome, rejects) = drive_job(&client, panel, batches, no_wait);
+                    let (outcome, rejects) = drive_job(&client, panel, no_wait);
                     let mut stats = stats.lock().unwrap();
                     stats.queue_full_rejects += rejects;
                     drop(stats);
@@ -877,9 +863,9 @@ fn main() {
                     totals_completed += 1;
                     latencies.push(latency);
                 }
-                JobOutcome::Interrupted { panel, batches } => {
+                JobOutcome::Interrupted { panel } => {
                     round_interrupted += 1;
-                    pending.push((panel, batches));
+                    pending.push(panel);
                 }
                 JobOutcome::Failed(message) => dropped.push(format!("round {round}: {message}")),
             }

@@ -61,6 +61,8 @@ impl ServiceClient {
     }
 
     /// Queues a job and returns its id without waiting for it to run.
+    /// `batches` must be 0: the daemon refuses a dynamic job. (The
+    /// argument stays until the benchmark, which passes 0, is re-pinned.)
     ///
     /// # Errors
     ///
@@ -81,6 +83,7 @@ impl ServiceClient {
     }
 
     /// Queues a job and blocks until its record is in the ledger.
+    /// `batches` must be 0, as for [`ServiceClient::submit`].
     ///
     /// # Errors
     ///

@@ -21,19 +21,19 @@
 //!    position — before the submitter is answered; a crash after the
 //!    append can lose the response but never the release.
 //!
-//! Federated jobs run on a lane's attested member session (one election
-//! and attestation per lane per daemon lifetime, channels ratcheted
-//! between jobs); dynamic jobs (`batches > 0`) run
-//! [`gendpr_core::dynamic::DynamicAssessor`] locally over the case
-//! cohort, seeded from the same ledger.
+//! Every job runs on a lane's attested member session (one election and
+//! attestation per lane per daemon lifetime, channels ratcheted between
+//! jobs), so the daemon releases only what an attested leader certified.
+//! Admission refuses a dynamic batch count (`batches > 0`): the DyPS
+//! extension runs in process (`gendpr assess --batches N`), and the
+//! daemon holds no pooled copy of the case cohort to feed it.
 
 use crate::error::ServiceError;
 use crate::ledger::{LedgerRecord, ReleaseLedger};
 use crate::protocol::{ClientRequest, ClientResponse, ServiceStatus};
 use crate::sched::dispatch::Failpoint;
 use crate::sched::{
-    ExecutionContext, JobVerdict, LaneFactory, Limits, ReplySink, Scheduler, SchedulerConfig,
-    WorkerPool,
+    admission, JobVerdict, LaneFactory, Limits, ReplySink, Scheduler, SchedulerConfig, WorkerPool,
 };
 use crate::shard::{ShardSet, ShardSpec};
 use crate::signals;
@@ -138,6 +138,9 @@ impl AssessmentService {
     /// The ledger's existing records immediately count: the first job's
     /// LR seed is the union of everything released in earlier runs.
     ///
+    /// `_params` is unused: the lanes carry the GWAS parameters. It stays
+    /// until the benchmark, which passes it, is re-pinned.
+    ///
     /// # Errors
     ///
     /// [`ServiceError::Protocol`] when no lane is given, a lane's panel
@@ -147,11 +150,11 @@ impl AssessmentService {
         lanes: Vec<ServiceFederation>,
         ledger: ReleaseLedger,
         cohort: &Cohort,
-        params: GwasParams,
+        _params: GwasParams,
         listener: TcpListener,
         config: SchedulerConfig,
     ) -> Result<Self, ServiceError> {
-        Self::start_inner(lanes, None, ledger, cohort, params, listener, config)
+        Self::start_inner(lanes, None, ledger, cohort, listener, config)
     }
 
     /// Like [`AssessmentService::start_with`], but *supervised*: the
@@ -173,19 +176,10 @@ impl AssessmentService {
         supervision: Supervision,
         ledger: ReleaseLedger,
         cohort: &Cohort,
-        params: GwasParams,
         listener: TcpListener,
         config: SchedulerConfig,
     ) -> Result<Self, ServiceError> {
-        Self::start_inner(
-            lanes,
-            Some(supervision),
-            ledger,
-            cohort,
-            params,
-            listener,
-            config,
-        )
+        Self::start_inner(lanes, Some(supervision), ledger, cohort, listener, config)
     }
 
     fn start_inner(
@@ -193,7 +187,6 @@ impl AssessmentService {
         supervision: Option<Supervision>,
         ledger: ReleaseLedger,
         cohort: &Cohort,
-        params: GwasParams,
         listener: TcpListener,
         config: SchedulerConfig,
     ) -> Result<Self, ServiceError> {
@@ -247,7 +240,6 @@ impl AssessmentService {
         let client_addr = listener.local_addr()?;
         let limits = Limits {
             panel_len: first.panel_len() as u64,
-            case_genomes: cohort.case_individuals() as u64,
             max_queue: config.max_queue,
             workers: lanes.len(),
             max_retries: config.max_retries,
@@ -275,12 +267,7 @@ impl AssessmentService {
                 ("max_queue", limits.max_queue.into()),
             ],
         );
-        let context = Arc::new(ExecutionContext {
-            params,
-            case: cohort.case().clone(),
-            reference: cohort.reference().clone(),
-        });
-        let pool = WorkerPool::spawn_sharded(lanes, factory, shard_sets, &sched, &context)?;
+        let pool = WorkerPool::spawn_sharded(lanes, factory, shard_sets, &sched)?;
         let accept = {
             let shared = Arc::clone(&shared);
             thread::Builder::new()
@@ -311,11 +298,13 @@ impl AssessmentService {
     /// A typed admission rejection, [`ServiceError::JobFailed`] when the
     /// job ran and failed, [`ServiceError::ShuttingDown`] when the
     /// daemon drained it.
-    pub fn execute(&mut self, panel: Vec<u32>, batches: u32) -> Result<LedgerRecord, ServiceError> {
-        self.submit_ticket(panel, batches)?.wait()
+    pub fn execute(&mut self, panel: Vec<u32>) -> Result<LedgerRecord, ServiceError> {
+        self.submit_ticket(panel, 0)?.wait()
     }
 
     /// Queues one job and returns a ticket to wait on, without blocking.
+    /// `batches` must be 0: admission refuses a dynamic job. (The
+    /// argument stays until the benchmark, which passes 0, is re-pinned.)
     ///
     /// # Errors
     ///
@@ -323,14 +312,9 @@ impl AssessmentService {
     /// [`ServiceError::ShuttingDown`] when admission turns it away.
     pub fn submit_ticket(&self, panel: Vec<u32>, batches: u32) -> Result<JobTicket, ServiceError> {
         let (tx, rx) = mpsc::channel();
-        match self
-            .shared
-            .sched
-            .enqueue(panel, batches, ReplySink::Channel(tx))
-        {
-            Ok(job_id) => Ok(JobTicket { job_id, rx }),
-            Err((_, error)) => Err(error),
-        }
+        let job_id = enqueue(&self.shared.sched, panel, batches, ReplySink::Channel(tx))
+            .map_err(|(_, error)| error)?;
+        Ok(JobTicket { job_id, rx })
     }
 
     /// Queues one fire-and-forget job and returns its id.
@@ -338,11 +322,8 @@ impl AssessmentService {
     /// # Errors
     ///
     /// The same admission verdicts as [`AssessmentService::submit_ticket`].
-    pub fn submit_detached(&self, panel: Vec<u32>, batches: u32) -> Result<u64, ServiceError> {
-        match self.shared.sched.enqueue(panel, batches, ReplySink::None) {
-            Ok(job_id) => Ok(job_id),
-            Err((_, error)) => Err(error),
-        }
+    pub fn submit_detached(&self, panel: Vec<u32>) -> Result<u64, ServiceError> {
+        enqueue(&self.shared.sched, panel, 0, ReplySink::None).map_err(|(_, error)| error)
     }
 
     /// The committed record of one finished job, if any. In tracks mode
@@ -558,22 +539,33 @@ fn handle_client(mut stream: TcpStream, shared: &Arc<Shared>) {
             if wait {
                 // Hand the socket to the scheduler: the committing
                 // worker writes the response, this thread exits now.
-                match shared
-                    .sched
-                    .enqueue(panel, batches, ReplySink::Socket(stream))
-                {
+                match enqueue(&shared.sched, panel, batches, ReplySink::Socket(stream)) {
                     Ok(_) => {}
                     Err((sink, error)) => sink.deliver(JobVerdict::from_error(&error)),
                 }
                 return;
             }
-            match shared.sched.enqueue(panel, batches, ReplySink::None) {
+            match enqueue(&shared.sched, panel, batches, ReplySink::None) {
                 Ok(job_id) => ClientResponse::Accepted { job_id },
                 Err((_, error)) => JobVerdict::from_error(&error).into_response(),
             }
         }
     };
     let _ = write_message(&mut stream, &response);
+}
+
+/// Every submit's way in: [`admission::validate`] (where a dynamic batch
+/// count is refused), then the scheduler's queue.
+fn enqueue(
+    sched: &Scheduler,
+    panel: Vec<u32>,
+    batches: u32,
+    reply: ReplySink,
+) -> Result<u64, (ReplySink, ServiceError)> {
+    match admission::validate(panel, batches, sched.limits()) {
+        Ok(panel) => sched.enqueue(panel, reply),
+        Err(error) => Err((reply, error)),
+    }
 }
 
 fn status_snapshot(shared: &Arc<Shared>) -> ServiceStatus {

@@ -32,7 +32,7 @@ pub enum ServiceError {
     /// are rejected with this error, in-flight jobs still complete.
     ShuttingDown,
     /// The submitted job spec was rejected at admission (empty panel,
-    /// out-of-range SNP id, bad dynamic batching). The payload is the
+    /// out-of-range SNP id, a dynamic batch count). The payload is the
     /// human-readable reason; nothing was queued.
     InvalidJob(String),
     /// The job ran and failed; the payload is the failure rendered as a

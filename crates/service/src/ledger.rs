@@ -36,8 +36,9 @@ use std::path::{Path, PathBuf};
 pub enum JobKind {
     /// Federated assessment by the attested member session.
     Federated,
-    /// Local dynamic batch assessment via
-    /// [`gendpr_core::dynamic::DynamicAssessor`].
+    /// Local dynamic batch assessment, uncertified. No daemon writes it
+    /// any more; it is decoded so ledgers written by older daemons still
+    /// open, audit and seed later jobs.
     Dynamic,
 }
 
@@ -183,7 +184,8 @@ pub struct LedgerRecord {
     /// Adversary power over forced ∪ released after the job.
     pub final_power: f64,
     /// Federated jobs: the LR detection threshold τ (the null quantile)
-    /// the power was measured at. Dynamic jobs: the power bound.
+    /// the power was measured at. Dynamic jobs (ledgers written by older
+    /// daemons): the power bound.
     pub final_threshold: f64,
     /// Case minor-allele frequencies of the released SNPs — the
     /// statistics the study may now publish.

@@ -15,9 +15,9 @@
 //!   under the tracks' claim log),
 //! * [`daemon`] — the `gendpr serve` core: bounded job queue with
 //!   admission control, a pool of
-//!   [`gendpr_core::serving::ServiceFederation`] worker lanes, dynamic
-//!   batch jobs via [`gendpr_core::dynamic::DynamicAssessor`], client
-//!   accept loop, graceful signal shutdown,
+//!   [`gendpr_core::serving::ServiceFederation`] worker lanes (every
+//!   job federated and certified), client accept loop, graceful signal
+//!   shutdown,
 //! * [`sched`] — the scheduler underneath it: queue, admission,
 //!   ledger commits in job-id order, worker lanes,
 //! * [`shard`] — SNP-sharded assessment: the panel partitioned across

@@ -22,8 +22,8 @@
 //! A log lives on a primary file plus any number of mirrors. Every
 //! append writes the frame to each of them and succeeds once a majority
 //! of the whole set acknowledged its fsync (the primary's is mandatory).
-//! A mirror whose write fails is retired for the rest of the process, so
-//! it can only ever hold a strict *prefix* of the truth, never a
+//! A mirror whose write fails is retired: it receives no further frame,
+//! so it can only ever hold a strict *prefix* of the truth, never a
 //! divergent history. Two heals bring the copies back together:
 //!
 //! * **at open** the copy with the longest intact prefix wins (the
@@ -31,9 +31,13 @@
 //!   is not exactly that prefix — lagging, torn, or flipped — is
 //!   rewritten to it;
 //! * **at refresh** (under the fleet lock, so nothing live is writing)
-//!   the primary's torn tail is truncated and every live mirror that
-//!   does not end where the primary's intact prefix does is rewritten
-//!   from the primary.
+//!   the primary's torn tail is truncated, every live mirror that does
+//!   not end where the primary's intact prefix does is rewritten from the
+//!   primary, and every mirror an earlier append or refresh retired is
+//!   re-opened, rewritten from the primary and re-admitted (it stays
+//!   retired if either step fails). The quorum counts every mirror, so
+//!   without the re-admission one failed write in a one-mirror set would
+//!   fail every later append until a restart.
 //!
 //! The three operations are the whole interface; what differs between
 //! the two logs travels as data in a [`LogNames`] constant.
@@ -192,8 +196,8 @@ pub(crate) struct RefreshReport {
 #[derive(Debug)]
 struct Mirror<S> {
     /// `None` once a write failed: a retired mirror stops receiving
-    /// frames (its file stays a strict prefix of the truth) and is
-    /// healed at the next open.
+    /// frames (its file stays a strict prefix of the truth) until the
+    /// next refresh or open heals it.
     file: Option<S>,
     path: PathBuf,
 }
@@ -442,7 +446,10 @@ impl<E: Encode + Decode, S: Store> FrameLog<E, S> {
     /// a valid-looking history that silently skips an entry) while its
     /// fsync still counts toward the append quorum. A mirror that cannot
     /// be healed is retired instead of acked, exactly like a failed
-    /// append.
+    /// append. A mirror retired before this call is re-opened and always
+    /// rewritten — a failed write may have left any part of its frame —
+    /// and re-admitted; if the open or the rewrite fails it stays retired
+    /// and is not counted again.
     ///
     /// Appends are serialized fleet-wide and write identical bytes to
     /// every copy, so "same length as the primary's intact prefix"
@@ -454,10 +461,15 @@ impl<E: Encode + Decode, S: Store> FrameLog<E, S> {
         let mut truth: Option<Vec<u8>> = None;
         let (mut healed, mut retired) = (0, 0);
         for mirror in &mut self.mirrors {
-            let Some(file) = mirror.file.as_mut() else {
-                continue;
-            };
-            if file.size().ok() == Some(end) {
+            let retired_before = mirror.file.is_none();
+            if retired_before {
+                match S::open(&mirror.path) {
+                    Ok(file) => mirror.file = Some(file),
+                    Err(_) => continue,
+                }
+            }
+            let file = mirror.file.as_mut().expect("live or re-opened");
+            if !retired_before && file.size().ok() == Some(end) {
                 continue;
             }
             // A primary read failure is the primary's problem, not the
@@ -479,6 +491,7 @@ impl<E: Encode + Decode, S: Store> FrameLog<E, S> {
                         ],
                     );
                 }
+                Err(_) if retired_before => mirror.file = None,
                 Err(e) => {
                     retired += 1;
                     retire(mirror, &e, self.names);
@@ -658,6 +671,33 @@ mod tests {
         for mirror in &mirrors {
             assert_eq!(std::fs::read(mirror).unwrap(), truth);
         }
+    }
+
+    #[test]
+    fn a_refresh_re_admits_a_mirror_an_append_retired() {
+        // One mirror: the quorum is 2 of 2, so a retired mirror fails
+        // every append until something brings it back.
+        let (primary, mut mirrors) = three_copies("re-admit");
+        mirrors.truncate(1);
+        let (mut log, _, _) = open(&primary, &mirrors);
+        log.append(&1).unwrap();
+        break_mirror(&mut log, 0);
+        let error = log.append(&2).unwrap_err().to_string();
+        assert!(error.contains("quorum lost"), "{error}");
+        assert_eq!(log.live_mirrors(), 0);
+
+        // The file is fine again (the read-only handle is gone with the
+        // retirement): the refresh re-opens it and rewrites it from the
+        // primary, which took the unacknowledged frame.
+        let (fresh, report) = log.refresh().unwrap();
+        assert_eq!(fresh, vec![2]);
+        assert_eq!((report.healed, report.retired), (1, 0));
+        assert_eq!(log.live_mirrors(), 1);
+        log.append(&3).unwrap();
+        assert_eq!(
+            std::fs::read(&mirrors[0]).unwrap(),
+            std::fs::read(&primary).unwrap()
+        );
     }
 
     #[test]

@@ -17,15 +17,16 @@ use gendpr_fednet::wire_struct;
 pub enum ClientRequest {
     /// Queue an assessment job over `panel`.
     ///
-    /// `batches == 0` runs the federated protocol; `batches > 0` runs a
-    /// local dynamic assessment feeding the case cohort in that many
-    /// batches. With `wait` the connection stays open until the job
+    /// The job runs the federated protocol on an attested lane; admission
+    /// refuses `batches > 0` with a typed invalid-job verdict. With `wait`
+    /// the connection stays open until the job
     /// finishes and the response is [`ClientResponse::Completed`];
     /// otherwise [`ClientResponse::Accepted`] returns immediately.
     Submit {
         /// Requested SNP ids.
         panel: Vec<u32>,
-        /// Dynamic batch count (0 = federated).
+        /// Decoded for clients written before dynamic jobs left the
+        /// daemon, which sent a batch count here; must be 0.
         batches: u32,
         /// Block until the job completes.
         wait: bool,

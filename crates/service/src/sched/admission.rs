@@ -5,7 +5,8 @@
 //!
 //! 1. **Spec validation** ([`validate`]) — panel normalization and the
 //!    structural checks the old FIFO daemon did at enqueue (non-empty
-//!    panel, ids within the cohort width, dynamic-batching rules).
+//!    panel, ids within the cohort width), and the refusal of dynamic
+//!    jobs: the daemon releases only what an attested lane certified.
 //!    Failures are [`ServiceError::InvalidJob`]: the submitter's fault,
 //!    reported verbatim.
 //! 2. **Backpressure** ([`admit`]) — the bounded queue. A full queue is
@@ -24,8 +25,6 @@ use crate::telemetry;
 pub struct Limits {
     /// Cohort panel width: valid SNP ids are `0..panel_len`.
     pub panel_len: u64,
-    /// Case-cohort individuals (bounds dynamic batch counts).
-    pub case_genomes: u64,
     /// Bound on undispatched jobs.
     pub max_queue: usize,
     /// Worker lanes in the pool.
@@ -36,23 +35,33 @@ pub struct Limits {
     pub max_retries: u32,
 }
 
-/// Validates and normalizes a submitted spec: sorts and deduplicates the
-/// panel, then applies the structural rules.
+/// Why a dynamic job (`batches > 0`) is refused: the DyPS extension runs
+/// in process, over a cohort the daemon does not hold.
+pub(crate) const DYNAMIC_JOBS_REFUSED: &str =
+    "the daemon runs only federated jobs; run dynamic batches with `gendpr assess --batches N`";
+
+/// Validates and normalizes a submitted spec: refuses a dynamic batch
+/// count, sorts and deduplicates the panel, then applies the structural
+/// rules. This is the one place a dynamic job is refused.
 ///
 /// # Errors
 ///
-/// [`ServiceError::InvalidJob`] with the reason; nothing was queued.
+/// [`ServiceError::InvalidJob`] with the reason; nothing was queued and
+/// no claim was staked.
 pub fn validate(
     mut panel: Vec<u32>,
     batches: u32,
     limits: &Limits,
 ) -> Result<Vec<u32>, ServiceError> {
-    panel.sort_unstable();
-    panel.dedup();
     let reject = |message: String| {
         telemetry::sched_admission_rejects("invalid").inc();
         Err(ServiceError::InvalidJob(message))
     };
+    if batches != 0 {
+        return reject(DYNAMIC_JOBS_REFUSED.to_string());
+    }
+    panel.sort_unstable();
+    panel.dedup();
     if panel.is_empty() {
         return reject("job panel is empty".to_string());
     }
@@ -64,17 +73,6 @@ pub fn validate(
             "SNP id out of range (panel width is {})",
             limits.panel_len
         ));
-    }
-    if batches > 0 {
-        if panel.len() as u64 != limits.panel_len {
-            return reject("dynamic jobs assess the full panel (submit --snps all)".to_string());
-        }
-        if u64::from(batches) > limits.case_genomes {
-            return reject(format!(
-                "more batches than case genomes ({})",
-                limits.case_genomes
-            ));
-        }
     }
     Ok(panel)
 }

@@ -2,7 +2,8 @@
 //! ledger and the set of live job ids, and one rule orders every commit
 //! in both serving modes — **ids at admission, commit in id order**.
 //!
-//! * **Admission** ([`Scheduler::enqueue`]) assigns the next job id and
+//! * **Admission** (`Scheduler::enqueue`, on a panel that
+//!   [`super::admission::validate`] passed) assigns the next job id and
 //!   puts it in `live`, the set of ids admitted and not yet resolved in
 //!   this process. A fleet track does the same under the fleet lock,
 //!   taking the id from the shared files and staking the claim (with the
@@ -78,8 +79,6 @@ pub struct DispatchedJob {
     pub job_id: u64,
     /// Sorted, deduplicated SNP panel.
     pub panel: Vec<u32>,
-    /// Dynamic batch count (0 = federated).
-    pub batches: u32,
     /// When admission accepted the job.
     pub enqueued: Instant,
     /// The job's LR seed: the ledger's released-union at dispatch, or at
@@ -310,21 +309,20 @@ impl Scheduler {
         f(&mut self.lock())
     }
 
-    /// Validates and admits a job, assigning its id and queue slot. As a
-    /// fleet track the claim *is* the admission — if it cannot be made
-    /// durable, nothing was queued and the submitter gets the error.
+    /// Admits a job, assigning its id and queue slot. `panel` is what
+    /// [`admission::validate`] returned for the submitted spec. As a fleet
+    /// track the claim *is* the admission — if it cannot be made durable,
+    /// nothing was queued and the submitter gets the error.
     ///
     /// # Errors
     ///
     /// The sink is handed back with the typed verdict —
-    /// [`ServiceError::InvalidJob`], [`ServiceError::QueueFull`],
-    /// [`ServiceError::ShuttingDown`], or (tracks mode)
-    /// [`ServiceError::Io`] from the shared files — so the caller can
-    /// answer the submitter on whichever channel it came in on.
-    pub fn enqueue(
+    /// [`ServiceError::QueueFull`], [`ServiceError::ShuttingDown`], or
+    /// (tracks mode) [`ServiceError::Io`] from the shared files — so the
+    /// caller can answer the submitter on whichever channel it came in on.
+    pub(crate) fn enqueue(
         &self,
         panel: Vec<u32>,
-        batches: u32,
         reply: ReplySink,
     ) -> Result<u64, (ReplySink, ServiceError)> {
         let Admitted {
@@ -333,7 +331,7 @@ impl Scheduler {
             panel,
             job_id,
             forced,
-        } = match self.admit(panel, batches) {
+        } = match self.admit(panel) {
             Ok(admitted) => admitted,
             Err(error) => return Err((reply, error)),
         };
@@ -342,7 +340,6 @@ impl Scheduler {
         core.queue.push(QueuedJob {
             job_id,
             panel,
-            batches,
             reply,
             enqueued: Instant::now(),
             attempts: 0,
@@ -352,7 +349,6 @@ impl Scheduler {
         let mut fields = vec![
             ("job_id", job_id.into()),
             ("depth", core.queue.len().into()),
-            ("batches", batches.into()),
         ];
         let name = match self.tracker.get() {
             Some(tracker) => {
@@ -368,13 +364,12 @@ impl Scheduler {
         Ok(job_id)
     }
 
-    /// The admission decision: validate → *(track: fleet lock, both shared
-    /// files synced)* → backpressure → id → *(track: stake the claim)*. A
-    /// track allocates the globally next id and freezes the claim-time
-    /// ledger snapshot in a quorum-acknowledged claim frame, all under the
-    /// fleet lock the caller keeps until the job is queued.
-    fn admit(&self, panel: Vec<u32>, batches: u32) -> Result<Admitted<'_>, ServiceError> {
-        let panel = admission::validate(panel, batches, &self.limits)?;
+    /// The admission decision on a validated panel: *(track: fleet lock,
+    /// both shared files synced)* → backpressure → id → *(track: stake the
+    /// claim)*. A track allocates the globally next id and freezes the
+    /// claim-time ledger snapshot in a quorum-acknowledged claim frame, all
+    /// under the fleet lock the caller keeps until the job is queued.
+    fn admit(&self, panel: Vec<u32>) -> Result<Admitted<'_>, ServiceError> {
         let tracker = self.tracker.get();
         let mut fleet = tracker.map(|t| t.synced(self)).transpose()?;
         let claims_next = fleet.as_mut().map_or(0, |fleet| fleet.log().next_job_id());
@@ -385,7 +380,7 @@ impl Scheduler {
         if let (Some(tracker), Some(fleet)) = (tracker, fleet.as_mut()) {
             let claim = tracker
                 .gate(fleet.log(), &mut core.ledger, self.limits.max_retries)
-                .stake(job_id, 1, batches, panel.clone())?;
+                .stake(job_id, 1, panel.clone())?;
             telemetry::track_claims().inc();
             forced = Some(claim.forced.into_iter().map(SnpId).collect());
         }
@@ -429,7 +424,6 @@ impl Scheduler {
                     return Dispatch::Job(DispatchedJob {
                         job_id: job.job_id,
                         panel: job.panel,
-                        batches: job.batches,
                         enqueued: job.enqueued,
                         forced,
                         attempts: job.attempts,
@@ -516,7 +510,6 @@ impl Scheduler {
                     core.queue.requeue(QueuedJob {
                         job_id,
                         panel: job.panel,
-                        batches: job.batches,
                         reply,
                         enqueued: job.enqueued,
                         attempts: job.attempts + 1,

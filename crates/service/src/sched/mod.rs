@@ -50,7 +50,7 @@ pub mod workers;
 pub use admission::Limits;
 pub use dispatch::{Dispatch, DispatchedJob, Scheduler};
 pub use queue::{JobQueue, JobVerdict, QueuedJob, ReplySink};
-pub use workers::{ExecutionContext, LaneFactory, WorkerPool};
+pub use workers::{LaneFactory, WorkerPool};
 
 use std::time::Duration;
 

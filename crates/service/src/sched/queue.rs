@@ -126,8 +126,6 @@ pub struct QueuedJob {
     pub job_id: u64,
     /// Sorted, deduplicated SNP panel.
     pub panel: Vec<u32>,
-    /// Dynamic batch count (0 = federated).
-    pub batches: u32,
     /// Where the terminal outcome goes.
     pub reply: ReplySink,
     /// When admission accepted the job (feeds the wait histogram).

@@ -42,20 +42,17 @@
 //! thing supervision cannot survive: the worker records the error as
 //! fatal and flips the daemon into shutdown.
 
+use super::admission::DYNAMIC_JOBS_REFUSED;
 use super::dispatch::{append_record, Dispatch, DispatchedJob, Failpoint, Scheduler};
 use crate::error::ServiceError;
-use crate::ledger::{JobKind, LedgerRecord};
+use crate::ledger::LedgerRecord;
 use crate::shard::ShardSet;
 use crate::telemetry;
 use crate::tracks::claims::ClaimFrame;
 use crate::tracks::gate::{Visit, Visited};
 use crate::tracks::TrackCoordinator;
-use gendpr_core::attack::{MembershipAttacker, ReleasedStatistics};
-use gendpr_core::config::GwasParams;
-use gendpr_core::dynamic::DynamicAssessor;
 use gendpr_core::error::ProtocolError;
 use gendpr_core::serving::{JobSpec, ServiceFederation};
-use gendpr_genomics::genotype::GenotypeMatrix;
 use gendpr_genomics::snp::SnpId;
 use gendpr_obs::{event, Level};
 use std::io;
@@ -79,16 +76,6 @@ const LANE_REBUILD_BACKOFF: Duration = Duration::from_millis(100);
 /// How long a worker parked at the fleet commit gate sleeps between
 /// polls of the shared claim log.
 const TRACK_GATE_POLL: Duration = Duration::from_millis(50);
-
-/// The read-only study data every lane executes jobs against.
-pub struct ExecutionContext {
-    /// GWAS parameters (shared with the federations).
-    pub params: GwasParams,
-    /// The case cohort (dynamic jobs feed it in batches).
-    pub case: GenotypeMatrix,
-    /// The reference panel.
-    pub reference: GenotypeMatrix,
-}
 
 /// The running lanes; joining drains them.
 pub struct WorkerPool {
@@ -118,20 +105,18 @@ impl WorkerPool {
         factory: Option<LaneFactory>,
         shard_sets: Vec<Option<ShardSet>>,
         scheduler: &Arc<Scheduler>,
-        context: &Arc<ExecutionContext>,
     ) -> io::Result<Self> {
         assert_eq!(lanes.len(), shard_sets.len(), "one shard set slot per lane");
         scheduler.set_supervised(factory.is_some());
         let mut handles = Vec::with_capacity(lanes.len());
         for (worker, (lane, shard_set)) in lanes.into_iter().zip(shard_sets).enumerate() {
             let scheduler = Arc::clone(scheduler);
-            let context = Arc::clone(context);
             let factory = factory.clone();
             handles.push(
                 thread::Builder::new()
                     .name(format!("gendpr-worker-{worker}"))
                     .spawn(move || {
-                        worker_loop(worker, lane, factory, shard_set, &scheduler, &context);
+                        worker_loop(worker, lane, factory, shard_set, &scheduler);
                     })?,
             );
         }
@@ -168,7 +153,6 @@ fn worker_loop(
     factory: Option<LaneFactory>,
     mut shard_set: Option<ShardSet>,
     scheduler: &Arc<Scheduler>,
-    context: &Arc<ExecutionContext>,
 ) {
     let busy = telemetry::sched_worker_busy_seconds(worker);
     let tracker = scheduler.tracker();
@@ -181,7 +165,7 @@ fn worker_loop(
             Dispatch::Job(job) => {
                 let Some(session) = lane.as_mut() else { break };
                 let started = Instant::now();
-                let result = run_job_caught(session, shard_set.as_mut(), context, scheduler, &job);
+                let result = run_job_caught(session, shard_set.as_mut(), scheduler, &job);
                 busy.observe_duration(started.elapsed());
                 let lane_ok = !matches!(&result, Err(error) if !error.lane_survives());
                 // One gate for every outcome. A failure resolves before
@@ -200,7 +184,6 @@ fn worker_loop(
                         scheduler,
                         session,
                         shard_set.as_mut(),
-                        context,
                         worker,
                         factory.as_ref(),
                         expected,
@@ -326,7 +309,6 @@ fn fleet_commit(
     scheduler: &Arc<Scheduler>,
     lane: &mut ServiceFederation,
     mut shard_set: Option<&mut ShardSet>,
-    context: &Arc<ExecutionContext>,
     worker: usize,
     factory: Option<&LaneFactory>,
     expected: (usize, usize),
@@ -374,19 +356,23 @@ fn fleet_commit(
             // Took the visited job's own claim back from a reclaimer that
             // died too: the next visit commits the result in hand.
             Visited::Run(claim) if claim.job_id == visiting => {}
+            // A dynamic job staked by an older daemon: it resolves as a
+            // failed job (a `Done` marker), never as a federated run.
+            Visited::Run(claim) if claim.batches != 0 => {
+                let refused = ServiceError::InvalidJob(DYNAMIC_JOBS_REFUSED.to_string());
+                reclaimed = Some((claim, Err(refused)));
+            }
             Visited::Run(claim) => {
                 // The submitter, if any, was connected to the dead track:
                 // nobody local is answered and no queue slot is touched.
                 let job = DispatchedJob {
                     job_id: claim.job_id,
                     panel: claim.panel.clone(),
-                    batches: claim.batches,
                     enqueued: Instant::now(),
                     forced: claim.forced.iter().copied().map(SnpId).collect(),
                     attempts: claim.attempt.saturating_sub(1),
                 };
-                let result =
-                    run_job_caught(lane, shard_set.as_deref_mut(), context, scheduler, &job);
+                let result = run_job_caught(lane, shard_set.as_deref_mut(), scheduler, &job);
                 reclaimed = Some((claim, result));
             }
             Visited::Wait => thread::sleep(TRACK_GATE_POLL),
@@ -400,12 +386,11 @@ fn fleet_commit(
 fn run_job_caught(
     lane: &mut ServiceFederation,
     shard_set: Option<&mut ShardSet>,
-    context: &ExecutionContext,
     scheduler: &Scheduler,
     job: &DispatchedJob,
 ) -> Result<LedgerRecord, ServiceError> {
     catch_unwind(AssertUnwindSafe(|| {
-        run_job(lane, shard_set, context, scheduler, job)
+        run_job(lane, shard_set, scheduler, job)
     }))
     .unwrap_or_else(|payload| {
         let message = payload
@@ -420,7 +405,6 @@ fn run_job_caught(
 fn run_job(
     lane: &mut ServiceFederation,
     shard_set: Option<&mut ShardSet>,
-    context: &ExecutionContext,
     scheduler: &Scheduler,
     job: &DispatchedJob,
 ) -> Result<LedgerRecord, ServiceError> {
@@ -445,117 +429,24 @@ fn run_job(
         }
         .into());
     }
-    if job.batches == 0 {
-        let spec = JobSpec {
-            job_id: job.job_id,
-            panel: job.panel.iter().copied().map(SnpId).collect(),
-            forced: job.forced.clone(),
-        };
-        let outcome = match shard_set {
-            Some(set) => {
-                let crashes: Vec<u32> = fired
-                    .iter()
-                    .filter_map(|point| match point {
-                        Failpoint::ShardCrash(shard) => Some(*shard),
-                        _ => None,
-                    })
-                    .collect();
-                telemetry::shard_jobs().inc();
-                set.run_job(lane, &spec, &crashes)?
-            }
-            None => lane.submit(&spec)?,
-        };
-        Ok(LedgerRecord::from_outcome(&spec, &outcome))
-    } else {
-        run_dynamic_job(context, job)
-    }
-}
-
-/// A dynamic job: feed the case cohort in `batches` chunks through
-/// [`DynamicAssessor`], seeded with the job's dispatch-time ledger
-/// snapshot, and measure the final adversary power over the cumulative
-/// release.
-fn run_dynamic_job(
-    context: &ExecutionContext,
-    job: &DispatchedJob,
-) -> Result<LedgerRecord, ServiceError> {
-    let forced = &job.forced;
-    let width = context.reference.snps();
-    if job.panel.len() != width || job.panel.iter().enumerate().any(|(i, &s)| s != i as u32) {
-        return Err(ProtocolError::InvalidConfig(
-            "dynamic jobs assess the full panel (submit --snps all)",
-        )
-        .into());
-    }
-    let genomes = context.case.individuals();
-    if job.batches as usize > genomes {
-        return Err(ProtocolError::InvalidConfig("more batches than case genomes").into());
-    }
-    let mut assessor = DynamicAssessor::new(context.params, context.reference.clone())?;
-    assessor.seed_released(forced)?;
-    let base = genomes / job.batches as usize;
-    let extra = genomes % job.batches as usize;
-    let mut start = 0;
-    for i in 0..job.batches as usize {
-        let len = base + usize::from(i < extra);
-        assessor.add_batch(&context.case.row_range(start, len))?;
-        start += len;
-    }
-    let released: Vec<SnpId> = assessor
-        .released()
-        .iter()
-        .copied()
-        .filter(|s| forced.binary_search(s).is_err())
-        .collect();
-
-    let case_counts = context.case.column_counts();
-    let ref_counts = context.reference.column_counts();
-    let n_case = genomes as f64;
-    let n_ref = context.reference.individuals() as f64;
-    let freqs = |snps: &[SnpId]| -> (Vec<f64>, Vec<f64>) {
-        snps.iter()
-            .map(|s| {
-                (
-                    case_counts[s.index()] as f64 / n_case,
-                    ref_counts[s.index()] as f64 / n_ref,
-                )
-            })
-            .unzip()
-    };
-    let (case_freqs, ref_freqs) = freqs(&released);
-
-    // The certified quantity: adversary power over the *cumulative*
-    // release (seed ∪ new) given everything assessed so far.
-    let cumulative = assessor.released().to_vec();
-    let final_power = if cumulative.is_empty() {
-        0.0
-    } else {
-        let (cum_case, cum_ref) = freqs(&cumulative);
-        MembershipAttacker::calibrate(
-            ReleasedStatistics {
-                snps: cumulative,
-                case_freqs: cum_case,
-                ref_freqs: cum_ref,
-            },
-            &context.reference,
-            context.params.lr.false_positive_rate,
-        )
-        .power_against(&context.case)
-    };
-
-    Ok(LedgerRecord {
+    let spec = JobSpec {
         job_id: job.job_id,
-        kind: JobKind::Dynamic,
-        panel: job.panel.clone(),
-        forced: forced.iter().map(|s| s.0).collect(),
-        released: released.iter().map(|s| s.0).collect(),
-        final_power,
-        final_threshold: context.params.lr.power_threshold,
-        case_freqs,
-        ref_freqs,
-        epoch: u64::from(job.batches),
-        roster: Vec::new(),
-        traffic: Vec::new(),
-        certificate: None,
-    })
+        panel: job.panel.iter().copied().map(SnpId).collect(),
+        forced: job.forced.clone(),
+    };
+    let outcome = match shard_set {
+        Some(set) => {
+            let crashes: Vec<u32> = fired
+                .iter()
+                .filter_map(|point| match point {
+                    Failpoint::ShardCrash(shard) => Some(*shard),
+                    _ => None,
+                })
+                .collect();
+            telemetry::shard_jobs().inc();
+            set.run_job(lane, &spec, &crashes)?
+        }
+        None => lane.submit(&spec)?,
+    };
+    Ok(LedgerRecord::from_outcome(&spec, &outcome))
 }

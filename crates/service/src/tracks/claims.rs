@@ -60,8 +60,9 @@ pub struct ClaimFrame {
     /// Ledger record count at claim time — the committed prefix the
     /// execution's forced seed is the released-union of.
     pub prefix: u64,
-    /// Dynamic batch count (0 = federated), carried so survivors can
-    /// re-run the job.
+    /// Always written as 0. Decoded because a daemon from before dynamic
+    /// jobs left the service staked them with a batch count; a survivor
+    /// resolves such a claim as failed and never re-runs it.
     pub batches: u32,
     /// Sorted, deduplicated SNP panel, carried for the same reason.
     pub panel: Vec<u32>,

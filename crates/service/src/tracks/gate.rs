@@ -15,7 +15,7 @@
 //! | failed reclaimed run, transient, attempt ≤ `max_retries` | leave to lease | — |
 //! | any other failed run | mark `Done` | `Done` frame |
 //! | head = this job under this track's latest claim | append | ledger record |
-//! | head's lease expired, head = this job or the lane is free | reclaim | claim frame |
+//! | head's lease expired, head = this job or the lane is free | reclaim | claim frame (none for an older daemon's dynamic claim) |
 //! | otherwise (no head, a live lease, a busy lane) | wait | — |
 //!
 //! Leases are evaluated at the `now` the gate was built with, so the
@@ -238,7 +238,8 @@ impl<S: Store> Gate<'_, S> {
 
     /// Appends a claim on `job_id` for this track, charged against the
     /// ledger as it stands: its length and released union (the forced
-    /// seed a run of the claim must use).
+    /// seed a run of the claim must use). Its `batches` is written as 0:
+    /// every job this daemon admits is federated.
     ///
     /// # Errors
     ///
@@ -247,7 +248,6 @@ impl<S: Store> Gate<'_, S> {
         &mut self,
         job_id: u64,
         attempt: u32,
-        batches: u32,
         panel: Vec<u32>,
     ) -> Result<ClaimFrame, ServiceError> {
         let claim = ClaimFrame {
@@ -256,7 +256,7 @@ impl<S: Store> Gate<'_, S> {
             attempt,
             lease_ms: self.config.lease.as_millis() as u64,
             prefix: self.ledger.len() as u64,
-            batches,
+            batches: 0,
             panel,
             forced: self.ledger.released_union().iter().map(|s| s.0).collect(),
         };
@@ -267,12 +267,17 @@ impl<S: Store> Gate<'_, S> {
 
     /// Takes the expired head over. The reclaim re-snapshots the prefix:
     /// records committed since the original claim are part of the
-    /// cumulative release the re-run must charge.
+    /// cumulative release the re-run must charge. A dynamic job an older
+    /// daemon staked (`batches != 0`) is handed back as it is, unstaked:
+    /// nothing will run it, and the worker resolves it as failed.
     fn reclaim(&mut self) -> Result<ClaimFrame, ServiceError> {
         let (head, _) = self.log.head(self.ledger, self.now).expect("observed");
         let head = head.clone();
         telemetry::track_lease_expiries().inc();
-        let claim = self.stake(head.job_id, head.attempt + 1, head.batches, head.panel)?;
+        if head.batches != 0 {
+            return Ok(head);
+        }
+        let claim = self.stake(head.job_id, head.attempt + 1, head.panel)?;
         telemetry::track_reclaims().inc();
         let fields = [
             ("job_id", claim.job_id.into()),

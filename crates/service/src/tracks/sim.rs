@@ -393,10 +393,12 @@ impl Sim {
 
     /// Takes the fleet lock for track `t`, refreshes both logs, runs `f`
     /// on a gate over them and releases the lock. An error from the
-    /// shared files stops the track: at the gate its daemon shuts down;
-    /// at admission it answers the submitter but, with a mirror retired
-    /// and the quorum gone, can append nothing until a restart heals the
-    /// copies — modelled as the restart an operator gives it.
+    /// shared files stops the track. At the gate its daemon shuts down.
+    /// At admission the daemon answers the submitter and keeps serving:
+    /// its next refresh re-opens a mirror the failed append retired,
+    /// rewrites it from the primary and re-admits it. The simulator
+    /// still models that failure as a restart, which heals the copies
+    /// the same way (at open).
     fn locked<R>(
         &mut self,
         t: usize,
@@ -433,7 +435,7 @@ impl Sim {
                 let panel = (from..to).collect();
                 let staked = self.locked(t, |gate| {
                     let job_id = gate.ledger.next_job_id().max(gate.log.next_job_id());
-                    gate.stake(job_id, 1, 0, panel)
+                    gate.stake(job_id, 1, panel)
                 });
                 if let (Some(claim), Some(live)) = (staked, self.tracks[t].as_mut()) {
                     let job = Job {

@@ -16,10 +16,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo '==> RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace'
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
-# --workspace: the root package alone is only the facade's suites; the
-# crates' own tests (e.g. crates/stats/tests/lr_columnar_props.rs, the LR
-# kernels' equivalence proof) live in the members. --no-fail-fast: one
-# failing member must not hide the ones after it.
+# --workspace: the same members the root's `default-members` makes a bare
+# `cargo test` run (the facade's suites and every crate's own, e.g.
+# crates/stats/tests/lr_columnar_props.rs, the LR kernels' equivalence
+# proof), spelled out. --no-fail-fast: one failing member must not hide
+# the ones after it.
 echo "==> cargo test --workspace --no-fail-fast -q"
 cargo test --workspace --no-fail-fast -q
 

@@ -99,7 +99,7 @@ const SERVE_FLAGS: &[&[&str]] = &[
 const SERVE_BOOLS: &[&str] = &["tcp"];
 const TRACKS_FLAGS: &[&[&str]] = &[&["tracks"], STUDY, FEDERATION, SERVICE, &["log-level"]];
 const TRACKS_BOOLS: &[&str] = &["tcp"];
-const SUBMIT_FLAGS: &[&str] = &["addr", "snps", "batches"];
+const SUBMIT_FLAGS: &[&str] = &["addr", "snps"];
 const SUBMIT_BOOLS: &[&str] = &["no-wait"];
 const STATUS_FLAGS: &[&str] = &["addr"];
 const STATUS_BOOLS: &[&str] = &["metrics"];
@@ -247,7 +247,7 @@ gendpr serve  --case FILE --reference FILE --ledger FILE [--gdos N] [--tcp]\n   
 gendpr tracks --tracks N --case FILE --reference FILE --ledger FILE\n                \
 [any serve flag except --listen/--track-id/--metrics-addr]\n  \
 gendpr submit [--addr HOST:PORT[,HOST:PORT...]] [--snps all|A-B|A,B,...]\n                \
-[--batches N] [--no-wait]\n  \
+[--no-wait]\n  \
 gendpr status [--addr HOST:PORT[,...]] [--metrics]\n  \
 gendpr results --job ID [--addr HOST:PORT[,...]]\n  \
 gendpr stop   [--addr HOST:PORT[,...]]\n\n\
@@ -264,7 +264,8 @@ either way). Every certified release is appended to the checksummed\n  \
 --ledger file and seeds the LR phase of all later jobs, so the certified\n  \
 adversary power always covers the cumulative release — across jobs and\n  \
 across daemon restarts. `submit` queues a job (blocking until certified\n  \
-unless --no-wait); `--batches N` routes it through the dynamic assessor.\n  \
+unless --no-wait); every job runs federated on an attested lane (dynamic\n  \
+batches run in process: `assess --batches N`).\n  \
 `--workers N` runs N federation lanes concurrently; releases stay\n  \
 deterministic because every job's seed is a ledger snapshot taken at\n  \
 dispatch and commits land in job-id order. `--max-queue N` bounds the\n  \
@@ -1165,7 +1166,6 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), CliError> {
         },
         ledger,
         &cohort,
-        params,
         listener,
         sched_config,
     )
@@ -1352,7 +1352,8 @@ fn print_record(record: &LedgerRecord) {
         record.forced.len()
     );
     // A federated job records the LR detection threshold τ there, a
-    // dynamic job the bound its power was held below.
+    // dynamic job (in a ledger an older daemon wrote) the bound its power
+    // was held below.
     let threshold = match record.kind {
         JobKind::Federated => "LR detection threshold",
         JobKind::Dynamic => "power bound",
@@ -1388,18 +1389,17 @@ fn print_record(record: &LedgerRecord) {
 /// `gendpr submit`: queue one job on a running daemon.
 fn cmd_submit(flags: &HashMap<String, String>) -> Result<(), CliError> {
     let client = service_client(flags)?;
-    let batches: u32 = flag(flags, "batches", 0)?;
     let spec = flags.get("snps").map_or("all", String::as_str);
     let status = client
         .status()
         .map_err(|e| format!("reaching the daemon: {e}"))?;
     let panel = parse_snp_spec(spec, status.panel_len)?;
     if flags.contains_key("no-wait") {
-        let job_id = client.submit(panel, batches).map_err(|e| e.to_string())?;
+        let job_id = client.submit(panel, 0).map_err(|e| e.to_string())?;
         println!("job {job_id} queued; fetch it later with `gendpr results --job {job_id}`");
     } else {
         let record = client
-            .submit_and_wait(panel, batches)
+            .submit_and_wait(panel, 0)
             .map_err(|e| e.to_string())?;
         print_record(&record);
     }

@@ -138,7 +138,6 @@ fn supervised_pool(config: SchedulerConfig, ledger: ReleaseLedger, tcp: bool) ->
         },
         ledger,
         (*cohort).as_ref(),
-        params(),
         listener,
         config,
     )
@@ -162,7 +161,7 @@ fn single_client_workload(workers: usize, tag: &str, tcp: bool) -> Vec<LedgerRec
     let panels: [Vec<u32>; 3] = [(0..60).collect(), (30..100).collect(), (0..40).collect()];
     let records: Vec<LedgerRecord> = panels
         .into_iter()
-        .map(|panel| service.execute(panel, 0).expect("job certifies"))
+        .map(|panel| service.execute(panel).expect("job certifies"))
         .collect();
     service.stop().expect("daemon drains cleanly");
     records.iter().map(deterministic).collect()
@@ -245,9 +244,9 @@ fn restart_mid_sequence_preserves_certificates_under_a_pool() {
     // Continuous pool: three jobs against one ledger.
     let continuous_path = temp_ledger("restart-continuous");
     let mut continuous = start_pool(4, 16, ReleaseLedger::open(&continuous_path).unwrap(), false);
-    let a = continuous.execute((0..60).collect(), 0).unwrap();
-    let b = continuous.execute((30..100).collect(), 0).unwrap();
-    let c = continuous.execute((0..40).collect(), 0).unwrap();
+    let a = continuous.execute((0..60).collect()).unwrap();
+    let b = continuous.execute((30..100).collect()).unwrap();
+    let c = continuous.execute((0..40).collect()).unwrap();
     continuous.stop().unwrap();
 
     // Same workload, but the daemon restarts (fresh pool, surviving
@@ -255,11 +254,11 @@ fn restart_mid_sequence_preserves_certificates_under_a_pool() {
     let restart_path = temp_ledger("restart-split");
     let mut before = start_pool(4, 16, ReleaseLedger::open(&restart_path).unwrap(), false);
     assert_eq!(
-        deterministic(&before.execute((0..60).collect(), 0).unwrap()),
+        deterministic(&before.execute((0..60).collect()).unwrap()),
         deterministic(&a)
     );
     assert_eq!(
-        deterministic(&before.execute((30..100).collect(), 0).unwrap()),
+        deterministic(&before.execute((30..100).collect()).unwrap()),
         deterministic(&b)
     );
     before.stop().unwrap();
@@ -267,7 +266,7 @@ fn restart_mid_sequence_preserves_certificates_under_a_pool() {
     let reopened = ReleaseLedger::open(&restart_path).unwrap();
     assert_eq!(reopened.len(), 2, "the ledger survived the restart");
     let mut after = start_pool(4, 16, reopened, false);
-    let c_again = after.execute((0..40).collect(), 0).unwrap();
+    let c_again = after.execute((0..40).collect()).unwrap();
     after.stop().unwrap();
     assert_prefix_seeded(ReleaseLedger::open(&restart_path).unwrap().records());
 
@@ -284,14 +283,10 @@ fn admission_rejects_at_the_queue_bound_with_the_typed_error() {
     let service = start_pool(1, 2, ReleaseLedger::open(&path).unwrap(), false);
     // Hold dispatch so the queue can be driven to the bound exactly.
     service.pause_dispatch();
-    let first = service
-        .submit_detached((0..30).collect(), 0)
-        .expect("slot 1");
-    let second = service
-        .submit_detached((0..30).collect(), 0)
-        .expect("slot 2");
+    let first = service.submit_detached((0..30).collect()).expect("slot 1");
+    let second = service.submit_detached((0..30).collect()).expect("slot 2");
     assert_ne!(first, second);
-    match service.submit_detached((0..30).collect(), 0) {
+    match service.submit_detached((0..30).collect()) {
         Err(ServiceError::QueueFull { depth, max }) => {
             assert_eq!((depth, max), (2, 2));
         }
@@ -299,7 +294,7 @@ fn admission_rejects_at_the_queue_bound_with_the_typed_error() {
     }
     // Invalid specs are admission verdicts too — nothing was queued.
     assert!(matches!(
-        service.submit_detached(vec![], 0),
+        service.submit_detached(vec![]),
         Err(ServiceError::InvalidJob(_))
     ));
     let status = service.status();
@@ -513,7 +508,7 @@ proptest! {
                 .into_iter()
                 .map(|panel| {
                     service
-                        .execute(panel, 0)
+                        .execute(panel)
                         .expect("job certifies despite the lane crash")
                 })
                 .collect();
@@ -614,9 +609,7 @@ fn retry_budget_exhaustion_surfaces_the_typed_verdict() {
         other => panic!("expected the typed Retried verdict, got {other:?}"),
     }
     // Exhaustion fails the job, never the daemon: the next job certifies.
-    let record = service
-        .execute((0..40).collect(), 0)
-        .expect("next job runs");
+    let record = service.execute((0..40).collect()).expect("next job runs");
     assert!(record.certificate.is_some());
     service.stop().expect("daemon drains cleanly");
     assert_eq!(ReleaseLedger::open(&path).unwrap().len(), 1);

@@ -13,7 +13,7 @@ use gendpr::fednet::transport::PeerId;
 use gendpr::genomics::snp::SnpId;
 use gendpr::genomics::synth::SyntheticCohort;
 use gendpr::service::daemon::AssessmentService;
-use gendpr::service::ledger::{JobKind, LedgerRecord, ReleaseLedger};
+use gendpr::service::ledger::{audit_records, JobKind, LedgerRecord, ReleaseLedger};
 use gendpr::service::{SchedulerConfig, ServiceClient};
 use gendpr::stats::lr::LrTestParams;
 use std::io::{Read, Write};
@@ -360,10 +360,10 @@ fn daemon_restart_preserves_the_second_certificate() {
     // Continuous daemon: job 1 then job 2 against one ledger.
     let continuous_path = temp_ledger("continuous");
     let mut continuous = start_daemon(ReleaseLedger::open(&continuous_path).unwrap());
-    let first = continuous.execute((0..60).collect(), 0).unwrap();
+    let first = continuous.execute((0..60).collect()).unwrap();
     assert_eq!(first.job_id, 1);
     assert!(!first.released.is_empty());
-    let second = continuous.execute((30..100).collect(), 0).unwrap();
+    let second = continuous.execute((30..100).collect()).unwrap();
     assert_eq!(second.job_id, 2);
     assert_eq!(
         second.forced, first.released,
@@ -375,14 +375,14 @@ fn daemon_restart_preserves_the_second_certificate() {
     // the surviving ledger, job 2.
     let restart_path = temp_ledger("restart");
     let mut before = start_daemon(ReleaseLedger::open(&restart_path).unwrap());
-    let first_again = before.execute((0..60).collect(), 0).unwrap();
+    let first_again = before.execute((0..60).collect()).unwrap();
     assert_eq!(deterministic(&first_again), deterministic(&first));
     before.stop().unwrap();
 
     let reopened = ReleaseLedger::open(&restart_path).unwrap();
     assert_eq!(reopened.len(), 1, "the ledger survived the restart");
     let mut after = start_daemon(reopened);
-    let second_again = after.execute((30..100).collect(), 0).unwrap();
+    let second_again = after.execute((30..100).collect()).unwrap();
     after.stop().unwrap();
 
     assert_eq!(
@@ -409,18 +409,16 @@ fn client_protocol_drives_a_live_daemon() {
     let second = client.submit_and_wait((30..100).collect(), 0).unwrap();
     assert_eq!(second.forced, first.released);
 
-    // A dynamic batch job against the same ledger: seeded with both
-    // federated releases.
-    let dynamic = client.submit_and_wait((0..100).collect(), 3).unwrap();
-    assert_eq!(dynamic.kind, JobKind::Dynamic);
-    let mut union = first.released.clone();
-    union.extend_from_slice(&second.released);
-    union.sort_unstable();
-    assert_eq!(dynamic.forced, union);
-    assert!(dynamic.final_power < dynamic.final_threshold + 0.05);
+    // A dynamic batch job is refused at admission, even over the full
+    // panel: the daemon releases only what an attested lane certified.
+    let refused = client.submit_and_wait((0..100).collect(), 3).unwrap_err();
+    assert!(
+        refused.to_string().contains("assess --batches"),
+        "the refusal names the in-process path, got: {refused}"
+    );
 
     let status = client.status().unwrap();
-    assert_eq!(status.jobs_done, 3);
+    assert_eq!(status.jobs_done, 2);
     assert_eq!(status.jobs_queued, 0);
     assert_eq!(status.gdos, 3);
     assert!(!status.links.is_empty(), "per-link traffic is reported");
@@ -432,7 +430,7 @@ fn client_protocol_drives_a_live_daemon() {
     let mut expected: std::collections::BTreeMap<(u32, u32), (u64, u64, u64)> =
         std::collections::BTreeMap::new();
     let mut expected_released: Vec<u32> = Vec::new();
-    for record in [&first, &second, &dynamic] {
+    for record in [&first, &second] {
         expected_released.extend_from_slice(&record.released);
         for link in &record.traffic {
             let slot = expected.entry((link.from, link.to)).or_insert((0, 0, 0));
@@ -463,13 +461,55 @@ fn client_protocol_drives_a_live_daemon() {
 
     // Bad submissions are rejected without killing the daemon.
     assert!(client.submit_and_wait(vec![], 0).is_err());
-    assert!(client.submit_and_wait(vec![0, 1], 2).is_err()); // dynamic needs the full panel
+    assert!(client.submit_and_wait(vec![0, 1], 2).is_err()); // dynamic jobs are refused
 
     client.shutdown().unwrap();
     serve.join().unwrap().unwrap();
 
-    // The ledger holds all three records for the next incarnation.
-    assert_eq!(ReleaseLedger::open(&path).unwrap().len(), 3);
+    // The ledger holds both records for the next incarnation.
+    assert_eq!(ReleaseLedger::open(&path).unwrap().len(), 2);
+}
+
+#[test]
+fn a_ledger_holding_an_older_daemons_dynamic_record_opens_audits_and_seeds() {
+    // Daemons before this one ran dynamic jobs in process and committed
+    // them uncertified: kind `Dynamic`, the batch count as the epoch, no
+    // roster, traffic or certificate. Such a ledger must still open and
+    // audit, and its release must seed the next federated job.
+    let path = temp_ledger("older-dynamic");
+    let dynamic = LedgerRecord {
+        job_id: 1,
+        kind: JobKind::Dynamic,
+        panel: (0..100).collect(),
+        forced: Vec::new(),
+        released: vec![3, 17, 42, 58],
+        final_power: 0.31,
+        final_threshold: 0.6,
+        case_freqs: vec![0.25, 0.4, 0.125, 0.3],
+        ref_freqs: vec![0.2, 0.35, 0.15, 0.3],
+        epoch: 3,
+        roster: Vec::new(),
+        traffic: Vec::new(),
+        certificate: None,
+    };
+    ReleaseLedger::open(&path)
+        .unwrap()
+        .append(dynamic.clone())
+        .unwrap();
+
+    let reopened = ReleaseLedger::open(&path).unwrap();
+    assert_eq!(reopened.records(), std::slice::from_ref(&dynamic));
+    audit_records(reopened.records()).expect("the older ledger audits");
+    let mut daemon = start_daemon(reopened);
+    let first = daemon.execute((0..60).collect()).unwrap();
+    daemon.stop().unwrap();
+    assert_eq!(first.job_id, 2);
+    assert_eq!(first.kind, JobKind::Federated);
+    assert!(first.certificate.is_some());
+    assert_eq!(
+        first.forced, dynamic.released,
+        "the dynamic record's release seeds the first federated job"
+    );
 }
 
 #[test]

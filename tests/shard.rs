@@ -131,7 +131,6 @@ fn sharded_pool(shards: u32, ledger: ReleaseLedger, tcp: bool) -> AssessmentServ
         },
         ledger,
         (*cohort).as_ref(),
-        params(),
         listener,
         SchedulerConfig {
             workers: 1,
@@ -165,7 +164,7 @@ fn workload_panels() -> [Vec<u32>; 3] {
 fn run_workload(mut service: AssessmentService) -> Vec<LedgerRecord> {
     let records: Vec<LedgerRecord> = workload_panels()
         .into_iter()
-        .map(|panel| service.execute(panel, 0).expect("job certifies"))
+        .map(|panel| service.execute(panel).expect("job certifies"))
         .collect();
     service.stop().expect("daemon drains cleanly");
     records.iter().map(deterministic).collect()
@@ -335,8 +334,8 @@ fn seeded_ledger_restart_preserves_sharded_certificates() {
     let path = temp_ledger("restart-split");
     let [p1, p2, p3] = workload_panels();
     let mut before = sharded_pool(4, ReleaseLedger::open(&path).unwrap(), false);
-    let a = before.execute(p1, 0).expect("job 1 certifies");
-    let b = before.execute(p2, 0).expect("job 2 certifies");
+    let a = before.execute(p1).expect("job 1 certifies");
+    let b = before.execute(p2).expect("job 2 certifies");
     before.stop().expect("daemon drains cleanly");
     assert_eq!(deterministic(&a), continuous[0]);
     assert_eq!(deterministic(&b), continuous[1]);
@@ -344,7 +343,7 @@ fn seeded_ledger_restart_preserves_sharded_certificates() {
     let reopened = ReleaseLedger::open(&path).unwrap();
     assert_eq!(reopened.len(), 2, "the ledger survived the restart");
     let mut after = sharded_pool(4, reopened, false);
-    let c = after.execute(p3, 0).expect("job 3 certifies after restart");
+    let c = after.execute(p3).expect("job 3 certifies after restart");
     after.stop().expect("daemon drains cleanly");
     assert_eq!(
         deterministic(&c),

@@ -69,8 +69,8 @@ fn stale_seed_commits_are_counted_where_they_are_committed() {
 
     // Sequential: every job is seeded with exactly what is committed.
     let mut service = two_lane_daemon("sequential");
-    let first = service.execute((0..60).collect(), 0).expect("certifies");
-    let second = service.execute((30..100).collect(), 0).expect("certifies");
+    let first = service.execute((0..60).collect()).expect("certifies");
+    let second = service.execute((30..100).collect()).expect("certifies");
     service.stop().expect("daemon drains cleanly");
     assert!(!first.released.is_empty() && second.forced == first.released);
     assert_eq!(stale.get(), 0, "a sequential workload has no stale seed");

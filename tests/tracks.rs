@@ -130,7 +130,6 @@ fn plain_pool_sized(workers: usize, ledger: ReleaseLedger, tcp: bool) -> Assessm
         },
         ledger,
         (*cohort).as_ref(),
-        params(),
         listener,
         SchedulerConfig {
             workers,
@@ -170,7 +169,6 @@ fn tracked_pool_sized(
         },
         ledger,
         (*cohort).as_ref(),
-        params(),
         listener,
         SchedulerConfig {
             workers,
@@ -204,7 +202,7 @@ fn workload_panels() -> [Vec<u32>; 3] {
 fn run_workload(mut service: AssessmentService) -> Vec<LedgerRecord> {
     let records: Vec<LedgerRecord> = workload_panels()
         .into_iter()
-        .map(|panel| service.execute(panel, 0).expect("job certifies"))
+        .map(|panel| service.execute(panel).expect("job certifies"))
         .collect();
     service.stop().expect("daemon drains cleanly");
     records.iter().map(deterministic).collect()
@@ -306,9 +304,9 @@ fn interleaved_tracks_reproduce_the_single_daemon_workload() {
     let mut track0 = tracked_pool(0, Duration::from_secs(10), &path, false);
     let mut track1 = tracked_pool(1, Duration::from_secs(10), &path, false);
     let [p1, p2, p3] = workload_panels();
-    let a = track0.execute(p1, 0).expect("job 1 certifies on track 0");
-    let b = track1.execute(p2, 0).expect("job 2 certifies on track 1");
-    let c = track0.execute(p3, 0).expect("job 3 certifies on track 0");
+    let a = track0.execute(p1).expect("job 1 certifies on track 0");
+    let b = track1.execute(p2).expect("job 2 certifies on track 1");
+    let c = track0.execute(p3).expect("job 3 certifies on track 0");
     // Every track serves the whole fleet's results, not just its own.
     assert_eq!(
         track1.results(a.job_id).as_ref(),
@@ -372,7 +370,7 @@ fn an_abandoned_claim_is_rerun_once_at_its_original_position() {
         // dead claim ahead of it, reclaims after the lease, runs job 1
         // inline and only then commits job 2.
         let mut survivor = tracked_pool(0, Duration::from_millis(300), &path, tcp);
-        let record = survivor.execute(p2, 0).expect("survivor's job certifies");
+        let record = survivor.execute(p2).expect("survivor's job certifies");
         assert_eq!(record.job_id, 2, "the survivor's own job follows the claim");
         let reclaimed = survivor
             .results(1)
@@ -432,7 +430,7 @@ fn a_restarted_track_reclaims_its_own_pre_crash_claim() {
     }
     let mut survivor = tracked_pool(0, Duration::from_millis(300), &path, false);
     let record = survivor
-        .execute(p2, 0)
+        .execute(p2)
         .expect("the restarted track's new job certifies");
     assert_eq!(record.job_id, 2, "the new job follows the leftover claim");
     let reclaimed = survivor
@@ -480,7 +478,7 @@ fn a_transiently_failing_reclaim_is_abandoned_and_retried_not_failed() {
     // One-shot: the first (reclaimed, inline) execution of job 1 dies
     // lane-fatally; every later attempt runs clean.
     survivor.inject_lane_crash(1);
-    let record = survivor.execute(p2, 0).expect("the live job certifies");
+    let record = survivor.execute(p2).expect("the live job certifies");
     assert_eq!(record.job_id, 2);
     let reclaimed = survivor
         .results(1)
@@ -584,7 +582,7 @@ fn a_done_marker_resolves_a_dead_claim_without_a_commit() {
     }
     let mut survivor = tracked_pool(0, Duration::from_millis(300), &path, false);
     let [p1, _, _] = workload_panels();
-    let record = survivor.execute(p1, 0).expect("the live job certifies");
+    let record = survivor.execute(p1).expect("the live job certifies");
     assert_eq!(record.job_id, 2);
     assert!(
         survivor.results(1).is_none(),
@@ -602,6 +600,70 @@ fn a_done_marker_resolves_a_dead_claim_without_a_commit() {
             .any(|e| matches!(&e.entry, ClaimEntry::Done(d) if d.job_id == 1)),
         "the dead claim was resolved with a Done marker"
     );
+}
+
+#[test]
+fn a_reclaimed_dynamic_claim_resolves_as_failed_without_a_commit() {
+    // A daemon from before dynamic jobs left the service staked a claim
+    // with a batch count and died. A survivor reclaims it and must resolve
+    // it as a failed job — a Done marker, no ledger record — and never run
+    // it, neither in the daemon nor as a federated job over its panel.
+    let dir = temp_dir("dynamic-claim");
+    let path = dir.join("ledger.bin");
+    let claims_path = path.with_extension("bin.claims");
+    {
+        let mut log = ClaimLog::open(&claims_path, &[]).unwrap();
+        log.append(
+            ClaimEntry::Claim(ClaimFrame {
+                job_id: 1,
+                track: 9,
+                attempt: 1,
+                lease_ms: 300,
+                prefix: 0,
+                batches: 2,
+                panel: (0..u32::try_from(SNPS).unwrap()).collect(),
+                forced: Vec::new(),
+            }),
+            Instant::now(),
+        )
+        .unwrap();
+    }
+    let mut survivor = tracked_pool(0, Duration::from_millis(300), &path, false);
+    let [p1, _, _] = workload_panels();
+    let record = survivor.execute(p1).expect("the live job certifies");
+    assert_eq!(record.job_id, 2);
+    assert!(
+        record.forced.is_empty(),
+        "nothing was released before the live job"
+    );
+    assert!(
+        survivor.results(1).is_none(),
+        "a dynamic claim must not commit a record"
+    );
+    survivor.stop().expect("survivor drains cleanly");
+
+    let reopened = ReleaseLedger::open(&path).unwrap();
+    assert_eq!(reopened.len(), 1, "only the live job reached the ledger");
+    assert_eq!(reopened.records()[0].job_id, 2);
+    let log = ClaimLog::open(&claims_path, &[]).unwrap();
+    let done = log
+        .entries()
+        .iter()
+        .find_map(|e| match &e.entry {
+            ClaimEntry::Done(d) if d.job_id == 1 => Some(d.error.clone()),
+            _ => None,
+        })
+        .expect("the dynamic claim was resolved with a Done marker");
+    assert!(
+        done.contains("assess --batches"),
+        "the marker says why: {done}"
+    );
+    let claims = log
+        .entries()
+        .iter()
+        .filter(|e| matches!(&e.entry, ClaimEntry::Claim(c) if c.job_id == 1))
+        .count();
+    assert_eq!(claims, 1, "nobody re-staked the dynamic claim");
 }
 
 proptest! {
