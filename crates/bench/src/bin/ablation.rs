@@ -13,7 +13,6 @@
 //!    prefetch, same selection at a different cost.
 //! 7. **Measured traffic** — messages, wire bytes and leader turnarounds
 //!    of the in-memory runtime, counted at its transports.
-//! 8. **Data-oblivious LR selection** — the cost of pattern-freedom.
 
 use gendpr_bench::workload::paper_cohort;
 use gendpr_bench::{ms, BenchArgs, TextTable, PAPER_CASES_FULL};
@@ -38,61 +37,6 @@ fn main() {
     ablation_encryption_overhead(&args, params);
     ablation_transport_optimizations(&args, params);
     ablation_measured_traffic(&args, params);
-    ablation_oblivious_overhead(&args);
-}
-
-fn ablation_oblivious_overhead(args: &BenchArgs) {
-    use gendpr_genomics::snp::SnpId;
-    use gendpr_stats::lr::{select_safe_subset, LrMatrix, LrTestParams};
-    use gendpr_stats::oblivious::select_safe_subset_oblivious;
-    use gendpr_stats::ranking::rank_by_association;
-
-    println!("\n== Ablation 8: data-oblivious LR selection overhead (paper's future work) ==");
-    let cohort = paper_cohort(args.scaled(PAPER_CASES_FULL / 4), args.scaled(1_000));
-    let n_case = cohort.case().individuals() as u64;
-    let n_ref = cohort.reference().individuals() as u64;
-    let case_counts = cohort.case().column_counts();
-    let ref_counts = cohort.reference().column_counts();
-    let candidates: Vec<SnpId> = (0..cohort.panel().len() as u32).map(SnpId).collect();
-    let case_freqs: Vec<f64> = case_counts
-        .iter()
-        .map(|&x| x as f64 / n_case as f64)
-        .collect();
-    let ref_freqs: Vec<f64> = ref_counts
-        .iter()
-        .map(|&x| x as f64 / n_ref as f64)
-        .collect();
-    let case_m = LrMatrix::from_genotypes(cohort.case(), &candidates, &case_freqs, &ref_freqs);
-    let null_m = LrMatrix::from_genotypes(cohort.reference(), &candidates, &case_freqs, &ref_freqs);
-    let ranks = rank_by_association(&candidates, &case_counts, n_case, &ref_counts, n_ref);
-    let mut order: Vec<usize> = (0..candidates.len()).collect();
-    order.sort_by(|&a, &b| ranks[a].p_value.partial_cmp(&ranks[b].p_value).unwrap());
-    let params = LrTestParams::secure_genome_defaults();
-
-    let t = Instant::now();
-    let fast = select_safe_subset(&case_m, &null_m, &[], &order, &params, None);
-    let fast_time = t.elapsed();
-    let t = Instant::now();
-    let oblivious = select_safe_subset_oblivious(&case_m, &null_m, &order, &params);
-    let oblivious_time = t.elapsed();
-    assert_eq!(fast.kept_columns, oblivious.kept_columns);
-
-    let mut table = TextTable::new(vec!["Variant", "Time (ms)", "Slowdown"]);
-    table.row(vec![
-        "fast (quickselect, branching)".to_string(),
-        ms(fast_time),
-        "1.0x".to_string(),
-    ]);
-    table.row(vec![
-        "oblivious (bitonic network, branchless)".to_string(),
-        ms(oblivious_time),
-        format!(
-            "{:.1}x",
-            oblivious_time.as_secs_f64() / fast_time.as_secs_f64()
-        ),
-    ]);
-    table.print();
-    println!("(identical selections — asserted; the overhead is the price of pattern-freedom)");
 }
 
 fn ablation_transport_optimizations(args: &BenchArgs, params: GwasParams) {

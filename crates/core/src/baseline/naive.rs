@@ -21,7 +21,6 @@ use crate::config::GwasParams;
 use crate::engine::{LeaderCore, Local};
 use crate::error::ProtocolError;
 use crate::gdo::GdoNode;
-use crate::phases::lrtest::SelectionKernel;
 use gendpr_genomics::cohort::Cohort;
 use gendpr_genomics::snp::SnpId;
 
@@ -76,15 +75,7 @@ impl NaiveDistributed {
             .collect();
         let mut source = Local(&nodes);
         let (reference, params) = (cohort.reference(), &self.params);
-        let mut collect = |subsets| {
-            LeaderCore::collect(
-                &mut source,
-                subsets,
-                reference,
-                params,
-                SelectionKernel::Fast,
-            )
-        };
+        let mut collect = |subsets| LeaderCore::collect(&mut source, subsets, reference, params);
 
         // Phase 1: aggregated MAF, as in GenDPR.
         let all = collect(vec![(0..self.gdo_count).collect()])?;

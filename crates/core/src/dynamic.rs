@@ -31,7 +31,6 @@ use crate::config::GwasParams;
 use crate::engine::{LeaderCore, Local};
 use crate::error::ProtocolError;
 use crate::gdo::GdoNode;
-use crate::phases::lrtest::SelectionKernel;
 use gendpr_genomics::genotype::GenotypeMatrix;
 use gendpr_genomics::snp::SnpId;
 
@@ -155,13 +154,8 @@ impl DynamicAssessor {
         // against the power budget first.
         let member = [GdoNode::new(0, self.cumulative.clone())];
         let mut source = Local(&member);
-        let mut core = LeaderCore::collect(
-            &mut source,
-            vec![vec![0]],
-            &self.reference,
-            &self.params,
-            SelectionKernel::Fast,
-        )?;
+        let mut core =
+            LeaderCore::collect(&mut source, vec![vec![0]], &self.reference, &self.params)?;
         let panel = core.whole_panel();
         let outcome = core.assess(&mut source, &panel, &self.released, None)?;
 

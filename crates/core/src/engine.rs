@@ -38,7 +38,7 @@ use crate::messages::{
     ProtocolMessage,
 };
 use crate::phases::ld::LdScan;
-use crate::phases::lrtest::{admission_order, SelectionKernel};
+use crate::phases::lrtest::admission_order;
 use crate::phases::maf::{run_maf, MafOutcome};
 use crate::protocol::PhaseTimings;
 use crate::runtime::{recv_protocol, send_protocol, Interrupt, MemberCtx};
@@ -51,7 +51,6 @@ use gendpr_stats::ld::LdMoments;
 use gendpr_stats::lr::{
     select_safe_subset, BitLrMatrix, LrColumns, LrMatrix, LrPrefixSums, LrSelection, LrValues,
 };
-use gendpr_stats::oblivious::select_safe_subset_oblivious;
 use gendpr_stats::ranking::SnpRank;
 use gendpr_tee::memory::EpcAccount;
 use gendpr_tee::session::SecureChannel;
@@ -348,7 +347,6 @@ pub(crate) struct LeaderCore<'a> {
     // null matrix a word-for-word copy of them.
     reference_columnar: ColumnarGenotypes,
     params: &'a GwasParams,
-    kernel: SelectionKernel,
     subsets: Vec<Vec<usize>>,
     maf_outcomes: Vec<MafOutcome>,
     rankings: Vec<Vec<SnpRank>>,
@@ -371,7 +369,6 @@ impl<'a> LeaderCore<'a> {
         subsets: Vec<Vec<usize>>,
         reference: &'a GenotypeMatrix,
         params: &'a GwasParams,
-        kernel: SelectionKernel,
     ) -> Result<Self, Interrupt> {
         let t = Instant::now();
         let reports = source.counts()?;
@@ -414,7 +411,6 @@ impl<'a> LeaderCore<'a> {
             reference,
             reference_columnar,
             params,
-            kernel,
             subsets,
             maf_outcomes,
             rankings,
@@ -608,7 +604,7 @@ impl<'a> LeaderCore<'a> {
         let order = admission_order(candidates, ranks, forced_len);
         let forced_cols: Vec<usize> = (0..forced_len).collect();
         let (reference, reference_columnar) = (self.reference, &self.reference_columnar);
-        let (lr, kernel, lr_memo) = (&self.params.lr, self.kernel, &mut self.lr_memo);
+        let (lr, lr_memo) = (&self.params.lr, &mut self.lr_memo);
         let search = |epc: &mut EpcAccount, case_matrix: M| {
             let null_matrix = M::null(
                 reference,
@@ -624,34 +620,22 @@ impl<'a> LeaderCore<'a> {
             // matrix declining the view (a third value per column, e.g.
             // from a degenerate frequency pair) leaves the search to its
             // scalar fallback; both routes select byte-identically.
-            let selection = if kernel == SelectionKernel::Oblivious {
-                assert_eq!(forced_len, 0, "the oblivious search takes no forced prefix");
-                select_safe_subset_oblivious(&case_matrix, &null_matrix, &order, lr)
-            } else {
-                match (case_matrix.to_columns(), null_matrix.to_columns()) {
-                    (Some(case_cols), Some(null_cols)) => {
-                        let forced = &columns[..forced_len];
-                        let prefix = lr_memo.get_or_compute(combo as u32, forced, || {
-                            LrPrefixSums::accumulate(&case_cols, &null_cols, &forced_cols, lr)
-                        });
-                        select_safe_subset(
-                            &case_cols,
-                            &null_cols,
-                            &forced_cols,
-                            &order,
-                            lr,
-                            Some(&prefix),
-                        )
-                    }
-                    _ => select_safe_subset(
-                        &case_matrix,
-                        &null_matrix,
+            let selection = match (case_matrix.to_columns(), null_matrix.to_columns()) {
+                (Some(case_cols), Some(null_cols)) => {
+                    let forced = &columns[..forced_len];
+                    let prefix = lr_memo.get_or_compute(combo as u32, forced, || {
+                        LrPrefixSums::accumulate(&case_cols, &null_cols, &forced_cols, lr)
+                    });
+                    select_safe_subset(
+                        &case_cols,
+                        &null_cols,
                         &forced_cols,
                         &order,
                         lr,
-                        None,
-                    ),
+                        Some(&prefix),
+                    )
                 }
+                _ => select_safe_subset(&case_matrix, &null_matrix, &forced_cols, &order, lr, None),
             };
             epc.free(case_matrix.heap_bytes() + null_matrix.heap_bytes());
             selection
@@ -948,7 +932,7 @@ impl<'a> LeaderSession<'a> {
             ctx,
             links: &mut links,
         };
-        let core = LeaderCore::collect(remote, subsets, reference, params, SelectionKernel::Fast)?;
+        let core = LeaderCore::collect(remote, subsets, reference, params)?;
         Ok(Self { core, links })
     }
 

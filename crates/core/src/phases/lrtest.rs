@@ -8,20 +8,18 @@ use gendpr_genomics::snp::SnpId;
 #[cfg(test)]
 use gendpr_stats::lr::LrMatrix;
 use gendpr_stats::lr::{select_safe_subset, LrTestParams, LrValues};
-use gendpr_stats::oblivious::select_safe_subset_oblivious;
 use gendpr_stats::ranking::{sort_most_significant_first, SnpRank};
 use std::collections::HashMap;
 
-/// Which implementation of the subset search the leader enclave runs.
+/// The LR subset search the leader runs. There is one: the enum and its
+/// one variant stay only because `benchmark/src/probes.rs` links them
+/// through [`run_lr_test_threads`]; they go with that signature (ROADMAP
+/// item 2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SelectionKernel {
-    /// Quickselect quantiles and branching keep/back-out — fastest.
+    /// [`select_safe_subset`], the one search.
     #[default]
     Fast,
-    /// Bitonic-network quantiles and branchless updates: identical
-    /// selections with a data-independent memory access pattern (the
-    /// paper's side-channel future work; see `gendpr_stats::oblivious`).
-    Oblivious,
 }
 
 /// The paper's admission order as column indices: `ranks` (one per
@@ -81,12 +79,12 @@ pub fn run_lr_test<M: LrValues + ?Sized, N: LrValues + ?Sized>(
     )
 }
 
-/// [`run_lr_test`] with an explicit [`SelectionKernel`].
+/// [`run_lr_test`] under the seven-argument signature
+/// `benchmark/src/probes.rs` links (ROADMAP item 2).
 ///
-/// `threads` is accepted and **ignored**: both kernels run one serial
-/// search (the row-chunked pool it used to size measured 8–9× slower and
-/// is gone). The argument stays only because `benchmark/src/probes.rs`
-/// links this seven-argument signature; it goes when that probe does.
+/// `kernel` and `threads` are accepted and **ignored**: there is one
+/// serial search (the row-chunked pool `threads` used to size measured
+/// 8–9× slower and is gone). Both arguments go when that probe does.
 ///
 /// # Panics
 ///
@@ -99,7 +97,7 @@ pub fn run_lr_test_threads<M: LrValues + ?Sized, N: LrValues + ?Sized>(
     null_matrix: &N,
     ranks: &[SnpRank],
     params: &LrTestParams,
-    kernel: SelectionKernel,
+    _kernel: SelectionKernel,
     _threads: usize,
 ) -> Vec<SnpId> {
     assert_eq!(
@@ -114,14 +112,7 @@ pub fn run_lr_test_threads<M: LrValues + ?Sized, N: LrValues + ?Sized>(
     );
     assert_eq!(ranks.len(), candidates.len(), "one rank per candidate");
     let order = admission_order(candidates, ranks.to_vec(), 0);
-    let selection = match kernel {
-        SelectionKernel::Fast => {
-            select_safe_subset(case_matrix, null_matrix, &[], &order, params, None)
-        }
-        SelectionKernel::Oblivious => {
-            select_safe_subset_oblivious(case_matrix, null_matrix, &order, params)
-        }
-    };
+    let selection = select_safe_subset(case_matrix, null_matrix, &[], &order, params, None);
     let mut safe: Vec<SnpId> = selection
         .kept_columns
         .iter()
@@ -210,26 +201,6 @@ mod tests {
         assert!(!safe.is_empty());
         // Output is sorted by id.
         assert!(safe.windows(2).all(|w| w[0] < w[1]));
-    }
-
-    #[test]
-    fn oblivious_kernel_selects_identically() {
-        let (ids, case_m, null_m, ranks) = build(20, 20, 0.25, 250);
-        let params = LrTestParams {
-            false_positive_rate: 0.1,
-            power_threshold: 0.6,
-        };
-        let fast = run_lr_test(&ids, &case_m, &null_m, &ranks, &params);
-        let oblivious = run_lr_test_threads(
-            &ids,
-            &case_m,
-            &null_m,
-            &ranks,
-            &params,
-            SelectionKernel::Oblivious,
-            1,
-        );
-        assert_eq!(fast, oblivious);
     }
 
     #[test]

@@ -6,13 +6,12 @@
 //! deployment would receive, and collusion tolerance re-evaluates each
 //! phase per member combination (§5.6). It is the crate's leader core over
 //! the *local* source — in-process members answering at once — with the
-//! evaluation subsets and a [`SelectionKernel`]: the same phase logic the
-//! attested deployment runs over its channels, without messages, AEAD or
-//! threads. It is what the correctness experiments (Table 4), collusion
-//! experiments (Table 5) and the running-time figures (5/6) measure; the
-//! fully threaded, enclave-encrypted deployment lives in
-//! [`crate::runtime`], whose [`RuntimeReport::traffic`] is the measured
-//! traffic of a run.
+//! evaluation subsets: the same phase logic the attested deployment runs
+//! over its channels, without messages, AEAD or threads. It is what the
+//! correctness experiments (Table 4), collusion experiments (Table 5) and
+//! the running-time figures (5/6) measure; the fully threaded,
+//! enclave-encrypted deployment lives in [`crate::runtime`], whose
+//! [`RuntimeReport::traffic`] is the measured traffic of a run.
 //!
 //! [`RuntimeReport::traffic`]: crate::runtime::RuntimeReport::traffic
 
@@ -22,7 +21,6 @@ use crate::engine::{LeaderCore, Local};
 use crate::error::ProtocolError;
 use crate::gdo::GdoNode;
 use crate::leader::elect_seeded;
-use crate::phases::lrtest::SelectionKernel;
 use crate::phases::maf::MafOutcome;
 use gendpr_genomics::cohort::Cohort;
 use gendpr_genomics::genotype::GenotypeMatrix;
@@ -85,7 +83,6 @@ pub struct Federation {
     params: GwasParams,
     nodes: Vec<GdoNode>,
     reference: GenotypeMatrix,
-    kernel: SelectionKernel,
 }
 
 impl Federation {
@@ -101,15 +98,6 @@ impl Federation {
             cohort.split_case_among(config.gdo_count)
         };
         Self::from_shards(config, params, shards, cohort.reference().clone())
-    }
-
-    /// Selects the LR subset-search kernel ([`SelectionKernel::Oblivious`]
-    /// hardens the leader enclave against memory-access side channels at a
-    /// measured slowdown; the selection is identical).
-    #[must_use]
-    pub fn with_selection_kernel(mut self, kernel: SelectionKernel) -> Self {
-        self.kernel = kernel;
-        self
     }
 
     /// Accepted and **ignored**: every collusion subset is evaluated in
@@ -150,7 +138,6 @@ impl Federation {
             params,
             nodes,
             reference,
-            kernel: SelectionKernel::Fast,
         }
     }
 
@@ -181,13 +168,7 @@ impl Federation {
         let g = self.config.gdo_count;
         let subsets = evaluation_subsets(g, self.config.collusion);
         let mut source = Local(&self.nodes);
-        let mut core = LeaderCore::collect(
-            &mut source,
-            subsets,
-            &self.reference,
-            &self.params,
-            self.kernel,
-        )?;
+        let mut core = LeaderCore::collect(&mut source, subsets, &self.reference, &self.params)?;
         let panel = core.whole_panel();
         let outcome = core.assess(&mut source, &panel, &[], None)?;
         let (full, l_double_prime) = (core.full(), &outcome.l_double_prime);
@@ -371,21 +352,6 @@ mod tests {
             fed.run().unwrap_err(),
             ProtocolError::InvalidConfig(_)
         ));
-    }
-
-    #[test]
-    fn oblivious_kernel_end_to_end_identical() {
-        let c = cohort(150, 200, 9);
-        let params = GwasParams::secure_genome_defaults();
-        let fast = Federation::new(FederationConfig::new(3), params, &c)
-            .run()
-            .unwrap();
-        let oblivious = Federation::new(FederationConfig::new(3), params, &c)
-            .with_selection_kernel(SelectionKernel::Oblivious)
-            .run()
-            .unwrap();
-        assert_eq!(fast.safe_snps, oblivious.safe_snps);
-        assert_eq!(fast.l_double_prime, oblivious.l_double_prime);
     }
 
     #[test]

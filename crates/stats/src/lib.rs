@@ -13,10 +13,7 @@
 //! * [`lr`] — the SecureGenome likelihood-ratio test: LR matrices, the
 //!   empirical safe-subset search, and a normal-approximation cross-check,
 //! * [`homer`] — Homer et al.'s distance statistic, the attack the
-//!   LR-test provably dominates,
-//! * [`oblivious`] — data-oblivious variants of the selection kernels
-//!   (the paper's side-channel future work): a bitonic sorting network
-//!   and a branchless subset search with identical outputs.
+//!   LR-test provably dominates.
 //!
 //! Every function here consumes *aggregate* quantities (counts, moments,
 //! frequencies, LR contributions) rather than raw genotypes. That design is
@@ -44,7 +41,6 @@ pub mod homer;
 pub mod ld;
 pub mod lr;
 pub mod maf;
-pub mod oblivious;
 pub mod ranking;
 pub mod special;
 

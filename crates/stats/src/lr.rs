@@ -285,10 +285,13 @@ impl LrMatrix {
 
 /// Read access to an `individuals × snps` table of LR contributions.
 ///
-/// Implemented by the dense [`LrMatrix`] and the bit-packed
-/// [`BitLrMatrix`]; the subset search is generic over both, so the leader
-/// can run the exact same selection over 64× less enclave memory when the
-/// federation uses compact LR transport.
+/// Implemented by the dense [`LrMatrix`], the row-major bit-packed
+/// [`BitLrMatrix`] and the column-major [`LrColumns`]. The subset search
+/// is generic over all three but runs on [`LrColumns`]: it takes the
+/// two-valued column view ([`LrValues::to_columns`]) whenever both inputs
+/// offer one, and reads cell by cell only when one does not. The leader
+/// thus makes the exact same selection over 64× less enclave memory when
+/// the federation uses compact LR transport.
 pub trait LrValues {
     /// Number of individuals (rows).
     fn individuals(&self) -> usize;

@@ -51,8 +51,8 @@ cargo test --release --test engine --test chaos -q
 
 # The paper's artefacts call every driver (Federation, the naive and
 # centralized baselines, the attested runtime) and assert their own
-# invariants (identical selections across transport options, ablation 8's
-# kernels): run each binary at a tiny scale, release, 25-94 ms apiece.
+# invariants (identical selections across transport options): run each
+# binary at a tiny scale, release, 25-94 ms apiece.
 echo "==> paper artefacts (gendpr-bench, --scale 0.02)"
 cargo build --release -q -p gendpr-bench
 for artefact in table3 table4 table5 fig5 fig6 ablation; do

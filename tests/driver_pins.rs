@@ -1,17 +1,17 @@
 //! Pins the in-process drivers' decisions byte for byte: `Federation::run`
-//! (five collusion / kernel configurations), the naïve baseline at G = 3
-//! and a seeded four-epoch `DynamicAssessor`, each hashed (FNV-1a 64) on a
-//! fixed synthetic cohort. The constants were captured at the commit
-//! before these drivers became wiring over one pooled-subset type, and the
-//! last two `Federation` cases (`AllUpTo` at G = 4, `Fixed(1)` at G = 5
-//! with the oblivious kernel) at the commit before they became
-//! configurations of the attested leader's core, so any change to what
-//! they select, in any phase, fails here.
+//! (five collusion configurations), the naïve baseline at G = 3 and a
+//! seeded four-epoch `DynamicAssessor`, each hashed (FNV-1a 64) on a fixed
+//! synthetic cohort. The constants were captured at the commit before
+//! these drivers became wiring over one pooled-subset type, and the last
+//! two `Federation` cases (`AllUpTo` at G = 4, `Fixed(1)` at G = 5) at the
+//! commit before they became configurations of the attested leader's core,
+//! so any change to what they select, in any phase, fails here. The third
+//! and fifth cases were captured with a second, data-oblivious subset
+//! search that selected identically; the one search still meets them.
 
 use gendpr::core::baseline::naive::NaiveDistributed;
 use gendpr::core::config::{CollusionMode, FederationConfig, GwasParams};
 use gendpr::core::dynamic::DynamicAssessor;
-use gendpr::core::phases::lrtest::SelectionKernel;
 use gendpr::core::protocol::Federation;
 use gendpr::genomics::snp::SnpId;
 use gendpr::genomics::synth::SyntheticCohort;
@@ -64,12 +64,9 @@ fn params() -> GwasParams {
     params
 }
 
-fn federation_hash(config: FederationConfig, kernel: SelectionKernel, seed: u64) -> (u64, usize) {
+fn federation_hash(config: FederationConfig, seed: u64) -> (u64, usize) {
     let c = cohort(seed);
-    let out = Federation::new(config, params(), &c)
-        .with_selection_kernel(kernel)
-        .run()
-        .unwrap();
+    let out = Federation::new(config, params(), &c).run().unwrap();
     let mut h = Fnv::new();
     h.snps(&out.l_prime)
         .snps(&out.l_double_prime)
@@ -85,7 +82,6 @@ fn federation_decisions_are_pinned() {
     let cases = [
         (
             FederationConfig::new(3).with_seed(1),
-            SelectionKernel::Fast,
             41,
             0xc6d2_26ae_8ec5_a234_u64,
         ),
@@ -93,13 +89,11 @@ fn federation_decisions_are_pinned() {
             FederationConfig::new(4)
                 .with_collusion(CollusionMode::Fixed(2))
                 .with_seed(2),
-            SelectionKernel::Fast,
             42,
             0x8fd9_99c9_74ea_f519,
         ),
         (
             FederationConfig::new(3).with_seed(3),
-            SelectionKernel::Oblivious,
             43,
             0xd38a_f4c5_189a_cfd7,
         ),
@@ -107,7 +101,6 @@ fn federation_decisions_are_pinned() {
             FederationConfig::new(4)
                 .with_collusion(CollusionMode::AllUpTo)
                 .with_seed(4),
-            SelectionKernel::Fast,
             46,
             0xa389_3fb2_6627_8d18,
         ),
@@ -115,18 +108,17 @@ fn federation_decisions_are_pinned() {
             FederationConfig::new(5)
                 .with_collusion(CollusionMode::Fixed(1))
                 .with_seed(5),
-            SelectionKernel::Oblivious,
             47,
             0x70f1_ea94_24a4_4ee4,
         ),
     ];
-    for (config, kernel, seed, pinned) in cases {
-        let (hash, safe) = federation_hash(config, kernel, seed);
+    for (config, seed, pinned) in cases {
+        let (hash, safe) = federation_hash(config, seed);
         assert!(
             safe > 0,
             "{config:?}: the pin must cover a non-empty release"
         );
-        assert_eq!(hash, pinned, "{config:?} {kernel:?}: got {hash:#018x}");
+        assert_eq!(hash, pinned, "{config:?}: got {hash:#018x}");
     }
 }
 

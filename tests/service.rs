@@ -8,17 +8,20 @@ use gendpr::core::config::{CollusionMode, FederationConfig, GwasParams};
 use gendpr::core::error::ProtocolError;
 use gendpr::core::runtime::{run_federation_with, RuntimeOptions};
 use gendpr::core::serving::{JobOutcome, JobSpec, ServiceFederation};
+use gendpr::fednet::client::read_message_capped;
 use gendpr::fednet::tcp::{ephemeral_listeners, TcpOptions, TcpTransport};
 use gendpr::fednet::transport::PeerId;
 use gendpr::genomics::snp::SnpId;
 use gendpr::genomics::synth::SyntheticCohort;
 use gendpr::service::daemon::AssessmentService;
 use gendpr::service::ledger::{audit_records, JobKind, LedgerRecord, ReleaseLedger};
-use gendpr::service::{SchedulerConfig, ServiceClient};
+use gendpr::service::{ClientRequest, SchedulerConfig, ServiceClient};
 use gendpr::stats::lr::LrTestParams;
-use std::io::{Read, Write};
-use std::net::{TcpListener, TcpStream};
+use proptest::prelude::*;
+use std::io::{ErrorKind, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
+use std::sync::OnceLock;
 use std::time::Duration;
 
 const TIMEOUT: Duration = Duration::from_secs(30);
@@ -583,6 +586,82 @@ fn a_request_header_over_the_panel_bound_is_refused_at_once() {
     let status = ServiceClient::new(daemon.client_addr()).status().unwrap();
     assert_eq!(status.panel_len, 100);
     daemon.stop().unwrap();
+}
+
+/// One live daemon shared by every case of the hostile-bytes property,
+/// holding the one job it certified before the first case ran. It serves
+/// until the test binary exits.
+struct HostileTarget {
+    addr: SocketAddr,
+    first: LedgerRecord,
+}
+
+fn hostile_target() -> &'static HostileTarget {
+    static TARGET: OnceLock<HostileTarget> = OnceLock::new();
+    TARGET.get_or_init(|| {
+        let daemon = start_daemon(ReleaseLedger::open(temp_ledger("hostile")).unwrap());
+        let addr = daemon.client_addr();
+        std::thread::spawn(move || daemon.run());
+        let first = ServiceClient::new(addr)
+            .submit_and_wait((0..60).collect(), 0)
+            .unwrap();
+        HostileTarget { addr, first }
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Whatever a client writes that is not a request — raw bytes, a
+    /// well-framed body the decoder refuses, a frame cut short — the
+    /// daemon hangs up without a reply and without waiting out its I/O
+    /// deadline, and it goes on serving the same ledger.
+    #[test]
+    fn hostile_client_bytes_leave_the_daemon_serving_the_same_ledger(
+        shape in 0u8..3,
+        tag in 0u8..6,
+        body in prop::collection::vec(any::<u8>(), 0..48),
+    ) {
+        let framed = |claimed: usize| {
+            let mut bytes = (claimed as u32).to_le_bytes().to_vec();
+            bytes.push(tag);
+            bytes.extend_from_slice(&body);
+            bytes
+        };
+        let bytes = match shape {
+            0 => body.clone(),
+            1 => framed(1 + body.len()),
+            _ => framed(2 + body.len()),
+        };
+        // The daemon's own read: a request for the 100-SNP panel is at
+        // most 16 + 4 × 100 bytes. Bytes it would act on are no attack.
+        prop_assume!(read_message_capped::<ClientRequest>(&mut bytes.as_slice(), 416).is_err());
+
+        let target = hostile_target();
+        let mut hostile = TcpStream::connect(target.addr).unwrap();
+        // Shorter than the daemon's 2 s deadline: it must hang up on the
+        // malformed bytes, not time the connection out.
+        hostile.set_read_timeout(Some(Duration::from_secs(1))).unwrap();
+        // The daemon may hang up before it has read everything, so a
+        // refused write or a reset read is a close too.
+        let _ = hostile.write_all(&bytes);
+        let _ = hostile.shutdown(Shutdown::Write);
+        let mut reply = Vec::new();
+        if let Err(e) = hostile.read_to_end(&mut reply) {
+            prop_assert!(
+                matches!(e.kind(), ErrorKind::ConnectionReset | ErrorKind::ConnectionAborted),
+                "the daemon did not hang up: {e}"
+            );
+        }
+        prop_assert!(reply.is_empty(), "a reply to {bytes:?}");
+
+        let client = ServiceClient::new(target.addr);
+        let status = client.status().unwrap();
+        prop_assert_eq!(status.jobs_done, 1);
+        prop_assert_eq!(status.jobs_queued, 0);
+        prop_assert_eq!(client.results(1).unwrap(), Some(target.first.clone()));
+        prop_assert!(client.results(2).unwrap().is_none());
+    }
 }
 
 #[test]
