@@ -17,10 +17,7 @@
 //! * [`metrics`] — the bandwidth accounting behind the paper's Table 3
 //!   discussion,
 //! * [`fault`] — deterministic crash/partition injection (the paper's
-//!   no-liveness-under-faults caveat),
-//! * [`killpoint`] — env-armed process-abort sites for the soak
-//!   harness's seeded SIGKILL-equivalent crashes,
-//! * [`latency`] — an affine latency model for geo-distributed estimates.
+//!   no-liveness-under-faults caveat).
 //!
 //! # Example
 //!
@@ -37,8 +34,6 @@
 
 pub mod client;
 pub mod fault;
-pub mod killpoint;
-pub mod latency;
 pub mod metrics;
 pub mod tcp;
 pub mod telemetry;
@@ -46,7 +41,6 @@ pub mod transport;
 pub mod wire;
 
 pub use fault::FaultPlan;
-pub use latency::LatencyModel;
 pub use metrics::{TrafficMatrix, TrafficStats};
 pub use tcp::{TcpOptions, TcpTransport};
 pub use transport::{Endpoint, Envelope, NetError, Network, PeerId, Transport};

@@ -309,9 +309,6 @@ impl TcpTransport {
         plaintext_len: usize,
     ) -> Result<(), NetError> {
         let shared = &self.shared;
-        // Soak-harness kill point: die mid-conversation, with a frame
-        // about to go on the wire, so peers see an abrupt member death.
-        crate::killpoint::hit("net_send");
         let decision = lock(&shared.faults).decide(shared.id.0, to.0);
         if !decision.deliver {
             telemetry::frames_dropped().inc();

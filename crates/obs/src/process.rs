@@ -1,8 +1,8 @@
 //! Process-level resource gauges, sampled from `/proc` on Linux.
 //!
-//! The soak harness's leak audits need the daemon's own resource
-//! footprint in the same exposition it already scrapes: thread count,
-//! open file descriptors and resident set size, as
+//! An operator, and the CLI suite's drift test, read the daemon's own
+//! resource footprint from the exposition its job metrics are in: thread
+//! count, open file descriptors and resident set size, as
 //! `gendpr_process_threads`, `gendpr_process_open_fds` and
 //! `gendpr_process_rss_bytes`. [`sample`] refreshes all three; it is
 //! called on every render (both the HTTP endpoint and

@@ -17,7 +17,6 @@ use std::net::SocketAddr;
 #[derive(Debug, Clone)]
 pub struct ServiceClient {
     endpoints: Vec<SocketAddr>,
-    options: TcpOptions,
 }
 
 impl ServiceClient {
@@ -34,17 +33,7 @@ impl ServiceClient {
     /// matter which one answers.
     #[must_use]
     pub fn with_endpoints(endpoints: Vec<SocketAddr>) -> Self {
-        Self {
-            endpoints,
-            options: TcpOptions::default(),
-        }
-    }
-
-    /// Overrides the dial options (connect timeout, retry backoff).
-    #[must_use]
-    pub fn with_options(mut self, options: TcpOptions) -> Self {
-        self.options = options;
-        self
+        Self { endpoints }
     }
 
     /// The endpoints this client fails over across.
@@ -54,7 +43,7 @@ impl ServiceClient {
     }
 
     fn call(&self, request: &ClientRequest) -> io::Result<ClientResponse> {
-        let mut stream = connect_any(&self.endpoints, self.options)
+        let mut stream = connect_any(&self.endpoints, TcpOptions::default())
             .map_err(|e| io::Error::new(io::ErrorKind::ConnectionRefused, e.to_string()))?;
         write_message(&mut stream, request)?;
         read_message(&mut stream)

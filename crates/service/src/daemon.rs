@@ -246,7 +246,6 @@ impl AssessmentService {
         };
         crate::telemetry::register_service_metrics();
         let sched = Arc::new(Scheduler::new(ledger, limits));
-        sched.set_lane_crash_every(config.lane_crash_every);
         if let Some(tracker) = tracker {
             sched.set_tracker(tracker);
         }

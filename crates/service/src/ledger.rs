@@ -18,7 +18,7 @@
 //! traffic totals and the next job id.
 
 use crate::error::ServiceError;
-use crate::log::{FrameLog, KillPoints, LogNames, Store};
+use crate::log::{FrameLog, LogNames, Store};
 use crate::telemetry;
 use gendpr_core::certificate::AssessmentCertificate;
 use gendpr_core::serving::{JobOutcome, JobSpec, LinkUsage};
@@ -249,11 +249,6 @@ const LEDGER_LOG: LogNames = LogNames {
     tail_dropped: "ledger_tail_dropped_on_refresh",
     tail_healed: "ledger_mirror_tail_healed",
     retired: "ledger_replica_retired",
-    kill: Some(KillPoints {
-        tear: "ledger_tear",
-        append: "ledger_append",
-        commit: "ledger_commit",
-    }),
 };
 
 /// The append-only on-disk log of certified releases. The store is a
@@ -316,8 +311,7 @@ impl<S: Store> ReleaseLedger<S> {
     pub(crate) fn open_in(primary: &Path, replicas: &[PathBuf]) -> Result<Self, ServiceError> {
         let (log, records, heal) = FrameLog::open(primary, replicas, &LEDGER_LOG)?;
         // The primary's own torn tail is accounted the way `open`
-        // always did — recovery must be loud, it is exactly what the
-        // soak harness audits for.
+        // always did: recovery must be loud, never silent.
         if heal.primary_torn_bytes > 0 {
             telemetry::ledger_truncated_frames().add(heal.primary_torn_frames);
             event(

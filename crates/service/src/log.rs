@@ -52,7 +52,6 @@
 
 use crate::error::ServiceError;
 use gendpr_crypto::sha256;
-use gendpr_fednet::killpoint;
 use gendpr_fednet::tcp::MAX_FRAME_BYTES;
 use gendpr_fednet::wire::{self, Decode, Encode};
 use gendpr_obs::{event, Level};
@@ -148,21 +147,6 @@ pub(crate) struct LogNames {
     pub(crate) tail_healed: &'static str,
     /// A mirror was retired after a failed write or heal.
     pub(crate) retired: &'static str,
-    /// The soak harness's crash windows in an append, if the log has any.
-    pub(crate) kill: Option<KillPoints>,
-}
-
-/// `GENDPR_KILLPOINT` sites of one append, covering the three crash
-/// windows recovery must handle.
-#[derive(Debug)]
-pub(crate) struct KillPoints {
-    /// Mid-write: a genuinely torn frame on disk.
-    pub(crate) tear: &'static str,
-    /// Post-write, pre-fsync: the primary ahead of every mirror.
-    pub(crate) append: &'static str,
-    /// Right after durability: a committed frame whose response was
-    /// never delivered.
-    pub(crate) commit: &'static str,
 }
 
 /// What [`FrameLog::open`] found and did.
@@ -519,19 +503,7 @@ impl<E: Encode + Decode, S: Store> FrameLog<E, S> {
     /// next open or refresh.)
     pub(crate) fn append(&mut self, entry: &E) -> Result<(), ServiceError> {
         let frame = seal_frame(&wire::to_bytes(entry));
-        let kill = self.names.kill.as_ref();
-        match kill {
-            Some(kill) => {
-                let split = frame.len() / 2;
-                self.file.write(&frame[..split])?;
-                killpoint::hit(kill.tear);
-                self.file.write(&frame[split..])?;
-            }
-            None => self.file.write(&frame)?,
-        }
-        if let Some(kill) = kill {
-            killpoint::hit(kill.append);
-        }
+        self.file.write(&frame)?;
         self.file.sync()?;
 
         let mut acks = 1;
@@ -544,9 +516,6 @@ impl<E: Encode + Decode, S: Store> FrameLog<E, S> {
                 Ok(()) => acks += 1,
                 Err(e) => retire(mirror, &e, self.names),
             }
-        }
-        if let Some(kill) = kill {
-            killpoint::hit(kill.commit);
         }
         let quorum = self.mirrors.len().div_ceil(2) + 1;
         if acks < quorum {
@@ -591,7 +560,6 @@ mod tests {
         tail_dropped: "test_tail_dropped",
         tail_healed: "test_tail_healed",
         retired: "test_retired",
-        kill: None,
     };
 
     /// Fresh `[primary, mirror a, mirror b]` paths.

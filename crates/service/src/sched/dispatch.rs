@@ -111,9 +111,6 @@ pub(crate) struct SchedCore {
     supervised: bool,
     /// Reply sinks of dispatched-but-unresolved jobs, keyed by job id.
     inflight: HashMap<u64, ReplySink>,
-    /// Chaos knob: crash the lane on the first attempt of every job
-    /// whose id is a multiple of this.
-    lane_crash_every: Option<u64>,
 }
 
 /// A crash-test failpoint armed for one job.
@@ -246,7 +243,6 @@ impl Scheduler {
             failpoints: Vec::new(),
             supervised: false,
             inflight: HashMap::new(),
-            lane_crash_every: None,
         };
         Self {
             limits,
@@ -626,22 +622,16 @@ impl Scheduler {
     }
 
     /// The failpoints that fire on this execution of `job_id`, in arming
-    /// order: every one armed for it — the one-shot kinds disarmed as they
-    /// fire — plus, on a first attempt, the `lane_crash_every` knob's lane
-    /// crash.
-    pub(crate) fn take_failpoints(&self, job_id: u64, attempts: u32) -> Vec<Failpoint> {
-        let mut core = self.lock();
+    /// order: every one armed for it, the one-shot kinds disarmed as they
+    /// fire.
+    pub(crate) fn take_failpoints(&self, job_id: u64) -> Vec<Failpoint> {
         let mut fired = Vec::new();
-        core.failpoints.retain(|&(job, failpoint)| {
+        self.lock().failpoints.retain(|&(job, failpoint)| {
             if job == job_id {
                 fired.push(failpoint);
             }
             job != job_id || !failpoint.once()
         });
-        let every = core.lane_crash_every.filter(|&every| every > 0);
-        if attempts == 0 && every.is_some_and(|every| job_id.is_multiple_of(every)) {
-            fired.push(Failpoint::LaneCrash);
-        }
         fired
     }
 
@@ -649,12 +639,6 @@ impl Scheduler {
     /// lane crashes re-queue the job instead of killing the daemon.
     pub(crate) fn set_supervised(&self, supervised: bool) {
         self.lock().supervised = supervised;
-    }
-
-    /// Sets the chaos knob that crashes the executing lane on the first
-    /// attempt of every job whose id is a multiple of `every`.
-    pub(crate) fn set_lane_crash_every(&self, every: Option<u64>) {
-        self.lock().lane_crash_every = every;
     }
 
     /// Answers every job the shutdown drain could not finish — queued

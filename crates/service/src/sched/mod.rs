@@ -80,11 +80,6 @@ pub struct SchedulerConfig {
     /// submitters are answered with the typed shutting-down verdict and
     /// the daemon exits anyway.
     pub drain_timeout: Duration,
-    /// Chaos knob for the soak harness: crash the executing lane on the
-    /// *first* attempt of every job whose id is a multiple of this value
-    /// (`None` disables). The crash is a real lane teardown — the session
-    /// is torn down and re-elected through the supervision path.
-    pub lane_crash_every: Option<u64>,
 }
 
 impl Default for SchedulerConfig {
@@ -94,7 +89,6 @@ impl Default for SchedulerConfig {
             max_queue: 64,
             max_retries: 2,
             drain_timeout: Duration::from_secs(30),
-            lane_crash_every: None,
         }
     }
 }

@@ -408,7 +408,7 @@ fn run_job(
     scheduler: &Scheduler,
     job: &DispatchedJob,
 ) -> Result<LedgerRecord, ServiceError> {
-    let fired = scheduler.take_failpoints(job.job_id, job.attempts);
+    let fired = scheduler.take_failpoints(job.job_id);
     let stall = fired.iter().find_map(|point| match point {
         Failpoint::Stall(millis) => Some(*millis),
         _ => None,

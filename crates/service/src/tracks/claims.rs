@@ -152,7 +152,6 @@ const CLAIM_LOG: LogNames = LogNames {
     tail_dropped: "claim_log_tail_dropped",
     tail_healed: "claim_mirror_tail_healed",
     retired: "claim_mirror_retired",
-    kill: None,
 };
 
 /// The claim log: the durable frames plus everything this process has

@@ -840,7 +840,7 @@ mod tests {
 
     #[test]
     fn a_reclaimed_job_commits_ahead_of_a_job_claimed_against_the_empty_ledger() {
-        // The stale seed, as a daemon pair reproduces it with a killpoint:
+        // The stale seed, as a daemon pair reproduces it with a SIGKILL:
         // track 0 claims job 1 (SNPs 0–119) and dies before committing;
         // track 1 claims job 2 (60–179) against the still-empty ledger,
         // reclaims job 1 once its lease ran out, commits it, then commits

@@ -86,7 +86,4 @@ scripts/shard_check.sh
 echo "==> track equivalence and failover (2-track fleet vs single daemon)"
 scripts/track_check.sh
 
-echo "==> crash-recovery soak (smoke)"
-scripts/soak.sh --smoke
-
 echo "All checks passed."

@@ -71,9 +71,7 @@ const SERVICE: &[&str] = &[
     "max-queue",
     "max-retries",
     "drain-timeout",
-    "lane-crash-every",
     "track-lease-ms",
-    "chaos",
 ];
 const ASSESS_FLAGS: &[&[&str]] = &[
     STUDY,
@@ -241,7 +239,7 @@ gendpr serve  --case FILE --reference FILE --ledger FILE [--gdos N] [--tcp]\n   
 [--listen ADDR] [--collusion f|all] [--seed N] [--maf F] [--ld F]\n                \
 [--fpr F] [--power F] [--key HEX] [--timeout SECS]\n                \
 [--workers N] [--max-queue N] [--max-retries N]\n                \
-[--drain-timeout SECS] [--lane-crash-every N] [--chaos SEED]\n                \
+[--drain-timeout SECS]\n                \
 [--track-id N] [--track-lease-ms MS]\n                \
 [--metrics-addr HOST:PORT] [--log-level LEVEL]\n  \
 gendpr tracks --tracks N --case FILE --reference FILE --ledger FILE\n                \
@@ -290,9 +288,7 @@ claim order so a 1-track fleet is byte-identical to a plain daemon. A\n  \
 crashed track's claims expire after --track-lease-ms MS (default 10000)\n  \
 and survivors re-run them at the same ledger position. `gendpr tracks`\n  \
 launches a local fleet of N such daemons on probed ports; clients fail\n  \
-over across tracks with a comma-separated --addr list.\n  \
---chaos SEED (with --tcp) arms seeded member-link faults;\n  \
---lane-crash-every N crashes a lane on every Nth job id (soak testing).\n\n\
+over across tracks with a comma-separated --addr list.\n\n\
 OBSERVABILITY:\n  \
 --metrics-addr H:P  serve the daemon's metrics in the Prometheus text\n                      \
 format at http://H:P/metrics (per-phase timings,\n                      \
@@ -1025,41 +1021,22 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), CliError> {
     let max_queue: usize = flag(flags, "max-queue", 64)?;
     let max_retries: u32 = flag(flags, "max-retries", 2)?;
     let drain_timeout = Duration::from_secs(flag(flags, "drain-timeout", 30u64)?);
-    let lane_crash_every: u64 = flag(flags, "lane-crash-every", 0)?;
-    let chaos_seed: Option<u64> = match flags.get("chaos") {
-        None => None,
-        Some(spec) => Some(
-            spec.parse()
-                .map_err(|_| format!("--chaos: expected a seed, got {spec:?}"))?,
-        ),
-    };
     let tcp = flags.contains_key("tcp");
-    if chaos_seed.is_some() && !tcp {
-        return Err(CliError::from(
-            "--chaos needs --tcp (the in-memory fabric has no fault plan)".to_string(),
-        ));
-    }
 
     // Every lane is a full federation session from the same config and
     // seed, so each certifies identically; the scheduler serialises their
     // ledger commits in job-id order. The builder is shared by the
     // primary-lane factory (kept by the worker pool to re-elect and
     // re-attest a replacement lane whenever a running one crashes) and
-    // the shard-lane factory (same, per shard); the lane counter spans
-    // both so every session gets distinct chaos fault streams.
+    // the shard-lane factory (same, per shard).
     let cohort = std::sync::Arc::new(cohort);
-    let lane_counter = std::sync::Arc::new(std::sync::atomic::AtomicU64::new(0));
-    type LaneBuilder = std::sync::Arc<
-        dyn Fn(u64, &Cohort) -> Result<ServiceFederation, ServiceError> + Send + Sync,
-    >;
-    let build: LaneBuilder = std::sync::Arc::new(move |lane: u64, study: &Cohort| {
+    type LaneBuilder =
+        std::sync::Arc<dyn Fn(&Cohort) -> Result<ServiceFederation, ServiceError> + Send + Sync>;
+    let build: LaneBuilder = std::sync::Arc::new(move |study: &Cohort| {
         let lane_err = |e: String| ServiceError::from(std::io::Error::other(e));
         if tcp {
-            let (roster, listeners) = ephemeral_listeners(gdos).map_err(|e| {
-                lane_err(format!(
-                    "lane {lane}: binding member loopback listeners: {e}"
-                ))
-            })?;
+            let (roster, listeners) = ephemeral_listeners(gdos)
+                .map_err(|e| lane_err(format!("binding member loopback listeners: {e}")))?;
             let mut transports = Vec::with_capacity(gdos);
             for (id, listener) in listeners.into_iter().enumerate() {
                 let transport = TcpTransport::from_listener(
@@ -1068,15 +1045,7 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), CliError> {
                     &roster,
                     TcpOptions::default(),
                 )
-                .map_err(|e| lane_err(format!("lane {lane}: member {id} transport: {e}")))?;
-                if let Some(seed) = chaos_seed {
-                    // Distinct per-link streams, reproducible per (lane, member).
-                    let mut plan = FaultPlan::none();
-                    plan.chaos(ChaosFaults::seeded(
-                        seed.wrapping_add((lane * gdos as u64) + id as u64),
-                    ));
-                    transport.set_faults(plan);
-                }
+                .map_err(|e| lane_err(format!("member {id} transport: {e}")))?;
                 transports.push(transport);
             }
             ServiceFederation::start_over(transports, config, params, study, options)
@@ -1089,11 +1058,7 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), CliError> {
     let factory: gendpr::service::sched::LaneFactory = {
         let build = std::sync::Arc::clone(&build);
         let cohort = std::sync::Arc::clone(&cohort);
-        let lane_counter = std::sync::Arc::clone(&lane_counter);
-        std::sync::Arc::new(move || {
-            let lane = lane_counter.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-            build(lane, &cohort)
-        })
+        std::sync::Arc::new(move || build(&cohort))
     };
     let shards: u32 = flag(flags, "shards", 1)?;
     let plan = ShardPlan::new(cohort.panel().len(), shards);
@@ -1106,13 +1071,11 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), CliError> {
     let shard = (plan.len() > 1).then(|| {
         let build = std::sync::Arc::clone(&build);
         let shard_cohort = std::sync::Arc::clone(&cohort);
-        let lane_counter = std::sync::Arc::clone(&lane_counter);
         ShardSpec {
             plan: plan.clone(),
             factory: std::sync::Arc::new(move |_shard, range| {
-                let lane = lane_counter.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
                 let slice = shard_cohort.column_range(range.start as usize, range.len as usize);
-                build(lane, &slice)
+                build(&slice)
             }),
             max_retries,
         }
@@ -1128,19 +1091,9 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), CliError> {
             plan.len()
         );
     }
-    if chaos_seed.is_some() {
-        println!(
-            "chaos enabled on member links (seed {})",
-            chaos_seed.unwrap_or(0)
-        );
-    }
     println!(
         "federation up: {gdos} members over {} transport, leader GDO {}, {workers} worker lane{}",
-        if flags.contains_key("tcp") {
-            "loopback TCP"
-        } else {
-            "in-memory"
-        },
+        if tcp { "loopback TCP" } else { "in-memory" },
         lanes[0].leader(),
         if workers == 1 { "" } else { "s" }
     );
@@ -1155,7 +1108,6 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), CliError> {
         max_queue,
         max_retries,
         drain_timeout,
-        lane_crash_every: (lane_crash_every > 0).then_some(lane_crash_every),
     };
     let service = AssessmentService::start_supervised(
         lanes,

@@ -1,8 +1,13 @@
 //! End-to-end tests of the `gendpr` command-line binary: synth → assess →
 //! attack over real files in a temp directory.
 
-use std::path::PathBuf;
-use std::process::Command;
+use gendpr::service::ledger::audit_records;
+use gendpr::service::{ReleaseLedger, ServiceClient};
+use std::collections::BTreeSet;
+use std::io::{Read, Write};
+use std::net::TcpStream;
+use std::path::{Path, PathBuf};
+use std::process::{Child, Command, Stdio};
 
 fn bin() -> Command {
     Command::new(env!("CARGO_BIN_EXE_gendpr"))
@@ -196,6 +201,19 @@ fn strict_flag_parsing_rejects_mistakes() {
     assert_eq!(removed.status.code(), Some(1));
     let stderr = String::from_utf8_lossy(&removed.stderr);
     assert!(stderr.contains("unknown flag --threads"), "{stderr}");
+
+    // So are the daemon's fault-injection knobs, on `serve` and `tracks`.
+    for args in [
+        &["serve", "--case", "x.vcf", "--lane-crash-every", "2"][..],
+        &["serve", "--case", "x.vcf", "--tcp", "--chaos", "7"],
+        &["tracks", "--case", "x.vcf", "--chaos", "7"],
+    ] {
+        let out = bin().args(args).output().expect("runs");
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let flag = args[args.len() - 2];
+        assert!(stderr.contains(&format!("unknown flag {flag}")), "{stderr}");
+    }
 }
 
 #[test]
@@ -254,19 +272,15 @@ fn free_peer_roster(n: usize) -> String {
 }
 
 fn synth_into(dir: &std::path::Path) {
+    synth_sized(dir, "60", "40");
+}
+
+/// Writes a seed-2 study of `snps` SNPs and `genomes` cases and as many
+/// reference genomes to `dir`.
+fn synth_sized(dir: &std::path::Path, snps: &str, genomes: &str) {
     let synth = bin()
-        .args([
-            "synth",
-            "--snps",
-            "60",
-            "--cases",
-            "40",
-            "--reference",
-            "40",
-            "--seed",
-            "2",
-            "--out",
-        ])
+        .args(["synth", "--snps", snps, "--cases", genomes])
+        .args(["--reference", genomes, "--seed", "2", "--out"])
         .arg(dir)
         .output()
         .expect("synth runs");
@@ -343,8 +357,8 @@ fn mismatched_study_parameters_exit_with_security_code() {
             .arg("--reference")
             .arg(dir.join("reference.vcf"))
             .args(["--timeout", "5", "--maf", maf])
-            .stdout(std::process::Stdio::piped())
-            .stderr(std::process::Stdio::piped())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
             .spawn()
             .expect("node spawns")
     };
@@ -398,8 +412,8 @@ fn chaos_node_produces_the_same_release() {
             .arg(dir.join("reference.vcf"))
             .args(["--timeout", "30"])
             .args(extra)
-            .stdout(std::process::Stdio::piped())
-            .stderr(std::process::Stdio::piped());
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped());
         cmd.spawn().expect("node spawns")
     };
     let out_flag = chaotic_release.to_str().unwrap().to_string();
@@ -443,33 +457,55 @@ fn wait_for_daemon(addr: &str) {
     panic!("daemon at {addr} never came up");
 }
 
+/// Sends `SIG<name>` to `pid`.
 #[cfg(unix)]
-fn terminate(pid: u32) {
+fn signal(pid: u32, name: &str) {
     let ok = Command::new("kill")
-        .args(["-TERM", &pid.to_string()])
+        .args([&format!("-{name}"), &pid.to_string()])
         .status()
         .expect("kill runs");
-    assert!(ok.success(), "kill -TERM {pid} failed");
+    assert!(ok.success(), "kill -{name} {pid} failed");
 }
 
-#[test]
-fn serve_submit_status_stop_lifecycle() {
-    let dir = temp_dir("serve");
-    synth_into(&dir);
-    let addr = free_peer_roster(1);
-    let daemon = bin()
+/// Spawns `gendpr serve` over the study `synth_into` wrote to `dir`, with
+/// its ledger at `dir/ledger.bin`, listening on `addr`.
+fn spawn_serve(dir: &Path, addr: &str, extra: &[&str]) -> Child {
+    bin()
         .args(["serve", "--gdos", "2", "--ledger"])
         .arg(dir.join("ledger.bin"))
         .arg("--case")
         .arg(dir.join("case.vcf"))
         .arg("--reference")
         .arg(dir.join("reference.vcf"))
-        .args(["--listen", &addr, "--timeout", "60"])
-        .stdout(std::process::Stdio::piped())
-        .stderr(std::process::Stdio::piped())
+        .args(["--listen", addr, "--timeout", "60"])
+        .args(extra)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
         .spawn()
-        .expect("serve spawns");
+        .expect("serve spawns")
+}
+
+#[test]
+fn serve_submit_status_stop_lifecycle() {
+    // Loopback-TCP members certify exactly what the in-memory fabric does.
+    assert_eq!(serve_lifecycle(false), serve_lifecycle(true));
+}
+
+/// Drives two overlapping jobs through a fresh daemon and returns their
+/// certificate lines.
+fn serve_lifecycle(tcp: bool) -> Vec<String> {
+    let dir = temp_dir(&format!("serve-{tcp}"));
+    synth_into(&dir);
+    let addr = free_peer_roster(1);
+    let daemon = spawn_serve(&dir, &addr, if tcp { &["--tcp"] } else { &[] });
     wait_for_daemon(&addr);
+    let mut certificates = Vec::new();
+    let mut certified = |stdout: &str| {
+        let line = stdout
+            .lines()
+            .find(|l| l.starts_with("assessment certificate"));
+        certificates.push(line.expect("a certificate line").to_string());
+    };
 
     // Job 1 over a fresh ledger is seeded with nothing.
     let first = bin()
@@ -484,7 +520,7 @@ fn serve_submit_status_stop_lifecycle() {
     let stdout = String::from_utf8_lossy(&first.stdout);
     assert!(stdout.contains("job 1"), "{stdout}");
     assert!(stdout.contains("seeded with 0 prior"), "{stdout}");
-    assert!(stdout.contains("assessment certificate"), "{stdout}");
+    certified(&stdout);
 
     // Job 2 overlaps job 1's panel: its LR phase must be charged with the
     // SNPs the ledger already released.
@@ -504,6 +540,7 @@ fn serve_submit_status_stop_lifecycle() {
         !stdout.contains("seeded with 0 prior"),
         "job 2 must be seeded with job 1's release: {stdout}"
     );
+    certified(&stdout);
 
     let status = bin()
         .args(["status", "--addr", &addr])
@@ -540,6 +577,7 @@ fn serve_submit_status_stop_lifecycle() {
     assert!(stdout.contains("service stopped cleanly"), "{stdout}");
     assert!(dir.join("ledger.bin").exists(), "ledger was persisted");
     let _ = std::fs::remove_dir_all(&dir);
+    certificates
 }
 
 #[cfg(unix)]
@@ -557,12 +595,12 @@ fn sigterm_exits_node_with_interrupted_code() {
         .arg("--reference")
         .arg(dir.join("reference.vcf"))
         .args(["--timeout", "60"])
-        .stdout(std::process::Stdio::piped())
-        .stderr(std::process::Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
         .spawn()
         .expect("node spawns");
     std::thread::sleep(std::time::Duration::from_millis(800));
-    terminate(node.id());
+    signal(node.id(), "TERM");
     let out = node.wait_with_output().expect("node exits");
     assert_eq!(
         out.status.code(),
@@ -580,18 +618,7 @@ fn sigterm_exits_serve_with_interrupted_code_and_flushes_the_ledger() {
     let dir = temp_dir("sigterm-serve");
     synth_into(&dir);
     let addr = free_peer_roster(1);
-    let daemon = bin()
-        .args(["serve", "--gdos", "2", "--ledger"])
-        .arg(dir.join("ledger.bin"))
-        .arg("--case")
-        .arg(dir.join("case.vcf"))
-        .arg("--reference")
-        .arg(dir.join("reference.vcf"))
-        .args(["--listen", &addr, "--timeout", "60"])
-        .stdout(std::process::Stdio::piped())
-        .stderr(std::process::Stdio::piped())
-        .spawn()
-        .expect("serve spawns");
+    let daemon = spawn_serve(&dir, &addr, &[]);
     wait_for_daemon(&addr);
 
     // One certified job, then SIGTERM: the daemon finishes cleanly with
@@ -605,7 +632,7 @@ fn sigterm_exits_serve_with_interrupted_code_and_flushes_the_ledger() {
         "{}",
         String::from_utf8_lossy(&job.stderr)
     );
-    terminate(daemon.id());
+    signal(daemon.id(), "TERM");
     let out = daemon.wait_with_output().expect("daemon exits");
     assert_eq!(
         out.status.code(),
@@ -679,22 +706,31 @@ fn distributed_assess_matches_in_process_release() {
 #[cfg(unix)]
 #[test]
 fn sigterm_drains_a_loaded_worker_pool_and_flushes_the_ledger() {
-    let dir = temp_dir("sigterm-drain");
-    synth_into(&dir);
+    signal_a_loaded_worker_pool("TERM");
+}
+
+#[cfg(unix)]
+#[test]
+fn sigkill_mid_traffic_loses_no_certified_job_and_every_unanswered_panel_recertifies() {
+    signal_a_loaded_worker_pool("KILL");
+}
+
+/// Loads a two-lane daemon with one certified job and three admitted
+/// ones, sends it `SIG<name>`, restarts it over the same ledger and checks
+/// that nothing was lost: every answered record survives verbatim, the
+/// records pass `audit_records`, the next job is seeded with their union,
+/// and every panel that never reached the ledger certifies on
+/// resubmission. SIGTERM must drain (exit 7) and answer every admitted
+/// job; SIGKILL gives the daemon no chance to.
+#[cfg(unix)]
+fn signal_a_loaded_worker_pool(name: &str) {
+    use std::os::unix::process::ExitStatusExt;
+    let dir = temp_dir(&format!("signal-{name}"));
+    // Large enough that jobs are still running when the signal lands.
+    synth_sized(&dir, "1500", "200");
     let addr = free_peer_roster(1);
-    let daemon = bin()
-        .args(["serve", "--gdos", "2", "--workers", "2", "--max-queue", "8"])
-        .arg("--ledger")
-        .arg(dir.join("ledger.bin"))
-        .arg("--case")
-        .arg(dir.join("case.vcf"))
-        .arg("--reference")
-        .arg(dir.join("reference.vcf"))
-        .args(["--listen", &addr, "--timeout", "60"])
-        .stdout(std::process::Stdio::piped())
-        .stderr(std::process::Stdio::piped())
-        .spawn()
-        .expect("serve spawns");
+    let pool = ["--workers", "2", "--max-queue", "8"];
+    let daemon = spawn_serve(&dir, &addr, &pool);
     wait_for_daemon(&addr);
 
     // The status snapshot reports the pool shape before any job runs.
@@ -709,35 +745,129 @@ fn sigterm_drains_a_loaded_worker_pool_and_flushes_the_ledger() {
         "{stdout}"
     );
 
-    // Pile up fire-and-forget jobs, then SIGTERM with work in flight:
-    // the daemon must drain what was dispatched, flush the ledger and
-    // exit with the dedicated interrupted code — not die mid-commit.
-    for snps in ["0-19", "10-29", "20-39"] {
-        let job = bin()
-            .args(["submit", "--addr", &addr, "--snps", snps, "--no-wait"])
-            .output()
-            .expect("submit runs");
-        assert!(
-            job.status.success(),
-            "{}",
-            String::from_utf8_lossy(&job.stderr)
-        );
-        assert!(String::from_utf8_lossy(&job.stdout).contains("queued"));
+    let client = ServiceClient::new(addr.parse().unwrap());
+    let certified = client.submit_and_wait((1000..1500).collect(), 0).unwrap();
+    assert!(certified.certificate.is_some());
+
+    // Three more jobs, each with a client waiting on it; the signal lands
+    // once all three are admitted, with work in flight.
+    let panels: Vec<Vec<u32>> = [0, 250, 500]
+        .map(|from| (from..from + 500).collect())
+        .into();
+    let waiting: Vec<_> = panels
+        .iter()
+        .cloned()
+        .map(|panel| {
+            let client = client.clone();
+            std::thread::spawn(move || client.submit_and_wait(panel, 0))
+        })
+        .collect();
+    while client
+        .status()
+        .is_ok_and(|s| s.jobs_done + s.jobs_queued < 4)
+    {
+        std::thread::sleep(std::time::Duration::from_millis(1));
     }
-    terminate(daemon.id());
+    signal(daemon.id(), name);
+    let verdicts: Vec<_> = waiting.into_iter().map(|t| t.join().unwrap()).collect();
     let out = daemon.wait_with_output().expect("daemon exits");
-    assert_eq!(
-        out.status.code(),
-        Some(7),
-        "stderr: {}",
-        String::from_utf8_lossy(&out.stderr)
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    if name == "KILL" {
+        assert_eq!(out.status.signal(), Some(9), "stderr: {stderr}");
+    } else {
+        // Drained: every admitted job certified or was refused with the
+        // typed shutting-down verdict, never left without an answer, and
+        // the exit code is the dedicated interrupted one.
+        assert_eq!(out.status.code(), Some(7), "stderr: {stderr}");
+        assert!(stderr.contains("shutdown signal"), "{stderr}");
+        for error in verdicts.iter().filter_map(|v| v.as_ref().err()) {
+            assert_eq!(
+                error.kind(),
+                std::io::ErrorKind::ConnectionAborted,
+                "{error}"
+            );
+        }
+    }
+
+    // Every answered job is on disk verbatim.
+    let ledger = ReleaseLedger::open(dir.join("ledger.bin")).expect("the ledger reopens");
+    for record in verdicts.iter().flatten().chain([&certified]) {
+        assert_eq!(ledger.record(record.job_id), Some(record));
+    }
+    audit_records(ledger.records()).unwrap();
+    let released = ledger.records().iter().flat_map(|r| r.released.clone());
+    let union: Vec<u32> = released.collect::<BTreeSet<u32>>().into_iter().collect();
+    let unanswered: Vec<Vec<u32>> = panels
+        .into_iter()
+        .filter(|panel| ledger.records().iter().all(|r| &r.panel != panel))
+        .collect();
+    drop(ledger);
+
+    let daemon = spawn_serve(&dir, &addr, &pool);
+    wait_for_daemon(&addr);
+    let next = client.submit_and_wait((750..1250).collect(), 0).unwrap();
+    assert_eq!(next.forced, union);
+    for panel in unanswered {
+        let record = client.submit_and_wait(panel, 0).unwrap();
+        assert!(record.certificate.is_some(), "job {}", record.job_id);
+    }
+    client.shutdown().unwrap();
+    assert!(daemon.wait_with_output().unwrap().status.success());
+    let reopened = ReleaseLedger::open(dir.join("ledger.bin")).unwrap();
+    audit_records(reopened.records()).unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Reads `gendpr_process_{threads,open_fds,rss_bytes}` from the metrics
+/// endpoint at `addr`.
+fn process_gauges(addr: &str) -> [i64; 3] {
+    let mut stream = TcpStream::connect(addr).expect("connect to exporter");
+    stream
+        .write_all(b"GET /metrics HTTP/1.1\r\nHost: test\r\nConnection: close\r\n\r\n")
+        .expect("send request");
+    let mut response = String::new();
+    stream.read_to_string(&mut response).expect("read response");
+    ["threads", "open_fds", "rss_bytes"].map(|name| {
+        let key = format!("gendpr_process_{name} ");
+        let value = response.lines().find_map(|line| line.strip_prefix(&key));
+        value.and_then(|v| v.parse().ok()).expect(name)
+    })
+}
+
+/// Resource drift inside one daemon process: once 5 warm-up jobs have
+/// run, 20 more may not grow its threads or open descriptors (a leak of
+/// one per job or per client connection adds at least 20) or its
+/// resident set by more than 4 MiB.
+#[cfg(target_os = "linux")]
+#[test]
+fn twenty_more_jobs_leak_no_thread_fd_or_memory_in_one_daemon() {
+    let dir = temp_dir("drift");
+    synth_into(&dir);
+    let ports = free_peer_roster(2);
+    let (addr, metrics) = ports.split_once(',').unwrap();
+    let daemon = spawn_serve(&dir, addr, &["--metrics-addr", metrics]);
+    wait_for_daemon(addr);
+    let client = ServiceClient::new(addr.parse().unwrap());
+    let mut jobs = 0u32..;
+    let mut run = |count: usize| {
+        for job in jobs.by_ref().take(count) {
+            let from = job % 40;
+            client
+                .submit_and_wait((from..from + 20).collect(), 0)
+                .unwrap();
+        }
+        process_gauges(metrics)
+    };
+    let [threads, fds, rss] = run(5);
+    let [threads_after, fds_after, rss_after] = run(20);
+    let drift = format!(
+        "threads {threads} -> {threads_after}, fds {fds} -> {fds_after}, rss {rss} -> {rss_after}"
     );
-    assert!(String::from_utf8_lossy(&out.stderr).contains("shutdown signal"));
-    // Whatever was committed before the drain survived on disk intact;
-    // a fresh daemon could seed its next job from it.
-    assert!(
-        std::fs::metadata(dir.join("ledger.bin")).unwrap().len() > 0,
-        "dispatched jobs were flushed to the ledger before exit"
-    );
+    assert!(threads > 0 && fds > 0 && rss > 0, "{drift}");
+    assert!(threads_after - threads <= 1, "{drift}");
+    assert!(fds_after - fds <= 2, "{drift}");
+    assert!(rss_after - rss <= 4 << 20, "{drift}");
+    client.shutdown().unwrap();
+    assert!(daemon.wait_with_output().unwrap().status.success());
     let _ = std::fs::remove_dir_all(&dir);
 }

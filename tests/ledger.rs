@@ -4,12 +4,19 @@
 //! the damaged record and everything after it — never an earlier one,
 //! and never a panic.
 
-use gendpr::fednet::wire;
-use gendpr::service::{JobKind, LedgerRecord, LinkRecord, ReleaseLedger, WireCertificate};
+use gendpr::crypto::sha256;
+use gendpr::fednet::wire::{self, Decode, Encode};
+use gendpr::service::tracks::claims::{ClaimEntry, ClaimLog, DoneFrame};
+use gendpr::service::{
+    JobKind, LedgerRecord, LinkRecord, ReleaseLedger, ServiceError, WireCertificate,
+};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
+use std::fmt::Debug;
+use std::io::Write;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Instant;
 
 /// Checksummed frame overhead: u32 length prefix + SHA-256 trailer.
 const FRAME_OVERHEAD: usize = 4 + 32;
@@ -499,4 +506,156 @@ fn a_kill_at_every_append_offset_recovers_byte_identical_state() {
         let _ = std::fs::remove_file(&victim);
     }
     let _ = std::fs::remove_file(&path);
+}
+
+/// The two frame logs, seen only through their public API.
+trait Log {
+    type Entry: Encode + Decode + Clone + Debug + PartialEq;
+    fn open(paths: &[PathBuf]) -> Result<Self, ServiceError>
+    where
+        Self: Sized;
+    fn refresh(&mut self) -> Result<usize, ServiceError>;
+    fn entries(&self) -> Vec<Self::Entry>;
+    /// Three well-formed entries.
+    fn genuine() -> Vec<Self::Entry>;
+}
+
+impl Log for ReleaseLedger {
+    type Entry = LedgerRecord;
+    fn open(paths: &[PathBuf]) -> Result<Self, ServiceError> {
+        ReleaseLedger::open_replicated(&paths[0], &paths[1..])
+    }
+    fn refresh(&mut self) -> Result<usize, ServiceError> {
+        ReleaseLedger::refresh(self)
+    }
+    fn entries(&self) -> Vec<LedgerRecord> {
+        self.records().to_vec()
+    }
+    fn genuine() -> Vec<LedgerRecord> {
+        (1..=3).map(small_record).collect()
+    }
+}
+
+impl Log for ClaimLog {
+    type Entry = ClaimEntry;
+    fn open(paths: &[PathBuf]) -> Result<Self, ServiceError> {
+        ClaimLog::open(&paths[0], &paths[1..])
+    }
+    fn refresh(&mut self) -> Result<usize, ServiceError> {
+        ClaimLog::refresh(self, Instant::now())
+    }
+    fn entries(&self) -> Vec<ClaimEntry> {
+        let seen = ClaimLog::entries(self).iter();
+        seen.map(|seen| seen.entry.clone()).collect()
+    }
+    fn genuine() -> Vec<ClaimEntry> {
+        let done = |job_id| DoneFrame {
+            job_id,
+            track: 0,
+            error: String::new(),
+        };
+        (1..=3).map(|id| ClaimEntry::Done(done(id))).collect()
+    }
+}
+
+/// One hostile copy of a log: the first `whole` genuine frames, then
+/// (when given) a frame whose checksum holds over an arbitrary body,
+/// then arbitrary bytes. Returns the bytes, the entries a reader must
+/// take from them (the longest decodable whole-frame prefix) and that
+/// prefix's length.
+fn hostile_copy<L: Log>(
+    whole: usize,
+    sealed: Option<&[u8]>,
+    tail: &[u8],
+) -> (Vec<u8>, Vec<L::Entry>, usize) {
+    let mut entries = L::genuine()[..whole].to_vec();
+    let mut bodies: Vec<Vec<u8>> = entries.iter().map(wire::to_bytes).collect();
+    if let Some(body) = sealed {
+        if let Ok(entry) = wire::from_bytes::<L::Entry>(body) {
+            entries.push(entry);
+        }
+        bodies.push(body.to_vec());
+    }
+    let mut bytes = Vec::new();
+    for body in &bodies {
+        bytes.extend_from_slice(&(body.len() as u32).to_le_bytes());
+        bytes.extend_from_slice(body);
+        bytes.extend_from_slice(&sha256::digest(body));
+    }
+    let good = bodies[..entries.len()]
+        .iter()
+        .map(|b| b.len() + FRAME_OVERHEAD)
+        .sum();
+    bytes.extend_from_slice(tail);
+    (bytes, entries, good)
+}
+
+/// Opens a log over a hostile primary (and mirror), reopens it, and
+/// refreshes it over more hostile bytes appended to the primary.
+fn hostile_bytes_hold<L: Log>(
+    (whole, sealed, tail): &(usize, Option<Vec<u8>>, Vec<u8>),
+    mirror: Option<&(usize, Vec<u8>)>,
+    appended: &[u8],
+) -> Result<(), TestCaseError> {
+    let mut paths = vec![scratch("hostile-primary")];
+    let (bytes, mut expect, good) = hostile_copy::<L>(*whole, sealed.as_deref(), tail);
+    std::fs::write(&paths[0], bytes).unwrap();
+    if let Some((whole, tail)) = mirror {
+        let (bytes, entries, mirror_good) = hostile_copy::<L>(*whole, None, tail);
+        // The longer intact prefix wins, the primary's on a tie.
+        if mirror_good > good {
+            expect = entries;
+        }
+        paths.push(scratch("hostile-mirror"));
+        std::fs::write(&paths[1], bytes).unwrap();
+    }
+    let sizes = || -> Vec<u64> {
+        paths
+            .iter()
+            .map(|p| std::fs::metadata(p).unwrap().len())
+            .collect()
+    };
+
+    prop_assert_eq!(L::open(&paths).unwrap().entries(), expect.clone());
+    let healed = sizes();
+    // A second open finds nothing to recover or heal.
+    let mut log = L::open(&paths).unwrap();
+    prop_assert_eq!(log.entries(), expect.clone());
+    prop_assert_eq!(sizes(), healed);
+
+    // Hostile bytes behind an open log's back cost no entry already seen.
+    let mut file = std::fs::OpenOptions::new()
+        .append(true)
+        .open(&paths[0])
+        .unwrap();
+    file.write_all(appended).unwrap();
+    log.refresh().unwrap();
+    prop_assert!(log.entries().starts_with(&expect));
+    for path in &paths {
+        let _ = std::fs::remove_file(path);
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Arbitrary bytes in either frame log, as its primary or a mirror or
+    /// appended to a live primary, never panic it: open takes the longest
+    /// whole-frame prefix, a second open recovers nothing, and a refresh
+    /// never drops an entry already seen.
+    #[test]
+    fn hostile_bytes_never_panic_a_frame_log_or_cost_a_whole_frame(
+        head in (0usize..4, any::<bool>(), proptest::collection::vec(any::<u8>(), 0..120)),
+        tail in proptest::collection::vec(any::<u8>(), 0..600),
+        mirror in (0usize..4, proptest::collection::vec(any::<u8>(), 0..600)),
+        mirrored in any::<bool>(),
+        appended in proptest::collection::vec(any::<u8>(), 0..600),
+    ) {
+        let (whole, sealed, body) = head;
+        let primary = (whole, sealed.then_some(body), tail);
+        let mirror = mirrored.then_some(&mirror);
+        hostile_bytes_hold::<ReleaseLedger>(&primary, mirror, &appended)?;
+        hostile_bytes_hold::<ClaimLog>(&primary, mirror, &appended)?;
+    }
 }
