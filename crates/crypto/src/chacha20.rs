@@ -5,13 +5,26 @@
 //!
 //! [`block`] is the RFC's block function, one 64-byte block per call, in
 //! plain scalar code: the oracle every test vector checks. The keystream
-//! itself is made four blocks at a time by [`blocks4`], which on x86-64
-//! runs the four blocks' rounds side by side in SSE2 registers (one lane
-//! per block; SSE2 is part of the x86-64 baseline, so nothing is detected)
-//! and elsewhere calls [`block`] four times. Both produce the same bytes.
-//! The AEAD and the generator expand their key into state words once, in
-//! their constructors, and draw every block from those.
+//! itself is made a *pass* at a time: several blocks whose rounds run side
+//! by side, one vector lane per block, each lane with its own counter and
+//! nonce. Two kernels make passes on x86-64. The SSE2 one (`sse2.rs`)
+//! computes four blocks; SSE2 is part of the x86-64 baseline, so it needs
+//! no detection and is the fallback everywhere. The AVX-512 one
+//! (`avx512.rs`) computes sixteen, with native lane rotates, where the CPU
+//! reports AVX-512F at run time (std caches the probe). Other targets call
+//! [`block`] once per lane. Every kernel produces the bytes [`block`]
+//! does, lane by lane.
+//!
+//! [`xor_in_place`] runs whole passes on the widest kernel the CPU has and
+//! ends with the narrowest pass that covers what is left. The AEAD draws a
+//! message's first two blocks, its *head*, from passes that serve several
+//! messages at once (see [`crate::aead::Head`]). [`blocks4`] and the
+//! generator stay on four consecutive blocks. The AEAD and the generator
+//! expand their key into state words once, in their constructors, and draw
+//! every block from those.
 
+#[cfg(target_arch = "x86_64")]
+mod avx512;
 #[cfg(target_arch = "x86_64")]
 mod sse2;
 
@@ -23,6 +36,13 @@ pub const NONCE_LEN: usize = 12;
 pub const BLOCK_LEN: usize = 64;
 /// Bytes [`blocks4`] produces per call: four blocks.
 pub const BLOCKS4_LEN: usize = 4 * BLOCK_LEN;
+/// Lanes of the narrowest pass: the SSE2 kernel's, and the scalar
+/// fallback's.
+const NARROW_LANES: usize = 4;
+/// Lanes of the widest pass: the AVX-512 kernel's.
+pub(crate) const MAX_LANES: usize = 16;
+/// Bytes of the widest pass.
+pub(crate) const PASS_LEN: usize = MAX_LANES * BLOCK_LEN;
 
 const SIGMA: [u32; 4] = [0x6170_7865, 0x3320_646e, 0x7962_2d32, 0x6b20_6574];
 
@@ -50,6 +70,59 @@ fn words<const N: usize>(bytes: &[u8]) -> [u32; N] {
     })
 }
 
+/// Whether this CPU runs the AVX-512 kernel. Std caches the probe, so
+/// asking per pass costs a load and a branch.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+fn has_avx512() -> bool {
+    is_x86_feature_detected!("avx512f")
+}
+
+/// Lanes of the widest pass this CPU runs: sixteen with AVX-512, four
+/// without.
+#[must_use]
+pub(crate) fn widest_pass() -> usize {
+    #[cfg(target_arch = "x86_64")]
+    if has_avx512() {
+        return MAX_LANES;
+    }
+    NARROW_LANES
+}
+
+/// Where one lane of a pass starts: its block counter and its nonce.
+#[derive(Clone, Copy, Default)]
+pub(crate) struct Lane {
+    counter: u32,
+    nonce: [u32; 3],
+}
+
+impl Lane {
+    /// The block at `counter` under `nonce`.
+    #[inline]
+    pub(crate) fn new(counter: u32, nonce: &[u8; NONCE_LEN]) -> Self {
+        Self {
+            counter,
+            nonce: words(nonce),
+        }
+    }
+}
+
+/// State words 12–15 of each of `lanes`, word-major: row `i` holds word
+/// `12 + i` (the counter, then the nonce's three words) of every lane.
+/// Lanes past `lanes.len()` are zero: a kernel computes them and the pass
+/// drops them.
+#[cfg(target_arch = "x86_64")]
+fn lane_words<const N: usize>(lanes: &[Lane]) -> [[u32; N]; 4] {
+    let mut rows = [[0u32; N]; 4];
+    for (i, lane) in lanes.iter().enumerate() {
+        rows[0][i] = lane.counter;
+        for (row, word) in rows[1..].iter_mut().zip(lane.nonce) {
+            row[i] = word;
+        }
+    }
+    rows
+}
+
 /// A ChaCha20 key expanded into its eight state words.
 #[derive(Clone)]
 pub(crate) struct Key {
@@ -69,37 +142,61 @@ impl Key {
         Self { words: words(key) }
     }
 
-    /// The initial state for (`counter`, `nonce`) under this key.
-    fn state(&self, counter: u32, nonce: &[u8; NONCE_LEN]) -> [u32; 16] {
+    /// The initial state of `lane` under this key.
+    fn state(&self, lane: &Lane) -> [u32; 16] {
         let mut state = [0u32; 16];
         state[..4].copy_from_slice(&SIGMA);
         state[4..12].copy_from_slice(&self.words);
-        state[12] = counter;
-        state[13..].copy_from_slice(&words::<3>(nonce));
+        state[12] = lane.counter;
+        state[13..].copy_from_slice(&lane.nonce);
         state
+    }
+
+    /// One narrow pass: the blocks of `lanes` (at most four), end to end,
+    /// then the zero-state lanes that pad the pass.
+    fn narrow_pass(&self, lanes: &[Lane], out: &mut [u8; BLOCKS4_LEN]) {
+        #[cfg(target_arch = "x86_64")]
+        {
+            // SAFETY: SSE2 is part of the x86-64 baseline, so every x86-64
+            // CPU runs the `sse2` target feature.
+            unsafe { sse2::blocks4(&self.words, &lane_words(lanes), out) }
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        for (lane, bytes) in lanes.iter().zip(out.chunks_exact_mut(BLOCK_LEN)) {
+            bytes.copy_from_slice(&block_of(self.state(lane)));
+        }
+    }
+
+    /// Computes the block at each of `lanes` in one pass, end to end, into
+    /// `out[..64 * lanes.len()]`. The pass is the narrowest kernel that
+    /// covers the lanes; the rest of `out` is left unspecified.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lanes` outnumber the widest pass, [`widest_pass`].
+    pub(crate) fn pass(&self, lanes: &[Lane], out: &mut [u8; PASS_LEN]) {
+        #[cfg(target_arch = "x86_64")]
+        if lanes.len() > NARROW_LANES && has_avx512() {
+            // SAFETY: `has_avx512()` detected AVX-512F on this CPU.
+            return unsafe { avx512::blocks16(&self.words, &lane_words(lanes), out) };
+        }
+        assert!(lanes.len() <= NARROW_LANES, "more lanes than one pass");
+        let narrow = out.first_chunk_mut().expect("a pass holds four blocks");
+        self.narrow_pass(lanes, narrow);
     }
 
     /// The blocks at `counter`, `counter + 1`, `counter + 2` and
     /// `counter + 3` (each wrapping), end to end: [`blocks4`] under this
     /// key.
     pub(crate) fn blocks4(&self, counter: u32, nonce: &[u8; NONCE_LEN]) -> [u8; BLOCKS4_LEN] {
-        let state = self.state(counter, nonce);
-        #[cfg(target_arch = "x86_64")]
-        {
-            // SAFETY: SSE2 is part of the x86-64 baseline, so every x86-64
-            // CPU runs the `sse2` target feature.
-            unsafe { sse2::blocks4(&state) }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        {
-            let mut out = [0u8; BLOCKS4_LEN];
-            for (lane, bytes) in out.chunks_exact_mut(BLOCK_LEN).enumerate() {
-                let mut state = state;
-                state[12] = counter.wrapping_add(lane as u32);
-                bytes.copy_from_slice(&block_of(state));
-            }
-            out
-        }
+        let nonce = words(nonce);
+        let lanes: [Lane; NARROW_LANES] = std::array::from_fn(|i| Lane {
+            counter: counter.wrapping_add(i as u32),
+            nonce,
+        });
+        let mut out = [0u8; BLOCKS4_LEN];
+        self.narrow_pass(&lanes, &mut out);
+        out
     }
 
     /// [`xor_in_place`] under this key: panics where it does.
@@ -114,9 +211,18 @@ impl Key {
             u64::from(initial_counter) + blocks_needed <= u64::from(u32::MAX) + 1,
             "ChaCha20 counter overflow: keystream would repeat"
         );
-        for (i, chunk) in data.chunks_mut(BLOCKS4_LEN).enumerate() {
-            let counter = initial_counter.wrapping_add((i as u32).wrapping_mul(4));
-            xor(chunk, &self.blocks4(counter, nonce));
+        let nonce = words(nonce);
+        let mut counter = initial_counter;
+        let mut keystream = [0u8; PASS_LEN];
+        for chunk in data.chunks_mut(widest_pass() * BLOCK_LEN) {
+            let blocks = chunk.len().div_ceil(BLOCK_LEN);
+            let lanes: [Lane; MAX_LANES] = std::array::from_fn(|i| Lane {
+                counter: counter.wrapping_add(i as u32),
+                nonce,
+            });
+            self.pass(&lanes[..blocks], &mut keystream);
+            xor(chunk, &keystream);
+            counter = counter.wrapping_add(blocks as u32);
         }
     }
 }
@@ -152,7 +258,7 @@ fn block_of(mut state: [u32; 16]) -> [u8; BLOCK_LEN] {
 /// Computes one 64-byte ChaCha20 block for (`key`, `counter`, `nonce`).
 #[must_use]
 pub fn block(key: &[u8; KEY_LEN], counter: u32, nonce: &[u8; NONCE_LEN]) -> [u8; BLOCK_LEN] {
-    block_of(Key::new(key).state(counter, nonce))
+    block_of(Key::new(key).state(&Lane::new(counter, nonce)))
 }
 
 /// Computes four consecutive ChaCha20 blocks for (`key`, `nonce`), at
@@ -353,11 +459,100 @@ offer you only one tip for the future, sunscreen would be it.";
         }
     }
 
+    /// Lane `i` of a pass: a counter and a nonce drawn from `seed` and
+    /// `i`, the counters at and around `u32::MAX` on every fourth lane.
+    fn arbitrary_lanes<const N: usize>(seed: u64) -> [(u32, [u8; NONCE_LEN]); N] {
+        let mut rng = crate::rng::ChaChaRng::from_seed_u64(seed);
+        std::array::from_fn(|i| {
+            let counter = if i % 4 == 1 {
+                u32::MAX - (i as u32 / 4)
+            } else {
+                rng.next_u64() as u32
+            };
+            let mut nonce = [0u8; NONCE_LEN];
+            rng.fill_bytes(&mut nonce);
+            (counter, nonce)
+        })
+    }
+
+    /// The lanes' words as a kernel takes them, and the scalar block of
+    /// each lane, end to end.
+    #[cfg(target_arch = "x86_64")]
+    fn kernel_case<const N: usize>(key: &[u8; KEY_LEN], seed: u64) -> ([[u32; N]; 4], Vec<u8>) {
+        let lanes = arbitrary_lanes::<N>(seed);
+        let words = lane_words(&lanes.map(|(counter, nonce)| Lane::new(counter, &nonce)));
+        let blocks = lanes
+            .iter()
+            .flat_map(|(counter, nonce)| block(key, *counter, nonce))
+            .collect();
+        (words, blocks)
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn the_sse2_kernel_equals_the_scalar_block_lane_by_lane() {
+        for seed in 0..64 {
+            let key: [u8; KEY_LEN] = std::array::from_fn(|i| (i as u64 * 31 + seed) as u8);
+            let (words, expected) = kernel_case::<4>(&key, seed);
+            let mut got = [0u8; BLOCKS4_LEN];
+            // SAFETY: SSE2 is part of the x86-64 baseline.
+            unsafe { sse2::blocks4(&Key::new(&key).words, &words, &mut got) };
+            for lane in 0..4 {
+                let at = lane * BLOCK_LEN..(lane + 1) * BLOCK_LEN;
+                assert_eq!(got[at.clone()], expected[at], "seed {seed}, lane {lane}");
+            }
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn the_avx512_kernel_equals_the_scalar_block_lane_by_lane() {
+        if !has_avx512() {
+            println!("skipped: this CPU has no AVX-512F, so only the SSE2 kernel runs here");
+            return;
+        }
+        for seed in 0..64 {
+            let key: [u8; KEY_LEN] = std::array::from_fn(|i| (i as u64 * 17 + seed) as u8);
+            let (words, expected) = kernel_case::<MAX_LANES>(&key, seed);
+            let mut got = [0u8; PASS_LEN];
+            // SAFETY: `has_avx512()` detected AVX-512F on this CPU.
+            unsafe { avx512::blocks16(&Key::new(&key).words, &words, &mut got) };
+            for lane in 0..MAX_LANES {
+                let at = lane * BLOCK_LEN..(lane + 1) * BLOCK_LEN;
+                assert_eq!(got[at.clone()], expected[at], "seed {seed}, lane {lane}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_pass_of_any_width_equals_the_scalar_block_lane_by_lane() {
+        // Through the dispatch: the narrow kernel up to four lanes, the
+        // widest this CPU has past that.
+        let key = test_key();
+        let lanes = arbitrary_lanes::<MAX_LANES>(9);
+        for n in 0..=widest_pass() {
+            let pass: Vec<Lane> = lanes[..n]
+                .iter()
+                .map(|(counter, nonce)| Lane::new(*counter, nonce))
+                .collect();
+            let expected: Vec<u8> = lanes[..n]
+                .iter()
+                .flat_map(|(counter, nonce)| block(&key, *counter, nonce))
+                .collect();
+            let mut keystream = [0u8; PASS_LEN];
+            Key::new(&key).pass(&pass, &mut keystream);
+            assert_eq!(keystream[..expected.len()], expected, "{n} lanes");
+        }
+    }
+
     #[test]
     fn xor_in_place_is_block_by_block_across_pass_edges() {
         let key = test_key();
         let nonce = [5u8; NONCE_LEN];
-        for len in [0usize, 1, 63, 64, 65, 191, 192, 193, 255, 256, 257, 600] {
+        for len in [
+            0usize, 1, 63, 64, 65, 191, 192, 193, 255, 256, 257, 600, 1023, 1024, 1025, 1280, 1281,
+            2048, 2300,
+        ] {
             let mut data: Vec<u8> = (0..len).map(|i| (i * 13) as u8).collect();
             let mut expected = data.clone();
             for (i, chunk) in expected.chunks_mut(BLOCK_LEN).enumerate() {

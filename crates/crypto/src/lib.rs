@@ -17,11 +17,15 @@
 //!
 //! Everything is implemented from the specifications and validated
 //! against the RFC/NIST test vectors in each module's tests, in safe Rust
-//! apart from one private module: the four-block ChaCha20 of
-//! [`chacha20::blocks4`] in SSE2, whose unaligned stores and the call into
-//! it are the crate's only `unsafe` blocks (each carries a `SAFETY:`
-//! comment; the lint below refuses one without). The scalar block function
-//! is its oracle.
+//! apart from two private modules: the ChaCha20 kernels behind
+//! [`chacha20`]'s passes, four blocks a pass in SSE2 (the x86-64 baseline)
+//! and sixteen in AVX-512 (where the CPU reports it at run time). Their
+//! unaligned loads and stores and the calls into them are the crate's
+//! only `unsafe` blocks (each carries a `SAFETY:` comment; the lint below
+//! refuses one without). The scalar block function is their oracle.
+//! Every message of the AEAD is sealed and opened from its *head*, its
+//! first two keystream blocks ([`aead::Heads`]), which one pass computes
+//! for several nonces at once.
 //! The paper uses AES-256; this workspace substitutes ChaCha20-Poly1305
 //! (see `DESIGN.md` §4 for the justification).
 //!

@@ -12,6 +12,7 @@ use crate::measurement::Measurement;
 use crate::memory::EpcAccount;
 use crate::platform::Platform;
 use crate::sealing::{self, SealedData};
+use std::sync::atomic::Ordering;
 
 /// A running enclave hosting trusted state `S`.
 #[derive(Debug)]
@@ -21,7 +22,6 @@ pub struct Enclave<S> {
     state: S,
     epc: EpcAccount,
     ecalls: u64,
-    seal_counter: u64,
 }
 
 impl<S> Enclave<S> {
@@ -32,7 +32,6 @@ impl<S> Enclave<S> {
             state,
             epc: EpcAccount::default(),
             ecalls: 0,
-            seal_counter: 0,
         }
     }
 
@@ -70,10 +69,15 @@ impl<S> Enclave<S> {
 
     /// Seals `plaintext` under this enclave's identity on this platform.
     /// `label` is authenticated context (e.g. which protocol phase the data
-    /// belongs to).
-    pub fn seal(&mut self, plaintext: &[u8], label: &[u8]) -> SealedData {
-        let counter = self.seal_counter;
-        self.seal_counter += 1;
+    /// belongs to). The nonce comes from the platform's counter, which
+    /// every enclave on it shares: other instances of this build seal
+    /// under the same key.
+    pub fn seal(&self, plaintext: &[u8], label: &[u8]) -> SealedData {
+        let counter = self
+            .platform
+            .inner
+            .seal_counter
+            .fetch_add(1, Ordering::Relaxed);
         sealing::seal(
             &self.platform.inner.sealing_root,
             &self.measurement,
@@ -143,7 +147,7 @@ mod tests {
 
     #[test]
     fn seal_roundtrips_within_the_enclave() {
-        let mut e = enclave();
+        let e = enclave();
         let sealed = e.seal(b"intermediate", b"phase2");
         assert_eq!(e.unseal(&sealed, b"phase2").unwrap(), b"intermediate");
         assert!(e.unseal(&sealed, b"phase3").is_err());
@@ -154,7 +158,7 @@ mod tests {
         let mut rng = ChaChaRng::from_seed_u64(4);
         let svc = AttestationService::new(&mut rng);
         let platform = Platform::new("gdo", &svc, &mut rng);
-        let mut a = platform.launch_enclave("gendpr/a", ());
+        let a = platform.launch_enclave("gendpr/a", ());
         let b = platform.launch_enclave("gendpr/b", ());
         let sealed = a.seal(b"x", b"");
         assert_eq!(b.unseal(&sealed, b""), Err(TeeError::UnsealFailed));
@@ -171,8 +175,25 @@ mod tests {
     }
 
     #[test]
+    fn two_instances_of_one_build_never_share_a_sealing_nonce() {
+        let mut rng = ChaChaRng::from_seed_u64(6);
+        let svc = AttestationService::new(&mut rng);
+        let platform = Platform::new("gdo", &svc, &mut rng);
+        let a = platform.launch_enclave("gendpr/lane", ());
+        let b = platform.launch_enclave("gendpr/lane", ());
+        let from_a = a.seal(&[b'A'; 32], b"");
+        let from_b = b.seal(&[b'B'; 32], b"");
+        // The nonce is the blob's first 12 bytes: a shared one would make
+        // the two ciphertexts XOR to the two plaintexts' XOR.
+        assert_ne!(from_a.to_bytes()[..12], from_b.to_bytes()[..12]);
+        // Same build, same platform: each instance unseals the other's.
+        assert_eq!(b.unseal(&from_a, b"").unwrap(), [b'A'; 32]);
+        assert_eq!(a.unseal(&from_b, b"").unwrap(), [b'B'; 32]);
+    }
+
+    #[test]
     fn sequential_seals_use_fresh_nonces() {
-        let mut e = enclave();
+        let e = enclave();
         let s1 = e.seal(b"same payload", b"");
         let s2 = e.seal(b"same payload", b"");
         assert_ne!(s1.to_bytes(), s2.to_bytes());

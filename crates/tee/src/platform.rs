@@ -9,6 +9,7 @@ use crate::attestation::{AttestationService, Quote};
 use crate::enclave::Enclave;
 use crate::measurement::Measurement;
 use gendpr_crypto::rng::ChaChaRng;
+use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
 #[derive(Debug)]
@@ -16,6 +17,10 @@ pub(crate) struct PlatformInner {
     pub(crate) name: String,
     pub(crate) sealing_root: [u8; 32],
     pub(crate) service: AttestationService,
+    /// The next sealing nonce. Every enclave of one build on this platform
+    /// seals under the same key, so the counter is the platform's, shared
+    /// by all of them: two instances never seal under one nonce.
+    pub(crate) seal_counter: AtomicU64,
 }
 
 /// One member's TEE-enabled server.
@@ -34,6 +39,7 @@ impl Platform {
                 name: name.to_string(),
                 sealing_root: rng.gen_key(),
                 service: service.clone(),
+                seal_counter: AtomicU64::new(0),
             }),
         }
     }

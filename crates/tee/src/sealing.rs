@@ -82,7 +82,8 @@ pub(crate) fn seal(
     label: &[u8],
 ) -> SealedData {
     let cipher = sealing_cipher(sealing_root, measurement);
-    // Nonce from a per-enclave monotonic counter: never reused under one key.
+    // Nonce from the platform's monotonic counter, which every enclave on
+    // it shares: never reused under one key.
     let mut nonce = [0u8; 12];
     nonce[..8].copy_from_slice(&seal_counter.to_le_bytes());
     SealedData {

@@ -38,14 +38,16 @@ echo "==> cargo test --release -p gendpr-stats -q"
 cargo test --release -p gendpr-stats -q
 
 # Same for the message path: the AEAD's RFC 8439 vectors and in-place
-# oracles, the SSE2 four-block ChaCha20 against the scalar block function
-# (and the pinned generator stream), the slice codec and the fabric's
-# burst/wake tests run against
+# oracles, every ChaCha20 kernel this CPU has (the SSE2 four-lane one
+# always, the AVX-512 sixteen-lane one where detected) against the scalar
+# block function lane by lane (and the pinned generator stream), the
+# channels' look-ahead of message heads against the copying AEAD, the
+# slice codec and the fabric's burst/wake tests run against
 # the optimised build that carries every member message. The engine and
 # chaos suites too: how many replies a follower finds queued when it
 # wakes, and whether a frame arrives in sequence, depend on timing.
-echo "==> cargo test --release -p gendpr-crypto -p gendpr-fednet -q"
-cargo test --release -p gendpr-crypto -p gendpr-fednet -q
+echo "==> cargo test --release -p gendpr-crypto -p gendpr-tee -p gendpr-fednet -q"
+cargo test --release -p gendpr-crypto -p gendpr-tee -p gendpr-fednet -q
 echo "==> cargo test --release --test engine --test chaos -q"
 cargo test --release --test engine --test chaos -q
 
