@@ -36,10 +36,7 @@ use gendpr_genomics::columnar::ColumnarGenotypes;
 use gendpr_genomics::snp::SnpId;
 use gendpr_service::ShardPlan;
 use gendpr_stats::ld::LdMoments;
-use gendpr_stats::lr::{
-    select_safe_subset, select_safe_subset_naive, BitLrMatrix, LrColumns, LrMatrix, LrPrefixSums,
-    LrValues,
-};
+use gendpr_stats::lr::{select_safe_subset, select_safe_subset_naive, LrColumns, LrMatrix};
 use gendpr_stats::ranking::{rank_by_association, sort_most_significant_first};
 use std::hint::black_box;
 use std::time::{Duration, Instant};
@@ -237,8 +234,7 @@ fn main() {
             LrColumns::from_columnar(&null_view, &ids, &cf, &rf),
         )
     };
-    let columnar_selection =
-        select_safe_subset(&case_cols, &null_cols, &[], &order, &params.lr, None);
+    let columnar_selection = select_safe_subset(&case_cols, &null_cols, &[], &order, &params.lr);
     let lr_columnar = t.elapsed();
     assert_eq!(
         naive_selection, columnar_selection,
@@ -353,10 +349,10 @@ fn main() {
     drop(chrom_columnar);
     drop(chrom_cohort);
 
-    // (b) The LR phase alone at 1M SNPs: synthetic packed indicator
-    // matrices (the screens would never pass a million candidates, but the
-    // kernels must sustain the width), transposed to columns and swept in
-    // admission order.
+    // (b) The LR phase alone at 1M SNPs: synthetic row-major indicator
+    // words, as compact reports carry them (the screens would never pass a
+    // million candidates, but the kernels must sustain the width), decoded
+    // to columns and swept in admission order.
     let mega_snps = scaled(1_000_000);
     let mega_individuals = scaled(2_000);
     eprintln!("chromosome workload: LR-only sweep at {mega_individuals} x {mega_snps}…");
@@ -384,26 +380,15 @@ fn main() {
     let mega_rf: Vec<f64> = (0..mega_snps)
         .map(|_| 0.1 + (splitmix(&mut rng) % 1000) as f64 / 1250.0)
         .collect();
-    let mega_case =
-        BitLrMatrix::from_raw_bits(mega_individuals, mega_snps, case_bits, &mega_cf, &mega_rf)
-            .expect("well-formed packed case matrix");
-    let mega_null =
-        BitLrMatrix::from_raw_bits(mega_individuals, mega_snps, null_bits, &mega_cf, &mega_rf)
-            .expect("well-formed packed null matrix");
     let mega_order: Vec<usize> = (0..mega_snps).collect();
     let t = Instant::now();
-    let mega_cols = (
-        mega_case.to_columns().expect("two-valued packed matrix"),
-        mega_null.to_columns().expect("two-valued packed matrix"),
-    );
-    let mega_selection = select_safe_subset(
-        &mega_cols.0,
-        &mega_cols.1,
-        &[],
-        &mega_order,
-        &params.lr,
-        None,
-    );
+    let mega_columns = |bits: &[u64]| {
+        LrColumns::from_row_bits(mega_individuals, mega_snps, bits, &mega_cf, &mega_rf)
+            .expect("well-formed packed matrix")
+    };
+    let mega_cols = (mega_columns(&case_bits), mega_columns(&null_bits));
+    let mega_selection =
+        select_safe_subset(&mega_cols.0, &mega_cols.1, &[], &mega_order, &params.lr);
     let mega_lr = t.elapsed();
     drop(mega_cols);
     eprintln!(
@@ -418,29 +403,29 @@ fn main() {
     // bit. Compiled to a conditional jump, the sweep is fast only while the
     // predictor has seen the column before; compiled to a blend (the AVX2
     // sweep) or an indexed load (the scalar fallback) it costs the same on
-    // any column. So: the forced-prefix accumulation (one
-    // null sweep per column, a one-row case side) over one column repeated
-    // `SWEEP_COLUMNS` times against as many distinct columns visited once.
-    // Fixed shape, independent of --scale.
+    // any column. So: a search with no candidates, only the forced columns
+    // it accumulates (one null sweep per column, a one-row case side, one
+    // quantile), over one column repeated `SWEEP_COLUMNS` times against as
+    // many distinct columns visited once. Fixed shape, independent of
+    // --scale.
     eprintln!("timing the LR sweep on repeated vs distinct columns…");
     let sweep_bits: Vec<u64> = (0..SWEEP_INDIVIDUALS * SWEEP_COLUMNS.div_ceil(64))
         .map(|_| splitmix(&mut rng))
         .collect();
     let (sweep_cf, sweep_rf) = (vec![0.3; SWEEP_COLUMNS], vec![0.2; SWEEP_COLUMNS]);
-    let sweep_columns = |individuals: usize, bits: Vec<u64>| {
-        BitLrMatrix::from_raw_bits(individuals, SWEEP_COLUMNS, bits, &sweep_cf, &sweep_rf)
+    let sweep_columns = |individuals: usize, bits: &[u64]| {
+        LrColumns::from_row_bits(individuals, SWEEP_COLUMNS, bits, &sweep_cf, &sweep_rf)
             .expect("well-formed sweep matrix")
-            .to_columns()
-            .expect("two-valued packed matrix")
     };
-    let sweep_null = sweep_columns(SWEEP_INDIVIDUALS, sweep_bits);
-    let sweep_case = sweep_columns(1, vec![0; SWEEP_COLUMNS.div_ceil(64)]);
+    let sweep_null = sweep_columns(SWEEP_INDIVIDUALS, &sweep_bits);
+    let sweep_case = sweep_columns(1, &vec![0; SWEEP_COLUMNS.div_ceil(64)]);
     let sweep = |forced: &[usize]| {
         let t = Instant::now();
-        black_box(LrPrefixSums::accumulate(
+        black_box(select_safe_subset(
             &sweep_case,
             &sweep_null,
             black_box(forced),
+            &[],
             &params.lr,
         ));
         t.elapsed()

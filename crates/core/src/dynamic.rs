@@ -18,8 +18,8 @@
 //! 2. re-runs the MAF/LD screens over the cumulative data,
 //! 3. seeds the LR-test with the already-released SNPs (their
 //!    contributions are charged against the power budget first — the
-//!    search's forced prefix, [`gendpr_stats::lr::LrPrefixSums`]), and
-//!    only then
+//!    `forced` columns [`gendpr_stats::lr::select_safe_subset`]
+//!    accumulates before any candidate), and only then
 //! 4. admits new candidates while the cumulative attack power stays
 //!    below the threshold.
 //!

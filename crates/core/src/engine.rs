@@ -32,7 +32,6 @@ use crate::collusion::{evaluation_subsets_of, intersect_selections};
 use crate::config::GwasParams;
 use crate::error::ProtocolError;
 use crate::gdo::GdoNode;
-use crate::memo::LrPrefixMemo;
 use crate::messages::{
     CountsReport, MomentsReport, MomentsRequest, Phase1Broadcast, Phase2Broadcast, Phase3Broadcast,
     ProtocolMessage,
@@ -48,9 +47,7 @@ use gendpr_genomics::columnar::ColumnarGenotypes;
 use gendpr_genomics::genotype::GenotypeMatrix;
 use gendpr_genomics::snp::SnpId;
 use gendpr_stats::ld::LdMoments;
-use gendpr_stats::lr::{
-    select_safe_subset, BitLrMatrix, LrColumns, LrMatrix, LrPrefixSums, LrSelection, LrValues,
-};
+use gendpr_stats::lr::{select_safe_subset, LrColumns, LrMatrix, LrSelection, LrValues};
 use gendpr_stats::ranking::SnpRank;
 use gendpr_tee::memory::EpcAccount;
 use gendpr_tee::session::SecureChannel;
@@ -260,10 +257,10 @@ impl LrTransport for LrColumns {
         LrColumns::from_columnar(node.columnar(), columns, case_freqs, ref_freqs)
     }
     /// The report's row-major words are checked against its declared
-    /// dimensions, then block-transposed once. They are the message's
-    /// buffer and gone on return; beside the parts already held they stay
-    /// below what the stitch holds a moment later, so the enclave account
-    /// meters the transposed part only.
+    /// dimensions, then block-transposed once ([`LrColumns::from_row_bits`]).
+    /// They are the message's buffer and gone on return; beside the parts
+    /// already held they stay below what the stitch holds a moment later,
+    /// so the enclave account meters the transposed part only.
     fn from_message(
         msg: ProtocolMessage,
         combo: u32,
@@ -271,15 +268,14 @@ impl LrTransport for LrColumns {
         ref_freqs: &[f64],
     ) -> Option<Self> {
         match msg {
-            ProtocolMessage::LrCompact(c, report) if c == combo => BitLrMatrix::from_raw_bits(
+            ProtocolMessage::LrCompact(c, report) if c == combo => LrColumns::from_row_bits(
                 report.individuals as usize,
                 report.snps as usize,
-                report.bits,
+                &report.bits,
                 case_freqs,
                 ref_freqs,
             )
-            .ok()
-            .map(|m| LrColumns::from_bit_matrix(&m)),
+            .ok(),
             _ => None,
         }
     }
@@ -351,11 +347,6 @@ pub(crate) struct LeaderCore<'a> {
     maf_outcomes: Vec<MafOutcome>,
     rankings: Vec<Vec<SnpRank>>,
     ref_counts: Vec<u64>,
-    // Forced-prefix sums per (combination, forced sequence): the inputs
-    // behind them (shards, frequencies, reference) are fixed for the
-    // lifetime of this state, so later jobs against the same ledger prefix
-    // skip the re-accumulation entirely.
-    lr_memo: LrPrefixMemo,
     collect_timings: PhaseTimings,
 }
 
@@ -415,7 +406,6 @@ impl<'a> LeaderCore<'a> {
             maf_outcomes,
             rankings,
             ref_counts,
-            lr_memo: LrPrefixMemo::new(),
             collect_timings: PhaseTimings {
                 aggregation,
                 indexing,
@@ -604,7 +594,7 @@ impl<'a> LeaderCore<'a> {
         let order = admission_order(candidates, ranks, forced_len);
         let forced_cols: Vec<usize> = (0..forced_len).collect();
         let (reference, reference_columnar) = (self.reference, &self.reference_columnar);
-        let (lr, lr_memo) = (&self.params.lr, &mut self.lr_memo);
+        let lr = &self.params.lr;
         let search = |epc: &mut EpcAccount, case_matrix: M| {
             let null_matrix = M::null(
                 reference,
@@ -614,29 +604,8 @@ impl<'a> LeaderCore<'a> {
                 &ref_freqs,
             );
             epc.alloc(null_matrix.heap_bytes());
-            // When both matrices expose a two-valued column view, the
-            // forced columns' cumulative sums come from the memo —
-            // accumulated once per (combination, forced sequence). Either
-            // matrix declining the view (a third value per column, e.g.
-            // from a degenerate frequency pair) leaves the search to its
-            // scalar fallback; both routes select byte-identically.
-            let selection = match (case_matrix.to_columns(), null_matrix.to_columns()) {
-                (Some(case_cols), Some(null_cols)) => {
-                    let forced = &columns[..forced_len];
-                    let prefix = lr_memo.get_or_compute(combo as u32, forced, || {
-                        LrPrefixSums::accumulate(&case_cols, &null_cols, &forced_cols, lr)
-                    });
-                    select_safe_subset(
-                        &case_cols,
-                        &null_cols,
-                        &forced_cols,
-                        &order,
-                        lr,
-                        Some(&prefix),
-                    )
-                }
-                _ => select_safe_subset(&case_matrix, &null_matrix, &forced_cols, &order, lr, None),
-            };
+            let selection =
+                select_safe_subset(&case_matrix, &null_matrix, &forced_cols, &order, lr);
             epc.free(case_matrix.heap_bytes() + null_matrix.heap_bytes());
             selection
         };

@@ -13,8 +13,8 @@
 //! * [`phases`] — the leader-side MAF / LD / LR-test logic (Algorithm 1),
 //! * [`collusion`] — combination generation and selection intersection
 //!   for tolerating up to `G−1` honest-but-curious colluders,
-//! * [`memo`] — the seeded LR search's forced-prefix sums, computed once
-//!   per (combination, forced sequence),
+//! * [`memo`] — `MomentMemo`, a reference-moment cache outside the
+//!   protocol that the measuring harnesses time,
 //! * [`protocol`] — the deterministic in-process driver (what the paper's
 //!   tables and figures measure),
 //! * [`runtime`] — the fully threaded deployment: one thread per GDO,

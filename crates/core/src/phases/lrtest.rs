@@ -112,7 +112,7 @@ pub fn run_lr_test_threads<M: LrValues + ?Sized, N: LrValues + ?Sized>(
     );
     assert_eq!(ranks.len(), candidates.len(), "one rank per candidate");
     let order = admission_order(candidates, ranks.to_vec(), 0);
-    let selection = select_safe_subset(case_matrix, null_matrix, &[], &order, params, None);
+    let selection = select_safe_subset(case_matrix, null_matrix, &[], &order, params);
     let mut safe: Vec<SnpId> = selection
         .kept_columns
         .iter()

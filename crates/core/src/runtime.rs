@@ -78,17 +78,14 @@ pub const CODE_IDENTITY: &str = "gendpr/member/v1";
 
 pub(crate) const CHANNEL_AAD: &[u8] = b"gendpr/protocol/v1";
 
-/// Consecutive silent probe intervals before a peer is suspected.
+/// Consecutive silent probe intervals before a peer is suspected; a probe
+/// interval is the phase timeout over this, so the detector is exactly as
+/// patient as the paper's single hard timeout.
 const SUSPECT_AFTER: u32 = 3;
 
 /// Failure-detection and view-change knobs of the threaded runtime.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecoveryOptions {
-    /// Length of one probe interval; `None` derives it from the phase
-    /// timeout (a third of it: three silent intervals suspect a peer),
-    /// which makes the detector exactly as patient as the paper's single
-    /// hard timeout.
-    pub probe_interval: Option<Duration>,
     /// Highest epoch the member will participate in. `1` (the default)
     /// disables recovery entirely: the first suspicion aborts the run with
     /// [`ProtocolError::MemberUnresponsive`], the paper's behaviour.
@@ -101,7 +98,6 @@ pub struct RecoveryOptions {
 impl Default for RecoveryOptions {
     fn default() -> Self {
         Self {
-            probe_interval: None,
             max_epochs: 1,
             min_quorum: 0,
         }
@@ -749,10 +745,7 @@ impl<T: Transport> MemberCtx<T> {
         phase: &'static str,
     ) -> Result<FrameBody, Interrupt> {
         let mut deadline = Instant::now() + self.timeout;
-        let probe = self
-            .recovery
-            .probe_interval
-            .unwrap_or(self.timeout / SUSPECT_AFTER);
+        let probe = self.timeout / SUSPECT_AFTER;
         let mut misses = 0u32;
         loop {
             self.pump(from)?;

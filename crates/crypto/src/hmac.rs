@@ -19,10 +19,18 @@ use crate::sha256::{Sha256, BLOCK_LEN, DIGEST_LEN};
 /// let tag = mac.finalize();
 /// assert!(HmacSha256::verify(b"key", b"The quick brown fox jumps over the lazy dog", &tag));
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct HmacSha256 {
     inner: Sha256,
     outer_key: [u8; BLOCK_LEN],
+}
+
+impl std::fmt::Debug for HmacSha256 {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // Both halves are key material: the outer key is the key XOR opad,
+        // the inner state has absorbed the key XOR ipad.
+        f.debug_struct("HmacSha256").finish_non_exhaustive()
+    }
 }
 
 impl HmacSha256 {
@@ -85,6 +93,19 @@ mod tests {
 
     fn hex(bytes: &[u8]) -> String {
         bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    #[test]
+    fn debug_does_not_leak_key_material() {
+        let key: Vec<u8> = (1..=32).collect();
+        let mut mac = HmacSha256::new(&key);
+        mac.update(b"message");
+        let shown = format!("{mac:?}");
+        assert_eq!(shown, "HmacSha256 { .. }");
+        for bytes in mac.outer_key.windows(4) {
+            let list = format!("{bytes:?}");
+            assert!(!shown.contains(&list[1..list.len() - 1]), "{shown}");
+        }
     }
 
     // RFC 4231 test vectors for HMAC-SHA-256.

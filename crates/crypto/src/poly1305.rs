@@ -31,7 +31,7 @@ fn limbs(bytes: &[u8]) -> [u64; 3] {
 ///
 /// A Poly1305 key must never be reused across messages; the AEAD in
 /// [`crate::aead`] derives a fresh one per nonce.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct Poly1305 {
     r: [u64; 3],
     /// `20 · r1` and `20 · r2`: a limb product past 2^130 folds back
@@ -41,6 +41,14 @@ pub struct Poly1305 {
     h: [u64; 3],
     buffer: [u8; BLOCK_LEN],
     buffered: usize,
+}
+
+impl std::fmt::Debug for Poly1305 {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // `r` and `pad` are the one-time key, and the accumulator is a
+        // function of it.
+        f.debug_struct("Poly1305").finish_non_exhaustive()
+    }
 }
 
 impl Poly1305 {
@@ -343,6 +351,18 @@ mod tests {
 
     fn hex(bytes: &[u8]) -> String {
         bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    #[test]
+    fn debug_does_not_leak_the_one_time_key() {
+        let key: [u8; KEY_LEN] = std::array::from_fn(|i| i as u8 + 1);
+        let mut mac = Poly1305::new(&key);
+        mac.update(b"message");
+        let shown = format!("{mac:?}");
+        assert_eq!(shown, "Poly1305 { .. }");
+        for limb in mac.r.iter().chain(&mac.pad) {
+            assert!(!shown.contains(&limb.to_string()), "{shown}");
+        }
     }
 
     fn unhex(s: &str) -> Vec<u8> {

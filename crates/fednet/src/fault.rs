@@ -29,9 +29,9 @@ pub struct ChaosFaults {
 }
 
 impl ChaosFaults {
-    /// The default chaos profile used by `gendpr node --chaos <seed>`:
-    /// no loss, some duplication, small reorder window — faults the
-    /// recovery layer must absorb without changing the release.
+    /// The default chaos profile of the seeded chaos tests: no loss, some
+    /// duplication, small reorder window — faults the recovery layer must
+    /// absorb without changing the release.
     #[must_use]
     pub fn seeded(seed: u64) -> Self {
         Self {

@@ -1,6 +1,7 @@
 //! Property-based equivalence of the columnar LR subset search against
 //! the retained scalar reference: for any two-valued LR matrices (dense,
-//! bit-packed or columnar), any candidate order and any forced set, the
+//! decoded from a compact report, or columnar), any candidate order and
+//! any forced set, the
 //! selection must be **byte-identical** —
 //! `kept_columns`, `final_power` and `final_threshold` all compare equal
 //! as exact values.
@@ -10,8 +11,7 @@ use gendpr_genomics::columnar::ColumnarGenotypes;
 use gendpr_genomics::genotype::GenotypeMatrix;
 use gendpr_genomics::snp::SnpId;
 use gendpr_stats::lr::{
-    select_safe_subset, select_safe_subset_naive, BitLrMatrix, LrColumns, LrMatrix, LrPrefixSums,
-    LrTestParams, LrValues,
+    select_safe_subset, select_safe_subset_naive, LrColumns, LrMatrix, LrTestParams, LrValues,
 };
 use proptest::prelude::*;
 
@@ -82,11 +82,22 @@ impl Fixture {
         )
     }
 
-    fn packed(&self) -> (BitLrMatrix, BitLrMatrix) {
-        (
-            BitLrMatrix::from_genotypes(&self.case_g, &self.ids, &self.case_freqs, &self.ref_freqs),
-            BitLrMatrix::from_genotypes(&self.null_g, &self.ids, &self.case_freqs, &self.ref_freqs),
-        )
+    /// Both matrices as a member's compact report reaches the leader:
+    /// row-major indicator words, decoded (and transposed) into columns.
+    fn reported(&self) -> (LrColumns, LrColumns) {
+        let report = |g: &GenotypeMatrix| {
+            let view = ColumnarGenotypes::from_matrix(g);
+            let wire = view.select_row_major(&self.ids);
+            LrColumns::from_row_bits(
+                g.individuals(),
+                self.ids.len(),
+                &wire,
+                &self.case_freqs,
+                &self.ref_freqs,
+            )
+            .expect("well-formed report")
+        };
+        (report(&self.case_g), report(&self.null_g))
     }
 }
 
@@ -123,31 +134,17 @@ proptest! {
 
         // Dense input routed through the columnar kernels.
         prop_assert_eq!(
-            &select_safe_subset(&case_d, &null_d, &[], &fx.order, &params, None),
+            &select_safe_subset(&case_d, &null_d, &[], &fx.order, &params),
             &reference
         );
-        // Bit-packed input (64×64 transpose path).
-        let (case_p, null_p) = fx.packed();
+        // Decoded reports (64×64 transpose path), and a mixed pairing.
+        let (case_c, null_c) = fx.reported();
         prop_assert_eq!(
-            &select_safe_subset(&case_p, &null_p, &[], &fx.order, &params, None),
-            &reference
-        );
-        // Pre-built columnar input, and a mixed pairing.
-        let case_c = case_p.to_columns().expect("packed is two-valued");
-        let null_c = null_p.to_columns().expect("packed is two-valued");
-        prop_assert_eq!(
-            &select_safe_subset(&case_c, &null_c, &[], &fx.order, &params, None),
+            &select_safe_subset(&case_c, &null_c, &[], &fx.order, &params),
             &reference
         );
         prop_assert_eq!(
-            &select_safe_subset(&case_c, &null_d, &[], &fx.order, &params, None),
-            &reference
-        );
-        // A memoised empty prefix is the same search (the one-shot
-        // runtime's route through the engine).
-        let empty = LrPrefixSums::accumulate(&case_c, &null_c, &[], &params);
-        prop_assert_eq!(
-            &select_safe_subset(&case_c, &null_c, &[], &fx.order, &params, Some(&empty)),
+            &select_safe_subset(&case_c, &null_d, &[], &fx.order, &params),
             &reference
         );
     }
@@ -167,21 +164,14 @@ proptest! {
         let (case_d, null_d) = fx.dense();
         let reference = select_safe_subset_naive(&case_d, &null_d, forced, order, &params);
         prop_assert_eq!(
-            &select_safe_subset(&case_d, &null_d, forced, order, &params, None),
+            &select_safe_subset(&case_d, &null_d, forced, order, &params),
             &reference
         );
-        let (case_p, null_p) = fx.packed();
+        // The leader's route: decoded reports, the forced prefix
+        // accumulated by the search itself.
+        let (case_c, null_c) = fx.reported();
         prop_assert_eq!(
-            &select_safe_subset(&case_p, &null_p, forced, order, &params, None),
-            &reference
-        );
-
-        // The memoized-prefix path: accumulate once, reuse for the search.
-        let case_c = case_p.to_columns().expect("packed is two-valued");
-        let null_c = null_p.to_columns().expect("packed is two-valued");
-        let prefix = LrPrefixSums::accumulate(&case_c, &null_c, forced, &params);
-        prop_assert_eq!(
-            &select_safe_subset(&case_c, &null_c, forced, order, &params, Some(&prefix)),
+            &select_safe_subset(&case_c, &null_c, forced, order, &params),
             &reference
         );
     }
@@ -211,8 +201,8 @@ proptest! {
     /// SNP-major shard, every other member's rows validated and
     /// block-transposed from the row-major words of a compact report, all
     /// stitched column by column at row offsets that are not word-aligned.
-    /// The row-major merge it replaced, and the in-process driver's
-    /// assembly, are the references.
+    /// The dense row-major merge, cell by cell, and the in-process
+    /// driver's assembly are the references.
     #[test]
     fn stitched_parts_equal_the_row_major_merge(
         fx in fixture_strategy(),
@@ -238,23 +228,28 @@ proptest! {
                     LrColumns::from_columnar(view, &fx.ids, cf, rf)
                 } else {
                     let wire = view.select_row_major(&fx.ids);
-                    let report =
-                        BitLrMatrix::from_raw_bits(view.individuals(), fx.ids.len(), wire, cf, rf)
-                            .expect("well-formed report");
-                    LrColumns::from_bit_matrix(&report)
+                    LrColumns::from_row_bits(view.individuals(), fx.ids.len(), &wire, cf, rf)
+                        .expect("well-formed report")
                 }
             })
             .collect();
         let stitched = LrColumns::concat_rows(&parts);
 
-        let row_major: Vec<BitLrMatrix> = shards
+        let row_major: Vec<LrMatrix> = shards
             .iter()
-            .map(|s| BitLrMatrix::from_genotypes(s, &fx.ids, cf, rf))
+            .map(|s| LrMatrix::from_genotypes(s, &fx.ids, cf, rf))
             .collect();
-        prop_assert_eq!(
-            &stitched,
-            &BitLrMatrix::concat_rows(&row_major).to_columns().expect("packed is two-valued")
-        );
+        let merged = LrMatrix::concat_rows(&row_major);
+        prop_assert_eq!(stitched.individuals(), n);
+        for i in 0..n {
+            for j in 0..fx.ids.len() {
+                prop_assert_eq!(
+                    stitched.get(i, j).to_bits(),
+                    merged.get(i, j).to_bits(),
+                    "cell ({}, {})", i, j
+                );
+            }
+        }
         let view_refs: Vec<&ColumnarGenotypes> = views.iter().collect();
         prop_assert_eq!(
             &stitched,
@@ -343,7 +338,7 @@ proptest! {
         let (forced, order) = order.split_at(cut);
 
         let reference = select_safe_subset_naive(&case, &null, forced, order, &params);
-        let fast = select_safe_subset(&case, &null, forced, order, &params, None);
+        let fast = select_safe_subset(&case, &null, forced, order, &params);
         prop_assert_eq!(&fast.kept_columns, &reference.kept_columns);
         prop_assert_eq!(fast.final_power.to_bits(), reference.final_power.to_bits());
         prop_assert_eq!(
@@ -362,7 +357,7 @@ fn three_valued_matrix_declines_columnar_view() {
     let null = LrMatrix::from_values(2, 1, vec![0.1, 0.2]);
     let params = LrTestParams::secure_genome_defaults();
     // Still selects, via the naive fallback.
-    let sel = select_safe_subset(&m, &null, &[], &[0], &params, None);
+    let sel = select_safe_subset(&m, &null, &[], &[0], &params);
     assert_eq!(sel, select_safe_subset_naive(&m, &null, &[], &[0], &params));
 }
 

@@ -53,7 +53,6 @@ impl Quote {
     }
 }
 
-#[derive(Debug)]
 struct ServiceInner {
     root_key: [u8; 32],
 }
@@ -63,9 +62,16 @@ struct ServiceInner {
 /// Cloning is cheap (shared root); all platforms of one federation must be
 /// created from the same service instance, exactly as all real SGX
 /// platforms chain to the same Intel root.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct AttestationService {
     inner: Arc<ServiceInner>,
+}
+
+impl std::fmt::Debug for AttestationService {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // Never print the root key: it forges quotes.
+        f.debug_struct("AttestationService").finish_non_exhaustive()
+    }
 }
 
 impl AttestationService {
@@ -137,6 +143,17 @@ mod tests {
 
     fn service() -> AttestationService {
         AttestationService::new(&mut ChaChaRng::from_seed_u64(1))
+    }
+
+    #[test]
+    fn debug_does_not_leak_the_root_key() {
+        let svc = service();
+        let shown = format!("{svc:?}");
+        assert_eq!(shown, "AttestationService { .. }");
+        for bytes in svc.inner.root_key.windows(4) {
+            let list = format!("{bytes:?}");
+            assert!(!shown.contains(&list[1..list.len() - 1]), "{shown}");
+        }
     }
 
     #[test]

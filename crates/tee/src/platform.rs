@@ -12,7 +12,6 @@ use gendpr_crypto::rng::ChaChaRng;
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
-#[derive(Debug)]
 pub(crate) struct PlatformInner {
     pub(crate) name: String,
     pub(crate) sealing_root: [u8; 32],
@@ -24,9 +23,18 @@ pub(crate) struct PlatformInner {
 }
 
 /// One member's TEE-enabled server.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct Platform {
     pub(crate) inner: Arc<PlatformInner>,
+}
+
+impl std::fmt::Debug for Platform {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // Neither the sealing root nor the service's root key.
+        f.debug_struct("Platform")
+            .field("name", &self.inner.name)
+            .finish_non_exhaustive()
+    }
 }
 
 impl Platform {
@@ -90,6 +98,19 @@ impl Platform {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn debug_prints_neither_root() {
+        let mut rng = ChaChaRng::from_seed_u64(1);
+        let svc = AttestationService::new(&mut rng);
+        let platform = Platform::new("gdo-0", &svc, &mut rng);
+        let shown = format!("{platform:?}");
+        assert_eq!(shown, "Platform { name: \"gdo-0\", .. }");
+        for bytes in platform.inner.sealing_root.windows(4) {
+            let list = format!("{bytes:?}");
+            assert!(!shown.contains(&list[1..list.len() - 1]), "{shown}");
+        }
+    }
 
     #[test]
     fn platform_quotes_verify_against_its_service() {

@@ -85,11 +85,19 @@ fn bind_key(public: &[u8; 32]) -> [u8; 32] {
 }
 
 /// An in-progress handshake holding the local ephemeral secret.
-#[derive(Debug)]
 pub struct Handshake {
     secret: [u8; 32],
     message: HandshakeMessage,
     service: AttestationService,
+}
+
+impl std::fmt::Debug for Handshake {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // The public flight only, never the ephemeral secret.
+        f.debug_struct("Handshake")
+            .field("message", &self.message)
+            .finish_non_exhaustive()
+    }
 }
 
 impl Handshake {
@@ -637,6 +645,19 @@ mod tests {
                     seq + 1
                 )
             );
+        }
+    }
+
+    #[test]
+    fn handshake_debug_does_not_leak_the_ephemeral_secret() {
+        let mut s = setup("gendpr", "gendpr");
+        let handshake = Handshake::start(&s.a, &mut s.rng);
+        let shown = format!("{handshake:?}");
+        assert!(shown.starts_with("Handshake { message: HandshakeMessage {"));
+        assert!(shown.ends_with(", .. }"), "{shown}");
+        for bytes in handshake.secret.windows(4) {
+            let list = format!("{bytes:?}");
+            assert!(!shown.contains(&list[1..list.len() - 1]), "{shown}");
         }
     }
 

@@ -26,9 +26,8 @@ use gendpr::core::error::ProtocolError;
 use gendpr::core::release::GwasRelease;
 use gendpr::core::runtime::{run_federation_with, run_member, RecoveryOptions, RuntimeOptions};
 use gendpr::core::serving::ServiceFederation;
-use gendpr::fednet::fault::{ChaosFaults, FaultPlan};
 use gendpr::fednet::tcp::{ephemeral_listeners, TcpOptions, TcpTransport};
-use gendpr::fednet::transport::{PeerId, Transport};
+use gendpr::fednet::transport::PeerId;
 use gendpr::genomics::cohort::Cohort;
 use gendpr::genomics::synth::SyntheticCohort;
 use gendpr::genomics::vcf;
@@ -62,7 +61,7 @@ const FEDERATION: &[&str] = &[
     "power",
     "timeout",
 ];
-const RECOVERY: &[&str] = &["min-quorum", "max-epochs", "heartbeat-ms"];
+const RECOVERY: &[&str] = &["min-quorum", "max-epochs"];
 const SERVICE: &[&str] = &[
     "ledger",
     "ledger-replicas",
@@ -85,7 +84,7 @@ const NODE_FLAGS: &[&[&str]] = &[
     STUDY,
     FEDERATION,
     RECOVERY,
-    &["out", "chaos", "log-level"],
+    &["out", "log-level"],
 ];
 const ATTACK_FLAGS: &[&str] = &["release", "victims", "reference", "fpr", "key"];
 const SERVE_FLAGS: &[&[&str]] = &[
@@ -227,12 +226,11 @@ USAGE:\n  gendpr synth  --snps N --cases N --reference N [--seed N] [--out DIR] 
 gendpr assess --case FILE --reference FILE --gdos N [--collusion f|all]\n                \
 [--maf F] [--ld F] [--fpr F] [--power F] [--out FILE] [--key HEX]\n                \
 [--distributed] [--timeout SECS] [--max-epochs N]\n                \
-[--min-quorum N] [--heartbeat-ms MS]\n  \
+[--min-quorum N]\n  \
 gendpr node   --id K --peers HOST:PORT,... --case FILE --reference FILE\n                \
 [--gdos N] [--listen ADDR] [--collusion f|all] [--seed N]\n                \
 [--maf F] [--ld F] [--fpr F] [--power F] [--out FILE] [--key HEX]\n                \
-[--timeout SECS] [--max-epochs N] [--min-quorum N]\n                \
-[--heartbeat-ms MS] [--chaos SEED]\n  \
+[--timeout SECS] [--max-epochs N] [--min-quorum N]\n  \
 gendpr attack --release FILE --victims FILE --reference FILE [--fpr F] [--key HEX]\n  \
 gendpr serve  --case FILE --reference FILE --ledger FILE [--gdos N] [--tcp]\n                \
 [--ledger-replicas PATH,...] [--shards S]\n                \
@@ -300,9 +298,7 @@ status --metrics    dump the same exposition document over the client\n         
 protocol, no HTTP endpoint needed\n\n\
 FAULT TOLERANCE:\n  --max-epochs N    survive member crashes via up to N-1 view changes\n                    \
 (default 1: abort on the first silent member)\n  --min-quorum N    smallest surviving roster \
-allowed to re-form\n                    (default G−f from the collusion mode)\n  \
---heartbeat-ms MS failure-detector probe interval (default timeout/3)\n  \
---chaos SEED      node only: seeded duplicate/reorder link faults\n\nEXIT CODES:\n  \
+allowed to re-form\n                    (default G−f from the collusion mode)\n\nEXIT CODES:\n  \
 0 success · 1 generic error · 3 quorum lost · 4 member unresponsive\n  \
 5 attestation/channel security failure · 6 evicted from the roster\n  \
 7 interrupted by SIGTERM/SIGINT (in-flight work finished, ledger flushed)"
@@ -534,9 +530,8 @@ fn runtime_options(timeout: Duration, recovery: RecoveryOptions) -> RuntimeOptio
 }
 
 /// Recovery knobs shared by `assess` and `node`: `--max-epochs` (default
-/// 1 = no recovery, the paper's abort-on-silence), `--min-quorum`
-/// (default `G − f` from the collusion mode) and `--heartbeat-ms` (probe
-/// interval of the failure detector; default derives it from the timeout).
+/// 1 = no recovery, the paper's abort-on-silence) and `--min-quorum`
+/// (default `G − f` from the collusion mode).
 fn recovery_from_flags(
     flags: &HashMap<String, String>,
     config: &FederationConfig,
@@ -546,11 +541,9 @@ fn recovery_from_flags(
         return Err("--max-epochs must be at least 1".to_string());
     }
     let min_quorum: usize = flag(flags, "min-quorum", config.default_min_quorum())?;
-    let heartbeat_ms: u64 = flag(flags, "heartbeat-ms", 0)?;
     Ok(RecoveryOptions {
         max_epochs,
         min_quorum,
-        probe_interval: (heartbeat_ms > 0).then(|| Duration::from_millis(heartbeat_ms)),
     })
 }
 
@@ -824,19 +817,6 @@ fn run_node(flags: &HashMap<String, String>) -> Result<(), CliError> {
         transport.local_addr(),
         config.seed
     );
-
-    // Seeded link chaos: probabilistically duplicate and reorder this
-    // node's outbound frames. Same seed ⇒ same fault schedule, so a flaky
-    // run reproduces exactly.
-    if let Some(chaos_seed) = flags.get("chaos") {
-        let chaos_seed: u64 = chaos_seed
-            .parse()
-            .map_err(|_| format!("--chaos: expected a seed, got {chaos_seed:?}"))?;
-        let mut plan = FaultPlan::none();
-        plan.chaos(ChaosFaults::seeded(chaos_seed));
-        transport.set_faults(plan);
-        println!("chaos enabled (seed {chaos_seed})");
-    }
 
     let shard = cohort
         .split_case_among(gdos)

@@ -202,11 +202,31 @@ fn strict_flag_parsing_rejects_mistakes() {
     let stderr = String::from_utf8_lossy(&removed.stderr);
     assert!(stderr.contains("unknown flag --threads"), "{stderr}");
 
-    // So are the daemon's fault-injection knobs, on `serve` and `tracks`.
+    // So are the fault-injection knobs, on `serve`, `tracks` and `node`,
+    // and the failure detector's probe interval, which the timeout fixes.
     for args in [
         &["serve", "--case", "x.vcf", "--lane-crash-every", "2"][..],
         &["serve", "--case", "x.vcf", "--tcp", "--chaos", "7"],
         &["tracks", "--case", "x.vcf", "--chaos", "7"],
+        &[
+            "node",
+            "--id",
+            "0",
+            "--peers",
+            "127.0.0.1:1",
+            "--chaos",
+            "7",
+        ],
+        &["assess", "--case", "x.vcf", "--heartbeat-ms", "100"],
+        &[
+            "node",
+            "--id",
+            "0",
+            "--peers",
+            "127.0.0.1:1",
+            "--heartbeat-ms",
+            "100",
+        ],
     ] {
         let out = bin().args(args).output().expect("runs");
         assert_eq!(out.status.code(), Some(1), "{args:?}");
@@ -375,68 +395,6 @@ fn mismatched_study_parameters_exit_with_security_code() {
             String::from_utf8_lossy(&out.stderr)
         );
     }
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn chaos_node_produces_the_same_release() {
-    let dir = temp_dir("chaos-node");
-    synth_into(&dir);
-    let reference_release = dir.join("clean.tsv");
-    let assess = bin()
-        .args(["assess", "--gdos", "2", "--seed", "6", "--case"])
-        .arg(dir.join("case.vcf"))
-        .arg("--reference")
-        .arg(dir.join("reference.vcf"))
-        .arg("--out")
-        .arg(&reference_release)
-        .output()
-        .expect("assess runs");
-    assert!(
-        assess.status.success(),
-        "{}",
-        String::from_utf8_lossy(&assess.stderr)
-    );
-
-    // The README's worked example: one member running under seeded link
-    // chaos (duplicates + reordering) must still converge on the byte-
-    // identical release.
-    let roster = free_peer_roster(2);
-    let chaotic_release = dir.join("chaotic.tsv");
-    let spawn = |extra: &[&str]| {
-        let mut cmd = bin();
-        cmd.args(["node", "--peers", &roster, "--seed", "6"])
-            .arg("--case")
-            .arg(dir.join("case.vcf"))
-            .arg("--reference")
-            .arg(dir.join("reference.vcf"))
-            .args(["--timeout", "30"])
-            .args(extra)
-            .stdout(Stdio::piped())
-            .stderr(Stdio::piped());
-        cmd.spawn().expect("node spawns")
-    };
-    let out_flag = chaotic_release.to_str().unwrap().to_string();
-    let a = spawn(&["--id", "0", "--out", &out_flag]);
-    let b = spawn(&["--id", "1", "--chaos", "7"]);
-    let a = a.wait_with_output().expect("node 0 finishes");
-    let b = b.wait_with_output().expect("node 1 finishes");
-    assert!(
-        a.status.success(),
-        "node 0: {}",
-        String::from_utf8_lossy(&a.stderr)
-    );
-    assert!(
-        b.status.success(),
-        "node 1: {}",
-        String::from_utf8_lossy(&b.stderr)
-    );
-    assert!(String::from_utf8_lossy(&b.stdout).contains("chaos enabled"));
-    assert_eq!(
-        std::fs::read(&reference_release).unwrap(),
-        std::fs::read(&chaotic_release).unwrap(),
-        "chaos must not change a single released byte"
-    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
