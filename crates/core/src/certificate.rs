@@ -33,12 +33,11 @@ pub struct AssessmentCertificate {
     pub safe_count: u64,
     /// Member combinations evaluated (collusion tolerance).
     pub evaluations: u64,
-    /// Epoch in which the assessment completed (1 for a crash-free run;
-    /// higher after view changes).
+    /// The run's epoch. Always 1: a federation never re-forms, and the
+    /// field stays so certificate and ledger bytes stay what they were.
     pub epoch: u64,
-    /// Surviving roster whose inputs the decision covers, in member-id
-    /// order. Equal to `0..G` for a crash-free run; a strict subset marks
-    /// a degraded assessment after non-leader crashes.
+    /// The members whose inputs the decision covers, in member-id order:
+    /// always `0..G`, kept like `epoch`.
     pub roster: Vec<u32>,
     /// Digest of the service job context (job id, requested panel, and
     /// the previously released SNPs the LR phase was seeded with). All
@@ -174,9 +173,9 @@ pub struct AssessmentFacts<'a> {
     pub safe: &'a [SnpId],
     /// Member combinations evaluated.
     pub evaluations: u64,
-    /// Epoch in which the assessment completed.
+    /// The run's epoch (always 1).
     pub epoch: u64,
-    /// Surviving roster the decision covers (member ids, ascending).
+    /// The members the decision covers (member ids, ascending).
     pub roster: &'a [u32],
     /// Service job context, if issued by the long-running assessment
     /// service; `None` for a standalone one-shot run.

@@ -100,25 +100,6 @@ pub fn evaluation_subsets(g: usize, mode: CollusionMode) -> Vec<Vec<usize>> {
     }
 }
 
-/// Like [`evaluation_subsets`], but over an explicit roster of surviving
-/// member ids (a degraded epoch after a view change): subsets contain
-/// member ids drawn from `roster`, and `Fixed(f)` enumerates
-/// `C(G', G'−f)` over the `G' = roster.len()` survivors.
-///
-/// # Panics
-///
-/// Panics if the roster is empty or too small for the mode (`Fixed(f)`
-/// needs `f < G'`; callers enforce quorum before re-forming an epoch).
-#[must_use]
-pub fn evaluation_subsets_of(roster: &[usize], mode: CollusionMode) -> Vec<Vec<usize>> {
-    assert!(!roster.is_empty(), "roster cannot be empty");
-    let map = |subset: Vec<usize>| -> Vec<usize> { subset.iter().map(|&i| roster[i]).collect() };
-    evaluation_subsets(roster.len(), mode)
-        .into_iter()
-        .map(map)
-        .collect()
-}
-
 /// Intersects per-combination SNP selections, preserving panel order —
 /// `getIntersection` of §6.1.
 ///
@@ -244,22 +225,6 @@ mod tests {
         assert_eq!(subsets.len(), 7);
         // G = 4: 1 + C(4,3) + C(4,2) + C(4,1) = 1 + 4 + 6 + 4 = 15.
         assert_eq!(evaluation_subsets(4, CollusionMode::AllUpTo).len(), 15);
-    }
-
-    #[test]
-    fn roster_subsets_map_back_to_member_ids() {
-        // Survivors {0, 2, 3} of an original G = 4, f = 1.
-        let subsets = evaluation_subsets_of(&[0, 2, 3], CollusionMode::Fixed(1));
-        assert_eq!(subsets[0], vec![0, 2, 3], "full surviving roster first");
-        assert_eq!(subsets.len(), 1 + 3, "full + C(3, 2)");
-        assert!(subsets.contains(&vec![0, 2]));
-        assert!(subsets.contains(&vec![0, 3]));
-        assert!(subsets.contains(&vec![2, 3]));
-        // Identity roster reproduces evaluation_subsets exactly.
-        assert_eq!(
-            evaluation_subsets_of(&[0, 1, 2], CollusionMode::Fixed(1)),
-            evaluation_subsets(3, CollusionMode::Fixed(1))
-        );
     }
 
     #[test]

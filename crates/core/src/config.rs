@@ -106,20 +106,6 @@ impl FederationConfig {
         self
     }
 
-    /// The smallest surviving roster the collusion mode still supports —
-    /// the default `--min-quorum` of the recovery layer. `Fixed(f)` needs
-    /// `G − f` survivors so the certified `C(G', G'−f)` evaluations stay
-    /// meaningful; `None` tolerates no loss (the release covers every
-    /// member's inputs); `AllUpTo` degrades to any federation of two.
-    #[must_use]
-    pub fn default_min_quorum(&self) -> usize {
-        match self.collusion {
-            CollusionMode::None => self.gdo_count,
-            CollusionMode::Fixed(f) => self.gdo_count.saturating_sub(f).max(f + 1),
-            CollusionMode::AllUpTo => 2.min(self.gdo_count),
-        }
-    }
-
     /// Validates the configuration.
     ///
     /// # Errors
@@ -187,29 +173,5 @@ mod tests {
             .with_seed(9)
             .validate()
             .is_ok());
-    }
-
-    #[test]
-    fn default_min_quorum_tracks_collusion_mode() {
-        assert_eq!(FederationConfig::new(5).default_min_quorum(), 5);
-        assert_eq!(
-            FederationConfig::new(5)
-                .with_collusion(CollusionMode::Fixed(1))
-                .default_min_quorum(),
-            4
-        );
-        // f + 1 floor: C(G', G'−f) needs more than f survivors.
-        assert_eq!(
-            FederationConfig::new(5)
-                .with_collusion(CollusionMode::Fixed(3))
-                .default_min_quorum(),
-            4
-        );
-        assert_eq!(
-            FederationConfig::new(5)
-                .with_collusion(CollusionMode::AllUpTo)
-                .default_min_quorum(),
-            2
-        );
     }
 }

@@ -13,10 +13,10 @@
 //! case rows. That is the [`Source`] seam — the core emits requests, a
 //! source answers them:
 //!
-//! * the **remote** source asks the roster over the leader's attested
+//! * the **remote** source asks the members over the leader's attested
 //!   channels and meters the leader enclave; [`LeaderSession`] (the core
-//!   plus its channels, the `Phase1`–`Phase3` broadcasts, the abort notice
-//!   and the certificate) serves [`crate::runtime`] and [`crate::serving`];
+//!   plus the `Phase1`–`Phase3` broadcasts, the abort notice and the
+//!   certificate) serves [`crate::runtime`] and [`crate::serving`];
 //! * the **local** source ([`Local`]) answers at once from in-process
 //!   [`GdoNode`]s: [`crate::protocol::Federation`] (the evaluation
 //!   subsets), the naïve baseline (all members for L′, each alone for LD
@@ -24,11 +24,10 @@
 //!   earlier releases forced).
 //!
 //! [`follower_serve`] is the member side of an attested job. Announcing a
-//! job, mapping an [`Interrupt`] to a view change or a fatal error,
-//! rekeying and traffic accounting stay with the drivers.
+//! job, rekeying and traffic accounting stay with the drivers.
 
 use crate::certificate::{AssessmentCertificate, AssessmentFacts, JobContext};
-use crate::collusion::{evaluation_subsets_of, intersect_selections};
+use crate::collusion::{evaluation_subsets, intersect_selections};
 use crate::config::GwasParams;
 use crate::error::ProtocolError;
 use crate::gdo::GdoNode;
@@ -40,7 +39,7 @@ use crate::phases::ld::LdScan;
 use crate::phases::lrtest::admission_order;
 use crate::phases::maf::{run_maf, MafOutcome};
 use crate::protocol::PhaseTimings;
-use crate::runtime::{recv_protocol, send_protocol, Interrupt, MemberCtx};
+use crate::runtime::{recv_protocol, send_protocol, MemberCtx};
 use crate::serving::{ShardOutput, ShardScan};
 use gendpr_fednet::transport::Transport;
 use gendpr_genomics::columnar::ColumnarGenotypes;
@@ -50,57 +49,39 @@ use gendpr_stats::ld::LdMoments;
 use gendpr_stats::lr::{select_safe_subset, LrColumns, LrMatrix, LrSelection, LrValues};
 use gendpr_stats::ranking::SnpRank;
 use gendpr_tee::memory::EpcAccount;
-use gendpr_tee::session::SecureChannel;
 use std::collections::HashMap;
 use std::time::Instant;
-
-/// The leader's attested channels, keyed by peer id.
-pub(crate) type Channels = HashMap<usize, SecureChannel>;
 
 /// Sends `msg` to every member of `peers` except this one, in order, as
 /// one burst.
 pub(crate) fn send_each<T: Transport>(
     ctx: &mut MemberCtx<T>,
-    channels: &mut Channels,
-    peers: &[usize],
+    peers: impl IntoIterator<Item = usize>,
     msg: &ProtocolMessage,
-) -> Result<(), ProtocolError> {
+) {
     ctx.burst(|ctx| {
-        for &peer in peers {
+        for peer in peers {
             if peer != ctx.id {
-                let channel = channels.get_mut(&peer).expect("channel established");
-                send_protocol(ctx, channel, peer, msg)?;
+                send_protocol(ctx, peer, msg);
             }
         }
-        Ok(())
-    })
-}
-
-fn recv_from<T: Transport>(
-    ctx: &mut MemberCtx<T>,
-    channels: &mut Channels,
-    peer: usize,
-    phase: &'static str,
-) -> Result<ProtocolMessage, Interrupt> {
-    let channel = channels.get_mut(&peer).expect("channel established");
-    recv_protocol(ctx, channel, peer, phase)
+    });
 }
 
 /// Opens a moments round: one `MomentsRequest` for `pairs` to every remote
 /// member of `subset`, in subset order.
 fn request_moments<T: Transport>(
     ctx: &mut MemberCtx<T>,
-    channels: &mut Channels,
     subset: &[usize],
     pairs: &[(SnpId, SnpId)],
-) -> Result<(), ProtocolError> {
+) {
     let request = ProtocolMessage::MomentsRequest(
         pairs
             .iter()
             .map(|&(a, b)| MomentsRequest { a: a.0, b: b.0 })
             .collect(),
     );
-    send_each(ctx, channels, subset, &request)
+    send_each(ctx, subset.iter().copied(), &request);
 }
 
 /// Closes the round [`request_moments`] opened for the same `subset` and
@@ -111,13 +92,12 @@ fn request_moments<T: Transport>(
 /// to the oldest round still open with it.
 fn collect_moments<T: Transport>(
     ctx: &mut MemberCtx<T>,
-    channels: &mut Channels,
     node: &GdoNode,
     subset: &[usize],
     pairs: &[(SnpId, SnpId)],
     ref_moments: impl Fn(SnpId, SnpId) -> LdMoments,
     phase: &'static str,
-) -> Result<Vec<LdMoments>, Interrupt> {
+) -> Result<Vec<LdMoments>, ProtocolError> {
     let me = ctx.id;
     let mut pooled: Vec<LdMoments> = pairs
         .iter()
@@ -134,13 +114,13 @@ fn collect_moments<T: Transport>(
         if peer == me {
             continue;
         }
-        match recv_from(ctx, channels, peer, phase)? {
+        match recv_protocol(ctx, peer, phase)? {
             ProtocolMessage::Moments(ms) if ms.len() == pairs.len() => {
                 for (sum, m) in pooled.iter_mut().zip(ms) {
                     *sum = sum.merge(LdMoments::from(m));
                 }
             }
-            _ => return Err(ProtocolError::MalformedMessage { member: peer }.into()),
+            _ => return Err(ProtocolError::MalformedMessage { member: peer }),
         }
     }
     Ok(pooled)
@@ -152,8 +132,8 @@ pub(crate) type Round<'r> = (&'r [usize], &'r [(SnpId, SnpId)]);
 /// Where the leader core's member aggregates come from. The provided
 /// methods are a source's without peers, an enclave or transport options.
 pub(crate) trait Source {
-    /// Every roster member's counts report, by member id.
-    fn counts(&mut self) -> Result<Vec<Option<CountsReport>>, Interrupt>;
+    /// Every member's counts report, by member id.
+    fn counts(&mut self) -> Result<Vec<Option<CountsReport>>, ProtocolError>;
     /// Every round's pooled moments, each pair's from `reference`'s up;
     /// the rounds are opened together and closed in order. `phase` names
     /// the wait in a timeout.
@@ -162,7 +142,7 @@ pub(crate) trait Source {
         rounds: &[Round<'_>],
         reference: impl Fn(SnpId, SnpId) -> LdMoments,
         phase: &'static str,
-    ) -> Result<Vec<Vec<LdMoments>>, Interrupt>;
+    ) -> Result<Vec<Vec<LdMoments>>, ProtocolError>;
     /// Runs `search` in the leader enclave on combination `combo`'s case
     /// rows over `columns`, gathered in format `M`.
     fn lr_search<M: LrTransport>(
@@ -173,15 +153,13 @@ pub(crate) trait Source {
         case_freqs: &[f64],
         ref_freqs: &[f64],
         search: impl FnOnce(&mut EpcAccount, M) -> LrSelection,
-    ) -> Result<LrSelection, Interrupt>;
+    ) -> Result<LrSelection, ProtocolError>;
     /// Runs `body` inside the leader enclave, against its EPC meter.
     fn enter<R>(&mut self, body: impl FnOnce(&mut EpcAccount) -> R) -> R {
         body(&mut EpcAccount::default())
     }
-    /// Tells the roster a job's L′.
-    fn announce_l_prime(&mut self, _: &[SnpId]) -> Result<(), Interrupt> {
-        Ok(())
-    }
+    /// Tells every member a job's L′.
+    fn announce_l_prime(&mut self, _: &[SnpId]) {}
     /// Tells every peer the run is over.
     fn abort(&mut self, _: &ProtocolError) {}
     /// Whether LD rounds prefetch every adjacent pair of L′ — not where
@@ -203,10 +181,13 @@ pub(crate) trait LrTransport: LrValues + Sized {
     /// in-process member's.
     fn own(node: &GdoNode, columns: &[SnpId], case_freqs: &[f64], ref_freqs: &[f64]) -> Self;
     /// A member's rows from its Phase 3 report; `None` unless the message
-    /// is this format's report for combination `combo` and well-formed.
+    /// is this format's report for combination `combo`, declares `rows`
+    /// rows and one column per frequency (checked before anything is
+    /// allocated) and is well-formed.
     fn from_message(
         msg: ProtocolMessage,
         combo: u32,
+        rows: u64,
         case_freqs: &[f64],
         ref_freqs: &[f64],
     ) -> Option<Self>;
@@ -229,9 +210,21 @@ impl LrTransport for LrMatrix {
             .into_matrix()
             .expect("well-formed local matrix")
     }
-    fn from_message(msg: ProtocolMessage, combo: u32, _: &[f64], _: &[f64]) -> Option<Self> {
+    fn from_message(
+        msg: ProtocolMessage,
+        combo: u32,
+        rows: u64,
+        case_freqs: &[f64],
+        _: &[f64],
+    ) -> Option<Self> {
         match msg {
-            ProtocolMessage::Lr(c, report) if c == combo => report.into_matrix().ok(),
+            ProtocolMessage::Lr(c, report)
+                if c == combo
+                    && report.individuals == rows
+                    && report.snps == case_freqs.len() as u64 =>
+            {
+                report.into_matrix().ok()
+            }
             _ => None,
         }
     }
@@ -264,18 +257,25 @@ impl LrTransport for LrColumns {
     fn from_message(
         msg: ProtocolMessage,
         combo: u32,
+        rows: u64,
         case_freqs: &[f64],
         ref_freqs: &[f64],
     ) -> Option<Self> {
         match msg {
-            ProtocolMessage::LrCompact(c, report) if c == combo => LrColumns::from_row_bits(
-                report.individuals as usize,
-                report.snps as usize,
-                &report.bits,
-                case_freqs,
-                ref_freqs,
-            )
-            .ok(),
+            ProtocolMessage::LrCompact(c, report)
+                if c == combo
+                    && report.individuals == rows
+                    && report.snps == case_freqs.len() as u64 =>
+            {
+                LrColumns::from_row_bits(
+                    report.individuals as usize,
+                    report.snps as usize,
+                    &report.bits,
+                    case_freqs,
+                    ref_freqs,
+                )
+                .ok()
+            }
             _ => None,
         }
     }
@@ -360,7 +360,7 @@ impl<'a> LeaderCore<'a> {
         subsets: Vec<Vec<usize>>,
         reference: &'a GenotypeMatrix,
         params: &'a GwasParams,
-    ) -> Result<Self, Interrupt> {
+    ) -> Result<Self, ProtocolError> {
         let t = Instant::now();
         let reports = source.counts()?;
         let aggregation = t.elapsed();
@@ -368,7 +368,7 @@ impl<'a> LeaderCore<'a> {
         if reports.iter().flatten().all(|r| r.n_case == 0) {
             let empty = ProtocolError::EmptyStudy;
             source.abort(&empty);
-            return Err(empty.into());
+            return Err(empty);
         }
 
         let t = Instant::now();
@@ -472,7 +472,7 @@ impl<'a> LeaderCore<'a> {
         l_prime: &[SnpId],
         shards: Option<&[ShardOutput]>,
         log_moments: bool,
-    ) -> Result<Vec<ShardScan>, Interrupt> {
+    ) -> Result<Vec<ShardScan>, ProtocolError> {
         let prefetch = source.prefetch_ld() && shards.is_none() && l_prime.len() >= 2;
         let adjacent: Vec<(SnpId, SnpId)> = if prefetch {
             l_prime.windows(2).map(|w| (w[0], w[1])).collect()
@@ -551,11 +551,9 @@ impl<'a> LeaderCore<'a> {
                 .collect();
             let pooled = match source.moments(&rounds, ref_moments, "ld-moments") {
                 Ok(pooled) => pooled,
-                Err(intr) => {
-                    if let Interrupt::Fatal(e) = &intr {
-                        source.abort(e);
-                    }
-                    return Err(intr);
+                Err(e) => {
+                    source.abort(&e);
+                    return Err(e);
                 }
             };
             for (&(c, pair), pooled) in misses.iter().zip(pooled) {
@@ -582,7 +580,7 @@ impl<'a> LeaderCore<'a> {
         combo: usize,
         columns: &[SnpId],
         forced_len: usize,
-    ) -> Result<LrSelection, Interrupt> {
+    ) -> Result<LrSelection, ProtocolError> {
         let outcome = &self.maf_outcomes[combo];
         let case_freqs: Vec<f64> = columns.iter().map(|&s| outcome.case_frequency(s)).collect();
         let ref_freqs: Vec<f64> = columns.iter().map(|&s| outcome.ref_frequency(s)).collect();
@@ -620,7 +618,7 @@ impl<'a> LeaderCore<'a> {
         source: &mut impl Source,
         forced: &[SnpId],
         candidates: &[SnpId],
-    ) -> Result<LrPhase, Interrupt> {
+    ) -> Result<LrPhase, ProtocolError> {
         let columns: Vec<SnpId> = forced.iter().chain(candidates).copied().collect();
         let mut phase = LrPhase {
             selections: Vec::with_capacity(self.subsets.len()),
@@ -655,7 +653,7 @@ impl<'a> LeaderCore<'a> {
         panel: &[SnpId],
         forced: &[SnpId],
         shards: Option<&[ShardOutput]>,
-    ) -> Result<Assessment, Interrupt> {
+    ) -> Result<Assessment, ProtocolError> {
         let mut timings = self.collect_timings;
         crate::telemetry::subsets_evaluated().add(self.subsets.len() as u64);
 
@@ -678,11 +676,10 @@ impl<'a> LeaderCore<'a> {
             {
                 return Err(ProtocolError::InvalidConfig(
                     "shard merge diverged from the primary lane's MAF phase",
-                )
-                .into());
+                ));
             }
         }
-        source.announce_l_prime(&l_prime)?;
+        source.announce_l_prime(&l_prime);
         timings.indexing += t.elapsed();
         crate::telemetry::phase_seconds("maf").observe_duration(t.elapsed());
 
@@ -717,16 +714,18 @@ impl<'a> LeaderCore<'a> {
     }
 }
 
-// ---- The remote source: the roster over the leader's attested channels ----
+// ---- The remote source: the members over the leader's attested channels ----
 
 /// The leader's end of one attested session.
 pub(crate) struct Links<'a> {
     node: &'a GdoNode,
-    pub(crate) channels: Channels,
+    /// Each member's Phase 1 case count, by member id: every later report
+    /// is held to it.
+    n_case: Vec<u64>,
     aborted: bool,
 }
 
-/// The remote source: the roster's aggregates over the session's links,
+/// The remote source: the members' aggregates over the session's links,
 /// metered in the leader enclave.
 pub(crate) struct Remote<'s, 'a, T: Transport> {
     ctx: &'s mut MemberCtx<T>,
@@ -734,20 +733,18 @@ pub(crate) struct Remote<'s, 'a, T: Transport> {
 }
 
 impl<T: Transport> Source for Remote<'_, '_, T> {
-    fn counts(&mut self) -> Result<Vec<Option<CountsReport>>, Interrupt> {
-        let (ctx, Links { node, channels, .. }) = (&mut *self.ctx, &mut *self.links);
+    fn counts(&mut self) -> Result<Vec<Option<CountsReport>>, ProtocolError> {
+        let (ctx, Links { node, n_case, .. }) = (&mut *self.ctx, &mut *self.links);
         let (me, panel_len) = (ctx.id, node.columnar().snps());
         let mut reports: Vec<Option<CountsReport>> = vec![None; ctx.g];
         reports[me] = Some(node.counts_report());
-        for peer in ctx.roster.clone() {
-            if peer == me {
-                continue;
-            }
-            match recv_from(ctx, channels, peer, "counts")? {
+        for peer in (0..ctx.g).filter(|&peer| peer != me) {
+            match recv_protocol(ctx, peer, "counts")? {
                 ProtocolMessage::Counts(c) if c.counts.len() == panel_len => {
+                    n_case[peer] = c.n_case;
                     reports[peer] = Some(c);
                 }
-                _ => return Err(ProtocolError::MalformedMessage { member: peer }.into()),
+                _ => return Err(ProtocolError::MalformedMessage { member: peer }),
             }
         }
         Ok(reports)
@@ -757,17 +754,11 @@ impl<T: Transport> Source for Remote<'_, '_, T> {
         self.ctx.enclave.enter(|(), epc| body(epc))
     }
 
-    fn announce_l_prime(&mut self, l_prime: &[SnpId]) -> Result<(), Interrupt> {
+    fn announce_l_prime(&mut self, l_prime: &[SnpId]) {
         let phase1 = ProtocolMessage::Phase1(Phase1Broadcast {
             retained: l_prime.iter().map(|s| s.0).collect(),
         });
-        let roster = self.ctx.roster.clone();
-        Ok(send_each(
-            self.ctx,
-            &mut self.links.channels,
-            &roster,
-            &phase1,
-        )?)
+        send_each(self.ctx, 0..self.ctx.g, &phase1);
     }
 
     /// All requests go out as one burst, in round order: each round costs
@@ -777,18 +768,16 @@ impl<T: Transport> Source for Remote<'_, '_, T> {
         rounds: &[Round<'_>],
         reference: impl Fn(SnpId, SnpId) -> LdMoments,
         phase: &'static str,
-    ) -> Result<Vec<Vec<LdMoments>>, Interrupt> {
-        let (ctx, Links { node, channels, .. }) = (&mut *self.ctx, &mut *self.links);
+    ) -> Result<Vec<Vec<LdMoments>>, ProtocolError> {
+        let (ctx, node) = (&mut *self.ctx, self.links.node);
         ctx.burst(|ctx| {
-            rounds
-                .iter()
-                .try_for_each(|&(subset, pairs)| request_moments(ctx, channels, subset, pairs))
-        })?;
+            for &(subset, pairs) in rounds {
+                request_moments(ctx, subset, pairs);
+            }
+        });
         rounds
             .iter()
-            .map(|&(subset, pairs)| {
-                collect_moments(ctx, channels, node, subset, pairs, &reference, phase)
-            })
+            .map(|&(subset, pairs)| collect_moments(ctx, node, subset, pairs, &reference, phase))
             .collect()
     }
 
@@ -801,7 +790,9 @@ impl<T: Transport> Source for Remote<'_, '_, T> {
     }
 
     /// `Phase2` to the subset, then its rows, each part metered as it
-    /// arrives and released once stitched.
+    /// arrives and released once stitched. A report must declare the
+    /// member's Phase 1 case count and one column per SNP asked for, or
+    /// it is refused before anything is built from it.
     fn lr_search<M: LrTransport>(
         &mut self,
         combo: usize,
@@ -810,7 +801,7 @@ impl<T: Transport> Source for Remote<'_, '_, T> {
         case_freqs: &[f64],
         ref_freqs: &[f64],
         search: impl FnOnce(&mut EpcAccount, M) -> LrSelection,
-    ) -> Result<LrSelection, Interrupt> {
+    ) -> Result<LrSelection, ProtocolError> {
         let broadcast = ProtocolMessage::Phase2(
             combo as u32,
             Phase2Broadcast {
@@ -819,8 +810,8 @@ impl<T: Transport> Source for Remote<'_, '_, T> {
                 ref_freqs: ref_freqs.to_vec(),
             },
         );
-        let (ctx, Links { node, channels, .. }) = (&mut *self.ctx, &mut *self.links);
-        send_each(ctx, channels, subset, &broadcast)?;
+        let (ctx, Links { node, n_case, .. }) = (&mut *self.ctx, &mut *self.links);
+        send_each(ctx, subset.iter().copied(), &broadcast);
         let me = ctx.id;
         let mut parts: Vec<M> = Vec::with_capacity(subset.len());
         if subset.contains(&me) {
@@ -834,9 +825,8 @@ impl<T: Transport> Source for Remote<'_, '_, T> {
             if peer == me {
                 continue;
             }
-            let report = recv_from(ctx, channels, peer, "lr-matrices")?;
-            let m = M::from_message(report, combo as u32, case_freqs, ref_freqs)
-                .filter(|m| m.snps() == columns.len())
+            let report = recv_protocol(ctx, peer, "lr-matrices")?;
+            let m = M::from_message(report, combo as u32, n_case[peer], case_freqs, ref_freqs)
                 .ok_or(ProtocolError::MalformedMessage { member: peer })?;
             ctx.enclave.enter(|(), epc| epc.alloc(m.heap_bytes()));
             parts.push(m);
@@ -851,25 +841,16 @@ impl<T: Transport> Source for Remote<'_, '_, T> {
         }))
     }
 
-    /// At most once per session: `QuorumLost` where that is the cause.
+    /// At most once per session, to every member attested so far.
     fn abort(&mut self, err: &ProtocolError) {
         if std::mem::replace(&mut self.links.aborted, true) {
             return;
         }
-        let msg = match err {
-            ProtocolError::QuorumLost {
-                epoch,
-                survivors,
-                required,
-            } => ProtocolMessage::QuorumLost {
-                epoch: *epoch,
-                survivors: *survivors as u32,
-                required: *required as u32,
-            },
-            _ => ProtocolMessage::Abort(err.to_string()),
-        };
-        for (&peer, channel) in &mut self.links.channels {
-            let _ = send_protocol(self.ctx, channel, peer, &msg);
+        let notice = ProtocolMessage::Abort(err.to_string());
+        for peer in 0..self.ctx.g {
+            if self.ctx.attested(peer) {
+                send_protocol(self.ctx, peer, &notice);
+            }
         }
     }
 }
@@ -882,19 +863,18 @@ pub(crate) struct LeaderSession<'a> {
 }
 
 impl<'a> LeaderSession<'a> {
-    /// Receives every roster member's `Counts` over `channels` and runs
-    /// the per-subset MAF evaluation and association ranking.
+    /// Receives every member's `Counts` over the attested channels and
+    /// runs the per-subset MAF evaluation and association ranking.
     pub(crate) fn collect<T: Transport>(
         ctx: &mut MemberCtx<T>,
-        channels: Channels,
         node: &'a GdoNode,
         reference: &'a GenotypeMatrix,
         params: &'a GwasParams,
-    ) -> Result<Self, Interrupt> {
-        let subsets = evaluation_subsets_of(&ctx.roster, ctx.collusion);
+    ) -> Result<Self, ProtocolError> {
+        let subsets = evaluation_subsets(ctx.g, ctx.collusion);
         let mut links = Links {
             node,
-            channels,
+            n_case: vec![0; ctx.g],
             aborted: false,
         };
         let remote = &mut Remote {
@@ -929,15 +909,16 @@ impl<'a> LeaderSession<'a> {
         forced: &[SnpId],
         job_id: Option<u64>,
         shards: Option<&[ShardOutput]>,
-    ) -> Result<Assessment, Interrupt> {
+    ) -> Result<Assessment, ProtocolError> {
         let (core, mut remote) = self.split(ctx);
         let mut assessment = core.assess(&mut remote, panel, forced, shards)?;
         let ctx = remote.ctx;
-        let roster = ctx.roster.clone();
 
         // ---- Audit certificate (issued inside the leader enclave) ----
+        // The certificate keeps its epoch and roster fields, always the
+        // one epoch and the whole federation.
         let full = core.full();
-        let roster_u32: Vec<u32> = roster.iter().map(|&m| m as u32).collect();
+        let roster: Vec<u32> = (0..ctx.g as u32).collect();
         assessment.certificate = Some(AssessmentCertificate::issue(
             &ctx.enclave,
             &AssessmentFacts {
@@ -950,8 +931,8 @@ impl<'a> LeaderSession<'a> {
                 n_ref: full.n_ref,
                 safe: &assessment.released,
                 evaluations: core.evaluations() as u64,
-                epoch: ctx.epoch,
-                roster: &roster_u32,
+                epoch: 1,
+                roster: &roster,
                 context: job_id.map(|job_id| JobContext {
                     job_id,
                     panel,
@@ -964,7 +945,7 @@ impl<'a> LeaderSession<'a> {
         let phase3 = ProtocolMessage::Phase3(Phase3Broadcast {
             safe: assessment.released.iter().map(|s| s.0).collect(),
         });
-        send_each(ctx, &mut remote.links.channels, &roster, &phase3)?;
+        send_each(ctx, 0..ctx.g, &phase3);
         Ok(assessment)
     }
 }
@@ -977,7 +958,7 @@ impl<'a> LeaderSession<'a> {
 pub(crate) struct Local<'n>(pub(crate) &'n [GdoNode]);
 
 impl Source for Local<'_> {
-    fn counts(&mut self) -> Result<Vec<Option<CountsReport>>, Interrupt> {
+    fn counts(&mut self) -> Result<Vec<Option<CountsReport>>, ProtocolError> {
         Ok(self.0.iter().map(|n| Some(n.counts_report())).collect())
     }
 
@@ -986,7 +967,7 @@ impl Source for Local<'_> {
         rounds: &[Round<'_>],
         reference: impl Fn(SnpId, SnpId) -> LdMoments,
         _: &'static str,
-    ) -> Result<Vec<Vec<LdMoments>>, Interrupt> {
+    ) -> Result<Vec<Vec<LdMoments>>, ProtocolError> {
         let pooled = |subset: &[usize], &(a, b): &(SnpId, SnpId)| {
             subset.iter().fold(reference(a, b), |sum, &i| {
                 sum.merge(LdMoments::from(self.0[i].ld_moments(a, b)))
@@ -1006,7 +987,7 @@ impl Source for Local<'_> {
         case_freqs: &[f64],
         ref_freqs: &[f64],
         search: impl FnOnce(&mut EpcAccount, M) -> LrSelection,
-    ) -> Result<LrSelection, Interrupt> {
+    ) -> Result<LrSelection, ProtocolError> {
         let parts: Vec<M> = subset
             .iter()
             .map(|&i| M::own(&self.0[i], columns, case_freqs, ref_freqs))
@@ -1042,26 +1023,25 @@ pub(crate) enum Terminator {
 pub(crate) fn follower_serve<T: Transport>(
     ctx: &mut MemberCtx<T>,
     node: &GdoNode,
-    channel: &mut SecureChannel,
     leader: usize,
     terminator: Terminator,
-) -> Result<Vec<SnpId>, Interrupt> {
+) -> Result<Vec<SnpId>, ProtocolError> {
     let phase = match terminator {
         Terminator::Phase3 => "awaiting-leader",
         Terminator::ShardDone => "shard-serve",
     };
     loop {
-        let first = recv_protocol(ctx, channel, leader, phase)?;
-        let done = ctx.burst(|ctx| -> Result<_, Interrupt> {
+        let first = recv_protocol(ctx, leader, phase)?;
+        let done = ctx.burst(|ctx| -> Result<_, ProtocolError> {
             let mut msg = first;
             loop {
-                if let Some(safe) = answer(ctx, node, channel, leader, terminator, msg)? {
+                if let Some(safe) = answer(ctx, node, leader, terminator, msg)? {
                     return Ok(Some(safe));
                 }
-                if !ctx.ready(leader)? {
+                if !ctx.ready(leader) {
                     return Ok(None);
                 }
-                msg = recv_protocol(ctx, channel, leader, phase)?;
+                msg = recv_protocol(ctx, leader, phase)?;
             }
         })?;
         if let Some(safe) = done {
@@ -1075,16 +1055,15 @@ pub(crate) fn follower_serve<T: Transport>(
 fn answer<T: Transport>(
     ctx: &mut MemberCtx<T>,
     node: &GdoNode,
-    channel: &mut SecureChannel,
     leader: usize,
     terminator: Terminator,
     msg: ProtocolMessage,
-) -> Result<Option<Vec<SnpId>>, Interrupt> {
+) -> Result<Option<Vec<SnpId>>, ProtocolError> {
     let full = terminator == Terminator::Phase3;
     // Ids and vector lengths are the leader's input: a wrong one is a
     // malformed message, not an index past this member's panel.
     let past_panel = |id: u32| id as usize >= node.columnar().snps();
-    let malformed = || Interrupt::from(ProtocolError::MalformedMessage { member: leader });
+    let malformed = || ProtocolError::MalformedMessage { member: leader };
     match msg {
         ProtocolMessage::Phase1(_) if full => {
             // Informational: L' arrives before the moments queries.
@@ -1097,7 +1076,7 @@ fn answer<T: Transport>(
                 .iter()
                 .map(|p| node.ld_moments(SnpId(p.a), SnpId(p.b)))
                 .collect();
-            send_protocol(ctx, channel, leader, &ProtocolMessage::Moments(reports))?;
+            send_protocol(ctx, leader, &ProtocolMessage::Moments(reports));
         }
         ProtocolMessage::Phase2(combo, broadcast) if full => {
             let n = broadcast.retained.len();
@@ -1121,32 +1100,22 @@ fn answer<T: Transport>(
                 epc.alloc(bytes);
                 (report, bytes)
             });
-            send_protocol(ctx, channel, leader, &report)?;
+            send_protocol(ctx, leader, &report);
             ctx.enclave.enter(|(), epc| epc.free(bytes));
         }
         ProtocolMessage::Phase3(broadcast) if full => {
             return Ok(Some(broadcast.safe.into_iter().map(SnpId).collect()));
         }
         ProtocolMessage::ShardDone if !full => return Ok(Some(Vec::new())),
-        msg => return Err(unexpected_from_leader(leader, &msg).into()),
+        msg => return Err(unexpected_from_leader(leader, &msg)),
     }
     Ok(None)
 }
 
 /// The error a follower reports for a message that is not part of what it
-/// is serving: the leader's own `QuorumLost` / `Abort` notice, or a
-/// malformed exchange.
+/// is serving: the leader's `Abort` notice, or a malformed exchange.
 pub(crate) fn unexpected_from_leader(leader: usize, msg: &ProtocolMessage) -> ProtocolError {
     match msg {
-        ProtocolMessage::QuorumLost {
-            epoch,
-            survivors,
-            required,
-        } => ProtocolError::QuorumLost {
-            epoch: *epoch,
-            survivors: *survivors as usize,
-            required: *required as usize,
-        },
         ProtocolMessage::Abort(reason) => ProtocolError::MemberUnresponsive {
             member: leader,
             phase: if reason.is_empty() {
@@ -1163,12 +1132,16 @@ pub(crate) fn unexpected_from_leader(leader: usize, msg: &ProtocolMessage) -> Pr
 mod tests {
     use super::*;
     use crate::config::FederationConfig;
+    use crate::messages::{LrReport, LrReportCompact};
     use crate::runtime::{build_member, establish_channel, RuntimeOptions};
     use gendpr_fednet::transport::{Network, PeerId};
 
     /// Member 1 of 2 serves a job over an 8-SNP shard while a hand-rolled
     /// leader sends `msgs`; returns how the follower's loop ended.
-    fn follower_after(msgs: &[ProtocolMessage], compact_lr: bool) -> Result<Vec<SnpId>, Interrupt> {
+    fn follower_after(
+        msgs: &[ProtocolMessage],
+        compact_lr: bool,
+    ) -> Result<Vec<SnpId>, ProtocolError> {
         let config = FederationConfig::new(2);
         let params = GwasParams::secure_genome_defaults();
         let options = RuntimeOptions {
@@ -1189,12 +1162,12 @@ mod tests {
         let endpoint = network.register(PeerId(1));
         let follower = std::thread::spawn(move || {
             let (mut ctx, node, _) = build_member(endpoint, 1, &config, &params, options, shard())?;
-            let mut channel = establish_channel(&mut ctx, 0)?;
-            follower_serve(&mut ctx, &node, &mut channel, 0, Terminator::Phase3)
+            establish_channel(&mut ctx, 0)?;
+            follower_serve(&mut ctx, &node, 0, Terminator::Phase3)
         });
-        let mut channel = establish_channel(&mut leader, 1).unwrap();
+        establish_channel(&mut leader, 1).unwrap();
         for msg in msgs {
-            send_protocol(&mut leader, &mut channel, 1, msg).unwrap();
+            send_protocol(&mut leader, 1, msg);
         }
         follower.join().expect("the follower must not panic")
     }
@@ -1222,27 +1195,27 @@ mod tests {
         let (go, gate) = std::sync::mpsc::channel::<()>();
         let follower = std::thread::spawn(move || {
             let (mut ctx, node, _) = build_member(endpoint, 1, &config, &params, options, shard())?;
-            let mut channel = establish_channel(&mut ctx, 0)?;
+            establish_channel(&mut ctx, 0)?;
             gate.recv().expect("the leader queues its requests first");
-            follower_serve(&mut ctx, &node, &mut channel, 0, Terminator::Phase3)
+            follower_serve(&mut ctx, &node, 0, Terminator::Phase3)
         });
-        let mut channel = establish_channel(&mut leader, 1).unwrap();
+        establish_channel(&mut leader, 1).unwrap();
         let k = 5u32;
         for a in 0..k {
             let request = ProtocolMessage::MomentsRequest(vec![MomentsRequest { a, b: a + 1 }]);
-            send_protocol(&mut leader, &mut channel, 1, &request).unwrap();
+            send_protocol(&mut leader, 1, &request);
         }
         let before = network.wakes();
         go.send(()).unwrap();
         for a in 0..k {
-            match recv_protocol(&mut leader, &mut channel, 1, "test") {
+            match recv_protocol(&mut leader, 1, "test") {
                 Ok(ProtocolMessage::Moments(ms)) if ms.len() == 1 => {}
                 other => panic!("reply {a}: {other:?}"),
             }
         }
         assert_eq!(network.wakes() - before, 1, "{k} replies, one wake");
         let phase3 = ProtocolMessage::Phase3(Phase3Broadcast { safe: vec![3] });
-        send_protocol(&mut leader, &mut channel, 1, &phase3).unwrap();
+        send_protocol(&mut leader, 1, &phase3);
         assert_eq!(follower.join().unwrap().unwrap(), vec![SnpId(3)]);
     }
 
@@ -1275,8 +1248,107 @@ mod tests {
         ];
         for (msg, compact) in bad {
             match follower_after(std::slice::from_ref(&msg), compact) {
-                Err(Interrupt::Fatal(ProtocolError::MalformedMessage { member: 0 })) => {}
+                Err(ProtocolError::MalformedMessage { member: 0 }) => {}
                 other => panic!("{msg:?} (compact {compact}): {other:?}"),
+            }
+        }
+    }
+
+    /// Runs one job over an 8-SNP panel nobody carries — MAF keeps
+    /// nothing, so the leader asks for zero-column LR reports — with
+    /// member 0 leading and a hand-rolled member 1 answering `Phase2` with
+    /// `forged(n_case)`, its Phase 1 case count in hand.
+    fn job_with_a_forged_lr_report(
+        compact_lr: bool,
+        forged: fn(u64) -> ProtocolMessage,
+    ) -> Result<Assessment, ProtocolError> {
+        let config = FederationConfig::new(2);
+        let params = GwasParams::secure_genome_defaults();
+        let options = RuntimeOptions {
+            compact_lr,
+            ..RuntimeOptions::default()
+        };
+        let network = Network::new();
+        let shard = || GenotypeMatrix::zeroed(5, 8);
+        let reference = GenotypeMatrix::zeroed(6, 8);
+        let (mut leader, node, _) = build_member(
+            network.register(PeerId(0)),
+            0,
+            &config,
+            &params,
+            options,
+            shard(),
+        )
+        .unwrap();
+        let endpoint = network.register(PeerId(1));
+        let follower = std::thread::spawn(move || {
+            let (mut ctx, _, counts) =
+                build_member(endpoint, 1, &config, &params, options, shard()).unwrap();
+            establish_channel(&mut ctx, 0).unwrap();
+            send_protocol(&mut ctx, 0, &ProtocolMessage::Counts(counts.clone()));
+            loop {
+                match recv_protocol(&mut ctx, 0, "test") {
+                    Ok(ProtocolMessage::Phase2(..)) => {
+                        send_protocol(&mut ctx, 0, &forged(counts.n_case));
+                    }
+                    Ok(ProtocolMessage::Phase3(_) | ProtocolMessage::Abort(_)) | Err(_) => return,
+                    Ok(_) => {}
+                }
+            }
+        });
+        establish_channel(&mut leader, 1).unwrap();
+        let mut session = LeaderSession::collect(&mut leader, &node, &reference, &params).unwrap();
+        let panel = session.core.whole_panel();
+        let job = session.assess(&mut leader, &panel, &[], None, None);
+        if job.is_err() {
+            session.abort(&mut leader, &ProtocolError::InvalidConfig("test over"));
+        }
+        follower.join().expect("the follower must not panic");
+        job
+    }
+
+    #[test]
+    fn lr_reports_are_held_to_the_members_phase_one_case_count() {
+        // The harness is live: a report of the member's own n_case rows
+        // and no columns is the honest answer, and the job certifies.
+        let honest = |n_case| {
+            ProtocolMessage::LrCompact(
+                0,
+                LrReportCompact {
+                    individuals: n_case,
+                    snps: 0,
+                    bits: vec![],
+                },
+            )
+        };
+        let job = job_with_a_forged_lr_report(true, honest).unwrap();
+        assert!(job.released.is_empty() && job.certificate.is_some());
+        // One row more than Phase 1 declared, in either format, is refused
+        // as the member's malformed message before the search runs.
+        let compact = |n_case: u64| {
+            ProtocolMessage::LrCompact(
+                0,
+                LrReportCompact {
+                    individuals: n_case + 1,
+                    snps: 0,
+                    bits: vec![],
+                },
+            )
+        };
+        let dense = |n_case: u64| {
+            ProtocolMessage::Lr(
+                0,
+                LrReport {
+                    individuals: n_case + 1,
+                    snps: 0,
+                    values: vec![],
+                },
+            )
+        };
+        for (compact_lr, forged) in [(true, compact as fn(u64) -> _), (false, dense)] {
+            match job_with_a_forged_lr_report(compact_lr, forged) {
+                Err(ProtocolError::MalformedMessage { member: 1 }) => {}
+                other => panic!("compact {compact_lr}: {:?}", other.map(|a| a.released)),
             }
         }
     }

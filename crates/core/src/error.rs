@@ -32,22 +32,6 @@ pub enum ProtocolError {
         /// The sender's index.
         member: usize,
     },
-    /// Too many members crashed: the surviving roster no longer satisfies
-    /// the configured minimum quorum, so no further epoch can be formed.
-    QuorumLost {
-        /// Epoch in which the quorum was lost.
-        epoch: u64,
-        /// Surviving members at that point.
-        survivors: usize,
-        /// Configured minimum quorum (default `G − f`).
-        required: usize,
-    },
-    /// This member was excluded from a view change (the survivors formed a
-    /// new epoch without it, typically after a false suspicion).
-    Evicted {
-        /// First epoch whose roster excludes this member.
-        epoch: u64,
-    },
     /// A long-running process (node or service daemon) received a shutdown
     /// signal and stopped cleanly after finishing or aborting the in-flight
     /// work. Maps to its own CLI exit code so supervisors can distinguish a
@@ -70,19 +54,6 @@ impl fmt::Display for ProtocolError {
             }
             Self::MalformedMessage { member } => {
                 write!(f, "member {member} sent a malformed message")
-            }
-            Self::QuorumLost {
-                epoch,
-                survivors,
-                required,
-            } => {
-                write!(
-                    f,
-                    "quorum lost in epoch {epoch}: {survivors} survivors < {required} required"
-                )
-            }
-            Self::Evicted { epoch } => {
-                write!(f, "evicted from the federation at epoch {epoch}")
             }
             Self::Interrupted => f.write_str("interrupted by shutdown signal"),
         }
@@ -117,21 +88,5 @@ mod tests {
         }
         .to_string()
         .contains("ld"));
-    }
-
-    #[test]
-    fn recovery_errors_display() {
-        let quorum = ProtocolError::QuorumLost {
-            epoch: 2,
-            survivors: 2,
-            required: 4,
-        };
-        let msg = quorum.to_string();
-        assert!(msg.contains("quorum lost"), "{msg}");
-        assert!(msg.contains("epoch 2"), "{msg}");
-        assert!(msg.contains("2 survivors < 4 required"), "{msg}");
-        let evicted = ProtocolError::Evicted { epoch: 3 }.to_string();
-        assert!(evicted.contains("evicted"), "{evicted}");
-        assert!(evicted.contains("epoch 3"), "{evicted}");
     }
 }

@@ -118,6 +118,7 @@ impl GdoNode {
 mod tests {
     use super::*;
     use gendpr_crypto::rng::ChaChaRng;
+    use gendpr_stats::lr::{LrColumns, LrValues};
 
     fn node() -> GdoNode {
         let mut m = GenotypeMatrix::zeroed(3, 4);
@@ -183,8 +184,15 @@ mod tests {
         let cf = [0.4, 0.3];
         let rf = [0.2, 0.25];
         let dense = n.lr_report(&snps, &cf, &rf).into_matrix().unwrap();
-        let compact = n.lr_report_compact(&snps).into_matrix(&cf, &rf).unwrap();
-        assert_eq!(dense, compact);
+        let report = n.lr_report_compact(&snps);
+        let (rows, cols) = (report.individuals as usize, report.snps as usize);
+        let compact = LrColumns::from_row_bits(rows, cols, &report.bits, &cf, &rf).unwrap();
+        assert_eq!((rows, cols), (dense.individuals(), dense.snps()));
+        for i in 0..rows {
+            for j in 0..cols {
+                assert_eq!(compact.get(i, j).to_bits(), dense.get(i, j).to_bits());
+            }
+        }
     }
 
     #[test]

@@ -62,25 +62,6 @@ pub fn elect(reveals: &[ElectionReveal], gdo_count: usize) -> usize {
     (value % gdo_count as u64) as usize
 }
 
-/// Derives the leader from all revealed nonces over an explicit roster of
-/// surviving member ids (epoch `e ≥ 2` re-election after a view change).
-/// Returns a member id from `roster`, not an index: the mix selects a
-/// position and the roster maps it back to the member. Given the same
-/// reveals and roster on every survivor, all survivors agree.
-///
-/// # Panics
-///
-/// Panics if `reveals` is empty or `roster` length differs from `reveals`.
-#[must_use]
-pub fn elect_among(reveals: &[ElectionReveal], roster: &[usize]) -> usize {
-    assert_eq!(
-        reveals.len(),
-        roster.len(),
-        "one reveal per surviving member"
-    );
-    roster[elect(reveals, roster.len())]
-}
-
 /// Seed-based election for the deterministic in-process driver.
 #[must_use]
 pub fn elect_seeded(seed: u64, gdo_count: usize) -> usize {
@@ -124,24 +105,6 @@ mod tests {
         for (i, &c) in counts.iter().enumerate() {
             assert!(c > 50, "leader {i} chosen only {c}/400 times");
         }
-    }
-
-    #[test]
-    fn roster_election_returns_member_ids() {
-        let reveals = vec![
-            ElectionReveal([7u8; 32]),
-            ElectionReveal([8u8; 32]),
-            ElectionReveal([9u8; 32]),
-        ];
-        let roster = [0usize, 2, 4]; // survivors after members 1 and 3 died
-        let leader = elect_among(&reveals, &roster);
-        assert!(roster.contains(&leader));
-        assert_eq!(leader, elect_among(&reveals, &roster), "deterministic");
-        // Same position choice, different roster → the mapped id moves.
-        assert_eq!(
-            elect(&reveals, 3),
-            roster.iter().position(|&m| m == leader).unwrap()
-        );
     }
 
     #[test]

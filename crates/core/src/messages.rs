@@ -179,60 +179,6 @@ wire_struct!(LrReportCompact {
     bits
 });
 
-impl LrReportCompact {
-    /// Builds the compact report from per-individual indicator rows.
-    #[must_use]
-    pub fn from_indicator(
-        individuals: usize,
-        snps: usize,
-        indicator: impl Fn(usize, usize) -> bool,
-    ) -> Self {
-        let words_per_row = snps.div_ceil(64);
-        let mut bits = vec![0u64; individuals * words_per_row];
-        for i in 0..individuals {
-            for j in 0..snps {
-                if indicator(i, j) {
-                    bits[i * words_per_row + j / 64] |= 1 << (j % 64);
-                }
-            }
-        }
-        Self {
-            individuals: individuals as u64,
-            snps: snps as u64,
-            bits,
-        }
-    }
-
-    /// Reconstructs the dense LR matrix using the frequency vectors from
-    /// the leader's own Phase 2 broadcast.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WireError::InvalidValue`] if the bit buffer does not
-    /// match the declared dimensions or the frequency vectors are too
-    /// short (a malformed or malicious report).
-    pub fn into_matrix(self, case_freqs: &[f64], ref_freqs: &[f64]) -> Result<LrMatrix, WireError> {
-        let individuals = self.individuals as usize;
-        let snps = self.snps as usize;
-        let words_per_row = snps.div_ceil(64);
-        if individuals.checked_mul(words_per_row) != Some(self.bits.len())
-            || case_freqs.len() != snps
-            || ref_freqs.len() != snps
-        {
-            return Err(WireError::InvalidValue("compact LR matrix dimensions"));
-        }
-        let (major, minor) = gendpr_stats::lr::lr_levels(case_freqs, ref_freqs);
-        let bits = &self.bits;
-        Ok(LrMatrix::from_indicator(
-            individuals,
-            snps,
-            &major,
-            &minor,
-            |i, j| bits[i * words_per_row + j / 64] >> (j % 64) & 1 == 1,
-        ))
-    }
-}
-
 /// Leader broadcast ending Phase 3 (Figure 4 step 5): the final safe set.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Phase3Broadcast {
@@ -296,17 +242,6 @@ pub enum ProtocolMessage {
     Phase3(Phase3Broadcast),
     /// Leader → members: protocol aborted (e.g. non-responsive member).
     Abort(String),
-    /// Leader → members: too many members crashed to form another epoch;
-    /// carries the structured facts so every survivor surfaces the same
-    /// precise [`crate::error::ProtocolError::QuorumLost`].
-    QuorumLost {
-        /// Epoch in which the quorum was lost.
-        epoch: u64,
-        /// Surviving members at that point.
-        survivors: u32,
-        /// Configured minimum quorum.
-        required: u32,
-    },
     /// Leader → members: a new assessment job starts inside a long-lived
     /// service session (the federation stays attested across jobs).
     JobStart(JobStartBroadcast),
@@ -363,16 +298,6 @@ impl Encode for ProtocolMessage {
                 combo.encode(buf);
                 m.encode(buf);
             }
-            Self::QuorumLost {
-                epoch,
-                survivors,
-                required,
-            } => {
-                9u8.encode(buf);
-                epoch.encode(buf);
-                survivors.encode(buf);
-                required.encode(buf);
-            }
             Self::JobStart(m) => {
                 10u8.encode(buf);
                 m.encode(buf);
@@ -399,11 +324,6 @@ impl Decode for ProtocolMessage {
             6 => Self::Phase3(Phase3Broadcast::decode(r)?),
             7 => Self::Abort(String::decode(r)?),
             8 => Self::LrCompact(u32::decode(r)?, LrReportCompact::decode(r)?),
-            9 => Self::QuorumLost {
-                epoch: u64::decode(r)?,
-                survivors: u32::decode(r)?,
-                required: u32::decode(r)?,
-            },
             10 => Self::JobStart(JobStartBroadcast::decode(r)?),
             11 => Self::SessionEnd,
             12 => Self::ShardStart(ShardStartBroadcast::decode(r)?),
@@ -417,6 +337,7 @@ impl Decode for ProtocolMessage {
 mod tests {
     use super::*;
     use gendpr_fednet::wire::{from_bytes, to_bytes};
+    use gendpr_stats::lr::{LrColumns, LrValues};
 
     fn roundtrip(msg: ProtocolMessage) {
         let bytes = to_bytes(&msg);
@@ -464,14 +385,13 @@ mod tests {
         roundtrip(ProtocolMessage::Phase3(Phase3Broadcast { safe: vec![] }));
         roundtrip(ProtocolMessage::LrCompact(
             2,
-            LrReportCompact::from_indicator(3, 70, |i, j| (i + j) % 3 == 0),
+            LrReportCompact {
+                individuals: 3,
+                snps: 70,
+                bits: (0..6).map(|w| 0x9249_2492_4924_9249 >> w).collect(),
+            },
         ));
         roundtrip(ProtocolMessage::Abort("member 2 unresponsive".into()));
-        roundtrip(ProtocolMessage::QuorumLost {
-            epoch: 3,
-            survivors: 2,
-            required: 4,
-        });
         roundtrip(ProtocolMessage::JobStart(JobStartBroadcast {
             job_id: 7,
             panel: vec![0, 1, 4, 9],
@@ -488,6 +408,8 @@ mod tests {
     #[test]
     fn bad_tag_rejected() {
         assert!(from_bytes::<ProtocolMessage>(&[200]).is_err());
+        // Tag 9 (a retired quorum-loss notice) is left unused.
+        assert!(from_bytes::<ProtocolMessage>(&[9; 17]).is_err());
     }
 
     #[test]
@@ -504,8 +426,24 @@ mod tests {
         assert_eq!(LdMoments::from(report), m);
     }
 
+    /// Decodes a compact report the way the leader does.
+    fn decode(
+        report: &LrReportCompact,
+        case_freqs: &[f64],
+        ref_freqs: &[f64],
+    ) -> Result<LrColumns, &'static str> {
+        LrColumns::from_row_bits(
+            report.individuals as usize,
+            report.snps as usize,
+            &report.bits,
+            case_freqs,
+            ref_freqs,
+        )
+    }
+
     #[test]
     fn compact_report_reconstructs_dense_matrix() {
+        use crate::gdo::GdoNode;
         use gendpr_genomics::genotype::GenotypeMatrix;
         use gendpr_genomics::snp::SnpId;
         let mut g = GenotypeMatrix::zeroed(5, 70);
@@ -520,9 +458,14 @@ mod tests {
         let case_freqs: Vec<f64> = (0..70).map(|j| 0.2 + 0.005 * j as f64).collect();
         let ref_freqs: Vec<f64> = (0..70).map(|j| 0.15 + 0.004 * j as f64).collect();
         let dense = LrMatrix::from_genotypes(&g, &snps, &case_freqs, &ref_freqs);
-        let compact = LrReportCompact::from_indicator(5, 70, |i, j| g.get(i, j) == 1);
-        let rebuilt = compact.into_matrix(&case_freqs, &ref_freqs).unwrap();
-        assert_eq!(rebuilt, dense);
+        let compact = GdoNode::new(0, g).lr_report_compact(&snps);
+        let rebuilt = decode(&compact, &case_freqs, &ref_freqs).unwrap();
+        assert_eq!((rebuilt.individuals(), rebuilt.snps()), (5, 70));
+        for i in 0..5 {
+            for j in 0..70 {
+                assert_eq!(rebuilt.get(i, j).to_bits(), dense.get(i, j).to_bits());
+            }
+        }
     }
 
     #[test]
@@ -532,10 +475,13 @@ mod tests {
             snps: 70,
             bits: vec![0; 3], // needs 2 rows x 2 words = 4
         };
-        assert!(bad.into_matrix(&[0.5; 70], &[0.5; 70]).is_err());
-        let ok = LrReportCompact::from_indicator(2, 70, |_, _| false);
-        assert!(ok.clone().into_matrix(&[0.5; 69], &[0.5; 69]).is_err());
-        assert!(ok.into_matrix(&[0.5; 70], &[0.5; 70]).is_ok());
+        assert!(decode(&bad, &[0.5; 70], &[0.5; 70]).is_err());
+        let ok = LrReportCompact {
+            bits: vec![0; 4],
+            ..bad
+        };
+        assert!(decode(&ok, &[0.5; 69], &[0.5; 69]).is_err());
+        assert!(decode(&ok, &[0.5; 70], &[0.5; 70]).is_ok());
     }
 
     #[test]

@@ -15,42 +15,45 @@
 //! drivers (this one and [`crate::serving`]): the deployment check and
 //! thread spawn, the in-memory fabric, the member setup and the `seat`
 //! step (election, then a leader session or a follower channel). The
-//! one-shot run adds only its view-change loop and its one assessment.
+//! one-shot run adds only its one assessment.
 //!
-//! # Epochs and recovery
+//! # Frames and links
 //!
-//! The paper makes no liveness guarantee under faults; by default this
-//! runtime keeps that behaviour (a silent member aborts the run). With
-//! [`RecoveryOptions::max_epochs`] above one the runtime instead layers an
-//! epoch-based recovery protocol on top:
+//! The paper makes no liveness guarantee under faults, and neither does
+//! this runtime: a member silent for the phase timeout aborts the run
+//! with [`ProtocolError::MemberUnresponsive`]. (The assessment service
+//! stays live by rebuilding a failed lane and re-queueing its job.)
 //!
-//! * every frame is stamped with the sender's **epoch** and a per-link
-//!   **sequence number**; receivers deliver in sequence order (masking
-//!   duplicated and reordered frames) and drop stale-epoch frames;
-//! * a **failure detector** slices every wait into probe intervals and
-//!   pings the awaited peer after each silent interval; only after three
-//!   consecutive misses (or the hard phase timeout) is the peer suspected;
-//! * a suspicion triggers a **view change**: the survivor broadcasts the
-//!   reduced roster stamped with epoch `e + 1`, everyone re-runs the
-//!   commit-reveal election over the surviving roster and restarts the
-//!   assessment from the members' cached count reports. Frames are not
-//!   sealed, so an announcement is taken only if an honest member could
-//!   have sent it — roster strictly ascending, a subset of the current
-//!   one, epoch in `(epoch, max_epochs]` — and dropped like a stale
-//!   frame otherwise; nothing past `max_epochs` is buffered or entered;
-//! * if the surviving roster falls below [`RecoveryOptions::min_quorum`]
-//!   (default `G − f`), the run fails with a precise
-//!   [`ProtocolError::QuorumLost`] instead of a generic timeout.
-//!
-//! A degraded run's certificate carries the epoch and surviving roster so
-//! an auditor can see exactly whose inputs the release covers.
+//! * Every frame carries a head: an epoch, always 1, and a per-link
+//!   sequence number. A member takes each peer's frames in sequence
+//!   order, which masks the duplicated and reordered delivery of chaos
+//!   links.
+//! * The head is not authenticated, so it only orders. Until a link's
+//!   handshake completes, its frames are the election's commit and
+//!   reveal and the handshake, and a slot admits only the kind the
+//!   member waits for. Once the link has its channel, a frame takes its
+//!   slot only if it opens under the channel's next receive counter. A
+//!   frame that does not fit its slot (of another kind, unsealed, or not
+//!   opening) is dropped with a `Warn` event naming the link, as is one
+//!   stamped with an epoch other than 1, and the slot waits for the
+//!   genuine frame.
+//! * Before the handshake nothing is authenticated. Anyone who reaches a
+//!   member's port can still make the election or the attestation fail,
+//!   and the run then aborts with a [`ProtocolError::SecurityFailure`] on
+//!   that link, never with the peer's
+//!   [`ProtocolError::MalformedMessage`].
+//! * A member that waits on one peer through a silent probe interval
+//!   sends every other peer it holds a channel with a heartbeat, a sealed
+//!   empty message. Only a leader holds more than one channel, so a
+//!   follower whose leader is waiting out a silent member keeps waiting
+//!   and hears the leader's abort notice instead of timing out first.
 
 use crate::certificate::AssessmentCertificate;
 use crate::config::{CollusionMode, FederationConfig, GwasParams};
-use crate::engine::{follower_serve, Channels, LeaderSession, Terminator};
+use crate::engine::{follower_serve, LeaderSession, Terminator};
 use crate::error::ProtocolError;
 use crate::gdo::GdoNode;
-use crate::leader::{draw_nonce, elect_among, verify_reveal, ElectionCommit, ElectionReveal};
+use crate::leader::{draw_nonce, elect, verify_reveal, ElectionReveal};
 use crate::messages::{CountsReport, ProtocolMessage};
 use crate::protocol::PhaseTimings;
 use gendpr_crypto::aead;
@@ -67,7 +70,8 @@ use gendpr_tee::enclave::Enclave;
 use gendpr_tee::measurement::Measurement;
 use gendpr_tee::platform::Platform;
 use gendpr_tee::session::{Handshake, HandshakeMessage, SecureChannel};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use gendpr_tee::TeeError;
+use std::collections::VecDeque;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -83,32 +87,18 @@ pub(crate) const CHANNEL_AAD: &[u8] = b"gendpr/protocol/v1";
 /// patient as the paper's single hard timeout.
 const SUSPECT_AFTER: u32 = 3;
 
-/// Failure-detection and view-change knobs of the threaded runtime.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RecoveryOptions {
-    /// Highest epoch the member will participate in. `1` (the default)
-    /// disables recovery entirely: the first suspicion aborts the run with
-    /// [`ProtocolError::MemberUnresponsive`], the paper's behaviour.
-    pub max_epochs: u64,
-    /// Smallest surviving roster allowed to form a new epoch. `0` (the
-    /// default) derives `G − f` from the collusion mode.
-    pub min_quorum: usize,
-}
+/// The epoch in every frame head. Frames keep the field so their bytes
+/// stay what they were; a frame stamped with any other value is dropped.
+const EPOCH: u64 = 1;
 
-impl Default for RecoveryOptions {
-    fn default() -> Self {
-        Self {
-            max_epochs: 1,
-            min_quorum: 0,
-        }
-    }
-}
+/// Why a frame tried for its slot was dropped: it is not the kind the
+/// member waits for there.
+const UNEXPECTED_KIND: &str = "frame of an unexpected kind";
 
 /// Deployment options for the threaded runtime.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RuntimeOptions {
-    /// Bound on every wait; a silent member aborts the protocol (or, with
-    /// recovery enabled, triggers a view change).
+    /// Bound on every wait; a silent member aborts the protocol.
     pub timeout: Duration,
     /// Ship Phase 3 matrices as one-bit-per-cell compact reports instead
     /// of the paper's dense value matrices (same reconstruction, ~64×
@@ -119,8 +109,6 @@ pub struct RuntimeOptions {
     /// of Algorithm 1's inner loop to cache misses only. Off by default
     /// for paper fidelity.
     pub prefetch_ld: bool,
-    /// Failure detection and epoch-based view changes.
-    pub recovery: RecoveryOptions,
     /// Accepted and **ignored**: the leader evaluates its collusion
     /// subsets in subset order on its own thread. The field stays because
     /// the struct literal at `benchmark/src/probes.rs:46` names it; retire
@@ -134,7 +122,6 @@ impl Default for RuntimeOptions {
             timeout: Duration::from_secs(300),
             compact_lr: false,
             prefetch_ld: false,
-            recovery: RecoveryOptions::default(),
             threads: 1,
         }
     }
@@ -154,17 +141,17 @@ pub struct MemberResources {
 /// Result of a full threaded run.
 #[derive(Debug, Clone)]
 pub struct RuntimeReport {
-    /// The elected leader (of the final epoch).
+    /// The elected leader.
     pub leader: usize,
     /// MAF survivors.
     pub l_prime: Vec<SnpId>,
     /// LD survivors.
     pub l_double_prime: Vec<SnpId>,
-    /// The final safe set (identical at every surviving member).
+    /// The final safe set (identical at every member).
     pub safe_snps: Vec<SnpId>,
     /// Measured network traffic (every byte of it enclave-encrypted).
     pub traffic: TrafficStats,
-    /// Per-member enclave resource usage (surviving members only).
+    /// Per-member enclave resource usage.
     pub resources: Vec<MemberResources>,
     /// Wall-clock duration of the whole run.
     pub elapsed: Duration,
@@ -172,21 +159,15 @@ pub struct RuntimeReport {
     /// members' parallel local computations — the federated critical path).
     pub timings: PhaseTimings,
     /// Enclave-signed certificate binding parameters, input digests, the
-    /// safe set and the surviving roster (verify with
+    /// safe set and the roster (verify with
     /// [`AssessmentCertificate::verify`]).
     pub certificate: AssessmentCertificate,
-    /// Epoch in which the assessment completed (1 = crash-free).
-    pub epoch: u64,
-    /// Surviving roster of the final epoch.
-    pub roster: Vec<u32>,
-    /// Members that crashed or were excluded along the way.
-    pub failed: Vec<usize>,
 }
 
 /// Untyped transport frames (election and handshake are public-by-design;
-/// everything else travels as channel ciphertext). Every frame carries the
-/// sender's epoch and a per-link sequence number so receivers can reject
-/// stale-epoch traffic and mask duplicated or reordered delivery.
+/// everything else travels as channel ciphertext). Every frame carries an
+/// epoch, always [`EPOCH`], and a per-link sequence number, by which a
+/// receiver orders duplicated or reordered delivery.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct Frame {
     epoch: u64,
@@ -194,18 +175,15 @@ pub(crate) struct Frame {
     body: FrameBody,
 }
 
+/// Tags 4–6 (a probe, its answer, a view change) are retired and left
+/// unused: a frame carrying one does not decode.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) enum FrameBody {
     Commit([u8; 32]),
     Reveal([u8; 32]),
     Handshake([u8; 128]),
+    /// A channel message; one whose plaintext is empty is a heartbeat.
     Sealed(Sealed),
-    /// Failure-detector probe.
-    Ping,
-    /// Probe answer: "still alive, just busy".
-    Pong,
-    /// View-change announcement: the new epoch's surviving roster.
-    ViewChange(Vec<u32>),
 }
 
 /// Bytes of a sealed frame before its ciphertext: epoch, sequence number,
@@ -255,12 +233,6 @@ impl Encode for Frame {
                 (sealed.bytes().len() as u64).encode(buf);
                 u8::encode_all(sealed.bytes(), buf);
             }
-            FrameBody::Ping => 4u8.encode(buf),
-            FrameBody::Pong => 5u8.encode(buf),
-            FrameBody::ViewChange(roster) => {
-                6u8.encode(buf);
-                roster.encode(buf);
-            }
         }
     }
 }
@@ -306,9 +278,6 @@ impl Frame {
                 let body = FrameBody::Sealed(Sealed(bytes));
                 return Ok(Self { epoch, seq, body });
             }
-            4 => FrameBody::Ping,
-            5 => FrameBody::Pong,
-            6 => FrameBody::ViewChange(Vec::decode(&mut r)?),
             _ => return Err(WireError::InvalidValue("Frame tag")),
         };
         match r.remaining() {
@@ -333,39 +302,6 @@ pub fn expected_measurement(params: &GwasParams) -> Measurement {
     Measurement::compute(CODE_IDENTITY, &measurement_config(params))
 }
 
-/// Why a phase function unwound: either the run is over (fatal error) or
-/// the federation is re-forming in a new epoch.
-#[derive(Debug, Clone)]
-pub(crate) enum Interrupt {
-    Fatal(ProtocolError),
-    NewView {
-        epoch: u64,
-        roster: Vec<usize>,
-        /// Whether this member initiated the change (and must broadcast
-        /// the announcement) or merely adopted a peer's announcement.
-        announce: bool,
-    },
-}
-
-impl From<ProtocolError> for Interrupt {
-    fn from(e: ProtocolError) -> Self {
-        Self::Fatal(e)
-    }
-}
-
-/// Where a view change cannot unwind — service sessions run without
-/// recovery, a local source never re-forms — an interrupt is fatal.
-impl From<Interrupt> for ProtocolError {
-    fn from(intr: Interrupt) -> Self {
-        match intr {
-            Interrupt::Fatal(e) => e,
-            Interrupt::NewView { .. } => {
-                Self::InvalidConfig("view changes are not supported in service sessions")
-            }
-        }
-    }
-}
-
 pub(crate) struct MemberCtx<T: Transport> {
     pub(crate) id: usize,
     pub(crate) g: usize,
@@ -375,65 +311,67 @@ pub(crate) struct MemberCtx<T: Transport> {
     pub(crate) timeout: Duration,
     pub(crate) compact_lr: bool,
     pub(crate) prefetch_ld: bool,
-    pub(crate) recovery: RecoveryOptions,
     pub(crate) collusion: CollusionMode,
     pub(crate) expected: Measurement,
-    /// Current epoch (starts at 1).
-    pub(crate) epoch: u64,
-    /// Surviving roster of the current epoch, ascending member ids.
-    pub(crate) roster: Vec<usize>,
-    /// Sequencing state of the link with each member, indexed by member
+    /// This member's end of its link with each member, indexed by member
     /// id (`g` slots; a frame from any other sender is dropped).
     links: Vec<Link>,
     /// Frames held by an open [`MemberCtx::burst`] scope.
     burst: Option<Vec<Outgoing>>,
 }
 
-/// One member's view of its link with one peer.
+/// One member's end of its link with one peer.
 #[derive(Debug, Default)]
 struct Link {
-    /// Next sequence number to the peer (monotone across epochs).
+    /// Next sequence number to the peer.
     send_seq: u64,
-    /// Next sequence number expected from the peer.
+    /// Sequence number of the peer's next frame to take.
     recv_next: u64,
-    /// Frames that arrived ahead of `recv_next`, keyed by sequence number.
-    /// The in-memory fabric delivers in order, so this stays empty unless
-    /// chaos reorders a link.
-    pending: BTreeMap<u64, Frame>,
-    /// In-sequence frames from epochs we have not entered yet.
-    future: VecDeque<Frame>,
-    /// Frames delivered — the failure detector's liveness signal (any
-    /// delivery, including a pong, clears pending misses).
-    heard: u64,
-    /// Current-epoch frames that arrived while waiting for someone else.
-    backlog: VecDeque<FrameBody>,
+    /// Frames from the peer not taken yet, sorted by sequence number,
+    /// ties in arrival order. In-order arrival appends; chaos reorders and
+    /// duplicates, and whoever reaches a TCP port can add frames, so a
+    /// slot may hold several candidates until one is taken.
+    inbox: VecDeque<(u64, FrameBody)>,
+    /// The attested channel, once the handshake completed.
+    channel: Option<SecureChannel>,
+    /// A message [`MemberCtx::ready`] opened ahead of its receive.
+    opened: Option<Vec<u8>>,
+}
+
+impl Link {
+    /// Opens a sealed frame under the channel's next receive counter, in
+    /// the buffer it arrived in; `None` for a heartbeat.
+    fn open(&mut self, body: FrameBody) -> Result<Option<Vec<u8>>, &'static str> {
+        let FrameBody::Sealed(Sealed(mut buf)) = body else {
+            return Err(UNEXPECTED_KIND);
+        };
+        let channel = self
+            .channel
+            .as_mut()
+            .expect("a sealed receive follows the handshake");
+        let empty = channel
+            .recv_in_place(&mut buf[SEALED_HEAD..], CHANNEL_AAD)
+            .map_err(|_| "sealed frame that does not open")?
+            .is_empty();
+        Ok((!empty).then_some(buf))
+    }
+}
+
+/// Reports a frame dropped from `member`'s link with `from`.
+fn frame_dropped(member: usize, from: usize, reason: &'static str) {
+    gendpr_obs::event(
+        gendpr_obs::Level::Warn,
+        "runtime",
+        "frame_dropped",
+        &[
+            ("member", member.into()),
+            ("link", from.into()),
+            ("reason", reason.into()),
+        ],
+    );
 }
 
 impl<T: Transport> MemberCtx<T> {
-    /// Smallest roster allowed to form a new epoch. An explicit
-    /// `min_quorum` wins; otherwise `G − f` from the collusion mode. In
-    /// `Fixed(f)` mode the roster must additionally keep more than `f`
-    /// members or the collusion subsets are undefined.
-    fn required_quorum(&self) -> usize {
-        let auto = FederationConfig {
-            gdo_count: self.g,
-            collusion: self.collusion,
-            seed: 0,
-        }
-        .default_min_quorum();
-        if self.recovery.min_quorum == 0 {
-            return auto;
-        }
-        // An explicit quorum can relax G − f, but never below what the
-        // collusion mode needs to stay well-defined.
-        let floor = match self.collusion {
-            CollusionMode::None => 1,
-            CollusionMode::Fixed(f) => f + 1,
-            CollusionMode::AllUpTo => 2,
-        };
-        self.recovery.min_quorum.max(floor)
-    }
-
     /// Runs `sends` with every frame it sends held back, then hands them
     /// to the transport as one burst ([`Transport::send_all`]): a fan-out
     /// costs one wake per destination, and no member starts on its frame
@@ -454,45 +392,45 @@ impl<T: Transport> MemberCtx<T> {
     }
 
     /// Files every envelope that has already been delivered
-    /// ([`Transport::try_recv`]) without waiting, until `from`'s backlog
-    /// holds a frame; whether it does. A member that just woke reads
-    /// what queued up meanwhile this way, so it can answer all of it in
-    /// one [`MemberCtx::burst`] — receiving from a backlog never blocks.
-    pub(crate) fn ready(&mut self, from: usize) -> Result<bool, Interrupt> {
+    /// ([`Transport::try_recv`]) without waiting, until a message from
+    /// `from` opens; whether one did. A member that just woke reads what
+    /// queued up meanwhile this way, so it can answer all of it in one
+    /// [`MemberCtx::burst`] — the receive after a `true` never blocks.
+    pub(crate) fn ready(&mut self, from: usize) -> bool {
         loop {
-            if !self.links[from].backlog.is_empty() {
-                return Ok(true);
+            if self.links[from].opened.is_some() {
+                return true;
             }
-            match self.endpoint.try_recv() {
-                Some(env) => self.ingest(env)?,
-                None => return Ok(false),
+            match self.take(from, Link::open) {
+                Some(Some(buf)) => self.links[from].opened = Some(buf),
+                Some(None) => {} // a heartbeat
+                None => match self.endpoint.try_recv() {
+                    Some(env) => self.ingest(env),
+                    None => return false,
+                },
             }
         }
     }
 
-    fn send_frame(
-        &mut self,
-        to: usize,
-        body: FrameBody,
-        plaintext_len: usize,
-    ) -> Result<(), ProtocolError> {
-        self.send_frame_at(to, self.epoch, body, plaintext_len)
+    /// Ratchets every channel this member holds (a service job boundary).
+    pub(crate) fn rekey_channels(&mut self) {
+        for channel in self.links.iter_mut().filter_map(|l| l.channel.as_mut()) {
+            channel.rekey();
+        }
     }
 
-    /// Sends a frame stamped with an explicit epoch (view-change
-    /// announcements are stamped with the epoch being formed). Sends are
-    /// best-effort: a dead link surfaces at the receiver as silence, which
-    /// the failure detector turns into a suspicion.
-    fn send_frame_at(
-        &mut self,
-        to: usize,
-        epoch: u64,
-        body: FrameBody,
-        plaintext_len: usize,
-    ) -> Result<(), ProtocolError> {
+    /// Whether this member holds a channel with `peer`.
+    pub(crate) fn attested(&self, peer: usize) -> bool {
+        self.links[peer].channel.is_some()
+    }
+
+    /// Sends a frame. Sends are best-effort: a dead link surfaces at the
+    /// receiver as silence, which the failure detector turns into a
+    /// suspicion.
+    fn send_frame(&mut self, to: usize, body: FrameBody, plaintext_len: usize) {
         let seq = &mut self.links[to].send_seq;
         let frame = Frame {
-            epoch,
+            epoch: EPOCH,
             seq: *seq,
             body,
         };
@@ -504,442 +442,269 @@ impl<T: Transport> MemberCtx<T> {
                 let _ = self.endpoint.send(to, bytes, plaintext_len);
             }
         }
-        Ok(())
     }
 
-    /// Files an incoming envelope into the sequence machinery and delivers
-    /// everything that became contiguous: the frame itself straight away
-    /// when it is the next in sequence, else after the frames before it.
-    /// A sender outside the federation's `0..g` has no link: its frames
-    /// are dropped like stale ones (TCP's sender id is peer-asserted).
-    fn ingest(&mut self, env: Envelope) -> Result<(), Interrupt> {
+    /// Seals `buf[SEALED_HEAD..]` for `to` where it lies and sends it.
+    fn send_sealed(&mut self, to: usize, mut buf: Vec<u8>, plaintext_len: usize) {
+        buf.reserve_exact(aead::OVERHEAD);
+        let channel = self.links[to]
+            .channel
+            .as_mut()
+            .expect("a sealed send follows the handshake");
+        channel.send_in_place(&mut buf, SEALED_HEAD, CHANNEL_AAD);
+        self.send_frame(to, FrameBody::Sealed(Sealed(buf)), plaintext_len);
+    }
+
+    /// Files an incoming envelope in its link's inbox. A sender outside
+    /// the federation's `0..g` has no link: its frames are dropped (TCP's
+    /// sender id is peer-asserted). A frame that does not decode, or is
+    /// stamped with another epoch, is dropped with a `Warn` event.
+    fn ingest(&mut self, env: Envelope) {
         let from = env.from.0 as usize;
-        if from >= self.links.len() {
-            return Ok(());
-        }
-        let frame = Frame::from_wire(env.payload)
-            .map_err(|_| Interrupt::Fatal(ProtocolError::MalformedMessage { member: from }))?;
-        let link = &mut self.links[from];
+        let Some(link) = self.links.get_mut(from) else {
+            return;
+        };
+        let frame = match Frame::from_wire(env.payload) {
+            Ok(frame) if frame.epoch == EPOCH => frame,
+            Ok(_) => return frame_dropped(self.id, from, "frame of another epoch"),
+            Err(_) => return frame_dropped(self.id, from, "frame that does not decode"),
+        };
         if frame.seq < link.recv_next {
-            return Ok(()); // replayed duplicate
+            return; // a duplicate of a frame already taken
         }
-        if frame.seq > link.recv_next {
-            link.pending.insert(frame.seq, frame);
-            return Ok(());
-        }
-        link.recv_next += 1;
-        self.deliver(from, frame)?;
-        self.pump(from)
+        let at = link.inbox.partition_point(|&(seq, _)| seq <= frame.seq);
+        link.inbox.insert(at, (frame.seq, frame.body));
     }
 
-    /// Delivers contiguous pending frames from `from` in sequence order.
-    fn pump(&mut self, from: usize) -> Result<(), Interrupt> {
+    /// Takes `from`'s next frame, if one has arrived that `admit` lets
+    /// into its slot. Frames tried there that it refuses are dropped with
+    /// a `Warn` event, and the slot waits for the genuine frame.
+    fn take<R>(
+        &mut self,
+        from: usize,
+        admit: impl Fn(&mut Link, FrameBody) -> Result<R, &'static str>,
+    ) -> Option<R> {
         loop {
             let link = &mut self.links[from];
-            let Some(frame) = link.pending.remove(&link.recv_next) else {
-                return Ok(());
-            };
-            link.recv_next += 1;
-            self.deliver(from, frame)?;
-        }
-    }
-
-    /// Routes one in-sequence frame: stale epochs are dropped, future
-    /// epochs buffered (or adopted, for view changes), current-epoch
-    /// frames answered (pings) or backlogged. Frames are not sealed, so
-    /// nothing stamped past `max_epochs` is kept, and a view change is
-    /// only taken from an announcement that could have been honest.
-    fn deliver(&mut self, from: usize, frame: Frame) -> Result<(), Interrupt> {
-        self.links[from].heard += 1;
-        match frame.epoch.cmp(&self.epoch) {
-            std::cmp::Ordering::Less => Ok(()), // stale epoch
-            _ if frame.epoch > self.recovery.max_epochs => Ok(()), // never entered
-            std::cmp::Ordering::Greater => match frame.body {
-                FrameBody::ViewChange(roster) => self.adopt_view(frame.epoch, &roster),
-                _ => {
-                    self.links[from].future.push_back(frame);
-                    Ok(())
-                }
-            },
-            std::cmp::Ordering::Equal => match frame.body {
-                FrameBody::Ping => {
-                    self.send_frame(from, FrameBody::Pong, 0)?;
-                    Ok(())
-                }
-                FrameBody::Pong => Ok(()),
-                FrameBody::ViewChange(roster) => {
-                    let roster: Vec<usize> = roster.iter().map(|&m| m as usize).collect();
-                    let Some(epoch) = self.next_epoch() else {
-                        return Ok(()); // no epoch left to converge in
-                    };
-                    if roster == self.roster || !ascending(&roster) {
-                        return Ok(()); // a duplicate of this view, or malformed
-                    }
-                    // Conflicting views of the same epoch (two members
-                    // suspected different peers concurrently): converge on
-                    // the intersection in a fresh epoch.
-                    let merged: Vec<usize> = self
-                        .roster
-                        .iter()
-                        .copied()
-                        .filter(|m| roster.contains(m))
-                        .collect();
-                    if !merged.contains(&self.id) {
-                        return Err(Interrupt::Fatal(ProtocolError::Evicted { epoch }));
-                    }
-                    let required = self.required_quorum();
-                    if merged.len() < required {
-                        return Err(Interrupt::Fatal(ProtocolError::QuorumLost {
-                            epoch,
-                            survivors: merged.len(),
-                            required,
-                        }));
-                    }
-                    Err(Interrupt::NewView {
-                        epoch,
-                        roster: merged,
-                        announce: true,
-                    })
-                }
-                body => {
-                    self.links[from].backlog.push_back(body);
-                    Ok(())
-                }
-            },
-        }
-    }
-
-    /// The epoch after this one, if `max_epochs` leaves room for it.
-    fn next_epoch(&self) -> Option<u64> {
-        self.epoch
-            .checked_add(1)
-            .filter(|&epoch| epoch <= self.recovery.max_epochs)
-    }
-
-    /// Adopts a peer's view-change announcement for a later epoch (the
-    /// caller checked the epoch is in `(epoch, max_epochs]`). Views only
-    /// shrink, so an honest roster is strictly ascending and a subset of
-    /// this member's; anything else is dropped like a stale frame. A
-    /// well-formed roster without this member is its eviction notice.
-    fn adopt_view(&mut self, epoch: u64, roster: &[u32]) -> Result<(), Interrupt> {
-        let roster: Vec<usize> = roster.iter().map(|&m| m as usize).collect();
-        if !ascending(&roster) || !roster.iter().all(|m| self.roster.contains(m)) {
-            return Ok(());
-        }
-        if !roster.contains(&self.id) {
-            return Err(Interrupt::Fatal(ProtocolError::Evicted { epoch }));
-        }
-        let required = self.required_quorum();
-        if roster.len() < required {
-            return Err(Interrupt::Fatal(ProtocolError::QuorumLost {
-                epoch,
-                survivors: roster.len(),
-                required,
-            }));
-        }
-        Err(Interrupt::NewView {
-            epoch,
-            roster,
-            announce: false,
-        })
-    }
-
-    /// Turns a suspicion about `member` into the next step: abort (no
-    /// recovery budget), quorum loss, or a view change over the survivors.
-    fn suspect(&mut self, member: usize, phase: &'static str) -> Interrupt {
-        crate::telemetry::suspicions().inc();
-        gendpr_obs::event(
-            gendpr_obs::Level::Warn,
-            "runtime",
-            "member_suspected",
-            &[
-                ("member", member.into()),
-                ("phase", phase.into()),
-                ("epoch", self.epoch.into()),
-            ],
-        );
-        let Some(next_epoch) = self.next_epoch() else {
-            return Interrupt::Fatal(ProtocolError::MemberUnresponsive { member, phase });
-        };
-        let survivors: Vec<usize> = self
-            .roster
-            .iter()
-            .copied()
-            .filter(|&m| m != member)
-            .collect();
-        let required = self.required_quorum();
-        if survivors.len() < required {
-            // Tell the other survivors the federation is disbanding; they
-            // derive the same QuorumLost from the undersized roster.
-            let notice: Vec<u32> = survivors.iter().map(|&m| m as u32).collect();
-            for peer in survivors.clone() {
-                if peer != self.id {
-                    let _ = self.send_frame_at(
-                        peer,
-                        next_epoch,
-                        FrameBody::ViewChange(notice.clone()),
-                        0,
-                    );
-                }
+            let &(seq, _) = link.inbox.front()?;
+            if seq > link.recv_next {
+                return None;
             }
-            return Interrupt::Fatal(ProtocolError::QuorumLost {
-                epoch: next_epoch,
-                survivors: survivors.len(),
-                required,
-            });
-        }
-        Interrupt::NewView {
-            epoch: next_epoch,
-            roster: survivors,
-            announce: true,
-        }
-    }
-
-    /// Enters a new epoch: announces it if this member initiated the view
-    /// change (including an eviction notice to the excluded members),
-    /// clears current-epoch state and replays buffered future frames.
-    fn begin_epoch(&mut self, epoch: u64, roster: Vec<usize>, announce: bool) {
-        crate::telemetry::view_changes().inc();
-        gendpr_obs::event(
-            gendpr_obs::Level::Info,
-            "runtime",
-            "view_change",
-            &[
-                ("epoch", epoch.into()),
-                ("survivors", roster.len().into()),
-                ("announced", announce.into()),
-            ],
-        );
-        let old_roster = std::mem::replace(&mut self.roster, roster);
-        self.epoch = epoch;
-        if announce {
-            let wire_roster: Vec<u32> = self.roster.iter().map(|&m| m as u32).collect();
-            for peer in old_roster {
-                if peer != self.id {
-                    let _ = self.send_frame(peer, FrameBody::ViewChange(wire_roster.clone()), 0);
-                }
+            let (_, body) = link.inbox.pop_front()?;
+            if seq < link.recv_next {
+                continue; // a duplicate of a frame already taken
             }
-        }
-        for link in &mut self.links {
-            link.backlog.clear();
-            for frame in std::mem::take(&mut link.future) {
-                match frame.epoch.cmp(&epoch) {
-                    std::cmp::Ordering::Less => {}
-                    std::cmp::Ordering::Equal => link.backlog.push_back(frame.body),
-                    std::cmp::Ordering::Greater => link.future.push_back(frame),
+            match admit(link, body) {
+                Ok(taken) => {
+                    link.recv_next += 1;
+                    return Some(taken);
                 }
+                Err(reason) => frame_dropped(self.id, from, reason),
             }
         }
     }
 
-    /// Receives the next frame from `from`, buffering frames from others.
-    /// Waits are sliced into probe intervals: a silent interval sends a
-    /// ping, and [`SUSPECT_AFTER`] consecutive silent intervals (or
-    /// `timeout` of unbroken silence) suspect the peer. Any delivered
-    /// frame from `from` — a pong counts — is a sign of life that resets
-    /// the clock, so a member merely *busy* (e.g. a leader itself waiting
-    /// out a dead peer's timeout) is never suspected, only a silent one.
-    fn recv_frame_from(
+    /// Receives the next frame from `from` that `admit` lets into its
+    /// slot, filing frames from others; `admit` returns `None` for a
+    /// heartbeat. Waits are sliced into probe intervals: a silent interval
+    /// sends heartbeats ([`MemberCtx::heartbeat`]), and [`SUSPECT_AFTER`]
+    /// consecutive silent intervals (or `timeout` without a frame from
+    /// `from`) suspect the peer. A heartbeat from `from` is a sign of life
+    /// that resets the clock, so a peer merely *busy* waiting on someone
+    /// else is not suspected, only a silent one.
+    fn recv_frame_from<R>(
         &mut self,
         from: usize,
         phase: &'static str,
-    ) -> Result<FrameBody, Interrupt> {
+        admit: impl Fn(&mut Link, FrameBody) -> Result<Option<R>, &'static str>,
+    ) -> Result<R, ProtocolError> {
         let mut deadline = Instant::now() + self.timeout;
         let probe = self.timeout / SUSPECT_AFTER;
         let mut misses = 0u32;
         loop {
-            self.pump(from)?;
-            if let Some(body) = self.links[from].backlog.pop_front() {
-                return Ok(body);
+            while let Some(taken) = self.take(from, &admit) {
+                match taken {
+                    Some(taken) => return Ok(taken),
+                    None => {
+                        misses = 0;
+                        deadline = Instant::now() + self.timeout;
+                    }
+                }
             }
-            let now = Instant::now();
-            let Some(remaining) = deadline.checked_duration_since(now) else {
+            let Some(remaining) = deadline.checked_duration_since(Instant::now()) else {
                 return Err(self.suspect(from, phase));
             };
-            let heard_before = self.links[from].heard;
             match self.endpoint.recv_timeout(probe.min(remaining)) {
-                Ok(env) => self.ingest(env)?,
+                Ok(env) => self.ingest(env),
                 Err(_) => {
                     misses += 1;
                     if misses >= SUSPECT_AFTER {
                         return Err(self.suspect(from, phase));
                     }
-                    self.send_frame(from, FrameBody::Ping, 0)?;
+                    self.heartbeat(from);
                 }
-            }
-            if self.links[from].heard != heard_before {
-                misses = 0;
-                deadline = Instant::now() + self.timeout;
             }
         }
     }
+
+    /// Tells every peer this member holds a channel with, except the
+    /// `awaited` one, that it is alive: a sealed empty message each. The
+    /// awaited peer is left out because a follower awaits only its
+    /// leader, and a heartbeat it sealed before its job-boundary rekey
+    /// could reach a leader that has rekeyed already: it would open under
+    /// neither key and hold the link's next slot for good.
+    fn heartbeat(&mut self, awaited: usize) {
+        for peer in 0..self.g {
+            if peer != awaited && self.attested(peer) {
+                let mut buf = Vec::with_capacity(SEALED_HEAD + aead::OVERHEAD);
+                buf.resize(SEALED_HEAD, 0);
+                self.send_sealed(peer, buf, 0);
+            }
+        }
+    }
+
+    /// The error for a peer silent through the whole timeout.
+    fn suspect(&self, member: usize, phase: &'static str) -> ProtocolError {
+        crate::telemetry::suspicions().inc();
+        gendpr_obs::event(
+            gendpr_obs::Level::Warn,
+            "runtime",
+            "member_suspected",
+            &[("member", member.into()), ("phase", phase.into())],
+        );
+        ProtocolError::MemberUnresponsive { member, phase }
+    }
 }
 
-/// Whether member ids are strictly ascending (no repeats).
-fn ascending(roster: &[usize]) -> bool {
-    roster.windows(2).all(|pair| pair[0] < pair[1])
+/// Before the handshake a link is not authenticated: an election that
+/// does not verify may be a forgery of anyone who reaches the port, so it
+/// is a security failure on the link, not the peer's malformed message.
+fn unauthenticated(member: usize) -> ProtocolError {
+    ProtocolError::SecurityFailure {
+        member,
+        cause: TeeError::ChannelMessageRejected,
+    }
 }
 
-/// Commit-reveal election among the surviving roster (paper: "randomly
-/// choosing one of the registered enclaves"; epochs above one re-run it
-/// over the survivors).
-pub(crate) fn run_election<T: Transport>(ctx: &mut MemberCtx<T>) -> Result<usize, Interrupt> {
-    let roster = ctx.roster.clone();
+/// Commit-reveal election over the federation (paper: "randomly choosing
+/// one of the registered enclaves").
+pub(crate) fn run_election<T: Transport>(ctx: &mut MemberCtx<T>) -> Result<usize, ProtocolError> {
+    let peers: Vec<usize> = (0..ctx.g).filter(|&peer| peer != ctx.id).collect();
     let (reveal, commitment) = draw_nonce(&mut ctx.rng);
-    for &peer in &roster {
-        if peer != ctx.id {
-            ctx.send_frame(peer, FrameBody::Commit(commitment.0), 32)?;
+    for &peer in &peers {
+        ctx.send_frame(peer, FrameBody::Commit(commitment.0), 32);
+    }
+    let mut commits = vec![commitment; ctx.g];
+    for &peer in &peers {
+        commits[peer].0 = ctx.recv_frame_from(peer, "election-commit", |_, body| match body {
+            FrameBody::Commit(c) => Ok(Some(c)),
+            _ => Err(UNEXPECTED_KIND),
+        })?;
+    }
+    for &peer in &peers {
+        ctx.send_frame(peer, FrameBody::Reveal(reveal.0), 32);
+    }
+    let mut reveals = vec![reveal; ctx.g];
+    for &peer in &peers {
+        reveals[peer] =
+            ElectionReveal(
+                ctx.recv_frame_from(peer, "election-reveal", |_, body| match body {
+                    FrameBody::Reveal(r) => Ok(Some(r)),
+                    _ => Err(UNEXPECTED_KIND),
+                })?,
+            );
+        if !verify_reveal(&commits[peer], &reveals[peer]) {
+            return Err(unauthenticated(peer));
         }
     }
-    let mut commits: HashMap<usize, ElectionCommit> = HashMap::new();
-    commits.insert(ctx.id, commitment);
-    while commits.len() < roster.len() {
-        for &peer in &roster {
-            if commits.contains_key(&peer) {
-                continue;
-            }
-            match ctx.recv_frame_from(peer, "election-commit")? {
-                FrameBody::Commit(c) => {
-                    commits.insert(peer, ElectionCommit(c));
-                }
-                _ => return Err(ProtocolError::MalformedMessage { member: peer }.into()),
-            }
-        }
-    }
-    for &peer in &roster {
-        if peer != ctx.id {
-            ctx.send_frame(peer, FrameBody::Reveal(reveal.0), 32)?;
-        }
-    }
-    let mut reveals: Vec<ElectionReveal> = vec![ElectionReveal([0u8; 32]); roster.len()];
-    let mut have = vec![false; roster.len()];
-    let my_slot = roster.iter().position(|&m| m == ctx.id).expect("in roster");
-    reveals[my_slot] = reveal;
-    have[my_slot] = true;
-    while have.iter().any(|h| !h) {
-        for (slot, &peer) in roster.iter().enumerate() {
-            if have[slot] {
-                continue;
-            }
-            match ctx.recv_frame_from(peer, "election-reveal")? {
-                FrameBody::Reveal(nonce) => {
-                    let r = ElectionReveal(nonce);
-                    if !verify_reveal(&commits[&peer], &r) {
-                        return Err(ProtocolError::MalformedMessage { member: peer }.into());
-                    }
-                    reveals[slot] = r;
-                    have[slot] = true;
-                }
-                _ => return Err(ProtocolError::MalformedMessage { member: peer }.into()),
-            }
-        }
-    }
-    Ok(elect_among(&reveals, &roster))
+    Ok(elect(&reveals, ctx.g))
 }
 
-/// Establishes an attested channel with `peer` (both sides run this).
+/// Establishes an attested channel with `peer` (both sides run this) and
+/// gives it to the link.
 pub(crate) fn establish_channel<T: Transport>(
     ctx: &mut MemberCtx<T>,
     peer: usize,
-) -> Result<SecureChannel, Interrupt> {
+) -> Result<(), ProtocolError> {
     let handshake = Handshake::start(&ctx.enclave, &mut ctx.rng);
     let msg = handshake.message().to_bytes();
-    ctx.send_frame(peer, FrameBody::Handshake(msg), msg.len())?;
-    let frame = ctx.recv_frame_from(peer, "handshake")?;
-    let FrameBody::Handshake(peer_bytes) = frame else {
-        return Err(ProtocolError::MalformedMessage { member: peer }.into());
-    };
-    let peer_msg = HandshakeMessage::from_bytes(&peer_bytes);
-    handshake
-        .complete(&peer_msg, &ctx.expected)
-        .map_err(|cause| {
-            ProtocolError::SecurityFailure {
-                member: peer,
-                cause,
-            }
-            .into()
-        })
+    ctx.send_frame(peer, FrameBody::Handshake(msg), msg.len());
+    let peer_msg = ctx.recv_frame_from(peer, "handshake", |_, body| match body {
+        FrameBody::Handshake(h) => Ok(Some(h)),
+        _ => Err(UNEXPECTED_KIND),
+    })?;
+    let channel = handshake
+        .complete(&HandshakeMessage::from_bytes(&peer_msg), &ctx.expected)
+        .map_err(|cause| ProtocolError::SecurityFailure {
+            member: peer,
+            cause,
+        })?;
+    ctx.links[peer].channel = Some(channel);
+    Ok(())
 }
 
 /// Seals `msg` for `to` in one buffer: encoded after room for the frame
 /// head, sealed where it lies, the head written last.
 pub(crate) fn send_protocol<T: Transport>(
     ctx: &mut MemberCtx<T>,
-    channel: &mut SecureChannel,
     to: usize,
     msg: &ProtocolMessage,
-) -> Result<(), ProtocolError> {
+) {
     // Room for the common messages (moment requests and replies, phase
     // broadcasts of a short panel) without regrowing.
     let mut buf = Vec::with_capacity(256);
     buf.resize(SEALED_HEAD, 0);
     msg.encode(&mut buf);
     let plaintext_len = buf.len() - SEALED_HEAD;
-    buf.reserve_exact(aead::OVERHEAD);
-    channel.send_in_place(&mut buf, SEALED_HEAD, CHANNEL_AAD);
-    ctx.send_frame(to, FrameBody::Sealed(Sealed(buf)), plaintext_len)
+    ctx.send_sealed(to, buf, plaintext_len);
 }
 
+/// Receives `from`'s next message over the channel.
 pub(crate) fn recv_protocol<T: Transport>(
     ctx: &mut MemberCtx<T>,
-    channel: &mut SecureChannel,
     from: usize,
     phase: &'static str,
-) -> Result<ProtocolMessage, Interrupt> {
-    let frame = ctx.recv_frame_from(from, phase)?;
-    let FrameBody::Sealed(Sealed(mut buf)) = frame else {
-        return Err(ProtocolError::MalformedMessage { member: from }.into());
+) -> Result<ProtocolMessage, ProtocolError> {
+    let buf = match ctx.links[from].opened.take() {
+        Some(buf) => buf,
+        None => ctx.recv_frame_from(from, phase, Link::open)?,
     };
-    let sealed = &mut buf[SEALED_HEAD..];
-    let plaintext = channel
-        .recv_in_place(sealed, CHANNEL_AAD)
-        .map_err(|cause| {
-            Interrupt::Fatal(ProtocolError::SecurityFailure {
-                member: from,
-                cause,
-            })
-        })?;
-    wire::from_bytes(plaintext).map_err(|_| ProtocolError::MalformedMessage { member: from }.into())
+    wire::from_bytes(&buf[SEALED_HEAD..buf.len() - aead::OVERHEAD])
+        .map_err(|_| ProtocolError::MalformedMessage { member: from })
 }
 
 /// Where an election put a member.
+#[allow(clippy::large_enum_variant)] // one per member, matched at once
 pub(crate) enum Seat<'a> {
     /// Elected: attested to every peer, their counts collected.
     Leader(LeaderSession<'a>),
     /// Attested to the leader, own counts sent.
-    Follower {
-        leader: usize,
-        channel: SecureChannel,
-    },
+    Follower { leader: usize },
 }
 
-/// Elects a leader over the current roster and seats this member: the
-/// leader attests every other member in roster order and collects their
-/// counts, a follower attests the leader and sends its own. Both drivers
-/// join (and the one-shot re-joins, per epoch) a federation this way.
+/// Elects a leader and seats this member: the leader attests every other
+/// member in id order and collects their counts, a follower attests the
+/// leader and sends its own. Both drivers join a federation this way.
 pub(crate) fn seat<'a, T: Transport>(
     ctx: &mut MemberCtx<T>,
     node: &'a GdoNode,
     counts: &CountsReport,
     reference: &'a GenotypeMatrix,
     params: &'a GwasParams,
-) -> Result<Seat<'a>, Interrupt> {
+) -> Result<Seat<'a>, ProtocolError> {
     let leader = run_election(ctx)?;
     if leader != ctx.id {
-        let mut channel = establish_channel(ctx, leader)?;
-        let report = ProtocolMessage::Counts(counts.clone());
-        send_protocol(ctx, &mut channel, leader, &report)?;
-        return Ok(Seat::Follower { leader, channel });
+        establish_channel(ctx, leader)?;
+        send_protocol(ctx, leader, &ProtocolMessage::Counts(counts.clone()));
+        return Ok(Seat::Follower { leader });
     }
-    let mut channels = Channels::new();
-    for peer in ctx.roster.clone() {
+    for peer in 0..ctx.g {
         if peer != ctx.id {
-            channels.insert(peer, establish_channel(ctx, peer)?);
+            establish_channel(ctx, peer)?;
         }
     }
-    LeaderSession::collect(ctx, channels, node, reference, params).map(Seat::Leader)
+    LeaderSession::collect(ctx, node, reference, params).map(Seat::Leader)
 }
-
 /// Runs the full threaded deployment over `cohort`.
 ///
 /// `faults` optionally injects crashes/partitions; `timeout` bounds every
@@ -1068,7 +833,7 @@ where
 pub struct MemberOutcome {
     /// This member's index.
     pub id: usize,
-    /// The leader this member elected (in the final epoch).
+    /// The leader this member elected.
     pub leader: usize,
     /// The safe set this member learned (identical at every honest member).
     pub safe_snps: Vec<SnpId>,
@@ -1088,21 +853,16 @@ pub struct MemberOutcome {
     pub ingress: TrafficStats,
     /// Outbound per-link stats, `(peer, stats)` for every other member.
     pub links: Vec<(u32, TrafficStats)>,
-    /// Epoch in which this member finished.
-    pub epoch: u64,
-    /// Surviving roster of that epoch.
-    pub roster: Vec<usize>,
 }
 
 /// Validates the configuration and builds one member: its protocol context
-/// (the enclave, the deterministic per-member secrets and the frame
-/// sequencing state), its node over `shard`, and the counts report it
-/// computes once, metered in its enclave — the report outlives view
-/// changes and a session's jobs. The fork order of the derivation must
-/// match `run_federation_over` exactly: attestation service first, then a
-/// (platform, member) RNG pair per member in id order — this is what lets
-/// G independent processes (or a restarted service daemon) sharing a seed
-/// reconstruct one consistent federation.
+/// (the enclave, the deterministic per-member secrets and the links), its
+/// node over `shard`, and the counts report it computes once, metered in
+/// its enclave — the report outlives a session's jobs. The fork order of
+/// the derivation must match `run_federation_over` exactly: attestation
+/// service first, then a (platform, member) RNG pair per member in id
+/// order — this is what lets G independent processes (or a restarted
+/// service daemon) sharing a seed reconstruct one consistent federation.
 pub(crate) fn build_member<T: Transport>(
     transport: T,
     member: usize,
@@ -1147,11 +907,8 @@ pub(crate) fn build_member<T: Transport>(
         timeout: options.timeout,
         compact_lr: options.compact_lr,
         prefetch_ld: options.prefetch_ld,
-        recovery: options.recovery,
         collusion: config.collusion,
         expected: expected_measurement(params),
-        epoch: 1,
-        roster: (0..g).collect(),
         links: (0..g).map(|_| Link::default()).collect(),
         burst: None,
     };
@@ -1175,11 +932,8 @@ pub(crate) fn build_member<T: Transport>(
 /// # Errors
 ///
 /// Configuration errors, [`ProtocolError::MemberUnresponsive`] when a
-/// peer stays silent past `options.timeout` with recovery disabled,
-/// [`ProtocolError::QuorumLost`] when too many members crashed for a new
-/// epoch to form, [`ProtocolError::Evicted`] when the survivors re-formed
-/// without this member, or [`ProtocolError::SecurityFailure`] if
-/// attestation fails.
+/// peer stays silent past `options.timeout`, or
+/// [`ProtocolError::SecurityFailure`] if attestation fails.
 #[allow(clippy::needless_pass_by_value)] // the transport is consumed by the run
 pub fn run_member<T: Transport>(
     transport: T,
@@ -1191,11 +945,10 @@ pub fn run_member<T: Transport>(
     reference: &GenotypeMatrix,
 ) -> Result<MemberOutcome, ProtocolError> {
     let (mut ctx, node, counts) = build_member(transport, member, config, params, options, shard)?;
-    // One epoch per pass: seat, then one job — the leader assesses the
-    // whole panel, nothing forced, no job context. A view change re-runs
-    // the election over the survivors.
-    let (leader, safe_snps, (l_prime, l_double_prime), certificate, timings) = loop {
-        let epoch = seat(&mut ctx, &node, &counts, reference, params).and_then(|seat| match seat {
+    // Seat, then one job: the leader assesses the whole panel, nothing
+    // forced, no job context.
+    let (leader, safe_snps, (l_prime, l_double_prime), certificate, timings) =
+        match seat(&mut ctx, &node, &counts, reference, params)? {
             Seat::Leader(mut session) => {
                 gendpr_obs::event(
                     gendpr_obs::Level::Info,
@@ -1210,24 +963,13 @@ pub fn run_member<T: Transport>(
                 let panel = session.core.whole_panel();
                 let a = session.assess(&mut ctx, &panel, &[], None, None)?;
                 let kept = (Some(a.l_prime), Some(a.l_double_prime));
-                Ok((member, a.released, kept, a.certificate, a.timings))
+                (member, a.released, kept, a.certificate, a.timings)
             }
-            Seat::Follower {
-                leader,
-                mut channel,
-            } => follower_serve(&mut ctx, &node, &mut channel, leader, Terminator::Phase3)
-                .map(|safe| (leader, safe, (None, None), None, PhaseTimings::default())),
-        });
-        match epoch {
-            Ok(done) => break done,
-            Err(Interrupt::Fatal(e)) => return Err(e),
-            Err(Interrupt::NewView {
-                epoch,
-                roster,
-                announce,
-            }) => ctx.begin_epoch(epoch, roster, announce),
-        }
-    };
+            Seat::Follower { leader } => {
+                let safe = follower_serve(&mut ctx, &node, leader, Terminator::Phase3)?;
+                (leader, safe, (None, None), None, PhaseTimings::default())
+            }
+        };
     let links = (0..config.gdo_count)
         .filter(|&peer| peer != member)
         .map(|peer| (peer as u32, ctx.endpoint.link_stats(PeerId(peer as u32))))
@@ -1248,8 +990,6 @@ pub fn run_member<T: Transport>(
         egress: ctx.endpoint.egress_stats(),
         ingress: ctx.endpoint.ingress_stats(),
         links,
-        epoch: ctx.epoch,
-        roster: ctx.roster,
     })
 }
 
@@ -1260,18 +1000,11 @@ pub fn run_member<T: Transport>(
 /// [`Network`]; passing [`gendpr_fednet::tcp::TcpTransport`]s instead
 /// runs the same protocol over real sockets.
 ///
-/// With recovery enabled ([`RecoveryOptions::max_epochs`] above one) the
-/// run tolerates member crashes: as long as one epoch completes with a
-/// certificate, the report is returned with the casualties listed in
-/// [`RuntimeReport::failed`] and the certificate stamped with the final
-/// epoch and surviving roster.
-///
 /// # Errors
 ///
 /// Same conditions as [`run_federation`], plus
 /// [`ProtocolError::InvalidConfig`] if the transports do not line up with
-/// the configured member count, and [`ProtocolError::QuorumLost`] when
-/// too many members fail for any epoch to complete.
+/// the configured member count.
 pub fn run_federation_over<T: Transport + 'static>(
     transports: Vec<T>,
     config: FederationConfig,
@@ -1287,33 +1020,30 @@ pub fn run_federation_over<T: Transport + 'static>(
     })?;
 
     let mut outcomes = Vec::with_capacity(handles.len());
-    let mut failures: Vec<(usize, ProtocolError)> = Vec::new();
-    for (id, handle) in handles.into_iter().enumerate() {
+    let mut failures: Vec<ProtocolError> = Vec::new();
+    for handle in handles {
         match handle.join().expect("member thread must not panic") {
             Ok(outcome) => outcomes.push(outcome),
-            Err(e) => failures.push((id, e)),
+            Err(e) => failures.push(e),
         }
     }
 
     let Some(leader_outcome) = outcomes.iter().find(|o| o.certificate.is_some()) else {
-        // No epoch completed. Report the most precise root cause: a quorum
-        // loss beats a generic timeout, which beats transport noise.
+        // No leader certified. Report the most precise root cause: any
+        // protocol error beats transport noise.
+        let transport_noise = |e: &&ProtocolError| {
+            matches!(
+                e,
+                ProtocolError::MemberUnresponsive {
+                    phase: "transport",
+                    ..
+                }
+            )
+        };
         let root = failures
             .iter()
-            .map(|(_, e)| e)
-            .find(|e| matches!(e, ProtocolError::QuorumLost { .. }))
-            .or_else(|| {
-                failures.iter().map(|(_, e)| e).find(|e| {
-                    !matches!(
-                        e,
-                        ProtocolError::MemberUnresponsive {
-                            phase: "transport",
-                            ..
-                        }
-                    )
-                })
-            })
-            .or_else(|| failures.first().map(|(_, e)| e))
+            .find(|e| !transport_noise(e))
+            .or_else(|| failures.first())
             .cloned()
             .unwrap_or(ProtocolError::InvalidConfig(
                 "no member produced a certificate",
@@ -1322,7 +1052,6 @@ pub fn run_federation_over<T: Transport + 'static>(
     };
 
     let leader = leader_outcome.leader;
-    let final_epoch = leader_outcome.epoch;
     let l_prime = leader_outcome.l_prime.clone().expect("leader outcome");
     let l_double_prime = leader_outcome
         .l_double_prime
@@ -1334,22 +1063,19 @@ pub fn run_federation_over<T: Transport + 'static>(
         .certificate
         .clone()
         .expect("found by certificate presence");
-    // Every member that finished the final epoch must agree.
+    // Every member that finished must agree.
     let mut traffic = TrafficStats::default();
     for o in &outcomes {
-        if o.epoch == final_epoch {
-            assert_eq!(
-                o.safe_snps, safe_snps,
-                "member {} disagrees on L_safe",
-                o.id
-            );
-            assert_eq!(o.leader, leader, "member {} disagrees on the leader", o.id);
-        }
+        assert_eq!(
+            o.safe_snps, safe_snps,
+            "member {} disagrees on L_safe",
+            o.id
+        );
+        assert_eq!(o.leader, leader, "member {} disagrees on the leader", o.id);
         traffic.merge(&o.egress);
     }
     outcomes.sort_by_key(|o| o.id);
     let resources = outcomes.iter().map(|o| o.resources).collect();
-    let failed: Vec<usize> = failures.iter().map(|&(id, _)| id).collect();
 
     Ok(RuntimeReport {
         leader,
@@ -1360,10 +1086,7 @@ pub fn run_federation_over<T: Transport + 'static>(
         resources,
         elapsed: start.elapsed(),
         timings,
-        certificate: certificate.clone(),
-        epoch: final_epoch,
-        roster: certificate.roster,
-        failed,
+        certificate,
     })
 }
 
@@ -1400,10 +1123,8 @@ mod tests {
         assert!(threaded.traffic.wire_bytes > threaded.traffic.plaintext_bytes);
         assert_eq!(threaded.resources.len(), 3);
         assert!(threaded.resources.iter().all(|r| r.peak_enclave_bytes > 0));
-        assert_eq!(threaded.epoch, 1, "crash-free run stays in epoch 1");
-        assert_eq!(threaded.roster, vec![0, 1, 2]);
-        assert!(threaded.failed.is_empty());
         assert_eq!(threaded.certificate.epoch, 1);
+        assert_eq!(threaded.certificate.roster, vec![0, 1, 2]);
     }
 
     #[test]
@@ -1576,7 +1297,7 @@ mod tests {
 
     #[test]
     fn crashed_member_aborts_with_unresponsive_error() {
-        // Default options: max_epochs = 1, the paper's no-liveness abort.
+        // The paper's no-liveness abort.
         let c = cohort(60, 80);
         let mut faults = FaultPlan::none();
         faults.crash(2);
@@ -1594,78 +1315,21 @@ mod tests {
         );
     }
 
-    #[test]
-    fn crashed_member_is_survived_with_recovery_enabled() {
-        // Same crash, but with an epoch budget: the survivors re-form and
-        // finish, and the certificate says so.
-        let c = cohort(60, 80);
-        let mut faults = FaultPlan::none();
-        faults.crash(2);
-        let config = FederationConfig::new(3)
-            .with_collusion(CollusionMode::Fixed(1))
-            .with_seed(9);
-        let report = run_federation_with(
-            config,
-            GwasParams::secure_genome_defaults(),
-            &c,
-            Some(faults),
-            RuntimeOptions {
-                timeout: Duration::from_millis(400),
-                recovery: RecoveryOptions {
-                    max_epochs: 4,
-                    ..RecoveryOptions::default()
-                },
-                ..RuntimeOptions::default()
-            },
-        )
-        .unwrap();
-        assert!(report.epoch >= 2, "a view change must have happened");
-        assert_eq!(report.roster, vec![0, 1]);
-        assert_eq!(report.failed, vec![2]);
-        assert_eq!(report.certificate.roster, vec![0, 1]);
-        assert!(report.certificate.epoch >= 2);
-        assert!(!report.roster.contains(&2));
-    }
-
-    #[test]
-    fn quorum_loss_is_reported_precisely() {
-        // Two of three members crash; even with recovery the survivor
-        // cannot form a quorum.
-        let c = cohort(60, 80);
-        let mut faults = FaultPlan::none();
-        faults.crash(1);
-        faults.crash(2);
-        let config = FederationConfig::new(3)
-            .with_collusion(CollusionMode::Fixed(1))
-            .with_seed(9);
-        let err = run_federation_with(
-            config,
-            GwasParams::secure_genome_defaults(),
-            &c,
-            Some(faults),
-            RuntimeOptions {
-                timeout: Duration::from_millis(300),
-                recovery: RecoveryOptions {
-                    max_epochs: 6,
-                    ..RecoveryOptions::default()
-                },
-                ..RuntimeOptions::default()
-            },
-        )
-        .unwrap_err();
-        assert!(
-            matches!(err, ProtocolError::QuorumLost { .. }),
-            "expected QuorumLost, got {err:?}"
-        );
+    /// A frame head (epoch, sequence number) and body tag followed by
+    /// `body`, as raw bytes: the retired kinds have no `FrameBody` left.
+    fn raw_frame(epoch: u64, seq: u64, tag: u8, body: &[u8]) -> Vec<u8> {
+        let mut bytes = [epoch.to_le_bytes(), seq.to_le_bytes()].concat();
+        bytes.push(tag);
+        bytes.extend_from_slice(body);
+        bytes
     }
 
     #[test]
     fn an_unsealed_view_change_cannot_force_an_epoch_or_roster() {
         // Member 2 never runs the protocol: it sends members 0 and 1 one
-        // hand-made view-change frame (or, in the control, nothing).
-        // Frames are public, so whatever it claims must end both runs
-        // exactly as its silence does — no overflow past the last epoch,
-        // no duplicated roster slot, no view change beyond `max_epochs`.
+        // hand-made view-change frame (tag 6, now retired) or, in the
+        // control, nothing. Whatever it claims must end both runs exactly
+        // as its silence does.
         let c = cohort(40, 60);
         let config = FederationConfig::new(3).with_seed(8);
         let params = GwasParams::secure_genome_defaults();
@@ -1685,13 +1349,9 @@ mod tests {
                 let network = Network::new();
                 let [a, b, rogue] = [0, 1, 2].map(|id| network.register(PeerId(id)));
                 if let Some((epoch, roster)) = &frame {
-                    let forged = Frame {
-                        epoch: *epoch,
-                        seq: 0,
-                        body: FrameBody::ViewChange(roster.clone()),
-                    };
+                    let forged = raw_frame(*epoch, 0, 6, &wire::to_bytes(roster));
                     for to in [0, 1] {
-                        rogue.send(PeerId(to), wire::to_bytes(&forged), 0).unwrap();
+                        rogue.send(PeerId(to), forged.clone(), 0).unwrap();
                     }
                 }
                 let (done, results) = std::sync::mpsc::channel();
@@ -1701,7 +1361,7 @@ mod tests {
                     std::thread::spawn(move || {
                         let outcome =
                             run_member(endpoint, id, &config, &params, options, shard, &reference);
-                        let _ = done.send(outcome.map(|o| o.epoch));
+                        let _ = done.send(outcome.map(|o| o.leader));
                     });
                 }
                 (frame, results, rogue)
@@ -1749,23 +1409,24 @@ mod tests {
             .collect();
         let rogue = network.register(PeerId(g as u32 + 3));
         let spray = move |seq: u64| {
-            let body = match seq % 6 {
-                0 => FrameBody::Ping,
-                1 => FrameBody::Commit([7; 32]),
-                2 => FrameBody::Handshake([9; 128]),
-                3 => FrameBody::ViewChange(vec![0, 1]),
-                4 => FrameBody::Pong,
-                _ => FrameBody::Sealed(Sealed(vec![0xa5; SEALED_HEAD + 40])),
-            };
-            let frame = Frame {
+            // Tags 4–6 (a probe, its answer, a view change) are retired.
+            let frame = |body| Frame {
                 epoch: 1,
                 seq,
                 body,
             };
+            let bytes = match seq % 6 {
+                0 => raw_frame(1, seq, 4, &[]),
+                1 => frame(FrameBody::Commit([7; 32])).into_wire(),
+                2 => frame(FrameBody::Handshake([9; 128])).into_wire(),
+                3 => raw_frame(1, seq, 6, &wire::to_bytes(&vec![0u32, 1])),
+                4 => raw_frame(1, seq, 5, &[]),
+                _ => frame(FrameBody::Sealed(Sealed(vec![0xa5; SEALED_HEAD + 40]))).into_wire(),
+            };
             let mut sent = 0;
             for to in 0..g as u32 {
                 let garbage = vec![seq as u8; 5 + seq as usize % 30];
-                sent += usize::from(rogue.send(PeerId(to), frame.clone().into_wire(), 0).is_ok());
+                sent += usize::from(rogue.send(PeerId(to), bytes.clone(), 0).is_ok());
                 sent += usize::from(rogue.send(PeerId(to), garbage, 0).is_ok());
             }
             sent
@@ -1894,9 +1555,6 @@ mod tests {
             FrameBody::Commit([1; 32]),
             FrameBody::Reveal([2; 32]),
             FrameBody::Handshake([3; 128]),
-            FrameBody::Ping,
-            FrameBody::Pong,
-            FrameBody::ViewChange(vec![0, 2]),
         ];
         for body in bodies {
             let frame = Frame {
@@ -1914,16 +1572,13 @@ mod tests {
                 WireError::TrailingBytes(1)
             );
         }
-        let mut bad_tag = wire::to_bytes(&Frame {
-            epoch: 1,
-            seq: 0,
-            body: FrameBody::Ping,
-        });
-        bad_tag[16] = 7;
-        assert_eq!(
-            Frame::from_wire(bad_tag).unwrap_err(),
-            WireError::InvalidValue("Frame tag")
-        );
+        // Tags 4–6 are retired and 7 was never used: none decodes.
+        for tag in 4..=7 {
+            assert_eq!(
+                Frame::from_wire(raw_frame(1, 0, tag, &[])).unwrap_err(),
+                WireError::InvalidValue("Frame tag")
+            );
+        }
     }
 
     #[test]

@@ -41,8 +41,8 @@ use crate::error::ProtocolError;
 use crate::gdo::GdoNode;
 use crate::messages::{JobStartBroadcast, ProtocolMessage, ShardStartBroadcast};
 use crate::runtime::{
-    build_member, in_memory_fabric, recv_protocol, seat, spawn_members, Interrupt, MemberCtx,
-    RuntimeOptions, Seat,
+    build_member, in_memory_fabric, recv_protocol, seat, spawn_members, MemberCtx, RuntimeOptions,
+    Seat,
 };
 use gendpr_fednet::metrics::TrafficStats;
 use gendpr_fednet::transport::{PeerId, Transport};
@@ -50,7 +50,6 @@ use gendpr_genomics::cohort::Cohort;
 use gendpr_genomics::genotype::GenotypeMatrix;
 use gendpr_genomics::snp::SnpId;
 use gendpr_stats::ld::LdMoments;
-use gendpr_tee::session::SecureChannel;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -153,7 +152,7 @@ pub struct JobOutcome {
     /// Enclave-signed certificate; its context digest binds the job id,
     /// panel and forced prefix.
     pub certificate: AssessmentCertificate,
-    /// Epoch of the session (always 1 — service sessions never re-form).
+    /// The certificate's epoch (always 1).
     pub epoch: u64,
     /// The session roster.
     pub roster: Vec<u32>,
@@ -197,10 +196,9 @@ enum SessionEvent {
 
 /// Snapshots this member's outbound per-link counters.
 fn snapshot_links<T: Transport>(ctx: &MemberCtx<T>) -> Vec<(usize, TrafficStats)> {
-    ctx.roster
-        .iter()
-        .filter(|&&peer| peer != ctx.id)
-        .map(|&peer| (peer, ctx.endpoint.link_stats(PeerId(peer as u32))))
+    (0..ctx.g)
+        .filter(|&peer| peer != ctx.id)
+        .map(|peer| (peer, ctx.endpoint.link_stats(PeerId(peer as u32))))
         .collect()
 }
 
@@ -234,24 +232,18 @@ fn join_session<T: Transport>(
     member: usize,
     config: &FederationConfig,
     params: &GwasParams,
-    mut options: RuntimeOptions,
+    options: RuntimeOptions,
     shard: GenotypeMatrix,
     reference: &GenotypeMatrix,
     commands: &Receiver<SessionCommand>,
     events: &Sender<SessionEvent>,
 ) -> Result<(), ProtocolError> {
-    // A service session is a single epoch by construction: jobs assume the
-    // roster and channels of the session they joined, so a mid-session
-    // view change would silently drop a member's shard from subsequent
-    // releases. A dead member instead kills the session; the daemon
-    // restarts it (and the ledger makes the restart seamless).
-    options.recovery.max_epochs = 1;
+    // A dead member kills the session; the daemon rebuilds the lane (and
+    // the ledger makes the restart seamless).
     let (mut ctx, node, counts) = build_member(transport, member, config, params, options, shard)?;
     match seat(&mut ctx, &node, &counts, reference, params)? {
         Seat::Leader(session) => leader_session(&mut ctx, session, commands, events),
-        Seat::Follower { leader, channel } => {
-            follower_session(&mut ctx, &node, leader, channel, events)
-        }
+        Seat::Follower { leader } => follower_session(&mut ctx, &node, leader, events),
     }
 }
 
@@ -265,7 +257,6 @@ fn leader_session<T: Transport>(
     events: &Sender<SessionEvent>,
 ) -> Result<(), ProtocolError> {
     let me = ctx.id;
-    let roster = ctx.roster.clone();
     let _ = events.send(SessionEvent::Ready { leader: me });
 
     loop {
@@ -291,12 +282,7 @@ fn leader_session<T: Transport>(
                         phases: Box::new(phases),
                     }),
                 Ok(SessionCommand::Shutdown) | Err(_) => {
-                    let _ = send_each(
-                        ctx,
-                        &mut session.links.channels,
-                        &roster,
-                        &ProtocolMessage::SessionEnd,
-                    );
+                    send_each(ctx, 0..ctx.g, &ProtocolMessage::SessionEnd);
                     let _ = events.send(SessionEvent::Closed);
                     return Ok(());
                 }
@@ -306,13 +292,10 @@ fn leader_session<T: Transport>(
                 // Ratchet every channel at the job boundary; the followers
                 // do the same after `Phase3` / `ShardDone`, so the next
                 // job starts under fresh keys on both ends.
-                for channel in session.links.channels.values_mut() {
-                    channel.rekey();
-                }
+                ctx.rekey_channels();
                 let _ = events.send(event);
             }
-            Err(intr) => {
-                let e = ProtocolError::from(intr);
+            Err(e) => {
                 session.abort(ctx, &e);
                 return Err(e);
             }
@@ -324,28 +307,27 @@ fn follower_session<T: Transport>(
     ctx: &mut MemberCtx<T>,
     node: &GdoNode,
     leader: usize,
-    mut channel: SecureChannel,
     events: &Sender<SessionEvent>,
 ) -> Result<(), ProtocolError> {
     let _ = events.send(SessionEvent::Ready { leader });
     loop {
-        let msg = match recv_protocol(ctx, &mut channel, leader, "awaiting-job") {
+        let msg = match recv_protocol(ctx, leader, "awaiting-job") {
             Ok(msg) => msg,
             // Between jobs the leader is legitimately silent for as long
             // as the queue is empty, so idle timeouts are not failures;
             // the member keeps waiting. A *mid-job* silence still aborts
             // with the usual timeout (inside `follower_serve`).
-            Err(Interrupt::Fatal(ProtocolError::MemberUnresponsive {
+            Err(ProtocolError::MemberUnresponsive {
                 phase: "awaiting-job",
                 ..
-            })) => continue,
-            Err(intr) => return Err(intr.into()),
+            }) => continue,
+            Err(e) => return Err(e),
         };
         match msg {
             ProtocolMessage::JobStart(job) => {
                 let before = snapshot_links(ctx);
-                let safe = follower_serve(ctx, node, &mut channel, leader, Terminator::Phase3)?;
-                channel.rekey();
+                let safe = follower_serve(ctx, node, leader, Terminator::Phase3)?;
+                ctx.rekey_channels();
                 let traffic = link_delta(ctx, &before);
                 let _ = events.send(SessionEvent::Finished {
                     member: ctx.id,
@@ -356,11 +338,11 @@ fn follower_session<T: Transport>(
                 });
             }
             ProtocolMessage::ShardStart(_) => {
-                follower_serve(ctx, node, &mut channel, leader, Terminator::ShardDone)?;
+                follower_serve(ctx, node, leader, Terminator::ShardDone)?;
                 // No Finished event: shard lanes report through the
                 // leader's `ShardFinished` alone, but the channel still
                 // ratchets so shard and full jobs share one key schedule.
-                channel.rekey();
+                ctx.rekey_channels();
             }
             ProtocolMessage::SessionEnd => {
                 let _ = events.send(SessionEvent::Closed);
@@ -401,7 +383,7 @@ fn run_leader_job<T: Transport>(
     session: &mut LeaderSession<'_>,
     spec: &JobSpec,
     shards: Option<&[ShardOutput]>,
-) -> Result<Assessment, Interrupt> {
+) -> Result<Assessment, ProtocolError> {
     let (panel, forced) = job_sets(&spec.panel, &spec.forced);
     gendpr_obs::event(
         gendpr_obs::Level::Info,
@@ -419,8 +401,7 @@ fn run_leader_job<T: Transport>(
         panel: panel.iter().map(|s| s.0).collect(),
         forced: forced.iter().map(|s| s.0).collect(),
     });
-    let roster = ctx.roster.clone();
-    send_each(ctx, &mut session.links.channels, &roster, &announce)?;
+    send_each(ctx, 0..ctx.g, &announce);
 
     let assessment = session.assess(ctx, &panel, &forced, Some(spec.job_id), shards)?;
     gendpr_obs::event(
@@ -446,7 +427,7 @@ fn run_leader_shard<T: Transport>(
     ctx: &mut MemberCtx<T>,
     session: &mut LeaderSession<'_>,
     spec: &ShardJobSpec,
-) -> Result<ShardPhases, Interrupt> {
+) -> Result<ShardPhases, ProtocolError> {
     let (panel, forced) = job_sets(&spec.panel, &spec.forced);
     gendpr_obs::event(
         gendpr_obs::Level::Info,
@@ -462,8 +443,7 @@ fn run_leader_shard<T: Transport>(
         job_id: spec.job_id,
         shard: spec.shard,
     });
-    let roster = ctx.roster.clone();
-    send_each(ctx, &mut session.links.channels, &roster, &announce)?;
+    send_each(ctx, 0..ctx.g, &announce);
 
     let phase_clock = Instant::now();
     let l_prime = session.core.maf_step(&panel, &forced);
@@ -474,12 +454,7 @@ fn run_leader_shard<T: Transport>(
     let scans = core.ld_step(&mut remote, &l_prime, None, true)?;
     crate::telemetry::phase_seconds("ld").observe_duration(phase_clock.elapsed());
 
-    send_each(
-        ctx,
-        &mut session.links.channels,
-        &roster,
-        &ProtocolMessage::ShardDone,
-    )?;
+    send_each(ctx, 0..ctx.g, &ProtocolMessage::ShardDone);
     Ok(ShardPhases { l_prime, scans })
 }
 

@@ -2,8 +2,8 @@
 //!
 //! Mirrors the per-run [`PhaseTimings`] the leader already measures into
 //! the process-global `gendpr-obs` registry, together with
-//! subset-combination counts and the recovery layer's suspicion /
-//! view-change events, so a long-running daemon can attribute latency to
+//! subset-combination counts and the failure detector's suspicions, so
+//! a long-running daemon can attribute latency to
 //! the MAF/LD/LR phases across jobs the way the paper's §6 tables do for
 //! single runs. Everything here observes; nothing feeds back into the
 //! protocol.
@@ -50,18 +50,6 @@ pub fn suspicions() -> &'static obs::Counter {
     })
 }
 
-/// Epoch transitions (view changes) entered by this member.
-pub fn view_changes() -> &'static obs::Counter {
-    static C: OnceLock<obs::Counter> = OnceLock::new();
-    C.get_or_init(|| {
-        obs::counter(
-            "gendpr_view_changes_total",
-            "Epoch transitions entered after suspicions or notices",
-            &[],
-        )
-    })
-}
-
 /// LD pairs answered from shard-lane scan caches during a merged job.
 pub fn shard_cache_pairs() -> &'static obs::Counter {
     static C: OnceLock<obs::Counter> = OnceLock::new();
@@ -95,7 +83,6 @@ pub fn register_protocol_metrics() {
     }
     subsets_evaluated();
     suspicions();
-    view_changes();
     shard_cache_pairs();
     shard_oracle_pairs();
     gendpr_stats::lr::register_lr_metrics();

@@ -4,9 +4,9 @@
 //! members become non-responsive" (§4). This module lets tests and
 //! examples create exactly those conditions: crashed peers, dropped
 //! messages, partitions, crash-restart windows and seeded probabilistic
-//! link chaos (drop / duplicate / reorder), so both the protocol's abort
-//! behaviour and the epoch-based recovery layer can be exercised
-//! deterministically.
+//! link chaos (drop / duplicate / reorder), so the protocol's abort
+//! behaviour, the runtime's per-link sequencing and the service's lane
+//! rebuild can be exercised deterministically.
 
 use std::collections::HashSet;
 use std::time::Duration;
@@ -30,8 +30,8 @@ pub struct ChaosFaults {
 
 impl ChaosFaults {
     /// The default chaos profile of the seeded chaos tests: no loss, some
-    /// duplication, small reorder window — faults the recovery layer must
-    /// absorb without changing the release.
+    /// duplication, small reorder window — faults the runtime's per-link
+    /// sequencing must absorb without changing the release.
     #[must_use]
     pub fn seeded(seed: u64) -> Self {
         Self {

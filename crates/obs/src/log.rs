@@ -19,7 +19,7 @@ pub enum Level {
     Error = 1,
     /// Something degraded but survivable (suspicion, retry, rejected job).
     Warn = 2,
-    /// Lifecycle milestones (job queued/certified, view change, listen).
+    /// Lifecycle milestones (job queued/certified, listen).
     Info = 3,
     /// Per-phase detail (span completions, reconnects).
     Debug = 4,

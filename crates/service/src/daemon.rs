@@ -158,8 +158,8 @@ impl AssessmentService {
     }
 
     /// Like [`AssessmentService::start_with`], but *supervised*: the
-    /// factory of `supervision` builds replacement lanes, so a lane that
-    /// loses quorum, gets evicted or panics has its in-flight job
+    /// factory of `supervision` builds replacement lanes, so a lane whose
+    /// member fails, or that panics, has its in-flight job
     /// re-queued (bounded by [`SchedulerConfig::max_retries`]) and the
     /// lane re-elected and returned to the pool — a lane crash never
     /// loses a job or kills the daemon. See [`Supervision`] for sharding

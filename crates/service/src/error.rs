@@ -157,8 +157,8 @@ impl ServiceError {
     }
 
     /// Whether a supervised scheduler may re-queue the job after this
-    /// failure. Lane deaths (quorum loss, eviction, member timeout,
-    /// security failure — any lane-fatal protocol error) and job panics
+    /// failure. Lane deaths (member timeout, security failure — any
+    /// lane-fatal protocol error) and job panics
     /// qualify: the job itself may be fine, the execution environment
     /// was not. Spec rejections are the submitter's fault and ledger
     /// (I/O) failures poison the daemon's durable state, so neither is

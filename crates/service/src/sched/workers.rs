@@ -32,8 +32,8 @@
 //! # Lane supervision
 //!
 //! A pool spawned with a [`LaneFactory`] is *supervised*: when a job
-//! dies with a lane-fatal error (quorum lost, member evicted or
-//! unresponsive, security failure), the worker resolves the failure —
+//! dies with a lane-fatal error (a member unresponsive, a security
+//! failure), the worker resolves the failure —
 //! which, supervised, re-queues the job instead of killing the daemon —
 //! then tears the dead session down and asks the factory for a fresh
 //! one. The factory runs a full election + attestation; because both

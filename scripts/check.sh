@@ -43,13 +43,14 @@ cargo test --release -p gendpr-stats -q
 # block function lane by lane (and the pinned generator stream), the
 # channels' look-ahead of message heads against the copying AEAD, the
 # slice codec and the fabric's burst/wake tests run against
-# the optimised build that carries every member message. The engine and
-# chaos suites too: how many replies a follower finds queued when it
-# wakes, and whether a frame arrives in sequence, depend on timing.
+# the optimised build that carries every member message. The engine,
+# chaos and distributed suites too: how many replies a follower finds
+# queued when it wakes, whether a frame arrives in sequence, and whether
+# a forged or a genuine frame lands first depend on timing.
 echo "==> cargo test --release -p gendpr-crypto -p gendpr-tee -p gendpr-fednet -q"
 cargo test --release -p gendpr-crypto -p gendpr-tee -p gendpr-fednet -q
-echo "==> cargo test --release --test engine --test chaos -q"
-cargo test --release --test engine --test chaos -q
+echo "==> cargo test --release --test engine --test chaos --test distributed --test chaos_props -q"
+cargo test --release --test engine --test chaos --test distributed --test chaos_props -q
 
 # The paper's artefacts call every driver (Federation, the naive and
 # centralized baselines, the attested runtime) and assert their own

@@ -24,7 +24,7 @@ use gendpr::core::config::{CollusionMode, FederationConfig, GwasParams};
 use gendpr::core::dynamic::DynamicAssessor;
 use gendpr::core::error::ProtocolError;
 use gendpr::core::release::GwasRelease;
-use gendpr::core::runtime::{run_federation_with, run_member, RecoveryOptions, RuntimeOptions};
+use gendpr::core::runtime::{run_federation_with, run_member, RuntimeOptions};
 use gendpr::core::serving::ServiceFederation;
 use gendpr::fednet::tcp::{ephemeral_listeners, TcpOptions, TcpTransport};
 use gendpr::fednet::transport::PeerId;
@@ -61,7 +61,6 @@ const FEDERATION: &[&str] = &[
     "power",
     "timeout",
 ];
-const RECOVERY: &[&str] = &["min-quorum", "max-epochs"];
 const SERVICE: &[&str] = &[
     "ledger",
     "ledger-replicas",
@@ -72,18 +71,12 @@ const SERVICE: &[&str] = &[
     "drain-timeout",
     "track-lease-ms",
 ];
-const ASSESS_FLAGS: &[&[&str]] = &[
-    STUDY,
-    FEDERATION,
-    RECOVERY,
-    &["out", "batches", "log-level"],
-];
+const ASSESS_FLAGS: &[&[&str]] = &[STUDY, FEDERATION, &["out", "batches", "log-level"]];
 const ASSESS_BOOLS: &[&str] = &["distributed"];
 const NODE_FLAGS: &[&[&str]] = &[
     &["id", "peers", "listen"],
     STUDY,
     FEDERATION,
-    RECOVERY,
     &["out", "log-level"],
 ];
 const ATTACK_FLAGS: &[&str] = &["release", "victims", "reference", "fpr", "key"];
@@ -108,23 +101,19 @@ const DEFAULT_SERVICE_ADDR: &str = "127.0.0.1:7450";
 
 /// Exit code for a protocol failure, so scripts (and the `assess
 /// --distributed` parent) can distinguish the interesting outcomes:
-/// 3 = quorum lost, 4 = member unresponsive / timeout, 5 = attestation or
-/// channel security failure, 6 = evicted from the surviving roster.
-/// Everything else (bad flags, I/O, malformed input) is the generic 1.
-const EXIT_QUORUM_LOST: u8 = 3;
+/// 4 = member unresponsive / timeout, 5 = attestation or channel security
+/// failure. Everything else (bad flags, I/O, malformed input) is the
+/// generic 1.
 const EXIT_UNRESPONSIVE: u8 = 4;
 const EXIT_SECURITY: u8 = 5;
-const EXIT_EVICTED: u8 = 6;
 /// Graceful exit after SIGTERM/SIGINT: the in-flight work was finished or
 /// aborted cleanly and (for `serve`) the ledger flushed.
 const EXIT_INTERRUPTED: u8 = 7;
 
 fn exit_code_for(err: &ProtocolError) -> u8 {
     match err {
-        ProtocolError::QuorumLost { .. } => EXIT_QUORUM_LOST,
         ProtocolError::MemberUnresponsive { .. } => EXIT_UNRESPONSIVE,
         ProtocolError::SecurityFailure { .. } => EXIT_SECURITY,
-        ProtocolError::Evicted { .. } => EXIT_EVICTED,
         ProtocolError::Interrupted => EXIT_INTERRUPTED,
         _ => 1,
     }
@@ -225,12 +214,11 @@ fn print_usage() {
 USAGE:\n  gendpr synth  --snps N --cases N --reference N [--seed N] [--out DIR] [--key HEX]\n  \
 gendpr assess --case FILE --reference FILE --gdos N [--collusion f|all]\n                \
 [--maf F] [--ld F] [--fpr F] [--power F] [--out FILE] [--key HEX]\n                \
-[--distributed] [--timeout SECS] [--max-epochs N]\n                \
-[--min-quorum N]\n  \
+[--distributed] [--timeout SECS]\n  \
 gendpr node   --id K --peers HOST:PORT,... --case FILE --reference FILE\n                \
 [--gdos N] [--listen ADDR] [--collusion f|all] [--seed N]\n                \
 [--maf F] [--ld F] [--fpr F] [--power F] [--out FILE] [--key HEX]\n                \
-[--timeout SECS] [--max-epochs N] [--min-quorum N]\n  \
+[--timeout SECS]\n  \
 gendpr attack --release FILE --victims FILE --reference FILE [--fpr F] [--key HEX]\n  \
 gendpr serve  --case FILE --reference FILE --ledger FILE [--gdos N] [--tcp]\n                \
 [--ledger-replicas PATH,...] [--shards S]\n                \
@@ -268,7 +256,7 @@ dispatch and commits land in job-id order. `--max-queue N` bounds the\n  \
 job queue; over-limit submits get a typed queue-full rejection. `status`\n  \
 shows queue depth, worker utilisation and cumulative per-link traffic;\n  \
 `results` fetches a job's ledger record; `stop` drains and exits.\n  \
-Lanes are supervised: a lane that loses quorum or panics is torn down,\n  \
+Lanes are supervised: a lane whose member fails or panics is torn down,\n  \
 its job retried on a fresh re-elected lane (--max-retries, default 2,\n  \
 then a typed `retried` rejection), and shutdown converts stragglers\n  \
 past --drain-timeout SECS (default 30) to shutting-down verdicts.\n  \
@@ -296,11 +284,10 @@ warn, info, debug or trace (overrides GENDPR_LOG;\n                      \
 also on assess/node/serve)\n  \
 status --metrics    dump the same exposition document over the client\n                      \
 protocol, no HTTP endpoint needed\n\n\
-FAULT TOLERANCE:\n  --max-epochs N    survive member crashes via up to N-1 view changes\n                    \
-(default 1: abort on the first silent member)\n  --min-quorum N    smallest surviving roster \
-allowed to re-form\n                    (default G−f from the collusion mode)\n\nEXIT CODES:\n  \
-0 success · 1 generic error · 3 quorum lost · 4 member unresponsive\n  \
-5 attestation/channel security failure · 6 evicted from the roster\n  \
+FAULT TOLERANCE:\n  assess and node abort on the first member silent for --timeout SECS\n  \
+(the paper's rule); serve rebuilds a failed lane and re-runs its job\n\nEXIT CODES:\n  \
+0 success · 1 generic error · 4 member unresponsive\n  \
+5 attestation/channel security failure\n  \
 7 interrupted by SIGTERM/SIGINT (in-flight work finished, ledger flushed)"
     );
 }
@@ -519,32 +506,13 @@ fn config_from_flags(
 
 /// The deployment options every attested command (`assess`, `node`,
 /// `serve`) runs with: compact Phase 3 reports and the batched LD round.
-fn runtime_options(timeout: Duration, recovery: RecoveryOptions) -> RuntimeOptions {
+fn runtime_options(timeout: Duration) -> RuntimeOptions {
     RuntimeOptions {
         timeout,
         compact_lr: true,
         prefetch_ld: true,
-        recovery,
         ..RuntimeOptions::default()
     }
-}
-
-/// Recovery knobs shared by `assess` and `node`: `--max-epochs` (default
-/// 1 = no recovery, the paper's abort-on-silence) and `--min-quorum`
-/// (default `G − f` from the collusion mode).
-fn recovery_from_flags(
-    flags: &HashMap<String, String>,
-    config: &FederationConfig,
-) -> Result<RecoveryOptions, String> {
-    let max_epochs: u64 = flag(flags, "max-epochs", 1)?;
-    if max_epochs == 0 {
-        return Err("--max-epochs must be at least 1".to_string());
-    }
-    let min_quorum: usize = flag(flags, "min-quorum", config.default_min_quorum())?;
-    Ok(RecoveryOptions {
-        max_epochs,
-        min_quorum,
-    })
 }
 
 fn release_for(cohort: &Cohort, safe_snps: &[gendpr::genomics::snp::SnpId]) -> GwasRelease {
@@ -583,23 +551,16 @@ fn cmd_assess(flags: &HashMap<String, String>) -> Result<(), CliError> {
         cohort.reference_individuals(),
         cohort.panel().len()
     );
-    let recovery = recovery_from_flags(flags, &config)?;
     let report = run_federation_with(
         config,
         params,
         &cohort,
         None,
-        runtime_options(Duration::from_secs(timeout), recovery),
+        runtime_options(Duration::from_secs(timeout)),
     )
     .map_err(protocol_error)?;
 
     println!("leader: GDO {}", report.leader);
-    if report.epoch > 1 {
-        println!(
-            "degraded run: finished in epoch {} with surviving roster {:?} (failed: {:?})",
-            report.epoch, report.roster, report.failed
-        );
-    }
     println!(
         "assessment certificate: {} (enclave-signed; binds parameters, inputs and L_safe)",
         report.certificate.fingerprint()
@@ -680,7 +641,7 @@ fn cmd_assess_distributed(flags: &HashMap<String, String>) -> Result<(), CliErro
     }
 
     // Propagate the most telling child exit code: a typed protocol code
-    // (3–6) beats the generic 1, and quorum loss beats a plain timeout.
+    // (4, 5) beats the generic 1, and a security failure beats a timeout.
     let mut failed_code: Option<u8> = None;
     for (id, child) in children {
         let output = child
@@ -719,15 +680,13 @@ fn cmd_assess_distributed(flags: &HashMap<String, String>) -> Result<(), CliErro
 
 /// Orders child exit codes by how telling they are, so a multi-process
 /// parent (`assess --distributed`, `tracks`) propagates the most
-/// interesting one: a typed protocol code (3–6) beats the generic 1,
-/// and quorum loss beats a plain timeout.
+/// interesting one: a typed protocol code (4, 5) beats the generic 1,
+/// and a security failure beats a plain timeout.
 fn exit_rank(code: u8) -> u8 {
     match code {
-        EXIT_QUORUM_LOST => 0,
-        EXIT_SECURITY => 1,
-        EXIT_EVICTED => 2,
-        EXIT_UNRESPONSIVE => 3,
-        _ => 4,
+        EXIT_SECURITY => 0,
+        EXIT_UNRESPONSIVE => 1,
+        _ => 2,
     }
 }
 
@@ -823,8 +782,7 @@ fn run_node(flags: &HashMap<String, String>) -> Result<(), CliError> {
         .into_iter()
         .nth(id)
         .expect("id < gdos");
-    let recovery = recovery_from_flags(flags, &config)?;
-    let options = runtime_options(timeout, recovery);
+    let options = runtime_options(timeout);
     let outcome = run_member(
         transport,
         id,
@@ -837,12 +795,6 @@ fn run_node(flags: &HashMap<String, String>) -> Result<(), CliError> {
     .map_err(protocol_error)?;
 
     println!("leader: GDO {}", outcome.leader);
-    if outcome.epoch > 1 {
-        println!(
-            "degraded run: finished in epoch {} with surviving roster {:?}",
-            outcome.epoch, outcome.roster
-        );
-    }
     if let Some(cert) = &outcome.certificate {
         println!(
             "assessment certificate: {} (enclave-signed; binds parameters, inputs and L_safe)",
@@ -993,7 +945,7 @@ fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), CliError> {
         ledger.released_len()
     );
 
-    let options = runtime_options(Duration::from_secs(timeout), RecoveryOptions::default());
+    let options = runtime_options(Duration::from_secs(timeout));
     let workers: usize = flag(flags, "workers", 1)?;
     if workers == 0 {
         return Err(CliError::from("--workers must be at least 1".to_string()));

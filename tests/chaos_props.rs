@@ -1,14 +1,14 @@
 //! Property tests over the chaos fault space: arbitrary seeded
 //! duplication/reordering schedules must never change the certified
-//! release, and lossy links must end in either the clean release or a
-//! precise protocol error — never a hang, panic or corrupted result.
+//! release, and lossy links must end in either the clean release or the
+//! abort on a silent member — never a hang, panic or corrupted result.
 //!
 //! Each case runs a full (small) federation, so the case count is kept
 //! low; the nightly chaos CI job covers breadth with fresh seeds instead.
 
 use gendpr::core::config::{CollusionMode, FederationConfig, GwasParams};
 use gendpr::core::error::ProtocolError;
-use gendpr::core::runtime::{run_federation_with, RecoveryOptions, RuntimeOptions};
+use gendpr::core::runtime::{run_federation_with, RuntimeOptions};
 use gendpr::fednet::fault::{ChaosFaults, FaultPlan};
 use gendpr::genomics::cohort::Cohort;
 use gendpr::genomics::synth::SyntheticCohort;
@@ -66,12 +66,11 @@ proptest! {
             run_federation_with(config(), params, cohort, Some(plan(chaos)), options).unwrap();
         prop_assert_eq!(&noisy.safe_snps, &clean.safe_snps);
         prop_assert_eq!(&noisy.certificate, &clean.certificate);
-        prop_assert_eq!(noisy.epoch, 1u64);
     }
 
     /// Lossy links may stall members, but the outcome is always either
-    /// the clean release (the loss was absorbed or recovered from) or a
-    /// precise, typed protocol error — never a wrong answer.
+    /// the clean release (the loss was absorbed) or the abort on a silent
+    /// member — never a wrong answer.
     #[test]
     fn lossy_links_end_in_release_or_clean_error(
         seed in 0u64..1_000_000,
@@ -82,23 +81,9 @@ proptest! {
         let params = GwasParams::secure_genome_defaults();
         let options = RuntimeOptions {
             timeout: Duration::from_millis(600),
-            recovery: RecoveryOptions {
-                max_epochs: 3,
-                ..RecoveryOptions::default()
-            },
             ..RuntimeOptions::default()
         };
-        let clean = run_federation_with(
-            config(),
-            params,
-            cohort,
-            None,
-            RuntimeOptions {
-                recovery: RecoveryOptions::default(),
-                ..options
-            },
-        )
-        .unwrap();
+        let clean = run_federation_with(config(), params, cohort, None, options).unwrap();
         let chaos = ChaosFaults {
             seed,
             drop_rate,
@@ -106,23 +91,12 @@ proptest! {
             reorder_window_ms: 2,
         };
         match run_federation_with(config(), params, cohort, Some(plan(chaos)), options) {
-            // Crash-free completion ⇒ the loss was absorbed ⇒ bit-equal.
-            Ok(report) if report.epoch == 1 => {
+            // Completion ⇒ the loss was absorbed ⇒ bit-equal.
+            Ok(report) => {
                 prop_assert_eq!(&report.safe_snps, &clean.safe_snps);
                 prop_assert_eq!(&report.certificate, &clean.certificate);
             }
-            // Degraded completion: a member was (falsely) evicted, so the
-            // release covers fewer shards — but the certificate must say
-            // exactly which survivors it covers.
-            Ok(report) => {
-                prop_assert!(report.certificate.epoch >= 2);
-                prop_assert!(report.certificate.roster.len() < 3);
-            }
-            Err(
-                ProtocolError::MemberUnresponsive { .. }
-                | ProtocolError::QuorumLost { .. }
-                | ProtocolError::Evicted { .. },
-            ) => {}
+            Err(ProtocolError::MemberUnresponsive { .. }) => {}
             Err(other) => prop_assert!(false, "unexpected error under loss: {other:?}"),
         }
     }

@@ -1,20 +1,28 @@
 //! Distributed-deployment integration tests: the same seeded study must
 //! produce bit-identical results whether the federation runs over the
-//! in-memory fabric or over real TCP sockets, and a member that never
-//! shows up must abort the protocol cleanly instead of hanging.
+//! in-memory fabric or over real TCP sockets, frames forged onto a
+//! member's port from outside must not change what it certifies, and a
+//! member that never shows up must abort the protocol cleanly instead of
+//! hanging.
 
+use gendpr::core::certificate::AssessmentCertificate;
 use gendpr::core::config::{CollusionMode, FederationConfig, GwasParams};
 use gendpr::core::error::ProtocolError;
 use gendpr::core::release::GwasRelease;
 use gendpr::core::runtime::{
-    run_federation_over, run_federation_with, run_member, RecoveryOptions, RuntimeOptions,
-    RuntimeReport,
+    run_federation_over, run_federation_with, run_member, RuntimeOptions, RuntimeReport,
 };
-use gendpr::fednet::fault::FaultPlan;
-use gendpr::fednet::tcp::{ephemeral_listeners, TcpOptions, TcpTransport};
-use gendpr::fednet::transport::{PeerId, Transport};
+use gendpr::core::serving::{JobSpec, ServiceFederation};
+use gendpr::fednet::tcp::{
+    encode_frame, ephemeral_listeners, Roster, TcpFrame, TcpOptions, TcpTransport,
+};
+use gendpr::fednet::transport::PeerId;
+use gendpr::fednet::wire;
 use gendpr::genomics::cohort::Cohort;
+use gendpr::genomics::snp::SnpId;
 use gendpr::genomics::synth::SyntheticCohort;
+use std::io::Write;
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::time::Duration;
 
 const TIMEOUT: Duration = Duration::from_secs(30);
@@ -52,15 +60,25 @@ fn run_over_tcp_with(
     opts: RuntimeOptions,
 ) -> Result<RuntimeReport, ProtocolError> {
     let (roster, listeners) = ephemeral_listeners(g).expect("localhost listeners");
-    let transports: Vec<TcpTransport> = listeners
+    run_federation_over(
+        tcp_transports(&roster, listeners),
+        config(g),
+        params,
+        cohort,
+        opts,
+    )
+}
+
+/// One member transport per listener, in id order.
+fn tcp_transports(roster: &Roster, listeners: Vec<TcpListener>) -> Vec<TcpTransport> {
+    listeners
         .into_iter()
         .enumerate()
         .map(|(id, listener)| {
-            TcpTransport::from_listener(PeerId(id as u32), listener, &roster, TcpOptions::default())
+            TcpTransport::from_listener(PeerId(id as u32), listener, roster, TcpOptions::default())
                 .expect("transport from bound listener")
         })
-        .collect();
-    run_federation_over(transports, config(g), params, cohort, opts)
+        .collect()
 }
 
 fn release_of(cohort: &Cohort, report: &RuntimeReport) -> String {
@@ -265,215 +283,146 @@ fn member_outcomes_agree_across_processes_in_spirit() {
     assert_eq!(certificates.len(), 1, "exactly one leader signs");
 }
 
-/// Runs a `g`-member federation with the epoch recovery layer enabled,
-/// under `faults`, over either transport. The 2-second phase timeout is
-/// also the failure-detection horizon, so a crashed member is suspected
-/// quickly without flaking healthy phases.
-fn run_recovering(
-    tcp: bool,
-    g: usize,
-    faults: &FaultPlan,
-    max_epochs: u64,
-) -> Result<RuntimeReport, ProtocolError> {
+/// Frame bytes as the runtime lays them out: epoch, sequence number, body
+/// tag, body. Tags 4–6 (a probe, its answer, a view change) are retired.
+fn frame_bytes(epoch: u64, seq: u64, tag: u8, body: &[u8]) -> Vec<u8> {
+    let mut bytes = [epoch.to_le_bytes(), seq.to_le_bytes()].concat();
+    bytes.push(tag);
+    bytes.extend_from_slice(body);
+    bytes
+}
+
+/// The body of a sealed frame (tag 3) no key made: 40 bytes of garbage.
+fn sealed_garbage() -> Vec<u8> {
+    [&40u64.to_le_bytes()[..], &[0xa5; 40]].concat()
+}
+
+/// Sends each `(claimed sender, frame)` to the member listening on `addr`
+/// from a raw socket, as anyone who can reach the port can, then gives the
+/// member's reader threads a moment to queue them ahead of what follows.
+fn forge(addr: SocketAddr, frames: &[(u32, Vec<u8>)]) {
+    let mut stream = TcpStream::connect(addr).expect("reach the member's port");
+    for (from, payload) in frames {
+        let frame = TcpFrame {
+            from: *from,
+            plaintext_len: 0,
+            payload: payload.clone(),
+        };
+        stream.write_all(&encode_frame(&frame).unwrap()).unwrap();
+    }
+    stream.flush().unwrap();
+    std::thread::sleep(Duration::from_millis(200));
+}
+
+#[test]
+fn a_forged_view_change_cannot_drop_a_live_member_from_the_release() {
+    // Before the run, members 0 and 1 each get an unsealed `{epoch 2,
+    // seq 0, ViewChange([0, 1])}` claiming to come from the other. A
+    // one-shot run with a second epoch to spare used to take it and
+    // certify without the live member 2; the frame is now dropped, and the
+    // run certifies what a clean one does.
+    let g = 3;
     let study = study();
     let cohort: &Cohort = study.as_ref();
-    let opts = RuntimeOptions {
-        timeout: Duration::from_secs(2),
-        recovery: RecoveryOptions {
-            max_epochs,
-            ..RecoveryOptions::default()
-        },
-        ..RuntimeOptions::default()
-    };
-    if !tcp {
-        return run_federation_with(
-            config(g),
-            GwasParams::secure_genome_defaults(),
-            cohort,
-            Some(faults.clone()),
-            opts,
-        );
-    }
+    let params = GwasParams::secure_genome_defaults();
+    let clean = run_federation_with(config(g), params, cohort, None, options()).unwrap();
     let (roster, listeners) = ephemeral_listeners(g).expect("localhost listeners");
-    let transports: Vec<TcpTransport> = listeners
-        .into_iter()
-        .enumerate()
-        .map(|(id, listener)| {
-            let t = TcpTransport::from_listener(
-                PeerId(id as u32),
-                listener,
-                &roster,
-                TcpOptions::default(),
-            )
-            .expect("transport from bound listener");
-            t.set_faults(faults.clone());
-            t
-        })
-        .collect();
-    run_federation_over(
-        transports,
-        config(g),
-        GwasParams::secure_genome_defaults(),
-        cohort,
-        opts,
-    )
+    let transports = tcp_transports(&roster, listeners);
+    let view_change = frame_bytes(2, 0, 6, &wire::to_bytes(&vec![0u32, 1]));
+    forge(roster[0].1, &[(1, view_change.clone())]);
+    forge(roster[1].1, &[(0, view_change)]);
+    let forged = run_federation_over(transports, config(g), params, cohort, options()).unwrap();
+    assert_eq!(forged.safe_snps, clean.safe_snps);
+    assert_eq!(forged.certificate, clean.certificate);
+    assert_eq!(release_of(cohort, &forged), release_of(cohort, &clean));
 }
 
 #[test]
-fn non_leader_crash_mid_phase2_yields_epoch_two_certificate() {
-    // G = 5, f = 1: a follower goes dark right after shipping its counts
-    // checkpoint (4 commits + 4 reveals + handshake + counts = 10 sends),
-    // so the leader's Phase 2 moments query is what exposes the crash.
-    // The survivors must re-form in epoch 2 and certify the degraded
-    // roster.
-    let g = 5;
-    let clean = run_recovering(false, g, &FaultPlan::none(), 1).unwrap();
-    let victim = (0..g).find(|&m| m != clean.leader).unwrap();
-    let mut faults = FaultPlan::none();
-    faults.crash_after_sends(victim as u32, 10);
-
-    for tcp in [false, true] {
-        let report = run_recovering(tcp, g, &faults, 4).unwrap();
-        assert!(report.epoch >= 2, "tcp={tcp}: expected a view change");
-        assert_eq!(report.roster.len(), g - 1, "tcp={tcp}");
-        assert!(
-            !report.roster.contains(&(victim as u32)),
-            "tcp={tcp}: victim must leave the roster"
-        );
-        assert_eq!(report.failed, vec![victim], "tcp={tcp}");
-        // The degraded roster is bound into the signed certificate.
-        assert_eq!(report.certificate.epoch, report.epoch, "tcp={tcp}");
-        assert_eq!(report.certificate.roster, report.roster, "tcp={tcp}");
-        assert!(!report.safe_snps.is_empty() || clean.safe_snps.is_empty());
-    }
-}
-
-#[test]
-fn leader_crash_triggers_deterministic_reelection_on_both_transports() {
-    // The epoch-1 leader goes dark right after its Phase 1 broadcast
-    // (8 election frames + 4 handshakes + 4 Phase-1 messages = 16 sends).
-    // Every follower must suspect it, re-elect among the survivors and
-    // finish — and because each member draws exactly one fresh nonce per
-    // epoch from its seeded RNG, the epoch-2 election must land on the
-    // same new leader over the in-memory fabric and over TCP.
-    let g = 5;
-    let clean = run_recovering(false, g, &FaultPlan::none(), 1).unwrap();
-    let victim = clean.leader;
-    let mut faults = FaultPlan::none();
-    faults.crash_after_sends(victim as u32, 16);
-
-    let mut reports = Vec::new();
-    for tcp in [false, true] {
-        let report = run_recovering(tcp, g, &faults, 4).unwrap();
-        assert!(report.epoch >= 2, "tcp={tcp}");
-        assert_ne!(report.leader, victim, "tcp={tcp}: a new leader must emerge");
-        assert!(!report.roster.contains(&(victim as u32)), "tcp={tcp}");
-        assert_eq!(report.failed, vec![victim], "tcp={tcp}");
-        reports.push(report);
-    }
-    let (mem, tcp) = (&reports[0], &reports[1]);
-    assert_eq!(mem.leader, tcp.leader, "re-election must be deterministic");
-    assert_eq!(mem.epoch, tcp.epoch);
-    assert_eq!(mem.roster, tcp.roster);
-    assert_eq!(mem.safe_snps, tcp.safe_snps);
-    assert_eq!(mem.certificate, tcp.certificate);
-}
-
-#[test]
-fn losing_more_than_f_members_reports_quorum_lost() {
-    // G = 5, f = 1 needs G − f = 4 survivors; two crashed members leave
-    // only 3, so recovery must give up with the precise error rather than
-    // a generic timeout — on both transports.
-    let g = 5;
-    let mut faults = FaultPlan::none();
-    faults.crash(3);
-    faults.crash(4);
-    for tcp in [false, true] {
-        let err = run_recovering(tcp, g, &faults, 6).unwrap_err();
-        match err {
-            ProtocolError::QuorumLost {
-                survivors,
-                required,
-                ..
-            } => {
-                assert_eq!(survivors, 3, "tcp={tcp}");
-                assert_eq!(required, 4, "tcp={tcp}");
-            }
-            other => panic!("tcp={tcp}: expected QuorumLost, got {other:?}"),
-        }
-    }
-}
-
-#[test]
-fn degraded_run_covering_the_full_cohort_matches_a_crash_free_release() {
-    // 4 case genomes split among 5 GDOs leave member 4 with an empty
-    // shard. Crashing it after its (empty) counts checkpoint degrades the
-    // federation to exactly the members that hold data, so the epoch-2
-    // decision must match a crash-free 4-member run bit for bit: same
-    // pooled inputs, same safe set, same roster — only the study shape
-    // (original G) and the epoch differ.
-    let study = SyntheticCohort::builder()
-        .snps(100)
-        .case_individuals(4)
-        .reference_individuals(60)
-        .seed(23)
-        .build();
+fn a_forged_frame_before_the_handshake_is_not_blamed_on_the_peer_it_names() {
+    // Before the run, member 0 gets `{epoch 1, seq 0, Ping}` claiming to
+    // come from member 1. Taken as member 1's first frame, it used to end
+    // the run in `MalformedMessage { member: 1 }`, blaming an honest peer.
+    // Probes are retired, so the frame does not decode and is dropped: the
+    // run certifies what a clean one does.
+    let g = 3;
+    let study = study();
     let cohort: &Cohort = study.as_ref();
     let params = GwasParams::secure_genome_defaults();
-    let opts = |max_epochs| RuntimeOptions {
-        timeout: Duration::from_secs(2),
-        recovery: RecoveryOptions {
-            max_epochs,
-            ..RecoveryOptions::default()
-        },
-        ..RuntimeOptions::default()
+    let clean = run_federation_with(config(g), params, cohort, None, options()).unwrap();
+    let (roster, listeners) = ephemeral_listeners(g).expect("localhost listeners");
+    let transports = tcp_transports(&roster, listeners);
+    forge(roster[0].1, &[(1, frame_bytes(1, 0, 4, &[]))]);
+    let run = run_federation_over(transports, config(g), params, cohort, options());
+    assert!(
+        !matches!(run, Err(ProtocolError::MalformedMessage { member: 1 })),
+        "an honest peer is blamed"
+    );
+    assert_eq!(
+        run.expect("the forged probe is dropped").certificate,
+        clean.certificate
+    );
+}
+
+#[test]
+fn frames_forged_into_a_seated_service_session_change_no_certificate() {
+    // Once every member of a session is seated, each gets, claiming each
+    // other member, sealed garbage at the next sequence number of that
+    // link, an unsealed commit at the same number and sealed garbage
+    // stamped with a stale epoch. The jobs run afterwards must certify
+    // exactly what a clean session certifies.
+    let g = 3;
+    let study = study();
+    let cohort: &Cohort = study.as_ref();
+    let params = GwasParams::secure_genome_defaults();
+    let jobs = |session: &mut ServiceFederation| -> Vec<AssessmentCertificate> {
+        let panel: Vec<SnpId> = (0..120).map(SnpId).collect();
+        let first = JobSpec {
+            job_id: 1,
+            panel: panel.clone(),
+            forced: vec![],
+        };
+        let first = session.submit(&first).expect("first job");
+        let second = JobSpec {
+            job_id: 2,
+            panel: panel[..60].to_vec(),
+            forced: first.released.clone(),
+        };
+        let second = session.submit(&second).expect("second job");
+        vec![first.certificate, second.certificate]
     };
+    let mut clean =
+        ServiceFederation::start_in_memory(config(g), params, cohort, options()).unwrap();
+    let expected = jobs(&mut clean);
+    clean.shutdown().unwrap();
 
-    // Pick a federation seed whose epoch-1 leader is not member 4, so the
-    // victim's pre-crash send schedule is the follower one.
-    let seed = (17..40)
-        .find(|&s| {
-            run_federation_with(config(5).with_seed(s), params, cohort, None, opts(1))
-                .unwrap()
-                .leader
-                != 4
-        })
-        .expect("some seed elects a leader other than member 4");
-
-    let mut faults = FaultPlan::none();
-    faults.crash_after_sends(4, 10);
-    let degraded = run_federation_with(
-        config(5).with_seed(seed),
-        params,
-        cohort,
-        Some(faults),
-        opts(4),
-    )
-    .unwrap();
-    let crash_free =
-        run_federation_with(config(4).with_seed(seed), params, cohort, None, opts(1)).unwrap();
-
-    assert!(degraded.epoch >= 2);
-    assert_eq!(degraded.roster, vec![0, 1, 2, 3]);
-    assert_eq!(degraded.failed, vec![4]);
-    assert_eq!(crash_free.epoch, 1);
-    // The survivors held the entire cohort, so the certified decision is
-    // identical to never having invited member 4 at all.
-    assert_eq!(degraded.safe_snps, crash_free.safe_snps);
-    assert_eq!(
-        degraded.certificate.inputs_digest,
-        crash_free.certificate.inputs_digest
-    );
-    assert_eq!(
-        degraded.certificate.safe_digest,
-        crash_free.certificate.safe_digest
-    );
-    assert_eq!(degraded.certificate.roster, crash_free.certificate.roster);
-    // And the published artifact is byte-identical.
-    assert_eq!(
-        release_of(cohort, &degraded),
-        release_of(cohort, &crash_free)
-    );
+    let (roster, listeners) = ephemeral_listeners(g).expect("localhost listeners");
+    let transports = tcp_transports(&roster, listeners);
+    let mut session =
+        ServiceFederation::start_over(transports, config(g), params, cohort, options()).unwrap();
+    // Seated, a link has carried a commit and a reveal, then the handshake
+    // if the leader is at either end, then a follower's counts: that fixes
+    // the sequence number its next genuine frame takes.
+    let leader = session.leader();
+    for (member, &(_, addr)) in roster.iter().enumerate() {
+        let mut frames = Vec::new();
+        for claimed in (0..g).filter(|&c| c != member) {
+            let next = match (claimed == leader, member == leader) {
+                (true, _) => 3,
+                (_, true) => 4,
+                _ => 2,
+            };
+            for frame in [
+                frame_bytes(1, next, 3, &sealed_garbage()),
+                frame_bytes(1, next, 0, &[7; 32]),
+                frame_bytes(0, next, 3, &sealed_garbage()),
+            ] {
+                frames.push((claimed as u32, frame));
+            }
+        }
+        forge(addr, &frames);
+    }
+    assert_eq!(jobs(&mut session), expected);
+    session.shutdown().unwrap();
 }
 
 #[test]
