@@ -37,7 +37,7 @@ use crate::messages::{
 };
 use crate::phases::ld::LdScan;
 use crate::phases::lrtest::admission_order;
-use crate::phases::maf::{run_maf, MafOutcome};
+use crate::phases::maf::{run_maf, MafOutcome, Phase1};
 use crate::protocol::PhaseTimings;
 use crate::runtime::{recv_protocol, send_protocol, MemberCtx};
 use crate::serving::{ShardOutput, ShardScan};
@@ -45,7 +45,7 @@ use gendpr_fednet::transport::Transport;
 use gendpr_genomics::columnar::ColumnarGenotypes;
 use gendpr_genomics::genotype::GenotypeMatrix;
 use gendpr_genomics::snp::SnpId;
-use gendpr_stats::ld::LdMoments;
+use gendpr_stats::ld::{LdMoments, LdTest};
 use gendpr_stats::lr::{select_safe_subset, LrColumns, LrMatrix, LrSelection, LrValues};
 use gendpr_stats::ranking::SnpRank;
 use gendpr_tee::memory::EpcAccount;
@@ -87,12 +87,15 @@ fn request_moments<T: Transport>(
 /// Closes the round [`request_moments`] opened for the same `subset` and
 /// `pairs`: the reference moments and the leader's own shard if it is in
 /// the subset (computed while the members work), then the replies in
-/// subset order. Rounds must be closed in the order they were opened: a
-/// member answers its requests in arrival order, so its next reply belongs
-/// to the oldest round still open with it.
+/// subset order. A reply must hold one moment per pair, each over the
+/// member's Phase 1 case count (`n_case`, by member id). Rounds must be
+/// closed in the order they were opened: a member answers its requests in
+/// arrival order, so its next reply belongs to the oldest round still open
+/// with it.
 fn collect_moments<T: Transport>(
     ctx: &mut MemberCtx<T>,
     node: &GdoNode,
+    n_case: &[u64],
     subset: &[usize],
     pairs: &[(SnpId, SnpId)],
     ref_moments: impl Fn(SnpId, SnpId) -> LdMoments,
@@ -115,7 +118,9 @@ fn collect_moments<T: Transport>(
             continue;
         }
         match recv_protocol(ctx, peer, phase)? {
-            ProtocolMessage::Moments(ms) if ms.len() == pairs.len() => {
+            ProtocolMessage::Moments(ms)
+                if ms.len() == pairs.len() && ms.iter().all(|m| m.n == n_case[peer]) =>
+            {
                 for (sum, m) in pooled.iter_mut().zip(ms) {
                     *sum = sum.merge(LdMoments::from(m));
                 }
@@ -332,8 +337,9 @@ pub(crate) struct LrPhase {
 
 /// The leader's state over one set of members: everything computed once
 /// from their counts. Shards do not change while a core lives, so neither
-/// do the MAF outcomes or the χ² rankings; every job restricts them to its
-/// own panel.
+/// do the MAF outcomes or the χ² ranks (each computed on its first read);
+/// every job restricts them to its own panel. The LD decision rule is
+/// fixed with the parameters, so its [`LdTest`] is built once here too.
 pub(crate) struct LeaderCore<'a> {
     // Row-major, as the drivers hold it: read only by the dense
     // format's null matrix.
@@ -344,17 +350,17 @@ pub(crate) struct LeaderCore<'a> {
     reference_columnar: ColumnarGenotypes,
     params: &'a GwasParams,
     subsets: Vec<Vec<usize>>,
-    maf_outcomes: Vec<MafOutcome>,
-    rankings: Vec<Vec<SnpRank>>,
+    phase1: Vec<Phase1>,
+    ld_test: LdTest,
     ref_counts: Vec<u64>,
     collect_timings: PhaseTimings,
 }
 
 impl<'a> LeaderCore<'a> {
-    /// Collects the members' counts from `source` and runs MAF and the
-    /// association ranking per subset (subset 0 is the full roster). A
-    /// roster without case genomes is refused, the peers told: a release
-    /// certified over the reference alone protects no case data.
+    /// Collects the members' counts from `source` and runs MAF per subset
+    /// (subset 0 is the full roster), its χ² ranks left to their first
+    /// read. A roster without case genomes is refused, the peers told: a
+    /// release certified over the reference alone protects no case data.
     pub(crate) fn collect(
         source: &mut impl Source,
         subsets: Vec<Vec<usize>>,
@@ -370,6 +376,23 @@ impl<'a> LeaderCore<'a> {
             source.abort(&empty);
             return Err(empty);
         }
+        // Every pooled count and total below fits a u64 if the roster's
+        // cases and the reference together do; a member whose declared
+        // case count overflows that sum is lying about its size.
+        let mut total = reference.individuals() as u64;
+        for (member, report) in reports.iter().enumerate() {
+            match report
+                .as_ref()
+                .map_or(Some(total), |r| total.checked_add(r.n_case))
+            {
+                Some(sum) => total = sum,
+                None => {
+                    let lie = ProtocolError::MalformedMessage { member };
+                    source.abort(&lie);
+                    return Err(lie);
+                }
+            }
+        }
 
         let t = Instant::now();
         let (reference_columnar, ref_counts) = source.enter(|epc| {
@@ -379,22 +402,21 @@ impl<'a> LeaderCore<'a> {
             (columnar, counts)
         });
         let n_ref = reference.individuals() as u64;
-        let maf_outcomes: Vec<MafOutcome> = subsets
+        let phase1: Vec<Phase1> = subsets
             .iter()
             .map(|subset| {
                 let subset_reports: Vec<CountsReport> = subset
                     .iter()
                     .map(|&i| reports[i].clone().expect("subset member reported"))
                     .collect();
-                run_maf(
+                Phase1::new(run_maf(
                     &subset_reports,
                     ref_counts.clone(),
                     n_ref,
                     params.maf_cutoff,
-                )
+                ))
             })
             .collect();
-        let rankings: Vec<Vec<SnpRank>> = maf_outcomes.iter().map(MafOutcome::ranks).collect();
         let indexing = t.elapsed();
         crate::telemetry::phase_seconds("maf").observe_duration(indexing);
 
@@ -403,8 +425,8 @@ impl<'a> LeaderCore<'a> {
             reference_columnar,
             params,
             subsets,
-            maf_outcomes,
-            rankings,
+            phase1,
+            ld_test: LdTest::new(params.ld_cutoff),
             ref_counts,
             collect_timings: PhaseTimings {
                 aggregation,
@@ -432,7 +454,7 @@ impl<'a> LeaderCore<'a> {
     /// Phase 1 over subset 0 (the full roster): the pooled counts the
     /// certificate digests and the released frequencies come from.
     pub(crate) fn full(&self) -> &MafOutcome {
-        &self.maf_outcomes[0]
+        &self.phase1[0].maf
     }
 
     /// Phase 1 of one job: the per-subset MAF survivors among the job's
@@ -440,10 +462,11 @@ impl<'a> LeaderCore<'a> {
     /// funnel), intersected. `panel` and `forced` are sorted.
     pub(crate) fn maf_step(&self, panel: &[SnpId], forced: &[SnpId]) -> Vec<SnpId> {
         let per_subset: Vec<Vec<SnpId>> = self
-            .maf_outcomes
+            .phase1
             .iter()
-            .map(|o| {
-                o.retained
+            .map(|p| {
+                p.maf
+                    .retained
                     .iter()
                     .copied()
                     .filter(|s| panel.binary_search(s).is_ok() && forced.binary_search(s).is_err())
@@ -518,12 +541,12 @@ impl<'a> LeaderCore<'a> {
 
         let mut scans = vec![LdScan::new(l_prime); self.subsets.len()];
         let mut logs = vec![Vec::new(); self.subsets.len()];
-        let (rankings, ld_cutoff) = (&self.rankings, self.params.ld_cutoff);
+        let (phase1, ld_test) = (&self.phase1, &self.ld_test);
         let mut feed = |c: usize, scan: &mut LdScan, (a, b): (SnpId, SnpId), pooled| {
             if log_moments {
                 logs[c].push((a.0, b.0, pooled));
             }
-            scan.feed(pooled, |s| rankings[c][s.index()].p_value, ld_cutoff);
+            scan.feed(pooled, |s| phase1[c].rank(s).p_value, ld_test);
         };
         loop {
             let mut misses: Vec<(usize, (SnpId, SnpId))> = Vec::new();
@@ -581,13 +604,13 @@ impl<'a> LeaderCore<'a> {
         columns: &[SnpId],
         forced_len: usize,
     ) -> Result<LrSelection, ProtocolError> {
-        let outcome = &self.maf_outcomes[combo];
+        let outcome = &self.phase1[combo].maf;
         let case_freqs: Vec<f64> = columns.iter().map(|&s| outcome.case_frequency(s)).collect();
         let ref_freqs: Vec<f64> = columns.iter().map(|&s| outcome.ref_frequency(s)).collect();
         let candidates = &columns[forced_len..];
         let ranks: Vec<SnpRank> = candidates
             .iter()
-            .map(|&s| self.rankings[combo][s.index()])
+            .map(|&s| self.phase1[combo].rank(s))
             .collect();
         let order = admission_order(candidates, ranks, forced_len);
         let forced_cols: Vec<usize> = (0..forced_len).collect();
@@ -740,7 +763,12 @@ impl<T: Transport> Source for Remote<'_, '_, T> {
         reports[me] = Some(node.counts_report());
         for peer in (0..ctx.g).filter(|&peer| peer != me) {
             match recv_protocol(ctx, peer, "counts")? {
-                ProtocolMessage::Counts(c) if c.counts.len() == panel_len => {
+                // One count per panel SNP, none above the member's case
+                // count: the χ² table refuses a minor-allele count past its
+                // population with a panic.
+                ProtocolMessage::Counts(c)
+                    if c.counts.len() == panel_len && c.counts.iter().all(|&k| k <= c.n_case) =>
+                {
                     n_case[peer] = c.n_case;
                     reports[peer] = Some(c);
                 }
@@ -769,7 +797,7 @@ impl<T: Transport> Source for Remote<'_, '_, T> {
         reference: impl Fn(SnpId, SnpId) -> LdMoments,
         phase: &'static str,
     ) -> Result<Vec<Vec<LdMoments>>, ProtocolError> {
-        let (ctx, node) = (&mut *self.ctx, self.links.node);
+        let (ctx, Links { node, n_case, .. }) = (&mut *self.ctx, &*self.links);
         ctx.burst(|ctx| {
             for &(subset, pairs) in rounds {
                 request_moments(ctx, subset, pairs);
@@ -777,7 +805,9 @@ impl<T: Transport> Source for Remote<'_, '_, T> {
         });
         rounds
             .iter()
-            .map(|&(subset, pairs)| collect_moments(ctx, node, subset, pairs, &reference, phase))
+            .map(|&(subset, pairs)| {
+                collect_moments(ctx, node, n_case, subset, pairs, &reference, phase)
+            })
             .collect()
     }
 
@@ -864,7 +894,7 @@ pub(crate) struct LeaderSession<'a> {
 
 impl<'a> LeaderSession<'a> {
     /// Receives every member's `Counts` over the attested channels and
-    /// runs the per-subset MAF evaluation and association ranking.
+    /// runs the per-subset MAF evaluation.
     pub(crate) fn collect<T: Transport>(
         ctx: &mut MemberCtx<T>,
         node: &'a GdoNode,
@@ -1131,10 +1161,13 @@ pub(crate) fn unexpected_from_leader(leader: usize, msg: &ProtocolMessage) -> Pr
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::FederationConfig;
+    use crate::config::{CollusionMode, FederationConfig};
     use crate::messages::{LrReport, LrReportCompact};
     use crate::runtime::{build_member, establish_channel, RuntimeOptions};
+    use gendpr_crypto::rng::ChaChaRng;
     use gendpr_fednet::transport::{Network, PeerId};
+    use gendpr_genomics::synth::SyntheticCohort;
+    use std::sync::OnceLock;
 
     /// Member 1 of 2 serves a job over an 8-SNP shard while a hand-rolled
     /// leader sends `msgs`; returns how the follower's loop ended.
@@ -1350,6 +1383,296 @@ mod tests {
                 Err(ProtocolError::MalformedMessage { member: 1 }) => {}
                 other => panic!("compact {compact_lr}: {:?}", other.map(|a| a.released)),
             }
+        }
+    }
+
+    /// How member 2's one lying reply differs from its honest one: which
+    /// reply it replaces (0 is its Phase 1 counts), and an offset from the
+    /// true value for each size the reply carries, in order: the counts'
+    /// length and `n_case`; the moments' length and each one's `n`; an LR
+    /// report's declared rows and columns and its buffer's length.
+    #[derive(Debug, Clone, Copy)]
+    struct Lie {
+        reply: usize,
+        offsets: [i64; 3],
+        fill: u64,
+    }
+
+    /// Offsets a size is drawn from: mostly the truth or a step or two
+    /// off, sometimes a word's worth, sometimes absurd (a buffer grows by
+    /// at most 64 entries; a declared size takes the whole offset).
+    const OFFSETS: [i64; 10] = [0, 0, 0, 1, -1, 2, -2, 64, -64, 1 << 40];
+
+    /// `honest` with its sizes moved by `lie.offsets`, a buffer cut short
+    /// or padded with arbitrary values. The content is the honest one
+    /// otherwise: a same-size lie about the genotypes themselves is a
+    /// different cohort, which no check of the leader could tell apart.
+    fn lie_about(honest: &ProtocolMessage, lie: Lie) -> ProtocolMessage {
+        let [a, b, c] = lie.offsets;
+        let declared = |v: u64, off: i64| (v as i64).saturating_add(off).max(0) as u64;
+        let mut rng = ChaChaRng::from_seed_u64(lie.fill);
+        fn resized<X: Clone>(v: &[X], off: i64, mut pad: impl FnMut() -> X) -> Vec<X> {
+            let len = (v.len() as i64 + off.clamp(-64, 64)).max(0) as usize;
+            let mut v = v[..len.min(v.len())].to_vec();
+            v.resize_with(len, &mut pad);
+            v
+        }
+        match honest.clone() {
+            ProtocolMessage::Counts(r) => ProtocolMessage::Counts(CountsReport {
+                counts: resized(&r.counts, a, || rng.next_below(1 << 20)),
+                n_case: declared(r.n_case, b),
+            }),
+            ProtocolMessage::Moments(ms) => {
+                let mut ms = resized(&ms, a, || MomentsReport {
+                    sum_x: rng.next_below(64),
+                    sum_y: rng.next_below(64),
+                    sum_xy: rng.next_below(64),
+                    sum_xx: rng.next_below(64),
+                    sum_yy: rng.next_below(64),
+                    n: rng.next_below(64),
+                });
+                for m in &mut ms {
+                    m.n = declared(m.n, b);
+                }
+                ProtocolMessage::Moments(ms)
+            }
+            ProtocolMessage::LrCompact(combo, r) => ProtocolMessage::LrCompact(
+                combo,
+                LrReportCompact {
+                    individuals: declared(r.individuals, a),
+                    snps: declared(r.snps, b),
+                    bits: resized(&r.bits, c, || rng.next_u64()),
+                },
+            ),
+            ProtocolMessage::Lr(combo, r) => ProtocolMessage::Lr(
+                combo,
+                LrReport {
+                    individuals: declared(r.individuals, a),
+                    snps: declared(r.snps, b),
+                    values: resized(&r.values, c, || rng.next_f64() - 0.5),
+                },
+            ),
+            other => other,
+        }
+    }
+
+    /// What a job with a lying member came to: the leader's outcome (its
+    /// safe set and certificate), the leader enclave's metered peak, the
+    /// kinds of member 2's replies in order (the counts, moments, LR
+    /// reports: 0, 1, 2) and whether one differed from the honest reply.
+    struct LiarRun {
+        outcome: Result<(Vec<SnpId>, Option<AssessmentCertificate>), ProtocolError>,
+        peak: u64,
+        kinds: Vec<usize>,
+        lied: bool,
+    }
+
+    /// One job over a 40-SNP study with G = 3 and one colluder tolerated
+    /// (four subsets), member 0 leading, member 1 serving honestly
+    /// (`follower_serve`) and member 2 hand-rolled: it answers as member 1
+    /// does, except that its reply number `reply` goes out as `forge` made
+    /// it from the honest one, sealed on its channel like any other.
+    fn job_with_a_liar(
+        compact_lr: bool,
+        reply: usize,
+        forge: impl Fn(&ProtocolMessage) -> ProtocolMessage + Send + 'static,
+    ) -> LiarRun {
+        let cohort = SyntheticCohort::builder()
+            .snps(40)
+            .case_individuals(60)
+            .reference_individuals(60)
+            .seed(31)
+            .build();
+        let mut shards = cohort.split_case_among(3).into_iter();
+        let reference = cohort.reference().clone();
+        let config = FederationConfig::new(3).with_collusion(CollusionMode::Fixed(1));
+        let params = GwasParams::secure_genome_defaults();
+        let options = RuntimeOptions {
+            compact_lr,
+            ..RuntimeOptions::default()
+        };
+        let network = Network::new();
+        let (mut leader, node, _) = build_member(
+            network.register(PeerId(0)),
+            0,
+            &config,
+            &params,
+            options,
+            shards.next().unwrap(),
+        )
+        .unwrap();
+        let (endpoint, shard) = (network.register(PeerId(1)), shards.next().unwrap());
+        let honest = std::thread::spawn(move || {
+            let (mut ctx, node, counts) =
+                build_member(endpoint, 1, &config, &params, options, shard).unwrap();
+            establish_channel(&mut ctx, 0).unwrap();
+            send_protocol(&mut ctx, 0, &ProtocolMessage::Counts(counts));
+            // An abort ends it with an error: the leader's business.
+            let _ = follower_serve(&mut ctx, &node, 0, Terminator::Phase3);
+        });
+        let (endpoint, shard) = (network.register(PeerId(2)), shards.next().unwrap());
+        let liar = std::thread::spawn(move || {
+            let (mut ctx, node, counts) =
+                build_member(endpoint, 2, &config, &params, options, shard).unwrap();
+            establish_channel(&mut ctx, 0).unwrap();
+            let (mut kinds, mut lied) = (Vec::new(), false);
+            let mut reply = |ctx: &mut MemberCtx<_>, honest: ProtocolMessage| {
+                let sent = if kinds.len() == reply {
+                    forge(&honest)
+                } else {
+                    honest.clone()
+                };
+                lied |= sent != honest;
+                kinds.push(match honest {
+                    ProtocolMessage::Counts(_) => 0,
+                    ProtocolMessage::Moments(_) => 1,
+                    _ => 2,
+                });
+                send_protocol(ctx, 0, &sent);
+            };
+            reply(&mut ctx, ProtocolMessage::Counts(counts));
+            loop {
+                let honest = match recv_protocol(&mut ctx, 0, "test") {
+                    Ok(ProtocolMessage::MomentsRequest(pairs)) => ProtocolMessage::Moments(
+                        pairs
+                            .iter()
+                            .map(|p| node.ld_moments(SnpId(p.a), SnpId(p.b)))
+                            .collect(),
+                    ),
+                    Ok(ProtocolMessage::Phase2(combo, b)) => {
+                        let snps: Vec<SnpId> = b.retained.iter().map(|&s| SnpId(s)).collect();
+                        if compact_lr {
+                            ProtocolMessage::LrCompact(combo, node.lr_report_compact(&snps))
+                        } else {
+                            let r = node.lr_report(&snps, &b.case_freqs, &b.ref_freqs);
+                            ProtocolMessage::Lr(combo, r)
+                        }
+                    }
+                    Ok(ProtocolMessage::Phase1(_)) => continue,
+                    _ => break,
+                };
+                reply(&mut ctx, honest);
+            }
+            (kinds, lied)
+        });
+        establish_channel(&mut leader, 1).unwrap();
+        establish_channel(&mut leader, 2).unwrap();
+        let outcome = match LeaderSession::collect(&mut leader, &node, &reference, &params) {
+            Ok(mut session) => {
+                let panel = session.core.whole_panel();
+                let job = session.assess(&mut leader, &panel, &[], None, None);
+                if let Err(e) = &job {
+                    session.abort(&mut leader, e);
+                }
+                job.map(|a| (a.released, a.certificate))
+            }
+            Err(e) => {
+                for peer in [1, 2] {
+                    send_protocol(&mut leader, peer, &ProtocolMessage::Abort(e.to_string()));
+                }
+                Err(e)
+            }
+        };
+        honest.join().expect("the honest member must not panic");
+        let (kinds, lied) = liar.join().expect("the lying member must not panic");
+        LiarRun {
+            outcome,
+            peak: leader.enclave.epc().peak(),
+            kinds,
+            lied,
+        }
+    }
+
+    /// The clean run of each format, compact first.
+    fn clean_run(compact_lr: bool) -> &'static LiarRun {
+        static CLEAN: OnceLock<[LiarRun; 2]> = OnceLock::new();
+        let clean = |compact_lr| job_with_a_liar(compact_lr, usize::MAX, ProtocolMessage::clone);
+        &CLEAN.get_or_init(|| [clean(true), clean(false)])[usize::from(!compact_lr)]
+    }
+
+    #[test]
+    fn a_member_counting_past_its_case_count_is_refused() {
+        // Member 2 counts 30 more minor alleles at every SNP than it has
+        // cases: in the subsets it pairs into, pooled minor counts would
+        // pass the pooled case count, which the χ² table refuses with a
+        // panic.
+        let inflate = |honest: &ProtocolMessage| match honest {
+            ProtocolMessage::Counts(r) => ProtocolMessage::Counts(CountsReport {
+                counts: vec![r.n_case + 30; r.counts.len()],
+                n_case: r.n_case,
+            }),
+            other => other.clone(),
+        };
+        for compact_lr in [true, false] {
+            match job_with_a_liar(compact_lr, 0, inflate).outcome {
+                Err(ProtocolError::MalformedMessage { member: 2 }) => {}
+                other => panic!("{:?}", other.map(|(safe, _)| safe)),
+            }
+        }
+    }
+
+    #[test]
+    fn a_member_declaring_an_overflowing_case_count_is_refused() {
+        // Pooled with the other members' cases and the reference, a case
+        // count of u64::MAX overflowed the Phase 1 totals.
+        let overflow = |honest: &ProtocolMessage| match honest {
+            ProtocolMessage::Counts(r) => ProtocolMessage::Counts(CountsReport {
+                counts: r.counts.clone(),
+                n_case: u64::MAX,
+            }),
+            other => other.clone(),
+        };
+        match job_with_a_liar(true, 0, overflow).outcome {
+            Err(ProtocolError::MalformedMessage { member: 2 }) => {}
+            other => panic!("{:?}", other.map(|(safe, _)| safe)),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// A member that lies about the sizes of one reply: the leader
+        /// certifies exactly the clean run's result when the reply was the
+        /// honest one after all, and otherwise refuses the job with an
+        /// error naming that member. It never panics, and its metered EPC
+        /// peak never exceeds the clean run's.
+        #[test]
+        fn a_lying_member_is_named_or_changes_nothing(
+            compact_lr in proptest::prelude::any::<bool>(),
+            kind_pick in (0usize..3, 0.0f64..1.0),
+            offsets in (0usize..10, 0usize..10, 0usize..10),
+            fill in proptest::prelude::any::<u64>(),
+        ) {
+            let (kind, pick) = kind_pick;
+            let clean = clean_run(compact_lr);
+            proptest::prop_assert!(clean.outcome.is_ok());
+            // A reply of the drawn kind: the counts, a moments reply or an
+            // LR report.
+            let of_kind: Vec<usize> = (0..clean.kinds.len()).filter(|&i| clean.kinds[i] == kind).collect();
+            proptest::prop_assert!(!of_kind.is_empty(), "no reply of kind {}", kind);
+            let lie = Lie {
+                reply: of_kind[(pick * of_kind.len() as f64) as usize],
+                offsets: [OFFSETS[offsets.0], OFFSETS[offsets.1], OFFSETS[offsets.2]],
+                fill,
+            };
+            let run = job_with_a_liar(compact_lr, lie.reply, move |honest| lie_about(honest, lie));
+            if run.lied {
+                match &run.outcome {
+                    Err(
+                        ProtocolError::MalformedMessage { member: 2 }
+                        | ProtocolError::SecurityFailure { member: 2, .. },
+                    ) => {}
+                    other => proptest::prop_assert!(
+                        false,
+                        "{:?}: {:?}",
+                        lie,
+                        other.as_ref().map(|(safe, _)| safe)
+                    ),
+                }
+            } else {
+                proptest::prop_assert_eq!(&run.outcome, &clean.outcome, "{:?}", lie);
+            }
+            proptest::prop_assert!(run.peak <= clean.peak, "{:?}: peak {} > {}", lie, run.peak, clean.peak);
         }
     }
 }

@@ -7,10 +7,12 @@
 //! moments of each compared pair, which the leader obtains by querying
 //! every member (plus the reference set) — abstracted here as a moments
 //! oracle so the same scan drives the distributed protocol, the threaded
-//! runtime and the centralized baseline.
+//! runtime and the centralized baseline. A pair is decided by an
+//! [`LdTest`], built once per cutoff: the same decision as comparing the
+//! p-value with the cutoff, mostly taken from the statistic alone.
 
 use gendpr_genomics::snp::SnpId;
-use gendpr_stats::ld::{is_independent, LdMoments};
+use gendpr_stats::ld::{LdMoments, LdTest};
 
 /// The LD scan as a resumable state: [`pending`](Self::pending) names the
 /// pair whose pooled moments the scan needs next, [`feed`](Self::feed)
@@ -48,10 +50,10 @@ impl<'a> LdScan<'a> {
     /// # Panics
     ///
     /// Panics if no pair is pending.
-    pub fn feed(&mut self, pooled: LdMoments, rank_p_value: impl Fn(SnpId) -> f64, ld_cutoff: f64) {
+    pub fn feed(&mut self, pooled: LdMoments, rank_p_value: impl Fn(SnpId) -> f64, test: &LdTest) {
         let (current, next) = self.pending().expect("a pair is pending");
         self.next += 1;
-        if is_independent(pooled.p_value(), ld_cutoff) {
+        if test.independent(&pooled) {
             self.retained.push(next);
         } else if rank_p_value(next) < rank_p_value(current) {
             // Dependent: keep the better-ranked SNP (smaller p-value wins;
@@ -74,7 +76,8 @@ impl<'a> LdScan<'a> {
 ///   (federation-wide plus reference),
 /// * `rank_p_value` — each SNP's χ² association p-value (for
 ///   `getMostRanked`),
-/// * `ld_cutoff` — pairs with p-value ≤ cutoff are dependent.
+/// * `ld_cutoff` — pairs with p-value ≤ cutoff are dependent (decided by
+///   the cutoff's [`LdTest`]).
 ///
 /// Returns `L''` in panel order.
 #[must_use]
@@ -84,9 +87,10 @@ pub fn run_ld_scan(
     rank_p_value: impl Fn(SnpId) -> f64,
     ld_cutoff: f64,
 ) -> Vec<SnpId> {
+    let test = LdTest::new(ld_cutoff);
     let mut scan = LdScan::new(l_prime);
     while let Some((current, next)) = scan.pending() {
-        scan.feed(moments(current, next), &rank_p_value, ld_cutoff);
+        scan.feed(moments(current, next), &rank_p_value, &test);
     }
     scan.into_retained()
 }
@@ -94,6 +98,7 @@ pub fn run_ld_scan(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gendpr_stats::ld::is_independent;
     use proptest::prelude::*;
     use std::cell::RefCell;
     use std::collections::HashMap;
@@ -207,7 +212,7 @@ mod tests {
             let mut scan = LdScan::new(&ids);
             while let Some((a, b)) = scan.pending() {
                 asked.push((a, b));
-                scan.feed(moments(a, b), rank, 1e-5);
+                scan.feed(moments(a, b), rank, &LdTest::new(1e-5));
             }
             prop_assert_eq!(&asked, &asked_before);
             prop_assert_eq!(scan.into_retained(), before.clone());

@@ -7,7 +7,8 @@
 use crate::messages::CountsReport;
 use gendpr_genomics::snp::SnpId;
 use gendpr_stats::maf::passes_maf;
-use gendpr_stats::ranking::{rank_by_association, SnpRank};
+use gendpr_stats::ranking::{rank_one, SnpRank};
+use std::cell::OnceCell;
 
 /// Everything Phase 1 leaves behind — later phases reuse the aggregated
 /// counts (the paper notes the frequency vectors "are already available
@@ -44,18 +45,40 @@ impl MafOutcome {
         }
         self.ref_counts[snp.index()] as f64 / self.n_ref as f64
     }
+}
 
-    /// The χ² association ranking of every SNP of `L_des` from these
-    /// pooled counts, indexed by SNP.
-    pub(crate) fn ranks(&self) -> Vec<SnpRank> {
-        let all: Vec<SnpId> = (0..self.ref_counts.len() as u32).map(SnpId).collect();
-        rank_by_association(
-            &all,
-            &self.case_counts,
-            self.n_case,
-            &self.ref_counts,
-            self.n_ref,
-        )
+/// One subset's Phase 1: its MAF outcome and its SNPs' χ² association
+/// ranks, each computed from the outcome's pooled counts when first read.
+/// Most are never read: the LD scan ranks only the two SNPs of a dependent
+/// pair, and the LR search only its candidates.
+#[derive(Debug)]
+pub(crate) struct Phase1 {
+    pub(crate) maf: MafOutcome,
+    p_values: Vec<OnceCell<f64>>,
+}
+
+impl Phase1 {
+    pub(crate) fn new(maf: MafOutcome) -> Self {
+        let p_values = vec![OnceCell::new(); maf.ref_counts.len()];
+        Self { maf, p_values }
+    }
+
+    /// `snp`'s rank: the p-value
+    /// [`rank_by_association`](gendpr_stats::ranking::rank_by_association)
+    /// gives it.
+    pub(crate) fn rank(&self, snp: SnpId) -> SnpRank {
+        let (maf, i) = (&self.maf, snp.index());
+        let p_value = *self.p_values[i].get_or_init(|| {
+            rank_one(
+                snp,
+                maf.case_counts[i],
+                maf.n_case,
+                maf.ref_counts[i],
+                maf.n_ref,
+            )
+            .p_value
+        });
+        SnpRank { snp, p_value }
     }
 }
 
@@ -192,5 +215,34 @@ mod tests {
             10,
             0.05,
         );
+    }
+
+    #[test]
+    fn a_rank_read_later_is_the_rank_computed_up_front() {
+        // SNP 1 is monomorphic across cases and reference, SNP 3 fails the
+        // MAF filter: both are ranked on demand like the rest, bit for bit,
+        // in any order and on every read.
+        let reports = vec![CountsReport {
+            counts: vec![10, 0, 40, 1, 25],
+            n_case: 50,
+        }];
+        let ref_counts = vec![20, 0, 80, 0, 49];
+        let outcome = run_maf(&reports, ref_counts.clone(), 100, 0.05);
+        let all: Vec<SnpId> = (0..5).map(SnpId).collect();
+        let up_front = gendpr_stats::ranking::rank_by_association(
+            &all,
+            &outcome.case_counts,
+            outcome.n_case,
+            &ref_counts,
+            100,
+        );
+        let phase1 = Phase1::new(outcome);
+        for _ in 0..2 {
+            for (i, expected) in up_front.iter().enumerate().rev() {
+                let got = phase1.rank(SnpId(i as u32));
+                assert_eq!(got.snp, expected.snp);
+                assert_eq!(got.p_value.to_bits(), expected.p_value.to_bits(), "SNP {i}");
+            }
+        }
     }
 }

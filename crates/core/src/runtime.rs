@@ -518,28 +518,39 @@ impl<T: Transport> MemberCtx<T> {
         phase: &'static str,
         admit: impl Fn(&mut Link, FrameBody) -> Result<Option<R>, &'static str>,
     ) -> Result<R, ProtocolError> {
+        self.await_frame_from(from, admit)
+            .ok_or_else(|| self.suspect(from, phase))
+    }
+
+    /// The wait of [`MemberCtx::recv_frame_from`] without its verdict:
+    /// `None` once `from` stayed silent as long as it would be suspected
+    /// for, and nobody is suspected. The caller decides what the silence
+    /// means.
+    fn await_frame_from<R>(
+        &mut self,
+        from: usize,
+        admit: impl Fn(&mut Link, FrameBody) -> Result<Option<R>, &'static str>,
+    ) -> Option<R> {
         let mut deadline = Instant::now() + self.timeout;
         let probe = self.timeout / SUSPECT_AFTER;
         let mut misses = 0u32;
         loop {
             while let Some(taken) = self.take(from, &admit) {
                 match taken {
-                    Some(taken) => return Ok(taken),
+                    Some(taken) => return Some(taken),
                     None => {
                         misses = 0;
                         deadline = Instant::now() + self.timeout;
                     }
                 }
             }
-            let Some(remaining) = deadline.checked_duration_since(Instant::now()) else {
-                return Err(self.suspect(from, phase));
-            };
+            let remaining = deadline.checked_duration_since(Instant::now())?;
             match self.endpoint.recv_timeout(probe.min(remaining)) {
                 Ok(env) => self.ingest(env),
                 Err(_) => {
                     misses += 1;
                     if misses >= SUSPECT_AFTER {
-                        return Err(self.suspect(from, phase));
+                        return None;
                     }
                     self.heartbeat(from);
                 }
@@ -659,17 +670,32 @@ pub(crate) fn send_protocol<T: Transport>(
     ctx.send_sealed(to, buf, plaintext_len);
 }
 
-/// Receives `from`'s next message over the channel.
+/// Receives `from`'s next message over the channel; a silence through the
+/// whole timeout suspects `from`.
 pub(crate) fn recv_protocol<T: Transport>(
     ctx: &mut MemberCtx<T>,
     from: usize,
     phase: &'static str,
 ) -> Result<ProtocolMessage, ProtocolError> {
+    await_protocol(ctx, from)?.ok_or_else(|| ctx.suspect(from, phase))
+}
+
+/// [`recv_protocol`] for a wait that may rightly outlast the timeout, a
+/// service follower's between jobs: `None` after a silent timeout, and
+/// nobody is suspected.
+pub(crate) fn await_protocol<T: Transport>(
+    ctx: &mut MemberCtx<T>,
+    from: usize,
+) -> Result<Option<ProtocolMessage>, ProtocolError> {
     let buf = match ctx.links[from].opened.take() {
         Some(buf) => buf,
-        None => ctx.recv_frame_from(from, phase, Link::open)?,
+        None => match ctx.await_frame_from(from, Link::open) {
+            Some(buf) => buf,
+            None => return Ok(None),
+        },
     };
     wire::from_bytes(&buf[SEALED_HEAD..buf.len() - aead::OVERHEAD])
+        .map(Some)
         .map_err(|_| ProtocolError::MalformedMessage { member: from })
 }
 

@@ -41,7 +41,7 @@ use crate::error::ProtocolError;
 use crate::gdo::GdoNode;
 use crate::messages::{JobStartBroadcast, ProtocolMessage, ShardStartBroadcast};
 use crate::runtime::{
-    build_member, in_memory_fabric, recv_protocol, seat, spawn_members, MemberCtx, RuntimeOptions,
+    await_protocol, build_member, in_memory_fabric, seat, spawn_members, MemberCtx, RuntimeOptions,
     Seat,
 };
 use gendpr_fednet::metrics::TrafficStats;
@@ -311,17 +311,12 @@ fn follower_session<T: Transport>(
 ) -> Result<(), ProtocolError> {
     let _ = events.send(SessionEvent::Ready { leader });
     loop {
-        let msg = match recv_protocol(ctx, leader, "awaiting-job") {
-            Ok(msg) => msg,
-            // Between jobs the leader is legitimately silent for as long
-            // as the queue is empty, so idle timeouts are not failures;
-            // the member keeps waiting. A *mid-job* silence still aborts
-            // with the usual timeout (inside `follower_serve`).
-            Err(ProtocolError::MemberUnresponsive {
-                phase: "awaiting-job",
-                ..
-            }) => continue,
-            Err(e) => return Err(e),
+        // Between jobs the leader is legitimately silent for as long as
+        // the queue is empty, so an idle timeout is neither a failure nor
+        // a suspicion: the member keeps waiting. A *mid-job* silence still
+        // aborts with the usual timeout (inside `follower_serve`).
+        let Some(msg) = await_protocol(ctx, leader)? else {
+            continue;
         };
         match msg {
             ProtocolMessage::JobStart(job) => {

@@ -51,16 +51,26 @@
 //! (tests compare each sweep with the scalar loop by `to_bits()`, property
 //! tests compare the selections).
 //!
-//! On an x86-64 CPU with AVX2 (detected at run time) the sweeps run four
+//! On an x86-64 CPU the sweeps run at the widest vector width detected at
+//! run time (std caches the probe; there is no knob). With AVX-512F they
+//! run eight individuals a step, in the private `avx512` module: byte `j`
+//! of a column's bit word holds the bits of individuals `8j … 8j + 7`, and
+//! that byte *is* the `__mmask8` of the step, so the level is
+//! `mask_blend(byte, major, minor)` of the two broadcast levels — no
+//! broadcast of the word, no AND, no compare. Its compares yield masks
+//! too, so a count is `count_ones` of one. With AVX2 only they run four
 //! individuals a step, in the private `avx2` module: the genotype bits
 //! become lane masks (`cmpeq` against `[1, 2, 4, 8]`) and the level is an
-//! explicit blend, `blendv(major, minor, mask)`, of the two broadcast
-//! levels — no table load and no branch on a bit. The case side counts the
-//! sums `> threshold` in the same pass, and the null side counts and tests
-//! the band there too; only the in-band lanes leave the vector code.
+//! explicit blend, `blendv(major, minor, mask)`. Neither width loads a
+//! table or branches on a bit. The case side counts the sums
+//! `> threshold` in the same pass, and the null side counts and tests the
+//! band there too; only the in-band lanes leave the vector code. The
+//! eight-wide sweeps took 24 % of `assess-lr`'s CPU where the four-wide
+//! ones took 29 % of a longer job (EXPERIMENTS.md, leaf profiles).
 //!
 //! The scalar loops stay as the fallback on every other CPU and as the
-//! oracle of those kernels. They read the level from a two-entry table,
+//! oracle of both vector widths, which the tests call directly, each where
+//! the CPU has it. They read the level from a two-entry table,
 //! `[major, minor][bit]`, which rustc 1.95 compiles to an indexed load
 //! (x86-64, release profile). The mask select before that,
 //! `from_bits((ma & !mask) | (mi & mask))`, was documented as branchless
@@ -81,6 +91,8 @@ use std::time::Instant;
 
 #[cfg(target_arch = "x86_64")]
 mod avx2;
+#[cfg(target_arch = "x86_64")]
+mod avx512;
 
 /// Frequencies are clamped away from 0/1 so `ln` stays finite even for
 /// degenerate counts.
@@ -930,19 +942,33 @@ fn key_value(k: i64) -> f64 {
     f64::from_bits((k ^ (((k >> 63) as u64) >> 1) as i64) as u64)
 }
 
-/// Whether this CPU runs the `avx2` module's sweeps. Std caches the probe, so
-/// asking per sweep costs a load and a branch.
+/// Whether this CPU runs the `avx512` module's sweeps. Std caches the
+/// probe, so asking per sweep costs a load and a branch.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+fn has_avx512() -> bool {
+    is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("popcnt")
+}
+
+/// Whether this CPU runs the `avx2` module's sweeps, the width below
+/// AVX-512.
 #[cfg(target_arch = "x86_64")]
 #[inline]
 fn has_avx2() -> bool {
     is_x86_feature_detected!("avx2") && is_x86_feature_detected!("popcnt")
 }
 
-/// `sums[i] += level(bit_i)`, 64 individuals per bit word: the AVX2 sweep
-/// where the CPU has it, [`add_column_scalar`] elsewhere. Both perform one
-/// `+=` of exactly `major` or `minor` per individual.
+/// `sums[i] += level(bit_i)`, 64 individuals per bit word: the widest
+/// vector sweep the CPU runs (AVX-512, then AVX2), [`add_column_scalar`]
+/// elsewhere. All perform one `+=` of exactly `major` or `minor` per
+/// individual.
 #[inline]
 fn add_column(sums: &mut [f64], words: &[u64], major: f64, minor: f64) {
+    #[cfg(target_arch = "x86_64")]
+    if has_avx512() {
+        // SAFETY: `has_avx512()` detected AVX-512F and POPCNT on this CPU.
+        return unsafe { avx512::add_column(sums, words, major, minor) };
+    }
     #[cfg(target_arch = "x86_64")]
     if has_avx2() {
         // SAFETY: `has_avx2()` detected AVX2 and POPCNT on this CPU.
@@ -951,7 +977,7 @@ fn add_column(sums: &mut [f64], words: &[u64], major: f64, minor: f64) {
     add_column_scalar(sums, words, major, minor);
 }
 
-/// The scalar add sweep, the AVX2 one's fallback and oracle. The level is
+/// The scalar add sweep, the vector ones' fallback and oracle. The level is
 /// read from a two-entry table indexed by the genotype bit, which compiles
 /// to an indexed load; the mask select used before it
 /// (`(ma & !mask) | (mi & mask)`) was turned back into a conditional jump
@@ -974,6 +1000,11 @@ fn add_column_scalar(sums: &mut [f64], words: &[u64], major: f64, minor: f64) {
 #[inline]
 fn sub_column(sums: &mut [f64], words: &[u64], major: f64, minor: f64) {
     #[cfg(target_arch = "x86_64")]
+    if has_avx512() {
+        // SAFETY: `has_avx512()` detected AVX-512F and POPCNT on this CPU.
+        return unsafe { avx512::sub_column(sums, words, major, minor) };
+    }
+    #[cfg(target_arch = "x86_64")]
     if has_avx2() {
         // SAFETY: `has_avx2()` detected AVX2 and POPCNT on this CPU.
         return unsafe { avx2::sub_column(sums, words, major, minor) };
@@ -995,7 +1026,7 @@ fn sub_column_scalar(sums: &mut [f64], words: &[u64], major: f64, minor: f64) {
 }
 
 /// Case update: adds the column and counts detections against the
-/// threshold — in the same pass on AVX2.
+/// threshold — in the same pass on either vector width.
 #[inline]
 fn add_column_count(
     sums: &mut [f64],
@@ -1004,6 +1035,11 @@ fn add_column_count(
     minor: f64,
     threshold: f64,
 ) -> usize {
+    #[cfg(target_arch = "x86_64")]
+    if has_avx512() {
+        // SAFETY: `has_avx512()` detected AVX-512F and POPCNT on this CPU.
+        return unsafe { avx512::add_column_count(sums, words, major, minor, threshold) };
+    }
     #[cfg(target_arch = "x86_64")]
     if has_avx2() {
         // SAFETY: `has_avx2()` detected AVX2 and POPCNT on this CPU.
@@ -1237,8 +1273,8 @@ impl BandEdges {
 
 /// The null side of a candidate: adds the column to `sums`, then counts
 /// the sums below `edges` and gathers the keys inside them into `band`;
-/// returns the count. On AVX2 the add, the count and the in-band test are
-/// one pass, and only the sums inside reach [`BandEdges::classify`];
+/// returns the count. At either vector width the add, the count and the
+/// in-band test are one pass, and only the sums inside reach [`BandEdges::classify`];
 /// elsewhere [`add_column_scalar`] and then [`band_scan`].
 #[inline]
 fn add_column_band(
@@ -1249,13 +1285,16 @@ fn add_column_band(
     band: &mut Vec<i64>,
 ) -> usize {
     #[cfg(target_arch = "x86_64")]
-    if has_avx2() {
+    if has_avx512() || has_avx2() {
         let mut below_by_key = 0;
-        // SAFETY: `has_avx2()` detected AVX2 and POPCNT on this CPU.
-        let below = unsafe {
-            avx2::add_column_band(sums, words, (major, minor), (edges.lo, edges.hi), |v| {
-                edges.classify(v, &mut below_by_key, band);
-            })
+        let inside = |v| edges.classify(v, &mut below_by_key, band);
+        let band_edges = (edges.lo, edges.hi);
+        let below = if has_avx512() {
+            // SAFETY: `has_avx512()` detected AVX-512F and POPCNT on this CPU.
+            unsafe { avx512::add_column_band(sums, words, (major, minor), band_edges, inside) }
+        } else {
+            // SAFETY: `has_avx2()` detected AVX2 and POPCNT on this CPU.
+            unsafe { avx2::add_column_band(sums, words, (major, minor), band_edges, inside) }
         };
         return below + below_by_key;
     }
@@ -1873,39 +1912,147 @@ mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
+    /// One kernel width, its four sweeps called directly rather than
+    /// through the dispatch, which on a CPU with AVX-512 never reaches the
+    /// AVX2 kernels.
+    #[derive(Debug, Clone, Copy)]
+    enum Width {
+        Scalar,
+        #[cfg(target_arch = "x86_64")]
+        Avx2,
+        #[cfg(target_arch = "x86_64")]
+        Avx512,
+    }
+
+    impl Width {
+        /// Every width this CPU runs, the scalar oracle first. A vector
+        /// width the CPU lacks is left out and named on stdout.
+        fn detected() -> Vec<Width> {
+            #[allow(unused_mut)]
+            let mut widths = vec![Width::Scalar];
+            #[cfg(target_arch = "x86_64")]
+            for (width, present) in [(Width::Avx2, has_avx2()), (Width::Avx512, has_avx512())] {
+                if present {
+                    widths.push(width);
+                } else {
+                    println!("skipped: this CPU does not run the {width:?} kernels");
+                }
+            }
+            widths
+        }
+
+        fn add(self, sums: &mut [f64], words: &[u64], major: f64, minor: f64) {
+            match self {
+                Width::Scalar => add_column_scalar(sums, words, major, minor),
+                // SAFETY: `detected()` lists AVX2 only where `has_avx2()`
+                // found AVX2 and POPCNT.
+                #[cfg(target_arch = "x86_64")]
+                Width::Avx2 => unsafe { avx2::add_column(sums, words, major, minor) },
+                // SAFETY: `detected()` lists AVX-512 only where
+                // `has_avx512()` found AVX-512F and POPCNT.
+                #[cfg(target_arch = "x86_64")]
+                Width::Avx512 => unsafe { avx512::add_column(sums, words, major, minor) },
+            }
+        }
+
+        fn sub(self, sums: &mut [f64], words: &[u64], major: f64, minor: f64) {
+            match self {
+                Width::Scalar => sub_column_scalar(sums, words, major, minor),
+                // SAFETY: as in `add`.
+                #[cfg(target_arch = "x86_64")]
+                Width::Avx2 => unsafe { avx2::sub_column(sums, words, major, minor) },
+                // SAFETY: as in `add`.
+                #[cfg(target_arch = "x86_64")]
+                Width::Avx512 => unsafe { avx512::sub_column(sums, words, major, minor) },
+            }
+        }
+
+        fn count(self, sums: &mut [f64], words: &[u64], levels: (f64, f64), t: f64) -> usize {
+            let (major, minor) = levels;
+            match self {
+                Width::Scalar => add_column_count_scalar(sums, words, major, minor, t),
+                // SAFETY: as in `add`.
+                #[cfg(target_arch = "x86_64")]
+                Width::Avx2 => unsafe { avx2::add_column_count(sums, words, major, minor, t) },
+                // SAFETY: as in `add`.
+                #[cfg(target_arch = "x86_64")]
+                Width::Avx512 => unsafe { avx512::add_column_count(sums, words, major, minor, t) },
+            }
+        }
+
+        /// The null side's pass: the count below `edges`, the in-band keys
+        /// gathered into `band`.
+        fn band(
+            self,
+            sums: &mut [f64],
+            words: &[u64],
+            levels: (f64, f64),
+            edges: BandEdges,
+            band: &mut Vec<i64>,
+        ) -> usize {
+            let mut below_by_key = 0;
+            let mut inside = |v| edges.classify(v, &mut below_by_key, band);
+            let below = match self {
+                Width::Scalar => {
+                    add_column_scalar(sums, words, levels.0, levels.1);
+                    return band_scan(sums, edges, band);
+                }
+                // SAFETY: as in `add`.
+                #[cfg(target_arch = "x86_64")]
+                Width::Avx2 => unsafe {
+                    avx2::add_column_band(sums, words, levels, (edges.lo, edges.hi), &mut inside)
+                },
+                // SAFETY: as in `add`.
+                #[cfg(target_arch = "x86_64")]
+                Width::Avx512 => unsafe {
+                    avx512::add_column_band(sums, words, levels, (edges.lo, edges.hi), &mut inside)
+                },
+            };
+            below + below_by_key
+        }
+    }
+
     #[test]
     fn sweep_kernels_match_the_scalar_loop_bit_for_bit() {
-        for (case, &n) in SWEEP_SIZES.iter().enumerate() {
-            for (pair, &(major, minor)) in SWEEP_LEVELS.iter().enumerate() {
-                let (start, words) = sweep_inputs(n, (case * 10 + pair) as u64);
-                let added: Vec<f64> = (0..n)
-                    .map(|i| start[i] + scalar_level(&words, i, major, minor))
-                    .collect();
-                let ctx = format!("n={n} levels=({major:e}, {minor:e})");
+        for width in Width::detected() {
+            for (case, &n) in SWEEP_SIZES.iter().enumerate() {
+                for (pair, &(major, minor)) in SWEEP_LEVELS.iter().enumerate() {
+                    let (start, words) = sweep_inputs(n, (case * 10 + pair) as u64);
+                    let added: Vec<f64> = (0..n)
+                        .map(|i| start[i] + scalar_level(&words, i, major, minor))
+                        .collect();
+                    let ctx = format!("{width:?} n={n} levels=({major:e}, {minor:e})");
 
-                let mut sums = start.clone();
-                add_column(&mut sums, &words, major, minor);
-                assert_eq!(bits_of(&sums), bits_of(&added), "add_column {ctx}");
-
-                // The oracle backs a rejected column out as (a + b) − b.
-                sub_column(&mut sums, &words, major, minor);
-                let backed_out: Vec<f64> = (0..n)
-                    .map(|i| added[i] - scalar_level(&words, i, major, minor))
-                    .collect();
-                assert_eq!(bits_of(&sums), bits_of(&backed_out), "sub_column {ctx}");
-
-                for threshold in [0.0, -3.5, f64::INFINITY, f64::NAN] {
                     let mut sums = start.clone();
-                    let detected = add_column_count(&mut sums, &words, major, minor, threshold);
-                    assert_eq!(bits_of(&sums), bits_of(&added), "count sums {ctx}");
-                    assert_eq!(
-                        detected,
-                        added.iter().filter(|&&s| s > threshold).count(),
-                        "count {ctx} threshold={threshold}"
-                    );
+                    width.add(&mut sums, &words, major, minor);
+                    assert_eq!(bits_of(&sums), bits_of(&added), "add_column {ctx}");
+
+                    // The oracle backs a rejected column out as (a + b) − b.
+                    width.sub(&mut sums, &words, major, minor);
+                    let backed_out: Vec<f64> = (0..n)
+                        .map(|i| added[i] - scalar_level(&words, i, major, minor))
+                        .collect();
+                    assert_eq!(bits_of(&sums), bits_of(&backed_out), "sub_column {ctx}");
+
+                    for threshold in [0.0, -3.5, f64::INFINITY, f64::NAN] {
+                        let mut sums = start.clone();
+                        let detected = width.count(&mut sums, &words, (major, minor), threshold);
+                        assert_eq!(bits_of(&sums), bits_of(&added), "count sums {ctx}");
+                        assert_eq!(
+                            detected,
+                            added.iter().filter(|&&s| s > threshold).count(),
+                            "count {ctx} threshold={threshold}"
+                        );
+                    }
                 }
             }
         }
+        // The dispatch runs one of the widths above.
+        let (start, words) = sweep_inputs(1_630, 7);
+        let (mut dispatched, mut scalar) = (start.clone(), start);
+        add_column(&mut dispatched, &words, 0.25, -1.5);
+        add_column_scalar(&mut scalar, &words, 0.25, -1.5);
+        assert_eq!(bits_of(&dispatched), bits_of(&scalar));
     }
 
     /// Values the vector sweeps must carry exactly as the scalar loops do,
@@ -1932,13 +2079,13 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
 
-        /// The dispatched kernels (the AVX2 ones on a CPU that has it)
-        /// against the scalar kernels, by `to_bits`, for 1–200 individuals
-        /// (whole and partial quads and words): the add and back-out
-        /// sweeps, the case side's
-        /// add-and-count, and the null side's pass, whose `below` and band
-        /// multiset must equal the scalar add followed by the separate count
-        /// pass and chunked gather.
+        /// Each vector width this CPU runs (AVX2 and AVX-512, called
+        /// directly) against the scalar kernels, by `to_bits`, for 1–200
+        /// individuals (whole and partial quads, octets and words): the add
+        /// and back-out sweeps, the case side's add-and-count, and the null
+        /// side's pass, whose `below` and band multiset must equal the
+        /// scalar add followed by the separate count pass and chunked
+        /// gather.
         #[test]
         fn vector_kernels_match_the_scalar_kernels_bit_for_bit(
             n in 1usize..201,
@@ -1961,35 +2108,37 @@ mod tests {
             let words: Vec<u64> = (0..n.div_ceil(64)).map(|_| rng.next_u64()).collect();
             let (major, minor) = (LANE_VALUES[levels.0], LANE_VALUES[levels.1]);
             let stat = |i: usize| if i < 14 { LANE_VALUES[i] } else { start[i * 7_919 % n] };
-
-            let mut scalar = start.clone();
-            let mut vector = start.clone();
-            add_column_scalar(&mut scalar, &words, major, minor);
-            add_column(&mut vector, &words, major, minor);
-            proptest::prop_assert_eq!(bits_of(&vector), bits_of(&scalar), "add");
-            sub_column_scalar(&mut scalar, &words, major, minor);
-            sub_column(&mut vector, &words, major, minor);
-            proptest::prop_assert_eq!(bits_of(&vector), bits_of(&scalar), "sub");
-
             let threshold = LANE_VALUES[edges.0];
-            let mut scalar = start.clone();
-            let mut vector = start.clone();
-            let expected = add_column_count_scalar(&mut scalar, &words, major, minor, threshold);
-            let detected = add_column_count(&mut vector, &words, major, minor, threshold);
-            proptest::prop_assert_eq!(bits_of(&vector), bits_of(&scalar), "count sums");
-            proptest::prop_assert_eq!(detected, expected, "count");
-
             let band = BandEdges::new((stat(edges.1), stat(edges.2)), major, minor);
-            let (mut scalar, mut scalar_keys) = (start.clone(), Vec::new());
-            let (mut vector, mut vector_keys) = (start.clone(), Vec::new());
-            add_column_scalar(&mut scalar, &words, major, minor);
-            let below = band_scan(&scalar, band, &mut scalar_keys);
-            let fused = add_column_band(&mut vector, &words, (major, minor), band, &mut vector_keys);
-            proptest::prop_assert_eq!(bits_of(&vector), bits_of(&scalar), "null sums");
-            proptest::prop_assert_eq!(fused, below, "below");
+
+            let mut added = start.clone();
+            add_column_scalar(&mut added, &words, major, minor);
+            let mut backed_out = added.clone();
+            sub_column_scalar(&mut backed_out, &words, major, minor);
+            let detected = add_column_count_scalar(&mut start.clone(), &words, major, minor, threshold);
+            let mut scalar_keys = Vec::new();
+            let below = band_scan(&added, band, &mut scalar_keys);
             scalar_keys.sort_unstable();
-            vector_keys.sort_unstable();
-            proptest::prop_assert_eq!(vector_keys, scalar_keys, "band");
+
+            for width in Width::detected() {
+                let mut vector = start.clone();
+                width.add(&mut vector, &words, major, minor);
+                proptest::prop_assert_eq!(bits_of(&vector), bits_of(&added), "{:?} add", width);
+                width.sub(&mut vector, &words, major, minor);
+                proptest::prop_assert_eq!(bits_of(&vector), bits_of(&backed_out), "{:?} sub", width);
+
+                let mut vector = start.clone();
+                let count = width.count(&mut vector, &words, (major, minor), threshold);
+                proptest::prop_assert_eq!(bits_of(&vector), bits_of(&added), "{:?} count sums", width);
+                proptest::prop_assert_eq!(count, detected, "{:?} count", width);
+
+                let (mut vector, mut vector_keys) = (start.clone(), Vec::new());
+                let fused = width.band(&mut vector, &words, (major, minor), band, &mut vector_keys);
+                proptest::prop_assert_eq!(bits_of(&vector), bits_of(&added), "{:?} null sums", width);
+                proptest::prop_assert_eq!(fused, below, "{:?} below", width);
+                vector_keys.sort_unstable();
+                proptest::prop_assert_eq!(&vector_keys, &scalar_keys, "{:?} band", width);
+            }
         }
     }
 

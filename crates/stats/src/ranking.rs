@@ -39,11 +39,25 @@ pub fn rank_by_association(
     assert_eq!(snps.len(), ref_counts.len(), "one reference count per SNP");
     snps.iter()
         .zip(case_counts.iter().zip(ref_counts.iter()))
-        .map(|(&snp, (&cc, &rc))| SnpRank {
-            snp,
-            p_value: chi2_p_value(&SinglewiseTable::new(cc, case_total, rc, ref_total)),
-        })
+        .map(|(&snp, (&cc, &rc))| rank_one(snp, cc, case_total, rc, ref_total))
         .collect()
+}
+
+/// One SNP's entry of [`rank_by_association`]: its χ² association p-value
+/// from its pooled case and reference minor-allele counts.
+#[must_use]
+pub fn rank_one(
+    snp: SnpId,
+    case_count: u64,
+    case_total: u64,
+    ref_count: u64,
+    ref_total: u64,
+) -> SnpRank {
+    let table = SinglewiseTable::new(case_count, case_total, ref_count, ref_total);
+    SnpRank {
+        snp,
+        p_value: chi2_p_value(&table),
+    }
 }
 
 /// Total order on p-values that ranks NaN strictly worst (least

@@ -31,7 +31,8 @@ for example in examples/*.rs; do
     cargo run --release -q --example "$(basename "$example" .rs)" >/dev/null
 done
 
-# The LR sweeps' bit-identity — the AVX2 kernels against the scalar loops
+# The LR sweeps' bit-identity — each vector width this CPU has (the AVX2
+# and the AVX-512 kernels, each called directly) against the scalar loops
 # they fall back to, NaN signs included — is a statement about optimised
 # arithmetic: test the build that ships, not only the debug one.
 echo "==> cargo test --release -p gendpr-stats -q"
@@ -71,8 +72,10 @@ scripts/bench.sh --scale 0.02 --out "$BENCH_SMOKE_OUT" >/dev/null
 grep -q '"selection_identical": true' "$BENCH_SMOKE_OUT"
 grep -q '"shard_identical": true' "$BENCH_SMOKE_OUT"
 # The LR sweeps cost the same on columns the branch predictor has never
-# seen as on one it has: the level select compiled to a blend (AVX2) or a
-# load (the scalar fallback), not a jump.
+# seen as on one it has: the level select compiled to a blend (a mask
+# blend by the bit word's byte on AVX-512, a compare-made mask on AVX2) or
+# a load (the scalar fallback), not a jump. The row times the widest
+# sweep this CPU dispatches.
 grep -q '"branch_free": true' "$BENCH_SMOKE_OUT"
 
 # All four benchmark workloads at smoke length: selections, certificates

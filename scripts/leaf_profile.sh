@@ -5,9 +5,12 @@
 # benchmark binary offline, runs one untraced run of the workload with
 # the sampler preloaded, and prints the largest self shares of the samples
 # taken in the run's last SECONDS (the timed window; set-up and warm-up
-# come before it), symbolised with `nm -C`. Samples outside the benchmark
-# binary (libc's futex and clock calls, the vDSO) count by library. The
-# assess-* workloads pin themselves to one CPU. Writes nothing under
+# come before it), symbolised with `nm -C`. A libc sample goes to the
+# exported symbol whose extent (`nm -D -S`) holds it, or stays
+# `[libc.so.6]` (internal code such as the memmove variants); samples in
+# other libraries and the vDSO count by library. Last, the context
+# switches per timed job (getrusage, all threads, over the same window).
+# The assess-* workloads pin themselves to one CPU. Writes nothing under
 # benchmark/ but the harness's usual out/; builds into CARGO_TARGET_DIR
 # or the repository's target/. x86-64 Linux; not part of check.sh.
 # Usage: scripts/leaf_profile.sh <workload> [seconds=20] [top=25]
@@ -24,8 +27,10 @@ work=$(mktemp -d "${TMPDIR:-/tmp}/gendpr-leaf.XXXXXX")
 trap 'rm -rf "$work"' EXIT
 
 # The sampler. The handler stores the interrupted RIP and a monotonic
-# timestamp; the destructor writes the program's load bias, the
-# executable mappings and the samples (age at exit in ns, address).
+# timestamp, and every 64th sample the process's context switches so far;
+# the destructor writes every object's load bias, the executable
+# mappings, the samples (age at exit in ns, address) and the switch
+# counts (age at exit in ns, voluntary, involuntary), the last at exit.
 cat >"$work/sampler.c" <<'C'
 #define _GNU_SOURCE
 #include <link.h>
@@ -33,6 +38,7 @@ cat >"$work/sampler.c" <<'C'
 #include <stdio.h>
 #include <stdlib.h>
 #include <string.h>
+#include <sys/resource.h>
 #include <sys/time.h>
 #include <time.h>
 #include <ucontext.h>
@@ -40,6 +46,19 @@ cat >"$work/sampler.c" <<'C'
 #define MAX_SAMPLES (1 << 20)
 static struct { long long ns; unsigned long ip; } samples[MAX_SAMPLES];
 static unsigned long taken;
+#define MAX_SWITCHES (MAX_SAMPLES / 64)
+static struct { long long ns; long voluntary, involuntary; } switches[MAX_SWITCHES];
+static unsigned long switch_marks;
+
+static void mark_switches(long long ns) {
+    unsigned long n = __atomic_fetch_add(&switch_marks, 1, __ATOMIC_RELAXED);
+    struct rusage usage;
+    if (n < MAX_SWITCHES && getrusage(RUSAGE_SELF, &usage) == 0) {
+        switches[n].ns = ns;
+        switches[n].voluntary = usage.ru_nvcsw;
+        switches[n].involuntary = usage.ru_nivcsw;
+    }
+}
 
 static long long now_ns(void) {
     struct timespec t;
@@ -54,6 +73,7 @@ static void on_sigprof(int sig, siginfo_t *info, void *context) {
     if (n < MAX_SAMPLES) {
         samples[n].ns = now_ns();
         samples[n].ip = ((ucontext_t *)context)->uc_mcontext.gregs[REG_RIP];
+        if (n % 64 == 0) mark_switches(samples[n].ns);
     }
 }
 
@@ -61,6 +81,13 @@ static int main_bias(struct dl_phdr_info *info, size_t size, void *bias) {
     (void)size;
     *(unsigned long *)bias = info->dlpi_addr; /* the first entry is the program */
     return 1;
+}
+
+static int library_bias(struct dl_phdr_info *info, size_t size, void *out) {
+    (void)size;
+    if (info->dlpi_name && info->dlpi_name[0])
+        fprintf((FILE *)out, "lib %lx %s\n", (unsigned long)info->dlpi_addr, info->dlpi_name);
+    return 0;
 }
 
 __attribute__((constructor)) static void start(void) {
@@ -81,11 +108,13 @@ __attribute__((destructor)) static void finish(void) {
     memset(&off, 0, sizeof off);
     setitimer(ITIMER_PROF, &off, NULL);
     long long end = now_ns();
+    mark_switches(end);
     FILE *out = fopen(path, "w"), *maps = fopen("/proc/self/maps", "r");
     if (!out || !maps) return;
     unsigned long bias = 0;
     dl_iterate_phdr(main_bias, &bias);
     fprintf(out, "bias %lx\n", bias);
+    dl_iterate_phdr(library_bias, out);
     char line[4096], perms[8], file[4096];
     unsigned long lo, hi;
     while (fgets(line, sizeof line, maps))
@@ -94,6 +123,10 @@ __attribute__((destructor)) static void finish(void) {
     unsigned long n = taken < MAX_SAMPLES ? taken : MAX_SAMPLES;
     for (unsigned long i = 0; i < n; i++)
         fprintf(out, "s %lld %lx\n", end - samples[i].ns, samples[i].ip);
+    unsigned long marks = switch_marks < MAX_SWITCHES ? switch_marks : MAX_SWITCHES;
+    for (unsigned long i = 0; i < marks; i++)
+        fprintf(out, "cs %lld %ld %ld\n", end - switches[i].ns, switches[i].voluntary,
+                switches[i].involuntary);
     fclose(maps);
     fclose(out);
 }
@@ -111,7 +144,18 @@ LEAF_PROFILE_OUT="$work/samples.txt" LD_PRELOAD="$work/sampler.so" \
 awk '$1 ~ /^[a-z_]+$/ && $2 ~ /^[0-9.]+$/' "$work/run.txt"
 
 nm -C -n --defined-only "$bin" >"$work/symbols.txt"
-awk -v window_ns="$((seconds * 1000000000))" -v bin="$(readlink -f "$bin")" '
+libc=$(awk '$1 == "lib" && $3 ~ /\/libc\.so/ { print $3; exit }' "$work/samples.txt")
+# Exported libc functions with their extents: "start size name".
+if [ -n "$libc" ]; then
+    nm -D -S --defined-only "$libc" | awk 'NF == 4 && $3 ~ /^[TWi]$/ { sub(/@.*/, "", $4); print $1, $2, $4 }' |
+        sort -u -k1,1 >"$work/libc.txt"
+else
+    : >"$work/libc.txt"
+fi
+rate=$(awk '$1 == "jobs_per_s" { print $2 }' "$work/run.txt")
+awk -v window_ns="$((seconds * 1000000000))" -v bin="$(readlink -f "$bin")" \
+    -v libc="$(readlink -f "${libc:-/nonexistent}" 2>/dev/null || true)" \
+    -v rate="${rate:-0}" '
 function hex(s,    v, i) {
     v = 0; s = tolower(s)
     for (i = 1; i <= length(s); i++) v = v * 16 + index("0123456789abcdef", substr(s, i, 1)) - 1
@@ -124,18 +168,37 @@ function symbol(a,    lo, hi, mid) {
     while (lo < hi) { mid = int((lo + hi + 1) / 2); if (addr[mid] <= a) lo = mid; else hi = mid - 1 }
     return name[lo]
 }
-FNR == NR {
+# The exported libc function whose extent holds `a`, else the library.
+function libc_symbol(a,    lo, hi, mid) {
+    if (nlibc == 0 || a < lstart[1]) return "[libc.so.6]"
+    lo = 1; hi = nlibc
+    while (lo < hi) { mid = int((lo + hi + 1) / 2); if (lstart[mid] <= a) lo = mid; else hi = mid - 1 }
+    return a < lstart[lo] + lsize[lo] ? lname[lo] " [libc]" : "[libc.so.6]"
+}
+FILENAME == ARGV[1] {
     if ($2 ~ /^[tTwW]$/) { addr[++nsym] = hex($1); n = $0; sub(/^[^ ]+ [^ ]+ /, "", n); name[nsym] = n }
     next
 }
+FILENAME == ARGV[2] { lstart[++nlibc] = hex($1); lsize[nlibc] = hex($2); lname[nlibc] = $3; next }
 $1 == "bias" { bias = hex($2); next }
+$1 == "lib" { if ($3 ~ /\/libc\.so/) libc_bias = hex($2); next }
 $1 == "map" { lo[++nmap] = hex($2); hi[nmap] = hex($3); path[nmap] = $4; next }
+$1 == "cs" {
+    # The last mark is taken at exit; the window opens at the latest mark
+    # at least `window_ns` before it.
+    if ($2 + 0 == 0) { end_v = $3; end_i = $4 }
+    else if ($2 + 0 >= window_ns && (!have_start || $2 + 0 < start_age)) {
+        start_age = $2 + 0; start_v = $3; start_i = $4; have_start = 1
+    }
+    next
+}
 $1 == "s" {
     all++
     if ($2 + 0 > window_ns) next
     ip = hex($3); where = "[no mapping]"
     for (m = 1; m <= nmap; m++) if (ip >= lo[m] && ip < hi[m]) {
         if (path[m] == bin) where = symbol(ip - bias)
+        else if (path[m] == libc) where = libc_symbol(ip - libc_bias)
         else { where = path[m]; sub(/.*\//, "", where); where = "[" where "]" }
         break
     }
@@ -143,5 +206,9 @@ $1 == "s" {
 }
 END {
     printf "%d of %d samples in the last %d s\n", kept, all, window_ns / 1e9 > "/dev/stderr"
+    jobs = rate * start_age / 1e9
+    if (have_start && jobs > 0)
+        printf "context switches per timed job (%.0f jobs in %.1f s): %.0f voluntary, %.0f involuntary\n",
+            jobs, start_age / 1e9, (end_v - start_v) / jobs, (end_i - start_i) / jobs > "/dev/stderr"
     for (w in count) printf "%7.2f %%  %6d  %s\n", 100 * count[w] / kept, count[w], w
-}' "$work/symbols.txt" "$work/samples.txt" | sort -rn | head -n "$top"
+}' "$work/symbols.txt" "$work/libc.txt" "$work/samples.txt" | sort -rn | head -n "$top"

@@ -695,3 +695,85 @@ fn malformed_specs_are_rejected_without_poisoning_the_session() {
     assert_eq!(ok.job_id, 3);
     session.shutdown().unwrap();
 }
+
+/// Set in the child process [`an_idle_follower_suspects_no_one`] runs its
+/// session in: the suspicion counter and the event log are process-wide,
+/// so the scenario gets a process of its own.
+const IDLE_CHILD: &str = "GENDPR_IDLE_FOLLOWER_CHILD";
+
+/// Printed on stderr between the idle half and the mid-job half.
+const IDLE_OVER: &str = "-- idle half over --";
+
+/// The child's scenario: a three-member session over the in-memory fabric
+/// idles through five timeouts, then one follower crashes and a job is
+/// submitted. Prints the suspicions each half counted.
+fn idle_then_mid_job_silence() {
+    use gendpr::core::telemetry::suspicions;
+    use gendpr::fednet::transport::Network;
+    use gendpr::fednet::FaultPlan;
+
+    let timeout = Duration::from_millis(400);
+    let network = Network::new();
+    let transports = (0..3).map(|i| network.register(PeerId(i))).collect();
+    let options = RuntimeOptions {
+        timeout,
+        ..RuntimeOptions::default()
+    };
+    let mut session =
+        ServiceFederation::start_over(transports, config(3), params(), study(), options).unwrap();
+    let start = suspicions().get();
+    std::thread::sleep(timeout * 5);
+    let idle = suspicions().get() - start;
+    eprintln!("{IDLE_OVER}");
+
+    let follower = (session.leader() + 1) % 3;
+    let mut faults = FaultPlan::none();
+    faults.crash(follower as u32);
+    network.set_faults(faults);
+    let job = JobSpec {
+        job_id: 1,
+        panel: snps(0..60),
+        forced: vec![],
+    };
+    match session.submit(&job) {
+        Err(ProtocolError::MemberUnresponsive { member, .. }) => assert_eq!(member, follower),
+        other => panic!(
+            "a crashed follower mid-job: {:?}",
+            other.map(|o| o.released)
+        ),
+    }
+    let mid_job = suspicions().get() - start - idle;
+    println!("suspicions: idle {idle} mid-job {mid_job}");
+}
+
+#[test]
+fn an_idle_follower_suspects_no_one() {
+    if std::env::var_os(IDLE_CHILD).is_some() {
+        return idle_then_mid_job_silence();
+    }
+    let out = std::process::Command::new(std::env::current_exe().unwrap())
+        .args(["--exact", "an_idle_follower_suspects_no_one", "--nocapture"])
+        .env(IDLE_CHILD, "1")
+        .env("GENDPR_LOG", "warn")
+        .output()
+        .unwrap();
+    let (stdout, stderr) = (
+        String::from_utf8_lossy(&out.stdout),
+        String::from_utf8_lossy(&out.stderr),
+    );
+    assert!(out.status.success(), "child failed:\n{stdout}\n{stderr}");
+    let counted = stdout
+        .lines()
+        .find_map(|l| l.strip_prefix("suspicions: "))
+        .unwrap_or_else(|| panic!("no count in the child's output:\n{stdout}"));
+    let (idle_log, job_log) = stderr
+        .split_once(IDLE_OVER)
+        .unwrap_or_else(|| panic!("no marker in the child's log:\n{stderr}"));
+    // Five idle timeouts: no follower suspects its leader for the wait.
+    assert!(counted.starts_with("idle 0 "), "{counted}");
+    assert!(!idle_log.contains("member_suspected"), "{idle_log}");
+    // A crashed follower mid-job is still suspected, and said so.
+    let mid_job: u64 = counted.rsplit(' ').next().unwrap().parse().unwrap();
+    assert!(mid_job >= 1, "{counted}");
+    assert!(job_log.contains("\"member_suspected\""), "{job_log}");
+}
