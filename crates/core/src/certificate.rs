@@ -47,6 +47,22 @@ pub struct AssessmentCertificate {
     pub quote: Quote,
 }
 
+/// Feeds `values`' bytes to `h` end to end, a 512-byte buffer per
+/// `update`: the bytes, so the digest, of one `update` per value.
+fn update_le<const N: usize>(h: &mut Sha256, values: impl Iterator<Item = [u8; N]>) {
+    let mut buf = [0u8; 512];
+    let mut filled = 0;
+    for value in values {
+        if filled + N > buf.len() {
+            h.update(&buf[..filled]);
+            filled = 0;
+        }
+        buf[filled..filled + N].copy_from_slice(&value);
+        filled += N;
+    }
+    h.update(&buf[..filled]);
+}
+
 fn digest_study(params: &GwasParams, gdo_count: usize, panel_len: usize) -> [u8; 32] {
     let mut h = Sha256::new();
     h.update(b"gendpr/certificate/study/v1\0");
@@ -63,14 +79,10 @@ fn digest_inputs(case_counts: &[u64], n_case: u64, ref_counts: &[u64], n_ref: u6
     let mut h = Sha256::new();
     h.update(b"gendpr/certificate/inputs/v1\0");
     h.update(&(case_counts.len() as u64).to_le_bytes());
-    for &c in case_counts {
-        h.update(&c.to_le_bytes());
-    }
+    update_le(&mut h, case_counts.iter().map(|c| c.to_le_bytes()));
     h.update(&n_case.to_le_bytes());
     h.update(&(ref_counts.len() as u64).to_le_bytes());
-    for &c in ref_counts {
-        h.update(&c.to_le_bytes());
-    }
+    update_le(&mut h, ref_counts.iter().map(|c| c.to_le_bytes()));
     h.update(&n_ref.to_le_bytes());
     h.finalize()
 }
@@ -79,9 +91,7 @@ fn digest_safe(safe: &[SnpId]) -> [u8; 32] {
     let mut h = Sha256::new();
     h.update(b"gendpr/certificate/safe/v1\0");
     h.update(&(safe.len() as u64).to_le_bytes());
-    for s in safe {
-        h.update(&s.0.to_le_bytes());
-    }
+    update_le(&mut h, safe.iter().map(|s| s.0.to_le_bytes()));
     h.finalize()
 }
 
@@ -90,9 +100,7 @@ fn digest_roster(epoch: u64, roster: &[u32]) -> [u8; 32] {
     h.update(b"gendpr/certificate/roster/v1\0");
     h.update(&epoch.to_le_bytes());
     h.update(&(roster.len() as u64).to_le_bytes());
-    for &m in roster {
-        h.update(&m.to_le_bytes());
-    }
+    update_le(&mut h, roster.iter().map(|m| m.to_le_bytes()));
     h.finalize()
 }
 
@@ -104,13 +112,9 @@ fn digest_context(context: Option<JobContext<'_>>) -> [u8; 32] {
     h.update(b"gendpr/certificate/context/v1\0");
     h.update(&ctx.job_id.to_le_bytes());
     h.update(&(ctx.panel.len() as u64).to_le_bytes());
-    for s in ctx.panel {
-        h.update(&s.0.to_le_bytes());
-    }
+    update_le(&mut h, ctx.panel.iter().map(|s| s.0.to_le_bytes()));
     h.update(&(ctx.forced.len() as u64).to_le_bytes());
-    for s in ctx.forced {
-        h.update(&s.0.to_le_bytes());
-    }
+    update_le(&mut h, ctx.forced.iter().map(|s| s.0.to_le_bytes()));
     h.finalize()
 }
 

@@ -611,10 +611,42 @@ impl ServiceFederation {
         // Jobs run G assessments' worth of work; give the session several
         // protocol timeouts before declaring it wedged.
         match self.events.recv_timeout(self.timeout.saturating_mul(4)) {
-            Ok(SessionEvent::Failed { error }) => Err(self.poison(error)),
+            Ok(SessionEvent::Failed { error }) => {
+                let error = self.root_cause(error);
+                Err(self.poison(error))
+            }
             Ok(event) => Ok(event),
             Err(_) => Err(self.wedged()),
         }
+    }
+
+    /// A follower that took the leader's `Abort` fails naming the leader,
+    /// and it can report that before the leader reports the member it
+    /// aborted over: the two threads race once the notice is sent. Given
+    /// such a relayed failure, waits up to one protocol timeout for a
+    /// failure that is not one and returns it, else the relayed one.
+    fn root_cause(&self, error: ProtocolError) -> ProtocolError {
+        let relayed = |e: &ProtocolError| {
+            matches!(
+                e,
+                ProtocolError::MemberUnresponsive {
+                    member,
+                    phase: "aborted" | "aborted-by-leader",
+                } if *member == self.leader
+            )
+        };
+        if !relayed(&error) {
+            return error;
+        }
+        let deadline = Instant::now() + self.timeout;
+        while let Some(left) = deadline.checked_duration_since(Instant::now()) {
+            match self.events.recv_timeout(left) {
+                Ok(SessionEvent::Failed { error: cause }) if !relayed(&cause) => return cause,
+                Ok(_) => {}
+                Err(_) => break,
+            }
+        }
+        error
     }
 
     /// Runs one job to completion and returns what it released.

@@ -17,12 +17,15 @@
 //!
 //! Everything is implemented from the specifications and validated
 //! against the RFC/NIST test vectors in each module's tests, in safe Rust
-//! apart from two private modules: the ChaCha20 kernels behind
-//! [`chacha20`]'s passes, four blocks a pass in SSE2 (the x86-64 baseline)
-//! and sixteen in AVX-512 (where the CPU reports it at run time). Their
-//! unaligned loads and stores and the calls into them are the crate's
-//! only `unsafe` blocks (each carries a `SAFETY:` comment; the lint below
-//! refuses one without). The scalar block function is their oracle.
+//! apart from four private kernel modules, each detected at run time
+//! where it needs more than the x86-64 baseline: the ChaCha20 kernels
+//! behind [`chacha20`]'s passes, four blocks a pass in SSE2 (the
+//! baseline) and sixteen in AVX-512; [`poly1305`]'s eight accumulators in
+//! AVX-512 IFMA; and [`sha256`]'s compression function on the SHA
+//! extensions. Their unaligned loads and stores and the calls into them
+//! are the crate's only `unsafe` blocks (each carries a `SAFETY:` comment;
+//! the lint below refuses one without). The scalar code of each module is
+//! its kernels' fallback and oracle.
 //! Every message of the AEAD is sealed and opened from its *head*, its
 //! first two keystream blocks ([`aead::Heads`]), which one pass computes
 //! for several nonces at once.

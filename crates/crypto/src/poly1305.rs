@@ -4,6 +4,21 @@
 //! 44, 44 and 42 bits, so a 16-byte block costs nine 64 × 64 → 128-bit
 //! products (the "donna-64" schedule). The final reduction selects
 //! between `h` and `h − p` with a mask, never a branch on the data.
+//!
+//! Bulk input runs eight blocks a step where the CPU reports AVX-512F and
+//! AVX-512 IFMA at run time (std caches the probe): the private `avx512`
+//! module keeps eight accumulators over the powers `r … r⁸` in the same
+//! radix, whose limb products fit IFMA's 52-bit multiplier, and folds them
+//! back into the one state at the end of each [`Poly1305::update`] call.
+//! A call takes that path from `VECTOR_MIN_LEN` (256) bytes on, since the
+//! powers cost seven scalar products to make; shorter input, the blocks
+//! past the last whole group of eight and every other CPU take the scalar
+//! block step, which is also the oracle the kernel is tested against.
+//! Both compute the same polynomial modulo `2^130 − 5`, so the tag does
+//! not depend on the path.
+
+#[cfg(target_arch = "x86_64")]
+mod avx512;
 
 /// Key length in bytes (16-byte `r` part plus 16-byte `s` part).
 pub const KEY_LEN: usize = 32;
@@ -11,6 +26,16 @@ pub const KEY_LEN: usize = 32;
 pub const TAG_LEN: usize = 16;
 /// Internal block size in bytes.
 pub const BLOCK_LEN: usize = 16;
+
+/// Bytes the vector kernel takes a step: eight blocks.
+#[cfg(target_arch = "x86_64")]
+const GROUP_LEN: usize = 8 * BLOCK_LEN;
+/// The shortest input a [`Poly1305::update`] call hands the vector kernel
+/// (where the CPU has one). Below it the powers of `r` cost about what
+/// the kernel saves: a 128-byte tag took ≈ 200 ns on the vector path
+/// against ≈ 125 ns scalar, a 256-byte one ≈ 210–240 against ≈ 230 ns,
+/// a 512-byte one ≈ 190 against ≈ 390 ns (2-vCPU AVX-512 IFMA host).
+const VECTOR_MIN_LEN: usize = 256;
 
 const MASK44: u64 = (1 << 44) - 1;
 const MASK42: u64 = (1 << 42) - 1;
@@ -27,6 +52,48 @@ fn limbs(bytes: &[u8]) -> [u64; 3] {
     [t0 & MASK44, ((t0 >> 44) | (t1 << 20)) & MASK44, t1 >> 24]
 }
 
+/// `a · b mod 2^130 − 5`, partially reduced, where `sb` is `[20 · b1,
+/// 20 · b2]`: a limb product past 2^130 folds back multiplied by 5, and the
+/// 44-bit limb boundary shifts it by 4.
+#[inline]
+fn mul(a: [u64; 3], b: [u64; 3], sb: [u64; 2]) -> [u64; 3] {
+    let [a0, a1, a2] = a.map(u128::from);
+    let [b0, b1, b2] = b.map(u128::from);
+    let [s1, s2] = sb.map(u128::from);
+
+    let d0 = a0 * b0 + a1 * s2 + a2 * s1;
+    let d1 = a0 * b1 + a1 * b0 + a2 * s2;
+    let d2 = a0 * b2 + a1 * b1 + a2 * b0;
+
+    let d1 = d1 + (d0 >> 44);
+    let d2 = d2 + (d1 >> 44);
+    let h0 = (d0 as u64 & MASK44) + (d2 >> 42) as u64 * 5;
+    let h1 = (d1 as u64 & MASK44) + (h0 >> 44);
+    [h0 & MASK44, h1, d2 as u64 & MASK42]
+}
+
+/// Carries `h` fully: every limb within its width, `h < 2^130`.
+fn carry(h: [u64; 3]) -> [u64; 3] {
+    let [mut h0, mut h1, mut h2] = h;
+    for _ in 0..2 {
+        h2 += h1 >> 44;
+        h1 &= MASK44;
+        h0 += (h2 >> 42) * 5;
+        h2 &= MASK42;
+        h1 += h0 >> 44;
+        h0 &= MASK44;
+    }
+    [h0, h1, h2]
+}
+
+/// Whether this CPU runs the `avx512` kernel. Std caches the probe, so
+/// asking per call costs a load and a branch.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+fn has_ifma() -> bool {
+    is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("avx512ifma")
+}
+
 /// Incremental Poly1305 state.
 ///
 /// A Poly1305 key must never be reused across messages; the AEAD in
@@ -34,8 +101,7 @@ fn limbs(bytes: &[u8]) -> [u64; 3] {
 #[derive(Clone)]
 pub struct Poly1305 {
     r: [u64; 3],
-    /// `20 · r1` and `20 · r2`: a limb product past 2^130 folds back
-    /// multiplied by 5, and the 44-bit limb boundary shifts it by 4.
+    /// `20 · r1` and `20 · r2`, [`mul`]'s `sb` for `r`.
     s: [u64; 2],
     pad: [u64; 3],
     h: [u64; 3],
@@ -75,26 +141,42 @@ impl Poly1305 {
     /// `h ← (h + block + hibit · 2^128) · r mod 2^130 − 5`, partially
     /// reduced.
     fn process_block(&mut self, block: &[u8; BLOCK_LEN], hibit: u64) {
-        let [r0, r1, r2] = self.r.map(u128::from);
-        let [s1, s2] = self.s.map(u128::from);
         let [m0, m1, m2] = limbs(block);
-        let h0 = u128::from(self.h[0] + m0);
-        let h1 = u128::from(self.h[1] + m1);
-        let h2 = u128::from(self.h[2] + (m2 | hibit));
+        let h = [self.h[0] + m0, self.h[1] + m1, self.h[2] + (m2 | hibit)];
+        self.h = mul(h, self.r, self.s);
+    }
 
-        let d0 = h0 * r0 + h1 * s2 + h2 * s1;
-        let d1 = h0 * r1 + h1 * r0 + h2 * s2;
-        let d2 = h0 * r2 + h1 * r1 + h2 * r0;
-
-        let d1 = d1 + (d0 >> 44);
-        let d2 = d2 + (d1 >> 44);
-        let h0 = (d0 as u64 & MASK44) + (d2 >> 42) as u64 * 5;
-        let h1 = (d1 as u64 & MASK44) + (h0 >> 44);
-        self.h = [h0 & MASK44, h1, d2 as u64 & MASK42];
+    /// `r, r², …, r⁸`, each fully carried: the vector kernel's
+    /// multipliers.
+    #[cfg(target_arch = "x86_64")]
+    fn powers(&self) -> [[u64; 3]; 8] {
+        // Three products deep rather than seven.
+        let times = |a: [u64; 3], b: [u64; 3]| carry(mul(a, b, [20 * b[1], 20 * b[2]]));
+        let r = self.r;
+        let r2 = times(r, r);
+        let r3 = times(r2, r);
+        let r4 = times(r2, r2);
+        [
+            r,
+            r2,
+            r3,
+            r4,
+            times(r4, r),
+            times(r4, r2),
+            times(r4, r3),
+            times(r4, r4),
+        ]
     }
 
     /// Absorbs message bytes.
-    pub fn update(&mut self, mut data: &[u8]) {
+    pub fn update(&mut self, data: &[u8]) {
+        self.update_from(data, VECTOR_MIN_LEN);
+    }
+
+    /// [`Self::update`], handing the whole groups of eight blocks to the
+    /// vector kernel, where the CPU runs it, when at least `vector_from`
+    /// bytes remain once the buffered block is complete.
+    fn update_from(&mut self, mut data: &[u8], vector_from: usize) {
         if self.buffered > 0 {
             let take = (BLOCK_LEN - self.buffered).min(data.len());
             self.buffer[self.buffered..self.buffered + take].copy_from_slice(&data[..take]);
@@ -106,13 +188,20 @@ impl Poly1305 {
                 self.buffered = 0;
             }
         }
-        let mut blocks = data.chunks_exact(BLOCK_LEN);
-        for block in &mut blocks {
-            let mut full = [0u8; BLOCK_LEN];
-            full.copy_from_slice(block);
-            self.process_block(&full, 1 << 40);
+        #[cfg(target_arch = "x86_64")]
+        if data.len() >= vector_from.max(GROUP_LEN) && has_ifma() {
+            let (groups, rest) = data.as_chunks::<GROUP_LEN>();
+            // SAFETY: `has_ifma()` detected AVX-512F and AVX-512 IFMA on
+            // this CPU.
+            self.h = unsafe { avx512::absorb(self.h, &self.powers(), groups) };
+            data = rest;
         }
-        let rest = blocks.remainder();
+        #[cfg(not(target_arch = "x86_64"))]
+        let _ = vector_from;
+        let (blocks, rest) = data.as_chunks::<BLOCK_LEN>();
+        for block in blocks {
+            self.process_block(block, 1 << 40);
+        }
         if !rest.is_empty() {
             self.buffer[..rest.len()].copy_from_slice(rest);
             self.buffered = rest.len();
@@ -128,16 +217,7 @@ impl Poly1305 {
             block[self.buffered] = 1;
             self.process_block(&block, 0);
         }
-        // Carry h fully: every limb within its width, h < 2^130.
-        let [mut h0, mut h1, mut h2] = self.h;
-        for _ in 0..2 {
-            h2 += h1 >> 44;
-            h1 &= MASK44;
-            h0 += (h2 >> 42) * 5;
-            h2 &= MASK42;
-            h1 += h0 >> 44;
-            h0 &= MASK44;
-        }
+        let [mut h0, mut h1, mut h2] = carry(self.h);
 
         // g = h − p = h + 5 − 2^130; take it when it did not borrow.
         let g0 = h0 + 5;
@@ -482,11 +562,75 @@ mod tests {
         ]
     }
 
+    /// One dispatch width, called directly rather than through
+    /// [`Poly1305::update`]'s threshold.
+    #[derive(Debug, Clone, Copy)]
+    enum Width {
+        Scalar,
+        #[cfg(target_arch = "x86_64")]
+        Avx512Ifma,
+    }
+
+    impl Width {
+        /// Every width this CPU runs, the scalar one first. A vector width
+        /// the CPU lacks is left out and named on stdout.
+        fn detected() -> Vec<Width> {
+            #[allow(unused_mut)]
+            let mut widths = vec![Width::Scalar];
+            #[cfg(target_arch = "x86_64")]
+            if has_ifma() {
+                widths.push(Width::Avx512Ifma);
+            } else {
+                println!("skipped: this CPU does not run the Avx512Ifma kernel");
+            }
+            widths
+        }
+
+        /// The tag of `pieces`' bytes fed one `update` each, every whole
+        /// group of eight blocks of a piece to this width's kernel.
+        fn mac<'a>(
+            self,
+            key: &[u8; KEY_LEN],
+            pieces: impl IntoIterator<Item = &'a [u8]>,
+        ) -> [u8; TAG_LEN] {
+            let vector_from = match self {
+                Width::Scalar => usize::MAX,
+                #[cfg(target_arch = "x86_64")]
+                Width::Avx512Ifma => GROUP_LEN,
+            };
+            let mut p = Poly1305::new(key);
+            for piece in pieces {
+                p.update_from(piece, vector_from);
+            }
+            p.finalize()
+        }
+    }
+
     #[test]
     fn rfc8439_vectors() {
         for (i, (key, msg, tag)) in rfc_vectors().into_iter().enumerate() {
             assert_eq!(hex(&Poly1305::mac(&key, &msg)), tag, "vector {i}");
             assert_eq!(hex(&oracle(&key, &msg)), tag, "oracle, vector {i}");
+            for width in Width::detected() {
+                assert_eq!(
+                    hex(&width.mac(&key, [&msg[..]])),
+                    tag,
+                    "{width:?}, vector {i}"
+                );
+            }
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn the_powers_are_r_to_the_one_through_eight() {
+        let key: [u8; KEY_LEN] = std::array::from_fn(|i| (i as u8).wrapping_mul(37) | 0x0f);
+        let p = Poly1305::new(&key);
+        let mut power = p.r;
+        for (k, got) in p.powers().iter().enumerate() {
+            assert_eq!(*got, carry(power), "r^{}", k + 1);
+            assert!(got[0] <= MASK44 && got[1] <= MASK44 && got[2] <= MASK42);
+            power = mul(power, p.r, p.s);
         }
     }
 
@@ -506,6 +650,21 @@ mod tests {
         }
     }
 
+    /// Splits `data` into pieces whose lengths cycle through `chunks`.
+    fn pieces<'a>(data: &'a [u8], chunks: &[usize]) -> Vec<&'a [u8]> {
+        let mut out = Vec::new();
+        let mut rest = data;
+        for &n in chunks.iter().cycle() {
+            if rest.is_empty() {
+                break;
+            }
+            let (piece, tail) = rest.split_at(n.min(rest.len()));
+            out.push(piece);
+            rest = tail;
+        }
+        out
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -523,22 +682,56 @@ mod tests {
             chunks in proptest::collection::vec(1usize..40, 1..20),
         ) {
             let key = if saturated_key { [0xff; KEY_LEN] } else { key };
-            let data: Vec<u8> = data
-                .iter()
-                .enumerate()
-                .map(|(i, &b)| if (b ^ i as u8) % 4 < ff_share { 0xff } else { b })
-                .collect();
+            let data = saturate(&data, ff_share);
             let tag = oracle(&key, &data);
             prop_assert_eq!(Poly1305::mac(&key, &data), tag);
             let mut p = Poly1305::new(&key);
-            let mut rest = &data[..];
-            for &n in chunks.iter().cycle().take(data.len() + 1) {
-                let (piece, tail) = rest.split_at(n.min(rest.len()));
+            for piece in pieces(&data, &chunks) {
                 p.update(piece);
-                rest = tail;
             }
-            p.update(rest);
             prop_assert_eq!(p.finalize(), tag);
         }
+
+        /// Messages of 0–4,100 bytes under arbitrary (or saturated) keys,
+        /// fed in pieces of 1–700 bytes, so one message mixes pieces below
+        /// and above both the kernel's group and `VECTOR_MIN_LEN` and a
+        /// piece can start with a partly buffered block: every width, and
+        /// the dispatching `update`, give the scalar oracle's tag.
+        #[test]
+        fn every_width_equals_the_scalar_tag(
+            key in any::<[u8; KEY_LEN]>(),
+            saturated_key in any::<bool>(),
+            data in proptest::collection::vec(any::<u8>(), 0..4101),
+            ff_share in 0u8..4,
+            chunks in proptest::collection::vec(1usize..700, 1..8),
+        ) {
+            let key = if saturated_key { [0xff; KEY_LEN] } else { key };
+            let data = saturate(&data, ff_share);
+            let tag = oracle(&key, &data);
+            let split = pieces(&data, &chunks);
+            for width in Width::detected() {
+                prop_assert_eq!(width.mac(&key, [&data[..]]), tag, "{:?}, whole", width);
+                prop_assert_eq!(width.mac(&key, split.iter().copied()), tag, "{:?}, pieces", width);
+            }
+            let mut p = Poly1305::new(&key);
+            for piece in &split {
+                p.update(piece);
+            }
+            prop_assert_eq!(p.finalize(), tag);
+        }
+    }
+
+    /// `data` with about `ff_share` quarters of its bytes set to `0xff`.
+    fn saturate(data: &[u8], ff_share: u8) -> Vec<u8> {
+        data.iter()
+            .enumerate()
+            .map(|(i, &b)| {
+                if (b ^ i as u8) % 4 < ff_share {
+                    0xff
+                } else {
+                    b
+                }
+            })
+            .collect()
     }
 }

@@ -1,8 +1,18 @@
 //! SHA-256 (FIPS 180-4).
 //!
-//! Used for enclave measurements, attestation report data and as the hash
-//! underlying HMAC/HKDF. Incremental [`Sha256`] hasher plus a one-shot
-//! [`digest`] convenience.
+//! Used for enclave measurements, attestation report data, certificates
+//! and as the hash underlying HMAC/HKDF. Incremental [`Sha256`] hasher plus
+//! a one-shot [`digest`] convenience.
+//!
+//! The compression function runs on the x86 SHA extensions (the private
+//! `shani` module) where the CPU reports SHA, SSSE3 and SSE4.1 at run time
+//! (std caches the probe), for every block, from the first: the kernel
+//! needs no set-up, so there is no length below which the scalar rounds
+//! are cheaper. The scalar rounds are the fallback on every other CPU and
+//! the oracle the kernel is tested against.
+
+#[cfg(target_arch = "x86_64")]
+mod shani;
 
 /// Output size of SHA-256 in bytes.
 pub const DIGEST_LEN: usize = 32;
@@ -67,6 +77,18 @@ impl Sha256 {
 
     /// Absorbs `data` into the hash state.
     pub fn update(&mut self, data: &[u8]) {
+        self.absorb(data, true);
+    }
+
+    /// Consumes the hasher and returns the 32-byte digest.
+    #[must_use]
+    pub fn finalize(self) -> [u8; DIGEST_LEN] {
+        self.finish(true)
+    }
+
+    /// [`Self::update`], on the SHA-NI kernel where `shani` is set and the
+    /// CPU runs it.
+    fn absorb(&mut self, data: &[u8], shani: bool) {
         self.total_len = self.total_len.wrapping_add(data.len() as u64);
         let mut input = data;
         if self.buffered > 0 {
@@ -76,35 +98,29 @@ impl Sha256 {
             input = &input[take..];
             if self.buffered == BLOCK_LEN {
                 let block = self.buffer;
-                self.compress(&block);
+                compress(&mut self.state, &[block], shani);
                 self.buffered = 0;
             }
         }
-        while input.len() >= BLOCK_LEN {
-            let (block, rest) = input.split_at(BLOCK_LEN);
-            let mut b = [0u8; BLOCK_LEN];
-            b.copy_from_slice(block);
-            self.compress(&b);
-            input = rest;
-        }
-        if !input.is_empty() {
-            self.buffer[..input.len()].copy_from_slice(input);
-            self.buffered = input.len();
+        let (blocks, rest) = input.as_chunks::<BLOCK_LEN>();
+        compress(&mut self.state, blocks, shani);
+        if !rest.is_empty() {
+            self.buffer[..rest.len()].copy_from_slice(rest);
+            self.buffered = rest.len();
         }
     }
 
-    /// Consumes the hasher and returns the 32-byte digest.
-    #[must_use]
-    pub fn finalize(mut self) -> [u8; DIGEST_LEN] {
+    /// [`Self::finalize`], its padding blocks compressed as
+    /// [`Self::absorb`] would with `shani`.
+    fn finish(mut self, shani: bool) -> [u8; DIGEST_LEN] {
         let bit_len = self.total_len.wrapping_mul(8);
-        // Padding: 0x80, zeros, then the 64-bit big-endian message length.
-        self.update(&[0x80]);
-        // `update` above adjusted total_len; that is irrelevant now since
-        // bit_len was captured first.
-        while self.buffered != 56 {
-            self.update(&[0]);
-        }
-        self.update(&bit_len.to_be_bytes());
+        // Padding: 0x80, zeros up to 56 bytes into a block, then the 64-bit
+        // big-endian message length.
+        let mut padding = [0u8; BLOCK_LEN + 8];
+        padding[0] = 0x80;
+        let zeros = (BLOCK_LEN + 55 - self.buffered) % BLOCK_LEN;
+        padding[1 + zeros..9 + zeros].copy_from_slice(&bit_len.to_be_bytes());
+        self.absorb(&padding[..9 + zeros], shani);
         debug_assert_eq!(self.buffered, 0);
         let mut out = [0u8; DIGEST_LEN];
         for (i, word) in self.state.iter().enumerate() {
@@ -112,49 +128,72 @@ impl Sha256 {
         }
         out
     }
+}
 
-    fn compress(&mut self, block: &[u8; BLOCK_LEN]) {
-        let mut w = [0u32; 64];
-        for (i, chunk) in block.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
-        }
-        for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16]
-                .wrapping_add(s0)
-                .wrapping_add(w[i - 7])
-                .wrapping_add(s1);
-        }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
-        for i in 0..64 {
-            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ (!e & g);
-            let t1 = h
-                .wrapping_add(s1)
-                .wrapping_add(ch)
-                .wrapping_add(K[i])
-                .wrapping_add(w[i]);
-            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let t2 = s0.wrapping_add(maj);
-            h = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(t1);
-            d = c;
-            c = b;
-            b = a;
-            a = t1.wrapping_add(t2);
-        }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+/// Whether this CPU runs the `shani` kernel. Std caches the probe, so
+/// asking per call costs a load and a branch.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+fn has_shani() -> bool {
+    is_x86_feature_detected!("sha")
+        && is_x86_feature_detected!("ssse3")
+        && is_x86_feature_detected!("sse4.1")
+}
+
+/// Runs the compression function over each of `blocks` in turn: on the
+/// SHA-NI kernel where `shani` is set and the CPU runs it, else in scalar
+/// rounds.
+fn compress(state: &mut [u32; 8], blocks: &[[u8; BLOCK_LEN]], shani: bool) {
+    #[cfg(target_arch = "x86_64")]
+    if shani && has_shani() {
+        // SAFETY: `has_shani()` detected SHA, SSSE3 and SSE4.1 on this CPU
+        // (SSE2 is part of the x86-64 baseline).
+        return unsafe { shani::compress(state, blocks) };
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = shani;
+    for block in blocks {
+        compress_scalar(state, block);
+    }
+}
+
+/// The FIPS 180-4 compression function in scalar rounds.
+fn compress_scalar(state: &mut [u32; 8], block: &[u8; BLOCK_LEN]) {
+    let mut w = [0u32; 64];
+    for (i, chunk) in block.chunks_exact(4).enumerate() {
+        w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+    }
+    for i in 16..64 {
+        let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
+        let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
+        w[i] = w[i - 16]
+            .wrapping_add(s0)
+            .wrapping_add(w[i - 7])
+            .wrapping_add(s1);
+    }
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+    for i in 0..64 {
+        let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
+        let ch = (e & f) ^ (!e & g);
+        let t1 = h
+            .wrapping_add(s1)
+            .wrapping_add(ch)
+            .wrapping_add(K[i])
+            .wrapping_add(w[i]);
+        let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
+        let maj = (a & b) ^ (a & c) ^ (b & c);
+        let t2 = s0.wrapping_add(maj);
+        h = g;
+        g = f;
+        f = e;
+        e = d.wrapping_add(t1);
+        d = c;
+        c = b;
+        b = a;
+        a = t1.wrapping_add(t2);
+    }
+    for (word, add) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+        *word = word.wrapping_add(add);
     }
 }
 
@@ -176,44 +215,92 @@ pub fn digest(data: &[u8]) -> [u8; DIGEST_LEN] {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn hex(bytes: &[u8]) -> String {
         bytes.iter().map(|b| format!("{b:02x}")).collect()
     }
 
+    /// One compression width, called directly rather than through the
+    /// dispatch, which on a CPU with SHA-NI never reaches the scalar
+    /// rounds.
+    #[derive(Debug, Clone, Copy)]
+    enum Width {
+        Scalar,
+        #[cfg(target_arch = "x86_64")]
+        ShaNi,
+    }
+
+    impl Width {
+        /// Every width this CPU runs, the scalar oracle first. A vector
+        /// width the CPU lacks is left out and named on stdout.
+        fn detected() -> Vec<Width> {
+            #[allow(unused_mut)]
+            let mut widths = vec![Width::Scalar];
+            #[cfg(target_arch = "x86_64")]
+            if has_shani() {
+                widths.push(Width::ShaNi);
+            } else {
+                println!("skipped: this CPU does not run the ShaNi kernel");
+            }
+            widths
+        }
+
+        /// The digest of `pieces`' bytes, fed one `update` each, every
+        /// block compressed at this width.
+        fn digest<'a>(self, pieces: impl IntoIterator<Item = &'a [u8]>) -> [u8; DIGEST_LEN] {
+            let shani = match self {
+                Width::Scalar => false,
+                #[cfg(target_arch = "x86_64")]
+                Width::ShaNi => true,
+            };
+            let mut h = Sha256::new();
+            for piece in pieces {
+                h.absorb(piece, shani);
+            }
+            h.finish(shani)
+        }
+    }
+
+    /// `data`'s digest, through the dispatching [`digest`] and on every
+    /// width, is `expected`.
+    fn assert_digest(data: &[u8], expected: &str) {
+        assert_eq!(hex(&digest(data)), expected, "dispatch");
+        for width in Width::detected() {
+            assert_eq!(hex(&width.digest([data])), expected, "{width:?}");
+        }
+    }
+
     // NIST / FIPS 180-4 example vectors.
     #[test]
     fn empty_message() {
-        assert_eq!(
-            hex(&digest(b"")),
-            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+        assert_digest(
+            b"",
+            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         );
     }
 
     #[test]
     fn abc() {
-        assert_eq!(
-            hex(&digest(b"abc")),
-            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
+        assert_digest(
+            b"abc",
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad",
         );
     }
 
     #[test]
     fn two_block_message() {
-        assert_eq!(
-            hex(&digest(
-                b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"
-            )),
-            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
+        assert_digest(
+            b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
         );
     }
 
     #[test]
     fn million_a() {
-        let data = vec![b'a'; 1_000_000];
-        assert_eq!(
-            hex(&digest(&data)),
-            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
+        assert_digest(
+            &vec![b'a'; 1_000_000],
+            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0",
         );
     }
 
@@ -240,6 +327,41 @@ mod tests {
             h2.update(&data[..len / 2]);
             h2.update(&data[len / 2..]);
             assert_eq!(h.finalize(), h2.finalize(), "len {len}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Messages of 0–1,000 bytes, whole and in random pieces of 1–150
+        /// bytes (so a piece may complete a buffered block, cover several,
+        /// or neither): every width and the dispatching `update` give the
+        /// scalar rounds' digest.
+        #[test]
+        fn every_width_equals_the_scalar_digest(
+            data in proptest::collection::vec(any::<u8>(), 0..1001),
+            chunks in proptest::collection::vec(1usize..150, 1..8),
+        ) {
+            let expected = Width::Scalar.digest([&data[..]]);
+            let mut pieces = Vec::new();
+            let mut rest = &data[..];
+            for &n in chunks.iter().cycle() {
+                if rest.is_empty() {
+                    break;
+                }
+                let (piece, tail) = rest.split_at(n.min(rest.len()));
+                pieces.push(piece);
+                rest = tail;
+            }
+            for width in Width::detected() {
+                prop_assert_eq!(width.digest([&data[..]]), expected, "{:?}, whole", width);
+                prop_assert_eq!(width.digest(pieces.iter().copied()), expected, "{:?}, pieces", width);
+            }
+            let mut h = Sha256::new();
+            for piece in &pieces {
+                h.update(piece);
+            }
+            prop_assert_eq!(h.finalize(), expected);
         }
     }
 }

@@ -62,6 +62,19 @@ pub(crate) fn frame_bytes_received() -> &'static obs::Histogram {
     })
 }
 
+/// Frame sizes on the in-memory fabric, which delivers a frame as it sends
+/// it: both directions' series include this one, so a frame is observed
+/// once and counts as sent and as received.
+pub(crate) fn frame_bytes_in_memory() -> &'static obs::Histogram {
+    static H: OnceLock<obs::Histogram> = OnceLock::new();
+    H.get_or_init(|| {
+        let both = obs::Histogram::detached(obs::BYTE_BUCKETS);
+        frame_bytes_sent().include(&both);
+        frame_bytes_received().include(&both);
+        both
+    })
+}
+
 /// Sends that the transport gave up on (fault drop, dead peer).
 pub(crate) fn frames_dropped() -> &'static obs::Counter {
     static C: OnceLock<obs::Counter> = OnceLock::new();

@@ -294,8 +294,7 @@ impl Handover {
         // the send and the receive for the global transport metrics.
         crate::telemetry::frames_sent().inc();
         crate::telemetry::frames_received().inc();
-        crate::telemetry::frame_bytes_sent().observe(env.payload.len() as f64);
-        crate::telemetry::frame_bytes_received().observe(env.payload.len() as f64);
+        crate::telemetry::frame_bytes_in_memory().observe(env.payload.len() as f64);
         if inbox.closed.load(Ordering::SeqCst) {
             return Err(NetError::Disconnected);
         }

@@ -166,6 +166,16 @@ macro_rules! impl_wire_int {
             fn encode(&self, buf: &mut Vec<u8>) {
                 buf.extend_from_slice(&self.to_le_bytes());
             }
+
+            /// One reserve, then one pass of `to_le_bytes` over the slice.
+            fn encode_all(items: &[Self], buf: &mut Vec<u8>) {
+                const SIZE: usize = std::mem::size_of::<$t>();
+                let start = buf.len();
+                buf.resize(start + items.len() * SIZE, 0);
+                for (out, item) in buf[start..].chunks_exact_mut(SIZE).zip(items) {
+                    out.copy_from_slice(&item.to_le_bytes());
+                }
+            }
         }
         impl Decode for $t {
             const MIN_WIRE_SIZE: usize = std::mem::size_of::<$t>();
@@ -173,6 +183,24 @@ macro_rules! impl_wire_int {
             fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
                 let bytes = r.take(std::mem::size_of::<$t>())?;
                 Ok(<$t>::from_le_bytes(bytes.try_into().expect("exact size")))
+            }
+
+            /// One `take` of the whole body, then one pass of
+            /// `from_le_bytes`. Where the input cannot hold the body, the
+            /// element-wise loop would take every whole element left and
+            /// then end short: this takes the same bytes and returns the
+            /// same error, without reserving for `len` elements.
+            fn decode_all(r: &mut Reader<'_>, len: usize) -> Result<Vec<Self>, WireError> {
+                const SIZE: usize = std::mem::size_of::<$t>();
+                let Some(bytes) = len.checked_mul(SIZE).filter(|&n| n <= r.remaining()) else {
+                    r.take(r.remaining() / SIZE * SIZE)?;
+                    return Err(WireError::UnexpectedEnd);
+                };
+                let body = r.take(bytes)?;
+                Ok(body
+                    .chunks_exact(SIZE)
+                    .map(|b| <$t>::from_le_bytes(b.try_into().expect("exact size")))
+                    .collect())
             }
         }
     )*};

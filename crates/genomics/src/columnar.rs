@@ -12,9 +12,29 @@
 //! recursive block-swap (Hacker's Delight §7-3, adapted to LSB-first bit
 //! order), so building the columnar view costs O(N·L/64) word operations
 //! — amortized once per shard, then every kernel runs at memory speed.
+//! [`transpose64`] is the one tile kernel behind every re-packing in the
+//! workspace: [`ColumnarGenotypes::from_matrix`],
+//! [`ColumnarGenotypes::select_row_major`],
+//! [`GenotypeMatrix::column_counts`] and the LR search's decoding of a
+//! compact report. Where the CPU reports AVX-512F at run time (std caches
+//! the probe) a tile is eight registers, and the private `avx512` module
+//! runs the six rounds of the block swap on them: three between registers,
+//! three within each by `vpermq`. Every other CPU runs the scalar block
+//! swap, which is also the oracle the kernel is tested against.
+
+#[cfg(target_arch = "x86_64")]
+mod avx512;
 
 use crate::genotype::GenotypeMatrix;
 use crate::snp::SnpId;
+
+/// Whether this CPU runs the `avx512` transpose. Std caches the probe, so
+/// asking per tile costs a load and a branch.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+fn has_avx512() -> bool {
+    is_x86_feature_detected!("avx512f")
+}
 
 /// Transposes a 64×64 bit matrix in place.
 ///
@@ -24,7 +44,18 @@ use crate::snp::SnpId;
 /// Exported so downstream word kernels (the columnar LR search in
 /// `gendpr-stats`) can re-pack between row- and SNP-major layouts without
 /// reimplementing the block swap.
+#[inline]
 pub fn transpose64(a: &mut [u64; 64]) {
+    #[cfg(target_arch = "x86_64")]
+    if has_avx512() {
+        // SAFETY: `has_avx512()` detected AVX-512F on this CPU.
+        return unsafe { avx512::transpose64(a) };
+    }
+    transpose64_scalar(a);
+}
+
+/// [`transpose64`] one word pair at a time: the fallback and the oracle.
+fn transpose64_scalar(a: &mut [u64; 64]) {
     let mut j = 32usize;
     let mut m = 0x0000_0000_FFFF_FFFFu64;
     while j != 0 {
@@ -280,6 +311,104 @@ mod tests {
         // An involution: transposing twice restores the input.
         transpose64(&mut a);
         assert_eq!(a, original);
+    }
+
+    /// One transpose width, called directly rather than through the
+    /// dispatch, which on a CPU with AVX-512F never reaches the scalar
+    /// block swap.
+    #[derive(Debug, Clone, Copy)]
+    enum Width {
+        Scalar,
+        #[cfg(target_arch = "x86_64")]
+        Avx512,
+    }
+
+    impl Width {
+        /// Every width this CPU runs, the scalar oracle first. A vector
+        /// width the CPU lacks is left out and named on stdout.
+        fn detected() -> Vec<Width> {
+            #[allow(unused_mut)]
+            let mut widths = vec![Width::Scalar];
+            #[cfg(target_arch = "x86_64")]
+            if has_avx512() {
+                widths.push(Width::Avx512);
+            } else {
+                println!("skipped: this CPU does not run the Avx512 transpose");
+            }
+            widths
+        }
+
+        fn transpose(self, a: &mut [u64; 64]) {
+            match self {
+                Width::Scalar => transpose64_scalar(a),
+                // SAFETY: `detected` lists this width only where
+                // `has_avx512()` detected AVX-512F.
+                #[cfg(target_arch = "x86_64")]
+                Width::Avx512 => unsafe { avx512::transpose64(a) },
+            }
+        }
+    }
+
+    /// Random tiles of every density, and every single-bit tile: each
+    /// width moves every bit where the scalar block swap does.
+    #[test]
+    fn every_width_transposes_as_the_scalar_swap() {
+        let mut state = 11u64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            state ^ (state >> 29)
+        };
+        let mut tiles: Vec<[u64; 64]> = (0..400)
+            .map(|i| {
+                std::array::from_fn(|_| match i % 4 {
+                    0 => next(),
+                    1 => next() & next() & next(),
+                    2 => next() | next() | next(),
+                    _ => 1 << (next() % 64),
+                })
+            })
+            .collect();
+        for bit in 0..64 * 64 {
+            let mut tile = [0u64; 64];
+            tile[bit / 64] = 1 << (bit % 64);
+            tiles.push(tile);
+        }
+        for tile in tiles {
+            let mut expected = tile;
+            transpose64_scalar(&mut expected);
+            for (r, &row) in expected.iter().enumerate() {
+                for (c, &col) in tile.iter().enumerate() {
+                    assert_eq!((row >> c) & 1, (col >> r) & 1, "scalar ({r},{c})");
+                }
+            }
+            for width in Width::detected() {
+                let mut got = tile;
+                width.transpose(&mut got);
+                assert_eq!(got, expected, "{width:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn from_matrix_matches_per_cell_gets_on_ragged_shapes() {
+        for &(n, l) in &[(1, 1), (5, 64), (63, 65), (64, 1), (129, 191), (200, 67)] {
+            let m = random_matrix(n, l, (n * 7 + l) as u64, 0.45);
+            let c = ColumnarGenotypes::from_matrix(&m);
+            for snp in 0..l {
+                let words = c.snp_words(SnpId(snp as u32));
+                for i in 0..n {
+                    let bit = words[i / 64] >> (i % 64) & 1;
+                    assert_eq!(bit as u8, m.get(i, snp), "{n}x{l} ({i},{snp})");
+                }
+                // Bits past the last individual stay clear.
+                let tail = words
+                    .last()
+                    .map_or(0, |w| if n % 64 == 0 { 0 } else { w >> (n % 64) });
+                assert_eq!(tail, 0, "{n}x{l} snp {snp}");
+            }
+        }
     }
 
     #[test]

@@ -31,6 +31,8 @@
 //! assert_eq!(shards.iter().map(|m| m.individuals()).sum::<usize>(), 50);
 //! ```
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 pub mod cohort;
 pub mod columnar;
 pub mod error;

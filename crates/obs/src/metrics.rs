@@ -11,7 +11,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Duration;
 
 /// Locks a mutex, recovering the guard from a poisoned lock. Metrics are
@@ -73,6 +73,9 @@ struct HistogramInner {
     sum_bits: AtomicU64,
     /// Total number of observations.
     count: AtomicU64,
+    /// A detached histogram whose observations this series counts as its
+    /// own too (see [`Histogram::include`]).
+    part: OnceLock<Histogram>,
 }
 
 /// Histogram handle.
@@ -88,7 +91,34 @@ impl Histogram {
             buckets,
             sum_bits: AtomicU64::new(0f64.to_bits()),
             count: AtomicU64::new(0),
+            part: OnceLock::new(),
         }))
+    }
+
+    /// A histogram over `bounds` outside every registry: a share of
+    /// observations that registered series count through
+    /// [`Histogram::include`].
+    pub fn detached(bounds: &[f64]) -> Self {
+        Self::new(bounds)
+    }
+
+    /// Counts every observation of `part`, past and future, in this series
+    /// too: its buckets, count and sum read as if each had been observed
+    /// here as well. One observation of a part shared by several series
+    /// costs what one [`Histogram::observe`] does, not one per series.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the bucket bounds differ, if `part` includes a histogram
+    /// itself, or if this series already includes a different part.
+    pub fn include(&self, part: &Histogram) {
+        assert_eq!(self.0.bounds, part.0.bounds, "a part must share the bounds");
+        assert!(
+            part.0.part.get().is_none(),
+            "a part includes nothing itself"
+        );
+        let set = self.0.part.get_or_init(|| part.clone());
+        assert!(Arc::ptr_eq(&set.0, &part.0), "a series includes one part");
     }
 
     /// Records one observation.
@@ -117,14 +147,18 @@ impl Histogram {
         self.observe(d.as_secs_f64());
     }
 
-    /// Total number of observations.
+    /// Total number of observations, its part's included.
     pub fn count(&self) -> u64 {
-        self.0.count.load(Ordering::Relaxed)
+        self.0.count.load(Ordering::Relaxed) + self.0.part.get().map_or(0, Histogram::count)
     }
 
-    /// Sum of all observed values.
+    /// Sum of all observed values, its part's included.
     pub fn sum(&self) -> f64 {
-        f64::from_bits(self.0.sum_bits.load(Ordering::Relaxed))
+        let own = f64::from_bits(self.0.sum_bits.load(Ordering::Relaxed));
+        match self.0.part.get() {
+            Some(part) => own + part.sum(),
+            None => own,
+        }
     }
 
     /// Ascending bucket upper bounds, exclusive of the implicit `+Inf`.
@@ -135,13 +169,21 @@ impl Histogram {
     /// A snapshot of the non-cumulative per-bucket counts; one extra
     /// trailing slot for `+Inf`. Subtracting two snapshots isolates a
     /// measurement window, which is how the load harness derives
-    /// per-phase percentiles from the cumulative process registry.
+    /// per-phase percentiles from the cumulative process registry. Its
+    /// part's observations are included.
     pub fn bucket_counts(&self) -> Vec<u64> {
-        self.0
+        let mut counts: Vec<u64> = self
+            .0
             .buckets
             .iter()
             .map(|b| b.load(Ordering::Relaxed))
-            .collect()
+            .collect();
+        if let Some(part) = self.0.part.get() {
+            for (count, extra) in counts.iter_mut().zip(part.bucket_counts()) {
+                *count += extra;
+            }
+        }
+        counts
     }
 
     /// Estimated `q`-quantile (`0 < q <= 1`) of everything observed so
@@ -322,9 +364,10 @@ impl Registry {
                         out.push_str(&sample(name, "", labels, "", &g.get().to_string()));
                     }
                     Series::Histogram(h) => {
+                        let counts = h.bucket_counts();
                         let mut cumulative = 0u64;
-                        for (i, bound) in h.0.bounds.iter().enumerate() {
-                            cumulative += h.0.buckets[i].load(Ordering::Relaxed);
+                        for (bound, count) in h.0.bounds.iter().zip(&counts) {
+                            cumulative += count;
                             let le = format!("le=\"{bound}\"");
                             out.push_str(&sample(
                                 name,
@@ -425,6 +468,43 @@ mod tests {
         assert!(text.contains("t_seconds_bucket{le=\"1\"} 2"));
         assert!(text.contains("t_seconds_bucket{le=\"+Inf\"} 3"));
         assert!(text.contains("t_seconds_count 3"));
+    }
+
+    #[test]
+    fn an_included_part_counts_in_every_series_that_includes_it() {
+        let bounds = [64.0, 1024.0];
+        let shared = Registry::new();
+        let [sent, received] = ["sent", "received"]
+            .map(|dir| shared.histogram("t_bytes", "help", &[("dir", dir)], &bounds));
+        let both = Histogram::detached(&bounds);
+        sent.include(&both);
+        received.include(&both);
+        sent.include(&both);
+        // The same traffic observed into each series.
+        let twice = Registry::new();
+        let [sent2, received2] = ["sent", "received"]
+            .map(|dir| twice.histogram("t_bytes", "help", &[("dir", dir)], &bounds));
+        for value in [10.0, 100.0, 5000.0, 64.0] {
+            both.observe(value);
+            sent2.observe(value);
+            received2.observe(value);
+        }
+        sent.observe(700.0);
+        sent2.observe(700.0);
+        received.observe(3.0);
+        received2.observe(3.0);
+        assert_eq!(shared.render(), twice.render());
+        assert_eq!(sent.count(), 5);
+        assert_eq!(sent.sum(), 5874.0);
+        assert_eq!(received.bucket_counts(), vec![3, 1, 1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "a series includes one part")]
+    fn a_series_includes_one_part() {
+        let h = Histogram::detached(&[1.0]);
+        h.include(&Histogram::detached(&[1.0]));
+        h.include(&Histogram::detached(&[1.0]));
     }
 
     #[test]

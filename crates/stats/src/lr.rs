@@ -1782,6 +1782,57 @@ mod tests {
         assert!(decode(4, 69).is_err());
     }
 
+    /// Ragged shapes (neither dimension a multiple of 64, stray bits set
+    /// past each row's width): every decoded cell is the level its bit in
+    /// the report selects, and no column word holds a bit past the last
+    /// individual.
+    #[test]
+    fn from_row_bits_matches_per_cell_reads_on_ragged_shapes() {
+        let mut state = 5u64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            state ^ (state >> 29)
+        };
+        for &(n, l) in &[
+            (1usize, 1usize),
+            (63, 65),
+            (65, 63),
+            (130, 129),
+            (7, 200),
+            (191, 64),
+        ] {
+            let words_per_row = l.div_ceil(64);
+            let bits: Vec<u64> = (0..n * words_per_row).map(|_| next()).collect();
+            let cf: Vec<f64> = (0..l)
+                .map(|j| 0.05 + 0.9 * (j % 17) as f64 / 17.0)
+                .collect();
+            let rf: Vec<f64> = (0..l).map(|j| 0.1 + 0.8 * (j % 13) as f64 / 13.0).collect();
+            let cols = LrColumns::from_row_bits(n, l, &bits, &cf, &rf).unwrap();
+            for i in 0..n {
+                for j in 0..l {
+                    let bit = bits[i * words_per_row + j / 64] >> (j % 64) & 1;
+                    let level = if bit == 1 {
+                        cols.minor[j]
+                    } else {
+                        cols.major[j]
+                    };
+                    assert_eq!(
+                        cols.get(i, j).to_bits(),
+                        level.to_bits(),
+                        "{n}x{l} ({i},{j})"
+                    );
+                }
+            }
+            for j in 0..l {
+                let last = cols.col_words(j).last().copied().unwrap_or(0);
+                let past = if n % 64 == 0 { 0 } else { last >> (n % 64) };
+                assert_eq!(past, 0, "{n}x{l} column {j}");
+            }
+        }
+    }
+
     #[test]
     fn stray_bits_in_a_report_never_reach_a_neighbouring_part() {
         // A compact report is peer input: only its dimensions are checked.

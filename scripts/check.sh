@@ -34,14 +34,19 @@ done
 # The LR sweeps' bit-identity — each vector width this CPU has (the AVX2
 # and the AVX-512 kernels, each called directly) against the scalar loops
 # they fall back to, NaN signs included — is a statement about optimised
-# arithmetic: test the build that ships, not only the debug one.
-echo "==> cargo test --release -p gendpr-stats -q"
-cargo test --release -p gendpr-stats -q
+# arithmetic: test the build that ships, not only the debug one. So are
+# the three bulk-byte kernels, each against its scalar code at every width
+# this CPU has: the AVX-512 64x64 bit transpose (gendpr-genomics, here),
+# and the eight-lane AVX-512 IFMA Poly1305 and the SHA-NI SHA-256
+# compression (gendpr-crypto, in the message-path step below).
+echo "==> cargo test --release -p gendpr-stats -p gendpr-genomics -q"
+cargo test --release -p gendpr-stats -p gendpr-genomics -q
 
 # Same for the message path: the AEAD's RFC 8439 vectors and in-place
 # oracles, every ChaCha20 kernel this CPU has (the SSE2 four-lane one
 # always, the AVX-512 sixteen-lane one where detected) against the scalar
 # block function lane by lane (and the pinned generator stream), the
+# Poly1305 and SHA-256 kernels against their scalar code, the
 # channels' look-ahead of message heads against the copying AEAD, the
 # slice codec and the fabric's burst/wake tests run against
 # the optimised build that carries every member message. The engine,

@@ -12,6 +12,47 @@ use gendpr::fednet::wire::{from_bytes, to_bytes, Decode, Encode, Reader, WireErr
 use gendpr::fednet::wire_struct;
 use proptest::prelude::*;
 
+/// The element-wise encoding of `items`: one [`Encode::encode`] each.
+fn encode_each<T: Encode>(items: &[T]) -> Vec<u8> {
+    let mut buf = Vec::new();
+    for item in items {
+        item.encode(&mut buf);
+    }
+    buf
+}
+
+/// `words` cast to another number type.
+fn cast<T>(words: &[u64], f: impl Fn(u64) -> T) -> Vec<T> {
+    words.iter().map(|&w| f(w)).collect()
+}
+
+/// One fixed-width number type's bulk codec against the element-wise
+/// loop. `Vec<T>` encodes to its length prefix and the elements' bytes.
+/// The body of that encoding, cut short by `cut` bytes, decoded as
+/// `claimed` elements gives the same values (compared as bytes, so NaN
+/// payloads count) or the same error either way, and leaves the reader at
+/// the same place.
+fn bulk_matches_element_wise<T: Encode + Decode + Clone>(
+    items: &[T],
+    cut: usize,
+    claimed: usize,
+) -> Result<(), TestCaseError> {
+    let mut expected = (items.len() as u64).to_le_bytes().to_vec();
+    expected.extend(encode_each(items));
+    prop_assert_eq!(to_bytes(&items.to_vec()), expected.clone());
+
+    let body = &expected[8..expected.len() - cut.min(expected.len() - 8)];
+    let (mut bulk, mut each) = (Reader::new(body), Reader::new(body));
+    let decoded = T::decode_all(&mut bulk, claimed).map(|v| encode_each(&v));
+    let reference = (0..claimed)
+        .map(|_| T::decode(&mut each))
+        .collect::<Result<Vec<T>, _>>()
+        .map(|v| encode_each(&v));
+    prop_assert_eq!(decoded, reference);
+    prop_assert_eq!(bulk.remaining(), each.remaining());
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -82,6 +123,28 @@ proptest! {
         let _ = from_bytes::<ProtocolMessage>(&bytes);
         let _ = from_bytes::<CountsReport>(&bytes);
         let _ = from_bytes::<LrReport>(&bytes);
+    }
+
+    /// Every fixed-width number type, bulk against element-wise: whole,
+    /// truncated, and claimed as fewer, as many, more or hostilely many
+    /// elements than the body holds.
+    #[test]
+    fn bulk_number_codecs_match_element_wise(
+        words in proptest::collection::vec(any::<u64>(), 0..40),
+        cut in 0usize..24,
+        claim in 0usize..48,
+        hostile in any::<bool>(),
+    ) {
+        let claimed = if hostile { usize::MAX - claim } else { claim };
+        bulk_matches_element_wise::<u16>(&cast(&words, |w| w as u16), cut, claimed)?;
+        bulk_matches_element_wise::<u32>(&cast(&words, |w| w as u32), cut, claimed)?;
+        bulk_matches_element_wise::<u64>(&words, cut, claimed)?;
+        bulk_matches_element_wise::<i8>(&cast(&words, |w| w as i8), cut, claimed)?;
+        bulk_matches_element_wise::<i16>(&cast(&words, |w| w as i16), cut, claimed)?;
+        bulk_matches_element_wise::<i32>(&cast(&words, |w| w as i32), cut, claimed)?;
+        bulk_matches_element_wise::<i64>(&cast(&words, |w| w as i64), cut, claimed)?;
+        bulk_matches_element_wise::<f32>(&cast(&words, |w| f32::from_bits(w as u32)), cut, claimed)?;
+        bulk_matches_element_wise::<f64>(&cast(&words, f64::from_bits), cut, claimed)?;
     }
 
     #[test]
