@@ -18,7 +18,9 @@
 //! The same report carries the LR subset search before/after, the
 //! `lr_sweep` row (is the sweeps' level select a blend or load, or a jump,
 //! in this build?), a full protocol phase breakdown, the chromosome-scale
-//! workloads and the SNP-shard sweep.
+//! workloads and the SNP-shard sweep. `synth_ms` under `workload` and
+//! `chromosome_100k` times the two cohort builds, the one-run setup cost
+//! of every paper-scale experiment.
 //!
 //! Scale defaults to the paper's Table 5 setting — 14,860 case genomes ×
 //! 10,000 SNPs, G = 5, f = 2 (11 combinations) — shrink with
@@ -109,7 +111,9 @@ fn main() {
     let snps = scaled(10_000);
 
     eprintln!("generating cohort: {genomes} case genomes x {snps} SNPs (G = {G}, f = {F})…");
+    let t = Instant::now();
     let cohort = paper_cohort(genomes, snps);
+    let synth = t.elapsed();
     let reference = cohort.reference();
     let shards = cohort.split_case_among(G);
     let subsets = evaluation_subsets(G, CollusionMode::Fixed(F));
@@ -255,7 +259,9 @@ fn main() {
     // paper's Table 5 setting, same populations.
     let chrom_snps = scaled(100_000);
     eprintln!("chromosome workload: full run at {genomes} x {chrom_snps}…");
+    let t = Instant::now();
     let chrom_cohort = paper_cohort(genomes, chrom_snps);
+    let chrom_synth = t.elapsed();
     let chrom = Federation::new(config, params, &chrom_cohort)
         .run()
         .expect("chromosome-scale protocol completes");
@@ -461,9 +467,10 @@ fn main() {
         .collect::<Vec<_>>()
         .join(",\n");
     let json = format!(
-        "{{\n  \"workload\": {{\n    \"case_genomes\": {genomes},\n    \"snps\": {snps},\n    \"gdos\": {G},\n    \"colluders\": {F},\n    \"combinations\": {},\n    \"pairs\": {},\n    \"scale\": {scale}\n  }},\n  \"pooled_ld_moments\": {{\n    \"row_major_ms\": {:.3},\n    \"columnar_memo_ms\": {:.3},\n    \"speedup\": {:.2}\n  }},\n  \"lr_subset_search\": {{\n    \"candidates\": {},\n    \"naive_dense_ms\": {:.3},\n    \"columnar_ms\": {:.3},\n    \"speedup\": {:.2},\n    \"selection_identical\": true\n  }},\n  \"lr_sweep\": {{\n    \"individuals\": {SWEEP_INDIVIDUALS},\n    \"columns\": {SWEEP_COLUMNS},\n    \"repeated_column_ns_per_individual\": {sweep_repeated:.3},\n    \"distinct_columns_ns_per_individual\": {sweep_distinct:.3},\n    \"branch_free\": {branch_free}\n  }},\n  \"protocol_phases_ms\": {{\n    \"threads\": 1,\n    \"aggregation\": {:.3},\n    \"indexing\": {:.3},\n    \"ld\": {:.3},\n    \"lr\": {:.3},\n    \"total\": {:.3}\n  }},\n  \"chromosome_100k\": {{\n    \"snps\": {chrom_snps},\n    \"lr_ms\": {:.3},\n    \"total_ms\": {:.3},\n    \"safe_snps\": {}\n  }},\n  \"shard_sweep\": {{\n    \"snps\": {chrom_snps},\n    \"plans\": [\n{shard_json}\n    ],\n    \"shard_identical\": true\n  }},\n  \"chromosome_1m_lr_only\": {{\n    \"snps\": {mega_snps},\n    \"individuals\": {mega_individuals},\n    \"search_ms\": {:.3},\n    \"kept_columns\": {}\n  }}\n}}\n",
+        "{{\n  \"workload\": {{\n    \"case_genomes\": {genomes},\n    \"snps\": {snps},\n    \"gdos\": {G},\n    \"colluders\": {F},\n    \"combinations\": {},\n    \"pairs\": {},\n    \"scale\": {scale},\n    \"synth_ms\": {:.3}\n  }},\n  \"pooled_ld_moments\": {{\n    \"row_major_ms\": {:.3},\n    \"columnar_memo_ms\": {:.3},\n    \"speedup\": {:.2}\n  }},\n  \"lr_subset_search\": {{\n    \"candidates\": {},\n    \"naive_dense_ms\": {:.3},\n    \"columnar_ms\": {:.3},\n    \"speedup\": {:.2},\n    \"selection_identical\": true\n  }},\n  \"lr_sweep\": {{\n    \"individuals\": {SWEEP_INDIVIDUALS},\n    \"columns\": {SWEEP_COLUMNS},\n    \"repeated_column_ns_per_individual\": {sweep_repeated:.3},\n    \"distinct_columns_ns_per_individual\": {sweep_distinct:.3},\n    \"branch_free\": {branch_free}\n  }},\n  \"protocol_phases_ms\": {{\n    \"threads\": 1,\n    \"aggregation\": {:.3},\n    \"indexing\": {:.3},\n    \"ld\": {:.3},\n    \"lr\": {:.3},\n    \"total\": {:.3}\n  }},\n  \"chromosome_100k\": {{\n    \"snps\": {chrom_snps},\n    \"synth_ms\": {:.3},\n    \"lr_ms\": {:.3},\n    \"total_ms\": {:.3},\n    \"safe_snps\": {}\n  }},\n  \"shard_sweep\": {{\n    \"snps\": {chrom_snps},\n    \"plans\": [\n{shard_json}\n    ],\n    \"shard_identical\": true\n  }},\n  \"chromosome_1m_lr_only\": {{\n    \"snps\": {mega_snps},\n    \"individuals\": {mega_individuals},\n    \"search_ms\": {:.3},\n    \"kept_columns\": {}\n  }}\n}}\n",
         subsets.len(),
         pairs.len(),
+        ms(synth),
         ms(before),
         ms(after),
         speedup,
@@ -476,6 +483,7 @@ fn main() {
         ms(protocol.timings.ld),
         ms(protocol.timings.lr),
         ms(protocol.timings.total()),
+        ms(chrom_synth),
         ms(chrom.timings.lr),
         ms(chrom.timings.total()),
         chrom.safe_snps.len(),
@@ -502,5 +510,10 @@ fn main() {
             ms(*d)
         );
     }
+    println!(
+        "cohort synthesis: {:.1} ms at {snps} SNPs, {:.1} ms at {chrom_snps}",
+        ms(synth),
+        ms(chrom_synth)
+    );
     println!("report written to {out}");
 }

@@ -49,6 +49,7 @@ use gendpr_stats::ld::{LdMoments, LdTest};
 use gendpr_stats::lr::{select_safe_subset, LrColumns, LrMatrix, LrSelection, LrValues};
 use gendpr_stats::ranking::SnpRank;
 use gendpr_tee::memory::EpcAccount;
+use std::cell::OnceCell;
 use std::collections::HashMap;
 use std::time::Instant;
 
@@ -85,36 +86,22 @@ fn request_moments<T: Transport>(
 }
 
 /// Closes the round [`request_moments`] opened for the same `subset` and
-/// `pairs`: the reference moments and the leader's own shard if it is in
-/// the subset (computed while the members work), then the replies in
-/// subset order. A reply must hold one moment per pair, each over the
-/// member's Phase 1 case count (`n_case`, by member id). Rounds must be
-/// closed in the order they were opened: a member answers its requests in
-/// arrival order, so its next reply belongs to the oldest round still open
-/// with it.
+/// `pairs`: adds the replies, in subset order, to `pooled` (each pair's
+/// moments before any reply). A reply must hold one moment per pair, each
+/// over the member's Phase 1 case count (`n_case`, by member id). Rounds
+/// must be closed in the order they were opened: a member answers its
+/// requests in arrival order, so its next reply belongs to the oldest
+/// round still open with it.
 fn collect_moments<T: Transport>(
     ctx: &mut MemberCtx<T>,
-    node: &GdoNode,
     n_case: &[u64],
     subset: &[usize],
     pairs: &[(SnpId, SnpId)],
-    ref_moments: impl Fn(SnpId, SnpId) -> LdMoments,
+    mut pooled: Vec<LdMoments>,
     phase: &'static str,
 ) -> Result<Vec<LdMoments>, ProtocolError> {
-    let me = ctx.id;
-    let mut pooled: Vec<LdMoments> = pairs
-        .iter()
-        .map(|&(a, b)| {
-            let reference = ref_moments(a, b);
-            if subset.contains(&me) {
-                reference.merge(LdMoments::from(node.ld_moments(a, b)))
-            } else {
-                reference
-            }
-        })
-        .collect();
     for &peer in subset {
-        if peer == me {
+        if peer == ctx.id {
             continue;
         }
         match recv_protocol(ctx, peer, phase)? {
@@ -139,13 +126,15 @@ pub(crate) type Round<'r> = (&'r [usize], &'r [(SnpId, SnpId)]);
 pub(crate) trait Source {
     /// Every member's counts report, by member id.
     fn counts(&mut self) -> Result<Vec<Option<CountsReport>>, ProtocolError>;
-    /// Every round's pooled moments, each pair's from `reference`'s up;
-    /// the rounds are opened together and closed in order. `phase` names
-    /// the wait in a timeout.
+    /// Every round's pooled moments; the rounds are opened together and
+    /// closed in order. Each round's pooling starts from `fixed(pairs,
+    /// own)`: the reference's moments, plus those of `own`, the shard of
+    /// the subset member the leader answers for itself (none in-process).
+    /// `phase` names the wait in a timeout.
     fn moments(
         &mut self,
         rounds: &[Round<'_>],
-        reference: impl Fn(SnpId, SnpId) -> LdMoments,
+        fixed: impl Fn(&[(SnpId, SnpId)], Option<&GdoNode>) -> Vec<LdMoments>,
         phase: &'static str,
     ) -> Result<Vec<Vec<LdMoments>>, ProtocolError>;
     /// Runs `search` in the leader enclave on combination `combo`'s case
@@ -504,13 +493,48 @@ impl<'a> LeaderCore<'a> {
         };
         let (reference, ref_counts) = (&self.reference_columnar, &self.ref_counts);
         let n_ref = reference.individuals() as u64;
-        let ref_moments = |a: SnpId, b: SnpId| {
-            LdMoments::from_counts(
+        // A pair's moments before any reply, from its joint counts (the
+        // popcount sweeps): the reference's, plus those of the shard the
+        // leader answers for itself.
+        let pooled = |(a, b): (SnpId, SnpId), ref_joint: u64, own: Option<(&GdoNode, u64)>| {
+            let pooled = LdMoments::from_counts(
                 ref_counts[a.index()],
                 ref_counts[b.index()],
-                reference.pair_count(a, b),
+                ref_joint,
                 n_ref,
-            )
+            );
+            own.map_or(pooled, |(node, joint)| {
+                pooled.merge(node.moments_with_joint(a, b, joint))
+            })
+        };
+        let fixed = |pairs: &[(SnpId, SnpId)], own: Option<&GdoNode>| -> Vec<LdMoments> {
+            pairs
+                .iter()
+                .map(|&(a, b)| {
+                    let own = own.map(|node| (node, node.columnar().pair_count(a, b)));
+                    pooled((a, b), reference.pair_count(a, b), own)
+                })
+                .collect()
+        };
+        // Every subset's prefetch asks for the same pairs, so their joint
+        // counts are swept once a job (on the first round that needs
+        // each) and kept, one `u64` a pair: moments are integer sums, so
+        // each pooled value is what the round would compute itself.
+        let joints = |shard: &ColumnarGenotypes, pairs: &[(SnpId, SnpId)]| -> Vec<u64> {
+            pairs.iter().map(|&(a, b)| shard.pair_count(a, b)).collect()
+        };
+        let (ref_joint, own_joint) = (OnceCell::new(), OnceCell::new());
+        let prefetched = |pairs: &[(SnpId, SnpId)], own: Option<&GdoNode>| -> Vec<LdMoments> {
+            let ref_joint: &Vec<u64> = ref_joint.get_or_init(|| joints(reference, pairs));
+            let own = own.map(|node| {
+                let joint: &Vec<u64> = own_joint.get_or_init(|| joints(node.columnar(), pairs));
+                (node, joint)
+            });
+            pairs
+                .iter()
+                .enumerate()
+                .map(|(i, &pair)| pooled(pair, ref_joint[i], own.map(|(node, j)| (node, j[i]))))
+                .collect()
         };
 
         let mut tables: Vec<HashMap<(u32, u32), LdMoments>> =
@@ -528,7 +552,7 @@ impl<'a> LeaderCore<'a> {
                     .collect()
             } else if prefetch {
                 let round: Round<'_> = (subset, &adjacent);
-                let pooled = source.moments(&[round], ref_moments, "ld-prefetch")?;
+                let pooled = source.moments(&[round], prefetched, "ld-prefetch")?;
                 adjacent
                     .iter()
                     .zip(&pooled[0])
@@ -572,7 +596,7 @@ impl<'a> LeaderCore<'a> {
                 .iter()
                 .map(|(c, pair)| (&self.subsets[*c][..], std::slice::from_ref(pair)))
                 .collect();
-            let pooled = match source.moments(&rounds, ref_moments, "ld-moments") {
+            let pooled = match source.moments(&rounds, fixed, "ld-moments") {
                 Ok(pooled) => pooled,
                 Err(e) => {
                     source.abort(&e);
@@ -790,11 +814,12 @@ impl<T: Transport> Source for Remote<'_, '_, T> {
     }
 
     /// All requests go out as one burst, in round order: each round costs
-    /// the messages it costs alone, and the leader waits once for all.
+    /// the messages it costs alone, and the leader waits once for all. A
+    /// round's fixed part is computed while the members work.
     fn moments(
         &mut self,
         rounds: &[Round<'_>],
-        reference: impl Fn(SnpId, SnpId) -> LdMoments,
+        fixed: impl Fn(&[(SnpId, SnpId)], Option<&GdoNode>) -> Vec<LdMoments>,
         phase: &'static str,
     ) -> Result<Vec<Vec<LdMoments>>, ProtocolError> {
         let (ctx, Links { node, n_case, .. }) = (&mut *self.ctx, &*self.links);
@@ -806,7 +831,8 @@ impl<T: Transport> Source for Remote<'_, '_, T> {
         rounds
             .iter()
             .map(|&(subset, pairs)| {
-                collect_moments(ctx, node, n_case, subset, pairs, &reference, phase)
+                let own = subset.contains(&ctx.id).then_some(*node);
+                collect_moments(ctx, n_case, subset, pairs, fixed(pairs, own), phase)
             })
             .collect()
     }
@@ -995,17 +1021,20 @@ impl Source for Local<'_> {
     fn moments(
         &mut self,
         rounds: &[Round<'_>],
-        reference: impl Fn(SnpId, SnpId) -> LdMoments,
+        fixed: impl Fn(&[(SnpId, SnpId)], Option<&GdoNode>) -> Vec<LdMoments>,
         _: &'static str,
     ) -> Result<Vec<Vec<LdMoments>>, ProtocolError> {
-        let pooled = |subset: &[usize], &(a, b): &(SnpId, SnpId)| {
-            subset.iter().fold(reference(a, b), |sum, &i| {
-                sum.merge(LdMoments::from(self.0[i].ld_moments(a, b)))
-            })
-        };
         Ok(rounds
             .iter()
-            .map(|&(subset, pairs)| pairs.iter().map(|pair| pooled(subset, pair)).collect())
+            .map(|&(subset, pairs)| {
+                let mut pooled = fixed(pairs, None);
+                for (sum, &(a, b)) in pooled.iter_mut().zip(pairs) {
+                    for &i in subset {
+                        *sum = sum.merge(LdMoments::from(self.0[i].ld_moments(a, b)));
+                    }
+                }
+                pooled
+            })
             .collect())
     }
 

@@ -74,13 +74,18 @@ impl GdoNode {
     /// enough that re-evaluations across collusion subsets recompute it.
     #[must_use]
     pub fn ld_moments(&self, a: SnpId, b: SnpId) -> MomentsReport {
+        self.moments_with_joint(a, b, self.columnar.pair_count(a, b))
+            .into()
+    }
+
+    /// [`Self::ld_moments`] for a pair whose joint count is `joint`.
+    pub(crate) fn moments_with_joint(&self, a: SnpId, b: SnpId, joint: u64) -> LdMoments {
         LdMoments::from_counts(
             self.counts[a.index()],
             self.counts[b.index()],
-            self.columnar.pair_count(a, b),
+            joint,
             self.individuals() as u64,
         )
-        .into()
     }
 
     /// Phase 3: the local LR matrix over `snps`, built with the *global*

@@ -39,7 +39,7 @@ pub struct MomentsRequest {
     /// Second SNP id.
     pub b: u32,
 }
-wire_struct!(MomentsRequest { a, b });
+wire_struct!(MomentsRequest: [u32] { a, b });
 
 /// A member's correlation moments for one requested pair — the
 /// `μ` statistics of Algorithm 1 lines 35–41.
@@ -58,7 +58,7 @@ pub struct MomentsReport {
     /// Individuals contributing.
     pub n: u64,
 }
-wire_struct!(MomentsReport {
+wire_struct!(MomentsReport: [u64] {
     sum_x,
     sum_y,
     sum_xy,

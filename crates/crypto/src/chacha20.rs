@@ -18,8 +18,10 @@
 //! [`xor_in_place`] runs whole passes on the widest kernel the CPU has and
 //! ends with the narrowest pass that covers what is left. The AEAD draws a
 //! message's first two blocks, its *head*, from passes that serve several
-//! messages at once (see [`crate::aead::Head`]). [`blocks4`] and the
-//! generator stay on four consecutive blocks. The AEAD and the generator
+//! messages at once (see [`crate::aead::Head`]). [`blocks4`] stays on four
+//! consecutive blocks. The generator draws sixteen consecutive blocks a
+//! refill, one wide pass or four narrow ones, after a first refill of
+//! four. The AEAD and the generator
 //! expand their key into state words once, in their constructors, and draw
 //! every block from those.
 
@@ -107,6 +109,15 @@ impl Lane {
     }
 }
 
+/// `N` lanes under `nonce` at consecutive counters from `counter` on,
+/// each wrapping.
+fn consecutive<const N: usize>(counter: u32, nonce: [u32; 3]) -> [Lane; N] {
+    std::array::from_fn(|i| Lane {
+        counter: counter.wrapping_add(i as u32),
+        nonce,
+    })
+}
+
 /// State words 12–15 of each of `lanes`, word-major: row `i` holds word
 /// `12 + i` (the counter, then the nonce's three words) of every lane.
 /// Lanes past `lanes.len()` are zero: a kernel computes them and the pass
@@ -189,14 +200,24 @@ impl Key {
     /// `counter + 3` (each wrapping), end to end: [`blocks4`] under this
     /// key.
     pub(crate) fn blocks4(&self, counter: u32, nonce: &[u8; NONCE_LEN]) -> [u8; BLOCKS4_LEN] {
-        let nonce = words(nonce);
-        let lanes: [Lane; NARROW_LANES] = std::array::from_fn(|i| Lane {
-            counter: counter.wrapping_add(i as u32),
-            nonce,
-        });
+        let lanes: [Lane; NARROW_LANES] = consecutive(counter, words(nonce));
         let mut out = [0u8; BLOCKS4_LEN];
         self.narrow_pass(&lanes, &mut out);
         out
+    }
+
+    /// The sixteen blocks at `counter` through `counter + 15` (each
+    /// wrapping), end to end in `out`: one AVX-512 pass where the CPU has
+    /// it, four narrow passes elsewhere.
+    pub(crate) fn blocks16(&self, counter: u32, nonce: &[u8; NONCE_LEN], out: &mut [u8; PASS_LEN]) {
+        let lanes: [Lane; MAX_LANES] = consecutive(counter, words(nonce));
+        if widest_pass() == MAX_LANES {
+            return self.pass(&lanes, out);
+        }
+        let (quarters, _) = out.as_chunks_mut::<BLOCKS4_LEN>();
+        for (group, quarter) in lanes.chunks_exact(NARROW_LANES).zip(quarters) {
+            self.narrow_pass(group, quarter);
+        }
     }
 
     /// [`xor_in_place`] under this key: panics where it does.
@@ -216,10 +237,7 @@ impl Key {
         let mut keystream = [0u8; PASS_LEN];
         for chunk in data.chunks_mut(widest_pass() * BLOCK_LEN) {
             let blocks = chunk.len().div_ceil(BLOCK_LEN);
-            let lanes: [Lane; MAX_LANES] = std::array::from_fn(|i| Lane {
-                counter: counter.wrapping_add(i as u32),
-                nonce,
-            });
+            let lanes: [Lane; MAX_LANES] = consecutive(counter, nonce);
             self.pass(&lanes[..blocks], &mut keystream);
             xor(chunk, &keystream);
             counter = counter.wrapping_add(blocks as u32);
@@ -438,6 +456,20 @@ offer you only one tip for the future, sunscreen would be it.";
             "10f1e7e4d13b5915500fdd1fa32071c4c7d1f4c733c068030422aa9ac3d46c4e\
              d2826446079faa0914c2d705d98b02a2b5129cd1de164eb9cbd083e8a2503c4e"
         );
+    }
+
+    #[test]
+    fn blocks16_lanes_are_sixteen_blocks_in_counter_order() {
+        let key = test_key();
+        let nonce = [0u8, 0, 0, 9, 0, 0, 0, 0x4a, 0, 0, 0, 0];
+        for counter in [0, 1, 77, u32::MAX - 15, u32::MAX - 6, u32::MAX] {
+            let mut out = [0u8; PASS_LEN];
+            Key::new(&key).blocks16(counter, &nonce, &mut out);
+            let blocks: Vec<u8> = (0..16)
+                .flat_map(|i| block(&key, counter.wrapping_add(i), &nonce))
+                .collect();
+            assert_eq!(out.to_vec(), blocks, "counter {counter}");
+        }
     }
 
     proptest::proptest! {

@@ -5,12 +5,26 @@
 //! [`ChaChaRng`] so that whole experiments are reproducible from a single
 //! seed. The generator runs ChaCha20 in counter mode over a zero message,
 //! i.e. it emits the raw keystream, which is indistinguishable from random
-//! under the same assumption the cipher itself relies on. It refills 256
-//! bytes at a time, four blocks per [`chacha20::blocks4`] call, from a
-//! key expanded once; the stream is the blocks at counters 0, 1, 2, … in
-//! order, exactly as one block per refill would emit it.
+//! under the same assumption the cipher itself relies on. The stream is
+//! the blocks at counters 0, 1, 2, … in order, whatever the refill size.
+//!
+//! The key is expanded once. The first refill is four blocks (one narrow
+//! pass): a generator that only draws a key or a nonce, as the dozens the
+//! runtime forks per job do, computes no more than that. Every later
+//! refill is sixteen blocks (1 KiB), one AVX-512 pass where the CPU has it
+//! and four narrow passes elsewhere. [`ChaChaRng::next_u64`] reads its
+//! eight bytes in place while the buffer holds them, and every
+//! number-valued draw goes through it; [`ChaChaRng::next_u64_if`] draws
+//! or not without a branch on the condition, for callers whose draw count
+//! depends on an earlier draw. [`ChaChaRng::fill_bytes`] serves the rest
+//! (byte strings, [`ChaChaRng::next_u32`]) and the refill edges.
 
-use crate::chacha20::{self, BLOCKS4_LEN, KEY_LEN, NONCE_LEN};
+use crate::chacha20::{self, BLOCKS4_LEN, BLOCK_LEN, KEY_LEN, NONCE_LEN, PASS_LEN};
+
+/// Blocks per refill after the first.
+const WIDE_BLOCKS: u32 = (PASS_LEN / BLOCK_LEN) as u32;
+/// Blocks of the first refill.
+const FIRST_BLOCKS: u32 = (BLOCKS4_LEN / BLOCK_LEN) as u32;
 
 /// A seedable, deterministic cryptographic random generator.
 ///
@@ -28,7 +42,10 @@ pub struct ChaChaRng {
     key: chacha20::Key,
     /// The counter of the first block the next refill draws.
     counter: u32,
-    block: [u8; BLOCKS4_LEN],
+    /// The last refill's keystream, in `buf[..end]`.
+    buf: [u8; PASS_LEN],
+    end: usize,
+    /// The next byte to draw.
     offset: usize,
 }
 
@@ -47,8 +64,9 @@ impl ChaChaRng {
         Self {
             key: chacha20::Key::new(&seed),
             counter: 0,
-            block: [0; BLOCKS4_LEN],
-            offset: BLOCKS4_LEN,
+            buf: [0; PASS_LEN],
+            end: 0,
+            offset: 0,
         }
     }
 
@@ -74,15 +92,23 @@ impl ChaChaRng {
         Self::from_seed(crate::sha256::digest(&seed_input))
     }
 
-    /// Draws the next four blocks. The group that would run the counter
-    /// past `u32::MAX` panics instead of repeating keystream.
+    /// Draws the next blocks: four on the first refill, sixteen after. A
+    /// refill that would run the counter past `u32::MAX` panics instead of
+    /// repeating keystream.
     fn refill(&mut self) {
         let nonce = [0u8; NONCE_LEN];
-        self.block = self.key.blocks4(self.counter, &nonce);
+        let blocks = if self.counter == 0 {
+            self.buf[..BLOCKS4_LEN].copy_from_slice(&self.key.blocks4(0, &nonce));
+            FIRST_BLOCKS
+        } else {
+            self.key.blocks16(self.counter, &nonce, &mut self.buf);
+            WIDE_BLOCKS
+        };
         self.counter = self
             .counter
-            .checked_add(4)
+            .checked_add(blocks)
             .expect("ChaChaRng exhausted 256 GiB of keystream; reseed required");
+        self.end = blocks as usize * BLOCK_LEN;
         self.offset = 0;
     }
 
@@ -90,22 +116,52 @@ impl ChaChaRng {
     pub fn fill_bytes(&mut self, dest: &mut [u8]) {
         let mut written = 0;
         while written < dest.len() {
-            if self.offset == BLOCKS4_LEN {
+            if self.offset == self.end {
                 self.refill();
             }
-            let take = (BLOCKS4_LEN - self.offset).min(dest.len() - written);
+            let take = (self.end - self.offset).min(dest.len() - written);
             dest[written..written + take]
-                .copy_from_slice(&self.block[self.offset..self.offset + take]);
+                .copy_from_slice(&self.buf[self.offset..self.offset + take]);
             self.offset += take;
             written += take;
         }
     }
 
+    /// The eight bytes at the offset, if the buffer holds them.
+    #[inline]
+    fn peek_u64(&self) -> Option<u64> {
+        let bytes = self.buf[..self.end].get(self.offset..self.offset + 8)?;
+        Some(u64::from_le_bytes(bytes.try_into().expect("eight bytes")))
+    }
+
     /// Returns a uniformly random `u64`.
+    #[inline]
     pub fn next_u64(&mut self) -> u64 {
+        if let Some(v) = self.peek_u64() {
+            self.offset += 8;
+            return v;
+        }
         let mut buf = [0u8; 8];
         self.fill_bytes(&mut buf);
         u64::from_le_bytes(buf)
+    }
+
+    /// Draws [`next_u64`](Self::next_u64) if `take`. If not, the stream
+    /// does not move and the value returned is unspecified: callers
+    /// discard it. While the buffer holds eight bytes there is no branch
+    /// on `take`: the bytes are read either way and the offset moves by
+    /// `8 × take`.
+    #[inline]
+    pub fn next_u64_if(&mut self, take: bool) -> u64 {
+        if let Some(v) = self.peek_u64() {
+            self.offset += 8 * usize::from(take);
+            return v;
+        }
+        if take {
+            self.next_u64()
+        } else {
+            0
+        }
     }
 
     /// Returns a uniformly random `u32`.
@@ -305,6 +361,58 @@ mod tests {
             .flat_map(|c| chacha20::block(&seed, c, &[0; NONCE_LEN]))
             .collect();
         assert_eq!(drawn, blocks[..drawn.len()]);
+    }
+
+    #[test]
+    fn mixed_draws_are_pinned() {
+        // Captured from the generator that took every draw through
+        // `fill_bytes`. The draws interleave every width, so offsets land
+        // off the 8-byte grid and straddle refills: some 19 KiB in all.
+        let mut rng = ChaChaRng::from_seed_u64(44);
+        let mut h = crate::sha256::Sha256::new();
+        let mut odd = [0u8; 37];
+        for i in 0..2000u64 {
+            match i % 8 {
+                0 => h.update(&rng.next_u32().to_le_bytes()),
+                1 | 5 => h.update(&rng.next_u64().to_le_bytes()),
+                2 => h.update(&rng.next_f64().to_bits().to_le_bytes()),
+                3 => {
+                    let len = (i as usize * 7) % odd.len();
+                    rng.fill_bytes(&mut odd[..len]);
+                    h.update(&odd[..len]);
+                }
+                4 => h.update(&rng.next_below(1 + i * 1_000_003).to_le_bytes()),
+                6 => h.update(&rng.next_gaussian().to_bits().to_le_bytes()),
+                _ => h.update(&[u8::from(rng.next_bool(0.3))]),
+            }
+        }
+        let digest = sha256_hex(&h.finalize());
+        assert_eq!(
+            digest,
+            "bb18d481cb94be959d4b5337490f616ed777ea1a1c8aef5867f43dd7c28fac61"
+        );
+    }
+
+    #[test]
+    fn a_conditional_draw_is_a_draw_or_nothing() {
+        // Every take pattern is tried at every offset modulo 8 around the
+        // first refill edges (a `next_u32` shifts the offset by 4), against
+        // a twin that draws only what is taken.
+        for shift in 0..8 {
+            let mut rng = ChaChaRng::from_seed_u64(45);
+            let mut twin = ChaChaRng::from_seed_u64(45);
+            let mut head = vec![0u8; shift];
+            rng.fill_bytes(&mut head);
+            twin.fill_bytes(&mut head);
+            for i in 0..700u32 {
+                let take = !(i * 7 + shift as u32).is_multiple_of(3);
+                let got = rng.next_u64_if(take);
+                if take {
+                    assert_eq!(got, twin.next_u64(), "draw {i}");
+                }
+            }
+            assert_eq!(rng.next_u32(), twin.next_u32());
+        }
     }
 
     #[test]

@@ -368,6 +368,12 @@ impl<A: Decode, B: Decode> Decode for (A, B) {
 /// Implements [`Encode`]/[`Decode`] for a plain struct, field by field in
 /// declaration order.
 ///
+/// A struct whose fields are all one fixed-width number type names it,
+/// `wire_struct!(Name: [u64] { a, b })`, and its vectors also get one-pass
+/// bulk codecs: the same bytes, and the same error at the same reader
+/// position wherever the field-by-field loop fails (it fails only by
+/// running out of input, after taking every whole field left).
+///
 /// ```
 /// use gendpr_fednet::wire_struct;
 /// use gendpr_fednet::wire::{to_bytes, from_bytes};
@@ -382,6 +388,57 @@ impl<A: Decode, B: Decode> Decode for (A, B) {
 /// ```
 #[macro_export]
 macro_rules! wire_struct {
+    ($name:ident: [$word:ty] { $($field:ident),+ $(,)? }) => {
+        impl $crate::wire::Encode for $name {
+            fn encode(&self, buf: &mut Vec<u8>) {
+                $(buf.extend_from_slice(&<$word>::to_le_bytes(self.$field));)+
+            }
+
+            fn encode_all(items: &[Self], buf: &mut Vec<u8>) {
+                const WIDTH: usize = std::mem::size_of::<$word>();
+                const FIELDS: usize = [$(stringify!($field)),+].len();
+                buf.reserve(items.len() * FIELDS * WIDTH);
+                for item in items {
+                    $(buf.extend_from_slice(&<$word>::to_le_bytes(item.$field));)+
+                }
+            }
+        }
+        impl $crate::wire::Decode for $name {
+            // `MIN_WIRE_SIZE` keeps the default, so a `Vec`'s length-prefix
+            // check, and its error, stay the field-by-field struct's.
+            fn decode(
+                r: &mut $crate::wire::Reader<'_>,
+            ) -> Result<Self, $crate::wire::WireError> {
+                Ok(Self {
+                    $($field: <$word as $crate::wire::Decode>::decode(r)?,)+
+                })
+            }
+
+            fn decode_all(
+                r: &mut $crate::wire::Reader<'_>,
+                len: usize,
+            ) -> Result<Vec<Self>, $crate::wire::WireError> {
+                const WIDTH: usize = std::mem::size_of::<$word>();
+                const SIZE: usize = [$(stringify!($field)),+].len() * WIDTH;
+                let Some(bytes) = len.checked_mul(SIZE).filter(|&n| n <= r.remaining()) else {
+                    r.take(r.remaining() / WIDTH * WIDTH)?;
+                    return Err($crate::wire::WireError::UnexpectedEnd);
+                };
+                let body = r.take(bytes)?;
+                Ok(body
+                    .chunks_exact(SIZE)
+                    .map(|item| {
+                        let mut words = item
+                            .chunks_exact(WIDTH)
+                            .map(|b| <$word>::from_le_bytes(b.try_into().expect("exact size")));
+                        Self {
+                            $($field: words.next().expect("one word per field"),)+
+                        }
+                    })
+                    .collect())
+            }
+        }
+    };
     ($name:ident { $($field:ident),+ $(,)? }) => {
         impl $crate::wire::Encode for $name {
             fn encode(&self, buf: &mut Vec<u8>) {

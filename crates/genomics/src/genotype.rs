@@ -96,6 +96,14 @@ impl GenotypeMatrix {
         self.words_per_row
     }
 
+    /// The packed words of `individual`'s row: SNP `64w + j` is bit `j`
+    /// of word `w`. Bits past the last SNP must stay zero.
+    pub(crate) fn row_words_mut(&mut self, individual: usize) -> &mut [u64] {
+        assert!(individual < self.individuals, "individual out of bounds");
+        let start = individual * self.words_per_row;
+        &mut self.words[start..start + self.words_per_row]
+    }
+
     /// Returns the allele of `individual` at SNP `snp` as 0 or 1.
     ///
     /// # Panics

@@ -230,7 +230,8 @@ impl SyntheticCohortBuilder {
         self
     }
 
-    /// Adds population stratification: individuals are assigned round-robin
+    /// Adds population stratification: individuals are assigned in
+    /// contiguous blocks (individual `n` of `N` to subpopulation `n·k / N`)
     /// to `k` subpopulations whose per-SNP frequencies deviate from the
     /// ancestral frequency following the Balding–Nichols model with
     /// fixation index `fst` — the standard way GWAS methods papers model
@@ -302,30 +303,28 @@ impl SyntheticCohortBuilder {
             }
         }
 
-        let is_block_start = {
-            let mut v = vec![false; self.snps];
-            for &s in &block_starts {
-                v[s] = true;
-            }
-            v
-        };
-
         // 4. Genotypes: within a block, copy the previous SNP's allele with
         //    probability rho, otherwise draw from the population frequency.
-        let case = generate_matrix(
-            &mut case_rng,
-            self.case_individuals,
-            &subpop_case_freqs,
-            &is_block_start,
-            self.ld_rho,
-        );
-        let reference = generate_matrix(
-            &mut ref_rng,
-            self.reference_individuals,
-            &subpop_ref_freqs,
-            &is_block_start,
-            self.ld_rho,
-        );
+        //    The populations draw from independent forks, so they are built
+        //    side by side. Everything they use is allocated here: the build
+        //    thread allocates nothing, so it gets no malloc arena of its own
+        //    to outlive it.
+        let mut linked = vec![0u64; self.snps.div_ceil(64)];
+        for l in 1..self.snps {
+            linked[l / 64] |= 1 << (l % 64);
+        }
+        for &s in &block_starts {
+            linked[s / 64] &= !(1 << (s % 64));
+        }
+        let copy = threshold(self.ld_rho);
+        let case_fresh = thresholds(&subpop_case_freqs);
+        let ref_fresh = thresholds(&subpop_ref_freqs);
+        let mut case = GenotypeMatrix::zeroed(self.case_individuals, self.snps);
+        let mut reference = GenotypeMatrix::zeroed(self.reference_individuals, self.snps);
+        std::thread::scope(|scope| {
+            scope.spawn(|| draw_genotypes(&mut case, &mut case_rng, &case_fresh, &linked, copy));
+            draw_genotypes(&mut reference, &mut ref_rng, &ref_fresh, &linked, copy);
+        });
 
         let cohort = Cohort::new(SnpPanel::synthetic(self.snps), case, reference)
             .expect("generator produces consistent dimensions");
@@ -367,35 +366,66 @@ fn stratify(
         .collect()
 }
 
-fn generate_matrix(
+/// `p` as a threshold on a draw's top 53 bits: `u >> 11 < threshold(p)`
+/// exactly when [`ChaChaRng::next_bool`]`(p)` returns true on the draw
+/// `u`. It compares `(u >> 11) · 2⁻⁵³ < p`; scaling both sides by 2⁵³ is
+/// exact, and an integer is below a real exactly when it is below the
+/// real's ceiling.
+///
+/// # Panics
+///
+/// Panics if `p` is not in `[0, 1]`, as `next_bool` does.
+fn threshold(p: f64) -> u64 {
+    assert!((0.0..=1.0).contains(&p), "probability must be in [0,1]");
+    (p * (1u64 << 53) as f64).ceil() as u64
+}
+
+/// Every subpopulation's frequencies as [`threshold`]s.
+fn thresholds(subpop_freqs: &[Vec<f64>]) -> Vec<Vec<u64>> {
+    subpop_freqs
+        .iter()
+        .map(|freqs| freqs.iter().map(|&p| threshold(p)).collect())
+        .collect()
+}
+
+/// One population's genotypes into `m`: per individual and SNP, a ρ draw
+/// against `copy` if the SNP's bit in `linked` is set (it is not the
+/// first of its block; copy the previous SNP's allele on a hit), then,
+/// unless it copied, a draw against the individual's subpopulation's
+/// threshold in `fresh`. Individual `n` of `N` belongs to subpopulation
+/// `n·k / N`. Each row's 64-SNP words are built in a register and stored
+/// whole; the draws are the generator's [`ChaChaRng::next_u64_if`], so
+/// whether a draw happens is data, not a branch.
+fn draw_genotypes(
+    m: &mut GenotypeMatrix,
     rng: &mut ChaChaRng,
-    individuals: usize,
-    subpop_freqs: &[Vec<f64>],
-    is_block_start: &[bool],
-    rho: f64,
-) -> GenotypeMatrix {
-    let snps = subpop_freqs[0].len();
-    let k = subpop_freqs.len();
-    let mut m = GenotypeMatrix::zeroed(individuals, snps);
+    fresh: &[Vec<u64>],
+    linked: &[u64],
+    copy: u64,
+) {
+    let individuals = m.individuals();
     for n in 0..individuals {
         // Contiguous assignment: consecutive individuals share a
         // subpopulation, so federation shards are genuinely heterogeneous
         // — the geographically-distant-biocenters setting of §3.1.
-        let freqs = &subpop_freqs[(n * k) / individuals.max(1)];
+        let fresh = &fresh[(n * fresh.len()) / individuals];
         let mut prev = false;
-        for l in 0..snps {
-            let allele = if l > 0 && !is_block_start[l] && rng.next_bool(rho) {
-                prev
-            } else {
-                rng.next_bool(freqs[l])
-            };
-            if allele {
-                m.set(n, l, true);
+        let row = m.row_words_mut(n).iter_mut().zip(linked);
+        for ((word, &links), fresh) in row.zip(fresh.chunks(64)) {
+            let mut bits = 0u64;
+            for (j, &t) in fresh.iter().enumerate() {
+                // A draw not taken is read and discarded: `link` and
+                // `copied` mask it out.
+                let link = links >> j & 1 != 0;
+                let copied = link & (rng.next_u64_if(link) >> 11 < copy);
+                let drawn = rng.next_u64_if(!copied) >> 11 < t;
+                let allele = (copied & prev) | (!copied & drawn);
+                bits |= u64::from(allele) << j;
+                prev = allele;
             }
-            prev = allele;
+            *word = bits;
         }
     }
-    m
 }
 
 /// Samples Beta(α, β) via two Gamma draws (Marsaglia–Tsang).
@@ -677,6 +707,95 @@ mod tests {
         for _ in 0..5_000 {
             let b = sample_beta(&mut rng, 0.55, 1.1);
             assert!((0.0..=1.0).contains(&b));
+        }
+    }
+
+    /// SHA-256 over everything a built cohort holds: its dimensions, the
+    /// case and reference words, both frequency vectors' bits, the effect
+    /// SNPs and the block starts.
+    fn cohort_digest(sc: &SyntheticCohort) -> String {
+        let mut h = gendpr_crypto::sha256::Sha256::new();
+        for m in [sc.case(), sc.reference()] {
+            h.update(&(m.individuals() as u64).to_le_bytes());
+            h.update(&(m.snps() as u64).to_le_bytes());
+            for w in m.words() {
+                h.update(&w.to_le_bytes());
+            }
+        }
+        for f in sc.reference_freqs().iter().chain(sc.case_freqs()) {
+            h.update(&f.to_bits().to_le_bytes());
+        }
+        for &i in sc.effect_snps().iter().chain(sc.block_starts()) {
+            h.update(&(i as u64).to_le_bytes());
+        }
+        h.finalize().iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    #[test]
+    fn the_cohorts_are_pinned() {
+        // Captured from the generator that drew one allele per `next_bool`
+        // and set one bit per minor allele. Every shape's SNP count but
+        // one is off the 64-SNP word grid.
+        let shapes: [(SyntheticCohortBuilder, &str); 6] = [
+            (
+                SyntheticCohort::builder()
+                    .snps(130)
+                    .case_individuals(70)
+                    .reference_individuals(50)
+                    .seed(1),
+                "2b366107cb1d08fcd1656a2062d40ae54803ecb1394e1720ee75235c85106124",
+            ),
+            (
+                SyntheticCohort::builder()
+                    .snps(200)
+                    .case_individuals(90)
+                    .reference_individuals(61)
+                    .subpopulations(3, 0.05)
+                    .seed(2),
+                "0c39fc39287e4a15101f12c5aeddd05c0252d38e0b58834f66f7e416749cc926",
+            ),
+            (
+                SyntheticCohort::builder()
+                    .snps(101)
+                    .case_individuals(40)
+                    .reference_individuals(33)
+                    .ld_structure(4.0, 0.0)
+                    .seed(3),
+                "48ef0f32fc110c22f5985dd7007d47e2b0ea18e6285fa182e4f7f460bfc3eba7",
+            ),
+            (
+                SyntheticCohort::builder()
+                    .snps(257)
+                    .case_individuals(45)
+                    .reference_individuals(38)
+                    .ld_structure(8.0, 0.9)
+                    .effects(0.1, 0.2)
+                    .seed(4),
+                "013c1714a193264088b0c9fe138e8b1ce9a6cfee4c44b77f2ab1e654a935655a",
+            ),
+            (
+                SyntheticCohort::builder()
+                    .snps(128)
+                    .case_individuals(17)
+                    .reference_individuals(29)
+                    .maf_shape(0.35, 1.3)
+                    .subpopulations(2, 0.15)
+                    .ld_structure(3.0, 0.9)
+                    .seed(5),
+                "171542ffdde9921e46157f838ecbdc1f81b4ac771a7068b2ced201b221c83e86",
+            ),
+            (
+                SyntheticCohort::builder()
+                    .snps(1)
+                    .case_individuals(9)
+                    .reference_individuals(3)
+                    .seed(6),
+                "7a67b65e28c6c392b0a2d683c054d24e60f5449a04196248981bcd61f37f0434",
+            ),
+        ];
+        for (i, (builder, pin)) in shapes.into_iter().enumerate() {
+            let digest = cohort_digest(&builder.build());
+            assert_eq!(digest, pin, "shape {i}");
         }
     }
 

@@ -38,14 +38,18 @@ done
 # the three bulk-byte kernels, each against its scalar code at every width
 # this CPU has: the AVX-512 64x64 bit transpose (gendpr-genomics, here),
 # and the eight-lane AVX-512 IFMA Poly1305 and the SHA-NI SHA-256
-# compression (gendpr-crypto, in the message-path step below).
+# compression (gendpr-crypto, in the message-path step below). The
+# cohort pins (synth::tests::the_cohorts_are_pinned: every word, frequency,
+# effect SNP and block start of six shapes) hold the word-at-a-time
+# generator to the optimised build too.
 echo "==> cargo test --release -p gendpr-stats -p gendpr-genomics -q"
 cargo test --release -p gendpr-stats -p gendpr-genomics -q
 
 # Same for the message path: the AEAD's RFC 8439 vectors and in-place
 # oracles, every ChaCha20 kernel this CPU has (the SSE2 four-lane one
 # always, the AVX-512 sixteen-lane one where detected) against the scalar
-# block function lane by lane (and the pinned generator stream), the
+# block function lane by lane (and the pinned generator streams: the
+# first MiB, and mixed-width draws across sixteen-block refills), the
 # Poly1305 and SHA-256 kernels against their scalar code, the
 # channels' look-ahead of message heads against the copying AEAD, the
 # slice codec and the fabric's burst/wake tests run against

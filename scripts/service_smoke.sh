@@ -96,7 +96,7 @@ for phase in maf ld lr; do
   fi
 done
 # The columnar LR kernels must have counted real work: candidates swept,
-# columns kept, and at least one timed quantile pass.
+# columns kept, and at least one timed search.
 LR_CANDIDATES=$(awk -F' ' '/^gendpr_lr_candidates_total / {print $2}' <<<"$METRICS")
 if [ -z "$LR_CANDIDATES" ] || [ "$LR_CANDIDATES" -lt 1 ]; then
   echo "error: LR kernel swept no candidates (count: '${LR_CANDIDATES:-missing}')" >&2
@@ -107,9 +107,9 @@ if [ -z "$LR_KEPT" ] || [ "$LR_KEPT" -lt 1 ]; then
   echo "error: LR kernel kept no columns (count: '${LR_KEPT:-missing}')" >&2
   exit 1
 fi
-LR_QUANTILES=$(awk -F' ' '/^gendpr_lr_quantile_seconds_count/ {print $2}' <<<"$METRICS")
-if [ -z "$LR_QUANTILES" ] || [ "$LR_QUANTILES" -lt 1 ]; then
-  echo "error: LR quantile histogram has no samples (count: '${LR_QUANTILES:-missing}')" >&2
+LR_SEARCHES=$(awk -F' ' '/^gendpr_lr_search_seconds_count/ {print $2}' <<<"$METRICS")
+if [ -z "$LR_SEARCHES" ] || [ "$LR_SEARCHES" -lt 1 ]; then
+  echo "error: LR search histogram has no samples (count: '${LR_SEARCHES:-missing}')" >&2
   exit 1
 fi
 CERTIFIED=$(awk -F' ' '/^gendpr_jobs_total\{outcome="certified"\}/ {print $2}' <<<"$METRICS")

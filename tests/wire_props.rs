@@ -3,7 +3,8 @@
 //! a *different* valid value of unexpected shape.
 
 use gendpr::core::messages::{
-    CountsReport, LrReport, Phase1Broadcast, Phase2Broadcast, ProtocolMessage,
+    CountsReport, LrReport, MomentsReport, MomentsRequest, Phase1Broadcast, Phase2Broadcast,
+    ProtocolMessage,
 };
 use gendpr::fednet::tcp::{
     decode_frame, encode_frame, FrameError, TcpFrame, FRAME_HEADER_BYTES, MAX_FRAME_BYTES,
@@ -145,6 +146,38 @@ proptest! {
         bulk_matches_element_wise::<i64>(&cast(&words, |w| w as i64), cut, claimed)?;
         bulk_matches_element_wise::<f32>(&cast(&words, |w| f32::from_bits(w as u32)), cut, claimed)?;
         bulk_matches_element_wise::<f64>(&cast(&words, f64::from_bits), cut, claimed)?;
+    }
+
+    /// The moment vectors' bulk codecs against their field-by-field
+    /// decode, cut anywhere (mid-field too) and claimed short, long or
+    /// hostile; and a whole `Moments` message round-trips.
+    #[test]
+    fn bulk_moment_codecs_match_element_wise(
+        words in proptest::collection::vec(any::<u64>(), 0..60),
+        cut in 0usize..60,
+        claim in 0usize..16,
+        hostile in any::<bool>(),
+    ) {
+        let claimed = if hostile { usize::MAX - claim } else { claim };
+        let reports: Vec<MomentsReport> = words
+            .chunks_exact(6)
+            .map(|w| MomentsReport {
+                sum_x: w[0],
+                sum_y: w[1],
+                sum_xy: w[2],
+                sum_xx: w[3],
+                sum_yy: w[4],
+                n: w[5],
+            })
+            .collect();
+        let requests: Vec<MomentsRequest> = words
+            .iter()
+            .map(|&w| MomentsRequest { a: w as u32, b: (w >> 32) as u32 })
+            .collect();
+        bulk_matches_element_wise(&reports, cut, claimed)?;
+        bulk_matches_element_wise(&requests, cut, claimed)?;
+        let message = ProtocolMessage::Moments(reports);
+        prop_assert_eq!(from_bytes::<ProtocolMessage>(&to_bytes(&message)).unwrap(), message);
     }
 
     #[test]
