@@ -136,9 +136,9 @@ impl Transport for Counting {
         self.sent.store(true, Ordering::Relaxed);
         self.inner.send(to, payload, plaintext_len)
     }
-    fn send_all(&self, frames: Vec<Outgoing>) -> Vec<Result<(), NetError>> {
+    fn send_all(&self, frames: &mut Vec<Outgoing>, result: &mut dyn FnMut(Result<(), NetError>)) {
         self.sent.store(true, Ordering::Relaxed);
-        self.inner.send_all(frames)
+        self.inner.send_all(frames, result);
     }
     fn recv_timeout(&self, timeout: Duration) -> Result<Envelope, NetError> {
         self.inner

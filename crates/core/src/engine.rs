@@ -32,16 +32,17 @@ use crate::config::GwasParams;
 use crate::error::ProtocolError;
 use crate::gdo::GdoNode;
 use crate::messages::{
-    CountsReport, MomentsReport, MomentsRequest, Phase1Broadcast, Phase2Broadcast, Phase3Broadcast,
-    ProtocolMessage,
+    encode_moments, encode_moments_request, moments_in, moments_request_in, CountsReport,
+    MomentsRequest, Phase1Broadcast, Phase2Broadcast, Phase3Broadcast, ProtocolMessage,
 };
 use crate::phases::ld::LdScan;
 use crate::phases::lrtest::admission_order;
 use crate::phases::maf::{run_maf, MafOutcome, Phase1};
 use crate::protocol::PhaseTimings;
-use crate::runtime::{recv_protocol, send_protocol, MemberCtx};
+use crate::runtime::{recv_decoded, recv_protocol, send_encoded, send_protocol, MemberCtx};
 use crate::serving::{ShardOutput, ShardScan};
 use gendpr_fednet::transport::Transport;
+use gendpr_fednet::wire::{self, Encode, WireError};
 use gendpr_genomics::columnar::ColumnarGenotypes;
 use gendpr_genomics::genotype::GenotypeMatrix;
 use gendpr_genomics::snp::SnpId;
@@ -51,6 +52,7 @@ use gendpr_stats::ranking::SnpRank;
 use gendpr_tee::memory::EpcAccount;
 use std::cell::OnceCell;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::time::Instant;
 
 /// Sends `msg` to every member of `peers` except this one, in order, as
@@ -60,10 +62,19 @@ pub(crate) fn send_each<T: Transport>(
     peers: impl IntoIterator<Item = usize>,
     msg: &ProtocolMessage,
 ) {
+    send_each_encoded(ctx, peers, |buf| msg.encode(buf));
+}
+
+/// [`send_each`] for a message `encode` appends to each buffer itself.
+fn send_each_encoded<T: Transport>(
+    ctx: &mut MemberCtx<T>,
+    peers: impl IntoIterator<Item = usize>,
+    encode: impl Fn(&mut Vec<u8>),
+) {
     ctx.burst(|ctx| {
         for peer in peers {
             if peer != ctx.id {
-                send_protocol(ctx, peer, msg);
+                send_encoded(ctx, peer, &encode);
             }
         }
     });
@@ -76,67 +87,104 @@ fn request_moments<T: Transport>(
     subset: &[usize],
     pairs: &[(SnpId, SnpId)],
 ) {
-    let request = ProtocolMessage::MomentsRequest(
-        pairs
+    send_each_encoded(ctx, subset.iter().copied(), |buf| {
+        let pairs = pairs
             .iter()
-            .map(|&(a, b)| MomentsRequest { a: a.0, b: b.0 })
-            .collect(),
-    );
-    send_each(ctx, subset.iter().copied(), &request);
+            .map(|&(a, b)| MomentsRequest { a: a.0, b: b.0 });
+        encode_moments_request(pairs, buf);
+    });
 }
 
 /// Closes the round [`request_moments`] opened for the same `subset` and
-/// `pairs`: adds the replies, in subset order, to `pooled` (each pair's
-/// moments before any reply). A reply must hold one moment per pair, each
-/// over the member's Phase 1 case count (`n_case`, by member id). Rounds
-/// must be closed in the order they were opened: a member answers its
-/// requests in arrival order, so its next reply belongs to the oldest
-/// round still open with it.
+/// pairs: adds the replies, in subset order, to `pooled` (each pair's
+/// moments before any reply, one per pair). A reply must hold one moment
+/// per pair, each over the member's Phase 1 case count (`n_case`, by
+/// member id). Rounds must be closed in the order they were opened: a
+/// member answers its requests in arrival order, so its next reply
+/// belongs to the oldest round still open with it.
 fn collect_moments<T: Transport>(
     ctx: &mut MemberCtx<T>,
     n_case: &[u64],
     subset: &[usize],
-    pairs: &[(SnpId, SnpId)],
-    mut pooled: Vec<LdMoments>,
+    pooled: &mut [LdMoments],
     phase: &'static str,
-) -> Result<Vec<LdMoments>, ProtocolError> {
+) -> Result<(), ProtocolError> {
     for &peer in subset {
         if peer == ctx.id {
             continue;
         }
-        match recv_protocol(ctx, peer, phase)? {
-            ProtocolMessage::Moments(ms)
-                if ms.len() == pairs.len() && ms.iter().all(|m| m.n == n_case[peer]) =>
-            {
-                for (sum, m) in pooled.iter_mut().zip(ms) {
-                    *sum = sum.merge(LdMoments::from(m));
-                }
+        // Read in place; a reply that does not fit is refused whole (the
+        // error ends the job, so a part already added does not matter).
+        let fits = recv_decoded(ctx, peer, phase, |bytes| {
+            let reports = moments_in(bytes)?;
+            if reports.len() != pooled.len() {
+                return Ok(false);
             }
-            _ => return Err(ProtocolError::MalformedMessage { member: peer }),
+            for (sum, m) in pooled.iter_mut().zip(reports) {
+                if m.n != n_case[peer] {
+                    return Ok(false);
+                }
+                *sum = sum.merge(LdMoments::from(m));
+            }
+            Ok(true)
+        })?;
+        if !fits {
+            return Err(ProtocolError::MalformedMessage { member: peer });
         }
     }
-    Ok(pooled)
+    Ok(())
 }
 
 /// One moments round: a subset and the pairs pooled over it.
 pub(crate) type Round<'r> = (&'r [usize], &'r [(SnpId, SnpId)]);
+
+/// Hashes a `(u32, u32)` pair key with one multiplication (Fibonacci
+/// hashing) and a fold of the product's high half into its low bits,
+/// where the table picks its bucket: the LD tables' keys are SNP ids the
+/// leader chose, so no flooding defence is needed, and SipHash costs
+/// several times more per lookup.
+#[derive(Default)]
+struct PairHasher(u64);
+
+impl Hasher for PairHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.0 = (self.0 << 8) | u64::from(byte);
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.0 = (self.0 << 32) | u64::from(n);
+    }
+
+    fn finish(&self) -> u64 {
+        let h = self.0.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        h ^ (h >> 32)
+    }
+}
+
+/// A subset's pooled moments by `(a, b)` pair: prefetched, or a shard
+/// lane's log.
+type PairTable = HashMap<(u32, u32), LdMoments, BuildHasherDefault<PairHasher>>;
 
 /// Where the leader core's member aggregates come from. The provided
 /// methods are a source's without peers, an enclave or transport options.
 pub(crate) trait Source {
     /// Every member's counts report, by member id.
     fn counts(&mut self) -> Result<Vec<Option<CountsReport>>, ProtocolError>;
-    /// Every round's pooled moments; the rounds are opened together and
-    /// closed in order. Each round's pooling starts from `fixed(pairs,
-    /// own)`: the reference's moments, plus those of `own`, the shard of
+    /// Appends every round's pooled moments to `pooled`, in round order,
+    /// one per pair; the rounds are opened together and closed in order.
+    /// Each round's pooling starts from what `fixed(pairs, own, pooled)`
+    /// appends: the reference's moments, plus those of `own`, the shard of
     /// the subset member the leader answers for itself (none in-process).
     /// `phase` names the wait in a timeout.
-    fn moments(
+    fn moments<'r>(
         &mut self,
-        rounds: &[Round<'_>],
-        fixed: impl Fn(&[(SnpId, SnpId)], Option<&GdoNode>) -> Vec<LdMoments>,
+        rounds: impl Iterator<Item = Round<'r>> + Clone,
+        fixed: impl Fn(&[(SnpId, SnpId)], Option<&GdoNode>, &mut Vec<LdMoments>),
+        pooled: &mut Vec<LdMoments>,
         phase: &'static str,
-    ) -> Result<Vec<Vec<LdMoments>>, ProtocolError>;
+    ) -> Result<(), ProtocolError>;
     /// Runs `search` in the leader enclave on combination `combo`'s case
     /// rows over `columns`, gathered in format `M`.
     fn lr_search<M: LrTransport>(
@@ -507,14 +555,11 @@ impl<'a> LeaderCore<'a> {
                 pooled.merge(node.moments_with_joint(a, b, joint))
             })
         };
-        let fixed = |pairs: &[(SnpId, SnpId)], own: Option<&GdoNode>| -> Vec<LdMoments> {
-            pairs
-                .iter()
-                .map(|&(a, b)| {
-                    let own = own.map(|node| (node, node.columnar().pair_count(a, b)));
-                    pooled((a, b), reference.pair_count(a, b), own)
-                })
-                .collect()
+        let fixed = |pairs: &[(SnpId, SnpId)], own: Option<&GdoNode>, out: &mut Vec<LdMoments>| {
+            out.extend(pairs.iter().map(|&(a, b)| {
+                let own = own.map(|node| (node, node.columnar().pair_count(a, b)));
+                pooled((a, b), reference.pair_count(a, b), own)
+            }));
         };
         // Every subset's prefetch asks for the same pairs, so their joint
         // counts are swept once a job (on the first round that needs
@@ -524,21 +569,19 @@ impl<'a> LeaderCore<'a> {
             pairs.iter().map(|&(a, b)| shard.pair_count(a, b)).collect()
         };
         let (ref_joint, own_joint) = (OnceCell::new(), OnceCell::new());
-        let prefetched = |pairs: &[(SnpId, SnpId)], own: Option<&GdoNode>| -> Vec<LdMoments> {
-            let ref_joint: &Vec<u64> = ref_joint.get_or_init(|| joints(reference, pairs));
-            let own = own.map(|node| {
-                let joint: &Vec<u64> = own_joint.get_or_init(|| joints(node.columnar(), pairs));
-                (node, joint)
-            });
-            pairs
-                .iter()
-                .enumerate()
-                .map(|(i, &pair)| pooled(pair, ref_joint[i], own.map(|(node, j)| (node, j[i]))))
-                .collect()
-        };
+        let prefetched =
+            |pairs: &[(SnpId, SnpId)], own: Option<&GdoNode>, out: &mut Vec<LdMoments>| {
+                let ref_joint: &Vec<u64> = ref_joint.get_or_init(|| joints(reference, pairs));
+                let own = own.map(|node| {
+                    let joint: &Vec<u64> = own_joint.get_or_init(|| joints(node.columnar(), pairs));
+                    (node, joint)
+                });
+                out.extend(pairs.iter().enumerate().map(|(i, &pair)| {
+                    pooled(pair, ref_joint[i], own.map(|(node, j)| (node, j[i])))
+                }));
+            };
 
-        let mut tables: Vec<HashMap<(u32, u32), LdMoments>> =
-            Vec::with_capacity(self.subsets.len());
+        let mut tables: Vec<PairTable> = Vec::with_capacity(self.subsets.len());
         for (c, subset) in self.subsets.iter().enumerate() {
             tables.push(if let Some(shards) = shards {
                 shards
@@ -552,14 +595,20 @@ impl<'a> LeaderCore<'a> {
                     .collect()
             } else if prefetch {
                 let round: Round<'_> = (subset, &adjacent);
-                let pooled = source.moments(&[round], prefetched, "ld-prefetch")?;
+                let mut pooled = Vec::with_capacity(adjacent.len());
+                source.moments(
+                    std::iter::once(round),
+                    prefetched,
+                    &mut pooled,
+                    "ld-prefetch",
+                )?;
                 adjacent
                     .iter()
-                    .zip(&pooled[0])
+                    .zip(&pooled)
                     .map(|(&(a, b), &m)| ((a.0, b.0), m))
                     .collect()
             } else {
-                HashMap::new()
+                PairTable::default()
             });
         }
 
@@ -572,8 +621,11 @@ impl<'a> LeaderCore<'a> {
             }
             scan.feed(pooled, |s| phase1[c].rank(s).p_value, ld_test);
         };
+        // A batch's misses and their pooled moments, kept across batches.
+        let mut misses: Vec<(usize, (SnpId, SnpId))> = Vec::with_capacity(scans.len());
+        let mut pooled = Vec::with_capacity(scans.len());
         loop {
-            let mut misses: Vec<(usize, (SnpId, SnpId))> = Vec::new();
+            misses.clear();
             for (c, scan) in scans.iter_mut().enumerate() {
                 while let Some((a, b)) = scan.pending() {
                     let Some(&hit) = tables[c].get(&(a.0, b.0)) else {
@@ -592,19 +644,16 @@ impl<'a> LeaderCore<'a> {
             if misses.is_empty() {
                 break;
             }
-            let rounds: Vec<Round<'_>> = misses
+            let rounds = misses
                 .iter()
-                .map(|(c, pair)| (&self.subsets[*c][..], std::slice::from_ref(pair)))
-                .collect();
-            let pooled = match source.moments(&rounds, fixed, "ld-moments") {
-                Ok(pooled) => pooled,
-                Err(e) => {
-                    source.abort(&e);
-                    return Err(e);
-                }
-            };
-            for (&(c, pair), pooled) in misses.iter().zip(pooled) {
-                feed(c, &mut scans[c], pair, pooled[0]);
+                .map(|(c, pair)| (&self.subsets[*c][..], std::slice::from_ref(pair)));
+            pooled.clear();
+            if let Err(e) = source.moments(rounds, fixed, &mut pooled, "ld-moments") {
+                source.abort(&e);
+                return Err(e);
+            }
+            for (&(c, pair), &pooled) in misses.iter().zip(&pooled) {
+                feed(c, &mut scans[c], pair, pooled);
             }
         }
         Ok(scans
@@ -816,25 +865,26 @@ impl<T: Transport> Source for Remote<'_, '_, T> {
     /// All requests go out as one burst, in round order: each round costs
     /// the messages it costs alone, and the leader waits once for all. A
     /// round's fixed part is computed while the members work.
-    fn moments(
+    fn moments<'r>(
         &mut self,
-        rounds: &[Round<'_>],
-        fixed: impl Fn(&[(SnpId, SnpId)], Option<&GdoNode>) -> Vec<LdMoments>,
+        rounds: impl Iterator<Item = Round<'r>> + Clone,
+        fixed: impl Fn(&[(SnpId, SnpId)], Option<&GdoNode>, &mut Vec<LdMoments>),
+        pooled: &mut Vec<LdMoments>,
         phase: &'static str,
-    ) -> Result<Vec<Vec<LdMoments>>, ProtocolError> {
+    ) -> Result<(), ProtocolError> {
         let (ctx, Links { node, n_case, .. }) = (&mut *self.ctx, &*self.links);
         ctx.burst(|ctx| {
-            for &(subset, pairs) in rounds {
+            for (subset, pairs) in rounds.clone() {
                 request_moments(ctx, subset, pairs);
             }
         });
-        rounds
-            .iter()
-            .map(|&(subset, pairs)| {
-                let own = subset.contains(&ctx.id).then_some(*node);
-                collect_moments(ctx, n_case, subset, pairs, fixed(pairs, own), phase)
-            })
-            .collect()
+        for (subset, pairs) in rounds {
+            let own = subset.contains(&ctx.id).then_some(*node);
+            let start = pooled.len();
+            fixed(pairs, own, pooled);
+            collect_moments(ctx, n_case, subset, &mut pooled[start..], phase)?;
+        }
+        Ok(())
     }
 
     fn prefetch_ld(&self) -> bool {
@@ -1018,24 +1068,23 @@ impl Source for Local<'_> {
         Ok(self.0.iter().map(|n| Some(n.counts_report())).collect())
     }
 
-    fn moments(
+    fn moments<'r>(
         &mut self,
-        rounds: &[Round<'_>],
-        fixed: impl Fn(&[(SnpId, SnpId)], Option<&GdoNode>) -> Vec<LdMoments>,
+        rounds: impl Iterator<Item = Round<'r>> + Clone,
+        fixed: impl Fn(&[(SnpId, SnpId)], Option<&GdoNode>, &mut Vec<LdMoments>),
+        pooled: &mut Vec<LdMoments>,
         _: &'static str,
-    ) -> Result<Vec<Vec<LdMoments>>, ProtocolError> {
-        Ok(rounds
-            .iter()
-            .map(|&(subset, pairs)| {
-                let mut pooled = fixed(pairs, None);
-                for (sum, &(a, b)) in pooled.iter_mut().zip(pairs) {
-                    for &i in subset {
-                        *sum = sum.merge(LdMoments::from(self.0[i].ld_moments(a, b)));
-                    }
+    ) -> Result<(), ProtocolError> {
+        for (subset, pairs) in rounds {
+            let start = pooled.len();
+            fixed(pairs, None, pooled);
+            for (sum, &(a, b)) in pooled[start..].iter_mut().zip(pairs) {
+                for &i in subset {
+                    *sum = sum.merge(LdMoments::from(self.0[i].ld_moments(a, b)));
                 }
-                pooled
-            })
-            .collect())
+            }
+        }
+        Ok(())
     }
 
     fn lr_search<M: LrTransport>(
@@ -1089,18 +1138,20 @@ pub(crate) fn follower_serve<T: Transport>(
         Terminator::Phase3 => "awaiting-leader",
         Terminator::ShardDone => "shard-serve",
     };
+    // The pairs of the moments request read last, kept across messages.
+    let mut pairs = Vec::new();
     loop {
-        let first = recv_protocol(ctx, leader, phase)?;
+        let first = recv_from_leader(ctx, leader, phase, &mut pairs)?;
         let done = ctx.burst(|ctx| -> Result<_, ProtocolError> {
             let mut msg = first;
             loop {
-                if let Some(safe) = answer(ctx, node, leader, terminator, msg)? {
+                if let Some(safe) = answer(ctx, node, leader, terminator, msg, &pairs)? {
                     return Ok(Some(safe));
                 }
                 if !ctx.ready(leader) {
                     return Ok(None);
                 }
-                msg = recv_protocol(ctx, leader, phase)?;
+                msg = recv_from_leader(ctx, leader, phase, &mut pairs)?;
             }
         })?;
         if let Some(safe) = done {
@@ -1109,33 +1160,67 @@ pub(crate) fn follower_serve<T: Transport>(
     }
 }
 
-/// Answers one message of the job [`follower_serve`] is serving; the safe
-/// set once the terminator arrives.
+/// A message from the leader to a follower serving a job.
+enum FromLeader {
+    /// A `MomentsRequest`, read in place into the follower's pairs.
+    Pairs,
+    /// Any other message.
+    Other(ProtocolMessage),
+}
+
+/// Receives the leader's next message; a moments request's pairs go to
+/// `pairs`, so the exchange builds no vector per message.
+fn recv_from_leader<T: Transport>(
+    ctx: &mut MemberCtx<T>,
+    leader: usize,
+    phase: &'static str,
+    pairs: &mut Vec<MomentsRequest>,
+) -> Result<FromLeader, ProtocolError> {
+    recv_decoded(ctx, leader, phase, |bytes| -> Result<_, WireError> {
+        match moments_request_in(bytes)? {
+            Some(read) => {
+                pairs.clear();
+                pairs.extend(read);
+                Ok(FromLeader::Pairs)
+            }
+            None => wire::from_bytes(bytes).map(FromLeader::Other),
+        }
+    })
+}
+
+/// Answers one message of the job [`follower_serve`] is serving (a moments
+/// request's `pairs`); the safe set once the terminator arrives.
 fn answer<T: Transport>(
     ctx: &mut MemberCtx<T>,
     node: &GdoNode,
     leader: usize,
     terminator: Terminator,
-    msg: ProtocolMessage,
+    msg: FromLeader,
+    pairs: &[MomentsRequest],
 ) -> Result<Option<Vec<SnpId>>, ProtocolError> {
     let full = terminator == Terminator::Phase3;
     // Ids and vector lengths are the leader's input: a wrong one is a
     // malformed message, not an index past this member's panel.
     let past_panel = |id: u32| id as usize >= node.columnar().snps();
     let malformed = || ProtocolError::MalformedMessage { member: leader };
-    match msg {
-        ProtocolMessage::Phase1(_) if full => {
-            // Informational: L' arrives before the moments queries.
-        }
-        ProtocolMessage::MomentsRequest(pairs) => {
+    let msg = match msg {
+        FromLeader::Pairs => {
             if pairs.iter().any(|p| past_panel(p.a) || past_panel(p.b)) {
                 return Err(malformed());
             }
-            let reports: Vec<MomentsReport> = pairs
-                .iter()
-                .map(|p| node.ld_moments(SnpId(p.a), SnpId(p.b)))
-                .collect();
-            send_protocol(ctx, leader, &ProtocolMessage::Moments(reports));
+            send_encoded(ctx, leader, |buf| {
+                let reports = pairs
+                    .iter()
+                    .map(|p| node.ld_moments(SnpId(p.a), SnpId(p.b)));
+                encode_moments(reports, buf);
+            });
+            return Ok(None);
+        }
+        FromLeader::Other(msg) => msg,
+    };
+    match msg {
+        ProtocolMessage::Phase1(_) if full => {
+            // Informational: L' arrives before the moments queries.
         }
         ProtocolMessage::Phase2(combo, broadcast) if full => {
             let n = broadcast.retained.len();
@@ -1191,7 +1276,7 @@ pub(crate) fn unexpected_from_leader(leader: usize, msg: &ProtocolMessage) -> Pr
 mod tests {
     use super::*;
     use crate::config::{CollusionMode, FederationConfig};
-    use crate::messages::{LrReport, LrReportCompact};
+    use crate::messages::{LrReport, LrReportCompact, MomentsReport};
     use crate::runtime::{build_member, establish_channel, RuntimeOptions};
     use gendpr_crypto::rng::ChaChaRng;
     use gendpr_fednet::transport::{Network, PeerId};

@@ -267,14 +267,8 @@ impl Encode for ProtocolMessage {
                 1u8.encode(buf);
                 m.encode(buf);
             }
-            Self::MomentsRequest(m) => {
-                2u8.encode(buf);
-                m.encode(buf);
-            }
-            Self::Moments(m) => {
-                3u8.encode(buf);
-                m.encode(buf);
-            }
+            Self::MomentsRequest(m) => encode_moments_request(m.iter().copied(), buf),
+            Self::Moments(m) => encode_moments(m.iter().copied(), buf),
             Self::Phase2(combo, m) => {
                 4u8.encode(buf);
                 combo.encode(buf);
@@ -317,8 +311,8 @@ impl Decode for ProtocolMessage {
         Ok(match u8::decode(r)? {
             0 => Self::Counts(CountsReport::decode(r)?),
             1 => Self::Phase1(Phase1Broadcast::decode(r)?),
-            2 => Self::MomentsRequest(Vec::decode(r)?),
-            3 => Self::Moments(Vec::decode(r)?),
+            MOMENTS_REQUEST_TAG => Self::MomentsRequest(Vec::decode(r)?),
+            MOMENTS_TAG => Self::Moments(Vec::decode(r)?),
             4 => Self::Phase2(u32::decode(r)?, Phase2Broadcast::decode(r)?),
             5 => Self::Lr(u32::decode(r)?, LrReport::decode(r)?),
             6 => Self::Phase3(Phase3Broadcast::decode(r)?),
@@ -333,6 +327,97 @@ impl Decode for ProtocolMessage {
     }
 }
 
+// ---- The Phase 2 exchange without its vectors ----
+//
+// The moments requests and replies are most of a job's messages. These
+// write and read [`ProtocolMessage::MomentsRequest`] and
+// [`ProtocolMessage::Moments`] in place — encoded from an iterator, read
+// one item at a time from the message's plaintext — so the exchange
+// builds no vector per message. The enum's codec writes through the same
+// encoders.
+
+const MOMENTS_REQUEST_TAG: u8 = 2;
+const MOMENTS_TAG: u8 = 3;
+/// Encoded bytes of one [`MomentsRequest`] and one [`MomentsReport`].
+const REQUEST_LEN: usize = 2 * 4;
+const REPORT_LEN: usize = 6 * 8;
+
+/// Appends the bytes of `ProtocolMessage::MomentsRequest(pairs)`.
+pub(crate) fn encode_moments_request(
+    pairs: impl ExactSizeIterator<Item = MomentsRequest>,
+    buf: &mut Vec<u8>,
+) {
+    MOMENTS_REQUEST_TAG.encode(buf);
+    (pairs.len() as u64).encode(buf);
+    buf.reserve(pairs.len() * REQUEST_LEN);
+    for pair in pairs {
+        pair.encode(buf);
+    }
+}
+
+/// Appends the bytes of `ProtocolMessage::Moments(reports)`.
+pub(crate) fn encode_moments(
+    reports: impl ExactSizeIterator<Item = MomentsReport>,
+    buf: &mut Vec<u8>,
+) {
+    MOMENTS_TAG.encode(buf);
+    (reports.len() as u64).encode(buf);
+    buf.reserve(reports.len() * REPORT_LEN);
+    for report in reports {
+        report.encode(buf);
+    }
+}
+
+/// The items of `bytes` if it is a message with tag `tag` holding one
+/// vector of `len`-byte items and nothing else, decoded as they are read.
+/// `Ok(None)` for a message with another tag.
+fn items_in<T: Decode>(
+    bytes: &[u8],
+    tag: u8,
+    len: usize,
+) -> Result<Option<impl ExactSizeIterator<Item = T> + '_>, WireError> {
+    let mut r = Reader::new(bytes);
+    if u8::decode(&mut r)? != tag {
+        return Ok(None);
+    }
+    let count = u64::decode(&mut r)?;
+    let remaining = r.remaining();
+    if count.checked_mul(len as u64) != Some(remaining as u64) {
+        return Err(WireError::LengthOverrun {
+            claimed: count,
+            remaining,
+        });
+    }
+    let items = r.take(remaining)?.chunks_exact(len);
+    Ok(Some(items.map(|item| {
+        T::decode(&mut Reader::new(item)).expect("a whole item of fixed size")
+    })))
+}
+
+/// The pairs of a [`ProtocolMessage::MomentsRequest`]'s plaintext, read in
+/// place; `Ok(None)` for any other message.
+///
+/// # Errors
+///
+/// A `MomentsRequest` whose length prefix does not match its body.
+pub(crate) fn moments_request_in(
+    bytes: &[u8],
+) -> Result<Option<impl ExactSizeIterator<Item = MomentsRequest> + '_>, WireError> {
+    items_in(bytes, MOMENTS_REQUEST_TAG, REQUEST_LEN)
+}
+
+/// The reports of a [`ProtocolMessage::Moments`]'s plaintext, read in
+/// place.
+///
+/// # Errors
+///
+/// Any other message, or one whose length prefix does not match its body.
+pub(crate) fn moments_in(
+    bytes: &[u8],
+) -> Result<impl ExactSizeIterator<Item = MomentsReport> + '_, WireError> {
+    items_in(bytes, MOMENTS_TAG, REPORT_LEN)?.ok_or(WireError::InvalidValue("Moments tag"))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -343,6 +428,45 @@ mod tests {
         let bytes = to_bytes(&msg);
         let back: ProtocolMessage = from_bytes(&bytes).unwrap();
         assert_eq!(back, msg);
+    }
+
+    #[test]
+    fn the_moments_exchange_reads_in_place_what_the_enum_decodes() {
+        let pairs = vec![
+            MomentsRequest { a: 1, b: 2 },
+            MomentsRequest { a: 9, b: 40 },
+        ];
+        let reports: Vec<MomentsReport> = (0..3u64)
+            .map(|i| MomentsReport {
+                sum_x: i,
+                sum_y: 2 * i,
+                sum_xy: u64::MAX - i,
+                sum_xx: 7,
+                sum_yy: 1 << 40,
+                n: 300 + i,
+            })
+            .collect();
+        let request = to_bytes(&ProtocolMessage::MomentsRequest(pairs.clone()));
+        let reply = to_bytes(&ProtocolMessage::Moments(reports.clone()));
+        let read = moments_request_in(&request).unwrap().unwrap();
+        assert_eq!(read.collect::<Vec<_>>(), pairs);
+        assert_eq!(moments_in(&reply).unwrap().collect::<Vec<_>>(), reports);
+        assert!(moments_request_in(&reply).unwrap().is_none());
+        assert!(moments_in(&request).is_err());
+        let empty = to_bytes(&ProtocolMessage::Moments(vec![]));
+        assert_eq!(moments_in(&empty).unwrap().len(), 0);
+        // Cut short anywhere or one byte long, both are refused in place
+        // as the enum's decode refuses them.
+        for bytes in [&request, &reply] {
+            let mut long = bytes.clone();
+            long.push(0);
+            let cuts = (0..bytes.len()).map(|cut| &bytes[..cut]);
+            for b in cuts.chain([&long[..]]) {
+                assert!(from_bytes::<ProtocolMessage>(b).is_err());
+                assert!(!matches!(moments_request_in(b), Ok(Some(_))), "{b:?}");
+                assert!(moments_in(b).is_err(), "{b:?}");
+            }
+        }
     }
 
     #[test]

@@ -95,6 +95,12 @@ const EPOCH: u64 = 1;
 /// member waits for there.
 const UNEXPECTED_KIND: &str = "frame of an unexpected kind";
 
+/// Received message buffers a member keeps for its next sends, and the
+/// largest capacity it keeps: enough for the moments exchange's short
+/// frames, in flight at a handful per peer, never a Phase 3 report's.
+const SPARE_BUFFERS: usize = 8;
+const SPARE_CAPACITY: usize = 1024;
+
 /// Deployment options for the threaded runtime.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RuntimeOptions {
@@ -316,8 +322,14 @@ pub(crate) struct MemberCtx<T: Transport> {
     /// This member's end of its link with each member, indexed by member
     /// id (`g` slots; a frame from any other sender is dropped).
     links: Vec<Link>,
-    /// Frames held by an open [`MemberCtx::burst`] scope.
-    burst: Option<Vec<Outgoing>>,
+    /// Whether a [`MemberCtx::burst`] scope is open.
+    bursting: bool,
+    /// Frames held by the open burst scope; empty, with its capacity,
+    /// between scopes.
+    burst: Vec<Outgoing>,
+    /// Buffers of messages this member received and decoded, for
+    /// [`send_protocol`] to encode into ([`SPARE_BUFFERS`] at most).
+    spare: Vec<Vec<u8>>,
 }
 
 /// One member's end of its link with one peer.
@@ -380,15 +392,37 @@ impl<T: Transport> MemberCtx<T> {
     /// one. `sends` must not wait for a reply — its frames are not out yet
     /// — though it may receive what [`MemberCtx::ready`] reports queued.
     pub(crate) fn burst<R>(&mut self, sends: impl FnOnce(&mut Self) -> R) -> R {
-        if self.burst.is_some() {
+        if self.bursting {
             return sends(self);
         }
-        self.burst = Some(Vec::new());
+        self.bursting = true;
         let out = sends(self);
-        if let Some(frames) = self.burst.take() {
-            let _ = self.endpoint.send_all(frames);
-        }
+        self.bursting = false;
+        // Sends are best-effort (see `send_frame`): the results go unread.
+        self.endpoint.send_all(&mut self.burst, &mut |_| {});
         out
+    }
+
+    /// A buffer for a sealed message: `SEALED_HEAD` bytes of room for the
+    /// frame head, recycled from a received message where one is spare.
+    fn message_buffer(&mut self) -> Vec<u8> {
+        let mut buf = self
+            .spare
+            .pop()
+            // Room for the common messages (moment requests and replies,
+            // phase broadcasts of a short panel) without regrowing.
+            .unwrap_or_else(|| Vec::with_capacity(256));
+        buf.clear();
+        buf.resize(SEALED_HEAD, 0);
+        buf
+    }
+
+    /// Keeps a decoded message's buffer for a later send, if it is short
+    /// and the spares are not full: retained memory stays bounded.
+    fn recycle(&mut self, buf: Vec<u8>) {
+        if buf.capacity() <= SPARE_CAPACITY && self.spare.len() < SPARE_BUFFERS {
+            self.spare.push(buf);
+        }
     }
 
     /// Files every envelope that has already been delivered
@@ -436,11 +470,10 @@ impl<T: Transport> MemberCtx<T> {
         };
         *seq += 1;
         let (to, bytes) = (PeerId(to as u32), frame.into_wire());
-        match &mut self.burst {
-            Some(frames) => frames.push((to, bytes, plaintext_len)),
-            None => {
-                let _ = self.endpoint.send(to, bytes, plaintext_len);
-            }
+        if self.bursting {
+            self.burst.push((to, bytes, plaintext_len));
+        } else {
+            let _ = self.endpoint.send(to, bytes, plaintext_len);
         }
     }
 
@@ -526,12 +559,17 @@ impl<T: Transport> MemberCtx<T> {
     /// `None` once `from` stayed silent as long as it would be suspected
     /// for, and nobody is suspected. The caller decides what the silence
     /// means.
+    ///
+    /// Frames already delivered are filed first ([`Transport::try_recv`]),
+    /// so a receive that finds its frame queued reads no clock; the
+    /// deadline is fixed on the first blocking wait (and again after a
+    /// heartbeat), one clock read per wait.
     fn await_frame_from<R>(
         &mut self,
         from: usize,
         admit: impl Fn(&mut Link, FrameBody) -> Result<Option<R>, &'static str>,
     ) -> Option<R> {
-        let mut deadline = Instant::now() + self.timeout;
+        let mut deadline = None;
         let probe = self.timeout / SUSPECT_AFTER;
         let mut misses = 0u32;
         loop {
@@ -540,11 +578,18 @@ impl<T: Transport> MemberCtx<T> {
                     Some(taken) => return Some(taken),
                     None => {
                         misses = 0;
-                        deadline = Instant::now() + self.timeout;
+                        deadline = None;
                     }
                 }
             }
-            let remaining = deadline.checked_duration_since(Instant::now())?;
+            if let Some(env) = self.endpoint.try_recv() {
+                self.ingest(env);
+                continue;
+            }
+            let now = Instant::now();
+            let remaining = deadline
+                .get_or_insert(now + self.timeout)
+                .checked_duration_since(now)?;
             match self.endpoint.recv_timeout(probe.min(remaining)) {
                 Ok(env) => self.ingest(env),
                 Err(_) => {
@@ -567,8 +612,7 @@ impl<T: Transport> MemberCtx<T> {
     fn heartbeat(&mut self, awaited: usize) {
         for peer in 0..self.g {
             if peer != awaited && self.attested(peer) {
-                let mut buf = Vec::with_capacity(SEALED_HEAD + aead::OVERHEAD);
-                buf.resize(SEALED_HEAD, 0);
+                let buf = self.message_buffer();
                 self.send_sealed(peer, buf, 0);
             }
         }
@@ -661,11 +705,17 @@ pub(crate) fn send_protocol<T: Transport>(
     to: usize,
     msg: &ProtocolMessage,
 ) {
-    // Room for the common messages (moment requests and replies, phase
-    // broadcasts of a short panel) without regrowing.
-    let mut buf = Vec::with_capacity(256);
-    buf.resize(SEALED_HEAD, 0);
-    msg.encode(&mut buf);
+    send_encoded(ctx, to, |buf| msg.encode(buf));
+}
+
+/// [`send_protocol`] for a message `encode` appends to the buffer itself.
+pub(crate) fn send_encoded<T: Transport>(
+    ctx: &mut MemberCtx<T>,
+    to: usize,
+    encode: impl FnOnce(&mut Vec<u8>),
+) {
+    let mut buf = ctx.message_buffer();
+    encode(&mut buf);
     let plaintext_len = buf.len() - SEALED_HEAD;
     ctx.send_sealed(to, buf, plaintext_len);
 }
@@ -677,7 +727,7 @@ pub(crate) fn recv_protocol<T: Transport>(
     from: usize,
     phase: &'static str,
 ) -> Result<ProtocolMessage, ProtocolError> {
-    await_protocol(ctx, from)?.ok_or_else(|| ctx.suspect(from, phase))
+    recv_decoded(ctx, from, phase, wire::from_bytes)
 }
 
 /// [`recv_protocol`] for a wait that may rightly outlast the timeout, a
@@ -687,6 +737,27 @@ pub(crate) fn await_protocol<T: Transport>(
     ctx: &mut MemberCtx<T>,
     from: usize,
 ) -> Result<Option<ProtocolMessage>, ProtocolError> {
+    await_decoded(ctx, from, wire::from_bytes)
+}
+
+/// [`recv_protocol`] for a message `decode` reads from its plaintext in
+/// place; a plaintext it refuses is `from`'s malformed message.
+pub(crate) fn recv_decoded<T: Transport, R>(
+    ctx: &mut MemberCtx<T>,
+    from: usize,
+    phase: &'static str,
+    decode: impl FnOnce(&[u8]) -> Result<R, WireError>,
+) -> Result<R, ProtocolError> {
+    await_decoded(ctx, from, decode)?.ok_or_else(|| ctx.suspect(from, phase))
+}
+
+/// The wait of [`await_protocol`], decoding with `decode`; the buffer is
+/// kept for a later send.
+fn await_decoded<T: Transport, R>(
+    ctx: &mut MemberCtx<T>,
+    from: usize,
+    decode: impl FnOnce(&[u8]) -> Result<R, WireError>,
+) -> Result<Option<R>, ProtocolError> {
     let buf = match ctx.links[from].opened.take() {
         Some(buf) => buf,
         None => match ctx.await_frame_from(from, Link::open) {
@@ -694,9 +765,10 @@ pub(crate) fn await_protocol<T: Transport>(
             None => return Ok(None),
         },
     };
-    wire::from_bytes(&buf[SEALED_HEAD..buf.len() - aead::OVERHEAD])
-        .map(Some)
-        .map_err(|_| ProtocolError::MalformedMessage { member: from })
+    let decoded = decode(&buf[SEALED_HEAD..buf.len() - aead::OVERHEAD])
+        .map_err(|_| ProtocolError::MalformedMessage { member: from });
+    ctx.recycle(buf);
+    decoded.map(Some)
 }
 
 /// Where an election put a member.
@@ -936,7 +1008,9 @@ pub(crate) fn build_member<T: Transport>(
         collusion: config.collusion,
         expected: expected_measurement(params),
         links: (0..g).map(|_| Link::default()).collect(),
-        burst: None,
+        bursting: false,
+        burst: Vec::new(),
+        spare: Vec::new(),
     };
     Ok((ctx, node, counts))
 }

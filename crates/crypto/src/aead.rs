@@ -208,12 +208,13 @@ impl ChaCha20Poly1305 {
 
     fn compute_tag(poly_key: &[u8; 32], aad: &[u8], ciphertext: &[u8]) -> [u8; TAG_LEN] {
         let mut mac = Poly1305::new(poly_key);
-        mac.update(aad);
-        mac.update(zero_pad(aad.len()));
-        mac.update(ciphertext);
-        mac.update(zero_pad(ciphertext.len()));
-        mac.update(&(aad.len() as u64).to_le_bytes());
-        mac.update(&(ciphertext.len() as u64).to_le_bytes());
+        mac.update_padded(aad);
+        mac.update_padded(ciphertext);
+        // Both lengths as one block, not two half-block updates.
+        let mut lengths = [0u8; 16];
+        lengths[..8].copy_from_slice(&(aad.len() as u64).to_le_bytes());
+        lengths[8..].copy_from_slice(&(ciphertext.len() as u64).to_le_bytes());
+        mac.update(&lengths);
         mac.finalize()
     }
 
@@ -311,11 +312,6 @@ impl ChaCha20Poly1305 {
 }
 
 /// The zero bytes that pad `len` bytes to a 16-byte boundary.
-fn zero_pad(len: usize) -> &'static [u8] {
-    const ZEROS: [u8; 16] = [0; 16];
-    &ZEROS[..(16 - len % 16) % 16]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,21 +1,25 @@
 //! The Poly1305 one-time authenticator (RFC 8439 §2.5).
 //!
-//! Implemented in radix 2^44: the accumulator and `r` are three limbs of
-//! 44, 44 and 42 bits, so a 16-byte block costs nine 64 × 64 → 128-bit
-//! products (the "donna-64" schedule). The final reduction selects
+//! Implemented in radix 2^64: the accumulator is two 64-bit limbs and a
+//! few bits above 2^128, and `r` two 64-bit limbs. The clamp clears the
+//! low two bits of `r`'s upper limb, so a product past 2^128 folds back
+//! through `r1 + r1 / 4` (`5 · r1 / 4`), and a 16-byte block costs four
+//! 64 × 64 → 128-bit products and one 64 × 64 → 64: the step the
+//! channels' short frames pay per block. The final reduction selects
 //! between `h` and `h − p` with a mask, never a branch on the data.
 //!
 //! Bulk input runs eight blocks a step where the CPU reports AVX-512F and
 //! AVX-512 IFMA at run time (std caches the probe): the private `avx512`
-//! module keeps eight accumulators over the powers `r … r⁸` in the same
-//! radix, whose limb products fit IFMA's 52-bit multiplier, and folds them
-//! back into the one state at the end of each [`Poly1305::update`] call.
-//! A call takes that path from `VECTOR_MIN_LEN` (256) bytes on, since the
-//! powers cost seven scalar products to make; shorter input, the blocks
-//! past the last whole group of eight and every other CPU take the scalar
-//! block step, which is also the oracle the kernel is tested against.
-//! Both compute the same polynomial modulo `2^130 − 5`, so the tag does
-//! not depend on the path.
+//! module keeps eight accumulators over the powers `r … r⁸` in radix 2^44,
+//! whose limb products fit IFMA's 52-bit multiplier, converts the state
+//! into that radix on entry and back on return, and folds the lanes into
+//! the one state at the end of each [`Poly1305::update`] call. A call
+//! takes that path from `VECTOR_MIN_LEN` (384) bytes on, since the powers
+//! cost seven products to make; shorter input, the blocks past the last
+//! whole group of eight and every other CPU take the scalar block step,
+//! which is also the oracle the kernel is tested against. Both compute the
+//! same polynomial modulo `2^130 − 5`, so the tag does not depend on the
+//! path.
 
 #[cfg(target_arch = "x86_64")]
 mod avx512;
@@ -32,13 +36,10 @@ pub const BLOCK_LEN: usize = 16;
 const GROUP_LEN: usize = 8 * BLOCK_LEN;
 /// The shortest input a [`Poly1305::update`] call hands the vector kernel
 /// (where the CPU has one). Below it the powers of `r` cost about what
-/// the kernel saves: a 128-byte tag took ≈ 200 ns on the vector path
-/// against ≈ 125 ns scalar, a 256-byte one ≈ 210–240 against ≈ 230 ns,
-/// a 512-byte one ≈ 190 against ≈ 390 ns (2-vCPU AVX-512 IFMA host).
-const VECTOR_MIN_LEN: usize = 256;
-
-const MASK44: u64 = (1 << 44) - 1;
-const MASK42: u64 = (1 << 42) - 1;
+/// the kernel saves: a 256-byte tag took ≈ 184 ns on the vector path
+/// against ≈ 149 ns scalar, a 384-byte one ≈ 199 against ≈ 209 ns, a
+/// 512-byte one ≈ 200 against ≈ 270 ns (2-vCPU AVX-512 IFMA host).
+const VECTOR_MIN_LEN: usize = 384;
 
 fn le64(b: &[u8]) -> u64 {
     let mut word = [0u8; 8];
@@ -46,45 +47,21 @@ fn le64(b: &[u8]) -> u64 {
     u64::from_le_bytes(word)
 }
 
-/// Splits a little-endian 128-bit number into its 44/44/40-bit limbs.
-fn limbs(bytes: &[u8]) -> [u64; 3] {
-    let (t0, t1) = (le64(&bytes[0..8]), le64(&bytes[8..16]));
-    [t0 & MASK44, ((t0 >> 44) | (t1 << 20)) & MASK44, t1 >> 24]
-}
-
-/// `a · b mod 2^130 − 5`, partially reduced, where `sb` is `[20 · b1,
-/// 20 · b2]`: a limb product past 2^130 folds back multiplied by 5, and the
-/// 44-bit limb boundary shifts it by 4.
+/// The two little-endian words of a block shorter than 16 bytes, zero
+/// padded — gathered a byte at a time, since a copy of a variable length
+/// this short costs more as a `memcpy` call than the block step.
 #[inline]
-fn mul(a: [u64; 3], b: [u64; 3], sb: [u64; 2]) -> [u64; 3] {
-    let [a0, a1, a2] = a.map(u128::from);
-    let [b0, b1, b2] = b.map(u128::from);
-    let [s1, s2] = sb.map(u128::from);
-
-    let d0 = a0 * b0 + a1 * s2 + a2 * s1;
-    let d1 = a0 * b1 + a1 * b0 + a2 * s2;
-    let d2 = a0 * b2 + a1 * b1 + a2 * b0;
-
-    let d1 = d1 + (d0 >> 44);
-    let d2 = d2 + (d1 >> 44);
-    let h0 = (d0 as u64 & MASK44) + (d2 >> 42) as u64 * 5;
-    let h1 = (d1 as u64 & MASK44) + (h0 >> 44);
-    [h0 & MASK44, h1, d2 as u64 & MASK42]
-}
-
-/// Carries `h` fully: every limb within its width, `h < 2^130`.
-fn carry(h: [u64; 3]) -> [u64; 3] {
-    let [mut h0, mut h1, mut h2] = h;
-    for _ in 0..2 {
-        h2 += h1 >> 44;
-        h1 &= MASK44;
-        h0 += (h2 >> 42) * 5;
-        h2 &= MASK42;
-        h1 += h0 >> 44;
-        h0 &= MASK44;
+fn partial_words(bytes: &[u8]) -> [u64; 2] {
+    let mut words = [0u64; 2];
+    for (i, &byte) in bytes.iter().enumerate().take(BLOCK_LEN - 1) {
+        words[i / 8] |= u64::from(byte) << (8 * (i % 8));
     }
-    [h0, h1, h2]
+    words
 }
+
+/// A field element modulo `2^130 − 5`, partially reduced: `h0 + 2^64 · h1
+/// + 2^128 · h2`, with `h2` at most 4 between block steps.
+type State = [u64; 3];
 
 /// Whether this CPU runs the `avx512` kernel. Std caches the probe, so
 /// asking per call costs a load and a branch.
@@ -100,11 +77,12 @@ fn has_ifma() -> bool {
 /// [`crate::aead`] derives a fresh one per nonce.
 #[derive(Clone)]
 pub struct Poly1305 {
-    r: [u64; 3],
-    /// `20 · r1` and `20 · r2`, [`mul`]'s `sb` for `r`.
-    s: [u64; 2],
-    pad: [u64; 3],
-    h: [u64; 3],
+    /// The clamped `r`, low limb first.
+    r: [u64; 2],
+    /// `r1 + r1 / 4`: `r1 · 2^128` folded back modulo `2^130 − 5`.
+    s1: u64,
+    pad: [u64; 2],
+    h: State,
     buffer: [u8; BLOCK_LEN],
     buffered: usize,
 }
@@ -122,16 +100,12 @@ impl Poly1305 {
     #[must_use]
     pub fn new(key: &[u8; KEY_LEN]) -> Self {
         // Clamp r per the RFC.
-        let [r0, r1, r2] = limbs(&key[0..16]);
-        let r = [
-            r0 & 0xffc_0fff_ffff,
-            r1 & 0xfff_ffc0_ffff,
-            r2 & 0x00f_ffff_fc0f,
-        ];
+        let r0 = le64(&key[0..8]) & 0x0fff_fffc_0fff_ffff;
+        let r1 = le64(&key[8..16]) & 0x0fff_fffc_0fff_fffc;
         Self {
-            r,
-            s: [r[1] * 20, r[2] * 20],
-            pad: limbs(&key[16..32]),
+            r: [r0, r1],
+            s1: r1 + (r1 >> 2),
+            pad: [le64(&key[16..24]), le64(&key[24..32])],
             h: [0; 3],
             buffer: [0; BLOCK_LEN],
             buffered: 0,
@@ -140,32 +114,35 @@ impl Poly1305 {
 
     /// `h ← (h + block + hibit · 2^128) · r mod 2^130 − 5`, partially
     /// reduced.
+    #[inline]
     fn process_block(&mut self, block: &[u8; BLOCK_LEN], hibit: u64) {
-        let [m0, m1, m2] = limbs(block);
-        let h = [self.h[0] + m0, self.h[1] + m1, self.h[2] + (m2 | hibit)];
-        self.h = mul(h, self.r, self.s);
+        self.process_words([le64(&block[0..8]), le64(&block[8..16])], hibit);
     }
 
-    /// `r, r², …, r⁸`, each fully carried: the vector kernel's
-    /// multipliers.
-    #[cfg(target_arch = "x86_64")]
-    fn powers(&self) -> [[u64; 3]; 8] {
-        // Three products deep rather than seven.
-        let times = |a: [u64; 3], b: [u64; 3]| carry(mul(a, b, [20 * b[1], 20 * b[2]]));
-        let r = self.r;
-        let r2 = times(r, r);
-        let r3 = times(r2, r);
-        let r4 = times(r2, r2);
-        [
-            r,
-            r2,
-            r3,
-            r4,
-            times(r4, r),
-            times(r4, r2),
-            times(r4, r3),
-            times(r4, r4),
-        ]
+    /// [`Self::process_block`] of the block whose little-endian words are
+    /// `m`.
+    #[inline]
+    fn process_words(&mut self, m: [u64; 2], hibit: u64) {
+        let [r0, r1] = self.r.map(u128::from);
+        let s1 = u128::from(self.s1);
+        let [h0, h1, h2] = self.h;
+        // h + m: h2 ≤ 4 plus the pad bit and a carry, at most 6.
+        let (h0, c) = h0.overflowing_add(m[0]);
+        let (h1, c1) = h1.carrying_add(m[1], c);
+        let h2 = h2 + hibit + u64::from(c1);
+        let (h0, h1) = (u128::from(h0), u128::from(h1));
+
+        // r0, r1 < 2^60 and s1 < 2^61, so each sum stays below 2^126.
+        let d0 = h0 * r0 + h1 * s1;
+        let d1 = h0 * r1 + h1 * r0 + u128::from(h2) * s1 + (d0 >> 64);
+        // h2 · r0 < 2^63: the part at 2^128, plus what d1 carries there.
+        let d2 = h2 * self.r[0] + (d1 >> 64) as u64;
+
+        // Fold everything at and above 2^130 back in, times 5.
+        let fold = (d2 & !3) + (d2 >> 2);
+        let (h0, c) = (d0 as u64).overflowing_add(fold);
+        let (h1, c) = (d1 as u64).carrying_add(0, c);
+        self.h = [h0, h1, (d2 & 3) + u64::from(c)];
     }
 
     /// Absorbs message bytes.
@@ -173,9 +150,33 @@ impl Poly1305 {
         self.update_from(data, VECTOR_MIN_LEN);
     }
 
+    /// Absorbs `data`, then zeros up to the next block boundary: RFC 8439
+    /// §2.8's `pad16`, without a second call to feed the padding. With no
+    /// block partly buffered (the AEAD's case) the last partial block goes
+    /// straight to the block step.
+    pub fn update_padded(&mut self, data: &[u8]) {
+        if self.buffered > 0 {
+            self.update(data);
+            if self.buffered > 0 {
+                self.buffer[self.buffered..].fill(0);
+                let block = self.buffer;
+                self.process_block(&block, 1);
+                self.buffered = 0;
+            }
+            return;
+        }
+        let rest = data.len() % BLOCK_LEN;
+        let (whole, rest) = data.split_at(data.len() - rest);
+        self.update_from(whole, VECTOR_MIN_LEN);
+        if !rest.is_empty() {
+            self.process_words(partial_words(rest), 1);
+        }
+    }
+
     /// [`Self::update`], handing the whole groups of eight blocks to the
     /// vector kernel, where the CPU runs it, when at least `vector_from`
     /// bytes remain once the buffered block is complete.
+    #[inline(always)]
     fn update_from(&mut self, mut data: &[u8], vector_from: usize) {
         if self.buffered > 0 {
             let take = (BLOCK_LEN - self.buffered).min(data.len());
@@ -184,7 +185,7 @@ impl Poly1305 {
             data = &data[take..];
             if self.buffered == BLOCK_LEN {
                 let block = self.buffer;
-                self.process_block(&block, 1 << 40);
+                self.process_block(&block, 1);
                 self.buffered = 0;
             }
         }
@@ -193,14 +194,14 @@ impl Poly1305 {
             let (groups, rest) = data.as_chunks::<GROUP_LEN>();
             // SAFETY: `has_ifma()` detected AVX-512F and AVX-512 IFMA on
             // this CPU.
-            self.h = unsafe { avx512::absorb(self.h, &self.powers(), groups) };
+            self.h = unsafe { avx512::absorb(self.h, self.r, groups) };
             data = rest;
         }
         #[cfg(not(target_arch = "x86_64"))]
         let _ = vector_from;
         let (blocks, rest) = data.as_chunks::<BLOCK_LEN>();
         for block in blocks {
-            self.process_block(block, 1 << 40);
+            self.process_block(block, 1);
         }
         if !rest.is_empty() {
             self.buffer[..rest.len()].copy_from_slice(rest);
@@ -212,29 +213,27 @@ impl Poly1305 {
     #[must_use]
     pub fn finalize(mut self) -> [u8; TAG_LEN] {
         if self.buffered > 0 {
-            let mut block = [0u8; BLOCK_LEN];
-            block[..self.buffered].copy_from_slice(&self.buffer[..self.buffered]);
-            block[self.buffered] = 1;
-            self.process_block(&block, 0);
+            // The message's last bytes, then a 1 byte, then zeros.
+            let mut m = partial_words(&self.buffer[..self.buffered]);
+            m[self.buffered / 8] |= 1 << (8 * (self.buffered % 8));
+            self.process_words(m, 0);
         }
-        let [mut h0, mut h1, mut h2] = carry(self.h);
+        // h2 ≤ 4, and h2 = 4 only with h1 : h0 below the last fold, so
+        // h < 2p and one conditional subtraction reduces it fully.
+        let [h0, h1, h2] = self.h;
 
-        // g = h − p = h + 5 − 2^130; take it when it did not borrow.
-        let g0 = h0 + 5;
-        let g1 = h1 + (g0 >> 44);
-        let g2 = (h2 + (g1 >> 44)).wrapping_sub(1 << 42);
-        let take_g = (g2 >> 63).wrapping_sub(1); // all ones when g2 ≥ 0
-        h0 = (h0 & !take_g) | (g0 & MASK44 & take_g);
-        h1 = (h1 & !take_g) | (g1 & MASK44 & take_g);
-        h2 = (h2 & !take_g) | (g2 & MASK42 & take_g);
+        // g = h + 5 − 2^130 = h − p; take it when it did not borrow, that
+        // is when h + 5 reaches 2^130.
+        let (g0, c) = h0.overflowing_add(5);
+        let (g1, c) = h1.carrying_add(0, c);
+        let g2 = h2 + u64::from(c);
+        let take_g = 0u64.wrapping_sub(g2 >> 2); // all ones when h ≥ p
+        let h0 = (h0 & !take_g) | (g0 & take_g);
+        let h1 = (h1 & !take_g) | (g1 & take_g);
 
         // tag = (h + s) mod 2^128.
-        let [p0, p1, p2] = self.pad;
-        h0 += p0;
-        h1 += p1 + (h0 >> 44);
-        h2 += p2 + (h1 >> 44);
-        let lo = (h0 & MASK44) | (h1 << 44);
-        let hi = ((h1 & MASK44) >> 20) | (h2 << 24);
+        let (lo, c) = h0.overflowing_add(self.pad[0]);
+        let (hi, _) = h1.carrying_add(self.pad[1], c);
 
         let mut tag = [0u8; TAG_LEN];
         tag[..8].copy_from_slice(&lo.to_le_bytes());
@@ -252,7 +251,8 @@ impl Poly1305 {
 }
 
 /// The radix-2^26 implementation ("donna" 32-bit schedule) this module
-/// replaced, kept as the oracle the radix-2^44 tags are checked against.
+/// once replaced, kept as the oracle the radix-2^64 tags are checked
+/// against.
 #[cfg(test)]
 mod radix26 {
     use super::{BLOCK_LEN, KEY_LEN, TAG_LEN};
@@ -624,13 +624,32 @@ mod tests {
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn the_powers_are_r_to_the_one_through_eight() {
+        use avx512::{carry_44, mul_44, powers, split_44, MASK42, MASK44};
         let key: [u8; KEY_LEN] = std::array::from_fn(|i| (i as u8).wrapping_mul(37) | 0x0f);
         let p = Poly1305::new(&key);
-        let mut power = p.r;
-        for (k, got) in p.powers().iter().enumerate() {
-            assert_eq!(*got, carry(power), "r^{}", k + 1);
+        let r = split_44([p.r[0], p.r[1], 0]);
+        let mut power = r;
+        for (k, got) in powers(p.r).iter().enumerate() {
+            assert_eq!(*got, carry_44(power), "r^{}", k + 1);
             assert!(got[0] <= MASK44 && got[1] <= MASK44 && got[2] <= MASK42);
-            power = mul(power, p.r, p.s);
+            power = mul_44(power, r, [20 * r[1], 20 * r[2]]);
+        }
+    }
+
+    #[test]
+    fn a_padded_update_absorbs_the_zeros_of_pad16() {
+        let key: [u8; KEY_LEN] = std::array::from_fn(|i| (i as u8).wrapping_mul(29) ^ 0x5a);
+        let data: Vec<u8> = (0..70u8).collect();
+        for len in 0..data.len() {
+            let mut padded = Poly1305::new(&key);
+            padded.update_padded(&data[..len]);
+            padded.update_padded(&data[len..]);
+            let mut plain = Poly1305::new(&key);
+            for piece in [&data[..len], &data[len..]] {
+                plain.update(piece);
+                plain.update(&[0; BLOCK_LEN][..(BLOCK_LEN - piece.len() % BLOCK_LEN) % BLOCK_LEN]);
+            }
+            assert_eq!(padded.finalize(), plain.finalize(), "split at {len}");
         }
     }
 

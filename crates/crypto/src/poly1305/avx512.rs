@@ -8,8 +8,8 @@
 //! `8k` steps of the scalar `h ← (h + m) · r` leave, modulo `2^130 − 5`.
 //! The incoming state rides in lane 0 of the first group.
 //!
-//! The radix is the scalar code's, 2^44 (limbs of 44, 44 and 42 bits), so a
-//! limb product fits the 52-bit multiplier of `vpmadd52luq`/`vpmadd52huq`:
+//! The radix is 2^44 (limbs of 44, 44 and 42 bits), so a limb product fits
+//! the 52-bit multiplier of `vpmadd52luq`/`vpmadd52huq`:
 //! the low instruction adds bits 0–51 of a product, the high one bits
 //! 52–103. The high halves therefore land 8 bits above the next limb (10
 //! above `2^130` for the top limb, which folds back times 5), and the carry
@@ -17,11 +17,16 @@
 //! accumulator's limbs below 2^45 after a message limb is added, the powers'
 //! limbs below 2^44 and `20 · r` below 2^49.
 //!
+//! The scalar state is radix 2^64; [`absorb`] splits it into the kernel's
+//! limbs on entry and joins the folded lanes back on return. The powers of
+//! `r` are made once per call in radix 2^44 too, by the scalar `mul_44`
+//! (the "donna-64" schedule: nine 64 × 64 → 128-bit products).
+//!
 //! The parent module calls in here only after detecting AVX-512F and
 //! AVX-512 IFMA at run time; the scalar block step is the fallback and the
 //! oracle the tests compare this kernel with.
 
-use super::{GROUP_LEN, MASK42, MASK44};
+use super::{State, GROUP_LEN};
 use std::arch::x86_64::{
     __m512i, _mm512_add_epi64, _mm512_and_si512, _mm512_loadu_si512, _mm512_madd52hi_epu64,
     _mm512_madd52lo_epu64, _mm512_or_si512, _mm512_permutex2var_epi64, _mm512_reduce_add_epi64,
@@ -29,8 +34,84 @@ use std::arch::x86_64::{
     _mm512_srli_epi64,
 };
 
+pub(super) const MASK44: u64 = (1 << 44) - 1;
+pub(super) const MASK42: u64 = (1 << 42) - 1;
+
 /// A field element's three limbs, one lane per block.
 type Limbs = [__m512i; 3];
+
+/// Splits a radix-2^64 element (`h2` at most 4) into 44/44/43-bit limbs.
+pub(super) fn split_44(h: State) -> [u64; 3] {
+    let [h0, h1, h2] = h;
+    [
+        h0 & MASK44,
+        ((h0 >> 44) | (h1 << 20)) & MASK44,
+        (h1 >> 24) | (h2 << 40),
+    ]
+}
+
+/// Joins radix-2^44 limbs (each below 2^45) into a radix-2^64 element
+/// below 2^131, `h2` at most 4 as the block step expects.
+fn join_44(h: [u64; 3]) -> State {
+    let [h0, h1, h2] = h.map(u128::from);
+    let low = h0 + (h1 << 44);
+    let high = (low >> 64) + (h2 << 24);
+    [low as u64, high as u64, (high >> 64) as u64]
+}
+
+/// `a · b mod 2^130 − 5` in radix 2^44, partially reduced, where `sb` is
+/// `[20 · b1, 20 · b2]`: a limb product past 2^130 folds back multiplied
+/// by 5, and the 44-bit limb boundary shifts it by 4.
+pub(super) fn mul_44(a: [u64; 3], b: [u64; 3], sb: [u64; 2]) -> [u64; 3] {
+    let [a0, a1, a2] = a.map(u128::from);
+    let [b0, b1, b2] = b.map(u128::from);
+    let [s1, s2] = sb.map(u128::from);
+
+    let d0 = a0 * b0 + a1 * s2 + a2 * s1;
+    let d1 = a0 * b1 + a1 * b0 + a2 * s2;
+    let d2 = a0 * b2 + a1 * b1 + a2 * b0;
+
+    let d1 = d1 + (d0 >> 44);
+    let d2 = d2 + (d1 >> 44);
+    let h0 = (d0 as u64 & MASK44) + (d2 >> 42) as u64 * 5;
+    let h1 = (d1 as u64 & MASK44) + (h0 >> 44);
+    [h0 & MASK44, h1, d2 as u64 & MASK42]
+}
+
+/// Carries `h` fully: every limb within its width, `h < 2^130`.
+pub(super) fn carry_44(h: [u64; 3]) -> [u64; 3] {
+    let [mut h0, mut h1, mut h2] = h;
+    for _ in 0..2 {
+        h2 += h1 >> 44;
+        h1 &= MASK44;
+        h0 += (h2 >> 42) * 5;
+        h2 &= MASK42;
+        h1 += h0 >> 44;
+        h0 &= MASK44;
+    }
+    [h0, h1, h2]
+}
+
+/// `r, r², …, r⁸` of the clamped `r`, each fully carried in radix 2^44:
+/// the kernel's multipliers.
+pub(super) fn powers(r: [u64; 2]) -> [[u64; 3]; 8] {
+    // Three products deep rather than seven.
+    let times = |a: [u64; 3], b: [u64; 3]| carry_44(mul_44(a, b, [20 * b[1], 20 * b[2]]));
+    let r = split_44([r[0], r[1], 0]);
+    let r2 = times(r, r);
+    let r3 = times(r2, r);
+    let r4 = times(r2, r2);
+    [
+        r,
+        r2,
+        r3,
+        r4,
+        times(r4, r),
+        times(r4, r2),
+        times(r4, r3),
+        times(r4, r4),
+    ]
+}
 
 /// `r` in every lane as the multiplier wants it: its limbs and
 /// `[20 · r1, 20 · r2]`.
@@ -140,14 +221,17 @@ fn mul(h: Limbs, m: &Multiplier) -> Limbs {
 }
 
 /// Absorbs `groups` (each eight whole message blocks) into the scalar state
-/// `h`, given `powers[k] = r^(k + 1)` with every limb within its width.
-/// Returns the new state within the bounds the scalar block step leaves:
-/// limbs below 2^44, 2^44 + 2 and 2^42.
+/// `h` under the clamped `r`. Returns the new state within the bounds the
+/// scalar block step leaves: below 2^131, `h2` at most 4.
 #[target_feature(enable = "avx512f,avx512ifma")]
-pub(super) fn absorb(h: [u64; 3], powers: &[[u64; 3]; 8], groups: &[[u8; GROUP_LEN]]) -> [u64; 3] {
+pub(super) fn absorb(h: State, r: [u64; 2], groups: &[[u8; GROUP_LEN]]) -> State {
     let Some((last, init)) = groups.split_last() else {
         return h;
     };
+    // Limbs below 2^44, 2^44 and 2^43: with a message limb added, every
+    // operand stays below 2^45.
+    let h = split_44(h);
+    let powers = powers(r);
     let r8 = Multiplier::new([powers[7]; 8]);
     let tail = Multiplier::new(std::array::from_fn(|i| powers[7 - i]));
     let lane0 = |x: u64| _mm512_setr_epi64(x as i64, 0, 0, 0, 0, 0, 0, 0);
@@ -168,5 +252,33 @@ pub(super) fn absorb(h: [u64; 3], powers: &[[u64; 3]; 8], groups: &[[u8; GROUP_L
     h2 &= MASK42;
     h1 += h0 >> 44;
     h0 &= MASK44;
-    [h0, h1, h2]
+    join_44([h0, h1, h2])
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn the_radix_conversions_round_trip() {
+        for h in [
+            [0, 0, 0],
+            [u64::MAX, u64::MAX, 4],
+            [1 << 63, 5, 3],
+            [7, u64::MAX, 0],
+        ] {
+            assert_eq!(join_44(split_44(h)), h);
+        }
+        // Unnormalised limbs join to the number their carried limbs lay
+        // out bit by bit.
+        let limbs = [MASK44 + (1 << 44), MASK44 + 1, MASK42 + (1 << 42)];
+        let [mut l0, mut l1, mut l2] = limbs.map(u128::from);
+        l1 += l0 >> 44;
+        l0 &= u128::from(MASK44);
+        l2 += l1 >> 44;
+        l1 &= u128::from(MASK44);
+        let low = l0 | (l1 << 44) | (l2 << 88);
+        let want = [low as u64, (low >> 64) as u64, (l2 >> 40) as u64];
+        assert_eq!(join_44(limbs), want);
+    }
 }

@@ -6,8 +6,6 @@
 //! harness reproduce that accounting: every envelope records its plaintext
 //! and on-wire (ciphertext) sizes per directed link.
 
-use std::collections::HashMap;
-
 /// Counters for one directed link or the whole network.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TrafficStats {
@@ -47,54 +45,59 @@ impl TrafficStats {
 }
 
 /// Per-link traffic accounting, keyed by `(from, to)` peer indices.
+///
+/// One entry per link that carried traffic, in order of first use, found
+/// by a linear scan: a federation has a few dozen links at most, and a
+/// scan of them costs less than hashing the key. It is not indexed by
+/// peer id, since a TCP frame's sender id is the peer's own claim and
+/// must not size the table.
 #[derive(Debug, Clone, Default)]
 pub struct TrafficMatrix {
-    links: HashMap<(u32, u32), TrafficStats>,
+    links: Vec<((u32, u32), TrafficStats)>,
 }
 
 impl TrafficMatrix {
     /// Records one message on the `(from, to)` link.
     pub fn record(&mut self, from: u32, to: u32, plaintext: usize, wire: usize) {
-        self.links
-            .entry((from, to))
-            .or_default()
-            .record(plaintext, wire);
+        let key = (from, to);
+        let stats = match self.links.iter().position(|(link, _)| *link == key) {
+            Some(i) => &mut self.links[i].1,
+            None => {
+                self.links.push((key, TrafficStats::default()));
+                &mut self.links.last_mut().expect("just pushed").1
+            }
+        };
+        stats.record(plaintext, wire);
     }
 
     /// Stats for one directed link.
     #[must_use]
     pub fn link(&self, from: u32, to: u32) -> TrafficStats {
-        self.links.get(&(from, to)).copied().unwrap_or_default()
+        self.sum(|link| link == (from, to))
     }
 
     /// Network-wide totals.
     #[must_use]
     pub fn total(&self) -> TrafficStats {
-        let mut t = TrafficStats::default();
-        for s in self.links.values() {
-            t.merge(s);
-        }
-        t
+        self.sum(|_| true)
     }
 
     /// Total bytes received by `peer` from anyone.
     #[must_use]
     pub fn ingress(&self, peer: u32) -> TrafficStats {
-        let mut t = TrafficStats::default();
-        for ((_, to), s) in &self.links {
-            if *to == peer {
-                t.merge(s);
-            }
-        }
-        t
+        self.sum(|(_, to)| to == peer)
     }
 
     /// Total bytes sent by `peer` to anyone.
     #[must_use]
     pub fn egress(&self, peer: u32) -> TrafficStats {
+        self.sum(|(from, _)| from == peer)
+    }
+
+    fn sum(&self, pick: impl Fn((u32, u32)) -> bool) -> TrafficStats {
         let mut t = TrafficStats::default();
-        for ((from, _), s) in &self.links {
-            if *from == peer {
+        for (link, s) in &self.links {
+            if pick(*link) {
                 t.merge(s);
             }
         }

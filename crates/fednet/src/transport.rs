@@ -10,7 +10,10 @@
 //!   faults and meters traffic under the fabric's lock, then enqueues and
 //!   wakes the receiver after releasing it, and a burst
 //!   ([`Transport::send_all`]) enqueues every frame before it wakes each
-//!   destination once;
+//!   destination once. Inboxes are found by peer index, the routing
+//!   scratch is the sending endpoint's and kept, and a receive that finds
+//!   a frame queued reads no clock, so a frame in steady state costs no
+//!   allocation, hash or clock read of the fabric's;
 //! * [`crate::tcp::TcpTransport`] — length-prefixed frames over real TCP
 //!   sockets, for multi-process deployments (`gendpr node`).
 //!
@@ -19,8 +22,8 @@
 
 use crate::fault::FaultPlan;
 use crate::metrics::{TrafficMatrix, TrafficStats};
-use std::cell::Cell;
-use std::collections::{HashMap, VecDeque};
+use std::cell::{Cell, RefCell};
+use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
 use std::marker::PhantomData;
@@ -121,7 +124,9 @@ pub trait Transport: Send {
     fn send(&self, to: PeerId, payload: Vec<u8>, plaintext_len: usize) -> Result<(), NetError>;
 
     /// Sends a burst — a fan-out such as one request to every member —
-    /// and returns each frame's [`Transport::send`] result, in order.
+    /// and reports each frame's [`Transport::send`] result to `result`, in
+    /// order. The burst is drained from `frames`, which keeps its capacity
+    /// for the caller's next one.
     ///
     /// The contract is that of calling `send` on each frame in turn: every
     /// frame is attempted whatever became of the ones before it, per-pair
@@ -133,14 +138,14 @@ pub trait Transport: Send {
     /// beyond the call (say, to the sender's next receive) would stall any
     /// receiver whose sender goes idle on something else. The default
     /// sends one frame after another, which is what TCP does.
-    fn send_all(&self, frames: Vec<Outgoing>) -> Vec<Result<(), NetError>> {
-        frames
-            .into_iter()
-            .map(|(to, payload, plaintext_len)| self.send(to, payload, plaintext_len))
-            .collect()
+    fn send_all(&self, frames: &mut Vec<Outgoing>, result: &mut dyn FnMut(Result<(), NetError>)) {
+        for (to, payload, plaintext_len) in frames.drain(..) {
+            result(self.send(to, payload, plaintext_len));
+        }
     }
 
-    /// Blocks for the next message up to `timeout`.
+    /// Blocks for the next message up to `timeout`. A message already
+    /// delivered is returned at once.
     ///
     /// # Errors
     ///
@@ -206,21 +211,29 @@ impl Inbox {
         lock(&self.queue).frames.pop_front()
     }
 
-    /// The next frame, waiting for one until `deadline` (forever if none).
-    fn pop(&self, deadline: Option<Instant>) -> Result<Envelope, NetError> {
+    /// The next frame, waiting for one up to `timeout` (forever if none).
+    /// A queued frame is taken without reading the clock; the deadline is
+    /// fixed on the first wait.
+    fn pop(&self, timeout: Option<Duration>) -> Result<Envelope, NetError> {
         let mut queue = lock(&self.queue);
+        let mut deadline = None;
         loop {
             if let Some(env) = queue.frames.pop_front() {
                 return Ok(env);
             }
             queue.asleep = true;
-            queue = match deadline {
+            queue = match timeout {
                 None => self
                     .ready
                     .wait(queue)
                     .unwrap_or_else(PoisonError::into_inner),
-                Some(deadline) => {
-                    let Some(left) = deadline.checked_duration_since(Instant::now()) else {
+                Some(timeout) => {
+                    let now = Instant::now();
+                    let deadline = *deadline.get_or_insert_with(|| now + timeout);
+                    let Some(left) = deadline
+                        .checked_duration_since(now)
+                        .filter(|left| !left.is_zero())
+                    else {
                         queue.asleep = false;
                         return Err(NetError::Timeout);
                     };
@@ -244,7 +257,8 @@ struct HeldFrame {
 
 #[derive(Debug, Default)]
 struct NetworkState {
-    inboxes: HashMap<PeerId, Arc<Inbox>>,
+    /// Registered inboxes, by peer index.
+    inboxes: Vec<Option<Arc<Inbox>>>,
     metrics: TrafficMatrix,
     /// Wakes issued: one per destination per send, burst or flush of due
     /// frames (see [`Network::wakes`]).
@@ -257,6 +271,10 @@ impl NetworkState {
     fn delays_possible(&self) -> bool {
         self.faults.has_chaos() || !self.held.is_empty()
     }
+
+    fn inbox(&self, peer: PeerId) -> Option<&Arc<Inbox>> {
+        self.inboxes.get(peer.0 as usize)?.as_ref()
+    }
 }
 
 #[derive(Debug, Default)]
@@ -268,7 +286,9 @@ struct Fabric {
 }
 
 /// Frames routed under the fabric lock, handed over after it is released.
-#[derive(Default)]
+/// Each endpoint keeps one and reuses it: [`Handover::run`] leaves it
+/// empty with its capacity.
+#[derive(Debug, Default)]
 struct Handover {
     /// `(destination slot, frame)` in routing order.
     frames: Vec<(usize, Envelope)>,
@@ -312,13 +332,13 @@ impl Handover {
 
     /// Enqueues every frame, then wakes each destination whose owner was
     /// asleep — once, however many frames it got.
-    fn run(mut self) {
-        for (slot, env) in self.frames {
+    fn run(&mut self) {
+        for (slot, env) in self.frames.drain(..) {
             let (_, inbox, asleep) = &mut self.destinations[slot];
             *asleep |= inbox.push(env);
         }
-        for (_, inbox, asleep) in &self.destinations {
-            if *asleep {
+        for (_, inbox, asleep) in self.destinations.drain(..) {
+            if asleep {
                 inbox.ready.notify_one();
             }
         }
@@ -346,12 +366,20 @@ impl Network {
     #[must_use]
     pub fn register(&self, id: PeerId) -> Endpoint {
         let inbox = Arc::new(Inbox::default());
-        let prev = self.lock().inboxes.insert(id, Arc::clone(&inbox));
-        assert!(prev.is_none(), "peer {id} registered twice");
+        {
+            let mut state = self.lock();
+            let slot = id.0 as usize;
+            if state.inboxes.len() <= slot {
+                state.inboxes.resize(slot + 1, None);
+            }
+            let prev = state.inboxes[slot].replace(Arc::clone(&inbox));
+            assert!(prev.is_none(), "peer {id} registered twice");
+        }
         Endpoint {
             id,
             inbox,
             network: self.clone(),
+            handover: RefCell::default(),
             _one_receiver: PhantomData,
         }
     }
@@ -414,12 +442,12 @@ impl Network {
         &self,
         from: PeerId,
         frames: impl IntoIterator<Item = Outgoing>,
+        handover: &mut Handover,
         mut result: impl FnMut(Result<(), NetError>),
     ) {
-        let mut handover = Handover::default();
         {
             let mut state = self.lock();
-            Self::take_due(&mut state, &mut handover);
+            Self::take_due(&mut state, handover);
             for (to, payload, plaintext_len) in frames {
                 let env = Envelope {
                     from,
@@ -427,7 +455,7 @@ impl Network {
                     payload,
                     plaintext_len,
                 };
-                result(Self::route(&mut state, env, &mut handover));
+                result(Self::route(&mut state, env, handover));
             }
             self.fabric
                 .delays
@@ -447,7 +475,7 @@ impl Network {
         if !decision.deliver {
             return Err(NetError::Dropped);
         }
-        let Some(inbox) = state.inboxes.get(&env.to).map(Arc::clone) else {
+        let Some(inbox) = state.inbox(env.to).map(Arc::clone) else {
             return Err(NetError::UnknownPeer(env.to));
         };
         for _ in 0..decision.duplicates {
@@ -475,7 +503,7 @@ impl Network {
         while i < state.held.len() {
             if state.held[i].due <= now {
                 let env = state.held.swap_remove(i).env;
-                if let Some(inbox) = state.inboxes.get(&env.to).map(Arc::clone) {
+                if let Some(inbox) = state.inbox(env.to).map(Arc::clone) {
                     let _ = handover.deliver(state, inbox, env);
                 }
             } else {
@@ -488,14 +516,13 @@ impl Network {
     /// deliveries are possible at all (chaos active or frames still held),
     /// so receivers know to poll instead of blocking for the full deadline.
     /// Without chaos this reads one flag and takes no lock.
-    fn poll_pending(&self) -> bool {
+    fn poll_pending(&self, handover: &mut Handover) -> bool {
         if !self.fabric.delays.load(Ordering::SeqCst) {
             return false;
         }
-        let mut handover = Handover::default();
         let possible = {
             let mut state = self.lock();
-            Self::take_due(&mut state, &mut handover);
+            Self::take_due(&mut state, handover);
             let possible = state.delays_possible();
             self.fabric.delays.store(possible, Ordering::SeqCst);
             possible
@@ -511,6 +538,8 @@ pub struct Endpoint {
     id: PeerId,
     inbox: Arc<Inbox>,
     network: Network,
+    /// The routing scratch of this endpoint's sends and flushes.
+    handover: RefCell<Handover>,
     /// `Send` but not `Sync`, like the channel receiver it replaced: an
     /// inbox has one receiver, the one its `asleep` flag describes.
     _one_receiver: PhantomData<Cell<()>>,
@@ -531,17 +560,28 @@ impl Endpoint {
     /// [`NetError::UnknownPeer`] or [`NetError::Dropped`].
     pub fn send(&self, to: PeerId, payload: Vec<u8>, plaintext_len: usize) -> Result<(), NetError> {
         let mut out = Ok(());
-        self.network
-            .send(self.id, [(to, payload, plaintext_len)], |r| out = r);
+        self.network.send(
+            self.id,
+            [(to, payload, plaintext_len)],
+            &mut self.handover.borrow_mut(),
+            |r| out = r,
+        );
         out
     }
 
     /// Sends a burst ([`Transport::send_all`]): every frame is enqueued
     /// before any destination is woken, and each destination is woken once.
-    pub fn send_all(&self, frames: Vec<Outgoing>) -> Vec<Result<(), NetError>> {
-        let mut results = Vec::with_capacity(frames.len());
-        self.network.send(self.id, frames, |r| results.push(r));
-        results
+    pub fn send_all(
+        &self,
+        frames: &mut Vec<Outgoing>,
+        result: &mut dyn FnMut(Result<(), NetError>),
+    ) {
+        self.network.send(
+            self.id,
+            frames.drain(..),
+            &mut self.handover.borrow_mut(),
+            result,
+        );
     }
 
     /// Blocks for the next message.
@@ -553,25 +593,39 @@ impl Endpoint {
         self.inbox.pop(None)
     }
 
-    /// Blocks for the next message up to `timeout`. While reorder chaos is
-    /// active the wait is sliced so frames held by the fault plan are
-    /// flushed to their inboxes as they come due.
+    /// Blocks for the next message up to `timeout`; a queued frame comes
+    /// back without a clock read. While reorder chaos is active the wait
+    /// is sliced so frames held by the fault plan are flushed to their
+    /// inboxes as they come due, and they are flushed before any frame is
+    /// taken.
     ///
     /// # Errors
     ///
     /// [`NetError::Timeout`] or [`NetError::Disconnected`].
     pub fn recv_timeout(&self, timeout: Duration) -> Result<Envelope, NetError> {
+        if !self.poll_pending() {
+            return self.inbox.pop(Some(timeout));
+        }
         let deadline = Instant::now() + timeout;
         loop {
-            if !self.network.poll_pending() {
-                return self.inbox.pop(Some(deadline));
-            }
-            let slice = deadline.min(Instant::now() + Duration::from_millis(1));
+            let slice = deadline
+                .saturating_duration_since(Instant::now())
+                .min(Duration::from_millis(1));
             match self.inbox.pop(Some(slice)) {
                 Err(NetError::Timeout) if Instant::now() < deadline => {}
                 received => return received,
             }
+            if !self.poll_pending() {
+                return self
+                    .inbox
+                    .pop(Some(deadline.saturating_duration_since(Instant::now())));
+            }
         }
+    }
+
+    /// [`Network::poll_pending`] with this endpoint's scratch.
+    fn poll_pending(&self) -> bool {
+        self.network.poll_pending(&mut self.handover.borrow_mut())
     }
 
     /// Non-blocking receive; `None` when the inbox is empty.
@@ -602,8 +656,8 @@ impl Transport for Endpoint {
         Endpoint::send(self, to, payload, plaintext_len)
     }
 
-    fn send_all(&self, frames: Vec<Outgoing>) -> Vec<Result<(), NetError>> {
-        Endpoint::send_all(self, frames)
+    fn send_all(&self, frames: &mut Vec<Outgoing>, result: &mut dyn FnMut(Result<(), NetError>)) {
+        Endpoint::send_all(self, frames, result);
     }
 
     fn recv_timeout(&self, timeout: Duration) -> Result<Envelope, NetError> {
@@ -740,6 +794,14 @@ mod tests {
         }
     }
 
+    /// Sends `frames` as one burst and collects every frame's result.
+    fn send_all(endpoint: &Endpoint, mut frames: Vec<Outgoing>) -> Vec<Result<(), NetError>> {
+        let mut results = Vec::new();
+        endpoint.send_all(&mut frames, &mut |r| results.push(r));
+        assert!(frames.is_empty(), "a burst is drained");
+        results
+    }
+
     fn drain(endpoint: &Endpoint) -> Vec<u8> {
         std::iter::from_fn(|| endpoint.try_recv())
             .map(|env| env.payload[0])
@@ -756,7 +818,7 @@ mod tests {
         let burst: Vec<Outgoing> = (0..12u8)
             .map(|i| (PeerId(1 + u32::from(i % 2)), vec![i], 1))
             .collect();
-        assert!(a.send_all(burst).iter().all(Result::is_ok));
+        assert!(send_all(&a, burst).iter().all(Result::is_ok));
         a.send(PeerId(1), vec![101], 1).unwrap();
         assert_eq!(drain(&b), [100, 0, 2, 4, 6, 8, 10, 101]);
         assert_eq!(drain(&c), [1, 3, 5, 7, 9, 11]);
@@ -776,13 +838,16 @@ mod tests {
         let mut faults = FaultPlan::none();
         faults.crash(3);
         net.set_faults(faults);
-        let results = a.send_all(vec![
-            (PeerId(1), vec![1], 1),
-            (PeerId(9), vec![2], 1),
-            (PeerId(3), vec![3], 1),
-            (PeerId(2), vec![4], 1),
-            (PeerId(1), vec![5], 1),
-        ]);
+        let results = send_all(
+            &a,
+            vec![
+                (PeerId(1), vec![1], 1),
+                (PeerId(9), vec![2], 1),
+                (PeerId(3), vec![3], 1),
+                (PeerId(2), vec![4], 1),
+                (PeerId(1), vec![5], 1),
+            ],
+        );
         assert_eq!(
             results,
             [
@@ -817,7 +882,7 @@ mod tests {
                 handle
             })
             .collect();
-        let results = a.send_all(vec![(PeerId(1), vec![1], 1), (PeerId(2), vec![2], 1)]);
+        let results = send_all(&a, vec![(PeerId(1), vec![1], 1), (PeerId(2), vec![2], 1)]);
         assert!(results.iter().all(Result::is_ok));
         for (id, handle) in (1u8..).zip(waiting) {
             let (payload, waited) = handle.join().unwrap();
@@ -844,7 +909,7 @@ mod tests {
             let frames = (0..4u8)
                 .map(|i| (PeerId(1 + u32::from(i % 2)), vec![burst * 4 + i], 1))
                 .collect();
-            assert!(a.send_all(frames).iter().all(Result::is_ok));
+            assert!(send_all(&a, frames).iter().all(Result::is_ok));
         }
         for (receiver, parity) in [(&b, 0u8), (&c, 1u8)] {
             let expected: std::collections::HashSet<u8> =
@@ -874,13 +939,23 @@ mod tests {
             Err(NetError::Timeout)
         );
         assert!(started.elapsed() >= Duration::from_millis(30));
-        for i in 1..=3 {
+        for i in 1..=4 {
             a.send(PeerId(1), vec![i], 1).unwrap();
         }
-        // A queued frame is returned even by a zero-length wait.
+        // A queued frame is returned even by a zero-length wait, and by a
+        // long one without waiting.
         assert_eq!(b.recv_timeout(Duration::ZERO).unwrap().payload, [1]);
-        assert_eq!(b.try_recv().unwrap().payload, [2]);
-        assert_eq!(b.recv().unwrap().payload, [3]);
+        let started = Instant::now();
+        assert_eq!(
+            b.recv_timeout(Duration::from_secs(60)).unwrap().payload,
+            [2]
+        );
+        assert!(
+            started.elapsed() < Duration::from_secs(5),
+            "waited for a queued frame"
+        );
+        assert_eq!(b.try_recv().unwrap().payload, [3]);
+        assert_eq!(b.recv().unwrap().payload, [4]);
         assert!(b.try_recv().is_none());
         // A blocking `recv` is woken by a later send.
         let inbox = Arc::clone(&b.inbox);
@@ -888,6 +963,46 @@ mod tests {
         until_asleep(&inbox);
         a.send(PeerId(1), vec![4], 1).unwrap();
         assert_eq!(receiver.join().unwrap(), Ok(vec![4]));
+    }
+
+    /// Sends one-byte frames to `to` until the fault plan holds one back,
+    /// and returns it; every frame delivered meanwhile is left queued.
+    fn send_until_held(from: &Endpoint, to: &Endpoint) -> u8 {
+        for i in 0..=u8::MAX {
+            let queued = lock(&to.inbox.queue).frames.len();
+            from.send(to.id(), vec![i], 1).unwrap();
+            if lock(&to.inbox.queue).frames.len() == queued {
+                return i;
+            }
+        }
+        panic!("the fault plan held no frame back");
+    }
+
+    #[test]
+    fn due_held_frames_are_flushed_before_a_receive_waits() {
+        let net = Network::new();
+        let a = net.register(PeerId(0));
+        let b = net.register(PeerId(1));
+        let mut faults = FaultPlan::none();
+        faults.chaos(crate::fault::ChaosFaults {
+            seed: 5,
+            drop_rate: 0.0,
+            duplicate_rate: 0.0,
+            reorder_window_ms: 3,
+        });
+        net.set_faults(faults);
+        for wait in [Duration::ZERO, Duration::from_secs(60)] {
+            let held = send_until_held(&a, &b);
+            drain(&b);
+            // The held frame is due, but only a flush moves it to the
+            // inbox: a receive that took the queue's word for it would time
+            // out on the zero wait and sit out the long one.
+            std::thread::sleep(Duration::from_millis(20));
+            assert!(lock(&b.inbox.queue).frames.is_empty());
+            let started = Instant::now();
+            assert_eq!(b.recv_timeout(wait).unwrap().payload, [held], "{wait:?}");
+            assert!(started.elapsed() < Duration::from_secs(5), "{wait:?}");
+        }
     }
 
     #[test]

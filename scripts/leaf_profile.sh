@@ -9,7 +9,11 @@
 # exported symbol whose extent (`nm -D -S`) holds it, or stays
 # `[libc.so.6]` (internal code such as the memmove variants); samples in
 # other libraries and the vDSO count by library. Last, the context
-# switches per timed job (getrusage, all threads, over the same window).
+# switches per timed job (getrusage, all threads, over the same window)
+# and the heap allocations per timed job: the sampler also defines
+# malloc/calloc/realloc, counting each call before it forwards it to
+# glibc's __libc_* entry points (what the Rust system allocator calls;
+# posix_memalign, for over-aligned layouts, is not counted).
 # The assess-* workloads pin themselves to one CPU. Writes nothing under
 # benchmark/ but the harness's usual out/; builds into CARGO_TARGET_DIR
 # or the repository's target/. x86-64 Linux; not part of check.sh.
@@ -27,10 +31,11 @@ work=$(mktemp -d "${TMPDIR:-/tmp}/gendpr-leaf.XXXXXX")
 trap 'rm -rf "$work"' EXIT
 
 # The sampler. The handler stores the interrupted RIP and a monotonic
-# timestamp, and every 64th sample the process's context switches so far;
-# the destructor writes every object's load bias, the executable
-# mappings, the samples (age at exit in ns, address) and the switch
-# counts (age at exit in ns, voluntary, involuntary), the last at exit.
+# timestamp, and every 64th sample the process's context switches and
+# allocations so far; the destructor writes every object's load bias, the
+# executable mappings, the samples (age at exit in ns, address) and the
+# switch counts (age at exit in ns, voluntary, involuntary, allocations),
+# the last at exit.
 cat >"$work/sampler.c" <<'C'
 #define _GNU_SOURCE
 #include <link.h>
@@ -47,8 +52,29 @@ cat >"$work/sampler.c" <<'C'
 static struct { long long ns; unsigned long ip; } samples[MAX_SAMPLES];
 static unsigned long taken;
 #define MAX_SWITCHES (MAX_SAMPLES / 64)
-static struct { long long ns; long voluntary, involuntary; } switches[MAX_SWITCHES];
+static struct { long long ns; long voluntary, involuntary; unsigned long allocations; } switches[MAX_SWITCHES];
 static unsigned long switch_marks;
+
+/* Heap allocations by every thread: calls to malloc, calloc and realloc. */
+static unsigned long allocations;
+extern void *__libc_malloc(size_t size);
+extern void *__libc_calloc(size_t count, size_t size);
+extern void *__libc_realloc(void *ptr, size_t size);
+
+void *malloc(size_t size) {
+    __atomic_fetch_add(&allocations, 1, __ATOMIC_RELAXED);
+    return __libc_malloc(size);
+}
+
+void *calloc(size_t count, size_t size) {
+    __atomic_fetch_add(&allocations, 1, __ATOMIC_RELAXED);
+    return __libc_calloc(count, size);
+}
+
+void *realloc(void *ptr, size_t size) {
+    __atomic_fetch_add(&allocations, 1, __ATOMIC_RELAXED);
+    return __libc_realloc(ptr, size);
+}
 
 static void mark_switches(long long ns) {
     unsigned long n = __atomic_fetch_add(&switch_marks, 1, __ATOMIC_RELAXED);
@@ -57,6 +83,7 @@ static void mark_switches(long long ns) {
         switches[n].ns = ns;
         switches[n].voluntary = usage.ru_nvcsw;
         switches[n].involuntary = usage.ru_nivcsw;
+        switches[n].allocations = __atomic_load_n(&allocations, __ATOMIC_RELAXED);
     }
 }
 
@@ -125,8 +152,8 @@ __attribute__((destructor)) static void finish(void) {
         fprintf(out, "s %lld %lx\n", end - samples[i].ns, samples[i].ip);
     unsigned long marks = switch_marks < MAX_SWITCHES ? switch_marks : MAX_SWITCHES;
     for (unsigned long i = 0; i < marks; i++)
-        fprintf(out, "cs %lld %ld %ld\n", end - switches[i].ns, switches[i].voluntary,
-                switches[i].involuntary);
+        fprintf(out, "cs %lld %ld %ld %lu\n", end - switches[i].ns, switches[i].voluntary,
+                switches[i].involuntary, switches[i].allocations);
     fclose(maps);
     fclose(out);
 }
@@ -186,9 +213,9 @@ $1 == "map" { lo[++nmap] = hex($2); hi[nmap] = hex($3); path[nmap] = $4; next }
 $1 == "cs" {
     # The last mark is taken at exit; the window opens at the latest mark
     # at least `window_ns` before it.
-    if ($2 + 0 == 0) { end_v = $3; end_i = $4 }
+    if ($2 + 0 == 0) { end_v = $3; end_i = $4; end_a = $5 }
     else if ($2 + 0 >= window_ns && (!have_start || $2 + 0 < start_age)) {
-        start_age = $2 + 0; start_v = $3; start_i = $4; have_start = 1
+        start_age = $2 + 0; start_v = $3; start_i = $4; start_a = $5; have_start = 1
     }
     next
 }
@@ -207,8 +234,11 @@ $1 == "s" {
 END {
     printf "%d of %d samples in the last %d s\n", kept, all, window_ns / 1e9 > "/dev/stderr"
     jobs = rate * start_age / 1e9
-    if (have_start && jobs > 0)
+    if (have_start && jobs > 0) {
         printf "context switches per timed job (%.0f jobs in %.1f s): %.0f voluntary, %.0f involuntary\n",
             jobs, start_age / 1e9, (end_v - start_v) / jobs, (end_i - start_i) / jobs > "/dev/stderr"
+        printf "allocations per timed job (malloc, calloc, realloc): %.0f\n",
+            (end_a - start_a) / jobs > "/dev/stderr"
+    }
     for (w in count) printf "%7.2f %%  %6d  %s\n", 100 * count[w] / kept, count[w], w
 }' "$work/symbols.txt" "$work/libc.txt" "$work/samples.txt" | sort -rn | head -n "$top"
