@@ -10,8 +10,8 @@
 //! It is deliberately *not* built on the leader core every other driver
 //! runs (`engine`): row-major pooled counts and a dense `LrMatrix` make
 //! it an independent oracle, which `tests/equivalence.rs`,
-//! `tests/stratification.rs`, the `table4` experiment and the dynamic
-//! assessor's single-epoch test compare GenDPR against.
+//! `tests/stratification.rs` and the `table4` experiment compare GenDPR
+//! against.
 
 use crate::config::GwasParams;
 use crate::error::ProtocolError;

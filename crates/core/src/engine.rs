@@ -19,9 +19,8 @@
 //!   certificate) serves [`crate::runtime`] and [`crate::serving`];
 //! * the **local** source ([`Local`]) answers at once from in-process
 //!   [`GdoNode`]s: [`crate::protocol::Federation`] (the evaluation
-//!   subsets), the naïve baseline (all members for L′, each alone for LD
-//!   and LR) and [`crate::dynamic`] (one member with the cumulative cases,
-//!   earlier releases forced).
+//!   subsets) and the naïve baseline (all members for L′, each alone for
+//!   LD and LR).
 //!
 //! [`follower_serve`] is the member side of an attested job. Announcing a
 //! job, rekeying and traffic accounting stay with the drivers.

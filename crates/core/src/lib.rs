@@ -20,16 +20,13 @@
 //! * [`runtime`] — the fully threaded deployment: one thread per GDO,
 //!   enclaves, remote attestation and encrypted channels end to end,
 //! * the crate-private `engine` — the leader core every driver runs:
-//!   [`runtime`] and [`serving`] over attested channels, [`protocol`],
-//!   the naïve baseline and [`dynamic`] over in-process members,
+//!   [`runtime`] and [`serving`] over attested channels, [`protocol`]
+//!   and the naïve baseline over in-process members,
 //! * [`baseline`] — the centralized (SecureGenome-in-one-enclave) and
 //!   naïve distributed comparison pipelines,
 //! * [`attack`] — the LR membership adversary used to validate releases,
 //! * [`release`] — noise-free releases over `L_safe` plus the §5.5 hybrid
 //!   DP extension,
-//! * [`dynamic`] — DyPS-style incremental assessment: batches of genomes
-//!   arrive over time and the irreversible cumulative release is
-//!   re-certified at every epoch,
 //! * [`certificate`] — enclave-signed assessment certificates binding
 //!   parameters, input digests and the safe set for auditability,
 //! * [`serving`] — long-lived service sessions: the federation attests
@@ -69,7 +66,6 @@ pub mod baseline;
 pub mod certificate;
 pub mod collusion;
 pub mod config;
-pub mod dynamic;
 mod engine;
 pub mod error;
 pub mod gdo;

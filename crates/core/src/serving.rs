@@ -8,8 +8,8 @@
 //! request is pure overhead. Worse, assessing every request in isolation
 //! is *unsound*: each release is irreversible, so the adversary's LR
 //! power must be charged against the union of everything released so
-//! far, not just the panel at hand (the dynamic-study argument of
-//! [`crate::dynamic`], applied across studies).
+//! far, not just the panel at hand (DyPS's irreversibility argument,
+//! applied across studies).
 //!
 //! This module keeps the session open. A member joins exactly as a
 //! one-shot member does — the runtime's deployment check, member setup

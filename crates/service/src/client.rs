@@ -50,7 +50,7 @@ impl ServiceClient {
     }
 
     /// Queues a job and returns its id without waiting for it to run.
-    /// `batches` must be 0: the daemon refuses a dynamic job. (The
+    /// `batches` must be 0: the daemon refuses any other count. (The
     /// argument stays until the benchmark, which passes 0, is re-pinned.)
     ///
     /// # Errors

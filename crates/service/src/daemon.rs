@@ -24,9 +24,9 @@
 //! Every job runs on a lane's attested member session (one election and
 //! attestation per lane per daemon lifetime, channels ratcheted between
 //! jobs), so the daemon releases only what an attested leader certified.
-//! Admission refuses a dynamic batch count (`batches > 0`): the DyPS
-//! extension runs in process (`gendpr assess --batches N`), and the
-//! daemon holds no pooled copy of the case cohort to feed it.
+//! Admission refuses a dynamic batch count (`batches > 0`): the daemon
+//! holds no pooled copy of the case cohort, and the ledger already
+//! charges every earlier release to each later job.
 
 use crate::error::ServiceError;
 use crate::ledger::{LedgerRecord, ReleaseLedger};
@@ -302,7 +302,7 @@ impl AssessmentService {
     }
 
     /// Queues one job and returns a ticket to wait on, without blocking.
-    /// `batches` must be 0: admission refuses a dynamic job. (The
+    /// `batches` must be 0: admission refuses any other count. (The
     /// argument stays until the benchmark, which passes 0, is re-pinned.)
     ///
     /// # Errors

@@ -36,9 +36,9 @@ use std::path::{Path, PathBuf};
 pub enum JobKind {
     /// Federated assessment by the attested member session.
     Federated,
-    /// Local dynamic batch assessment, uncertified. No daemon writes it
-    /// any more; it is decoded so ledgers written by older daemons still
-    /// open, audit and seed later jobs.
+    /// Local dynamic batch assessment, uncertified. Nothing writes it
+    /// now; it is decoded so ledgers written by older daemons still open,
+    /// audit and seed later jobs.
     Dynamic,
 }
 

@@ -25,8 +25,8 @@ pub enum ClientRequest {
     Submit {
         /// Requested SNP ids.
         panel: Vec<u32>,
-        /// Decoded for clients written before dynamic jobs left the
-        /// daemon, which sent a batch count here; must be 0.
+        /// A dynamic batch count, decoded for older clients that sent
+        /// one; admission refuses any value but 0.
         batches: u32,
         /// Block until the job completes.
         wait: bool,

@@ -35,10 +35,11 @@ pub struct Limits {
     pub max_retries: u32,
 }
 
-/// Why a dynamic job (`batches > 0`) is refused: the DyPS extension runs
-/// in process, over a cohort the daemon does not hold.
+/// Why a dynamic job (`batches > 0`) is refused: the daemon holds no
+/// pooled copy of the case cohort, and the ledger charges every earlier
+/// release to later federated jobs.
 pub(crate) const DYNAMIC_JOBS_REFUSED: &str =
-    "the daemon runs only federated jobs; run dynamic batches with `gendpr assess --batches N`";
+    "the daemon runs only federated jobs; a dynamic batch count must be 0";
 
 /// Validates and normalizes a submitted spec: refuses a dynamic batch
 /// count, sorts and deduplicates the panel, then applies the structural

@@ -682,8 +682,9 @@ pub struct LrSelection {
 /// `case` holds LR contributions of the true case participants, `null` the
 /// contributions of reference individuals (the null model). The `forced`
 /// columns are unconditionally part of the release before any candidate
-/// is considered — the dynamic-study setting, where previously released
-/// statistics cannot be retracted (a one-off study passes `&[]`). They
+/// is considered — a served job charges every earlier release this way,
+/// since released statistics cannot be retracted (a one-off study passes
+/// `&[]`). They
 /// seed the cumulative LR sums; `order` then visits candidate columns
 /// most-significant-first (the χ² ranking), and each is kept iff the
 /// attack's power over `forced ∪ kept` stays *below*

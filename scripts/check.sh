@@ -24,8 +24,8 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 echo "==> cargo test --workspace --no-fail-fast -q"
 cargo test --workspace --no-fail-fast -q
 
-# The examples are the public callers of Federation and DynamicAssessor:
-# run every one (release, ~1.5 s in total), not only compile it.
+# The examples are the public callers of Federation and the threaded
+# runtime: run every one (release, ~1.5 s in total), not only compile it.
 echo "==> examples (release)"
 for example in examples/*.rs; do
     cargo run --release -q --example "$(basename "$example" .rs)" >/dev/null

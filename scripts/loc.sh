@@ -65,7 +65,7 @@ total_added=0
 total_removed=0
 total_nontest=0
 files=()
-for tree in crates/*/src src tests scripts; do
+for tree in crates/*/src src tests scripts examples; do
     read -r added removed < <(git diff --numstat "$base" -- "$tree" ':(exclude)*.md' |
         awk '$1 != "-" { a += $1; r += $2 } END { print a + 0, r + 0 }')
     [ "$added" -eq 0 ] && [ "$removed" -eq 0 ] && continue

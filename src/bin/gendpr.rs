@@ -21,7 +21,6 @@
 
 use gendpr::core::attack::{AttackStatistic, MembershipAttacker};
 use gendpr::core::config::{CollusionMode, FederationConfig, GwasParams};
-use gendpr::core::dynamic::DynamicAssessor;
 use gendpr::core::error::ProtocolError;
 use gendpr::core::release::GwasRelease;
 use gendpr::core::runtime::{run_federation_with, run_member, RuntimeOptions};
@@ -71,7 +70,7 @@ const SERVICE: &[&str] = &[
     "drain-timeout",
     "track-lease-ms",
 ];
-const ASSESS_FLAGS: &[&[&str]] = &[STUDY, FEDERATION, &["out", "batches", "log-level"]];
+const ASSESS_FLAGS: &[&[&str]] = &[STUDY, FEDERATION, &["out", "log-level"]];
 const ASSESS_BOOLS: &[&str] = &["distributed"];
 const NODE_FLAGS: &[&[&str]] = &[
     &["id", "peers", "listen"],
@@ -238,9 +237,7 @@ gendpr stop   [--addr HOST:PORT[,...]]\n\n\
 `assess --distributed` spawns one `gendpr node` process per GDO on free\n\
 localhost ports and runs the protocol over real TCP sockets; `node` runs a\n\
 single member against an explicit peer roster (same seed + study files on\n\
-every host ⇒ same federation, bit-identical release). `assess --batches N`\n\
-runs the dynamic assessor instead: the case cohort arrives in N batches and\n\
-every epoch re-certifies the cumulative (irreversible) release.\n\n\
+every host ⇒ same federation, bit-identical release).\n\n\
 SERVICE:\n  `serve` keeps the federation attested across a stream of jobs (default\n  \
 client address 127.0.0.1:7450; --tcp runs the members over loopback\n  \
 sockets instead of the in-memory fabric — certificates are byte-identical\n  \
@@ -248,8 +245,7 @@ either way). Every certified release is appended to the checksummed\n  \
 --ledger file and seeds the LR phase of all later jobs, so the certified\n  \
 adversary power always covers the cumulative release — across jobs and\n  \
 across daemon restarts. `submit` queues a job (blocking until certified\n  \
-unless --no-wait); every job runs federated on an attested lane (dynamic\n  \
-batches run in process: `assess --batches N`).\n  \
+unless --no-wait); every job runs federated on an attested lane.\n  \
 `--workers N` runs N federation lanes concurrently; releases stay\n  \
 deterministic because every job's seed is a ledger snapshot taken at\n  \
 dispatch and commits land in job-id order. `--max-queue N` bounds the\n  \
@@ -528,16 +524,7 @@ fn release_for(cohort: &Cohort, safe_snps: &[gendpr::genomics::snp::SnpId]) -> G
 fn cmd_assess(flags: &HashMap<String, String>) -> Result<(), CliError> {
     apply_log_level(flags)?;
     if flags.contains_key("distributed") {
-        if flags.contains_key("batches") {
-            return Err(CliError::from(
-                "--batches runs locally; drop --distributed".to_string(),
-            ));
-        }
         return cmd_assess_distributed(flags);
-    }
-    let batches: u32 = flag(flags, "batches", 0)?;
-    if batches > 0 {
-        return cmd_assess_dynamic(flags, batches);
     }
     let cohort = load_cohort(flags)?;
     let gdos: usize = flag(flags, "gdos", 3)?;
@@ -817,55 +804,6 @@ fn run_node(flags: &HashMap<String, String>) -> Result<(), CliError> {
         let release = release_for(&cohort, &outcome.safe_snps);
         std::fs::write(out, release.to_tsv()).map_err(|e| format!("writing {out}: {e}"))?;
         println!("release written to {out} ({} SNPs)", release.len());
-    }
-    Ok(())
-}
-
-/// `assess --batches N`: the dynamic setting — case genomes arrive in N
-/// batches, every epoch re-screens the cumulative data and certifies the
-/// cumulative (irreversible) release via the seeded LR search.
-fn cmd_assess_dynamic(flags: &HashMap<String, String>, batches: u32) -> Result<(), CliError> {
-    let cohort = load_cohort(flags)?;
-    let params = params_from_flags(flags)?;
-    let genomes = cohort.case_individuals();
-    if batches as usize > genomes {
-        return Err(CliError::from(format!(
-            "--batches {batches} exceeds the {genomes} case genomes"
-        )));
-    }
-    println!(
-        "dynamic assessment: {} SNPs, {genomes} case genomes arriving in {batches} batches…",
-        cohort.panel().len()
-    );
-    let mut assessor =
-        DynamicAssessor::new(params, cohort.reference().clone()).map_err(protocol_error)?;
-    let base = genomes / batches as usize;
-    let extra = genomes % batches as usize;
-    let mut start = 0;
-    for i in 0..batches as usize {
-        let len = base + usize::from(i < extra);
-        let report = assessor
-            .add_batch(&cohort.case().row_range(start, len))
-            .map_err(protocol_error)?;
-        start += len;
-        println!(
-            "epoch {}: {} genomes seen, +{} SNPs released (cumulative {}), regret {}",
-            report.epoch,
-            report.total_genomes,
-            report.newly_released.len(),
-            report.total_released,
-            report.regret.len()
-        );
-    }
-    let release = release_for(&cohort, assessor.released());
-    if let Some(out) = flags.get("out") {
-        std::fs::write(out, release.to_tsv()).map_err(|e| format!("writing {out}: {e}"))?;
-        println!("release written to {out} ({} SNPs)", release.len());
-    } else {
-        println!(
-            "cumulative release: {} SNPs (pass --out FILE to save it)",
-            release.len()
-        );
     }
     Ok(())
 }

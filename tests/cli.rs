@@ -193,14 +193,18 @@ fn strict_flag_parsing_rejects_mistakes() {
     let stderr = String::from_utf8_lossy(&wrong_cmd.stderr);
     assert!(stderr.contains("unknown flag --gdos"), "{stderr}");
 
-    // The per-combination fan-out is gone, and its flag with it.
-    let removed = bin()
-        .args(["assess", "--case", "x.vcf", "--threads", "2"])
-        .output()
-        .expect("runs");
-    assert_eq!(removed.status.code(), Some(1));
-    let stderr = String::from_utf8_lossy(&removed.stderr);
-    assert!(stderr.contains("unknown flag --threads"), "{stderr}");
+    // The per-combination fan-out is gone, and its flag with it; so is
+    // the in-process batched assessment: the ledger charges earlier
+    // releases.
+    for (flag, value) in [("--threads", "2"), ("--batches", "2")] {
+        let removed = bin()
+            .args(["assess", "--case", "x.vcf", flag, value])
+            .output()
+            .expect("runs");
+        assert_eq!(removed.status.code(), Some(1));
+        let stderr = String::from_utf8_lossy(&removed.stderr);
+        assert!(stderr.contains(&format!("unknown flag {flag}")), "{stderr}");
+    }
 
     // So are the fault-injection knobs, on `serve`, `tracks` and `node`,
     // the failure detector's probe interval, which the timeout fixes, and

@@ -1,17 +1,16 @@
 //! Pins the in-process drivers' decisions byte for byte: `Federation::run`
-//! (five collusion configurations), the naïve baseline at G = 3 and a
-//! seeded four-epoch `DynamicAssessor`, each hashed (FNV-1a 64) on a fixed
-//! synthetic cohort. The constants were captured at the commit before
-//! these drivers became wiring over one pooled-subset type, and the last
-//! two `Federation` cases (`AllUpTo` at G = 4, `Fixed(1)` at G = 5) at the
-//! commit before they became configurations of the attested leader's core,
-//! so any change to what they select, in any phase, fails here. The third
-//! and fifth cases were captured with a second, data-oblivious subset
-//! search that selected identically; the one search still meets them.
+//! (five collusion configurations) and the naïve baseline at G = 3, each
+//! hashed (FNV-1a 64) on a fixed synthetic cohort. The constants were
+//! captured at the commit before these drivers became wiring over one
+//! pooled-subset type, and the last two `Federation` cases (`AllUpTo` at
+//! G = 4, `Fixed(1)` at G = 5) at the commit before they became
+//! configurations of the attested leader's core, so any change to what
+//! they select, in any phase, fails here. The third and fifth cases were
+//! captured with a second, data-oblivious subset search that selected
+//! identically; the one search still meets them.
 
 use gendpr::core::baseline::naive::NaiveDistributed;
 use gendpr::core::config::{CollusionMode, FederationConfig, GwasParams};
-use gendpr::core::dynamic::DynamicAssessor;
 use gendpr::core::protocol::Federation;
 use gendpr::genomics::snp::SnpId;
 use gendpr::genomics::synth::SyntheticCohort;
@@ -132,23 +131,4 @@ fn naive_decisions_are_pinned() {
         .snps(&out.l_double_prime)
         .snps(&out.safe_snps);
     assert_eq!(h.0, 0xe538_f890_6108_940c, "got {:#018x}", h.0);
-}
-
-#[test]
-fn seeded_dynamic_epochs_are_pinned() {
-    let c = cohort(45);
-    let mut assessor = DynamicAssessor::new(params(), c.reference().clone()).unwrap();
-    assessor
-        .seed_released(&[SnpId(2), SnpId(11), SnpId(40), SnpId(77), SnpId(130)])
-        .unwrap();
-    let mut h = Fnv::new();
-    let mut released = 0;
-    for (start, len) in [(0, 60), (60, 90), (150, 90), (240, 90)] {
-        let report = assessor.add_batch(&c.case().row_range(start, len)).unwrap();
-        h.snps(&report.newly_released).snps(&report.regret);
-        released += report.newly_released.len();
-    }
-    assert_eq!(assessor.total_genomes(), 330);
-    assert!(released > 0, "the pin must cover released epochs");
-    assert_eq!(h.0, 0x7415_0a08_b5be_2811, "got {:#018x}", h.0);
 }

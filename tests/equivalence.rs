@@ -115,10 +115,8 @@ proptest! {
 /// it would later be computed from.
 #[test]
 fn a_study_without_case_genomes_is_refused_by_every_driver() {
-    use gendpr::core::dynamic::DynamicAssessor;
     use gendpr::core::error::ProtocolError;
     use gendpr::core::runtime::run_federation;
-    use gendpr::genomics::genotype::GenotypeMatrix;
     use std::time::Duration;
 
     let study = |cases| {
@@ -159,21 +157,4 @@ fn a_study_without_case_genomes_is_refused_by_every_driver() {
             .map(drop),
         "CentralizedPipeline",
     );
-
-    // An empty batch is refused before it opens an epoch: the real batch
-    // after it releases what a fresh assessor releases on it alone.
-    let real = study(6);
-    let batch = real.case();
-    let mut late = DynamicAssessor::new(params, real.reference().clone()).unwrap();
-    refused(
-        late.add_batch(&GenotypeMatrix::zeroed(0, 40)).map(drop),
-        "DynamicAssessor::add_batch",
-    );
-    assert!(late.released().is_empty());
-    let mut fresh = DynamicAssessor::new(params, real.reference().clone()).unwrap();
-    assert_eq!(
-        late.add_batch(batch).unwrap(),
-        fresh.add_batch(batch).unwrap()
-    );
-    assert_eq!(late.released(), fresh.released());
 }

@@ -4,6 +4,7 @@
 //! byte-identical certificates over the in-memory fabric and real TCP
 //! sockets.
 
+use gendpr::core::attack::{MembershipAttacker, ReleasedStatistics};
 use gendpr::core::config::{CollusionMode, FederationConfig, GwasParams};
 use gendpr::core::error::ProtocolError;
 use gendpr::core::runtime::{run_federation_with, RuntimeOptions};
@@ -120,6 +121,34 @@ fn two_jobs_charge_the_cumulative_release() {
     );
     assert!(second.final_power < params().lr.power_threshold);
     assert_ne!(second.certificate, first.certificate);
+
+    // The certified claim, checked by the adversary: an LR membership
+    // attacker holding the whole cumulative release (both jobs' SNPs at
+    // the pooled frequencies) stays below the threshold. An LR search that
+    // ignores `forced` releases a union this attacker reads at ≈ 0.97.
+    let cohort = study();
+    let mut union = [first.released.as_slice(), &second.released].concat();
+    union.sort_unstable();
+    let freqs = |m: &gendpr::genomics::genotype::GenotypeMatrix| {
+        let (counts, n) = (m.column_counts(), m.individuals() as f64);
+        union
+            .iter()
+            .map(|s| counts[s.index()] as f64 / n)
+            .collect::<Vec<_>>()
+    };
+    let release = ReleasedStatistics {
+        case_freqs: freqs(cohort.case()),
+        ref_freqs: freqs(cohort.reference()),
+        snps: union.clone(),
+    };
+    let attacker =
+        MembershipAttacker::calibrate(release, cohort.reference(), params().lr.false_positive_rate);
+    let power = attacker.power_against(cohort.case());
+    assert!(
+        power < params().lr.power_threshold,
+        "the cumulative release of {} SNPs reads power {power}",
+        union.len()
+    );
 
     // Per-job traffic covers every directed link of a 3-member clique;
     // only the leader's star carries bytes (followers never talk to each
@@ -416,8 +445,8 @@ fn client_protocol_drives_a_live_daemon() {
     // panel: the daemon releases only what an attested lane certified.
     let refused = client.submit_and_wait((0..100).collect(), 3).unwrap_err();
     assert!(
-        refused.to_string().contains("assess --batches"),
-        "the refusal names the in-process path, got: {refused}"
+        refused.to_string().contains("only federated jobs"),
+        "the refusal says why, got: {refused}"
     );
 
     let status = client.status().unwrap();

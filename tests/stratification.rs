@@ -26,16 +26,19 @@ fn stratified(seed: u64) -> SyntheticCohort {
 
 #[test]
 fn gendpr_matches_centralized_even_with_heterogeneous_members() {
-    for seed in [1u64, 2, 3] {
+    // The last input is one member holding every case: a leader core over
+    // a single member selects what the centralized pipeline selects.
+    for (seed, gdos) in [(1u64, GDOS), (2, GDOS), (3, GDOS), (1, 1)] {
         let c = stratified(seed);
         let params = GwasParams::secure_genome_defaults();
         let central = CentralizedPipeline::new(params).run(c.as_ref()).unwrap();
-        let gendpr = Federation::new(FederationConfig::new(GDOS), params, &c)
+        let gendpr = Federation::new(FederationConfig::new(gdos), params, &c)
             .run()
             .unwrap();
-        assert_eq!(central.l_prime, gendpr.l_prime, "seed {seed}");
-        assert_eq!(central.l_double_prime, gendpr.l_double_prime, "seed {seed}");
-        assert_eq!(central.safe_snps, gendpr.safe_snps, "seed {seed}");
+        let case = format!("seed {seed}, {gdos} GDOs");
+        assert_eq!(central.l_prime, gendpr.l_prime, "{case}");
+        assert_eq!(central.l_double_prime, gendpr.l_double_prime, "{case}");
+        assert_eq!(central.safe_snps, gendpr.safe_snps, "{case}");
     }
 }
 

@@ -655,7 +655,7 @@ fn a_reclaimed_dynamic_claim_resolves_as_failed_without_a_commit() {
         })
         .expect("the dynamic claim was resolved with a Done marker");
     assert!(
-        done.contains("assess --batches"),
+        done.contains("only federated jobs"),
         "the marker says why: {done}"
     );
     let claims = log
