@@ -22,8 +22,9 @@
 //!   subsets) and the naïve baseline (all members for L′, each alone for
 //!   LD and LR).
 //!
-//! [`follower_serve`] is the member side of an attested job. Announcing a
-//! job, rekeying and traffic accounting stay with the drivers.
+//! [`follower_serve`] is the member side of an attested job: a
+//! [`Follower`] machine the transport drives. Announcing a job, rekeying
+//! and traffic accounting stay with the drivers.
 
 use crate::certificate::{AssessmentCertificate, AssessmentFacts, JobContext};
 use crate::collusion::{evaluation_subsets, intersect_selections};
@@ -38,9 +39,9 @@ use crate::phases::ld::LdScan;
 use crate::phases::lrtest::admission_order;
 use crate::phases::maf::{run_maf, MafOutcome, Phase1};
 use crate::protocol::PhaseTimings;
-use crate::runtime::{recv_decoded, recv_protocol, send_encoded, send_protocol, MemberCtx};
+use crate::runtime::{recv_decoded, recv_protocol, send_encoded, send_protocol, MemberCtx, Peers};
 use crate::serving::{ShardOutput, ShardScan};
-use gendpr_fednet::transport::Transport;
+use gendpr_fednet::transport::{Handler, Outgoing, PeerId, Transport};
 use gendpr_fednet::wire::{self, Encode, WireError};
 use gendpr_genomics::columnar::ColumnarGenotypes;
 use gendpr_genomics::genotype::GenotypeMatrix;
@@ -48,10 +49,12 @@ use gendpr_genomics::snp::SnpId;
 use gendpr_stats::ld::{LdMoments, LdTest};
 use gendpr_stats::lr::{select_safe_subset, LrColumns, LrMatrix, LrSelection, LrValues};
 use gendpr_stats::ranking::SnpRank;
+use gendpr_tee::enclave::Enclave;
 use gendpr_tee::memory::EpcAccount;
 use std::cell::OnceCell;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Sends `msg` to every member of `peers` except this one, in order, as
@@ -1116,47 +1119,63 @@ pub(crate) enum Terminator {
     ShardDone,
 }
 
-/// Serves one job as a follower: answers the leader's moments queries and
-/// (in a full assessment) LR-matrix requests over the attested channel
-/// until the terminator arrives, and returns the safe set it carried
-/// (empty for a shard job). One-shot runs and service jobs share it, so a
-/// service job follows byte-for-byte the message schedule of a standalone
-/// run.
-///
-/// Each wake answers every request already queued from the leader (see
-/// [`MemberCtx::ready`]) in one burst, closed before the next blocking
-/// receive: the replies, their order and their bytes are those of
-/// answering one request at a time, at one hand-off per wake.
+/// Serves one job as a follower until the terminator arrives and returns
+/// the safe set it carried (empty for a shard job), with `ctx`. One-shot
+/// runs, service jobs and shard lanes share it, so a service job follows
+/// byte-for-byte the message schedule of a standalone run. The job is a
+/// [`Follower`], which takes the member's links and enclave with it into
+/// [`Transport::serve`]; a leader silent through the timeout is suspected.
 pub(crate) fn follower_serve<T: Transport>(
-    ctx: &mut MemberCtx<T>,
-    node: &GdoNode,
+    mut ctx: MemberCtx<T>,
+    node: &Arc<GdoNode>,
     leader: usize,
     terminator: Terminator,
-) -> Result<Vec<SnpId>, ProtocolError> {
+) -> (MemberCtx<T>, Result<Vec<SnpId>, ProtocolError>) {
+    let mut follower = Follower {
+        peers: ctx.peers,
+        enclave: ctx.enclave,
+        node: Arc::clone(node),
+        id: ctx.id,
+        leader,
+        terminator,
+        compact_lr: ctx.compact_lr,
+        pairs: Vec::new(),
+    };
+    // What a receive before the job filed goes first.
+    let mut out = Vec::new();
+    let filed = follower.answer_filed(&mut out).transpose();
+    if !out.is_empty() {
+        ctx.endpoint.send_all(&mut out, &mut |_| {});
+    }
+    let (follower, outcome) = match filed {
+        Some(outcome) => (follower, Some(outcome)),
+        None => ctx.endpoint.serve(follower, ctx.timeout),
+    };
+    ctx.peers = follower.peers;
+    ctx.enclave = follower.enclave;
     let phase = match terminator {
         Terminator::Phase3 => "awaiting-leader",
         Terminator::ShardDone => "shard-serve",
     };
-    // The pairs of the moments request read last, kept across messages.
-    let mut pairs = Vec::new();
-    loop {
-        let first = recv_from_leader(ctx, leader, phase, &mut pairs)?;
-        let done = ctx.burst(|ctx| -> Result<_, ProtocolError> {
-            let mut msg = first;
-            loop {
-                if let Some(safe) = answer(ctx, node, leader, terminator, msg, &pairs)? {
-                    return Ok(Some(safe));
-                }
-                if !ctx.ready(leader) {
-                    return Ok(None);
-                }
-                msg = recv_from_leader(ctx, leader, phase, &mut pairs)?;
-            }
-        })?;
-        if let Some(safe) = done {
-            return Ok(safe);
-        }
-    }
+    let outcome = outcome.unwrap_or_else(|| Err(ctx.suspect(leader, phase)));
+    (ctx, outcome)
+}
+
+/// A follower serving one job, without I/O: it takes the leader's frames
+/// in sequence order, opens each under the link's next receive counter,
+/// answers it and seals the replies into `out`. It owns what that takes,
+/// so it can move to the thread that delivers and back. Its one channel is
+/// its leader's, whom a heartbeat skips, so silence asks nothing of it.
+pub(crate) struct Follower {
+    peers: Peers,
+    enclave: Enclave<()>,
+    node: Arc<GdoNode>,
+    id: usize,
+    leader: usize,
+    terminator: Terminator,
+    compact_lr: bool,
+    /// The pairs of the moments request read last, kept across messages.
+    pairs: Vec<MomentsRequest>,
 }
 
 /// A message from the leader to a follower serving a job.
@@ -1167,92 +1186,123 @@ enum FromLeader {
     Other(ProtocolMessage),
 }
 
-/// Receives the leader's next message; a moments request's pairs go to
-/// `pairs`, so the exchange builds no vector per message.
-fn recv_from_leader<T: Transport>(
-    ctx: &mut MemberCtx<T>,
-    leader: usize,
-    phase: &'static str,
-    pairs: &mut Vec<MomentsRequest>,
-) -> Result<FromLeader, ProtocolError> {
-    recv_decoded(ctx, leader, phase, |bytes| -> Result<_, WireError> {
-        match moments_request_in(bytes)? {
-            Some(read) => {
-                pairs.clear();
-                pairs.extend(read);
-                Ok(FromLeader::Pairs)
-            }
-            None => wire::from_bytes(bytes).map(FromLeader::Other),
-        }
-    })
+impl Handler for Follower {
+    type Done = Vec<SnpId>;
+    type Error = ProtocolError;
+
+    /// Files a frame, then answers every message of the leader's next in
+    /// sequence; the safe set once the terminator is taken. A frame that
+    /// does not fit its slot is dropped, as a blocking receive drops it.
+    fn on_frame(
+        &mut self,
+        from: PeerId,
+        payload: Vec<u8>,
+        out: &mut Vec<Outgoing>,
+    ) -> Result<Option<Vec<SnpId>>, ProtocolError> {
+        self.peers.ingest(self.id, from, payload);
+        self.answer_filed(out)
+    }
+
+    fn heard(&self) -> u64 {
+        self.peers.heard(self.leader)
+    }
 }
 
-/// Answers one message of the job [`follower_serve`] is serving (a moments
-/// request's `pairs`); the safe set once the terminator arrives.
-fn answer<T: Transport>(
-    ctx: &mut MemberCtx<T>,
-    node: &GdoNode,
-    leader: usize,
-    terminator: Terminator,
-    msg: FromLeader,
-    pairs: &[MomentsRequest],
-) -> Result<Option<Vec<SnpId>>, ProtocolError> {
-    let full = terminator == Terminator::Phase3;
-    // Ids and vector lengths are the leader's input: a wrong one is a
-    // malformed message, not an index past this member's panel.
-    let past_panel = |id: u32| id as usize >= node.columnar().snps();
-    let malformed = || ProtocolError::MalformedMessage { member: leader };
-    let msg = match msg {
-        FromLeader::Pairs => {
-            if pairs.iter().any(|p| past_panel(p.a) || past_panel(p.b)) {
-                return Err(malformed());
+impl Follower {
+    /// Answers every filed message of the leader's next in sequence; a
+    /// moments request's pairs are read into `pairs`, building no vector.
+    fn answer_filed(
+        &mut self,
+        out: &mut Vec<Outgoing>,
+    ) -> Result<Option<Vec<SnpId>>, ProtocolError> {
+        while let Some(buf) = self.peers.next_message(self.id, self.leader) {
+            let pairs = &mut self.pairs;
+            let msg = self
+                .peers
+                .decode(self.leader, buf, |bytes| -> Result<_, WireError> {
+                    match moments_request_in(bytes)? {
+                        Some(read) => {
+                            pairs.clear();
+                            pairs.extend(read);
+                            Ok(FromLeader::Pairs)
+                        }
+                        None => wire::from_bytes(bytes).map(FromLeader::Other),
+                    }
+                })?;
+            if let Some(safe) = self.answer(msg, out)? {
+                return Ok(Some(safe));
             }
-            send_encoded(ctx, leader, |buf| {
-                let reports = pairs
-                    .iter()
-                    .map(|p| node.ld_moments(SnpId(p.a), SnpId(p.b)));
-                encode_moments(reports, buf);
-            });
-            return Ok(None);
         }
-        FromLeader::Other(msg) => msg,
-    };
-    match msg {
-        ProtocolMessage::Phase1(_) if full => {
-            // Informational: L' arrives before the moments queries.
-        }
-        ProtocolMessage::Phase2(combo, broadcast) if full => {
-            let n = broadcast.retained.len();
-            let one_freq_each = broadcast.case_freqs.len() == n && broadcast.ref_freqs.len() == n;
-            if !one_freq_each || broadcast.retained.iter().any(|&s| past_panel(s)) {
-                return Err(malformed());
-            }
-            let snps: Vec<SnpId> = broadcast.retained.iter().map(|&s| SnpId(s)).collect();
-            let compact = ctx.compact_lr;
-            let (report, bytes) = ctx.enclave.enter(|(), epc| {
-                let (report, cells) = if compact {
-                    let r = node.lr_report_compact(&snps);
-                    let cells = r.bits.len();
-                    (ProtocolMessage::LrCompact(combo, r), cells)
-                } else {
-                    let r = node.lr_report(&snps, &broadcast.case_freqs, &broadcast.ref_freqs);
-                    let cells = r.values.len();
-                    (ProtocolMessage::Lr(combo, r), cells)
-                };
-                let bytes = 8 * cells as u64;
-                epc.alloc(bytes);
-                (report, bytes)
-            });
-            send_protocol(ctx, leader, &report);
-            ctx.enclave.enter(|(), epc| epc.free(bytes));
-        }
-        ProtocolMessage::Phase3(broadcast) if full => {
-            return Ok(Some(broadcast.safe.into_iter().map(SnpId).collect()));
-        }
-        ProtocolMessage::ShardDone if !full => return Ok(Some(Vec::new())),
-        msg => return Err(unexpected_from_leader(leader, &msg)),
+        Ok(None)
     }
-    Ok(None)
+
+    /// Answers one message of the job (a moments request's `pairs`); the
+    /// safe set once the terminator arrives.
+    fn answer(
+        &mut self,
+        msg: FromLeader,
+        out: &mut Vec<Outgoing>,
+    ) -> Result<Option<Vec<SnpId>>, ProtocolError> {
+        let (node, leader) = (&*self.node, self.leader);
+        let full = self.terminator == Terminator::Phase3;
+        // Ids and vector lengths are the leader's input: a wrong one is a
+        // malformed message, not an index past this member's panel.
+        let past_panel = |id: u32| id as usize >= node.columnar().snps();
+        let malformed = || ProtocolError::MalformedMessage { member: leader };
+        let msg = match msg {
+            FromLeader::Pairs => {
+                let pairs = &self.pairs;
+                if pairs.iter().any(|p| past_panel(p.a) || past_panel(p.b)) {
+                    return Err(malformed());
+                }
+                out.push(self.peers.sealed(leader, |buf| {
+                    let reports = pairs
+                        .iter()
+                        .map(|p| node.ld_moments(SnpId(p.a), SnpId(p.b)));
+                    encode_moments(reports, buf);
+                }));
+                return Ok(None);
+            }
+            FromLeader::Other(msg) => msg,
+        };
+        match msg {
+            ProtocolMessage::Phase1(_) if full => {
+                // Informational: L' arrives before the moments queries.
+            }
+            ProtocolMessage::Phase2(combo, broadcast) if full => {
+                let n = broadcast.retained.len();
+                let one_freq_each =
+                    broadcast.case_freqs.len() == n && broadcast.ref_freqs.len() == n;
+                if !one_freq_each || broadcast.retained.iter().any(|&s| past_panel(s)) {
+                    return Err(malformed());
+                }
+                let snps: Vec<SnpId> = broadcast.retained.iter().map(|&s| SnpId(s)).collect();
+                let compact = self.compact_lr;
+                let (report, bytes) = self.enclave.enter(|(), epc| {
+                    let (report, cells) = if compact {
+                        let r = node.lr_report_compact(&snps);
+                        let cells = r.bits.len();
+                        (ProtocolMessage::LrCompact(combo, r), cells)
+                    } else {
+                        let r = node.lr_report(&snps, &broadcast.case_freqs, &broadcast.ref_freqs);
+                        let cells = r.values.len();
+                        (ProtocolMessage::Lr(combo, r), cells)
+                    };
+                    let bytes = 8 * cells as u64;
+                    epc.alloc(bytes);
+                    (report, bytes)
+                });
+                out.push(self.peers.sealed(leader, |buf| report.encode(buf)));
+                self.enclave.enter(|(), epc| epc.free(bytes));
+            }
+            ProtocolMessage::Phase3(broadcast) if full => {
+                return Ok(Some(broadcast.safe.into_iter().map(SnpId).collect()));
+            }
+            ProtocolMessage::ShardDone if !full => return Ok(Some(Vec::new())),
+            msg => return Err(unexpected_from_leader(leader, &msg)),
+        }
+        Ok(None)
+    }
 }
 
 /// The error a follower reports for a message that is not part of what it
@@ -1278,9 +1328,12 @@ mod tests {
     use crate::messages::{LrReport, LrReportCompact, MomentsReport};
     use crate::runtime::{build_member, establish_channel, RuntimeOptions};
     use gendpr_crypto::rng::ChaChaRng;
-    use gendpr_fednet::transport::{Network, PeerId};
+    use gendpr_fednet::fault::FaultPlan;
+    use gendpr_fednet::metrics::TrafficStats;
+    use gendpr_fednet::transport::{Endpoint, Envelope, NetError, Network};
     use gendpr_genomics::synth::SyntheticCohort;
     use std::sync::OnceLock;
+    use std::time::Duration;
 
     /// Member 1 of 2 serves a job over an 8-SNP shard while a hand-rolled
     /// leader sends `msgs`; returns how the follower's loop ended.
@@ -1309,7 +1362,7 @@ mod tests {
         let follower = std::thread::spawn(move || {
             let (mut ctx, node, _) = build_member(endpoint, 1, &config, &params, options, shard())?;
             establish_channel(&mut ctx, 0)?;
-            follower_serve(&mut ctx, &node, 0, Terminator::Phase3)
+            follower_serve(ctx, &Arc::new(node), 0, Terminator::Phase3).1
         });
         establish_channel(&mut leader, 1).unwrap();
         for msg in msgs {
@@ -1322,7 +1375,8 @@ mod tests {
     fn requests_queued_while_a_follower_slept_cost_one_wake_to_answer() {
         // The leader queues k moments requests before member 1 starts
         // serving; its k replies must reach the leader in order as one
-        // burst, however the threads are scheduled.
+        // burst, however the threads are scheduled. The terminator then
+        // reaches the serving follower on the leader's thread: no wake.
         let config = FederationConfig::new(2);
         let params = GwasParams::secure_genome_defaults();
         let options = RuntimeOptions::default();
@@ -1343,7 +1397,7 @@ mod tests {
             let (mut ctx, node, _) = build_member(endpoint, 1, &config, &params, options, shard())?;
             establish_channel(&mut ctx, 0)?;
             gate.recv().expect("the leader queues its requests first");
-            follower_serve(&mut ctx, &node, 0, Terminator::Phase3)
+            follower_serve(ctx, &Arc::new(node), 0, Terminator::Phase3).1
         });
         establish_channel(&mut leader, 1).unwrap();
         let k = 5u32;
@@ -1363,6 +1417,7 @@ mod tests {
         let phase3 = ProtocolMessage::Phase3(Phase3Broadcast { safe: vec![3] });
         send_protocol(&mut leader, 1, &phase3);
         assert_eq!(follower.join().unwrap().unwrap(), vec![SnpId(3)]);
+        assert_eq!(network.wakes() - before, 1, "the terminator is no wake");
     }
 
     #[test]
@@ -1621,7 +1676,7 @@ mod tests {
             establish_channel(&mut ctx, 0).unwrap();
             send_protocol(&mut ctx, 0, &ProtocolMessage::Counts(counts));
             // An abort ends it with an error: the leader's business.
-            let _ = follower_serve(&mut ctx, &node, 0, Terminator::Phase3);
+            let _ = follower_serve(ctx, &Arc::new(node), 0, Terminator::Phase3);
         });
         let (endpoint, shard) = (network.register(PeerId(2)), shards.next().unwrap());
         let liar = std::thread::spawn(move || {
@@ -1786,6 +1841,237 @@ mod tests {
                 proptest::prop_assert_eq!(&run.outcome, &clean.outcome, "{:?}", lie);
             }
             proptest::prop_assert!(run.peak <= clean.peak, "{:?}: peak {} > {}", lie, run.peak, clean.peak);
+        }
+    }
+
+    /// An endpoint behind the default, blocking [`Transport::serve`].
+    struct Blocking(Endpoint);
+
+    impl Transport for Blocking {
+        fn id(&self) -> PeerId {
+            self.0.id()
+        }
+
+        fn send(&self, to: PeerId, payload: Vec<u8>, plaintext_len: usize) -> Result<(), NetError> {
+            self.0.send(to, payload, plaintext_len)
+        }
+
+        fn recv_timeout(&self, timeout: Duration) -> Result<Envelope, NetError> {
+            self.0.recv_timeout(timeout)
+        }
+
+        fn try_recv(&self) -> Option<Envelope> {
+            self.0.try_recv()
+        }
+
+        fn set_faults(&self, faults: FaultPlan) {
+            self.0.network().set_faults(faults);
+        }
+
+        fn link_stats(&self, to: PeerId) -> TrafficStats {
+            Transport::link_stats(&self.0, to)
+        }
+
+        fn egress_stats(&self) -> TrafficStats {
+            Transport::egress_stats(&self.0)
+        }
+
+        fn ingress_stats(&self) -> TrafficStats {
+            Transport::ingress_stats(&self.0)
+        }
+    }
+
+    /// Member 0 leading member 1 of 2 over an 8-SNP shard, their channel
+    /// up, member 1 over `wrap` of its endpoint; with member 1's node.
+    fn attested_pair<T: Transport + 'static>(
+        wrap: fn(Endpoint) -> T,
+    ) -> (MemberCtx<Endpoint>, MemberCtx<T>, GdoNode) {
+        let config = FederationConfig::new(2);
+        let params = GwasParams::secure_genome_defaults();
+        let options = RuntimeOptions::default();
+        let shard = || {
+            let mut m = GenotypeMatrix::zeroed(6, 8);
+            for (i, j) in (0..6).flat_map(|i| (0..8).map(move |j| (i, j))) {
+                m.set(i, j, (i * j + i) % 3 == 0);
+            }
+            m
+        };
+        let network = Network::new();
+        let (mut leader, ..) = build_member(
+            network.register(PeerId(0)),
+            0,
+            &config,
+            &params,
+            options,
+            shard(),
+        )
+        .unwrap();
+        let endpoint = network.register(PeerId(1));
+        let follower = std::thread::spawn(move || {
+            let (mut ctx, node, _) =
+                build_member(wrap(endpoint), 1, &config, &params, options, shard()).unwrap();
+            establish_channel(&mut ctx, 0).unwrap();
+            (ctx, node)
+        });
+        establish_channel(&mut leader, 1).unwrap();
+        let (follower, node) = follower.join().unwrap();
+        (leader, follower, node)
+    }
+
+    /// The leader's side of a job, frame by frame (`None` a heartbeat).
+    fn script() -> Vec<Option<ProtocolMessage>> {
+        let pairs = |ps: &[(u32, u32)]| {
+            let pairs = ps.iter().map(|&(a, b)| MomentsRequest { a, b }).collect();
+            Some(ProtocolMessage::MomentsRequest(pairs))
+        };
+        let phase2 = Phase2Broadcast {
+            retained: vec![0, 3, 7],
+            case_freqs: vec![0.3; 3],
+            ref_freqs: vec![0.2; 3],
+        };
+        vec![
+            pairs(&[(0, 1), (2, 3)]),
+            None,
+            pairs(&[(1, 7)]),
+            pairs(&[(4, 5), (5, 6), (6, 7)]),
+            None,
+            Some(ProtocolMessage::Phase2(0, phase2)),
+            Some(ProtocolMessage::Phase3(Phase3Broadcast { safe: vec![7] })),
+        ]
+    }
+
+    /// The script sealed by `leader` for member 1, in order.
+    fn sealed_script(leader: &mut MemberCtx<Endpoint>) -> Vec<Vec<u8>> {
+        script()
+            .iter()
+            .map(|msg| {
+                leader
+                    .peers
+                    .sealed(1, |buf| msg.iter().for_each(|m| m.encode(buf)))
+                    .1
+            })
+            .collect()
+    }
+
+    /// A fresh pair's script and member 1's machine for it.
+    fn machine() -> (Vec<Vec<u8>>, Follower) {
+        let (mut leader, ctx, node) = attested_pair(|e| e);
+        let follower = Follower {
+            peers: ctx.peers,
+            enclave: ctx.enclave,
+            node: Arc::new(node),
+            id: 1,
+            leader: 0,
+            terminator: Terminator::Phase3,
+            compact_lr: false,
+            pairs: Vec::new(),
+        };
+        (sealed_script(&mut leader), follower)
+    }
+
+    /// Member 1's replies to the whole script through the blocking driver
+    /// (`follower_serve` over [`Blocking`]), as the leader received them.
+    fn blocking_replies() -> &'static [Vec<u8>] {
+        static REPLIES: OnceLock<Vec<Vec<u8>>> = OnceLock::new();
+        REPLIES.get_or_init(|| {
+            let (mut leader, ctx, node) = attested_pair(Blocking);
+            for frame in sealed_script(&mut leader) {
+                leader.endpoint.send(PeerId(1), frame, 0).unwrap();
+            }
+            let (_, safe) = follower_serve(ctx, &Arc::new(node), 0, Terminator::Phase3);
+            assert_eq!(safe.unwrap(), vec![SnpId(7)]);
+            std::iter::from_fn(|| leader.endpoint.try_recv())
+                .map(|env| env.payload)
+                .collect()
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// A follower's machine handed genuine frames in any order, with
+        /// replays, forgeries (a flipped ciphertext byte, a restamped
+        /// sequence number, junk), truncations and frames from outside
+        /// its link mixed in: it never panics or fails, and its replies
+        /// are always what the blocking driver sends for the honest
+        /// sequence, up to the longest run of genuine frames that has
+        /// arrived from the first — it answers only what opens under the
+        /// link's next counter, and all of that at once. Once every
+        /// genuine frame has arrived it reports the terminator's safe set.
+        #[test]
+        fn the_follower_machine_answers_only_what_opens_in_sequence(
+            events in proptest::collection::vec(
+                (0u8..6, proptest::prelude::any::<proptest::sample::Index>(), proptest::prelude::any::<u8>()),
+                0..24,
+            ),
+        ) {
+            let honest = blocking_replies();
+            let (genuine, mut follower) = machine();
+            let n = genuine.len();
+            // Replies owed once the first k genuine frames have arrived.
+            let owed: Vec<usize> = std::iter::once(0)
+                .chain(script().iter().scan(0, |owed, msg| {
+                    let request = matches!(
+                        msg,
+                        Some(ProtocolMessage::MomentsRequest(_) | ProtocolMessage::Phase2(..))
+                    );
+                    *owed += usize::from(request);
+                    Some(*owed)
+                }))
+                .collect();
+            // Each frame, from whom, and which genuine frame it is, if any
+            // (the handshake took sequence number 0).
+            let mut hostile: Vec<(PeerId, Vec<u8>, Option<usize>)> = events
+                .iter()
+                .map(|&(kind, index, byte)| {
+                    let i = index.index(n);
+                    let mut frame = genuine[i].clone();
+                    let (mut from, mut is) = (PeerId(0), None);
+                    match kind {
+                        0 => is = Some(i),
+                        1 => {
+                            let at = 25 + usize::from(byte) % (frame.len() - 25);
+                            frame[at] ^= 0x40;
+                        }
+                        2 => frame.truncate(usize::from(byte) % frame.len()),
+                        3 => {
+                            let seq = usize::from(byte % 8);
+                            frame[8..16].copy_from_slice(&(seq as u64).to_le_bytes());
+                            is = (seq == i + 1).then_some(i);
+                        }
+                        4 => from = PeerId(if byte % 2 == 0 { 1 } else { 9 }),
+                        _ => frame = vec![byte; usize::from(byte)],
+                    }
+                    (from, frame, is)
+                })
+                .collect();
+            hostile.extend(genuine.iter().enumerate().map(|(i, f)| (PeerId(0), f.clone(), Some(i))));
+            let mut arrived = vec![false; n];
+            let mut sent = Vec::new();
+            let mut outcome = None;
+            for (from, frame, is) in hostile {
+                if let Some(i) = is {
+                    arrived[i] = true;
+                }
+                let mut out = Vec::new();
+                let step = follower.on_frame(from, frame, &mut out);
+                sent.extend(out.into_iter().map(|(to, bytes, _)| {
+                    assert_eq!(to, PeerId(0));
+                    bytes
+                }));
+                let run = arrived.iter().take_while(|&&a| a).count();
+                proptest::prop_assert_eq!(&sent[..], &honest[..owed[run]]);
+                match step {
+                    Ok(None) => {}
+                    Ok(Some(safe)) => {
+                        outcome = Some(safe);
+                        break;
+                    }
+                    Err(e) => proptest::prop_assert!(false, "{e}"),
+                }
+            }
+            proptest::prop_assert_eq!(outcome, Some(vec![SnpId(7)]));
+            proptest::prop_assert_eq!(&sent[..], honest);
         }
     }
 }

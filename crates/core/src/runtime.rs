@@ -60,7 +60,9 @@ use gendpr_crypto::aead;
 use gendpr_crypto::rng::ChaChaRng;
 use gendpr_fednet::fault::FaultPlan;
 use gendpr_fednet::metrics::TrafficStats;
-use gendpr_fednet::transport::{Endpoint, Envelope, Network, Outgoing, PeerId, Transport};
+use gendpr_fednet::transport::{
+    Endpoint, Envelope, Network, Outgoing, Patience, PeerId, Silence, Transport,
+};
 use gendpr_fednet::wire::{self, Decode, Encode, Reader, WireError};
 use gendpr_genomics::cohort::Cohort;
 use gendpr_genomics::genotype::GenotypeMatrix;
@@ -81,11 +83,6 @@ use std::time::{Duration, Instant};
 pub const CODE_IDENTITY: &str = "gendpr/member/v1";
 
 pub(crate) const CHANNEL_AAD: &[u8] = b"gendpr/protocol/v1";
-
-/// Consecutive silent probe intervals before a peer is suspected; a probe
-/// interval is the phase timeout over this, so the detector is exactly as
-/// patient as the paper's single hard timeout.
-const SUSPECT_AFTER: u32 = 3;
 
 /// The epoch in every frame head. Frames keep the field so their bytes
 /// stay what they were; a frame stamped with any other value is dropped.
@@ -319,16 +316,22 @@ pub(crate) struct MemberCtx<T: Transport> {
     pub(crate) prefetch_ld: bool,
     pub(crate) collusion: CollusionMode,
     pub(crate) expected: Measurement,
-    /// This member's end of its link with each member, indexed by member
-    /// id (`g` slots; a frame from any other sender is dropped).
-    links: Vec<Link>,
+    /// This member's ends of its links; a follower's job takes them along.
+    pub(crate) peers: Peers,
     /// Whether a [`MemberCtx::burst`] scope is open.
     bursting: bool,
     /// Frames held by the open burst scope; empty, with its capacity,
     /// between scopes.
     burst: Vec<Outgoing>,
-    /// Buffers of messages this member received and decoded, for
-    /// [`send_protocol`] to encode into ([`SPARE_BUFFERS`] at most).
+}
+
+/// A member's ends of its links, one per member id (a frame from any other
+/// sender is dropped), and the spare buffers its sealed messages reuse:
+/// transport-free, so a follower's machine can take it along.
+pub(crate) struct Peers {
+    links: Vec<Link>,
+    /// Buffers of messages this member received and decoded, for its
+    /// sealed sends to encode into ([`SPARE_BUFFERS`] at most).
     spare: Vec<Vec<u8>>,
 }
 
@@ -346,8 +349,6 @@ struct Link {
     inbox: VecDeque<(u64, FrameBody)>,
     /// The attested channel, once the handshake completed.
     channel: Option<SecureChannel>,
-    /// A message [`MemberCtx::ready`] opened ahead of its receive.
-    opened: Option<Vec<u8>>,
 }
 
 impl Link {
@@ -383,24 +384,12 @@ fn frame_dropped(member: usize, from: usize, reason: &'static str) {
     );
 }
 
-impl<T: Transport> MemberCtx<T> {
-    /// Runs `sends` with every frame it sends held back, then hands them
-    /// to the transport as one burst ([`Transport::send_all`]): a fan-out
-    /// costs one wake per destination, and no member starts on its frame
-    /// before the last one is queued. The burst goes out on every path
-    /// out of `sends`, errors included; a nested scope joins the outer
-    /// one. `sends` must not wait for a reply — its frames are not out yet
-    /// — though it may receive what [`MemberCtx::ready`] reports queued.
-    pub(crate) fn burst<R>(&mut self, sends: impl FnOnce(&mut Self) -> R) -> R {
-        if self.bursting {
-            return sends(self);
+impl Peers {
+    fn new(g: usize) -> Self {
+        Self {
+            links: (0..g).map(|_| Link::default()).collect(),
+            spare: Vec::new(),
         }
-        self.bursting = true;
-        let out = sends(self);
-        self.bursting = false;
-        // Sends are best-effort (see `send_frame`): the results go unread.
-        self.endpoint.send_all(&mut self.burst, &mut |_| {});
-        out
     }
 
     /// A buffer for a sealed message: `SEALED_HEAD` bytes of room for the
@@ -417,51 +406,25 @@ impl<T: Transport> MemberCtx<T> {
         buf
     }
 
-    /// Keeps a decoded message's buffer for a later send, if it is short
-    /// and the spares are not full: retained memory stays bounded.
-    fn recycle(&mut self, buf: Vec<u8>) {
+    /// Decodes `from`'s message opened in `buf` (a refusal is its
+    /// malformed message), then keeps the buffer for a later send if it is
+    /// short and the spares are not full.
+    pub(crate) fn decode<R>(
+        &mut self,
+        from: usize,
+        buf: Vec<u8>,
+        decode: impl FnOnce(&[u8]) -> Result<R, WireError>,
+    ) -> Result<R, ProtocolError> {
+        let decoded = decode(&buf[SEALED_HEAD..buf.len() - aead::OVERHEAD])
+            .map_err(|_| ProtocolError::MalformedMessage { member: from });
         if buf.capacity() <= SPARE_CAPACITY && self.spare.len() < SPARE_BUFFERS {
             self.spare.push(buf);
         }
+        decoded
     }
 
-    /// Files every envelope that has already been delivered
-    /// ([`Transport::try_recv`]) without waiting, until a message from
-    /// `from` opens; whether one did. A member that just woke reads what
-    /// queued up meanwhile this way, so it can answer all of it in one
-    /// [`MemberCtx::burst`] — the receive after a `true` never blocks.
-    pub(crate) fn ready(&mut self, from: usize) -> bool {
-        loop {
-            if self.links[from].opened.is_some() {
-                return true;
-            }
-            match self.take(from, Link::open) {
-                Some(Some(buf)) => self.links[from].opened = Some(buf),
-                Some(None) => {} // a heartbeat
-                None => match self.endpoint.try_recv() {
-                    Some(env) => self.ingest(env),
-                    None => return false,
-                },
-            }
-        }
-    }
-
-    /// Ratchets every channel this member holds (a service job boundary).
-    pub(crate) fn rekey_channels(&mut self) {
-        for channel in self.links.iter_mut().filter_map(|l| l.channel.as_mut()) {
-            channel.rekey();
-        }
-    }
-
-    /// Whether this member holds a channel with `peer`.
-    pub(crate) fn attested(&self, peer: usize) -> bool {
-        self.links[peer].channel.is_some()
-    }
-
-    /// Sends a frame. Sends are best-effort: a dead link surfaces at the
-    /// receiver as silence, which the failure detector turns into a
-    /// suspicion.
-    fn send_frame(&mut self, to: usize, body: FrameBody, plaintext_len: usize) {
+    /// A frame's wire bytes, stamped with the link's next sequence number.
+    fn frame(&mut self, to: usize, body: FrameBody) -> Vec<u8> {
         let seq = &mut self.links[to].send_seq;
         let frame = Frame {
             epoch: EPOCH,
@@ -469,38 +432,37 @@ impl<T: Transport> MemberCtx<T> {
             body,
         };
         *seq += 1;
-        let (to, bytes) = (PeerId(to as u32), frame.into_wire());
-        if self.bursting {
-            self.burst.push((to, bytes, plaintext_len));
-        } else {
-            let _ = self.endpoint.send(to, bytes, plaintext_len);
-        }
+        frame.into_wire()
     }
 
-    /// Seals `buf[SEALED_HEAD..]` for `to` where it lies and sends it.
-    fn send_sealed(&mut self, to: usize, mut buf: Vec<u8>, plaintext_len: usize) {
+    /// A message `encode` appends after room for the frame head, sealed
+    /// for `to` where it lies, the head written last.
+    pub(crate) fn sealed(&mut self, to: usize, encode: impl FnOnce(&mut Vec<u8>)) -> Outgoing {
+        let mut buf = self.message_buffer();
+        encode(&mut buf);
+        let plaintext_len = buf.len() - SEALED_HEAD;
         buf.reserve_exact(aead::OVERHEAD);
         let channel = self.links[to]
             .channel
             .as_mut()
             .expect("a sealed send follows the handshake");
         channel.send_in_place(&mut buf, SEALED_HEAD, CHANNEL_AAD);
-        self.send_frame(to, FrameBody::Sealed(Sealed(buf)), plaintext_len);
+        let bytes = self.frame(to, FrameBody::Sealed(Sealed(buf)));
+        (PeerId(to as u32), bytes, plaintext_len)
     }
 
-    /// Files an incoming envelope in its link's inbox. A sender outside
-    /// the federation's `0..g` has no link: its frames are dropped (TCP's
-    /// sender id is peer-asserted). A frame that does not decode, or is
-    /// stamped with another epoch, is dropped with a `Warn` event.
-    fn ingest(&mut self, env: Envelope) {
-        let from = env.from.0 as usize;
+    /// Files a frame in its link's inbox, as `me`'s. A sender outside
+    /// `0..g` has no link (TCP's sender id is peer-asserted); a frame that
+    /// does not decode, or of another epoch, is dropped with a `Warn` event.
+    pub(crate) fn ingest(&mut self, me: usize, from: PeerId, payload: Vec<u8>) {
+        let from = from.0 as usize;
         let Some(link) = self.links.get_mut(from) else {
             return;
         };
-        let frame = match Frame::from_wire(env.payload) {
+        let frame = match Frame::from_wire(payload) {
             Ok(frame) if frame.epoch == EPOCH => frame,
-            Ok(_) => return frame_dropped(self.id, from, "frame of another epoch"),
-            Err(_) => return frame_dropped(self.id, from, "frame that does not decode"),
+            Ok(_) => return frame_dropped(me, from, "frame of another epoch"),
+            Err(_) => return frame_dropped(me, from, "frame that does not decode"),
         };
         if frame.seq < link.recv_next {
             return; // a duplicate of a frame already taken
@@ -511,9 +473,11 @@ impl<T: Transport> MemberCtx<T> {
 
     /// Takes `from`'s next frame, if one has arrived that `admit` lets
     /// into its slot. Frames tried there that it refuses are dropped with
-    /// a `Warn` event, and the slot waits for the genuine frame.
+    /// a `Warn` event (as `me`'s), and the slot waits for the genuine
+    /// frame.
     fn take<R>(
         &mut self,
+        me: usize,
         from: usize,
         admit: impl Fn(&mut Link, FrameBody) -> Result<R, &'static str>,
     ) -> Option<R> {
@@ -532,19 +496,86 @@ impl<T: Transport> MemberCtx<T> {
                     link.recv_next += 1;
                     return Some(taken);
                 }
-                Err(reason) => frame_dropped(self.id, from, reason),
+                Err(reason) => frame_dropped(me, from, reason),
             }
         }
     }
 
+    /// `from`'s next message, opened in its buffer, if it has arrived;
+    /// heartbeats on the way are taken and skipped.
+    pub(crate) fn next_message(&mut self, me: usize, from: usize) -> Option<Vec<u8>> {
+        loop {
+            if let Some(buf) = self.take(me, from, Link::open)? {
+                return Some(buf);
+            }
+        }
+    }
+
+    /// Frames taken from `from`, heartbeats included.
+    pub(crate) fn heard(&self, from: usize) -> u64 {
+        self.links[from].recv_next
+    }
+}
+
+impl<T: Transport> MemberCtx<T> {
+    /// Runs `sends` with every frame it sends held back, then hands them
+    /// to the transport as one burst ([`Transport::send_all`]): a fan-out
+    /// costs one wake per destination, and no member starts on its frame
+    /// before the last one is queued. The burst goes out on every path
+    /// out of `sends`, errors included; a nested scope joins the outer
+    /// one. `sends` must not wait for a reply — its frames are not out yet.
+    pub(crate) fn burst<R>(&mut self, sends: impl FnOnce(&mut Self) -> R) -> R {
+        if self.bursting {
+            return sends(self);
+        }
+        self.bursting = true;
+        let out = sends(self);
+        self.bursting = false;
+        // Sends are best-effort (see `send`): the results go unread.
+        self.endpoint.send_all(&mut self.burst, &mut |_| {});
+        out
+    }
+
+    /// Ratchets every channel this member holds (a service job boundary).
+    pub(crate) fn rekey_channels(&mut self) {
+        let links = self.peers.links.iter_mut();
+        for channel in links.filter_map(|l| l.channel.as_mut()) {
+            channel.rekey();
+        }
+    }
+
+    /// Whether this member holds a channel with `peer`.
+    pub(crate) fn attested(&self, peer: usize) -> bool {
+        self.peers.links[peer].channel.is_some()
+    }
+
+    /// Sends a frame. Sends are best-effort: a dead link surfaces at the
+    /// receiver as silence, which the failure detector turns into a
+    /// suspicion.
+    fn send(&mut self, frame: Outgoing) {
+        if self.bursting {
+            self.burst.push(frame);
+        } else {
+            let (to, bytes, plaintext_len) = frame;
+            let _ = self.endpoint.send(to, bytes, plaintext_len);
+        }
+    }
+
+    /// Sends an unsealed frame (the election's and the handshake's).
+    fn send_frame(&mut self, to: usize, body: FrameBody, plaintext_len: usize) {
+        let bytes = self.peers.frame(to, body);
+        self.send((PeerId(to as u32), bytes, plaintext_len));
+    }
+
+    /// Files an incoming envelope in its link's inbox ([`Peers::ingest`]).
+    fn ingest(&mut self, env: Envelope) {
+        self.peers.ingest(self.id, env.from, env.payload);
+    }
+
     /// Receives the next frame from `from` that `admit` lets into its
     /// slot, filing frames from others; `admit` returns `None` for a
-    /// heartbeat. Waits are sliced into probe intervals: a silent interval
-    /// sends heartbeats ([`MemberCtx::heartbeat`]), and [`SUSPECT_AFTER`]
-    /// consecutive silent intervals (or `timeout` without a frame from
-    /// `from`) suspect the peer. A heartbeat from `from` is a sign of life
-    /// that resets the clock, so a peer merely *busy* waiting on someone
-    /// else is not suspected, only a silent one.
+    /// heartbeat. `from` is suspected once it stays silent through the
+    /// timeout ([`MemberCtx::await_frame_from`]).
     fn recv_frame_from<R>(
         &mut self,
         from: usize,
@@ -560,45 +591,34 @@ impl<T: Transport> MemberCtx<T> {
     /// for, and nobody is suspected. The caller decides what the silence
     /// means.
     ///
-    /// Frames already delivered are filed first ([`Transport::try_recv`]),
-    /// so a receive that finds its frame queued reads no clock; the
-    /// deadline is fixed on the first blocking wait (and again after a
-    /// heartbeat), one clock read per wait.
+    /// Waits are sliced into probe intervals ([`Patience`]): a silent
+    /// interval sends heartbeats ([`MemberCtx::heartbeat`]). A heartbeat
+    /// from `from` is a sign of life that restarts the count, so a peer
+    /// merely *busy* waiting on someone else is not suspected, only a
+    /// silent one. Frames already delivered are filed first
+    /// ([`Transport::try_recv`]), so a receive that finds its frame queued
+    /// reads no clock.
     fn await_frame_from<R>(
         &mut self,
         from: usize,
         admit: impl Fn(&mut Link, FrameBody) -> Result<Option<R>, &'static str>,
     ) -> Option<R> {
-        let mut deadline = None;
-        let probe = self.timeout / SUSPECT_AFTER;
-        let mut misses = 0u32;
+        let mut patience = Patience::new(self.timeout);
         loop {
-            while let Some(taken) = self.take(from, &admit) {
-                match taken {
-                    Some(taken) => return Some(taken),
-                    None => {
-                        misses = 0;
-                        deadline = None;
-                    }
+            while let Some(taken) = self.peers.take(self.id, from, &admit) {
+                if taken.is_some() {
+                    return taken;
                 }
             }
             if let Some(env) = self.endpoint.try_recv() {
                 self.ingest(env);
                 continue;
             }
-            let now = Instant::now();
-            let remaining = deadline
-                .get_or_insert(now + self.timeout)
-                .checked_duration_since(now)?;
-            match self.endpoint.recv_timeout(probe.min(remaining)) {
+            let heard = self.peers.heard(from);
+            match patience.wait(heard, |slice| self.endpoint.recv_timeout(slice).ok()) {
                 Ok(env) => self.ingest(env),
-                Err(_) => {
-                    misses += 1;
-                    if misses >= SUSPECT_AFTER {
-                        return None;
-                    }
-                    self.heartbeat(from);
-                }
+                Err(Silence::Probe) => self.heartbeat(from),
+                Err(Silence::Timeout) => return None,
             }
         }
     }
@@ -612,14 +632,14 @@ impl<T: Transport> MemberCtx<T> {
     fn heartbeat(&mut self, awaited: usize) {
         for peer in 0..self.g {
             if peer != awaited && self.attested(peer) {
-                let buf = self.message_buffer();
-                self.send_sealed(peer, buf, 0);
+                let frame = self.peers.sealed(peer, |_| {});
+                self.send(frame);
             }
         }
     }
 
     /// The error for a peer silent through the whole timeout.
-    fn suspect(&self, member: usize, phase: &'static str) -> ProtocolError {
+    pub(crate) fn suspect(&self, member: usize, phase: &'static str) -> ProtocolError {
         crate::telemetry::suspicions().inc();
         gendpr_obs::event(
             gendpr_obs::Level::Warn,
@@ -694,7 +714,7 @@ pub(crate) fn establish_channel<T: Transport>(
             member: peer,
             cause,
         })?;
-    ctx.links[peer].channel = Some(channel);
+    ctx.peers.links[peer].channel = Some(channel);
     Ok(())
 }
 
@@ -714,10 +734,8 @@ pub(crate) fn send_encoded<T: Transport>(
     to: usize,
     encode: impl FnOnce(&mut Vec<u8>),
 ) {
-    let mut buf = ctx.message_buffer();
-    encode(&mut buf);
-    let plaintext_len = buf.len() - SEALED_HEAD;
-    ctx.send_sealed(to, buf, plaintext_len);
+    let frame = ctx.peers.sealed(to, encode);
+    ctx.send(frame);
 }
 
 /// Receives `from`'s next message over the channel; a silence through the
@@ -758,17 +776,10 @@ fn await_decoded<T: Transport, R>(
     from: usize,
     decode: impl FnOnce(&[u8]) -> Result<R, WireError>,
 ) -> Result<Option<R>, ProtocolError> {
-    let buf = match ctx.links[from].opened.take() {
-        Some(buf) => buf,
-        None => match ctx.await_frame_from(from, Link::open) {
-            Some(buf) => buf,
-            None => return Ok(None),
-        },
-    };
-    let decoded = decode(&buf[SEALED_HEAD..buf.len() - aead::OVERHEAD])
-        .map_err(|_| ProtocolError::MalformedMessage { member: from });
-    ctx.recycle(buf);
-    decoded.map(Some)
+    match ctx.await_frame_from(from, Link::open) {
+        Some(buf) => ctx.peers.decode(from, buf, decode).map(Some),
+        None => Ok(None),
+    }
 }
 
 /// Where an election put a member.
@@ -1007,10 +1018,9 @@ pub(crate) fn build_member<T: Transport>(
         prefetch_ld: options.prefetch_ld,
         collusion: config.collusion,
         expected: expected_measurement(params),
-        links: (0..g).map(|_| Link::default()).collect(),
+        peers: Peers::new(g),
         bursting: false,
         burst: Vec::new(),
-        spare: Vec::new(),
     };
     Ok((ctx, node, counts))
 }
@@ -1045,6 +1055,7 @@ pub fn run_member<T: Transport>(
     reference: &GenotypeMatrix,
 ) -> Result<MemberOutcome, ProtocolError> {
     let (mut ctx, node, counts) = build_member(transport, member, config, params, options, shard)?;
+    let node = Arc::new(node);
     // Seat, then one job: the leader assesses the whole panel, nothing
     // forced, no job context.
     let (leader, safe_snps, (l_prime, l_double_prime), certificate, timings) =
@@ -1066,8 +1077,9 @@ pub fn run_member<T: Transport>(
                 (member, a.released, kept, a.certificate, a.timings)
             }
             Seat::Follower { leader } => {
-                let safe = follower_serve(&mut ctx, &node, leader, Terminator::Phase3)?;
-                (leader, safe, (None, None), None, PhaseTimings::default())
+                let safe;
+                (ctx, safe) = follower_serve(ctx, &node, leader, Terminator::Phase3);
+                (leader, safe?, (None, None), None, PhaseTimings::default())
             }
         };
     let links = (0..config.gdo_count)

@@ -241,9 +241,10 @@ fn join_session<T: Transport>(
     // A dead member kills the session; the daemon rebuilds the lane (and
     // the ledger makes the restart seamless).
     let (mut ctx, node, counts) = build_member(transport, member, config, params, options, shard)?;
+    let node = Arc::new(node);
     match seat(&mut ctx, &node, &counts, reference, params)? {
         Seat::Leader(session) => leader_session(&mut ctx, session, commands, events),
-        Seat::Follower { leader } => follower_session(&mut ctx, &node, leader, events),
+        Seat::Follower { leader } => follower_session(ctx, &node, leader, events),
     }
 }
 
@@ -304,8 +305,8 @@ fn leader_session<T: Transport>(
 }
 
 fn follower_session<T: Transport>(
-    ctx: &mut MemberCtx<T>,
-    node: &GdoNode,
+    mut ctx: MemberCtx<T>,
+    node: &Arc<GdoNode>,
     leader: usize,
     events: &Sender<SessionEvent>,
 ) -> Result<(), ProtocolError> {
@@ -315,15 +316,17 @@ fn follower_session<T: Transport>(
         // the queue is empty, so an idle timeout is neither a failure nor
         // a suspicion: the member keeps waiting. A *mid-job* silence still
         // aborts with the usual timeout (inside `follower_serve`).
-        let Some(msg) = await_protocol(ctx, leader)? else {
+        let Some(msg) = await_protocol(&mut ctx, leader)? else {
             continue;
         };
         match msg {
             ProtocolMessage::JobStart(job) => {
-                let before = snapshot_links(ctx);
-                let safe = follower_serve(ctx, node, leader, Terminator::Phase3)?;
+                let before = snapshot_links(&ctx);
+                let safe;
+                (ctx, safe) = follower_serve(ctx, node, leader, Terminator::Phase3);
+                let safe = safe?;
                 ctx.rekey_channels();
-                let traffic = link_delta(ctx, &before);
+                let traffic = link_delta(&ctx, &before);
                 let _ = events.send(SessionEvent::Finished {
                     member: ctx.id,
                     job_id: job.job_id,
@@ -333,7 +336,9 @@ fn follower_session<T: Transport>(
                 });
             }
             ProtocolMessage::ShardStart(_) => {
-                follower_serve(ctx, node, leader, Terminator::ShardDone)?;
+                let done;
+                (ctx, done) = follower_serve(ctx, node, leader, Terminator::ShardDone);
+                done?;
                 // No Finished event: shard lanes report through the
                 // leader's `ShardFinished` alone, but the channel still
                 // ratchets so shard and full jobs share one key schedule.

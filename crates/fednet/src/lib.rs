@@ -8,7 +8,8 @@
 //!   offline, see `DESIGN.md` §4); byte vectors copy as one slice,
 //! * [`transport`] — the [`Transport`] trait plus an in-memory reliable
 //!   in-order message fabric with per-link traffic metering, whose bursts
-//!   ([`Transport::send_all`]) wake each destination once,
+//!   ([`Transport::send_all`]) wake each destination once and which runs
+//!   a served [`transport::Handler`] on the delivering thread,
 //! * [`tcp`] — the same contract over real sockets: length-prefixed
 //!   framing, dial retry with backoff, deadline-bounded connects — the
 //!   substrate of the `gendpr node` daemon,

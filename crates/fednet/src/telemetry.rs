@@ -5,7 +5,8 @@
 //! this module mirrors the same events into the process-global
 //! `gendpr-obs` registry so they show up on `/metrics` with histograms and
 //! failure counters the matrix cannot express. Handles are resolved once
-//! through `OnceLock` statics, so the per-frame cost is one atomic add.
+//! through `OnceLock` statics, so the per-frame cost is one atomic add
+//! (none on the in-memory fabric, which adds a hand-over's at once).
 //!
 //! [`TrafficMatrix`]: crate::metrics::TrafficMatrix
 
@@ -73,6 +74,33 @@ pub(crate) fn frame_bytes_in_memory() -> &'static obs::Histogram {
         frame_bytes_received().include(&both);
         both
     })
+}
+
+/// The in-memory fabric's frames, counted in plain integers and added to
+/// the global series once per hand-over: they read as if each had been.
+#[derive(Debug, Default)]
+pub(crate) struct FrameTally {
+    frames: u64,
+    bytes: u64,
+    buckets: [u64; obs::BYTE_BUCKETS.len() + 1],
+}
+
+impl FrameTally {
+    pub(crate) fn count(&mut self, len: usize) {
+        self.frames += 1;
+        self.bytes += len as u64;
+        self.buckets[obs::BYTE_BUCKETS.partition_point(|&b| b < len as f64)] += 1;
+    }
+
+    pub(crate) fn fold(&mut self) {
+        if self.frames == 0 {
+            return;
+        }
+        frames_sent().add(self.frames);
+        frames_received().add(self.frames);
+        frame_bytes_in_memory().observe_counts(&self.buckets, self.bytes as f64);
+        *self = Self::default();
+    }
 }
 
 /// Sends that the transport gave up on (fault drop, dead peer).

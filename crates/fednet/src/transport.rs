@@ -10,10 +10,11 @@
 //!   faults and meters traffic under the fabric's lock, then enqueues and
 //!   wakes the receiver after releasing it, and a burst
 //!   ([`Transport::send_all`]) enqueues every frame before it wakes each
-//!   destination once. Inboxes are found by peer index, the routing
-//!   scratch is the sending endpoint's and kept, and a receive that finds
-//!   a frame queued reads no clock, so a frame in steady state costs no
-//!   allocation, hash or clock read of the fabric's;
+//!   destination once; an endpoint serving a [`Handler`] is not woken, the
+//!   sender's thread runs it ([`Endpoint::serve`]). Inboxes are found by
+//!   peer index, the routing scratch is the sending endpoint's and kept,
+//!   and a receive that finds a frame queued reads no clock, so a frame in
+//!   steady state costs no allocation, hash or clock read of the fabric's;
 //! * [`crate::tcp::TcpTransport`] — length-prefixed frames over real TCP
 //!   sockets, for multi-process deployments (`gendpr node`).
 //!
@@ -22,12 +23,14 @@
 
 use crate::fault::FaultPlan;
 use crate::metrics::{TrafficMatrix, TrafficStats};
+use crate::telemetry::FrameTally;
+use std::any::Any;
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
 use std::marker::PhantomData;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -90,6 +93,103 @@ impl Error for NetError {}
 /// One frame of a burst: the destination, the payload and its plaintext
 /// size — the arguments of [`Transport::send`].
 pub type Outgoing = (PeerId, Vec<u8>, usize);
+
+/// Silent probe intervals before a [`Patience`] gives its peer up.
+pub const SUSPECT_AFTER: u32 = 3;
+
+/// Why a [`Patience`] wait found nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Silence {
+    /// A silent probe interval; the wait goes on.
+    Probe,
+    /// The peer is given up on.
+    Timeout,
+}
+
+/// A wait for one peer in probe intervals of `timeout /` [`SUSPECT_AFTER`],
+/// given up after that many silent ones or `timeout`, counted afresh when
+/// the peer's `heard` count grows: a peer busy waiting on someone else is
+/// not given up on.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Patience {
+    timeout: Duration,
+    heard: u64,
+    deadline: Option<Instant>,
+    misses: u32,
+}
+
+impl Patience {
+    /// A wait of `timeout`, not started yet.
+    #[must_use]
+    pub fn new(timeout: Duration) -> Self {
+        Self {
+            timeout,
+            ..Self::default()
+        }
+    }
+
+    /// Runs `wait` for up to one probe interval (its `None`: silence).
+    ///
+    /// # Errors
+    ///
+    /// [`Silence`] when `wait` found nothing.
+    pub fn wait<R>(
+        &mut self,
+        heard: u64,
+        wait: impl FnOnce(Duration) -> Option<R>,
+    ) -> Result<R, Silence> {
+        if heard != self.heard {
+            *self = Self {
+                heard,
+                ..Self::new(self.timeout)
+            };
+        }
+        let now = Instant::now();
+        let deadline = *self.deadline.get_or_insert(now + self.timeout);
+        let remaining = deadline
+            .checked_duration_since(now)
+            .ok_or(Silence::Timeout)?;
+        if let Some(found) = wait((self.timeout / SUSPECT_AFTER).min(remaining)) {
+            return Ok(found);
+        }
+        self.misses += 1;
+        Err(match self.misses {
+            SUSPECT_AFTER.. => Silence::Timeout,
+            _ => Silence::Probe,
+        })
+    }
+}
+
+/// A receiver without I/O: it takes each frame delivered to it, puts its
+/// replies in `out` and never waits; [`Transport::serve`] drives it.
+pub trait Handler: Send + 'static {
+    /// What it reports when it is done.
+    type Done: Send + 'static;
+    /// What it reports when it fails.
+    type Error: Send + 'static;
+
+    /// Takes one frame; the replies in `out` go out after the call. An
+    /// outcome ends the serve.
+    ///
+    /// # Errors
+    ///
+    /// `Self::Error`, which ends the serve.
+    fn on_frame(
+        &mut self,
+        from: PeerId,
+        payload: Vec<u8>,
+        out: &mut Vec<Outgoing>,
+    ) -> Result<Option<Self::Done>, Self::Error>;
+
+    /// Frames taken from the awaited peer so far ([`Patience`]).
+    fn heard(&self) -> u64;
+}
+
+/// The handler and its outcome (`None`: its [`Patience`] ran out).
+pub type Served<H> = (
+    H,
+    Option<Result<<H as Handler>::Done, <H as Handler>::Error>>,
+);
 
 /// What the GenDPR runtime requires of a federation network: a fixed peer
 /// identity, blocking deadline-bounded point-to-point messaging, fault
@@ -161,6 +261,32 @@ pub trait Transport: Send {
         None
     }
 
+    /// Hands `handler` what this endpoint receives and sends its replies
+    /// until it reports an outcome or [`Patience`] runs out. The default
+    /// (TCP's) loops on this thread, taking what is already delivered
+    /// ([`Transport::try_recv`]) and sending the replies as one burst.
+    fn serve<H: Handler>(&self, mut handler: H, timeout: Duration) -> Served<H>
+    where
+        Self: Sized,
+    {
+        let (mut patience, mut out) = (Patience::new(timeout), Vec::new());
+        loop {
+            let mut outcome = match patience.wait(handler.heard(), |t| self.recv_timeout(t).ok()) {
+                Ok(env) => handler.on_frame(env.from, env.payload, &mut out),
+                Err(Silence::Probe) => continue,
+                Err(Silence::Timeout) => return (handler, None),
+            };
+            while matches!(outcome, Ok(None)) {
+                let Some(env) = self.try_recv() else { break };
+                outcome = handler.on_frame(env.from, env.payload, &mut out);
+            }
+            self.send_all(&mut out, &mut |_| {});
+            if let Some(outcome) = outcome.transpose() {
+                return (handler, Some(outcome));
+            }
+        }
+    }
+
     /// Installs a fault plan evaluated on every send (replacing any
     /// previous one).
     fn set_faults(&self, faults: FaultPlan);
@@ -180,8 +306,10 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 }
 
 /// One endpoint's inbox: the frames delivered to it and a condvar its
-/// owner sleeps on while there are none. Enqueueing and waking are
-/// separate steps, so a burst fills every inbox before any receiver runs.
+/// owner sleeps on while there are none, or the handler it serves.
+/// Enqueueing and waking are separate steps, so a burst fills every inbox
+/// before any receiver runs. Lock order: a handler's, the fabric's, a
+/// queue's; a handler's sends are only queued, so none nests.
 #[derive(Debug, Default)]
 struct Inbox {
     queue: Mutex<Queue>,
@@ -189,6 +317,8 @@ struct Inbox {
     /// Set when the owning endpoint is dropped: later sends to it fail
     /// with [`NetError::Disconnected`].
     closed: AtomicBool,
+    /// The handler [`Endpoint::serve`] installed, locked while it runs.
+    handler: Mutex<Option<Box<dyn Inline>>>,
 }
 
 #[derive(Debug, Default)]
@@ -197,29 +327,68 @@ struct Queue {
     /// The owner is blocked on `ready`; a wake that finds nobody asleep
     /// has nothing to notify.
     asleep: bool,
+    /// A handler is installed and not done: deliveries go to it.
+    inline: bool,
 }
 
 impl Inbox {
-    /// Appends `env`; whether the owner was asleep on the queue.
-    fn push(&self, env: Envelope) -> bool {
+    /// Hands `env` to the running handler if `inline` allows, else queues
+    /// it after `queueing` (under the queue's lock); `Some(asleep)` if it
+    /// was queued, with whether the owner sleeps.
+    fn deliver(&self, env: Envelope, inline: bool, queueing: impl FnOnce()) -> Option<bool> {
+        if inline && lock(&self.queue).inline {
+            if let Some(handler) = lock(&self.handler).as_deref_mut() {
+                if !handler.finished() {
+                    self.feed(handler, Some(env));
+                    return None;
+                }
+            }
+        }
         let mut queue = lock(&self.queue);
+        queueing();
         queue.frames.push_back(env);
-        queue.asleep
+        Some(queue.asleep)
+    }
+
+    /// Hands an unfinished `handler` the queued frames, then `env`, and
+    /// sends its replies as one burst; once it is done the rest stays
+    /// queued and its owner is woken.
+    fn feed(&self, handler: &mut dyn Inline, mut env: Option<Envelope>) {
+        let queued = std::iter::from_fn(|| lock(&self.queue).frames.pop_front());
+        for next in queued.chain(std::iter::from_fn(|| env.take())) {
+            handler.hand(next);
+            if handler.finished() {
+                break;
+            }
+        }
+        handler.flush();
+        if handler.finished() {
+            let mut queue = lock(&self.queue);
+            queue.inline = false;
+            queue.frames.extend(env);
+            if queue.asleep {
+                self.ready.notify_one();
+            }
+        }
     }
 
     fn try_pop(&self) -> Option<Envelope> {
         lock(&self.queue).frames.pop_front()
     }
 
-    /// The next frame, waiting for one up to `timeout` (forever if none).
-    /// A queued frame is taken without reading the clock; the deadline is
-    /// fixed on the first wait.
-    fn pop(&self, timeout: Option<Duration>) -> Result<Envelope, NetError> {
+    /// What `found` takes from the queue, waiting for it up to `timeout`
+    /// (forever if none). A queue that has it already is read without the
+    /// clock; the deadline is fixed on the first wait.
+    fn wait<R>(
+        &self,
+        timeout: Option<Duration>,
+        mut found: impl FnMut(&mut Queue) -> Option<R>,
+    ) -> Result<R, NetError> {
         let mut queue = lock(&self.queue);
         let mut deadline = None;
         loop {
-            if let Some(env) = queue.frames.pop_front() {
-                return Ok(env);
+            if let Some(found) = found(&mut queue) {
+                return Ok(found);
             }
             queue.asleep = true;
             queue = match timeout {
@@ -248,6 +417,56 @@ impl Inbox {
     }
 }
 
+/// An installed [`Handler`], behind the type it was installed as; its
+/// replies wait for [`Inline::flush`].
+trait Inline: Any + Send {
+    fn hand(&mut self, env: Envelope);
+    fn flush(&mut self);
+    fn finished(&self) -> bool;
+    fn heard(&self) -> u64;
+}
+
+impl fmt::Debug for dyn Inline {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("Inline")
+    }
+}
+
+/// A served handler, with its endpoint's id and network and a routing
+/// scratch of its own for its replies.
+struct Installed<H: Handler> {
+    handler: H,
+    outcome: Option<Result<H::Done, H::Error>>,
+    id: PeerId,
+    network: Network,
+    out: Vec<Outgoing>,
+    handover: Handover,
+}
+
+impl<H: Handler> Inline for Installed<H> {
+    fn hand(&mut self, env: Envelope) {
+        let outcome = self.handler.on_frame(env.from, env.payload, &mut self.out);
+        self.outcome = outcome.transpose();
+    }
+
+    fn flush(&mut self) {
+        if !self.out.is_empty() {
+            // Queued, never handed inline: one level deep.
+            let frames = self.out.drain(..);
+            self.network
+                .send(self.id, frames, &mut self.handover, |_| {}, false);
+        }
+    }
+
+    fn finished(&self) -> bool {
+        self.outcome.is_some()
+    }
+
+    fn heard(&self) -> u64 {
+        self.handler.heard()
+    }
+}
+
 /// A frame held back by a reorder fault, due for delivery later.
 #[derive(Debug)]
 struct HeldFrame {
@@ -260,9 +479,6 @@ struct NetworkState {
     /// Registered inboxes, by peer index.
     inboxes: Vec<Option<Arc<Inbox>>>,
     metrics: TrafficMatrix,
-    /// Wakes issued: one per destination per send, burst or flush of due
-    /// frames (see [`Network::wakes`]).
-    wakes: u64,
     faults: FaultPlan,
     held: Vec<HeldFrame>,
 }
@@ -283,6 +499,8 @@ struct Fabric {
     /// Mirrors [`NetworkState::delays_possible`], so a receiver learns
     /// without the lock that there are no held frames to flush.
     delays: AtomicBool,
+    /// Wakes issued (see [`Network::wakes`]).
+    wakes: AtomicU64,
 }
 
 /// Frames routed under the fabric lock, handed over after it is released.
@@ -293,8 +511,10 @@ struct Handover {
     /// `(destination slot, frame)` in routing order.
     frames: Vec<(usize, Envelope)>,
     /// Distinct destinations in order of first delivery, each with whether
-    /// its owner was found asleep.
-    destinations: Vec<(PeerId, Arc<Inbox>, bool)>,
+    /// a frame was queued there and whether its owner was found asleep.
+    destinations: Vec<(PeerId, Arc<Inbox>, bool, bool)>,
+    /// The frames metered, for the global transport metrics.
+    tally: FrameTally,
 }
 
 impl Handover {
@@ -312,17 +532,14 @@ impl Handover {
             .record(env.from.0, env.to.0, env.plaintext_len, env.payload.len());
         // The in-memory fabric delivers synchronously, so one record is both
         // the send and the receive for the global transport metrics.
-        crate::telemetry::frames_sent().inc();
-        crate::telemetry::frames_received().inc();
-        crate::telemetry::frame_bytes_in_memory().observe(env.payload.len() as f64);
+        self.tally.count(env.payload.len());
         if inbox.closed.load(Ordering::SeqCst) {
             return Err(NetError::Disconnected);
         }
         let slot = match self.destinations.iter().position(|d| d.0 == env.to) {
             Some(slot) => slot,
             None => {
-                state.wakes += 1;
-                self.destinations.push((env.to, inbox, false));
+                self.destinations.push((env.to, inbox, false, false));
                 self.destinations.len() - 1
             }
         };
@@ -330,18 +547,29 @@ impl Handover {
         Ok(())
     }
 
-    /// Enqueues every frame, then wakes each destination whose owner was
-    /// asleep — once, however many frames it got.
-    fn run(&mut self) {
+    /// Hands every frame over (to a running handler if `inline`, else
+    /// queued), then wakes each destination whose owner sleeps, once. A
+    /// destination's first queued frame counts its wake.
+    fn run(&mut self, fabric: &Fabric, inline: bool) {
         for (slot, env) in self.frames.drain(..) {
-            let (_, inbox, asleep) = &mut self.destinations[slot];
-            *asleep |= inbox.push(env);
+            let (_, inbox, queued, asleep) = &mut self.destinations[slot];
+            let first = !*queued;
+            let queueing = || {
+                if first {
+                    fabric.wakes.fetch_add(1, Ordering::Relaxed);
+                }
+            };
+            if let Some(was_asleep) = inbox.deliver(env, inline, queueing) {
+                *queued = true;
+                *asleep |= was_asleep;
+            }
         }
-        for (_, inbox, asleep) in self.destinations.drain(..) {
+        for (_, inbox, _, asleep) in self.destinations.drain(..) {
             if asleep {
                 inbox.ready.notify_one();
             }
         }
+        self.tally.fold();
     }
 }
 
@@ -421,29 +649,31 @@ impl Network {
         self.lock().metrics.egress(peer.0)
     }
 
-    /// Wakes the fabric has issued so far: one per destination of every
-    /// send, burst and flush of due held frames — the receiver context
-    /// switches the fabric can cause. A wake is counted whether or not the
-    /// receiver was asleep, so the count follows from how the senders
-    /// grouped their frames into sends and bursts. Without chaos, frames
-    /// sent one at a time make it equal to [`Network::total_stats`]'
-    /// messages; bursts bring it below. A burst's size can depend on
-    /// timing (a member that answers everything queued when it woke, say),
-    /// and so then can the count.
+    /// Wakes the fabric has issued so far: one per destination that a
+    /// send, burst or flush of due held frames queued a frame for — the
+    /// receiver context switches the fabric can cause. A wake is counted
+    /// whether or not the receiver was asleep, so the count follows from
+    /// how the senders grouped their frames into sends and bursts. Without
+    /// chaos, frames sent one at a time make it equal to
+    /// [`Network::total_stats`]' messages; bursts bring it below. A frame
+    /// handed to a served handler ([`Endpoint::serve`]) is none; its
+    /// replies are queued, a wake a batch. Burst sizes and whether a frame
+    /// beats a handler's install can depend on timing, and so the count.
     #[must_use]
     pub fn wakes(&self) -> u64 {
-        self.lock().wakes
+        self.fabric.wakes.load(Ordering::Relaxed)
     }
 
     /// Sends `frames` from `from` as one burst: fault decisions, inbox
-    /// lookups and metering under the lock, then every frame enqueued and
-    /// every destination woken once, after the lock is released.
+    /// lookups and metering under the lock, then every frame handed over
+    /// ([`Handover::run`]) after the lock is released.
     fn send(
         &self,
         from: PeerId,
         frames: impl IntoIterator<Item = Outgoing>,
         handover: &mut Handover,
         mut result: impl FnMut(Result<(), NetError>),
+        inline: bool,
     ) {
         {
             let mut state = self.lock();
@@ -461,7 +691,7 @@ impl Network {
                 .delays
                 .store(state.delays_possible(), Ordering::SeqCst);
         }
-        handover.run();
+        handover.run(&self.fabric, inline);
     }
 
     /// Applies the fault plan to one frame: dropped, held for later, or
@@ -527,7 +757,7 @@ impl Network {
             self.fabric.delays.store(possible, Ordering::SeqCst);
             possible
         };
-        handover.run();
+        handover.run(&self.fabric, true);
         possible
     }
 }
@@ -565,6 +795,7 @@ impl Endpoint {
             [(to, payload, plaintext_len)],
             &mut self.handover.borrow_mut(),
             |r| out = r,
+            true,
         );
         out
     }
@@ -581,6 +812,7 @@ impl Endpoint {
             frames.drain(..),
             &mut self.handover.borrow_mut(),
             result,
+            true,
         );
     }
 
@@ -590,7 +822,7 @@ impl Endpoint {
     ///
     /// [`NetError::Disconnected`] if the network was torn down.
     pub fn recv(&self) -> Result<Envelope, NetError> {
-        self.inbox.pop(None)
+        self.inbox.wait(None, |queue| queue.frames.pop_front())
     }
 
     /// Blocks for the next message up to `timeout`; a queued frame comes
@@ -603,24 +835,82 @@ impl Endpoint {
     ///
     /// [`NetError::Timeout`] or [`NetError::Disconnected`].
     pub fn recv_timeout(&self, timeout: Duration) -> Result<Envelope, NetError> {
+        self.sliced(timeout, |queue| queue.frames.pop_front())
+    }
+
+    /// Waits up to `timeout` for `found` to take something from the inbox;
+    /// while chaos may hold frames the wait is sliced so they are flushed
+    /// as they come due (and before `found` first looks).
+    fn sliced<R>(
+        &self,
+        timeout: Duration,
+        mut found: impl FnMut(&mut Queue) -> Option<R>,
+    ) -> Result<R, NetError> {
         if !self.poll_pending() {
-            return self.inbox.pop(Some(timeout));
+            return self.inbox.wait(Some(timeout), found);
         }
         let deadline = Instant::now() + timeout;
         loop {
             let slice = deadline
                 .saturating_duration_since(Instant::now())
                 .min(Duration::from_millis(1));
-            match self.inbox.pop(Some(slice)) {
+            match self.inbox.wait(Some(slice), &mut found) {
                 Err(NetError::Timeout) if Instant::now() < deadline => {}
                 received => return received,
             }
             if !self.poll_pending() {
-                return self
-                    .inbox
-                    .pop(Some(deadline.saturating_duration_since(Instant::now())));
+                let left = deadline.saturating_duration_since(Instant::now());
+                return self.inbox.wait(Some(left), found);
             }
         }
+    }
+
+    /// [`Transport::serve`] on the fabric: the handler is installed on the
+    /// inbox and handed the frames already queued, then run by whatever
+    /// thread delivers a frame here (a sender, or a flush of held chaos
+    /// frames); this one sleeps until it is done, frames are queued past
+    /// it, or [`Patience`] runs out, flushing held frames meanwhile.
+    pub fn serve<H: Handler>(&self, handler: H, timeout: Duration) -> Served<H> {
+        let inbox = &*self.inbox;
+        let installed = Box::new(Installed {
+            handler,
+            outcome: None,
+            id: self.id,
+            network: self.network.clone(),
+            out: Vec::new(),
+            handover: Handover::default(),
+        });
+        let mut slot = lock(&inbox.handler);
+        lock(&inbox.queue).inline = true;
+        inbox.feed(slot.insert(installed).as_mut(), None);
+        drop(slot);
+        let heard = || lock(&inbox.handler).as_ref().map_or(0, |h| h.heard());
+        let woken = |queue: &mut Queue| (!queue.inline || !queue.frames.is_empty()).then_some(());
+        let mut patience = Patience::new(timeout);
+        loop {
+            let before = heard();
+            let woke = patience.wait(before, |slice| {
+                let event = self.sliced(slice, woken);
+                (event.is_ok() || heard() != before).then_some(())
+            });
+            if woke == Err(Silence::Timeout) {
+                break;
+            }
+            let mut slot = lock(&inbox.handler);
+            let installed = slot.as_deref_mut().expect("installed until the serve ends");
+            if !installed.finished() {
+                inbox.feed(installed, None);
+            }
+            if installed.finished() {
+                break;
+            }
+        }
+        lock(&inbox.queue).inline = false;
+        let installed: Box<dyn Any> = lock(&inbox.handler).take().expect("installed above");
+        let installed = installed
+            .downcast::<Installed<H>>()
+            .expect("installed as H");
+        (installed.handler, installed.outcome)
     }
 
     /// [`Network::poll_pending`] with this endpoint's scratch.
@@ -666,6 +956,10 @@ impl Transport for Endpoint {
 
     fn try_recv(&self) -> Option<Envelope> {
         Endpoint::try_recv(self)
+    }
+
+    fn serve<H: Handler>(&self, handler: H, timeout: Duration) -> Served<H> {
+        Endpoint::serve(self, handler, timeout)
     }
 
     fn set_faults(&self, faults: FaultPlan) {
@@ -1003,6 +1297,226 @@ mod tests {
             assert_eq!(b.recv_timeout(wait).unwrap().payload, [held], "{wait:?}");
             assert!(started.elapsed() < Duration::from_secs(5), "{wait:?}");
         }
+    }
+
+    /// The one-byte payload of a test handler's last frame.
+    const FAIL: u8 = u8::MAX;
+
+    /// A test [`Handler`]: answers frame `[i]` with `[i]` to `to` (back
+    /// to its sender if `None`), in the order of `i` — frames that come
+    /// early wait for the ones before them. It is done after `last` and
+    /// fails at [`FAIL`]. Logs each frame handed to it, with the thread
+    /// that ran it.
+    struct Relay {
+        to: Option<PeerId>,
+        next: u8,
+        last: u8,
+        early: Vec<(u8, PeerId)>,
+        log: Arc<Mutex<Vec<(u8, std::thread::ThreadId)>>>,
+    }
+
+    impl Relay {
+        fn new(to: Option<PeerId>, last: u8) -> Self {
+            Self {
+                to,
+                next: 0,
+                last,
+                early: Vec::new(),
+                log: Arc::default(),
+            }
+        }
+    }
+
+    impl Handler for Relay {
+        type Done = u8;
+        type Error = u8;
+
+        fn on_frame(
+            &mut self,
+            from: PeerId,
+            payload: Vec<u8>,
+            out: &mut Vec<Outgoing>,
+        ) -> Result<Option<u8>, u8> {
+            let i = payload[0];
+            lock(&self.log).push((i, std::thread::current().id()));
+            if i == FAIL {
+                return Err(i);
+            }
+            if i >= self.next && self.early.iter().all(|e| e.0 != i) {
+                self.early.push((i, from));
+            }
+            while let Some(at) = self.early.iter().position(|e| e.0 == self.next) {
+                let (i, from) = self.early.swap_remove(at);
+                out.push((self.to.unwrap_or(from), vec![i], 1));
+                self.next += 1;
+                if i == self.last {
+                    return Ok(Some(i));
+                }
+            }
+            Ok(None)
+        }
+
+        fn heard(&self) -> u64 {
+            u64::from(self.next)
+        }
+    }
+
+    type Finished = (Endpoint, Served<Relay>);
+
+    /// Serves `relay` on `endpoint` from a thread of its own, returned
+    /// once the handler is installed, with that thread's id.
+    fn serve(
+        endpoint: Endpoint,
+        relay: Relay,
+    ) -> (std::thread::JoinHandle<Finished>, std::thread::ThreadId) {
+        let inbox = Arc::clone(&endpoint.inbox);
+        let server = std::thread::spawn(move || {
+            let served = endpoint.serve(relay, Duration::from_secs(30));
+            (endpoint, served)
+        });
+        while !lock(&inbox.queue).inline {
+            std::thread::yield_now();
+        }
+        let id = server.thread().id();
+        (server, id)
+    }
+
+    #[test]
+    fn frames_queued_before_install_reach_the_handler_first_in_order() {
+        let net = Network::new();
+        let a = net.register(PeerId(0));
+        let b = net.register(PeerId(1));
+        for i in 0..5 {
+            a.send(PeerId(1), vec![i], 1).unwrap();
+        }
+        let relay = Relay::new(None, 9);
+        let log = Arc::clone(&relay.log);
+        let (server, b_thread) = serve(b, relay);
+        for i in 5..10 {
+            a.send(PeerId(1), vec![i], 1).unwrap();
+        }
+        let (_, (_, outcome)) = server.join().unwrap();
+        assert_eq!(outcome, Some(Ok(9)));
+        assert_eq!(drain(&a), (0..10).collect::<Vec<u8>>());
+        let log = lock(&log).clone();
+        let handed: Vec<u8> = log.iter().map(|e| e.0).collect();
+        assert_eq!(handed, (0..10).collect::<Vec<u8>>());
+        // The backlog on the serving thread, the rest on the sender's.
+        let a_thread = std::thread::current().id();
+        assert!(log[..5].iter().all(|e| e.1 == b_thread));
+        assert!(log[5..].iter().all(|e| e.1 == a_thread));
+        // Handed frames are no wakes; the replies (one batch for the
+        // backlog, then one each) are.
+        assert_eq!(net.wakes(), 5 + 1 + 5);
+    }
+
+    #[test]
+    fn a_handlers_sends_are_queued_not_nested() {
+        // b relays to c, which answers a: both serve at once, and each
+        // runs only where one level allows — b on a's thread, c on its
+        // own, handed what b's handler queued for it.
+        let net = Network::new();
+        let a = net.register(PeerId(0));
+        let b = net.register(PeerId(1));
+        let c = net.register(PeerId(2));
+        let (to_c, to_a) = (
+            Relay::new(Some(PeerId(2)), 7),
+            Relay::new(Some(PeerId(0)), 7),
+        );
+        let (b_log, c_log) = (Arc::clone(&to_c.log), Arc::clone(&to_a.log));
+        let (c_server, c_thread) = serve(c, to_a);
+        let (b_server, _) = serve(b, to_c);
+        for i in 0..8 {
+            a.send(PeerId(1), vec![i], 1).unwrap();
+        }
+        let answers: Vec<u8> = (0..8).map(|_| a.recv().unwrap().payload[0]).collect();
+        assert_eq!(answers, (0..8).collect::<Vec<u8>>());
+        for server in [b_server, c_server] {
+            assert_eq!(server.join().unwrap().1 .1, Some(Ok(7)));
+        }
+        let a_thread = std::thread::current().id();
+        assert!(lock(&b_log).iter().all(|e| e.1 == a_thread));
+        assert!(lock(&c_log).iter().all(|e| e.1 == c_thread));
+    }
+
+    #[test]
+    fn per_link_order_holds_when_another_endpoints_thread_flushes_held_frames() {
+        let net = Network::new();
+        let a = net.register(PeerId(0));
+        let b = net.register(PeerId(1));
+        let c = net.register(PeerId(2));
+        let mut faults = FaultPlan::none();
+        faults.chaos(crate::fault::ChaosFaults {
+            seed: 31,
+            drop_rate: 0.0,
+            duplicate_rate: 0.3,
+            reorder_window_ms: 3,
+        });
+        let relay = Relay::new(None, 19);
+        let log = Arc::clone(&relay.log);
+        let (server, _) = serve(b, relay);
+        net.set_faults(faults);
+        for i in 0..20 {
+            a.send(PeerId(1), vec![i], 1).unwrap();
+        }
+        // c only flushes held frames as they come due (its receives find
+        // nothing); `a.recv` flushes none.
+        let stop = Arc::new(AtomicBool::new(false));
+        let flusher = {
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || {
+                while !stop.load(Ordering::SeqCst) {
+                    let _ = c.recv_timeout(Duration::from_millis(1));
+                }
+            })
+        };
+        let (_, (relay, outcome)) = server.join().unwrap();
+        stop.store(true, Ordering::SeqCst);
+        flusher.join().unwrap();
+        assert_eq!(outcome, Some(Ok(19)));
+        assert_eq!(relay.next, 20, "every frame answered once, in order");
+        let a_thread = std::thread::current().id();
+        assert!(
+            lock(&log).iter().any(|e| e.1 != a_thread),
+            "a held frame reached the handler from a flushing thread"
+        );
+        let mut answers = std::collections::BTreeSet::new();
+        while let Ok(env) = a.recv_timeout(Duration::from_millis(50)) {
+            answers.insert(env.payload[0]);
+        }
+        assert_eq!(answers, (0..20).collect());
+    }
+
+    #[test]
+    fn a_failed_handler_stops_answering_and_its_sender_times_out() {
+        let net = Network::new();
+        let a = net.register(PeerId(0));
+        let b = net.register(PeerId(1));
+        let (server, _) = serve(b, Relay::new(None, 9));
+        a.send(PeerId(1), vec![0], 1).unwrap();
+        assert_eq!(a.recv().unwrap().payload, [0]);
+        a.send(PeerId(1), vec![FAIL], 1).unwrap();
+        a.send(PeerId(1), vec![1], 1).unwrap();
+        assert_eq!(
+            a.recv_timeout(Duration::from_millis(50)),
+            Err(NetError::Timeout)
+        );
+        let (b, (relay, outcome)) = server.join().unwrap();
+        assert_eq!(outcome, Some(Err(FAIL)));
+        assert_eq!(relay.next, 1);
+        // The frame past the outcome waits for b's next receive.
+        assert_eq!(drain(&b), [1]);
+    }
+
+    #[test]
+    fn a_serve_that_hears_nothing_ends_after_its_timeout() {
+        let net = Network::new();
+        let b = net.register(PeerId(1));
+        let started = Instant::now();
+        let (relay, outcome) = b.serve(Relay::new(None, 9), Duration::from_millis(30));
+        assert_eq!((relay.next, outcome), (0, None));
+        assert!(started.elapsed() >= Duration::from_millis(30));
+        assert!(!lock(&b.inbox.queue).inline, "the handler is taken back");
     }
 
     #[test]

@@ -199,8 +199,11 @@ mod tests {
         }
         let cohort = Cohort::new(panel, case.clone(), GenotypeMatrix::zeroed(2, 4)).unwrap();
         let shards = cohort.split_case_among(2);
-        let rebuilt = shards[0].stack(&shards[1]).unwrap();
-        assert_eq!(rebuilt, case);
+        assert_eq!(shards.iter().map(|s| s.individuals()).sum::<usize>(), 5);
+        let rows = shards
+            .iter()
+            .flat_map(|s| (0..s.individuals()).map(|i| s.row(i)));
+        assert!(rows.eq((0..5).map(|i| case.row(i))));
     }
 
     #[test]

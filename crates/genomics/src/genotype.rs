@@ -269,25 +269,6 @@ impl GenotypeMatrix {
         out
     }
 
-    /// Vertically stacks `self` on top of `other`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GenomicsError::DimensionMismatch`] if SNP counts differ.
-    pub fn stack(&self, other: &GenotypeMatrix) -> Result<GenotypeMatrix, GenomicsError> {
-        if self.snps != other.snps {
-            return Err(GenomicsError::DimensionMismatch {
-                got: other.snps,
-                expected: self.snps,
-                what: "snps",
-            });
-        }
-        let mut out = Self::zeroed(self.individuals + other.individuals, self.snps);
-        out.words[..self.words.len()].copy_from_slice(&self.words);
-        out.words[self.words.len()..].copy_from_slice(&other.words);
-        Ok(out)
-    }
-
     /// Restricts the matrix to the given columns, in the given order.
     ///
     /// # Panics
@@ -379,13 +360,15 @@ mod tests {
     }
 
     #[test]
-    fn row_range_and_stack_are_inverses() {
+    fn row_range_parts_hold_the_original_rows() {
         let m = checkerboard(9, 33);
-        let top = m.row_range(0, 4);
-        let bottom = m.row_range(4, 5);
-        assert_eq!(top.individuals(), 4);
-        assert_eq!(bottom.individuals(), 5);
-        assert_eq!(top.stack(&bottom).unwrap(), m);
+        for (start, len) in [(0, 4), (4, 5)] {
+            let part = m.row_range(start, len);
+            assert_eq!((part.individuals(), part.snps()), (len, 33));
+            for i in 0..len {
+                assert_eq!(part.row(i), m.row(start + i), "row {}", start + i);
+            }
+        }
     }
 
     #[test]
@@ -426,13 +409,6 @@ mod tests {
     fn column_range_rejects_unaligned_start() {
         let m = checkerboard(2, 100);
         let _ = m.column_range(32, 10);
-    }
-
-    #[test]
-    fn stack_rejects_mismatched_snps() {
-        let a = GenotypeMatrix::zeroed(2, 5);
-        let b = GenotypeMatrix::zeroed(2, 6);
-        assert!(a.stack(&b).is_err());
     }
 
     #[test]

@@ -127,6 +127,23 @@ impl Histogram {
         let idx = self.0.bounds.partition_point(|&b| b < value);
         self.0.buckets[idx].fetch_add(1, Ordering::Relaxed);
         self.0.count.fetch_add(1, Ordering::Relaxed);
+        self.add_to_sum(value);
+    }
+
+    /// Records a batch counted elsewhere, as observing each would:
+    /// `counts[i]` values in bucket `i` (`+Inf` last), adding up to `sum`.
+    pub fn observe_counts(&self, counts: &[u64], sum: f64) {
+        for (bucket, &n) in self.0.buckets.iter().zip(counts) {
+            if n > 0 {
+                bucket.fetch_add(n, Ordering::Relaxed);
+            }
+        }
+        let total = counts.iter().sum();
+        self.0.count.fetch_add(total, Ordering::Relaxed);
+        self.add_to_sum(sum);
+    }
+
+    fn add_to_sum(&self, value: f64) {
         let mut cur = self.0.sum_bits.load(Ordering::Relaxed);
         loop {
             let next = (f64::from_bits(cur) + value).to_bits();
@@ -468,6 +485,22 @@ mod tests {
         assert!(text.contains("t_seconds_bucket{le=\"1\"} 2"));
         assert!(text.contains("t_seconds_bucket{le=\"+Inf\"} 3"));
         assert!(text.contains("t_seconds_count 3"));
+    }
+
+    #[test]
+    fn a_batch_of_counts_renders_as_its_observations() {
+        let bounds = [64.0, 1024.0];
+        let (batched, each) = (Registry::new(), Registry::new());
+        let values = [10.0, 100.0, 5000.0, 64.0, 700.0];
+        let mut counts = [0u64; 3];
+        for value in values {
+            counts[bounds.partition_point(|&b| b < value)] += 1;
+            each.histogram("t_bytes", "help", &[], &bounds)
+                .observe(value);
+        }
+        let h = batched.histogram("t_bytes", "help", &[], &bounds);
+        h.observe_counts(&counts, values.iter().sum());
+        assert_eq!(batched.render(), each.render());
     }
 
     #[test]

@@ -63,8 +63,13 @@ cargo test --release -p gendpr-crypto -p gendpr-tee -p gendpr-fednet -q
 # in-memory fabric (it runs in debug with the workspace above). LLVM may
 # elide allocations in release that debug makes, or make ones debug does
 # not, so the bound is checked in the build that ships as well.
-echo "==> cargo test --release --test engine --test chaos --test distributed --test chaos_props --test alloc_budget -q"
-cargo test --release --test engine --test chaos --test distributed --test chaos_props --test alloc_budget -q
+echo "==> cargo test --release --test engine --test chaos --test distributed --test chaos_props --test alloc_budget --test fabric_telemetry -q"
+cargo test --release --test engine --test chaos --test distributed --test chaos_props --test alloc_budget --test fabric_telemetry -q
+# Which thread hands a serving follower a frame (the sender's, a chaos
+# flusher's or its own) depends on timing: the fabric's inline tests run
+# with gendpr-fednet above, the follower machine's proptest here.
+echo "==> cargo test --release -p gendpr-core --lib -q engine::tests::the_follower_machine"
+cargo test --release -p gendpr-core --lib -q engine::tests::the_follower_machine
 
 # The paper's artefacts call every driver (Federation, the naive and
 # centralized baselines, the attested runtime) and assert their own

@@ -164,14 +164,17 @@ fn one_shot_wire_schedule_is_pinned_over_tcp() {
     assert_eq!(witness(&report), pinned(messages, TCP_WIRE_BYTES));
 }
 
-/// `(prefetch_ld, messages, fabric wakes at commit 1526b97)` of the study
-/// above on the in-memory fabric. At commit bfcf3ae, before fan-outs went
-/// out as bursts, every message was its own wake (wakes = messages); at
-/// 1526b97 a fan-out woke each destination once and every reply was its
-/// own wake. Now a follower answers everything queued when it woke in one
-/// burst, so how many replies share a wake depends on thread timing: the
-/// messages stay exact, the wakes can only fall below 1526b97's.
-const WAKES: [(bool, u64, u64); 2] = [(false, 1078, 730), (true, 488, 345)];
+/// `(prefetch_ld, messages, most fabric wakes)` of the study above on the
+/// in-memory fabric. At commit bfcf3ae, before fan-outs went out as
+/// bursts, every message was its own wake (wakes = messages); at 1526b97
+/// a fan-out woke each destination once and every reply was its own wake
+/// (730 and 345). Now a serving follower is handed the leader's frames on
+/// the leader's thread, which is no wake: what is left is each batch of
+/// its replies and the frames of election, attestation and counts (546
+/// and 251 measured). A follower that starts serving only after the
+/// leader's first broadcast reached it costs that frame a wake, so the
+/// bound allows one more per follower (G − 1).
+const WAKES: [(bool, u64, u64); 2] = [(false, 1078, 548), (true, 488, 253)];
 
 #[test]
 fn a_fan_out_wakes_each_destination_once() {

@@ -5,11 +5,14 @@
 //! its position), admission rejects at the bound with the typed verdict,
 //! and interleaved sessions never deadlock or drop a job.
 
+use gendpr::core::attack::{MembershipAttacker, ReleasedStatistics};
 use gendpr::core::config::{FederationConfig, GwasParams};
 use gendpr::core::runtime::RuntimeOptions;
 use gendpr::core::serving::ServiceFederation;
 use gendpr::fednet::tcp::{ephemeral_listeners, TcpOptions, TcpTransport};
 use gendpr::fednet::transport::PeerId;
+use gendpr::genomics::genotype::GenotypeMatrix;
+use gendpr::genomics::snp::SnpId;
 use gendpr::genomics::synth::SyntheticCohort;
 use gendpr::service::daemon::{AssessmentService, Supervision};
 use gendpr::service::ledger::{LedgerRecord, ReleaseLedger};
@@ -187,6 +190,50 @@ fn single_client_workload_is_byte_identical_over_tcp_lanes() {
     // And the TCP mesh certifies exactly what the in-memory fabric does.
     let memory = single_client_workload(1, "ident-mem-again", false);
     assert_eq!(fifo, memory, "transport changed the certified workload");
+}
+
+#[test]
+fn two_daemon_jobs_keep_the_ledgers_union_below_the_attackers_threshold() {
+    // Two overlapping jobs through the scheduler, one after the other:
+    // the second is seeded with the first's release, so an LR membership
+    // attacker holding the ledger's whole released union (at the pooled
+    // frequencies) must stay below the power threshold. A Phase 3 search
+    // that drops its seed releases a union this attacker wins.
+    let path = temp_ledger("attack-union");
+    let mut service = start_pool(1, 16, ReleaseLedger::open(&path).unwrap(), false);
+    for panel in [(0..60).collect::<Vec<u32>>(), (30..100).collect()] {
+        service.execute(panel).expect("job certifies");
+    }
+    service.stop().expect("daemon drains cleanly");
+    let ledger = ReleaseLedger::open(&path).unwrap();
+    let records = ledger.records();
+    assert_eq!(records[1].forced, records[0].released, "job 2 is seeded");
+    let mut union: Vec<SnpId> = records
+        .iter()
+        .flat_map(|r| r.released.iter().map(|&s| SnpId(s)))
+        .collect();
+    union.sort_unstable();
+    let cohort = study();
+    let freqs = |m: &GenotypeMatrix| {
+        let (counts, n) = (m.column_counts(), m.individuals() as f64);
+        union
+            .iter()
+            .map(|s| counts[s.index()] as f64 / n)
+            .collect::<Vec<_>>()
+    };
+    let release = ReleasedStatistics {
+        case_freqs: freqs(cohort.case()),
+        ref_freqs: freqs(cohort.reference()),
+        snps: union.clone(),
+    };
+    let attacker =
+        MembershipAttacker::calibrate(release, cohort.reference(), params().lr.false_positive_rate);
+    let power = attacker.power_against(cohort.case());
+    assert!(
+        power < params().lr.power_threshold,
+        "the ledger's union of {} SNPs reads power {power}",
+        union.len()
+    );
 }
 
 #[test]

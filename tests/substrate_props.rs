@@ -82,11 +82,15 @@ proptest! {
     }
 
     #[test]
-    fn shard_and_stack_are_inverse(m in matrix_strategy(), cut_at in 0usize..40) {
+    fn row_range_parts_hold_the_original_rows(m in matrix_strategy(), cut_at in 0usize..40) {
         let cut = cut_at.min(m.individuals());
-        let top = m.row_range(0, cut);
-        let bottom = m.row_range(cut, m.individuals() - cut);
-        prop_assert_eq!(top.stack(&bottom).unwrap(), m);
+        for (start, len) in [(0, cut), (cut, m.individuals() - cut)] {
+            let part = m.row_range(start, len);
+            prop_assert_eq!((part.individuals(), part.snps()), (len, m.snps()));
+            for i in 0..len {
+                prop_assert_eq!(part.row(i), m.row(start + i));
+            }
+        }
     }
 
     #[test]
