@@ -68,10 +68,10 @@ impl NaiveDistributed {
         }
 
         let nodes: Vec<GdoNode> = cohort
-            .split_case_among(self.gdo_count)
+            .case_rows_among(self.gdo_count)
             .into_iter()
             .enumerate()
-            .map(|(i, shard)| GdoNode::new(i, shard))
+            .map(|(i, rows)| GdoNode::from_rows(i, cohort.case(), rows))
             .collect();
         let mut source = Local(&nodes);
         let (reference, params) = (cohort.reference(), &self.params);

@@ -9,7 +9,6 @@
 
 use crate::config::CollusionMode;
 use gendpr_genomics::snp::SnpId;
-use std::collections::HashMap;
 
 /// All `k`-element subsets of `0..n`, in lexicographic order.
 ///
@@ -100,8 +99,9 @@ pub fn evaluation_subsets(g: usize, mode: CollusionMode) -> Vec<Vec<usize>> {
     }
 }
 
-/// Intersects per-combination SNP selections, preserving panel order —
-/// `getIntersection` of §6.1.
+/// Intersects per-combination SNP selections, preserving the order of the
+/// first (panel order, as the phases produce them) — `getIntersection` of
+/// §6.1. Consecutive repeats in the first selection collapse to one.
 ///
 /// # Panics
 ///
@@ -110,24 +110,33 @@ pub fn evaluation_subsets(g: usize, mode: CollusionMode) -> Vec<Vec<usize>> {
 #[must_use]
 pub fn intersect_selections(selections: &[Vec<SnpId>]) -> Vec<SnpId> {
     assert!(!selections.is_empty(), "need at least one selection");
-    // Round-stamped survival: one map for the whole fold instead of a
-    // fresh HashSet per selection. An id survives round `r` only if it
-    // was present in every earlier selection too.
-    let mut last_round: HashMap<SnpId, u32> = selections[0].iter().map(|&id| (id, 0)).collect();
-    for (round, sel) in (1u32..).zip(&selections[1..]) {
+    // Round-stamped survival in a vector indexed by SNP id, as wide as the
+    // first selection's largest id: an id survives round `r` only if it
+    // was present in every earlier selection too. Round 0 marks the first
+    // selection's ids, so stamps are offset by one and 0 means absent.
+    let width = selections[0]
+        .iter()
+        .map(|id| id.index() + 1)
+        .max()
+        .unwrap_or(0);
+    let mut last_round = vec![0u32; width];
+    for id in &selections[0] {
+        last_round[id.index()] = 1;
+    }
+    for (round, sel) in (2u32..).zip(&selections[1..]) {
         for id in sel {
-            if let Some(seen) = last_round.get_mut(id) {
+            if let Some(seen) = last_round.get_mut(id.index()) {
                 if *seen == round - 1 {
                     *seen = round;
                 }
             }
         }
     }
-    let final_round = (selections.len() - 1) as u32;
+    let final_round = selections.len() as u32;
     let mut out: Vec<SnpId> = selections[0]
         .iter()
         .copied()
-        .filter(|id| last_round.get(id) == Some(&final_round))
+        .filter(|id| last_round[id.index()] == final_round)
         .collect();
     out.dedup();
     out
@@ -241,6 +250,60 @@ mod tests {
     fn intersection_with_disjoint_is_empty() {
         let sels = vec![vec![SnpId(1)], vec![SnpId(2)]];
         assert!(intersect_selections(&sels).is_empty());
+    }
+
+    /// The map fold `intersect_selections` ran before its stamp vector.
+    fn intersect_by_map(selections: &[Vec<SnpId>]) -> Vec<SnpId> {
+        let mut last_round: std::collections::HashMap<SnpId, u32> =
+            selections[0].iter().map(|&id| (id, 0)).collect();
+        for (round, sel) in (1u32..).zip(&selections[1..]) {
+            for id in sel {
+                if let Some(seen) = last_round.get_mut(id) {
+                    if *seen == round - 1 {
+                        *seen = round;
+                    }
+                }
+            }
+        }
+        let final_round = (selections.len() - 1) as u32;
+        let mut out: Vec<SnpId> = selections[0]
+            .iter()
+            .copied()
+            .filter(|id| last_round.get(id) == Some(&final_round))
+            .collect();
+        out.dedup();
+        out
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Sorted selections with repeats (and, when `shuffle_first`, a first
+        /// selection out of order): the stamp vector keeps exactly what the
+        /// map fold kept, in the same order.
+        #[test]
+        fn the_stamp_vector_intersects_as_the_map_fold_did(
+            selections in proptest::collection::vec(
+                proptest::collection::vec(0u32..80, 0..40),
+                1..6,
+            ),
+            shuffle_first in proptest::prelude::any::<bool>(),
+        ) {
+            let mut sels: Vec<Vec<SnpId>> = selections
+                .iter()
+                .map(|v| {
+                    let mut ids: Vec<SnpId> = v.iter().map(|&x| SnpId(x)).collect();
+                    ids.sort_unstable();
+                    ids
+                })
+                .collect();
+            if shuffle_first {
+                sels[0].reverse();
+                let half = sels[0].len() / 2;
+                sels[0].rotate_left(half);
+            }
+            proptest::prop_assert_eq!(intersect_selections(&sels), intersect_by_map(&sels));
+        }
     }
 
     #[test]

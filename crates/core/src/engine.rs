@@ -1355,12 +1355,19 @@ mod tests {
             &config,
             &params,
             options,
-            shard(),
+            GdoNode::new(0, shard()),
         )
         .unwrap();
         let endpoint = network.register(PeerId(1));
         let follower = std::thread::spawn(move || {
-            let (mut ctx, node, _) = build_member(endpoint, 1, &config, &params, options, shard())?;
+            let (mut ctx, node, _) = build_member(
+                endpoint,
+                1,
+                &config,
+                &params,
+                options,
+                GdoNode::new(1, shard()),
+            )?;
             establish_channel(&mut ctx, 0)?;
             follower_serve(ctx, &Arc::new(node), 0, Terminator::Phase3).1
         });
@@ -1388,13 +1395,20 @@ mod tests {
             &config,
             &params,
             options,
-            shard(),
+            GdoNode::new(0, shard()),
         )
         .unwrap();
         let endpoint = network.register(PeerId(1));
         let (go, gate) = std::sync::mpsc::channel::<()>();
         let follower = std::thread::spawn(move || {
-            let (mut ctx, node, _) = build_member(endpoint, 1, &config, &params, options, shard())?;
+            let (mut ctx, node, _) = build_member(
+                endpoint,
+                1,
+                &config,
+                &params,
+                options,
+                GdoNode::new(1, shard()),
+            )?;
             establish_channel(&mut ctx, 0)?;
             gate.recv().expect("the leader queues its requests first");
             follower_serve(ctx, &Arc::new(node), 0, Terminator::Phase3).1
@@ -1478,13 +1492,20 @@ mod tests {
             &config,
             &params,
             options,
-            shard(),
+            GdoNode::new(0, shard()),
         )
         .unwrap();
         let endpoint = network.register(PeerId(1));
         let follower = std::thread::spawn(move || {
-            let (mut ctx, _, counts) =
-                build_member(endpoint, 1, &config, &params, options, shard()).unwrap();
+            let (mut ctx, _, counts) = build_member(
+                endpoint,
+                1,
+                &config,
+                &params,
+                options,
+                GdoNode::new(1, shard()),
+            )
+            .unwrap();
             establish_channel(&mut ctx, 0).unwrap();
             send_protocol(&mut ctx, 0, &ProtocolMessage::Counts(counts.clone()));
             loop {
@@ -1666,13 +1687,20 @@ mod tests {
             &config,
             &params,
             options,
-            shards.next().unwrap(),
+            GdoNode::new(0, shards.next().unwrap()),
         )
         .unwrap();
         let (endpoint, shard) = (network.register(PeerId(1)), shards.next().unwrap());
         let honest = std::thread::spawn(move || {
-            let (mut ctx, node, counts) =
-                build_member(endpoint, 1, &config, &params, options, shard).unwrap();
+            let (mut ctx, node, counts) = build_member(
+                endpoint,
+                1,
+                &config,
+                &params,
+                options,
+                GdoNode::new(1, shard),
+            )
+            .unwrap();
             establish_channel(&mut ctx, 0).unwrap();
             send_protocol(&mut ctx, 0, &ProtocolMessage::Counts(counts));
             // An abort ends it with an error: the leader's business.
@@ -1680,8 +1708,15 @@ mod tests {
         });
         let (endpoint, shard) = (network.register(PeerId(2)), shards.next().unwrap());
         let liar = std::thread::spawn(move || {
-            let (mut ctx, node, counts) =
-                build_member(endpoint, 2, &config, &params, options, shard).unwrap();
+            let (mut ctx, node, counts) = build_member(
+                endpoint,
+                2,
+                &config,
+                &params,
+                options,
+                GdoNode::new(2, shard),
+            )
+            .unwrap();
             establish_channel(&mut ctx, 0).unwrap();
             let (mut kinds, mut lied) = (Vec::new(), false);
             let mut reply = |ctx: &mut MemberCtx<_>, honest: ProtocolMessage| {
@@ -1903,13 +1938,20 @@ mod tests {
             &config,
             &params,
             options,
-            shard(),
+            GdoNode::new(0, shard()),
         )
         .unwrap();
         let endpoint = network.register(PeerId(1));
         let follower = std::thread::spawn(move || {
-            let (mut ctx, node, _) =
-                build_member(wrap(endpoint), 1, &config, &params, options, shard()).unwrap();
+            let (mut ctx, node, _) = build_member(
+                wrap(endpoint),
+                1,
+                &config,
+                &params,
+                options,
+                GdoNode::new(1, shard()),
+            )
+            .unwrap();
             establish_channel(&mut ctx, 0).unwrap();
             (ctx, node)
         });

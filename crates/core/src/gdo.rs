@@ -12,6 +12,7 @@ use gendpr_genomics::genotype::GenotypeMatrix;
 use gendpr_genomics::snp::SnpId;
 use gendpr_stats::ld::LdMoments;
 use gendpr_stats::lr::LrMatrix;
+use std::ops::Range;
 
 /// One federation member's data and local compute.
 #[derive(Debug, Clone)]
@@ -31,7 +32,18 @@ impl GdoNode {
     /// the row-major matrix is not kept).
     #[must_use]
     pub fn new(id: usize, shard: GenotypeMatrix) -> Self {
-        let columnar = ColumnarGenotypes::from_matrix(&shard);
+        Self::from_rows(id, &shard, 0..shard.individuals())
+    }
+
+    /// Creates a node for member `id` holding the individuals `rows` of
+    /// `case`, transposed straight out of it: no row-major shard is made.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows` reaches past `case`.
+    #[must_use]
+    pub(crate) fn from_rows(id: usize, case: &GenotypeMatrix, rows: Range<usize>) -> Self {
+        let columnar = ColumnarGenotypes::from_rows(case, rows);
         let counts = columnar.column_counts();
         Self {
             id,

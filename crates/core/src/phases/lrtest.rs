@@ -9,7 +9,6 @@ use gendpr_genomics::snp::SnpId;
 use gendpr_stats::lr::LrMatrix;
 use gendpr_stats::lr::{select_safe_subset, LrTestParams, LrValues};
 use gendpr_stats::ranking::{sort_most_significant_first, SnpRank};
-use std::collections::HashMap;
 
 /// The LR subset search the leader runs. There is one: the enum and its
 /// one variant stay only because `benchmark/src/probes.rs` links them
@@ -35,16 +34,19 @@ pub(crate) fn admission_order(
     ranks: Vec<SnpRank>,
     offset: usize,
 ) -> Vec<usize> {
-    let col_of: HashMap<SnpId, usize> = candidates
-        .iter()
-        .enumerate()
-        .map(|(j, &s)| (s, offset + j))
-        .collect();
+    // Column by SNP id, `None` for an id that is no candidate.
+    let width = candidates.iter().map(|s| s.index() + 1).max().unwrap_or(0);
+    let mut col_of = vec![None; width];
+    for (j, s) in candidates.iter().enumerate() {
+        col_of[s.index()] = Some(offset + j);
+    }
     sort_most_significant_first(ranks)
         .iter()
         .map(|r| {
-            *col_of
-                .get(&r.snp)
+            col_of
+                .get(r.snp.index())
+                .copied()
+                .flatten()
                 .expect("rank refers to a SNP outside the candidate set")
         })
         .collect()

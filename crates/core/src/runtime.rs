@@ -889,8 +889,10 @@ pub(crate) fn in_memory_fabric(
 /// Checks a deployment — a valid config and params, a non-empty study
 /// (SNPs, reference individuals and case genomes), a transport for each
 /// member, in id order — and starts one thread per member, running
-/// `member(id)` over its transport, its case shard and the shared
-/// reference panel. Both attested drivers deploy this way.
+/// `member(id)` over its transport, its node and the shared reference
+/// panel. Each thread builds its node from its rows of the cohort's shared
+/// case matrix ([`GdoNode::from_rows`]); neither matrix is copied. Both
+/// attested drivers deploy this way.
 pub(crate) fn spawn_members<T, R, F>(
     transports: Vec<T>,
     config: &FederationConfig,
@@ -901,7 +903,7 @@ pub(crate) fn spawn_members<T, R, F>(
 where
     T: Transport + 'static,
     R: Send + 'static,
-    F: FnOnce(T, GenotypeMatrix, Arc<GenotypeMatrix>) -> R + Send + 'static,
+    F: FnOnce(T, GdoNode, Arc<GenotypeMatrix>) -> R + Send + 'static,
 {
     config.validate().map_err(ProtocolError::InvalidConfig)?;
     params.validate().map_err(ProtocolError::InvalidConfig)?;
@@ -923,15 +925,17 @@ where
             "transports must be ordered by member id",
         ));
     }
-    let reference = Arc::new(cohort.reference().clone());
-    let shards = cohort.split_case_among(config.gdo_count);
+    let rows = cohort.case_rows_among(config.gdo_count);
     Ok(transports
         .into_iter()
-        .zip(shards)
+        .zip(rows)
         .enumerate()
-        .map(|(id, (transport, shard))| {
-            let (run, reference) = (member(id), Arc::clone(&reference));
-            std::thread::spawn(move || run(transport, shard, reference))
+        .map(|(id, (transport, rows))| {
+            let (run, (case, reference)) = (member(id), cohort.shared());
+            let (case, reference) = (Arc::clone(case), Arc::clone(reference));
+            std::thread::spawn(move || {
+                run(transport, GdoNode::from_rows(id, &case, rows), reference)
+            })
         })
         .collect())
 }
@@ -965,8 +969,8 @@ pub struct MemberOutcome {
 }
 
 /// Validates the configuration and builds one member: its protocol context
-/// (the enclave, the deterministic per-member secrets and the links), its
-/// node over `shard`, and the counts report it computes once, metered in
+/// (the enclave, the deterministic per-member secrets and the links) around
+/// `node`, and the counts report it computes once, metered in
 /// its enclave — the report outlives a session's jobs. The fork order of
 /// the derivation must match `run_federation_over` exactly: attestation
 /// service first, then a (platform, member) RNG pair per member in id
@@ -978,7 +982,7 @@ pub(crate) fn build_member<T: Transport>(
     config: &FederationConfig,
     params: &GwasParams,
     options: RuntimeOptions,
-    shard: GenotypeMatrix,
+    node: GdoNode,
 ) -> Result<(MemberCtx<T>, GdoNode, CountsReport), ProtocolError> {
     config.validate().map_err(ProtocolError::InvalidConfig)?;
     params.validate().map_err(ProtocolError::InvalidConfig)?;
@@ -1001,7 +1005,6 @@ pub(crate) fn build_member<T: Transport>(
     let platform = Platform::new(&format!("gdo-{member}"), &service, &mut platform_rng);
     let mut enclave =
         platform.launch_enclave_with_config(CODE_IDENTITY, &measurement_config(params), ());
-    let node = GdoNode::new(member, shard);
     let counts = enclave.enter(|(), epc| {
         let report = node.counts_report();
         epc.alloc(8 * report.counts.len() as u64);
@@ -1054,7 +1057,21 @@ pub fn run_member<T: Transport>(
     shard: GenotypeMatrix,
     reference: &GenotypeMatrix,
 ) -> Result<MemberOutcome, ProtocolError> {
-    let (mut ctx, node, counts) = build_member(transport, member, config, params, options, shard)?;
+    let node = GdoNode::new(member, shard);
+    run_member_node(transport, member, config, params, options, node, reference)
+}
+
+/// [`run_member`] over a built node.
+fn run_member_node<T: Transport>(
+    transport: T,
+    member: usize,
+    config: &FederationConfig,
+    params: &GwasParams,
+    options: RuntimeOptions,
+    node: GdoNode,
+    reference: &GenotypeMatrix,
+) -> Result<MemberOutcome, ProtocolError> {
+    let (mut ctx, node, counts) = build_member(transport, member, config, params, options, node)?;
     let node = Arc::new(node);
     // Seat, then one job: the leader assesses the whole panel, nothing
     // forced, no job context.
@@ -1126,8 +1143,8 @@ pub fn run_federation_over<T: Transport + 'static>(
 ) -> Result<RuntimeReport, ProtocolError> {
     let start = Instant::now();
     let handles = spawn_members(transports, &config, &params, cohort.as_ref(), |id| {
-        move |transport, shard, reference: Arc<GenotypeMatrix>| {
-            run_member(transport, id, &config, &params, options, shard, &reference)
+        move |transport, node, reference: Arc<GenotypeMatrix>| {
+            run_member_node(transport, id, &config, &params, options, node, &reference)
         }
     })?;
 

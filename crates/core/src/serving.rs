@@ -233,14 +233,14 @@ fn join_session<T: Transport>(
     config: &FederationConfig,
     params: &GwasParams,
     options: RuntimeOptions,
-    shard: GenotypeMatrix,
+    node: GdoNode,
     reference: &GenotypeMatrix,
     commands: &Receiver<SessionCommand>,
     events: &Sender<SessionEvent>,
 ) -> Result<(), ProtocolError> {
     // A dead member kills the session; the daemon rebuilds the lane (and
     // the ledger makes the restart seamless).
-    let (mut ctx, node, counts) = build_member(transport, member, config, params, options, shard)?;
+    let (mut ctx, node, counts) = build_member(transport, member, config, params, options, node)?;
     let node = Arc::new(node);
     match seat(&mut ctx, &node, &counts, reference, params)? {
         Seat::Leader(session) => leader_session(&mut ctx, session, commands, events),
@@ -515,9 +515,9 @@ impl ServiceFederation {
             let (cmd_tx, cmd_rx) = channel();
             commands.push(cmd_tx);
             let events = event_tx.clone();
-            move |transport, shard, reference: Arc<GenotypeMatrix>| {
+            move |transport, node, reference: Arc<GenotypeMatrix>| {
                 if let Err(error) = join_session(
-                    transport, id, &config, &params, options, shard, &reference, &cmd_rx, &events,
+                    transport, id, &config, &params, options, node, &reference, &cmd_rx, &events,
                 ) {
                     let _ = events.send(SessionEvent::Failed { error });
                 }

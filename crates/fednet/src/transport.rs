@@ -527,12 +527,22 @@ impl Handover {
         inbox: Arc<Inbox>,
         env: Envelope,
     ) -> Result<(), NetError> {
+        self.meter(state, &env);
+        self.queue(inbox, env)
+    }
+
+    /// Counts `env` in the fabric's traffic. The in-memory fabric delivers
+    /// synchronously, so one record is both the send and the receive for
+    /// the global transport metrics.
+    fn meter(&mut self, state: &mut NetworkState, env: &Envelope) {
         state
             .metrics
             .record(env.from.0, env.to.0, env.plaintext_len, env.payload.len());
-        // The in-memory fabric delivers synchronously, so one record is both
-        // the send and the receive for the global transport metrics.
         self.tally.count(env.payload.len());
+    }
+
+    /// Queues `env`, metered already, for `inbox`: see [`Self::deliver`].
+    fn queue(&mut self, inbox: Arc<Inbox>, env: Envelope) -> Result<(), NetError> {
         if inbox.closed.load(Ordering::SeqCst) {
             return Err(NetError::Disconnected);
         }
@@ -695,7 +705,10 @@ impl Network {
     }
 
     /// Applies the fault plan to one frame: dropped, held for later, or
-    /// queued on `handover` (after any duplicates).
+    /// queued on `handover` (after any duplicates). A held frame is metered
+    /// here, when it is sent: counted at delivery, one still held when
+    /// every endpoint stopped polling would be missing from the run's
+    /// traffic, which would then depend on timing rather than on the seed.
     fn route(
         state: &mut NetworkState,
         env: Envelope,
@@ -713,6 +726,7 @@ impl Network {
         }
         match decision.delay {
             Some(delay) => {
+                handover.meter(state, &env);
                 state.held.push(HeldFrame {
                     env,
                     due: Instant::now() + delay,
@@ -723,7 +737,8 @@ impl Network {
         }
     }
 
-    /// Moves every held frame that is due onto `handover`.
+    /// Moves every held frame that is due onto `handover`, unmetered: it
+    /// was metered when it was held.
     fn take_due(state: &mut NetworkState, handover: &mut Handover) {
         if state.held.is_empty() {
             return;
@@ -734,7 +749,7 @@ impl Network {
             if state.held[i].due <= now {
                 let env = state.held.swap_remove(i).env;
                 if let Some(inbox) = state.inbox(env.to).map(Arc::clone) {
-                    let _ = handover.deliver(state, inbox, env);
+                    let _ = handover.queue(inbox, env);
                 }
             } else {
                 i += 1;
@@ -1270,6 +1285,41 @@ mod tests {
             }
         }
         panic!("the fault plan held no frame back");
+    }
+
+    #[test]
+    fn a_frame_still_held_when_every_endpoint_stops_is_counted() {
+        // A frame a fault plan holds back counts when it is sent: a run
+        // that ends with one still held reads the traffic every run of the
+        // seed reads, and delivering it later adds nothing.
+        let mut runs = Vec::new();
+        for _ in 0..3 {
+            let net = Network::new();
+            let a = net.register(PeerId(0));
+            let b = net.register(PeerId(1));
+            let mut faults = FaultPlan::none();
+            faults.chaos(crate::fault::ChaosFaults {
+                seed: 11,
+                drop_rate: 0.0,
+                duplicate_rate: 0.0,
+                reorder_window_ms: 200,
+            });
+            net.set_faults(faults);
+            let held = send_until_held(&a, &b);
+            drain(&b);
+            assert!(!lock(&net.fabric.state).held.is_empty());
+            let at_stop = net.total_stats();
+            assert_eq!(at_stop.messages, u64::from(held) + 1, "every frame sent");
+            std::thread::sleep(Duration::from_millis(250));
+            assert_eq!(b.recv_timeout(Duration::ZERO).unwrap().payload, [held]);
+            assert_eq!(
+                net.total_stats(),
+                at_stop,
+                "the delivery is not a second send"
+            );
+            runs.push(at_stop);
+        }
+        assert!(runs.windows(2).all(|w| w[0] == w[1]), "{runs:?}");
     }
 
     #[test]

@@ -9,6 +9,8 @@
 use crate::error::GenomicsError;
 use crate::genotype::GenotypeMatrix;
 use crate::snp::SnpPanel;
+use std::ops::Range;
+use std::sync::Arc;
 
 /// Which population an individual belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -33,12 +35,13 @@ impl std::fmt::Display for Population {
 }
 
 /// A complete study dataset: panel metadata, pooled case genotypes and the
-/// shared reference population.
+/// shared reference population. The matrices sit behind `Arc`s, so a
+/// clone, and every run's members, share them rather than copy them.
 #[derive(Debug, Clone)]
 pub struct Cohort {
     panel: SnpPanel,
-    case: GenotypeMatrix,
-    reference: GenotypeMatrix,
+    case: Arc<GenotypeMatrix>,
+    reference: Arc<GenotypeMatrix>,
 }
 
 impl Cohort {
@@ -64,8 +67,8 @@ impl Cohort {
         }
         Ok(Self {
             panel,
-            case,
-            reference,
+            case: Arc::new(case),
+            reference: Arc::new(reference),
         })
     }
 
@@ -87,8 +90,14 @@ impl Cohort {
         &self.reference
     }
 
-    /// Splits the case population into `gdos` near-equal shards (the paper
-    /// divides genomes equally among federation members).
+    /// The case and reference matrices as the cohort shares them.
+    #[must_use]
+    pub fn shared(&self) -> (&Arc<GenotypeMatrix>, &Arc<GenotypeMatrix>) {
+        (&self.case, &self.reference)
+    }
+
+    /// The case rows of each of `gdos` near-equal shards (the paper divides
+    /// genomes equally among federation members), in member order.
     ///
     /// The first `case % gdos` shards receive one extra individual so every
     /// genome is assigned exactly once.
@@ -97,20 +106,28 @@ impl Cohort {
     ///
     /// Panics if `gdos == 0`.
     #[must_use]
-    pub fn split_case_among(&self, gdos: usize) -> Vec<GenotypeMatrix> {
+    pub fn case_rows_among(&self, gdos: usize) -> Vec<Range<usize>> {
         assert!(gdos > 0, "federation must have at least one member");
         let n = self.case.individuals();
-        let base = n / gdos;
-        let extra = n % gdos;
-        let mut shards = Vec::with_capacity(gdos);
-        let mut start = 0;
-        for g in 0..gdos {
-            let len = base + usize::from(g < extra);
-            shards.push(self.case.row_range(start, len));
-            start += len;
-        }
-        debug_assert_eq!(start, n);
-        shards
+        let (base, extra) = (n / gdos, n % gdos);
+        let mut end = 0;
+        (0..gdos)
+            .map(|g| {
+                let start = end;
+                end += base + usize::from(g < extra);
+                start..end
+            })
+            .collect()
+    }
+
+    /// The shards of [`case_rows_among`](Self::case_rows_among), each a
+    /// copy of its rows; panics likewise.
+    #[must_use]
+    pub fn split_case_among(&self, gdos: usize) -> Vec<GenotypeMatrix> {
+        self.case_rows_among(gdos)
+            .into_iter()
+            .map(|rows| self.case.row_range(rows.start, rows.len()))
+            .collect()
     }
 
     /// Restricts the study to the SNP columns `[start, start + len)`.
@@ -127,8 +144,8 @@ impl Cohort {
     pub fn column_range(&self, start: usize, len: usize) -> Cohort {
         Self {
             panel: self.panel.range(start, len),
-            case: self.case.column_range(start, len),
-            reference: self.reference.column_range(start, len),
+            case: Arc::new(self.case.column_range(start, len)),
+            reference: Arc::new(self.reference.column_range(start, len)),
         }
     }
 

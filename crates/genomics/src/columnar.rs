@@ -27,6 +27,7 @@ mod avx512;
 
 use crate::genotype::GenotypeMatrix;
 use crate::snp::SnpId;
+use std::ops::Range;
 
 /// Whether this CPU runs the `avx512` transpose. Std caches the probe, so
 /// asking per tile costs a load and a branch.
@@ -102,11 +103,24 @@ impl ColumnarGenotypes {
     /// Builds the SNP-major view by block-transposing `m`.
     #[must_use]
     pub fn from_matrix(m: &GenotypeMatrix) -> Self {
-        let individuals = m.individuals();
+        Self::from_rows(m, 0..m.individuals())
+    }
+
+    /// Builds the SNP-major view of the individuals `rows` of `m` by
+    /// block-transposing them where they lie, so a shard of a shared
+    /// matrix needs no row-major copy first.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows` reaches past the matrix.
+    #[must_use]
+    pub fn from_rows(m: &GenotypeMatrix, rows: Range<usize>) -> Self {
+        assert!(rows.end <= m.individuals(), "row range out of bounds");
+        let individuals = rows.len();
         let snps = m.snps();
         let words_per_row = m.words_per_row();
         let words_per_snp = individuals.div_ceil(64);
-        let src = m.words();
+        let src = &m.words()[rows.start * words_per_row..rows.end * words_per_row];
         let mut words = vec![0u64; snps * words_per_snp];
         let mut block = [0u64; 64];
         // One 64×64 tile per (individual-block q, snp-word w).
@@ -289,6 +303,19 @@ mod tests {
             }
         }
         m
+    }
+
+    #[test]
+    fn a_row_range_transposes_as_its_copied_rows() {
+        let m = random_matrix(200, 130, 3, 0.3);
+        for (start, len) in [(0, 200), (0, 67), (67, 67), (134, 66), (63, 1), (10, 0)] {
+            assert_eq!(
+                ColumnarGenotypes::from_rows(&m, start..start + len),
+                ColumnarGenotypes::from_matrix(&m.row_range(start, len)),
+                "rows {start}..{}",
+                start + len
+            );
+        }
     }
 
     #[test]

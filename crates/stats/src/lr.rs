@@ -19,10 +19,10 @@
 //! vector sweeps; 87 % of the in-process protocol at paper scale in
 //! `BENCH_phases.json`), so [`select_safe_subset`] routes
 //! through [`LrColumns`], a column-major bit-packed view in which each
-//! candidate SNP is a contiguous `individuals`-bit vector. Admitting or
-//! backing out a column is then a word-wise sweep over the cumulative
-//! per-individual sums — no per-candidate allocation anywhere. The scalar
-//! reference implementation is retained as [`select_safe_subset_naive`].
+//! candidate SNP is a contiguous `individuals`-bit vector. Evaluating a
+//! column is then a word-wise sweep over the cumulative per-individual
+//! sums — no per-candidate allocation anywhere. The scalar reference
+//! implementation is retained as [`select_safe_subset_naive`].
 //!
 //! The leader's Phase 3 is one path: a member's compact report decodes
 //! straight into [`LrColumns`] ([`LrColumns::from_row_bits`], one 64×64
@@ -32,41 +32,45 @@
 //! [`select_safe_subset_naive`] are the reference the property tests
 //! compare against.
 //!
+//! A candidate costs one sweep over the null sums and one over the case
+//! sums, accepted or rejected. The stored sums are those of the candidate
+//! evaluated last, `s + v`: kept as they are after an accept, and after a
+//! reject the next sweep subtracts `v` before it adds its own column — the
+//! reference's `(s + v) − v`, which is not a restore of `s` — so a reject's
+//! back-out rides in the next candidate's sweep.
+//!
 //! The per-candidate null quantile is read from a verified band. A column
 //! with levels `(major, minor)` moves each sum by one of the two, and
 //! round-to-nearest is monotone, so the new `k`-th and `(k + 1)`-th order
 //! statistics lie in `[kth + min, kth₁ + max]` of the committed ones. The
-//! pass that adds the column to the null sums also counts the sums below
-//! that band and tests each against it; only the ≈ 30 sums inside have
-//! their `i64` total-order keys classified and gathered, and the select
-//! runs among those. The result is used only when the exact counts place
-//! the order statistics in the band; otherwise every key is refreshed and
-//! the full quickselect runs (`gendpr_lr_quantile_fallbacks_total` counts
-//! those candidates). Correctness rests on the count alone; the bound
-//! decides the hit rate.
+//! null sweep also stores the candidate's sums, counts those below that
+//! band and marks those inside it, a byte an octet; only the ≈ 30 marked
+//! sums have their `i64` total-order keys classified and gathered, and the
+//! select runs among those. The result is used only when the exact counts
+//! place the order statistics in the band; otherwise every key is
+//! refreshed and the full quickselect runs
+//! (`gendpr_lr_quantile_fallbacks_total` counts those candidates).
+//! Correctness rests on the count alone; the bound decides the hit rate.
 //!
-//! What the source guarantees: every sweep performs, per individual, one
-//! `+=` (or `-=`) of exactly `major` or `minor` — the operation sequence of
-//! the reference — so sums, thresholds and selections are byte-identical
-//! (tests compare each sweep with the scalar loop by `to_bits()`, property
-//! tests compare the selections).
+//! What the source guarantees: every sweep performs, per individual, the
+//! `+=` and `-=` of exactly `major` or `minor` the reference performs, in
+//! its order, so sums, thresholds and selections are byte-identical (tests
+//! compare each sweep with the scalar loop by `to_bits()`, property tests
+//! compare the selections).
 //!
 //! On an x86-64 CPU the sweeps run at the widest vector width detected at
-//! run time (std caches the probe; there is no knob). With AVX-512F they
-//! run eight individuals a step, in the private `avx512` module: byte `j`
-//! of a column's bit word holds the bits of individuals `8j … 8j + 7`, and
-//! that byte *is* the `__mmask8` of the step, so the level is
-//! `mask_blend(byte, major, minor)` of the two broadcast levels — no
-//! broadcast of the word, no AND, no compare. Its compares yield masks
-//! too, so a count is `count_ones` of one. With AVX2 only they run four
-//! individuals a step, in the private `avx2` module: the genotype bits
-//! become lane masks (`cmpeq` against `[1, 2, 4, 8]`) and the level is an
-//! explicit blend, `blendv(major, minor, mask)`. Neither width loads a
-//! table or branches on a bit. The case side counts the sums
-//! `> threshold` in the same pass, and the null side counts and tests the
-//! band there too; only the in-band lanes leave the vector code. The
-//! eight-wide sweeps took 24 % of `assess-lr`'s CPU where the four-wide
-//! ones took 29 % of a longer job (EXPERIMENTS.md, leaf profiles).
+//! run time (`Width`; std caches the probe; there is no knob). With
+//! AVX-512F they run eight individuals a step, in the private `avx512`
+//! module: byte `j` of a column's bit word holds the bits of individuals
+//! `8j … 8j + 7`, and that byte *is* the `__mmask8` of the step, so the
+//! level is `mask_blend(byte, major, minor)` of the two broadcast levels —
+//! no broadcast of the word, no AND, no compare. Every count is a per-lane
+//! `i64` counter bumped under a compare mask and reduced once a sweep.
+//! With AVX2 only they run four individuals a step, in the private `avx2`
+//! module: the genotype bits become lane masks (`cmpeq` against `[1, 2, 4,
+//! 8]`) and the level is an explicit blend, `blendv(major, minor, mask)`.
+//! Neither width loads a table or branches on a bit. DESIGN.md
+//! (*Performance architecture*) and EXPERIMENTS.md give the measurements.
 //!
 //! The scalar loops stay as the fallback on every other CPU and as the
 //! oracle of both vector widths, which the tests call directly, each where
@@ -559,6 +563,16 @@ impl LrColumns {
         &self.bits[col * self.words_per_col..(col + 1) * self.words_per_col]
     }
 
+    /// One column as the search's sweeps read it.
+    #[inline]
+    fn column(&self, col: usize) -> Column<'_> {
+        Column {
+            words: self.col_words(col),
+            major: self.major[col],
+            minor: self.minor[col],
+        }
+    }
+
     /// Approximate heap size in bytes (enclave memory accounting).
     #[must_use]
     pub fn heap_bytes(&self) -> usize {
@@ -943,124 +957,147 @@ fn key_value(k: i64) -> f64 {
     f64::from_bits((k ^ (((k >> 63) as u64) >> 1) as i64) as u64)
 }
 
-/// Whether this CPU runs the `avx512` module's sweeps. Std caches the
-/// probe, so asking per sweep costs a load and a branch.
-#[cfg(target_arch = "x86_64")]
-#[inline]
-fn has_avx512() -> bool {
-    is_x86_feature_detected!("avx512f") && is_x86_feature_detected!("popcnt")
+/// One column as the sweeps read it: its bit words and its two levels.
+#[derive(Debug, Clone, Copy)]
+struct Column<'a> {
+    words: &'a [u64],
+    major: f64,
+    minor: f64,
 }
 
-/// Whether this CPU runs the `avx2` module's sweeps, the width below
-/// AVX-512.
-#[cfg(target_arch = "x86_64")]
-#[inline]
-fn has_avx2() -> bool {
-    is_x86_feature_detected!("avx2") && is_x86_feature_detected!("popcnt")
-}
-
-/// `sums[i] += level(bit_i)`, 64 individuals per bit word: the widest
-/// vector sweep the CPU runs (AVX-512, then AVX2), [`add_column_scalar`]
-/// elsewhere. All perform one `+=` of exactly `major` or `minor` per
-/// individual.
-#[inline]
-fn add_column(sums: &mut [f64], words: &[u64], major: f64, minor: f64) {
-    #[cfg(target_arch = "x86_64")]
-    if has_avx512() {
-        // SAFETY: `has_avx512()` detected AVX-512F and POPCNT on this CPU.
-        return unsafe { avx512::add_column(sums, words, major, minor) };
+impl Column<'_> {
+    /// Individual `i`'s level, from a two-entry table indexed by the bit:
+    /// an indexed load, not a jump (module docs).
+    #[inline]
+    fn level(&self, i: usize) -> f64 {
+        [self.major, self.minor][(self.words[i / 64] >> (i % 64) & 1) as usize]
     }
-    #[cfg(target_arch = "x86_64")]
-    if has_avx2() {
-        // SAFETY: `has_avx2()` detected AVX2 and POPCNT on this CPU.
-        return unsafe { avx2::add_column(sums, words, major, minor) };
-    }
-    add_column_scalar(sums, words, major, minor);
 }
 
-/// The scalar add sweep, the vector ones' fallback and oracle. The level is
-/// read from a two-entry table indexed by the genotype bit, which compiles
-/// to an indexed load; the mask select used before it
-/// (`(ma & !mask) | (mi & mask)`) was turned back into a conditional jump
-/// on the bit (module docs, *Columnar search kernels*).
+/// `level + s` as the reference's `*sum += level` compiles: with both
+/// operands NaN, x86 keeps the first one's, the level. Spelled out because
+/// an add of two registers may be emitted either way round.
 #[inline]
-fn add_column_scalar(sums: &mut [f64], words: &[u64], major: f64, minor: f64) {
-    let levels = [major, minor];
-    for (chunk, &word) in sums.chunks_mut(64).zip(words) {
-        let mut w = word;
-        for s in chunk {
-            *s += levels[(w & 1) as usize];
-            w >>= 1;
+fn add_level(level: f64, s: f64) -> f64 {
+    if level.is_nan() {
+        level + 0.0
+    } else {
+        s + level
+    }
+}
+
+/// The sweeps' width: the widest vector kernels the CPU runs, else the
+/// scalar loops. A vector variant is made only by [`Width::best`] and the
+/// tests' `Width::detected`, each after its probe, which the `unsafe`
+/// calls below rely on. A column with a NaN level runs the scalar loops:
+/// only [`add_level`] pins which of two NaNs an add keeps. Without NaN
+/// levels no add meets two NaNs. LR levels are never NaN.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Width {
+    Scalar,
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+    #[cfg(target_arch = "x86_64")]
+    Avx512,
+}
+
+impl Width {
+    /// The widest width this CPU runs.
+    fn best() -> Width {
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("avx512f") {
+            return Width::Avx512;
+        }
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("avx2") {
+            return Width::Avx2;
+        }
+        Width::Scalar
+    }
+
+    /// `self`, or the scalar loops if a level of either column is NaN.
+    fn for_levels(self, back_out: Option<Column<'_>>, next: Column<'_>) -> Width {
+        let nan = |c: Column<'_>| c.major.is_nan() || c.minor.is_nan();
+        if nan(next) || back_out.is_some_and(nan) {
+            Width::Scalar
+        } else {
+            self
+        }
+    }
+
+    /// The case side of a candidate: backs `back_out` (the candidate
+    /// before, rejected) out of the stored case sums, adds `next` and
+    /// counts the new sums `> t`.
+    fn case(
+        self,
+        sums: &mut [f64],
+        back_out: Option<Column<'_>>,
+        next: Column<'_>,
+        t: f64,
+    ) -> usize {
+        match self.for_levels(back_out, next) {
+            Width::Scalar => {
+                let mut detected = 0;
+                walk_scalar(sums, back_out, next, |_, s| detected += usize::from(s > t));
+                detected
+            }
+            // SAFETY: a vector width exists only where its probe found it.
+            #[cfg(target_arch = "x86_64")]
+            Width::Avx2 => unsafe { avx2::case_sweep(sums, back_out, next, t) },
+            // SAFETY: as above.
+            #[cfg(target_arch = "x86_64")]
+            Width::Avx512 => unsafe { avx512::case_sweep(sums, back_out, next, t) },
+        }
+    }
+
+    /// The null side of a candidate, as [`case`](Self::case) up to the
+    /// new sums; then it returns the count of those `< lo` and marks in
+    /// `marks` (bit `i % 8` of byte `i / 8`, whole 64-sum chunks) each the
+    /// f64 compares leave inside `[lo, hi]`, NaNs included.
+    fn null(
+        self,
+        sums: &mut [f64],
+        (back_out, next): (Option<Column<'_>>, Column<'_>),
+        edges: (f64, f64),
+        marks: &mut [u8],
+    ) -> usize {
+        match self.for_levels(back_out, next) {
+            Width::Scalar => {
+                let (mut below, (lo, hi)) = (0, edges);
+                marks.fill(0);
+                walk_scalar(sums, back_out, next, |i, s| {
+                    below += usize::from(s < lo);
+                    marks[i / 8] |= u8::from(!(s < lo || s > hi)) << (i % 8);
+                });
+                below
+            }
+            // SAFETY: as in `case`.
+            #[cfg(target_arch = "x86_64")]
+            Width::Avx2 => unsafe { avx2::null_sweep(sums, back_out, next, edges, marks) },
+            // SAFETY: as in `case`.
+            #[cfg(target_arch = "x86_64")]
+            Width::Avx512 => unsafe { avx512::null_sweep(sums, back_out, next, edges, marks) },
         }
     }
 }
 
-/// The back-out pass: `sums[i] -= level(bit_i)`. Subtracting (rather than
-/// restoring a snapshot) reproduces the reference path's `(a+b)−b`
-/// round-trip bit-for-bit.
+/// A candidate's sweep in scalar form, the vector ones' fallback and
+/// oracle: per individual, `back_out`'s level subtracted, `next`'s added,
+/// the sum stored and handed to `step(i, sum)`.
 #[inline]
-fn sub_column(sums: &mut [f64], words: &[u64], major: f64, minor: f64) {
-    #[cfg(target_arch = "x86_64")]
-    if has_avx512() {
-        // SAFETY: `has_avx512()` detected AVX-512F and POPCNT on this CPU.
-        return unsafe { avx512::sub_column(sums, words, major, minor) };
-    }
-    #[cfg(target_arch = "x86_64")]
-    if has_avx2() {
-        // SAFETY: `has_avx2()` detected AVX2 and POPCNT on this CPU.
-        return unsafe { avx2::sub_column(sums, words, major, minor) };
-    }
-    sub_column_scalar(sums, words, major, minor);
-}
-
-/// The scalar back-out sweep.
-#[inline]
-fn sub_column_scalar(sums: &mut [f64], words: &[u64], major: f64, minor: f64) {
-    let levels = [major, minor];
-    for (chunk, &word) in sums.chunks_mut(64).zip(words) {
-        let mut w = word;
-        for s in chunk {
-            *s -= levels[(w & 1) as usize];
-            w >>= 1;
+fn walk_scalar(
+    sums: &mut [f64],
+    back_out: Option<Column<'_>>,
+    next: Column<'_>,
+    mut step: impl FnMut(usize, f64),
+) {
+    for (i, s) in sums.iter_mut().enumerate() {
+        if let Some(c) = back_out {
+            *s -= c.level(i);
         }
+        *s = add_level(next.level(i), *s);
+        step(i, *s);
     }
-}
-
-/// Case update: adds the column and counts detections against the
-/// threshold — in the same pass on either vector width.
-#[inline]
-fn add_column_count(
-    sums: &mut [f64],
-    words: &[u64],
-    major: f64,
-    minor: f64,
-    threshold: f64,
-) -> usize {
-    #[cfg(target_arch = "x86_64")]
-    if has_avx512() {
-        // SAFETY: `has_avx512()` detected AVX-512F and POPCNT on this CPU.
-        return unsafe { avx512::add_column_count(sums, words, major, minor, threshold) };
-    }
-    #[cfg(target_arch = "x86_64")]
-    if has_avx2() {
-        // SAFETY: `has_avx2()` detected AVX2 and POPCNT on this CPU.
-        return unsafe { avx2::add_column_count(sums, words, major, minor, threshold) };
-    }
-    add_column_count_scalar(sums, words, major, minor, threshold)
-}
-
-/// The scalar case update: the add sweep, then a separate branch-free
-/// count pass.
-#[inline]
-fn add_column_count_scalar(
-    sums: &mut [f64],
-    words: &[u64],
-    major: f64,
-    minor: f64,
-    threshold: f64,
-) -> usize {
-    add_column_scalar(sums, words, major, minor);
-    sums.iter().map(|&s| usize::from(s > threshold)).sum()
 }
 
 /// Type-7 quantile over the current null sums, evaluated on their reusable
@@ -1131,12 +1168,12 @@ impl QuantileRank {
 /// Adding a column with levels `(major, minor)` moves every sum `s` to
 /// `fl(s + l)`, which round-to-nearest keeps between `fl(s + min)` and
 /// `fl(s + max)`; so the new `k`-th and top-th order statistics lie in
-/// `[kth + min, top + max]` of the committed ones. A candidate counts the
-/// sums below that band, gathers the keys inside it and selects there.
-/// The band's bound only decides how often that works: the result is
-/// taken from the band only when the exact counts place both order
-/// statistics inside it, and otherwise from [`quantile_from_keys`] over
-/// every key.
+/// `[kth + min, top + max]` of the committed ones. A candidate's null
+/// sweep counts the sums below that band and marks those inside it; the
+/// marked keys are gathered and the select runs among them. The band's
+/// bound only decides how often that works: the result is taken from the
+/// band only when the exact counts place both order statistics inside it,
+/// and otherwise from [`quantile_from_keys`] over every key.
 struct NullBand {
     q: f64,
     rank: QuantileRank,
@@ -1147,31 +1184,56 @@ struct NullBand {
     evaluated: (f64, f64),
     band: Vec<i64>,
     keys: Vec<i64>,
+    /// The null sweep's in-band marks, a byte an octet, padded to whole
+    /// 64-sum chunks.
+    marks: Vec<u8>,
 }
 
 impl NullBand {
     fn new(null_sums: &[f64], q: f64) -> Self {
+        let n = null_sums.len();
         let mut band = Self {
             q,
-            rank: QuantileRank::new(null_sums.len(), q),
+            rank: QuantileRank::new(n, q),
             committed: (0.0, 0.0),
             evaluated: (0.0, 0.0),
             band: Vec::new(),
-            keys: vec![0; null_sums.len()],
+            keys: vec![0; n],
+            marks: vec![0; n.div_ceil(64) * 8],
         };
         band.select_all(null_sums);
         band.commit();
         band
     }
 
-    /// Adds the column `words` with levels `(major, minor)` to `sums`, the
-    /// committed null sums, and returns their null quantile and whether
-    /// the band held it.
-    fn quantile(&mut self, sums: &mut [f64], words: &[u64], major: f64, minor: f64) -> (f64, bool) {
-        let edges = BandEdges::new(self.committed, major, minor);
-        self.band.clear();
-        let below = add_column_band(sums, words, (major, minor), edges, &mut self.band);
+    /// Runs the null side of a candidate over `sums`, the stored null sums
+    /// ([`Width::null`]), and returns the quantile of the new sums and
+    /// whether the band held it.
+    fn quantile(
+        &mut self,
+        width: Width,
+        sums: &mut [f64],
+        columns: (Option<Column<'_>>, Column<'_>),
+    ) -> (f64, bool) {
+        let edges = BandEdges::new(self.committed, columns.1.major, columns.1.minor);
+        let below = width.null(sums, columns, (edges.lo, edges.hi), &mut self.marks);
+        let below = self.gather(sums, edges, below);
         self.select(sums, below)
+    }
+
+    /// Files each marked sum by its key ([`BandEdges::classify`]) and
+    /// returns `below` plus those it counts below the band.
+    fn gather(&mut self, sums: &[f64], edges: BandEdges, mut below: usize) -> usize {
+        self.band.clear();
+        for (chunk, marks) in self.marks.as_chunks::<8>().0.iter().enumerate() {
+            let mut marks = u64::from_le_bytes(*marks);
+            while marks != 0 {
+                let v = sums[64 * chunk + marks.trailing_zeros() as usize];
+                edges.classify(v, &mut below, &mut self.band);
+                marks &= marks - 1;
+            }
+        }
+        below
     }
 
     /// The null quantile of the committed sums: [`quantile_from_keys`]'
@@ -1185,9 +1247,9 @@ impl NullBand {
         self.committed = self.evaluated;
     }
 
-    /// The quantile of `sums` from the gathered band and the count of sums
-    /// below it — or, when the count does not place both order statistics
-    /// in the band, from [`select_all`](Self::select_all).
+    /// The candidate's quantile from the gathered band and the count of
+    /// sums below it — or, when the count does not place both order
+    /// statistics in the band, from [`select_all`](Self::select_all).
     fn select(&mut self, sums: &[f64], below: usize) -> (f64, bool) {
         let k = self.rank.k;
         if k < below || self.rank.top() >= below + self.band.len() {
@@ -1203,8 +1265,9 @@ impl NullBand {
         (self.rank.threshold(self.evaluated), true)
     }
 
-    /// The fallback: every key refreshed, [`quantile_from_keys`] as is, and
-    /// the order statistics read back from the selected keys.
+    /// The fallback: every key refreshed from `sums`,
+    /// [`quantile_from_keys`] as is, and the order statistics read back
+    /// from the selected keys.
     fn select_all(&mut self, sums: &[f64]) -> f64 {
         for (key, &s) in self.keys.iter_mut().zip(sums) {
             *key = total_order_key(s);
@@ -1272,56 +1335,10 @@ impl BandEdges {
     }
 }
 
-/// The null side of a candidate: adds the column to `sums`, then counts
-/// the sums below `edges` and gathers the keys inside them into `band`;
-/// returns the count. At either vector width the add, the count and the
-/// in-band test are one pass, and only the sums inside reach [`BandEdges::classify`];
-/// elsewhere [`add_column_scalar`] and then [`band_scan`].
-#[inline]
-fn add_column_band(
-    sums: &mut [f64],
-    words: &[u64],
-    (major, minor): (f64, f64),
-    edges: BandEdges,
-    band: &mut Vec<i64>,
-) -> usize {
-    #[cfg(target_arch = "x86_64")]
-    if has_avx512() || has_avx2() {
-        let mut below_by_key = 0;
-        let inside = |v| edges.classify(v, &mut below_by_key, band);
-        let band_edges = (edges.lo, edges.hi);
-        let below = if has_avx512() {
-            // SAFETY: `has_avx512()` detected AVX-512F and POPCNT on this CPU.
-            unsafe { avx512::add_column_band(sums, words, (major, minor), band_edges, inside) }
-        } else {
-            // SAFETY: `has_avx2()` detected AVX2 and POPCNT on this CPU.
-            unsafe { avx2::add_column_band(sums, words, (major, minor), band_edges, inside) }
-        };
-        return below + below_by_key;
-    }
-    add_column_scalar(sums, words, major, minor);
-    band_scan(sums, edges, band)
-}
-
-/// The band's scalar passes over sums already added: one branch-free pass
-/// counting the sums `< lo`, then a gather eight sums at a time that
-/// visits only the chunks touching the band.
-fn band_scan(sums: &[f64], edges: BandEdges, band: &mut Vec<i64>) -> usize {
-    let mut below: usize = sums.iter().map(|&v| usize::from(v < edges.lo)).sum();
-    let inside = |v: f64| !(v < edges.lo || v > edges.hi);
-    for chunk in sums.chunks(8) {
-        if chunk.iter().fold(false, |any, &v| any | inside(v)) {
-            for &v in chunk.iter().filter(|&&v| inside(v)) {
-                edges.classify(v, &mut below, band);
-            }
-        }
-    }
-    below
-}
-
 /// The columnar search kernel: the `forced` columns accumulated in order,
 /// then one candidate at a time in `order`, each decision depending on the
-/// sums the accepts before it left behind.
+/// sums the accepts before it left behind, one sweep a side a candidate
+/// (module docs).
 fn columns_search(
     case: &LrColumns,
     null: &LrColumns,
@@ -1330,25 +1347,16 @@ fn columns_search(
     params: &LrTestParams,
 ) -> LrSelection {
     let started = Instant::now();
+    let width = Width::best();
     let n_case = case.individuals;
     let mut case_sums = vec![0.0f64; n_case];
     let mut null_sums = vec![0.0f64; null.individuals];
     // The reference's operation sequence: per forced column, the case
-    // adds, then the null adds.
+    // adds, then the null adds (a sweep whose count goes unused).
     for &col in forced {
         assert!(col < case.snps, "forced column out of range");
-        add_column(
-            &mut case_sums,
-            case.col_words(col),
-            case.major[col],
-            case.minor[col],
-        );
-        add_column(
-            &mut null_sums,
-            null.col_words(col),
-            null.major[col],
-            null.minor[col],
-        );
+        width.case(&mut case_sums, None, case.column(col), f64::NAN);
+        width.case(&mut null_sums, None, null.column(col), f64::NAN);
     }
     let mut band = NullBand::new(&null_sums, 1.0 - params.false_positive_rate);
     let (mut final_threshold, mut final_power) = if forced.is_empty() {
@@ -1360,34 +1368,26 @@ fn columns_search(
     };
     let mut fallbacks = 0u64;
     let mut kept = Vec::new();
+    // The candidate before, if it was rejected: the stored sums still hold
+    // its column, which the next sweeps back out before adding their own.
+    let mut rejected: Option<usize> = None;
 
     for &col in order {
         assert!(col < case.snps, "ranking indexes a non-existent column");
-        let (major, minor) = (null.major[col], null.minor[col]);
-        let (threshold, hit) = band.quantile(&mut null_sums, null.col_words(col), major, minor);
+        let back_out = rejected.map(|p| null.column(p));
+        let (threshold, hit) = band.quantile(width, &mut null_sums, (back_out, null.column(col)));
         fallbacks += u64::from(!hit);
-        let detected = add_column_count(
-            &mut case_sums,
-            case.col_words(col),
-            case.major[col],
-            case.minor[col],
-            threshold,
-        );
+        let back_out = rejected.map(|p| case.column(p));
+        let detected = width.case(&mut case_sums, back_out, case.column(col), threshold);
         let power = detected as f64 / n_case.max(1) as f64;
-        if power < params.power_threshold {
+        let accepted = power < params.power_threshold;
+        if accepted {
             kept.push(col);
             final_power = power;
             final_threshold = threshold;
             band.commit();
-        } else {
-            sub_column(
-                &mut case_sums,
-                case.col_words(col),
-                case.major[col],
-                case.minor[col],
-            );
-            sub_column(&mut null_sums, null.col_words(col), major, minor);
         }
+        rejected = (!accepted).then_some(col);
     }
 
     lr_candidates_total().add(order.len() as u64);
@@ -1963,26 +1963,24 @@ mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
-    /// One kernel width, its four sweeps called directly rather than
-    /// through the dispatch, which on a CPU with AVX-512 never reaches the
-    /// AVX2 kernels.
-    #[derive(Debug, Clone, Copy)]
-    enum Width {
-        Scalar,
-        #[cfg(target_arch = "x86_64")]
-        Avx2,
-        #[cfg(target_arch = "x86_64")]
-        Avx512,
+    /// A null sweep's outputs: the count below and the in-band marks.
+    struct NullOut {
+        below: usize,
+        marks: Vec<u8>,
     }
 
     impl Width {
-        /// Every width this CPU runs, the scalar oracle first. A vector
-        /// width the CPU lacks is left out and named on stdout.
+        /// Every width this CPU runs, the scalar oracle first: the
+        /// dispatch on a CPU with AVX-512 never reaches the AVX2 kernels. A
+        /// vector width the CPU lacks is left out and named on stdout.
         fn detected() -> Vec<Width> {
             #[allow(unused_mut)]
             let mut widths = vec![Width::Scalar];
             #[cfg(target_arch = "x86_64")]
-            for (width, present) in [(Width::Avx2, has_avx2()), (Width::Avx512, has_avx512())] {
+            for (width, present) in [
+                (Width::Avx2, std::arch::is_x86_feature_detected!("avx2")),
+                (Width::Avx512, Width::best() == Width::Avx512),
+            ] {
                 if present {
                     widths.push(width);
                 } else {
@@ -1992,74 +1990,16 @@ mod tests {
             widths
         }
 
-        fn add(self, sums: &mut [f64], words: &[u64], major: f64, minor: f64) {
-            match self {
-                Width::Scalar => add_column_scalar(sums, words, major, minor),
-                // SAFETY: `detected()` lists AVX2 only where `has_avx2()`
-                // found AVX2 and POPCNT.
-                #[cfg(target_arch = "x86_64")]
-                Width::Avx2 => unsafe { avx2::add_column(sums, words, major, minor) },
-                // SAFETY: `detected()` lists AVX-512 only where
-                // `has_avx512()` found AVX-512F and POPCNT.
-                #[cfg(target_arch = "x86_64")]
-                Width::Avx512 => unsafe { avx512::add_column(sums, words, major, minor) },
-            }
-        }
-
-        fn sub(self, sums: &mut [f64], words: &[u64], major: f64, minor: f64) {
-            match self {
-                Width::Scalar => sub_column_scalar(sums, words, major, minor),
-                // SAFETY: as in `add`.
-                #[cfg(target_arch = "x86_64")]
-                Width::Avx2 => unsafe { avx2::sub_column(sums, words, major, minor) },
-                // SAFETY: as in `add`.
-                #[cfg(target_arch = "x86_64")]
-                Width::Avx512 => unsafe { avx512::sub_column(sums, words, major, minor) },
-            }
-        }
-
-        fn count(self, sums: &mut [f64], words: &[u64], levels: (f64, f64), t: f64) -> usize {
-            let (major, minor) = levels;
-            match self {
-                Width::Scalar => add_column_count_scalar(sums, words, major, minor, t),
-                // SAFETY: as in `add`.
-                #[cfg(target_arch = "x86_64")]
-                Width::Avx2 => unsafe { avx2::add_column_count(sums, words, major, minor, t) },
-                // SAFETY: as in `add`.
-                #[cfg(target_arch = "x86_64")]
-                Width::Avx512 => unsafe { avx512::add_column_count(sums, words, major, minor, t) },
-            }
-        }
-
-        /// The null side's pass: the count below `edges`, the in-band keys
-        /// gathered into `band`.
-        fn band(
+        /// The null side's pass with marks the size `NullBand` gives them.
+        fn null_out(
             self,
             sums: &mut [f64],
-            words: &[u64],
-            levels: (f64, f64),
-            edges: BandEdges,
-            band: &mut Vec<i64>,
-        ) -> usize {
-            let mut below_by_key = 0;
-            let mut inside = |v| edges.classify(v, &mut below_by_key, band);
-            let below = match self {
-                Width::Scalar => {
-                    add_column_scalar(sums, words, levels.0, levels.1);
-                    return band_scan(sums, edges, band);
-                }
-                // SAFETY: as in `add`.
-                #[cfg(target_arch = "x86_64")]
-                Width::Avx2 => unsafe {
-                    avx2::add_column_band(sums, words, levels, (edges.lo, edges.hi), &mut inside)
-                },
-                // SAFETY: as in `add`.
-                #[cfg(target_arch = "x86_64")]
-                Width::Avx512 => unsafe {
-                    avx512::add_column_band(sums, words, levels, (edges.lo, edges.hi), &mut inside)
-                },
-            };
-            below + below_by_key
+            columns: (Option<Column<'_>>, Column<'_>),
+            edges: (f64, f64),
+        ) -> NullOut {
+            let mut marks = vec![0; sums.len().div_ceil(64) * 8];
+            let below = self.null(sums, columns, edges, &mut marks);
+            NullOut { below, marks }
         }
     }
 
@@ -2069,40 +2009,76 @@ mod tests {
             for (case, &n) in SWEEP_SIZES.iter().enumerate() {
                 for (pair, &(major, minor)) in SWEEP_LEVELS.iter().enumerate() {
                     let (start, words) = sweep_inputs(n, (case * 10 + pair) as u64);
-                    let added: Vec<f64> = (0..n)
-                        .map(|i| start[i] + scalar_level(&words, i, major, minor))
-                        .collect();
+                    let (_, previous_words) = sweep_inputs(n, (case * 10 + pair + 100) as u64);
+                    let next = Column {
+                        words: &words,
+                        major,
+                        minor,
+                    };
+                    let (pmajor, pminor) = SWEEP_LEVELS[(pair + 1) % SWEEP_LEVELS.len()];
+                    let previous = Column {
+                        words: &previous_words,
+                        major: pmajor,
+                        minor: pminor,
+                    };
                     let ctx = format!("{width:?} n={n} levels=({major:e}, {minor:e})");
 
-                    let mut sums = start.clone();
-                    width.add(&mut sums, &words, major, minor);
-                    assert_eq!(bits_of(&sums), bits_of(&added), "add_column {ctx}");
-
-                    // The oracle backs a rejected column out as (a + b) − b.
-                    width.sub(&mut sums, &words, major, minor);
-                    let backed_out: Vec<f64> = (0..n)
-                        .map(|i| added[i] - scalar_level(&words, i, major, minor))
-                        .collect();
-                    assert_eq!(bits_of(&sums), bits_of(&backed_out), "sub_column {ctx}");
-
-                    for threshold in [0.0, -3.5, f64::INFINITY, f64::NAN] {
-                        let mut sums = start.clone();
-                        let detected = width.count(&mut sums, &words, (major, minor), threshold);
-                        assert_eq!(bits_of(&sums), bits_of(&added), "count sums {ctx}");
-                        assert_eq!(
-                            detected,
-                            added.iter().filter(|&&s| s > threshold).count(),
-                            "count {ctx} threshold={threshold}"
-                        );
+                    // The oracle backs a rejected column out as (a + b) − b,
+                    // the stored sums being a + b, before it adds the next.
+                    let v = |i: usize| scalar_level(&previous_words, i, pmajor, pminor);
+                    for back_out in [None, Some(previous)] {
+                        let evaluated: Vec<f64> = (0..n)
+                            .map(|i| {
+                                let kept = if back_out.is_some() {
+                                    start[i] - v(i)
+                                } else {
+                                    start[i]
+                                };
+                                kept + scalar_level(&words, i, major, minor)
+                            })
+                            .collect();
+                        let ctx = format!("{ctx} back_out={}", back_out.is_some());
+                        for threshold in [0.0, -3.5, f64::INFINITY, f64::NAN] {
+                            let mut sums = start.clone();
+                            let detected = width.case(&mut sums, back_out, next, threshold);
+                            assert_eq!(bits_of(&sums), bits_of(&evaluated), "case sums {ctx}");
+                            assert_eq!(
+                                detected,
+                                evaluated.iter().filter(|&&s| s > threshold).count(),
+                                "case count {ctx} threshold={threshold}"
+                            );
+                        }
+                        for (lo, hi) in [(-2.0, 2.0), (0.0, 0.0), (f64::NAN, 1.0)] {
+                            let mut sums = start.clone();
+                            let out = width.null_out(&mut sums, (back_out, next), (lo, hi));
+                            let ctx = format!("{ctx} edges=({lo}, {hi})");
+                            assert_eq!(bits_of(&sums), bits_of(&evaluated), "null sums {ctx}");
+                            assert_eq!(out.below, evaluated.iter().filter(|&&s| s < lo).count());
+                            for (i, &s) in evaluated.iter().enumerate() {
+                                let marked = out.marks[i / 8] >> (i % 8) & 1 == 1;
+                                assert_eq!(marked, !(s < lo || s > hi), "mark {i} {ctx}");
+                            }
+                            let marks = out.marks.iter().map(|m| m.count_ones()).sum::<u32>();
+                            let inside = evaluated.iter().filter(|&&s| !(s < lo || s > hi));
+                            assert_eq!(marks as usize, inside.count(), "stray marks {ctx}");
+                        }
                     }
                 }
             }
         }
         // The dispatch runs one of the widths above.
         let (start, words) = sweep_inputs(1_630, 7);
+        let column = Column {
+            words: &words,
+            major: 0.25,
+            minor: -1.5,
+        };
         let (mut dispatched, mut scalar) = (start.clone(), start);
-        add_column(&mut dispatched, &words, 0.25, -1.5);
-        add_column_scalar(&mut scalar, &words, 0.25, -1.5);
+        let count = Width::best().case(&mut dispatched, Some(column), column, 0.0);
+        assert_eq!(
+            count,
+            Width::Scalar.case(&mut scalar, Some(column), column, 0.0)
+        );
         assert_eq!(bits_of(&dispatched), bits_of(&scalar));
     }
 
@@ -2132,15 +2108,15 @@ mod tests {
 
         /// Each vector width this CPU runs (AVX2 and AVX-512, called
         /// directly) against the scalar kernels, by `to_bits`, for 1–200
-        /// individuals (whole and partial quads, octets and words): the add
-        /// and back-out sweeps, the case side's add-and-count, and the null
-        /// side's pass, whose `below` and band multiset must equal the
-        /// scalar add followed by the separate count pass and chunked
-        /// gather.
+        /// individuals (whole and partial quads, octets and words), with
+        /// and without a rejected column to back out: the case side's
+        /// stored sums and count, and the null side's stored sums, count
+        /// below and in-band marks.
         #[test]
         fn vector_kernels_match_the_scalar_kernels_bit_for_bit(
             n in 1usize..201,
             levels in (0usize..14, 0usize..14),
+            previous_levels in (0usize..14, 0usize..14),
             edges in (0usize..14, 0usize..28, 0usize..28),
             hostile_sums in 0.0f64..0.5,
             seed in proptest::prelude::any::<u64>(),
@@ -2157,52 +2133,59 @@ mod tests {
                 .collect();
             // Bits past `n` in the last word are set too: no sweep reads them.
             let words: Vec<u64> = (0..n.div_ceil(64)).map(|_| rng.next_u64()).collect();
-            let (major, minor) = (LANE_VALUES[levels.0], LANE_VALUES[levels.1]);
+            let previous_words: Vec<u64> = (0..n.div_ceil(64)).map(|_| rng.next_u64()).collect();
+            let next = Column { words: &words, major: LANE_VALUES[levels.0], minor: LANE_VALUES[levels.1] };
+            let previous = Column {
+                words: &previous_words,
+                major: LANE_VALUES[previous_levels.0],
+                minor: LANE_VALUES[previous_levels.1],
+            };
             let stat = |i: usize| if i < 14 { LANE_VALUES[i] } else { start[i * 7_919 % n] };
             let threshold = LANE_VALUES[edges.0];
-            let band = BandEdges::new((stat(edges.1), stat(edges.2)), major, minor);
+            let band = BandEdges::new((stat(edges.1), stat(edges.2)), next.major, next.minor);
 
-            let mut added = start.clone();
-            add_column_scalar(&mut added, &words, major, minor);
-            let mut backed_out = added.clone();
-            sub_column_scalar(&mut backed_out, &words, major, minor);
-            let detected = add_column_count_scalar(&mut start.clone(), &words, major, minor, threshold);
-            let mut scalar_keys = Vec::new();
-            let below = band_scan(&added, band, &mut scalar_keys);
-            scalar_keys.sort_unstable();
+            for back_out in [None, Some(previous)] {
+                let mut evaluated = start.clone();
+                let detected = Width::Scalar.case(&mut evaluated, back_out, next, threshold);
+                let scalar = Width::Scalar.null_out(&mut start.clone(), (back_out, next), (band.lo, band.hi));
+                let ctx = back_out.is_some();
+                for width in Width::detected() {
+                    let mut vector = start.clone();
+                    let count = width.case(&mut vector, back_out, next, threshold);
+                    proptest::prop_assert_eq!(bits_of(&vector), bits_of(&evaluated), "{:?} {} case sums", width, ctx);
+                    proptest::prop_assert_eq!(count, detected, "{:?} {} count", width, ctx);
 
-            for width in Width::detected() {
-                let mut vector = start.clone();
-                width.add(&mut vector, &words, major, minor);
-                proptest::prop_assert_eq!(bits_of(&vector), bits_of(&added), "{:?} add", width);
-                width.sub(&mut vector, &words, major, minor);
-                proptest::prop_assert_eq!(bits_of(&vector), bits_of(&backed_out), "{:?} sub", width);
-
-                let mut vector = start.clone();
-                let count = width.count(&mut vector, &words, (major, minor), threshold);
-                proptest::prop_assert_eq!(bits_of(&vector), bits_of(&added), "{:?} count sums", width);
-                proptest::prop_assert_eq!(count, detected, "{:?} count", width);
-
-                let (mut vector, mut vector_keys) = (start.clone(), Vec::new());
-                let fused = width.band(&mut vector, &words, (major, minor), band, &mut vector_keys);
-                proptest::prop_assert_eq!(bits_of(&vector), bits_of(&added), "{:?} null sums", width);
-                proptest::prop_assert_eq!(fused, below, "{:?} below", width);
-                vector_keys.sort_unstable();
-                proptest::prop_assert_eq!(&vector_keys, &scalar_keys, "{:?} band", width);
+                    let mut vector = start.clone();
+                    let out = width.null_out(&mut vector, (back_out, next), (band.lo, band.hi));
+                    proptest::prop_assert_eq!(bits_of(&vector), bits_of(&evaluated), "{:?} {} null sums", width, ctx);
+                    proptest::prop_assert_eq!(out.below, scalar.below, "{:?} {} below", width, ctx);
+                    proptest::prop_assert_eq!(&out.marks, &scalar.marks, "{:?} {} marks", width, ctx);
+                }
             }
         }
     }
 
     #[test]
     fn backing_a_column_out_is_not_a_restore() {
-        // Why the back-out subtracts instead of restoring a snapshot (and
-        // why a reject cannot skip its writes): (a + b) − b ≠ a in floating
-        // point, and the oracle leaves (a + b) − b behind.
+        // Why the sweep after a reject subtracts its column instead of
+        // restoring the sums before it: (a + b) − b ≠ a in floating point,
+        // and the oracle leaves (a + b) − b behind. A column of −0 levels
+        // adds nothing.
         let (start, words) = sweep_inputs(1_630, 99);
         let (major, minor) = SWEEP_LEVELS[0];
+        let column = Column {
+            words: &words,
+            major,
+            minor,
+        };
+        let unchanged = Column {
+            major: -0.0,
+            minor: -0.0,
+            ..column
+        };
         let mut sums = start.clone();
-        add_column(&mut sums, &words, major, minor);
-        sub_column(&mut sums, &words, major, minor);
+        Width::best().case(&mut sums, None, column, 0.0);
+        Width::best().case(&mut sums, Some(column), unchanged, 0.0);
         assert_ne!(bits_of(&sums), bits_of(&start));
     }
 
@@ -2220,12 +2203,20 @@ mod tests {
     fn band_step(sums: &[f64], q: f64, committed: (f64, f64), levels: (f64, f64)) -> bool {
         let mut band = NullBand::new(sums, q);
         band.committed = committed;
-        let below = band_scan(
-            sums,
-            BandEdges::new(committed, levels.0, levels.1),
-            &mut band.band,
-        );
-        let (threshold, hit) = band.select(sums, below);
+        let edges = BandEdges::new(committed, levels.0, levels.1);
+        // A column of −0 levels leaves every sum as it is, NaNs and signed
+        // zeros included.
+        let zeros = vec![0; sums.len().div_ceil(64)];
+        let unchanged = Column {
+            words: &zeros,
+            major: -0.0,
+            minor: -0.0,
+        };
+        let mut sums = sums.to_vec();
+        let columns = (None, unchanged);
+        let below = Width::Scalar.null(&mut sums, columns, (edges.lo, edges.hi), &mut band.marks);
+        let below = band.gather(&sums, edges, below);
+        let (threshold, hit) = band.select(&sums, below);
 
         let mut keys: Vec<i64> = sums.iter().map(|&s| total_order_key(s)).collect();
         let expected = quantile_from_keys(&mut keys, q);

@@ -1,30 +1,29 @@
-//! AVX2 forms of the LR search's column sweeps: four individuals a step.
+//! AVX2 forms of the LR search's column sweeps: four individuals a step,
+//! two steps an octet.
 //!
-//! A step broadcasts the column's bit word, ANDs it with a selector that
-//! holds bit `j` in lane `j` (`[1, 2, 4, 8]`, shifted on by four bits per
-//! step), turns the lanes whose bit is set into an all-ones mask with
-//! `cmpeq`, blends `major` and `minor` by that mask and adds (or
-//! subtracts) the blend to four sums. Per individual that is the one `+=`
-//! or `-=` of exactly `major` or `minor` the scalar loops of the parent
-//! module perform, so every sum is bit-identical to theirs; the individuals
-//! of a word past its last whole quad take that scalar step itself.
+//! A chunk's steps broadcast the column's bit word once, AND it with a
+//! selector that holds bit `j` in lane `j` (`[1, 2, 4, 8]`, shifted on by
+//! four bits per step), turn the lanes whose bit is set into an all-ones
+//! mask with `cmpeq` and blend `major` and `minor` by that mask.
 //!
-//! Bit-identity covers NaNs, whose sign orders them under `total_cmp`.
-//! When both operands of an x86 add are NaN the result is the first
-//! operand's, and the scalar `s += level` compiles with the level first
-//! (the sum is the folded memory operand), so the vector add is written
-//! `add(level, sums)` too; a subtraction keeps the sum first in both.
+//! A candidate's sweep is one pass per side, in the shape of the AVX-512
+//! kernels (see there): a rejected previous column backed out, the
+//! candidate's column added, the result stored. A count is a per-lane `i64`
+//! counter less the all-ones compare mask; the in-band byte of an octet
+//! takes two `movemask`s, AVX2's only way to read a lane mask.
 //!
-//! The parent module calls in here only after detecting AVX2 and POPCNT at
-//! run time. Its scalar loops stay as the fallback for every other CPU and
-//! as the oracle the tests compare these kernels with.
+//! The parent module calls in here only after detecting AVX2 at run time;
+//! its scalar loops are the fallback and the oracle.
 
 use std::arch::x86_64::{
-    __m256d, __m256i, _mm256_add_pd, _mm256_and_si256, _mm256_blendv_pd, _mm256_castsi256_pd,
-    _mm256_cmp_pd, _mm256_cmpeq_epi64, _mm256_loadu_pd, _mm256_movemask_pd, _mm256_or_pd,
-    _mm256_set1_epi64x, _mm256_set1_pd, _mm256_setr_epi64x, _mm256_slli_epi64, _mm256_storeu_pd,
-    _mm256_sub_pd, _CMP_GT_OQ, _CMP_LT_OQ,
+    __m256d, __m256i, _mm256_add_pd, _mm256_and_si256, _mm256_andnot_pd, _mm256_blendv_pd,
+    _mm256_castpd_si256, _mm256_castsi256_pd, _mm256_cmp_pd, _mm256_cmpeq_epi64,
+    _mm256_extract_epi64, _mm256_loadu_pd, _mm256_movemask_pd, _mm256_set1_epi64x, _mm256_set1_pd,
+    _mm256_setr_epi64x, _mm256_setzero_si256, _mm256_slli_epi64, _mm256_storeu_pd,
+    _mm256_sub_epi64, _mm256_sub_pd, _CMP_GT_OQ, _CMP_LT_OQ, _CMP_NGT_UQ,
 };
+
+use super::Column;
 
 #[inline]
 #[target_feature(enable = "avx2")]
@@ -42,162 +41,156 @@ fn store(quad: &mut [f64; 4], v: __m256d) {
     unsafe { _mm256_storeu_pd(quad.as_mut_ptr(), v) }
 }
 
-/// The one walk every kernel shares. For each 64-sum chunk and its bit
-/// word: `quad(state, sums, levels, i)` for each whole quad, with the four
-/// levels its bits select and `i` its first sum's place in the chunk;
-/// `single(state, sum, level, i)` for the sums left over; then
-/// `chunk_done(state, chunk)`.
+/// The sum of a counter's four lanes.
 #[inline]
 #[target_feature(enable = "avx2")]
-fn sweep<S>(
+fn reduce(counter: __m256i) -> usize {
+    (_mm256_extract_epi64::<0>(counter)
+        + _mm256_extract_epi64::<1>(counter)
+        + _mm256_extract_epi64::<2>(counter)
+        + _mm256_extract_epi64::<3>(counter)) as usize
+}
+
+/// The walk every sweep shares, as the AVX-512 one: for octet `j` of
+/// 64-sum chunk `k`, `commit(sums, previous levels) + next levels` is
+/// stored and handed to `step(k, j, lanes, sums)`, two quads.
+#[inline]
+#[target_feature(enable = "avx2")]
+fn walk(
     sums: &mut [f64],
-    words: &[u64],
-    (major, minor): (f64, f64),
-    state: &mut S,
-    quad: impl Fn(&mut S, &mut [f64; 4], __m256d, usize),
-    single: impl Fn(&mut S, &mut f64, f64, usize),
-    chunk_done: impl Fn(&mut S, &[f64]),
+    (previous, previous_levels): (&[u64], (f64, f64)),
+    next: Column<'_>,
+    commit: impl Fn(__m256d, __m256d) -> __m256d,
+    mut step: impl FnMut(usize, usize, u8, [__m256d; 2]),
 ) {
-    let (major_v, minor_v) = (_mm256_set1_pd(major), _mm256_set1_pd(minor));
-    let levels = [major, minor];
-    let walk = |state: &mut S, chunk: &mut [f64], word: u64| {
-        let bits: __m256i = _mm256_set1_epi64x(word as i64);
-        let mut select = _mm256_setr_epi64x(1, 2, 4, 8);
-        let (quads, rest) = chunk.as_chunks_mut::<4>();
-        let first = quads.len() * 4;
-        for (j, q) in quads.iter_mut().enumerate() {
-            let is_minor = _mm256_cmpeq_epi64(_mm256_and_si256(bits, select), select);
-            quad(
-                state,
-                q,
-                _mm256_blendv_pd(major_v, minor_v, _mm256_castsi256_pd(is_minor)),
-                4 * j,
-            );
-            select = _mm256_slli_epi64::<4>(select);
-        }
-        for (i, s) in (first..).zip(rest) {
-            single(state, s, levels[(word >> i & 1) as usize], i);
-        }
-        chunk_done(state, chunk);
+    let chunks = sums.len().div_ceil(64);
+    assert!(previous.len() >= chunks && next.words.len() >= chunks);
+    let p = (
+        _mm256_set1_pd(previous_levels.0),
+        _mm256_set1_pd(previous_levels.1),
+    );
+    let c = (_mm256_set1_pd(next.major), _mm256_set1_pd(next.minor));
+    // The four levels of the individuals whose bits `select` picks.
+    let levels = |bits: __m256i, select: __m256i, (major, minor): (__m256d, __m256d)| {
+        let is_minor = _mm256_cmpeq_epi64(_mm256_and_si256(bits, select), select);
+        _mm256_blendv_pd(major, minor, _mm256_castsi256_pd(is_minor))
     };
-    // Whole chunks reach `walk` with a constant length: their sixteen steps
-    // unroll.
+    let mut octet = |k, j, lanes, sums: &mut [f64; 8], (bp, bn), select: __m256i| {
+        let [low, high] = sums.as_chunks_mut::<4>().0 else {
+            unreachable!("an octet is two quads")
+        };
+        let select_high = _mm256_slli_epi64::<4>(select);
+        let s_low = commit(load(low), levels(bp, select, p));
+        let s_high = commit(load(high), levels(bp, select_high, p));
+        let t = [
+            _mm256_add_pd(levels(bn, select, c), s_low),
+            _mm256_add_pd(levels(bn, select_high, c), s_high),
+        ];
+        store(low, t[0]);
+        store(high, t[1]);
+        step(k, j, lanes, t);
+    };
+    let first = _mm256_setr_epi64x(1, 2, 4, 8);
+    let bits = |k: usize| {
+        (
+            _mm256_set1_epi64x(previous[k] as i64),
+            _mm256_set1_epi64x(next.words[k] as i64),
+        )
+    };
+    // Whole chunks run with constant selectors: their eight octets unroll.
     let (full, tail) = sums.as_chunks_mut::<64>();
     let n_full = full.len();
-    for (chunk, &word) in full.iter_mut().zip(words) {
-        walk(state, chunk, word);
-    }
-    if let Some(&word) = words.get(n_full) {
-        if !tail.is_empty() {
-            walk(state, tail, word);
+    for (k, chunk) in full.iter_mut().enumerate() {
+        let (b, mut select) = (bits(k), first);
+        for (j, s) in chunk.as_chunks_mut::<8>().0.iter_mut().enumerate() {
+            octet(k, j, 0xff, s, b, select);
+            select = _mm256_slli_epi64::<8>(select);
         }
     }
+    if tail.is_empty() {
+        return;
+    }
+    let (b, mut select) = (bits(n_full), first);
+    let (octets, rest) = tail.as_chunks_mut::<8>();
+    let n_octets = octets.len();
+    for (j, s) in octets.iter_mut().enumerate() {
+        octet(n_full, j, 0xff, s, b, select);
+        select = _mm256_slli_epi64::<8>(select);
+    }
+    if !rest.is_empty() {
+        let mut padded = [f64::NAN; 8];
+        padded[..rest.len()].copy_from_slice(rest);
+        let lanes = (1u8 << rest.len()) - 1;
+        octet(n_full, n_octets, lanes, &mut padded, b, select);
+        rest.copy_from_slice(&padded[..rest.len()]);
+    }
 }
 
-/// `sums[i] += level(bit_i)`.
-#[target_feature(enable = "avx2,popcnt")]
-pub(super) fn add_column(sums: &mut [f64], words: &[u64], major: f64, minor: f64) {
-    sweep(
-        sums,
-        words,
-        (major, minor),
-        &mut (),
-        |(), q, level, _| store(q, _mm256_add_pd(level, load(q))),
-        |(), s, level, _| *s += level,
-        |(), _| {},
-    );
-}
-
-/// `sums[i] -= level(bit_i)`: the back-out, `(a + b) − b` as the scalar
-/// loop leaves it.
-#[target_feature(enable = "avx2,popcnt")]
-pub(super) fn sub_column(sums: &mut [f64], words: &[u64], major: f64, minor: f64) {
-    sweep(
-        sums,
-        words,
-        (major, minor),
-        &mut (),
-        |(), q, level, _| store(q, _mm256_sub_pd(load(q), level)),
-        |(), s, level, _| *s -= level,
-        |(), _| {},
-    );
-}
-
-/// The case side in one pass: adds the column and counts the new sums
-/// `> threshold` (an ordered compare, so a NaN sum never counts).
-#[target_feature(enable = "avx2,popcnt")]
-pub(super) fn add_column_count(
+/// [`walk`] backing `back_out`'s column out first, or nothing.
+#[inline]
+#[target_feature(enable = "avx2")]
+fn walk_after(
     sums: &mut [f64],
-    words: &[u64],
-    major: f64,
-    minor: f64,
+    back_out: Option<Column<'_>>,
+    next: Column<'_>,
+    step: impl FnMut(usize, usize, u8, [__m256d; 2]),
+) {
+    match back_out {
+        None => walk(sums, (next.words, (0.0, 0.0)), next, |s, _| s, step),
+        Some(c) => walk(
+            sums,
+            (c.words, (c.major, c.minor)),
+            next,
+            |s, level| _mm256_sub_pd(s, level),
+            step,
+        ),
+    }
+}
+
+/// The case side: backs `back_out` out, adds `next` and counts the new
+/// sums `> threshold` (an ordered compare, so a NaN sum never counts).
+#[target_feature(enable = "avx2")]
+pub(super) fn case_sweep(
+    sums: &mut [f64],
+    back_out: Option<Column<'_>>,
+    next: Column<'_>,
     threshold: f64,
 ) -> usize {
-    let threshold_v = _mm256_set1_pd(threshold);
-    let mut detected = 0u32;
-    sweep(
-        sums,
-        words,
-        (major, minor),
-        &mut detected,
-        |detected, q, level, _| {
-            let v = _mm256_add_pd(level, load(q));
-            store(q, v);
-            *detected +=
-                _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_GT_OQ>(v, threshold_v)).count_ones();
-        },
-        |detected, s, level, _| {
-            *s += level;
-            *detected += u32::from(*s > threshold);
-        },
-        |_, _| {},
-    );
-    detected as usize
+    let threshold = _mm256_set1_pd(threshold);
+    let mut detected = _mm256_setzero_si256();
+    walk_after(sums, back_out, next, |_, _, _, t| {
+        for t in t {
+            let over = _mm256_cmp_pd::<_CMP_GT_OQ>(t, threshold);
+            detected = _mm256_sub_epi64(detected, _mm256_castpd_si256(over));
+        }
+    });
+    reduce(detected)
 }
 
-/// The null side in one pass: adds the column, counts the new sums `< lo`
-/// and marks every sum the f64 compares leave inside `[lo, hi]` (NaNs
-/// included); after each chunk's vector steps, the marked sums go to
-/// `inside`. Returns the count.
-#[target_feature(enable = "avx2,popcnt")]
-pub(super) fn add_column_band(
+/// The null side: backs `back_out` out, adds `next`, counts the new sums
+/// `< lo` and sets, per octet, the byte of the lanes the f64 compares leave
+/// inside `[lo, hi]` (NaNs included) in `marks`. Returns the count.
+#[target_feature(enable = "avx2")]
+pub(super) fn null_sweep(
     sums: &mut [f64],
-    words: &[u64],
-    levels: (f64, f64),
+    back_out: Option<Column<'_>>,
+    next: Column<'_>,
     (lo, hi): (f64, f64),
-    inside: impl FnMut(f64),
+    marks: &mut [u8],
 ) -> usize {
-    let (lo_v, hi_v) = (_mm256_set1_pd(lo), _mm256_set1_pd(hi));
-    // (sums below, the chunk's in-band marks, the visitor)
-    let mut state = (0u32, 0u64, inside);
-    sweep(
-        sums,
-        words,
-        levels,
-        &mut state,
-        |(below, marks, _), q, level, i| {
-            let v = _mm256_add_pd(level, load(q));
-            store(q, v);
-            let under = _mm256_cmp_pd::<_CMP_LT_OQ>(v, lo_v);
-            let over = _mm256_cmp_pd::<_CMP_GT_OQ>(v, hi_v);
-            *below += _mm256_movemask_pd(under).count_ones();
-            let outside = _mm256_movemask_pd(_mm256_or_pd(under, over));
-            *marks |= u64::from(!outside as u8 & 0b1111) << i;
-        },
-        |(below, marks, _), s, level, i| {
-            *s += level;
-            let v = *s;
-            *below += u32::from(v < lo);
-            *marks |= u64::from(!(v < lo || v > hi)) << i;
-        },
-        // Kept out of the vector steps: the visitor may grow a vector, and
-        // a call inside them makes every register a spill.
-        |(_, marks, inside), chunk| {
-            while *marks != 0 {
-                inside(chunk[marks.trailing_zeros() as usize]);
-                *marks &= *marks - 1;
-            }
-        },
-    );
-    state.0 as usize
+    let (lo, hi) = (_mm256_set1_pd(lo), _mm256_set1_pd(hi));
+    let mut below = _mm256_setzero_si256();
+    let marks = marks.as_chunks_mut::<8>().0;
+    assert!(marks.len() >= sums.len().div_ceil(64));
+    walk_after(sums, back_out, next, |k, j, lanes, t| {
+        let mut mark = 0;
+        for (half, t) in t.into_iter().enumerate() {
+            let under = _mm256_cmp_pd::<_CMP_LT_OQ>(t, lo);
+            let not_over = _mm256_cmp_pd::<_CMP_NGT_UQ>(t, hi);
+            below = _mm256_sub_epi64(below, _mm256_castpd_si256(under));
+            mark |= _mm256_movemask_pd(_mm256_andnot_pd(under, not_over)) << (4 * half);
+        }
+        marks[k][j] = mark as u8 & lanes;
+    });
+    reduce(below)
 }

@@ -348,6 +348,132 @@ proptest! {
     }
 }
 
+/// A column of [`one_sweep_matrices`]: what the search does with it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Plan {
+    /// The same small levels on both sides: the attack gains nothing, kept.
+    Keep,
+    /// Case levels far above the null's: every case sum clears the
+    /// threshold, rejected.
+    Reject,
+    /// A reject whose null levels are ±1e300 (and case levels above them):
+    /// its back-out, `(s + v) − v`, leaves every sum at a round-off of
+    /// zero, so the next candidate's band (built from the committed
+    /// statistics) misses and the full quickselect runs over the sums of
+    /// the sweep that backed it out.
+    Annihilate,
+}
+
+/// Case and null matrices column by column from `plans`, each individual
+/// on a level by a coin of the column's frequency.
+fn one_sweep_matrices(
+    plans: &[Plan],
+    n_case: usize,
+    n_null: usize,
+    rng: &mut ChaChaRng,
+) -> (LrMatrix, LrMatrix) {
+    let small = |rng: &mut ChaChaRng| 0.4 * rng.next_f64() - 0.2;
+    let (mut case_levels, mut null_levels, mut freqs) = (Vec::new(), Vec::new(), Vec::new());
+    for plan in plans {
+        let null = match plan {
+            Plan::Annihilate => (1e300, -1e300),
+            Plan::Keep | Plan::Reject => (small(rng), small(rng)),
+        };
+        case_levels.push(match plan {
+            Plan::Keep => null,
+            Plan::Reject => (20.0 + rng.next_f64(), 30.0 + rng.next_f64()),
+            Plan::Annihilate => (2e300, 3e300),
+        });
+        null_levels.push(null);
+        freqs.push(0.2 + 0.6 * rng.next_f64());
+    }
+    let mut values = |rows: usize, levels: &[(f64, f64)]| {
+        let mut v = Vec::with_capacity(rows * levels.len());
+        for _ in 0..rows {
+            for (&(major, minor), &freq) in levels.iter().zip(&freqs) {
+                v.push(if rng.next_bool(freq) { minor } else { major });
+            }
+        }
+        LrMatrix::from_values(rows, levels.len(), v)
+    };
+    let case = values(n_case, &case_levels);
+    let null = values(n_null, &null_levels);
+    (case, null)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The one-sweep search, which backs a rejected column out in the next
+    /// candidate's sweep, on the paths that exposes: long reject streaks,
+    /// a band miss right after a reject (the full quickselect over the
+    /// sums of the sweep that backed it out) and forced prefixes of every
+    /// kind of column ahead of the candidates.
+    /// The selection must be the reference's, power and threshold by bits.
+    #[test]
+    fn one_sweep_search_equals_naive_on_streaks_misses_and_prefixes(
+        sizes in (1usize..150, 1usize..150, 2usize..60),
+        streak in 1usize..25,
+        miss_share in 0.0f64..0.4,
+        fpr_pick in 0usize..4,
+        power_threshold in 0.3f64..0.95,
+        seed in any::<u64>(),
+        split in any::<proptest::sample::Index>(),
+    ) {
+        let (n_null, n_case, snps) = sizes;
+        let mut rng = ChaChaRng::from_seed_u64(seed);
+        // Runs of up to `streak` rejects (some of them annihilating), each
+        // run closed by a kept column.
+        let mut plans = Vec::with_capacity(snps);
+        while plans.len() < snps {
+            let run = 1 + (rng.next_u64() % streak as u64) as usize;
+            for _ in 0..run.min(snps - plans.len()) {
+                plans.push(if rng.next_bool(miss_share) { Plan::Annihilate } else { Plan::Reject });
+            }
+            if plans.len() < snps {
+                plans.push(Plan::Keep);
+            }
+        }
+        let (case, null) = one_sweep_matrices(&plans, n_case, n_null, &mut rng);
+        let params = LrTestParams {
+            false_positive_rate: [0.0, 0.05, 0.1, 0.3][fpr_pick],
+            power_threshold,
+        };
+        let columns: Vec<usize> = (0..snps).collect();
+        let (forced, order) = columns.split_at(split.index(snps / 2 + 1));
+
+        let reference = select_safe_subset_naive(&case, &null, forced, order, &params);
+        let (case_c, null_c) = (case.to_columns().unwrap(), null.to_columns().unwrap());
+        for fast in [
+            select_safe_subset(&case, &null, forced, order, &params),
+            select_safe_subset(&case_c, &null_c, forced, order, &params),
+        ] {
+            prop_assert_eq!(&fast.kept_columns, &reference.kept_columns);
+            prop_assert_eq!(fast.final_power.to_bits(), reference.final_power.to_bits());
+            prop_assert_eq!(
+                fast.final_threshold.to_bits(),
+                reference.final_threshold.to_bits()
+            );
+        }
+        // The fixture does what it is for: a reject follows a reject —
+        // unless a forced ±1e300 column left every case sum below the
+        // threshold.
+        let rejected: Vec<bool> = order
+            .iter()
+            .map(|c| !reference.kept_columns.contains(c))
+            .collect();
+        let streaks = rejected.windows(2).any(|w| w[0] && w[1]);
+        let two_rejects = order.windows(2).any(|w| plans[w[0]] != Plan::Keep && plans[w[1]] != Plan::Keep);
+        let forced_annihilate = forced.iter().any(|&c| plans[c] == Plan::Annihilate);
+        prop_assert!(
+            streaks || !two_rejects || forced_annihilate,
+            "no reject streak: forced {:?}, plans {:?}",
+            forced,
+            plans
+        );
+    }
+}
+
 /// Three-valued columns must refuse the columnar view and fall back to the
 /// reference path (not silently mis-pack).
 #[test]

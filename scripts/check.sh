@@ -34,7 +34,12 @@ done
 # The LR sweeps' bit-identity — each vector width this CPU has (the AVX2
 # and the AVX-512 kernels, each called directly) against the scalar loops
 # they fall back to, NaN signs included — is a statement about optimised
-# arithmetic: test the build that ships, not only the debug one. So are
+# arithmetic: test the build that ships, not only the debug one. Two
+# invariants of the one-sweep search ride on it: every count is a per-lane
+# counter reduced once a sweep, and must equal the scalar count, tail lanes
+# included; and a reject's back-out rides in the next candidate's sweep,
+# which must leave exactly the reference's `(s + v) − v` before it adds its
+# own column (lr_columnar_props' streak, miss and prefix fixtures). So are
 # the three bulk-byte kernels, each against its scalar code at every width
 # this CPU has: the AVX-512 64x64 bit transpose (gendpr-genomics, here),
 # and the eight-lane AVX-512 IFMA Poly1305 and the SHA-NI SHA-256

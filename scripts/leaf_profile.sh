@@ -3,9 +3,11 @@
 # when SIGPROF landed ("self" time, no call stacks). Compiles a small
 # SIGPROF/setitimer sampler (C, through `cc`) into a temp dir, builds the
 # benchmark binary offline, runs one untraced run of the workload with
-# the sampler preloaded, and prints the largest self shares of the samples
-# taken in the run's last SECONDS (the timed window; set-up and warm-up
-# come before it), symbolised with `nm -C`. A libc sample goes to the
+# the sampler preloaded, and prints the run's end-to-end metrics, its
+# per-phase split on the assess-* workloads (`phase_ms`: aggregation,
+# indexing, LD, LR; median ms a job) and the largest self shares of the
+# samples taken in the run's last SECONDS (the timed window; set-up and
+# warm-up come before it), symbolised with `nm -C`. A libc sample goes to the
 # exported symbol whose extent (`nm -D -S`) holds it, or stays
 # `[libc.so.6]` (internal code such as the memmove variants); samples in
 # other libraries and the vDSO count by library. Last, the context
@@ -169,6 +171,10 @@ LEAF_PROFILE_OUT="$work/samples.txt" LD_PRELOAD="$work/sampler.so" \
     "$bin" --workload "$workload" --seconds "$seconds" --trace 0 >"$work/run.txt"
 # The run's own end-to-end metrics, for the reader.
 awk '$1 ~ /^[a-z_]+$/ && $2 ~ /^[0-9.]+$/' "$work/run.txt"
+# The per-phase split the harness records (median ms a job; assess-*
+# only), so the leaves below can be read against the phase they sit in.
+{ grep -o '"phase_ms":{[^}]*}' "$work/run.txt" || true; } | tr -d '"{}' | sed 's/^phase_ms://' | tr ',' '\n' |
+    awk -F: 'NF == 2 { printf "  phase %-12s %9.3f ms\n", $1, $2 }'
 
 nm -C -n --defined-only "$bin" >"$work/symbols.txt"
 libc=$(awk '$1 == "lib" && $3 ~ /\/libc\.so/ { print $3; exit }' "$work/samples.txt")
