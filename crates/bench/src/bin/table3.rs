@@ -5,7 +5,9 @@
 //! every enclave stays under ~2.2 MB of trusted memory and <1% CPU. Here
 //! the threaded runtime meters each member's enclave allocations (peak
 //! bytes) and every byte on the wire, and additionally prints the
-//! analytic savings of not shipping genomes (`2·L_des·N_T` bits).
+//! analytic savings of not shipping genomes (`2·L_des·N_T` bits). Every
+//! row asserts that the dense leader's peak is at most the compact one's
+//! plus the largest member's dense report, the buffer it decodes.
 
 use gendpr_bench::workload::paper_cohort;
 use gendpr_bench::{BenchArgs, TextTable, PAPER_CASES_FULL};
@@ -76,6 +78,21 @@ fn main() {
                     .map(|m| m.peak_enclave_bytes)
                     .unwrap_or(0)
             };
+            // The leader holds LR rows as indicator bits in either mode: a
+            // dense report costs it its value buffer while it is decoded.
+            let rows = cohort
+                .cohort()
+                .case_rows_among(gdos)
+                .iter()
+                .map(|r| r.len())
+                .max();
+            let buffer = 8 * (rows.unwrap_or(0) * report.l_double_prime.len()) as u64;
+            assert!(
+                leader_peak(&report) <= leader_peak(&compact) + buffer,
+                "{gdos} GDOs / {snps} SNPs: dense leader peak {} above compact {} + {buffer}",
+                leader_peak(&report),
+                leader_peak(&compact)
+            );
             let kb = |b: u64| format!("{:.0} KB", b as f64 / 1024.0);
             table.row(vec![
                 format!("{gdos} GDOs / {snps} SNPs"),

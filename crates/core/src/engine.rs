@@ -22,6 +22,10 @@
 //!   subsets) and the naïve baseline (all members for L′, each alone for
 //!   LD and LR).
 //!
+//! Phase 3 has one matrix format in the leader: every member's rows, its
+//! own and the null model are [`LrColumns`], whichever report format the
+//! members send.
+//!
 //! [`follower_serve`] is the member side of an attested job: a
 //! [`Follower`] machine the transport drives. Announcing a job, rekeying
 //! and traffic accounting stay with the drivers.
@@ -47,7 +51,7 @@ use gendpr_genomics::columnar::ColumnarGenotypes;
 use gendpr_genomics::genotype::GenotypeMatrix;
 use gendpr_genomics::snp::SnpId;
 use gendpr_stats::ld::{LdMoments, LdTest};
-use gendpr_stats::lr::{select_safe_subset, LrColumns, LrMatrix, LrSelection, LrValues};
+use gendpr_stats::lr::{select_safe_subset, LrColumns, LrSelection};
 use gendpr_stats::ranking::SnpRank;
 use gendpr_tee::enclave::Enclave;
 use gendpr_tee::memory::EpcAccount;
@@ -188,15 +192,15 @@ pub(crate) trait Source {
         phase: &'static str,
     ) -> Result<(), ProtocolError>;
     /// Runs `search` in the leader enclave on combination `combo`'s case
-    /// rows over `columns`, gathered in format `M`.
-    fn lr_search<M: LrTransport>(
+    /// rows over `columns`.
+    fn lr_search(
         &mut self,
         combo: usize,
         subset: &[usize],
         columns: &[SnpId],
         case_freqs: &[f64],
         ref_freqs: &[f64],
-        search: impl FnOnce(&mut EpcAccount, M) -> LrSelection,
+        search: impl FnOnce(&mut EpcAccount, LrColumns) -> LrSelection,
     ) -> Result<LrSelection, ProtocolError>;
     /// Runs `body` inside the leader enclave, against its EPC meter.
     fn enter<R>(&mut self, body: impl FnOnce(&mut EpcAccount) -> R) -> R {
@@ -210,133 +214,6 @@ pub(crate) trait Source {
     /// nothing waits on a round.
     fn prefetch_ld(&self) -> bool {
         false
-    }
-    /// Whether LR case rows come as [`LrColumns`], not [`LrMatrix`].
-    fn compact_lr(&self) -> bool {
-        true
-    }
-}
-
-/// The format of the Phase 3 matrices: the paper's dense value matrices,
-/// or one indicator bit per cell (`RuntimeOptions::compact_lr`) which the
-/// leader holds SNP-major, the layout the search sweeps.
-pub(crate) trait LrTransport: LrValues + Sized {
-    /// A member's rows from its own shard: the leader's, or an
-    /// in-process member's.
-    fn own(node: &GdoNode, columns: &[SnpId], case_freqs: &[f64], ref_freqs: &[f64]) -> Self;
-    /// A member's rows from its Phase 3 report; `None` unless the message
-    /// is this format's report for combination `combo`, declares `rows`
-    /// rows and one column per frequency (checked before anything is
-    /// allocated) and is well-formed.
-    fn from_message(
-        msg: ProtocolMessage,
-        combo: u32,
-        rows: u64,
-        case_freqs: &[f64],
-        ref_freqs: &[f64],
-    ) -> Option<Self>;
-    fn concat_rows(parts: &[Self]) -> Self;
-    /// The null model: the reference panel's rows, from whichever layout
-    /// of the panel the format is built from.
-    fn null(
-        reference: &GenotypeMatrix,
-        reference_columnar: &ColumnarGenotypes,
-        columns: &[SnpId],
-        case_freqs: &[f64],
-        ref_freqs: &[f64],
-    ) -> Self;
-    fn heap_bytes(&self) -> u64;
-}
-
-impl LrTransport for LrMatrix {
-    fn own(node: &GdoNode, columns: &[SnpId], case_freqs: &[f64], ref_freqs: &[f64]) -> Self {
-        node.lr_report(columns, case_freqs, ref_freqs)
-            .into_matrix()
-            .expect("well-formed local matrix")
-    }
-    fn from_message(
-        msg: ProtocolMessage,
-        combo: u32,
-        rows: u64,
-        case_freqs: &[f64],
-        _: &[f64],
-    ) -> Option<Self> {
-        match msg {
-            ProtocolMessage::Lr(c, report)
-                if c == combo
-                    && report.individuals == rows
-                    && report.snps == case_freqs.len() as u64 =>
-            {
-                report.into_matrix().ok()
-            }
-            _ => None,
-        }
-    }
-    fn concat_rows(parts: &[Self]) -> Self {
-        LrMatrix::concat_rows(parts)
-    }
-    fn null(
-        reference: &GenotypeMatrix,
-        _: &ColumnarGenotypes,
-        columns: &[SnpId],
-        case_freqs: &[f64],
-        ref_freqs: &[f64],
-    ) -> Self {
-        LrMatrix::from_genotypes(reference, columns, case_freqs, ref_freqs)
-    }
-    fn heap_bytes(&self) -> u64 {
-        LrMatrix::heap_bytes(self) as u64
-    }
-}
-
-impl LrTransport for LrColumns {
-    fn own(node: &GdoNode, columns: &[SnpId], case_freqs: &[f64], ref_freqs: &[f64]) -> Self {
-        LrColumns::from_columnar(node.columnar(), columns, case_freqs, ref_freqs)
-    }
-    /// The report's row-major words are checked against its declared
-    /// dimensions, then block-transposed once ([`LrColumns::from_row_bits`]).
-    /// They are the message's buffer and gone on return; beside the parts
-    /// already held they stay below what the stitch holds a moment later,
-    /// so the enclave account meters the transposed part only.
-    fn from_message(
-        msg: ProtocolMessage,
-        combo: u32,
-        rows: u64,
-        case_freqs: &[f64],
-        ref_freqs: &[f64],
-    ) -> Option<Self> {
-        match msg {
-            ProtocolMessage::LrCompact(c, report)
-                if c == combo
-                    && report.individuals == rows
-                    && report.snps == case_freqs.len() as u64 =>
-            {
-                LrColumns::from_row_bits(
-                    report.individuals as usize,
-                    report.snps as usize,
-                    &report.bits,
-                    case_freqs,
-                    ref_freqs,
-                )
-                .ok()
-            }
-            _ => None,
-        }
-    }
-    fn concat_rows(parts: &[Self]) -> Self {
-        LrColumns::concat_rows(parts)
-    }
-    fn null(
-        _: &GenotypeMatrix,
-        reference_columnar: &ColumnarGenotypes,
-        columns: &[SnpId],
-        case_freqs: &[f64],
-        ref_freqs: &[f64],
-    ) -> Self {
-        LrColumns::from_columnar(reference_columnar, columns, case_freqs, ref_freqs)
-    }
-    fn heap_bytes(&self) -> u64 {
-        LrColumns::heap_bytes(self) as u64
     }
 }
 
@@ -380,12 +257,9 @@ pub(crate) struct LrPhase {
 /// every job restricts them to its own panel. The LD decision rule is
 /// fixed with the parameters, so its [`LdTest`] is built once here too.
 pub(crate) struct LeaderCore<'a> {
-    // Row-major, as the drivers hold it: read only by the dense
-    // format's null matrix.
-    reference: &'a GenotypeMatrix,
     // SNP-major view of the reference, built once per core: reference
-    // LD moments are popcount(AND) over two of its columns, the compact
-    // null matrix a word-for-word copy of them.
+    // LD moments are popcount(AND) over two of its columns, the null
+    // matrix a word-for-word copy of them.
     reference_columnar: ColumnarGenotypes,
     params: &'a GwasParams,
     subsets: Vec<Vec<usize>>,
@@ -403,7 +277,7 @@ impl<'a> LeaderCore<'a> {
     pub(crate) fn collect(
         source: &mut impl Source,
         subsets: Vec<Vec<usize>>,
-        reference: &'a GenotypeMatrix,
+        reference: &GenotypeMatrix,
         params: &'a GwasParams,
     ) -> Result<Self, ProtocolError> {
         let t = Instant::now();
@@ -460,7 +334,6 @@ impl<'a> LeaderCore<'a> {
         crate::telemetry::phase_seconds("maf").observe_duration(indexing);
 
         Ok(Self {
-            reference,
             reference_columnar,
             params,
             subsets,
@@ -669,10 +542,10 @@ impl<'a> LeaderCore<'a> {
     }
 
     /// Phase 3 for one subset: collects the subset's LR rows over
-    /// `columns` in format `M` and runs the seeded search. `columns` are
-    /// forced ∪ candidates; the first `forced_len` seed the cumulative sums
-    /// and are never up for admission.
-    fn lr_step<M: LrTransport>(
+    /// `columns` and runs the seeded search. `columns` are forced ∪
+    /// candidates; the first `forced_len` seed the cumulative sums and are
+    /// never up for admission.
+    fn lr_step(
         &mut self,
         source: &mut impl Source,
         combo: usize,
@@ -689,20 +562,13 @@ impl<'a> LeaderCore<'a> {
             .collect();
         let order = admission_order(candidates, ranks, forced_len);
         let forced_cols: Vec<usize> = (0..forced_len).collect();
-        let (reference, reference_columnar) = (self.reference, &self.reference_columnar);
-        let lr = &self.params.lr;
-        let search = |epc: &mut EpcAccount, case_matrix: M| {
-            let null_matrix = M::null(
-                reference,
-                reference_columnar,
-                columns,
-                &case_freqs,
-                &ref_freqs,
-            );
-            epc.alloc(null_matrix.heap_bytes());
+        let (reference, lr) = (&self.reference_columnar, &self.params.lr);
+        let search = |epc: &mut EpcAccount, case_matrix: LrColumns| {
+            let null_matrix = LrColumns::from_columnar(reference, columns, &case_freqs, &ref_freqs);
+            epc.alloc(null_matrix.heap_bytes() as u64);
             let selection =
                 select_safe_subset(&case_matrix, &null_matrix, &forced_cols, &order, lr);
-            epc.free(case_matrix.heap_bytes() + null_matrix.heap_bytes());
+            epc.free((case_matrix.heap_bytes() + null_matrix.heap_bytes()) as u64);
             selection
         };
         let subset = &self.subsets[combo];
@@ -724,11 +590,7 @@ impl<'a> LeaderCore<'a> {
             final_threshold: f64::INFINITY,
         };
         for c in 0..self.subsets.len() {
-            let selection = if source.compact_lr() {
-                self.lr_step::<LrColumns>(source, c, &columns, forced.len())?
-            } else {
-                self.lr_step::<LrMatrix>(source, c, &columns, forced.len())?
-            };
+            let selection = self.lr_step(source, c, &columns, forced.len())?;
             let mut safe: Vec<SnpId> = selection.kept_columns.iter().map(|&j| columns[j]).collect();
             safe.sort_unstable();
             if c == 0 {
@@ -893,22 +755,19 @@ impl<T: Transport> Source for Remote<'_, '_, T> {
         self.ctx.prefetch_ld
     }
 
-    fn compact_lr(&self) -> bool {
-        self.ctx.compact_lr
-    }
-
     /// `Phase2` to the subset, then its rows, each part metered as it
-    /// arrives and released once stitched. A report must declare the
-    /// member's Phase 1 case count and one column per SNP asked for, or
-    /// it is refused before anything is built from it.
-    fn lr_search<M: LrTransport>(
+    /// arrives and released once stitched. A report must be of the format
+    /// the session's members send (`compact_lr`), declare the member's
+    /// Phase 1 case count and one column per SNP asked for, or it is
+    /// refused before anything is built from it.
+    fn lr_search(
         &mut self,
         combo: usize,
         subset: &[usize],
         columns: &[SnpId],
         case_freqs: &[f64],
         ref_freqs: &[f64],
-        search: impl FnOnce(&mut EpcAccount, M) -> LrSelection,
+        search: impl FnOnce(&mut EpcAccount, LrColumns) -> LrSelection,
     ) -> Result<LrSelection, ProtocolError> {
         let broadcast = ProtocolMessage::Phase2(
             combo as u32,
@@ -920,12 +779,12 @@ impl<T: Transport> Source for Remote<'_, '_, T> {
         );
         let (ctx, Links { node, n_case, .. }) = (&mut *self.ctx, &mut *self.links);
         send_each(ctx, subset.iter().copied(), &broadcast);
-        let me = ctx.id;
-        let mut parts: Vec<M> = Vec::with_capacity(subset.len());
+        let (me, combo, cols) = (ctx.id, combo as u32, columns.len() as u64);
+        let mut parts: Vec<LrColumns> = Vec::with_capacity(subset.len());
         if subset.contains(&me) {
             parts.push(ctx.enclave.enter(|(), epc| {
-                let m = M::own(node, columns, case_freqs, ref_freqs);
-                epc.alloc(m.heap_bytes());
+                let m = LrColumns::from_columnar(node.columnar(), columns, case_freqs, ref_freqs);
+                epc.alloc(m.heap_bytes() as u64);
                 m
             }));
         }
@@ -933,17 +792,57 @@ impl<T: Transport> Source for Remote<'_, '_, T> {
             if peer == me {
                 continue;
             }
-            let report = recv_protocol(ctx, peer, "lr-matrices")?;
-            let m = M::from_message(report, combo as u32, n_case[peer], case_freqs, ref_freqs)
-                .ok_or(ProtocolError::MalformedMessage { member: peer })?;
-            ctx.enclave.enter(|(), epc| epc.alloc(m.heap_bytes()));
-            parts.push(m);
+            let rows = n_case[peer];
+            // The report's buffer is the message's and gone on return. A
+            // compact one stays below what the stitch holds a moment later,
+            // so only its transposed part is metered; a dense one is
+            // metered while it is decoded, once its length is checked.
+            let part = match recv_protocol(ctx, peer, "lr-matrices")? {
+                ProtocolMessage::LrCompact(c, r)
+                    if ctx.compact_lr && c == combo && r.individuals == rows && r.snps == cols =>
+                {
+                    LrColumns::from_row_bits(
+                        rows as usize,
+                        cols as usize,
+                        &r.bits,
+                        case_freqs,
+                        ref_freqs,
+                    )
+                    .ok()
+                }
+                ProtocolMessage::Lr(c, r)
+                    if !ctx.compact_lr
+                        && c == combo
+                        && r.individuals == rows
+                        && r.snps == cols
+                        && rows.checked_mul(cols) == Some(r.values.len() as u64) =>
+                {
+                    ctx.enclave.enter(|(), epc| {
+                        let buffer = 8 * r.values.len() as u64;
+                        epc.alloc(buffer);
+                        let part = LrColumns::from_row_values(
+                            rows as usize,
+                            cols as usize,
+                            &r.values,
+                            case_freqs,
+                            ref_freqs,
+                        );
+                        epc.free(buffer);
+                        part.ok()
+                    })
+                }
+                _ => None,
+            }
+            .ok_or(ProtocolError::MalformedMessage { member: peer })?;
+            ctx.enclave
+                .enter(|(), epc| epc.alloc(part.heap_bytes() as u64));
+            parts.push(part);
         }
         Ok(ctx.enclave.enter(|(), epc| {
             // The parts are only needed until they are stitched.
-            let case_matrix = M::concat_rows(&parts);
-            epc.alloc(case_matrix.heap_bytes());
-            epc.free(parts.iter().map(LrTransport::heap_bytes).sum());
+            let case_matrix = LrColumns::concat_rows(&parts);
+            epc.alloc(case_matrix.heap_bytes() as u64);
+            epc.free(parts.iter().map(|p| p.heap_bytes() as u64).sum());
             drop(parts);
             search(epc, case_matrix)
         }))
@@ -1089,22 +988,24 @@ impl Source for Local<'_> {
         Ok(())
     }
 
-    fn lr_search<M: LrTransport>(
+    fn lr_search(
         &mut self,
         _: usize,
         subset: &[usize],
         columns: &[SnpId],
         case_freqs: &[f64],
         ref_freqs: &[f64],
-        search: impl FnOnce(&mut EpcAccount, M) -> LrSelection,
+        search: impl FnOnce(&mut EpcAccount, LrColumns) -> LrSelection,
     ) -> Result<LrSelection, ProtocolError> {
-        let parts: Vec<M> = subset
+        let parts: Vec<LrColumns> = subset
             .iter()
-            .map(|&i| M::own(&self.0[i], columns, case_freqs, ref_freqs))
+            .map(|&i| {
+                LrColumns::from_columnar(self.0[i].columnar(), columns, case_freqs, ref_freqs)
+            })
             .collect();
-        let case_matrix = M::concat_rows(&parts);
+        let case_matrix = LrColumns::concat_rows(&parts);
         let mut epc = EpcAccount::default();
-        epc.alloc(case_matrix.heap_bytes());
+        epc.alloc(case_matrix.heap_bytes() as u64);
         Ok(search(&mut epc, case_matrix))
     }
 }
@@ -1579,7 +1480,9 @@ mod tests {
     /// reply it replaces (0 is its Phase 1 counts), and an offset from the
     /// true value for each size the reply carries, in order: the counts'
     /// length and `n_case`; the moments' length and each one's `n`; an LR
-    /// report's declared rows and columns and its buffer's length.
+    /// report's declared rows and columns and its buffer's length. `fill`
+    /// seeds the values drawn; an odd one also puts a drawn value in a
+    /// drawn cell of a dense LR report.
     #[derive(Debug, Clone, Copy)]
     struct Lie {
         reply: usize,
@@ -1593,9 +1496,10 @@ mod tests {
     const OFFSETS: [i64; 10] = [0, 0, 0, 1, -1, 2, -2, 64, -64, 1 << 40];
 
     /// `honest` with its sizes moved by `lie.offsets`, a buffer cut short
-    /// or padded with arbitrary values. The content is the honest one
-    /// otherwise: a same-size lie about the genotypes themselves is a
-    /// different cohort, which no check of the leader could tell apart.
+    /// or padded with arbitrary values, and a dense LR report's cell
+    /// overwritten with a value no genotype produces. The content is the
+    /// honest one otherwise: a same-size lie about the genotypes themselves
+    /// is a different cohort, which no check of the leader could tell apart.
     fn lie_about(honest: &ProtocolMessage, lie: Lie) -> ProtocolMessage {
         let [a, b, c] = lie.offsets;
         let declared = |v: u64, off: i64| (v as i64).saturating_add(off).max(0) as u64;
@@ -1633,14 +1537,21 @@ mod tests {
                     bits: resized(&r.bits, c, || rng.next_u64()),
                 },
             ),
-            ProtocolMessage::Lr(combo, r) => ProtocolMessage::Lr(
-                combo,
-                LrReport {
-                    individuals: declared(r.individuals, a),
-                    snps: declared(r.snps, b),
-                    values: resized(&r.values, c, || rng.next_f64() - 0.5),
-                },
-            ),
+            ProtocolMessage::Lr(combo, r) => {
+                let mut values = resized(&r.values, c, || rng.next_f64() - 0.5);
+                if lie.fill % 2 == 1 && !values.is_empty() {
+                    let cell = rng.next_below(values.len() as u64) as usize;
+                    values[cell] = rng.next_f64() - 0.5;
+                }
+                ProtocolMessage::Lr(
+                    combo,
+                    LrReport {
+                        individuals: declared(r.individuals, a),
+                        snps: declared(r.snps, b),
+                        values,
+                    },
+                )
+            }
             other => other,
         }
     }
@@ -1826,6 +1737,28 @@ mod tests {
             other => other.clone(),
         };
         match job_with_a_liar(true, 0, overflow).outcome {
+            Err(ProtocolError::MalformedMessage { member: 2 }) => {}
+            other => panic!("{:?}", other.map(|(safe, _)| safe)),
+        }
+    }
+
+    #[test]
+    fn a_dense_value_no_genotype_produces_is_refused() {
+        // Member 2's first dense report, the same size as the honest one,
+        // with one cell off both of its column's levels (each level is a
+        // logarithm of clamped frequency ratios, far below f64::MAX).
+        let off_level = |honest: &ProtocolMessage| match honest {
+            ProtocolMessage::Lr(combo, r) => {
+                let mut r = r.clone();
+                r.values[0] = f64::MAX;
+                ProtocolMessage::Lr(*combo, r)
+            }
+            other => other.clone(),
+        };
+        let first_report = clean_run(false).kinds.iter().position(|&k| k == 2);
+        let run = job_with_a_liar(false, first_report.unwrap(), off_level);
+        assert!(run.lied);
+        match run.outcome {
             Err(ProtocolError::MalformedMessage { member: 2 }) => {}
             other => panic!("{:?}", other.map(|(safe, _)| safe)),
         }

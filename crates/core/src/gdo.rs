@@ -11,7 +11,6 @@ use gendpr_genomics::columnar::ColumnarGenotypes;
 use gendpr_genomics::genotype::GenotypeMatrix;
 use gendpr_genomics::snp::SnpId;
 use gendpr_stats::ld::LdMoments;
-use gendpr_stats::lr::LrMatrix;
 use std::ops::Range;
 
 /// One federation member's data and local compute.
@@ -102,19 +101,28 @@ impl GdoNode {
 
     /// Phase 3: the local LR matrix over `snps`, built with the *global*
     /// frequency vectors broadcast by the leader (using local frequencies
-    /// here is exactly the naïve protocol's mistake).
+    /// here is exactly the naïve protocol's mistake). Each row-major value
+    /// is one of its column's two levels, picked by the shard's bit.
     #[must_use]
     pub fn lr_report(&self, snps: &[SnpId], case_freqs: &[f64], ref_freqs: &[f64]) -> LrReport {
         let (major, minor) = gendpr_stats::lr::lr_levels(case_freqs, ref_freqs);
-        let words_per_row = snps.len().div_ceil(64);
-        let bits = self.columnar.select_row_major(snps);
-        LrReport::from_matrix(&LrMatrix::from_indicator(
-            self.individuals(),
-            snps.len(),
-            &major,
-            &minor,
-            |i, j| bits[i * words_per_row + j / 64] >> (j % 64) & 1 == 1,
-        ))
+        let columns: Vec<&[u64]> = snps.iter().map(|&s| self.columnar.snp_words(s)).collect();
+        let n = self.individuals();
+        let mut values = Vec::with_capacity(n * snps.len());
+        for i in 0..n {
+            values.extend(columns.iter().enumerate().map(|(j, words)| {
+                if words[i / 64] >> (i % 64) & 1 == 1 {
+                    minor[j]
+                } else {
+                    major[j]
+                }
+            }));
+        }
+        LrReport {
+            individuals: n as u64,
+            snps: snps.len() as u64,
+            values,
+        }
     }
 
     /// Phase 3, compressed transport: the same local LR matrix as
@@ -200,11 +208,15 @@ mod tests {
         let snps = [SnpId(0), SnpId(2)];
         let cf = [0.4, 0.3];
         let rf = [0.2, 0.25];
-        let dense = n.lr_report(&snps, &cf, &rf).into_matrix().unwrap();
-        let report = n.lr_report_compact(&snps);
+        let report = n.lr_report(&snps, &cf, &rf);
         let (rows, cols) = (report.individuals as usize, report.snps as usize);
+        let dense = LrColumns::from_row_values(rows, cols, &report.values, &cf, &rf).unwrap();
+        let report = n.lr_report_compact(&snps);
+        assert_eq!(
+            (report.individuals as usize, report.snps as usize),
+            (rows, cols)
+        );
         let compact = LrColumns::from_row_bits(rows, cols, &report.bits, &cf, &rf).unwrap();
-        assert_eq!((rows, cols), (dense.individuals(), dense.snps()));
         for i in 0..rows {
             for j in 0..cols {
                 assert_eq!(compact.get(i, j).to_bits(), dense.get(i, j).to_bits());
@@ -216,11 +228,12 @@ mod tests {
     fn lr_report_dimensions() {
         let n = node();
         let snps = [SnpId(0), SnpId(2)];
-        let report = n.lr_report(&snps, &[0.4, 0.3], &[0.2, 0.3]);
+        let (cf, rf) = ([0.4, 0.3], [0.2, 0.3]);
+        let report = n.lr_report(&snps, &cf, &rf);
         assert_eq!(report.individuals, 3);
         assert_eq!(report.snps, 2);
         assert_eq!(report.values.len(), 6);
-        let matrix = report.into_matrix().unwrap();
+        let matrix = LrColumns::from_row_values(3, 2, &report.values, &cf, &rf).unwrap();
         // Individual 2 carries the minor allele at SNP 2 where freqs are
         // equal -> zero contribution.
         assert_eq!(matrix.get(2, 1), 0.0);

@@ -10,7 +10,6 @@
 use gendpr_fednet::wire::{Decode, Encode, Reader, WireError};
 use gendpr_fednet::wire_struct;
 use gendpr_stats::ld::LdMoments;
-use gendpr_stats::lr::LrMatrix;
 
 /// Pre-processing report: one member's local allele counts over `L_des`
 /// and its case-population size (`caseLocalCounts[L_des]_g`, `N^case_g`).
@@ -112,7 +111,9 @@ wire_struct!(Phase2Broadcast {
 });
 
 /// A member's local LR matrix (Figure 4 step 2): `N^case_g × |L''|` LR
-/// contributions, row-major.
+/// contributions, row-major. The leader holds every value to its column's
+/// two levels as it decodes the report
+/// ([`LrColumns::from_row_values`](gendpr_stats::lr::LrColumns::from_row_values)).
 #[derive(Debug, Clone, PartialEq)]
 pub struct LrReport {
     /// Rows (local case individuals).
@@ -127,36 +128,6 @@ wire_struct!(LrReport {
     snps,
     values
 });
-
-impl LrReport {
-    /// Converts to the stats-layer matrix.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WireError::InvalidValue`] if the dimensions do not match
-    /// the value buffer (a malformed or malicious report).
-    pub fn into_matrix(self) -> Result<LrMatrix, WireError> {
-        let expected = (self.individuals as usize).checked_mul(self.snps as usize);
-        if expected != Some(self.values.len()) {
-            return Err(WireError::InvalidValue("LR matrix dimensions"));
-        }
-        Ok(LrMatrix::from_values(
-            self.individuals as usize,
-            self.snps as usize,
-            self.values,
-        ))
-    }
-
-    /// Builds a report from a matrix.
-    #[must_use]
-    pub fn from_matrix(m: &LrMatrix) -> Self {
-        Self {
-            individuals: m.individuals() as u64,
-            snps: m.snps() as u64,
-            values: m.values().to_vec(),
-        }
-    }
-}
 
 /// A compressed local LR matrix: since every column of an LR matrix takes
 /// only two values — determined by the frequency vectors the leader
@@ -422,7 +393,7 @@ pub(crate) fn moments_in(
 mod tests {
     use super::*;
     use gendpr_fednet::wire::{from_bytes, to_bytes};
-    use gendpr_stats::lr::{LrColumns, LrValues};
+    use gendpr_stats::lr::{LrColumns, LrMatrix, LrValues};
 
     fn roundtrip(msg: ProtocolMessage) {
         let bytes = to_bytes(&msg);
@@ -610,18 +581,23 @@ mod tests {
 
     #[test]
     fn lr_report_dimension_check() {
+        let (cf, rf) = ([0.4, 0.3, 0.2], [0.2, 0.3, 0.1]);
+        let decode = |r: &LrReport| {
+            LrColumns::from_row_values(r.individuals as usize, r.snps as usize, &r.values, &cf, &rf)
+        };
+        let major = gendpr_stats::lr::lr_levels(&cf, &rf).0;
         let bad = LrReport {
             individuals: 2,
             snps: 3,
-            values: vec![0.0; 5],
+            values: major[..2].repeat(2),
         };
-        assert!(bad.into_matrix().is_err());
+        assert!(decode(&bad).is_err());
         let good = LrReport {
-            individuals: 2,
-            snps: 3,
-            values: vec![0.0; 6],
+            values: major.repeat(2),
+            ..bad
         };
-        let m = good.clone().into_matrix().unwrap();
-        assert_eq!(LrReport::from_matrix(&m), good);
+        let m = decode(&good).unwrap();
+        assert_eq!((m.individuals(), m.snps()), (2, 3));
+        roundtrip(ProtocolMessage::Lr(0, good));
     }
 }

@@ -104,8 +104,10 @@ pub struct RuntimeOptions {
     /// Bound on every wait; a silent member aborts the protocol.
     pub timeout: Duration,
     /// Ship Phase 3 matrices as one-bit-per-cell compact reports instead
-    /// of the paper's dense value matrices (same reconstruction, ~64×
-    /// less traffic). Off by default for paper fidelity.
+    /// of the paper's dense value matrices (~64× less traffic). It selects
+    /// the wire format only: the leader decodes either into the same
+    /// indicator columns. Off by default for paper fidelity; the field
+    /// stays because the benchmark names it and runs the default.
     pub compact_lr: bool,
     /// Prefetch the LD moments of every adjacent pair of `L'` in a single
     /// batched round before the scan, collapsing the per-pair round trips
@@ -1391,7 +1393,9 @@ mod tests {
     }
 
     #[test]
-    fn compact_mode_slashes_leader_enclave_memory() {
+    fn dense_mode_costs_the_leader_one_report_buffer_at_most() {
+        // The leader holds LR rows as indicator bits in either mode; a
+        // dense report's values are metered only while they are decoded.
         let c = cohort(150, 800);
         let config = FederationConfig::new(3).with_seed(2);
         let params = GwasParams::secure_genome_defaults();
@@ -1416,11 +1420,12 @@ mod tests {
                 .unwrap()
                 .peak_enclave_bytes
         };
+        let rows = c.cohort().case_rows_among(3).iter().map(|r| r.len()).max();
+        let buffer = 8 * (rows.unwrap() * dense.l_double_prime.len()) as u64;
+        let (dense, compact) = (peak(&dense), peak(&compact));
         assert!(
-            peak(&compact) * 4 < peak(&dense),
-            "compact leader peak {} vs dense {}",
-            peak(&compact),
-            peak(&dense)
+            compact < dense && dense <= compact + buffer,
+            "dense leader peak {dense}, compact {compact}, largest report buffer {buffer}"
         );
     }
 

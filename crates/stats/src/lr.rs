@@ -24,13 +24,14 @@
 //! sums — no per-candidate allocation anywhere. The scalar reference
 //! implementation is retained as [`select_safe_subset_naive`].
 //!
-//! The leader's Phase 3 is one path: a member's compact report decodes
-//! straight into [`LrColumns`] ([`LrColumns::from_row_bits`], one 64×64
-//! block transpose), the parts are stitched ([`LrColumns::concat_rows`]),
-//! and [`select_safe_subset`] accumulates the forced (already released)
-//! columns itself before the first candidate. The dense [`LrMatrix`] and
-//! [`select_safe_subset_naive`] are the reference the property tests
-//! compare against.
+//! The leader's Phase 3 is one path: a member's report decodes straight
+//! into [`LrColumns`] — a compact one by one 64×64 block transpose
+//! ([`LrColumns::from_row_bits`]), a dense one by matching every value to
+//! its column's two levels ([`LrColumns::from_row_values`]) — the parts
+//! are stitched ([`LrColumns::concat_rows`]), and [`select_safe_subset`]
+//! accumulates the forced (already released) columns itself before the
+//! first candidate. The dense [`LrMatrix`] and [`select_safe_subset_naive`]
+//! are the reference the property tests compare against.
 //!
 //! A candidate costs one sweep over the null sums and one over the case
 //! sums, accepted or rejected. The stored sums are those of the candidate
@@ -246,35 +247,6 @@ impl LrMatrix {
         }
     }
 
-    /// Rebuilds a matrix from its two per-column levels and a minor-allele
-    /// indicator — the decompression side of the compact LR transport.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the level vectors do not both have `snps` entries.
-    #[must_use]
-    pub fn from_indicator(
-        individuals: usize,
-        snps: usize,
-        major: &[f64],
-        minor: &[f64],
-        indicator: impl Fn(usize, usize) -> bool,
-    ) -> Self {
-        assert_eq!(major.len(), snps, "one major level per SNP");
-        assert_eq!(minor.len(), snps, "one minor level per SNP");
-        let mut values = Vec::with_capacity(individuals * snps);
-        for i in 0..individuals {
-            for j in 0..snps {
-                values.push(if indicator(i, j) { minor[j] } else { major[j] });
-            }
-        }
-        Self {
-            individuals,
-            snps,
-            values,
-        }
-    }
-
     /// Concatenates the rows of all matrices — the leader-side merge of
     /// Algorithm 1 lines 63–67.
     ///
@@ -314,9 +286,9 @@ impl LrMatrix {
 /// bit-packed [`LrColumns`]. The subset search is generic over both but
 /// runs on [`LrColumns`]: it takes the two-valued column view
 /// ([`LrValues::to_columns`]) whenever both inputs offer one, and reads
-/// cell by cell only when one does not. The leader thus makes the exact
-/// same selection over 64× less enclave memory when the federation uses
-/// compact LR transport.
+/// cell by cell only when one does not. The leader holds [`LrColumns`]
+/// only, whichever format its members report in, so it makes the paper's
+/// selection over 64× less enclave memory than the dense matrices.
 pub trait LrValues {
     /// Number of individuals (rows).
     fn individuals(&self) -> usize;
@@ -352,8 +324,9 @@ impl LrValues for LrMatrix {
 /// Column-major bit-packed LR contributions: each SNP is a contiguous
 /// `individuals`-bit minor-allele indicator (64 individuals per word,
 /// LSB-first), plus the two per-column contribution levels, mirroring
-/// `genomics::columnar`. A member's compact report, row-major on the wire,
-/// decodes straight into it ([`LrColumns::from_row_bits`]).
+/// `genomics::columnar`. A member's report, row-major on the wire,
+/// decodes straight into it ([`LrColumns::from_row_bits`],
+/// [`LrColumns::from_row_values`]).
 ///
 /// This is the layout the subset-search kernels run on: admitting a column
 /// is one linear sweep of its bit words against the cumulative sum vector,
@@ -552,6 +525,55 @@ impl LrColumns {
             snps,
             words_per_col,
             bits: columns.into(),
+            major,
+            minor,
+        })
+    }
+
+    /// Decodes a member's dense LR report: `values` are its row-major
+    /// contributions, and each must equal, bit for bit, the major or the
+    /// minor level of its column, as [`lr_levels`] computes them from the
+    /// frequencies the leader broadcast (either, where the two are equal).
+    /// No genotype produces any other value, so a report holding one is
+    /// refused rather than searched.
+    ///
+    /// # Errors
+    ///
+    /// Returns a static description if the buffer or the frequency vectors
+    /// do not match the declared dimensions, or a value is neither of its
+    /// column's levels.
+    pub fn from_row_values(
+        individuals: usize,
+        snps: usize,
+        values: &[f64],
+        case_freqs: &[f64],
+        ref_freqs: &[f64],
+    ) -> Result<Self, &'static str> {
+        if individuals.checked_mul(snps) != Some(values.len()) {
+            return Err("value buffer does not match dimensions");
+        }
+        if case_freqs.len() != snps || ref_freqs.len() != snps {
+            return Err("frequency vectors do not match dimensions");
+        }
+        let (major, minor) = lr_levels(case_freqs, ref_freqs);
+        let words_per_col = individuals.div_ceil(64);
+        let mut bits = vec![0u64; snps * words_per_col];
+        for (i, row) in values.chunks_exact(snps.max(1)).enumerate() {
+            for (j, &v) in row.iter().enumerate() {
+                if v.to_bits() == major[j].to_bits() {
+                    continue;
+                }
+                if v.to_bits() != minor[j].to_bits() {
+                    return Err("a value is neither of its column's levels");
+                }
+                bits[j * words_per_col + i / 64] |= 1 << (i % 64);
+            }
+        }
+        Ok(Self {
+            individuals,
+            snps,
+            words_per_col,
+            bits: bits.into(),
             major,
             minor,
         })
@@ -1780,6 +1802,32 @@ mod tests {
         assert!(decode(4, 70).is_ok());
         assert!(decode(3, 70).is_err());
         assert!(decode(4, 69).is_err());
+    }
+
+    #[test]
+    fn row_values_must_be_their_columns_levels() {
+        // Column 1's frequencies are equal, so its two levels are both
+        // +0.0: either is a genotype.
+        let (cf, rf) = ([0.4, 0.3, 0.6], [0.2, 0.3, 0.5]);
+        let (major, minor) = lr_levels(&cf, &rf);
+        let values = [major[0], minor[1], minor[2], minor[0], major[1], major[2]];
+        let decoded = LrColumns::from_row_values(2, 3, &values, &cf, &rf).unwrap();
+        for (k, v) in values.iter().enumerate() {
+            assert_eq!(decoded.get(k / 3, k % 3).to_bits(), v.to_bits(), "cell {k}");
+        }
+        assert!(LrColumns::from_row_values(2, 3, &values[..5], &cf, &rf).is_err());
+        assert!(LrColumns::from_row_values(3, 2, &values, &cf, &rf).is_err());
+        assert!(LrColumns::from_row_values(2, 3, &values, &cf[..2], &rf[..2]).is_err());
+        // A third value, or a level's sign flipped on a zero, is no
+        // genotype's contribution.
+        for (cell, lie) in [(0, 0.5), (1, -0.0), (5, f64::NAN)] {
+            let mut lied = values;
+            lied[cell] = lie;
+            assert!(
+                LrColumns::from_row_values(2, 3, &lied, &cf, &rf).is_err(),
+                "cell {cell} = {lie}"
+            );
+        }
     }
 
     /// Ragged shapes (neither dimension a multiple of 64, stray bits set

@@ -11,6 +11,7 @@ use gendpr::fednet::tcp::{
 };
 use gendpr::fednet::wire::{from_bytes, to_bytes, Decode, Encode, Reader, WireError};
 use gendpr::fednet::wire_struct;
+use gendpr::stats::lr::{lr_levels, LrColumns};
 use proptest::prelude::*;
 
 /// The element-wise encoding of `items`: one [`Encode::encode`] each.
@@ -80,14 +81,24 @@ proptest! {
 
     #[test]
     fn lr_report_roundtrips(rows in 0u64..20, cols in 0u64..20) {
+        let (case_freqs, ref_freqs) = (vec![0.3; cols as usize], vec![0.2; cols as usize]);
+        let (major, minor) = lr_levels(&case_freqs, &ref_freqs);
+        let row = [&major[..], &minor[..]];
         let msg = LrReport {
             individuals: rows,
             snps: cols,
-            values: vec![0.5; (rows * cols) as usize],
+            values: (0..rows as usize).flat_map(|i| row[i % 2]).copied().collect(),
         };
         let back: LrReport = from_bytes(&to_bytes(&msg)).unwrap();
         prop_assert_eq!(back.clone(), msg);
-        prop_assert!(back.into_matrix().is_ok());
+        let decoded = LrColumns::from_row_values(
+            rows as usize,
+            cols as usize,
+            &back.values,
+            &case_freqs,
+            &ref_freqs,
+        );
+        prop_assert!(decoded.is_ok());
     }
 
     #[test]
